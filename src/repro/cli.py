@@ -473,14 +473,14 @@ def _cmd_run(args: argparse.Namespace) -> int:
         if explained.provably_empty:
             return 0
         print()
-    # Validate executor/workers/data-plane up front so bad values fail
-    # before any work.
-    from repro.columnar.plane import resolve_data_plane
-    from repro.mapreduce.runner import resolve_executor, resolve_workers
+    # Validate the run options up front so bad values fail before any
+    # work (execute() resolves the same arguments to the same values).
+    from repro.mapreduce.options import resolve_options
 
-    executor = resolve_executor(args.executor)
-    workers = resolve_workers(args.workers)
-    data_plane = resolve_data_plane(args.data_plane)
+    options = resolve_options(
+        args.executor, args.workers, args.faults, args.max_attempts,
+        args.speculative, args.data_plane, args.task_timeout,
+    )
     from repro.obs import resolve_profile
 
     if args.profile_full:
@@ -536,15 +536,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
             from repro.obs import ProgressPrinter
 
             progress = ProgressPrinter(observer.live).start()
-    # --task-timeout travels by environment so the nine algorithm run()
-    # signatures stay untouched; resolve_faults() reads it per job.
-    import os
-
-    from repro.faults import TASK_TIMEOUT_ENV
-
-    saved_timeout = os.environ.get(TASK_TIMEOUT_ENV)
-    if args.task_timeout is not None:
-        os.environ[TASK_TIMEOUT_ENV] = str(args.task_timeout)
     try:
         result = execute(
             query,
@@ -552,20 +543,16 @@ def _cmd_run(args: argparse.Namespace) -> int:
             algorithm=args.algorithm,
             num_partitions=args.partitions,
             partition_strategy=args.partition_strategy,
-            executor=executor,
-            workers=workers,
+            executor=options.executor,
+            workers=options.workers,
             observer=observer,
             faults=args.faults,
             max_attempts=args.max_attempts,
             speculative=args.speculative,
-            data_plane=data_plane,
+            data_plane=options.data_plane,
+            task_timeout=args.task_timeout,
         )
     finally:
-        if args.task_timeout is not None:
-            if saved_timeout is None:
-                os.environ.pop(TASK_TIMEOUT_ENV, None)
-            else:
-                os.environ[TASK_TIMEOUT_ENV] = saved_timeout
         if observer is not None:
             observer.close()
         if progress is not None:
@@ -576,8 +563,8 @@ def _cmd_run(args: argparse.Namespace) -> int:
     print(f"query:      {query}")
     print(f"class:      {query.query_class.name}")
     print(f"algorithm:  {m.algorithm}")
-    print(f"executor:   {executor} ({workers} workers)")
-    print(f"data plane: {data_plane}")
+    print(f"executor:   {options.executor} ({options.workers} workers)")
+    print(f"data plane: {options.data_plane}")
     print(f"tuples:     {len(result)}")
     print(f"cycles:     {m.num_cycles}")
     print(f"shuffled:   {human_count(m.shuffled_records)} pairs")
@@ -663,34 +650,33 @@ def _write_profile_artifacts(profiler, args: argparse.Namespace, query: str) -> 
 
 
 def _cmd_profile(args: argparse.Namespace) -> int:
-    from repro.columnar.plane import resolve_data_plane
-    from repro.mapreduce.runner import resolve_executor, resolve_workers
+    from repro.mapreduce.options import resolve_options
     from repro.obs import TraceRecorder, dashboard_from_recorder
 
     data = _load_bindings(args.relation)
     query = IntervalJoinQuery.parse(
         [_parse_condition(c) for c in args.condition]
     )
-    executor = resolve_executor(args.executor)
-    workers = resolve_workers(args.workers)
-    data_plane = resolve_data_plane(args.data_plane)
+    options = resolve_options(
+        args.executor, args.workers, data_plane=args.data_plane
+    )
     observer = TraceRecorder(profile="full" if args.full else True)
     result = execute(
         query,
         data,
         algorithm=args.algorithm,
         num_partitions=args.partitions,
-        executor=executor,
-        workers=workers,
+        executor=options.executor,
+        workers=options.workers,
         observer=observer,
-        data_plane=data_plane,
+        data_plane=options.data_plane,
     )
     observer.close()
     m = result.metrics
     print(f"query:      {query}")
     print(f"algorithm:  {m.algorithm}")
-    print(f"executor:   {executor} ({workers} workers)")
-    print(f"data plane: {data_plane}")
+    print(f"executor:   {options.executor} ({options.workers} workers)")
+    print(f"data plane: {options.data_plane}")
     print(f"tuples:     {len(result)}")
     print()
     print(observer.profiler.summary())

@@ -15,10 +15,11 @@ through map -> shuffle -> reduce:
   ``multiprocessing.shared_memory`` instead of pickling record lists
   (:mod:`repro.columnar.shm`).
 
-The plane is selected per run (:func:`resolve_data_plane`); a job whose
-mappers or reducer do not implement the protocol silently falls back to
-the legacy records plane, so every algorithm keeps working under either
-setting and outputs stay bit-identical across planes.
+The plane is selected per run (the ``data_plane`` run option, see
+:mod:`repro.mapreduce.options`); a job whose mappers or reducer do not
+implement the protocol falls back to the records plane, so every
+algorithm keeps working under either setting and outputs stay
+bit-identical across planes.
 """
 
 from repro.columnar.batch import (
@@ -34,7 +35,7 @@ from repro.columnar.batch import (
     reduce_columns,
 )
 from repro.columnar.codec import KEY_CODECS, CellKeyCodec, IntKeyCodec, KeyCodec
-from repro.columnar.plane import DATA_PLANE_ENV, DATA_PLANES, resolve_data_plane
+from repro.mapreduce.options import DATA_PLANE_ENV, DATA_PLANES, resolve_data_plane
 
 __all__ = [
     "DATA_PLANES",

@@ -22,14 +22,14 @@ import abc
 from typing import List, Mapping, Optional, Sequence, Tuple
 
 from repro.errors import PlanningError
-from repro.columnar import resolve_data_plane
 from repro.core.query import IntervalJoinQuery
 from repro.core.results import ExecutionMetrics, JoinResult
 from repro.core.schema import Relation, Row
 from repro.intervals.partitioning import Partitioning
 from repro.mapreduce.cost import CostModel, DEFAULT_COST_MODEL
 from repro.mapreduce.fs import FileSystem, InMemoryFileSystem
-from repro.mapreduce.pipeline import Pipeline, warn_if_all_fell_back
+from repro.mapreduce.options import RunOptions
+from repro.mapreduce.pipeline import Pipeline
 from repro.obs.recorder import TraceRecorder
 
 __all__ = [
@@ -172,16 +172,11 @@ class JoinAlgorithm(abc.ABC):
         *,
         num_partitions: int = 16,
         fs: Optional[FileSystem] = None,
-        executor: Optional[str] = None,
-        workers: Optional[int] = None,
         cost_model: CostModel = DEFAULT_COST_MODEL,
         partitioning: Optional[Partitioning] = None,
         partition_strategy: str = "uniform",
         observer: Optional[TraceRecorder] = None,
-        faults=None,
-        max_attempts: Optional[int] = None,
-        speculative: Optional[bool] = None,
-        data_plane: Optional[str] = None,
+        options: Optional[RunOptions] = None,
     ) -> JoinResult:
         """Execute the query and return tuples plus metrics.
 
@@ -194,14 +189,6 @@ class JoinAlgorithm(abc.ABC):
             dimension (matrix algorithms).
         fs:
             File system to run against (fresh in-memory one by default).
-        executor:
-            MapReduce executor: ``"serial"``, ``"threads"`` or
-            ``"processes"``; ``None`` defers to ``$REPRO_EXECUTOR`` and
-            then ``"serial"``.  All three are bit-identical in outputs
-            and counters.
-        workers:
-            Worker count for the parallel executors (``None``: see
-            :func:`repro.mapreduce.runner.resolve_workers`).
         cost_model:
             Converts counters to modelled seconds.
         partitioning:
@@ -213,22 +200,14 @@ class JoinAlgorithm(abc.ABC):
             Optional :class:`~repro.obs.TraceRecorder`; every job, phase
             and task of the run is recorded as a span.  Purely passive —
             results and counters are identical with or without it.
-        faults:
-            Fault-injection plan — a seed, spec string or
-            :class:`~repro.faults.FaultPlan`-like object; ``None`` defers
-            to ``$REPRO_FAULTS``, ``False`` forces injection off.  Any
-            plan within the retry budget leaves tuples, outputs and
-            counters (modulo the ``faults`` group) bit-identical.
-        max_attempts:
-            Per-task retry budget (``None``: ``$REPRO_MAX_ATTEMPTS``).
-        speculative:
-            Speculative re-execution of plan-delayed stragglers
-            (``None``: ``$REPRO_SPECULATIVE``).
-        data_plane:
-            ``"records"`` or ``"columnar"``; ``None`` defers to
-            ``$REPRO_DATA_PLANE``.  Both planes are bit-identical in
-            tuples, counters and logical loads; jobs whose mappers or
-            reducer lack columnar support fall back to records per job.
+        options:
+            How the jobs run — executor, workers, data plane, fault plan,
+            retry budget, speculation, task timeout — as one resolved
+            :class:`~repro.mapreduce.options.RunOptions`
+            (:func:`repro.execute` builds it from its keyword arguments).
+            ``None`` resolves from the ``REPRO_*`` environment, then the
+            defaults.  No option changes tuples, outputs or counters
+            (modulo the ``faults`` group).
         """
 
     # ------------------------------------------------------------------
@@ -268,31 +247,19 @@ class JoinAlgorithm(abc.ABC):
         data: Mapping[str, Relation],
         num_partitions: int,
         fs: Optional[FileSystem],
-        executor: Optional[str],
         partitioning: Optional[Partitioning],
         partition_strategy: str,
         observer: Optional[TraceRecorder] = None,
         cost_model: Optional[CostModel] = None,
-        workers: Optional[int] = None,
-        faults=None,
-        max_attempts: Optional[int] = None,
-        speculative: Optional[bool] = None,
-        data_plane: Optional[str] = None,
+        options: Optional[RunOptions] = None,
     ) -> Tuple[FileSystem, Pipeline, Partitioning]:
         """Common preamble: file system, pipeline, partitioning, inputs."""
         if num_partitions < 1:
             raise PlanningError("num_partitions must be >= 1")
         file_system = fs if fs is not None else InMemoryFileSystem()
         pipeline = Pipeline(
-            file_system,
-            executor=executor,
-            observer=observer,
-            cost_model=cost_model,
-            workers=workers,
-            faults=faults,
-            max_attempts=max_attempts,
-            speculative=speculative,
-            data_plane=data_plane,
+            file_system, observer=observer, cost_model=cost_model,
+            options=options,
         )
         if partitioning is None:
             partitioning = build_partitioning(
@@ -319,9 +286,7 @@ class JoinAlgorithm(abc.ABC):
         ``repro_algorithm_shape`` gauges for the dashboard's reducer
         utilisation table.
         """
-        warn_if_all_fell_back(
-            pipeline.result.jobs, resolve_data_plane(pipeline.data_plane)
-        )
+        pipeline.warn_if_all_fell_back()
         metrics = ExecutionMetrics.from_pipeline(
             self.name, pipeline.result, cost_model
         )

@@ -68,6 +68,7 @@ from repro.obs.recorder import TraceRecorder
 from repro.mapreduce.cost import CostModel, DEFAULT_COST_MODEL
 from repro.mapreduce.fs import FileSystem
 from repro.mapreduce.job import InputSpec, JobConf
+from repro.mapreduce.options import RunOptions
 from repro.mapreduce.shuffle import RoundRobinKeyPartitioner
 from repro.mapreduce.task import MapContext, Mapper, ReduceContext, Reducer
 
@@ -530,16 +531,11 @@ class GenMatrix(JoinAlgorithm):
         *,
         num_partitions: int = 16,
         fs: Optional[FileSystem] = None,
-        executor: Optional[str] = None,
-        workers: Optional[int] = None,
         cost_model: CostModel = DEFAULT_COST_MODEL,
         partitioning: Optional[Partitioning] = None,
         partition_strategy: str = "uniform",
         observer: Optional[TraceRecorder] = None,
-        faults=None,
-        max_attempts: Optional[int] = None,
-        speculative: Optional[bool] = None,
-        data_plane: Optional[str] = None,
+        options: Optional[RunOptions] = None,
     ) -> JoinResult:
         self._check_query(query)
         try:
@@ -559,11 +555,9 @@ class GenMatrix(JoinAlgorithm):
                     f"({len(graph.components)}), got {len(per_dim_parts)}"
                 )
         file_system, pipeline, parts = self._setup(
-            query, data, per_dim_parts[0], fs, executor,
+            query, data, per_dim_parts[0], fs,
             partitioning, partition_strategy,
-            observer=observer, cost_model=cost_model, workers=workers,
-            faults=faults, max_attempts=max_attempts, speculative=speculative,
-            data_plane=data_plane,
+            observer=observer, cost_model=cost_model, options=options,
         )
         if partitioning is not None or len(set(per_dim_parts)) == 1:
             partitionings: List[Partitioning] = [parts] * len(

@@ -29,7 +29,6 @@ from repro.core.algorithms.cascade import (
     _PartialSideMapper,
     _RowSideMapper,
     _StepJoinReducer,
-    _WrapMapper,
 )
 from repro.core.algorithms.gen_matrix import GridSpec
 from repro.core.algorithms.rccis import RCCIS
@@ -43,6 +42,7 @@ from repro.obs.recorder import TraceRecorder
 from repro.mapreduce.cost import CostModel, DEFAULT_COST_MODEL
 from repro.mapreduce.fs import FileSystem, InMemoryFileSystem
 from repro.mapreduce.job import InputSpec, JobConf
+from repro.mapreduce.options import RunOptions
 from repro.mapreduce.shuffle import RoundRobinKeyPartitioner
 from repro.mapreduce.pipeline import Pipeline
 from repro.mapreduce.task import MapContext, Mapper, ReduceContext, Reducer
@@ -175,16 +175,11 @@ class FCTS(JoinAlgorithm):
         *,
         num_partitions: int = 16,
         fs: Optional[FileSystem] = None,
-        executor: Optional[str] = None,
-        workers: Optional[int] = None,
         cost_model: CostModel = DEFAULT_COST_MODEL,
         partitioning: Optional[Partitioning] = None,
         partition_strategy: str = "uniform",
         observer: Optional[TraceRecorder] = None,
-        faults=None,
-        max_attempts: Optional[int] = None,
-        speculative: Optional[bool] = None,
-        data_plane: Optional[str] = None,
+        options: Optional[RunOptions] = None,
     ) -> JoinResult:
         if not query.is_single_attribute:
             raise PlanningError("FCTS handles single-attribute queries")
@@ -224,15 +219,10 @@ class FCTS(JoinAlgorithm):
                     subdata,
                     num_partitions=num_partitions,
                     fs=InMemoryFileSystem(),
-                    executor=executor,
-                    workers=workers,
                     cost_model=cost_model,
                     partition_strategy=partition_strategy,
                     observer=observer,
-                    faults=faults,
-                    max_attempts=max_attempts,
-                    speculative=speculative,
-                    data_plane=data_plane,
+                    options=options,
                 )
                 sub_metrics.append(sub_result.metrics)
                 seq_filters = [
@@ -268,14 +258,9 @@ class FCTS(JoinAlgorithm):
         grid_o = self.grid_parts or num_partitions
         pipeline = Pipeline(
             file_system,
-            executor=executor,
-            workers=workers,
             observer=observer,
             cost_model=cost_model,
-            faults=faults,
-            max_attempts=max_attempts,
-            speculative=speculative,
-            data_plane=data_plane,
+            options=options,
         )
         from repro.core.algorithms.base import build_partitioning
 
@@ -463,16 +448,11 @@ class FSTC(JoinAlgorithm):
         *,
         num_partitions: int = 16,
         fs: Optional[FileSystem] = None,
-        executor: Optional[str] = None,
-        workers: Optional[int] = None,
         cost_model: CostModel = DEFAULT_COST_MODEL,
         partitioning: Optional[Partitioning] = None,
         partition_strategy: str = "uniform",
         observer: Optional[TraceRecorder] = None,
-        faults=None,
-        max_attempts: Optional[int] = None,
-        speculative: Optional[bool] = None,
-        data_plane: Optional[str] = None,
+        options: Optional[RunOptions] = None,
     ) -> JoinResult:
         if query.query_class is not QueryClass.HYBRID:
             raise PlanningError("FSTC handles hybrid queries")
@@ -498,15 +478,10 @@ class FSTC(JoinAlgorithm):
             seq_data,
             num_partitions=grid_o,
             fs=InMemoryFileSystem(),
-            executor=executor,
-            workers=workers,
             cost_model=cost_model,
             partition_strategy=partition_strategy,
             observer=observer,
-            faults=faults,
-            max_attempts=max_attempts,
-            speculative=speculative,
-            data_plane=data_plane,
+            options=options,
         )
         partial_records = [
             tuple((name, row) for name, row in zip(seq_query.relations, t))
@@ -529,14 +504,9 @@ class FSTC(JoinAlgorithm):
 
         pipeline = Pipeline(
             file_system,
-            executor=executor,
-            workers=workers,
             observer=observer,
             cost_model=cost_model,
-            faults=faults,
-            max_attempts=max_attempts,
-            speculative=speculative,
-            data_plane=data_plane,
+            options=options,
         )
         bound: List[str] = list(seq_query.relations)
         remaining = [n for n in query.relations if n not in bound]

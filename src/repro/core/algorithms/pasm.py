@@ -39,6 +39,7 @@ from repro.obs.recorder import TraceRecorder
 from repro.mapreduce.cost import CostModel, DEFAULT_COST_MODEL
 from repro.mapreduce.fs import FileSystem
 from repro.mapreduce.job import InputSpec, JobConf
+from repro.mapreduce.options import RunOptions
 from repro.mapreduce.shuffle import RoundRobinKeyPartitioner
 from repro.mapreduce.task import MapContext, Mapper, ReduceContext, Reducer
 
@@ -171,16 +172,11 @@ class PASM(JoinAlgorithm):
         *,
         num_partitions: int = 16,
         fs: Optional[FileSystem] = None,
-        executor: Optional[str] = None,
-        workers: Optional[int] = None,
         cost_model: CostModel = DEFAULT_COST_MODEL,
         partitioning: Optional[Partitioning] = None,
         partition_strategy: str = "uniform",
         observer: Optional[TraceRecorder] = None,
-        faults=None,
-        max_attempts: Optional[int] = None,
-        speculative: Optional[bool] = None,
-        data_plane: Optional[str] = None,
+        options: Optional[RunOptions] = None,
     ) -> JoinResult:
         if not query.is_single_attribute:
             raise PlanningError(
@@ -193,11 +189,9 @@ class PASM(JoinAlgorithm):
             return JoinResult(query, [], ExecutionMetrics(algorithm=self.name))
         grid_parts = self.grid_parts or num_partitions
         file_system, pipeline, parts = self._setup(
-            query, data, grid_parts, fs, executor,
+            query, data, grid_parts, fs,
             partitioning, partition_strategy,
-            observer=observer, cost_model=cost_model, workers=workers,
-            faults=faults, max_attempts=max_attempts, speculative=speculative,
-            data_plane=data_plane,
+            observer=observer, cost_model=cost_model, options=options,
         )
         grid = GridSpec(graph, parts)
         multi_components = [

@@ -23,6 +23,7 @@ from repro.obs.recorder import TraceRecorder
 from repro.mapreduce.cost import CostModel, DEFAULT_COST_MODEL
 from repro.mapreduce.fs import FileSystem
 from repro.mapreduce.job import InputSpec, JobConf
+from repro.mapreduce.options import RunOptions
 from repro.mapreduce.shuffle import RoundRobinKeyPartitioner
 from repro.mapreduce.task import MapContext, Mapper
 
@@ -102,16 +103,11 @@ class TwoWayJoin(JoinAlgorithm):
         *,
         num_partitions: int = 16,
         fs: Optional[FileSystem] = None,
-        executor: Optional[str] = None,
-        workers: Optional[int] = None,
         cost_model: CostModel = DEFAULT_COST_MODEL,
         partitioning: Optional[Partitioning] = None,
         partition_strategy: str = "uniform",
         observer: Optional[TraceRecorder] = None,
-        faults=None,
-        max_attempts: Optional[int] = None,
-        speculative: Optional[bool] = None,
-        data_plane: Optional[str] = None,
+        options: Optional[RunOptions] = None,
     ) -> JoinResult:
         if len(query.conditions) != 1 or len(query.relations) != 2:
             raise PlanningError(
@@ -119,11 +115,9 @@ class TwoWayJoin(JoinAlgorithm):
             )
         condition = query.conditions[0]
         file_system, pipeline, parts = self._setup(
-            query, data, num_partitions, fs, executor,
+            query, data, num_partitions, fs,
             partitioning, partition_strategy,
-            observer=observer, cost_model=cost_model, workers=workers,
-            faults=faults, max_attempts=max_attempts, speculative=speculative,
-            data_plane=data_plane,
+            observer=observer, cost_model=cost_model, options=options,
         )
         attributes = {
             name: query.attributes_of(name)[0] for name in query.relations

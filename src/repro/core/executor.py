@@ -27,6 +27,7 @@ from repro.core.schema import Relation
 from repro.intervals.partitioning import Partitioning
 from repro.mapreduce.cost import CostModel, DEFAULT_COST_MODEL
 from repro.mapreduce.fs import FileSystem
+from repro.mapreduce.options import resolve_options
 from repro.obs.recorder import TraceRecorder
 
 __all__ = ["execute"]
@@ -50,6 +51,7 @@ def execute(
     max_attempts: Optional[int] = None,
     speculative: Optional[bool] = None,
     data_plane: Optional[str] = None,
+    task_timeout: Optional[float] = None,
 ) -> JoinResult:
     """Plan and run an interval join query.
 
@@ -75,11 +77,12 @@ def execute(
         is recorded as a span hierarchy (query -> algorithm -> job ->
         phase -> task) with counter deltas and cost-model charges;
         results are identical with or without it.
-    faults, max_attempts, speculative:
+    faults, max_attempts, speculative, task_timeout:
         Fault-injection plan (seed / spec string / plan object), per-task
-        retry budget, and speculative re-execution switch; ``None``
-        defers to ``REPRO_FAULTS`` / ``REPRO_MAX_ATTEMPTS`` /
-        ``REPRO_SPECULATIVE``.  Any plan within the retry budget leaves
+        retry budget, speculative re-execution switch and per-attempt
+        timeout in seconds; ``None`` defers to ``REPRO_FAULTS`` /
+        ``REPRO_MAX_ATTEMPTS`` / ``REPRO_SPECULATIVE`` /
+        ``REPRO_TASK_TIMEOUT``.  Any plan within the retry budget leaves
         tuples and counters (modulo the ``faults`` group) bit-identical
         to a fault-free run.
     data_plane:
@@ -88,10 +91,19 @@ def execute(
         jobs on struct-of-arrays batches with bit-identical results;
         unsupported jobs fall back to the records plane per job.
 
-    Other keyword arguments are forwarded to the algorithm; see
+    The seven run options (``executor`` … ``task_timeout``) are resolved
+    and validated here, once, into a
+    :class:`~repro.mapreduce.options.RunOptions` — before planning, so an
+    invalid option raises even when the planner proves the query empty —
+    and handed to the algorithm as one argument.  The other keyword
+    arguments are forwarded as they are; see
     :meth:`~repro.core.algorithms.base.JoinAlgorithm.run`.
     """
     query.validate_against(data)
+    options = resolve_options(
+        executor, workers, faults, max_attempts, speculative, data_plane,
+        task_timeout,
+    )
     if algorithm is None:
         chosen = plan(query, prune=prune)
         if chosen.provably_empty:
@@ -124,16 +136,11 @@ def execute(
             data,
             num_partitions=num_partitions,
             fs=fs,
-            executor=executor,
-            workers=workers,
             cost_model=cost_model,
             partitioning=partitioning,
             partition_strategy=partition_strategy,
             observer=observer,
-            faults=faults,
-            max_attempts=max_attempts,
-            speculative=speculative,
-            data_plane=data_plane,
+            options=options,
         )
 
     if observer is None:

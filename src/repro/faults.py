@@ -17,10 +17,12 @@ property:
 * :class:`ScriptedFaultPlan` — an explicit per-attempt event table for
   tests that need a fault in one precise place (a combiner, a
   ``cleanup()`` hook, a commit).
-* :func:`resolve_faults` — merges explicit arguments with the
-  ``REPRO_FAULTS`` / ``REPRO_MAX_ATTEMPTS`` / ``REPRO_SPECULATIVE``
-  environment variables (how CI runs the whole suite under chaos) into
-  one :class:`ResolvedFaults` bundle the runner consumes.
+* :class:`ResolvedFaults` — the plan, retry budget, speculation switch
+  and task timeout of one run, in the shape the runner's task-attempt
+  loop consumes.  :mod:`repro.mapreduce.options` resolves it from
+  explicit arguments and the ``REPRO_FAULTS`` / ``REPRO_MAX_ATTEMPTS`` /
+  ``REPRO_SPECULATIVE`` / ``REPRO_TASK_TIMEOUT`` environment variables
+  (how CI runs the whole suite under chaos).
 
 The contract, pinned by the fault-parity tests: any fault plan whose
 per-task failure count stays below ``max_attempts`` yields output
@@ -31,7 +33,6 @@ bit-identical to a fault-free run, under every executor.
 from __future__ import annotations
 
 import hashlib
-import os
 import random
 from dataclasses import dataclass
 from typing import Any, Dict, Iterable, Mapping, Optional, Sequence, Tuple, Union
@@ -70,7 +71,7 @@ INJECTION_POINTS = ("setup", "combiner", "cleanup", "commit")
 #: "modulo the faults group".
 FAULTS_GROUP = "faults"
 
-#: Environment variables consulted by :func:`resolve_faults` (how CI
+#: Environment variables :mod:`repro.mapreduce.options` consults (how CI
 #: forces a chaos configuration onto a whole test run).
 FAULTS_ENV = "REPRO_FAULTS"
 MAX_ATTEMPTS_ENV = "REPRO_MAX_ATTEMPTS"
@@ -349,16 +350,6 @@ class ResolvedFaults:
     sleep_cap: float = 0.05
     task_timeout: Optional[float] = None
 
-    @property
-    def active(self) -> bool:
-        """Whether the fault machinery participates in execution at all."""
-        return (
-            self.plan is not None
-            or self.max_attempts > 1
-            or self.speculative
-            or self.task_timeout is not None
-        )
-
     def events_for(
         self, job: str, phase: str, task_index: int, attempt: int
     ) -> Tuple[FaultEvent, ...]:
@@ -373,46 +364,6 @@ class ResolvedFaults:
         return min(self.backoff_base * (2 ** (attempt - 1)), self.backoff_cap)
 
 
-def _env_plan() -> Optional[FaultPlan]:
-    spec = os.environ.get(FAULTS_ENV, "").strip()
-    if not spec:
-        return None
-    return FaultPlan.parse(spec)
-
-
-def _env_max_attempts() -> Optional[int]:
-    text = os.environ.get(MAX_ATTEMPTS_ENV, "").strip()
-    if not text:
-        return None
-    try:
-        value = int(text)
-    except ValueError:
-        raise MapReduceError(
-            f"{MAX_ATTEMPTS_ENV} must be an integer, got {text!r}"
-        ) from None
-    return value
-
-
-def _env_speculative() -> Optional[bool]:
-    text = os.environ.get(SPECULATIVE_ENV, "").strip().lower()
-    if not text:
-        return None
-    return text in ("1", "true", "yes", "on")
-
-
-def _env_task_timeout() -> Optional[float]:
-    text = os.environ.get(TASK_TIMEOUT_ENV, "").strip()
-    if not text:
-        return None
-    try:
-        value = float(text)
-    except ValueError:
-        raise MapReduceError(
-            f"{TASK_TIMEOUT_ENV} must be a number of seconds, got {text!r}"
-        ) from None
-    return value
-
-
 def resolve_faults(
     faults: Union[None, bool, int, str, Any] = None,
     max_attempts: Optional[int] = None,
@@ -420,66 +371,10 @@ def resolve_faults(
     task_timeout: Optional[float] = None,
 ) -> ResolvedFaults:
     """The effective fault configuration: explicit arguments beat the
-    environment, the environment beats the fault-free default.
+    ``REPRO_*`` environment, which beats the fault-free default.  See
+    :func:`repro.mapreduce.options.resolve_faults`, where all run
+    options are resolved."""
+    # Imported here: the options module builds on this one.
+    from repro.mapreduce.options import resolve_faults as resolve
 
-    ``faults`` may be ``None`` (defer to ``$REPRO_FAULTS``), ``False``
-    (force fault injection off, ignoring the environment), an integer
-    seed, a spec string (see :meth:`FaultPlan.parse`), or any plan
-    object exposing ``events_for``.  ``max_attempts`` defaults to
-    ``$REPRO_MAX_ATTEMPTS``, then :data:`DEFAULT_MAX_ATTEMPTS` when a
-    plan is active, else 1 (fail fast, the pre-fault-tolerance
-    behaviour).  ``speculative`` defaults to ``$REPRO_SPECULATIVE``,
-    then off.  ``task_timeout`` defaults to ``$REPRO_TASK_TIMEOUT``,
-    then unlimited.
-    """
-    if faults is False:
-        # Force the whole machinery off, environment included: without a
-        # plan the retry budget can only change which code path runs, so
-        # an env-supplied budget must not reactivate it.  An explicit
-        # ``max_attempts`` argument still wins.
-        plan: Optional[Any] = None
-        if max_attempts is None:
-            max_attempts = 1
-    elif faults is None:
-        plan = _env_plan()
-    elif isinstance(faults, (int, str)):
-        plan = FaultPlan.parse(faults)
-    elif hasattr(faults, "events_for"):
-        plan = faults
-    else:
-        raise MapReduceError(
-            f"faults must be a seed, a spec string, a plan, False or None; "
-            f"got {faults!r}"
-        )
-    if max_attempts is None:
-        max_attempts = _env_max_attempts()
-    if max_attempts is None:
-        max_attempts = DEFAULT_MAX_ATTEMPTS if plan is not None else 1
-    if isinstance(max_attempts, bool) or not isinstance(max_attempts, int) \
-            or max_attempts < 1:
-        raise MapReduceError(
-            f"max_attempts must be a positive integer, got {max_attempts!r}"
-        )
-    if speculative is None:
-        speculative = _env_speculative()
-    if speculative is None:
-        speculative = False
-    if task_timeout is None and faults is not False:
-        # ``faults=False`` forces the machinery off, environment
-        # included — an env-supplied timeout must not reactivate it.
-        task_timeout = _env_task_timeout()
-    if task_timeout is not None and (
-        isinstance(task_timeout, bool) or task_timeout <= 0
-    ):
-        raise MapReduceError(
-            f"task_timeout must be a positive number of seconds, "
-            f"got {task_timeout!r}"
-        )
-    return ResolvedFaults(
-        plan=plan,
-        max_attempts=max_attempts,
-        speculative=bool(speculative),
-        task_timeout=(
-            float(task_timeout) if task_timeout is not None else None
-        ),
-    )
+    return resolve(faults, max_attempts, speculative, task_timeout)

@@ -5,7 +5,8 @@ Public surface:
 * file systems — :class:`InMemoryFileSystem`, :class:`LocalFileSystem`
 * programming model — :class:`Mapper`, :class:`Reducer`, contexts
 * execution — :class:`JobConf`, :func:`run_job`, :class:`Pipeline`,
-  the executor backends (:data:`EXECUTORS`, :func:`resolve_executor`,
+  the run options (:class:`RunOptions`, :func:`resolve_options`), the
+  executor backends (:data:`EXECUTORS`, :func:`resolve_executor`,
   :func:`resolve_workers`, :func:`shutdown_worker_pools`)
 * measurement — :class:`Counters`, :class:`CostModel`
 """
@@ -15,6 +16,7 @@ from repro.mapreduce.history import JobHistory, JobRecord
 from repro.mapreduce.cost import DEFAULT_COST_MODEL, CostModel
 from repro.mapreduce.fs import FileSystem, InMemoryFileSystem, LocalFileSystem
 from repro.mapreduce.job import InputSpec, JobConf, JobResult
+from repro.mapreduce.options import RunOptions, resolve_options
 from repro.mapreduce.pipeline import Pipeline, PipelineResult
 from repro.mapreduce.runner import (
     EXECUTORS,
@@ -52,6 +54,8 @@ __all__ = [
     "Pipeline",
     "PipelineResult",
     "run_job",
+    "RunOptions",
+    "resolve_options",
     "EXECUTORS",
     "resolve_executor",
     "resolve_workers",

@@ -50,22 +50,13 @@ __all__ = ["FileSystem", "InMemoryFileSystem", "LocalFileSystem"]
 class FileSystem(abc.ABC):
     """Abstract record-oriented file system."""
 
-    #: Optional :class:`~repro.obs.metrics.MetricsRegistry`; when a run
-    #: is observed, ``run_job`` points this at the observer's registry so
-    #: the commit protocol reports staged/promoted/discarded attempts.
-    metrics: Optional[Any] = None
-
-    #: Optional :class:`~repro.obs.profile.Profiler`; when a run is
-    #: profiled, ``run_job`` points this at the observer's profiler so
-    #: staged attempt files report their repr-byte volume.
-    profiler: Optional[Any] = None
-
-    def _count_commit(self, event: str) -> None:
-        if self.metrics is None:
+    @staticmethod
+    def _count_commit(observer: Any, event: str) -> None:
+        if observer is None:
             return
         # Attempt traffic varies under chaos (failed attempts stage and
         # discard extra files), so it lives in the "faults" group.
-        self.metrics.counter(
+        observer.metrics.counter(
             "repro_fs_attempts_total",
             "Commit-protocol attempt files staged/promoted/discarded.",
             labels=("event",),
@@ -108,7 +99,9 @@ class FileSystem(abc.ABC):
     # ------------------------------------------------------------------
     # Task-output commit protocol (Hadoop's FileOutputCommitter shape):
     # every attempt writes under _temporary/, only a promoted attempt
-    # becomes a visible part file.
+    # becomes a visible part file.  ``observer`` (a TraceRecorder, passed
+    # per call so a file system shared between concurrent jobs never
+    # holds one job's registry) receives the commit accounting.
     # ------------------------------------------------------------------
     def task_attempt_path(self, base: str, index: int, attempt: int) -> str:
         """Where task ``index``'s attempt ``attempt`` stages its output."""
@@ -119,12 +112,13 @@ class FileSystem(abc.ABC):
     STAGED_BYTES_SAMPLE = 64
 
     def write_attempt(
-        self, base: str, index: int, attempt: int, records: Iterable[Any]
+        self, base: str, index: int, attempt: int, records: Iterable[Any],
+        *, observer: Any = None,
     ) -> str:
         """Stage one attempt's output under ``_temporary``; returns the
         staged path.  Invisible to :meth:`read_dir` until promoted.
 
-        With a profiler attached, the staged records' repr-byte volume
+        With a profiling observer, the staged records' repr-byte volume
         (the same communication-cost proxy the shuffle uses) is charged
         to ``repro_profile_fs_staged_bytes_total`` — estimated from the
         first :attr:`STAGED_BYTES_SAMPLE` records and extrapolated, so
@@ -132,26 +126,31 @@ class FileSystem(abc.ABC):
         record (which dominated profiled runs at scale).
         """
         path = self.task_attempt_path(base, index, attempt)
-        if self.profiler is not None:
+        profiler = observer.profiler if observer is not None else None
+        if profiler is not None:
             records = list(records)
             sample = records[: self.STAGED_BYTES_SAMPLE]
             if sample:
                 sampled = sum(
                     len(repr(record).encode("utf-8")) for record in sample
                 )
-                self.profiler.record_staged_bytes(
+                profiler.record_staged_bytes(
                     int(sampled / len(sample) * len(records))
                 )
         self.write(path, records, overwrite=True)
-        self._count_commit("staged")
+        self._count_commit(observer, "staged")
         return path
 
-    def discard_attempt(self, base: str, index: int, attempt: int) -> None:
+    def discard_attempt(
+        self, base: str, index: int, attempt: int, *, observer: Any = None
+    ) -> None:
         """Drop one staged attempt (failed or speculative loser)."""
         self.delete(self.task_attempt_path(base, index, attempt))
-        self._count_commit("discarded")
+        self._count_commit(observer, "discarded")
 
-    def promote_attempt(self, base: str, index: int, attempt: int) -> str:
+    def promote_attempt(
+        self, base: str, index: int, attempt: int, *, observer: Any = None
+    ) -> str:
         """Commit one staged attempt as ``part-NNNNN``.
 
         The winning attempt's file is renamed into place and every other
@@ -167,7 +166,7 @@ class FileSystem(abc.ABC):
         self.rename(src, dst)
         for leftover in self.list_prefix(f"{base}/_temporary/task-{index:05d}/"):
             self.delete(leftover)
-        self._count_commit("promoted")
+        self._count_commit(observer, "promoted")
         return dst
 
     # ------------------------------------------------------------------
@@ -237,7 +236,9 @@ class InMemoryFileSystem(FileSystem):
             raise FileSystemError(f"no such file: {src!r}") from None
 
     def list_prefix(self, prefix: str) -> List[str]:
-        return sorted(p for p in self._files if p.startswith(prefix))
+        # list() snapshots the keys atomically: another job may stage or
+        # promote files on this file system while we scan.
+        return sorted(p for p in list(self._files) if p.startswith(prefix))
 
 
 class LocalFileSystem(FileSystem):
@@ -316,8 +317,10 @@ class LocalFileSystem(FileSystem):
         os.makedirs(os.path.dirname(target), exist_ok=True)
         os.replace(source, target)
 
-    def promote_attempt(self, base: str, index: int, attempt: int) -> str:
-        dst = super().promote_attempt(base, index, attempt)
+    def promote_attempt(
+        self, base: str, index: int, attempt: int, *, observer: Any = None
+    ) -> str:
+        dst = super().promote_attempt(base, index, attempt, observer=observer)
         # Prune the now-empty on-disk staging directories.
         task_dir = self._resolve(f"{base}/_temporary/task-{index:05d}")
         if os.path.isdir(task_dir):
@@ -328,11 +331,14 @@ class LocalFileSystem(FileSystem):
         return dst
 
     def list_prefix(self, prefix: str) -> List[str]:
+        # Only the leading "/" is noise: a trailing one is the directory
+        # boundary that keeps "out/" from matching a sibling "out2/".
+        wanted = prefix.lstrip("/")
         found: List[str] = []
         for dirpath, _, filenames in os.walk(self.root):
             for name in filenames:
                 full = os.path.join(dirpath, name)
                 rel = os.path.relpath(full, self.root).replace(os.sep, "/")
-                if rel.startswith(prefix.strip("/")):
+                if rel.startswith(wanted):
                     found.append(rel)
         return sorted(found)

@@ -15,43 +15,16 @@ from typing import TYPE_CHECKING, List, Optional, Sequence
 from repro.mapreduce.counters import Counters
 from repro.mapreduce.fs import FileSystem
 from repro.mapreduce.job import JobConf, JobResult
+from repro.mapreduce.options import RunOptions, resolve_options
 from repro.mapreduce.runner import run_job
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.mapreduce.cost import CostModel
     from repro.obs.recorder import TraceRecorder
 
-__all__ = ["Pipeline", "PipelineResult", "warn_if_all_fell_back"]
+__all__ = ["Pipeline", "PipelineResult"]
 
 logger = logging.getLogger("repro.columnar")
-
-
-def warn_if_all_fell_back(
-    jobs: Sequence[JobResult], data_plane: Optional[str]
-) -> bool:
-    """Log one warning when ``columnar`` was requested but no job used it.
-
-    Per-job fallbacks are normal (a cascade may mix columnar-capable and
-    records-only cycles) and are only surfaced through the
-    ``repro_data_plane_fallback_total`` metric and EXPLAIN; a run where
-    *every* job fell back usually means a misconfiguration, so it earns
-    a single log-level warning.  Returns whether the warning fired.
-    """
-    if data_plane != "columnar" or not jobs:
-        return False
-    if any(job.data_plane == "columnar" for job in jobs):
-        return False
-    reasons = sorted(
-        {job.data_plane_fallback or "unknown" for job in jobs}
-    )
-    logger.warning(
-        "--data-plane columnar requested but all %d job(s) fell back to "
-        "the records plane (reasons: %s); see "
-        "repro_data_plane_fallback_total for the per-job breakdown",
-        len(jobs),
-        ", ".join(reasons),
-    )
-    return True
 
 
 @dataclass
@@ -95,35 +68,18 @@ class Pipeline:
     def __init__(
         self,
         fs: FileSystem,
-        executor: Optional[str] = None,
         observer: Optional["TraceRecorder"] = None,
         cost_model: Optional["CostModel"] = None,
-        workers: Optional[int] = None,
-        faults=None,
-        max_attempts: Optional[int] = None,
-        speculative: Optional[bool] = None,
-        data_plane: Optional[str] = None,
-        task_timeout: Optional[float] = None,
+        options: Optional[RunOptions] = None,
     ) -> None:
         self.fs = fs
-        #: executor name, or None to defer to $REPRO_EXECUTOR / "serial".
-        self.executor = executor
         #: optional TraceRecorder forwarded to every job run.
         self.observer = observer
         #: cost model used only to charge recorded spans.
         self.cost_model = cost_model
-        #: worker count for the parallel executors (None: resolved per job).
-        self.workers = workers
-        #: fault-injection plan / seed / spec (None: $REPRO_FAULTS).
-        self.faults = faults
-        #: per-task retry budget (None: $REPRO_MAX_ATTEMPTS).
-        self.max_attempts = max_attempts
-        #: speculative re-execution switch (None: $REPRO_SPECULATIVE).
-        self.speculative = speculative
-        #: data plane ("records"/"columnar"; None: $REPRO_DATA_PLANE).
-        self.data_plane = data_plane
-        #: per-task attempt timeout in seconds (None: $REPRO_TASK_TIMEOUT).
-        self.task_timeout = task_timeout
+        #: how every job of the chain runs; resolved here (arguments
+        #: absent, so ``$REPRO_*`` then defaults) when not handed down.
+        self.options = options if options is not None else resolve_options()
         self.result = PipelineResult()
 
     def run(self, conf: JobConf) -> JobResult:
@@ -131,18 +87,40 @@ class Pipeline:
         job_result = run_job(
             self.fs,
             conf,
-            executor=self.executor,
             observer=self.observer,
             cost_model=self.cost_model,
-            workers=self.workers,
-            faults=self.faults,
-            max_attempts=self.max_attempts,
-            speculative=self.speculative,
-            data_plane=self.data_plane,
-            task_timeout=self.task_timeout,
+            options=self.options,
         )
         self.result.jobs.append(job_result)
         return job_result
+
+    def warn_if_all_fell_back(self) -> bool:
+        """Log one warning when ``columnar`` was requested but no job
+        used it.
+
+        Per-job fallbacks are normal (a cascade may mix columnar-capable
+        and records-only cycles) and are only surfaced through the
+        ``repro_data_plane_fallback_total`` metric and EXPLAIN; a run
+        where *every* job fell back usually means a misconfiguration, so
+        it earns a single log-level warning.  Returns whether the
+        warning fired.
+        """
+        jobs = self.result.jobs
+        if self.options.data_plane != "columnar" or not jobs:
+            return False
+        if any(job.data_plane == "columnar" for job in jobs):
+            return False
+        reasons = sorted(
+            {job.data_plane_fallback or "unknown" for job in jobs}
+        )
+        logger.warning(
+            "--data-plane columnar requested but all %d job(s) fell back to "
+            "the records plane (reasons: %s); see "
+            "repro_data_plane_fallback_total for the per-job breakdown",
+            len(jobs),
+            ", ".join(reasons),
+        )
+        return True
 
     def run_all(self, confs: Sequence[JobConf]) -> PipelineResult:
         """Run a fixed job sequence."""

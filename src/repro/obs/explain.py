@@ -435,7 +435,7 @@ def explain_query(
     argument, then ``$REPRO_DATA_PLANE``, then ``"records"``) so the
     EXPLAIN shows the plane the run would use.
     """
-    from repro.columnar.plane import resolve_data_plane
+    from repro.mapreduce.options import resolve_data_plane
     from repro.core.planner import ALGORITHMS, plan, plan_alternatives
     from repro.core.tuning import PredictConfig, profile_data
     from repro.errors import PlanningError

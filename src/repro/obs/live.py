@@ -52,6 +52,7 @@ from typing import Any, Dict, FrozenSet, List, Optional, Tuple
 
 from repro.errors import ReproError
 from repro.obs.metrics import GROUP_LIVE, MetricsRegistry
+from repro.obs.profile import collector_paused
 
 __all__ = [
     "LIVE_ENV",
@@ -192,6 +193,31 @@ class _QueueChannel:
     def send(self, beat: Heartbeat) -> None:
         self._queue.put(beat)
 
+    def __reduce__(self) -> Tuple[Any, ...]:
+        return _WorkerChannel, (self._queue,)
+
+
+class _WorkerChannel(_QueueChannel):
+    """A ``processes`` channel as a pool worker unpickles it.
+
+    Every unpickled channel wraps its own manager-queue proxy, and the
+    stdlib tracks a process's proxies of one queue as a *set* of ids:
+    when any one of them is finalised the set empties and the process's
+    connection to the manager is closed — under the others.  Task bodies
+    do leave beats in cyclic garbage (a reducer's recursive closure
+    keeping its context alive), so an earlier attempt's proxy can be
+    finalised by a collection that an allocation inside this attempt's
+    ``put`` triggers, and the send fails on a closed connection.  The
+    collector is therefore kept out of the ``put``; a proxy finalised at
+    any other time only makes the next ``put`` reconnect.
+    """
+
+    __slots__ = ()
+
+    def send(self, beat: Heartbeat) -> None:
+        with collector_paused():
+            self._queue.put(beat)
+
 
 class TaskBeat:
     """The heartbeat emitter handed to one task attempt.
@@ -264,6 +290,21 @@ class TaskBeat:
             self.channel, self.job, self.phase, self.task_index,
             attempt, self.interval,
         )
+
+
+class NullHub:
+    """Live telemetry off: the hooks the job runner calls, as no-ops.
+    ``task_beat`` hands out no emitter (``None``), which is what keeps
+    the per-record progress report out of unmonitored task bodies."""
+
+    def _ignore(self, *args: Any, **kwargs: Any) -> None:
+        return None
+
+    job_started = job_finished = phase_started = phase_finished = _ignore
+    task_beat = _ignore
+
+    def stalled_indices(self, job: str, phase: str) -> FrozenSet[int]:
+        return frozenset()
 
 
 # ----------------------------------------------------------------------

@@ -35,7 +35,7 @@ parity tests compare fingerprints with ``exclude_groups=("wall",
 against a fault-free one.
 
 Worker *processes* never see the registry — they ship counter snapshots
-back (see ``runner._run_map_tasks_processes``) and the parent records
+back (see ``runner._process_attempt``) and the parent records
 metrics from those, so the merge is deterministic by construction.
 Worker *threads* write through the registry lock.
 """
@@ -369,7 +369,10 @@ class MetricsRegistry:
     """
 
     def __init__(self) -> None:
-        self._lock = threading.Lock()
+        # Reentrant: the profiler's GC callback records into the registry
+        # from whichever thread triggered the collection, which may be
+        # inside a registry call (holding this lock) already.
+        self._lock = threading.RLock()
         self._metrics: Dict[str, Metric] = {}
 
     # -- registration ---------------------------------------------------

@@ -46,13 +46,10 @@ import threading
 import time
 import zlib
 from collections import Counter as CollectionsCounter
-from typing import Any, Dict, Iterable, List, Mapping, Optional, Tuple
+from contextlib import contextmanager
+from typing import Any, Dict, Iterable, Iterator, List, Mapping, Optional, Tuple
 
-from repro.obs.metrics import (
-    GROUP_PROFILE,
-    MetricsRegistry,
-    SECONDS_BUCKETS,
-)
+from repro.obs.metrics import GROUP_PROFILE, MetricsRegistry
 
 __all__ = [
     "PROFILE_ENV",
@@ -116,6 +113,24 @@ def resolve_profile(explicit: Any = None) -> Optional[str]:
     return LEVEL_FULL if value == LEVEL_FULL else LEVEL_CPU
 
 
+@contextmanager
+def collector_paused() -> Iterator[None]:
+    """Keep the cyclic collector from starting inside the block.
+
+    For short calls into C-level state that is not safe against the
+    Python code a collection runs (``gc.callbacks``, finalisers).  A
+    pause ending on another thread can cut this one short, never leave
+    the collector off.
+    """
+    collecting = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if collecting:
+            gc.enable()
+
+
 # ----------------------------------------------------------------------
 # Stack sampling.
 # ----------------------------------------------------------------------
@@ -174,7 +189,12 @@ class StackSampler:
     def sample_once(self) -> int:
         """Take one sample of every registered thread (also called by
         the background loop); returns the number of stacks folded."""
-        frames = sys._current_frames()
+        # _current_frames() allocates while holding the interpreter's
+        # thread-list lock; a collection started there runs gc callbacks,
+        # which can hand the GIL to a thread that then blocks on that
+        # lock (another sampler, a thread starting or exiting) for good.
+        with collector_paused():
+            frames = sys._current_frames()
         folded = 0
         with self._lock:
             for thread_id, labels in self._labels.items():
@@ -296,7 +316,10 @@ class Profiler:
         self.registry = registry if registry is not None else MetricsRegistry()
         self.level = level
         self.sampler = StackSampler(interval=interval)
-        self._lock = threading.Lock()
+        # Reentrant: the GC callback (_on_gc) runs on whichever thread
+        # triggered the collection — possibly one already inside a
+        # ``with self._lock`` block that allocated.
+        self._lock = threading.RLock()
         #: (job, phase) context stack for GC / memory attribution.
         self._phase_stack: List[Tuple[str, str]] = []
         #: span_id -> (thread_time0, rss0, blocks0) for open phase spans.
@@ -436,7 +459,10 @@ class Profiler:
             )
             if self.level == LEVEL_FULL:
                 self._record_tracemalloc(span, job, phase)
-        elif span.kind == "task":
+        elif span.kind in ("task", "attempt"):
+            # "attempt": a task span the runner opened live and closed as
+            # a failed or speculative attempt — same CPU and sampler
+            # bookkeeping, or the thread's sampler label would leak.
             with self._lock:
                 cpu0 = self._task_state.pop(span.span_id, None)
             self.sampler.pop(tid)
@@ -517,6 +543,40 @@ class Profiler:
         self._pickle_bytes().inc(
             nbytes, job=job, phase=phase, direction=direction
         )
+
+    def ship(
+        self,
+        job: str,
+        phase: str,
+        fn: Any,
+        payload: Any,
+        submit: Any,
+    ) -> Any:
+        """Run ``fn(payload)`` in a worker through ``submit(fn, payload)``,
+        charging the process boundary (parent side of
+        :func:`run_profiled_task`).
+
+        ``(fn, payload)`` is pre-pickled here and the result unpickled
+        here — the timed ``dumps``/``loads`` on both sides *are* the real
+        serialization work (the pool's own transport then only re-pickles
+        opaque bytes), so the recorded encode/decode seconds and byte
+        counts measure exactly what the unprofiled path pays.
+        """
+        started = time.perf_counter()
+        blob = pickle.dumps((fn, payload), protocol=pickle.HIGHEST_PROTOCOL)
+        self.record_pickle(
+            job, phase, "parent", "encode", time.perf_counter() - started
+        )
+        self.record_pickle_bytes(job, phase, "request", len(blob))
+        result_blob, wprof = submit(run_profiled_task, blob)
+        started = time.perf_counter()
+        result = pickle.loads(result_blob)
+        self.record_pickle(
+            job, phase, "parent", "decode", time.perf_counter() - started
+        )
+        self.record_pickle_bytes(job, phase, "response", len(result_blob))
+        self.absorb_worker(job, phase, wprof)
+        return result
 
     def record_shm_bytes(
         self, job: str, phase: str, direction: str, nbytes: int

@@ -24,7 +24,7 @@ from repro.obs.metrics import SECONDS_BUCKETS, GROUP_WALL, MetricsRegistry
 from repro.obs.profile import Profiler, resolve_profile
 from repro.obs.span import Span
 
-__all__ = ["TraceRecorder"]
+__all__ = ["TraceRecorder", "NullRecorder"]
 
 
 class TraceRecorder:
@@ -312,3 +312,49 @@ class TraceRecorder:
 
     def __exit__(self, *exc_info: Any) -> None:
         self.close()
+
+
+class _NullSpan:
+    """The span of an unobserved run: annotations go nowhere."""
+
+    start = 0.0
+
+    def annotate(self, **attributes: Any) -> None:
+        pass
+
+
+class NullRecorder:
+    """What an unobserved run records into.
+
+    Implements the part of :class:`TraceRecorder` the job runner and the
+    file systems call, so that code has one path instead of an
+    ``observer is not None`` test around every hook: spans and
+    ``record_job`` are no-ops, and ``metrics`` is a real registry thrown
+    away with the run (a few samples per task — cheaper than a second,
+    null implementation of every metric type to keep in step).  Work
+    that is costly to *compute* for a recording (partition byte
+    statistics, staged-byte samples) is still skipped by its caller.
+    """
+
+    profiler = None
+    live = None
+
+    def __init__(self) -> None:
+        self.metrics = MetricsRegistry()
+        # Per run, so what the runner writes onto it (kind, counters)
+        # is dropped with the run.
+        self._span = _NullSpan()
+
+    def start_span(self, name: str, **attributes: Any) -> _NullSpan:
+        return self._span
+
+    record_completed = start_span
+
+    @contextmanager
+    def span(self, name: str, **attributes: Any) -> Iterator[_NullSpan]:
+        yield self._span
+
+    def end_span(self, span: Any) -> None:
+        pass
+
+    record_job = end_span

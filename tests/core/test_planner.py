@@ -115,6 +115,31 @@ class TestExecute:
         assert len(result) == 0
         assert result.metrics.num_cycles == 0
 
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            {"executor": "gpu"},
+            {"max_attempts": 0},
+            {"workers": 0},
+            {"data_plane": "vectorised"},
+            {"task_timeout": -1.0},
+        ],
+    )
+    def test_invalid_options_rejected_even_when_provably_empty(self, bad):
+        """Run options are resolved before planning: a query the planner
+        answers without running jobs still rejects a bad option, exactly
+        as a query that runs does."""
+        from repro.errors import MapReduceError
+
+        data = make_dataset(["A", "B", "C"], 10, seed=4)
+        empty = IntervalJoinQuery.parse(
+            [("A", "before", "B"), ("B", "before", "C"), ("C", "before", "A")]
+        )
+        runs = IntervalJoinQuery.parse([("A", "overlaps", "B")])
+        for query in (empty, runs):
+            with pytest.raises(MapReduceError):
+                execute(query, data, **bad)
+
     def test_missing_relation_rejected(self):
         q = IntervalJoinQuery.parse([("A", "overlaps", "B")])
         with pytest.raises(Exception):

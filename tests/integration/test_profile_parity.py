@@ -36,7 +36,11 @@ HYBRID = IntervalJoinQuery.parse(
 )
 
 
-def _run(query, data, executor, *, profile=False, faults=False):
+def _run(
+    query, data, executor, *, profile=False, faults=False, max_attempts=None
+):
+    if max_attempts is None:
+        max_attempts = 3 if faults is not False else 1
     recorder = TraceRecorder(profile=profile)
     result = execute(
         query,
@@ -46,7 +50,7 @@ def _run(query, data, executor, *, profile=False, faults=False):
         workers=2,
         observer=recorder,
         faults=faults,
-        max_attempts=3 if faults is not False else 1,
+        max_attempts=max_attempts,
     )
     recorder.close()
     return result, recorder
@@ -108,6 +112,38 @@ def test_profiled_chaos_equals_clean(executor):
     assert chaos_rec.metrics.fingerprint(
         exclude_groups=exclude
     ) == clean_rec.metrics.fingerprint(exclude_groups=exclude)
+
+
+def _task_cpu_seconds(recorder):
+    cpu = recorder.metrics.get("repro_profile_cpu_seconds_total")
+    assert cpu is not None
+    return sum(
+        value for labels, value in cpu.samples() if labels[2] == "task"
+    )
+
+
+@pytest.mark.parametrize("executor", ("serial", "threads"))
+def test_retry_budget_keeps_task_cpu_accounting(executor):
+    """A retry budget must not blind the profiler: in-process attempts
+    open their task span live whatever ``max_attempts`` is, so task CPU
+    is charged (it used to read 0 under any budget > 1) and everything
+    deterministic equals the single-attempt run."""
+    data = make_dataset(("R1", "R2", "R3"), 60, seed=5)
+    single, single_rec = _run(SEQUENCE, data, executor, profile=True)
+    budget, budget_rec = _run(
+        SEQUENCE, data, executor, profile=True, max_attempts=2
+    )
+    assert _task_cpu_seconds(single_rec) > 0
+    assert _task_cpu_seconds(budget_rec) > 0
+    assert budget.tuple_ids() == single.tuple_ids()
+    assert (
+        budget_rec.metrics.fingerprint() == single_rec.metrics.fingerprint()
+    )
+    # Every committed task span carries its own CPU charge.
+    for recorder in (single_rec, budget_rec):
+        tasks = [span for span in recorder.spans if span.kind == "task"]
+        assert tasks
+        assert all("profile_cpu_seconds" in s.attributes for s in tasks)
 
 
 def test_processes_executor_reports_serialization():

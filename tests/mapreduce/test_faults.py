@@ -347,21 +347,72 @@ class TestSpeculation:
         assert result.counters.value("faults", "speculative_wasted") == 0
 
 
+class TestTaskTimeout:
+    """``task_timeout`` fails an overrunning attempt into the same
+    retry/backoff path an injected crash takes."""
+
+    def _delayed_first_attempt(self):
+        # Under the serial executor the delay is virtual time, so the
+        # overrun is deterministic: 0.5 s observed against a 0.2 s limit.
+        return scripted(
+            "wordcount", "reduce", 1, 0, FaultEvent(DELAY, "setup", 0.5)
+        )
+
+    def test_timed_out_attempt_is_retried(self, fs):
+        expected = expected_output(fs)
+        recorder = TraceRecorder()
+        result = run_job(
+            fs,
+            word_count_conf(fs),
+            executor="serial",
+            faults=self._delayed_first_attempt(),
+            max_attempts=2,
+            task_timeout=0.2,
+            observer=recorder,
+        )
+        assert sorted(fs.read_dir("out")) == expected
+        assert result.counters.value("faults", "tasks_failed") == 1
+        assert result.counters.value("faults", "tasks_retried") == 1
+        (failed,) = [s for s in recorder.spans if s.kind == "attempt"]
+        assert failed.attributes["error"] == "TaskTimeoutError"
+        assert failed.attributes["task_index"] == 1
+        (winner,) = [
+            s
+            for s in recorder.spans
+            if s.kind == "task" and s.name == "reduce[1]"
+        ]
+        assert winner.attributes["attempt"] == 1
+
+    def test_timeout_past_the_budget_propagates(self, fs):
+        from repro.errors import TaskTimeoutError
+
+        with pytest.raises(TaskTimeoutError):
+            run_job(
+                fs,
+                word_count_conf(fs),
+                executor="serial",
+                faults=self._delayed_first_attempt(),
+                max_attempts=1,
+                task_timeout=0.2,
+            )
+
+
 class TestResolution:
     def test_inactive_by_default(self, monkeypatch):
         monkeypatch.delenv(FAULTS_ENV, raising=False)
         monkeypatch.delenv(MAX_ATTEMPTS_ENV, raising=False)
         monkeypatch.delenv(SPECULATIVE_ENV, raising=False)
         resolved = resolve_faults()
-        assert not resolved.active
+        assert resolved.plan is None
         assert resolved.max_attempts == 1
+        assert not resolved.speculative
+        assert resolved.task_timeout is None
 
     def test_environment_is_consulted(self, monkeypatch):
         monkeypatch.setenv(FAULTS_ENV, "42:crash=0.25")
         monkeypatch.setenv(MAX_ATTEMPTS_ENV, "5")
         monkeypatch.setenv(SPECULATIVE_ENV, "1")
         resolved = resolve_faults()
-        assert resolved.active
         assert resolved.plan.seed == 42
         assert resolved.plan.crash_rate == 0.25
         assert resolved.max_attempts == 5
@@ -421,15 +472,12 @@ class TestWorkerPoolError:
         assert "12 total" in message  # long index lists are truncated
         assert isinstance(error, MapReduceError)
 
-    def test_pool_map_wraps_broken_pool(self, monkeypatch):
+    def test_submit_attempt_wraps_broken_pool(self, monkeypatch):
         from concurrent.futures.process import BrokenProcessPool
 
         from repro.mapreduce import runner
 
         class BrokenPool:
-            def map(self, fn, payloads, chunksize=1):
-                raise BrokenProcessPool("boom")
-
             def submit(self, fn, payload):
                 raise BrokenProcessPool("boom")
 
@@ -438,10 +486,8 @@ class TestWorkerPoolError:
 
         monkeypatch.setattr(runner, "_process_pool", lambda workers: BrokenPool())
         with pytest.raises(WorkerPoolError) as excinfo:
-            runner._pool_map(str, [1, 2, 3], 2, "join", "map", [0, 1, 2])
-        assert excinfo.value.pending_tasks == (0, 1, 2)
-        with pytest.raises(WorkerPoolError) as excinfo:
             runner._submit_attempt(str, 1, 2, "join", "reduce", 5)
+        assert excinfo.value.job == "join"
         assert excinfo.value.phase == "reduce"
         assert excinfo.value.pending_tasks == (5,)
 

@@ -50,6 +50,14 @@ class TestFileSystemContract:
         fs.append_partition("out", 1, [3])
         assert sorted(fs.read_dir("out")) == [1, 2, 3]
 
+    def test_read_dir_stops_at_the_directory_boundary(self, fs):
+        """``out/`` must not match a sibling ``out2/`` (the local file
+        system used to strip the trailing slash off the prefix)."""
+        fs.append_partition("out", 0, [1, 2])
+        fs.append_partition("out2", 0, [3])
+        assert sorted(fs.read_dir("out")) == [1, 2]
+        assert fs.list_prefix("out/") == ["out/part-00000"]
+
     def test_read_dir_single_file_fallback(self, fs):
         fs.write("solo", [5, 6])
         assert sorted(fs.read_dir("solo")) == [5, 6]

@@ -261,3 +261,80 @@ class TestResolution:
         conf = word_count_conf(fs)
         with pytest.raises(MapReduceError):
             run_job(fs, conf, executor="threads", workers=0)
+
+
+class RendezvousReducer(SumReducer):
+    """Holds reduce task 0 until every concurrent job has reached its
+    reduce phase, so no job commits before all of them have started."""
+
+    barrier = None  # set per test; class-level so deep copies share it
+
+    def setup(self, context):
+        if context.task_index == 0:
+            type(self).barrier.wait(timeout=30)
+
+
+class TestSharedFileSystem:
+    def test_concurrent_jobs_keep_their_own_commit_accounting(self):
+        """Two ``run_job`` calls on one file system, from two threads,
+        each under its own recorder: the commit-protocol metrics and the
+        profiler's staged-bytes samples land in the recorder of the job
+        that staged the file (the file system used to hold *one*
+        ``metrics``/``profiler`` pair, overwritten by whichever job
+        started last)."""
+        import sys
+        import threading
+
+        from repro.obs import TraceRecorder
+
+        fs = InMemoryFileSystem()
+        fs.write("in/doc", ["the quick brown fox", "the lazy dog", "the fox"])
+        reduce_tasks = {"first": 3, "second": 5}
+        recorders = {name: TraceRecorder(profile=True) for name in reduce_tasks}
+        RendezvousReducer.barrier = threading.Barrier(len(reduce_tasks))
+        errors = []
+
+        def run(name):
+            try:
+                run_job(
+                    fs,
+                    word_count_conf(
+                        fs,
+                        name=name,
+                        reducer=RendezvousReducer(),
+                        output=f"out-{name}",
+                        num_reduce_tasks=reduce_tasks[name],
+                    ),
+                    executor="serial",
+                    observer=recorders[name],
+                    faults=False,
+                )
+            except Exception as exc:  # surfaced by the assert below
+                errors.append(exc)
+
+        threads = [
+            threading.Thread(target=run, args=(name,)) for name in reduce_tasks
+        ]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert not errors
+        for recorder in recorders.values():
+            recorder.close()
+
+        for name, expected in reduce_tasks.items():
+            registry = recorders[name].metrics
+            attempts = dict(registry.get("repro_fs_attempts_total").samples())
+            assert attempts == {("promoted",): expected, ("staged",): expected}
+            staged_bytes = registry.get("repro_profile_fs_staged_bytes_total")
+            assert sum(value for _, value in staged_bytes.samples()) > 0
+            assert sorted(fs.read_dir(f"out-{name}")) == sorted(
+                fs.read_dir("out-first")
+            )

@@ -203,6 +203,8 @@ class TestReportDegradation:
                 output="out",
                 num_reduce_tasks=2,
             ),
+            # A function-local reducer cannot be pickled to a worker.
+            executor="serial",
             observer=recorder,
         )
         recorder.close()

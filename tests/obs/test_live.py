@@ -136,6 +136,45 @@ class TestTaskBeat:
         beat = Heartbeat(BEAT_PROGRESS, "j", "map", 1, 0, 42, 1.0)
         assert pickle.loads(pickle.dumps(beat)) == beat
 
+    def test_worker_channel_survives_a_sibling_proxy_collected_mid_send(self):
+        """The stdlib closes a process's connection to a manager when
+        *any* of its proxies of one queue is finalised.  A pool worker
+        holds one proxy per unpickled beat, and task bodies leave beats
+        in cyclic garbage — so a collection triggered inside a later
+        attempt's ``put`` used to close the connection under it
+        (``TypeError`` from ``Connection._send``/``_recv``).  The
+        unpickled channel keeps the collector out of its ``put``."""
+        import gc
+        import multiprocessing
+
+        from repro.obs.live import _QueueChannel, _WorkerChannel
+
+        manager = multiprocessing.Manager()
+        try:
+            beats = manager.Queue()
+            blob = pickle.dumps(_QueueChannel(beats))
+            channel = pickle.loads(blob)
+            assert type(channel) is _WorkerChannel
+            channel.send("first")  # opens this thread's connection
+            sibling = pickle.loads(blob)  # an earlier attempt's channel...
+            cycle = [sibling]
+            cycle.append(cycle)  # ...left in cyclic garbage
+            del sibling, cycle
+            thresholds = gc.get_threshold()
+            gc.set_threshold(1)  # the very next container allocation collects
+            try:
+                channel.send("second")
+            finally:
+                gc.set_threshold(*thresholds)
+            assert gc.isenabled()
+            gc.collect()  # the sibling dies here, closing the connection
+            channel.send("third")  # ...and the next put reconnects
+            assert [beats.get(timeout=5) for _ in range(3)] == [
+                "first", "second", "third",
+            ]
+        finally:
+            manager.shutdown()
+
     def test_finish_counted_once(self):
         hub = make_hub()
         hub.phase_started("j", "reduce", 2)

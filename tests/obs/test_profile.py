@@ -135,6 +135,81 @@ class TestProfilerHooks:
             "repro_profile_fs_staged_bytes_total",
         } <= families
 
+    def test_gc_callback_may_reenter_the_locks(self):
+        """The GC callback records from whichever thread triggered the
+        collection — including one that is inside a registry or profiler
+        call and holds its lock (a container allocated there can trip
+        the collector).  With a gen-0 threshold of 1 nearly every such
+        allocation does; a non-reentrant lock deadlocks at once.
+
+        The stack sampler is parked (an interval it never reaches): a
+        collection forced *inside* ``sys._current_frames()`` while the
+        callback runs Python code can crash CPython 3.11 itself, which
+        is not what this test is about."""
+        import gc
+
+        registry = MetricsRegistry()
+        profiler = Profiler(registry, interval=3600.0)
+
+        def hammer():
+            thresholds = gc.get_threshold()
+            profiler.start()
+            gc.set_threshold(1, 100000, 100000)
+            try:
+                for round_ in range(50):
+                    profiler.record_pickle("j", "map", "parent", "encode", 0.1)
+                    profiler.absorb_worker(
+                        "j", "map", {"cpu_seconds": 0.1, "folded": {"f": 1}}
+                    )
+            finally:
+                gc.set_threshold(*thresholds)
+                profiler.stop()
+
+        worker = threading.Thread(target=hammer, daemon=True)
+        worker.start()
+        worker.join(timeout=30)
+        assert not worker.is_alive(), "GC callback deadlocked on a held lock"
+        pauses = registry.get("repro_profile_gc_pauses_total")
+        assert pauses is not None and sum(v for _, v in pauses.samples()) > 0
+
+    def test_sampler_keeps_the_collector_out_of_current_frames(
+        self, monkeypatch
+    ):
+        """``sys._current_frames()`` allocates while holding the
+        interpreter's thread-list lock.  A collection started in there
+        runs the gc callbacks (the profiler's own among them), Python
+        code that can hand the GIL to a thread which then blocks on that
+        lock for good — two samplers under a short switch interval hung
+        the suite that way.  The sampler pauses the collector for exactly
+        that call and leaves it as it found it."""
+        import gc
+        import sys
+
+        from repro.obs.profile import collector_paused
+
+        seen = []
+        real = sys._current_frames
+
+        def spy():
+            seen.append(gc.isenabled())
+            return real()
+
+        monkeypatch.setattr(sys, "_current_frames", spy)
+        sampler = StackSampler()
+        sampler.push(threading.get_ident(), "job;map;task")
+        assert gc.isenabled()
+        assert sampler.sample_once() == 1
+        assert seen == [False]
+        assert gc.isenabled()
+        # Nested, and with the collector already off, it stays off.
+        with collector_paused():
+            with collector_paused():
+                assert not gc.isenabled()
+            assert not gc.isenabled()
+            sampler.sample_once()
+            assert not gc.isenabled()
+        assert gc.isenabled()
+
     def test_absorb_worker(self):
         registry = MetricsRegistry()
         profiler = Profiler(registry)
