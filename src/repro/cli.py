@@ -468,6 +468,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
             algorithm=args.algorithm,
             num_partitions=args.partitions,
             data_plane=args.data_plane,
+            partition_strategy=args.partition_strategy,
         )
         print(explained.render())
         if explained.provably_empty:

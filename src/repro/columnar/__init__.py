@@ -28,6 +28,7 @@ from repro.columnar.batch import (
     ColumnValues,
     MapBlock,
     PayloadStore,
+    interval_columns,
     job_columnar_gate,
     job_columnar_kind,
     operator_map_columns,
@@ -50,6 +51,7 @@ __all__ = [
     "ColumnValues",
     "ColRow",
     "PayloadStore",
+    "interval_columns",
     "job_columnar_gate",
     "job_columnar_kind",
     "operator_map_columns",

@@ -22,6 +22,7 @@ from __future__ import annotations
 from typing import (
     TYPE_CHECKING,
     Any,
+    Callable,
     Dict,
     Hashable,
     Iterator,
@@ -46,6 +47,7 @@ __all__ = [
     "PayloadStore",
     "job_columnar_gate",
     "job_columnar_kind",
+    "interval_columns",
     "operator_map_columns",
     "ranged_targets",
     "reduce_columns",
@@ -108,6 +110,21 @@ class MapBlock:
     ) -> "MapBlock":
         codes = np.zeros(len(key_codes), dtype=np.int16)
         return cls(key_codes, row_idx, codes, (tag,), counters)
+
+
+def interval_columns(
+    records: Sequence[Any], interval_of: Callable[[Any], Any]
+) -> Tuple[np.ndarray, np.ndarray]:
+    """A mapper's ``encode_intervals``: the ``(starts, ends)`` float64
+    columns of the routing intervals ``interval_of`` reads off each
+    record."""
+    starts = np.empty(len(records), dtype=np.float64)
+    ends = np.empty(len(records), dtype=np.float64)
+    for i, record in enumerate(records):
+        interval = interval_of(record)
+        starts[i] = interval.start
+        ends[i] = interval.end
+    return starts, ends
 
 
 def operator_map_columns(

@@ -13,20 +13,20 @@ at a communication cost the paper's efficient algorithms exist to avoid.
 
 from __future__ import annotations
 
-from typing import Dict, List, Mapping, Optional, Set, Tuple
+from typing import Dict, List, Set, Tuple
 
 from repro.errors import PlanningError
-from repro.core.algorithms.base import JoinAlgorithm, input_path
+from repro.core.algorithms.base import (
+    JoinAlgorithm,
+    Plan,
+    PlanContext,
+    input_path,
+)
 from repro.core.algorithms.rccis import JoinReducer
 from repro.core.query import IntervalJoinQuery
-from repro.core.results import JoinResult
-from repro.core.schema import Relation, Row
+from repro.core.schema import Row
 from repro.intervals.partitioning import Partitioning
-from repro.obs.recorder import TraceRecorder
-from repro.mapreduce.cost import CostModel, DEFAULT_COST_MODEL
-from repro.mapreduce.fs import FileSystem
 from repro.mapreduce.job import InputSpec, JobConf
-from repro.mapreduce.options import RunOptions
 from repro.mapreduce.shuffle import RoundRobinKeyPartitioner
 from repro.mapreduce.task import MapContext, Mapper
 
@@ -107,56 +107,38 @@ class AllReplicate(JoinAlgorithm):
 
     name = "all_replicate"
 
-    def run(
-        self,
-        query: IntervalJoinQuery,
-        data: Mapping[str, Relation],
-        *,
-        num_partitions: int = 16,
-        fs: Optional[FileSystem] = None,
-        cost_model: CostModel = DEFAULT_COST_MODEL,
-        partitioning: Optional[Partitioning] = None,
-        partition_strategy: str = "uniform",
-        observer: Optional[TraceRecorder] = None,
-        options: Optional[RunOptions] = None,
-    ) -> JoinResult:
+    def plan(self, ctx: PlanContext) -> Plan:
+        query = ctx.query
         if not query.is_single_attribute:
             raise PlanningError(
                 "All-Replicate handles single-attribute queries; use "
                 "Gen-Matrix for multi-attribute ones"
             )
-        file_system, pipeline, parts = self._setup(
-            query, data, num_partitions, fs,
-            partitioning, partition_strategy,
-            observer=observer, cost_model=cost_model, options=options,
-        )
-        attributes = {
-            name: query.attributes_of(name)[0] for name in query.relations
-        }
+        attributes = ctx.attributes
+        parts = ctx.partition(ctx.num_partitions)
         maximal = maximal_relations(query)
         projected = maximal[0] if maximal else None
-
-        inputs = []
-        for name in query.relations:
-            if name == projected:
-                mapper: Mapper = _ProjectMapper(name, attributes[name], parts)
-            else:
-                mapper = _ReplicateMapper(name, attributes[name], parts)
-            inputs.append(InputSpec(input_path(name), mapper))
-
-        job = JobConf(
-            name="all-replicate",
-            inputs=inputs,
-            reducer=JoinReducer(query, attributes, parts),
-            output="allrep/output",
-            num_reduce_tasks=num_partitions,
-            partitioner=RoundRobinKeyPartitioner(),
+        mapper_of = {name: _ReplicateMapper for name in query.relations}
+        if projected is not None:
+            mapper_of[projected] = _ProjectMapper
+        ctx.submit(
+            JobConf(
+                name="all-replicate",
+                inputs=[
+                    InputSpec(
+                        input_path(name),
+                        mapper_of[name](name, attributes[name], parts),
+                    )
+                    for name in query.relations
+                ],
+                reducer=JoinReducer(query, attributes, parts),
+                output="allrep/output",
+                num_reduce_tasks=ctx.num_partitions,
+                partitioner=RoundRobinKeyPartitioner(),
+            )
         )
-        pipeline.run(job)
-
-        tuples = list(file_system.read_dir("allrep/output"))
-        return self._finish(
-            query, pipeline, cost_model, tuples,
+        return Plan(
+            "allrep/output",
             shape={
                 "partition_intervals": len(parts),
                 "replicated_relations": len(query.relations)
@@ -166,7 +148,7 @@ class AllReplicate(JoinAlgorithm):
         )
 
     def predict(self, query, profile, conf=None):
-        from repro.core.predict import exact_all_replicate
+        from repro.core.predict import exact_prediction
         from repro.core.tuning import (
             CyclePrediction,
             PlanPrediction,
@@ -176,7 +158,7 @@ class AllReplicate(JoinAlgorithm):
 
         conf = conf or PredictConfig()
         if conf.exact:
-            return exact_all_replicate(self, query, conf)
+            return exact_prediction(self, query, conf)
         parts = conf.num_partitions
         maximal = maximal_relations(query)
         projected = maximal[0] if maximal else None

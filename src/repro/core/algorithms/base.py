@@ -3,7 +3,10 @@
 Every algorithm implements :class:`JoinAlgorithm`: given a query, the data,
 and sizing knobs it runs one or more simulated MapReduce jobs and returns a
 :class:`~repro.core.results.JoinResult` whose metrics carry the counters the
-paper's evaluation tables report.
+paper's evaluation tables report.  The algorithm itself states only its
+job plan (:meth:`JoinAlgorithm.plan`); :meth:`JoinAlgorithm.run` is the one
+template around it, and the exact prediction tier interprets the same plan
+dry (:mod:`repro.core.predict`).
 
 Conventions used by all implementations:
 
@@ -19,21 +22,28 @@ Conventions used by all implementations:
 from __future__ import annotations
 
 import abc
-from typing import List, Mapping, Optional, Sequence, Tuple
+from dataclasses import dataclass, field, replace
+from typing import TYPE_CHECKING, Dict, List, Mapping, Optional, Tuple
 
-from repro.errors import PlanningError
+from repro.errors import PlanningError, UnsatisfiableQueryError
 from repro.core.query import IntervalJoinQuery
 from repro.core.results import ExecutionMetrics, JoinResult
 from repro.core.schema import Relation, Row
 from repro.intervals.partitioning import Partitioning
 from repro.mapreduce.cost import CostModel, DEFAULT_COST_MODEL
 from repro.mapreduce.fs import FileSystem, InMemoryFileSystem
+from repro.mapreduce.job import JobConf
 from repro.mapreduce.options import RunOptions
 from repro.mapreduce.pipeline import Pipeline
 from repro.obs.recorder import TraceRecorder
 
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.core.algorithms.gen_matrix import GridSpec
+
 __all__ = [
     "JoinAlgorithm",
+    "Plan",
+    "PlanContext",
     "build_partitioning",
     "input_path",
     "record_algorithm_metrics",
@@ -48,8 +58,8 @@ def record_algorithm_metrics(
 
     Replication factor and (for grid algorithms) the consistent-vs-total
     reducer utilisation are what Sections 6–7 of the paper compare
-    algorithms by; composite algorithms (FCTS/FSTC) call this directly
-    with their combined metrics.
+    algorithms by; a composite algorithm (FCTS/FSTC) records its
+    combined metrics after each sub-plan recorded its own.
     """
     if observer is None:
         return
@@ -151,8 +161,91 @@ def build_partitioning(
     raise PlanningError(f"unknown partitioning strategy {strategy!r}")
 
 
+@dataclass(frozen=True)
+class Plan:
+    """What a plan method reports once its jobs are handed to the pipeline."""
+
+    #: path holding the plan's final output.
+    output: str
+    #: the algorithm's self-description (grid dimensions, cascade stages,
+    #: partition-interval counts), surfaced on :class:`ExecutionMetrics`
+    #: and as ``repro_algorithm_shape`` gauges.
+    shape: Mapping[str, int]
+    #: the reducer grid of a grid algorithm (consistent vs total cells).
+    grid: Optional["GridSpec"] = None
+    #: whether the output holds ``((relation, row), ...)`` partial tuples
+    #: the template reorders into ``query.relations`` order.
+    partial_tuples: bool = False
+
+
+@dataclass
+class PlanContext:
+    """What a plan method works against: the query and its data, the
+    sizing knobs, and the pipeline its jobs go to.
+
+    ``pipeline`` is a :class:`~repro.mapreduce.pipeline.Pipeline` for a
+    run and the dry stand-in of :mod:`repro.core.predict` for an exact
+    prediction — the plan method cannot tell them apart.
+    """
+
+    query: IntervalJoinQuery
+    data: Mapping[str, Relation]
+    num_partitions: int
+    pipeline: Pipeline
+    cost_model: CostModel = DEFAULT_COST_MODEL
+    #: externally supplied partitioning (overrides every count/strategy).
+    partitioning: Optional[Partitioning] = None
+    partition_strategy: str = "uniform"
+    #: metrics of the sub-plans run so far, in order.
+    sub_metrics: List[ExecutionMetrics] = field(default_factory=list)
+
+    @property
+    def fs(self) -> FileSystem:
+        return self.pipeline.fs
+
+    @property
+    def attributes(self) -> Dict[str, str]:
+        """Each relation's interval attribute (single-attribute queries)."""
+        return {
+            name: self.query.attributes_of(name)[0]
+            for name in self.query.relations
+        }
+
+    def partition(self, parts: int) -> Partitioning:
+        """The run's partitioning of the time range into ``parts``."""
+        return self.partitioning or build_partitioning(
+            self.query, self.data, parts, strategy=self.partition_strategy
+        )
+
+    def submit(self, job: JobConf) -> None:
+        self.pipeline.run(job)
+
+    def subplan(
+        self,
+        algorithm: "JoinAlgorithm",
+        query: IntervalJoinQuery,
+        num_partitions: int,
+    ) -> List[Tuple[Row, ...]]:
+        """Run another algorithm's plan over part of the query, on a
+        child pipeline with its own file system; returns its tuples."""
+        sub = replace(
+            self,
+            query=query,
+            data={name: self.data[name] for name in query.relations},
+            num_partitions=num_partitions,
+            pipeline=self.pipeline.child(),
+            partitioning=None,
+            sub_metrics=[],
+        )
+        result = algorithm.run_plan(sub)
+        self.sub_metrics.append(result.metrics)
+        return result.tuples
+
+
 class JoinAlgorithm(abc.ABC):
-    """Interface of all join execution strategies."""
+    """A join execution strategy: one :meth:`plan` method plus the
+    analytic :meth:`predict` formula; :meth:`run` is the shared template.
+    """
 
     #: Short name used in metrics, planning, and benchmark tables.
     name: str = "abstract"
@@ -164,7 +257,6 @@ class JoinAlgorithm(abc.ABC):
     #: :func:`repro.columnar.job_columnar_gate` at run time.
     columnar_capable: bool = False
 
-    @abc.abstractmethod
     def run(
         self,
         query: IntervalJoinQuery,
@@ -209,6 +301,68 @@ class JoinAlgorithm(abc.ABC):
             defaults.  No option changes tuples, outputs or counters
             (modulo the ``faults`` group).
         """
+        pipeline = Pipeline(
+            fs if fs is not None else InMemoryFileSystem(),
+            observer=observer, cost_model=cost_model, options=options,
+        )
+        return self.run_plan(
+            PlanContext(
+                query, data, num_partitions, pipeline, cost_model,
+                partitioning, partition_strategy,
+            )
+        )
+
+    @abc.abstractmethod
+    def plan(self, ctx: PlanContext) -> Plan:
+        """The algorithm's job plan, stated once: validate the query
+        class, build each :class:`~repro.mapreduce.job.JobConf` and hand
+        it to ``ctx.submit`` (reading earlier outputs through ``ctx.fs``),
+        then name the final output path and the plan's ``shape``.
+
+        Raising :class:`~repro.errors.UnsatisfiableQueryError` (a
+        contradictory join graph) makes the result empty with no jobs.
+        """
+
+    def run_plan(self, ctx: PlanContext, collect: bool = True) -> JoinResult:
+        """The template every run — and every exact prediction — goes
+        through: write the inputs, run :meth:`plan`, collect the named
+        output (``collect=False`` leaves the final output unread) and
+        fold the pipeline's job results into one metric record.
+        """
+        if ctx.num_partitions < 1:
+            raise PlanningError("num_partitions must be >= 1")
+        query, pipeline = ctx.query, ctx.pipeline
+        write_inputs(ctx.fs, query, ctx.data)
+        try:
+            plan = self.plan(ctx)
+        except UnsatisfiableQueryError:
+            return JoinResult(query, [], ExecutionMetrics(algorithm=self.name))
+        tuples: List[Tuple[Row, ...]] = (
+            list(ctx.fs.read_dir(plan.output)) if collect else []
+        )
+        if plan.partial_tuples:
+            column = {name: i for i, name in enumerate(query.relations)}
+            partials, tuples = tuples, []
+            for partial in partials:
+                ordered: List[Optional[Row]] = [None] * len(column)
+                for relation, row in partial:
+                    ordered[column[relation]] = row
+                tuples.append(tuple(ordered))
+        pipeline.warn_if_all_fell_back()
+        metrics = ExecutionMetrics.from_pipeline(
+            self.name, pipeline.result, ctx.cost_model
+        )
+        if ctx.sub_metrics:
+            metrics = ExecutionMetrics.combine(
+                self.name, ctx.sub_metrics + [metrics]
+            )
+            metrics.output_records = len(tuples)
+        if plan.grid is not None:
+            metrics.consistent_reducers = len(plan.grid.cells)
+            metrics.total_reducers = plan.grid.total_cells
+        metrics.shape = dict(plan.shape)
+        record_algorithm_metrics(pipeline.observer, metrics)
+        return JoinResult(query, tuples, metrics)
 
     # ------------------------------------------------------------------
     def predict(self, query, profile, conf=None):
@@ -225,9 +379,10 @@ class JoinAlgorithm(abc.ABC):
             A :class:`repro.core.tuning.PredictConfig`.  The default
             *analytic* tier evaluates the paper's Section-6 closed-form
             formulas from the profile alone; ``conf.exact=True`` instead
-            dry-runs the algorithm's real mappers (and flag/mark decision
-            reducers) over ``conf.data`` so the predicted counters match
-            the run bit-for-bit — join reducers are never executed.
+            interprets :meth:`plan` dry over ``conf.data``
+            (:func:`repro.core.predict.exact_prediction`) so the
+            predicted counters match the run bit-for-bit — the plan's
+            final join is never executed.
 
         Returns
         -------
@@ -239,60 +394,3 @@ class JoinAlgorithm(abc.ABC):
         raise PlanningError(
             f"algorithm {self.name!r} does not implement predict()"
         )
-
-    # ------------------------------------------------------------------
-    def _setup(
-        self,
-        query: IntervalJoinQuery,
-        data: Mapping[str, Relation],
-        num_partitions: int,
-        fs: Optional[FileSystem],
-        partitioning: Optional[Partitioning],
-        partition_strategy: str,
-        observer: Optional[TraceRecorder] = None,
-        cost_model: Optional[CostModel] = None,
-        options: Optional[RunOptions] = None,
-    ) -> Tuple[FileSystem, Pipeline, Partitioning]:
-        """Common preamble: file system, pipeline, partitioning, inputs."""
-        if num_partitions < 1:
-            raise PlanningError("num_partitions must be >= 1")
-        file_system = fs if fs is not None else InMemoryFileSystem()
-        pipeline = Pipeline(
-            file_system, observer=observer, cost_model=cost_model,
-            options=options,
-        )
-        if partitioning is None:
-            partitioning = build_partitioning(
-                query, data, num_partitions, strategy=partition_strategy
-            )
-        write_inputs(file_system, query, data)
-        return file_system, pipeline, partitioning
-
-    def _finish(
-        self,
-        query: IntervalJoinQuery,
-        pipeline: Pipeline,
-        cost_model: CostModel,
-        tuples: Sequence[Tuple[Row, ...]],
-        consistent_reducers: Optional[int] = None,
-        total_reducers: Optional[int] = None,
-        shape: Optional[Mapping[str, int]] = None,
-    ) -> JoinResult:
-        """Common postamble: fold pipeline counters into a result.
-
-        ``shape`` is the algorithm's self-description — grid dimensions,
-        cascade stages, partition-interval counts — surfaced on
-        :class:`ExecutionMetrics` and, when the run is observed, as
-        ``repro_algorithm_shape`` gauges for the dashboard's reducer
-        utilisation table.
-        """
-        pipeline.warn_if_all_fell_back()
-        metrics = ExecutionMetrics.from_pipeline(
-            self.name, pipeline.result, cost_model
-        )
-        metrics.consistent_reducers = consistent_reducers
-        metrics.total_reducers = total_reducers
-        if shape:
-            metrics.shape = dict(shape)
-        record_algorithm_metrics(pipeline.observer, metrics)
-        return JoinResult(query, tuples, metrics)

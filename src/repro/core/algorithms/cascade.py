@@ -28,18 +28,18 @@ from collections import defaultdict
 from typing import Dict, Hashable, List, Mapping, Optional, Sequence, Tuple
 
 from repro.errors import PlanningError
-from repro.columnar.batch import ColumnValues, reduce_columns
-from repro.core.algorithms.base import JoinAlgorithm, input_path
+from repro.columnar.batch import ColumnValues, interval_columns, reduce_columns
+from repro.core.algorithms.base import (
+    JoinAlgorithm,
+    Plan,
+    PlanContext,
+    input_path,
+)
 from repro.core.query import IntervalJoinQuery, JoinCondition
-from repro.core.results import JoinResult
-from repro.core.schema import Relation, Row
+from repro.core.schema import Row
 from repro.intervals.allen import MapOperator
 from repro.intervals.partitioning import Partitioning
-from repro.obs.recorder import TraceRecorder
-from repro.mapreduce.cost import CostModel, DEFAULT_COST_MODEL
-from repro.mapreduce.fs import FileSystem
 from repro.mapreduce.job import InputSpec, JobConf
-from repro.mapreduce.options import RunOptions
 from repro.mapreduce.shuffle import RoundRobinKeyPartitioner
 from repro.mapreduce.task import MapContext, Mapper, ReduceContext, Reducer
 
@@ -163,8 +163,11 @@ class _RowSideMapper(Mapper):
         self.operator = operator
         self.side = side
 
+    def _interval_of(self, record: Row):
+        return record.interval(self.attribute)
+
     def map(self, record: Row, context: MapContext) -> None:
-        interval = record.interval(self.attribute)
+        interval = self._interval_of(record)
         payload = (self.side, (self.relation, record))
         if self.operator is MapOperator.PROJECT:
             context.emit(self.partitioning.project(interval), payload)
@@ -183,15 +186,7 @@ class _RowSideMapper(Mapper):
         return True
 
     def encode_intervals(self, records):
-        import numpy as np
-
-        starts = np.empty(len(records), dtype=np.float64)
-        ends = np.empty(len(records), dtype=np.float64)
-        for i, record in enumerate(records):
-            interval = record.interval(self.attribute)
-            starts[i] = interval.start
-            ends[i] = interval.end
-        return starts, ends
+        return interval_columns(records, self._interval_of)
 
     def map_columns(self, starts, ends, records):
         from repro.columnar.batch import MapBlock, operator_map_columns
@@ -222,7 +217,7 @@ class _PartialSideMapper(Mapper):
         self.partitioning = partitioning
         self.operator = operator
 
-    def _member_interval(self, record: PartialTuple):
+    def _interval_of(self, record: PartialTuple):
         for relation, row in record:
             if relation == self.member_relation:
                 return row.interval(self.attribute)
@@ -231,7 +226,7 @@ class _PartialSideMapper(Mapper):
         )
 
     def map(self, record: PartialTuple, context: MapContext) -> None:
-        interval = self._member_interval(record)
+        interval = self._interval_of(record)
         payload = (_BOUND_SIDE, record)
         if self.operator is MapOperator.PROJECT:
             context.emit(self.partitioning.project(interval), payload)
@@ -250,15 +245,7 @@ class _PartialSideMapper(Mapper):
         return True
 
     def encode_intervals(self, records):
-        import numpy as np
-
-        starts = np.empty(len(records), dtype=np.float64)
-        ends = np.empty(len(records), dtype=np.float64)
-        for i, record in enumerate(records):
-            interval = self._member_interval(record)
-            starts[i] = interval.start
-            ends[i] = interval.end
-        return starts, ends
+        return interval_columns(records, self._interval_of)
 
     def map_columns(self, starts, ends, records):
         from repro.columnar.batch import MapBlock, operator_map_columns
@@ -296,8 +283,11 @@ class _GridRowMapper(Mapper):
         self.side = side
         self._tables = None
 
+    def _interval_of(self, record: Row):
+        return record.interval(self.attribute)
+
     def map(self, record: Row, context: MapContext) -> None:
-        q = self.partitioning.project(record.interval(self.attribute))
+        q = self.partitioning.project(self._interval_of(record))
         for cell in self.by_coord.get(q, ()):
             context.emit(cell, (self.side, (self.relation, record)))
 
@@ -306,15 +296,7 @@ class _GridRowMapper(Mapper):
         return True
 
     def encode_intervals(self, records):
-        import numpy as np
-
-        starts = np.empty(len(records), dtype=np.float64)
-        ends = np.empty(len(records), dtype=np.float64)
-        for i, record in enumerate(records):
-            interval = record.interval(self.attribute)
-            starts[i] = interval.start
-            ends[i] = interval.end
-        return starts, ends
+        return interval_columns(records, self._interval_of)
 
     def map_columns(self, starts, ends, records):
         if self._tables is None:
@@ -349,7 +331,7 @@ class _GridPartialMapper(Mapper):
             self.by_coord[cell[dim]].append(cell)
         self._tables = None
 
-    def _member_interval(self, record: PartialTuple):
+    def _interval_of(self, record: PartialTuple):
         for relation, row in record:
             if relation == self.member_relation:
                 return row.interval(self.attribute)
@@ -358,7 +340,7 @@ class _GridPartialMapper(Mapper):
         )
 
     def map(self, record: PartialTuple, context: MapContext) -> None:
-        interval = self._member_interval(record)
+        interval = self._interval_of(record)
         q = self.partitioning.project(interval)
         for cell in self.by_coord.get(q, ()):
             context.emit(cell, (_BOUND_SIDE, record))
@@ -368,15 +350,7 @@ class _GridPartialMapper(Mapper):
         return True
 
     def encode_intervals(self, records):
-        import numpy as np
-
-        starts = np.empty(len(records), dtype=np.float64)
-        ends = np.empty(len(records), dtype=np.float64)
-        for i, record in enumerate(records):
-            interval = self._member_interval(record)
-            starts[i] = interval.start
-            ends[i] = interval.end
-        return starts, ends
+        return interval_columns(records, self._interval_of)
 
     def map_columns(self, starts, ends, records):
         if self._tables is None:
@@ -529,6 +503,9 @@ class _WrapMapper(Mapper):
         )
         self.relation = relation
 
+    def _interval_of(self, record: Row):
+        return record.interval(self._inner.attribute)
+
     def map(self, record: Row, context: MapContext) -> None:
         self._inner.map(((self.relation, record),), context)
 
@@ -537,16 +514,7 @@ class _WrapMapper(Mapper):
         return True
 
     def encode_intervals(self, records):
-        import numpy as np
-
-        starts = np.empty(len(records), dtype=np.float64)
-        ends = np.empty(len(records), dtype=np.float64)
-        attribute = self._inner.attribute
-        for i, record in enumerate(records):
-            interval = record.interval(attribute)
-            starts[i] = interval.start
-            ends[i] = interval.end
-        return starts, ends
+        return interval_columns(records, self._interval_of)
 
     def map_columns(self, starts, ends, records):
         # Routing depends only on the encoded endpoints, so the inner
@@ -555,6 +523,114 @@ class _WrapMapper(Mapper):
 
     def value_of(self, record: Row):
         return (_BOUND_SIDE, ((self.relation, record),))
+
+
+def _step_sides(routing: JoinCondition, new: str) -> Tuple[str, str, str, bool]:
+    """(bound relation, its attribute, new relation's attribute,
+    bound_is_left) of a step's routing condition."""
+    left, right = routing.left, routing.right
+    if left.relation == new:
+        return right.relation, right.attribute, left.attribute, False
+    return left.relation, left.attribute, right.attribute, True
+
+
+def step_operators(
+    routing: JoinCondition, new: str
+) -> Tuple[MapOperator, MapOperator]:
+    """The Figure-1 operators of a colocation step: (bound side, new side)."""
+    left, right = routing.predicate.left_operator, routing.predicate.right_operator
+    return (right, left) if routing.left.relation == new else (left, right)
+
+
+def colocation_step_job(
+    name: str,
+    new: str,
+    routing: JoinCondition,
+    step_conditions: Sequence[JoinCondition],
+    attributes: Mapping[str, str],
+    parts: Partitioning,
+    bound_path: Optional[str],
+    output: str,
+    num_reduce_tasks: int,
+) -> JobConf:
+    """One cascade step routed by a colocation condition: the bound side
+    (the partial tuples at ``bound_path``, or the first relation's raw
+    rows when ``None``) and the ``new`` relation each go through their
+    Figure-1 operator."""
+    member, member_attr, new_attr, _ = _step_sides(routing, new)
+    bound_op, new_op = step_operators(routing, new)
+    if bound_path is None:
+        bound_mapper: Mapper = _WrapMapper(member, member_attr, parts, bound_op)
+        bound_path = input_path(member)
+    else:
+        bound_mapper = _PartialSideMapper(member, member_attr, parts, bound_op)
+    return JobConf(
+        name=name,
+        inputs=[
+            InputSpec(bound_path, bound_mapper),
+            InputSpec(
+                input_path(new),
+                _RowSideMapper(new, new_attr, parts, new_op, _NEW_SIDE),
+            ),
+        ],
+        reducer=_StepJoinReducer(new, routing, step_conditions, attributes),
+        output=output,
+        num_reduce_tasks=num_reduce_tasks,
+        partitioner=RoundRobinKeyPartitioner(),
+    )
+
+
+def _sequence_step_job(
+    new: str,
+    routing: JoinCondition,
+    step_conditions: Sequence[JoinCondition],
+    attributes: Mapping[str, str],
+    grid_partitioning: Partitioning,
+    bound_path: Optional[str],
+    output: str,
+) -> JobConf:
+    """One cascade step routed by a sequence condition: a 2-D All-Matrix
+    over (bound side, new relation)."""
+    member, member_attr, new_attr, bound_is_left = _step_sides(routing, new)
+    # Dimension 0 = bound side, 1 = new side.  Consistency: the
+    # enforced-earlier side's coordinate <= the later side's.
+    bound_first = (
+        routing.predicate.enforces_left_first()
+        if bound_is_left
+        else routing.predicate.enforces_right_first()
+    )
+    grid_o = len(grid_partitioning)
+    cells: List[Tuple[int, int]] = [
+        (i, j)
+        for i in range(grid_o)
+        for j in range(grid_o)
+        if (i <= j if bound_first else j <= i)
+    ]
+    if bound_path is None:
+        bound_mapper: Mapper = _GridWrapMapper(
+            member, member_attr, grid_partitioning, 0, cells
+        )
+        bound_path = input_path(member)
+    else:
+        bound_mapper = _GridPartialMapper(
+            member, member_attr, grid_partitioning, 0, cells
+        )
+    return JobConf(
+        name=f"cascade-{new}",
+        inputs=[
+            InputSpec(bound_path, bound_mapper),
+            InputSpec(
+                input_path(new),
+                _GridRowMapper(
+                    new, new_attr, grid_partitioning, 1, cells, _NEW_SIDE
+                ),
+            ),
+        ],
+        reducer=_StepJoinReducer(new, routing, step_conditions, attributes),
+        output=output,
+        num_reduce_tasks=max(1, len(cells)),
+        partitioner=RoundRobinKeyPartitioner(),
+    )
 
 
 class TwoWayCascade(JoinAlgorithm):
@@ -568,35 +644,23 @@ class TwoWayCascade(JoinAlgorithm):
         #: steps; default sized so consistent cells ~ num_partitions.
         self.grid_parts = grid_parts
 
-    def run(
-        self,
-        query: IntervalJoinQuery,
-        data: Mapping[str, Relation],
-        *,
-        num_partitions: int = 16,
-        fs: Optional[FileSystem] = None,
-        cost_model: CostModel = DEFAULT_COST_MODEL,
-        partitioning: Optional[Partitioning] = None,
-        partition_strategy: str = "uniform",
-        observer: Optional[TraceRecorder] = None,
-        options: Optional[RunOptions] = None,
-    ) -> JoinResult:
+    def _check_query(self, query: IntervalJoinQuery) -> None:
         if not query.is_single_attribute:
             raise PlanningError(
                 "TwoWayCascade handles single-attribute queries"
             )
-        file_system, pipeline, parts = self._setup(
-            query, data, num_partitions, fs,
-            partitioning, partition_strategy,
-            observer=observer, cost_model=cost_model, options=options,
-        )
-        attributes = {
-            name: query.attributes_of(name)[0] for name in query.relations
-        }
-        order = _binding_order(query)
-        grid_o = self.grid_parts or max(
+
+    def _grid_side(self, num_partitions: int) -> int:
+        return self.grid_parts or max(
             2, math.ceil(math.sqrt(2 * num_partitions))
         )
+
+    def plan(self, ctx: PlanContext) -> Plan:
+        query, attributes = ctx.query, ctx.attributes
+        self._check_query(query)
+        parts = ctx.partition(ctx.num_partitions)
+        order = _binding_order(query)
+        grid_o = self._grid_side(ctx.num_partitions)
         grid_partitioning = (
             parts
             if len(parts) == grid_o
@@ -605,155 +669,35 @@ class TwoWayCascade(JoinAlgorithm):
 
         current_path: Optional[str] = None
         for step, new in enumerate(order[1:], start=1):
-            bound = order[:step]
-            step_conditions = _step_conditions(query, bound, new)
+            step_conditions = _step_conditions(query, order[:step], new)
             routing = _routing_condition(step_conditions)
             output = f"cascade/step-{step:02d}"
             if routing.is_colocation:
-                job = self._colocation_step(
-                    query, bound, new, routing, step_conditions,
-                    attributes, parts, current_path, output, num_partitions,
+                job = colocation_step_job(
+                    f"cascade-{new}", new, routing, step_conditions,
+                    attributes, parts, current_path, output,
+                    ctx.num_partitions,
                 )
             else:
-                job = self._sequence_step(
-                    query, bound, new, routing, step_conditions,
-                    attributes, grid_partitioning, grid_o,
-                    current_path, output,
+                job = _sequence_step_job(
+                    new, routing, step_conditions, attributes,
+                    grid_partitioning, current_path, output,
                 )
-            pipeline.run(job)
+            ctx.submit(job)
             current_path = output
 
-        raw = list(file_system.read_dir(current_path or ""))
-        by_relation = {name: index for index, name in enumerate(query.relations)}
-        tuples = []
-        for partial in raw:
-            ordered: List[Optional[Row]] = [None] * len(query.relations)
-            for relation, row in partial:
-                ordered[by_relation[relation]] = row
-            tuples.append(tuple(ordered))
-        return self._finish(
-            query, pipeline, cost_model, tuples,
+        return Plan(
+            current_path or "",
             shape={
                 "cascade_steps": len(order) - 1,
                 "partition_intervals": len(parts),
                 "grid_side": grid_o,
             },
-        )
-
-    # ------------------------------------------------------------------
-    def _bound_member(self, routing: JoinCondition, new: str) -> Tuple[str, str, bool]:
-        """(bound relation, its attribute, bound_is_left)."""
-        if routing.left.relation == new:
-            return routing.right.relation, routing.right.attribute, False
-        return routing.left.relation, routing.left.attribute, True
-
-    def _colocation_step(
-        self,
-        query: IntervalJoinQuery,
-        bound: Sequence[str],
-        new: str,
-        routing: JoinCondition,
-        step_conditions: Sequence[JoinCondition],
-        attributes: Mapping[str, str],
-        parts: Partitioning,
-        current_path: Optional[str],
-        output: str,
-        num_partitions: int,
-    ) -> JobConf:
-        member, member_attr, bound_is_left = self._bound_member(routing, new)
-        bound_op = (
-            routing.predicate.left_operator
-            if bound_is_left
-            else routing.predicate.right_operator
-        )
-        new_op = (
-            routing.predicate.right_operator
-            if bound_is_left
-            else routing.predicate.left_operator
-        )
-        if current_path is None:
-            bound_mapper: Mapper = _WrapMapper(member, member_attr, parts, bound_op)
-            bound_input = input_path(member)
-        else:
-            bound_mapper = _PartialSideMapper(member, member_attr, parts, bound_op)
-            bound_input = current_path
-        new_attr = (
-            routing.left.attribute if not bound_is_left else routing.right.attribute
-        )
-        return JobConf(
-            name=f"cascade-{new}",
-            inputs=[
-                InputSpec(bound_input, bound_mapper),
-                InputSpec(
-                    input_path(new),
-                    _RowSideMapper(new, new_attr, parts, new_op, _NEW_SIDE),
-                ),
-            ],
-            reducer=_StepJoinReducer(new, routing, step_conditions, attributes),
-            output=output,
-            num_reduce_tasks=num_partitions,
-            partitioner=RoundRobinKeyPartitioner(),
-        )
-
-    def _sequence_step(
-        self,
-        query: IntervalJoinQuery,
-        bound: Sequence[str],
-        new: str,
-        routing: JoinCondition,
-        step_conditions: Sequence[JoinCondition],
-        attributes: Mapping[str, str],
-        grid_partitioning: Partitioning,
-        grid_o: int,
-        current_path: Optional[str],
-        output: str,
-    ) -> JobConf:
-        member, member_attr, bound_is_left = self._bound_member(routing, new)
-        # Dimension 0 = bound side, 1 = new side.  Consistency: the
-        # enforced-earlier side's coordinate <= the later side's.
-        bound_first = (
-            routing.predicate.enforces_left_first()
-            if bound_is_left
-            else routing.predicate.enforces_right_first()
-        )
-        cells: List[Tuple[int, int]] = [
-            (i, j)
-            for i in range(grid_o)
-            for j in range(grid_o)
-            if (i <= j if bound_first else j <= i)
-        ]
-        if current_path is None:
-            bound_mapper: Mapper = _GridWrapMapper(
-                member, member_attr, grid_partitioning, 0, cells
-            )
-            bound_input = input_path(member)
-        else:
-            bound_mapper = _GridPartialMapper(
-                member, member_attr, grid_partitioning, 0, cells
-            )
-            bound_input = current_path
-        new_attr = (
-            routing.left.attribute if not bound_is_left else routing.right.attribute
-        )
-        return JobConf(
-            name=f"cascade-{new}",
-            inputs=[
-                InputSpec(bound_input, bound_mapper),
-                InputSpec(
-                    input_path(new),
-                    _GridRowMapper(
-                        new, new_attr, grid_partitioning, 1, cells, _NEW_SIDE
-                    ),
-                ),
-            ],
-            reducer=_StepJoinReducer(new, routing, step_conditions, attributes),
-            output=output,
-            num_reduce_tasks=max(1, len(cells)),
-            partitioner=RoundRobinKeyPartitioner(),
+            partial_tuples=True,
         )
 
     def predict(self, query, profile, conf=None):
-        from repro.core.predict import exact_cascade, operator_fanout
+        from repro.core.predict import exact_prediction, operator_fanout
         from repro.core.tuning import (
             CyclePrediction,
             PlanPrediction,
@@ -762,16 +706,11 @@ class TwoWayCascade(JoinAlgorithm):
         )
 
         conf = conf or PredictConfig()
-        if not query.is_single_attribute:
-            raise PlanningError(
-                "TwoWayCascade handles single-attribute queries"
-            )
+        self._check_query(query)
         if conf.exact:
-            return exact_cascade(self, query, conf)
+            return exact_prediction(self, query, conf)
         parts = conf.num_partitions
-        grid_o = self.grid_parts or max(
-            2, math.ceil(math.sqrt(2 * parts))
-        )
+        grid_o = self._grid_side(parts)
         order = _binding_order(query)
         partials = float(profile.rows_per_relation.get(order[0], 0))
         cycles = []
@@ -786,17 +725,7 @@ class TwoWayCascade(JoinAlgorithm):
             n_new = profile.rows_per_relation.get(new, 0)
             reads = partials + n_new
             if routing.is_colocation:
-                _, _, bound_is_left = self._bound_member(routing, new)
-                bound_op = (
-                    routing.predicate.left_operator
-                    if bound_is_left
-                    else routing.predicate.right_operator
-                )
-                new_op = (
-                    routing.predicate.right_operator
-                    if bound_is_left
-                    else routing.predicate.left_operator
-                )
+                bound_op, new_op = step_operators(routing, new)
                 out = partials * operator_fanout(
                     bound_op, profile, parts
                 ) + n_new * operator_fanout(new_op, profile, parts)
@@ -860,6 +789,9 @@ class _GridWrapMapper(Mapper):
         )
         self.relation = relation
 
+    def _interval_of(self, record: Row):
+        return record.interval(self._inner.attribute)
+
     def map(self, record: Row, context: MapContext) -> None:
         self._inner.map(((self.relation, record),), context)
 
@@ -868,16 +800,7 @@ class _GridWrapMapper(Mapper):
         return True
 
     def encode_intervals(self, records):
-        import numpy as np
-
-        starts = np.empty(len(records), dtype=np.float64)
-        ends = np.empty(len(records), dtype=np.float64)
-        attribute = self._inner.attribute
-        for i, record in enumerate(records):
-            interval = record.interval(attribute)
-            starts[i] = interval.start
-            ends[i] = interval.end
-        return starts, ends
+        return interval_columns(records, self._interval_of)
 
     def map_columns(self, starts, ends, records):
         return self._inner.map_columns(starts, ends, records)

@@ -55,20 +55,20 @@ from typing import (
 )
 
 from repro.errors import PlanningError, UnsatisfiableQueryError
-from repro.core.algorithms.base import JoinAlgorithm, input_path
+from repro.core.algorithms.base import (
+    JoinAlgorithm,
+    Plan,
+    PlanContext,
+    input_path,
+)
 from repro.core.algorithms.crossing import CrossingSetFinder
 from repro.core.graph import Component, JoinGraph
 from repro.core.local import LocalJoiner
 from repro.core.query import IntervalJoinQuery, QueryClass, Term
-from repro.core.results import ExecutionMetrics, JoinResult
-from repro.core.schema import Relation, Row
+from repro.core.schema import Row
 from repro.intervals.composition import path_consistency
 from repro.intervals.partitioning import Partitioning
-from repro.obs.recorder import TraceRecorder
-from repro.mapreduce.cost import CostModel, DEFAULT_COST_MODEL
-from repro.mapreduce.fs import FileSystem
 from repro.mapreduce.job import InputSpec, JobConf
-from repro.mapreduce.options import RunOptions
 from repro.mapreduce.shuffle import RoundRobinKeyPartitioner
 from repro.mapreduce.task import MapContext, Mapper, ReduceContext, Reducer
 
@@ -132,6 +132,14 @@ class GridSpec:
         self._projections: Dict[Tuple[int, ...], Dict[Tuple[int, ...], List[Cell]]] = {}
 
     # ------------------------------------------------------------------
+    def shape(self) -> Dict[str, int]:
+        """The grid's entries of a plan's ``shape`` metadata."""
+        return {
+            "grid_dimensions": self.dimensions,
+            "consistent_cells": len(self.cells),
+            "total_cells": self.total_cells,
+        }
+
     def partitioning_of(self, dim: int) -> Partitioning:
         """The partitioning governing one grid dimension."""
         return self.partitionings[dim]
@@ -330,14 +338,20 @@ class _GridRouteMapper(Mapper):
         term_components: Mapping[str, int],
         grid: GridSpec,
         flags: FrozenSet[FlagKey],
+        keep: Optional[FrozenSet[int]] = None,
     ) -> None:
         self.relation = relation
         self.terms = list(terms)
         self.term_components = dict(term_components)
         self.grid = grid
         self.flags = flags
+        #: rids surviving PASM's marking cycle; None = relation not pruned.
+        self.keep = keep
 
     def map(self, record: Row, context: MapContext) -> None:
+        if self.keep is not None and record.rid not in self.keep:
+            context.counters.increment("join", "pruned_rows")
+            return
         constraints: Dict[int, FrozenSet[int]] = {}
         replicated = False
         for term in self.terms:
@@ -492,6 +506,86 @@ class _GridJoinReducer(Reducer):
 # ----------------------------------------------------------------------
 
 
+def multi_term_components(graph: JoinGraph) -> List[Component]:
+    """The components embedding a colocation sub-join (> 1 term)."""
+    return [comp for comp in graph.components if len(comp.terms) > 1]
+
+
+def flag_cycle(ctx: PlanContext, name: str, grid: GridSpec) -> FrozenSet[FlagKey]:
+    """The flagging cycle shared by the grid plans: one RCCIS flag pass
+    per multi-term component.  Returns the flagged triples (no job at
+    all when every component is a single term)."""
+    multi = multi_term_components(grid.graph)
+    if not multi:
+        return frozenset()
+    partitionings = {
+        comp.index: grid.partitioning_of(comp.index) for comp in multi
+    }
+    ctx.submit(
+        JobConf(
+            name=f"{name}-flag",
+            inputs=[
+                InputSpec(
+                    input_path(term.relation),
+                    _ComponentSplitMapper(
+                        term, comp.index, partitionings[comp.index]
+                    ),
+                )
+                for comp in multi
+                for term in sorted(comp.terms)
+            ],
+            reducer=_ComponentFlaggingReducer(multi, partitionings),
+            output=f"{name}/flags",
+            num_reduce_tasks=max(
+                1, sum(len(parts) for parts in partitionings.values())
+            ),
+            partitioner=RoundRobinKeyPartitioner(),
+        )
+    )
+    return frozenset(ctx.fs.read_dir(f"{name}/flags"))
+
+
+def grid_join_job(
+    name: str,
+    query: IntervalJoinQuery,
+    grid: GridSpec,
+    flags: FrozenSet[FlagKey],
+    keep: Optional[Mapping[str, Set[int]]] = None,
+) -> JobConf:
+    """The grid routing + join cycle shared by the grid plans; ``keep``
+    maps each pruned relation to its surviving rids (PASM)."""
+    term_components = {
+        str(term): grid.graph.component_of(term).index for term in query.terms
+    }
+    terms_by_relation: Dict[str, List[Term]] = defaultdict(list)
+    for term in query.terms:
+        terms_by_relation[term.relation].append(term)
+    keep = keep or {}
+    return JobConf(
+        name=f"{name}-join",
+        inputs=[
+            InputSpec(
+                input_path(relation),
+                _GridRouteMapper(
+                    relation,
+                    terms_by_relation[relation],
+                    term_components,
+                    grid,
+                    flags,
+                    keep=(
+                        frozenset(keep[relation]) if relation in keep else None
+                    ),
+                ),
+            )
+            for relation in query.relations
+        ],
+        reducer=_GridJoinReducer(query, grid),
+        output=f"{name}/output",
+        num_reduce_tasks=max(1, len(grid.cells)),
+        partitioner=RoundRobinKeyPartitioner(),
+    )
+
+
 class GenMatrix(JoinAlgorithm):
     """The general grid algorithm (Section 9.1).
 
@@ -524,145 +618,34 @@ class GenMatrix(JoinAlgorithm):
                 f"queries; got {query.query_class.name}"
             )
 
-    def run(
-        self,
-        query: IntervalJoinQuery,
-        data: Mapping[str, Relation],
-        *,
-        num_partitions: int = 16,
-        fs: Optional[FileSystem] = None,
-        cost_model: CostModel = DEFAULT_COST_MODEL,
-        partitioning: Optional[Partitioning] = None,
-        partition_strategy: str = "uniform",
-        observer: Optional[TraceRecorder] = None,
-        options: Optional[RunOptions] = None,
-    ) -> JoinResult:
-        self._check_query(query)
-        try:
-            graph = JoinGraph(query)
-        except UnsatisfiableQueryError:
-            return JoinResult(
-                query, [], ExecutionMetrics(algorithm=self.name)
-            )
+    def _per_dim_parts(self, graph: JoinGraph, num_partitions: int) -> List[int]:
+        """One granularity per grid dimension."""
         grid_parts = self.grid_parts or num_partitions
         if isinstance(grid_parts, int):
-            per_dim_parts: List[int] = [grid_parts] * len(graph.components)
-        else:
-            per_dim_parts = list(grid_parts)
-            if len(per_dim_parts) != len(graph.components):
-                raise PlanningError(
-                    "grid_parts must give one granularity per dimension "
-                    f"({len(graph.components)}), got {len(per_dim_parts)}"
-                )
-        file_system, pipeline, parts = self._setup(
-            query, data, per_dim_parts[0], fs,
-            partitioning, partition_strategy,
-            observer=observer, cost_model=cost_model, options=options,
-        )
-        if partitioning is not None or len(set(per_dim_parts)) == 1:
-            partitionings: List[Partitioning] = [parts] * len(
-                graph.components
+            return [grid_parts] * len(graph.components)
+        if len(grid_parts) != len(graph.components):
+            raise PlanningError(
+                "grid_parts must give one granularity per dimension "
+                f"({len(graph.components)}), got {len(grid_parts)}"
             )
-        else:
-            from repro.core.algorithms.base import build_partitioning
+        return list(grid_parts)
 
-            partitionings = [
-                build_partitioning(query, data, o, strategy=partition_strategy)
-                for o in per_dim_parts
-            ]
-        grid = GridSpec(graph, partitionings)
-
-        # ----- cycle 1: flagging (only for multi-term components) -----
-        multi_components = [
-            comp for comp in graph.components if len(comp.terms) > 1
-        ]
-        flags: Set[FlagKey] = set()
-        if multi_components:
-            inputs = []
-            for comp in multi_components:
-                for term in sorted(comp.terms):
-                    inputs.append(
-                        InputSpec(
-                            input_path(term.relation),
-                            _ComponentSplitMapper(
-                                term, comp.index,
-                                grid.partitioning_of(comp.index),
-                            ),
-                        )
-                    )
-            flag_job = JobConf(
-                name=f"{self.name}-flag",
-                inputs=inputs,
-                reducer=_ComponentFlaggingReducer(
-                    multi_components,
-                    {
-                        comp.index: grid.partitioning_of(comp.index)
-                        for comp in multi_components
-                    },
-                ),
-                output=f"{self.name}/flags",
-                num_reduce_tasks=max(
-                    1,
-                    sum(
-                        len(grid.partitioning_of(comp.index))
-                        for comp in multi_components
-                    ),
-                ),
-                partitioner=RoundRobinKeyPartitioner(),
-            )
-            pipeline.run(flag_job)
-            flags = set(file_system.read_dir(f"{self.name}/flags"))
-
-        # ----- cycle 2: grid routing + join -----
-        term_components = {
-            str(term): graph.component_of(term).index for term in query.terms
-        }
-        terms_by_relation: Dict[str, List[Term]] = defaultdict(list)
-        for term in query.terms:
-            terms_by_relation[term.relation].append(term)
-
-        join_job = JobConf(
-            name=f"{self.name}-join",
-            inputs=[
-                InputSpec(
-                    input_path(name),
-                    _GridRouteMapper(
-                        name,
-                        terms_by_relation[name],
-                        term_components,
-                        grid,
-                        frozenset(flags),
-                    ),
-                )
-                for name in query.relations
-            ],
-            reducer=_GridJoinReducer(query, grid),
-            output=f"{self.name}/output",
-            num_reduce_tasks=max(1, len(grid.cells)),
-            partitioner=RoundRobinKeyPartitioner(),
-        )
-        pipeline.run(join_job)
-
-        tuples = list(file_system.read_dir(f"{self.name}/output"))
-        return self._finish(
-            query,
-            pipeline,
-            cost_model,
-            tuples,
-            consistent_reducers=len(grid.cells),
-            total_reducers=grid.total_cells,
-            shape={
-                "grid_dimensions": grid.dimensions,
-                "consistent_cells": len(grid.cells),
-                "total_cells": grid.total_cells,
-            },
-        )
+    def plan(self, ctx: PlanContext) -> Plan:
+        query = ctx.query
+        self._check_query(query)
+        graph = JoinGraph(query)
+        per_dim_parts = self._per_dim_parts(graph, ctx.num_partitions)
+        built = {o: ctx.partition(o) for o in set(per_dim_parts)}
+        grid = GridSpec(graph, [built[o] for o in per_dim_parts])
+        flags = flag_cycle(ctx, self.name, grid)
+        ctx.submit(grid_join_job(self.name, query, grid, flags))
+        return Plan(f"{self.name}/output", shape=grid.shape(), grid=grid)
 
     def predict(self, query, profile, conf=None):
         from repro.core.predict import (
             analytic_grid,
             empty_prediction,
-            exact_grid,
+            exact_prediction,
         )
         from repro.core.tuning import (
             CyclePrediction,
@@ -675,21 +658,17 @@ class GenMatrix(JoinAlgorithm):
         conf = conf or PredictConfig()
         self._check_query(query)
         if conf.exact:
-            return exact_grid(self, query, conf)
+            return exact_prediction(self, query, conf)
         try:
             graph = JoinGraph(query)
         except UnsatisfiableQueryError:
             return empty_prediction(
                 self.name, conf, "join graph unsatisfiable; no jobs run"
             )
-        grid_parts = self.grid_parts or conf.num_partitions
-        if isinstance(grid_parts, int):
-            per_dim = [grid_parts] * len(graph.components)
-        else:
-            per_dim = list(grid_parts)
+        per_dim = self._per_dim_parts(graph, conf.num_partitions)
         grid = analytic_grid(graph, per_dim)
         cells = max(1, len(grid.cells))
-        multi = [c for c in graph.components if len(c.terms) > 1]
+        multi = multi_term_components(graph)
         cycles = []
         flag_load = 0.0
         if multi:

@@ -15,36 +15,31 @@ between phases — the overhead All-Seq-Matrix exists to avoid.
 from __future__ import annotations
 
 from collections import defaultdict
-from typing import Dict, Hashable, List, Mapping, Optional, Sequence, Tuple
+from typing import (
+    Dict,
+    Hashable,
+    Iterator,
+    List,
+    Mapping,
+    Optional,
+    Sequence,
+    Tuple,
+)
 
 from repro.errors import PlanningError, UnsatisfiableQueryError
-from repro.core.algorithms.base import (
-    JoinAlgorithm,
-    input_path,
-    record_algorithm_metrics,
-)
+from repro.core.algorithms.base import JoinAlgorithm, Plan, PlanContext
 from repro.core.algorithms.cascade import (
     PartialTuple,
-    _NEW_SIDE,
-    _PartialSideMapper,
-    _RowSideMapper,
-    _StepJoinReducer,
+    colocation_step_job,
+    step_operators,
 )
-from repro.core.algorithms.gen_matrix import GridSpec
+from repro.core.algorithms.gen_matrix import AllMatrix, GridSpec
 from repro.core.algorithms.rccis import RCCIS
-from repro.core.algorithms.gen_matrix import AllMatrix
 from repro.core.graph import Component, JoinGraph
 from repro.core.query import IntervalJoinQuery, JoinCondition, QueryClass
-from repro.core.results import ExecutionMetrics, JoinResult
-from repro.core.schema import Relation, Row
-from repro.intervals.partitioning import Partitioning
-from repro.obs.recorder import TraceRecorder
-from repro.mapreduce.cost import CostModel, DEFAULT_COST_MODEL
-from repro.mapreduce.fs import FileSystem, InMemoryFileSystem
+from repro.core.schema import Row
 from repro.mapreduce.job import InputSpec, JobConf
-from repro.mapreduce.options import RunOptions
 from repro.mapreduce.shuffle import RoundRobinKeyPartitioner
-from repro.mapreduce.pipeline import Pipeline
 from repro.mapreduce.task import MapContext, Mapper, ReduceContext, Reducer
 
 __all__ = ["FCTS", "FSTC"]
@@ -65,6 +60,43 @@ def _cross_component_conditions(
     for component in graph.components:
         internal.update(component.conditions)
     return [cond for cond in query.conditions if cond not in internal]
+
+
+def _attachment_steps(
+    query: IntervalJoinQuery, bound: Sequence[str]
+) -> Iterator[Tuple[str, JoinCondition, List[JoinCondition]]]:
+    """FSTC phase 2's order: each remaining relation is attached through
+    a colocation condition to the relations bound so far.  Yields
+    ``(relation, routing condition, every condition the step checks)``."""
+    bound = list(bound)
+    remaining = [n for n in query.relations if n not in bound]
+    while remaining:
+        attach = next(
+            (
+                (candidate, cond)
+                for candidate in remaining
+                for cond in query.conditions
+                if cond.is_colocation
+                and candidate in (cond.left.relation, cond.right.relation)
+                and {cond.left.relation, cond.right.relation} - {candidate}
+                <= set(bound)
+            ),
+            None,
+        )
+        if attach is None:
+            raise PlanningError(
+                "FSTC could not attach remaining relations "
+                f"{remaining} through colocation conditions"
+            )
+        nxt, routing = attach
+        yield nxt, routing, [
+            cond
+            for cond in query.conditions
+            if nxt in (cond.left.relation, cond.right.relation)
+            and {cond.left.relation, cond.right.relation} - {nxt} <= set(bound)
+        ]
+        bound.append(nxt)
+        remaining.remove(nxt)
 
 
 class _ComponentPartialMapper(Mapper):
@@ -168,72 +200,39 @@ class FCTS(JoinAlgorithm):
     def __init__(self, grid_parts: Optional[int] = None) -> None:
         self.grid_parts = grid_parts
 
-    def run(
-        self,
-        query: IntervalJoinQuery,
-        data: Mapping[str, Relation],
-        *,
-        num_partitions: int = 16,
-        fs: Optional[FileSystem] = None,
-        cost_model: CostModel = DEFAULT_COST_MODEL,
-        partitioning: Optional[Partitioning] = None,
-        partition_strategy: str = "uniform",
-        observer: Optional[TraceRecorder] = None,
-        options: Optional[RunOptions] = None,
-    ) -> JoinResult:
+    def _check_query(self, query: IntervalJoinQuery) -> None:
         if not query.is_single_attribute:
             raise PlanningError("FCTS handles single-attribute queries")
-        try:
-            graph = JoinGraph(query)
-        except UnsatisfiableQueryError:
-            return JoinResult(query, [], ExecutionMetrics(algorithm=self.name))
-        file_system = fs if fs is not None else InMemoryFileSystem()
-        attributes = {
-            name: query.attributes_of(name)[0] for name in query.relations
-        }
-        sub_metrics: List[ExecutionMetrics] = []
+
+    def plan(self, ctx: PlanContext) -> Plan:
+        query, attributes = ctx.query, ctx.attributes
+        self._check_query(query)
+        graph = JoinGraph(query)
 
         # ----- phase 1: component colocation joins (RCCIS) -----
         component_paths: Dict[int, str] = {}
-        intra_seq = [
-            cond
-            for cond in _cross_component_conditions(query, graph)
-            if graph.component_of(cond.left).index
-            == graph.component_of(cond.right).index
-        ]
+        non_internal = _cross_component_conditions(query, graph)
         for component in graph.components:
             path = f"fcts/component-{component.index}"
             if len(component.terms) == 1:
                 term = next(iter(component.terms))
                 records = [
-                    ((term.relation, row),) for row in data[term.relation].rows
+                    ((term.relation, row),)
+                    for row in ctx.data[term.relation].rows
                 ]
-                file_system.write(path, records, overwrite=True)
             else:
                 subquery = _component_subquery(component)
-                subdata = {
-                    name: data[name] for name in subquery.relations
-                }
-                sub_result = RCCIS().run(
-                    subquery,
-                    subdata,
-                    num_partitions=num_partitions,
-                    fs=InMemoryFileSystem(),
-                    cost_model=cost_model,
-                    partition_strategy=partition_strategy,
-                    observer=observer,
-                    options=options,
-                )
-                sub_metrics.append(sub_result.metrics)
+                names = subquery.relations
                 seq_filters = [
                     cond
-                    for cond in intra_seq
-                    if {cond.left.relation, cond.right.relation}
-                    <= set(subquery.relations)
+                    for cond in non_internal
+                    if {cond.left.relation, cond.right.relation} <= set(names)
                 ]
                 records = []
-                for tuple_rows in sub_result.tuples:
-                    members = dict(zip(subquery.relations, tuple_rows))
+                for tuple_rows in ctx.subplan(
+                    RCCIS(), subquery, ctx.num_partitions
+                ):
+                    members = dict(zip(names, tuple_rows))
                     if all(
                         cond.predicate.holds(
                             members[cond.left.relation].interval(
@@ -245,85 +244,53 @@ class FCTS(JoinAlgorithm):
                         )
                         for cond in seq_filters
                     ):
-                        records.append(
-                            tuple(
-                                (name, members[name])
-                                for name in subquery.relations
-                            )
-                        )
-                file_system.write(path, records, overwrite=True)
+                        records.append(tuple(zip(names, tuple_rows)))
+            ctx.fs.write(path, records, overwrite=True)
             component_paths[component.index] = path
 
         # ----- phase 2: All-Matrix over the components -----
-        grid_o = self.grid_parts or num_partitions
-        pipeline = Pipeline(
-            file_system,
-            observer=observer,
-            cost_model=cost_model,
-            options=options,
+        grid = GridSpec(
+            graph, ctx.partition(self.grid_parts or ctx.num_partitions)
         )
-        from repro.core.algorithms.base import build_partitioning
-
-        parts = partitioning or build_partitioning(
-            query, data, grid_o, strategy=partition_strategy
-        )
-        if len(parts) != grid_o:
-            grid_o = len(parts)
-        grid = GridSpec(graph, parts)
         cross = [
             cond
-            for cond in _cross_component_conditions(query, graph)
+            for cond in non_internal
             if graph.component_of(cond.left).index
             != graph.component_of(cond.right).index
         ]
-        job = JobConf(
-            name="fcts-matrix",
-            inputs=[
-                InputSpec(
-                    component_paths[component.index],
-                    _ComponentPartialMapper(component, grid, attributes),
-                )
-                for component in graph.components
-            ],
-            reducer=_ComponentJoinReducer(query, cross, len(graph.components)),
-            output="fcts/output",
-            num_reduce_tasks=max(1, len(grid.cells)),
-            partitioner=RoundRobinKeyPartitioner(),
+        ctx.submit(
+            JobConf(
+                name="fcts-matrix",
+                inputs=[
+                    InputSpec(
+                        component_paths[component.index],
+                        _ComponentPartialMapper(component, grid, attributes),
+                    )
+                    for component in graph.components
+                ],
+                reducer=_ComponentJoinReducer(
+                    query, cross, len(graph.components)
+                ),
+                output="fcts/output",
+                num_reduce_tasks=max(1, len(grid.cells)),
+                partitioner=RoundRobinKeyPartitioner(),
+            )
         )
-        pipeline.run(job)
-
-        raw = list(file_system.read_dir("fcts/output"))
-        by_relation = {name: i for i, name in enumerate(query.relations)}
-        tuples = []
-        for partial in raw:
-            ordered: List[Optional[Row]] = [None] * len(query.relations)
-            for relation, row in partial:
-                ordered[by_relation[relation]] = row
-            tuples.append(tuple(ordered))
-
-        matrix_metrics = ExecutionMetrics.from_pipeline(
-            self.name, pipeline.result, cost_model
+        return Plan(
+            "fcts/output",
+            shape={
+                **grid.shape(),
+                "colocation_subjoins": len(ctx.sub_metrics),
+            },
+            grid=grid,
+            partial_tuples=True,
         )
-        metrics = ExecutionMetrics.combine(
-            self.name, sub_metrics + [matrix_metrics]
-        )
-        metrics.output_records = len(tuples)
-        metrics.consistent_reducers = len(grid.cells)
-        metrics.total_reducers = grid.total_cells
-        metrics.shape = {
-            "grid_dimensions": grid.dimensions,
-            "consistent_cells": len(grid.cells),
-            "total_cells": grid.total_cells,
-            "colocation_subjoins": len(sub_metrics),
-        }
-        record_algorithm_metrics(observer, metrics)
-        return JoinResult(query, tuples, metrics)
 
     def predict(self, query, profile, conf=None):
         from repro.core.predict import (
             analytic_grid,
             empty_prediction,
-            exact_fcts,
+            exact_prediction,
         )
         from repro.core.tuning import (
             CyclePrediction,
@@ -336,10 +303,9 @@ class FCTS(JoinAlgorithm):
         )
 
         conf = conf or PredictConfig()
-        if not query.is_single_attribute:
-            raise PlanningError("FCTS handles single-attribute queries")
+        self._check_query(query)
         if conf.exact:
-            return exact_fcts(self, query, conf)
+            return exact_prediction(self, query, conf)
         try:
             graph = JoinGraph(query)
         except UnsatisfiableQueryError:
@@ -441,173 +407,64 @@ class FSTC(JoinAlgorithm):
     def __init__(self, grid_parts: Optional[int] = None) -> None:
         self.grid_parts = grid_parts
 
-    def run(
-        self,
-        query: IntervalJoinQuery,
-        data: Mapping[str, Relation],
-        *,
-        num_partitions: int = 16,
-        fs: Optional[FileSystem] = None,
-        cost_model: CostModel = DEFAULT_COST_MODEL,
-        partitioning: Optional[Partitioning] = None,
-        partition_strategy: str = "uniform",
-        observer: Optional[TraceRecorder] = None,
-        options: Optional[RunOptions] = None,
-    ) -> JoinResult:
+    def _sequence_subquery(self, query: IntervalJoinQuery) -> IntervalJoinQuery:
+        """The connected sequence sub-query phase 1 solves."""
         if query.query_class is not QueryClass.HYBRID:
             raise PlanningError("FSTC handles hybrid queries")
-        sequence_conditions = [c for c in query.conditions if c.is_sequence]
         try:
-            seq_query = IntervalJoinQuery(sequence_conditions)
+            return IntervalJoinQuery(
+                [c for c in query.conditions if c.is_sequence]
+            )
         except Exception as exc:
             raise PlanningError(
                 "FSTC requires the sequence conditions to form a connected "
                 f"sub-query: {exc}"
             ) from exc
 
-        file_system = fs if fs is not None else InMemoryFileSystem()
-        attributes = {
-            name: query.attributes_of(name)[0] for name in query.relations
-        }
+    def plan(self, ctx: PlanContext) -> Plan:
+        query, attributes = ctx.query, ctx.attributes
+        seq_query = self._sequence_subquery(query)
 
         # ----- phase 1: the sequence sub-join via All-Matrix -----
-        seq_data = {name: data[name] for name in seq_query.relations}
-        grid_o = self.grid_parts or num_partitions
-        seq_result = AllMatrix().run(
-            seq_query,
-            seq_data,
-            num_partitions=grid_o,
-            fs=InMemoryFileSystem(),
-            cost_model=cost_model,
-            partition_strategy=partition_strategy,
-            observer=observer,
-            options=options,
+        seq_tuples = ctx.subplan(
+            AllMatrix(), seq_query, self.grid_parts or ctx.num_partitions
         )
-        partial_records = [
-            tuple((name, row) for name, row in zip(seq_query.relations, t))
-            for t in seq_result.tuples
-        ]
         current_path = "fstc/seq"
-        file_system.write(current_path, partial_records, overwrite=True)
+        ctx.fs.write(
+            current_path,
+            [tuple(zip(seq_query.relations, t)) for t in seq_tuples],
+            overwrite=True,
+        )
 
         # ----- phase 2: cascade the remaining relations in -----
-        from repro.core.algorithms.base import build_partitioning
-
-        parts = partitioning or build_partitioning(
-            query, data, num_partitions, strategy=partition_strategy
-        )
-        for name in query.relations:
-            if not file_system.exists(input_path(name)):
-                file_system.write(
-                    input_path(name), data[name].rows, overwrite=True
-                )
-
-        pipeline = Pipeline(
-            file_system,
-            observer=observer,
-            cost_model=cost_model,
-            options=options,
-        )
-        bound: List[str] = list(seq_query.relations)
-        remaining = [n for n in query.relations if n not in bound]
+        parts = ctx.partition(ctx.num_partitions)
         step = 0
-        while remaining:
+        for nxt, routing, step_conditions in _attachment_steps(
+            query, seq_query.relations
+        ):
             step += 1
-            nxt: Optional[str] = None
-            routing: Optional[JoinCondition] = None
-            for candidate in remaining:
-                for cond in query.conditions:
-                    names = {cond.left.relation, cond.right.relation}
-                    if (
-                        candidate in names
-                        and (names - {candidate}) <= set(bound)
-                        and cond.is_colocation
-                    ):
-                        nxt, routing = candidate, cond
-                        break
-                if nxt:
-                    break
-            if nxt is None or routing is None:
-                raise PlanningError(
-                    "FSTC could not attach remaining relations "
-                    f"{remaining} through colocation conditions"
-                )
-            step_conditions = [
-                cond
-                for cond in query.conditions
-                if nxt in (cond.left.relation, cond.right.relation)
-                and ({cond.left.relation, cond.right.relation} - {nxt})
-                <= set(bound)
-            ]
-            member = (
-                routing.right.relation
-                if routing.left.relation == nxt
-                else routing.left.relation
-            )
-            member_attr = attributes[member]
-            bound_is_left = routing.left.relation == member
-            bound_op = (
-                routing.predicate.left_operator
-                if bound_is_left
-                else routing.predicate.right_operator
-            )
-            new_op = (
-                routing.predicate.right_operator
-                if bound_is_left
-                else routing.predicate.left_operator
-            )
             output = f"fstc/step-{step:02d}"
-            job = JobConf(
-                name=f"fstc-{nxt}",
-                inputs=[
-                    InputSpec(
-                        current_path,
-                        _PartialSideMapper(member, member_attr, parts, bound_op),
-                    ),
-                    InputSpec(
-                        input_path(nxt),
-                        _RowSideMapper(
-                            nxt, attributes[nxt], parts, new_op, _NEW_SIDE
-                        ),
-                    ),
-                ],
-                reducer=_StepJoinReducer(nxt, routing, step_conditions, attributes),
-                output=output,
-                num_reduce_tasks=num_partitions,
-                partitioner=RoundRobinKeyPartitioner(),
+            ctx.submit(
+                colocation_step_job(
+                    f"fstc-{nxt}", nxt, routing, step_conditions,
+                    attributes, parts, current_path, output,
+                    ctx.num_partitions,
+                )
             )
-            pipeline.run(job)
             current_path = output
-            bound.append(nxt)
-            remaining.remove(nxt)
-
-        raw = list(file_system.read_dir(current_path))
-        by_relation = {name: i for i, name in enumerate(query.relations)}
-        tuples = []
-        for partial in raw:
-            ordered: List[Optional[Row]] = [None] * len(query.relations)
-            for relation, row in partial:
-                ordered[by_relation[relation]] = row
-            tuples.append(tuple(ordered))
-
-        cascade_metrics = ExecutionMetrics.from_pipeline(
-            self.name, pipeline.result, cost_model
+        return Plan(
+            current_path,
+            shape={
+                "partition_intervals": len(parts),
+                "colocation_steps": step,
+            },
+            partial_tuples=True,
         )
-        metrics = ExecutionMetrics.combine(
-            self.name, [seq_result.metrics, cascade_metrics]
-        )
-        metrics.output_records = len(tuples)
-        metrics.shape = {
-            "partition_intervals": len(parts),
-            "colocation_steps": step,
-        }
-        record_algorithm_metrics(observer, metrics)
-        return JoinResult(query, tuples, metrics)
 
     def predict(self, query, profile, conf=None):
         from repro.core.predict import (
             analytic_grid,
-            exact_fstc,
+            exact_prediction,
             operator_fanout,
         )
         from repro.core.tuning import (
@@ -618,18 +475,9 @@ class FSTC(JoinAlgorithm):
         )
 
         conf = conf or PredictConfig()
-        if query.query_class is not QueryClass.HYBRID:
-            raise PlanningError("FSTC handles hybrid queries")
+        seq_query = self._sequence_subquery(query)
         if conf.exact:
-            return exact_fstc(self, query, conf)
-        sequence_conditions = [c for c in query.conditions if c.is_sequence]
-        try:
-            seq_query = IntervalJoinQuery(sequence_conditions)
-        except Exception as exc:
-            raise PlanningError(
-                "FSTC requires the sequence conditions to form a connected "
-                f"sub-query: {exc}"
-            ) from exc
+            return exact_prediction(self, query, conf)
         parts = conf.num_partitions
         grid_o = self.grid_parts or parts
         seq_graph = JoinGraph(seq_query)
@@ -658,50 +506,14 @@ class FSTC(JoinAlgorithm):
         partials = 1.0
         for name in seq_query.relations:
             partials *= profile.rows_per_relation.get(name, 0)
-        for cond in sequence_conditions:
+        for cond in seq_query.conditions:
             partials *= condition_selectivity(cond, profile)
 
         colocation_load = 0.0
-        bound = list(seq_query.relations)
-        remaining = [n for n in query.relations if n not in bound]
-        while remaining:
-            nxt = None
-            routing = None
-            for candidate in remaining:
-                for cond in query.conditions:
-                    names = {cond.left.relation, cond.right.relation}
-                    if (
-                        candidate in names
-                        and (names - {candidate}) <= set(bound)
-                        and cond.is_colocation
-                    ):
-                        nxt, routing = candidate, cond
-                        break
-                if nxt:
-                    break
-            if nxt is None or routing is None:
-                raise PlanningError(
-                    "FSTC could not attach remaining relations "
-                    f"{remaining} through colocation conditions"
-                )
-            step_conditions = [
-                cond
-                for cond in query.conditions
-                if nxt in (cond.left.relation, cond.right.relation)
-                and ({cond.left.relation, cond.right.relation} - {nxt})
-                <= set(bound)
-            ]
-            bound_is_left = routing.left.relation != nxt
-            bound_op = (
-                routing.predicate.left_operator
-                if bound_is_left
-                else routing.predicate.right_operator
-            )
-            new_op = (
-                routing.predicate.right_operator
-                if bound_is_left
-                else routing.predicate.left_operator
-            )
+        for nxt, routing, step_conditions in _attachment_steps(
+            query, seq_query.relations
+        ):
+            bound_op, new_op = step_operators(routing, nxt)
             n_new = profile.rows_per_relation.get(nxt, 0)
             out = partials * operator_fanout(
                 bound_op, profile, parts
@@ -722,8 +534,6 @@ class FSTC(JoinAlgorithm):
             for cond in step_conditions:
                 selectivity *= condition_selectivity(cond, profile)
             partials *= n_new * selectivity
-            bound.append(nxt)
-            remaining.remove(nxt)
         return PlanPrediction(
             algorithm=self.name,
             cost_model=conf.cost_model,

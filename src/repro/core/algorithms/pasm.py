@@ -20,26 +20,25 @@ from collections import defaultdict
 from typing import Dict, FrozenSet, Hashable, List, Mapping, Optional, Set, Tuple
 
 from repro.errors import PlanningError, UnsatisfiableQueryError
-from repro.core.algorithms.base import JoinAlgorithm, input_path
+from repro.core.algorithms.base import (
+    JoinAlgorithm,
+    Plan,
+    PlanContext,
+    input_path,
+)
 from repro.core.algorithms.gen_matrix import (
     FlagKey,
     GridSpec,
-    _ComponentFlaggingReducer,
-    _ComponentSplitMapper,
-    _GridJoinReducer,
-    _GridRouteMapper,
+    flag_cycle,
+    grid_join_job,
+    multi_term_components,
 )
 from repro.core.graph import JoinGraph
 from repro.core.local import LocalJoiner
 from repro.core.query import IntervalJoinQuery, Term
-from repro.core.results import ExecutionMetrics, JoinResult
-from repro.core.schema import Relation, Row
+from repro.core.schema import Row
 from repro.intervals.partitioning import Partitioning
-from repro.obs.recorder import TraceRecorder
-from repro.mapreduce.cost import CostModel, DEFAULT_COST_MODEL
-from repro.mapreduce.fs import FileSystem
 from repro.mapreduce.job import InputSpec, JobConf
-from repro.mapreduce.options import RunOptions
 from repro.mapreduce.shuffle import RoundRobinKeyPartitioner
 from repro.mapreduce.task import MapContext, Mapper, ReduceContext, Reducer
 
@@ -142,21 +141,6 @@ class _MarkingReducer(Reducer):
                         context.emit(mark)
 
 
-class _PrunedGridRouteMapper(_GridRouteMapper):
-    """Grid routing that drops rows pruned by the marking cycle."""
-
-    def __init__(self, *args, keep: Optional[FrozenSet[int]], **kwargs) -> None:
-        super().__init__(*args, **kwargs)
-        #: surviving rids for this relation; None = relation not pruned.
-        self.keep = keep
-
-    def map(self, record: Row, context: MapContext) -> None:
-        if self.keep is not None and record.rid not in self.keep:
-            context.counters.increment("join", "pruned_rows")
-            return
-        super().map(record, context)
-
-
 class PASM(JoinAlgorithm):
     """Pruned-All-Seq-Matrix (three cycles)."""
 
@@ -165,65 +149,23 @@ class PASM(JoinAlgorithm):
     def __init__(self, grid_parts: Optional[int] = None) -> None:
         self.grid_parts = grid_parts
 
-    def run(
-        self,
-        query: IntervalJoinQuery,
-        data: Mapping[str, Relation],
-        *,
-        num_partitions: int = 16,
-        fs: Optional[FileSystem] = None,
-        cost_model: CostModel = DEFAULT_COST_MODEL,
-        partitioning: Optional[Partitioning] = None,
-        partition_strategy: str = "uniform",
-        observer: Optional[TraceRecorder] = None,
-        options: Optional[RunOptions] = None,
-    ) -> JoinResult:
+    def _check_query(self, query: IntervalJoinQuery) -> None:
         if not query.is_single_attribute:
             raise PlanningError(
                 "PASM handles single-attribute queries; use Gen-Matrix "
                 "with pruning disabled for multi-attribute ones"
             )
-        try:
-            graph = JoinGraph(query)
-        except UnsatisfiableQueryError:
-            return JoinResult(query, [], ExecutionMetrics(algorithm=self.name))
-        grid_parts = self.grid_parts or num_partitions
-        file_system, pipeline, parts = self._setup(
-            query, data, grid_parts, fs,
-            partitioning, partition_strategy,
-            observer=observer, cost_model=cost_model, options=options,
-        )
+
+    def plan(self, ctx: PlanContext) -> Plan:
+        query = ctx.query
+        self._check_query(query)
+        graph = JoinGraph(query)
+        parts = ctx.partition(self.grid_parts or ctx.num_partitions)
         grid = GridSpec(graph, parts)
-        multi_components = [
-            comp for comp in graph.components if len(comp.terms) > 1
-        ]
-        attributes = {
-            name: query.attributes_of(name)[0] for name in query.relations
-        }
+        multi_components = multi_term_components(graph)
 
         # ----- cycle 1: flagging -----
-        flags: Set[FlagKey] = set()
-        if multi_components:
-            flag_job = JobConf(
-                name="pasm-flag",
-                inputs=[
-                    InputSpec(
-                        input_path(term.relation),
-                        _ComponentSplitMapper(term, comp.index, parts),
-                    )
-                    for comp in multi_components
-                    for term in sorted(comp.terms)
-                ],
-                reducer=_ComponentFlaggingReducer(
-                    multi_components,
-                    {comp.index: parts for comp in multi_components},
-                ),
-                output="pasm/flags",
-                num_reduce_tasks=max(1, len(parts) * len(multi_components)),
-                partitioner=RoundRobinKeyPartitioner(),
-            )
-            pipeline.run(flag_job)
-            flags = set(file_system.read_dir("pasm/flags"))
+        flags = flag_cycle(ctx, "pasm", grid)
 
         # ----- cycle 2: marking (component colocation joins) -----
         keep: Dict[str, Set[int]] = {}
@@ -232,86 +174,48 @@ class PASM(JoinAlgorithm):
                 comp.index: IntervalJoinQuery(list(comp.conditions))
                 for comp in multi_components
             }
-            mark_job = JobConf(
-                name="pasm-mark",
-                inputs=[
-                    InputSpec(
-                        input_path(term.relation),
-                        _ComponentRouteMapper(
-                            term, comp.index, parts, frozenset(flags)
-                        ),
-                    )
-                    for comp in multi_components
-                    for term in sorted(comp.terms)
-                ],
-                reducer=_MarkingReducer(subqueries, attributes, parts),
-                output="pasm/marks",
-                num_reduce_tasks=max(1, len(parts) * len(multi_components)),
-                partitioner=RoundRobinKeyPartitioner(),
+            ctx.submit(
+                JobConf(
+                    name="pasm-mark",
+                    inputs=[
+                        InputSpec(
+                            input_path(term.relation),
+                            _ComponentRouteMapper(
+                                term, comp.index, parts, flags
+                            ),
+                        )
+                        for comp in multi_components
+                        for term in sorted(comp.terms)
+                    ],
+                    reducer=_MarkingReducer(
+                        subqueries, ctx.attributes, parts
+                    ),
+                    output="pasm/marks",
+                    num_reduce_tasks=max(
+                        1, len(parts) * len(multi_components)
+                    ),
+                    partitioner=RoundRobinKeyPartitioner(),
+                )
             )
-            pipeline.run(mark_job)
-            for relation, rid in file_system.read_dir("pasm/marks"):
-                keep.setdefault(relation, set()).add(rid)
             # Relations in multi-relation components but absent from the
             # marks are fully pruned (empty keep set, not "unpruned").
             for comp in multi_components:
                 for term in comp.terms:
-                    keep.setdefault(term.relation, set())
+                    keep[term.relation] = set()
+            for relation, rid in ctx.fs.read_dir("pasm/marks"):
+                keep[relation].add(rid)
 
         # ----- cycle 3: pruned grid join -----
-        term_components = {
-            str(term): graph.component_of(term).index for term in query.terms
-        }
-        terms_by_relation: Dict[str, List[Term]] = defaultdict(list)
-        for term in query.terms:
-            terms_by_relation[term.relation].append(term)
-        join_job = JobConf(
-            name="pasm-join",
-            inputs=[
-                InputSpec(
-                    input_path(name),
-                    _PrunedGridRouteMapper(
-                        name,
-                        terms_by_relation[name],
-                        term_components,
-                        grid,
-                        frozenset(flags),
-                        keep=(
-                            frozenset(keep[name]) if name in keep else None
-                        ),
-                    ),
-                )
-                for name in query.relations
-            ],
-            reducer=_GridJoinReducer(query, grid),
-            output="pasm/output",
-            num_reduce_tasks=max(1, len(grid.cells)),
-            partitioner=RoundRobinKeyPartitioner(),
+        ctx.submit(grid_join_job("pasm", query, grid, flags, keep))
+        return Plan(
+            "pasm/output", shape={**grid.shape(), "cycles": 3}, grid=grid
         )
-        pipeline.run(join_job)
-
-        tuples = list(file_system.read_dir("pasm/output"))
-        result = self._finish(
-            query,
-            pipeline,
-            cost_model,
-            tuples,
-            consistent_reducers=len(grid.cells),
-            total_reducers=grid.total_cells,
-            shape={
-                "grid_dimensions": grid.dimensions,
-                "consistent_cells": len(grid.cells),
-                "total_cells": grid.total_cells,
-                "cycles": 3,
-            },
-        )
-        return result
 
     def predict(self, query, profile, conf=None):
         from repro.core.predict import (
             analytic_grid,
             empty_prediction,
-            exact_pasm,
+            exact_prediction,
         )
         from repro.core.tuning import (
             CyclePrediction,
@@ -323,10 +227,9 @@ class PASM(JoinAlgorithm):
         )
 
         conf = conf or PredictConfig()
-        if not query.is_single_attribute:
-            raise PlanningError("PASM handles single-attribute queries")
+        self._check_query(query)
         if conf.exact:
-            return exact_pasm(self, query, conf)
+            return exact_prediction(self, query, conf)
         try:
             graph = JoinGraph(query)
         except UnsatisfiableQueryError:
@@ -336,7 +239,7 @@ class PASM(JoinAlgorithm):
         o = self.grid_parts or conf.num_partitions
         grid = analytic_grid(graph, [o] * len(graph.components))
         cells = max(1, len(grid.cells))
-        multi = [c for c in graph.components if len(c.terms) > 1]
+        multi = multi_term_components(graph)
         cycles = []
         flag_mark_load = 0.0
         if multi:

@@ -23,22 +23,22 @@ All-Matrix / All-Seq-Matrix / Gen-Matrix.
 from __future__ import annotations
 
 from collections import defaultdict
-from typing import Dict, Hashable, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, Hashable, List, Mapping, Sequence, Tuple
 
 from repro.errors import PlanningError
-from repro.columnar.batch import ColumnValues, reduce_columns
-from repro.core.algorithms.base import JoinAlgorithm, input_path
+from repro.columnar.batch import ColumnValues, interval_columns, reduce_columns
+from repro.core.algorithms.base import (
+    JoinAlgorithm,
+    Plan,
+    PlanContext,
+    input_path,
+)
 from repro.core.local import LocalJoiner
 from repro.core.query import IntervalJoinQuery, QueryClass
-from repro.core.results import JoinResult
-from repro.core.schema import Relation, Row
+from repro.core.schema import Row
 from repro.core.algorithms.crossing import CrossingSetFinder
 from repro.intervals.partitioning import Partitioning
-from repro.obs.recorder import TraceRecorder
-from repro.mapreduce.cost import CostModel, DEFAULT_COST_MODEL
-from repro.mapreduce.fs import FileSystem
 from repro.mapreduce.job import InputSpec, JobConf
-from repro.mapreduce.options import RunOptions
 from repro.mapreduce.shuffle import RoundRobinKeyPartitioner
 from repro.mapreduce.task import MapContext, Mapper, ReduceContext, Reducer
 
@@ -118,11 +118,15 @@ class RouteMapper(Mapper):
         self.attributes = dict(attributes)
         self.partitioning = partitioning
 
+    def _interval_of(self, record: Tuple[str, Row, bool]):
+        relation, row, _flagged = record
+        return row.interval(self.attributes[relation])
+
     def map(
         self, record: Tuple[str, Row, bool], context: MapContext
     ) -> None:
         relation, row, flagged = record
-        interval = row.interval(self.attributes[relation])
+        interval = self._interval_of(record)
         if flagged:
             targets = list(self.partitioning.replicate(interval))
             context.counters.increment(
@@ -138,15 +142,7 @@ class RouteMapper(Mapper):
         return True
 
     def encode_intervals(self, records):
-        import numpy as np
-
-        starts = np.empty(len(records), dtype=np.float64)
-        ends = np.empty(len(records), dtype=np.float64)
-        for i, (relation, row, _flagged) in enumerate(records):
-            interval = row.interval(self.attributes[relation])
-            starts[i] = interval.start
-            ends[i] = interval.end
-        return starts, ends
+        return interval_columns(records, self._interval_of)
 
     def map_columns(self, starts, ends, records):
         import numpy as np
@@ -289,67 +285,51 @@ class RCCIS(JoinAlgorithm):
     name = "rccis"
     columnar_capable = True
 
-    def run(
-        self,
-        query: IntervalJoinQuery,
-        data: Mapping[str, Relation],
-        *,
-        num_partitions: int = 16,
-        fs: Optional[FileSystem] = None,
-        cost_model: CostModel = DEFAULT_COST_MODEL,
-        partitioning: Optional[Partitioning] = None,
-        partition_strategy: str = "uniform",
-        observer: Optional[TraceRecorder] = None,
-        options: Optional[RunOptions] = None,
-    ) -> JoinResult:
+    def plan(self, ctx: PlanContext) -> Plan:
+        query, attributes = ctx.query, ctx.attributes
         if query.query_class is not QueryClass.COLOCATION:
             raise PlanningError(
                 "RCCIS handles colocation queries; got "
                 f"{query.query_class.name} — use the planner"
             )
-        file_system, pipeline, parts = self._setup(
-            query, data, num_partitions, fs,
-            partitioning, partition_strategy,
-            observer=observer, cost_model=cost_model, options=options,
+        parts = ctx.partition(ctx.num_partitions)
+        ctx.submit(
+            JobConf(
+                name="rccis-flag",
+                inputs=[
+                    InputSpec(
+                        input_path(name),
+                        SplitMapper(name, attributes[name], parts),
+                    )
+                    for name in query.relations
+                ],
+                reducer=FlaggingReducer(
+                    query, query.relations, attributes, parts
+                ),
+                output="rccis/flags",
+                num_reduce_tasks=ctx.num_partitions,
+                partitioner=RoundRobinKeyPartitioner(),
+            )
         )
-        attributes = {
-            name: query.attributes_of(name)[0] for name in query.relations
-        }
-
-        flag_job = JobConf(
-            name="rccis-flag",
-            inputs=[
-                InputSpec(
-                    input_path(name),
-                    SplitMapper(name, attributes[name], parts),
-                )
-                for name in query.relations
-            ],
-            reducer=FlaggingReducer(query, query.relations, attributes, parts),
-            output="rccis/flags",
-            num_reduce_tasks=num_partitions,
-            partitioner=RoundRobinKeyPartitioner(),
+        ctx.submit(
+            JobConf(
+                name="rccis-join",
+                inputs=[
+                    InputSpec("rccis/flags", RouteMapper(attributes, parts))
+                ],
+                reducer=JoinReducer(query, attributes, parts),
+                output="rccis/output",
+                num_reduce_tasks=ctx.num_partitions,
+                partitioner=RoundRobinKeyPartitioner(),
+            )
         )
-        pipeline.run(flag_job)
-
-        join_job = JobConf(
-            name="rccis-join",
-            inputs=[InputSpec("rccis/flags", RouteMapper(attributes, parts))],
-            reducer=JoinReducer(query, attributes, parts),
-            output="rccis/output",
-            num_reduce_tasks=num_partitions,
-            partitioner=RoundRobinKeyPartitioner(),
-        )
-        pipeline.run(join_job)
-
-        tuples = list(file_system.read_dir("rccis/output"))
-        return self._finish(
-            query, pipeline, cost_model, tuples,
+        return Plan(
+            "rccis/output",
             shape={"partition_intervals": len(parts), "cycles": 2},
         )
 
     def predict(self, query, profile, conf=None):
-        from repro.core.predict import exact_rccis
+        from repro.core.predict import exact_prediction
         from repro.core.tuning import (
             CyclePrediction,
             PlanPrediction,
@@ -361,7 +341,7 @@ class RCCIS(JoinAlgorithm):
 
         conf = conf or PredictConfig()
         if conf.exact:
-            return exact_rccis(self, query, conf)
+            return exact_prediction(self, query, conf)
         parts = conf.num_partitions
         n = profile.total_rows
         out_flag = n * split_factor(profile, parts)

@@ -9,21 +9,20 @@ for the predicates that split or replicate one side.
 
 from __future__ import annotations
 
-from typing import Mapping, Optional
-
 from repro.errors import PlanningError
-from repro.core.algorithms.base import JoinAlgorithm, input_path
+from repro.columnar.batch import interval_columns
+from repro.core.algorithms.base import (
+    JoinAlgorithm,
+    Plan,
+    PlanContext,
+    input_path,
+)
 from repro.core.algorithms.rccis import JoinReducer
 from repro.core.query import IntervalJoinQuery
-from repro.core.results import JoinResult
-from repro.core.schema import Relation, Row
+from repro.core.schema import Row
 from repro.intervals.allen import MapOperator
 from repro.intervals.partitioning import Partitioning
-from repro.obs.recorder import TraceRecorder
-from repro.mapreduce.cost import CostModel, DEFAULT_COST_MODEL
-from repro.mapreduce.fs import FileSystem
 from repro.mapreduce.job import InputSpec, JobConf
-from repro.mapreduce.options import RunOptions
 from repro.mapreduce.shuffle import RoundRobinKeyPartitioner
 from repro.mapreduce.task import MapContext, Mapper
 
@@ -47,8 +46,11 @@ class OperatorMapper(Mapper):
         self.partitioning = partitioning
         self.operator = operator
 
+    def _interval_of(self, record: Row):
+        return record.interval(self.attribute)
+
     def map(self, record: Row, context: MapContext) -> None:
-        interval = record.interval(self.attribute)
+        interval = self._interval_of(record)
         if self.operator is MapOperator.PROJECT:
             context.emit(
                 self.partitioning.project(interval), (self.relation, record)
@@ -68,15 +70,7 @@ class OperatorMapper(Mapper):
         return True
 
     def encode_intervals(self, records):
-        import numpy as np
-
-        starts = np.empty(len(records), dtype=np.float64)
-        ends = np.empty(len(records), dtype=np.float64)
-        for i, record in enumerate(records):
-            interval = record.interval(self.attribute)
-            starts[i] = interval.start
-            ends[i] = interval.end
-        return starts, ends
+        return interval_columns(records, self._interval_of)
 
     def map_columns(self, starts, ends, records):
         from repro.columnar.batch import MapBlock, operator_map_columns
@@ -96,70 +90,45 @@ class TwoWayJoin(JoinAlgorithm):
     name = "two_way"
     columnar_capable = True
 
-    def run(
-        self,
-        query: IntervalJoinQuery,
-        data: Mapping[str, Relation],
-        *,
-        num_partitions: int = 16,
-        fs: Optional[FileSystem] = None,
-        cost_model: CostModel = DEFAULT_COST_MODEL,
-        partitioning: Optional[Partitioning] = None,
-        partition_strategy: str = "uniform",
-        observer: Optional[TraceRecorder] = None,
-        options: Optional[RunOptions] = None,
-    ) -> JoinResult:
+    def _check_query(self, query: IntervalJoinQuery) -> None:
         if len(query.conditions) != 1 or len(query.relations) != 2:
             raise PlanningError(
                 "TwoWayJoin handles exactly one condition over two relations"
             )
+
+    def plan(self, ctx: PlanContext) -> Plan:
+        query = ctx.query
+        self._check_query(query)
         condition = query.conditions[0]
-        file_system, pipeline, parts = self._setup(
-            query, data, num_partitions, fs,
-            partitioning, partition_strategy,
-            observer=observer, cost_model=cost_model, options=options,
+        parts = ctx.partition(ctx.num_partitions)
+        ctx.submit(
+            JobConf(
+                name="two-way",
+                inputs=[
+                    InputSpec(
+                        input_path(term.relation),
+                        OperatorMapper(
+                            term.relation, term.attribute, parts, operator
+                        ),
+                    )
+                    for term, operator in (
+                        (condition.left, condition.predicate.left_operator),
+                        (condition.right, condition.predicate.right_operator),
+                    )
+                ],
+                reducer=JoinReducer(query, ctx.attributes, parts),
+                output="twoway/output",
+                num_reduce_tasks=ctx.num_partitions,
+                partitioner=RoundRobinKeyPartitioner(),
+            )
         )
-        attributes = {
-            name: query.attributes_of(name)[0] for name in query.relations
-        }
-        left_name = condition.left.relation
-        right_name = condition.right.relation
-        job = JobConf(
-            name="two-way",
-            inputs=[
-                InputSpec(
-                    input_path(left_name),
-                    OperatorMapper(
-                        left_name,
-                        condition.left.attribute,
-                        parts,
-                        condition.predicate.left_operator,
-                    ),
-                ),
-                InputSpec(
-                    input_path(right_name),
-                    OperatorMapper(
-                        right_name,
-                        condition.right.attribute,
-                        parts,
-                        condition.predicate.right_operator,
-                    ),
-                ),
-            ],
-            reducer=JoinReducer(query, attributes, parts),
-            output="twoway/output",
-            num_reduce_tasks=num_partitions,
-            partitioner=RoundRobinKeyPartitioner(),
-        )
-        pipeline.run(job)
-        tuples = list(file_system.read_dir("twoway/output"))
-        return self._finish(
-            query, pipeline, cost_model, tuples,
+        return Plan(
+            "twoway/output",
             shape={"partition_intervals": len(parts), "cycles": 1},
         )
 
     def predict(self, query, profile, conf=None):
-        from repro.core.predict import exact_two_way, operator_fanout
+        from repro.core.predict import exact_prediction, operator_fanout
         from repro.core.tuning import (
             CyclePrediction,
             PlanPrediction,
@@ -167,12 +136,9 @@ class TwoWayJoin(JoinAlgorithm):
         )
 
         conf = conf or PredictConfig()
-        if len(query.conditions) != 1 or len(query.relations) != 2:
-            raise PlanningError(
-                "TwoWayJoin handles exactly one condition over two relations"
-            )
+        self._check_query(query)
         if conf.exact:
-            return exact_two_way(self, query, conf)
+            return exact_prediction(self, query, conf)
         condition = query.conditions[0]
         parts = conf.num_partitions
         reads = 0.0

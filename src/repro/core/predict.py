@@ -1,111 +1,55 @@
-"""Exact-tier plan prediction: dry-run mappers, never join reducers.
+"""Plan prediction helpers and the exact tier's dry plan interpreter.
 
 ``JoinAlgorithm.predict`` has two tiers.  The *analytic* tier (the
-default, implemented per algorithm next to its ``run``) evaluates the
+default, implemented per algorithm next to its ``plan``) evaluates the
 closed-form Section-6 formulas from a :class:`~repro.core.tuning.DataProfile`
-alone.  The *exact* tier here reproduces the run's communication counters
-bit-for-bit by driving the algorithm's **real** mapper classes (and the
-flag/mark decision reducers that feed later cycles) over the actual data
-through real :class:`~repro.mapreduce.task.MapContext` objects — while
-never executing a join reducer, so predicting stays far cheaper than
-running and cannot be mistaken for a second execution.  Composite
-intermediates (cascade partials, FCTS component results) come from the
-reference-join oracle / direct condition evaluation instead.
+alone.  The *exact* tier here has no per-algorithm code: it hands the
+algorithm's own ``plan`` method a :class:`DryPipeline`, which drives each
+job's **real** mappers over the actual data and runs a job's reducer
+only when something downstream reads its output.  So the run's
+communication counters are reproduced bit-for-bit (the property tests in
+``tests/core/test_predict.py`` pin it) under whatever partitioning the
+run would use, while the plan's final join — where a run spends its
+time — is never executed.
 
-Per-key reducer loads are accumulated across cycles exactly the way
-``ExecutionMetrics.from_pipeline`` does (keys collide across jobs and are
-summed), and composite algorithms namespace sub-run loads with the same
-``(algorithm, key)`` keys ``ExecutionMetrics.combine`` uses — so the
-exact tier's ``max_reducer_load`` matches the observed value, which the
-property tests in ``tests/core/test_predict.py`` pin.
+Per-key reducer loads are not accumulated here: every dry job is
+recorded as a :class:`~repro.mapreduce.job.JobResult`, and
+``ExecutionMetrics.from_pipeline`` / ``.combine`` fold them across cycles
+and sub-plans exactly as they do for a run.
 """
 
 from __future__ import annotations
 
 from collections import defaultdict
-from typing import (
-    Any,
-    Dict,
-    Hashable,
-    List,
-    Mapping,
-    Optional,
-    Sequence,
-    Tuple,
-)
+from typing import Any, Dict, Hashable, Iterator, List, Optional, Sequence, Tuple
 
-from repro.errors import PlanningError, UnsatisfiableQueryError
-from repro.core.query import IntervalJoinQuery, JoinCondition
-from repro.core.schema import Relation, Row
+from repro.errors import PlanningError
+from repro.core.algorithms.base import PlanContext
+from repro.core.algorithms.gen_matrix import GridSpec
+from repro.core.query import IntervalJoinQuery
 from repro.core.tuning import (
     CyclePrediction,
     DataProfile,
     PlanPrediction,
     PredictConfig,
-    crossing_fraction,
     replicate_fanout,
     split_factor,
 )
 from repro.intervals.allen import MapOperator
 from repro.intervals.partitioning import Partitioning
 from repro.mapreduce.counters import Counters
-from repro.mapreduce.task import MapContext, Mapper, ReduceContext, Reducer
+from repro.mapreduce.fs import InMemoryFileSystem
+from repro.mapreduce.job import JobConf, JobResult
+from repro.mapreduce.pipeline import PipelineResult
+from repro.mapreduce.task import MapContext, ReduceContext, Reducer
 
 __all__ = [
-    "dry_map",
-    "dry_reduce",
-    "group_pairs",
+    "DryPipeline",
     "operator_fanout",
     "analytic_grid",
     "empty_prediction",
-    "exact_two_way",
-    "exact_all_replicate",
-    "exact_rccis",
-    "exact_grid",
-    "exact_pasm",
-    "exact_cascade",
-    "exact_fcts",
-    "exact_fstc",
+    "exact_prediction",
 ]
-
-
-# ----------------------------------------------------------------------
-# Dry-run primitives
-# ----------------------------------------------------------------------
-
-
-def dry_map(
-    mapper: Mapper, records: Sequence[Any], path: str = "dry"
-) -> List[Tuple[Hashable, Any]]:
-    """Run one real mapper over records, returning its emitted pairs."""
-    context = MapContext(Counters(), path)
-    mapper.setup(context)
-    for record in records:
-        mapper.map(record, context)
-    mapper.cleanup(context)
-    return context.drain()
-
-
-def group_pairs(
-    pairs: Sequence[Tuple[Hashable, Any]],
-) -> Dict[Hashable, List[Any]]:
-    """Group emitted pairs by key, the way the shuffle would."""
-    grouped: Dict[Hashable, List[Any]] = defaultdict(list)
-    for key, value in pairs:
-        grouped[key].append(value)
-    return dict(grouped)
-
-
-def dry_reduce(
-    reducer: Reducer, groups: Mapping[Hashable, List[Any]]
-) -> List[Any]:
-    """Run one real (decision) reducer over grouped pairs."""
-    context = ReduceContext(Counters(), task_index=0)
-    reducer.setup(context)
-    for key in groups:
-        reducer.reduce(key, groups[key], context)
-    reducer.cleanup(context)
-    return context.drain()
 
 
 def operator_fanout(
@@ -127,8 +71,6 @@ def analytic_grid(graph, per_dim_parts: Sequence[int]):
     ``[0, 1)`` grid has exactly the cells the run's data-range grid will
     have (uniform strategy), without touching the data.
     """
-    from repro.core.algorithms.gen_matrix import GridSpec
-
     return GridSpec(
         graph,
         [Partitioning.uniform(0.0, 1.0, o) for o in per_dim_parts],
@@ -152,743 +94,141 @@ def empty_prediction(
 
 
 # ----------------------------------------------------------------------
-# Exact-tier bookkeeping
+# The exact tier: the algorithm's own plan, interpreted dry
 # ----------------------------------------------------------------------
 
 
-class _ExactRun:
-    """Cycles plus the cross-cycle per-key load map of one (sub-)run."""
+class _DryFileSystem(InMemoryFileSystem):
+    """Holds each dry job's grouped map output until something reads the
+    job's output path; only then does the job's reducer run."""
 
     def __init__(self) -> None:
-        self.cycles: List[CyclePrediction] = []
-        self.loads: Dict[Hashable, int] = {}
-        self.consistent: Optional[int] = None
-        self.total: Optional[int] = None
+        super().__init__()
+        self.unreduced: Dict[str, Tuple[Reducer, Dict[Hashable, List[Any]]]] = {}
 
-    def add_cycle(
-        self,
-        name: str,
-        records_read: int,
-        pairs: Sequence[Tuple[Hashable, Any]],
-        reduce_tasks: int,
-    ) -> None:
-        per_key: Dict[Hashable, int] = defaultdict(int)
-        for key, _ in pairs:
-            per_key[key] += 1
-        for key, load in per_key.items():
-            self.loads[key] = self.loads.get(key, 0) + load
+    def read_dir(self, base: str) -> Iterator[Any]:
+        job = self.unreduced.pop(base, None)
+        if job is not None:
+            reducer, groups = job
+            context = ReduceContext(Counters(), task_index=0)
+            reducer.setup(context)
+            for key, values in groups.items():
+                reducer.reduce(key, values, context)
+            reducer.cleanup(context)
+            self.write(base, context.drain(), overwrite=True)
+        return super().read_dir(base)
+
+
+class DryPipeline:
+    """The :class:`~repro.mapreduce.pipeline.Pipeline` stand-in a plan is
+    handed for an exact prediction.
+
+    ``run`` drives the job's real mappers over its inputs, in-process,
+    and records the cycle as an ordinary
+    :class:`~repro.mapreduce.job.JobResult` — so ``ExecutionMetrics``
+    folds per-key loads across cycles and sub-plans exactly as it does
+    for a run.  The reducer runs only if a later job, the plan method or
+    a parent plan reads the job's output: flag/mark reducers and
+    intermediate joins execute, the plan's final join never does.
+    Nothing goes through ``run_job``, so executors, fault plans, data
+    planes and observers cannot touch a prediction.
+    """
+
+    observer = None
+
+    def __init__(self, cycles: Optional[List[CyclePrediction]] = None) -> None:
+        self.fs = _DryFileSystem()
+        self.result = PipelineResult()
+        #: every cycle of the whole plan tree, in execution order.
+        self.cycles: List[CyclePrediction] = [] if cycles is None else cycles
+
+    def child(self) -> "DryPipeline":
+        return DryPipeline(self.cycles)
+
+    def warn_if_all_fell_back(self) -> bool:
+        return False
+
+    def run(self, conf: JobConf) -> JobResult:
+        if conf.combiner is not None:
+            raise PlanningError(
+                f"exact prediction does not model combiners (job {conf.name!r})"
+            )
+        counters = Counters()
+        groups: Dict[Hashable, List[Any]] = defaultdict(list)
+        reads = 0
+        for spec in conf.inputs:
+            context = MapContext(counters, spec.path)
+            spec.mapper.setup(context)
+            for record in self.fs.read_dir(spec.path):
+                reads += 1
+                spec.mapper.map(record, context)
+            spec.mapper.cleanup(context)
+            for key, value in context.drain():
+                groups[key].append(value)
+        loads = {key: len(values) for key, values in groups.items()}
+        pairs = sum(loads.values())
+        counters.increment("framework", "map_input_records", reads)
+        counters.increment("framework", "map_output_records", pairs)
+        counters.increment("framework", "shuffle_records", pairs)
+        self.fs.unreduced[conf.output] = (conf.reducer, groups)
+        result = JobResult(
+            name=conf.name,
+            counters=counters,
+            reduce_task_loads=[],
+            logical_reducer_loads=loads,
+            output=conf.output,
+            output_records=0,
+        )
+        self.result.jobs.append(result)
         self.cycles.append(
             CyclePrediction(
-                name=name,
-                records_read=float(records_read),
-                map_output_records=float(len(pairs)),
-                shuffled_records=float(len(pairs)),
-                reduce_tasks=reduce_tasks,
-                max_reducer_load=float(max(per_key.values(), default=0)),
+                name=conf.name,
+                records_read=float(reads),
+                map_output_records=float(pairs),
+                shuffled_records=float(pairs),
+                reduce_tasks=conf.num_reduce_tasks,
+                max_reducer_load=float(max(loads.values(), default=0)),
             )
         )
-
-    def absorb(self, sub: "_ExactRun", namespace: str) -> None:
-        """Merge a sub-run the way ``ExecutionMetrics.combine`` does:
-        its loads reappear under ``(algorithm, key)`` composite keys."""
-        self.cycles.extend(sub.cycles)
-        for key, load in sub.loads.items():
-            composite = (namespace, key)
-            self.loads[composite] = self.loads.get(composite, 0) + load
-
-    def finish(
-        self,
-        algorithm: str,
-        conf: PredictConfig,
-        notes: Sequence[str] = (),
-    ) -> PlanPrediction:
-        return PlanPrediction(
-            algorithm=algorithm,
-            cost_model=conf.cost_model,
-            cycles=tuple(self.cycles),
-            max_reducer_load=float(max(self.loads.values(), default=0)),
-            consistent_reducers=(
-                self.consistent
-                if self.consistent is not None
-                else (self.cycles[-1].reduce_tasks if self.cycles else 0)
-            ),
-            total_reducers=(
-                self.total
-                if self.total is not None
-                else (self.cycles[-1].reduce_tasks if self.cycles else 0)
-            ),
-            tier="exact",
-            notes=tuple(notes),
-        )
+        return result
 
 
-def _attributes(query: IntervalJoinQuery) -> Dict[str, str]:
-    return {name: query.attributes_of(name)[0] for name in query.relations}
-
-
-def _conditions_hold(
-    members: Mapping[str, Row], conditions: Sequence[JoinCondition]
-) -> bool:
-    return all(
-        cond.predicate.holds(
-            members[cond.left.relation].interval(cond.left.attribute),
-            members[cond.right.relation].interval(cond.right.attribute),
-        )
-        for cond in conditions
-    )
-
-
-def _extend_partials(
-    partials: Sequence[Tuple[Tuple[str, Row], ...]],
-    new_relation: str,
-    rows: Sequence[Row],
-    step_conditions: Sequence[JoinCondition],
-) -> List[Tuple[Tuple[str, Row], ...]]:
-    """The intermediate a cascade step materialises: every (partial, new
-    row) combination satisfying all the step's conditions — exactly what
-    ``_StepJoinReducer`` emits across all reducers."""
-    out: List[Tuple[Tuple[str, Row], ...]] = []
-    for partial in partials:
-        members = dict(partial)
-        for row in rows:
-            members[new_relation] = row
-            if _conditions_hold(members, step_conditions):
-                out.append(partial + ((new_relation, row),))
-        members.pop(new_relation, None)
-    return out
-
-
-# ----------------------------------------------------------------------
-# Per-algorithm exact predictors
-# ----------------------------------------------------------------------
-
-
-def exact_two_way(
-    algo, query: IntervalJoinQuery, conf: PredictConfig
+def exact_prediction(
+    algorithm, query: IntervalJoinQuery, conf: PredictConfig
 ) -> PlanPrediction:
-    """Exact tier for Two-Way: dry-run both sides' operator mappers."""
-    from repro.core.algorithms.base import build_partitioning
-    from repro.core.algorithms.two_way import OperatorMapper
-
-    data = conf.require_data()
-    parts = build_partitioning(query, data, conf.num_partitions)
-    condition = query.conditions[0]
-    run = _ExactRun()
-    pairs: List[Tuple[Hashable, Any]] = []
-    reads = 0
-    for term, operator in (
-        (condition.left, condition.predicate.left_operator),
-        (condition.right, condition.predicate.right_operator),
-    ):
-        rows = data[term.relation].rows
-        reads += len(rows)
-        pairs.extend(
-            dry_map(
-                OperatorMapper(term.relation, term.attribute, parts, operator),
-                rows,
-            )
-        )
-    run.add_cycle("two-way", reads, pairs, conf.num_partitions)
-    return run.finish(algo.name, conf)
-
-
-def exact_all_replicate(
-    algo, query: IntervalJoinQuery, conf: PredictConfig
-) -> PlanPrediction:
-    """Exact tier for All-Replicate: project the maximal relation,
-    replicate the rest."""
-    from repro.core.algorithms.all_replicate import (
-        _ProjectMapper,
-        _ReplicateMapper,
-        maximal_relations,
-    )
-    from repro.core.algorithms.base import build_partitioning
-
-    data = conf.require_data()
-    parts = build_partitioning(query, data, conf.num_partitions)
-    attributes = _attributes(query)
-    maximal = maximal_relations(query)
-    projected = maximal[0] if maximal else None
-    run = _ExactRun()
-    pairs: List[Tuple[Hashable, Any]] = []
-    reads = 0
-    for name in query.relations:
-        rows = data[name].rows
-        reads += len(rows)
-        mapper: Mapper = (
-            _ProjectMapper(name, attributes[name], parts)
-            if name == projected
-            else _ReplicateMapper(name, attributes[name], parts)
-        )
-        pairs.extend(dry_map(mapper, rows))
-    run.add_cycle("all-replicate", reads, pairs, conf.num_partitions)
-    return run.finish(algo.name, conf)
-
-
-def _run_rccis(
-    query: IntervalJoinQuery,
-    data: Mapping[str, Relation],
-    conf: PredictConfig,
-) -> _ExactRun:
-    from repro.core.algorithms.base import build_partitioning
-    from repro.core.algorithms.rccis import (
-        FlaggingReducer,
-        RouteMapper,
-        SplitMapper,
-    )
-
-    parts = build_partitioning(query, data, conf.num_partitions)
-    attributes = _attributes(query)
-    run = _ExactRun()
-
-    flag_pairs: List[Tuple[Hashable, Any]] = []
-    reads = 0
-    for name in query.relations:
-        rows = data[name].rows
-        reads += len(rows)
-        flag_pairs.extend(
-            dry_map(SplitMapper(name, attributes[name], parts), rows)
-        )
-    run.add_cycle("rccis-flag", reads, flag_pairs, conf.num_partitions)
-
-    flag_records = dry_reduce(
-        FlaggingReducer(query, query.relations, attributes, parts),
-        group_pairs(flag_pairs),
-    )
-    join_pairs = dry_map(RouteMapper(attributes, parts), flag_records)
-    run.add_cycle(
-        "rccis-join", len(flag_records), join_pairs, conf.num_partitions
-    )
-    return run
-
-
-def exact_rccis(
-    algo, query: IntervalJoinQuery, conf: PredictConfig
-) -> PlanPrediction:
-    """Exact tier for RCCIS: flag cycle plus the routed join cycle."""
-    data = conf.require_data()
-    return _run_rccis(query, data, conf).finish(algo.name, conf)
-
-
-def _run_grid(
-    algo, query: IntervalJoinQuery, conf: PredictConfig
-) -> Optional[_ExactRun]:
-    """Exact dry-run of the grid engine (Gen/All-Seq/All-Matrix).
-    Returns ``None`` when the join graph itself is unsatisfiable (the
-    run would produce no jobs)."""
-    from repro.core.algorithms.base import build_partitioning
-    from repro.core.algorithms.gen_matrix import (
-        GridSpec,
-        _ComponentFlaggingReducer,
-        _ComponentSplitMapper,
-        _GridRouteMapper,
-    )
-    from repro.core.graph import JoinGraph
-
-    data = conf.require_data()
-    try:
-        graph = JoinGraph(query)
-    except UnsatisfiableQueryError:
-        return None
-    grid_parts = algo.grid_parts or conf.num_partitions
-    if isinstance(grid_parts, int):
-        per_dim = [grid_parts] * len(graph.components)
-    else:
-        per_dim = list(grid_parts)
-    parts0 = build_partitioning(query, data, per_dim[0])
-    if len(set(per_dim)) == 1:
-        partitionings: List[Partitioning] = [parts0] * len(graph.components)
-    else:
-        partitionings = [
-            build_partitioning(query, data, o) for o in per_dim
-        ]
-    grid = GridSpec(graph, partitionings)
-    run = _ExactRun()
-    run.consistent = len(grid.cells)
-    run.total = grid.total_cells
-
-    multi = [c for c in graph.components if len(c.terms) > 1]
-    flags: frozenset = frozenset()
-    if multi:
-        flag_pairs: List[Tuple[Hashable, Any]] = []
-        reads = 0
-        for comp in multi:
-            for term in sorted(comp.terms):
-                rows = data[term.relation].rows
-                reads += len(rows)
-                flag_pairs.extend(
-                    dry_map(
-                        _ComponentSplitMapper(
-                            term, comp.index, grid.partitioning_of(comp.index)
-                        ),
-                        rows,
-                    )
-                )
-        reduce_tasks = max(
-            1, sum(len(grid.partitioning_of(c.index)) for c in multi)
-        )
-        run.add_cycle(f"{algo.name}-flag", reads, flag_pairs, reduce_tasks)
-        flags = frozenset(
-            dry_reduce(
-                _ComponentFlaggingReducer(
-                    multi,
-                    {c.index: grid.partitioning_of(c.index) for c in multi},
-                ),
-                group_pairs(flag_pairs),
-            )
-        )
-
-    term_components = {
-        str(term): graph.component_of(term).index for term in query.terms
-    }
-    terms_by_relation: Dict[str, List] = defaultdict(list)
-    for term in query.terms:
-        terms_by_relation[term.relation].append(term)
-    join_pairs: List[Tuple[Hashable, Any]] = []
-    reads = 0
-    for name in query.relations:
-        rows = data[name].rows
-        reads += len(rows)
-        join_pairs.extend(
-            dry_map(
-                _GridRouteMapper(
-                    name, terms_by_relation[name], term_components,
-                    grid, flags,
-                ),
-                rows,
-            )
-        )
-    run.add_cycle(
-        f"{algo.name}-join", reads, join_pairs, max(1, len(grid.cells))
-    )
-    return run
-
-
-def exact_grid(
-    algo, query: IntervalJoinQuery, conf: PredictConfig
-) -> PlanPrediction:
-    """Exact tier for the grid engine (Gen/All-Seq/All-Matrix)."""
-    run = _run_grid(algo, query, conf)
-    if run is None:
+    """The exact tier for any algorithm: run its plan through the
+    ``run()`` template on a :class:`DryPipeline`, leaving the final
+    output unread, and report what the jobs recorded."""
+    pipeline = DryPipeline()
+    metrics = algorithm.run_plan(
+        PlanContext(
+            query,
+            conf.require_data(),
+            conf.num_partitions,
+            pipeline,
+            conf.cost_model,
+            conf.partitioning,
+            conf.partition_strategy,
+        ),
+        collect=False,
+    ).metrics
+    if not pipeline.cycles:
+        # Every plan submits at least one job; none means the template
+        # caught the plan's UnsatisfiableQueryError.
         return empty_prediction(
-            algo.name, conf, "join graph unsatisfiable; no jobs run"
+            algorithm.name, conf, "join graph unsatisfiable; no jobs run"
         )
-    return run.finish(algo.name, conf)
-
-
-def exact_pasm(
-    algo, query: IntervalJoinQuery, conf: PredictConfig
-) -> PlanPrediction:
-    """Exact tier for PASM: flag, mark (real marking reducer, so the
-    pruned join cycle is exact, not an upper bound) and join cycles."""
-    from repro.core.algorithms.base import build_partitioning
-    from repro.core.algorithms.gen_matrix import (
-        GridSpec,
-        _ComponentFlaggingReducer,
-        _ComponentSplitMapper,
+    on_grid = metrics.consistent_reducers is not None
+    return PlanPrediction(
+        algorithm=algorithm.name,
+        cost_model=conf.cost_model,
+        cycles=tuple(pipeline.cycles),
+        max_reducer_load=float(metrics.max_reducer_load),
+        consistent_reducers=(
+            metrics.consistent_reducers if on_grid else conf.num_partitions
+        ),
+        total_reducers=(
+            metrics.total_reducers if on_grid else conf.num_partitions
+        ),
+        tier="exact",
     )
-    from repro.core.algorithms.pasm import (
-        _ComponentRouteMapper,
-        _MarkingReducer,
-        _PrunedGridRouteMapper,
-    )
-    from repro.core.graph import JoinGraph
-
-    data = conf.require_data()
-    try:
-        graph = JoinGraph(query)
-    except UnsatisfiableQueryError:
-        return empty_prediction(
-            algo.name, conf, "join graph unsatisfiable; no jobs run"
-        )
-    grid_parts = algo.grid_parts or conf.num_partitions
-    parts = build_partitioning(query, data, grid_parts)
-    grid = GridSpec(graph, parts)
-    attributes = _attributes(query)
-    multi = [c for c in graph.components if len(c.terms) > 1]
-    run = _ExactRun()
-    run.consistent = len(grid.cells)
-    run.total = grid.total_cells
-
-    flags: frozenset = frozenset()
-    keep: Dict[str, set] = {}
-    if multi:
-        flag_pairs: List[Tuple[Hashable, Any]] = []
-        reads = 0
-        for comp in multi:
-            for term in sorted(comp.terms):
-                rows = data[term.relation].rows
-                reads += len(rows)
-                flag_pairs.extend(
-                    dry_map(
-                        _ComponentSplitMapper(term, comp.index, parts), rows
-                    )
-                )
-        reduce_tasks = max(1, len(parts) * len(multi))
-        run.add_cycle("pasm-flag", reads, flag_pairs, reduce_tasks)
-        flags = frozenset(
-            dry_reduce(
-                _ComponentFlaggingReducer(
-                    multi, {c.index: parts for c in multi}
-                ),
-                group_pairs(flag_pairs),
-            )
-        )
-
-        mark_pairs: List[Tuple[Hashable, Any]] = []
-        reads = 0
-        for comp in multi:
-            for term in sorted(comp.terms):
-                rows = data[term.relation].rows
-                reads += len(rows)
-                mark_pairs.extend(
-                    dry_map(
-                        _ComponentRouteMapper(term, comp.index, parts, flags),
-                        rows,
-                    )
-                )
-        run.add_cycle("pasm-mark", reads, mark_pairs, reduce_tasks)
-        subqueries = {
-            c.index: IntervalJoinQuery(list(c.conditions)) for c in multi
-        }
-        marks = dry_reduce(
-            _MarkingReducer(subqueries, attributes, parts),
-            group_pairs(mark_pairs),
-        )
-        for relation, rid in marks:
-            keep.setdefault(relation, set()).add(rid)
-        for comp in multi:
-            for term in comp.terms:
-                keep.setdefault(term.relation, set())
-
-    term_components = {
-        str(term): graph.component_of(term).index for term in query.terms
-    }
-    terms_by_relation: Dict[str, List] = defaultdict(list)
-    for term in query.terms:
-        terms_by_relation[term.relation].append(term)
-    join_pairs: List[Tuple[Hashable, Any]] = []
-    reads = 0
-    for name in query.relations:
-        rows = data[name].rows
-        reads += len(rows)
-        join_pairs.extend(
-            dry_map(
-                _PrunedGridRouteMapper(
-                    name, terms_by_relation[name], term_components,
-                    grid, flags,
-                    keep=(frozenset(keep[name]) if name in keep else None),
-                ),
-                rows,
-            )
-        )
-    run.add_cycle("pasm-join", reads, join_pairs, max(1, len(grid.cells)))
-    return run.finish(algo.name, conf)
-
-
-def exact_cascade(
-    algo, query: IntervalJoinQuery, conf: PredictConfig
-) -> PlanPrediction:
-    """Exact tier for the 2-way cascade: dry-run each step's mappers,
-    materialising the true intermediate between steps."""
-    import math
-
-    from repro.core.algorithms.base import build_partitioning
-    from repro.core.algorithms.cascade import (
-        _GridPartialMapper,
-        _GridRowMapper,
-        _NEW_SIDE,
-        _PartialSideMapper,
-        _RowSideMapper,
-        _binding_order,
-        _routing_condition,
-        _step_conditions,
-    )
-
-    data = conf.require_data()
-    parts = build_partitioning(query, data, conf.num_partitions)
-    order = _binding_order(query)
-    grid_o = algo.grid_parts or max(
-        2, math.ceil(math.sqrt(2 * conf.num_partitions))
-    )
-    grid_partitioning = (
-        parts
-        if len(parts) == grid_o
-        else Partitioning.uniform(parts.t_min, parts.t_max, grid_o)
-    )
-    run = _ExactRun()
-    partials: List[Tuple[Tuple[str, Row], ...]] = [
-        ((order[0], row),) for row in data[order[0]].rows
-    ]
-    for step, new in enumerate(order[1:], start=1):
-        bound = order[:step]
-        step_conditions = _step_conditions(query, bound, new)
-        routing = _routing_condition(step_conditions)
-        if routing.left.relation == new:
-            member = routing.right.relation
-            member_attr = routing.right.attribute
-            new_attr = routing.left.attribute
-            bound_is_left = False
-        else:
-            member = routing.left.relation
-            member_attr = routing.left.attribute
-            new_attr = routing.right.attribute
-            bound_is_left = True
-        new_rows = data[new].rows
-        reads = len(partials) + len(new_rows)
-        if routing.is_colocation:
-            bound_op = (
-                routing.predicate.left_operator
-                if bound_is_left
-                else routing.predicate.right_operator
-            )
-            new_op = (
-                routing.predicate.right_operator
-                if bound_is_left
-                else routing.predicate.left_operator
-            )
-            pairs = dry_map(
-                _PartialSideMapper(member, member_attr, parts, bound_op),
-                partials,
-            )
-            pairs.extend(
-                dry_map(
-                    _RowSideMapper(new, new_attr, parts, new_op, _NEW_SIDE),
-                    new_rows,
-                )
-            )
-            run.add_cycle(
-                f"cascade-{new}", reads, pairs, conf.num_partitions
-            )
-        else:
-            bound_first = (
-                routing.predicate.enforces_left_first()
-                if bound_is_left
-                else routing.predicate.enforces_right_first()
-            )
-            cells = [
-                (i, j)
-                for i in range(grid_o)
-                for j in range(grid_o)
-                if (i <= j if bound_first else j <= i)
-            ]
-            pairs = dry_map(
-                _GridPartialMapper(
-                    member, member_attr, grid_partitioning, 0, cells
-                ),
-                partials,
-            )
-            pairs.extend(
-                dry_map(
-                    _GridRowMapper(
-                        new, new_attr, grid_partitioning, 1, cells, _NEW_SIDE
-                    ),
-                    new_rows,
-                )
-            )
-            run.add_cycle(
-                f"cascade-{new}", reads, pairs, max(1, len(cells))
-            )
-        partials = _extend_partials(partials, new, new_rows, step_conditions)
-    run.consistent = conf.num_partitions
-    run.total = conf.num_partitions
-    return run.finish(algo.name, conf)
-
-
-def exact_fcts(
-    algo, query: IntervalJoinQuery, conf: PredictConfig
-) -> PlanPrediction:
-    """Exact tier for FCTS: RCCIS sub-runs per colocation component,
-    then the cross-component matrix cycle over their true outputs."""
-    from dataclasses import replace
-
-    from repro.core.algorithms.base import build_partitioning
-    from repro.core.algorithms.gen_matrix import GridSpec
-    from repro.core.algorithms.hybrid import (
-        _ComponentPartialMapper,
-        _component_subquery,
-        _cross_component_conditions,
-    )
-    from repro.core.graph import JoinGraph
-    from repro.core.reference import enumerate_reference_tuples
-
-    data = conf.require_data()
-    try:
-        graph = JoinGraph(query)
-    except UnsatisfiableQueryError:
-        return empty_prediction(
-            algo.name, conf, "join graph unsatisfiable; no jobs run"
-        )
-    attributes = _attributes(query)
-    intra_seq = [
-        cond
-        for cond in _cross_component_conditions(query, graph)
-        if graph.component_of(cond.left).index
-        == graph.component_of(cond.right).index
-    ]
-    run = _ExactRun()
-    component_partials: Dict[int, List[Tuple[Tuple[str, Row], ...]]] = {}
-    for component in graph.components:
-        if len(component.terms) == 1:
-            term = next(iter(component.terms))
-            component_partials[component.index] = [
-                ((term.relation, row),) for row in data[term.relation].rows
-            ]
-            continue
-        subquery = _component_subquery(component)
-        subdata = {name: data[name] for name in subquery.relations}
-        sub_run = _run_rccis(subquery, subdata, replace(conf, data=subdata))
-        run.absorb(sub_run, "rccis")
-        seq_filters = [
-            cond
-            for cond in intra_seq
-            if {cond.left.relation, cond.right.relation}
-            <= set(subquery.relations)
-        ]
-        records = []
-        for tuple_rows in enumerate_reference_tuples(subquery, subdata):
-            members = dict(zip(subquery.relations, tuple_rows))
-            if _conditions_hold(members, seq_filters):
-                records.append(
-                    tuple(
-                        (name, members[name]) for name in subquery.relations
-                    )
-                )
-        component_partials[component.index] = records
-
-    grid_o = algo.grid_parts or conf.num_partitions
-    parts = build_partitioning(query, data, grid_o)
-    grid = GridSpec(graph, parts)
-    matrix_run = _ExactRun()
-    pairs: List[Tuple[Hashable, Any]] = []
-    reads = 0
-    for component in graph.components:
-        records = component_partials[component.index]
-        reads += len(records)
-        pairs.extend(
-            dry_map(
-                _ComponentPartialMapper(component, grid, attributes), records
-            )
-        )
-    matrix_run.add_cycle(
-        "fcts-matrix", reads, pairs, max(1, len(grid.cells))
-    )
-    run.absorb(matrix_run, algo.name)
-    run.consistent = len(grid.cells)
-    run.total = grid.total_cells
-    return run.finish(algo.name, conf)
-
-
-def exact_fstc(
-    algo, query: IntervalJoinQuery, conf: PredictConfig
-) -> PlanPrediction:
-    """Exact tier for FSTC: the sequence sub-query through the matrix
-    engine, then cascade steps attaching the colocation relations."""
-    from dataclasses import replace
-
-    from repro.core.algorithms.base import build_partitioning
-    from repro.core.algorithms.cascade import (
-        _NEW_SIDE,
-        _PartialSideMapper,
-        _RowSideMapper,
-    )
-    from repro.core.algorithms.gen_matrix import AllMatrix
-    from repro.core.reference import enumerate_reference_tuples
-
-    data = conf.require_data()
-    sequence_conditions = [c for c in query.conditions if c.is_sequence]
-    try:
-        seq_query = IntervalJoinQuery(sequence_conditions)
-    except Exception as exc:
-        raise PlanningError(
-            "FSTC requires the sequence conditions to form a connected "
-            f"sub-query: {exc}"
-        ) from exc
-    attributes = _attributes(query)
-    seq_data = {name: data[name] for name in seq_query.relations}
-    grid_o = algo.grid_parts or conf.num_partitions
-    run = _ExactRun()
-    seq_run = _run_grid(
-        AllMatrix(),
-        seq_query,
-        replace(conf, num_partitions=grid_o, data=seq_data),
-    )
-    if seq_run is None:  # pragma: no cover - hybrid seq subquery is sat
-        return empty_prediction(
-            algo.name, conf, "sequence sub-query unsatisfiable; no jobs run"
-        )
-    run.absorb(seq_run, "all_matrix")
-    partials = [
-        tuple((name, row) for name, row in zip(seq_query.relations, t))
-        for t in enumerate_reference_tuples(seq_query, seq_data)
-    ]
-
-    parts = build_partitioning(query, data, conf.num_partitions)
-    cascade_run = _ExactRun()
-    bound: List[str] = list(seq_query.relations)
-    remaining = [n for n in query.relations if n not in bound]
-    while remaining:
-        nxt: Optional[str] = None
-        routing: Optional[JoinCondition] = None
-        for candidate in remaining:
-            for cond in query.conditions:
-                names = {cond.left.relation, cond.right.relation}
-                if (
-                    candidate in names
-                    and (names - {candidate}) <= set(bound)
-                    and cond.is_colocation
-                ):
-                    nxt, routing = candidate, cond
-                    break
-            if nxt:
-                break
-        if nxt is None or routing is None:
-            raise PlanningError(
-                "FSTC could not attach remaining relations "
-                f"{remaining} through colocation conditions"
-            )
-        step_conditions = [
-            cond
-            for cond in query.conditions
-            if nxt in (cond.left.relation, cond.right.relation)
-            and ({cond.left.relation, cond.right.relation} - {nxt})
-            <= set(bound)
-        ]
-        member = (
-            routing.right.relation
-            if routing.left.relation == nxt
-            else routing.left.relation
-        )
-        bound_is_left = routing.left.relation == member
-        bound_op = (
-            routing.predicate.left_operator
-            if bound_is_left
-            else routing.predicate.right_operator
-        )
-        new_op = (
-            routing.predicate.right_operator
-            if bound_is_left
-            else routing.predicate.left_operator
-        )
-        new_rows = data[nxt].rows
-        reads = len(partials) + len(new_rows)
-        pairs = dry_map(
-            _PartialSideMapper(member, attributes[member], parts, bound_op),
-            partials,
-        )
-        pairs.extend(
-            dry_map(
-                _RowSideMapper(
-                    nxt, attributes[nxt], parts, new_op, _NEW_SIDE
-                ),
-                new_rows,
-            )
-        )
-        cascade_run.add_cycle(
-            f"fstc-{nxt}", reads, pairs, conf.num_partitions
-        )
-        partials = _extend_partials(partials, nxt, new_rows, step_conditions)
-        bound.append(nxt)
-        remaining.remove(nxt)
-    run.absorb(cascade_run, algo.name)
-    return run.finish(algo.name, conf)

@@ -25,6 +25,7 @@ from repro.errors import PlanningError
 from repro.core.graph import JoinGraph
 from repro.core.query import IntervalJoinQuery, JoinCondition, QueryClass
 from repro.core.schema import Relation
+from repro.intervals.partitioning import Partitioning
 from repro.mapreduce.cost import CostModel, DEFAULT_COST_MODEL
 
 __all__ = [
@@ -373,8 +374,8 @@ def recommend_grid(
 # :class:`PlanPrediction` — per-cycle communication volumes plus grid
 # shape — computed either *analytically* from a :class:`DataProfile`
 # alone (the closed-form Section-6 style formulas below) or *exactly* by
-# dry-running the algorithm's real mappers and decision reducers over the
-# data (``repro.core.predict``).  The reconciliation layer
+# interpreting the algorithm's own plan dry over the data
+# (``repro.core.predict``).  The reconciliation layer
 # (``repro.obs.explain``) joins these numbers against the observed
 # ``ExecutionMetrics``/``MetricsRegistry`` values after the run.
 
@@ -441,12 +442,16 @@ class PredictConfig:
 
     num_partitions: int = 16
     cost_model: CostModel = DEFAULT_COST_MODEL
-    #: ``True`` dry-runs the algorithm's real mappers + decision reducers
-    #: over the actual data (requires ``data``); default is the
-    #: closed-form analytic tier.
+    #: ``True`` interprets the algorithm's plan dry over the actual data
+    #: (requires ``data``); default is the closed-form analytic tier.
     exact: bool = False
     #: The actual relations, required by the exact tier.
     data: Optional[Mapping[str, Relation]] = None
+    #: The run's partitioning inputs, as ``execute()`` takes them; the
+    #: exact tier partitions the way the run will (the analytic formulas
+    #: assume uniform partitions).
+    partition_strategy: str = "uniform"
+    partitioning: Optional[Partitioning] = None
 
     def require_data(self) -> Mapping[str, Relation]:
         if self.data is None:

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, List, Optional, Sequence
 
 from repro.mapreduce.counters import Counters
-from repro.mapreduce.fs import FileSystem
+from repro.mapreduce.fs import FileSystem, InMemoryFileSystem
 from repro.mapreduce.job import JobConf, JobResult
 from repro.mapreduce.options import RunOptions, resolve_options
 from repro.mapreduce.runner import run_job
@@ -93,6 +93,14 @@ class Pipeline:
         )
         self.result.jobs.append(job_result)
         return job_result
+
+    def child(self) -> "Pipeline":
+        """A pipeline for a sub-plan (FCTS's RCCIS joins, FSTC's
+        All-Matrix): its own in-memory file system and job list, the
+        same observer, cost model and options."""
+        return Pipeline(
+            InMemoryFileSystem(), self.observer, self.cost_model, self.options
+        )
 
     def warn_if_all_fell_back(self) -> bool:
         """Log one warning when ``columnar`` was requested but no job

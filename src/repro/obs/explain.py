@@ -52,6 +52,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.results import ExecutionMetrics
     from repro.core.schema import Relation
     from repro.core.tuning import PlanPrediction
+    from repro.intervals.partitioning import Partitioning
     from repro.mapreduce.cost import CostModel
     from repro.obs.metrics import MetricsRegistry
 
@@ -423,6 +424,8 @@ def explain_query(
     cost_model: Optional["CostModel"] = None,
     exact: bool = False,
     data_plane: Optional[str] = None,
+    partition_strategy: str = "uniform",
+    partitioning: Optional["Partitioning"] = None,
 ) -> PlanExplain:
     """Build the pre-run EXPLAIN for a query.
 
@@ -433,7 +436,9 @@ def explain_query(
     overrides the planner exactly as :func:`repro.core.executor.execute`
     does, and ``data_plane`` resolves exactly as at run time (explicit
     argument, then ``$REPRO_DATA_PLANE``, then ``"records"``) so the
-    EXPLAIN shows the plane the run would use.
+    EXPLAIN shows the plane the run would use.  ``partition_strategy``
+    and ``partitioning`` are the run's partitioning inputs, which the
+    exact tier follows.
     """
     from repro.mapreduce.options import resolve_data_plane
     from repro.core.planner import ALGORITHMS, plan, plan_alternatives
@@ -509,6 +514,8 @@ def explain_query(
             cost_model=cost_model or DEFAULT_COST_MODEL,
             exact=exact,
             data=data if exact else None,
+            partition_strategy=partition_strategy,
+            partitioning=partitioning,
         )
         try:
             prediction = runner.predict(

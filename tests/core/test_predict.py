@@ -1,8 +1,8 @@
 """Exact-tier predictions must equal observed metrics, bit for bit.
 
 The exact prediction tier (``PredictConfig(exact=True, data=...)``)
-dry-runs the real mappers and a decision-only reduce pass, so every
-count it returns — records read, map output, shuffled records,
+interprets the algorithm's own plan dry — real mappers, and only the
+reducers whose output a later cycle reads — so every count it returns — records read, map output, shuffled records,
 replication factor, max reducer load, cycle count — must match what an
 actual run observes *exactly*, for all ten algorithms, on any workload.
 These are the property tests behind the ``repro explain --exact``
@@ -66,12 +66,19 @@ def _workload(algorithm: str, n: int, seed: int):
     return query, data
 
 
-def _predict_and_observe(algorithm: str, n: int, seed: int, parts: int):
+def _predict_and_observe(
+    algorithm: str, n: int, seed: int, parts: int, strategy: str = "uniform"
+):
     query, data = _workload(algorithm, n, seed)
     prediction = ALGORITHMS[algorithm]().predict(
         query,
         profile_data(query, data),
-        PredictConfig(num_partitions=parts, exact=True, data=data),
+        PredictConfig(
+            num_partitions=parts,
+            exact=True,
+            data=data,
+            partition_strategy=strategy,
+        ),
     )
     result = execute(
         query,
@@ -79,6 +86,7 @@ def _predict_and_observe(algorithm: str, n: int, seed: int, parts: int):
         algorithm=algorithm,
         num_partitions=parts,
         executor="serial",
+        partition_strategy=strategy,
     )
     return prediction, result.metrics.observed_quantities()
 
@@ -87,6 +95,20 @@ def _predict_and_observe(algorithm: str, n: int, seed: int, parts: int):
 def test_exact_prediction_matches_observation(algorithm):
     prediction, observed = _predict_and_observe(algorithm, 60, 0, 8)
     assert prediction.tier == "exact"
+    predicted = prediction.quantities()
+    for quantity in EXACT_QUANTITIES:
+        assert predicted[quantity] == observed[quantity], (
+            f"{algorithm}.{quantity}: predicted {predicted[quantity]} "
+            f"!= observed {observed[quantity]}"
+        )
+
+
+@pytest.mark.parametrize("algorithm", sorted(QUERIES))
+def test_exact_prediction_matches_observation_equi_depth(algorithm):
+    """The dry run partitions the way the run does, not always uniformly."""
+    prediction, observed = _predict_and_observe(
+        algorithm, 80, 0, 8, strategy="equi_depth"
+    )
     predicted = prediction.quantities()
     for quantity in EXACT_QUANTITIES:
         assert predicted[quantity] == observed[quantity], (
