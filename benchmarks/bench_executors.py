@@ -12,12 +12,10 @@ faking a speedup.  Each workload row also carries a per-executor
 phase spans of one observed (untimed) run per executor — so a slowdown
 can be localised to the phase that caused it.
 
-Every executor is timed on **both data planes** (see
-``docs/data_plane.md``): the records plane's tuple-at-a-time pipeline
-and the columnar plane's struct-of-arrays shuffle, with
-``{executor}_columnar_speedup`` reporting records ÷ columnar per
-executor.  Workloads whose jobs fall back to the records plane (the
-matrix algorithms) honestly report a ratio near 1.
+Each job runs on the data plane it picks for itself (see
+``docs/data_plane.md``): the ``two_way`` and ``rccis`` joins on the
+columnar plane, the ``pasm`` and ``gen_matrix`` jobs on the records
+plane.
 
 Run directly (``python benchmarks/bench_executors.py``) for the full
 sweep — ``--scale N`` multiplies every workload's row count, e.g.
@@ -80,7 +78,7 @@ def make_data(names, n, seed_base=0):
     }
 
 
-def _timed_run(query, data, algorithm, executor, workers, data_plane="records"):
+def _timed_run(query, data, algorithm, executor, workers):
     start = time.perf_counter()
     result = execute(
         query,
@@ -89,7 +87,6 @@ def _timed_run(query, data, algorithm, executor, workers, data_plane="records"):
         num_partitions=8,
         executor=executor,
         workers=workers,
-        data_plane=data_plane,
     )
     elapsed = time.perf_counter() - start
     return result, elapsed
@@ -123,37 +120,33 @@ def phase_breakdown(query, data, algorithm, executor, workers):
 
 
 def run_workload(label, algorithm, query, names, n, workers, repeats=3):
-    """Best-of-``repeats`` wall-clock per executor × data plane, with
-    every arm's output parity-checked against the first."""
+    """Best-of-``repeats`` wall-clock per executor, with every
+    executor's output parity-checked against the first."""
     data = make_data(names, n)
     row = {"workload": label, "algorithm": algorithm, "rows": n}
     baseline_ids = None
     phases = {}
     for executor in EXECUTORS:
-        for plane in ("records", "columnar"):
-            best = None
-            for _ in range(repeats):
-                result, elapsed = _timed_run(
-                    query, data, algorithm, executor, workers, plane
-                )
-                best = elapsed if best is None else min(best, elapsed)
-            ids = result.tuple_ids()
-            if baseline_ids is None:
-                baseline_ids = ids
-                row["tuples"] = len(result)
-                # Modelled cluster seconds are executor-independent
-                # (counters are bit-identical), so one value covers the
-                # row.
-                row["modelled_seconds"] = round(
-                    result.metrics.simulated_seconds, 4
-                )
-            else:
-                assert ids == baseline_ids, (
-                    f"{label}: {executor}/{plane} output diverged "
-                    f"from serial/records"
-                )
-            suffix = "_seconds" if plane == "records" else "_columnar_seconds"
-            row[f"{executor}{suffix}"] = round(best, 4)
+        best = None
+        for _ in range(repeats):
+            result, elapsed = _timed_run(
+                query, data, algorithm, executor, workers
+            )
+            best = elapsed if best is None else min(best, elapsed)
+        ids = result.tuple_ids()
+        if baseline_ids is None:
+            baseline_ids = ids
+            row["tuples"] = len(result)
+            # Modelled cluster seconds are executor-independent
+            # (counters are bit-identical), so one value covers the row.
+            row["modelled_seconds"] = round(
+                result.metrics.simulated_seconds, 4
+            )
+        else:
+            assert ids == baseline_ids, (
+                f"{label}: {executor} output diverged from serial"
+            )
+        row[f"{executor}_seconds"] = round(best, 4)
         phases[executor] = phase_breakdown(
             query, data, algorithm, executor, workers
         )
@@ -162,17 +155,12 @@ def run_workload(label, algorithm, query, names, n, workers, repeats=3):
         row[f"{executor}_speedup"] = round(
             row["serial_seconds"] / row[f"{executor}_seconds"], 3
         )
-    for executor in EXECUTORS:
-        row[f"{executor}_columnar_speedup"] = round(
-            row[f"{executor}_seconds"] / row[f"{executor}_columnar_seconds"],
-            3,
-        )
     return row
 
 
 def main(argv=None) -> None:
     parser = argparse.ArgumentParser(
-        description="Wall-clock of the three executors on both data planes."
+        description="Wall-clock of the three executors."
     )
     parser.add_argument(
         "--scale",
@@ -217,24 +205,6 @@ def main(argv=None) -> None:
         for row in rows
     ]
     print(render_table("executor wall-clock (best of 3)", headers, table))
-    plane_rows = [
-        [
-            row["workload"],
-            executor,
-            f"{row[f'{executor}_seconds']:.3f}",
-            f"{row[f'{executor}_columnar_seconds']:.3f}",
-            f"{row[f'{executor}_columnar_speedup']:.2f}",
-        ]
-        for row in rows
-        for executor in EXECUTORS
-    ]
-    print(
-        render_table(
-            "data-plane wall-clock (best of 3; columnar x = records / columnar)",
-            ["workload", "executor", "records s", "columnar s", "columnar x"],
-            plane_rows,
-        )
-    )
     phase_rows = [
         [
             row["workload"],

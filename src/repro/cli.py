@@ -149,13 +149,6 @@ def build_parser() -> argparse.ArgumentParser:
         "(default: $REPRO_WORKERS, then the CPU count)",
     )
     run.add_argument(
-        "--data-plane", default=None,
-        choices=["records", "columnar"],
-        help="intermediate-pair representation: tuple-at-a-time records "
-        "or struct-of-arrays columns with zero-copy shared-memory "
-        "transfer (default: $REPRO_DATA_PLANE, then records)",
-    )
-    run.add_argument(
         "--partition-strategy", default="uniform",
         choices=["uniform", "equi_depth"],
     )
@@ -285,12 +278,6 @@ def build_parser() -> argparse.ArgumentParser:
         "(requires --relation bindings)",
     )
     explain.add_argument(
-        "--data-plane", default=None,
-        choices=["records", "columnar"],
-        help="data plane the run would use, surfaced in the plan "
-        "(default: $REPRO_DATA_PLANE, then records)",
-    )
-    explain.add_argument(
         "--json", action="store_true",
         help="emit the plan as JSON instead of the printable rendering",
     )
@@ -322,12 +309,6 @@ def build_parser() -> argparse.ArgumentParser:
     profile.add_argument(
         "--workers", type=int, default=None, metavar="N",
         help="worker count for the parallel executors",
-    )
-    profile.add_argument(
-        "--data-plane", default=None,
-        choices=["records", "columnar"],
-        help="intermediate-pair representation "
-        "(default: $REPRO_DATA_PLANE, then records)",
     )
     profile.add_argument(
         "--full", action="store_true",
@@ -445,7 +426,6 @@ def _cmd_explain(args: argparse.Namespace) -> int:
         num_partitions=args.partitions,
         prune=args.prune,
         exact=args.exact,
-        data_plane=args.data_plane,
     )
     if args.json:
         print(json.dumps(explained.as_dict(), indent=2, sort_keys=True))
@@ -467,7 +447,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
             data,
             algorithm=args.algorithm,
             num_partitions=args.partitions,
-            data_plane=args.data_plane,
             partition_strategy=args.partition_strategy,
         )
         print(explained.render())
@@ -480,7 +459,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
     options = resolve_options(
         args.executor, args.workers, args.faults, args.max_attempts,
-        args.speculative, args.data_plane, args.task_timeout,
+        args.speculative, args.task_timeout,
     )
     from repro.obs import resolve_profile
 
@@ -550,7 +529,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
             faults=args.faults,
             max_attempts=args.max_attempts,
             speculative=args.speculative,
-            data_plane=options.data_plane,
             task_timeout=args.task_timeout,
         )
     finally:
@@ -565,7 +543,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
     print(f"class:      {query.query_class.name}")
     print(f"algorithm:  {m.algorithm}")
     print(f"executor:   {options.executor} ({options.workers} workers)")
-    print(f"data plane: {options.data_plane}")
     print(f"tuples:     {len(result)}")
     print(f"cycles:     {m.num_cycles}")
     print(f"shuffled:   {human_count(m.shuffled_records)} pairs")
@@ -658,9 +635,7 @@ def _cmd_profile(args: argparse.Namespace) -> int:
     query = IntervalJoinQuery.parse(
         [_parse_condition(c) for c in args.condition]
     )
-    options = resolve_options(
-        args.executor, args.workers, data_plane=args.data_plane
-    )
+    options = resolve_options(args.executor, args.workers)
     observer = TraceRecorder(profile="full" if args.full else True)
     result = execute(
         query,
@@ -670,14 +645,12 @@ def _cmd_profile(args: argparse.Namespace) -> int:
         executor=options.executor,
         workers=options.workers,
         observer=observer,
-        data_plane=options.data_plane,
     )
     observer.close()
     m = result.metrics
     print(f"query:      {query}")
     print(f"algorithm:  {m.algorithm}")
     print(f"executor:   {options.executor} ({options.workers} workers)")
-    print(f"data plane: {options.data_plane}")
     print(f"tuples:     {len(result)}")
     print()
     print(observer.profiler.summary())
@@ -706,6 +679,7 @@ def _cmd_report(args: argparse.Namespace) -> int:
         reconciliation_from_spans,
         render_dashboard,
     )
+    from repro.obs.dashboard import job_plane
 
     spans, warnings = load_spans_jsonl_tolerant(args.trace)
     for warning in warnings:
@@ -725,6 +699,9 @@ def _cmd_report(args: argparse.Namespace) -> int:
     jobs = [span for span in spans if span.kind == "job"]
     print(f"trace:      {args.trace}")
     print(f"spans:      {len(spans)} ({len(jobs)} jobs)")
+    for span in jobs:
+        name = span.attributes.get("job", span.name)
+        print(f"data plane: {name}: {job_plane(span)}")
     # Older traces (or partial ones) may predate plan/reconciliation or
     # metrics spans — report what exists instead of failing.
     try:

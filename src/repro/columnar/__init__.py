@@ -1,4 +1,4 @@
-"""The columnar data plane (``REPRO_DATA_PLANE=columnar``).
+"""The columnar data plane.
 
 A struct-of-arrays batch representation that flows batch-at-a-time
 through map -> shuffle -> reduce:
@@ -15,11 +15,11 @@ through map -> shuffle -> reduce:
   ``multiprocessing.shared_memory`` instead of pickling record lists
   (:mod:`repro.columnar.shm`).
 
-The plane is selected per run (the ``data_plane`` run option, see
-:mod:`repro.mapreduce.options`); a job whose mappers or reducer do not
-implement the protocol falls back to the records plane, so every
-algorithm keeps working under either setting and outputs stay
-bit-identical across planes.
+Nobody selects the plane: :func:`~repro.mapreduce.runner.run_job` runs a
+job here exactly when :func:`job_columnar_gate` passes and every routing
+endpoint is exact in float64, and on the records plane otherwise, with
+bit-identical outputs either way (``docs/data_plane.md`` states the
+rule and its evidence).
 """
 
 from repro.columnar.batch import (
@@ -30,18 +30,13 @@ from repro.columnar.batch import (
     PayloadStore,
     interval_columns,
     job_columnar_gate,
-    job_columnar_kind,
     operator_map_columns,
     ranged_targets,
     reduce_columns,
 )
 from repro.columnar.codec import KEY_CODECS, CellKeyCodec, IntKeyCodec, KeyCodec
-from repro.mapreduce.options import DATA_PLANE_ENV, DATA_PLANES, resolve_data_plane
 
 __all__ = [
-    "DATA_PLANES",
-    "DATA_PLANE_ENV",
-    "resolve_data_plane",
     "KeyCodec",
     "IntKeyCodec",
     "CellKeyCodec",
@@ -53,7 +48,6 @@ __all__ = [
     "PayloadStore",
     "interval_columns",
     "job_columnar_gate",
-    "job_columnar_kind",
     "operator_map_columns",
     "ranged_targets",
     "reduce_columns",

@@ -46,7 +46,6 @@ __all__ = [
     "ColRow",
     "PayloadStore",
     "job_columnar_gate",
-    "job_columnar_kind",
     "interval_columns",
     "operator_map_columns",
     "ranged_targets",
@@ -114,16 +113,22 @@ class MapBlock:
 
 def interval_columns(
     records: Sequence[Any], interval_of: Callable[[Any], Any]
-) -> Tuple[np.ndarray, np.ndarray]:
+) -> Optional[Tuple[np.ndarray, np.ndarray]]:
     """A mapper's ``encode_intervals``: the ``(starts, ends)`` float64
     columns of the routing intervals ``interval_of`` reads off each
-    record."""
-    starts = np.empty(len(records), dtype=np.float64)
-    ends = np.empty(len(records), dtype=np.float64)
-    for i, record in enumerate(records):
-        interval = interval_of(record)
-        starts[i] = interval.start
-        ends[i] = interval.end
+    record — or ``None`` when some endpoint does not survive the
+    conversion (an integer beyond 2**53, say), in which case comparing
+    the columns would not be comparing the intervals and the job has to
+    run on the records plane."""
+    intervals = [interval_of(record) for record in records]
+    start_values = [interval.start for interval in intervals]
+    end_values = [interval.end for interval in intervals]
+    starts = np.array(start_values, dtype=np.float64)
+    ends = np.array(end_values, dtype=np.float64)
+    # Python compares an int with a float exactly, so this is a
+    # round-trip check, not a second rounding.
+    if starts.tolist() != start_values or ends.tolist() != end_values:
+        return None
     return starts, ends
 
 
@@ -308,9 +313,8 @@ class ColumnValues:
             yield self.store.value(gid)
 
     def __reduce__(self):
-        # Pickle safety net: anything that serialises a group (e.g. the
-        # records-plane fault path, which the columnar gate avoids)
-        # receives the materialised value list instead of live arrays.
+        # Pickle safety net: anything that serialises a group receives
+        # the materialised value list instead of live arrays.
         return (list, (list(self),))
 
     # ------------------------------------------------------------------
@@ -382,11 +386,14 @@ class PayloadStore:
 def job_columnar_gate(
     conf: "JobConf",
 ) -> Tuple[Optional[str], Optional[str]]:
-    """``(key kind, None)`` when every mapper and the reducer implement
-    the columnar protocol (and agree on one key family), else
-    ``(None, reason)`` — the reason strings feed the
-    ``repro_data_plane_fallback_total`` metric, EXPLAIN output and the
-    dashboard's fallback panel."""
+    """What the job itself says about its data plane: ``(key kind,
+    None)`` when no combiner is configured and every mapper and the
+    reducer implement the columnar protocol, report themselves ready and
+    agree on one key family; else ``(None, reason)`` — the job runs on
+    the records plane and the reason string goes on its span and its
+    :class:`~repro.mapreduce.job.JobResult`."""
+    if conf.combiner is not None:
+        return None, "combiner-configured"
     kinds = set()
     for spec in conf.inputs:
         mapper = spec.mapper
@@ -405,14 +412,6 @@ def job_columnar_gate(
     if ready is None or not ready():
         return None, "reducer-not-columnar-ready"
     return kinds.pop(), None
-
-
-def job_columnar_kind(conf: "JobConf") -> Optional[str]:
-    """The job's key kind when every mapper and the reducer implement
-    the columnar protocol (and agree on one key family); ``None`` means
-    the job must run on the records plane."""
-    kind, _ = job_columnar_gate(conf)
-    return kind
 
 
 def reduce_columns(reducer, key: Hashable, values: ColumnValues, context) -> None:

@@ -250,13 +250,6 @@ class JoinAlgorithm(abc.ABC):
     #: Short name used in metrics, planning, and benchmark tables.
     name: str = "abstract"
 
-    #: Whether at least one of the algorithm's jobs implements the
-    #: columnar protocol — a *static* declaration EXPLAIN uses to warn
-    #: that ``--data-plane columnar`` would fall back wholesale.  The
-    #: authoritative per-job decision stays with
-    #: :func:`repro.columnar.job_columnar_gate` at run time.
-    columnar_capable: bool = False
-
     def run(
         self,
         query: IntervalJoinQuery,
@@ -293,8 +286,8 @@ class JoinAlgorithm(abc.ABC):
             and task of the run is recorded as a span.  Purely passive —
             results and counters are identical with or without it.
         options:
-            How the jobs run — executor, workers, data plane, fault plan,
-            retry budget, speculation, task timeout — as one resolved
+            How the jobs run — executor, workers, fault plan, retry
+            budget, speculation, task timeout — as one resolved
             :class:`~repro.mapreduce.options.RunOptions`
             (:func:`repro.execute` builds it from its keyword arguments).
             ``None`` resolves from the ``REPRO_*`` environment, then the
@@ -348,7 +341,6 @@ class JoinAlgorithm(abc.ABC):
                 for relation, row in partial:
                     ordered[column[relation]] = row
                 tuples.append(tuple(ordered))
-        pipeline.warn_if_all_fell_back()
         metrics = ExecutionMetrics.from_pipeline(
             self.name, pipeline.result, ctx.cost_model
         )

@@ -637,7 +637,6 @@ class TwoWayCascade(JoinAlgorithm):
     """The paper's cascade-of-2-way-joins baseline."""
 
     name = "two_way_cascade"
-    columnar_capable = True
 
     def __init__(self, grid_parts: Optional[int] = None) -> None:
         #: per-dimension partitions of the 2-D grid used for sequence

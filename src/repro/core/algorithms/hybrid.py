@@ -195,7 +195,6 @@ class FCTS(JoinAlgorithm):
     """First Colocation Then Sequence."""
 
     name = "fcts"
-    columnar_capable = True
 
     def __init__(self, grid_parts: Optional[int] = None) -> None:
         self.grid_parts = grid_parts
@@ -402,7 +401,6 @@ class FSTC(JoinAlgorithm):
     """First Sequence Then Colocation."""
 
     name = "fstc"
-    columnar_capable = True
 
     def __init__(self, grid_parts: Optional[int] = None) -> None:
         self.grid_parts = grid_parts

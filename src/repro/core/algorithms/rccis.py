@@ -283,7 +283,6 @@ class RCCIS(JoinAlgorithm):
     """The paper's two-cycle colocation join algorithm."""
 
     name = "rccis"
-    columnar_capable = True
 
     def plan(self, ctx: PlanContext) -> Plan:
         query, attributes = ctx.query, ctx.attributes

@@ -88,7 +88,6 @@ class TwoWayJoin(JoinAlgorithm):
     """Single-condition interval join via the Figure-1 operator table."""
 
     name = "two_way"
-    columnar_capable = True
 
     def _check_query(self, query: IntervalJoinQuery) -> None:
         if len(query.conditions) != 1 or len(query.relations) != 2:

@@ -50,7 +50,6 @@ def execute(
     faults=None,
     max_attempts: Optional[int] = None,
     speculative: Optional[bool] = None,
-    data_plane: Optional[str] = None,
     task_timeout: Optional[float] = None,
 ) -> JoinResult:
     """Plan and run an interval join query.
@@ -85,13 +84,8 @@ def execute(
         ``REPRO_TASK_TIMEOUT``.  Any plan within the retry budget leaves
         tuples and counters (modulo the ``faults`` group) bit-identical
         to a fault-free run.
-    data_plane:
-        ``"records"`` or ``"columnar"``; ``None`` defers to
-        ``REPRO_DATA_PLANE``.  The columnar plane runs protocol-aware
-        jobs on struct-of-arrays batches with bit-identical results;
-        unsupported jobs fall back to the records plane per job.
 
-    The seven run options (``executor`` … ``task_timeout``) are resolved
+    The six run options (``executor`` … ``task_timeout``) are resolved
     and validated here, once, into a
     :class:`~repro.mapreduce.options.RunOptions` — before planning, so an
     invalid option raises even when the planner proves the query empty —
@@ -101,8 +95,7 @@ def execute(
     """
     query.validate_against(data)
     options = resolve_options(
-        executor, workers, faults, max_attempts, speculative, data_plane,
-        task_timeout,
+        executor, workers, faults, max_attempts, speculative, task_timeout
     )
     if algorithm is None:
         chosen = plan(query, prune=prune)

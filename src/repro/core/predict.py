@@ -145,9 +145,6 @@ class DryPipeline:
     def child(self) -> "DryPipeline":
         return DryPipeline(self.cycles)
 
-    def warn_if_all_fell_back(self) -> bool:
-        return False
-
     def run(self, conf: JobConf) -> JobResult:
         if conf.combiner is not None:
             raise PlanningError(

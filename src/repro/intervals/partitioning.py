@@ -18,6 +18,7 @@ Two construction strategies are provided:
 from __future__ import annotations
 
 import bisect
+import math
 from dataclasses import dataclass
 from typing import List, Sequence, Tuple
 
@@ -27,6 +28,15 @@ from repro.errors import InvalidPartitioningError
 from repro.intervals.interval import Interval
 
 __all__ = ["Partitioning"]
+
+
+def _float_at_or_above(value: float) -> float:
+    """The smallest float64 that is not below ``value`` (Python compares
+    an int with a float exactly, so the test is not a second rounding)."""
+    as_float = float(value)
+    if as_float >= value:
+        return as_float
+    return math.nextafter(as_float, math.inf)
 
 
 @dataclass(frozen=True)
@@ -147,8 +157,11 @@ class Partitioning:
         One ``searchsorted`` replaces the per-point bisect on the
         columnar data plane; results are element-wise identical to
         :meth:`locate` (``side="right"`` matches ``bisect_right`` and the
-        clip reproduces both clamps)."""
-        bounds = np.asarray(self.boundaries, dtype=np.float64)
+        clip reproduces both clamps).  Each boundary is taken as the
+        smallest float64 at or above it, which decides ``boundary <=
+        point`` exactly for every float64 point even when the boundary
+        itself — an integer beyond 2**53, say — is not a float64."""
+        bounds = np.array([_float_at_or_above(b) for b in self.boundaries])
         index = np.searchsorted(bounds, points, side="right") - 1
         return np.clip(index, 0, len(self) - 1).astype(np.int64)
 

@@ -24,14 +24,13 @@ starting with ``_`` are invisible to :meth:`FileSystem.read_dir`, so a
 reader of the output directory can never observe uncommitted data.
 
 The file system is the data plane's record boundary: on the columnar
-plane (``REPRO_DATA_PLANE=columnar``) map tasks still read their input
-records through :meth:`FileSystem.read_dir` and reduce outputs are still
-committed as materialised record lists — only the *intermediate* pair
-stream between map and reduce changes representation (struct-of-arrays
-columns and shared-memory blocks; see :mod:`repro.columnar` and
+plane map tasks still read their input records through
+:meth:`FileSystem.read_dir` and reduce outputs are still committed as
+materialised record lists — only the *intermediate* pair stream between
+map and reduce changes representation (struct-of-arrays columns and
+shared-memory blocks; see :mod:`repro.columnar` and
 ``docs/data_plane.md``).  Persisted files are therefore byte-identical
-across planes, which is what lets a pipeline mix per-job plane fallbacks
-freely.
+across planes, which is what lets each job of a pipeline pick its own.
 """
 
 from __future__ import annotations

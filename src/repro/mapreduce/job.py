@@ -97,11 +97,10 @@ class JobResult:
     reduce_task_outputs: List[int] = field(default_factory=list)
     #: ``work:comparisons`` performed by each physical reduce task.
     reduce_task_comparisons: List[int] = field(default_factory=list)
-    #: the data plane the job actually ran on ("records" / "columnar").
+    #: the data plane the job ran on ("records" / "columnar").
     data_plane: str = "records"
-    #: why the job fell back to the record plane when the columnar plane
-    #: was requested (``None`` when it did not fall back / no request).
-    data_plane_fallback: Optional[str] = None
+    #: why it was the records plane (``None`` on the columnar plane).
+    data_plane_reason: Optional[str] = None
 
     @property
     def map_output_records(self) -> int:

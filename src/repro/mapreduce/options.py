@@ -1,6 +1,6 @@
-"""Run options: the seven values that say *how* a job runs, resolved once.
+"""Run options: the six values that say *how* a job runs, resolved once.
 
-``executor``, ``workers``, ``data_plane``, the fault plan, ``max_attempts``,
+``executor``, ``workers``, the fault plan, ``max_attempts``,
 ``speculative`` and ``task_timeout`` never change *what* a job computes —
 outputs and counters are bit-identical across all of them — so they
 travel together as one frozen :class:`RunOptions`, resolved exactly once
@@ -35,28 +35,20 @@ from repro.faults import (
 
 __all__ = [
     "EXECUTORS",
-    "DATA_PLANES",
     "EXECUTOR_ENV",
     "WORKERS_ENV",
-    "DATA_PLANE_ENV",
     "RunOptions",
     "resolve_options",
     "resolve_executor",
     "resolve_workers",
-    "resolve_data_plane",
     "resolve_faults",
 ]
 
 #: The recognised execution backends.
 EXECUTORS = ("serial", "threads", "processes")
 
-#: The recognised data planes.  ``records`` is the tuple-at-a-time plane;
-#: ``columnar`` batches intermediate pairs as numpy columns.
-DATA_PLANES = ("records", "columnar")
-
 EXECUTOR_ENV = "REPRO_EXECUTOR"
 WORKERS_ENV = "REPRO_WORKERS"
-DATA_PLANE_ENV = "REPRO_DATA_PLANE"
 
 #: Default worker-count ceiling — beyond this, per-task pickling overhead
 #: dominates on the workloads the simulator runs.
@@ -83,27 +75,17 @@ def _setting(
         raise MapReduceError(f"{env} must be {expected}, got {text!r}") from None
 
 
-def _choice(
-    explicit: Optional[str], env: str, what: str, known: tuple, default: str
-) -> str:
-    name = _setting(explicit, env, str, f"one of {known}", default)
-    if name not in known:
-        raise MapReduceError(f"unknown {what} {name!r}; expected one of {known}")
-    return name
-
-
 def resolve_executor(executor: Optional[str] = None) -> str:
     """The effective executor name: explicit argument, else
     ``$REPRO_EXECUTOR``, else ``"serial"``.  Unknown names raise."""
-    return _choice(executor, EXECUTOR_ENV, "executor", EXECUTORS, "serial")
-
-
-def resolve_data_plane(data_plane: Optional[str] = None) -> str:
-    """The effective data plane: explicit argument, else
-    ``$REPRO_DATA_PLANE``, else ``"records"``.  Unknown names raise."""
-    return _choice(
-        data_plane, DATA_PLANE_ENV, "data plane", DATA_PLANES, "records"
+    name = _setting(
+        executor, EXECUTOR_ENV, str, f"one of {EXECUTORS}", "serial"
     )
+    if name not in EXECUTORS:
+        raise MapReduceError(
+            f"unknown executor {name!r}; expected one of {EXECUTORS}"
+        )
+    return name
 
 
 def _positive_int(what: str, value: Any) -> int:
@@ -201,7 +183,6 @@ class RunOptions:
 
     executor: str = "serial"
     workers: int = 1
-    data_plane: str = "records"
     faults: ResolvedFaults = ResolvedFaults()
 
     def for_job(
@@ -228,14 +209,12 @@ def resolve_options(
     faults: Any = None,
     max_attempts: Optional[int] = None,
     speculative: Optional[bool] = None,
-    data_plane: Optional[str] = None,
     task_timeout: Optional[float] = None,
 ) -> RunOptions:
-    """Resolve and validate all seven run options in one place (each
+    """Resolve and validate all six run options in one place (each
     ``None`` defers to its ``$REPRO_*`` variable, then the default)."""
     return RunOptions(
         executor=resolve_executor(executor),
         workers=resolve_workers(workers),
-        data_plane=resolve_data_plane(data_plane),
         faults=resolve_faults(faults, max_attempts, speculative, task_timeout),
     )

@@ -8,7 +8,6 @@ outputs, accumulating counters and per-job results for the cost model.
 
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, List, Optional, Sequence
 
@@ -23,8 +22,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.obs.recorder import TraceRecorder
 
 __all__ = ["Pipeline", "PipelineResult"]
-
-logger = logging.getLogger("repro.columnar")
 
 
 @dataclass
@@ -101,34 +98,6 @@ class Pipeline:
         return Pipeline(
             InMemoryFileSystem(), self.observer, self.cost_model, self.options
         )
-
-    def warn_if_all_fell_back(self) -> bool:
-        """Log one warning when ``columnar`` was requested but no job
-        used it.
-
-        Per-job fallbacks are normal (a cascade may mix columnar-capable
-        and records-only cycles) and are only surfaced through the
-        ``repro_data_plane_fallback_total`` metric and EXPLAIN; a run
-        where *every* job fell back usually means a misconfiguration, so
-        it earns a single log-level warning.  Returns whether the
-        warning fired.
-        """
-        jobs = self.result.jobs
-        if self.options.data_plane != "columnar" or not jobs:
-            return False
-        if any(job.data_plane == "columnar" for job in jobs):
-            return False
-        reasons = sorted(
-            {job.data_plane_fallback or "unknown" for job in jobs}
-        )
-        logger.warning(
-            "--data-plane columnar requested but all %d job(s) fell back to "
-            "the records plane (reasons: %s); see "
-            "repro_data_plane_fallback_total for the per-job breakdown",
-            len(jobs),
-            ", ".join(reasons),
-        )
-        return True
 
     def run_all(self, confs: Sequence[JobConf]) -> PipelineResult:
         """Run a fixed job sequence."""

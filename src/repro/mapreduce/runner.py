@@ -28,11 +28,15 @@ loop's pieces run:
   future per attempt; otherwise it runs in-process, on a pristine copy
   of the mapper/combiner/reducer whenever the task could run more than
   once.  Worker-side object mutations are *not* shipped back.
-* ``data_plane`` — ``"columnar"`` moves protocol-aware jobs onto
-  struct-of-arrays batches and an argsort shuffle (see
-  ``docs/data_plane.md``) by supplying different task *bodies* to the
-  same loop: a vectorised in-process map body and, under ``processes``,
-  a reduce body whose group columns travel through shared memory.
+
+The *data plane* is not among them: the job picks it.  A job whose
+mappers and reducer implement the columnar protocol, with no combiner
+and routing endpoints that are exact in float64, runs on struct-of-arrays
+batches and an argsort shuffle; any other job runs on the records plane
+(:func:`_map_tasks_for` decides, ``docs/data_plane.md`` states the
+rule).  The plane only supplies different task *bodies* to the same
+loop: a vectorised in-process map body and, under ``processes``, a
+reduce body whose group columns travel through shared memory.
 
 Outcomes merge in task order, so outputs, counters and recorded span
 sets are bit-identical across executors, planes and — modulo the
@@ -99,7 +103,7 @@ from repro.mapreduce.options import (
 from repro.mapreduce.shuffle import columnar_shuffle, partition_stats, shuffle
 from repro.mapreduce.task import MapContext, Mapper, ReduceContext, Reducer
 from repro.obs.live import NullHub
-from repro.obs.metrics import GROUP_FAULTS, GROUP_LIVE, LOAD_BUCKETS
+from repro.obs.metrics import GROUP_FAULTS, LOAD_BUCKETS
 from repro.obs.recorder import NullRecorder
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -291,26 +295,27 @@ def _columnar_map_task(
     path: str,
     records: Sequence[Any],
     mapper: Mapper,
+    starts: Any,
+    ends: Any,
     faults: AttemptInjector,
     beat: Optional[Any] = None,
-) -> Tuple[Tuple[MapBlock, Any, Any], Counters]:
-    """Run one map task on the columnar plane.
+) -> Tuple[MapBlock, Counters]:
+    """Run one map task on the columnar plane, over the routing-interval
+    columns the plane decision already encoded.
 
-    Returns the emitted block with the per-record routing-interval
-    columns, and the task counters.  Counter parity with
-    :func:`_map_task_core` is deliberate: ``map_input_records`` appears
-    only when the input is non-empty (the records plane increments per
-    record), user counters come from the block (non-zero amounts only),
-    ``map_output_records`` is always recorded.  A few vectorised passes
-    have no per-record loop to report progress from, so ``beat`` goes
-    unused.
+    Returns the emitted block and the task counters.  Counter parity
+    with :func:`_map_task_core` is deliberate: ``map_input_records``
+    appears only when the input is non-empty (the records plane
+    increments per record), user counters come from the block (non-zero
+    amounts only), ``map_output_records`` is always recorded.  A few
+    vectorised passes have no per-record loop to report progress from,
+    so ``beat`` goes unused.
     """
     counters = Counters()
     context = MapContext(counters, path)
     mapper.setup(context)
     if records:
         counters.increment("framework", "map_input_records", len(records))
-    starts, ends = mapper.encode_intervals(records)
     block = mapper.map_columns(starts, ends, records)
     faults.check("cleanup")
     mapper.cleanup(context)
@@ -323,7 +328,7 @@ def _columnar_map_task(
     for (group, name), amount in block.counters.items():
         counters.increment(group, name, amount)
     counters.increment("framework", "map_output_records", len(block))
-    return (block, starts, ends), counters
+    return block, counters
 
 
 def _reduce_task_core(
@@ -537,18 +542,20 @@ class _Tasks:
 class _MapTasks(_Tasks):
     """Map tasks on the records plane: one per input spec.
 
-    Inputs are materialised up front — an attempt must be re-runnable
-    from identical records, and file-system access stays on the parent.
+    ``inputs`` holds each spec with its records, materialised up front
+    by :func:`_map_tasks_for` — an attempt must be re-runnable from
+    identical records, and file-system access stays on the parent.
     """
 
     phase = "map"
+    #: the payload store of a columnar job; ``None`` on the records plane.
+    store: Optional[PayloadStore] = None
 
-    def __init__(self, run: _JobRun) -> None:
-        super().__init__(run, len(run.conf.inputs))
-        self.inputs = [
-            (spec, list(run.fs.read_dir(spec.path)))
-            for spec in run.conf.inputs
-        ]
+    def __init__(
+        self, run: _JobRun, inputs: Sequence[Tuple[Any, List[Any]]]
+    ) -> None:
+        super().__init__(run, len(inputs))
+        self.inputs = inputs
 
     def span_name(self, index: int) -> str:
         return f"map:{self.inputs[index][0].path}"
@@ -560,14 +567,11 @@ class _MapTasks(_Tasks):
             self.fresh(self.run.conf.combiner),
         )
 
-    def num_pairs(self, result: Any) -> int:
-        return len(result)
-
     def record_winner(
         self, index: int, counters: Counters, result: Any
     ) -> Tuple[Dict[str, Any], Dict[str, Dict[str, int]]]:
         run, path = self.run, self.inputs[index][0].path
-        num_pairs = self.num_pairs(result)
+        num_pairs = len(result)
         reads = counters.value("framework", "map_input_records")
         # The in/out ratio per input is the paper's *replication factor*
         # of that relation: pairs emitted per distinct input tuple.
@@ -606,31 +610,61 @@ class _ColumnarMapTasks(_MapTasks):
     """
 
     def __init__(
-        self, run: _JobRun, codec: KeyCodec, store: PayloadStore
+        self,
+        run: _JobRun,
+        inputs: Sequence[Tuple[Any, List[Any]]],
+        columns: Sequence[Tuple[Any, Any]],
+        codec: KeyCodec,
     ) -> None:
-        super().__init__(run)
+        super().__init__(run, inputs)
         self.pooled = False
+        #: per input, the ``(starts, ends)`` routing-interval columns.
+        self.columns = columns
         self.codec = codec
-        self.store = store
+        self.store = PayloadStore()
 
     def body(self, index: int) -> Tuple[Callable[..., Any], Tuple]:
         spec, records = self.inputs[index]
         return _columnar_map_task, (
-            spec.path, records, self.fresh(spec.mapper)
+            spec.path, records, self.fresh(spec.mapper), *self.columns[index]
         )
-
-    def num_pairs(self, result: Any) -> int:
-        return len(result[0])
 
     def collect(self, outcomes: Sequence["_TaskOutcome"]) -> Any:
         pairs = ColumnarPairs(self.codec)
         for index, ((spec, records), outcome) in enumerate(
             zip(self.inputs, outcomes)
         ):
-            block, starts, ends = outcome.result
             self.store.add_segment(index, records, spec.mapper)
-            pairs.append_block(block, index, starts, ends)
+            pairs.append_block(outcome.result, index, *self.columns[index])
         return pairs
+
+
+def _map_tasks_for(run: _JobRun) -> Tuple[_MapTasks, Optional[str]]:
+    """The job's map tasks on the plane the job runs on — and, when that
+    is the records plane, why.
+
+    This is the whole plane decision, taken once per job before any map
+    task starts: the columnar plane when the job's own gate passes
+    (:func:`~repro.columnar.batch.job_columnar_gate`) and every input's
+    routing endpoints encode exactly as float64 columns; the records
+    plane otherwise.  Both read the same materialised inputs, and the
+    encoded columns are the ones the columnar map bodies then consume.
+    """
+    inputs = [
+        (spec, list(run.fs.read_dir(spec.path))) for spec in run.conf.inputs
+    ]
+    kind, reason = job_columnar_gate(run.conf)
+    if kind is not None:
+        columns = [
+            spec.mapper.encode_intervals(records) for spec, records in inputs
+        ]
+        if all(encoded is not None for encoded in columns):
+            return (
+                _ColumnarMapTasks(run, inputs, columns, KEY_CODECS[kind]),
+                None,
+            )
+        reason = "endpoints-not-float64-exact"
+    return _MapTasks(run, inputs), reason
 
 
 class _ReduceTasks(_Tasks):
@@ -1019,7 +1053,6 @@ def run_job(
     faults: Any = None,
     max_attempts: Optional[int] = None,
     speculative: Optional[bool] = None,
-    data_plane: Optional[str] = None,
     task_timeout: Optional[float] = None,
     *,
     options: Optional[RunOptions] = None,
@@ -1041,26 +1074,23 @@ def run_job(
         Optional :class:`~repro.mapreduce.cost.CostModel` used only to
         attach modelled-seconds charges to the recorded spans (never
         affects execution).
-    executor, workers, faults, max_attempts, speculative, data_plane, task_timeout:
-        The seven run options as keywords, each ``None`` deferring to its
+    executor, workers, faults, max_attempts, speculative, task_timeout:
+        The six run options as keywords, each ``None`` deferring to its
         ``$REPRO_*`` variable and then the default; resolved here by
         :func:`repro.mapreduce.options.resolve_options`, which documents
         them.  None of them changes outputs or counters.
     options:
         Already-resolved :class:`~repro.mapreduce.options.RunOptions`
         (what :class:`~repro.mapreduce.pipeline.Pipeline` passes).  When
-        given, the seven keywords are not consulted.
+        given, the six keywords are not consulted.
 
-    ``data_plane="columnar"`` engages per job — when every mapper and
-    the reducer implement the columnar protocol and no combiner is
-    configured; otherwise the job runs on the records plane and the
-    reason lands in ``repro_data_plane_fallback_total``, the job span
-    and the :class:`JobResult`.
+    Which data plane the job runs on is the job's own business
+    (:func:`_map_tasks_for`); the job span and the :class:`JobResult`
+    say which it was and, for the records plane, why.
     """
     if options is None:
         options = resolve_options(
-            executor, workers, faults, max_attempts, speculative,
-            data_plane, task_timeout,
+            executor, workers, faults, max_attempts, speculative, task_timeout
         )
     options = options.for_job(conf.max_attempts, conf.speculative)
     if conf.num_reduce_tasks < 1:
@@ -1071,27 +1101,6 @@ def run_job(
     run = _JobRun(fs, conf, options, recorder, cost_model)
     counters = Counters()
 
-    columnar_kind: Optional[str] = None
-    plane_fallback: Optional[str] = None
-    if options.data_plane == "columnar":
-        if conf.combiner is not None:
-            plane_fallback = "combiner-configured"
-        else:
-            columnar_kind, plane_fallback = job_columnar_gate(conf)
-    store = PayloadStore() if columnar_kind is not None else None
-    job_attrs: Dict[str, Any] = {}
-    if columnar_kind is not None:
-        job_attrs["data_plane"] = "columnar"
-    if plane_fallback is not None:
-        job_attrs["data_plane_fallback"] = plane_fallback
-        recorder.metrics.counter(
-            "repro_data_plane_fallback_total",
-            "Jobs that fell back from the requested columnar plane to "
-            "the records plane, by reason.",
-            labels=("job", "reason"),
-            group=GROUP_LIVE,
-        ).inc(job=conf.name, reason=plane_fallback)
-
     job_span = recorder.start_span(
         f"job:{conf.name}",
         kind="job",
@@ -1099,16 +1108,16 @@ def run_job(
         executor=options.executor,
         num_reduce_tasks=conf.num_reduce_tasks,
         max_attempts=options.faults.max_attempts,
-        **job_attrs,
     )
     run.live.job_started(conf.name)
     try:
         with _phase(run, "map", len(conf.inputs)) as map_span:
-            map_tasks = (
-                _ColumnarMapTasks(run, KEY_CODECS[columnar_kind], store)
-                if columnar_kind is not None
-                else _MapTasks(run)
-            )
+            map_tasks, plane_reason = _map_tasks_for(run)
+            store = map_tasks.store
+            data_plane = "columnar" if store is not None else "records"
+            job_span.annotate(data_plane=data_plane)
+            if plane_reason is not None:
+                job_span.annotate(data_plane_reason=plane_reason)
             map_outcomes = _run_tasks(run, map_tasks, map_span)
             pairs = map_tasks.collect(map_outcomes)
         for outcome in map_outcomes:
@@ -1117,7 +1126,7 @@ def run_job(
         del map_tasks, map_outcomes
         counters.increment("framework", "shuffle_records", len(pairs))
 
-        if columnar_kind is not None:
+        if store is not None:
             logical_loads: Dict[Hashable, int] = pairs.logical_loads()
         else:
             logical_loads = defaultdict(int)
@@ -1125,7 +1134,7 @@ def run_job(
                 logical_loads[key] += 1
 
         with _phase(run, "shuffle", 1) as shuffle_span:
-            if columnar_kind is not None:
+            if store is not None:
                 tasks = columnar_shuffle(
                     pairs, conf.num_reduce_tasks, conf.partitioner,
                     store=store, profiler=recorder.profiler, job=conf.name,
@@ -1151,7 +1160,7 @@ def run_job(
         with _phase(run, "reduce", len(tasks)) as reduce_span:
             reduce_tasks = (
                 _ShmReduceTasks(run, tasks, store)
-                if columnar_kind is not None and run.pooled
+                if store is not None and run.pooled
                 else _ReduceTasks(run, tasks)
             )
             reduce_outcomes = _run_tasks(run, reduce_tasks, reduce_span)
@@ -1180,8 +1189,8 @@ def run_job(
                 outcome.counters.value("work", "comparisons")
                 for outcome in reduce_outcomes
             ],
-            data_plane="columnar" if columnar_kind is not None else "records",
-            data_plane_fallback=plane_fallback,
+            data_plane=data_plane,
+            data_plane_reason=plane_reason,
         )
         job_span.counters = counters.snapshot()
         job_span.annotate(

@@ -14,19 +14,22 @@ cost model and evaluation tables consume.
 Columnar protocol (optional, duck-typed)
 ----------------------------------------
 
-A mapper/reducer pair may additionally opt into the columnar data plane
-(``REPRO_DATA_PLANE=columnar``, see ``docs/data_plane.md``).  The runner
-probes for these attributes per job — when any participant lacks them or
-reports itself not ready, the job silently falls back to the records
-plane, so the protocol is strictly additive.
+A mapper/reducer pair may additionally implement the columnar data
+plane (see ``docs/data_plane.md``).  The runner probes for these
+attributes per job — when every participant has them and reports itself
+ready the job runs columnar, otherwise on the records plane, so the
+protocol is strictly additive.
 
 Mapper side::
 
     columnar_key_kind: str            # "int" | "cell" — codec in
                                       # repro.columnar.codec.KEY_CODECS
     def columnar_ready(self) -> bool  # dynamic gate (e.g. operator support)
-    def encode_intervals(self, records) -> (starts, ends)
-                                      # float64 columns, one row per record
+    def encode_intervals(self, records) -> (starts, ends) | None
+                                      # float64 columns, one row per
+                                      # record; None when an endpoint is
+                                      # not exact in float64 (the job
+                                      # then runs on the records plane)
     def map_columns(self, starts, ends, records) -> MapBlock
                                       # vectorised map(): encoded target
                                       # keys + row indices (+ tag codes and

@@ -162,11 +162,19 @@ def _effective(span: Span, now: Optional[float]) -> Optional[Span]:
     return replace(span, end=max(now, span.start), children=[])
 
 
+def job_plane(span: Span) -> str:
+    """Which data plane a job span says the job ran on — and, for the
+    records plane, the reason the job itself gave."""
+    plane = str(span.attributes.get("data_plane", "?"))
+    reason = span.attributes.get("data_plane_reason")
+    return f"{plane} ({reason})" if reason else plane
+
+
 def _job_rows(
     spans: Sequence[Span], now: Optional[float] = None
 ) -> List[Dict[str, Any]]:
     """One row per job span (start order): name, window, phase spans,
-    recorded reducer loads, counter snapshot.  With ``now`` given, jobs
+    data plane, recorded reducer loads, counter snapshot.  With ``now`` given, jobs
     and phases still open are included as if they ended now."""
     phases_by_job: Dict[str, List[Span]] = {}
     for raw in spans:
@@ -198,6 +206,7 @@ def _job_rows(
                 "start": span.start,
                 "end": span.end,
                 "phases": sorted(phases, key=lambda s: (s.start, s.span_id)),
+                "plane": job_plane(span),
                 "loads": [
                     int(v)
                     for v in span.attributes.get("reduce_task_loads") or []
@@ -368,6 +377,7 @@ def _skew_table(jobs: List[Dict[str, Any]]) -> str:
         rows.append(
             (
                 job["name"],
+                job["plane"],
                 balance.reducers,
                 balance.total,
                 _fmt(balance.p50),
@@ -381,7 +391,7 @@ def _skew_table(jobs: List[Dict[str, Any]]) -> str:
         )
     return _table(
         (
-            "job", "reducers", "records", "p50", "p95", "max",
+            "job", "plane", "reducers", "records", "p50", "p95", "max",
             "Gini", "Jain", "imbalance", "replication",
         ),
         rows,
@@ -617,29 +627,6 @@ def _data_plane_panel(metrics: Optional[Mapping[str, Any]]) -> str:
     )
 
 
-def _fallback_panel(metrics: Optional[Mapping[str, Any]]) -> str:
-    """Jobs that requested the columnar data plane but fell back to the
-    record plane, with the gate's reason — from the
-    ``repro_data_plane_fallback_total`` family.  Empty string when no
-    job fell back."""
-    rows = [
-        (labels.get("job", "?"), labels.get("reason", "?"), int(value))
-        for labels, value in _metric_samples(
-            metrics, "repro_data_plane_fallback_total"
-        )
-    ]
-    if not rows:
-        return ""
-    return (
-        "<h2>Data plane &#183; columnar fallbacks</h2>"
-        '<div class="card">'
-        + _table(("job", "reason", "jobs"), sorted(rows))
-        + '<p class="legend">these jobs requested the columnar plane '
-        "but ran on the record plane</p>"
-        + "</div>"
-    )
-
-
 def _flame_panel(flame_svg: Optional[str]) -> str:
     if not flame_svg:
         return ""
@@ -746,7 +733,6 @@ def render_dashboard(
         f'<div class="card">{_skew_table(jobs)}</div>',
         _plan_panel(spans, metrics),
         _data_plane_panel(metrics),
-        _fallback_panel(metrics),
         _flame_panel(flame_svg),
         _algorithm_tables(metrics),
         _metrics_overview(metrics),

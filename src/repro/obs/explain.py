@@ -317,11 +317,6 @@ class PlanExplain:
     kernels: Tuple[Tuple[str, str], ...]
     prediction: Optional["PlanPrediction"]
     prediction_error: Optional[str]
-    data_plane: str = "records"
-    #: pre-run warning about the data plane (e.g. the chosen algorithm
-    #: declares no columnar support, so a columnar request would fall
-    #: back to records for every job).
-    data_plane_note: Optional[str] = None
 
     def as_dict(self) -> Dict[str, Any]:
         return {
@@ -335,8 +330,6 @@ class PlanExplain:
             "alternatives": [list(alt) for alt in self.alternatives],
             "num_partitions": self.num_partitions,
             "partitioner": self.partitioner,
-            "data_plane": self.data_plane,
-            "data_plane_note": self.data_plane_note,
             "kernels": [list(pair) for pair in self.kernels],
             "prediction": (
                 self.prediction.as_dict() if self.prediction else None
@@ -364,15 +357,6 @@ class PlanExplain:
             for name, why in self.alternatives:
                 lines.append(f"    - {name}: {why}")
         lines.append(f"  partitioner: {self.partitioner}")
-        if self.data_plane == "columnar":
-            lines.append(
-                "  data plane:  columnar (struct-of-arrays shuffle; "
-                "unsupported jobs fall back to records per job)"
-            )
-        else:
-            lines.append("  data plane:  records (tuple-at-a-time)")
-        if self.data_plane_note:
-            lines.append(f"  data plane note: {self.data_plane_note}")
         if self.kernels:
             lines.append("  kernels:")
             for condition, kernel in self.kernels:
@@ -423,7 +407,6 @@ def explain_query(
     prune: bool = False,
     cost_model: Optional["CostModel"] = None,
     exact: bool = False,
-    data_plane: Optional[str] = None,
     partition_strategy: str = "uniform",
     partitioning: Optional["Partitioning"] = None,
 ) -> PlanExplain:
@@ -434,20 +417,15 @@ def explain_query(
     ``exact=True``); without it the plan rationale still renders but the
     prediction section reports itself unavailable.  ``algorithm``
     overrides the planner exactly as :func:`repro.core.executor.execute`
-    does, and ``data_plane`` resolves exactly as at run time (explicit
-    argument, then ``$REPRO_DATA_PLANE``, then ``"records"``) so the
-    EXPLAIN shows the plane the run would use.  ``partition_strategy``
-    and ``partitioning`` are the run's partitioning inputs, which the
-    exact tier follows.
+    does.  ``partition_strategy`` and ``partitioning`` are the run's
+    partitioning inputs, which the exact tier follows.
     """
-    from repro.mapreduce.options import resolve_data_plane
     from repro.core.planner import ALGORITHMS, plan, plan_alternatives
     from repro.core.tuning import PredictConfig, profile_data
     from repro.errors import PlanningError
     from repro.intervals.sweep import kernel_for
     from repro.mapreduce.cost import DEFAULT_COST_MODEL
 
-    plane = resolve_data_plane(data_plane)
     chosen = plan(query, prune=prune)
     if chosen.provably_empty:
         return PlanExplain(
@@ -464,7 +442,6 @@ def explain_query(
             kernels=(),
             prediction=None,
             prediction_error=None,
-            data_plane=plane,
         )
 
     if algorithm is None:
@@ -526,14 +503,6 @@ def explain_query(
     else:
         prediction_error = "no data bound; profile unavailable"
 
-    data_plane_note = None
-    if plane == "columnar" and not getattr(runner, "columnar_capable", False):
-        data_plane_note = (
-            f"algorithm {runner.name!r} declares no columnar support; "
-            "every job would fall back to the records plane "
-            "(repro_data_plane_fallback_total records the per-job reasons)"
-        )
-
     return PlanExplain(
         query=str(query),
         query_class=query.query_class.name,
@@ -551,8 +520,6 @@ def explain_query(
         kernels=tuple(kernels),
         prediction=prediction,
         prediction_error=prediction_error,
-        data_plane=plane,
-        data_plane_note=data_plane_note,
     )
 
 

@@ -73,8 +73,8 @@ GROUP_FAULTS = "faults"
 #: Data-plane profiling facts (machine-dependent, excluded from parity).
 GROUP_PROFILE = "profile"
 #: Live operational telemetry — heartbeat counts, progress/ETA gauges,
-#: watchdog flags, data-plane fallback accounting.  Cadence-driven and
-#: configuration-dependent, so excluded from parity fingerprints.
+#: watchdog flags.  Cadence-driven and configuration-dependent, so
+#: excluded from parity fingerprints.
 GROUP_LIVE = "live"
 
 #: Fixed boundaries for tuple-load histograms (per-reducer and per-key).

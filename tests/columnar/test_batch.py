@@ -12,7 +12,8 @@ from repro.columnar.batch import (
     ColumnValues,
     MapBlock,
     PayloadStore,
-    job_columnar_kind,
+    interval_columns,
+    job_columnar_gate,
     operator_map_columns,
     ranged_targets,
 )
@@ -95,6 +96,19 @@ class TestOperatorMapColumns:
         located = self.partitioning.locate_array(points)
         assert located.tolist() == [
             self.partitioning.locate(float(p)) for p in points
+        ]
+
+    def test_locate_array_is_exact_for_boundaries_beyond_float64(self):
+        """Boundaries that are not float64 values (float64 rounds
+        2**53 + 1 down and 2**53 + 3 up) still route every float64 point
+        as the exact Python comparison of ``locate`` does."""
+        base = 2**53
+        partitioning = Partitioning((0, base + 1, base + 3, base + 7, 2**54))
+        points = np.asarray(
+            [float(base + step) for step in range(-4, 12, 2)], dtype=np.float64
+        )
+        assert partitioning.locate_array(points).tolist() == [
+            partitioning.locate(point) for point in points.tolist()
         ]
 
 
@@ -216,34 +230,72 @@ class TestJobColumnarKind:
             columnar_outputs=lambda *a: iter(()),
         )
 
-    def _conf(self, mappers, reducer):
+    def _conf(self, mappers, reducer, combiner=None):
         return SimpleNamespace(
             inputs=[SimpleNamespace(mapper=m) for m in mappers],
             reducer=reducer,
+            combiner=combiner,
         )
 
     def test_all_ready_same_kind(self):
         conf = self._conf(
             [self._mapper(), self._mapper()], self._reducer()
         )
-        assert job_columnar_kind(conf) == "int"
+        assert job_columnar_gate(conf) == ("int", None)
 
     def test_mixed_kinds_fall_back(self):
         conf = self._conf(
             [self._mapper("int"), self._mapper("cell")], self._reducer()
         )
-        assert job_columnar_kind(conf) is None
+        assert job_columnar_gate(conf) == (None, "mixed-key-kinds")
 
     def test_unready_mapper_falls_back(self):
         conf = self._conf(
             [self._mapper(), self._mapper(ready=False)], self._reducer()
         )
-        assert job_columnar_kind(conf) is None
+        assert job_columnar_gate(conf) == (None, "mapper-not-columnar-ready")
 
     def test_unready_reducer_falls_back(self):
         conf = self._conf([self._mapper()], self._reducer(ready=False))
-        assert job_columnar_kind(conf) is None
+        assert job_columnar_gate(conf) == (None, "reducer-not-columnar-ready")
 
     def test_protocol_free_classes_fall_back(self):
         conf = self._conf([SimpleNamespace()], self._reducer())
-        assert job_columnar_kind(conf) is None
+        assert job_columnar_gate(conf) == (None, "mapper-no-columnar-protocol")
+        conf = self._conf([self._mapper()], SimpleNamespace())
+        assert job_columnar_gate(conf) == (None, "reducer-no-columnar-protocol")
+
+    def test_combiner_keeps_the_job_on_records(self):
+        conf = self._conf(
+            [self._mapper()], self._reducer(), combiner=self._reducer()
+        )
+        assert job_columnar_gate(conf) == (None, "combiner-configured")
+
+
+class TestIntervalColumns:
+    """``interval_columns`` returns the float64 columns only when they
+    *are* the intervals: every endpoint must survive the conversion."""
+
+    def test_ints_and_floats_within_float64_encode(self):
+        intervals = [Interval(5, 9), Interval(0.5, 2**53), Interval(-3, 7.25)]
+        starts, ends = interval_columns(intervals, lambda iv: iv)
+        assert starts.dtype == ends.dtype == np.float64
+        assert starts.tolist() == [5.0, 0.5, -3.0]
+        assert ends.tolist() == [9.0, float(2**53), 7.25]
+
+    def test_empty_input_encodes(self):
+        starts, ends = interval_columns([], lambda iv: iv)
+        assert len(starts) == len(ends) == 0
+
+    @pytest.mark.parametrize(
+        "interval",
+        [
+            Interval(2**53 + 1, 2**53 + 3),
+            Interval(5, 2**53 + 1),
+            Interval(-(2**53) - 1, 0),
+        ],
+    )
+    def test_endpoint_beyond_float64_is_reported(self, interval):
+        assert interval_columns(
+            [Interval(1, 2), interval], lambda iv: iv
+        ) is None

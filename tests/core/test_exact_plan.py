@@ -80,7 +80,6 @@ def test_run_options_and_observers_cannot_touch_a_prediction(
         "REPRO_EXECUTOR": "processes",
         "REPRO_FAULTS": "2014",
         "REPRO_MAX_ATTEMPTS": "3",
-        "REPRO_DATA_PLANE": "columnar",
     }.items():
         monkeypatch.setenv(name, value)
 

@@ -121,7 +121,7 @@ class TestExecute:
             {"executor": "gpu"},
             {"max_attempts": 0},
             {"workers": 0},
-            {"data_plane": "vectorised"},
+            {"faults": 1.5},
             {"task_timeout": -1.0},
         ],
     )

@@ -1,10 +1,13 @@
 """Cross-plane parity: the columnar data plane must equal the records
-plane bit-for-bit.
+plane bit-for-bit, and the job — not the user — picks between them.
 
-``REPRO_DATA_PLANE=columnar`` swaps the intermediate pair stream from
+The columnar plane swaps the intermediate pair stream from
 tuple-at-a-time records to struct-of-arrays columns (argsort shuffle,
 shared-memory reduce transport under ``processes``) — and nothing else.
-These tests pin the contract for every columnar-capable algorithm on
+A job runs there exactly when its own gate passes and its routing
+endpoints are exact in float64, so the records arm of every comparison
+below is obtained inside the test, by substituting a gate that refuses.
+These tests pin the contract for every algorithm with a columnar job on
 every executor:
 
 * identical output tuples,
@@ -12,9 +15,10 @@ every executor:
 * identical deterministic metrics fingerprint,
 * identical trace span set,
 
-plus the gating behaviour around it: non-columnar jobs fall back to the
-records plane per job, fault injection does *not* (chaos runs stay on
-the columnar plane and stay bit-identical), and profiling the columnar
+plus the rule around it: which plane each job of each algorithm runs on
+and why, that inexact endpoints keep a job on the records plane (and the
+answer right), that fault injection does not (chaos runs stay on the
+columnar plane and stay bit-identical), and that profiling the columnar
 plane is passive.
 """
 
@@ -22,14 +26,26 @@ from __future__ import annotations
 
 import dataclasses
 import os
+import random
 
 import pytest
 
+from repro import Interval, Relation, reference_join
+from repro.core.algorithms.base import (
+    build_partitioning,
+    input_path,
+    write_inputs,
+)
+from repro.core.algorithms.rccis import JoinReducer
+from repro.core.algorithms.two_way import OperatorMapper
 from repro.core.executor import execute
 from repro.core.query import IntervalJoinQuery
+from repro.mapreduce import InMemoryFileSystem, Reducer, run_job
+from repro.mapreduce.job import InputSpec, JobConf
+from repro.mapreduce.shuffle import RoundRobinKeyPartitioner
 from repro.obs import TraceRecorder
 
-from tests.conftest import make_dataset
+from tests.conftest import assert_matches_reference, make_dataset
 from tests.integration.test_fault_parity import (
     _counters_sans_faults,
     _task_span_profile,
@@ -44,14 +60,17 @@ COLOCATION = IntervalJoinQuery.parse(
 SEQUENCE = IntervalJoinQuery.parse(
     [("R1", "before", "R2"), ("R2", "before", "R3")]
 )
+HYBRID = IntervalJoinQuery.parse(
+    [("R1", "overlaps", "R2"), ("R2", "before", "R3")]
+)
+TWO_WAY = IntervalJoinQuery.parse([("R1", "overlaps", "R2")])
 
-#: The columnar-capable algorithm surface: the two-way overlap join (int
+#: The algorithms whose joins run columnar: the two-way overlap join (int
 #: partition keys), RCCIS (int keys, three relations) and the cascade in
 #: both its key families — colocation steps route on partition indices,
 #: sequence steps on 2-D grid cells.
 CASES = [
-    ("two_way", IntervalJoinQuery.parse([("R1", "overlaps", "R2")]),
-     ("R1", "R2")),
+    ("two_way", TWO_WAY, ("R1", "R2")),
     ("rccis", COLOCATION, ("R1", "R2", "R3")),
     ("two_way_cascade", COLOCATION, ("R1", "R2", "R3")),
     ("two_way_cascade", SEQUENCE, ("R1", "R2", "R3")),
@@ -60,7 +79,7 @@ CASES = [
 CASE_IDS = ["two_way", "rccis", "cascade_colocation", "cascade_sequence"]
 
 
-def _run(algorithm, query, data, executor, data_plane, **kwargs):
+def _run(algorithm, query, data, executor, **kwargs):
     recorder = TraceRecorder(profile=kwargs.pop("profile", False))
     result = execute(
         query,
@@ -70,11 +89,25 @@ def _run(algorithm, query, data, executor, data_plane, **kwargs):
         executor=executor,
         workers=2,
         observer=recorder,
-        data_plane=data_plane,
         **kwargs,
     )
     recorder.close()
     return result, recorder
+
+
+def _refusing_gate(conf):
+    return None, "refused-by-the-parity-suite"
+
+
+def _run_on_records(monkeypatch, *args, **kwargs):
+    """``_run`` with every job kept on the records plane: the gate is the
+    one place the plane is decided (in the parent, under every
+    executor), so substituting it is the whole switch."""
+    with monkeypatch.context() as patch:
+        patch.setattr(
+            "repro.mapreduce.runner.job_columnar_gate", _refusing_gate
+        )
+        return _run(*args, **kwargs)
 
 
 def _span_profile(recorder):
@@ -99,6 +132,9 @@ def _metrics_facts(result):
 def _assert_cross_plane_parity(records_pack, columnar_pack):
     records_result, records_rec = records_pack
     columnar_result, columnar_rec = columnar_pack
+
+    assert {job.data_plane for job in records_rec.job_results} == {"records"}
+    assert "columnar" in {job.data_plane for job in columnar_rec.job_results}
 
     assert columnar_result.tuple_ids() == records_result.tuple_ids()
     assert len(records_result) > 0
@@ -129,47 +165,14 @@ def _assert_cross_plane_parity(records_pack, columnar_pack):
 
 @pytest.mark.parametrize("executor", EXECUTORS)
 @pytest.mark.parametrize("algorithm,query,names", CASES, ids=CASE_IDS)
-def test_columnar_matches_records(algorithm, query, names, executor):
+def test_columnar_matches_records(
+    algorithm, query, names, executor, monkeypatch
+):
     data = make_dataset(names, 60, seed=11)
-    records_pack = _run(algorithm, query, data, executor, "records")
-    columnar_pack = _run(algorithm, query, data, executor, "columnar")
-    _assert_cross_plane_parity(records_pack, columnar_pack)
-
-
-def test_env_switch_selects_columnar(monkeypatch):
-    """``REPRO_DATA_PLANE`` is the switch when no argument is passed."""
-    algorithm, query, names = CASES[0][0], CASES[0][1], CASES[0][2]
-    data = make_dataset(names, 50, seed=3)
-    explicit = execute(
-        query, data, algorithm=algorithm, num_partitions=5,
-        data_plane="columnar",
+    records_pack = _run_on_records(
+        monkeypatch, algorithm, query, data, executor
     )
-    monkeypatch.setenv("REPRO_DATA_PLANE", "columnar")
-    from_env = execute(query, data, algorithm=algorithm, num_partitions=5)
-    assert from_env.tuple_ids() == explicit.tuple_ids()
-    assert _metrics_facts(from_env) == _metrics_facts(explicit)
-
-
-def test_unknown_plane_rejected():
-    from repro.errors import MapReduceError
-
-    data = make_dataset(("R1", "R2"), 20, seed=1)
-    query = IntervalJoinQuery.parse([("R1", "overlaps", "R2")])
-    with pytest.raises(MapReduceError):
-        execute(query, data, num_partitions=4, data_plane="vectorised")
-
-
-@pytest.mark.parametrize(
-    "algorithm,query",
-    [("all_replicate", SEQUENCE), ("all_matrix", SEQUENCE)],
-)
-def test_non_columnar_algorithms_fall_back(algorithm, query):
-    """Jobs that don't implement the columnar protocol run on the
-    records plane even when columnar is requested — same answer, same
-    deterministic facts, no error."""
-    data = make_dataset(("R1", "R2", "R3"), 60, seed=11)
-    records_pack = _run(algorithm, query, data, "serial", "records")
-    columnar_pack = _run(algorithm, query, data, "serial", "columnar")
+    columnar_pack = _run(algorithm, query, data, executor)
     _assert_cross_plane_parity(records_pack, columnar_pack)
 
 
@@ -186,9 +189,9 @@ def test_chaos_equals_clean_on_columnar(executor):
     query = IntervalJoinQuery.parse([("R1", "overlaps", "R2")])
     data = make_dataset(("R1", "R2"), 60, seed=11)
     segments_before = _shm_segments()
-    clean, clean_rec = _run("two_way", query, data, executor, "columnar")
+    clean, clean_rec = _run("two_way", query, data, executor)
     chaos, chaos_rec = _run(
-        "two_way", query, data, executor, "columnar",
+        "two_way", query, data, executor,
         faults=pinned_plan(), max_attempts=3, speculative=True,
     )
 
@@ -199,9 +202,8 @@ def test_chaos_equals_clean_on_columnar(executor):
     )
     assert _task_span_profile(chaos_rec) == _task_span_profile(clean_rec)
 
-    # Nothing fell back: every job ran columnar, no fallback was counted.
+    # Faults change nothing about the plane: every job ran columnar.
     assert all(job.data_plane == "columnar" for job in chaos_rec.job_results)
-    assert chaos_rec.metrics.get("repro_data_plane_fallback_total") is None
 
     # The plan really exercised the reduce side both ways: at least one
     # reduce attempt failed and was retried, and at least one delayed
@@ -222,9 +224,9 @@ def test_profiler_is_passive_on_columnar(executor):
     """Profiling a columnar run changes nothing outside the allowlisted
     profile/wall metric groups."""
     data = make_dataset(("R1", "R2", "R3"), 60, seed=5)
-    plain, plain_rec = _run("rccis", COLOCATION, data, executor, "columnar")
+    plain, plain_rec = _run("rccis", COLOCATION, data, executor)
     profiled, prof_rec = _run(
-        "rccis", COLOCATION, data, executor, "columnar", profile=True
+        "rccis", COLOCATION, data, executor, profile=True
     )
     assert profiled.tuple_ids() == plain.tuple_ids()
     assert _metrics_facts(profiled) == _metrics_facts(plain)
@@ -239,7 +241,7 @@ def test_shm_transport_accounted_only_under_processes(executor):
     data = make_dataset(("R1", "R2"), 60, seed=7)
     query = IntervalJoinQuery.parse([("R1", "overlaps", "R2")])
     _, recorder = _run(
-        "two_way", query, data, executor, "columnar", profile=True
+        "two_way", query, data, executor, profile=True
     )
     snapshot = recorder.metrics.as_dict()
     family = snapshot.get("repro_profile_shm_bytes_total")
@@ -250,129 +252,246 @@ def test_shm_transport_accounted_only_under_processes(executor):
         assert not samples
 
 
-def test_explain_surfaces_data_plane(monkeypatch):
-    from repro.obs.explain import explain_query
 
-    monkeypatch.delenv("REPRO_DATA_PLANE", raising=False)
-    query = IntervalJoinQuery.parse([("R1", "overlaps", "R2")])
-    plan = explain_query(query, num_partitions=4, data_plane="columnar")
-    assert plan.data_plane == "columnar"
-    assert "columnar" in plan.render()
-    default = explain_query(query, num_partitions=4)
-    assert default.data_plane == "records"
-    assert default.as_dict()["data_plane"] == "records"
+
+# ----------------------------------------------------------------------
+# The rule: which plane each job runs on, and why.
+# ----------------------------------------------------------------------
+
+NO_PROTOCOL = "mapper-no-columnar-protocol"
+
+#: algorithm, query, and per job in execution order ``(name, plane,
+#: reason)`` with default options.  Records-only: All-Replicate and the
+#: four matrix/grid algorithms, and every flag/mark cycle (RCCIS's
+#: included); the hybrids mix through their component plans.
+RULE = [
+    ("two_way", TWO_WAY, [("two-way", "columnar", None)]),
+    ("rccis", COLOCATION, [
+        ("rccis-flag", "records", NO_PROTOCOL),
+        ("rccis-join", "columnar", None),
+    ]),
+    ("two_way_cascade", SEQUENCE, [
+        ("cascade-R2", "columnar", None),
+        ("cascade-R3", "columnar", None),
+    ]),
+    ("all_replicate", SEQUENCE, [("all-replicate", "records", NO_PROTOCOL)]),
+    ("all_matrix", SEQUENCE, [("all_matrix-join", "records", NO_PROTOCOL)]),
+    ("all_seq_matrix", HYBRID, [
+        ("all_seq_matrix-flag", "records", NO_PROTOCOL),
+        ("all_seq_matrix-join", "records", NO_PROTOCOL),
+    ]),
+    ("pasm", HYBRID, [
+        ("pasm-flag", "records", NO_PROTOCOL),
+        ("pasm-mark", "records", NO_PROTOCOL),
+        ("pasm-join", "records", NO_PROTOCOL),
+    ]),
+    ("gen_matrix", HYBRID, [
+        ("gen_matrix-flag", "records", NO_PROTOCOL),
+        ("gen_matrix-join", "records", NO_PROTOCOL),
+    ]),
+    ("fcts", HYBRID, [
+        ("rccis-flag", "records", NO_PROTOCOL),
+        ("rccis-join", "columnar", None),
+        ("fcts-matrix", "records", NO_PROTOCOL),
+    ]),
+    ("fstc", HYBRID, [
+        ("all_matrix-join", "records", NO_PROTOCOL),
+        ("fstc-R1", "columnar", None),
+    ]),
+]
+
+
+@pytest.mark.parametrize("executor", EXECUTORS)
+@pytest.mark.parametrize(
+    "algorithm,query,expected", RULE, ids=[case[0] for case in RULE]
+)
+def test_each_job_picks_its_plane(algorithm, query, expected, executor):
+    data = make_dataset(("R1", "R2", "R3"), 40, seed=11)
+    result, recorder = _run(algorithm, query, data, executor)
+    assert_matches_reference(query, data, result)
+    assert [
+        (job.name, job.data_plane, job.data_plane_reason)
+        for job in recorder.job_results
+    ] == expected
+
+
+class _Resend(Reducer):
+    """A combiner that re-emits what it was given."""
+
+    def reduce(self, key, values, context):
+        for value in values:
+            context.emit(value)
+
+
+def _two_way_job(query, data, combiner=None):
+    """The two-way join of ``query``'s first condition as a bare job,
+    with its inputs staged on a fresh file system."""
+    fs = InMemoryFileSystem()
+    write_inputs(fs, query, data)
+    parts = build_partitioning(query, data, 4)
+    condition = query.conditions[0]
+    terms = (
+        (condition.left, condition.predicate.left_operator),
+        (condition.right, condition.predicate.right_operator),
+    )
+    conf = JobConf(
+        name="two-way",
+        inputs=[
+            InputSpec(
+                input_path(term.relation),
+                OperatorMapper(term.relation, term.attribute, parts, operator),
+            )
+            for term, operator in terms
+        ],
+        reducer=JoinReducer(
+            query, {term.relation: term.attribute for term, _ in terms}, parts
+        ),
+        output="twoway/output",
+        num_reduce_tasks=4,
+        partitioner=RoundRobinKeyPartitioner(),
+        combiner=combiner,
+    )
+    return fs, conf
+
+
+def test_a_combiner_job_runs_on_records():
+    data = make_dataset(("R1", "R2"), 40, seed=11)
+    fs, conf = _two_way_job(TWO_WAY, data)
+    assert run_job(fs, conf).data_plane == "columnar"
+    fs, conf = _two_way_job(TWO_WAY, data, combiner=_Resend())
+    result = run_job(fs, conf)
+    assert (result.data_plane, result.data_plane_reason) == (
+        "records", "combiner-configured",
+    )
+
+
+def test_a_multi_attribute_reducer_runs_on_records():
+    """Columnar row proxies carry one routing interval per row, so a
+    ``JoinReducer`` whose query reads two attributes of a relation
+    reports itself not ready."""
+    rng = random.Random(5)
+
+    def relation(name):
+        records = []
+        for _ in range(30):
+            a, b = rng.uniform(0, 100), rng.uniform(0, 100)
+            records.append({
+                "I": Interval(a, a + rng.uniform(0, 20)),
+                "J": Interval(b, b + rng.uniform(0, 60)),
+            })
+        return Relation.of_records(name, records)
+
+    data = {name: relation(name) for name in ("R1", "R2")}
+    query = IntervalJoinQuery.parse(
+        [("R1.I", "overlaps", "R2.I"), ("R1.J", "overlaps", "R2.J")]
+    )
+    fs, conf = _two_way_job(query, data)
+    result = run_job(fs, conf)
+    assert (result.data_plane, result.data_plane_reason) == (
+        "records", "reducer-not-columnar-ready",
+    )
+    tuples = list(fs.read_dir(conf.output))
+    assert sorted(
+        tuple(row.rid for row in rows) for rows in tuples
+    ) == reference_join(query, data).tuple_ids()
+    assert tuples
 
 
 class TestFallbackObservability:
-    """Per-job columnar fallbacks are observable, not silent: a labelled
-    counter, the job span, the job result and (when the whole run fell
-    back) one log warning all say *why* the records plane ran."""
-
-    def _fallback_samples(self, recorder):
-        metric = recorder.metrics.get("repro_data_plane_fallback_total")
-        return dict(metric.samples()) if metric is not None else {}
+    """Why a job ran on the records plane is a fact of the job: the same
+    reason string on its span and on its result."""
 
     def test_protocol_gap_reason_recorded(self):
-        """all_matrix implements no columnar protocol: every job falls
-        back with the gate's reason, on the metric, the span and the
-        job result alike."""
+        """all_matrix implements no columnar protocol: every job runs on
+        records with the gate's reason, on the span and the job result
+        alike."""
         data = make_dataset(("R1", "R2", "R3"), 60, seed=11)
-        _, recorder = _run(
-            "all_matrix", SEQUENCE, data, "serial", "columnar"
-        )
-        samples = self._fallback_samples(recorder)
-        assert samples
-        assert all(
-            reason == "mapper-no-columnar-protocol"
-            for _, reason in samples
-        )
+        _, recorder = _run("all_matrix", SEQUENCE, data, "serial")
         for job_result in recorder.job_results:
             assert job_result.data_plane == "records"
-            assert (
-                job_result.data_plane_fallback
-                == "mapper-no-columnar-protocol"
-            )
+            assert job_result.data_plane_reason == NO_PROTOCOL
         job_spans = [s for s in recorder.spans if s.kind == "job"]
         assert job_spans
-        assert all(
-            s.attributes.get("data_plane_fallback")
-            == "mapper-no-columnar-protocol"
-            for s in job_spans
-        )
+        for span in job_spans:
+            assert span.attributes["data_plane"] == "records"
+            assert span.attributes["data_plane_reason"] == NO_PROTOCOL
 
-    def test_no_fallback_metric_when_columnar_runs(self):
+    def test_columnar_job_span_carries_no_reason(self):
         data = make_dataset(("R1", "R2"), 60, seed=11)
-        query = IntervalJoinQuery.parse([("R1", "overlaps", "R2")])
-        result, recorder = _run(
-            "two_way", query, data, "serial", "columnar"
-        )
-        assert not self._fallback_samples(recorder)
-        assert all(
-            job.data_plane == "columnar" for job in recorder.job_results
-        )
+        _, recorder = _run("two_way", TWO_WAY, data, "serial")
+        (span,) = [s for s in recorder.spans if s.kind == "job"]
+        assert span.attributes["data_plane"] == "columnar"
+        assert "data_plane_reason" not in span.attributes
 
-    def test_fallback_counter_outside_fingerprint(self):
-        """The fallback counter lives in the live metric group, so the
-        deterministic fingerprint stays plane-independent even when the
-        columnar request degrades."""
-        data = make_dataset(("R1", "R2", "R3"), 60, seed=11)
-        _, records_rec = _run(
-            "all_matrix", SEQUENCE, data, "serial", "records"
-        )
-        _, columnar_rec = _run(
-            "all_matrix", SEQUENCE, data, "serial", "columnar"
-        )
-        assert (
-            records_rec.metrics.fingerprint()
-            == columnar_rec.metrics.fingerprint()
-        )
 
-    def test_whole_run_fallback_warns_once(self, caplog):
-        import logging
+# ----------------------------------------------------------------------
+# Exactness: float64 columns stand in for the intervals only when every
+# endpoint survives the conversion.
+# ----------------------------------------------------------------------
 
-        data = make_dataset(("R1", "R2", "R3"), 60, seed=11)
-        with caplog.at_level(logging.WARNING, logger="repro.columnar"):
-            _run("all_matrix", SEQUENCE, data, "serial", "columnar")
-        warnings = [
-            record
-            for record in caplog.records
-            if "fell back to the records plane" in record.getMessage()
-        ]
-        assert len(warnings) == 1
-        assert "mapper-no-columnar-protocol" in warnings[0].getMessage()
+BIG = 2**53
 
-    def test_partial_or_records_runs_do_not_warn(self, caplog):
-        import logging
+#: Shrunk from a wrong join: float64 rounds BIG + 1 to BIG and BIG + 3
+#: to BIG + 4, which turns "overlaps" pairs into "meets" pairs and back.
+BEYOND_FLOAT64 = {
+    "R1": [
+        Interval(BIG + 1, BIG + 3),
+        Interval(BIG + 10, BIG + 11),
+        Interval(5, 9),
+    ],
+    "R2": [
+        Interval(BIG + 3, BIG + 5),
+        Interval(BIG + 2, BIG + 4),
+        Interval(BIG + 11, BIG + 13),
+        Interval(7, 12),
+    ],
+}
 
-        data = make_dataset(("R1", "R2", "R3"), 60, seed=11)
-        with caplog.at_level(logging.WARNING, logger="repro.columnar"):
-            _run("all_matrix", SEQUENCE, data, "serial", "records")
-            _run("rccis", COLOCATION, data, "serial", "columnar")
-        assert not [
-            record
-            for record in caplog.records
-            if "fell back to the records plane" in record.getMessage()
-        ]
+#: Integers and floats mixed, every one of them a float64 value.
+WITHIN_FLOAT64 = {
+    "R1": [Interval(BIG - 4, BIG), Interval(5, 9.5), Interval(0.25, 7)],
+    "R2": [Interval(BIG - 2, BIG + 2), Interval(7, 12.5), Interval(6, 8.75)],
+}
 
-    def test_explain_notes_wholesale_fallback(self):
-        from repro.obs.explain import explain_query
 
-        query = SEQUENCE
-        plan = explain_query(
-            query,
-            algorithm="all_matrix",
-            num_partitions=4,
-            data_plane="columnar",
-        )
-        assert plan.data_plane_note is not None
-        assert "no columnar support" in plan.data_plane_note
-        assert "data plane note:" in plan.render()
-        assert plan.as_dict()["data_plane_note"] == plan.data_plane_note
+def _relations(intervals):
+    return {
+        name: Relation.of_intervals(name, rows)
+        for name, rows in intervals.items()
+    }
 
-        capable = explain_query(
-            IntervalJoinQuery.parse([("R1", "overlaps", "R2")]),
-            algorithm="two_way",
-            num_partitions=4,
-            data_plane="columnar",
-        )
-        assert capable.data_plane_note is None
+
+@pytest.mark.parametrize("executor", EXECUTORS)
+@pytest.mark.parametrize("predicate", ["overlaps", "meets"])
+@pytest.mark.parametrize("algorithm", ["two_way", "rccis", "two_way_cascade"])
+def test_endpoints_beyond_float64_join_on_records(
+    algorithm, predicate, executor
+):
+    data = _relations(BEYOND_FLOAT64)
+    query = IntervalJoinQuery.parse([("R1", predicate, "R2")])
+    recorder = TraceRecorder()
+    result = execute(
+        query, data, algorithm=algorithm, num_partitions=2,
+        executor=executor, workers=2, observer=recorder,
+    )
+    assert_matches_reference(query, data, result)
+    assert len(result) == 2
+    last = recorder.job_results[-1]
+    assert (last.data_plane, last.data_plane_reason) == (
+        "records", "endpoints-not-float64-exact",
+    )
+
+
+@pytest.mark.parametrize("executor", EXECUTORS)
+@pytest.mark.parametrize("algorithm", ["two_way", "rccis", "two_way_cascade"])
+def test_mixed_int_and_float_endpoints_stay_columnar(algorithm, executor):
+    data = _relations(WITHIN_FLOAT64)
+    query = IntervalJoinQuery.parse([("R1", "overlaps", "R2")])
+    recorder = TraceRecorder()
+    result = execute(
+        query, data, algorithm=algorithm, num_partitions=2,
+        executor=executor, workers=2, observer=recorder,
+    )
+    assert_matches_reference(query, data, result)
+    assert len(result) == 3
+    assert recorder.job_results[-1].data_plane == "columnar"

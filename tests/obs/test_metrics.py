@@ -157,11 +157,9 @@ def _deterministic_exposition(algorithm, query, relations) -> str:
         algorithm=algorithm,
         num_partitions=4,
         observer=recorder,
-        # The golden files pin one configuration: a fault-free run on
-        # the records plane (the "faults"/"live" groups they include vary
-        # with injected failures and plane fallbacks by design).
+        # The golden files pin a fault-free run (the "faults" group they
+        # include varies with injected failures by design).
         faults=False,
-        data_plane="records",
     )
     payload = {
         name: entry
