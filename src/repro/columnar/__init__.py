@@ -23,7 +23,6 @@ rule and its evidence).
 """
 
 from repro.columnar.batch import (
-    ColRow,
     ColumnarPairs,
     ColumnValues,
     MapBlock,
@@ -44,7 +43,6 @@ __all__ = [
     "MapBlock",
     "ColumnarPairs",
     "ColumnValues",
-    "ColRow",
     "PayloadStore",
     "interval_columns",
     "job_columnar_gate",

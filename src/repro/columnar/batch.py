@@ -43,9 +43,9 @@ __all__ = [
     "MapBlock",
     "ColumnarPairs",
     "ColumnValues",
-    "ColRow",
     "PayloadStore",
     "job_columnar_gate",
+    "endpoint_column",
     "interval_columns",
     "operator_map_columns",
     "ranged_targets",
@@ -111,23 +111,30 @@ class MapBlock:
         return cls(key_codes, row_idx, codes, (tag,), counters)
 
 
+def endpoint_column(values: List[Any]) -> np.ndarray:
+    """Interval endpoints as a float64 column — or, when some value does
+    not survive the conversion (an integer beyond 2**53, say), as an
+    ``object`` column of the exact Python numbers."""
+    column = np.array(values, dtype=np.float64)
+    # Python compares an int with a float exactly, so this is a
+    # round-trip check, not a second rounding.
+    if column.tolist() != values:
+        column = np.array(values, dtype=object)
+    return column
+
+
 def interval_columns(
     records: Sequence[Any], interval_of: Callable[[Any], Any]
 ) -> Optional[Tuple[np.ndarray, np.ndarray]]:
     """A mapper's ``encode_intervals``: the ``(starts, ends)`` float64
     columns of the routing intervals ``interval_of`` reads off each
-    record — or ``None`` when some endpoint does not survive the
-    conversion (an integer beyond 2**53, say), in which case comparing
-    the columns would not be comparing the intervals and the job has to
-    run on the records plane."""
+    record — or ``None`` when some endpoint is not exact in float64, in
+    which case comparing the columns would not be comparing the
+    intervals and the job has to run on the records plane."""
     intervals = [interval_of(record) for record in records]
-    start_values = [interval.start for interval in intervals]
-    end_values = [interval.end for interval in intervals]
-    starts = np.array(start_values, dtype=np.float64)
-    ends = np.array(end_values, dtype=np.float64)
-    # Python compares an int with a float exactly, so this is a
-    # round-trip check, not a second rounding.
-    if starts.tolist() != start_values or ends.tolist() != end_values:
+    starts = endpoint_column([interval.start for interval in intervals])
+    ends = endpoint_column([interval.end for interval in intervals])
+    if starts.dtype == object or ends.dtype == object:
         return None
     return starts, ends
 
@@ -255,22 +262,6 @@ class ColumnarPairs:
         }
 
 
-class ColRow:
-    """A row stand-in inside columnar reducers: the payload id plus the
-    routing interval.  Answers :meth:`interval` for any attribute name —
-    valid only for single-attribute queries, which is exactly what the
-    columnar gate requires of :class:`JoinReducer`."""
-
-    __slots__ = ("gid", "_interval")
-
-    def __init__(self, gid: int, interval) -> None:
-        self.gid = gid
-        self._interval = interval
-
-    def interval(self, attribute: str):
-        return self._interval
-
-
 class ColumnValues:
     """One key group's values as column slices.
 
@@ -338,22 +329,6 @@ class ColumnValues:
             self.starts[mask], self.ends[mask], self.gids[mask]
         )
 
-    def tagged_proxies(self) -> List[Tuple[str, ColRow]]:
-        """``(tag, ColRow)`` pairs in value order — the columnar analogue
-        of the records plane's ``(relation, row)`` values."""
-        from repro.intervals.interval import Interval
-
-        tags = self.tags
-        return [
-            (tags[code], ColRow(gid, Interval(start, end)))
-            for gid, start, end, code in zip(
-                self.gids.tolist(),
-                self.starts.tolist(),
-                self.ends.tolist(),
-                self.tag_codes.tolist(),
-            )
-        ]
-
 
 class PayloadStore:
     """Parent-side payload-id resolution for one job.
@@ -417,15 +392,15 @@ def job_columnar_gate(
 def reduce_columns(reducer, key: Hashable, values: ColumnValues, context) -> None:
     """Drive one columnar key group through a protocol-aware reducer.
 
-    With the payload store at hand (serial / threads, or the parent) each
-    gid-shaped output materialises immediately; without it (a worker
-    process holding only shared-memory columns) the raw gid outputs are
-    emitted and the parent materialises them after the round trip.
+    With the payload store at hand (serial / threads, or the parent) the
+    group's gid-shaped outputs materialise in one batch; without it (a
+    worker process holding only shared-memory columns) the raw gid
+    outputs are emitted and the parent materialises them after the
+    round trip.
     """
-    store = values.store
-    if store is None:
-        for out in reducer.columnar_outputs(key, values, context.counters):
-            context.emit(out)
-    else:
-        for out in reducer.columnar_outputs(key, values, context.counters):
-            context.emit(reducer.materialize_output(out, store))
+    outs = reducer.columnar_outputs(key, values, context.counters)
+    if values.store is not None:
+        outs = reducer.materialize_outputs(outs, values.store)
+    elif isinstance(outs, np.ndarray):
+        outs = outs.tolist()  # plain ints pickle; array rows would not
+    context.emit_many(outs)

@@ -469,20 +469,22 @@ class _StepJoinReducer(Reducer):
             left_items, right_items = news, partials
         else:
             left_items, right_items = partials, news
-        for litem, ritem in join_pairs(
-            left_items, right_items, self.routing.predicate
-        ):
-            counters.increment("work", "comparisons")
-            if self._new_is_left:
-                yield (ritem[1], litem[1])
-            else:
-                yield (litem[1], ritem[1])
+        outputs = [
+            (ritem[1], litem[1]) if self._new_is_left else (litem[1], ritem[1])
+            for litem, ritem in join_pairs(
+                left_items, right_items, self.routing.predicate
+            )
+        ]
+        if outputs:
+            counters.increment("work", "comparisons", len(outputs))
+        return outputs
 
-    def materialize_output(self, out, store):
-        bound_gid, new_gid = out
-        partial: PartialTuple = store.value(bound_gid)[1]
-        row = store.value(new_gid)[1][1]
-        return partial + ((self.new_relation, row),)
+    def materialize_outputs(self, outs, store):
+        return [
+            store.value(bound_gid)[1]
+            + ((self.new_relation, store.value(new_gid)[1][1]),)
+            for bound_gid, new_gid in outs
+        ]
 
 
 class _WrapMapper(Mapper):

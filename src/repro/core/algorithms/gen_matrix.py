@@ -38,6 +38,7 @@ them.)
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from collections import defaultdict
@@ -54,6 +55,8 @@ from typing import (
     Union,
 )
 
+import numpy as np
+
 from repro.errors import PlanningError, UnsatisfiableQueryError
 from repro.core.algorithms.base import (
     JoinAlgorithm,
@@ -63,7 +66,12 @@ from repro.core.algorithms.base import (
 )
 from repro.core.algorithms.crossing import CrossingSetFinder
 from repro.core.graph import Component, JoinGraph
-from repro.core.local import LocalJoiner
+from repro.core.local import (
+    LocalJoiner,
+    anchored_join,
+    row_columns,
+    take_tuples,
+)
 from repro.core.query import IntervalJoinQuery, QueryClass, Term
 from repro.core.schema import Row
 from repro.intervals.composition import path_consistency
@@ -383,13 +391,11 @@ class _GridJoinReducer(Reducer):
     coordinate).
 
     When a component replicates intervals (an embedded RCCIS sub-join),
-    enumeration is *anchored* on that component: the join is driven, per
-    anchor term, from rows whose interval starts at the cell's coordinate
-    on the component's dimension, and the anchored row must be the
-    component's unique right-most member (ties broken by term order).
-    This keeps the reducer's work proportional to the tuples it owns
-    instead of re-enumerating combinations of replicated rows owned by
-    earlier cells (see the RCCIS JoinReducer for the 1-dim argument).
+    enumeration is *anchored* on that component
+    (:func:`~repro.core.local.anchored_join` over its terms), which
+    keeps the reducer's work proportional to the tuples it owns instead
+    of re-enumerating combinations of replicated rows owned by earlier
+    cells.
     """
 
     def __init__(self, query: IntervalJoinQuery, grid: GridSpec) -> None:
@@ -417,13 +423,6 @@ class _GridJoinReducer(Reducer):
             max(multi, key=lambda c: len(c.terms)).index if multi else None
         )
 
-    def _joiner(self, anchor_relation: Optional[str], count) -> LocalJoiner:
-        # Built per reduce() call: the reducer instance is shared across
-        # concurrently-running tasks under the threads executor, so a
-        # cached joiner's count callback would attribute one task's
-        # comparisons to another's counters.
-        return LocalJoiner(self.query, count, start_with=anchor_relation)
-
     def reduce(
         self,
         key: Hashable,
@@ -434,71 +433,47 @@ class _GridJoinReducer(Reducer):
         rows_by_relation: Dict[str, List[Row]] = defaultdict(list)
         for relation, row in values:
             rows_by_relation[relation].append(row)
+        columns, rows = row_columns(self.query, rows_by_relation)
+        # The grid coordinate of every row's start, per term: locate is
+        # monotone, so a component's right-most start lies in the
+        # largest of its members' coordinates.
+        coordinate = {
+            term: self.grid.partitioning_of(dim).locate_array(
+                columns[term].starts
+            )
+            for dim, terms in self.component_terms.items()
+            for term in terms
+        }
+        count = functools.partial(
+            context.counters.increment, "work", "comparisons"
+        )
 
-        def count(n: int) -> None:
-            context.counters.increment("work", "comparisons", n)
-
-        def owns(binding: Mapping[str, Row]) -> bool:
+        def owns(binding: Mapping[str, np.ndarray]) -> np.ndarray:
+            keep = True
             for dim, terms in self.component_terms.items():
-                rightmost_start = max(
-                    binding[term.relation].interval(term.attribute).start
-                    for term in terms
+                rightmost = np.maximum.reduce(
+                    [coordinate[t][binding[t.relation]] for t in terms]
                 )
-                locate = self.grid.partitioning_of(dim).locate
-                if locate(rightmost_start) != cell[dim]:
-                    return False
-            return True
+                keep = keep & (rightmost == cell[dim])
+            return keep
 
         if self._anchor_component is None:
-            joiner = self._joiner(None, count)
-            for tuple_rows in joiner.join(rows_by_relation, accept=owns):
-                context.emit(tuple_rows)
-            return
-
-        # Decompose enumeration by the last *local* member of the anchor
-        # component (local = interval starts at the cell's coordinate on
-        # that dimension): run k anchors term k on its local rows, allows
-        # anything for earlier terms and only non-local rows for later
-        # ones.  Each owned tuple appears in exactly one run; purely
-        # replicated combinations are never enumerated.  The remaining
-        # per-dimension ownership checks stay in ``owns``.
-        anchor_dim = self._anchor_component
-        anchor_terms = self.component_terms[anchor_dim]
-        anchor_parts = self.grid.partitioning_of(anchor_dim)
-
-        def is_local(term: Term, row: Row) -> bool:
-            return (
-                anchor_parts.locate(row.interval(term.attribute).start)
-                == cell[anchor_dim]
+            bindings = LocalJoiner(self.query, count).join_columns(
+                columns, accept=owns
             )
-
-        for k, anchor_term in enumerate(anchor_terms):
-            relation = anchor_term.relation
-            local = [
-                row
-                for row in rows_by_relation.get(relation, ())
-                if is_local(anchor_term, row)
-            ]
-            if not local:
-                continue
-            candidates = dict(rows_by_relation)
-            candidates[relation] = local
-            usable = True
-            for later in anchor_terms[k + 1:]:
-                candidates[later.relation] = [
-                    row
-                    for row in rows_by_relation.get(later.relation, ())
-                    if not is_local(later, row)
-                ]
-                if not candidates[later.relation]:
-                    usable = False
-                    break
-            if not usable:
-                continue
-
-            joiner = self._joiner(relation, count)
-            for tuple_rows in joiner.join(candidates, accept=owns):
-                context.emit(tuple_rows)
+        else:
+            # Anchor on the component's terms in order (local = the
+            # interval starts at the cell's coordinate on that
+            # dimension); the other dimensions' ownership checks stay
+            # in ``owns``.
+            anchor_dim = self._anchor_component
+            bindings = anchored_join(
+                self.query, count, columns, self.component_terms[anchor_dim],
+                self.grid.partitioning_of(anchor_dim), cell[anchor_dim],
+                accept=owns,
+            )
+        for binding in bindings:
+            context.emit_many(take_tuples(rows, binding))
 
 
 # ----------------------------------------------------------------------

@@ -16,8 +16,11 @@ than All-Seq-Matrix — the trade-off Table 3 quantifies.
 
 from __future__ import annotations
 
+import functools
 from collections import defaultdict
 from typing import Dict, FrozenSet, Hashable, List, Mapping, Optional, Set, Tuple
+
+import numpy as np
 
 from repro.errors import PlanningError, UnsatisfiableQueryError
 from repro.core.algorithms.base import (
@@ -34,7 +37,7 @@ from repro.core.algorithms.gen_matrix import (
     multi_term_components,
 )
 from repro.core.graph import JoinGraph
-from repro.core.local import LocalJoiner
+from repro.core.local import anchored_join, row_columns
 from repro.core.query import IntervalJoinQuery, Term
 from repro.core.schema import Row
 from repro.intervals.partitioning import Partitioning
@@ -100,45 +103,25 @@ class _MarkingReducer(Reducer):
         rows_by_relation: Dict[str, List[Row]] = defaultdict(list)
         for relation, row in values:
             rows_by_relation[relation].append(row)
-        def is_local(name: str, row: Row) -> bool:
-            return (
-                self.partitioning.locate(
-                    row.interval(self.attributes[name]).start
-                )
-                == partition
-            )
-
-        local_rows: Dict[str, List[Row]] = {}
-        old_rows: Dict[str, List[Row]] = {}
-        for name, rows in rows_by_relation.items():
-            local_rows[name] = [r for r in rows if is_local(name, r)]
-            old_rows[name] = [r for r in rows if not is_local(name, r)]
-
-        def count(n: int) -> None:
-            context.counters.increment("work", "comparisons", n)
-
+        columns, rows = row_columns(subquery, rows_by_relation)
         # Exactly-once decomposition by the last local member, as in the
         # RCCIS JoinReducer.
-        names = list(subquery.relations)
-        seen: Set[Tuple[str, int]] = set()
-        for k, anchor in enumerate(names):
-            if not local_rows.get(anchor):
-                continue
-            candidates: Dict[str, List[Row]] = {}
-            for j, name in enumerate(names):
-                if j < k:
-                    candidates[name] = rows_by_relation.get(name, [])
-                elif j == k:
-                    candidates[name] = local_rows[anchor]
-                else:
-                    candidates[name] = old_rows.get(name, [])
-            joiner = LocalJoiner(subquery, count, start_with=anchor)
-            for tuple_rows in joiner.join(candidates):
-                for name, row in zip(subquery.relations, tuple_rows):
-                    mark = (name, row.rid)
-                    if mark not in seen:
-                        seen.add(mark)
-                        context.emit(mark)
+        anchors = [
+            Term(name, self.attributes[name]) for name in subquery.relations
+        ]
+        count = functools.partial(
+            context.counters.increment, "work", "comparisons"
+        )
+        participating: Dict[str, List[np.ndarray]] = defaultdict(list)
+        for binding in anchored_join(
+            subquery, count, columns, anchors, self.partitioning, partition
+        ):
+            for name, members in binding.items():
+                participating[name].append(np.unique(members))
+        for name in subquery.relations:
+            if participating[name]:
+                marked = np.unique(np.concatenate(participating[name]))
+                context.emit_many((name, row.rid) for row in rows[name][marked])
 
 
 class PASM(JoinAlgorithm):

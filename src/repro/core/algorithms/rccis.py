@@ -22,8 +22,11 @@ All-Matrix / All-Seq-Matrix / Gen-Matrix.
 
 from __future__ import annotations
 
+import functools
 from collections import defaultdict
 from typing import Dict, Hashable, List, Mapping, Sequence, Tuple
+
+import numpy as np
 
 from repro.errors import PlanningError
 from repro.columnar.batch import ColumnValues, interval_columns, reduce_columns
@@ -33,11 +36,17 @@ from repro.core.algorithms.base import (
     PlanContext,
     input_path,
 )
-from repro.core.local import LocalJoiner
-from repro.core.query import IntervalJoinQuery, QueryClass
+from repro.core.local import (
+    anchored_join,
+    object_column,
+    row_columns,
+    take_tuples,
+)
+from repro.core.query import IntervalJoinQuery, QueryClass, Term
 from repro.core.schema import Row
 from repro.core.algorithms.crossing import CrossingSetFinder
 from repro.intervals.partitioning import Partitioning
+from repro.intervals.sweep import SortedColumns
 from repro.mapreduce.job import InputSpec, JobConf
 from repro.mapreduce.shuffle import RoundRobinKeyPartitioner
 from repro.mapreduce.task import MapContext, Mapper, ReduceContext, Reducer
@@ -145,8 +154,6 @@ class RouteMapper(Mapper):
         return interval_columns(records, self._interval_of)
 
     def map_columns(self, starts, ends, records):
-        import numpy as np
-
         from repro.columnar.batch import MapBlock, ranged_targets
 
         n = len(records)
@@ -186,14 +193,8 @@ class JoinReducer(Reducer):
     Every row a cycle-2 reducer receives starts in this partition or an
     earlier one (projection pins, replication goes rightward), so the
     reducer owns a tuple iff at least one member is *local* (starts
-    here).  Enumeration is decomposed by the highest-indexed local
-    member: run ``k`` anchors relation ``k`` on its local rows, allows
-    any rows for relations before ``k``, and only *non-local* rows for
-    relations after ``k``.  Each owned tuple is produced by exactly one
-    run (the one anchored at its last local member) and combinations of
-    purely replicated rows — owned by earlier partitions — are never
-    enumerated, so the reducer's work stays proportional to its own
-    output.
+    here) — the ownership :func:`~repro.core.local.anchored_join`
+    decomposes exactly-once, anchoring the relations in query order.
     """
 
     def __init__(
@@ -212,71 +213,63 @@ class JoinReducer(Reducer):
         if isinstance(values, ColumnValues):
             reduce_columns(self, key, values, context)
             return
-        self._reduce_pairs(key, values, context.emit, context.counters)
-
-    def _reduce_pairs(self, key, values, emit, counters) -> None:
-        """The join body, shared by both data planes: ``values`` is any
-        iterable of ``(relation, row)`` pairs where ``row`` answers
-        ``interval(attribute)`` (real rows, or columnar proxies)."""
-        partition = int(key)
         rows_by_relation: Dict[str, List[Row]] = defaultdict(list)
         for relation, row in values:
             rows_by_relation[relation].append(row)
+        columns, rows = row_columns(self.query, rows_by_relation)
+        for binding in self._join(key, columns, context.counters):
+            context.emit_many(take_tuples(rows, binding))
 
-        def is_local(name: str, row: Row) -> bool:
-            return (
-                self.partitioning.locate(
-                    row.interval(self.attributes[name]).start
-                )
-                == partition
-            )
-
-        local_rows: Dict[str, List[Row]] = {}
-        old_rows: Dict[str, List[Row]] = {}
-        for name, rows in rows_by_relation.items():
-            local_rows[name] = [r for r in rows if is_local(name, r)]
-            old_rows[name] = [r for r in rows if not is_local(name, r)]
-
-        def count(n: int) -> None:
-            counters.increment("work", "comparisons", n)
-
-        names = list(self.query.relations)
-        for k, anchor in enumerate(names):
-            if not local_rows.get(anchor):
-                continue
-            candidates: Dict[str, List[Row]] = {}
-            for j, name in enumerate(names):
-                if j < k:
-                    candidates[name] = rows_by_relation.get(name, [])
-                elif j == k:
-                    candidates[name] = local_rows[anchor]
-                else:
-                    candidates[name] = old_rows.get(name, [])
-            # Built per call: this reducer instance is shared across
-            # concurrently-running tasks under the threads executor, so
-            # a cached joiner's count callback would attribute one
-            # task's comparisons to another's counters.
-            joiner = LocalJoiner(self.query, count, start_with=anchor)
-            for tuple_rows in joiner.join(candidates):
-                emit(tuple_rows)
+    def _join(self, key, columns, counters):
+        """The bindings this partition owns, over either plane's columns."""
+        # Counting through the task's own counters, not a cached
+        # joiner's: this reducer instance is shared across concurrently
+        # running tasks under the threads executor.
+        count = functools.partial(counters.increment, "work", "comparisons")
+        anchors = [
+            Term(name, self.attributes[name]) for name in self.query.relations
+        ]
+        return anchored_join(
+            self.query, count, columns, anchors, self.partitioning, int(key)
+        )
 
     # -- columnar protocol (see repro.mapreduce.task) -------------------
     def columnar_ready(self) -> bool:
-        # Columnar proxies answer ``interval()`` with the routing
-        # interval regardless of attribute name, which is only sound
-        # when every relation joins on a single attribute.
+        # A group carries one interval per value — the routing interval —
+        # which is every term's column only when each relation joins on
+        # a single attribute.
         return self.query.is_single_attribute
 
     def columnar_outputs(self, key, values: ColumnValues, counters):
-        outputs: List[Tuple] = []
-        self._reduce_pairs(
-            key, values.tagged_proxies(), outputs.append, counters
-        )
-        for tuple_rows in outputs:
-            yield tuple(proxy.gid for proxy in tuple_rows)
+        gids, columns = {}, {}
+        for name in self.query.relations:
+            rows = np.flatnonzero(values.tag_mask(name))
+            gids[name] = values.gids[rows]
+            columns[Term(name, self.attributes[name])] = SortedColumns(
+                values.starts[rows], values.ends[rows]
+            )
+        # One row of member gids per tuple.
+        blocks = [np.empty((0, len(gids)), dtype=np.int64)]
+        for binding in self._join(key, columns, counters):
+            blocks.append(
+                np.stack([gids[name][binding[name]] for name in gids], axis=1)
+            )
+        return np.concatenate(blocks)
 
-    def materialize_output(self, out, store):
-        return tuple(store.value(gid)[1] for gid in out)
+    def materialize_outputs(self, outs, store):
+        # One store lookup per distinct row, then an object-array take
+        # per relation — not one lookup per member of every tuple.
+        members = np.asarray(outs, dtype=np.int64).reshape(
+            -1, len(self.query.relations)
+        )
+        columns = []
+        for column in members.T:
+            distinct, inverse = np.unique(column, return_inverse=True)
+            rows = object_column(
+                [store.value(gid)[1] for gid in distinct.tolist()]
+            )
+            columns.append(rows[inverse])
+        return list(zip(*columns))
 
 
 class RCCIS(JoinAlgorithm):

@@ -2,94 +2,141 @@
 
 Every reducer in every algorithm ultimately has to enumerate the join
 tuples among the (relation-tagged) rows it received.  The paper leaves
-this local step unspecified; we implement an index-accelerated backtracking
-join:
+this local step unspecified; we implement a left-deep pipeline of
+vectorised steps over endpoint columns
+(:class:`~repro.intervals.sweep.SortedColumns`, one per query term,
+sorted once per reduce call):
 
 * relations are bound in an order that keeps each new relation connected
-  to the already-bound ones (smaller intermediate candidate sets);
-* the candidate rows for the next relation are generated through the most
-  selective available access path — an :class:`IntervalTree` probe for
-  colocation conditions, a sorted-endpoint bisect for sequence conditions,
-  a full scan only when the next relation is connected by nothing (which
-  the binding order avoids whenever the join graph is connected);
-* every predicate evaluation is counted through a caller-supplied counter
-  so the cost model can charge reducers for the work they actually did.
+  to the already-bound ones; partial bindings are one row-index column
+  per bound relation;
+* the candidate rows for the next relation are contiguous windows of its
+  sorted endpoints — the closed-intersection set for a colocation
+  condition, a strict prefix/suffix for a sequence condition, every row
+  only when nothing connects the relation's index attribute;
+* the step's conditions are array masks, evaluated in
+  ``query.conditions`` order, each over the survivors of the one before;
+* no step expands more than :data:`MAX_CANDIDATE_PAIRS` candidate pairs
+  at once — the partial bindings are cut into blocks first.
 
-An optional ``accept`` callback filters complete tuples before they are
-yielded — algorithms use it for their "this reducer owns the tuple" rules
-that make grid output exactly-once.
+``work:comparisons`` is charged by rule (the cost model prices it).
+Three or more relations: each step charges one per (candidate, condition
+evaluated); the candidates are those of the **first** colocation
+condition on the relation's index attribute (its first query attribute),
+else of the **last** sequence condition on it, else every row; the first
+step charges nothing.  Two relations: one per pair *satisfying* the
+first condition — which is the access path — then one per further
+condition evaluated.  The total is reported once per join.
+
+An optional ``accept`` mask filters complete bindings — algorithms pass
+their "this reducer owns the tuple" rules, which make grid output
+exactly-once.
 """
 
 from __future__ import annotations
 
-import bisect
 from typing import (
     Callable,
     Dict,
+    Generator,
     Iterator,
     List,
     Mapping,
+    NamedTuple,
     Optional,
     Sequence,
     Tuple,
 )
 
-from repro.core.query import IntervalJoinQuery, JoinCondition
+import numpy as np
+
+from repro.columnar.batch import endpoint_column
+from repro.core.query import IntervalJoinQuery, JoinCondition, Term
 from repro.core.schema import Row
-from repro.intervals.interval import Interval
-from repro.intervals.sweep import join_pairs
-from repro.intervals.tree import IntervalTree
+from repro.intervals.partitioning import Partitioning
+from repro.intervals.sweep import (
+    ALL_ROWS,
+    ENDING_BEFORE,
+    INTERSECTING,
+    STARTING_AFTER,
+    SortedColumns,
+)
 
-__all__ = ["LocalJoiner"]
+__all__ = [
+    "LocalJoiner",
+    "anchored_join",
+    "row_columns",
+    "take_tuples",
+]
+
+#: The most candidate pairs one step expands at a time.  A single
+#: partial binding with more candidates than this is expanded alone.
+MAX_CANDIDATE_PAIRS = 1 << 18
+
+#: One :class:`SortedColumns` per query term.
+Columns = Mapping[Term, SortedColumns]
+#: A block of bindings: per relation, a column of row indices.
+Binding = Dict[str, np.ndarray]
+Accept = Callable[[Binding], np.ndarray]
 
 
-class _RelationIndex:
-    """Access paths over one relation's rows for one attribute."""
+def object_column(items: Sequence[object]) -> np.ndarray:
+    """``items`` as a 1-D object array (for ``take`` by a binding)."""
+    column = np.empty(len(items), dtype=object)
+    column[:] = items
+    return column
 
-    def __init__(self, rows: Sequence[Row], attribute: str) -> None:
-        self.rows = list(rows)
-        self.attribute = attribute
-        items = [(row.interval(attribute), row) for row in self.rows]
-        self.tree: IntervalTree[Row] = IntervalTree(items)
-        self.by_start: List[Tuple[float, Row]] = sorted(
-            ((iv.start, row) for iv, row in items), key=lambda t: t[0]
+
+def row_columns(
+    query: IntervalJoinQuery, rows_by_relation: Mapping[str, Sequence[Row]]
+) -> Tuple[Dict[Term, SortedColumns], Dict[str, np.ndarray]]:
+    """A reducer's rows as the join reads them: every query term's
+    endpoint columns and, per relation in output order, the rows as an
+    object column to ``take`` bindings from (empty for an absent one)."""
+    rows = {
+        name: object_column(rows_by_relation.get(name) or ())
+        for name in query.relations
+    }
+    columns = {}
+    for term in query.terms:
+        intervals = [
+            row.interval(term.attribute)
+            for row in rows_by_relation.get(term.relation) or ()
+        ]
+        columns[term] = SortedColumns(
+            endpoint_column([interval.start for interval in intervals]),
+            endpoint_column([interval.end for interval in intervals]),
         )
-        self.by_end: List[Tuple[float, Row]] = sorted(
-            ((iv.end, row) for iv, row in items), key=lambda t: t[0]
-        )
-        self._starts = [s for s, _ in self.by_start]
-        self._ends = [e for e, _ in self.by_end]
+    return columns, rows
 
-    def intersecting(self, query: Interval) -> Iterator[Row]:
-        for _, row in self.tree.overlapping(query):
-            yield row
 
-    def starting_after(self, t: float) -> Iterator[Row]:
-        """Rows whose interval starts strictly after ``t``."""
-        index = bisect.bisect_right(self._starts, t)
-        for _, row in self.by_start[index:]:
-            yield row
+def take_tuples(
+    payloads: Mapping[str, np.ndarray], binding: Binding
+) -> Iterator[Tuple]:
+    """One block of bindings as tuples of ``payloads`` entries (a column
+    per relation, in output order)."""
+    return zip(*(payloads[name][binding[name]] for name in payloads))
 
-    def ending_before(self, t: float) -> Iterator[Row]:
-        """Rows whose interval ends strictly before ``t``."""
-        index = bisect.bisect_left(self._ends, t)
-        for _, row in self.by_end[:index]:
-            yield row
 
-    def scan(self) -> Iterator[Row]:
-        yield from self.rows
+class _Step(NamedTuple):
+    """Binding one more relation: its candidate windows, then its masks."""
+
+    relation: str
+    #: conditions checkable once the relation is bound, in query order.
+    conditions: Tuple[JoinCondition, ...]
+    #: window kind, the relation's sorted term, the bound term probing it.
+    kind: int
+    index: Term
+    probe: Term
 
 
 class LocalJoiner:
     """Joins relation-tagged row sets under a query's conditions.
 
-    Parameters
-    ----------
-    query:
-        The join query (conditions + relation order for output tuples).
-    count_comparisons:
-        Callback invoked with the number of predicate evaluations
-        performed; wire it to a MapReduce counter.
+    ``count_comparisons`` is called once per join with the comparisons
+    charged (wire it to a MapReduce counter); ``start_with`` is the
+    first bound relation — reducers drive enumeration from a small
+    anchor candidate set, e.g. the rows starting in their own partition.
     """
 
     def __init__(
@@ -101,183 +148,206 @@ class LocalJoiner:
         self.query = query
         self._count = count_comparisons or (lambda n: None)
         self._binding_order = self._plan_order(start_with)
+        self._two_way = len(query.relations) == 2
+        self._steps = self._plan_steps()
 
     # ------------------------------------------------------------------
     def _plan_order(self, start_with: Optional[str] = None) -> List[str]:
-        """A connected binding order.
-
-        ``start_with`` selects the first bound relation — reducers use it
-        to drive enumeration from a small anchor candidate set (e.g. the
-        rows starting in the reducer's own partition), which keeps local
-        join work proportional to the tuples the reducer actually owns.
-        """
+        """A connected binding order, from ``start_with`` if given."""
         remaining = list(self.query.relations)
-        if start_with is not None:
-            if start_with not in remaining:
-                raise ValueError(f"unknown start relation {start_with!r}")
-            remaining.remove(start_with)
-            order = [start_with]
-            return self._extend_order(order, remaining)
-        order = [remaining.pop(0)]
-        return self._extend_order(order, remaining)
-
-    def _extend_order(self, order: List[str], remaining: List[str]) -> List[str]:
+        if start_with is None:
+            start_with = remaining[0]
+        elif start_with not in remaining:
+            raise ValueError(f"unknown start relation {start_with!r}")
+        remaining.remove(start_with)
+        order = [start_with]
         while remaining:
             bound = set(order)
             for candidate in remaining:
-                connected = any(
+                if any(
                     {c.left.relation, c.right.relation} <= bound | {candidate}
                     and candidate in (c.left.relation, c.right.relation)
                     for c in self.query.conditions
-                )
-                if connected:
-                    remaining.remove(candidate)
-                    order.append(candidate)
+                ):
                     break
             else:  # disconnected (checked at query build; defensive)
-                order.append(remaining.pop(0))
+                candidate = remaining[0]
+            remaining.remove(candidate)
+            order.append(candidate)
         return order
+
+    def _index_term(self, relation: str) -> Term:
+        return Term(relation, self.query.attributes_of(relation)[0])
+
+    def _plan_steps(self) -> List[_Step]:
+        order = self._binding_order
+        steps = []
+        for k in range(1, len(order)):
+            name, bound = order[k], set(order[: k + 1])
+            conditions = tuple(
+                c
+                for c in self.query.conditions
+                if {c.left.relation, c.right.relation} <= bound
+                and name in (c.left.relation, c.right.relation)
+            )
+            kind, index, probe = (
+                ALL_ROWS, self._index_term(name), self._index_term(order[0])
+            )
+            for cond in conditions[:1] if self._two_way else conditions:
+                mine, other = cond.left, cond.right
+                if mine.relation != name:
+                    mine, other = other, mine
+                if self._two_way:
+                    index = mine
+                elif mine != index:
+                    continue
+                if cond.is_colocation:
+                    kind, probe = INTERSECTING, other
+                    break
+                earlier_is_me = (
+                    cond.predicate.enforces_left_first()
+                    if mine is cond.left
+                    else cond.predicate.enforces_right_first()
+                )
+                kind = ENDING_BEFORE if earlier_is_me else STARTING_AFTER
+                probe = other
+            steps.append(_Step(name, conditions, kind, index, probe))
+        return steps
 
     # ------------------------------------------------------------------
     def join(
         self,
         rows_by_relation: Mapping[str, Sequence[Row]],
-        accept: Optional[Callable[[Mapping[str, Row]], bool]] = None,
+        accept: Optional[Accept] = None,
     ) -> Iterator[Tuple[Row, ...]]:
-        """Enumerate satisfying tuples (in ``query.relations`` order).
+        """Enumerate satisfying tuples (in ``query.relations`` order)."""
+        columns, rows = row_columns(self.query, rows_by_relation)
+        for binding in self.join_columns(columns, accept):
+            yield from take_tuples(rows, binding)
 
-        ``accept`` filters complete bindings; rejected bindings are not
-        yielded (used for reducer-ownership rules).
+    def join_columns(
+        self, columns: Columns, accept: Optional[Accept] = None
+    ) -> Iterator[Binding]:
+        """Enumerate satisfying bindings block by block: each block maps
+        every relation to a column of row indices into its (unrestricted)
+        columns, row ``i`` of all columns being one tuple.
+
+        ``accept`` maps a block to a boolean mask of the bindings to
+        keep (used for reducer-ownership rules).
         """
         if any(
-            not rows_by_relation.get(name) for name in self.query.relations
+            len(columns[self._index_term(name)]) == 0
+            for name in self.query.relations
         ):
             return
+        first = self._binding_order[0]
+        seed = {first: columns[self._index_term(first)].rows()}
+        charged = yield from self._extend(0, seed, columns, accept)
+        if charged:
+            self._count(charged)
 
-        if len(self.query.relations) == 2 and all(
-            c.left.relation != c.right.relation
-            for c in self.query.conditions
-        ):
-            yield from self._join_two_way(rows_by_relation, accept)
-            return
-
-        indexes: Dict[str, _RelationIndex] = {}
-        for name in self.query.relations:
-            attrs = self.query.attributes_of(name)
-            # Index on the first query attribute; further attributes are
-            # verified by predicate evaluation.
-            indexes[name] = _RelationIndex(rows_by_relation[name], attrs[0])
-
-        order = self._binding_order
-        # Conditions checkable once relation order[k] is bound.
-        step_conditions: List[List[JoinCondition]] = []
-        for k, name in enumerate(order):
-            bound = set(order[: k + 1])
-            step_conditions.append(
-                [
-                    c
-                    for c in self.query.conditions
-                    if c.left.relation in bound
-                    and c.right.relation in bound
-                    and name in (c.left.relation, c.right.relation)
-                ]
-            )
-
-        binding: Dict[str, Row] = {}
-
-        def check(cond: JoinCondition) -> bool:
-            self._count(1)
-            return cond.predicate.holds(
-                binding[cond.left.relation].interval(cond.left.attribute),
-                binding[cond.right.relation].interval(cond.right.attribute),
-            )
-
-        def candidates(k: int) -> Iterator[Row]:
-            """Pick the most selective access path for relation order[k]."""
-            name = order[k]
-            index = indexes[name]
-            best: Optional[Iterator[Row]] = None
-            for cond in step_conditions[k]:
-                if cond.left.relation == name:
-                    other_term, my_term, i_am_left = cond.right, cond.left, True
-                else:
-                    other_term, my_term, i_am_left = cond.left, cond.right, False
-                if other_term.relation == name:
-                    continue
-                if my_term.attribute != index.attribute:
-                    continue
-                other_iv = binding[other_term.relation].interval(
-                    other_term.attribute
-                )
-                pred = cond.predicate
-                if pred.is_colocation:
-                    return index.intersecting(other_iv)
-                # Sequence predicate: before/after.
-                earlier_is_me = (
-                    pred.enforces_left_first() if i_am_left
-                    else pred.enforces_right_first()
-                )
-                if earlier_is_me:
-                    best = index.ending_before(other_iv.start)
-                else:
-                    best = index.starting_after(other_iv.end)
-            return best if best is not None else index.scan()
-
-        def extend(k: int) -> Iterator[Tuple[Row, ...]]:
-            if k == len(order):
-                if accept is None or accept(binding):
-                    yield tuple(
-                        binding[name] for name in self.query.relations
-                    )
-                return
-            name = order[k]
-            for row in candidates(k):
-                binding[name] = row
-                if all(check(cond) for cond in step_conditions[k]):
-                    yield from extend(k + 1)
-            binding.pop(name, None)
-
-        yield from extend(0)
-
-    # ------------------------------------------------------------------
-    def _join_two_way(
+    def _extend(
         self,
-        rows_by_relation: Mapping[str, Sequence[Row]],
-        accept: Optional[Callable[[Mapping[str, Row]], bool]],
-    ) -> Iterator[Tuple[Row, ...]]:
-        """2-relation fast path.
+        k: int,
+        binding: Binding,
+        columns: Columns,
+        accept: Optional[Accept],
+    ) -> Generator[Binding, None, int]:
+        """Bind the relations of steps ``k``.. onto a block of partial
+        bindings, depth first; returns the comparisons charged."""
+        if k == len(self._steps):
+            if accept is not None:
+                keep = accept(binding)
+                binding = {name: rows[keep] for name, rows in binding.items()}
+            yield binding
+            return 0
+        charged = 0
+        step = self._steps[k]
+        index = columns[step.index]
+        probe_column = columns[step.probe]
+        probe_rows = binding[step.probe.relation]
+        starts = probe_column.starts[probe_rows]
+        ends = probe_column.ends[probe_rows]
+        sizes = index.window_sizes(step.kind, starts, ends)
+        for lo, hi in _blocks(sizes):
+            probe, row = index.windows(step.kind, starts[lo:hi], ends[lo:hi])
+            if lo:
+                probe = probe + lo
 
-        The first condition is enumerated in batch through the
-        per-predicate sweep kernels
-        (:func:`repro.intervals.sweep.join_pairs`) instead of row-at-a-
-        time index probes; the remaining conditions are verified per
-        produced pair.  Comparisons are charged per pair examined, like
-        the backtracking path charges per candidate."""
-        primary, *rest = self.query.conditions
-        left_rel = primary.left.relation
-        right_rel = primary.right.relation
-        left_items = [
-            (row.interval(primary.left.attribute), row)
-            for row in rows_by_relation[left_rel]
-        ]
-        right_items = [
-            (row.interval(primary.right.attribute), row)
-            for row in rows_by_relation[right_rel]
-        ]
-        names = self.query.relations
-        for (_, lrow), (_, rrow) in join_pairs(
-            left_items, right_items, primary.predicate
-        ):
-            self._count(1)
-            binding = {left_rel: lrow, right_rel: rrow}
-            ok = True
-            for cond in rest:
-                self._count(1)
-                if not cond.predicate.holds(
-                    binding[cond.left.relation].interval(cond.left.attribute),
-                    binding[cond.right.relation].interval(cond.right.attribute),
-                ):
-                    ok = False
-                    break
-            if ok and (accept is None or accept(binding)):
-                yield tuple(binding[name] for name in names)
+            def endpoints(term: Term):
+                column = columns[term]
+                rows = (
+                    row
+                    if term.relation == step.relation
+                    else binding[term.relation][probe]
+                )
+                return column.starts[rows], column.ends[rows]
+
+            for position, cond in enumerate(step.conditions):
+                mask = cond.predicate.holds_columns(
+                    *endpoints(cond.left), *endpoints(cond.right)
+                )
+                if self._two_way and position == 0:
+                    charged += int(np.count_nonzero(mask))
+                else:
+                    charged += len(mask)
+                probe, row = probe[mask], row[mask]
+            if len(row):
+                extended = {name: rows[probe] for name, rows in binding.items()}
+                extended[step.relation] = row
+                charged += yield from self._extend(
+                    k + 1, extended, columns, accept
+                )
+        return charged
+
+
+def _blocks(sizes: np.ndarray) -> Iterator[Tuple[int, int]]:
+    """Cut consecutive partial bindings into ``[lo, hi)`` blocks whose
+    candidate windows total at most :data:`MAX_CANDIDATE_PAIRS`."""
+    running = np.cumsum(sizes)
+    lo = 0
+    while lo < len(sizes):
+        before = int(running[lo - 1]) if lo else 0
+        hi = int(
+            np.searchsorted(running, before + MAX_CANDIDATE_PAIRS, "right")
+        )
+        hi = max(hi, lo + 1)
+        yield lo, hi
+        lo = hi
+
+
+def anchored_join(
+    query: IntervalJoinQuery,
+    count_comparisons: Callable[[int], None],
+    columns: Columns,
+    anchors: Sequence[Term],
+    partitioning: Partitioning,
+    coordinate: int,
+    accept: Optional[Accept] = None,
+) -> Iterator[Binding]:
+    """The join decomposed by its *last local member*.
+
+    A row of an anchor term is *local* when its interval starts in
+    partition ``coordinate`` of ``partitioning`` (located once per
+    call).  A reducer that owns exactly the tuples with at least one
+    local member gets each of them from exactly one run: run ``k``
+    drives the join from anchor ``k``'s local rows, allows any row for
+    the anchors before it and only non-local rows for those after it.
+    Combinations of purely non-local rows — owned elsewhere — are never
+    enumerated, so the work stays proportional to the reducer's own
+    output.  All runs share ``columns``' sort orders.
+    """
+    local = [
+        partitioning.locate_array(columns[term].starts) == coordinate
+        for term in anchors
+    ]
+    for k, term in enumerate(anchors):
+        masks = {term.relation: local[k]}
+        for later, later_local in zip(anchors[k + 1:], local[k + 1:]):
+            masks[later.relation] = ~later_local
+        run = {
+            t: c.restrict(masks[t.relation]) if t.relation in masks else c
+            for t, c in columns.items()
+        }
+        joiner = LocalJoiner(query, count_comparisons, start_with=term.relation)
+        yield from joiner.join_columns(run, accept)

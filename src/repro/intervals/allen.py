@@ -38,6 +38,8 @@ import enum
 from dataclasses import dataclass
 from typing import Callable, Dict, FrozenSet, Iterable, List, Tuple, Union
 
+import numpy as np
+
 from repro.errors import UnknownPredicateError
 from repro.intervals.interval import Interval
 
@@ -98,6 +100,10 @@ class AllenPredicate:
         Allen's traditional one/two-letter symbol (``"o"``, ``"<"``, ...).
     holds:
         The truth function over a pair of :class:`Interval` values.
+    holds_columns:
+        The same truth function over endpoint columns ``(u_starts, u_ends,
+        v_starts, v_ends)`` — equal-length numpy arrays, float64 or
+        ``object`` — returning a boolean mask.
     inverse_name:
         Name of the converse relation: ``P(a, b)`` iff ``inverse(b, a)``.
     is_sequence:
@@ -113,6 +119,7 @@ class AllenPredicate:
     name: str
     symbol: str
     holds: Callable[[Interval, Interval], bool]
+    holds_columns: Callable[..., np.ndarray]
     inverse_name: str
     is_sequence: bool
     orders: FrozenSet[Order]
@@ -140,6 +147,10 @@ class AllenPredicate:
 
     def __call__(self, left: Interval, right: Interval) -> bool:
         return self.holds(left, right)
+
+    def __reduce__(self):
+        # The thirteen relations are registry singletons; travel by name.
+        return (get_predicate, (self.name,))
 
     def __str__(self) -> str:  # pragma: no cover - cosmetic
         return self.name
@@ -205,6 +216,20 @@ def _equals(u: Interval, v: Interval) -> bool:
     return u.start == v.start and u.end == v.end
 
 
+# The same truth functions over endpoint columns (``us``/``ue``: the left
+# operand's start/end arrays, ``vs``/``ve``: the right's); an inverse
+# relation evaluates its converse's with the operands swapped.
+_COLUMN_FNS = {
+    "before": lambda us, ue, vs, ve: ue < vs,
+    "meets": lambda us, ue, vs, ve: (ue == vs) & (us < vs) & (vs < ve),
+    "overlaps": lambda us, ue, vs, ve: (us < vs) & (vs < ue) & (ue < ve),
+    "starts": lambda us, ue, vs, ve: (us == vs) & (ue < ve),
+    "during": lambda us, ue, vs, ve: (vs < us) & (ue < ve),
+    "finishes": lambda us, ue, vs, ve: (ue == ve) & (vs < us),
+    "equals": lambda us, ue, vs, ve: (us == vs) & (ue == ve),
+}
+
+
 # ----------------------------------------------------------------------
 # Registry
 # ----------------------------------------------------------------------
@@ -227,10 +252,15 @@ def _predicate(
     orders: FrozenSet[Order],
     ops: Tuple[MapOperator, MapOperator],
 ) -> AllenPredicate:
+    columns_fn = _COLUMN_FNS.get(name)
+    if columns_fn is None:
+        converse = _COLUMN_FNS[inverse]
+        columns_fn = lambda us, ue, vs, ve: converse(vs, ve, us, ue)
     return AllenPredicate(
         name=name,
         symbol=symbol,
         holds=fn,
+        holds_columns=columns_fn,
         inverse_name=inverse,
         is_sequence=sequence,
         orders=orders,

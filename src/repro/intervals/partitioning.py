@@ -18,6 +18,7 @@ Two construction strategies are provided:
 from __future__ import annotations
 
 import bisect
+import functools
 import math
 from dataclasses import dataclass
 from typing import List, Sequence, Tuple
@@ -151,17 +152,29 @@ class Partitioning:
         index = bisect.bisect_right(self.boundaries, t) - 1
         return min(index, len(self) - 1)
 
-    def locate_array(self, points: np.ndarray) -> np.ndarray:
-        """Vectorised :meth:`locate` over a float64 column.
+    def __getstate__(self):
+        # The cached boundary array below is not part of the value.
+        return {"boundaries": self.boundaries}
 
-        One ``searchsorted`` replaces the per-point bisect on the
-        columnar data plane; results are element-wise identical to
-        :meth:`locate` (``side="right"`` matches ``bisect_right`` and the
-        clip reproduces both clamps).  Each boundary is taken as the
-        smallest float64 at or above it, which decides ``boundary <=
-        point`` exactly for every float64 point even when the boundary
-        itself — an integer beyond 2**53, say — is not a float64."""
-        bounds = np.array([_float_at_or_above(b) for b in self.boundaries])
+    @functools.cached_property
+    def _float_bounds(self) -> np.ndarray:
+        """Each boundary as the smallest float64 at or above it, which
+        decides ``boundary <= point`` exactly for every float64 point
+        even when the boundary itself — an integer beyond 2**53, say —
+        is not a float64."""
+        return np.array([_float_at_or_above(b) for b in self.boundaries])
+
+    def locate_array(self, points: np.ndarray) -> np.ndarray:
+        """Vectorised :meth:`locate` over a float64 column, or over an
+        ``object`` column of exact Python numbers.
+
+        One ``searchsorted`` replaces the per-point bisect; results are
+        element-wise identical to :meth:`locate` (``side="right"``
+        matches ``bisect_right`` and the clip reproduces both clamps).
+        ``object`` points compare with the boundaries themselves."""
+        bounds = self._float_bounds
+        if points.dtype == object:
+            bounds = np.array(self.boundaries, dtype=object)
         index = np.searchsorted(bounds, points, side="right") - 1
         return np.clip(index, 0, len(self) - 1).astype(np.int64)
 

@@ -1,32 +1,25 @@
-"""Plane-sweep primitives and per-predicate kernels for 2-way interval joins.
+"""Sweep kernels for 2-way interval joins, over arrays and over items.
 
-Every reducer-local join eventually enumerates interval pairs satisfying a
-single Allen predicate.  Historically this module offered one generic
-path — filter the intersection sweep by ``predicate.holds`` — which pays
-for every intersecting pair even when the predicate is far more
-selective (``meets`` touches only pairs sharing one endpoint; ``equals``
-only identical intervals).  Following the endpoint-index designs of
-Piatov et al. (cache-efficient sweeping for extended Allen predicates),
-each predicate now has a dedicated *kernel* in a registry:
+* :class:`SortedColumns` — the array kernel behind the reducer-local
+  join (:mod:`repro.core.local`): one interval column sorted by start
+  and by end, whose :meth:`~SortedColumns.windows` derives each probe
+  interval's candidate rows as contiguous ``searchsorted`` windows
+  expanded by run length — sorted endpoint columns and gapless windows
+  after Piatov et al. (cache-efficient sweeping for extended Allen
+  predicates), with no per-pair Python.
+* :func:`join_pairs` — the item-at-a-time kernels (the cascade's step
+  reducers, the crossing-set finder): it dispatches through
+  :data:`KERNELS`, one output-sensitive kernel per Allen predicate —
+  endpoint hash-groups for the ``equals``/``starts``/``finishes``
+  families, a sorted-start bisect for ``meets``/``overlaps``, a
+  dual-sorted prefix/suffix scan for ``during``/``contains``,
+  :func:`before_pairs` for the sequence predicates; inverses reuse their
+  converse's kernel with the sides swapped, and a predicate without a
+  kernel filters :func:`intersecting_pairs`.  Payloads travel with the
+  intervals so callers can join arbitrary records.
 
-* :func:`intersecting_pairs` — the classical endpoint sweep producing every
-  pair of intervals (one from each side) sharing at least one point, in
-  ``O(n log n + k)``.  Still the fallback for predicates with no kernel.
-* :func:`before_pairs` — output-sensitive enumeration for the sequence
-  predicate ``before`` (``after`` swaps sides), using a sorted prefix scan.
-* :data:`KERNELS` — one output-sensitive kernel per Allen predicate:
-  endpoint hash-groups for ``equals``/``starts``/``finishes`` families,
-  a sorted-start bisect for ``meets``/``overlaps`` families, and a
-  dual-sorted prefix/suffix scan for ``during``/``contains``.  Inverse
-  predicates reuse their converse's kernel with the sides swapped.
-
-:func:`join_pairs` dispatches through the registry; callers never need to
-know which kernel ran.  All kernels enumerate exactly the pairs the
-predicate's truth function accepts (property-tested against the
-brute-force nested loop), so routing a join through :func:`join_pairs`
-is always behaviour-preserving.
-
-Payloads travel with the intervals so callers can join arbitrary records.
+Every kernel enumerates exactly the pairs the predicate's truth function
+accepts (property-tested against the brute-force nested loop).
 """
 
 from __future__ import annotations
@@ -45,10 +38,18 @@ from typing import (
     Union,
 )
 
+import numpy as np
+
+from repro.columnar.batch import ranged_targets
 from repro.intervals.allen import AllenPredicate, get_predicate
 from repro.intervals.interval import Interval
 
 __all__ = [
+    "SortedColumns",
+    "INTERSECTING",
+    "ENDING_BEFORE",
+    "STARTING_AFTER",
+    "ALL_ROWS",
     "intersecting_pairs",
     "before_pairs",
     "column_items",
@@ -75,6 +76,105 @@ def column_items(starts, ends, payloads) -> List[Tuple[Interval, int]]:
             starts.tolist(), ends.tolist(), payloads.tolist()
         )
     ]
+
+#: The candidate sets :meth:`SortedColumns.windows` derives for a probe
+#: interval ``[s, e]``: rows sharing a point with it, rows ending
+#: strictly before ``s``, rows starting strictly after ``e``, every row.
+INTERSECTING, ENDING_BEFORE, STARTING_AFTER, ALL_ROWS = range(4)
+
+
+class SortedColumns:
+    """One interval column — ``starts``/``ends`` in row order, float64 or
+    ``object`` for endpoints float64 cannot hold exactly — with its
+    by-start and by-end orders, computed on first use.  :meth:`restrict`
+    narrows the candidate rows without sorting again (the full orders
+    are shared and filtered); row indices stay the unrestricted column's.
+    """
+
+    def __init__(self, starts, ends, active=None, _full_orders=None) -> None:
+        self.starts = starts
+        self.ends = ends
+        #: boolean row mask of the candidate rows; ``None`` = every row.
+        self.active = active
+        self._full_orders = {} if _full_orders is None else _full_orders
+        self._sorted: Dict[int, Tuple[np.ndarray, np.ndarray]] = {}
+
+    def __len__(self) -> int:
+        if self.active is None:
+            return len(self.starts)
+        return int(np.count_nonzero(self.active))
+
+    def rows(self) -> np.ndarray:
+        """The candidate rows' indices, ascending."""
+        if self.active is None:
+            return np.arange(len(self.starts))
+        return np.flatnonzero(self.active)
+
+    def restrict(self, mask: np.ndarray) -> "SortedColumns":
+        """The same column with only the rows under ``mask`` as candidates."""
+        if self.active is not None:
+            mask = mask & self.active
+        return SortedColumns(self.starts, self.ends, mask, self._full_orders)
+
+    def _by(self, side: int) -> Tuple[np.ndarray, np.ndarray]:
+        """``(row order, sorted keys)`` of the candidate rows by start
+        (``side`` 0) or by end (1)."""
+        hit = self._sorted.get(side)
+        if hit is None:
+            column = self.ends if side else self.starts
+            order = self._full_orders.get(side)
+            if order is None:
+                order = np.argsort(column, kind="stable")
+                self._full_orders[side] = order
+            if self.active is not None:
+                order = order[self.active[order]]
+            hit = self._sorted[side] = (order, column[order])
+        return hit
+
+    def window_sizes(self, kind: int, starts, ends) -> np.ndarray:
+        """How many candidate rows each probe ``[starts[i], ends[i]]``
+        has under ``kind`` — what :meth:`windows` would expand."""
+        if kind == ALL_ROWS:
+            return np.full(len(starts), len(self), dtype=np.int64)
+        if kind == STARTING_AFTER:
+            return len(self) - np.searchsorted(self._by(0)[1], ends, "right")
+        ending_before = np.searchsorted(self._by(1)[1], starts, "left")
+        if kind == ENDING_BEFORE:
+            return ending_before
+        # Rows starting at or before the probe's end, less those already
+        # over before its start (a subset: start <= end on both sides).
+        return np.searchsorted(self._by(0)[1], ends, "right") - ending_before
+
+    def windows(self, kind: int, starts, ends) -> Tuple[np.ndarray, np.ndarray]:
+        """``(probe index, row index)`` for every candidate row of every
+        probe, in no particular order."""
+        if kind != INTERSECTING:
+            # A prefix of the by-end order, or a suffix of the by-start one.
+            ending = kind == ENDING_BEFORE
+            order, _ = self._by(1 if ending else 0)
+            sizes = self.window_sizes(kind, starts, ends)
+            lo = np.zeros_like(sizes) if ending else len(order) - sizes
+            position, probe = ranged_targets(lo, lo + sizes - 1)
+            return probe, order[position]
+        order, keys = self._by(0)
+        # Closed intersection = rows starting inside the probe, plus the
+        # probes whose start falls in (row.start, row.end]: two disjoint
+        # families of contiguous windows.
+        position, probe = ranged_targets(
+            np.searchsorted(keys, starts, "left"),
+            np.searchsorted(keys, ends, "right") - 1,
+        )
+        by_start = np.argsort(starts, kind="stable")
+        probe_keys = starts[by_start]
+        probe_position, row = ranged_targets(
+            np.searchsorted(probe_keys, keys, "right"),
+            np.searchsorted(probe_keys, self.ends[order], "right") - 1,
+        )
+        return (
+            np.concatenate([probe, by_start[probe_position]]),
+            np.concatenate([order[position], order[row]]),
+        )
+
 
 L = TypeVar("L")
 R = TypeVar("R")

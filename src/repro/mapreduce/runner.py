@@ -775,8 +775,7 @@ class _ShmReduceTasks(_ReduceTasks):
         )
 
     def received(self, result: Any) -> Any:
-        reducer = self.run.conf.reducer
-        return [reducer.materialize_output(out, self.store) for out in result]
+        return self.run.conf.reducer.materialize_outputs(result, self.store)
 
     def close(self) -> None:
         for _, shm in self.packed:

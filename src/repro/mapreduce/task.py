@@ -42,10 +42,12 @@ Reducer side::
     def columnar_ready(self) -> bool
     def columnar_outputs(self, key, values, counters)
                                       # values is a ColumnValues group;
-                                      # yields compact gid-shaped outputs
-    def materialize_output(self, out, store) -> Any
+                                      # the compact gid-shaped outputs:
+                                      # a list, or an int64 array with
+                                      # one row per output
+    def materialize_outputs(self, outs, store) -> list
                                       # rebuild the records-plane output
-                                      # record from one gid-shaped output
+                                      # records from a batch of them
 
 The contract is bit-parity: for every input, the columnar path must
 produce the same outputs, the same counters and the same logical loads
@@ -55,7 +57,7 @@ as the records path (``tests/integration/test_columnar_parity.py``).
 from __future__ import annotations
 
 import abc
-from typing import Any, Hashable, List
+from typing import Any, Hashable, Iterable, List
 
 from repro.mapreduce.counters import Counters
 
@@ -110,6 +112,10 @@ class ReduceContext:
     def emit(self, record: Any) -> None:
         """Emit one output record."""
         self._sink.append(record)
+
+    def emit_many(self, records: Iterable[Any]) -> None:
+        """Emit a batch of output records."""
+        self._sink.extend(records)
 
     def progress(self) -> None:
         """Report liveness mid-group (see :meth:`MapContext.progress`)."""

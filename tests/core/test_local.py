@@ -1,6 +1,7 @@
 """Unit tests for the reducer-local join evaluator."""
 
 
+import numpy as np
 import pytest
 
 from tests.conftest import make_dataset
@@ -54,19 +55,25 @@ class TestLocalJoiner:
         query = IntervalJoinQuery.parse([("R1", "overlaps", "R2")])
         joiner = LocalJoiner(query)
         all_tuples = list(joiner.join({n: data[n].rows for n in data}))
+        # ``accept`` is a mask over a block of bindings: one column of
+        # row indices per relation in, one boolean per binding out.
         none = list(
             joiner.join(
-                {n: data[n].rows for n in data}, accept=lambda b: False
+                {n: data[n].rows for n in data},
+                accept=lambda b: np.zeros(len(b["R1"]), dtype=bool),
             )
         )
         assert none == []
         half = list(
             joiner.join(
                 {n: data[n].rows for n in data},
-                accept=lambda b: b["R1"].rid % 2 == 0,
+                accept=lambda b: b["R1"] % 2 == 0,
             )
         )
-        assert 0 < len(half) < len(all_tuples) or not all_tuples
+        assert sorted(half, key=repr) == sorted(
+            (t for t in all_tuples if t[0].rid % 2 == 0), key=repr
+        )
+        assert 0 < len(half) < len(all_tuples)
 
     def test_empty_relation_short_circuits(self):
         query = IntervalJoinQuery.parse([("R1", "overlaps", "R2")])

@@ -366,7 +366,7 @@ def test_a_combiner_job_runs_on_records():
 
 
 def test_a_multi_attribute_reducer_runs_on_records():
-    """Columnar row proxies carry one routing interval per row, so a
+    """A columnar group carries one routing interval per value, so a
     ``JoinReducer`` whose query reads two attributes of a relation
     reports itself not ready."""
     rng = random.Random(5)
@@ -495,3 +495,46 @@ def test_mixed_int_and_float_endpoints_stay_columnar(algorithm, executor):
     assert_matches_reference(query, data, result)
     assert len(result) == 3
     assert recorder.job_results[-1].data_plane == "columnar"
+
+
+def _beyond_float64_dataset(names, seed):
+    """Integer endpoints ``BIG + k``: every odd one is not a float64, so
+    float64 columns would merge neighbouring endpoints."""
+    rng = random.Random(seed)
+    data = {}
+    for name in names:
+        starts = [BIG + rng.randint(0, 40) for _ in range(25)]
+        data[name] = Relation.of_intervals(
+            name, [Interval(s, s + rng.randint(0, 6)) for s in starts]
+        )
+    return data
+
+
+@pytest.mark.parametrize(
+    "algorithm, conditions",
+    [
+        ("rccis", [("R1", "overlaps", "R2"), ("R2", "overlaps", "R3")]),
+        ("pasm", [("R1", "overlaps", "R2"), ("R2", "before", "R3")]),
+        ("all_matrix", [("R1", "before", "R2"), ("R2", "before", "R3")]),
+    ],
+)
+def test_whole_queries_are_exact_beyond_float64(algorithm, conditions):
+    """The reducer-local join runs over ``object`` columns when an
+    endpoint is not a float64 — the only path for the grid reducers,
+    which have no columnar plane and so no records escape to take."""
+    query = IntervalJoinQuery.parse(conditions)
+    data = _beyond_float64_dataset(query.relations, seed=53)
+    result = execute(query, data, algorithm=algorithm, num_partitions=3)
+    assert_matches_reference(query, data, result)
+    assert len(result) > 0
+    rounded = {
+        name: Relation.of_intervals(
+            name,
+            [Interval(float(iv.start), float(iv.end))
+             for iv in relation.intervals()],
+        )
+        for name, relation in data.items()
+    }
+    assert (
+        reference_join(query, rounded).tuple_ids() != result.tuple_ids()
+    ), "the data does not tell exact endpoints from float64 ones"

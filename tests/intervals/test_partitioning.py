@@ -3,6 +3,9 @@
 Includes the paper's Figure 2 worked example.
 """
 
+import pickle
+
+import numpy as np
 import pytest
 
 from repro.errors import InvalidPartitioningError
@@ -64,6 +67,28 @@ class TestLocate:
         assert parts.locate(-5) == 0
         assert parts.locate(100) == 3
         assert parts.locate(1000) == 3
+
+
+class TestLocateArray:
+    def test_object_points_locate_exactly(self):
+        """Boundaries and points that are not float64 values: an
+        ``object`` column compares the Python numbers themselves."""
+        base = 2**53
+        parts = Partitioning((0, base + 1, base + 3, base + 7, 2**54))
+        points = [-1, 0, 0.5, base, base + 1, base + 2, float(base + 2),
+                  base + 3, base + 6, base + 7, 2**54, 2**60]
+        located = parts.locate_array(np.array(points, dtype=object))
+        assert located.dtype == np.int64
+        assert located.tolist() == [parts.locate(p) for p in points]
+
+    def test_boundary_arrays_are_built_once_and_not_pickled(self):
+        parts = Partitioning.uniform(0, 100, 4)
+        parts.locate_array(np.array([1.0]))
+        parts.locate_array(np.array([1], dtype=object))
+        assert parts._float_bounds is parts._float_bounds
+        clone = pickle.loads(pickle.dumps(parts))
+        assert clone == parts and hash(clone) == hash(parts)
+        assert vars(clone) == {"boundaries": parts.boundaries}
 
 
 class TestFigure2Example:
