@@ -35,6 +35,7 @@ from repro.mapreduce.fs import FileSystem, InMemoryFileSystem
 from repro.mapreduce.job import JobConf
 from repro.mapreduce.options import RunOptions
 from repro.mapreduce.pipeline import Pipeline
+from repro.obs.profile import collector_paused
 from repro.obs.recorder import TraceRecorder
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -293,17 +294,22 @@ class JoinAlgorithm(abc.ABC):
             ``None`` resolves from the ``REPRO_*`` environment, then the
             defaults.  No option changes tuples, outputs or counters
             (modulo the ``faults`` group).
+
+        The cyclic collector is paused for the run: its pairs and tuples
+        are acyclic, and each full collection re-walks all of them (60 %
+        of the wall on a 547 k-tuple result; see ``docs/api.md``).
         """
         pipeline = Pipeline(
             fs if fs is not None else InMemoryFileSystem(),
             observer=observer, cost_model=cost_model, options=options,
         )
-        return self.run_plan(
-            PlanContext(
-                query, data, num_partitions, pipeline, cost_model,
-                partitioning, partition_strategy,
+        with collector_paused():
+            return self.run_plan(
+                PlanContext(
+                    query, data, num_partitions, pipeline, cost_model,
+                    partitioning, partition_strategy,
+                )
             )
-        )
 
     @abc.abstractmethod
     def plan(self, ctx: PlanContext) -> Plan:

@@ -118,9 +118,9 @@ def collector_paused() -> Iterator[None]:
     """Keep the cyclic collector from starting inside the block.
 
     For short calls into C-level state that is not safe against the
-    Python code a collection runs (``gc.callbacks``, finalisers).  A
-    pause ending on another thread can cut this one short, never leave
-    the collector off.
+    Python code a collection runs (``gc.callbacks``, finalisers), and
+    for a whole ``JoinAlgorithm.run``.  Pauses nest; one ending on
+    another thread can cut this one short, never leave the collector off.
     """
     collecting = gc.isenabled()
     gc.disable()

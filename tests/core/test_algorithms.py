@@ -355,3 +355,51 @@ class TestPartitioningHelpers:
         data = {"R1": Relation("R1", []), "R2": Relation("R2", [])}
         parts = build_partitioning(q, data, 4)
         assert len(parts) == 4
+
+
+class TestRunPausesTheCollector:
+    """A run's records and tuples are acyclic and every full collection
+    walks all of them again, so ``run`` keeps the cyclic collector off
+    and leaves it as it found it."""
+
+    @staticmethod
+    def _spy(seen):
+        import gc
+
+        class Spy(FCTS):  # runs its components through sub-plans
+            def run_plan(self, ctx, collect=True):
+                seen.append(gc.isenabled())
+                return super().run_plan(ctx, collect)
+
+        return Spy()
+
+    def test_off_inside_the_run_and_back_on_after(self):
+        import gc
+
+        seen = []
+        data = make_dataset(["R1", "R2", "R3"], 20, seed=26)
+        assert gc.isenabled()
+        result = self._spy(seen).run(Q_HYBRID, data, num_partitions=4)
+        assert seen == [False]
+        assert gc.isenabled()
+        assert_matches_reference(Q_HYBRID, data, result)
+
+    def test_back_on_after_a_failed_run(self):
+        import gc
+
+        data = make_dataset(["R1", "R2", "R3"], 5)
+        with pytest.raises(PlanningError):
+            RCCIS().run(Q_SEQUENCE, data, num_partitions=4)
+        assert gc.isenabled()
+
+    def test_a_collector_found_off_stays_off(self):
+        import gc
+
+        seen = []
+        data = make_dataset(["R1", "R2", "R3"], 20, seed=26)
+        gc.disable()
+        try:
+            self._spy(seen).run(Q_HYBRID, data, num_partitions=4)
+            assert seen == [False] and not gc.isenabled()
+        finally:
+            gc.enable()
