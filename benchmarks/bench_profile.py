@@ -2,8 +2,8 @@
 
 The profiler's contract is that its default level is cheap enough to
 leave on: a sampling stack walker (4 ms period), RSS/allocated-blocks
-watermarks, ``gc.callbacks`` pause timing and serialization-boundary
-counters, but *no* tracemalloc (the ``full`` level's tracemalloc
+watermarks and serialization-boundary timing, annotated on the spans it
+watches, but *no* tracemalloc (the ``full`` level's tracemalloc
 watermarks cost several hundred percent and are opt-in only).  This
 benchmark pins that contract:
 
@@ -19,8 +19,8 @@ benchmark pins that contract:
   pickle bytes — its serialization boundary is real).
 
 The workload is sized so the run takes hundreds of milliseconds: the
-profiler has a few milliseconds of fixed start/stop cost (sampler
-thread, gc hooks) that would swamp a micro-run but is irrelevant at any
+profiler has a few milliseconds of fixed start/stop cost (the sampler
+thread) that would swamp a micro-run but is irrelevant at any
 scale worth profiling.  Writes ``BENCH_profile.json`` with the measured
 overhead fraction.
 """

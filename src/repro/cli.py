@@ -34,16 +34,17 @@ Commands
     mappers instead when relations are bound).
 ``profile``
     Execute a query under the data-plane profiler and print the
-    CPU/memory/GC/serialization rundown; ``--flame`` writes a
+    CPU/memory/serialization rundown; ``--flame`` writes a
     self-contained SVG flame graph, ``--collapsed`` the
     flamegraph.pl-format stack text, ``--html`` the dashboard with the
     Data plane panel.  ``repro run --profile`` profiles a normal run.
 ``report``
-    Rebuild the HTML dashboard and the predicted-vs-observed plan
-    reconciliation from a saved JSONL span trace (plus an optional
-    ``--metrics`` JSON snapshot) after the run is gone.  Degrades
+    Rebuild the HTML dashboard, the predicted-vs-observed plan
+    reconciliation and (``--profile``) the data-plane rundown from a
+    saved JSONL span trace alone, after the run is gone.  Degrades
     gracefully on traces from older versions: unknown lines are
-    warnings, missing plan/metrics spans just skip their sections.
+    warnings, missing plan spans just skip their sections, and metric
+    families whose span attributes the trace predates are named.
 ``histogram``
     The exact Allen-relationship histogram between two relations.
 
@@ -196,9 +197,8 @@ def build_parser() -> argparse.ArgumentParser:
                      help="write a self-contained HTML run dashboard")
     run.add_argument("--profile", action="store_true", default=None,
                      help="run under the data-plane profiler: sampled "
-                     "CPU stacks, per-phase memory/GC watermarks, pickle/"
-                     "repr-sort/staged-bytes accounting "
-                     "(default: $REPRO_PROFILE, then off)")
+                     "CPU stacks, per-phase memory watermarks, pickle "
+                     "accounting (default: $REPRO_PROFILE, then off)")
     run.add_argument("--profile-full", action="store_true", default=None,
                      help="like --profile plus tracemalloc traced-byte "
                      "watermarks (exact but well over the 10%% overhead "
@@ -285,7 +285,7 @@ def build_parser() -> argparse.ArgumentParser:
     profile = sub.add_parser(
         "profile",
         help="execute a query under the data-plane profiler and report "
-        "CPU/memory/GC/serialization costs",
+        "CPU/memory/serialization costs",
     )
     profile.add_argument(
         "--relation", action="append", required=True, metavar="NAME=FILE",
@@ -333,17 +333,13 @@ def build_parser() -> argparse.ArgumentParser:
     )
     report.add_argument("trace", help="JSONL span trace (repro run "
                         "--trace T.jsonl --trace-format jsonl)")
-    report.add_argument("--metrics", default=None, metavar="JSON",
-                        help="metrics snapshot from --metrics-out, folded "
-                        "into the dashboard tables")
     report.add_argument("--html", default=None, metavar="PATH",
                         help="write the self-contained HTML dashboard here")
     report.add_argument("--title", default=None,
                         help="dashboard title (default: the trace path)")
     report.add_argument("--profile", action="store_true",
-                        help="print the data-plane profile summary from "
-                        "the metrics snapshot (needs --metrics from a "
-                        "profiled run)")
+                        help="print the data-plane profile summary (of a "
+                        "trace recorded by a profiled run)")
 
     hist = sub.add_parser(
         "histogram", help="Allen-relationship histogram of two relations"
@@ -477,35 +473,45 @@ def _cmd_run(args: argparse.Namespace) -> int:
         live_config = resolve_live(True)
     else:
         live_config = resolve_live(None)  # $REPRO_LIVE decides
-    observer = None
-    if (
-        args.explain
-        or args.trace
-        or args.history
-        or args.report
-        or args.metrics
-        or args.metrics_out
-        or args.html
-        or profile_level
-        or live_config
-    ):
-        from repro.obs import TraceRecorder, open_sink
-
-        sinks = [open_sink(args.trace, args.trace_format)] if args.trace else []
-        observer = TraceRecorder(
-            *sinks,
-            profile=profile_level if profile_level else False,
-            live=live_config if live_config is not None else False,
-        )
-    status_server = None
-    progress = None
-    if observer is not None and observer.live is not None:
+    observer = status_server = progress = None
+    try:
         if args.serve_status is not None:
             from repro.obs import StatusServer
 
-            status_server = StatusServer(
-                observer, port=args.serve_status, title=f"repro run: {query}"
-            ).start()
+            # Bind first: a taken port has to end the run before a
+            # watchdog or sampler thread starts or a trace file opens.
+            try:
+                status_server = StatusServer(
+                    port=args.serve_status, title=f"repro run: {query}"
+                )
+            except OSError as exc:
+                raise ReproError(
+                    f"cannot serve status on port {args.serve_status}: {exc}"
+                ) from exc
+        if (
+            args.explain
+            or args.trace
+            or args.history
+            or args.report
+            or args.metrics
+            or args.metrics_out
+            or args.html
+            or profile_level
+            or live_config
+        ):
+            from repro.obs import TraceRecorder, open_sink
+
+            sinks = (
+                [open_sink(args.trace, args.trace_format)] if args.trace else []
+            )
+            observer = TraceRecorder(
+                *sinks,
+                profile=profile_level if profile_level else False,
+                live=live_config if live_config is not None else False,
+            )
+        if status_server is not None:
+            status_server.recorder = observer
+            status_server.start()
             print(
                 f"status:     serving {status_server.url} "
                 "(/metrics, /progress, / dashboard)",
@@ -516,7 +522,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
             from repro.obs import ProgressPrinter
 
             progress = ProgressPrinter(observer.live).start()
-    try:
         result = execute(
             query,
             data,
@@ -591,8 +596,10 @@ def _cmd_run(args: argparse.Namespace) -> int:
     if args.metrics:
         print(observer.metrics.summary())
     if observer is not None and observer.profiler is not None:
+        from repro.obs import data_plane_summary
+
         print()
-        print(observer.profiler.summary())
+        print(data_plane_summary(observer.spans, observer.metrics))
         _write_profile_artifacts(observer.profiler, args, str(query))
     if args.metrics_out:
         with open(args.metrics_out, "w", encoding="utf-8") as handle:
@@ -629,7 +636,11 @@ def _write_profile_artifacts(profiler, args: argparse.Namespace, query: str) -> 
 
 def _cmd_profile(args: argparse.Namespace) -> int:
     from repro.mapreduce.options import resolve_options
-    from repro.obs import TraceRecorder, dashboard_from_recorder
+    from repro.obs import (
+        TraceRecorder,
+        dashboard_from_recorder,
+        data_plane_summary,
+    )
 
     data = _load_bindings(args.relation)
     query = IntervalJoinQuery.parse(
@@ -653,7 +664,7 @@ def _cmd_profile(args: argparse.Namespace) -> int:
     print(f"executor:   {options.executor} ({options.workers} workers)")
     print(f"tuples:     {len(result)}")
     print()
-    print(observer.profiler.summary())
+    print(data_plane_summary(observer.spans, observer.metrics))
     _write_profile_artifacts(observer.profiler, args, str(query))
     if args.metrics_out:
         with open(args.metrics_out, "w", encoding="utf-8") as handle:
@@ -675,6 +686,8 @@ def _cmd_profile(args: argparse.Namespace) -> int:
 
 def _cmd_report(args: argparse.Namespace) -> int:
     from repro.obs import (
+        data_plane_summary,
+        fold_spans,
         load_spans_jsonl_tolerant,
         reconciliation_from_spans,
         render_dashboard,
@@ -684,17 +697,6 @@ def _cmd_report(args: argparse.Namespace) -> int:
     spans, warnings = load_spans_jsonl_tolerant(args.trace)
     for warning in warnings:
         print(f"warning: {warning}", file=sys.stderr)
-    metrics = None
-    if args.metrics:
-        try:
-            with open(args.metrics, "r", encoding="utf-8") as handle:
-                metrics = json.load(handle)
-        except (OSError, json.JSONDecodeError) as exc:
-            print(
-                f"warning: metrics snapshot {args.metrics!r} unusable "
-                f"({exc}); rendering without it",
-                file=sys.stderr,
-            )
     title = args.title or f"repro trace: {args.trace}"
     jobs = [span for span in spans if span.kind == "job"]
     print(f"trace:      {args.trace}")
@@ -702,8 +704,9 @@ def _cmd_report(args: argparse.Namespace) -> int:
     for span in jobs:
         name = span.attributes.get("job", span.name)
         print(f"data plane: {name}: {job_plane(span)}")
-    # Older traces (or partial ones) may predate plan/reconciliation or
-    # metrics spans — report what exists instead of failing.
+    # Older traces (or partial ones) may predate plan/reconciliation
+    # spans or the attributes a metric family is folded from — report
+    # what exists instead of failing.
     try:
         reconciliations = reconciliation_from_spans(spans)
     except Exception as exc:
@@ -718,17 +721,16 @@ def _cmd_report(args: argparse.Namespace) -> int:
             print(reconciliation.render())
     else:
         print("plan:       no plan spans in trace; reconciliation skipped")
-    if getattr(args, "profile", False):
-        from repro.obs import MetricsRegistry, data_plane_summary
-
+    metrics, skipped = fold_spans(spans)
+    if skipped:
+        print(
+            "metrics:    trace predates the span attributes of "
+            + ", ".join(skipped)
+            + "; skipped"
+        )
+    if args.profile:
         print()
-        if metrics is None:
-            print(
-                "data-plane profile: no metrics snapshot (pass --metrics "
-                "with the JSON written by a profiled run's --metrics-out)"
-            )
-        else:
-            print(data_plane_summary(MetricsRegistry.from_dict(metrics)))
+        print(data_plane_summary(spans, metrics))
     if args.html:
         try:
             page = render_dashboard(spans, metrics, title=title)

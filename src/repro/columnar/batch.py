@@ -13,8 +13,8 @@ The raw input records stay on the parent in the job's
 sorted column slices of one key group — and emit gid-shaped outputs
 that are materialised back into the exact records-plane objects at the
 end.  Every materialised value is the same object the records plane
-would have shuffled, which is what keeps outputs, counters and the
-``partition_stats`` repr-byte accounting bit-identical across planes.
+would have shuffled, which is what keeps outputs and counters
+bit-identical across planes.
 """
 
 from __future__ import annotations
@@ -268,8 +268,8 @@ class ColumnValues:
     Quacks like the records plane's value list where the framework needs
     it to — ``len()`` is the group size and iteration lazily materialises
     the exact records-plane value objects through the payload store (used
-    by ``partition_stats`` and by the pickle safety net).  Reducers that
-    understand columns never materialise; they read the arrays directly.
+    by the pickle safety net).  Reducers that understand columns never
+    materialise; they read the arrays directly.
     """
 
     __slots__ = ("key", "gids", "starts", "ends", "tag_codes", "tags", "store")

@@ -34,9 +34,9 @@ from repro.mapreduce.cost import CostModel, DEFAULT_COST_MODEL
 from repro.mapreduce.fs import FileSystem, InMemoryFileSystem
 from repro.mapreduce.job import JobConf
 from repro.mapreduce.options import RunOptions
+from repro.gc_pause import collector_paused
 from repro.mapreduce.pipeline import Pipeline
-from repro.obs.profile import collector_paused
-from repro.obs.recorder import TraceRecorder
+from repro.obs.recorder import NullRecorder, Observer
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.algorithms.gen_matrix import GridSpec
@@ -47,70 +47,8 @@ __all__ = [
     "PlanContext",
     "build_partitioning",
     "input_path",
-    "record_algorithm_metrics",
     "write_inputs",
 ]
-
-
-def record_algorithm_metrics(
-    observer: Optional[TraceRecorder], metrics: ExecutionMetrics
-) -> None:
-    """Surface one algorithm run's paper-level numbers as gauges.
-
-    Replication factor and (for grid algorithms) the consistent-vs-total
-    reducer utilisation are what Sections 6–7 of the paper compare
-    algorithms by; a composite algorithm (FCTS/FSTC) records its
-    combined metrics after each sub-plan recorded its own.
-    """
-    if observer is None:
-        return
-    registry = observer.metrics
-    registry.gauge(
-        "repro_algorithm_replication_factor",
-        "Map-output pairs per input record over the whole algorithm "
-        "(all cycles).",
-        labels=("algorithm",),
-    ).set(metrics.replication_factor, algorithm=metrics.algorithm)
-    observed = registry.gauge(
-        "repro_algorithm_observed",
-        "Observed run quantities the cost model predicts: the observed "
-        "side of every plan reconciliation.",
-        labels=("algorithm", "quantity"),
-    )
-    for quantity, value in sorted(metrics.observed_quantities().items()):
-        observed.set(value, algorithm=metrics.algorithm, quantity=quantity)
-    registry.gauge(
-        "repro_algorithm_output_records",
-        "Tuples produced by the algorithm's final cycle.",
-        labels=("algorithm",),
-    ).set(metrics.output_records, algorithm=metrics.algorithm)
-    if metrics.consistent_reducers is not None and metrics.total_reducers:
-        reducers = registry.gauge(
-            "repro_grid_reducers",
-            "Grid reducers by kind: consistent (receive data) vs total "
-            "(all grid cells).",
-            labels=("algorithm", "kind"),
-        )
-        reducers.set(
-            metrics.consistent_reducers,
-            algorithm=metrics.algorithm,
-            kind="consistent",
-        )
-        reducers.set(
-            metrics.total_reducers, algorithm=metrics.algorithm, kind="total"
-        )
-        registry.gauge(
-            "repro_grid_utilisation",
-            "Consistent reducers as a fraction of the full grid.",
-            labels=("algorithm",),
-        ).set(metrics.grid_utilisation or 0.0, algorithm=metrics.algorithm)
-    for dimension, value in sorted(metrics.shape.items()):
-        registry.gauge(
-            "repro_algorithm_shape",
-            "Algorithm-declared shape metadata (grid dims, stages, "
-            "partition intervals).",
-            labels=("algorithm", "dimension"),
-        ).set(value, algorithm=metrics.algorithm, dimension=dimension)
 
 
 def input_path(relation: str) -> str:
@@ -170,7 +108,7 @@ class Plan:
     output: str
     #: the algorithm's self-description (grid dimensions, cascade stages,
     #: partition-interval counts), surfaced on :class:`ExecutionMetrics`
-    #: and as ``repro_algorithm_shape`` gauges.
+    #: and the ``algorithm`` span.
     shape: Mapping[str, int]
     #: the reducer grid of a grid algorithm (consistent vs total cells).
     grid: Optional["GridSpec"] = None
@@ -261,7 +199,7 @@ class JoinAlgorithm(abc.ABC):
         cost_model: CostModel = DEFAULT_COST_MODEL,
         partitioning: Optional[Partitioning] = None,
         partition_strategy: str = "uniform",
-        observer: Optional[TraceRecorder] = None,
+        observer: Optional[Observer] = None,
         options: Optional[RunOptions] = None,
     ) -> JoinResult:
         """Execute the query and return tuples plus metrics.
@@ -283,9 +221,10 @@ class JoinAlgorithm(abc.ABC):
         partition_strategy:
             ``"uniform"`` or ``"equi_depth"``.
         observer:
-            Optional :class:`~repro.obs.TraceRecorder`; every job, phase
-            and task of the run is recorded as a span.  Purely passive —
-            results and counters are identical with or without it.
+            Optional :class:`~repro.obs.TraceRecorder`; the algorithm and
+            every job, phase and task of the run is recorded as a span.
+            Purely passive — results and counters are identical with or
+            without it.
         options:
             How the jobs run — executor, workers, fault plan, retry
             budget, speculation, task timeout — as one resolved
@@ -327,40 +266,63 @@ class JoinAlgorithm(abc.ABC):
         through: write the inputs, run :meth:`plan`, collect the named
         output (``collect=False`` leaves the final output unread) and
         fold the pipeline's job results into one metric record.
+
+        Each call is one ``kind="algorithm"`` span around its jobs (a
+        sub-plan's nests inside its parent's) that carries the run's
+        paper-level numbers: the observed quantities, the output size
+        and the plan's shape and grid.
         """
         if ctx.num_partitions < 1:
             raise PlanningError("num_partitions must be >= 1")
         query, pipeline = ctx.query, ctx.pipeline
-        write_inputs(ctx.fs, query, ctx.data)
-        try:
-            plan = self.plan(ctx)
-        except UnsatisfiableQueryError:
-            return JoinResult(query, [], ExecutionMetrics(algorithm=self.name))
-        tuples: List[Tuple[Row, ...]] = (
-            list(ctx.fs.read_dir(plan.output)) if collect else []
-        )
-        if plan.partial_tuples:
-            column = {name: i for i, name in enumerate(query.relations)}
-            partials, tuples = tuples, []
-            for partial in partials:
-                ordered: List[Optional[Row]] = [None] * len(column)
-                for relation, row in partial:
-                    ordered[column[relation]] = row
-                tuples.append(tuple(ordered))
-        metrics = ExecutionMetrics.from_pipeline(
-            self.name, pipeline.result, ctx.cost_model
-        )
-        if ctx.sub_metrics:
-            metrics = ExecutionMetrics.combine(
-                self.name, ctx.sub_metrics + [metrics]
+        observer = pipeline.observer or NullRecorder()
+        with observer.span(
+            f"algorithm:{self.name}", kind="algorithm", algorithm=self.name
+        ) as span:
+            write_inputs(ctx.fs, query, ctx.data)
+            try:
+                plan = self.plan(ctx)
+            except UnsatisfiableQueryError:
+                return JoinResult(
+                    query, [], ExecutionMetrics(algorithm=self.name)
+                )
+            tuples: List[Tuple[Row, ...]] = (
+                list(ctx.fs.read_dir(plan.output)) if collect else []
             )
-            metrics.output_records = len(tuples)
-        if plan.grid is not None:
-            metrics.consistent_reducers = len(plan.grid.cells)
-            metrics.total_reducers = plan.grid.total_cells
-        metrics.shape = dict(plan.shape)
-        record_algorithm_metrics(pipeline.observer, metrics)
-        return JoinResult(query, tuples, metrics)
+            if plan.partial_tuples:
+                column = {name: i for i, name in enumerate(query.relations)}
+                partials, tuples = tuples, []
+                for partial in partials:
+                    ordered: List[Optional[Row]] = [None] * len(column)
+                    for relation, row in partial:
+                        ordered[column[relation]] = row
+                    tuples.append(tuple(ordered))
+            metrics = ExecutionMetrics.from_pipeline(
+                self.name, pipeline.result, ctx.cost_model
+            )
+            if ctx.sub_metrics:
+                metrics = ExecutionMetrics.combine(
+                    self.name, ctx.sub_metrics + [metrics]
+                )
+                metrics.output_records = len(tuples)
+            metrics.shape = dict(plan.shape)
+            span.annotate(
+                tuples=len(tuples),
+                cycles=metrics.num_cycles,
+                shuffled_records=metrics.shuffled_records,
+                modelled_seconds=metrics.simulated_seconds,
+                observed_quantities=metrics.observed_quantities(),
+                output_records=metrics.output_records,
+                shape=metrics.shape,
+            )
+            if plan.grid is not None:
+                metrics.consistent_reducers = len(plan.grid.cells)
+                metrics.total_reducers = plan.grid.total_cells
+                span.annotate(
+                    consistent_reducers=metrics.consistent_reducers,
+                    total_reducers=metrics.total_reducers,
+                )
+            return JoinResult(query, tuples, metrics)
 
     # ------------------------------------------------------------------
     def predict(self, query, profile, conf=None):

@@ -73,8 +73,8 @@ def execute(
         For hybrid queries, prefer PASM over All-Seq-Matrix.
     observer:
         Optional :class:`~repro.obs.TraceRecorder`.  When given, the run
-        is recorded as a span hierarchy (query -> algorithm -> job ->
-        phase -> task) with counter deltas and cost-model charges;
+        is recorded as a span hierarchy (query -> plan, algorithm -> job
+        -> phase -> task) with counter deltas and cost-model charges;
         results are identical with or without it.
     faults, max_attempts, speculative, task_timeout:
         Fault-injection plan (seed / spec string / plan object), per-task
@@ -141,8 +141,9 @@ def execute(
 
     # Pre-run plan prediction (analytic: the profile and the config are
     # its only inputs, so it is executor- and fault-invariant) plus the
-    # post-run reconciliation — both recorded as spans and run-group
-    # gauges.  Strictly observational: the run itself is untouched.
+    # post-run reconciliation — both recorded as spans, which is where
+    # the run-group gauges and the live ETA model read them.  Strictly
+    # observational: the run itself is untouched.
     from repro.core.tuning import PredictConfig, profile_data
     from repro.errors import ReproError
     from repro.obs.explain import PlanReconciliation
@@ -160,17 +161,6 @@ def execute(
     except ReproError as exc:
         prediction_error = str(exc)
 
-    # Seed the live telemetry hub (when one is attached) with the
-    # analytic plan so progress/ETA can weight phases by predicted
-    # volume instead of assuming uniform cycles.
-    live = getattr(observer, "live", None)
-    if live is not None and prediction is not None:
-        live.set_plan(
-            runner.name,
-            [c.as_dict() for c in prediction.cycles],
-            prediction.modelled_seconds,
-        )
-
     with observer.span(
         f"query:{query}", kind="query", query_class=query.query_class.name
     ):
@@ -187,17 +177,8 @@ def execute(
             f"plan:{runner.name}", kind="plan", **plan_attributes
         ):
             pass
-        with observer.span(
-            f"algorithm:{runner.name}", kind="algorithm", algorithm=runner.name
-        ) as algo_span:
-            result = _run()
-            algo_span.annotate(
-                tuples=len(result),
-                cycles=result.metrics.num_cycles,
-                shuffled_records=result.metrics.shuffled_records,
-                modelled_seconds=result.metrics.simulated_seconds,
-                observed_quantities=result.metrics.observed_quantities(),
-            )
+        # The algorithm span (and its jobs) opens where the plan runs.
+        result = _run()
         if prediction is not None:
             reconciliation = PlanReconciliation.from_metrics(
                 prediction, result.metrics
@@ -211,5 +192,4 @@ def execute(
                 max_relative_error=reconciliation.max_relative_error,
             ):
                 pass
-            reconciliation.publish(observer.metrics)
         return result

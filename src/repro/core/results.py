@@ -124,14 +124,6 @@ class ExecutionMetrics:
         return self.map_output_records / self.records_read
 
     @property
-    def grid_utilisation(self) -> Optional[float]:
-        """Consistent reducers as a fraction of the total grid (grid
-        algorithms only; ``None`` elsewhere)."""
-        if self.consistent_reducers is None or not self.total_reducers:
-            return None
-        return self.consistent_reducers / self.total_reducers
-
-    @property
     def max_reducer_load(self) -> int:
         return max(self.reducer_loads.values(), default=0)
 

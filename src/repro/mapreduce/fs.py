@@ -49,19 +49,6 @@ __all__ = ["FileSystem", "InMemoryFileSystem", "LocalFileSystem"]
 class FileSystem(abc.ABC):
     """Abstract record-oriented file system."""
 
-    @staticmethod
-    def _count_commit(observer: Any, event: str) -> None:
-        if observer is None:
-            return
-        # Attempt traffic varies under chaos (failed attempts stage and
-        # discard extra files), so it lives in the "faults" group.
-        observer.metrics.counter(
-            "repro_fs_attempts_total",
-            "Commit-protocol attempt files staged/promoted/discarded.",
-            labels=("event",),
-            group="faults",
-        ).inc(1, event=event)
-
     @abc.abstractmethod
     def write(
         self, path: str, records: Iterable[Any], overwrite: bool = False
@@ -98,58 +85,28 @@ class FileSystem(abc.ABC):
     # ------------------------------------------------------------------
     # Task-output commit protocol (Hadoop's FileOutputCommitter shape):
     # every attempt writes under _temporary/, only a promoted attempt
-    # becomes a visible part file.  ``observer`` (a TraceRecorder, passed
-    # per call so a file system shared between concurrent jobs never
-    # holds one job's registry) receives the commit accounting.
+    # becomes a visible part file.  A file system may be shared between
+    # concurrent jobs and knows nothing about who observes them: the
+    # runner records the commit traffic on each job's own spans.
     # ------------------------------------------------------------------
     def task_attempt_path(self, base: str, index: int, attempt: int) -> str:
         """Where task ``index``'s attempt ``attempt`` stages its output."""
         return f"{base}/_temporary/task-{index:05d}/attempt-{attempt}"
 
-    #: Records repr'd per staged file to estimate its byte volume; the
-    #: estimate is exact for files at or under the sample size.
-    STAGED_BYTES_SAMPLE = 64
-
     def write_attempt(
-        self, base: str, index: int, attempt: int, records: Iterable[Any],
-        *, observer: Any = None,
+        self, base: str, index: int, attempt: int, records: Iterable[Any]
     ) -> str:
         """Stage one attempt's output under ``_temporary``; returns the
-        staged path.  Invisible to :meth:`read_dir` until promoted.
-
-        With a profiling observer, the staged records' repr-byte volume
-        (the same communication-cost proxy the shuffle uses) is charged
-        to ``repro_profile_fs_staged_bytes_total`` — estimated from the
-        first :attr:`STAGED_BYTES_SAMPLE` records and extrapolated, so
-        the accounting stays O(1)-ish per file instead of repr'ing every
-        record (which dominated profiled runs at scale).
-        """
+        staged path.  Invisible to :meth:`read_dir` until promoted."""
         path = self.task_attempt_path(base, index, attempt)
-        profiler = observer.profiler if observer is not None else None
-        if profiler is not None:
-            records = list(records)
-            sample = records[: self.STAGED_BYTES_SAMPLE]
-            if sample:
-                sampled = sum(
-                    len(repr(record).encode("utf-8")) for record in sample
-                )
-                profiler.record_staged_bytes(
-                    int(sampled / len(sample) * len(records))
-                )
         self.write(path, records, overwrite=True)
-        self._count_commit(observer, "staged")
         return path
 
-    def discard_attempt(
-        self, base: str, index: int, attempt: int, *, observer: Any = None
-    ) -> None:
+    def discard_attempt(self, base: str, index: int, attempt: int) -> None:
         """Drop one staged attempt (failed or speculative loser)."""
         self.delete(self.task_attempt_path(base, index, attempt))
-        self._count_commit(observer, "discarded")
 
-    def promote_attempt(
-        self, base: str, index: int, attempt: int, *, observer: Any = None
-    ) -> str:
+    def promote_attempt(self, base: str, index: int, attempt: int) -> str:
         """Commit one staged attempt as ``part-NNNNN``.
 
         The winning attempt's file is renamed into place and every other
@@ -165,7 +122,6 @@ class FileSystem(abc.ABC):
         self.rename(src, dst)
         for leftover in self.list_prefix(f"{base}/_temporary/task-{index:05d}/"):
             self.delete(leftover)
-        self._count_commit(observer, "promoted")
         return dst
 
     # ------------------------------------------------------------------
@@ -316,10 +272,8 @@ class LocalFileSystem(FileSystem):
         os.makedirs(os.path.dirname(target), exist_ok=True)
         os.replace(source, target)
 
-    def promote_attempt(
-        self, base: str, index: int, attempt: int, *, observer: Any = None
-    ) -> str:
-        dst = super().promote_attempt(base, index, attempt, observer=observer)
+    def promote_attempt(self, base: str, index: int, attempt: int) -> str:
+        dst = super().promote_attempt(base, index, attempt)
         # Prune the now-empty on-disk staging directories.
         task_dir = self._resolve(f"{base}/_temporary/task-{index:05d}")
         if os.path.isdir(task_dir):

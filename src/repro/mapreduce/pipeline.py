@@ -19,7 +19,7 @@ from repro.mapreduce.runner import run_job
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.mapreduce.cost import CostModel
-    from repro.obs.recorder import TraceRecorder
+    from repro.obs.recorder import Observer
 
 __all__ = ["Pipeline", "PipelineResult"]
 
@@ -65,12 +65,12 @@ class Pipeline:
     def __init__(
         self,
         fs: FileSystem,
-        observer: Optional["TraceRecorder"] = None,
+        observer: Optional["Observer"] = None,
         cost_model: Optional["CostModel"] = None,
         options: Optional[RunOptions] = None,
     ) -> None:
         self.fs = fs
-        #: optional TraceRecorder forwarded to every job run.
+        #: optional observer (a TraceRecorder) forwarded to every job run.
         self.observer = observer
         #: cost model used only to charge recorded spans.
         self.cost_model = cost_model

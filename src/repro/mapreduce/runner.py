@@ -9,7 +9,7 @@ task committing one ``part-*`` file under the job's output path.
 Every map and reduce task runs as a **task-attempt loop**
 (:func:`_run_task_attempts`, which documents the semantics): failed
 attempts retry with backoff within the ``max_attempts`` budget, only the
-winner's counters and metrics count, reduce output goes through the file
+winner's counters count, reduce output goes through the file
 system's stage/promote commit protocol, and stragglers get speculative
 backups that are discarded before commit.  A fault-free run is that
 same loop with a budget of one attempt and an empty fault plan — there
@@ -43,11 +43,13 @@ sets are bit-identical across executors, planes and — modulo the
 ``faults`` counter group and the extra ``kind="attempt"`` spans — fault
 plans (pinned by the parity suites).
 
-Observation is passive: an observer (:class:`~repro.obs.TraceRecorder`)
-gets every job, phase and task as a span carrying counter deltas and —
-when a cost model is supplied — its modelled-seconds charge, plus the
-job and task metrics; without one the same code records into a
-:class:`~repro.obs.recorder.NullRecorder`.
+Observation is passive and goes one way: the runner reports to one
+:class:`~repro.obs.recorder.Observer` (a ``TraceRecorder``, or a
+``NullRecorder`` when nobody watches) and every fact it reports is a
+span — job, phase, task, attempt — carrying counter deltas, record
+counts and, with a cost model, its modelled-seconds charge.  Metrics,
+live progress and profiles are computed from those spans on the other
+side; the runner, the shuffle and the file system do not know of them.
 """
 
 from __future__ import annotations
@@ -58,7 +60,6 @@ import time
 from collections import defaultdict
 from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
-from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import (
     TYPE_CHECKING,
@@ -100,16 +101,13 @@ from repro.mapreduce.options import (
     resolve_options,
     resolve_workers,
 )
-from repro.mapreduce.shuffle import columnar_shuffle, partition_stats, shuffle
+from repro.mapreduce.shuffle import columnar_shuffle, shuffle
 from repro.mapreduce.task import MapContext, Mapper, ReduceContext, Reducer
-from repro.obs.live import NullHub
-from repro.obs.metrics import GROUP_FAULTS, LOAD_BUCKETS
 from repro.obs.recorder import NullRecorder
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.mapreduce.cost import CostModel
-    from repro.obs.profile import Profiler
-    from repro.obs.recorder import TraceRecorder
+    from repro.obs.recorder import Observer
 
 __all__ = [
     "run_job",
@@ -120,9 +118,6 @@ __all__ = [
     "resolve_workers",
     "shutdown_worker_pools",
 ]
-
-_NULL_HUB = NullHub()
-
 
 # ----------------------------------------------------------------------
 # Worker-process pool.  One shared pool per worker count, reused across
@@ -167,42 +162,25 @@ def shutdown_worker_pools() -> None:
 
 
 def _submit_attempt(
-    fn: Callable[[Any], Any],
-    payload: Any,
-    workers: int,
-    job: str,
-    phase: str,
-    task_index: int,
-    profiler: Optional["Profiler"] = None,
-) -> Tuple[Any, Counters, float]:
-    """Run one task attempt on the worker pool.
+    fn: Callable[[Any], Any], payload: Any, workers: int
+) -> Any:
+    """Run ``fn(payload)`` — one task attempt — on the worker pool.
 
     Attempts are submitted individually (never chunked): a retry must
     re-run exactly the failed task, and a per-attempt future lets
     worker-side failures map back to the one attempt that raised them.
-    A broken pool is dropped from the cache and surfaces as
-    :class:`WorkerPoolError` carrying the job, the phase and the task
-    index.  A profiler, when attached, wraps the round trip to time the
-    real serialization work (:meth:`~repro.obs.profile.Profiler.ship`).
+    A broken pool is dropped from the cache before its
+    :class:`BrokenProcessPool` propagates.
     """
     pool = _process_pool(workers)
-
-    def submit(fn: Callable[[Any], Any], payload: Any) -> Any:
-        try:
-            return pool.submit(fn, payload).result()
-        except BrokenProcessPool as exc:
-            with _pools_lock:
-                if _pools.get(workers) is pool:
-                    _pools.pop(workers)
-            pool.shutdown(wait=False)
-            raise WorkerPoolError(job, phase, (task_index,), str(exc)) from exc
-
-    if profiler is None:
-        shipped = submit(fn, payload)
-    else:
-        shipped = profiler.ship(job, phase, fn, payload, submit)
-    result, counter_dict, elapsed = shipped
-    return result, Counters.from_dict(counter_dict), elapsed
+    try:
+        return pool.submit(fn, payload).result()
+    except BrokenProcessPool:
+        with _pools_lock:
+            if _pools.get(workers) is pool:
+                _pools.pop(workers)
+        pool.shutdown(wait=False)
+        raise
 
 
 # ----------------------------------------------------------------------
@@ -399,68 +377,6 @@ def _process_attempt(
     return output, task_counters.as_dict(), time.perf_counter() - started
 
 
-def _record_job_metrics(
-    observer: "TraceRecorder",
-    conf: JobConf,
-    pairs: Sequence[Any],
-    tasks: Sequence[Any],
-    logical_loads: Dict[Hashable, int],
-    counters: Counters,
-) -> None:
-    """Job-level shuffle, skew, replication and fault metrics (observed
-    runs only: ``partition_stats`` repr-sizes every shuffled value)."""
-    metrics = observer.metrics
-    shuffled = metrics.counter(
-        "repro_shuffle_records_total",
-        "Intermediate pairs routed through the shuffle.",
-        labels=("job",),
-    )
-    shuffled.inc(len(pairs), job=conf.name)
-    partition_records = metrics.gauge(
-        "repro_shuffle_partition_records",
-        "Records routed to each physical reduce partition.",
-        labels=("job", "partition"),
-    )
-    partition_bytes = metrics.gauge(
-        "repro_shuffle_partition_repr_bytes",
-        "Bytes-ish (UTF-8 repr size) routed to each reduce partition — "
-        "the paper's communication-cost proxy.",
-        labels=("job", "partition"),
-    )
-    for stat in partition_stats(tasks):
-        label = f"{stat.index:05d}"
-        partition_records.set(stat.records, job=conf.name, partition=label)
-        partition_bytes.set(stat.repr_bytes, job=conf.name, partition=label)
-    key_skew = metrics.histogram(
-        "repro_key_load",
-        "Per-logical-reducer (distinct intermediate key) load "
-        "distribution — the key-skew histogram.",
-        labels=("job",),
-        buckets=LOAD_BUCKETS,
-    )
-    for load in logical_loads.values():
-        key_skew.observe(load, job=conf.name)
-    reads = counters.value("framework", "map_input_records")
-    emitted = counters.value("framework", "map_output_records")
-    if reads:
-        metrics.gauge(
-            "repro_replication_factor",
-            "Map-output pairs emitted per input record of the job "
-            "(tuples emitted / distinct input tuples).",
-            labels=("job",),
-        ).set(emitted / reads, job=conf.name)
-    faults_total = metrics.counter(
-        "repro_faults_total",
-        "Fault-injection bookkeeping: failed/retried/speculative "
-        "attempts per job.",
-        labels=("job", "kind"),
-        group=GROUP_FAULTS,
-    )
-    for kind, value in sorted(counters.as_dict().get(FAULTS_GROUP, {}).items()):
-        if value:
-            faults_total.inc(value, job=conf.name, kind=kind)
-
-
 # ----------------------------------------------------------------------
 # What one job's phases share, and the tasks of each phase: the data
 # plane and the executor only change which task body the loop is handed.
@@ -474,13 +390,11 @@ class _JobRun:
     conf: JobConf
     options: RunOptions
     #: the observer, or a NullRecorder for an unobserved run.
-    recorder: Any
+    recorder: "Observer"
     cost_model: Optional["CostModel"]
 
     def __post_init__(self) -> None:
         faults = self.options.faults
-        #: the live telemetry hub, or a NullHub with telemetry off.
-        self.live = self.recorder.live or _NULL_HUB
         #: serial: per-task loops run inline on the calling thread, and
         #: injected delays/backoff are charged as virtual time.
         self.inline = self.options.executor == "serial"
@@ -496,12 +410,10 @@ class _Tasks:
     Subclasses name the ``phase`` and provide ``span_name(index)``;
     ``body(index)``, the task's body as ``(function, arguments)`` — the
     attempt's ``(faults, beat)`` are appended at the call; and
-    ``record_winner(index, counters, result)``, which records the
-    winning attempt's metrics and returns its span annotations and the
-    counter view its span carries.  Only winners record, so the
-    "run"-group metric families are invariant under fault injection;
-    increments are commutative, so driver threads recording concurrently
-    yield the same samples as serial execution.
+    ``winner(index, counters, result)``, the winning attempt's span
+    annotations and the counter view its span carries.  Only a winner
+    closes as a ``kind="task"`` span, so whatever is computed from task
+    spans is invariant under fault injection.
     """
 
     def __init__(self, run: _JobRun, count: int) -> None:
@@ -528,9 +440,9 @@ class _Tasks:
         return result
 
     # Output staging: reduce tasks commit files, map output is
-    # intermediate and has nothing to stage.
-    def stage(self, index: int, result: Any, attempt: int) -> None:
-        pass
+    # intermediate and has nothing to stage (``stage`` says which).
+    def stage(self, index: int, result: Any, attempt: int) -> bool:
+        return False
 
     def discard(self, index: int, attempt: int) -> None:
         pass
@@ -567,26 +479,18 @@ class _MapTasks(_Tasks):
             self.fresh(self.run.conf.combiner),
         )
 
-    def record_winner(
+    def winner(
         self, index: int, counters: Counters, result: Any
     ) -> Tuple[Dict[str, Any], Dict[str, Dict[str, int]]]:
-        run, path = self.run, self.inputs[index][0].path
-        num_pairs = len(result)
-        reads = counters.value("framework", "map_input_records")
-        # The in/out ratio per input is the paper's *replication factor*
-        # of that relation: pairs emitted per distinct input tuple.
-        records = run.recorder.metrics.counter(
-            "repro_map_records_total",
-            "Records entering (direction=in) and pairs leaving "
-            "(direction=out) map tasks, per input relation.",
-            labels=("job", "input", "direction"),
-        )
-        records.inc(reads, job=run.conf.name, input=path, direction="in")
-        records.inc(num_pairs, job=run.conf.name, input=path, direction="out")
-        attrs: Dict[str, Any] = {"output_pairs": num_pairs}
-        if run.cost_model is not None:
+        cost_model = self.run.cost_model
+        attrs: Dict[str, Any] = {
+            "input": self.inputs[index][0].path,
+            "output_pairs": len(result),
+        }
+        if cost_model is not None:
             attrs["modelled_seconds"] = (
-                reads * run.cost_model.read_cost / run.cost_model.parallelism
+                counters.value("framework", "map_input_records")
+                * cost_model.read_cost / cost_model.parallelism
             )
         return attrs, counters.delta({})
 
@@ -692,30 +596,15 @@ class _ReduceTasks(_Tasks):
             self.fresh(self.run.conf.reducer), index, self.tasks[index]
         )
 
-    def record_winner(
+    def winner(
         self, index: int, counters: Counters, result: Any
     ) -> Tuple[Dict[str, Any], Dict[str, Dict[str, int]]]:
-        run, job = self.run, self.run.conf.name
         load = counters.value("framework", "reduce_input_records")
-        records = run.recorder.metrics.counter(
-            "repro_reduce_records_total",
-            "Records entering (direction=in) and leaving (direction=out) "
-            "reduce tasks.",
-            labels=("job", "direction"),
-        )
-        records.inc(load, job=job, direction="in")
-        records.inc(len(result), job=job, direction="out")
-        run.recorder.metrics.histogram(
-            "repro_reduce_task_load",
-            "Distribution of physical reduce-task input loads (records).",
-            labels=("job",),
-            buckets=LOAD_BUCKETS,
-        ).observe(load, job=job)
         attrs: Dict[str, Any] = {
             "input_records": load,
             "output_records": len(result),
         }
-        cost_model = run.cost_model
+        cost_model = self.run.cost_model
         if cost_model is not None:
             attrs["modelled_seconds"] = (
                 load * cost_model.shuffle_cost
@@ -725,16 +614,12 @@ class _ReduceTasks(_Tasks):
             )
         return attrs, counters.snapshot()
 
-    def stage(self, index: int, result: Any, attempt: int) -> None:
-        self.run.fs.write_attempt(
-            self.run.conf.output, index, attempt, result,
-            observer=self.run.recorder,
-        )
+    def stage(self, index: int, result: Any, attempt: int) -> bool:
+        self.run.fs.write_attempt(self.run.conf.output, index, attempt, result)
+        return True
 
     def discard(self, index: int, attempt: int) -> None:
-        self.run.fs.discard_attempt(
-            self.run.conf.output, index, attempt, observer=self.run.recorder
-        )
+        self.run.fs.discard_attempt(self.run.conf.output, index, attempt)
 
 
 class _ShmReduceTasks(_ReduceTasks):
@@ -762,12 +647,6 @@ class _ShmReduceTasks(_ReduceTasks):
         except BaseException:
             self.close()
             raise
-        profiler = run.recorder.profiler
-        if profiler is not None:
-            profiler.record_shm_bytes(
-                run.conf.name, "reduce", "request",
-                sum(descriptor.nbytes for descriptor, _ in self.packed),
-            )
 
     def body(self, index: int) -> Tuple[Callable[..., Any], Tuple]:
         return _shm_reduce_task, (
@@ -807,10 +686,12 @@ class _Attempt:
     recorded.
 
     An in-process attempt opens its span *live*, as ``kind="task"``
-    before the body runs, so the profiler's span hooks (task CPU
-    seconds) and the sampler's task label cover the body.  A pooled
+    before the body runs, so whoever watches spans open and close (a
+    profiler's CPU clock and sampler label) covers the body.  A pooled
     attempt ran in a worker; its span is materialised on :meth:`close`
-    from the duration the worker measured.
+    from the duration the worker measured, and what the observer
+    measured around the round trip (:meth:`Observer.ship`) joins its
+    attributes.
     """
 
     def __init__(
@@ -836,12 +717,22 @@ class _Attempt:
         run, tasks = self.run, self.tasks
         body, args = tasks.body(self.index)
         if tasks.pooled:
-            result, task_counters, elapsed = _submit_attempt(
-                _process_attempt, (body, args, faults.events, beat),
-                run.options.workers, run.conf.name, tasks.phase, self.index,
-                run.recorder.profiler,
+            workers = run.options.workers
+            try:
+                (result, counter_dict, elapsed), facts = run.recorder.ship(
+                    _process_attempt, (body, args, faults.events, beat),
+                    lambda fn, payload: _submit_attempt(fn, payload, workers),
+                    self.parent,
+                )
+            except BrokenProcessPool as exc:
+                raise WorkerPoolError(
+                    run.conf.name, tasks.phase, (self.index,), str(exc)
+                ) from exc
+            self.attrs.update(facts)
+            return (
+                tasks.received(result), Counters.from_dict(counter_dict),
+                elapsed,
             )
-            return tasks.received(result), task_counters, elapsed
         started = time.perf_counter()
         result, task_counters = body(*args, faults, beat)
         return result, task_counters, time.perf_counter() - started
@@ -890,8 +781,8 @@ def _run_task_attempts(
     is what keeps chaos-run totals bit-identical to fault-free runs —
     and the failure is recorded as a ``kind="attempt"`` span.  The
     winner gets the ``kind="task"`` span, annotated with its ``attempt``
-    number, and alone records task metrics.  Once the budget is spent
-    the *original* exception propagates.
+    number.  Once the budget is spent the *original* exception
+    propagates.
 
     With live telemetry attached each attempt reports through its own
     heartbeat emitter: its start is emitted *before* the injected-delay
@@ -902,7 +793,7 @@ def _run_task_attempts(
     """
     fctx = run.options.faults
     job, phase = run.conf.name, tasks.phase
-    task_beat = run.live.task_beat(job, phase, index, 0, run.options.executor)
+    task_beat = run.recorder.task_beat(job, phase, index, run.options.executor)
     fault_counters = Counters()
     for number in range(fctx.max_attempts):
         injector = AttemptInjector(fctx.events_for(job, phase, index, number))
@@ -930,8 +821,8 @@ def _run_task_attempts(
                     raise TaskTimeoutError(
                         job, phase, index, observed, fctx.task_timeout
                     )
-            tasks.stage(index, result, number)
-            staged = True
+            if tasks.stage(index, result, number):
+                attempt.attrs["staged"] = staged = True
             if injector.corrupts_output():
                 raise FaultInjectedError(CORRUPT, "commit")
             injector.check("commit")
@@ -951,7 +842,7 @@ def _run_task_attempts(
             beat.finish()
         if delay:
             attempt.attrs["fault_delay_seconds"] = delay
-        attrs, view = tasks.record_winner(index, task_counters, result)
+        attrs, view = tasks.winner(index, task_counters, result)
         attempt.attrs.update(attrs)
         attempt.close(
             "task", elapsed, view,
@@ -985,7 +876,7 @@ def _speculate(
     swallowed (a lost speculation never fails the job)."""
     if not run.options.faults.speculative:
         return
-    stalled = run.live.stalled_indices(run.conf.name, tasks.phase)
+    stalled = run.recorder.stalled_tasks(run.conf.name, tasks.phase)
     for index, outcome in enumerate(outcomes):
         if not outcome.delayed and index not in stalled:
             continue
@@ -997,24 +888,13 @@ def _speculate(
             backup.attrs["trigger"] = "watchdog"
         try:
             result, _, _ = backup.run_body(AttemptInjector(), None)
-            tasks.stage(index, result, number)
-            tasks.discard(index, number)
+            if tasks.stage(index, result, number):
+                tasks.discard(index, number)
+                backup.attrs["staged"] = True
         except Exception as exc:
             backup.attrs["error"] = type(exc).__name__
         outcome.counters.increment(FAULTS_GROUP, "speculative_wasted")
         backup.close("attempt")
-
-
-@contextmanager
-def _phase(run: _JobRun, name: str, total_tasks: int) -> Iterator[Any]:
-    """One job phase as the observers see it: a ``kind="phase"`` span
-    and the live hub's started/finished pair."""
-    run.live.phase_started(run.conf.name, name, total_tasks)
-    try:
-        with run.recorder.span(name, kind="phase", job=run.conf.name) as span:
-            yield span
-    finally:
-        run.live.phase_finished(run.conf.name, name)
 
 
 def _run_tasks(run: _JobRun, tasks: _Tasks, parent: Any) -> List[_TaskOutcome]:
@@ -1046,7 +926,7 @@ def run_job(
     fs: FileSystem,
     conf: JobConf,
     executor: Optional[str] = None,
-    observer: Optional["TraceRecorder"] = None,
+    observer: Optional["Observer"] = None,
     cost_model: Optional["CostModel"] = None,
     workers: Optional[int] = None,
     faults: Any = None,
@@ -1066,8 +946,9 @@ def run_job(
         The job configuration.  ``conf.max_attempts`` / ``conf.speculative``
         override the run-level values for this job.
     observer:
-        Optional :class:`~repro.obs.TraceRecorder`; when given, the job,
-        its phases and its tasks are recorded as spans and the
+        Optional :class:`~repro.obs.recorder.Observer` (a
+        :class:`~repro.obs.TraceRecorder`); when given, the job, its
+        phases and its tasks are recorded as spans and the
         :class:`JobResult` is registered via ``observer.record_job``.
     cost_model:
         Optional :class:`~repro.mapreduce.cost.CostModel` used only to
@@ -1108,9 +989,10 @@ def run_job(
         num_reduce_tasks=conf.num_reduce_tasks,
         max_attempts=options.faults.max_attempts,
     )
-    run.live.job_started(conf.name)
     try:
-        with _phase(run, "map", len(conf.inputs)) as map_span:
+        with recorder.span(
+            "map", kind="phase", job=conf.name, tasks=len(conf.inputs)
+        ) as map_span:
             map_tasks, plane_reason = _map_tasks_for(run)
             store = map_tasks.store
             data_plane = "columnar" if store is not None else "records"
@@ -1132,20 +1014,19 @@ def run_job(
             for key, _ in pairs:
                 logical_loads[key] += 1
 
-        with _phase(run, "shuffle", 1) as shuffle_span:
+        # The shuffle phase is the sort of the distinct keys.
+        with recorder.span(
+            "shuffle", kind="phase", job=conf.name, tasks=1,
+            records=len(pairs), keys=len(logical_loads),
+            reduce_tasks=conf.num_reduce_tasks,
+        ) as shuffle_span:
             if store is not None:
                 tasks = columnar_shuffle(
                     pairs, conf.num_reduce_tasks, conf.partitioner,
-                    store=store, profiler=recorder.profiler, job=conf.name,
+                    store=store,
                 )
             else:
-                tasks = shuffle(
-                    pairs, conf.num_reduce_tasks, conf.partitioner,
-                    profiler=recorder.profiler, job=conf.name,
-                )
-            shuffle_span.annotate(
-                records=len(pairs), reduce_tasks=conf.num_reduce_tasks
-            )
+                tasks = shuffle(pairs, conf.num_reduce_tasks, conf.partitioner)
             if cost_model is not None:
                 shuffle_span.annotate(
                     modelled_seconds=len(pairs)
@@ -1156,26 +1037,24 @@ def run_job(
             sum(len(values) for _, values in groups) for groups in tasks
         ]
 
-        with _phase(run, "reduce", len(tasks)) as reduce_span:
-            reduce_tasks = (
-                _ShmReduceTasks(run, tasks, store)
-                if store is not None and run.pooled
-                else _ReduceTasks(run, tasks)
-            )
+        with recorder.span(
+            "reduce", kind="phase", job=conf.name, tasks=len(tasks)
+        ) as reduce_span:
+            if store is not None and run.pooled:
+                reduce_tasks = _ShmReduceTasks(run, tasks, store)
+                reduce_span.annotate(
+                    shm_bytes=sum(d.nbytes for d, _ in reduce_tasks.packed)
+                )
+            else:
+                reduce_tasks = _ReduceTasks(run, tasks)
             reduce_outcomes = _run_tasks(run, reduce_tasks, reduce_span)
 
         for index, outcome in enumerate(reduce_outcomes):
             counters.merge(outcome.counters)
             # Commit: promote the winning attempt's staged file.
-            fs.promote_attempt(
-                conf.output, index, outcome.attempt, observer=recorder
-            )
+            fs.promote_attempt(conf.output, index, outcome.attempt)
         task_outputs = [len(outcome.result) for outcome in reduce_outcomes]
 
-        if observer is not None:
-            _record_job_metrics(
-                observer, conf, pairs, tasks, logical_loads, counters
-            )
         result = JobResult(
             name=conf.name,
             counters=counters,
@@ -1196,11 +1075,12 @@ def run_job(
             output_records=result.output_records,
             shuffled_records=len(pairs),
             reduce_task_loads=list(reduce_task_loads),
+            key_loads=sorted(logical_loads.values()),
+            promoted=len(reduce_outcomes),
         )
         if cost_model is not None:
             job_span.annotate(modelled_seconds=cost_model.job_time(result))
         recorder.record_job(result)
         return result
     finally:
-        run.live.job_finished(conf.name)
         recorder.end_span(job_span)

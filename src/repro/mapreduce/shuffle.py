@@ -26,34 +26,17 @@ per consumer dominate the shuffle (see ``benchmarks/bench_shuffle_sort``).
 from __future__ import annotations
 
 import abc
-import time
 import zlib
 from collections import defaultdict
-from dataclasses import dataclass
-from typing import (
-    TYPE_CHECKING,
-    Any,
-    Dict,
-    Hashable,
-    Iterable,
-    List,
-    Optional,
-    Sequence,
-    Tuple,
-)
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.obs.profile import Profiler
+from typing import Any, Dict, Hashable, Iterable, List, Sequence, Tuple
 
 __all__ = [
     "Partitioner",
     "HashPartitioner",
     "RoundRobinKeyPartitioner",
-    "PartitionStat",
     "stable_hash",
     "shuffle",
     "columnar_shuffle",
-    "partition_stats",
 ]
 
 
@@ -131,8 +114,6 @@ def shuffle(
     pairs: Iterable[Tuple[Hashable, Any]],
     num_tasks: int,
     partitioner: Partitioner,
-    profiler: Optional["Profiler"] = None,
-    job: str = "",
 ) -> List[List[Tuple[Hashable, List[Any]]]]:
     """Group pairs by key and assign key groups to reduce tasks.
 
@@ -140,36 +121,20 @@ def shuffle(
     groups sorted by key representation within each task (Hadoop's sorted
     reduce input order).  The repr-sort runs once and is shared with the
     partitioner via :meth:`Partitioner.prepare_sorted`.
-
-    With a :class:`~repro.obs.profile.Profiler` attached, the repr-sort
-    wall seconds, the distinct key count and the per-partition key-repr
-    bytes are recorded under the ``profile`` metric group.  The byte
-    accounting reuses the reprs the sort already computed — profiling
-    never adds ``repr`` calls to the data path.
     """
     grouped: Dict[Hashable, List[Any]] = defaultdict(list)
     for key, value in pairs:
         grouped[key].append(value)
-    started = time.perf_counter() if profiler is not None else 0.0
     ordered = _sorted_by_repr(grouped.keys())
     partitioner.prepare_sorted(ordered)
-    if profiler is not None:
-        profiler.record_shuffle_sort(
-            job, time.perf_counter() - started, len(ordered)
-        )
     tasks: List[List[Tuple[Hashable, List[Any]]]] = [[] for _ in range(num_tasks)]
-    key_bytes = [0] * num_tasks if profiler is not None else None
-    for key_repr, key in ordered:
+    for _, key in ordered:
         index = partitioner.partition(key, num_tasks)
         if not 0 <= index < num_tasks:
             raise ValueError(
                 f"partitioner routed key {key!r} to invalid task {index}"
             )
         tasks[index].append((key, grouped[key]))
-        if key_bytes is not None:
-            key_bytes[index] += len(key_repr.encode("utf-8"))
-    if profiler is not None and key_bytes is not None:
-        profiler.record_partition_key_bytes(job, key_bytes)
     return tasks
 
 
@@ -178,8 +143,6 @@ def columnar_shuffle(
     num_tasks: int,
     partitioner: Partitioner,
     store=None,
-    profiler: Optional["Profiler"] = None,
-    job: str = "",
 ) -> List[List[Tuple[Hashable, Any]]]:
     """The columnar plane's sort-shuffle: one stable argsort, no
     per-pair Python objects.
@@ -188,10 +151,9 @@ def columnar_shuffle(
     ``np.argsort`` clusters equal keys while preserving emission order
     within each key, and ``np.unique`` finds the distinct codes and
     group boundaries in the same pass.  Only the *distinct* keys are
-    decoded to native Python values and repr-sorted, so routing (and the
-    :class:`~repro.obs.profile.Profiler`'s shuffle-sort / key-byte
-    accounting) is bit-identical to :func:`shuffle` while the per-pair
-    work drops from a dict insert + list append to a vectorised gather.
+    decoded to native Python values and repr-sorted, so routing is
+    bit-identical to :func:`shuffle` while the per-pair work drops from
+    a dict insert + list append to a vectorised gather.
 
     Returns the same shape :func:`shuffle` returns — per-task lists of
     ``(key, values)`` groups in key-repr order — except each ``values``
@@ -203,7 +165,6 @@ def columnar_shuffle(
 
     key_codes, gids, starts, ends, tag_codes = pairs.columns()
     tags = pairs.tags
-    started = time.perf_counter() if profiler is not None else 0.0
     # Grouping only needs *an* order over the codes, not the codes
     # themselves: when the codec can recode the live range into 16 bits
     # (monotone, see KeyCodec.compact_codes) the stable sort becomes a
@@ -232,16 +193,11 @@ def columnar_shuffle(
     }
     ordered = _sorted_by_repr(keys)
     partitioner.prepare_sorted(ordered)
-    if profiler is not None:
-        profiler.record_shuffle_sort(
-            job, time.perf_counter() - started, len(ordered)
-        )
     sorted_gids = gids[order]
     sorted_starts = starts[order]
     sorted_ends = ends[order]
     sorted_tag_codes = tag_codes[order]
     tasks: List[List[Tuple[Hashable, Any]]] = [[] for _ in range(num_tasks)]
-    key_bytes = [0] * num_tasks if profiler is not None else None
     for key_repr, key in ordered:
         index = partitioner.partition(key, num_tasks)
         if not 0 <= index < num_tasks:
@@ -263,42 +219,4 @@ def columnar_shuffle(
                 ),
             )
         )
-        if key_bytes is not None:
-            key_bytes[index] += len(key_repr.encode("utf-8"))
-    if profiler is not None and key_bytes is not None:
-        profiler.record_partition_key_bytes(job, key_bytes)
     return tasks
-
-
-@dataclass(frozen=True)
-class PartitionStat:
-    """Communication-cost facts of one shuffled reduce partition.
-
-    ``repr_bytes`` is the paper's "communication cost" proxy: the UTF-8
-    size of the canonical ``repr`` of every key and value routed to the
-    partition.  Not wire bytes — there is no wire — but a deterministic,
-    executor-independent stand-in that orders algorithms the same way
-    real serialisation would.
-    """
-
-    index: int
-    records: int
-    groups: int
-    repr_bytes: int
-
-
-def partition_stats(
-    tasks: Sequence[Sequence[Tuple[Hashable, List[Any]]]],
-) -> List[PartitionStat]:
-    """Per-partition record/group/repr-size stats of a shuffle result."""
-    stats: List[PartitionStat] = []
-    for index, groups in enumerate(tasks):
-        records = 0
-        repr_bytes = 0
-        for key, values in groups:
-            records += len(values)
-            repr_bytes += len(repr(key).encode("utf-8"))
-            for value in values:
-                repr_bytes += len(repr(value).encode("utf-8"))
-        stats.append(PartitionStat(index, records, len(groups), repr_bytes))
-    return stats

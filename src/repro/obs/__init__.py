@@ -8,13 +8,19 @@ makes a run inspectable at that granularity: attach a
 job, phase and map/reduce task is recorded as a hierarchical span with
 wall-clock duration, counter deltas, and cost-model charges.
 
+The span stream is the one record of a run; everything else is a
+function of it.
+
 * spans & recorder — :class:`Span`, :class:`TraceRecorder`
-* sinks — :class:`InMemorySink` (tests), :class:`JsonlSink` (event
-  log), :class:`ChromeTraceSink` (load the file in Perfetto or
-  ``chrome://tracing``)
-* metrics — :class:`MetricsRegistry` on ``recorder.metrics``:
+* sinks — the one subscriber protocol (:class:`TraceSink`):
+  :class:`InMemorySink` (tests), :class:`JsonlSink` (event log),
+  :class:`ChromeTraceSink` (load the file in Perfetto or
+  ``chrome://tracing``) — and the metrics fold, the profiler and the
+  live hub below
+* metrics — :class:`MetricsRegistry` on ``recorder.metrics``, a fold
+  over the closed spans (:func:`fold_spans` rebuilds it from a trace):
   counters/gauges/histograms with Prometheus-text and JSON export,
-  recording per-phase wall time, tuple in/out, shuffle bytes-ish,
+  recording per-phase wall time, tuple in/out, shuffled records,
   replication factor, grid utilisation and key-skew histograms
 * analysis — :class:`RunReport` flags skewed reducers, stragglers and
   empty-output tasks using the Section-7 load statistics
@@ -27,8 +33,8 @@ wall-clock duration, counter deltas, and cost-model charges.
   charts and the replication/skew tables
 * profile — :class:`Profiler` (``repro run --profile`` /
   ``$REPRO_PROFILE``): sampling CPU profiler with collapsed stacks and
-  an SVG flame graph, per-phase memory/GC watermarks, and pickle /
-  repr-sort / staged-bytes serialization accounting in the ``profile``
+  an SVG flame graph, per-phase memory watermarks and pickle
+  accounting, annotated on the spans and folded into the ``profile``
   metric group
 * live — :class:`TelemetryHub` (``repro run --live`` / ``--progress`` /
   ``--serve-status`` / ``$REPRO_LIVE``): per-task heartbeat bus with
@@ -66,6 +72,7 @@ from repro.obs.metrics import (
     Histogram,
     MetricError,
     MetricsRegistry,
+    fold_spans,
 )
 from repro.obs.profile import (
     Profiler,
@@ -102,6 +109,7 @@ __all__ = [
     "JobLoadSummary",
     "TaskFlag",
     "MetricsRegistry",
+    "fold_spans",
     "MetricError",
     "Counter",
     "Gauge",

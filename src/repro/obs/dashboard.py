@@ -3,10 +3,11 @@
 One call, one file, zero network: :func:`render_dashboard` turns a
 recorded span list (live from a :class:`~repro.obs.recorder.TraceRecorder`
 or reloaded from a JSONL trace via
-:func:`~repro.obs.sinks.load_spans_jsonl`) plus an optional metrics
-snapshot into a single HTML page with inline CSS and server-rendered
-SVG — it opens from disk, attaches to a CI artifact, and pastes into a
-bug report without any JavaScript, fonts or CDN fetches.
+:func:`~repro.obs.sinks.load_spans_jsonl`) into a single HTML page with
+inline CSS and server-rendered SVG — it opens from disk, attaches to a
+CI artifact, and pastes into a bug report without any JavaScript, fonts
+or CDN fetches.  The spans are all it needs: the metric-backed tables
+read the fold of those spans (:func:`~repro.obs.metrics.fold_spans`).
 
 Sections, in reading order:
 
@@ -18,15 +19,13 @@ Sections, in reading order:
   Gini, Jain fairness, imbalance, replication factor;
 * **plan panel** — the cost model's predicted-vs-observed scorecard
   per algorithm and quantity (replication, shuffle, max load, ...),
-  worst offender first, from the trace's plan/reconciliation spans or
-  the ``repro_plan_*`` gauges of a metrics snapshot;
+  worst offender first, from the trace's plan/algorithm spans;
 * **data plane panel** — the profiler's per-job, per-phase CPU /
-  memory / GC / pickle accounting (``repro_profile_*`` families of a
-  profiled run's metrics snapshot), plus an optional embedded CPU flame
-  graph;
+  memory / pickle accounting (the rows of
+  :func:`~repro.obs.profile.data_plane_rows`, present for a profiled
+  run), plus an optional embedded CPU flame graph;
 * **algorithm tables** — replication factor and consistent-vs-total
-  grid-reducer utilisation per algorithm, read from the metrics
-  snapshot when one is supplied.
+  grid-reducer utilisation per algorithm.
 
 Colour and mark conventions follow a small fixed design system: three
 categorical series hues (validated for colour-vision deficiency
@@ -41,6 +40,9 @@ import html as _html
 from dataclasses import replace
 from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
+from repro.obs.explain import reconciliation_from_spans
+from repro.obs.metrics import MetricsRegistry, fold_spans
+from repro.obs.profile import data_plane_rows, fmt_bytes
 from repro.obs.span import Span
 from repro.stats.metrics import load_balance
 
@@ -399,30 +401,23 @@ def _skew_table(jobs: List[Dict[str, Any]]) -> str:
 
 
 def _metric_samples(
-    metrics: Optional[Mapping[str, Any]], name: str
+    metrics: MetricsRegistry, name: str
 ) -> List[Tuple[Dict[str, str], Any]]:
-    """``(labels-dict, value)`` pairs of one family from an
-    :meth:`MetricsRegistry.as_dict` snapshot."""
-    if not metrics or name not in metrics:
+    """``(labels-dict, value)`` pairs of one family of a registry."""
+    metric = metrics.get(name)
+    if metric is None:
         return []
-    entry = metrics[name]
-    label_names = entry.get("labels", [])
-    out = []
-    for sample in entry.get("samples", []):
-        labels = dict(zip(label_names, sample["labels"]))
-        out.append((labels, sample.get("value")))
-    return out
+    return [
+        (dict(zip(metric.label_names, key)), value)
+        for key, value in metric.samples()
+    ]
 
 
-def _algorithm_tables(metrics: Optional[Mapping[str, Any]]) -> str:
+def _algorithm_tables(metrics: MetricsRegistry) -> str:
     replication = _metric_samples(
         metrics, "repro_algorithm_replication_factor"
     )
     grid = _metric_samples(metrics, "repro_grid_reducers")
-    utilisation = {
-        labels["algorithm"]: value
-        for labels, value in _metric_samples(metrics, "repro_grid_utilisation")
-    }
     sections = []
     if replication:
         rows = [
@@ -448,15 +443,12 @@ def _algorithm_tables(metrics: Optional[Mapping[str, Any]]) -> str:
             kinds = by_algorithm[algorithm]
             consistent = kinds.get("consistent", 0)
             total = kinds.get("total", 0)
-            util = utilisation.get(algorithm)
-            if util is None and total:
-                util = consistent / total
             rows.append(
                 (
                     algorithm,
                     _fmt(consistent),
                     _fmt(total),
-                    _fmt(util, 4) if util is not None else "-",
+                    _fmt(consistent / total, 4) if total else "-",
                 )
             )
         sections.append(
@@ -470,49 +462,21 @@ def _algorithm_tables(metrics: Optional[Mapping[str, Any]]) -> str:
     return "".join(sections)
 
 
-def _plan_panel(
-    spans: Sequence[Span], metrics: Optional[Mapping[str, Any]]
-) -> str:
-    """The predicted-vs-observed cost-model scorecard.
-
-    Rows come from the trace's ``plan``/``algorithm`` span pairs when
-    present (live recorder or reloaded JSONL), otherwise from the
-    ``repro_plan_*`` gauges of a metrics snapshot; worst offender
-    (largest absolute relative error) first.
-    """
-    from repro.obs.explain import reconciliation_from_spans, relative_error
-
-    rows: List[Tuple[str, str, float, float, float]] = []
-    for reconciliation in reconciliation_from_spans(spans):
-        for row in reconciliation.rows:
-            rows.append(
-                (
-                    reconciliation.algorithm,
-                    row.quantity,
-                    row.predicted,
-                    row.observed,
-                    row.error,
-                )
-            )
-    if not rows:
-        observed = {
-            (labels["algorithm"], labels["quantity"]): value
-            for labels, value in _metric_samples(
-                metrics, "repro_plan_observed"
-            )
-        }
-        for labels, value in _metric_samples(metrics, "repro_plan_predicted"):
-            key = (labels["algorithm"], labels["quantity"])
-            if key in observed:
-                rows.append(
-                    (
-                        key[0],
-                        key[1],
-                        value,
-                        observed[key],
-                        relative_error(value, observed[key]),
-                    )
-                )
+def _plan_panel(spans: Sequence[Span]) -> str:
+    """The predicted-vs-observed cost-model scorecard, from the trace's
+    ``plan``/``algorithm`` span pairs; worst offender (largest absolute
+    relative error) first."""
+    rows = [
+        (
+            reconciliation.algorithm,
+            row.quantity,
+            row.predicted,
+            row.observed,
+            row.error,
+        )
+        for reconciliation in reconciliation_from_spans(spans)
+        for row in reconciliation.rows
+    ]
     if not rows:
         return ""
     rows.sort(key=lambda r: (-abs(r[4]), r[0], r[1]))
@@ -537,90 +501,40 @@ def _plan_panel(
     )
 
 
-def _data_plane_panel(metrics: Optional[Mapping[str, Any]]) -> str:
-    """The profiler's per-job, per-phase CPU / memory / GC /
-    serialization table, from the ``repro_profile_*`` families of a
-    metrics snapshot.  Empty string when the run was not profiled."""
-    from repro.obs.profile import _fmt_bytes
-
-    cpu: Dict[Tuple[str, str], Dict[str, float]] = {}
-    for labels, value in _metric_samples(
-        metrics, "repro_profile_cpu_seconds_total"
-    ):
-        cpu.setdefault((labels["job"], labels["phase"]), {})[
-            labels["where"]
-        ] = value
-    if not cpu:
+def _data_plane_panel(spans: Sequence[Span], metrics: MetricsRegistry) -> str:
+    """The profiler's per-job, per-phase CPU / memory / serialization
+    table.  Empty string when the run was not profiled."""
+    rows, notes = data_plane_rows(spans, metrics)
+    if not rows:
         return ""
-
-    def by_phase(name: str) -> Dict[Tuple[str, str], float]:
-        return {
-            (labels["job"], labels["phase"]): value
-            for labels, value in _metric_samples(metrics, name)
-        }
-
-    gc_pauses = by_phase("repro_profile_gc_pauses_total")
-    gc_seconds = by_phase("repro_profile_gc_pause_seconds_total")
-    rss = by_phase("repro_profile_mem_rss_peak_bytes")
-    traced_peak = by_phase("repro_profile_mem_peak_bytes")
-    pickle_bytes: Dict[Tuple[str, str], float] = {}
-    for labels, value in _metric_samples(
-        metrics, "repro_profile_pickle_bytes_total"
-    ):
-        key = (labels["job"], labels["phase"])
-        pickle_bytes[key] = pickle_bytes.get(key, 0.0) + value
-    pickle_seconds: Dict[Tuple[str, str], float] = {}
-    for labels, value in _metric_samples(
-        metrics, "repro_profile_pickle_seconds_total"
-    ):
-        key = (labels["job"], labels["phase"])
-        pickle_seconds[key] = pickle_seconds.get(key, 0.0) + value
-
-    phase_order = {"map": 0, "shuffle": 1, "reduce": 2}
-    rows = []
-    for job, phase in sorted(
-        cpu, key=lambda k: (k[0], phase_order.get(k[1], 9), k[1])
-    ):
-        if job == "driver":
-            continue
-        key = (job, phase)
-        rows.append(
-            (
-                job,
-                phase,
-                f"{cpu[key].get('task', 0.0):.3f}",
-                f"{cpu[key].get('driver', 0.0):.3f}",
-                int(gc_pauses.get(key, 0)),
-                f"{gc_seconds.get(key, 0.0):.3f}",
-                _fmt_bytes(traced_peak.get(key, rss.get(key, 0))),
-                _fmt_bytes(pickle_bytes.get(key, 0)),
-                f"{pickle_seconds.get(key, 0.0):.3f}",
-            )
+    table_rows = [
+        (
+            job,
+            phase,
+            f"{task_cpu:.3f}",
+            f"{driver_cpu:.3f}",
+            fmt_bytes(memory),
+            fmt_bytes(nbytes),
+            f"{seconds:.3f}",
         )
-    extras = []
-    for labels, value in _metric_samples(
-        metrics, "repro_profile_shuffle_sort_seconds_total"
-    ):
-        extras.append(
-            f"shuffle repr-sort ({_esc(labels['job'])}): {value:.3f}s"
-        )
-    for _labels, value in _metric_samples(
-        metrics, "repro_profile_fs_staged_bytes_total"
-    ):
-        if value:
-            extras.append(f"fs staged bytes: {_esc(_fmt_bytes(value))}")
+        for job, phase, task_cpu, driver_cpu, memory, nbytes, seconds in rows
+    ]
     extra_html = (
-        f'<p class="legend">{" &#183; ".join(extras)}</p>' if extras else ""
+        '<p class="legend">'
+        + " &#183; ".join(_esc(f"{job}: {text}") for job, text in notes)
+        + "</p>"
+        if notes
+        else ""
     )
     return (
         "<h2>Data plane &#183; CPU / memory / serialization</h2>"
         '<div class="card">'
         + _table(
             (
-                "job", "phase", "task cpu s", "driver cpu s", "gc",
-                "gc pause s", "mem peak", "pickle bytes", "pickle s",
+                "job", "phase", "task cpu s", "driver cpu s", "mem peak",
+                "pickle bytes", "pickle s",
             ),
-            rows,
+            table_rows,
         )
         + extra_html
         + "</div>"
@@ -638,17 +552,13 @@ def _flame_panel(flame_svg: Optional[str]) -> str:
     )
 
 
-def _metrics_overview(metrics: Optional[Mapping[str, Any]]) -> str:
-    if not metrics:
+def _metrics_overview(metrics: MetricsRegistry) -> str:
+    families = metrics.families()
+    if not families:
         return ""
     rows = [
-        (
-            name,
-            entry.get("type", "?"),
-            entry.get("group", "?"),
-            len(entry.get("samples", [])),
-        )
-        for name, entry in sorted(metrics.items())
+        (family.name, family.kind, family.group, len(family.samples()))
+        for family in families
     ]
     return (
         "<h2>Metric families</h2>"
@@ -663,7 +573,7 @@ def _metrics_overview(metrics: Optional[Mapping[str, Any]]) -> str:
 # --------------------------------------------------------------------------
 def render_dashboard(
     spans: Sequence[Span],
-    metrics: Optional[Any] = None,
+    metrics: Optional[MetricsRegistry] = None,
     *,
     title: str = "repro run",
     flame_svg: Optional[str] = None,
@@ -672,18 +582,17 @@ def render_dashboard(
     """Render one self-contained HTML dashboard string.
 
     ``spans`` is any span sequence (live recorder or reloaded JSONL
-    trace); ``metrics`` is a :class:`~repro.obs.metrics.MetricsRegistry`
-    or an :meth:`~repro.obs.metrics.MetricsRegistry.as_dict` snapshot,
-    or ``None`` to skip the metric-backed tables.  ``flame_svg`` embeds
+    trace).  ``metrics`` is the registry a live recorder already folded
+    from those spans (it then also lists the recorder's ``live``
+    families); left out, the spans are folded here.  ``flame_svg`` embeds
     a profiled run's flame graph (``Profiler.flame_svg()``) as its own
-    panel; the Data plane table appears whenever the snapshot carries
-    ``repro_profile_*`` families.  ``now`` (recorder-epoch seconds)
-    renders spans still *open* as if they ended now — the live status
-    endpoint's mid-run view; without it open spans are skipped as
-    before.
+    panel; the Data plane table appears whenever the spans carry the
+    profiler's annotations.  ``now`` (recorder-epoch seconds) renders
+    spans still *open* as if they ended now — the live status endpoint's
+    mid-run view; without it open spans are skipped.
     """
-    if metrics is not None and hasattr(metrics, "as_dict"):
-        metrics = metrics.as_dict()
+    if metrics is None:
+        metrics, _ = fold_spans(spans)
     jobs = _job_rows(spans, now)
     closed = [span for span in spans if span.end is not None]
     open_count = len(spans) - len(closed)
@@ -731,8 +640,8 @@ def render_dashboard(
         load_cards or '<p class="sub">no jobs recorded</p>',
         "<h2>Skew &amp; replication per job</h2>",
         f'<div class="card">{_skew_table(jobs)}</div>',
-        _plan_panel(spans, metrics),
-        _data_plane_panel(metrics),
+        _plan_panel(spans),
+        _data_plane_panel(spans, metrics),
         _flame_panel(flame_svg),
         _algorithm_tables(metrics),
         _metrics_overview(metrics),

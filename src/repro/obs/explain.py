@@ -16,8 +16,8 @@ Two halves, one contract:
   :meth:`~repro.core.results.ExecutionMetrics.observed_quantities`, one
   row per quantity with the signed relative error, ranked worst-offender
   first.  The executor records both sides as spans (``kind="plan"`` and
-  ``kind="reconciliation"``) and publishes them as run-group gauges
-  (``repro_plan_predicted`` / ``repro_plan_observed`` /
+  ``kind="reconciliation"``) and the metrics fold turns the latter into
+  run-group gauges (``repro_plan_predicted`` / ``repro_plan_observed`` /
   ``repro_plan_relative_error``), so the numbers survive into the JSONL
   trace, the Prometheus exposition, the HTML dashboard's Plan panel and
   ``repro report`` — and ``benchmarks/check_model_error.py`` turns
@@ -54,7 +54,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.tuning import PlanPrediction
     from repro.intervals.partitioning import Partitioning
     from repro.mapreduce.cost import CostModel
-    from repro.obs.metrics import MetricsRegistry
 
 __all__ = [
     "PlanExplain",
@@ -111,7 +110,7 @@ class PlanReconciliation:
     """Predicted-vs-observed join for one algorithm run.
 
     Build with :meth:`from_metrics` (live run) or
-    :func:`reconciliation_from_spans` (saved JSONL trace); ``rows`` holds
+    :func:`reconciliation_from_spans` (recorded spans); ``rows`` holds
     one :class:`ReconciliationRow` per quantity the cost model predicts.
     """
 
@@ -121,14 +120,13 @@ class PlanReconciliation:
 
     # ------------------------------------------------------------------
     @classmethod
-    def from_values(
-        cls,
-        algorithm: str,
-        tier: str,
-        predicted: Mapping[str, float],
-        observed: Mapping[str, float],
+    def from_metrics(
+        cls, prediction: "PlanPrediction", metrics: "ExecutionMetrics"
     ) -> "PlanReconciliation":
-        """Join two quantity mappings on their shared keys."""
+        """Join a prediction against one run's execution metrics, on the
+        quantities both sides name."""
+        predicted = prediction.quantities()
+        observed = metrics.observed_quantities()
         rows = tuple(
             ReconciliationRow(
                 quantity=key,
@@ -137,19 +135,7 @@ class PlanReconciliation:
             )
             for key in sorted(set(predicted) & set(observed))
         )
-        return cls(algorithm=algorithm, tier=tier, rows=rows)
-
-    @classmethod
-    def from_metrics(
-        cls, prediction: "PlanPrediction", metrics: "ExecutionMetrics"
-    ) -> "PlanReconciliation":
-        """Join a prediction against one run's execution metrics."""
-        return cls.from_values(
-            algorithm=metrics.algorithm,
-            tier=prediction.tier,
-            predicted=prediction.quantities(),
-            observed=metrics.observed_quantities(),
-        )
+        return cls(algorithm=metrics.algorithm, tier=prediction.tier, rows=rows)
 
     # ------------------------------------------------------------------
     def row(self, quantity: str) -> Optional[ReconciliationRow]:
@@ -199,44 +185,6 @@ class PlanReconciliation:
             ),
         )
 
-    # ------------------------------------------------------------------
-    def publish(self, registry: "MetricsRegistry") -> None:
-        """Surface every row as run-group gauges.
-
-        All three families are deterministic facts of the computation —
-        the analytic prediction depends only on the data profile and the
-        observed side lives in the ``run`` counter groups — so they are
-        executor-invariant and identical under fault injection, exactly
-        like the rest of the ``run`` group.
-        """
-        predicted = registry.gauge(
-            "repro_plan_predicted",
-            "Cost-model-predicted run quantity for the executed plan.",
-            labels=("algorithm", "quantity"),
-        )
-        observed = registry.gauge(
-            "repro_plan_observed",
-            "Observed run quantity joined against the plan prediction.",
-            labels=("algorithm", "quantity"),
-        )
-        error = registry.gauge(
-            "repro_plan_relative_error",
-            "Signed relative error of the plan prediction "
-            "((predicted - observed) / |observed|).",
-            labels=("algorithm", "quantity"),
-        )
-        for row in self.rows:
-            predicted.set(
-                row.predicted, algorithm=self.algorithm,
-                quantity=row.quantity,
-            )
-            observed.set(
-                row.observed, algorithm=self.algorithm, quantity=row.quantity
-            )
-            error.set(
-                row.error, algorithm=self.algorithm, quantity=row.quantity
-            )
-
     def render(self) -> str:
         """A printable reconciliation table, worst offender first."""
         lines = [
@@ -259,42 +207,15 @@ class PlanReconciliation:
 def reconciliation_from_spans(
     spans: Sequence[Span],
 ) -> List[PlanReconciliation]:
-    """Rebuild reconciliations from a recorded span sequence.
-
-    Pairs each ``kind="plan"`` span's predicted quantities with the
-    matching ``kind="algorithm"`` span's ``observed_quantities``
-    annotation, in trace order — exactly what ``repro report`` does with
-    a saved JSONL trace after the run is gone.
-    """
-    observed_by_algorithm: Dict[str, Dict[str, float]] = {}
-    for span in spans:
-        if span.kind != "algorithm":
-            continue
-        quantities = span.attributes.get("observed_quantities")
-        if isinstance(quantities, Mapping):
-            observed_by_algorithm[
-                str(span.attributes.get("algorithm", span.name))
-            ] = {str(k): float(v) for k, v in quantities.items()}
-    out: List[PlanReconciliation] = []
-    for span in spans:
-        if span.kind != "plan":
-            continue
-        predicted = span.attributes.get("quantities")
-        algorithm = str(span.attributes.get("algorithm", "?"))
-        observed = observed_by_algorithm.get(algorithm)
-        if not isinstance(predicted, Mapping) or observed is None:
-            continue
-        out.append(
-            PlanReconciliation.from_values(
-                algorithm=algorithm,
-                tier=str(span.attributes.get("tier", "analytic")),
-                predicted={
-                    str(k): float(v) for k, v in predicted.items()
-                },
-                observed=observed,
-            )
-        )
-    return out
+    """Rebuild reconciliations from a recorded span sequence — one per
+    ``kind="reconciliation"`` span, in trace order — exactly what
+    ``repro report`` does with a saved JSONL trace after the run is
+    gone."""
+    return [
+        PlanReconciliation.from_dict(span.attributes)
+        for span in spans
+        if span.kind == "reconciliation"
+    ]
 
 
 # ---------------------------------------------------------------------------

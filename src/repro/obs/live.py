@@ -3,9 +3,13 @@
 Every other observability surface (traces, the dashboard, EXPLAIN
 reconciliation, the profiler) is post-hoc — nothing is visible until the
 run ends.  This module supplies the *live* path the paper's Hadoop
-setting assumes: running tasks emit :class:`Heartbeat` events (phase,
-task index, attempt, records processed, last-progress timestamp) to a
-driver-side :class:`TelemetryHub` over an executor-appropriate channel —
+setting assumes.  The :class:`TelemetryHub` is a sink of the recorder's
+span stream: ``job`` and ``phase`` spans opening and closing give it the
+run's structure (a phase span carries its task count as ``tasks=``) and
+the ``plan`` span the analytic prediction.  What no span can carry —
+progress *inside* a task — arrives as :class:`Heartbeat` events (phase,
+task index, attempt, records processed, last-progress timestamp) that
+running tasks emit over an executor-appropriate channel —
 
 * ``serial`` — a direct callback into the hub (same thread),
 * ``threads`` — a thread-safe :class:`queue.Queue` drained by a
@@ -51,8 +55,10 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Any, Dict, FrozenSet, List, Optional, Tuple
 
 from repro.errors import ReproError
+from repro.gc_pause import collector_paused
 from repro.obs.metrics import GROUP_LIVE, MetricsRegistry
-from repro.obs.profile import collector_paused
+from repro.obs.sinks import TraceSink
+from repro.obs.span import Span
 
 __all__ = [
     "LIVE_ENV",
@@ -292,21 +298,6 @@ class TaskBeat:
         )
 
 
-class NullHub:
-    """Live telemetry off: the hooks the job runner calls, as no-ops.
-    ``task_beat`` hands out no emitter (``None``), which is what keeps
-    the per-record progress report out of unmonitored task bodies."""
-
-    def _ignore(self, *args: Any, **kwargs: Any) -> None:
-        return None
-
-    job_started = job_finished = phase_started = phase_finished = _ignore
-    task_beat = _ignore
-
-    def stalled_indices(self, job: str, phase: str) -> FrozenSet[int]:
-        return frozenset()
-
-
 # ----------------------------------------------------------------------
 # Driver-side state.
 # ----------------------------------------------------------------------
@@ -324,7 +315,6 @@ class _TaskState:
 class _PhaseState:
     total: int = 0
     done: int = 0
-    started_at: float = 0.0
     finished: bool = False
 
 
@@ -336,15 +326,15 @@ class _JobState:
     finished: bool = False
 
 
-class TelemetryHub:
+class TelemetryHub(TraceSink):
     """The driver-side heartbeat collector, progress model and watchdog.
 
-    Strictly additive: the hub only *reads* the run (heartbeats, phase
-    boundaries, the pre-run prediction) and *writes* the ``live`` metric
-    group — never counters, spans or outputs.  All state mutations take
-    the hub lock; the watchdog is a daemon thread that both flags
-    observed stragglers and republishes the progress gauges every
-    ``poll_interval``.
+    Strictly additive: the hub only *reads* the run (heartbeats, the
+    job/phase/plan spans it receives as a sink) and *writes* the
+    ``live`` metric group — never counters, spans or outputs.  All state
+    mutations take the hub lock; the watchdog is a daemon thread that
+    both flags observed stragglers and republishes the progress gauges
+    every ``poll_interval``.
     """
 
     def __init__(
@@ -485,26 +475,7 @@ class TelemetryHub:
             interval=self.config.heartbeat_interval,
         )
 
-    # -- run-structure hooks (called by the runner / executor) ----------
-    def set_plan(
-        self,
-        algorithm: str,
-        cycles: Optional[List[Dict[str, Any]]] = None,
-        modelled_seconds: float = 0.0,
-    ) -> None:
-        """Attach the analytic plan prediction the ETA model scales.
-
-        ``cycles`` entries carry ``records_read`` / ``shuffled_records``
-        (as :meth:`CyclePrediction.as_dict` emits them); they become the
-        per-cycle work weights of the progress model.
-        """
-        with self._lock:
-            self._plan = {
-                "algorithm": algorithm,
-                "cycles": list(cycles or []),
-                "modelled_seconds": float(modelled_seconds),
-            }
-
+    # -- the run's structure, from the span stream ------------------------
     def _job(self, job: str) -> _JobState:
         state = self._jobs.get(job)
         if state is None:
@@ -512,31 +483,41 @@ class TelemetryHub:
             self._jobs[job] = state
         return state
 
-    def job_started(self, job: str) -> None:
-        with self._lock:
-            self._job(job)
+    def opened(self, span: Span) -> None:
+        if span.kind in ("job", "phase"):
+            with self._lock:
+                job = self._job(str(span.attributes.get("job", span.name)))
+                if span.kind == "phase":
+                    job.phases[span.name] = _PhaseState(
+                        total=max(int(span.attributes.get("tasks", 0)), 0)
+                    )
 
-    def job_finished(self, job: str) -> None:
-        with self._lock:
-            state = self._job(job)
-            state.finished = True
-            for phase in state.phases.values():
-                phase.finished = True
-            self._publish_locked(time.monotonic())
-
-    def phase_started(self, job: str, phase: str, total_tasks: int) -> None:
-        with self._lock:
-            self._job(job).phases[phase] = _PhaseState(
-                total=max(int(total_tasks), 0),
-                started_at=time.monotonic(),
-            )
-
-    def phase_finished(self, job: str, phase: str) -> None:
-        with self._lock:
-            state = self._job(job).phases.get(phase)
-            if state is not None:
-                state.finished = True
-            self._publish_locked(time.monotonic())
+    def emit(self, span: Span) -> None:
+        if span.kind in ("job", "phase"):
+            with self._lock:
+                job = self._job(str(span.attributes.get("job", span.name)))
+                if span.kind == "job":
+                    finished = [job, *job.phases.values()]
+                else:
+                    finished = [job.phases.get(span.name)]
+                for state in finished:
+                    if state is not None:
+                        state.finished = True
+                self._publish_locked(time.monotonic())
+        elif span.kind == "plan" and "prediction" in span.attributes:
+            # The analytic prediction the ETA model scales: its cycles'
+            # ``records_read`` / ``shuffled_records`` (as
+            # :meth:`CyclePrediction.as_dict` emits them) become the
+            # per-cycle work weights of the progress model.
+            prediction = span.attributes["prediction"]
+            with self._lock:
+                self._plan = {
+                    "algorithm": span.attributes.get("algorithm"),
+                    "cycles": list(prediction["cycles"]),
+                    "modelled_seconds": float(
+                        prediction["quantities"]["modelled_seconds"]
+                    ),
+                }
 
     # -- heartbeat ingestion ---------------------------------------------
     def ingest(self, beat: Heartbeat) -> None:
@@ -853,22 +834,29 @@ class StatusServer:
     self-contained HTML dashboard rendered from the recorder's
     *in-flight* spans).  Runs on a daemon thread; pass port 0 to bind an
     ephemeral port (tests) and read it back from :attr:`port`.
+
+    Constructing it binds the port (``OSError`` when it is taken) and
+    starts nothing, so a run can claim its port before anything else
+    exists and set :attr:`recorder` before :meth:`start`.
     """
 
     def __init__(
         self,
-        recorder: Any,
+        recorder: Any = None,
         port: int = 0,
         host: str = "127.0.0.1",
         title: str = "repro run (live)",
     ) -> None:
         self.recorder = recorder
-        self.hub: Optional[TelemetryHub] = getattr(recorder, "live", None)
         self.title = title
         self._httpd = ThreadingHTTPServer((host, port), _StatusHandler)
         self._httpd.daemon_threads = True
         self._httpd.status = self  # type: ignore[attr-defined]
         self._thread: Optional[threading.Thread] = None
+
+    @property
+    def hub(self) -> Optional[TelemetryHub]:
+        return getattr(self.recorder, "live", None)
 
     @property
     def port(self) -> int:
@@ -891,11 +879,13 @@ class StatusServer:
         return self
 
     def close(self) -> None:
-        self._httpd.shutdown()
-        self._httpd.server_close()
         if self._thread is not None:
+            # shutdown() waits for serve_forever() to end — for ever if
+            # it never began.
+            self._httpd.shutdown()
             self._thread.join(timeout=2.0)
             self._thread = None
+        self._httpd.server_close()
 
     # -- route bodies -----------------------------------------------------
     def metrics_text(self) -> str:

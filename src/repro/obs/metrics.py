@@ -1,9 +1,16 @@
-"""A thread-safe metrics registry with Prometheus-style exposition.
+"""The metrics registry — a fold over the span stream.
 
 The :class:`MetricsRegistry` is the queryable side of the observability
 layer: where :class:`~repro.obs.span.Span` records *when* something
 happened, a metric records *how much* of it happened, keyed by a fixed
-label set.  Three metric types cover every signal the simulator emits:
+label set.  The spans are the record and the registry is a function of
+them: :func:`fold_span` turns one closed span into samples of the
+families declared in :data:`FAMILIES`, a recorder's registry is that
+fold kept up to date as spans close (:class:`MetricsFold`), and
+:func:`fold_spans` over a reloaded JSONL trace rebuilds the same
+registry sample for sample.  Only the beat-driven ``live`` group is
+written from elsewhere (:mod:`repro.obs.live`).  Three metric types
+cover every signal the simulator emits:
 
 * :class:`Counter` — monotonically increasing totals (records mapped,
   tasks retried, bytes-ish shuffled).
@@ -26,7 +33,7 @@ Every metric belongs to a **group**:
   identical across executors for a pinned fault plan but empty on a
   fault-free run.
 * ``"profile"`` — data-plane profiling facts (CPU seconds, pickle
-  bytes, GC pauses; see :mod:`repro.obs.profile`).  Machine- and
+  bytes, memory watermarks; see :mod:`repro.obs.profile`).  Machine- and
   executor-dependent by nature, so excluded from parity like ``wall``.
 
 :meth:`MetricsRegistry.fingerprint` exposes exactly that contract: the
@@ -35,9 +42,11 @@ parity tests compare fingerprints with ``exclude_groups=("wall",
 against a fault-free one.
 
 Worker *processes* never see the registry — they ship counter snapshots
-back (see ``runner._process_attempt``) and the parent records
-metrics from those, so the merge is deterministic by construction.
-Worker *threads* write through the registry lock.
+back (see ``runner._process_attempt``), the parent puts them on the
+task's span and the fold reads them there, so the merge is deterministic
+by construction.  Only winning attempts close as ``kind="task"`` spans
+and losing ones (``kind="attempt"``) touch nothing but the ``faults``
+group, which is what makes the ``run`` group invariant under chaos.
 """
 
 from __future__ import annotations
@@ -45,9 +54,21 @@ from __future__ import annotations
 import json
 import threading
 from bisect import bisect_left
-from typing import Any, Dict, Iterable, List, Mapping, Optional, Tuple
+from typing import (
+    Any,
+    Callable,
+    Dict,
+    Iterable,
+    List,
+    Mapping,
+    Optional,
+    Sequence,
+    Tuple,
+)
 
 from repro.errors import ReproError
+from repro.obs.sinks import TraceSink
+from repro.obs.span import Span
 
 __all__ = [
     "MetricError",
@@ -55,6 +76,10 @@ __all__ = [
     "Counter",
     "Gauge",
     "Histogram",
+    "FAMILIES",
+    "MetricsFold",
+    "fold_span",
+    "fold_spans",
     "GROUP_RUN",
     "GROUP_WALL",
     "GROUP_FAULTS",
@@ -369,10 +394,7 @@ class MetricsRegistry:
     """
 
     def __init__(self) -> None:
-        # Reentrant: the profiler's GC callback records into the registry
-        # from whichever thread triggered the collection, which may be
-        # inside a registry call (holding this lock) already.
-        self._lock = threading.RLock()
+        self._lock = threading.Lock()
         self._metrics: Dict[str, Metric] = {}
 
     # -- registration ---------------------------------------------------
@@ -580,3 +602,390 @@ def _valid_group(group: str) -> str:
             f"unknown metric group {group!r}; use one of {_VALID_GROUPS}"
         )
     return group
+
+
+# ----------------------------------------------------------------------
+# The fold: every family outside the ``live`` group, and the one function
+# that turns a closed span into its samples.
+# ----------------------------------------------------------------------
+
+_JOB_PHASE = ("job", "phase")
+_PLAN = ("algorithm", "quantity")
+
+#: Every family of the ``run``, ``faults``, ``wall`` and ``profile``
+#: groups: name -> (type, labels, group, help[, histogram buckets]).
+FAMILIES: Dict[str, Tuple[Any, ...]] = {
+    # -- from task and attempt spans ------------------------------------
+    "repro_map_records_total": (
+        "counter", ("job", "input", "direction"), GROUP_RUN,
+        "Records entering (direction=in) and pairs leaving (direction=out) "
+        "map tasks, per input relation.",
+    ),
+    "repro_reduce_records_total": (
+        "counter", ("job", "direction"), GROUP_RUN,
+        "Records entering (direction=in) and leaving (direction=out) "
+        "reduce tasks.",
+    ),
+    "repro_reduce_task_load": (
+        "histogram", ("job",), GROUP_RUN,
+        "Distribution of physical reduce-task input loads (records).",
+    ),
+    "repro_fs_attempts_total": (
+        "counter", ("event",), GROUP_FAULTS,
+        "Commit-protocol attempt files staged/promoted/discarded.",
+    ),
+    "repro_profile_cpu_seconds_total": (
+        "counter", ("job", "phase", "where"), GROUP_PROFILE,
+        "CPU seconds, thread_time-measured.  where=task charges task bodies "
+        "(worker-side under processes); where=driver charges the "
+        "coordinating thread across the phase — under the serial executor "
+        "task CPU is a subset of driver CPU.",
+    ),
+    "repro_profile_pickle_seconds_total": (
+        "counter", ("job", "phase", "side", "op"), GROUP_PROFILE,
+        "Wall seconds spent pickling (encode) / unpickling (decode) task "
+        "payloads and results at the processes-executor boundary, split by "
+        "side.",
+    ),
+    "repro_profile_pickle_bytes_total": (
+        "counter", ("job", "phase", "direction"), GROUP_PROFILE,
+        "Pickled bytes shipped across the process boundary: "
+        "direction=request (payloads out) / response (results back).",
+    ),
+    # -- from phase spans -----------------------------------------------
+    "repro_phase_wall_seconds": (
+        "histogram", _JOB_PHASE, GROUP_WALL,
+        "Wall-clock seconds spent in each job phase.", SECONDS_BUCKETS,
+    ),
+    "repro_profile_mem_rss_peak_bytes": (
+        "gauge", _JOB_PHASE, GROUP_PROFILE,
+        "Process peak RSS at phase end (monotonic across phases).",
+    ),
+    "repro_profile_mem_alloc_blocks": (
+        "gauge", _JOB_PHASE, GROUP_PROFILE,
+        "Live interpreter allocation blocks at phase end.",
+    ),
+    "repro_profile_mem_current_bytes": (
+        "gauge", _JOB_PHASE, GROUP_PROFILE,
+        "tracemalloc-traced bytes live at phase end (level=full).",
+    ),
+    "repro_profile_mem_peak_bytes": (
+        "gauge", _JOB_PHASE, GROUP_PROFILE,
+        "tracemalloc peak traced bytes within the phase (level=full).",
+    ),
+    "repro_profile_shm_bytes_total": (
+        "counter", ("job", "phase", "direction"), GROUP_PROFILE,
+        "Column bytes shipped via multiprocessing.shared_memory blocks "
+        "instead of pickles (columnar data plane).",
+    ),
+    # -- from job spans -------------------------------------------------
+    "repro_job_wall_seconds": (
+        "histogram", ("job",), GROUP_WALL,
+        "Wall-clock seconds per MapReduce job.", SECONDS_BUCKETS,
+    ),
+    "repro_shuffle_records_total": (
+        "counter", ("job",), GROUP_RUN,
+        "Intermediate pairs routed through the shuffle.",
+    ),
+    "repro_shuffle_partition_records": (
+        "gauge", ("job", "partition"), GROUP_RUN,
+        "Records routed to each physical reduce partition.",
+    ),
+    "repro_key_load": (
+        "histogram", ("job",), GROUP_RUN,
+        "Per-logical-reducer (distinct intermediate key) load distribution "
+        "— the key-skew histogram.",
+    ),
+    "repro_replication_factor": (
+        "gauge", ("job",), GROUP_RUN,
+        "Map-output pairs emitted per input record of the job (tuples "
+        "emitted / distinct input tuples).",
+    ),
+    "repro_faults_total": (
+        "counter", ("job", "kind"), GROUP_FAULTS,
+        "Fault-injection bookkeeping: failed/retried/speculative attempts "
+        "per job.",
+    ),
+    # -- from algorithm and reconciliation spans -------------------------
+    "repro_algorithm_replication_factor": (
+        "gauge", ("algorithm",), GROUP_RUN,
+        "Map-output pairs per input record over the whole algorithm (all "
+        "cycles).",
+    ),
+    "repro_algorithm_observed": (
+        "gauge", _PLAN, GROUP_RUN,
+        "Observed run quantities the cost model predicts: the observed side "
+        "of every plan reconciliation.",
+    ),
+    "repro_algorithm_output_records": (
+        "gauge", ("algorithm",), GROUP_RUN,
+        "Tuples produced by the algorithm's final cycle.",
+    ),
+    "repro_grid_reducers": (
+        "gauge", ("algorithm", "kind"), GROUP_RUN,
+        "Grid reducers by kind: consistent (receive data) vs total (all "
+        "grid cells).",
+    ),
+    "repro_grid_utilisation": (
+        "gauge", ("algorithm",), GROUP_RUN,
+        "Consistent reducers as a fraction of the full grid.",
+    ),
+    "repro_algorithm_shape": (
+        "gauge", ("algorithm", "dimension"), GROUP_RUN,
+        "Algorithm-declared shape metadata (grid dims, stages, partition "
+        "intervals).",
+    ),
+    "repro_plan_predicted": (
+        "gauge", _PLAN, GROUP_RUN,
+        "Cost-model-predicted run quantity for the executed plan.",
+    ),
+    "repro_plan_observed": (
+        "gauge", _PLAN, GROUP_RUN,
+        "Observed run quantity joined against the plan prediction.",
+    ),
+    "repro_plan_relative_error": (
+        "gauge", _PLAN, GROUP_RUN,
+        "Signed relative error of the plan prediction ((predicted - "
+        "observed) / |observed|).",
+    ),
+}
+
+
+def _family(registry: MetricsRegistry, name: str) -> Any:
+    """The registered metric of one :data:`FAMILIES` entry."""
+    metric = registry.get(name)
+    if metric is None:
+        kind, labels, group, help_text, *buckets = FAMILIES[name]
+        metric = getattr(registry, kind)(
+            name, help_text, labels, group, *buckets
+        )
+    return metric
+
+
+def _fold_attempt(registry: MetricsRegistry, span: Span) -> Sequence[str]:
+    """Commit-protocol traffic of one attempt: a staged file, discarded
+    again unless the attempt won.  All a failed or speculative attempt
+    folds into — attempt traffic varies under chaos, so the family lives
+    in the ``faults`` group."""
+    if span.attributes.get("staged"):
+        attempts = _family(registry, "repro_fs_attempts_total")
+        attempts.inc(1, event="staged")
+        if span.kind == "attempt":
+            attempts.inc(1, event="discarded")
+    return ()
+
+
+def _fold_task(registry: MetricsRegistry, span: Span) -> Sequence[str]:
+    """A winning attempt: what the task read and wrote, and — on a
+    profiled run — its CPU seconds and what crossing the process
+    boundary cost."""
+    attrs = span.attributes
+    job, phase = attrs.get("job", ""), attrs.get("phase", span.name)
+    skipped: Sequence[str] = ()
+    if phase == "map":
+        if "input" in attrs:
+            # Out ÷ in per input is the paper's *replication factor* of
+            # that relation: pairs emitted per distinct input tuple.
+            labels = {"job": job, "input": attrs["input"]}
+            reads = span.counters.get("framework", {})
+            records = _family(registry, "repro_map_records_total")
+            records.inc(
+                reads.get("map_input_records", 0), direction="in", **labels
+            )
+            records.inc(
+                attrs.get("output_pairs", 0), direction="out", **labels
+            )
+        else:
+            skipped = ("repro_map_records_total",)
+    elif phase == "reduce":
+        load = attrs.get("input_records", 0)
+        records = _family(registry, "repro_reduce_records_total")
+        records.inc(load, job=job, direction="in")
+        records.inc(attrs.get("output_records", 0), job=job, direction="out")
+        _family(registry, "repro_reduce_task_load").observe(load, job=job)
+        _fold_attempt(registry, span)
+        if "staged" not in attrs:  # every winner staged its output
+            skipped = ("repro_fs_attempts_total",)
+    labels = {"job": job, "phase": phase}
+    if "profile_cpu_seconds" in attrs:
+        _family(registry, "repro_profile_cpu_seconds_total").inc(
+            attrs["profile_cpu_seconds"], where="task", **labels
+        )
+    for side, ops in attrs.get("profile_pickle_seconds", {}).items():
+        for op, seconds in ops.items():
+            _family(registry, "repro_profile_pickle_seconds_total").inc(
+                seconds, side=side, op=op, **labels
+            )
+    for direction, nbytes in attrs.get("profile_pickle_bytes", {}).items():
+        _family(registry, "repro_profile_pickle_bytes_total").inc(
+            nbytes, direction=direction, **labels
+        )
+    return skipped
+
+
+def _fold_phase(registry: MetricsRegistry, span: Span) -> Sequence[str]:
+    attrs = span.attributes
+    labels = {"job": attrs.get("job", span.name), "phase": span.name}
+    _family(registry, "repro_phase_wall_seconds").observe(
+        span.duration, **labels
+    )
+    if "profile_cpu_driver_seconds" in attrs:
+        # The profiler annotated this phase: the profile group follows.
+        _family(registry, "repro_profile_cpu_seconds_total").inc(
+            attrs["profile_cpu_driver_seconds"], where="driver", **labels
+        )
+        for attribute in (
+            "profile_mem_rss_peak_bytes", "profile_mem_alloc_blocks",
+            "profile_mem_current_bytes", "profile_mem_peak_bytes",
+        ):
+            if attribute in attrs:
+                _family(registry, f"repro_{attribute}").set(
+                    attrs[attribute], **labels
+                )
+        if "shm_bytes" in attrs:
+            _family(registry, "repro_profile_shm_bytes_total").inc(
+                attrs["shm_bytes"], direction="request", **labels
+            )
+    return ()
+
+
+def _fold_job(registry: MetricsRegistry, span: Span) -> Sequence[str]:
+    """Job-level shuffle, skew, replication and fault facts (a job that
+    failed closes its span without them and leaves only wall time)."""
+    attrs = span.attributes
+    job = attrs.get("job", span.name)
+    _family(registry, "repro_job_wall_seconds").observe(span.duration, job=job)
+    if "shuffled_records" not in attrs:
+        return ()
+    _family(registry, "repro_shuffle_records_total").inc(
+        attrs["shuffled_records"], job=job
+    )
+    partition_records = _family(registry, "repro_shuffle_partition_records")
+    for index, records in enumerate(attrs.get("reduce_task_loads", ())):
+        partition_records.set(records, job=job, partition=f"{index:05d}")
+    framework = span.counters.get("framework", {})
+    reads = framework.get("map_input_records", 0)
+    if reads:
+        _family(registry, "repro_replication_factor").set(
+            framework.get("map_output_records", 0) / reads, job=job
+        )
+    faults_total = _family(registry, "repro_faults_total")
+    for kind, value in sorted(span.counters.get("faults", {}).items()):
+        if value:
+            faults_total.inc(value, job=job, kind=kind)
+    if attrs.get("promoted"):
+        _family(registry, "repro_fs_attempts_total").inc(
+            attrs["promoted"], event="promoted"
+        )
+    if "key_loads" not in attrs:
+        return ("repro_key_load",)
+    key_load = _family(registry, "repro_key_load")
+    for load in attrs["key_loads"]:
+        key_load.observe(load, job=job)
+    return ()
+
+
+def _fold_algorithm(registry: MetricsRegistry, span: Span) -> Sequence[str]:
+    """One algorithm run's paper-level numbers: replication factor and
+    (for grid algorithms) the consistent-vs-total reducer utilisation
+    are what Sections 6–7 of the paper compare algorithms by.  A
+    composite algorithm (FCTS/FSTC) closes its span after each sub-plan
+    closed its own."""
+    attrs = span.attributes
+    labels = {"algorithm": attrs.get("algorithm", span.name)}
+    if "observed_quantities" not in attrs:
+        return ()
+    observed = attrs["observed_quantities"]
+    _family(registry, "repro_algorithm_replication_factor").set(
+        observed["replication_factor"], **labels
+    )
+    for quantity, value in sorted(observed.items()):
+        _family(registry, "repro_algorithm_observed").set(
+            value, quantity=quantity, **labels
+        )
+    if "output_records" not in attrs:
+        return (
+            "repro_algorithm_output_records", "repro_algorithm_shape",
+            "repro_grid_reducers", "repro_grid_utilisation",
+        )
+    _family(registry, "repro_algorithm_output_records").set(
+        attrs["output_records"], **labels
+    )
+    if attrs.get("total_reducers"):
+        consistent, total = attrs["consistent_reducers"], attrs["total_reducers"]
+        reducers = _family(registry, "repro_grid_reducers")
+        reducers.set(consistent, kind="consistent", **labels)
+        reducers.set(total, kind="total", **labels)
+        _family(registry, "repro_grid_utilisation").set(
+            consistent / total, **labels
+        )
+    for dimension, value in sorted(attrs.get("shape", {}).items()):
+        _family(registry, "repro_algorithm_shape").set(
+            value, dimension=dimension, **labels
+        )
+    return ()
+
+
+def _fold_reconciliation(
+    registry: MetricsRegistry, span: Span
+) -> Sequence[str]:
+    """Every reconciliation row as three gauges.  All are deterministic
+    facts of the computation — the analytic prediction depends only on
+    the data profile and the observed side lives in the ``run`` counter
+    groups — so they are executor- and fault-invariant like the rest of
+    the ``run`` group."""
+    algorithm = span.attributes.get("algorithm", span.name)
+    for side in ("predicted", "observed", "relative_error"):
+        gauge = _family(registry, f"repro_plan_{side}")
+        for row in span.attributes.get("rows", ()):
+            gauge.set(row[side], algorithm=algorithm, quantity=row["quantity"])
+    return ()
+
+
+_FOLDS: Dict[str, Callable[[MetricsRegistry, Span], Sequence[str]]] = {
+    "task": _fold_task,
+    "attempt": _fold_attempt,
+    "phase": _fold_phase,
+    "job": _fold_job,
+    "algorithm": _fold_algorithm,
+    "reconciliation": _fold_reconciliation,
+}
+
+
+def fold_span(registry: MetricsRegistry, span: Span) -> Sequence[str]:
+    """Fold one closed span into ``registry``.
+
+    Reads nothing but what a JSONL trace preserves (kind, name, times,
+    attributes, counter deltas), so folding a reloaded trace in file
+    order gives the registry the live run had.  Returns the names of the
+    families it had to leave out because the span predates the
+    attributes they are computed from — none for a current trace.
+    """
+    fold = _FOLDS.get(span.kind)
+    return fold(registry, span) if fold is not None else ()
+
+
+def fold_spans(
+    spans: Iterable[Span],
+) -> Tuple[MetricsRegistry, List[str]]:
+    """The registry of a recorded span sequence (close order, as a JSONL
+    trace holds it; spans still open are passed over) and the sorted
+    names of the families that an older trace could not supply."""
+    registry = MetricsRegistry()
+    skipped = set()
+    for span in spans:
+        if span.end is not None:
+            skipped.update(fold_span(registry, span))
+    return registry, sorted(skipped)
+
+
+class MetricsFold(TraceSink):
+    """The sink that keeps a registry equal to the fold of every span
+    closed so far — what fills ``TraceRecorder.metrics``, so ``/metrics``
+    is current mid-run."""
+
+    def __init__(self, registry: MetricsRegistry) -> None:
+        self.registry = registry
+
+    def emit(self, span: Span) -> None:
+        fold_span(self.registry, span)

@@ -1,11 +1,9 @@
 """The data-plane profiler: CPU, memory and serialization accounting.
 
-``BENCH_executors.json`` shows the parallel executors barely beating —
-or losing to — the serial one.  The ROADMAP blames the Python-object
-data plane (pickle shipping, repr-sorting, GC churn), but spans only
-time *phases*; nothing attributes cost to the *boundaries*.  This module
-closes that gap.  When a run is profiled (``repro run --profile`` /
-``$REPRO_PROFILE``), a :class:`Profiler` rides along on the
+Spans time *phases*; nothing in them attributes cost to the
+*boundaries* of the data plane (pickle shipping, memory growth).  This
+module closes that gap.  When a run is profiled (``repro run --profile``
+/ ``$REPRO_PROFILE``), a :class:`Profiler` is the first sink of the
 :class:`~repro.obs.recorder.TraceRecorder` and collects:
 
 * **CPU** — a low-overhead sampling profiler (:class:`StackSampler`,
@@ -20,25 +18,23 @@ closes that gap.  When a run is profiled (``repro run --profile`` /
   level adds ``tracemalloc`` current/peak traced bytes, which are exact
   but cost well over the 10% overhead budget (measured ~5x on join
   workloads), so they are opt-in.
-* **GC** — pause counts and durations per phase via ``gc.callbacks``.
 * **Serialization** — pickle bytes and encode/decode wall seconds at
-  the processes-executor dispatch (both parent and worker side), the
-  shuffle's repr-sort seconds and per-partition key-repr bytes, and
-  staged-file repr bytes in the commit protocol.
+  the processes-executor dispatch, both parent and worker side
+  (:meth:`Profiler.ship`, the one place an observer wraps engine work).
 
-Everything publishes through the run's
-:class:`~repro.obs.metrics.MetricsRegistry` under the ``profile`` group
-— machine- and executor-dependent by nature, so excluded from the
-parity fingerprint exactly like ``wall`` — plus annotations on the
-phase spans.  Profiling is strictly passive: with it off nothing in
-this module runs, and with it on the run's deterministic outputs and
-``run``-group metrics are bit-identical (pinned by the profiler
-passivity tests).
+The profiler writes no metric: it annotates the spans it watches
+(``profile_*`` attributes on phase spans; CPU and pickle facts on the
+attempt's span), so the facts reach the JSONL trace, and the fold in
+:mod:`repro.obs.metrics` turns them into the ``profile`` metric group —
+machine- and executor-dependent by nature, so excluded from the parity
+fingerprint exactly like ``wall``.  Profiling is strictly passive: with
+it off nothing in this module runs, and with it on the run's
+deterministic outputs and ``run``-group metrics are bit-identical
+(pinned by the profiler passivity tests).
 """
 
 from __future__ import annotations
 
-import gc
 import os
 import pickle
 import sys
@@ -46,21 +42,23 @@ import threading
 import time
 import zlib
 from collections import Counter as CollectionsCounter
-from contextlib import contextmanager
-from typing import Any, Dict, Iterable, Iterator, List, Mapping, Optional, Tuple
+from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
-from repro.obs.metrics import GROUP_PROFILE, MetricsRegistry
+from repro.gc_pause import collector_paused
+from repro.obs.metrics import MetricsRegistry
+from repro.obs.sinks import TraceSink
+from repro.obs.span import Span
 
 __all__ = [
     "PROFILE_ENV",
     "LEVEL_CPU",
     "LEVEL_FULL",
-    "BYTES_BUCKETS",
     "resolve_profile",
     "StackSampler",
     "Profiler",
     "run_profiled_task",
     "render_flame_svg",
+    "data_plane_rows",
     "data_plane_summary",
 ]
 
@@ -70,8 +68,8 @@ __all__ = [
 #: :data:`LEVEL_CPU`.
 PROFILE_ENV = "REPRO_PROFILE"
 
-#: Default level: sampler + thread-time CPU, GC pauses, serialization
-#: accounting and cheap memory watermarks.  Overhead is gated < 10%
+#: Default level: sampler + thread-time CPU, serialization accounting
+#: and cheap memory watermarks.  Overhead is gated < 10%
 #: (``benchmarks/bench_profile.py``).
 LEVEL_CPU = "cpu"
 
@@ -80,13 +78,6 @@ LEVEL_CPU = "cpu"
 LEVEL_FULL = "full"
 
 _FALSEY = ("", "0", "false", "no", "off")
-
-#: Fixed boundaries for byte-size histograms (per-partition key-repr
-#: bytes); mergeable by addition like every other fixed-bucket family.
-BYTES_BUCKETS: Tuple[float, ...] = (
-    64.0, 256.0, 1024.0, 4096.0, 16384.0, 65536.0,
-    262144.0, 1048576.0, 4194304.0, 16777216.0, 67108864.0,
-)
 
 #: Frames kept per sampled stack (deeper stacks are truncated at the
 #: root end, keeping the leaves — the hot code — intact).
@@ -111,24 +102,6 @@ def resolve_profile(explicit: Any = None) -> Optional[str]:
     if value in _FALSEY:
         return None
     return LEVEL_FULL if value == LEVEL_FULL else LEVEL_CPU
-
-
-@contextmanager
-def collector_paused() -> Iterator[None]:
-    """Keep the cyclic collector from starting inside the block.
-
-    For short calls into C-level state that is not safe against the
-    Python code a collection runs (``gc.callbacks``, finalisers), and
-    for a whole ``JoinAlgorithm.run``.  Pauses nest; one ending on
-    another thread can cut this one short, never leave the collector off.
-    """
-    collecting = gc.isenabled()
-    gc.disable()
-    try:
-        yield
-    finally:
-        if collecting:
-            gc.enable()
 
 
 # ----------------------------------------------------------------------
@@ -190,9 +163,10 @@ class StackSampler:
         """Take one sample of every registered thread (also called by
         the background loop); returns the number of stacks folded."""
         # _current_frames() allocates while holding the interpreter's
-        # thread-list lock; a collection started there runs gc callbacks,
-        # which can hand the GIL to a thread that then blocks on that
-        # lock (another sampler, a thread starting or exiting) for good.
+        # thread-list lock; a collection started there runs Python code
+        # (gc callbacks, finalisers), which can hand the GIL to a thread
+        # that then blocks on that lock (another sampler, a thread
+        # starting or exiting) for good.
         with collector_paused():
             frames = sys._current_frames()
         folded = 0
@@ -252,9 +226,8 @@ class StackSampler:
 # The profiler proper.
 # ----------------------------------------------------------------------
 
-# tracemalloc and gc.callbacks are process-global; a refcount keeps
-# concurrently-active profilers (parallel tests) from stopping each
-# other's collection.
+# tracemalloc is process-global; a refcount keeps concurrently-active
+# profilers (parallel tests) from stopping each other's collection.
 _global_lock = threading.Lock()
 _tracemalloc_users = 0
 _tracemalloc_started_here = False
@@ -293,42 +266,27 @@ def _rss_peak_bytes() -> int:
         return 0
 
 
-class Profiler:
+class Profiler(TraceSink):
     """Collects data-plane facts for one profiled run.
 
     Wire-up: :class:`~repro.obs.recorder.TraceRecorder` constructs one
-    (``TraceRecorder(profile=...)``), calls :meth:`on_span_start` /
-    :meth:`on_span_end` around every span, and :meth:`stop` on close.
-    The runner, shuffle and file system record through the explicit
-    ``record_*`` hooks whenever ``observer.profiler`` is present.
-
-    All hooks are safe to call from worker threads; the worker-process
-    side ships a compact profile dict back (see :func:`run_profiled_task`)
-    which the parent folds in via :meth:`absorb_worker`.
+    (``TraceRecorder(profile=...)``) and subscribes it ahead of every
+    other sink, so each span passes through :meth:`opened` and
+    :meth:`emit` — on the thread that opens and closes it — before the
+    metrics fold or a trace file sees it.  The runner sends every pooled
+    attempt through :meth:`ship`.
     """
 
-    def __init__(
-        self,
-        registry: Optional[MetricsRegistry] = None,
-        level: str = LEVEL_CPU,
-        interval: float = 0.004,
-    ) -> None:
-        self.registry = registry if registry is not None else MetricsRegistry()
+    def __init__(self, level: str = LEVEL_CPU) -> None:
         self.level = level
-        self.sampler = StackSampler(interval=interval)
-        # Reentrant: the GC callback (_on_gc) runs on whichever thread
-        # triggered the collection — possibly one already inside a
-        # ``with self._lock`` block that allocated.
-        self._lock = threading.RLock()
-        #: (job, phase) context stack for GC / memory attribution.
-        self._phase_stack: List[Tuple[str, str]] = []
-        #: span_id -> (thread_time0, rss0, blocks0) for open phase spans.
-        self._phase_state: Dict[int, Tuple[float, int, int]] = {}
-        #: span_id -> thread_time0 for open task spans.
-        self._task_state: Dict[int, float] = {}
+        self.sampler = StackSampler()
+        # Span hooks are serialised by the recorder; ship() runs on the
+        # driver threads and shares the worker stacks with the readers.
+        self._lock = threading.Lock()
+        #: span_id -> thread_time at open, for open phase and task spans.
+        self._cpu_started: Dict[int, float] = {}
         #: collapsed stacks absorbed from worker processes.
         self._worker_folded: CollectionsCounter = CollectionsCounter()
-        self._gc_started_at: Optional[float] = None
         self._started = False
 
     # -- lifecycle ------------------------------------------------------
@@ -338,333 +296,105 @@ class Profiler:
         self._started = True
         self.sampler.push(threading.get_ident(), "driver")
         self.sampler.start()
-        gc.callbacks.append(self._on_gc)
         if self.level == LEVEL_FULL:
             _tracemalloc_acquire()
 
-    def stop(self) -> None:
+    def close(self) -> None:
         if not self._started:
             return
         self._started = False
         self.sampler.stop()
-        try:
-            gc.callbacks.remove(self._on_gc)
-        except ValueError:  # pragma: no cover - already removed
-            pass
         if self.level == LEVEL_FULL:
             _tracemalloc_release()
 
-    # -- metric families ------------------------------------------------
-    def _cpu(self):
-        return self.registry.counter(
-            "repro_profile_cpu_seconds_total",
-            "CPU seconds, thread_time-measured.  where=task charges task "
-            "bodies (worker-side under processes); where=driver charges "
-            "the coordinating thread across the phase — under the serial "
-            "executor task CPU is a subset of driver CPU.",
-            labels=("job", "phase", "where"),
-            group=GROUP_PROFILE,
-        )
-
-    def _gc_pauses(self):
-        return self.registry.counter(
-            "repro_profile_gc_pauses_total",
-            "Garbage-collection passes observed during each phase.",
-            labels=("job", "phase"),
-            group=GROUP_PROFILE,
-        )
-
-    def _gc_seconds(self):
-        return self.registry.counter(
-            "repro_profile_gc_pause_seconds_total",
-            "Wall seconds spent inside garbage-collection passes.",
-            labels=("job", "phase"),
-            group=GROUP_PROFILE,
-        )
-
-    def _pickle_seconds(self):
-        return self.registry.counter(
-            "repro_profile_pickle_seconds_total",
-            "Wall seconds spent pickling (encode) / unpickling (decode) "
-            "task payloads and results at the processes-executor "
-            "boundary, split by side.",
-            labels=("job", "phase", "side", "op"),
-            group=GROUP_PROFILE,
-        )
-
-    def _pickle_bytes(self):
-        return self.registry.counter(
-            "repro_profile_pickle_bytes_total",
-            "Pickled bytes shipped across the process boundary: "
-            "direction=request (payloads out) / response (results back).",
-            labels=("job", "phase", "direction"),
-            group=GROUP_PROFILE,
-        )
-
     # -- span hooks -----------------------------------------------------
-    def on_span_start(self, span: Any) -> None:
-        tid = threading.get_ident()
+    def opened(self, span: Span) -> None:
         if span.kind == "phase":
-            job = str(span.attributes.get("job", span.name))
-            with self._lock:
-                self._phase_stack.append((job, span.name))
-                self._phase_state[span.span_id] = (
-                    time.thread_time(),
-                    _rss_peak_bytes(),
-                    sys.getallocatedblocks(),
-                )
-            self.sampler.push(tid, f"{job};{span.name}")
+            label = f"{span.attributes.get('job', span.name)};{span.name}"
             if self.level == LEVEL_FULL:
-                self._tracemalloc_reset_peak()
+                import tracemalloc
+
+                tracemalloc.reset_peak()
         elif span.kind == "task":
-            job = str(span.attributes.get("job", ""))
-            phase = str(span.attributes.get("phase", span.name))
-            with self._lock:
-                self._task_state[span.span_id] = time.thread_time()
-            self.sampler.push(tid, f"{job};{phase};task")
-
-    def on_span_end(self, span: Any) -> None:
-        tid = threading.get_ident()
-        if span.kind == "phase":
-            job = str(span.attributes.get("job", span.name))
-            phase = span.name
-            with self._lock:
-                state = self._phase_state.pop(span.span_id, None)
-                if self._phase_stack and self._phase_stack[-1] == (job, phase):
-                    self._phase_stack.pop()
-            self.sampler.pop(tid)
-            if state is None:
-                return
-            cpu0, _, _ = state
-            driver_cpu = max(0.0, time.thread_time() - cpu0)
-            self._cpu().inc(driver_cpu, job=job, phase=phase, where="driver")
-            rss_peak = _rss_peak_bytes()
-            blocks = sys.getallocatedblocks()
-            self.registry.gauge(
-                "repro_profile_mem_rss_peak_bytes",
-                "Process peak RSS at phase end (monotonic across phases).",
-                labels=("job", "phase"),
-                group=GROUP_PROFILE,
-            ).set(rss_peak, job=job, phase=phase)
-            self.registry.gauge(
-                "repro_profile_mem_alloc_blocks",
-                "Live interpreter allocation blocks at phase end.",
-                labels=("job", "phase"),
-                group=GROUP_PROFILE,
-            ).set(blocks, job=job, phase=phase)
-            span.annotate(
-                profile_cpu_driver_seconds=driver_cpu,
-                profile_mem_rss_peak_bytes=rss_peak,
-                profile_mem_alloc_blocks=blocks,
+            label = (
+                f"{span.attributes.get('job', '')};"
+                f"{span.attributes.get('phase', span.name)};task"
             )
-            if self.level == LEVEL_FULL:
-                self._record_tracemalloc(span, job, phase)
-        elif span.kind in ("task", "attempt"):
-            # "attempt": a task span the runner opened live and closed as
-            # a failed or speculative attempt — same CPU and sampler
-            # bookkeeping, or the thread's sampler label would leak.
-            with self._lock:
-                cpu0 = self._task_state.pop(span.span_id, None)
-            self.sampler.pop(tid)
-            if cpu0 is None:
-                return
-            cpu = max(0.0, time.thread_time() - cpu0)
-            job = str(span.attributes.get("job", ""))
-            phase = str(span.attributes.get("phase", span.name))
-            self._cpu().inc(cpu, job=job, phase=phase, where="task")
+        else:
+            return
+        self._cpu_started[span.span_id] = time.thread_time()
+        self.sampler.push(threading.get_ident(), label)
+
+    def emit(self, span: Span) -> None:
+        # Only spans :meth:`opened` took a baseline for: phases, and
+        # tasks that ran on this thread (the runner may have closed one
+        # as a failed or speculative ``attempt``; a pooled task is
+        # materialised from the worker's record and never opened here).
+        cpu0 = self._cpu_started.pop(span.span_id, None)
+        if cpu0 is None:
+            return
+        self.sampler.pop(threading.get_ident())
+        cpu = max(0.0, time.thread_time() - cpu0)
+        if span.kind != "phase":
             span.annotate(profile_cpu_seconds=cpu)
-
-    def _tracemalloc_reset_peak(self) -> None:
-        import tracemalloc
-
-        try:
-            tracemalloc.reset_peak()
-        except (AttributeError, RuntimeError):  # pragma: no cover - <3.9
-            pass
-
-    def _record_tracemalloc(self, span: Any, job: str, phase: str) -> None:
-        import tracemalloc
-
-        if not tracemalloc.is_tracing():  # pragma: no cover - defensive
             return
-        current, peak = tracemalloc.get_traced_memory()
-        self.registry.gauge(
-            "repro_profile_mem_current_bytes",
-            "tracemalloc-traced bytes live at phase end (level=full).",
-            labels=("job", "phase"),
-            group=GROUP_PROFILE,
-        ).set(current, job=job, phase=phase)
-        self.registry.gauge(
-            "repro_profile_mem_peak_bytes",
-            "tracemalloc peak traced bytes within the phase (level=full).",
-            labels=("job", "phase"),
-            group=GROUP_PROFILE,
-        ).set(peak, job=job, phase=phase)
         span.annotate(
-            profile_mem_current_bytes=current, profile_mem_peak_bytes=peak
+            profile_cpu_driver_seconds=cpu,
+            profile_mem_rss_peak_bytes=_rss_peak_bytes(),
+            profile_mem_alloc_blocks=sys.getallocatedblocks(),
         )
+        if self.level == LEVEL_FULL:
+            import tracemalloc
 
-    # -- GC accounting --------------------------------------------------
-    def _gc_context(self) -> Tuple[str, str]:
-        with self._lock:
-            if self._phase_stack:
-                return self._phase_stack[-1]
-        return ("driver", "driver")
+            if tracemalloc.is_tracing():
+                current, peak = tracemalloc.get_traced_memory()
+                span.annotate(
+                    profile_mem_current_bytes=current,
+                    profile_mem_peak_bytes=peak,
+                )
 
-    def _on_gc(self, phase: str, info: Mapping[str, Any]) -> None:
-        if phase == "start":
-            self._gc_started_at = time.perf_counter()
-            return
-        started = self._gc_started_at
-        self._gc_started_at = None
-        if started is None:
-            return
-        pause = max(0.0, time.perf_counter() - started)
-        job, ctx_phase = self._gc_context()
-        try:
-            self._gc_pauses().inc(1, job=job, phase=ctx_phase)
-            self._gc_seconds().inc(pause, job=job, phase=ctx_phase)
-        except Exception:  # pragma: no cover - never break a GC pass
-            pass
-
-    # -- serialization boundaries ---------------------------------------
-    def record_pickle(
-        self, job: str, phase: str, side: str, op: str, seconds: float
-    ) -> None:
-        """Charge encode/decode wall seconds at the process boundary."""
-        self._pickle_seconds().inc(
-            seconds, job=job, phase=phase, side=side, op=op
-        )
-
-    def record_pickle_bytes(
-        self, job: str, phase: str, direction: str, nbytes: int
-    ) -> None:
-        """Charge pickled bytes shipped across the process boundary."""
-        self._pickle_bytes().inc(
-            nbytes, job=job, phase=phase, direction=direction
-        )
-
+    # -- the serialization boundary ---------------------------------------
     def ship(
-        self,
-        job: str,
-        phase: str,
-        fn: Any,
-        payload: Any,
-        submit: Any,
-    ) -> Any:
-        """Run ``fn(payload)`` in a worker through ``submit(fn, payload)``,
-        charging the process boundary (parent side of
-        :func:`run_profiled_task`).
+        self, fn: Any, payload: Any, submit: Any, parent: Any
+    ) -> Tuple[Any, Dict[str, Any]]:
+        """Run ``fn(payload)`` in a worker through ``submit(fn, payload)``
+        (parent side of :func:`run_profiled_task`) and return the result
+        with what the round trip cost, as attributes for the attempt's
+        span under the phase span ``parent``.
 
         ``(fn, payload)`` is pre-pickled here and the result unpickled
         here — the timed ``dumps``/``loads`` on both sides *are* the real
         serialization work (the pool's own transport then only re-pickles
-        opaque bytes), so the recorded encode/decode seconds and byte
-        counts measure exactly what the unprofiled path pays.
+        opaque bytes), so the encode/decode seconds and byte counts
+        measure exactly what the unprofiled path pays.
         """
         started = time.perf_counter()
         blob = pickle.dumps((fn, payload), protocol=pickle.HIGHEST_PROTOCOL)
-        self.record_pickle(
-            job, phase, "parent", "encode", time.perf_counter() - started
-        )
-        self.record_pickle_bytes(job, phase, "request", len(blob))
-        result_blob, wprof = submit(run_profiled_task, blob)
+        encode = time.perf_counter() - started
+        result_blob, worker = submit(run_profiled_task, blob)
         started = time.perf_counter()
         result = pickle.loads(result_blob)
-        self.record_pickle(
-            job, phase, "parent", "decode", time.perf_counter() - started
-        )
-        self.record_pickle_bytes(job, phase, "response", len(result_blob))
-        self.absorb_worker(job, phase, wprof)
-        return result
-
-    def record_shm_bytes(
-        self, job: str, phase: str, direction: str, nbytes: int
-    ) -> None:
-        """Charge bytes transported through shared-memory blocks at the
-        columnar plane's process boundary (these bytes are *not* pickled
-        — the pickle families shrink to descriptors when shm carries the
-        data, which is the collapse this family makes visible)."""
-        self.registry.counter(
-            "repro_profile_shm_bytes_total",
-            "Column bytes shipped via multiprocessing.shared_memory "
-            "blocks instead of pickles (columnar data plane).",
-            labels=("job", "phase", "direction"),
-            group=GROUP_PROFILE,
-        ).inc(nbytes, job=job, phase=phase, direction=direction)
-
-    def record_shuffle_sort(self, job: str, seconds: float, keys: int) -> None:
-        """Charge the shuffle's repr-sort: wall seconds and keys sorted."""
-        self.registry.counter(
-            "repro_profile_shuffle_sort_seconds_total",
-            "Wall seconds spent repr-sorting distinct shuffle keys.",
-            labels=("job",),
-            group=GROUP_PROFILE,
-        ).inc(seconds, job=job)
-        self.registry.counter(
-            "repro_profile_shuffle_sort_keys_total",
-            "Distinct keys repr-sorted by the shuffle.",
-            labels=("job",),
-            group=GROUP_PROFILE,
-        ).inc(keys, job=job)
-
-    def record_partition_key_bytes(
-        self, job: str, per_partition: Iterable[int]
-    ) -> None:
-        """Record per-partition key-repr byte sizes (the shuffle's
-        communication-cost proxy, measured on the reprs it already
-        computed — no extra ``repr`` calls)."""
-        histogram = self.registry.histogram(
-            "repro_profile_partition_key_repr_bytes",
-            "UTF-8 key-repr bytes routed to each reduce partition.",
-            labels=("job",),
-            group=GROUP_PROFILE,
-            buckets=BYTES_BUCKETS,
-        )
-        for nbytes in per_partition:
-            histogram.observe(nbytes, job=job)
-
-    def record_staged_bytes(self, nbytes: int) -> None:
-        """Charge repr bytes staged through the fs commit protocol."""
-        self.registry.counter(
-            "repro_profile_fs_staged_bytes_total",
-            "Repr bytes written to staged attempt files (extrapolated "
-            "from a per-file record sample; exact for small files).",
-            labels=(),
-            group=GROUP_PROFILE,
-        ).inc(nbytes)
-
-    def absorb_worker(
-        self, job: str, phase: str, wprof: Mapping[str, Any]
-    ) -> None:
-        """Fold one worker-process task profile in (parent side)."""
-        cpu = float(wprof.get("cpu_seconds", 0.0))
-        if cpu:
-            self._cpu().inc(cpu, job=job, phase=phase, where="task")
-        decode = float(wprof.get("decode_seconds", 0.0))
-        encode = float(wprof.get("encode_seconds", 0.0))
-        if decode:
-            self.record_pickle(job, phase, "worker", "decode", decode)
-        if encode:
-            self.record_pickle(job, phase, "worker", "encode", encode)
-        folded = wprof.get("folded") or {}
-        if folded:
-            prefix = f"{job};{phase};task"
+        decode = time.perf_counter() - started
+        if worker["folded"]:
+            prefix = f"{parent.attributes.get('job', '')};{parent.name};task"
             with self._lock:
-                for stack, count in folded.items():
+                for stack, count in worker["folded"].items():
                     self._worker_folded[f"{prefix};{stack}"] += count
+        return result, {
+            "profile_cpu_seconds": worker["cpu_seconds"],
+            "profile_pickle_seconds": {
+                "parent": {"encode": encode, "decode": decode},
+                "worker": {
+                    "decode": worker["decode_seconds"],
+                    "encode": worker["encode_seconds"],
+                },
+            },
+            "profile_pickle_bytes": {
+                "request": len(blob), "response": len(result_blob),
+            },
+        }
 
     # -- output ---------------------------------------------------------
-    def collapsed_stacks(self) -> str:
-        """Collapsed-stack text (``stack count`` lines, flamegraph.pl
-        compatible), parent samples and worker samples merged."""
-        merged: CollectionsCounter = CollectionsCounter(self.sampler.folded())
-        with self._lock:
-            merged.update(self._worker_folded)
-        return "\n".join(
-            f"{stack} {count}" for stack, count in sorted(merged.items())
-        )
-
     def folded(self) -> Dict[str, int]:
         """Merged collapsed-stack counts (parent + workers)."""
         merged: CollectionsCounter = CollectionsCounter(self.sampler.folded())
@@ -672,13 +402,16 @@ class Profiler:
             merged.update(self._worker_folded)
         return dict(merged)
 
+    def collapsed_stacks(self) -> str:
+        """Collapsed-stack text (``stack count`` lines, flamegraph.pl
+        compatible), parent samples and worker samples merged."""
+        return "\n".join(
+            f"{stack} {count}" for stack, count in sorted(self.folded().items())
+        )
+
     def flame_svg(self, title: str = "CPU flame graph") -> str:
         """The run's flame graph as a self-contained SVG document."""
         return render_flame_svg(self.folded(), title=title)
-
-    def summary(self) -> str:
-        """The human-readable data-plane summary of this run."""
-        return data_plane_summary(self.registry)
 
 
 # ----------------------------------------------------------------------
@@ -705,7 +438,7 @@ def run_profiled_task(blob: bytes) -> Tuple[bytes, Dict[str, Any]]:
     ``loads``/``dumps`` here are the *real* serialization work — the
     pool's own transport then only moves opaque ``bytes``, which
     re-pickle for (almost) free.  Returns the pickled task result plus
-    a profile dict the parent folds in via :meth:`Profiler.absorb_worker`.
+    the worker-side measurements :meth:`Profiler.ship` reports.
     """
     started = time.perf_counter()
     fn, payload = pickle.loads(blob)
@@ -729,8 +462,6 @@ def run_profiled_task(blob: bytes) -> Tuple[bytes, Dict[str, Any]]:
         "cpu_seconds": cpu_seconds,
         "decode_seconds": decode_seconds,
         "encode_seconds": encode_seconds,
-        "request_bytes": len(blob),
-        "response_bytes": len(result_blob),
         "folded": folded,
     }
 
@@ -849,10 +580,14 @@ def render_flame_svg(
 
 
 # ----------------------------------------------------------------------
-# The data-plane summary (CLI + dashboard text form).
+# The data-plane rundown: one aggregation, rendered as text here and as
+# the dashboard's Data plane panel.
 # ----------------------------------------------------------------------
 
-def _fmt_bytes(n: float) -> str:
+_PHASE_ORDER = {"map": 0, "shuffle": 1, "reduce": 2}
+
+
+def fmt_bytes(n: float) -> str:
     value = float(n)
     for unit in ("B", "KiB", "MiB", "GiB"):
         if value < 1024.0 or unit == "GiB":
@@ -863,139 +598,111 @@ def _fmt_bytes(n: float) -> str:
     return f"{value:.1f}GiB"  # pragma: no cover - unreachable
 
 
-def _samples_of(registry: MetricsRegistry, name: str):
-    metric = registry.get(name)
-    return metric.samples() if metric is not None else []
+def data_plane_rows(
+    spans: Sequence[Span], registry: MetricsRegistry
+) -> Tuple[List[Tuple[Any, ...]], List[Tuple[str, str]]]:
+    """The per-(job, phase) rows of the ``profile`` metric group and the
+    per-job notes under them.
 
-
-def data_plane_summary(registry: MetricsRegistry) -> str:
-    """A per-job, per-phase rundown of the ``profile`` metric group.
-
-    Readable from a live registry (``repro run --profile``) or one
-    rebuilt from a metrics JSON snapshot (``repro report --profile``).
+    ``registry`` is the fold of ``spans`` (a live recorder's, or
+    :func:`~repro.obs.metrics.fold_spans` of a reloaded trace).  A row
+    is ``(job, phase, task cpu s, driver cpu s, peak memory bytes,
+    pickle bytes, pickle s)``, in job then phase order; a note is
+    ``(job, text)``.  Both are empty for a run that was not profiled.
     """
-    cpu: Dict[Tuple[str, str], Dict[str, float]] = {}
-    for (job, phase, where), value in _samples_of(
-        registry, "repro_profile_cpu_seconds_total"
+    cells: Dict[Tuple[str, ...], Dict[str, float]] = {}
+    for family, column in (
+        ("cpu_seconds_total", None),  # split by its ``where`` label
+        ("mem_rss_peak_bytes", "rss"),
+        ("mem_peak_bytes", "traced"),
+        ("pickle_bytes_total", "pickle_bytes"),
+        ("pickle_seconds_total", "pickle_seconds"),
+        ("shm_bytes_total", "shm"),
     ):
-        cpu.setdefault((job, phase), {})[where] = value
-    if not cpu:
+        metric = registry.get(f"repro_profile_{family}")
+        for labels, value in metric.samples() if metric is not None else ():
+            cell = cells.setdefault(labels[:2], {})
+            key = column or labels[2]
+            cell[key] = cell.get(key, 0) + value
+    rows = [
+        (
+            job, phase, cell.get("task", 0.0), cell.get("driver", 0.0),
+            cell.get("traced", cell.get("rss", 0)),
+            cell.get("pickle_bytes", 0), cell.get("pickle_seconds", 0.0),
+        )
+        for (job, phase), cell in sorted(
+            cells.items(),
+            key=lambda item: (
+                item[0][0], _PHASE_ORDER.get(item[0][1], 9), item[0][1]
+            ),
+        )
+    ]
+    # The shuffle phase *is* the key sort: its span has the seconds and
+    # the number of distinct keys sorted.
+    sorts: Dict[str, Tuple[float, int]] = {}
+    for span in spans:
+        if span.kind == "phase" and "keys" in span.attributes:
+            job = str(span.attributes.get("job", span.name))
+            seconds, keys = sorts.get(job, (0.0, 0))
+            sorts[job] = (
+                seconds + span.duration, keys + span.attributes["keys"]
+            )
+    notes: List[Tuple[str, str]] = []
+    for job in sorted({row[0] for row in rows}):
+        if job in sorts:
+            notes.append(
+                (job, "shuffle sort: %.3fs over %d keys" % sorts[job])
+            )
+        shm = sum(
+            cell.get("shm", 0) for key, cell in cells.items() if key[0] == job
+        )
+        if shm:
+            notes.append(
+                (
+                    job,
+                    f"shm transport: {fmt_bytes(shm)} via shared memory "
+                    "(columnar plane)",
+                )
+            )
+    return rows, notes
+
+
+def data_plane_summary(
+    spans: Sequence[Span], registry: MetricsRegistry
+) -> str:
+    """The text rundown of :func:`data_plane_rows` — what ``repro run
+    --profile`` prints from the live recorder and ``repro report
+    --profile`` from a trace alone."""
+    rows, notes = data_plane_rows(spans, registry)
+    if not rows:
         return (
             "data-plane profile: no profile metrics recorded "
             "(run with --profile / REPRO_PROFILE=1)"
         )
-
-    gc_pauses = {
-        key[:2]: value
-        for key, value in _samples_of(
-            registry, "repro_profile_gc_pauses_total"
-        )
-    }
-    gc_seconds = {
-        key[:2]: value
-        for key, value in _samples_of(
-            registry, "repro_profile_gc_pause_seconds_total"
-        )
-    }
-    rss = {
-        key[:2]: value
-        for key, value in _samples_of(
-            registry, "repro_profile_mem_rss_peak_bytes"
-        )
-    }
-    traced_peak = {
-        key[:2]: value
-        for key, value in _samples_of(
-            registry, "repro_profile_mem_peak_bytes"
-        )
-    }
-    pickle_bytes: Dict[Tuple[str, str], Dict[str, float]] = {}
-    for (job, phase, direction), value in _samples_of(
-        registry, "repro_profile_pickle_bytes_total"
-    ):
-        pickle_bytes.setdefault((job, phase), {})[direction] = value
-    pickle_seconds: Dict[Tuple[str, str], float] = {}
-    for (job, phase, _side, _op), value in _samples_of(
-        registry, "repro_profile_pickle_seconds_total"
-    ):
-        key = (job, phase)
-        pickle_seconds[key] = pickle_seconds.get(key, 0.0) + value
-
-    jobs = sorted({job for job, _ in cpu} - {"driver"})
-    if not jobs:
-        jobs = sorted({job for job, _ in cpu})
     lines: List[str] = ["data-plane profile", "=" * 18]
     columns = (
-        "phase", "task-cpu", "driver-cpu", "gc", "gc-s",
-        "rss-peak", "pkl-bytes", "pkl-s",
+        "phase", "task-cpu", "driver-cpu", "rss-peak", "pkl-bytes", "pkl-s",
     )
-    widths = (8, 9, 10, 4, 7, 9, 10, 7)
-    phase_order = {"map": 0, "shuffle": 1, "reduce": 2}
-    for job in jobs:
+    widths = (8, 9, 10, 9, 10, 7)
+
+    def line(cells: Sequence[str]) -> str:
+        return "  " + "  ".join(
+            f"{cell:<{width}}" for cell, width in zip(cells, widths)
+        )
+
+    for job in sorted({row[0] for row in rows}):
         lines.append(f"job {job}")
-        lines.append(
-            "  " + "  ".join(
-                f"{col:<{w}}" for col, w in zip(columns, widths)
-            )
-        )
-        phases = sorted(
-            {phase for j, phase in cpu if j == job},
-            key=lambda p: (phase_order.get(p, 9), p),
-        )
-        for phase in phases:
-            key = (job, phase)
-            by_where = cpu.get(key, {})
-            pbytes = pickle_bytes.get(key, {})
-            total_pickle = sum(pbytes.values())
-            memory = traced_peak.get(key, rss.get(key, 0))
-            row = (
-                phase,
-                f"{by_where.get('task', 0.0):.3f}s",
-                f"{by_where.get('driver', 0.0):.3f}s",
-                f"{int(gc_pauses.get(key, 0))}",
-                f"{gc_seconds.get(key, 0.0):.3f}s",
-                _fmt_bytes(memory),
-                _fmt_bytes(total_pickle),
-                f"{pickle_seconds.get(key, 0.0):.3f}s",
-            )
-            lines.append(
-                "  " + "  ".join(
-                    f"{cell:<{w}}" for cell, w in zip(row, widths)
+        lines.append(line(columns))
+        for name, phase, task_cpu, driver_cpu, memory, nbytes, seconds in rows:
+            if name == job:
+                lines.append(
+                    line(
+                        (
+                            phase, f"{task_cpu:.3f}s", f"{driver_cpu:.3f}s",
+                            fmt_bytes(memory), fmt_bytes(nbytes),
+                            f"{seconds:.3f}s",
+                        )
+                    )
                 )
-            )
-        for (j,), seconds in _samples_of(
-            registry, "repro_profile_shuffle_sort_seconds_total"
-        ):
-            if j != job:
-                continue
-            keys_metric = registry.get("repro_profile_shuffle_sort_keys_total")
-            keys = 0
-            if keys_metric is not None:
-                keys = int(keys_metric.value(job=job))
-            lines.append(
-                f"  shuffle repr-sort: {seconds:.3f}s over {keys} keys"
-            )
-        shm_total = sum(
-            value
-            for (j, _phase, _direction), value in _samples_of(
-                registry, "repro_profile_shm_bytes_total"
-            )
-            if j == job
-        )
-        if shm_total:
-            lines.append(
-                f"  shm transport: {_fmt_bytes(shm_total)} via shared "
-                "memory (columnar plane)"
-            )
-    staged = registry.get("repro_profile_fs_staged_bytes_total")
-    if staged is not None:
-        total_staged = staged.value()
-        if total_staged:
-            lines.append(f"fs staged bytes: {_fmt_bytes(total_staged)}")
-    driver_gc = gc_pauses.get(("driver", "driver"), 0)
-    if driver_gc:
-        lines.append(
-            f"driver (outside phases): {int(driver_gc)} gc pauses, "
-            f"{gc_seconds.get(('driver', 'driver'), 0.0):.3f}s paused"
-        )
+        lines.extend(f"  {text}" for name, text in notes if name == job)
     return "\n".join(lines)

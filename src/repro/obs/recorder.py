@@ -1,4 +1,13 @@
-"""The :class:`TraceRecorder` — the observer threaded through a run.
+"""The observer threaded through a run: protocol, recorder, null object.
+
+The engine — ``mapreduce/``, ``columnar/``, ``intervals/`` and
+``core/algorithms/`` — reports to exactly one object through the
+:class:`Observer` protocol below and imports nothing else from
+:mod:`repro.obs`.  Facts travel as span attributes and counter deltas;
+everything else (metrics, live telemetry, profiles, trace files) is a
+:class:`~repro.obs.sinks.TraceSink` subscribed to the recorder's span
+stream.  :class:`TraceRecorder` implements the protocol for an observed
+run, :class:`NullRecorder` for an unobserved one.
 
 A recorder hands out hierarchical :class:`~repro.obs.span.Span` context
 managers.  Nesting is tracked per thread (a thread-local span stack), so
@@ -7,9 +16,9 @@ the ``threads`` reduce executor — passes ``parent=`` explicitly and the
 recorder links the span under it thread-safely.
 
 The recorder always keeps the finished spans (flat list + tree), which
-is what :class:`~repro.obs.report.RunReport` and tests consume; attached
-:class:`~repro.obs.sinks.TraceSink` instances additionally receive every
-span as it closes (JSONL event log, Chrome trace export, …).
+is what :class:`~repro.obs.report.RunReport` and tests consume; every
+sink sees each span as it opens and again, fully annotated, as it
+closes.
 """
 
 from __future__ import annotations
@@ -17,14 +26,67 @@ from __future__ import annotations
 import threading
 import time
 from contextlib import contextmanager
-from typing import Any, Iterator, List, Optional
+from typing import (
+    Any,
+    ContextManager,
+    Dict,
+    FrozenSet,
+    Iterator,
+    List,
+    Optional,
+    Protocol,
+    Tuple,
+)
 
 from repro.obs.live import TelemetryHub, resolve_live
-from repro.obs.metrics import SECONDS_BUCKETS, GROUP_WALL, MetricsRegistry
+from repro.obs.metrics import MetricsFold, MetricsRegistry
 from repro.obs.profile import Profiler, resolve_profile
 from repro.obs.span import Span
 
-__all__ = ["TraceRecorder", "NullRecorder"]
+__all__ = ["Observer", "TraceRecorder", "NullRecorder"]
+
+
+class Observer(Protocol):
+    """Everything the engine may ask of whoever is watching a run."""
+
+    def start_span(self, name: str, **attributes: Any) -> Any:
+        """Open a span (``kind=`` and ``parent=`` among the keywords);
+        the engine annotates the returned object (``annotate``, ``kind``,
+        ``counters``, ``start``) and hands it back to :meth:`end_span`."""
+
+    def end_span(self, span: Any) -> None:
+        """Close a span opened with :meth:`start_span`."""
+
+    def span(self, name: str, **attributes: Any) -> ContextManager[Any]:
+        """:meth:`start_span` / :meth:`end_span` around a ``with`` block."""
+
+    def record_completed(self, name: str, **attributes: Any) -> Any:
+        """Record a span that already finished somewhere else (a task in
+        a worker process), from its measured ``duration=``."""
+
+    def record_job(self, result: Any) -> None:
+        """Register one executed job's :class:`JobResult`."""
+
+    def task_beat(
+        self, job: str, phase: str, task_index: int, executor: str
+    ) -> Optional[Any]:
+        """The heartbeat emitter of one task, or ``None`` when nobody
+        listens — which is what keeps the per-record progress report out
+        of unmonitored task bodies."""
+
+    def stalled_tasks(self, job: str, phase: str) -> FrozenSet[int]:
+        """Task indices of one job phase that a watchdog saw go silent —
+        the observed stragglers the speculation pass backs up."""
+
+    def ship(
+        self, fn: Any, payload: Any, submit: Any, parent: Any
+    ) -> Tuple[Any, Dict[str, Any]]:
+        """Run ``fn(payload)`` in a worker process through ``submit(fn,
+        payload)`` — the one call that wraps engine work instead of
+        watching it, so that a profiler can time the pickling on both
+        sides.  Returns the result and the attributes to put on the
+        attempt's span (``parent`` is its phase span); none when nobody
+        measures."""
 
 
 class TraceRecorder:
@@ -34,34 +96,34 @@ class TraceRecorder:
     ----------
     sinks:
         Zero or more :class:`~repro.obs.sinks.TraceSink` objects; each
-        finished span is pushed to every sink (under the recorder lock,
-        so sinks need no locking of their own).
+        span is pushed to every sink as it opens and as it closes (under
+        the recorder lock, so sinks need no locking of their own).
     profile:
         Data-plane profiling: ``None`` (default) defers to
-        ``$REPRO_PROFILE``, ``True``/``False``/a level string force it,
-        and an existing :class:`~repro.obs.profile.Profiler` is adopted
-        as-is.  When active, ``self.profiler`` records CPU/memory/GC/
-        serialization facts into the ``profile`` metric group and the
-        instrumented layers (runner, shuffle, fs) report through it.
+        ``$REPRO_PROFILE``, ``True``/``False``/a level string force it.
+        When active, ``self.profiler`` samples CPU stacks and annotates
+        phase and task spans with CPU/memory/serialization facts, which
+        the fold turns into the ``profile`` metric group.
     live:
         Live run telemetry: ``None`` (default) defers to
-        ``$REPRO_LIVE``, ``True``/``False``/a stall threshold force it,
-        and an existing :class:`~repro.obs.live.TelemetryHub` is adopted
-        as-is.  When active, ``self.live`` collects per-task heartbeats
-        into the ``live`` metric group and powers ``--progress``,
-        ``--serve-status`` and the observed-straggler watchdog.
+        ``$REPRO_LIVE``, ``True``/``False``/a stall threshold or a
+        :class:`~repro.obs.live.LiveConfig` force it.  When active,
+        ``self.live`` collects per-task heartbeats into the ``live``
+        metric group and powers ``--progress``, ``--serve-status`` and
+        the observed-straggler watchdog.
 
     The recorder itself is the in-memory record: ``roots`` is the span
     tree, ``spans`` the flat close-order list, and ``job_results`` the
     :class:`~repro.mapreduce.job.JobResult` of every job executed while
     the recorder was attached (what ``JobHistory`` and ``RunReport``
-    consume).
+    consume).  ``metrics`` is the fold of the closed spans
+    (:func:`~repro.obs.metrics.fold_span`) plus, with live telemetry,
+    the hub's beat-driven ``live`` group.
     """
 
     def __init__(
         self, *sinks: Any, profile: Any = None, live: Any = None
     ) -> None:
-        self._sinks: List[Any] = list(sinks)
         self._lock = threading.Lock()
         self._local = threading.local()
         self._next_id = 0
@@ -72,29 +134,26 @@ class TraceRecorder:
         self.roots: List[Span] = []
         #: JobResult of every job run under this recorder.
         self.job_results: List[Any] = []
-        #: The run's metric families; instrumented code records through
-        #: ``observer.metrics`` whenever an observer is attached.
+        #: The run's metric families: the fold of the spans closed so far.
         self.metrics = MetricsRegistry()
         #: The data-plane profiler, or ``None`` when profiling is off.
         self.profiler: Optional[Profiler] = None
-        if isinstance(profile, Profiler):
-            self.profiler = profile
-        else:
-            level = resolve_profile(profile)
-            if level is not None:
-                self.profiler = Profiler(self.metrics, level=level)
-        if self.profiler is not None:
+        level = resolve_profile(profile)
+        if level is not None:
+            self.profiler = Profiler(level=level)
             self.profiler.start()
         #: The live telemetry hub, or ``None`` when live telemetry is off.
         self.live: Optional[TelemetryHub] = None
-        if isinstance(live, TelemetryHub):
-            self.live = live
-        else:
-            config = resolve_live(live)
-            if config is not None:
-                self.live = TelemetryHub(self.metrics, config)
-        if self.live is not None:
-            self.live.start()
+        config = resolve_live(live)
+        if config is not None:
+            self.live = TelemetryHub(self.metrics, config).start()
+        # The profiler goes first: what it writes onto a closing span
+        # (CPU seconds, memory watermarks) must be there when the fold
+        # and the trace sinks read the span.
+        own = (self.profiler, MetricsFold(self.metrics), self.live)
+        self._sinks: List[Any] = [
+            sink for sink in own if sink is not None
+        ] + list(sinks)
 
     # ------------------------------------------------------------------
     def _now(self) -> float:
@@ -128,6 +187,24 @@ class TraceRecorder:
         finally:
             self.end_span(span)
 
+    def _link(
+        self, name: str, kind: str, parent: Optional[Span], start: float,
+        attributes: Dict[str, Any],
+    ) -> Span:
+        """A new span linked under ``parent`` (caller holds the lock)."""
+        self._next_id += 1
+        span = Span(
+            name=name,
+            kind=kind,
+            span_id=self._next_id,
+            parent_id=parent.span_id if parent is not None else None,
+            start=start,
+            thread_id=threading.get_ident(),
+            attributes=attributes,
+        )
+        (self.roots if parent is None else parent.children).append(span)
+        return span
+
     def start_span(
         self,
         name: str,
@@ -140,23 +217,10 @@ class TraceRecorder:
         if parent is None and stack:
             parent = stack[-1]
         with self._lock:
-            self._next_id += 1
-            span = Span(
-                name=name,
-                kind=kind,
-                span_id=self._next_id,
-                parent_id=parent.span_id if parent is not None else None,
-                start=self._now(),
-                thread_id=threading.get_ident(),
-                attributes=dict(attributes),
-            )
-            if parent is None:
-                self.roots.append(span)
-            else:
-                parent.children.append(span)
+            span = self._link(name, kind, parent, self._now(), attributes)
+            for sink in self._sinks:
+                sink.opened(span)
         stack.append(span)
-        if self.profiler is not None:
-            self.profiler.on_span_start(span)
         return span
 
     def record_completed(
@@ -182,23 +246,12 @@ class TraceRecorder:
             parent = stack[-1]
         now = self._now()
         with self._lock:
-            self._next_id += 1
-            span = Span(
-                name=name,
-                kind=kind,
-                span_id=self._next_id,
-                parent_id=parent.span_id if parent is not None else None,
-                start=max(0.0, now - duration),
-                thread_id=threading.get_ident(),
-                attributes=dict(attributes),
+            span = self._link(
+                name, kind, parent, max(0.0, now - duration), attributes
             )
             span.end = now
             if counters:
                 span.counters = counters
-            if parent is None:
-                self.roots.append(span)
-            else:
-                parent.children.append(span)
             self.spans.append(span)
             for sink in self._sinks:
                 sink.emit(span)
@@ -207,10 +260,6 @@ class TraceRecorder:
     def end_span(self, span: Span) -> None:
         """Close a span opened with :meth:`start_span`."""
         span.end = self._now()
-        if self.profiler is not None:
-            # Before sink emission, so profile annotations (CPU seconds,
-            # memory watermarks) reach the JSONL trace.
-            self.profiler.on_span_end(span)
         stack = self._stack()
         if stack and stack[-1] is span:
             stack.pop()
@@ -218,37 +267,6 @@ class TraceRecorder:
             self.spans.append(span)
             for sink in self._sinks:
                 sink.emit(span)
-        self._observe_wall(span)
-
-    def _observe_wall(self, span: Span) -> None:
-        """Fold phase/job wall time into the ``wall`` metric group.
-
-        Every phase and job span closes through :meth:`end_span`
-        regardless of executor, which makes this the one choke point
-        where wall-clock histograms stay complete for free.
-        """
-        if span.kind == "phase":
-            self.metrics.histogram(
-                "repro_phase_wall_seconds",
-                "Wall-clock seconds spent in each job phase.",
-                labels=("job", "phase"),
-                group=GROUP_WALL,
-                buckets=SECONDS_BUCKETS,
-            ).observe(
-                span.duration,
-                job=span.attributes.get("job", span.name),
-                phase=span.name,
-            )
-        elif span.kind == "job":
-            self.metrics.histogram(
-                "repro_job_wall_seconds",
-                "Wall-clock seconds per MapReduce job.",
-                labels=("job",),
-                group=GROUP_WALL,
-                buckets=SECONDS_BUCKETS,
-            ).observe(
-                span.duration, job=span.attributes.get("job", span.name)
-            )
 
     # ------------------------------------------------------------------
     def record_job(self, result: Any) -> None:
@@ -256,19 +274,29 @@ class TraceRecorder:
         with self._lock:
             self.job_results.append(result)
 
-    def add_sink(self, sink: Any) -> None:
-        """Attach another sink (receives spans closed from now on)."""
-        with self._lock:
-            self._sinks.append(sink)
+    def task_beat(
+        self, job: str, phase: str, task_index: int, executor: str
+    ) -> Optional[Any]:
+        if self.live is None:
+            return None
+        return self.live.task_beat(job, phase, task_index, 0, executor)
+
+    def stalled_tasks(self, job: str, phase: str) -> FrozenSet[int]:
+        if self.live is None:
+            return frozenset()
+        return self.live.stalled_indices(job, phase)
+
+    def ship(
+        self, fn: Any, payload: Any, submit: Any, parent: Any
+    ) -> Tuple[Any, Dict[str, Any]]:
+        if self.profiler is None:
+            return submit(fn, payload), {}
+        return self.profiler.ship(fn, payload, submit, parent)
 
     def close(self) -> None:
-        """Flush and close every attached sink; stops the profiler and
-        the live telemetry hub (publishing its final ETA-vs-actual
-        gauges)."""
-        if self.profiler is not None:
-            self.profiler.stop()
-        if self.live is not None:
-            self.live.close()
+        """Flush and close every sink: stops the profiler and the live
+        telemetry hub (publishing its final ETA-vs-actual gauges) and
+        finishes the trace files."""
         with self._lock:
             for sink in self._sinks:
                 sink.close()
@@ -324,23 +352,17 @@ class _NullSpan:
 
 
 class NullRecorder:
-    """What an unobserved run records into.
+    """What an unobserved run reports to: nobody.
 
-    Implements the part of :class:`TraceRecorder` the job runner and the
-    file systems call, so that code has one path instead of an
-    ``observer is not None`` test around every hook: spans and
-    ``record_job`` are no-ops, and ``metrics`` is a real registry thrown
-    away with the run (a few samples per task — cheaper than a second,
-    null implementation of every metric type to keep in step).  Work
-    that is costly to *compute* for a recording (partition byte
-    statistics, staged-byte samples) is still skipped by its caller.
+    Implements :class:`Observer` so the engine has one path instead of
+    an ``observer is not None`` test around every hook.  It keeps no
+    spans, no registry and no job results; what the engine computes only
+    to put on a span is what is already at hand (counts, lengths, one
+    sort of a job's per-key loads), so an unobserved run pays little more
+    than a few no-op calls per task.
     """
 
-    profiler = None
-    live = None
-
     def __init__(self) -> None:
-        self.metrics = MetricsRegistry()
         # Per run, so what the runner writes onto it (kind, counters)
         # is dropped with the run.
         self._span = _NullSpan()
@@ -358,3 +380,16 @@ class NullRecorder:
         pass
 
     record_job = end_span
+
+    def task_beat(
+        self, job: str, phase: str, task_index: int, executor: str
+    ) -> None:
+        return None
+
+    def stalled_tasks(self, job: str, phase: str) -> FrozenSet[int]:
+        return frozenset()
+
+    def ship(
+        self, fn: Any, payload: Any, submit: Any, parent: Any
+    ) -> Tuple[Any, Dict[str, Any]]:
+        return submit(fn, payload), {}

@@ -1,9 +1,14 @@
-"""Event sinks: where finished spans go.
+"""Event sinks: the one way anything subscribes to a recorder.
 
-The sink protocol is two methods — ``emit(span)``, called once per span
-as it closes (serialised by the recorder's lock), and ``close()``,
-called when the recorder shuts down.  Three built-ins cover the common
-cases:
+The sink protocol is three methods, every one called under the
+recorder's lock (so sinks need no locking against each other) and on the
+thread that opened or closed the span: ``opened(span)`` as a span
+starts, ``emit(span)`` once as it closes — fully annotated — and
+``close()`` when the recorder shuts down.  The metrics fold
+(:class:`~repro.obs.metrics.MetricsFold`), the
+:class:`~repro.obs.profile.Profiler` and the
+:class:`~repro.obs.live.TelemetryHub` are sinks the recorder attaches
+itself; three more cover the trace artifacts:
 
 * :class:`InMemorySink` — keeps the spans (and the roots of their tree)
   in memory; what tests assert against.
@@ -35,6 +40,11 @@ __all__ = [
 
 class TraceSink:
     """Base class / protocol for span sinks."""
+
+    def opened(self, span: Span) -> None:
+        """Receive one span as it opens (called under the recorder lock,
+        on the opening thread).  Spans materialised already finished —
+        tasks that ran in a worker process — are only ever emitted."""
 
     def emit(self, span: Span) -> None:
         """Receive one finished span (called under the recorder lock)."""

@@ -1,14 +1,19 @@
 """The span data model of the observability layer.
 
 A :class:`Span` is one timed region of a run.  Spans nest into the
-hierarchy the tracer records::
+hierarchy the tracer records, each level a span ``kind``::
 
-    query -> algorithm -> job -> phase (map / shuffle / reduce) -> task
+    query -> plan, algorithm -> job -> phase (map / shuffle / reduce)
+          -> task (the winning attempt) / attempt (a failed or
+             speculative one), reconciliation
 
 Each span carries wall-clock start/end (seconds relative to its
 recorder's epoch), the thread that recorded it, free-form attributes
 (including ``modelled_seconds`` cost-model charges where applicable) and
 a counter-delta snapshot — the counters gained while the span was open.
+The spans are the one record of a run: metrics, reports and dashboards
+are computed from them (:func:`repro.obs.metrics.fold_span` dispatches
+on ``kind``).
 """
 
 from __future__ import annotations
@@ -16,25 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Dict, Iterator, List, Optional
 
-__all__ = [
-    "Span",
-    "KIND_QUERY",
-    "KIND_ALGORITHM",
-    "KIND_JOB",
-    "KIND_PHASE",
-    "KIND_TASK",
-]
-
-#: Span kind of a whole query execution.
-KIND_QUERY = "query"
-#: Span kind of one algorithm's run inside a query.
-KIND_ALGORITHM = "algorithm"
-#: Span kind of one MapReduce job.
-KIND_JOB = "job"
-#: Span kind of a job phase (map, shuffle, reduce).
-KIND_PHASE = "phase"
-#: Span kind of one map or reduce task.
-KIND_TASK = "task"
+__all__ = ["Span"]
 
 
 @dataclass
@@ -44,8 +31,8 @@ class Span:
     Attributes
     ----------
     name, kind:
-        Display name and hierarchy level (one of the ``KIND_*``
-        constants, or a free-form string).
+        Display name and hierarchy level (one of the kinds above, or a
+        free-form string).
     span_id, parent_id:
         Recorder-unique id and the id of the enclosing span (``None``
         for roots).

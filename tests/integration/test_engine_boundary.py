@@ -1,0 +1,100 @@
+"""The engine/observability boundary, checked on the source tree.
+
+The engine reports to one observer through one protocol
+(:class:`repro.obs.recorder.Observer`); nothing else of ``repro.obs``
+may be visible from it, the shuffle and the file system know nothing
+about observation at all, and the object an unobserved run reports to
+holds no registry.  A sibling case keeps ``IntervalTree`` — alive only
+for the frozen benchmark's layer probes (ROADMAP item 3a) — off every
+query path.  All of it is read off the AST, so a convention cannot
+drift without a tier-1 failure.
+"""
+
+from __future__ import annotations
+
+import ast
+from pathlib import Path
+
+import pytest
+
+import repro
+from repro.obs import MetricsRegistry
+from repro.obs.recorder import NullRecorder
+
+SRC = Path(repro.__file__).resolve().parent
+
+#: Packages that make up the engine.
+ENGINE = ("mapreduce", "columnar", "intervals", "core/algorithms")
+
+
+def _modules(*packages):
+    for package in packages:
+        for path in sorted((SRC / package).rglob("*.py")):
+            yield path, ast.parse(path.read_text(encoding="utf-8"))
+
+
+def _imported(tree):
+    """Every ``module`` / ``module.name`` an import statement names,
+    wherever it stands (function bodies and TYPE_CHECKING included)."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                yield alias.name
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            yield node.module
+            for alias in node.names:
+                yield f"{node.module}.{alias.name}"
+
+
+def test_engine_sees_only_the_observer_protocol():
+    offending = [
+        (str(path.relative_to(SRC)), name)
+        for path, tree in _modules(*ENGINE)
+        for name in _imported(tree)
+        if (name == "repro.obs" or name.startswith("repro.obs."))
+        and not (name + ".").startswith("repro.obs.recorder.")
+    ]
+    assert offending == []
+
+
+@pytest.mark.parametrize("module", ["mapreduce/shuffle.py", "mapreduce/fs.py"])
+def test_shuffle_and_file_system_take_no_observer(module):
+    tree = ast.parse((SRC / module).read_text(encoding="utf-8"))
+    offending = [
+        (node.name, arg.arg)
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+        for arg in (
+            node.args.posonlyargs + node.args.args + node.args.kwonlyargs
+        )
+        if arg.arg in ("observer", "profiler", "job")
+    ]
+    assert offending == []
+
+
+def test_null_recorder_holds_no_registry():
+    recorder = NullRecorder()
+    assert not hasattr(recorder, "metrics")
+    assert not any(
+        isinstance(value, MetricsRegistry) for value in vars(recorder).values()
+    )
+
+
+def test_interval_tree_stays_off_every_query_path():
+    allowed = {"intervals/__init__.py", "intervals/tree.py"}
+    offending = []
+    for path, tree in _modules(""):
+        relative = path.relative_to(SRC).as_posix()
+        if relative in allowed:
+            continue
+        names = {
+            node.id if isinstance(node, ast.Name) else node.attr
+            for node in ast.walk(tree)
+            if isinstance(node, (ast.Name, ast.Attribute))
+        }
+        if "IntervalTree" in names or any(
+            "IntervalTree" in name or "intervals.tree" in name
+            for name in _imported(tree)
+        ):
+            offending.append(relative)
+    assert offending == []

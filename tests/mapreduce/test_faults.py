@@ -472,7 +472,9 @@ class TestWorkerPoolError:
         assert "12 total" in message  # long index lists are truncated
         assert isinstance(error, MapReduceError)
 
-    def test_submit_attempt_wraps_broken_pool(self, monkeypatch):
+    def test_submit_attempt_wraps_broken_pool(self, monkeypatch, fs):
+        """A pool that breaks under an attempt is dropped from the cache
+        and surfaces naming the job, the phase and the task."""
         from concurrent.futures.process import BrokenProcessPool
 
         from repro.mapreduce import runner
@@ -484,12 +486,18 @@ class TestWorkerPoolError:
             def shutdown(self, wait=True, cancel_futures=False):
                 pass
 
-        monkeypatch.setattr(runner, "_process_pool", lambda workers: BrokenPool())
+        pool = BrokenPool()
+        monkeypatch.setattr(runner, "_process_pool", lambda workers: pool)
+        monkeypatch.setitem(runner._pools, 2, pool)
         with pytest.raises(WorkerPoolError) as excinfo:
-            runner._submit_attempt(str, 1, 2, "join", "reduce", 5)
-        assert excinfo.value.job == "join"
-        assert excinfo.value.phase == "reduce"
-        assert excinfo.value.pending_tasks == (5,)
+            run_job(
+                fs, word_count_conf(fs), executor="processes", workers=2,
+                faults=False,
+            )
+        assert excinfo.value.job == "wordcount"
+        assert excinfo.value.phase == "map"
+        assert excinfo.value.pending_tasks == (0,)
+        assert 2 not in runner._pools
 
     def test_fault_error_survives_pickling(self):
         import pickle

@@ -277,11 +277,11 @@ class RendezvousReducer(SumReducer):
 class TestSharedFileSystem:
     def test_concurrent_jobs_keep_their_own_commit_accounting(self):
         """Two ``run_job`` calls on one file system, from two threads,
-        each under its own recorder: the commit-protocol metrics and the
-        profiler's staged-bytes samples land in the recorder of the job
-        that staged the file (the file system used to hold *one*
-        ``metrics``/``profiler`` pair, overwritten by whichever job
-        started last)."""
+        each under its own recorder: the commit-protocol metrics land in
+        the recorder of the job that staged the file.  The file system
+        knows no observer at all — the counts are folded from each job's
+        own spans (it used to hold *one* ``metrics``/``profiler`` pair,
+        overwritten by whichever job started last)."""
         import sys
         import threading
 
@@ -333,8 +333,6 @@ class TestSharedFileSystem:
             registry = recorders[name].metrics
             attempts = dict(registry.get("repro_fs_attempts_total").samples())
             assert attempts == {("promoted",): expected, ("staged",): expected}
-            staged_bytes = registry.get("repro_profile_fs_staged_bytes_total")
-            assert sum(value for _, value in staged_bytes.samples()) > 0
             assert sorted(fs.read_dir(f"out-{name}")) == sorted(
                 fs.read_dir("out-first")
             )

@@ -218,3 +218,141 @@ class TestReportDegradation:
         )
         assert "1 jobs" in captured.out
         assert html.exists()
+
+
+class TestServeStatusOnATakenPort:
+    def test_run_ends_cleanly_before_anything_starts(
+        self, quickstart_files, tmp_path, capsys
+    ):
+        """``--serve-status`` on a port somebody else holds: ``error:``
+        and exit status 1 before any job runs, with nothing started —
+        no live or sampler thread, no trace file."""
+        import socket
+        import threading
+
+        trace = tmp_path / "run.jsonl"
+        with socket.socket() as holder:
+            holder.bind(("127.0.0.1", 0))
+            holder.listen(1)
+            port = holder.getsockname()[1]
+            exit_code = main(
+                _run_args(quickstart_files)
+                + [
+                    "--serve-status", str(port), "--profile",
+                    "--trace", str(trace), "--trace-format", "jsonl",
+                ]
+            )
+        captured = capsys.readouterr()
+        assert exit_code == 1
+        assert captured.err.startswith("error: cannot serve status on port")
+        assert "Traceback" not in captured.err
+        assert "tuples:" not in captured.out
+        assert not trace.exists()
+        assert not [
+            thread.name
+            for thread in threading.enumerate()
+            if thread.name.startswith(("repro-live", "repro-stack-sampler"))
+        ]
+
+
+class TestReportFromTheTraceAlone:
+    """``repro report TRACE`` needs nothing beside the trace: the
+    registry behind its tables is the fold of the trace's spans."""
+
+    @staticmethod
+    def _rundown(stdout):
+        lines = stdout.splitlines()
+        start = lines.index("data-plane profile")
+        end = start + 2
+        while end < len(lines) and lines[end].startswith(("job ", "  ")):
+            end += 1
+        return lines[start:end]
+
+    def test_profiled_trace_is_enough(self, quickstart_files, tmp_path, capsys):
+        from repro.obs import fold_spans, load_spans_jsonl
+
+        trace, snapshot = tmp_path / "t.jsonl", tmp_path / "m.json"
+        exit_code = main(
+            _run_args(quickstart_files)
+            + [
+                "--profile", "--executor", "processes", "--workers", "2",
+                "--trace", str(trace), "--trace-format", "jsonl",
+                "--metrics-out", str(snapshot),
+            ]
+        )
+        assert exit_code == 0
+        run_rundown = self._rundown(capsys.readouterr().out)
+        assert "job rccis-flag" in run_rundown
+
+        html = tmp_path / "d.html"
+        exit_code = main(
+            ["report", str(trace), "--profile", "--html", str(html)]
+        )
+        assert exit_code == 0
+        out = capsys.readouterr().out
+        assert "plan reconciliation — rccis" in out
+        assert "metrics:" not in out  # nothing had to be skipped
+        # Same numbers as the run printed and as --metrics-out wrote.
+        assert self._rundown(out) == run_rundown
+        registry, skipped = fold_spans(load_spans_jsonl(str(trace)))
+        assert skipped == []
+        assert registry.as_dict() == json.loads(snapshot.read_text())
+        page = html.read_text()
+        for panel in (
+            "Plan &#183; predicted vs observed",
+            "Data plane &#183; CPU / memory / serialization",
+            "Replication factor per algorithm",
+        ):
+            assert panel in page
+
+    def test_report_takes_no_metrics_snapshot(self, capsys):
+        with pytest.raises(SystemExit):
+            main(["report", "t.jsonl", "--metrics", "m.json"])
+        assert "unrecognized arguments: --metrics" in capsys.readouterr().err
+
+    def test_trace_from_before_the_fold_still_loads(
+        self, quickstart_files, tmp_path, capsys
+    ):
+        """A trace written before spans carried everything the fold
+        reads: the families it cannot supply are named, nothing raises."""
+        trace = tmp_path / "run.jsonl"
+        assert main(
+            _run_args(quickstart_files)
+            + ["--trace", str(trace), "--trace-format", "jsonl"]
+        ) == 0
+        newer = {
+            "input", "staged", "key_loads", "promoted", "tasks", "keys",
+            "output_records", "shape",
+        }
+        old_lines = []
+        for line in trace.read_text().splitlines():
+            entry = json.loads(line)
+            keep = set() if entry["kind"] == "algorithm" else {"output_records"}
+            entry["attributes"] = {
+                key: value
+                for key, value in entry["attributes"].items()
+                if key not in newer - keep
+            }
+            old_lines.append(json.dumps(entry))
+        trace.write_text("\n".join(old_lines) + "\n")
+        capsys.readouterr()
+
+        html = tmp_path / "old.html"
+        exit_code = main(
+            ["report", str(trace), "--profile", "--html", str(html)]
+        )
+        assert exit_code == 0
+        captured = capsys.readouterr()
+        (metrics_line,) = [
+            line for line in captured.out.splitlines()
+            if line.startswith("metrics:")
+        ]
+        for family in (
+            "repro_map_records_total", "repro_key_load",
+            "repro_fs_attempts_total", "repro_algorithm_output_records",
+            "repro_grid_reducers",
+        ):
+            assert family in metrics_line
+        assert "plan reconciliation — rccis" in captured.out
+        assert "no profile metrics recorded" in captured.out
+        assert "Replication factor per algorithm" in html.read_text()

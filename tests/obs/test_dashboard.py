@@ -130,8 +130,9 @@ def test_dashboard_replication_for_every_algorithm(
 
 
 def test_dashboard_from_reloaded_trace(tmp_path):
-    """The CLI path: spans round-trip through JSONL, metrics through
-    as_dict, and the rebuilt dashboard keeps the same jobs/sections."""
+    """The CLI path: spans round-trip through JSONL and the dashboard is
+    rebuilt from them alone — the metric-backed tables come from the
+    fold of the reloaded spans, with the numbers the live registry had."""
     trace = tmp_path / "trace.jsonl"
     recorder = TraceRecorder(JsonlSink(str(trace)))
     execute(
@@ -142,15 +143,18 @@ def test_dashboard_from_reloaded_trace(tmp_path):
         observer=recorder,
     )
     recorder.close()
-    spans = load_spans_jsonl(str(trace))
-    page = render_dashboard(spans, recorder.metrics.as_dict())
+    page = render_dashboard(load_spans_jsonl(str(trace)))
     _parse(page)
     for needle in ("rccis-flag", "rccis-join", "Per-phase timeline",
-                   "Replication factor per algorithm"):
+                   "Replication factor per algorithm",
+                   "Plan &#183; predicted vs observed"):
         assert needle in page
+    live = render_dashboard(recorder.spans, recorder.metrics)
+    tables = "<h2>Skew &amp; replication per job</h2>"
+    assert page[page.index(tables):] == live[live.index(tables):]
 
 
 def test_dashboard_renders_without_spans_or_metrics():
-    page = render_dashboard([], None, title="empty")
+    page = render_dashboard([], title="empty")
     _parse(page)
     assert "no job spans recorded" in page

@@ -286,17 +286,6 @@ class TestReconciliationSpans:
         assert "Plan &#183; predicted vs observed" in page
         assert "shuffled_records" in page
 
-    def test_dashboard_plan_panel_from_metrics_snapshot_only(self):
-        recorder = self._observed_run()
-        # Strip the plan/algorithm spans: only the gauges remain, the
-        # panel must rebuild from them.
-        spans = [
-            s for s in recorder.spans
-            if s.kind not in ("plan", "algorithm", "reconciliation")
-        ]
-        page = render_dashboard(spans, recorder.metrics.as_dict())
-        assert "Plan &#183; predicted vs observed" in page
-
     def test_chaos_run_reconciles_identically(self):
         baseline = self._observed_run(faults=None)
         chaotic = self._observed_run(faults="2014")

@@ -3,7 +3,10 @@
 End-to-end passivity/parity is pinned by
 ``tests/integration/test_live_parity.py``; these tests exercise the hub,
 the resolver, the watchdog, the ETA model, the HTTP endpoint and the
-terminal renderings in isolation.
+terminal renderings in isolation.  The hub learns the run's structure
+as a sink of the span stream, so the tests feed it ``job`` / ``phase`` /
+``plan`` spans (``_open`` / ``_close`` / ``_plan``) the way a recorder
+would.
 """
 
 from __future__ import annotations
@@ -19,6 +22,7 @@ from repro.errors import ReproError
 from repro.obs import (
     LiveConfig,
     MetricsRegistry,
+    Span,
     StatusServer,
     TelemetryHub,
     TraceRecorder,
@@ -42,6 +46,35 @@ from repro.obs.metrics import GROUP_LIVE
 def make_hub(**config) -> TelemetryHub:
     config.setdefault("stall_seconds", 5.0)
     return TelemetryHub(config=LiveConfig(**config))
+
+
+def _open(hub, kind, name, **attributes) -> Span:
+    """A span of the run opens: what the recorder tells its sinks."""
+    span = Span(
+        name=name, kind=kind, span_id=0, parent_id=None, start=0.0,
+        attributes=attributes,
+    )
+    hub.opened(span)
+    return span
+
+
+def _close(hub, span) -> None:
+    span.end = span.start + 1.0
+    hub.emit(span)
+
+
+def _plan(hub, cycles, modelled_seconds=0.0) -> None:
+    """The executor's ``plan`` span, as the hub receives it closed."""
+    _close(
+        hub,
+        _open(
+            hub, "plan", "plan:a", algorithm="a",
+            prediction={
+                "cycles": cycles,
+                "quantities": {"modelled_seconds": modelled_seconds},
+            },
+        ),
+    )
 
 
 class TestResolveLive:
@@ -86,8 +119,8 @@ class TestResolveLive:
 class TestTaskBeat:
     def test_start_progress_finish(self):
         hub = make_hub()
-        hub.job_started("j")
-        hub.phase_started("j", "map", 1)
+        _open(hub, "job", "job:j", job="j")
+        _open(hub, "phase", "map", job="j", tasks=1)
         beat = hub.task_beat("j", "map", 0)
         beat.start()
         beat.progress(10, force=True)
@@ -177,7 +210,7 @@ class TestTaskBeat:
 
     def test_finish_counted_once(self):
         hub = make_hub()
-        hub.phase_started("j", "reduce", 2)
+        _open(hub, "phase", "reduce", job="j", tasks=2)
         beat = hub.task_beat("j", "reduce", 0)
         beat.finish()
         beat.finish()
@@ -194,7 +227,7 @@ class TestWatchdog:
     def test_stalled_task_flagged(self):
         hub = make_hub(stall_seconds=0.05, poll_interval=0.01).start()
         try:
-            hub.phase_started("j", "map", 1)
+            _open(hub, "phase", "map", job="j", tasks=1)
             hub.task_beat("j", "map", 0).start()
             deadline = time.monotonic() + 2.0
             while time.monotonic() < deadline:
@@ -214,7 +247,7 @@ class TestWatchdog:
     def test_finished_task_never_flagged(self):
         hub = make_hub(stall_seconds=0.05, poll_interval=0.01).start()
         try:
-            hub.phase_started("j", "map", 1)
+            _open(hub, "phase", "map", job="j", tasks=1)
             beat = hub.task_beat("j", "map", 0)
             beat.start()
             beat.finish()
@@ -226,7 +259,7 @@ class TestWatchdog:
     def test_heartbeats_keep_task_fresh(self):
         hub = make_hub(stall_seconds=0.15, poll_interval=0.01).start()
         try:
-            hub.phase_started("j", "map", 1)
+            _open(hub, "phase", "map", job="j", tasks=1)
             beat = hub.task_beat("j", "map", 0)
             beat.start()
             for _ in range(8):
@@ -246,8 +279,8 @@ class TestProgressAndEta:
 
     def test_uniform_weights_without_plan(self):
         hub = make_hub()
-        hub.job_started("j")
-        hub.phase_started("j", "map", 4)
+        _open(hub, "job", "job:j", job="j")
+        _open(hub, "phase", "map", job="j", tasks=4)
         for index in range(2):
             beat = hub.task_beat("j", "map", index)
             beat.start()
@@ -257,38 +290,36 @@ class TestProgressAndEta:
 
     def test_plan_weights_scale_phases(self):
         hub = make_hub()
-        hub.set_plan(
-            "a",
+        _plan(
+            hub,
             [{"records_read": 600.0, "shuffled_records": 200.0}],
             modelled_seconds=4.0,
         )
-        hub.job_started("j")
-        hub.phase_started("j", "map", 1)
-        hub.phase_finished("j", "map")
+        _open(hub, "job", "job:j", job="j")
+        _close(hub, _open(hub, "phase", "map", job="j", tasks=1))
         # map weighs 600 of (600 + 200 + 200).
         snap = hub.snapshot()
+        assert snap["algorithm"] == "a"
         assert snap["progress"] == pytest.approx(0.6)
         assert snap["eta_seconds"] is not None
         assert snap["modelled_seconds"] == 4.0
 
     def test_unstarted_predicted_cycles_in_denominator(self):
         hub = make_hub()
-        hub.set_plan("a", [
+        _plan(hub, [
             {"records_read": 100.0, "shuffled_records": 100.0},
             {"records_read": 100.0, "shuffled_records": 100.0},
         ])
-        hub.job_started("cycle-1")
-        hub.job_finished("cycle-1")
+        _close(hub, _open(hub, "job", "job:cycle-1", job="cycle-1"))
         # One of two equal-weight cycles done.
         assert hub.snapshot()["progress"] == pytest.approx(0.5)
 
     def test_final_gauges_on_close(self):
         hub = make_hub()
-        hub.set_plan("a", [{"records_read": 10.0, "shuffled_records": 5.0}],
-                     modelled_seconds=2.5)
-        hub.job_started("j")
-        hub.phase_started("j", "map", 1)
-        hub.phase_finished("j", "map")
+        _plan(hub, [{"records_read": 10.0, "shuffled_records": 5.0}],
+              modelled_seconds=2.5)
+        _open(hub, "job", "job:j", job="j")
+        _close(hub, _open(hub, "phase", "map", job="j", tasks=1))
         hub.close()
         gauge = hub.metrics.gauge(
             "repro_live_run_seconds", labels=("kind",), group=GROUP_LIVE
@@ -308,9 +339,9 @@ class TestProgressAndEta:
 class TestStatusServer:
     def _recorder(self) -> TraceRecorder:
         recorder = TraceRecorder(live=LiveConfig())
-        recorder.live.job_started("j")
-        recorder.live.phase_started("j", "map", 2)
-        beat = recorder.live.task_beat("j", "map", 0)
+        recorder.start_span("job:j", kind="job", job="j")
+        recorder.start_span("map", kind="phase", job="j", tasks=2)
+        beat = recorder.task_beat("j", "map", 0, "serial")
         beat.start()
         beat.finish(11)
         return recorder

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import pickle
 import threading
 import time
 
@@ -10,9 +11,11 @@ import pytest
 from repro.obs import (
     MetricsRegistry,
     Profiler,
+    Span,
     StackSampler,
     TraceRecorder,
     data_plane_summary,
+    fold_spans,
     load_spans_jsonl_tolerant,
     render_flame_svg,
 )
@@ -111,81 +114,96 @@ class TestFlameSvg:
         assert render_flame_svg(folded) == render_flame_svg(folded)
 
 
+def _span(kind, name, span_id, duration=0.25, **attributes):
+    return Span(
+        name=name, kind=kind, span_id=span_id, parent_id=None,
+        start=0.0, end=duration, attributes=attributes,
+    )
+
+
+def _shipped(profiler, job="j", phase="reduce", folded=None):
+    """One pooled attempt through ``Profiler.ship``, the worker played
+    by a stub: returns the attributes for the attempt's span."""
+
+    def submit(fn, blob):
+        assert pickle.loads(blob) == (len, "payload")
+        worker = {
+            "cpu_seconds": 0.5,
+            "decode_seconds": 0.1,
+            "encode_seconds": 0.2,
+            "folded": folded or {},
+        }
+        return pickle.dumps("result"), worker
+
+    parent = _span("phase", phase, 1, job=job)
+    result, facts = profiler.ship(len, "payload", submit, parent)
+    assert result == "result"
+    return facts
+
+
 class TestProfilerHooks:
     def test_record_hooks_publish_profile_group(self):
-        registry = MetricsRegistry()
-        profiler = Profiler(registry)
-        profiler.record_pickle("j", "map", "parent", "encode", 0.5)
-        profiler.record_pickle_bytes("j", "map", "request", 1024)
-        profiler.record_shuffle_sort("j", 0.25, 16)
-        profiler.record_partition_key_bytes("j", [10, 2000])
-        profiler.record_staged_bytes(4096)
-        snapshot = registry.as_dict()
+        """What the profiler annotates on spans is what the fold turns
+        into the ``profile`` group — the profiler holds no registry."""
+        profiler = Profiler()
+        assert not hasattr(profiler, "registry")
+        facts = _shipped(profiler, phase="map")
+        assert set(facts["profile_pickle_seconds"]) == {"parent", "worker"}
+        assert facts["profile_pickle_bytes"]["request"] > 0
+        registry, skipped = fold_spans(
+            [
+                _span("task", "map:in", 2, job="j", phase="map", input="in",
+                      **facts),
+                _span(
+                    "phase", "reduce", 3, job="j", shm_bytes=4096,
+                    profile_cpu_driver_seconds=0.5,
+                    profile_mem_rss_peak_bytes=1 << 20,
+                    profile_mem_alloc_blocks=10,
+                ),
+            ]
+        )
+        assert skipped == []
         families = {
             name
-            for name, entry in snapshot.items()
+            for name, entry in registry.as_dict().items()
             if entry.get("group") == GROUP_PROFILE
         }
-        assert {
+        assert families == {
+            "repro_profile_cpu_seconds_total",
             "repro_profile_pickle_seconds_total",
             "repro_profile_pickle_bytes_total",
-            "repro_profile_shuffle_sort_seconds_total",
-            "repro_profile_shuffle_sort_keys_total",
-            "repro_profile_partition_key_repr_bytes",
-            "repro_profile_fs_staged_bytes_total",
-        } <= families
+            "repro_profile_mem_rss_peak_bytes",
+            "repro_profile_mem_alloc_blocks",
+            "repro_profile_shm_bytes_total",
+        }
+        seconds = registry.get("repro_profile_pickle_seconds_total")
+        assert seconds.value(
+            job="j", phase="map", side="worker", op="encode"
+        ) == 0.2
 
-    def test_gc_callback_may_reenter_the_locks(self):
-        """The GC callback records from whichever thread triggered the
-        collection — including one that is inside a registry or profiler
-        call and holds its lock (a container allocated there can trip
-        the collector).  With a gen-0 threshold of 1 nearly every such
-        allocation does; a non-reentrant lock deadlocks at once.
-
-        The stack sampler is parked (an interval it never reaches): a
-        collection forced *inside* ``sys._current_frames()`` while the
-        callback runs Python code can crash CPython 3.11 itself, which
-        is not what this test is about."""
-        import gc
-
-        registry = MetricsRegistry()
-        profiler = Profiler(registry, interval=3600.0)
-
-        def hammer():
-            thresholds = gc.get_threshold()
-            profiler.start()
-            gc.set_threshold(1, 100000, 100000)
-            try:
-                for round_ in range(50):
-                    profiler.record_pickle("j", "map", "parent", "encode", 0.1)
-                    profiler.absorb_worker(
-                        "j", "map", {"cpu_seconds": 0.1, "folded": {"f": 1}}
-                    )
-            finally:
-                gc.set_threshold(*thresholds)
-                profiler.stop()
-
-        worker = threading.Thread(target=hammer, daemon=True)
-        worker.start()
-        worker.join(timeout=30)
-        assert not worker.is_alive(), "GC callback deadlocked on a held lock"
-        pauses = registry.get("repro_profile_gc_pauses_total")
-        assert pauses is not None and sum(v for _, v in pauses.samples()) > 0
+    def test_unprofiled_phase_folds_no_profile_family(self):
+        """``shm_bytes`` is a fact of the run the engine always reports;
+        it only becomes a ``profile`` family on a profiled phase."""
+        registry, _ = fold_spans(
+            [_span("phase", "reduce", 1, job="j", shm_bytes=4096)]
+        )
+        assert {metric.group for metric in registry.families()} == {"wall"}
 
     def test_sampler_keeps_the_collector_out_of_current_frames(
         self, monkeypatch
     ):
         """``sys._current_frames()`` allocates while holding the
         interpreter's thread-list lock.  A collection started in there
-        runs the gc callbacks (the profiler's own among them), Python
-        code that can hand the GIL to a thread which then blocks on that
-        lock for good — two samplers under a short switch interval hung
-        the suite that way.  The sampler pauses the collector for exactly
-        that call and leaves it as it found it."""
+        runs Python code (gc callbacks, finalisers) that can hand the
+        GIL to a thread which then blocks on that lock for good — two
+        samplers under a short switch interval hung the suite that way
+        when the profiler still had a gc callback of its own.  The
+        sampler pauses the collector for exactly that call and leaves it
+        as it found it."""
         import gc
         import sys
 
-        from repro.obs.profile import collector_paused
+        from repro.gc_pause import collector_paused
 
         seen = []
         real = sys._current_frames
@@ -211,44 +229,50 @@ class TestProfilerHooks:
         assert gc.isenabled()
 
     def test_absorb_worker(self):
-        registry = MetricsRegistry()
-        profiler = Profiler(registry)
-        profiler.absorb_worker(
-            "j",
-            "reduce",
-            {
-                "cpu_seconds": 0.5,
-                "decode_seconds": 0.1,
-                "encode_seconds": 0.2,
-                "folded": {"mod.f;mod.g": 3},
-            },
+        """The worker's measurements come back from ``ship`` as span
+        attributes (the fold charges them to the task) and its sampled
+        stacks join the profiler's own, under the attempt's label."""
+        profiler = Profiler()
+        facts = _shipped(profiler, folded={"mod.f;mod.g": 3})
+        assert facts["profile_cpu_seconds"] == 0.5
+        assert facts["profile_pickle_seconds"]["worker"] == {
+            "decode": 0.1, "encode": 0.2,
+        }
+        registry, _ = fold_spans(
+            [_span("task", "reduce[0]", 2, job="j", phase="reduce", **facts)]
         )
         cpu = registry.get("repro_profile_cpu_seconds_total")
         assert cpu.value(job="j", phase="reduce", where="task") == 0.5
         assert profiler.folded().get("j;reduce;task;mod.f;mod.g") == 3
 
     def test_profile_group_excluded_from_fingerprint(self):
-        registry = MetricsRegistry()
-        baseline = registry.fingerprint()
-        profiler = Profiler(registry)
-        profiler.record_staged_bytes(123)
+        baseline = MetricsRegistry().fingerprint()
+        registry, _ = fold_spans(
+            [_span("task", "t", 1, job="j", phase="x", profile_cpu_seconds=1.0)]
+        )
         assert registry.fingerprint() == baseline
         assert registry.fingerprint(exclude_groups=()) != baseline
 
     def test_summary_and_collapsed(self):
-        registry = MetricsRegistry()
-        profiler = Profiler(registry)
-        profiler.absorb_worker(
-            "two-way", "map", {"cpu_seconds": 0.1, "folded": {"m.f": 2}}
-        )
-        profiler.record_shuffle_sort("two-way", 0.01, 8)
-        text = profiler.summary()
-        assert "two-way" in text and "map" in text
+        profiler = Profiler()
+        facts = _shipped(profiler, "two-way", "map", folded={"m.f": 2})
+        spans = [
+            _span("task", "map:in", 2, job="two-way", phase="map",
+                  input="in", **facts),
+            _span("phase", "shuffle", 3, duration=0.01, job="two-way",
+                  keys=8, profile_cpu_driver_seconds=0.01),
+        ]
+        text = data_plane_summary(spans, fold_spans(spans)[0])
+        assert "job two-way" in text and "map" in text
+        assert "shuffle sort: 0.010s over 8 keys" in text
+        assert "gc" not in text
         collapsed = profiler.collapsed_stacks()
         assert "two-way;map;task;m.f 2" in collapsed
 
     def test_summary_empty_registry(self):
-        assert "no profile metrics" in data_plane_summary(MetricsRegistry())
+        assert "no profile metrics" in data_plane_summary(
+            [], MetricsRegistry()
+        )
 
 
 class TestRecorderIntegration:

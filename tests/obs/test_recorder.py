@@ -15,6 +15,7 @@ from repro.obs import (
     InMemorySink,
     JsonlSink,
     TraceRecorder,
+    TraceSink,
     open_sink,
 )
 
@@ -75,19 +76,24 @@ class TestSpanNesting:
         assert rec.find(name="nope") == []
 
     def test_recorder_as_context_manager_closes_sinks(self):
-        closed = []
+        """A sink sees every span open, then close, then the recorder
+        close — the whole subscriber protocol."""
+        events = []
 
-        class Sink:
+        class Sink(TraceSink):
+            def opened(self, span):
+                events.append(("opened", span.name, span.end))
+
             def emit(self, span):
-                pass
+                events.append(("emit", span.name, span.end is not None))
 
             def close(self):
-                closed.append(True)
+                events.append("closed")
 
         with TraceRecorder(Sink()) as rec:
             with rec.span("x"):
                 pass
-        assert closed == [True]
+        assert events == [("opened", "x", None), ("emit", "x", True), "closed"]
 
 
 class TestCounterSnapshots:
