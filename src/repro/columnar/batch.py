@@ -147,9 +147,10 @@ def operator_map_columns(
 ) -> Tuple[np.ndarray, np.ndarray, Dict[Tuple[str, str], int]]:
     """Vectorised Project / Split / Replicate over encoded intervals.
 
-    Returns ``(key_codes, row_idx, counter_increments)`` reproducing the
-    per-record primitive loops (and replication counters) of
-    :class:`~repro.core.algorithms.two_way.OperatorMapper` exactly.
+    Returns ``(key_codes, row_idx, counter_increments)``: the columnar
+    form of :class:`~repro.core.algorithms.routing.OperatorRouter`,
+    reproducing its per-record ``targets()`` (and replication counters)
+    exactly.
     """
     from repro.intervals.allen import MapOperator
 

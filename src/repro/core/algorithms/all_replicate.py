@@ -23,12 +23,11 @@ from repro.core.algorithms.base import (
     input_path,
 )
 from repro.core.algorithms.rccis import JoinReducer
+from repro.core.algorithms.routing import OperatorRouter, RoutedMapper, RowView
 from repro.core.query import IntervalJoinQuery
-from repro.core.schema import Row
-from repro.intervals.partitioning import Partitioning
+from repro.intervals.allen import MapOperator
 from repro.mapreduce.job import InputSpec, JobConf
 from repro.mapreduce.shuffle import RoundRobinKeyPartitioner
-from repro.mapreduce.task import MapContext, Mapper
 
 __all__ = ["AllReplicate", "maximal_relations"]
 
@@ -67,41 +66,6 @@ def maximal_relations(query: IntervalJoinQuery) -> List[str]:
     return out
 
 
-class _ReplicateMapper(Mapper):
-    """Replicates one relation's rows to the start partition onward."""
-
-    def __init__(
-        self, relation: str, attribute: str, partitioning: Partitioning
-    ) -> None:
-        self.relation = relation
-        self.attribute = attribute
-        self.partitioning = partitioning
-
-    def map(self, record: Row, context: MapContext) -> None:
-        targets = list(
-            self.partitioning.replicate(record.interval(self.attribute))
-        )
-        context.counters.increment("join", "replicated_intervals")
-        context.counters.increment("join", "replicated_pairs", len(targets))
-        for index in targets:
-            context.emit(index, (self.relation, record))
-
-
-class _ProjectMapper(Mapper):
-    """Projects one relation's rows onto their start partition."""
-
-    def __init__(
-        self, relation: str, attribute: str, partitioning: Partitioning
-    ) -> None:
-        self.relation = relation
-        self.attribute = attribute
-        self.partitioning = partitioning
-
-    def map(self, record: Row, context: MapContext) -> None:
-        index = self.partitioning.project(record.interval(self.attribute))
-        context.emit(index, (self.relation, record))
-
-
 class AllReplicate(JoinAlgorithm):
     """The replicate-everything single-cycle baseline."""
 
@@ -118,16 +82,19 @@ class AllReplicate(JoinAlgorithm):
         parts = ctx.partition(ctx.num_partitions)
         maximal = maximal_relations(query)
         projected = maximal[0] if maximal else None
-        mapper_of = {name: _ReplicateMapper for name in query.relations}
+        operator_of = {name: MapOperator.REPLICATE for name in query.relations}
         if projected is not None:
-            mapper_of[projected] = _ProjectMapper
+            operator_of[projected] = MapOperator.PROJECT
         ctx.submit(
             JobConf(
                 name="all-replicate",
                 inputs=[
                     InputSpec(
                         input_path(name),
-                        mapper_of[name](name, attributes[name], parts),
+                        RoutedMapper(
+                            RowView(name, attributes[name]),
+                            OperatorRouter(parts, operator_of[name]),
+                        ),
                     )
                     for name in query.relations
                 ],

@@ -24,16 +24,26 @@ cascade is correct for arbitrary (including cyclic) join graphs.
 from __future__ import annotations
 
 import math
-from collections import defaultdict
-from typing import Dict, Hashable, List, Mapping, Optional, Sequence, Tuple
+from typing import Any, Hashable, List, Mapping, Optional, Sequence, Tuple
 
 from repro.errors import PlanningError
-from repro.columnar.batch import ColumnValues, interval_columns, reduce_columns
+from repro.columnar.batch import ColumnValues, reduce_columns
 from repro.core.algorithms.base import (
     JoinAlgorithm,
     Plan,
     PlanContext,
     input_path,
+)
+from repro.core.algorithms.routing import (
+    BOUND_SIDE,
+    NEW_SIDE,
+    LiftedRowView,
+    MemberView,
+    OperatorRouter,
+    PartialTuple,
+    PinnedCellRouter,
+    RoutedMapper,
+    RowView,
 )
 from repro.core.query import IntervalJoinQuery, JoinCondition
 from repro.core.schema import Row
@@ -41,15 +51,9 @@ from repro.intervals.allen import MapOperator
 from repro.intervals.partitioning import Partitioning
 from repro.mapreduce.job import InputSpec, JobConf
 from repro.mapreduce.shuffle import RoundRobinKeyPartitioner
-from repro.mapreduce.task import MapContext, Mapper, ReduceContext, Reducer
+from repro.mapreduce.task import ReduceContext, Reducer
 
 __all__ = ["TwoWayCascade"]
-
-#: A partial tuple: ``((relation, row), ...)`` for the bound relations.
-PartialTuple = Tuple[Tuple[str, Row], ...]
-
-_NEW_SIDE = "__new__"
-_BOUND_SIDE = "__bound__"
 
 
 def _binding_order(query: IntervalJoinQuery) -> List[str]:
@@ -101,268 +105,6 @@ def _routing_condition(step_conditions: Sequence[JoinCondition]) -> JoinConditio
     return step_conditions[0]
 
 
-def _cell_tables(partitioning: Partitioning, by_coord):
-    """Dense per-coordinate grid fan-out tables.
-
-    Returns ``(codes, counts, offsets)``: for coordinate ``q`` the cells
-    of ``by_coord[q]`` (insertion order, as the records plane emits them)
-    are ``codes[offsets[q] : offsets[q] + counts[q]]`` as packed int64
-    cell codes.
-    """
-    import numpy as np
-
-    from repro.columnar.codec import CellKeyCodec
-
-    n = len(partitioning)
-    counts = np.zeros(n, dtype=np.int64)
-    offsets = np.zeros(n, dtype=np.int64)
-    codes: List[int] = []
-    for coord in range(n):
-        cells = by_coord.get(coord, ())
-        offsets[coord] = len(codes)
-        counts[coord] = len(cells)
-        codes.extend(CellKeyCodec.encode_cell(cell) for cell in cells)
-    return np.asarray(codes, dtype=np.int64), counts, offsets
-
-
-def _grid_map_block(partitioning: Partitioning, tables, starts, tag: str):
-    """Vectorised grid-mapper emission: each record fans out to the cells
-    pinned at its projected coordinate, in per-coordinate insertion order
-    (record-major, matching the records plane's per-record loops)."""
-    import numpy as np
-
-    from repro.columnar.batch import MapBlock
-
-    codes, counts, offsets = tables
-    q = partitioning.locate_array(starts)
-    per = counts[q]
-    total = int(per.sum())
-    row_idx = np.repeat(np.arange(len(q), dtype=np.int64), per)
-    run_offsets = np.cumsum(per) - per
-    intra = np.arange(total, dtype=np.int64) - np.repeat(run_offsets, per)
-    key_codes = codes[np.repeat(offsets[q], per) + intra]
-    return MapBlock.single_tag(key_codes, row_idx, tag)
-
-
-class _RowSideMapper(Mapper):
-    """Route a base relation's rows with one Figure-1 operator."""
-
-    columnar_key_kind = "int"
-
-    def __init__(
-        self,
-        relation: str,
-        attribute: str,
-        partitioning: Partitioning,
-        operator: MapOperator,
-        side: str,
-    ) -> None:
-        self.relation = relation
-        self.attribute = attribute
-        self.partitioning = partitioning
-        self.operator = operator
-        self.side = side
-
-    def _interval_of(self, record: Row):
-        return record.interval(self.attribute)
-
-    def map(self, record: Row, context: MapContext) -> None:
-        interval = self._interval_of(record)
-        payload = (self.side, (self.relation, record))
-        if self.operator is MapOperator.PROJECT:
-            context.emit(self.partitioning.project(interval), payload)
-            return
-        if self.operator is MapOperator.SPLIT:
-            targets = list(self.partitioning.split(interval))
-        else:
-            targets = list(self.partitioning.replicate(interval))
-            context.counters.increment("join", "replicated_intervals")
-            context.counters.increment("join", "replicated_pairs", len(targets))
-        for index in targets:
-            context.emit(index, payload)
-
-    # -- columnar protocol (see repro.mapreduce.task) -------------------
-    def columnar_ready(self) -> bool:
-        return True
-
-    def encode_intervals(self, records):
-        return interval_columns(records, self._interval_of)
-
-    def map_columns(self, starts, ends, records):
-        from repro.columnar.batch import MapBlock, operator_map_columns
-
-        key_codes, row_idx, counters = operator_map_columns(
-            self.partitioning, self.operator, starts, ends
-        )
-        return MapBlock.single_tag(key_codes, row_idx, self.side, counters)
-
-    def value_of(self, record: Row):
-        return (self.side, (self.relation, record))
-
-
-class _PartialSideMapper(Mapper):
-    """Route partial tuples by one bound member's interval."""
-
-    columnar_key_kind = "int"
-
-    def __init__(
-        self,
-        member_relation: str,
-        attribute: str,
-        partitioning: Partitioning,
-        operator: MapOperator,
-    ) -> None:
-        self.member_relation = member_relation
-        self.attribute = attribute
-        self.partitioning = partitioning
-        self.operator = operator
-
-    def _interval_of(self, record: PartialTuple):
-        for relation, row in record:
-            if relation == self.member_relation:
-                return row.interval(self.attribute)
-        raise PlanningError(
-            f"partial tuple missing member {self.member_relation!r}"
-        )
-
-    def map(self, record: PartialTuple, context: MapContext) -> None:
-        interval = self._interval_of(record)
-        payload = (_BOUND_SIDE, record)
-        if self.operator is MapOperator.PROJECT:
-            context.emit(self.partitioning.project(interval), payload)
-            return
-        if self.operator is MapOperator.SPLIT:
-            targets = list(self.partitioning.split(interval))
-        else:
-            targets = list(self.partitioning.replicate(interval))
-            context.counters.increment("join", "replicated_intervals")
-            context.counters.increment("join", "replicated_pairs", len(targets))
-        for index in targets:
-            context.emit(index, payload)
-
-    # -- columnar protocol (see repro.mapreduce.task) -------------------
-    def columnar_ready(self) -> bool:
-        return True
-
-    def encode_intervals(self, records):
-        return interval_columns(records, self._interval_of)
-
-    def map_columns(self, starts, ends, records):
-        from repro.columnar.batch import MapBlock, operator_map_columns
-
-        key_codes, row_idx, counters = operator_map_columns(
-            self.partitioning, self.operator, starts, ends
-        )
-        return MapBlock.single_tag(key_codes, row_idx, _BOUND_SIDE, counters)
-
-    def value_of(self, record: PartialTuple):
-        return (_BOUND_SIDE, record)
-
-
-class _GridRowMapper(Mapper):
-    """Sequence step, new-relation side: pin this side's grid dimension."""
-
-    columnar_key_kind = "cell"
-
-    def __init__(
-        self,
-        relation: str,
-        attribute: str,
-        partitioning: Partitioning,
-        dim: int,
-        cells: Sequence[Tuple[int, int]],
-        side: str,
-    ) -> None:
-        self.relation = relation
-        self.attribute = attribute
-        self.partitioning = partitioning
-        self.dim = dim
-        self.by_coord: Dict[int, List[Tuple[int, int]]] = defaultdict(list)
-        for cell in cells:
-            self.by_coord[cell[dim]].append(cell)
-        self.side = side
-        self._tables = None
-
-    def _interval_of(self, record: Row):
-        return record.interval(self.attribute)
-
-    def map(self, record: Row, context: MapContext) -> None:
-        q = self.partitioning.project(self._interval_of(record))
-        for cell in self.by_coord.get(q, ()):
-            context.emit(cell, (self.side, (self.relation, record)))
-
-    # -- columnar protocol (see repro.mapreduce.task) -------------------
-    def columnar_ready(self) -> bool:
-        return True
-
-    def encode_intervals(self, records):
-        return interval_columns(records, self._interval_of)
-
-    def map_columns(self, starts, ends, records):
-        if self._tables is None:
-            self._tables = _cell_tables(self.partitioning, self.by_coord)
-        return _grid_map_block(
-            self.partitioning, self._tables, starts, self.side
-        )
-
-    def value_of(self, record: Row):
-        return (self.side, (self.relation, record))
-
-
-class _GridPartialMapper(Mapper):
-    """Sequence step, intermediate side: pin dimension by member start."""
-
-    columnar_key_kind = "cell"
-
-    def __init__(
-        self,
-        member_relation: str,
-        attribute: str,
-        partitioning: Partitioning,
-        dim: int,
-        cells: Sequence[Tuple[int, int]],
-    ) -> None:
-        self.member_relation = member_relation
-        self.attribute = attribute
-        self.partitioning = partitioning
-        self.dim = dim
-        self.by_coord: Dict[int, List[Tuple[int, int]]] = defaultdict(list)
-        for cell in cells:
-            self.by_coord[cell[dim]].append(cell)
-        self._tables = None
-
-    def _interval_of(self, record: PartialTuple):
-        for relation, row in record:
-            if relation == self.member_relation:
-                return row.interval(self.attribute)
-        raise PlanningError(  # pragma: no cover - structurally impossible
-            "partial tuple missing routing member"
-        )
-
-    def map(self, record: PartialTuple, context: MapContext) -> None:
-        interval = self._interval_of(record)
-        q = self.partitioning.project(interval)
-        for cell in self.by_coord.get(q, ()):
-            context.emit(cell, (_BOUND_SIDE, record))
-
-    # -- columnar protocol (see repro.mapreduce.task) -------------------
-    def columnar_ready(self) -> bool:
-        return True
-
-    def encode_intervals(self, records):
-        return interval_columns(records, self._interval_of)
-
-    def map_columns(self, starts, ends, records):
-        if self._tables is None:
-            self._tables = _cell_tables(self.partitioning, self.by_coord)
-        return _grid_map_block(
-            self.partitioning, self._tables, starts, _BOUND_SIDE
-        )
-
-    def value_of(self, record: PartialTuple):
-        return (_BOUND_SIDE, record)
-
-
 class _StepJoinReducer(Reducer):
     """Join partial tuples (or first-relation rows) with the new relation,
     checking every step condition; exactly-once via the projected /
@@ -405,7 +147,7 @@ class _StepJoinReducer(Reducer):
         partials: List[Tuple[object, PartialTuple]] = []
         new_rows: List[Tuple[object, Row]] = []
         for side, payload in values:
-            if side == _BOUND_SIDE:
+            if side == BOUND_SIDE:
                 partial: PartialTuple = payload  # type: ignore[assignment]
                 member_row = dict(partial)[self._member]
                 partials.append(
@@ -462,7 +204,7 @@ class _StepJoinReducer(Reducer):
     def columnar_outputs(self, key, values: ColumnValues, counters):
         from repro.intervals.sweep import join_pairs
 
-        bound_mask = values.tag_mask(_BOUND_SIDE)
+        bound_mask = values.tag_mask(BOUND_SIDE)
         partials = values.items(bound_mask)
         news = values.items(~bound_mask)
         if self._new_is_left:
@@ -487,46 +229,6 @@ class _StepJoinReducer(Reducer):
         ]
 
 
-class _WrapMapper(Mapper):
-    """Wrap a base relation's rows as 1-member partial tuples (step 0
-    bound side)."""
-
-    columnar_key_kind = "int"
-
-    def __init__(
-        self,
-        relation: str,
-        attribute: str,
-        partitioning: Partitioning,
-        operator: MapOperator,
-    ) -> None:
-        self._inner = _PartialSideMapper(
-            relation, attribute, partitioning, operator
-        )
-        self.relation = relation
-
-    def _interval_of(self, record: Row):
-        return record.interval(self._inner.attribute)
-
-    def map(self, record: Row, context: MapContext) -> None:
-        self._inner.map(((self.relation, record),), context)
-
-    # -- columnar protocol (see repro.mapreduce.task) -------------------
-    def columnar_ready(self) -> bool:
-        return True
-
-    def encode_intervals(self, records):
-        return interval_columns(records, self._interval_of)
-
-    def map_columns(self, starts, ends, records):
-        # Routing depends only on the encoded endpoints, so the inner
-        # mapper's operator logic applies to the raw rows unchanged.
-        return self._inner.map_columns(starts, ends, records)
-
-    def value_of(self, record: Row):
-        return (_BOUND_SIDE, ((self.relation, record),))
-
-
 def _step_sides(routing: JoinCondition, new: str) -> Tuple[str, str, str, bool]:
     """(bound relation, its attribute, new relation's attribute,
     bound_is_left) of a step's routing condition."""
@@ -544,6 +246,41 @@ def step_operators(
     return (right, left) if routing.left.relation == new else (left, right)
 
 
+def _step_job(
+    name: str,
+    new: str,
+    routing: JoinCondition,
+    step_conditions: Sequence[JoinCondition],
+    attributes: Mapping[str, str],
+    bound_path: Optional[str],
+    bound_router: Any,
+    new_router: Any,
+    output: str,
+    num_reduce_tasks: int,
+) -> JobConf:
+    """One cascade step: the bound side — the partial tuples at
+    ``bound_path`` read at the routing member, or, at step 0 (``None``),
+    the first relation's base rows lifted to one-member partials — and
+    the ``new`` relation, each through its router."""
+    member, member_attr, new_attr, _ = _step_sides(routing, new)
+    bound_view = MemberView(member, member_attr)
+    if bound_path is None:
+        bound_view = LiftedRowView(member, member_attr)
+        bound_path = input_path(member)
+    new_view = RowView(new, new_attr, side=NEW_SIDE)
+    return JobConf(
+        name=name,
+        inputs=[
+            InputSpec(bound_path, RoutedMapper(bound_view, bound_router)),
+            InputSpec(input_path(new), RoutedMapper(new_view, new_router)),
+        ],
+        reducer=_StepJoinReducer(new, routing, step_conditions, attributes),
+        output=output,
+        num_reduce_tasks=num_reduce_tasks,
+        partitioner=RoundRobinKeyPartitioner(),
+    )
+
+
 def colocation_step_job(
     name: str,
     new: str,
@@ -559,26 +296,11 @@ def colocation_step_job(
     (the partial tuples at ``bound_path``, or the first relation's raw
     rows when ``None``) and the ``new`` relation each go through their
     Figure-1 operator."""
-    member, member_attr, new_attr, _ = _step_sides(routing, new)
     bound_op, new_op = step_operators(routing, new)
-    if bound_path is None:
-        bound_mapper: Mapper = _WrapMapper(member, member_attr, parts, bound_op)
-        bound_path = input_path(member)
-    else:
-        bound_mapper = _PartialSideMapper(member, member_attr, parts, bound_op)
-    return JobConf(
-        name=name,
-        inputs=[
-            InputSpec(bound_path, bound_mapper),
-            InputSpec(
-                input_path(new),
-                _RowSideMapper(new, new_attr, parts, new_op, _NEW_SIDE),
-            ),
-        ],
-        reducer=_StepJoinReducer(new, routing, step_conditions, attributes),
-        output=output,
-        num_reduce_tasks=num_reduce_tasks,
-        partitioner=RoundRobinKeyPartitioner(),
+    return _step_job(
+        name, new, routing, step_conditions, attributes, bound_path,
+        OperatorRouter(parts, bound_op), OperatorRouter(parts, new_op),
+        output, num_reduce_tasks,
     )
 
 
@@ -593,7 +315,7 @@ def _sequence_step_job(
 ) -> JobConf:
     """One cascade step routed by a sequence condition: a 2-D All-Matrix
     over (bound side, new relation)."""
-    member, member_attr, new_attr, bound_is_left = _step_sides(routing, new)
+    *_, bound_is_left = _step_sides(routing, new)
     # Dimension 0 = bound side, 1 = new side.  Consistency: the
     # enforced-earlier side's coordinate <= the later side's.
     bound_first = (
@@ -608,30 +330,11 @@ def _sequence_step_job(
         for j in range(grid_o)
         if (i <= j if bound_first else j <= i)
     ]
-    if bound_path is None:
-        bound_mapper: Mapper = _GridWrapMapper(
-            member, member_attr, grid_partitioning, 0, cells
-        )
-        bound_path = input_path(member)
-    else:
-        bound_mapper = _GridPartialMapper(
-            member, member_attr, grid_partitioning, 0, cells
-        )
-    return JobConf(
-        name=f"cascade-{new}",
-        inputs=[
-            InputSpec(bound_path, bound_mapper),
-            InputSpec(
-                input_path(new),
-                _GridRowMapper(
-                    new, new_attr, grid_partitioning, 1, cells, _NEW_SIDE
-                ),
-            ),
-        ],
-        reducer=_StepJoinReducer(new, routing, step_conditions, attributes),
-        output=output,
-        num_reduce_tasks=max(1, len(cells)),
-        partitioner=RoundRobinKeyPartitioner(),
+    return _step_job(
+        f"cascade-{new}", new, routing, step_conditions, attributes, bound_path,
+        PinnedCellRouter(grid_partitioning, 0, cells),
+        PinnedCellRouter(grid_partitioning, 1, cells),
+        output, max(1, len(cells)),
     )
 
 
@@ -769,42 +472,3 @@ class TwoWayCascade(JoinAlgorithm):
             consistent_reducers=parts,
             total_reducers=parts,
         )
-
-
-class _GridWrapMapper(Mapper):
-    """Step-0 bound side of a sequence step: wrap rows as partial tuples
-    and pin the grid dimension."""
-
-    columnar_key_kind = "cell"
-
-    def __init__(
-        self,
-        relation: str,
-        attribute: str,
-        partitioning: Partitioning,
-        dim: int,
-        cells: Sequence[Tuple[int, int]],
-    ) -> None:
-        self._inner = _GridPartialMapper(
-            relation, attribute, partitioning, dim, cells
-        )
-        self.relation = relation
-
-    def _interval_of(self, record: Row):
-        return record.interval(self._inner.attribute)
-
-    def map(self, record: Row, context: MapContext) -> None:
-        self._inner.map(((self.relation, record),), context)
-
-    # -- columnar protocol (see repro.mapreduce.task) -------------------
-    def columnar_ready(self) -> bool:
-        return True
-
-    def encode_intervals(self, records):
-        return interval_columns(records, self._interval_of)
-
-    def map_columns(self, starts, ends, records):
-        return self._inner.map_columns(starts, ends, records)
-
-    def value_of(self, record: Row):
-        return (_BOUND_SIDE, ((self.relation, record),))

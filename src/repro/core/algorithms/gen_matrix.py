@@ -65,6 +65,7 @@ from repro.core.algorithms.base import (
     input_path,
 )
 from repro.core.algorithms.crossing import CrossingSetFinder
+from repro.core.algorithms.routing import OperatorRouter, RoutedMapper, RowView
 from repro.core.graph import Component, JoinGraph
 from repro.core.local import (
     LocalJoiner,
@@ -74,6 +75,7 @@ from repro.core.local import (
 )
 from repro.core.query import IntervalJoinQuery, QueryClass, Term
 from repro.core.schema import Row
+from repro.intervals.allen import MapOperator
 from repro.intervals.composition import path_consistency
 from repro.intervals.partitioning import Partitioning
 from repro.mapreduce.job import InputSpec, JobConf
@@ -241,22 +243,6 @@ class GridSpec:
 # ----------------------------------------------------------------------
 
 
-class _ComponentSplitMapper(Mapper):
-    """Split one term's interval values, keyed by (component, partition)."""
-
-    def __init__(self, term: Term, component: int, partitioning: Partitioning):
-        self.term = term
-        self.component = component
-        self.partitioning = partitioning
-
-    def map(self, record: Row, context: MapContext) -> None:
-        interval = record.interval(self.term.attribute)
-        for index in self.partitioning.split(interval):
-            context.emit(
-                (self.component, index), (str(self.term), record)
-            )
-
-
 class _ComponentFlaggingReducer(Reducer):
     """Run the crossing-set CSP for one (component, partition); emit the
     flagged ``(relation, rid, attribute)`` triples."""
@@ -337,7 +323,15 @@ class _ComponentFlaggingReducer(Reducer):
 
 class _GridRouteMapper(Mapper):
     """Route one relation's rows to the consistent cells satisfying all
-    per-attribute constraints (conditions E1 + E2 of Sections 8.1/9.1)."""
+    per-attribute constraints (conditions E1 + E2 of Sections 8.1/9.1).
+
+    The one routing that is none of the three routers of
+    :mod:`repro.core.algorithms.routing`: a row carries one constraint
+    per term — pinned, or widened to the upper tail when flagged — and
+    its targets are the cells in the *intersection* over all of its
+    dimensions, which no single routing interval describes.  Records
+    plane only.
+    """
 
     def __init__(
         self,
@@ -502,8 +496,14 @@ def flag_cycle(ctx: PlanContext, name: str, grid: GridSpec) -> FrozenSet[FlagKey
             inputs=[
                 InputSpec(
                     input_path(term.relation),
-                    _ComponentSplitMapper(
-                        term, comp.index, partitionings[comp.index]
+                    # Split, keyed by (component, partition).
+                    RoutedMapper(
+                        RowView(str(term), term.attribute),
+                        OperatorRouter(
+                            partitionings[comp.index],
+                            MapOperator.SPLIT,
+                            prefix=comp.index,
+                        ),
                     ),
                 )
                 for comp in multi

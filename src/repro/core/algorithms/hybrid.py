@@ -14,13 +14,11 @@ between phases — the overhead All-Seq-Matrix exists to avoid.
 
 from __future__ import annotations
 
-from collections import defaultdict
 from typing import (
     Dict,
     Hashable,
     Iterator,
     List,
-    Mapping,
     Optional,
     Sequence,
     Tuple,
@@ -28,19 +26,21 @@ from typing import (
 
 from repro.errors import PlanningError, UnsatisfiableQueryError
 from repro.core.algorithms.base import JoinAlgorithm, Plan, PlanContext
-from repro.core.algorithms.cascade import (
-    PartialTuple,
-    colocation_step_job,
-    step_operators,
-)
+from repro.core.algorithms.cascade import colocation_step_job, step_operators
 from repro.core.algorithms.gen_matrix import AllMatrix, GridSpec
 from repro.core.algorithms.rccis import RCCIS
+from repro.core.algorithms.routing import (
+    PartialTuple,
+    PinnedCellRouter,
+    RightmostMemberView,
+    RoutedMapper,
+)
 from repro.core.graph import Component, JoinGraph
 from repro.core.query import IntervalJoinQuery, JoinCondition, QueryClass
 from repro.core.schema import Row
 from repro.mapreduce.job import InputSpec, JobConf
 from repro.mapreduce.shuffle import RoundRobinKeyPartitioner
-from repro.mapreduce.task import MapContext, Mapper, ReduceContext, Reducer
+from repro.mapreduce.task import ReduceContext, Reducer
 
 __all__ = ["FCTS", "FSTC"]
 
@@ -97,34 +97,6 @@ def _attachment_steps(
         ]
         bound.append(nxt)
         remaining.remove(nxt)
-
-
-class _ComponentPartialMapper(Mapper):
-    """Route one component's materialised partial tuples to grid cells:
-    coordinate = start partition of the right-most member interval."""
-
-    def __init__(
-        self,
-        component: Component,
-        grid: GridSpec,
-        attributes: Mapping[str, str],
-    ) -> None:
-        self.component = component
-        self.grid = grid
-        self.attributes = dict(attributes)
-        self.dim = component.index
-        self._cells_by_coord: Dict[int, List[Tuple[int, ...]]] = defaultdict(list)
-        for cell in grid.cells:
-            self._cells_by_coord[cell[self.dim]].append(cell)
-
-    def map(self, record: PartialTuple, context: MapContext) -> None:
-        rightmost = max(
-            row.interval(self.attributes[relation]).start
-            for relation, row in record
-        )
-        q = self.grid.partitioning.locate(rightmost)
-        for cell in self._cells_by_coord.get(q, ()):
-            context.emit(cell, (self.dim, record))
 
 
 class _ComponentJoinReducer(Reducer):
@@ -263,7 +235,14 @@ class FCTS(JoinAlgorithm):
                 inputs=[
                     InputSpec(
                         component_paths[component.index],
-                        _ComponentPartialMapper(component, grid, attributes),
+                        # Coordinate = start partition of the
+                        # component's right-most member interval.
+                        RoutedMapper(
+                            RightmostMemberView(attributes, component.index),
+                            PinnedCellRouter(
+                                grid.partitioning, component.index, grid.cells
+                            ),
+                        ),
                     )
                     for component in graph.components
                 ],

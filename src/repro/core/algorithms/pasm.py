@@ -36,6 +36,7 @@ from repro.core.algorithms.gen_matrix import (
     grid_join_job,
     multi_term_components,
 )
+from repro.core.algorithms.routing import FlagRouter, RoutedMapper, RowView
 from repro.core.graph import JoinGraph
 from repro.core.local import anchored_join, row_columns
 from repro.core.query import IntervalJoinQuery, Term
@@ -43,39 +44,14 @@ from repro.core.schema import Row
 from repro.intervals.partitioning import Partitioning
 from repro.mapreduce.job import InputSpec, JobConf
 from repro.mapreduce.shuffle import RoundRobinKeyPartitioner
-from repro.mapreduce.task import MapContext, Mapper, ReduceContext, Reducer
+from repro.mapreduce.task import ReduceContext, Reducer
 
 __all__ = ["PASM"]
 
 
-class _ComponentRouteMapper(Mapper):
-    """Marking-cycle map: RCCIS cycle-2 routing (replicate flagged /
-    project unflagged) within one component's 1-dim partitioning, keyed
-    by (component, partition)."""
-
-    def __init__(
-        self,
-        term: Term,
-        component: int,
-        partitioning: Partitioning,
-        flags: FrozenSet[FlagKey],
-    ) -> None:
-        self.term = term
-        self.component = component
-        self.partitioning = partitioning
-        self.flags = flags
-
-    def map(self, record: Row, context: MapContext) -> None:
-        interval = record.interval(self.term.attribute)
-        key = (self.term.relation, record.rid, self.term.attribute)
-        if key in self.flags:
-            targets = list(self.partitioning.replicate(interval))
-        else:
-            targets = [self.partitioning.project(interval)]
-        for index in targets:
-            context.emit(
-                (self.component, index), (self.term.relation, record)
-            )
+def _flagged(flags: FrozenSet[FlagKey], term: Term, record: Row) -> bool:
+    """Whether the flag cycle marked ``term``'s interval of ``record``."""
+    return (term.relation, record.rid, term.attribute) in flags
 
 
 class _MarkingReducer(Reducer):
@@ -163,8 +139,17 @@ class PASM(JoinAlgorithm):
                     inputs=[
                         InputSpec(
                             input_path(term.relation),
-                            _ComponentRouteMapper(
-                                term, comp.index, parts, flags
+                            # RCCIS cycle-2 routing per component.
+                            # Its pairs are pruning overhead, not the
+                            # join's replication: uncounted.
+                            RoutedMapper(
+                                RowView(term.relation, term.attribute),
+                                FlagRouter(
+                                    parts,
+                                    functools.partial(_flagged, flags, term),
+                                    prefix=comp.index,
+                                    count_pairs=False,
+                                ),
                             ),
                         )
                         for comp in multi_components

@@ -29,7 +29,7 @@ from typing import Dict, Hashable, List, Mapping, Sequence, Tuple
 import numpy as np
 
 from repro.errors import PlanningError
-from repro.columnar.batch import ColumnValues, interval_columns, reduce_columns
+from repro.columnar.batch import ColumnValues, reduce_columns
 from repro.core.algorithms.base import (
     JoinAlgorithm,
     Plan,
@@ -45,29 +45,33 @@ from repro.core.local import (
 from repro.core.query import IntervalJoinQuery, QueryClass, Term
 from repro.core.schema import Row
 from repro.core.algorithms.crossing import CrossingSetFinder
+from repro.core.algorithms.routing import (
+    FlaggedRowView,
+    FlagRouter,
+    OperatorRouter,
+    RoutedMapper,
+    RowView,
+)
+from repro.intervals.allen import MapOperator
 from repro.intervals.partitioning import Partitioning
 from repro.intervals.sweep import SortedColumns
 from repro.mapreduce.job import InputSpec, JobConf
 from repro.mapreduce.shuffle import RoundRobinKeyPartitioner
-from repro.mapreduce.task import MapContext, Mapper, ReduceContext, Reducer
+from repro.mapreduce.task import ReduceContext, Reducer
 
 __all__ = ["RCCIS", "SplitMapper", "FlaggingReducer", "RouteMapper", "JoinReducer"]
 
 
-class SplitMapper(Mapper):
+class SplitMapper(RoutedMapper):
     """Cycle 1 map: split one relation's rows over the partitioning."""
 
     def __init__(
         self, relation: str, attribute: str, partitioning: Partitioning
     ) -> None:
-        self.relation = relation
-        self.attribute = attribute
-        self.partitioning = partitioning
-
-    def map(self, record: Row, context: MapContext) -> None:
-        interval = record.interval(self.attribute)
-        for index in self.partitioning.split(interval):
-            context.emit(index, (self.relation, record))
+        super().__init__(
+            RowView(relation, attribute),
+            OperatorRouter(partitioning, MapOperator.SPLIT),
+        )
 
 
 class FlaggingReducer(Reducer):
@@ -118,72 +122,12 @@ class FlaggingReducer(Reducer):
                 context.emit((relation, row, flagged))
 
 
-class RouteMapper(Mapper):
+class RouteMapper(RoutedMapper):
     """Cycle 2 map: replicate flagged rows, project the rest."""
 
-    columnar_key_kind = "int"
-
     def __init__(self, attributes: Mapping[str, str], partitioning: Partitioning):
-        self.attributes = dict(attributes)
-        self.partitioning = partitioning
-
-    def _interval_of(self, record: Tuple[str, Row, bool]):
-        relation, row, _flagged = record
-        return row.interval(self.attributes[relation])
-
-    def map(
-        self, record: Tuple[str, Row, bool], context: MapContext
-    ) -> None:
-        relation, row, flagged = record
-        interval = self._interval_of(record)
-        if flagged:
-            targets = list(self.partitioning.replicate(interval))
-            context.counters.increment(
-                "join", "replicated_pairs", len(targets)
-            )
-            for index in targets:
-                context.emit(index, (relation, row))
-        else:
-            context.emit(self.partitioning.project(interval), (relation, row))
-
-    # -- columnar protocol (see repro.mapreduce.task) -------------------
-    def columnar_ready(self) -> bool:
-        return True
-
-    def encode_intervals(self, records):
-        return interval_columns(records, self._interval_of)
-
-    def map_columns(self, starts, ends, records):
-        from repro.columnar.batch import MapBlock, ranged_targets
-
-        n = len(records)
-        flags = np.fromiter(
-            (bool(record[2]) for record in records), dtype=bool, count=n
-        )
-        tags: List[str] = []
-        index_of: Dict[str, int] = {}
-        tag_of_record = np.empty(n, dtype=np.int16)
-        for i, (relation, _row, _flagged) in enumerate(records):
-            code = index_of.get(relation)
-            if code is None:
-                code = index_of[relation] = len(tags)
-                tags.append(relation)
-            tag_of_record[i] = code
-        lo = self.partitioning.locate_array(starts)
-        hi = np.where(
-            flags, np.int64(len(self.partitioning) - 1), lo
-        ).astype(np.int64)
-        key_codes, row_idx = ranged_targets(lo, hi)
-        counters: Dict[Tuple[str, str], int] = {}
-        replicated = int((hi[flags] - lo[flags] + 1).sum()) if n else 0
-        if replicated:
-            counters[("join", "replicated_pairs")] = replicated
-        return MapBlock(
-            key_codes, row_idx, tag_of_record[row_idx], tags, counters
-        )
-
-    def value_of(self, record: Tuple[str, Row, bool]):
-        return (record[0], record[1])
+        view = FlaggedRowView(attributes)
+        super().__init__(view, FlagRouter(partitioning, view.flagged))
 
 
 class JoinReducer(Reducer):

@@ -10,7 +10,6 @@ for the predicates that split or replicate one side.
 from __future__ import annotations
 
 from repro.errors import PlanningError
-from repro.columnar.batch import interval_columns
 from repro.core.algorithms.base import (
     JoinAlgorithm,
     Plan,
@@ -18,21 +17,19 @@ from repro.core.algorithms.base import (
     input_path,
 )
 from repro.core.algorithms.rccis import JoinReducer
+from repro.core.algorithms.routing import OperatorRouter, RoutedMapper, RowView
 from repro.core.query import IntervalJoinQuery
-from repro.core.schema import Row
 from repro.intervals.allen import MapOperator
 from repro.intervals.partitioning import Partitioning
 from repro.mapreduce.job import InputSpec, JobConf
 from repro.mapreduce.shuffle import RoundRobinKeyPartitioner
-from repro.mapreduce.task import MapContext, Mapper
 
 __all__ = ["TwoWayJoin", "OperatorMapper"]
 
 
-class OperatorMapper(Mapper):
-    """Applies one of the Section-3 primitives to one relation."""
-
-    columnar_key_kind = "int"
+class OperatorMapper(RoutedMapper):
+    """Applies one of the Section-3 primitives to one relation: a named
+    construction of the one mapper (:mod:`repro.core.algorithms.routing`)."""
 
     def __init__(
         self,
@@ -41,47 +38,9 @@ class OperatorMapper(Mapper):
         partitioning: Partitioning,
         operator: MapOperator,
     ) -> None:
-        self.relation = relation
-        self.attribute = attribute
-        self.partitioning = partitioning
-        self.operator = operator
-
-    def _interval_of(self, record: Row):
-        return record.interval(self.attribute)
-
-    def map(self, record: Row, context: MapContext) -> None:
-        interval = self._interval_of(record)
-        if self.operator is MapOperator.PROJECT:
-            context.emit(
-                self.partitioning.project(interval), (self.relation, record)
-            )
-            return
-        if self.operator is MapOperator.SPLIT:
-            targets = list(self.partitioning.split(interval))
-        else:
-            targets = list(self.partitioning.replicate(interval))
-            context.counters.increment("join", "replicated_intervals")
-            context.counters.increment("join", "replicated_pairs", len(targets))
-        for index in targets:
-            context.emit(index, (self.relation, record))
-
-    # -- columnar protocol (see repro.mapreduce.task) -------------------
-    def columnar_ready(self) -> bool:
-        return True
-
-    def encode_intervals(self, records):
-        return interval_columns(records, self._interval_of)
-
-    def map_columns(self, starts, ends, records):
-        from repro.columnar.batch import MapBlock, operator_map_columns
-
-        key_codes, row_idx, counters = operator_map_columns(
-            self.partitioning, self.operator, starts, ends
+        super().__init__(
+            RowView(relation, attribute), OperatorRouter(partitioning, operator)
         )
-        return MapBlock.single_tag(key_codes, row_idx, self.relation, counters)
-
-    def value_of(self, record: Row):
-        return (self.relation, record)
 
 
 class TwoWayJoin(JoinAlgorithm):

@@ -19,7 +19,8 @@ Task output follows Hadoop's two-phase commit protocol: a reduce attempt
 writes to ``<output>/_temporary/task-NNNNN/attempt-K`` and the winning
 attempt is *promoted* (renamed) to ``<output>/part-NNNNN`` on success —
 failed and speculative attempts are discarded without ever becoming
-visible.  Mirroring Hadoop's hidden-file convention, path components
+visible, and a job that fails is *aborted*: whatever its tasks staged is
+removed.  Mirroring Hadoop's hidden-file convention, path components
 starting with ``_`` are invisible to :meth:`FileSystem.read_dir`, so a
 reader of the output directory can never observe uncommitted data.
 
@@ -123,6 +124,13 @@ class FileSystem(abc.ABC):
         for leftover in self.list_prefix(f"{base}/_temporary/task-{index:05d}/"):
             self.delete(leftover)
         return dst
+
+    def abort_job(self, base: str) -> None:
+        """Abort a job that will not commit: drop every attempt still
+        staged under ``<base>/_temporary/``, so a failed job leaves
+        nothing behind.  Part files already promoted are not touched."""
+        for staged in self.list_prefix(f"{base}/_temporary/"):
+            self.delete(staged)
 
     # ------------------------------------------------------------------
     def append_partition(self, base: str, index: int, records: Iterable[Any]) -> str:
@@ -282,6 +290,10 @@ class LocalFileSystem(FileSystem):
         if os.path.isdir(temp_dir) and not os.listdir(temp_dir):
             os.rmdir(temp_dir)
         return dst
+
+    def abort_job(self, base: str) -> None:
+        # The staging directories go with the files.
+        self.delete(f"{base}/_temporary")
 
     def list_prefix(self, prefix: str) -> List[str]:
         # Only the leading "/" is noise: a trailing one is the directory

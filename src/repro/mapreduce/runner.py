@@ -577,9 +577,10 @@ class _ReduceTasks(_Tasks):
     Every attempt stages its output through the file system's commit
     protocol (``_temporary/task-NNNNN/attempt-K``); a failed or backup
     attempt's file is discarded, and ``run_job`` promotes each winner to
-    its ``part-*`` file when gathering results.  On the columnar plane
-    the groups are :class:`ColumnValues` slices that reference the job's
-    payload store, and the same body applies.
+    its ``part-*`` file when gathering results — or, when the phase
+    fails, aborts the job so that nothing stays staged.  On the columnar
+    plane the groups are :class:`ColumnValues` slices that reference the
+    job's payload store, and the same body applies.
     """
 
     phase = "reduce"
@@ -793,7 +794,7 @@ def _run_task_attempts(
     """
     fctx = run.options.faults
     job, phase = run.conf.name, tasks.phase
-    task_beat = run.recorder.task_beat(job, phase, index, run.options.executor)
+    task_beat = run.recorder.task_beat(job, phase, index)
     fault_counters = Counters()
     for number in range(fctx.max_attempts):
         injector = AttemptInjector(fctx.events_for(job, phase, index, number))
@@ -1037,22 +1038,28 @@ def run_job(
             sum(len(values) for _, values in groups) for groups in tasks
         ]
 
-        with recorder.span(
-            "reduce", kind="phase", job=conf.name, tasks=len(tasks)
-        ) as reduce_span:
-            if store is not None and run.pooled:
-                reduce_tasks = _ShmReduceTasks(run, tasks, store)
-                reduce_span.annotate(
-                    shm_bytes=sum(d.nbytes for d, _ in reduce_tasks.packed)
-                )
-            else:
-                reduce_tasks = _ReduceTasks(run, tasks)
-            reduce_outcomes = _run_tasks(run, reduce_tasks, reduce_span)
+        try:
+            with recorder.span(
+                "reduce", kind="phase", job=conf.name, tasks=len(tasks)
+            ) as reduce_span:
+                if store is not None and run.pooled:
+                    reduce_tasks = _ShmReduceTasks(run, tasks, store)
+                    reduce_span.annotate(
+                        shm_bytes=sum(d.nbytes for d, _ in reduce_tasks.packed)
+                    )
+                else:
+                    reduce_tasks = _ReduceTasks(run, tasks)
+                reduce_outcomes = _run_tasks(run, reduce_tasks, reduce_span)
 
-        for index, outcome in enumerate(reduce_outcomes):
-            counters.merge(outcome.counters)
-            # Commit: promote the winning attempt's staged file.
-            fs.promote_attempt(conf.output, index, outcome.attempt)
+            for index, outcome in enumerate(reduce_outcomes):
+                counters.merge(outcome.counters)
+                # Commit: promote the winning attempt's staged file.
+                fs.promote_attempt(conf.output, index, outcome.attempt)
+        except BaseException:
+            # Abort: the job will not commit, so what its other tasks
+            # staged must not outlive it — an interrupt included.
+            fs.abort_job(conf.output)
+            raise
         task_outputs = [len(outcome.result) for outcome in reduce_outcomes]
 
         result = JobResult(

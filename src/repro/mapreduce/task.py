@@ -18,7 +18,10 @@ A mapper/reducer pair may additionally implement the columnar data
 plane (see ``docs/data_plane.md``).  The runner probes for these
 attributes per job — when every participant has them and reports itself
 ready the job runs columnar, otherwise on the records plane, so the
-protocol is strictly additive.
+protocol is strictly additive.  The paper's algorithms implement the
+mapper side once, in
+:class:`repro.core.algorithms.routing.RoutedMapper`; a user mapper may
+implement it too.
 
 Mapper side::
 

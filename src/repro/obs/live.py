@@ -9,14 +9,16 @@ run's structure (a phase span carries its task count as ``tasks=``) and
 the ``plan`` span the analytic prediction.  What no span can carry —
 progress *inside* a task — arrives as :class:`Heartbeat` events (phase,
 task index, attempt, records processed, last-progress timestamp) that
-running tasks emit over an executor-appropriate channel —
+running tasks emit over one of two channels —
 
-* ``serial`` — a direct callback into the hub (same thread),
-* ``threads`` — a thread-safe :class:`queue.Queue` drained by a
-  collector thread,
-* ``processes`` — a multiprocessing manager queue (the picklable form
-  of ``multiprocessing.Queue``; a raw ``mp.Queue`` cannot travel inside
-  an existing pool's task payloads) drained by a collector thread.
+* in-process (``serial`` *and* ``threads``) — a direct call into
+  :meth:`TelemetryHub.ingest`, which any thread may make;
+* across a process boundary (``processes``) — a multiprocessing manager
+  queue (the picklable form of ``multiprocessing.Queue``; a raw
+  ``mp.Queue`` cannot travel inside an existing pool's task payloads)
+  drained by a collector thread.  Nobody selects it: a beat switches to
+  the queue when it is *pickled*, which is exactly when it crosses into
+  a worker.
 
 On top of the hub:
 
@@ -174,7 +176,10 @@ class Heartbeat:
 
 
 class _DirectChannel:
-    """``serial``: heartbeats call straight into the hub."""
+    """In-process: heartbeats call straight into the hub, from whichever
+    thread runs the task.  Pickling one — a beat riding a task payload
+    into a pool worker — yields the worker's end of the hub's manager
+    queue instead, created on first use."""
 
     __slots__ = ("_hub",)
 
@@ -184,27 +189,13 @@ class _DirectChannel:
     def send(self, beat: Heartbeat) -> None:
         self._hub.ingest(beat)
 
-
-class _QueueChannel:
-    """``threads``/``processes``: heartbeats enqueue; a hub collector
-    thread drains.  Picklable exactly when the queue is (the manager
-    queue proxy used under ``processes`` is; ``queue.Queue`` never
-    leaves the process)."""
-
-    __slots__ = ("_queue",)
-
-    def __init__(self, q: Any) -> None:
-        self._queue = q
-
-    def send(self, beat: Heartbeat) -> None:
-        self._queue.put(beat)
-
     def __reduce__(self) -> Tuple[Any, ...]:
-        return _WorkerChannel, (self._queue,)
+        return _WorkerChannel, (self._hub.worker_queue(),)
 
 
-class _WorkerChannel(_QueueChannel):
-    """A ``processes`` channel as a pool worker unpickles it.
+class _WorkerChannel:
+    """The channel as a pool worker unpickles it: heartbeats enqueue on
+    the hub's manager queue and its collector thread drains them.
 
     Every unpickled channel wraps its own manager-queue proxy, and the
     stdlib tracks a process's proxies of one queue as a *set* of ids:
@@ -218,7 +209,10 @@ class _WorkerChannel(_QueueChannel):
     any other time only makes the next ``put`` reconnect.
     """
 
-    __slots__ = ()
+    __slots__ = ("_queue",)
+
+    def __init__(self, q: Any) -> None:
+        self._queue = q
 
     def send(self, beat: Heartbeat) -> None:
         with collector_paused():
@@ -354,16 +348,15 @@ class TelemetryHub(TraceSink):
         self._first_eta: Optional[float] = None
         self._last_eta: Optional[float] = None
         self._heartbeats = 0
-        self._thread_q: Optional[queue.Queue] = None
-        self._collectors: List[threading.Thread] = []
         self._manager: Optional[Any] = None
         self._mp_q: Optional[Any] = None
+        self._collector: Optional[threading.Thread] = None
         self._watchdog: Optional[threading.Thread] = None
 
     # -- lifecycle -----------------------------------------------------
     def start(self) -> "TelemetryHub":
-        """Start the watchdog; collector threads start lazily with the
-        first channel of their kind."""
+        """Start the watchdog; the collector thread starts lazily, with
+        the manager queue."""
         if self._watchdog is None:
             self._watchdog = threading.Thread(
                 target=self._watch, name="repro-live-watchdog", daemon=True
@@ -372,17 +365,16 @@ class TelemetryHub(TraceSink):
         return self
 
     def close(self) -> None:
-        """Stop the watchdog and collectors, drain the queues, publish
+        """Stop the watchdog and the collector, drain the queue, publish
         the final ETA-vs-actual gauges."""
         if self._closed.is_set():
             return
         self._closed.set()
-        for thread in [self._watchdog, *self._collectors]:
+        for thread in (self._watchdog, self._collector):
             if thread is not None:
                 thread.join(timeout=2.0)
         # Late beats that raced the collector shutdown.
-        for q in (self._thread_q, self._mp_q):
-            self._drain(q)
+        self._drain(self._mp_q)
         if self._manager is not None:
             self._manager.shutdown()
             self._manager = None
@@ -433,45 +425,30 @@ class TelemetryHub(TraceSink):
                 return
             self.ingest(beat)
 
-    def _start_collector(self, q: Any) -> None:
-        thread = threading.Thread(
-            target=self._collect, args=(q,),
-            name="repro-live-collector", daemon=True,
-        )
-        thread.start()
-        self._collectors.append(thread)
-
     # -- channels --------------------------------------------------------
-    def channel(self, executor: str = "serial") -> Any:
-        """The heartbeat channel appropriate to one executor."""
-        if executor == "threads":
-            with self._lock:
-                if self._thread_q is None:
-                    self._thread_q = queue.Queue()
-                    self._start_collector(self._thread_q)
-                return _QueueChannel(self._thread_q)
-        if executor == "processes":
-            with self._lock:
-                if self._mp_q is None:
-                    import multiprocessing
+    def worker_queue(self) -> Any:
+        """The manager queue a pickled beat reports over, created — with
+        its manager process and collector thread — the first time a
+        beat is pickled."""
+        with self._lock:
+            if self._mp_q is None:
+                import multiprocessing
 
-                    self._manager = multiprocessing.Manager()
-                    self._mp_q = self._manager.Queue()
-                    self._start_collector(self._mp_q)
-                return _QueueChannel(self._mp_q)
-        return _DirectChannel(self)
+                self._manager = multiprocessing.Manager()
+                self._mp_q = self._manager.Queue()
+                self._collector = threading.Thread(
+                    target=self._collect, args=(self._mp_q,),
+                    name="repro-live-collector", daemon=True,
+                )
+                self._collector.start()
+            return self._mp_q
 
     def task_beat(
-        self,
-        job: str,
-        phase: str,
-        task_index: int,
-        attempt: int = 0,
-        executor: str = "serial",
+        self, job: str, phase: str, task_index: int, attempt: int = 0
     ) -> TaskBeat:
         """A :class:`TaskBeat` bound to one task attempt."""
         return TaskBeat(
-            self.channel(executor), job, phase, task_index, attempt,
+            _DirectChannel(self), job, phase, task_index, attempt,
             interval=self.config.heartbeat_interval,
         )
 

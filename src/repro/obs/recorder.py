@@ -68,7 +68,7 @@ class Observer(Protocol):
         """Register one executed job's :class:`JobResult`."""
 
     def task_beat(
-        self, job: str, phase: str, task_index: int, executor: str
+        self, job: str, phase: str, task_index: int
     ) -> Optional[Any]:
         """The heartbeat emitter of one task, or ``None`` when nobody
         listens — which is what keeps the per-record progress report out
@@ -275,11 +275,11 @@ class TraceRecorder:
             self.job_results.append(result)
 
     def task_beat(
-        self, job: str, phase: str, task_index: int, executor: str
+        self, job: str, phase: str, task_index: int
     ) -> Optional[Any]:
         if self.live is None:
             return None
-        return self.live.task_beat(job, phase, task_index, 0, executor)
+        return self.live.task_beat(job, phase, task_index)
 
     def stalled_tasks(self, job: str, phase: str) -> FrozenSet[int]:
         if self.live is None:
@@ -381,9 +381,7 @@ class NullRecorder:
 
     record_job = end_span
 
-    def task_beat(
-        self, job: str, phase: str, task_index: int, executor: str
-    ) -> None:
+    def task_beat(self, job: str, phase: str, task_index: int) -> None:
         return None
 
     def stalled_tasks(self, job: str, phase: str) -> FrozenSet[int]:

@@ -258,41 +258,46 @@ def test_shm_transport_accounted_only_under_processes(executor):
 # The rule: which plane each job runs on, and why.
 # ----------------------------------------------------------------------
 
+#: The multi-attribute grid routing is a mapper of its own.
 NO_PROTOCOL = "mapper-no-columnar-protocol"
+#: A flag/mark cycle keyed by (component, partition): no key codec.
+NOT_READY = "mapper-not-columnar-ready"
+#: The map side is the one columnar-capable mapper; the reducer is not.
+NO_REDUCER = "reducer-no-columnar-protocol"
 
 #: algorithm, query, and per job in execution order ``(name, plane,
-#: reason)`` with default options.  Records-only: All-Replicate and the
-#: four matrix/grid algorithms, and every flag/mark cycle (RCCIS's
-#: included); the hybrids mix through their component plans.
+#: reason)`` with default options.  Records-only: the four matrix/grid
+#: algorithms and every flag/mark cycle (RCCIS's included); the hybrids
+#: mix through their component plans.
 RULE = [
     ("two_way", TWO_WAY, [("two-way", "columnar", None)]),
     ("rccis", COLOCATION, [
-        ("rccis-flag", "records", NO_PROTOCOL),
+        ("rccis-flag", "records", NO_REDUCER),
         ("rccis-join", "columnar", None),
     ]),
     ("two_way_cascade", SEQUENCE, [
         ("cascade-R2", "columnar", None),
         ("cascade-R3", "columnar", None),
     ]),
-    ("all_replicate", SEQUENCE, [("all-replicate", "records", NO_PROTOCOL)]),
+    ("all_replicate", SEQUENCE, [("all-replicate", "columnar", None)]),
     ("all_matrix", SEQUENCE, [("all_matrix-join", "records", NO_PROTOCOL)]),
     ("all_seq_matrix", HYBRID, [
-        ("all_seq_matrix-flag", "records", NO_PROTOCOL),
+        ("all_seq_matrix-flag", "records", NOT_READY),
         ("all_seq_matrix-join", "records", NO_PROTOCOL),
     ]),
     ("pasm", HYBRID, [
-        ("pasm-flag", "records", NO_PROTOCOL),
-        ("pasm-mark", "records", NO_PROTOCOL),
+        ("pasm-flag", "records", NOT_READY),
+        ("pasm-mark", "records", NOT_READY),
         ("pasm-join", "records", NO_PROTOCOL),
     ]),
     ("gen_matrix", HYBRID, [
-        ("gen_matrix-flag", "records", NO_PROTOCOL),
+        ("gen_matrix-flag", "records", NOT_READY),
         ("gen_matrix-join", "records", NO_PROTOCOL),
     ]),
     ("fcts", HYBRID, [
-        ("rccis-flag", "records", NO_PROTOCOL),
+        ("rccis-flag", "records", NO_REDUCER),
         ("rccis-join", "columnar", None),
-        ("fcts-matrix", "records", NO_PROTOCOL),
+        ("fcts-matrix", "records", NO_REDUCER),
     ]),
     ("fstc", HYBRID, [
         ("all_matrix-join", "records", NO_PROTOCOL),

@@ -6,20 +6,22 @@ may be visible from it, the shuffle and the file system know nothing
 about observation at all, and the object an unobserved run reports to
 holds no registry.  A sibling case keeps ``IntervalTree`` — alive only
 for the frozen benchmark's layer probes (ROADMAP item 3a) — off every
-query path.  All of it is read off the AST, so a convention cannot
-drift without a tier-1 failure.
+query path, and another keeps the map side of ``core/algorithms``
+written once (one mapper, in ``routing.py``).  All of it is read off the
+AST, so a convention cannot drift without a tier-1 failure.
 """
 
 from __future__ import annotations
 
 import ast
+import inspect
 from pathlib import Path
 
 import pytest
 
 import repro
 from repro.obs import MetricsRegistry
-from repro.obs.recorder import NullRecorder
+from repro.obs.recorder import NullRecorder, Observer, TraceRecorder
 
 SRC = Path(repro.__file__).resolve().parent
 
@@ -78,6 +80,54 @@ def test_null_recorder_holds_no_registry():
     assert not any(
         isinstance(value, MetricsRegistry) for value in vars(recorder).values()
     )
+
+
+@pytest.mark.parametrize("observer", [Observer, TraceRecorder, NullRecorder])
+def test_task_beat_does_not_name_the_executor(observer):
+    """A beat finds its own channel (it switches when it is pickled);
+    the engine does not tell the observer where a task runs."""
+    assert list(inspect.signature(observer.task_beat).parameters) == [
+        "self", "job", "phase", "task_index",
+    ]
+
+
+def test_the_map_side_is_written_once():
+    """The fifteen-mapper fork cannot re-grow: under ``core/algorithms``
+    the columnar protocol's mapper half is implemented by one class,
+    ``map_columns`` exists only in ``routing.py`` (the mapper's and one
+    per router), and no ``map`` method outside it spells out the
+    Figure-1 project / split / replicate switch."""
+    defined = {"encode_intervals": [], "columnar_ready": [], "map_columns": []}
+    switches = []
+    for path, tree in _modules("core/algorithms"):
+        module = path.name
+        for cls in ast.walk(tree):
+            if not isinstance(cls, ast.ClassDef):
+                continue
+            methods = {
+                node.name: node
+                for node in cls.body
+                if isinstance(node, ast.FunctionDef)
+            }
+            # A reducer's columnar_ready is the other half of the protocol.
+            if "columnar_outputs" not in methods:
+                for name in defined:
+                    if name in methods:
+                        defined[name].append(f"{module}:{cls.name}")
+            if "map" in methods and module != "routing.py":
+                switches += [
+                    f"{module}:{cls.name}.map"
+                    for node in ast.walk(methods["map"])
+                    if isinstance(node, ast.Attribute)
+                    and node.attr in ("PROJECT", "SPLIT", "REPLICATE")
+                ]
+    assert defined["encode_intervals"] == ["routing.py:RoutedMapper"]
+    assert defined["columnar_ready"] == ["routing.py:RoutedMapper"]
+    assert all(
+        where.startswith("routing.py:") for where in defined["map_columns"]
+    )
+    assert len(defined["map_columns"]) <= 4
+    assert switches == []
 
 
 def test_interval_tree_stays_off_every_query_path():

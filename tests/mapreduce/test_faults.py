@@ -8,6 +8,7 @@ the observability of retries (attempt spans, fault counters, the
 RunReport fault summary).
 """
 
+import os
 import random
 
 import pytest
@@ -26,7 +27,7 @@ from repro.faults import (
     ScriptedFaultPlan,
     resolve_faults,
 )
-from repro.mapreduce.fs import InMemoryFileSystem
+from repro.mapreduce.fs import InMemoryFileSystem, LocalFileSystem
 from repro.mapreduce.job import InputSpec, JobConf
 from repro.mapreduce.runner import run_job
 from repro.mapreduce.task import Mapper, Reducer
@@ -47,6 +48,19 @@ class SumReducer(Reducer):
 class SumCombiner(Reducer):
     def reduce(self, key, values, context):
         context.emit(sum(values))
+
+
+class FailOnKeyReducer(SumReducer):
+    """Sums every key but one, which raises — on every attempt."""
+
+    def __init__(self, bad_key, error=RuntimeError):
+        self.bad_key = bad_key
+        self.error = error
+
+    def reduce(self, key, values, context):
+        if key == self.bad_key:
+            raise self.error(f"cannot reduce {key!r}")
+        super().reduce(key, values, context)
 
 
 @pytest.fixture
@@ -247,6 +261,73 @@ class TestInjectionPoints:
         with pytest.raises(FaultInjectedError) as excinfo:
             run_job(fs, word_count_conf(fs), faults=plan, max_attempts=3)
         assert excinfo.value.kind == CRASH
+
+
+class TestJobAbort:
+    """A job that fails in its reduce phase is aborted: the tasks that
+    did win leave nothing staged under ``<output>/_temporary``."""
+
+    @pytest.fixture(params=["memory", "local"])
+    def any_fs(self, request, tmp_path):
+        if request.param == "memory":
+            fs = InMemoryFileSystem()
+        else:
+            fs = LocalFileSystem(str(tmp_path / "fsroot"))
+        fs.write("in/doc", ["the quick brown fox", "the lazy dog", "the fox"])
+        return fs
+
+    @staticmethod
+    def assert_nothing_staged(fs):
+        assert not [
+            path for path in fs.list_prefix("out/") if "_temporary" in path
+        ]
+        if isinstance(fs, LocalFileSystem):
+            assert not os.path.isdir(os.path.join(fs.root, "out", "_temporary"))
+
+    def failing_conf(self, fs, error):
+        return word_count_conf(
+            fs, reducer=FailOnKeyReducer("lazy", error), num_reduce_tasks=4
+        )
+
+    @pytest.mark.parametrize("executor", ["serial", "threads", "processes"])
+    def test_exhausted_budget_leaves_no_staged_output(self, any_fs, executor):
+        with pytest.raises(RuntimeError, match="cannot reduce 'lazy'"):
+            run_job(
+                any_fs, self.failing_conf(any_fs, RuntimeError),
+                executor=executor, workers=2, faults=False, max_attempts=2,
+            )
+        assert any_fs.list_prefix("out/") == []
+        self.assert_nothing_staged(any_fs)
+
+    @pytest.mark.parametrize("executor", ["serial", "threads"])
+    def test_interrupt_leaves_no_staged_output(self, any_fs, executor):
+        with pytest.raises(KeyboardInterrupt):
+            run_job(
+                any_fs, self.failing_conf(any_fs, KeyboardInterrupt),
+                executor=executor, workers=2, faults=False, max_attempts=1,
+            )
+        assert any_fs.list_prefix("out/") == []
+        self.assert_nothing_staged(any_fs)
+
+    def test_succeeding_and_recovering_jobs_commit_as_before(self, any_fs):
+        clean = run_job(
+            any_fs, word_count_conf(any_fs, output="clean"), faults=False
+        )
+        plan = scripted(
+            "wordcount", "reduce", 1, 0, FaultEvent(CRASH, "cleanup")
+        )
+        recovered = run_job(
+            any_fs, word_count_conf(any_fs), faults=plan, max_attempts=2
+        )
+        assert recovered.counters.value("faults", "tasks_retried") == 1
+        assert recovered.output_records == clean.output_records
+        assert sorted(map(tuple, any_fs.read_dir("out"))) == sorted(
+            map(tuple, any_fs.read_dir("clean"))
+        )
+        assert [path[len("out/"):] for path in any_fs.list_prefix("out/")] == [
+            path[len("clean/"):] for path in any_fs.list_prefix("clean/")
+        ]
+        self.assert_nothing_staged(any_fs)
 
 
 class TestSeededChaosParity:

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import json
 import pickle
+import threading
 import time
 from urllib.request import urlopen
 
@@ -150,13 +151,46 @@ class TestTaskBeat:
         assert retry.attempt == 2
         assert retry.channel is beat.channel
 
-    def test_threads_channel_beats_arrive(self):
-        hub = make_hub(poll_interval=0.01).start()
-        try:
-            beat = hub.task_beat("j", "map", 0, executor="threads")
+    def test_beats_from_another_thread_arrive_with_no_collector(self):
+        """In-process beats — ``threads`` as much as ``serial`` — call
+        ``ingest`` directly: they have arrived when ``send`` returns,
+        and no collector thread or manager process exists."""
+        hub = make_hub()
+
+        def task():
+            beat = hub.task_beat("j", "map", 0)
             beat.start()
             beat.finish(7)
-            deadline = time.monotonic() + 2.0
+
+        worker = threading.Thread(target=task)
+        worker.start()
+        worker.join(timeout=5.0)
+        assert not worker.is_alive()
+        assert hub.snapshot()["heartbeats"] == 2
+        assert hub._manager is None
+        assert not [
+            thread for thread in threading.enumerate()
+            if thread.name == "repro-live-collector"
+        ]
+
+    def test_pickled_beat_reports_over_the_worker_channel(self):
+        """A beat switches to the manager queue exactly when it is
+        pickled — when it crosses into a pool worker."""
+        from repro.obs.live import _DirectChannel, _WorkerChannel
+
+        hub = make_hub(poll_interval=0.01).start()
+        try:
+            beat = hub.task_beat("j", "map", 0)
+            assert type(beat.channel) is _DirectChannel
+            assert hub._manager is None  # nothing crossed a boundary yet
+            shipped = pickle.loads(pickle.dumps(beat))
+            assert type(shipped.channel) is _WorkerChannel
+            assert (shipped.job, shipped.phase, shipped.task_index) == (
+                "j", "map", 0,
+            )
+            shipped.start()
+            shipped.finish(7)
+            deadline = time.monotonic() + 5.0
             while time.monotonic() < deadline:
                 if hub.snapshot()["heartbeats"] >= 2:
                     break
@@ -180,12 +214,12 @@ class TestTaskBeat:
         import gc
         import multiprocessing
 
-        from repro.obs.live import _QueueChannel, _WorkerChannel
+        from repro.obs.live import _WorkerChannel
 
         manager = multiprocessing.Manager()
         try:
             beats = manager.Queue()
-            blob = pickle.dumps(_QueueChannel(beats))
+            blob = pickle.dumps(_WorkerChannel(beats))
             channel = pickle.loads(blob)
             assert type(channel) is _WorkerChannel
             channel.send("first")  # opens this thread's connection
@@ -341,7 +375,7 @@ class TestStatusServer:
         recorder = TraceRecorder(live=LiveConfig())
         recorder.start_span("job:j", kind="job", job="j")
         recorder.start_span("map", kind="phase", job="j", tasks=2)
-        beat = recorder.task_beat("j", "map", 0, "serial")
+        beat = recorder.task_beat("j", "map", 0)
         beat.start()
         beat.finish(11)
         return recorder
