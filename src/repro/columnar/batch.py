@@ -318,6 +318,16 @@ class ColumnValues:
             return np.zeros(len(self.gids), dtype=bool)
         return self.tag_codes == code
 
+    def tag_groups(self) -> List[Tuple[str, np.ndarray]]:
+        """``(tag, row indices)`` per tag present, in order of first
+        appearance — the order a records reducer's group-by-tag dict
+        iterates in."""
+        codes, first = np.unique(self.tag_codes, return_index=True)
+        return [
+            (self.tags[code], np.flatnonzero(self.tag_codes == code))
+            for code in codes[np.argsort(first)].tolist()
+        ]
+
     def items(self, mask: Optional[np.ndarray] = None) -> List[Tuple[Any, int]]:
         """``(Interval, gid)`` sweep items in value order (optionally
         restricted to ``mask``), ready for the

@@ -36,108 +36,92 @@ the internal edges binary Allen constraints.  Patterns without a late
 escape are skipped.  For each surviving pattern the CSP restricted to the
 present relations is solved exactly: acyclic constraint graphs by two-pass
 directional arc consistency (complete on trees), cyclic ones by
-backtracking.  Support tests are vectorised with numpy and shared across
-patterns.  The number of patterns is ``2^m - 1`` with ``m`` the number of
-query relations — trivially small for real queries (the paper's maximum
+backtracking.  The number of patterns is ``2^m - 1`` with ``m`` the number
+of query relations — trivially small for real queries (the paper's maximum
 is five).
+
+Everything runs on endpoint columns, one
+:class:`~repro.intervals.sweep.SortedColumns` per relation.  A
+condition's support is never a matrix: it is the ``(left row, right
+row)`` index columns of its true pairs — the candidate windows of the
+array sweep masked by ``AllenPredicate.holds_columns``, expanded a block
+at a time — computed when the first pattern needs it and shared by the
+patterns after it.  A tree message is a boolean scatter over those
+columns and the cyclic solver walks them as neighbour sets, so one
+partition costs memory proportional to its rows plus its true pairs, at
+every size.
+
+:func:`flag_columns` is the flagging decision the flag-cycle reducers of
+RCCIS and of the grid algorithms share.
 """
 
 from __future__ import annotations
 
 import itertools
 from collections import defaultdict
-from typing import Dict, FrozenSet, List, Mapping, Optional, Sequence, Set, Tuple
+from typing import (
+    Callable,
+    Dict,
+    FrozenSet,
+    List,
+    Mapping,
+    Optional,
+    Sequence,
+    Set,
+    Tuple,
+)
 
 import numpy as np
 
+from repro.core.local import window_blocks
 from repro.intervals.allen import AllenPredicate
-from repro.intervals.interval import Interval
 from repro.intervals.partitioning import Partitioning
-from repro.intervals.sweep import join_pairs
+from repro.intervals.sweep import (
+    ENDING_BEFORE,
+    INTERSECTING,
+    STARTING_AFTER,
+    SortedColumns,
+)
 
-__all__ = ["CrossingSetFinder", "has_late_escape"]
-
-#: Above this many cells the dense vectorised predicate product is
-#: replaced by an output-sensitive fill through the sweep kernels.
-_DENSE_CELL_LIMIT = 16384
+__all__ = [
+    "CrossingSetFinder",
+    "count_flagged",
+    "flag_columns",
+    "has_late_escape",
+]
 
 #: conditions keyed by relation name, as produced by
 #: :meth:`repro.core.query.IntervalJoinQuery.conditions_as_triples`.
 Condition = Tuple[str, AllenPredicate, str]
 
-
-def _predicate_matrix(
-    predicate: AllenPredicate,
-    s1: np.ndarray,
-    e1: np.ndarray,
-    s2: np.ndarray,
-    e2: np.ndarray,
-) -> np.ndarray:
-    """Boolean matrix ``M[i, j] = predicate(left_i, right_j)``.
-
-    Vectorised mirror of the truth functions in
-    :mod:`repro.intervals.allen` (kept in lockstep by a property test).
-    """
-    a_s = s1[:, None]
-    a_e = e1[:, None]
-    b_s = s2[None, :]
-    b_e = e2[None, :]
-    name = predicate.name
-    if name == "before":
-        return a_e < b_s
-    if name == "after":
-        return b_e < a_s
-    if name == "meets":
-        return (a_e == b_s) & (a_s < b_s) & (b_s < b_e)
-    if name == "met_by":
-        return (b_e == a_s) & (b_s < a_s) & (a_s < a_e)
-    if name == "overlaps":
-        return (a_s < b_s) & (b_s < a_e) & (a_e < b_e)
-    if name == "overlapped_by":
-        return (b_s < a_s) & (a_s < b_e) & (b_e < a_e)
-    if name == "starts":
-        return (a_s == b_s) & (a_e < b_e)
-    if name == "started_by":
-        return (b_s == a_s) & (b_e < a_e)
-    if name == "during":
-        return (b_s < a_s) & (a_e < b_e)
-    if name == "contains":
-        return (a_s < b_s) & (b_e < a_e)
-    if name == "finishes":
-        return (a_e == b_e) & (b_s < a_s)
-    if name == "finished_by":
-        return (b_e == a_e) & (a_s < b_s)
-    if name == "equals":
-        return (a_s == b_s) & (a_e == b_e)
-    raise AssertionError(f"unhandled predicate {name}")  # pragma: no cover
+#: A condition's support: the ``(left row, right row)`` index columns of
+#: its true pairs, looked up by condition index.
+Support = Callable[[int], Tuple[np.ndarray, np.ndarray]]
 
 
-def _support_matrix(
-    predicate: AllenPredicate,
-    s1: np.ndarray,
-    e1: np.ndarray,
-    s2: np.ndarray,
-    e2: np.ndarray,
-) -> np.ndarray:
-    """``M[i, j] = predicate(left_i, right_j)``, computed densely for
-    small sides and through the per-predicate sweep kernels
-    (:func:`repro.intervals.sweep.join_pairs`) for large ones — the
-    kernels enumerate only the true cells, so sparse support matrices
-    cost ``O(n log n + k)`` instead of the full cross product."""
-    if s1.size * s2.size <= _DENSE_CELL_LIMIT:
-        return _predicate_matrix(predicate, s1, e1, s2, e2)
-    left = [
-        (Interval(float(s), float(e)), i)
-        for i, (s, e) in enumerate(zip(s1, e1))
-    ]
-    right = [
-        (Interval(float(s), float(e)), j)
-        for j, (s, e) in enumerate(zip(s2, e2))
-    ]
-    matrix = np.zeros((s1.size, s2.size), dtype=bool)
-    for (_, i), (_, j) in join_pairs(left, right, predicate):
-        matrix[i, j] = True
-    return matrix
+def _true_pairs(
+    predicate: AllenPredicate, left: SortedColumns, right: SortedColumns
+) -> Tuple[np.ndarray, np.ndarray]:
+    """The ``(left row, right row)`` index columns of the pairs
+    satisfying ``predicate``, in no particular order: every left
+    interval's candidate window over ``right``'s sorted endpoints, kept
+    where the predicate holds."""
+    if predicate.is_colocation:
+        kind = INTERSECTING
+    elif predicate.enforces_left_first():
+        kind = STARTING_AFTER
+    else:
+        kind = ENDING_BEFORE
+    empty = np.empty(0, dtype=np.int64)
+    left_rows, right_rows = [empty], [empty]
+    for probe, row in window_blocks(right, kind, left.starts, left.ends):
+        keep = predicate.holds_columns(
+            left.starts[probe], left.ends[probe],
+            right.starts[row], right.ends[row],
+        )
+        left_rows.append(probe[keep])
+        right_rows.append(row[keep])
+    return np.concatenate(left_rows), np.concatenate(right_rows)
 
 
 def order_reachability(
@@ -219,53 +203,59 @@ class CrossingSetFinder:
         ]
         self.partitioning = partitioning
         self.partition_index = partition_index
-        self._adjacency: Dict[str, List[int]] = defaultdict(list)
-        for index, (left, _, right) in enumerate(self.conditions):
-            self._adjacency[left].append(index)
-            self._adjacency[right].append(index)
         self._reach = order_reachability(self.relations, self.conditions)
 
     # ------------------------------------------------------------------
     def replicable(
-        self, intervals_by_relation: Mapping[str, Sequence[Interval]]
+        self, columns_by_relation: Mapping[str, SortedColumns]
     ) -> Dict[str, np.ndarray]:
         """For each relation, a boolean mask over its intervals: True when
         the interval belongs to some consistent crossing set with a late
         escape.
 
-        ``intervals_by_relation`` must hold the intervals *intersecting*
-        the partition (the reducer's split input); the caller restricts
-        the returned mask to intervals *starting* in the partition before
-        flagging.
+        ``columns_by_relation`` must hold the intervals *intersecting*
+        the partition (the reducer's split input) as endpoint columns,
+        none for an absent relation; the caller restricts the returned
+        mask to intervals *starting* in the partition before flagging
+        (:func:`flag_columns`).
         """
-        starts: Dict[str, np.ndarray] = {}
-        ends: Dict[str, np.ndarray] = {}
-        out: Dict[str, np.ndarray] = {}
-        for name in self.relations:
-            ivs = list(intervals_by_relation.get(name, ()))
-            starts[name] = np.array([iv.start for iv in ivs], dtype=float)
-            ends[name] = np.array([iv.end for iv in ivs], dtype=float)
-            out[name] = np.zeros(len(ivs), dtype=bool)
-
-        crossing_left, crossing_right = self._crossing_masks(starts, ends)
-        support = {
-            index: _support_matrix(
-                cond[1], starts[cond[0]], ends[cond[0]],
-                starts[cond[2]], ends[cond[2]],
-            )
-            for index, cond in enumerate(self.conditions)
+        empty = np.empty(0, dtype=np.float64)
+        absent = SortedColumns(empty, empty)
+        columns = {
+            name: columns_by_relation.get(name, absent)
+            for name in self.relations
         }
+        out = {
+            name: np.zeros(len(columns[name].starts), dtype=bool)
+            for name in self.relations
+        }
+        owed = self._obligations(columns)
+
+        pairs: Dict[int, Tuple[np.ndarray, np.ndarray]] = {}
+
+        def support(index: int) -> Tuple[np.ndarray, np.ndarray]:
+            if index not in pairs:
+                left, predicate, right = self.conditions[index]
+                pairs[index] = _true_pairs(
+                    predicate, columns[left], columns[right]
+                )
+            return pairs[index]
 
         for r in range(1, len(self.relations) + 1):
             for present_tuple in itertools.combinations(self.relations, r):
                 present = frozenset(present_tuple)
                 if not has_late_escape(present, self.relations, self._reach):
                     continue
-                if any(len(out[name]) == 0 for name in present):
+                # The B1/B2 obligations toward absent partners.
+                unary = {}
+                for name in present:
+                    unary[name] = np.ones(len(out[name]), dtype=bool)
+                    for partner, mask in owed[name]:
+                        if partner not in present:
+                            unary[name] &= mask
+                if not all(mask.any() for mask in unary.values()):
                     continue
-                feasible = self._solve_pattern(
-                    present, out, crossing_left, crossing_right, support
-                )
+                feasible = self._solve_pattern(present, unary, support)
                 if feasible is None:
                     continue
                 for name, mask in feasible.items():
@@ -273,139 +263,95 @@ class CrossingSetFinder:
         return out
 
     # ------------------------------------------------------------------
-    def _crossing_masks(
-        self, starts: Dict[str, np.ndarray], ends: Dict[str, np.ndarray]
-    ) -> Tuple[Dict[str, np.ndarray], Dict[str, np.ndarray]]:
-        part = self.partitioning.partition_interval(self.partition_index)
-        last = self.partition_index == len(self.partitioning) - 1
-        first = self.partition_index == 0
-        crossing_left: Dict[str, np.ndarray] = {}
-        crossing_right: Dict[str, np.ndarray] = {}
-        for name in self.relations:
-            left = starts[name] < part.start
-            # The end point lies in a following partition exactly when it
-            # reaches the right boundary (partitions are half-open).
-            right = ends[name] >= part.end
-            if first:
-                left = np.zeros_like(left)
-            if last:
-                right = np.zeros_like(right)
-            crossing_left[name] = left
-            crossing_right[name] = right
-        return crossing_left, crossing_right
-
-    def _unary_mask(
-        self,
-        name: str,
-        present: FrozenSet[str],
-        domains: Mapping[str, np.ndarray],
-        crossing_left: Mapping[str, np.ndarray],
-        crossing_right: Mapping[str, np.ndarray],
-    ) -> np.ndarray:
-        """The B1/B2 crossing obligations toward absent partners, as a
-        mask over ``name``'s intervals."""
-        mask = np.ones(len(domains[name]), dtype=bool)
-        for index in self._adjacency[name]:
-            left, predicate, right = self.conditions[index]
-            other = right if left == name else left
-            if other in present or other == name:
-                continue
-            i_am_left = left == name
-            if predicate.enforces_left_first():
-                mask &= (
-                    crossing_right[name] if i_am_left else crossing_left[name]
-                )
-            if predicate.enforces_right_first():
-                mask &= (
-                    crossing_left[name] if i_am_left else crossing_right[name]
-                )
-        return mask
+    def _obligations(
+        self, columns: Mapping[str, SortedColumns]
+    ) -> Dict[str, List[Tuple[str, np.ndarray]]]:
+        """Per relation, ``(partner, mask)`` for each condition it is in:
+        the crossing obligation its intervals are under while ``partner``
+        is absent.  The operand enforced to start first must end in a
+        later partition (B1) — exactly when it reaches the right
+        boundary, partitions being half-open — and the other must start
+        in an earlier one (B2); nothing crosses the outer edge of the
+        first or last partition."""
+        locate, here = self.partitioning.locate_array, self.partition_index
+        ends_later = {n: locate(c.ends) > here for n, c in columns.items()}
+        starts_earlier = {n: locate(c.starts) < here for n, c in columns.items()}
+        owed: Dict[str, List[Tuple[str, np.ndarray]]] = {
+            name: [] for name in self.relations
+        }
+        for left, predicate, right in self.conditions:
+            for first, second, enforced in (
+                (left, right, predicate.enforces_left_first()),
+                (right, left, predicate.enforces_right_first()),
+            ):
+                if enforced:
+                    owed[first].append((second, ends_later[first]))
+                    owed[second].append((first, starts_earlier[second]))
+        return owed
 
     # ------------------------------------------------------------------
     def _solve_pattern(
         self,
         present: FrozenSet[str],
-        domains: Mapping[str, np.ndarray],
-        crossing_left: Mapping[str, np.ndarray],
-        crossing_right: Mapping[str, np.ndarray],
-        support: Mapping[int, np.ndarray],
+        unary: Mapping[str, np.ndarray],
+        support: Support,
     ) -> Optional[Dict[str, np.ndarray]]:
         """Feasible-value masks for one presence pattern, or None when the
-        pattern admits no satisfying assignment."""
-        unary = {
-            name: self._unary_mask(
-                name, present, domains, crossing_left, crossing_right
-            )
-            for name in present
-        }
-        if any(not unary[name].any() for name in present):
-            return None
-
+        pattern admits no satisfying assignment.  Each connected
+        component of the pattern's internal constraint graph is solved on
+        its own (cross-component members are mutually unconstrained)."""
         internal = [
             index
             for index, (left, _, right) in enumerate(self.conditions)
             if left in present and right in present
         ]
-        components = self._present_components(present, internal)
         feasible: Dict[str, np.ndarray] = {}
-        for component_names, component_edges in components:
-            solved = self._solve_component(
-                component_names, component_edges, unary, support
+        unsolved = sorted(present)
+        while unsolved:
+            members = set(self._breadth_first(unsolved[0], internal)[0])
+            names = [name for name in unsolved if name in members]
+            edges = [i for i in internal if self.conditions[i][0] in members]
+            solve = (
+                self._solve_tree
+                if self._edges_form_tree(names, edges)
+                else self._solve_backtracking
             )
+            solved = solve(names, edges, unary, support)
             if solved is None:
                 return None
             feasible.update(solved)
+            unsolved = [name for name in unsolved if name not in members]
         return feasible
-
-    def _present_components(
-        self, present: FrozenSet[str], internal: List[int]
-    ) -> List[Tuple[List[str], List[int]]]:
-        """Connected components of the pattern's internal constraint
-        graph (cross-component members are mutually unconstrained)."""
-        parent = {name: name for name in present}
-
-        def find(x: str) -> str:
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        for index in internal:
-            left, _, right = self.conditions[index]
-            ra, rb = find(left), find(right)
-            if ra != rb:
-                parent[ra] = rb
-
-        groups: Dict[str, List[str]] = defaultdict(list)
-        for name in sorted(present):
-            groups[find(name)].append(name)
-        out = []
-        for members in groups.values():
-            member_set = set(members)
-            edges = [
-                index
-                for index in internal
-                if self.conditions[index][0] in member_set
-            ]
-            out.append((members, edges))
-        return out
-
-    def _solve_component(
-        self,
-        names: List[str],
-        edges: List[int],
-        unary: Mapping[str, np.ndarray],
-        support: Mapping[int, np.ndarray],
-    ) -> Optional[Dict[str, np.ndarray]]:
-        if self._edges_form_tree(names, edges):
-            return self._solve_tree(names, edges, unary, support)
-        return self._solve_backtracking(names, edges, unary, support)
 
     @staticmethod
     def _edges_form_tree(names: List[str], edges: List[int]) -> bool:
         # A connected graph is a tree iff |E| = |V| - 1 (multi-edges
         # between the same pair count as cycles, conservatively).
         return len(edges) == len(names) - 1
+
+    def _breadth_first(
+        self, root: str, edges: List[int]
+    ) -> Tuple[List[str], Dict[str, int]]:
+        """The component's relations in breadth-first order from ``root``
+        and, for each but the root, the edge it was reached through."""
+        adjacency: Dict[str, List[int]] = defaultdict(list)
+        for index in edges:
+            left, _, right = self.conditions[index]
+            adjacency[left].append(index)
+            adjacency[right].append(index)
+        order: List[str] = [root]
+        reached_by: Dict[str, int] = {}
+        cursor = 0
+        while cursor < len(order):
+            current = order[cursor]
+            cursor += 1
+            for index in adjacency[current]:
+                left, _, right = self.conditions[index]
+                neighbour = right if left == current else left
+                if neighbour != root and neighbour not in reached_by:
+                    reached_by[neighbour] = index
+                    order.append(neighbour)
+        return order, reached_by
 
     # ------------------------------------------------------------------
     # Tree solver: two-pass directional arc consistency (complete on
@@ -416,43 +362,23 @@ class CrossingSetFinder:
         names: List[str],
         edges: List[int],
         unary: Mapping[str, np.ndarray],
-        support: Mapping[int, np.ndarray],
+        support: Support,
     ) -> Optional[Dict[str, np.ndarray]]:
-        adjacency: Dict[str, List[int]] = defaultdict(list)
-        for index in edges:
-            left, _, right = self.conditions[index]
-            adjacency[left].append(index)
-            adjacency[right].append(index)
-
-        # BFS rooting.
         root = names[0]
-        order: List[str] = [root]
-        parent_edge: Dict[str, int] = {}
-        visited = {root}
-        cursor = 0
-        while cursor < len(order):
-            current = order[cursor]
-            cursor += 1
-            for index in adjacency[current]:
-                left, _, right = self.conditions[index]
-                neighbour = right if left == current else left
-                if neighbour not in visited:
-                    visited.add(neighbour)
-                    parent_edge[neighbour] = index
-                    order.append(neighbour)
+        order, parent_edge = self._breadth_first(root, edges)
 
         def message(target: str, source_mask: np.ndarray, index: int) -> np.ndarray:
             """Values of ``target`` supported across edge ``index`` by some
-            allowed value of the other endpoint."""
-            left, _, right = self.conditions[index]
-            matrix = support[index]
-            if target == left:
-                if source_mask.any():
-                    return matrix[:, source_mask].any(axis=1)
-                return np.zeros(matrix.shape[0], dtype=bool)
-            if source_mask.any():
-                return matrix[source_mask, :].any(axis=0)
-            return np.zeros(matrix.shape[1], dtype=bool)
+            allowed value of the other endpoint: a scatter over the
+            edge's true pairs."""
+            left_rows, right_rows = support(index)
+            if target == self.conditions[index][0]:
+                mine, theirs = left_rows, right_rows
+            else:
+                mine, theirs = right_rows, left_rows
+            supported = np.zeros(len(unary[target]), dtype=bool)
+            supported[mine[source_mask[theirs]]] = True
+            return supported
 
         # Upward pass.
         up: Dict[str, np.ndarray] = {}
@@ -495,60 +421,94 @@ class CrossingSetFinder:
         names: List[str],
         edges: List[int],
         unary: Mapping[str, np.ndarray],
-        support: Mapping[int, np.ndarray],
+        support: Support,
     ) -> Optional[Dict[str, np.ndarray]]:
-        adjacency: Dict[str, List[int]] = defaultdict(list)
+        # Each edge's true pairs between unary-feasible values, as
+        # neighbour sets in both directions: (edge, from) -> value -> the
+        # other endpoint's compatible values.
+        neighbours: Dict[Tuple[int, str], Dict[int, Set[int]]] = {}
+        #: relation -> its (edge, other endpoint) pairs.
+        touching: Dict[str, List[Tuple[int, str]]] = defaultdict(list)
         for index in edges:
             left, _, right = self.conditions[index]
-            adjacency[left].append(index)
-            adjacency[right].append(index)
+            touching[left].append((index, right))
+            touching[right].append((index, left))
+            left_rows, right_rows = support(index)
+            keep = unary[left][left_rows] & unary[right][right_rows]
+            forward = neighbours[index, left] = defaultdict(set)
+            backward = neighbours[index, right] = defaultdict(set)
+            for a, b in zip(left_rows[keep].tolist(), right_rows[keep].tolist()):
+                forward[a].add(b)
+                backward[b].add(a)
 
-        candidates = {
-            name: list(np.nonzero(unary[name])[0]) for name in names
-        }
-
-        def consistent(name: str, value: int, assignment: Dict[str, int]) -> bool:
-            for index in adjacency[name]:
-                left, _, right = self.conditions[index]
-                other = right if left == name else left
-                if other not in assignment:
-                    continue
-                matrix = support[index]
-                if left == name:
-                    if not matrix[value, assignment[other]]:
-                        return False
-                else:
-                    if not matrix[assignment[other], value]:
-                        return False
-            return True
-
-        def satisfiable(pinned: str, value: int) -> bool:
-            assignment = {pinned: value}
-            rest = [n for n in names if n != pinned]
-
-            def extend(k: int) -> bool:
-                if k == len(rest):
+        def extend(order: List[str], k: int, assignment: Dict[str, int]) -> bool:
+            """Complete ``assignment`` over ``order[k:]``.  The order is
+            breadth first, so each relation is chosen among the common
+            neighbours of the bound relations it shares an edge with."""
+            if k == len(order):
+                return True
+            name = order[k]
+            choices: Optional[Set[int]] = None
+            for index, other in touching[name]:
+                if other in assignment:
+                    compatible = neighbours[index, other].get(
+                        assignment[other], set()
+                    )
+                    choices = (
+                        compatible if choices is None else choices & compatible
+                    )
+            for choice in choices or ():
+                assignment[name] = choice
+                if extend(order, k + 1, assignment):
                     return True
-                name = rest[k]
-                for choice in candidates[name]:
-                    if consistent(name, choice, assignment):
-                        assignment[name] = choice
-                        if extend(k + 1):
-                            return True
-                        del assignment[name]
-                return False
+                del assignment[name]
+            return False
 
-            return extend(0)
-
-        out: Dict[str, np.ndarray] = {}
-        any_solution = False
+        out = {name: np.zeros(len(unary[name]), dtype=bool) for name in names}
         for name in names:
-            mask = np.zeros(len(unary[name]), dtype=bool)
-            for value in candidates[name]:
-                if satisfiable(name, int(value)):
-                    mask[value] = True
-                    any_solution = True
-            out[name] = mask
-        if not any_solution:
+            order, _ = self._breadth_first(name, edges)
+            for value in np.flatnonzero(unary[name]).tolist():
+                if out[name][value]:
+                    continue  # member of a solution found earlier
+                assignment = {name: value}
+                if extend(order, 1, assignment):
+                    for member, row in assignment.items():
+                        out[member][row] = True
+        if not any(mask.any() for mask in out.values()):
             return None
         return out
+
+
+def flag_columns(
+    relations: Sequence[str],
+    conditions: Sequence[Condition],
+    partitioning: Partitioning,
+    partition_index: int,
+    columns_by_relation: Mapping[str, SortedColumns],
+) -> Dict[str, Tuple[np.ndarray, np.ndarray]]:
+    """The flagging decision of one flag-cycle reducer: for each relation
+    it received, ``(local, flagged)`` boolean masks over its intervals —
+    which start in this partition (each interval is decided at exactly
+    one reducer, its start partition's), and which of those must be
+    replicated."""
+    finder = CrossingSetFinder(
+        relations, conditions, partitioning, partition_index
+    )
+    replicable = finder.replicable(columns_by_relation)
+    decisions = {}
+    for name, column in columns_by_relation.items():
+        local = partitioning.locate_array(column.starts) == partition_index
+        decisions[name] = (local, replicable[name] & local)
+    return decisions
+
+
+def count_flagged(
+    decisions: Mapping[str, Tuple[np.ndarray, np.ndarray]], counters
+) -> None:
+    """Charge a reducer's flagged intervals to ``join:replicated_intervals``
+    (never creating the counter at zero)."""
+    flagged = sum(
+        int(np.count_nonzero(flagged)) for _, flagged in decisions.values()
+    )
+    if flagged:
+        counters.increment("join", "replicated_intervals", flagged)

@@ -64,12 +64,14 @@ from repro.core.algorithms.base import (
     PlanContext,
     input_path,
 )
-from repro.core.algorithms.crossing import CrossingSetFinder
+from repro.columnar.batch import ColumnValues, reduce_columns
+from repro.core.algorithms.crossing import count_flagged, flag_columns
 from repro.core.algorithms.routing import OperatorRouter, RoutedMapper, RowView
 from repro.core.graph import Component, JoinGraph
 from repro.core.local import (
     LocalJoiner,
     anchored_join,
+    attribute_columns,
     row_columns,
     take_tuples,
 )
@@ -78,6 +80,7 @@ from repro.core.schema import Row
 from repro.intervals.allen import MapOperator
 from repro.intervals.composition import path_consistency
 from repro.intervals.partitioning import Partitioning
+from repro.intervals.sweep import SortedColumns
 from repro.mapreduce.job import InputSpec, JobConf
 from repro.mapreduce.shuffle import RoundRobinKeyPartitioner
 from repro.mapreduce.task import MapContext, Mapper, ReduceContext, Reducer
@@ -254,6 +257,39 @@ class _ComponentFlaggingReducer(Reducer):
     ) -> None:
         self.components = {comp.index: comp for comp in components}
         self.partitionings = dict(partitionings)
+        #: the shuffle values are tagged by term name.
+        self.terms = {
+            str(term): term for comp in components for term in comp.terms
+        }
+
+    def _decide(self, key, columns, counters):
+        """Per term received, the ``(local, flagged)`` row masks."""
+        component_index, partition = key
+        component = self.components[component_index]
+        partitioning = self.partitionings[component_index]
+        terms = sorted(component.terms)
+        if len({term.relation for term in terms}) < len(terms):
+            # Two attributes of one relation inside one component: the CSP
+            # variables would have to co-bind.  Fall back to flagging every
+            # interval starting here (All-Replicate semantics within the
+            # dimension) — always correct, never optimal.
+            decisions = {}
+            for name, column in columns.items():
+                local = partitioning.locate_array(column.starts) == partition
+                decisions[name] = (local, local)
+        else:
+            decisions = flag_columns(
+                [str(term) for term in terms],
+                [
+                    (str(cond.left), cond.predicate, str(cond.right))
+                    for cond in component.conditions
+                ],
+                partitioning,
+                partition,
+                columns,
+            )
+        count_flagged(decisions, counters)
+        return decisions
 
     def reduce(
         self,
@@ -261,59 +297,46 @@ class _ComponentFlaggingReducer(Reducer):
         values: List[Tuple[str, Row]],
         context: ReduceContext,
     ) -> None:
-        component_index, partition = key  # type: ignore[misc]
-        component = self.components[component_index]
-        partitioning = self.partitionings[component_index]
-        terms = sorted(component.terms)
-        term_by_name = {str(term): term for term in terms}
+        if isinstance(values, ColumnValues):
+            reduce_columns(self, key, values, context)
+            return
         rows_by_term: Dict[str, List[Row]] = defaultdict(list)
         for term_name, row in values:
             rows_by_term[term_name].append(row)
-        intervals = {
-            term_name: [
-                row.interval(term_by_name[term_name].attribute)
-                for row in rows
-            ]
-            for term_name, rows in rows_by_term.items()
+        columns = {
+            name: attribute_columns(rows, self.terms[name].attribute)
+            for name, rows in rows_by_term.items()
         }
+        decisions = self._decide(key, columns, context.counters)
+        for name, (_, flagged) in decisions.items():
+            term, rows = self.terms[name], rows_by_term[name]
+            for index in np.flatnonzero(flagged).tolist():
+                context.emit((term.relation, rows[index].rid, term.attribute))
 
-        relations = [term.relation for term in terms]
-        if len(set(relations)) < len(relations):
-            # Two attributes of one relation inside one component: the CSP
-            # variables would have to co-bind.  Fall back to flagging every
-            # interval starting here (All-Replicate semantics within the
-            # dimension) — always correct, never optimal.
-            for term_name, rows in rows_by_term.items():
-                term = term_by_name[term_name]
-                for row, interval in zip(rows, intervals[term_name]):
-                    if partitioning.project(interval) == partition:
-                        context.counters.increment(
-                            "join", "replicated_intervals"
-                        )
-                        context.emit((term.relation, row.rid, term.attribute))
-            return
+    # -- columnar protocol (see repro.mapreduce.task) -------------------
+    def columnar_ready(self) -> bool:
+        return True
 
-        conditions = [
-            (str(cond.left), cond.predicate, str(cond.right))
-            for cond in component.conditions
-        ]
-        finder = CrossingSetFinder(
-            [str(term) for term in terms],
-            conditions,
-            partitioning,
-            partition,
+    def columnar_outputs(self, key, values: ColumnValues, counters):
+        groups = values.tag_groups()
+        columns = {
+            name: SortedColumns(values.starts[rows], values.ends[rows])
+            for name, rows in groups
+        }
+        decisions = self._decide(key, columns, counters)
+        # The flagged rows' gids.
+        return np.concatenate(
+            [np.empty(0, dtype=np.int64)]
+            + [values.gids[rows][decisions[name][1]] for name, rows in groups]
         )
-        masks = finder.replicable(intervals)
-        for term_name, rows in rows_by_term.items():
-            term = term_by_name[term_name]
-            mask = masks.get(term_name)
-            for index, row in enumerate(rows):
-                interval = intervals[term_name][index]
-                if partitioning.project(interval) != partition:
-                    continue
-                if mask is not None and bool(mask[index]):
-                    context.counters.increment("join", "replicated_intervals")
-                    context.emit((term.relation, row.rid, term.attribute))
+
+    def materialize_outputs(self, outs, store):
+        triples = []
+        for gid in np.asarray(outs, dtype=np.int64).tolist():
+            name, row = store.value(gid)
+            term = self.terms[name]
+            triples.append((term.relation, row.rid, term.attribute))
+        return triples
 
 
 # ----------------------------------------------------------------------

@@ -6,8 +6,8 @@ interval attribute.  Two MapReduce cycles:
 1. **Flagging.**  Every relation is *split*, so reducer ``p`` receives all
    intervals intersecting partition-interval ``p``.  The reducer finds the
    intervals that belong to some consistent interval-set crossing ``p``
-   (conditions C1 + C2, solved by
-   :class:`~repro.core.algorithms.crossing.CrossingSetFinder`) and writes
+   (conditions C1 + C2, decided by
+   :func:`~repro.core.algorithms.crossing.flag_columns`) and writes
    each interval *starting* in ``p`` back to disk exactly once, flagged
    for replication when it participates in such a set.
 2. **Join.**  Flagged intervals are *replicated* (start partition and all
@@ -38,13 +38,14 @@ from repro.core.algorithms.base import (
 )
 from repro.core.local import (
     anchored_join,
+    attribute_columns,
     object_column,
     row_columns,
     take_tuples,
 )
 from repro.core.query import IntervalJoinQuery, QueryClass, Term
 from repro.core.schema import Row
-from repro.core.algorithms.crossing import CrossingSetFinder
+from repro.core.algorithms.crossing import count_flagged, flag_columns
 from repro.core.algorithms.routing import (
     FlaggedRowView,
     FlagRouter,
@@ -90,36 +91,63 @@ class FlaggingReducer(Reducer):
         self.partitioning = partitioning
         self.conditions = query.conditions_as_triples()
 
+    def _decide(self, key, columns, counters):
+        """Per relation received, the ``(local, flagged)`` row masks."""
+        decisions = flag_columns(
+            self.relations, self.conditions, self.partitioning, int(key),
+            columns,
+        )
+        count_flagged(decisions, counters)
+        return decisions
+
     def reduce(
         self, key: Hashable, values: List[Tuple[str, Row]], context: ReduceContext
     ) -> None:
-        partition = int(key)
+        if isinstance(values, ColumnValues):
+            reduce_columns(self, key, values, context)
+            return
         rows_by_relation: Dict[str, List[Row]] = defaultdict(list)
         for relation, row in values:
             rows_by_relation[relation].append(row)
-        intervals = {
-            relation: [
-                row.interval(self.attributes[relation]) for row in rows
-            ]
+        columns = {
+            relation: attribute_columns(rows, self.attributes[relation])
             for relation, rows in rows_by_relation.items()
         }
-        finder = CrossingSetFinder(
-            self.relations,
-            [c for c in self.conditions],
-            self.partitioning,
-            partition,
-        )
-        masks = finder.replicable(intervals)
-        for relation, rows in rows_by_relation.items():
-            mask = masks.get(relation)
-            for index, row in enumerate(rows):
-                interval = intervals[relation][index]
-                if self.partitioning.project(interval) != partition:
-                    continue  # flagged (or not) by its own start partition
-                flagged = bool(mask[index]) if mask is not None else False
-                if flagged:
-                    context.counters.increment("join", "replicated_intervals")
-                context.emit((relation, row, flagged))
+        decisions = self._decide(key, columns, context.counters)
+        for relation, (local, flagged) in decisions.items():
+            rows = rows_by_relation[relation]
+            # Rows starting elsewhere are flagged (or not) by their own
+            # start partition.
+            for index in np.flatnonzero(local).tolist():
+                context.emit((relation, rows[index], bool(flagged[index])))
+
+    # -- columnar protocol (see repro.mapreduce.task) -------------------
+    def columnar_ready(self) -> bool:
+        return True
+
+    def columnar_outputs(self, key, values: ColumnValues, counters):
+        groups = values.tag_groups()
+        columns = {
+            relation: SortedColumns(values.starts[rows], values.ends[rows])
+            for relation, rows in groups
+        }
+        decisions = self._decide(key, columns, counters)
+        # One ``gid, flagged`` row per interval starting here.
+        outs = [np.empty((0, 2), dtype=np.int64)]
+        for relation, rows in groups:
+            local, flagged = decisions[relation]
+            outs.append(
+                np.stack([values.gids[rows][local], flagged[local]], axis=1)
+            )
+        return np.concatenate(outs)
+
+    def materialize_outputs(self, outs, store):
+        return [
+            (*store.value(gid), bool(flagged))
+            for gid, flagged in np.asarray(outs, dtype=np.int64)
+            .reshape(-1, 2)
+            .tolist()
+        ]
 
 
 class RouteMapper(RoutedMapper):

@@ -34,7 +34,7 @@ import numpy as np
 
 from repro.errors import PlanningError
 from repro.columnar.batch import MapBlock, interval_columns, operator_map_columns, ranged_targets
-from repro.columnar.codec import CellKeyCodec
+from repro.columnar.codec import CellKeyCodec, IntKeyCodec
 from repro.core.schema import Row
 from repro.intervals.allen import MapOperator
 from repro.intervals.interval import Interval
@@ -180,13 +180,24 @@ class _PartitionRouter:
     """A router whose targets are partition indices.  ``prefix`` keys
     them as ``(prefix, index)`` instead — the grid algorithms' flag and
     mark cycles run every component's 1-dimensional partitioning in one
-    job.  No key codec packs those pairs, so a prefixed router has no
-    ``key_kind`` and its job runs on the records plane."""
+    job — which is a pair of small ints: the cell codec packs it."""
 
     def __init__(self, partitioning: Partitioning, prefix: Optional[int] = None) -> None:
         self.partitioning = partitioning
         self.prefix = prefix
-        self.key_kind: Optional[str] = "int" if prefix is None else None
+        self.key_kind = IntKeyCodec.kind if prefix is None else CellKeyCodec.kind
+
+    def _keys(self, indices):
+        """The records form's keys for partition ``indices``."""
+        if self.prefix is None:
+            return indices
+        return [(self.prefix, index) for index in indices]
+
+    def _codes(self, indices: np.ndarray) -> np.ndarray:
+        """The columnar form's key codes for partition ``indices``."""
+        if self.prefix is None:
+            return indices
+        return indices | np.int64(CellKeyCodec.encode_cell((self.prefix, 0)))
 
 
 class OperatorRouter(_PartitionRouter):
@@ -212,10 +223,13 @@ class OperatorRouter(_PartitionRouter):
             indices = self.partitioning.replicate(interval)
             counters.increment("join", "replicated_intervals")
             counters.increment("join", "replicated_pairs", len(indices))
-        return indices if self.prefix is None else [(self.prefix, i) for i in indices]
+        return self._keys(indices)
 
     def map_columns(self, starts, ends, records):
-        return operator_map_columns(self.partitioning, self.operator, starts, ends)
+        indices, row_idx, counters = operator_map_columns(
+            self.partitioning, self.operator, starts, ends
+        )
+        return self._codes(indices), row_idx, counters
 
 
 class FlagRouter(_PartitionRouter):
@@ -242,18 +256,18 @@ class FlagRouter(_PartitionRouter):
                 counters.increment("join", "replicated_pairs", len(indices))
         else:
             indices = (self.partitioning.project(interval),)
-        return indices if self.prefix is None else [(self.prefix, i) for i in indices]
+        return self._keys(indices)
 
     def map_columns(self, starts, ends, records):
         flags = np.fromiter(map(self.flagged, records), dtype=bool, count=len(records))
         lo = self.partitioning.locate_array(starts)
         hi = np.where(flags, np.int64(len(self.partitioning) - 1), lo).astype(np.int64)
-        key_codes, row_idx = ranged_targets(lo, hi)
+        indices, row_idx = ranged_targets(lo, hi)
         counters: Dict[Tuple[str, str], int] = {}
         replicated = int((hi[flags] - lo[flags] + 1).sum())
         if replicated and self.count_pairs:
             counters[("join", "replicated_pairs")] = replicated
-        return key_codes, row_idx, counters
+        return self._codes(indices), row_idx, counters
 
 
 class PinnedCellRouter:

@@ -65,8 +65,10 @@ from repro.intervals.sweep import (
 __all__ = [
     "LocalJoiner",
     "anchored_join",
+    "attribute_columns",
     "row_columns",
     "take_tuples",
+    "window_blocks",
 ]
 
 #: The most candidate pairs one step expands at a time.  A single
@@ -87,6 +89,16 @@ def object_column(items: Sequence[object]) -> np.ndarray:
     return column
 
 
+def attribute_columns(rows: Sequence[Row], attribute: str) -> SortedColumns:
+    """One interval attribute of ``rows`` as endpoint columns, in row
+    order (``object`` columns when an endpoint is not float64-exact)."""
+    intervals = [row.interval(attribute) for row in rows]
+    return SortedColumns(
+        endpoint_column([interval.start for interval in intervals]),
+        endpoint_column([interval.end for interval in intervals]),
+    )
+
+
 def row_columns(
     query: IntervalJoinQuery, rows_by_relation: Mapping[str, Sequence[Row]]
 ) -> Tuple[Dict[Term, SortedColumns], Dict[str, np.ndarray]]:
@@ -97,16 +109,12 @@ def row_columns(
         name: object_column(rows_by_relation.get(name) or ())
         for name in query.relations
     }
-    columns = {}
-    for term in query.terms:
-        intervals = [
-            row.interval(term.attribute)
-            for row in rows_by_relation.get(term.relation) or ()
-        ]
-        columns[term] = SortedColumns(
-            endpoint_column([interval.start for interval in intervals]),
-            endpoint_column([interval.end for interval in intervals]),
+    columns = {
+        term: attribute_columns(
+            rows_by_relation.get(term.relation) or (), term.attribute
         )
+        for term in query.terms
+    }
     return columns, rows
 
 
@@ -268,11 +276,7 @@ class LocalJoiner:
         probe_rows = binding[step.probe.relation]
         starts = probe_column.starts[probe_rows]
         ends = probe_column.ends[probe_rows]
-        sizes = index.window_sizes(step.kind, starts, ends)
-        for lo, hi in _blocks(sizes):
-            probe, row = index.windows(step.kind, starts[lo:hi], ends[lo:hi])
-            if lo:
-                probe = probe + lo
+        for probe, row in window_blocks(index, step.kind, starts, ends):
 
             def endpoints(term: Term):
                 column = columns[term]
@@ -299,6 +303,18 @@ class LocalJoiner:
                     k + 1, extended, columns, accept
                 )
         return charged
+
+
+def window_blocks(
+    index: SortedColumns, kind: int, starts, ends
+) -> Iterator[Tuple[np.ndarray, np.ndarray]]:
+    """``index.windows(kind, starts, ends)`` a block at a time: the
+    ``(probe index, row index)`` candidate pairs of consecutive probes,
+    at most :data:`MAX_CANDIDATE_PAIRS` per block."""
+    sizes = index.window_sizes(kind, starts, ends)
+    for lo, hi in _blocks(sizes):
+        probe, row = index.windows(kind, starts[lo:hi], ends[lo:hi])
+        yield (probe + lo if lo else probe), row
 
 
 def _blocks(sizes: np.ndarray) -> Iterator[Tuple[int, int]]:

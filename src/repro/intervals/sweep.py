@@ -1,14 +1,15 @@
 """Sweep kernels for 2-way interval joins, over arrays and over items.
 
 * :class:`SortedColumns` — the array kernel behind the reducer-local
-  join (:mod:`repro.core.local`): one interval column sorted by start
-  and by end, whose :meth:`~SortedColumns.windows` derives each probe
+  join (:mod:`repro.core.local`) and the crossing-set finder
+  (:mod:`repro.core.algorithms.crossing`): one interval column sorted
+  by start and by end, whose :meth:`~SortedColumns.windows` derives each probe
   interval's candidate rows as contiguous ``searchsorted`` windows
   expanded by run length — sorted endpoint columns and gapless windows
   after Piatov et al. (cache-efficient sweeping for extended Allen
   predicates), with no per-pair Python.
 * :func:`join_pairs` — the item-at-a-time kernels (the cascade's step
-  reducers, the crossing-set finder): it dispatches through
+  reducers): it dispatches through
   :data:`KERNELS`, one output-sensitive kernel per Allen predicate —
   endpoint hash-groups for the ``equals``/``starts``/``finishes``
   families, a sorted-start bisect for ``meets``/``overlaps``, a

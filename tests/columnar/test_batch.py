@@ -196,6 +196,23 @@ class TestColumnValues:
             (1.0, 2.0, 0), (3.0, 4.0, 2),
         ]
 
+    def test_tag_groups_follow_first_appearance(self):
+        """The order a records reducer's group-by-tag dict iterates in —
+        not the job's tag-table order — and absent tags are skipped."""
+        group = ColumnValues(
+            key=1,
+            gids=np.arange(5, dtype=np.int64),
+            starts=np.zeros(5),
+            ends=np.ones(5),
+            tag_codes=np.asarray([2, 0, 2, 2, 0], dtype=np.int16),
+            tags=("a", "unused", "c"),
+            store=None,
+        )
+        assert [(tag, rows.tolist()) for tag, rows in group.tag_groups()] == [
+            ("c", [0, 2, 3]), ("a", [1, 4]),
+        ]
+        assert self._group().tag_groups()[0][0] == "left"
+
     def test_iteration_resolves_through_store(self):
         store = PayloadStore()
         records = ["a", "b", "c"]

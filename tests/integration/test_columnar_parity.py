@@ -176,6 +176,61 @@ def test_columnar_matches_records(
     _assert_cross_plane_parity(records_pack, columnar_pack)
 
 
+#: The flag cycles — RCCIS's own and the (component, partition)-keyed one
+#: of the grid algorithms — with where each writes its flags.
+FLAG_CASES = [
+    ("rccis", COLOCATION, "rccis/flags"),
+    ("pasm", HYBRID, "pasm/flags"),
+    ("gen_matrix", HYBRID, "gen_matrix/flags"),
+]
+
+
+@pytest.mark.parametrize("chaos", [False, True], ids=["clean", "chaos"])
+@pytest.mark.parametrize("executor", EXECUTORS)
+@pytest.mark.parametrize(
+    "algorithm,query,flags_dir", FLAG_CASES, ids=[c[0] for c in FLAG_CASES]
+)
+def test_flag_cycle_matches_records(
+    algorithm, query, flags_dir, executor, chaos, monkeypatch
+):
+    """A columnar flag cycle writes the records plane's flag files —
+    part for part, record for record, in order — with the same
+    replication count and the same loads, fault plan or not."""
+    data = make_dataset(("R1", "R2", "R3"), 60, seed=11)
+    options = dict(faults=pinned_plan(), max_attempts=3) if chaos else {}
+    records_fs, columnar_fs = InMemoryFileSystem(), InMemoryFileSystem()
+    _, records_rec = _run_on_records(
+        monkeypatch, algorithm, query, data, executor,
+        fs=records_fs, **options,
+    )
+    _, columnar_rec = _run(
+        algorithm, query, data, executor, fs=columnar_fs, **options
+    )
+    records_job, columnar_job = (
+        recorder.job_results[0] for recorder in (records_rec, columnar_rec)
+    )
+    assert columnar_job.name == records_job.name == f"{algorithm}-flag"
+    assert (records_job.data_plane, columnar_job.data_plane) == (
+        "records", "columnar",
+    )
+
+    parts = columnar_fs.list_prefix(flags_dir)
+    assert parts == records_fs.list_prefix(flags_dir)
+    flags = [list(columnar_fs.read(part)) for part in parts]
+    assert flags == [list(records_fs.read(part)) for part in parts]
+    assert sum(map(len, flags)) > 0
+
+    replicated = columnar_job.counters.value("join", "replicated_intervals")
+    assert replicated > 0
+    assert replicated == records_job.counters.value(
+        "join", "replicated_intervals"
+    )
+    assert (
+        columnar_job.logical_reducer_loads == records_job.logical_reducer_loads
+    )
+    assert columnar_job.reduce_task_loads == records_job.reduce_task_loads
+
+
 def _shm_segments():
     return set(os.listdir("/dev/shm")) if os.path.isdir("/dev/shm") else set()
 
@@ -260,19 +315,17 @@ def test_shm_transport_accounted_only_under_processes(executor):
 
 #: The multi-attribute grid routing is a mapper of its own.
 NO_PROTOCOL = "mapper-no-columnar-protocol"
-#: A flag/mark cycle keyed by (component, partition): no key codec.
-NOT_READY = "mapper-not-columnar-ready"
 #: The map side is the one columnar-capable mapper; the reducer is not.
 NO_REDUCER = "reducer-no-columnar-protocol"
 
 #: algorithm, query, and per job in execution order ``(name, plane,
-#: reason)`` with default options.  Records-only: the four matrix/grid
-#: algorithms and every flag/mark cycle (RCCIS's included); the hybrids
-#: mix through their component plans.
+#: reason)`` with default options.  Records-only: the grid join cycles,
+#: PASM's marking cycle and FCTS's matrix; every flag cycle runs
+#: columnar, and the hybrids mix through their component plans.
 RULE = [
     ("two_way", TWO_WAY, [("two-way", "columnar", None)]),
     ("rccis", COLOCATION, [
-        ("rccis-flag", "records", NO_REDUCER),
+        ("rccis-flag", "columnar", None),
         ("rccis-join", "columnar", None),
     ]),
     ("two_way_cascade", SEQUENCE, [
@@ -282,20 +335,20 @@ RULE = [
     ("all_replicate", SEQUENCE, [("all-replicate", "columnar", None)]),
     ("all_matrix", SEQUENCE, [("all_matrix-join", "records", NO_PROTOCOL)]),
     ("all_seq_matrix", HYBRID, [
-        ("all_seq_matrix-flag", "records", NOT_READY),
+        ("all_seq_matrix-flag", "columnar", None),
         ("all_seq_matrix-join", "records", NO_PROTOCOL),
     ]),
     ("pasm", HYBRID, [
-        ("pasm-flag", "records", NOT_READY),
-        ("pasm-mark", "records", NOT_READY),
+        ("pasm-flag", "columnar", None),
+        ("pasm-mark", "records", NO_REDUCER),
         ("pasm-join", "records", NO_PROTOCOL),
     ]),
     ("gen_matrix", HYBRID, [
-        ("gen_matrix-flag", "records", NOT_READY),
+        ("gen_matrix-flag", "columnar", None),
         ("gen_matrix-join", "records", NO_PROTOCOL),
     ]),
     ("fcts", HYBRID, [
-        ("rccis-flag", "records", NO_REDUCER),
+        ("rccis-flag", "columnar", None),
         ("rccis-join", "columnar", None),
         ("fcts-matrix", "records", NO_REDUCER),
     ]),
@@ -515,6 +568,15 @@ def _beyond_float64_dataset(names, seed):
     return data
 
 
+#: The first job of each algorithm below, on endpoints beyond float64: a
+#: flag cycle takes the records escape, a grid join has none to take.
+FIRST_JOB_BEYOND_FLOAT64 = {
+    "rccis": ("rccis-flag", "records", "endpoints-not-float64-exact"),
+    "pasm": ("pasm-flag", "records", "endpoints-not-float64-exact"),
+    "all_matrix": ("all_matrix-join", "records", NO_PROTOCOL),
+}
+
+
 @pytest.mark.parametrize(
     "algorithm, conditions",
     [
@@ -524,14 +586,22 @@ def _beyond_float64_dataset(names, seed):
     ],
 )
 def test_whole_queries_are_exact_beyond_float64(algorithm, conditions):
-    """The reducer-local join runs over ``object`` columns when an
-    endpoint is not a float64 — the only path for the grid reducers,
-    which have no columnar plane and so no records escape to take."""
+    """The flagging decision and the reducer-local join run over
+    ``object`` columns when an endpoint is not a float64: a flag cycle
+    takes the records escape, the grid join reducers have no columnar
+    plane and so none to take."""
     query = IntervalJoinQuery.parse(conditions)
     data = _beyond_float64_dataset(query.relations, seed=53)
-    result = execute(query, data, algorithm=algorithm, num_partitions=3)
+    recorder = TraceRecorder()
+    result = execute(
+        query, data, algorithm=algorithm, num_partitions=3, observer=recorder
+    )
     assert_matches_reference(query, data, result)
     assert len(result) > 0
+    first = recorder.job_results[0]
+    assert (
+        first.name, first.data_plane, first.data_plane_reason
+    ) == FIRST_JOB_BEYOND_FLOAT64[algorithm]
     rounded = {
         name: Relation.of_intervals(
             name,

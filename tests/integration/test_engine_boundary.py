@@ -6,9 +6,11 @@ may be visible from it, the shuffle and the file system know nothing
 about observation at all, and the object an unobserved run reports to
 holds no registry.  A sibling case keeps ``IntervalTree`` — alive only
 for the frozen benchmark's layer probes (ROADMAP item 3a) — off every
-query path, and another keeps the map side of ``core/algorithms``
-written once (one mapper, in ``routing.py``).  All of it is read off the
-AST, so a convention cannot drift without a tier-1 failure.
+query path, another does the same for the item-at-a-time ``join_pairs``
+kernels and the flagging decision (columns only, stated once), and
+another keeps the map side of ``core/algorithms`` written once (one
+mapper, in ``routing.py``).  All of it is read off the AST, so a
+convention cannot drift without a tier-1 failure.
 """
 
 from __future__ import annotations
@@ -46,6 +48,15 @@ def _imported(tree):
             yield node.module
             for alias in node.names:
                 yield f"{node.module}.{alias.name}"
+
+
+def _names(tree):
+    """Every identifier and attribute name the module mentions."""
+    return {
+        node.id if isinstance(node, ast.Name) else node.attr
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Name, ast.Attribute))
+    }
 
 
 def test_engine_sees_only_the_observer_protocol():
@@ -137,14 +148,46 @@ def test_interval_tree_stays_off_every_query_path():
         relative = path.relative_to(SRC).as_posix()
         if relative in allowed:
             continue
-        names = {
-            node.id if isinstance(node, ast.Name) else node.attr
-            for node in ast.walk(tree)
-            if isinstance(node, (ast.Name, ast.Attribute))
-        }
-        if "IntervalTree" in names or any(
+        if "IntervalTree" in _names(tree) or any(
             "IntervalTree" in name or "intervals.tree" in name
             for name in _imported(tree)
         ):
             offending.append(relative)
     assert offending == []
+
+
+def test_the_flagging_decision_runs_on_columns_and_is_written_once():
+    """Under ``core/`` only the cascade's step reducers still call the
+    item-at-a-time ``join_pairs`` kernels; the crossing-set finder reads
+    endpoint columns (no ``Interval`` boxing, no item kernels); and the
+    flagging loop — build a finder for this partition, solve — is one
+    function, which both flag-cycle reducers call."""
+    item_kernel_users = [
+        path.relative_to(SRC).as_posix()
+        for path, tree in _modules("core")
+        if "join_pairs" in _names(tree)
+        or any(name.endswith(".join_pairs") for name in _imported(tree))
+    ]
+    assert item_kernel_users == ["core/algorithms/cascade.py"]
+
+    crossing = ast.parse(
+        (SRC / "core/algorithms/crossing.py").read_text(encoding="utf-8")
+    )
+    assert not {
+        name
+        for name in _imported(crossing)
+        if name.startswith("repro.intervals.interval")
+        or name == "repro.intervals.sweep.join_pairs"
+    }
+
+    constructions = [
+        f"{path.name}:{function.name}"
+        for path, tree in _modules("core/algorithms")
+        for function in ast.walk(tree)
+        if isinstance(function, ast.FunctionDef)
+        for node in ast.walk(function)
+        if isinstance(node, ast.Call)
+        and "CrossingSetFinder"
+        in (getattr(node.func, "id", None), getattr(node.func, "attr", None))
+    ]
+    assert constructions == ["crossing.py:flag_columns"]

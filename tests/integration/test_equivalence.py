@@ -121,6 +121,45 @@ def test_algorithm_matches_reference(name, conditions, algorithms, num_partition
         assert_matches_reference(query, data, result)
 
 
+@pytest.mark.parametrize("executor", ["serial", "threads", "processes"])
+def test_rccis_decides_a_cyclic_present_pattern(executor, monkeypatch):
+    """A triangle with a tail: at a partition R4 has not reached yet,
+    the present pattern {R1, R2, R3} is cyclic *and* has a late escape,
+    so the flag cycle decides it with the crossing-set finder's
+    backtracking solver — which no tree-shaped query, and not the bare
+    triangle either (``colocation-cycle`` above: the full pattern has no
+    late escape, its 2-subsets are single edges), ever calls."""
+    from repro.core.algorithms.crossing import CrossingSetFinder
+
+    solved = []
+    solve = CrossingSetFinder._solve_backtracking
+
+    def recording(self, *args):
+        solved.append(solve(self, *args))
+        return solved[-1]
+
+    monkeypatch.setattr(CrossingSetFinder, "_solve_backtracking", recording)
+    query = IntervalJoinQuery.parse(
+        [
+            ("R1", "overlaps", "R2"),
+            ("R2", "overlaps", "R3"),
+            ("R1", "overlaps", "R3"),
+            ("R3", "overlaps", "R4"),
+        ]
+    )
+    data = make_dataset(
+        ("R1", "R2", "R3", "R4"), 150, seed=19, span=1000.0, max_length=100.0
+    )
+    result = execute(
+        query, data, algorithm="rccis", num_partitions=4,
+        executor=executor, workers=2,
+    )
+    assert_matches_reference(query, data, result)
+    assert len(result) > 1000
+    if executor != "processes":  # pool workers solve out of sight
+        assert any(masks is not None for masks in solved)
+
+
 def test_planner_default_for_every_class():
     cases = {
         QueryClass.COLOCATION: [("R1", "overlaps", "R2"), ("R2", "overlaps", "R3")],

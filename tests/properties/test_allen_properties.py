@@ -1,12 +1,11 @@
 """Property-based tests for Allen's algebra (hypothesis)."""
 
-import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.intervals.allen import ALLEN_PREDICATES, relation_between, relations_holding
 from repro.intervals.interval import Interval
-from repro.core.algorithms.crossing import _predicate_matrix
+from repro.columnar.batch import endpoint_column
 
 
 def intervals(min_value=-50, max_value=50, allow_points=True):
@@ -74,23 +73,33 @@ class TestSemanticInvariants:
 
 
 class TestVectorizedAgreement:
-    """The numpy predicate matrices must agree with the scalar truth
-    functions (crossing.py keeps them in lockstep)."""
+    """``holds_columns`` — what the reducer-local join and the
+    crossing-set finder evaluate — must agree with the scalar truth
+    function pair for pair, over float64 columns and over the ``object``
+    columns that hold endpoints beyond 2**53 exactly."""
 
     @given(
-        st.lists(intervals(), min_size=1, max_size=8),
-        st.lists(intervals(), min_size=1, max_size=8),
+        st.lists(st.tuples(intervals(), intervals()), min_size=1, max_size=40),
+        st.sampled_from([0, 2**53]),
     )
     @settings(max_examples=100)
-    def test_predicate_matrix_matches_scalar(self, left, right):
-        s1 = np.array([iv.start for iv in left], dtype=float)
-        e1 = np.array([iv.end for iv in left], dtype=float)
-        s2 = np.array([iv.start for iv in right], dtype=float)
-        e2 = np.array([iv.end for iv in right], dtype=float)
+    def test_holds_columns_matches_scalar(self, pairs, base):
+        pairs = [
+            (
+                Interval(base + u.start, base + u.end),
+                Interval(base + v.start, base + v.end),
+            )
+            for u, v in pairs
+        ]
+        columns = [
+            endpoint_column(list(values))
+            for values in zip(
+                *((u.start, u.end, v.start, v.end) for u, v in pairs)
+            )
+        ]
         for predicate in ALLEN_PREDICATES.values():
-            matrix = _predicate_matrix(predicate, s1, e1, s2, e2)
-            for i, u in enumerate(left):
-                for j, v in enumerate(right):
-                    assert bool(matrix[i, j]) == predicate.holds(u, v), (
-                        predicate.name, u, v
-                    )
+            mask = predicate.holds_columns(*columns)
+            assert mask.dtype == bool
+            assert mask.tolist() == [
+                predicate.holds(u, v) for u, v in pairs
+            ], predicate.name

@@ -1,110 +1,101 @@
 """Property-based validation of the crossing-set finder.
 
 The finder (tree AC / backtracking over presence patterns with the
-late-escape condition) must agree with a brute-force enumeration of the
-Section-5 definitions on random queries and random interval layouts —
-this is the component RCCIS's correctness hinges on.
+late-escape condition, all of it on endpoint columns) must agree with a
+brute-force enumeration of the Section-5 definitions on random queries
+and random interval layouts — this is the component RCCIS's correctness
+hinges on.  The layouts are the degenerate ones: integer endpoints, so
+touching, zero-length and duplicated intervals and endpoints exactly on
+a partition boundary are common; sides large enough that a dense
+``n1 x n2`` support would be tens of thousands of cells; and endpoints
+beyond 2**53, which only ``object`` columns hold exactly.
 """
-
-import itertools
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.algorithms.crossing import (
-    CrossingSetFinder,
-    has_late_escape,
-    order_reachability,
-)
+from repro.core.algorithms.crossing import CrossingSetFinder
+from repro.intervals.allen import ALLEN_PREDICATES
 from repro.intervals.interval import Interval
 from repro.intervals.partitioning import Partitioning
-from repro.intervals.sets import crosses, is_consistent, normalize_conditions
+from repro.intervals.sets import normalize_conditions
 
-COLOCATION = [
-    "overlaps", "overlapped_by", "contains", "during", "meets", "met_by",
-    "starts", "started_by", "finishes", "finished_by", "equals",
-]
+from tests.core.test_crossing import brute_force_replicable, columns_of
 
-PARTITIONING = Partitioning.uniform(0, 60, 3)
+PREDICATES = sorted(ALLEN_PREDICATES)
+#: Predicates that compose with themselves: a cycle of random picks out
+#: of all thirteen is almost never satisfiable, one out of these often is.
+COMPOSABLE = ["contains", "during", "overlapped_by", "overlaps"]
 PARTITION = 1
 
-
-def brute_force(relations, conditions, intervals):
-    reach = order_reachability(list(relations), list(conditions))
-    flagged = {
-        name: [False] * len(intervals.get(name, [])) for name in relations
-    }
-    choices = {
-        name: list(enumerate(intervals.get(name, []))) for name in relations
-    }
-    for r in range(1, len(relations) + 1):
-        for subset in itertools.combinations(relations, r):
-            if not has_late_escape(frozenset(subset), relations, reach):
-                continue
-            for combo in itertools.product(
-                *(choices[name] for name in subset)
-            ):
-                interval_set = {
-                    name: iv for name, (_, iv) in zip(subset, combo)
-                }
-                if is_consistent(interval_set, conditions) and crosses(
-                    interval_set, conditions, PARTITIONING, PARTITION
-                ):
-                    for name, (position, _) in zip(subset, combo):
-                        flagged[name][position] = True
-    return flagged
+#: shape -> (conditions, fewest and most intervals per relation R1, R2,
+#: ...).  The brute force is exponential in the relation count, so the
+#: sides grow where it is not: ``wide_chain`` always has more than
+#: 128 x 128 candidate pairs on its R1-R2 edge (a 2-relation query needs
+#: no support at all — its only patterns with a late escape are single
+#: relations).  ``tailed_triangle`` is the smallest query with a *cyclic
+#: present pattern*: with R4 absent the triangle R1-R2-R3 is solved by
+#: backtracking (the full triangle alone has no late escape, and its
+#: 2-subsets are single edges).
+CHAIN = [("R1", "R2"), ("R2", "R3")]
+TRIANGLE = CHAIN + [("R1", "R3")]
+SMALL = (0, 12)
+SHAPES = {
+    "edge": ([("R1", "R2")], [(0, 150)] * 2),
+    "chain": (CHAIN, [SMALL] * 3),
+    "wide_chain": (CHAIN, [(130, 150), (130, 150), (0, 6)]),
+    "star": ([("R1", "R2"), ("R1", "R3")], [SMALL] * 3),
+    "triangle": (TRIANGLE, [SMALL] * 3),
+    "tailed_triangle": (TRIANGLE + [("R3", "R4")], [SMALL] * 4),
+}
 
 
 @st.composite
 def query_and_intervals(draw):
-    """A random 3-relation query shape (chain, star, or triangle) plus
-    random intervals intersecting the middle partition."""
-    shape = draw(st.sampled_from(["chain", "star", "triangle"]))
-    p1 = draw(st.sampled_from(COLOCATION))
-    p2 = draw(st.sampled_from(COLOCATION))
-    p3 = draw(st.sampled_from(COLOCATION))
-    if shape == "chain":
-        conditions = [("R1", p1, "R2"), ("R2", p2, "R3")]
-    elif shape == "star":
-        conditions = [("R1", p1, "R2"), ("R1", p2, "R3")]
-    else:
-        conditions = [
-            ("R1", p1, "R2"),
-            ("R2", p2, "R3"),
-            ("R1", p3, "R3"),
-        ]
-
-    part = PARTITIONING.partition_interval(PARTITION)
+    """A random query shape with random predicates, plus random intervals
+    intersecting the middle partition of ``[base, base + 60)`` cut in
+    three — ``base`` either 0 or 2**53."""
+    edges, sizes = SHAPES[draw(st.sampled_from(sorted(SHAPES)))]
+    palette = draw(st.sampled_from([PREDICATES, COMPOSABLE]))
+    conditions = [
+        (left, draw(st.sampled_from(palette)), right) for left, right in edges
+    ]
+    relations = sorted({name for edge in edges for name in edge})
+    base = draw(st.sampled_from([0, 2**53]))
+    partitioning = Partitioning((base, base + 20, base + 40, base + 60))
     intervals = {}
-    for name in ("R1", "R2", "R3"):
+    for name, (fewest, most) in zip(relations, sizes):
+        # The size is drawn first: a bare ``max_size`` averages a handful.
+        size = draw(st.integers(min_value=fewest, max_value=most))
         raw = draw(
             st.lists(
                 st.tuples(
-                    st.integers(min_value=5, max_value=int(part.end) - 1),
+                    st.integers(min_value=5, max_value=40),
                     st.integers(min_value=0, max_value=25),
                 ),
-                max_size=5,
+                min_size=size,
+                max_size=size,
             )
         )
-        ivs = []
-        for start, length in raw:
-            iv = Interval(start, start + length)
-            if iv.intersects(part):
-                ivs.append(iv)
-        intervals[name] = ivs
-    return conditions, intervals
+        # Ends are pulled up to the partition's left boundary (20), so
+        # every interval intersects the partition, as a reducer's does.
+        intervals[name] = [
+            Interval(base + start, base + max(start + length, 20))
+            for start, length in raw
+        ]
+    return relations, conditions, partitioning, intervals
 
 
 @given(query_and_intervals())
 @settings(max_examples=150, deadline=None)
 def test_finder_agrees_with_brute_force(case):
-    conditions, intervals = case
+    relations, conditions, partitioning, intervals = case
     normalized = list(normalize_conditions(conditions))
-    finder = CrossingSetFinder(
-        ["R1", "R2", "R3"], normalized, PARTITIONING, PARTITION
+    finder = CrossingSetFinder(relations, normalized, partitioning, PARTITION)
+    masks = finder.replicable(columns_of(intervals))
+    expected = brute_force_replicable(
+        relations, normalized, partitioning, PARTITION, intervals
     )
-    masks = finder.replicable(intervals)
-    expected = brute_force(("R1", "R2", "R3"), normalized, intervals)
-    for name in ("R1", "R2", "R3"):
+    for name in relations:
         got = [bool(x) for x in masks[name]]
         assert got == expected[name], (conditions, name, intervals)

@@ -68,6 +68,9 @@ ROUTERS = {
     "flag-uncounted": lambda p: FlagRouter(
         p, _PairView.flagged, count_pairs=False
     ),
+    # (component, index) keys: the grid algorithms' flag and mark cycles.
+    "split-prefixed": lambda p: OperatorRouter(p, MapOperator.SPLIT, prefix=3),
+    "flag-prefixed": lambda p: FlagRouter(p, _PairView.flagged, prefix=2),
     "cells-dim0": lambda p: PinnedCellRouter(p, 0, _triangle(len(p), False)),
     "cells-dim1": lambda p: PinnedCellRouter(p, 1, _triangle(len(p), True)),
     # Odd coordinates pin no cell at all.
@@ -166,8 +169,8 @@ def test_targets_and_map_columns_agree(name, routed):
 @settings(max_examples=60, deadline=None)
 def test_a_prefix_only_wraps_the_keys(routed, prefix):
     """``(component, index)`` keys are the unprefixed router's keys under
-    a prefix — same counters — and have no codec, hence no columnar
-    form."""
+    a prefix — same counters — and a pair of small ints, which the cell
+    codec packs."""
     parts, records = routed
     for build in (
         lambda **kw: OperatorRouter(parts, MapOperator.SPLIT, **kw),
@@ -175,8 +178,7 @@ def test_a_prefix_only_wraps_the_keys(routed, prefix):
         lambda **kw: FlagRouter(parts, _PairView.flagged, **kw),
     ):
         plain, prefixed = build(), build(prefix=prefix)
-        assert prefixed.key_kind is None
-        assert not RoutedMapper(_PairView(), prefixed).columnar_ready()
+        assert (plain.key_kind, prefixed.key_kind) == ("int", "cell")
         plain_counters, prefixed_counters = Counters(), Counters()
         for record in records:
             assert list(
