@@ -5,11 +5,13 @@ map-reduce, e.g. temporal pattern mining" as future work.  This module
 provides the two primitives such analyses start from:
 
 * :func:`allen_histogram` — for two interval sets, the exact count of
-  pairs standing in each of the thirteen Allen relations.  Sequence
-  relations (quadratically many pairs) are counted *without enumeration*
-  by rank counting over sorted endpoints; colocation relations are
-  counted from the intersection sweep (output-sensitive).  The histogram
-  sums to ``len(left) * len(right)`` — a built-in self-check.
+  pairs standing in each of the thirteen Allen relations, read off the
+  array sweep (:mod:`repro.intervals.sweep`).  Sequence relations
+  (quadratically many pairs) are counted *without enumeration* — their
+  candidate windows are their true pairs, so the window sizes are the
+  count; colocation relations are counted as masks over the intersecting
+  windows (output-sensitive).  The histogram sums to
+  ``len(left) * len(right)`` — a built-in self-check.
 * :func:`concurrency_profile` — how many intervals are simultaneously
   active over time, as step-function breakpoints.  The benchmark scaling
   notes in EXPERIMENTS.md are derived from exactly this quantity
@@ -18,26 +20,20 @@ provides the two primitives such analyses start from:
 
 from __future__ import annotations
 
-from collections import Counter
 from typing import Dict, Iterable, List, Sequence, Tuple
 
 import numpy as np
 
-from repro.intervals.allen import ALLEN_PREDICATES, relation_between
+from repro.intervals.allen import ALLEN_PREDICATES
 from repro.intervals.interval import Interval
-from repro.intervals.sweep import intersecting_pairs
+from repro.intervals.sweep import (
+    INTERSECTING,
+    SortedColumns,
+    window_blocks,
+    window_kind,
+)
 
 __all__ = ["allen_histogram", "concurrency_profile", "peak_concurrency"]
-
-
-def _count_before(left: Sequence[Interval], right: Sequence[Interval]) -> int:
-    """#pairs with left.end < right.start, via sorted rank counting."""
-    if not left or not right:
-        return 0
-    ends = np.sort(np.array([iv.end for iv in left], dtype=float))
-    starts = np.array([iv.start for iv in right], dtype=float)
-    # For each right start, the number of left ends strictly below it.
-    return int(np.searchsorted(ends, starts, side="left").sum())
 
 
 def allen_histogram(
@@ -49,14 +45,30 @@ def allen_histogram(
     >>> h["before"], h["overlaps"]
     (1, 1)
     """
-    counts: Counter = Counter({name: 0 for name in ALLEN_PREDICATES})
-    counts["before"] = _count_before(left, right)
-    counts["after"] = _count_before(right, left)
-    left_items = [(iv, index) for index, iv in enumerate(left)]
-    right_items = [(iv, index) for index, iv in enumerate(right)]
-    for (liv, _), (riv, _) in intersecting_pairs(left_items, right_items):
-        counts[relation_between(liv, riv).name] += 1
-    return dict(counts)
+    probes = SortedColumns.of_intervals(left)
+    index = SortedColumns.of_intervals(right)
+    counts: Dict[str, int] = {}
+    colocation = []
+    for name, predicate in ALLEN_PREDICATES.items():
+        kind = window_kind(predicate)
+        if kind == INTERSECTING:
+            counts[name] = 0
+            colocation.append(predicate)
+        else:
+            sizes = index.window_sizes(kind, probes.starts, probes.ends)
+            counts[name] = int(sizes.sum())
+    for probe, row in window_blocks(
+        index, INTERSECTING, probes.starts, probes.ends
+    ):
+        endpoints = (
+            probes.starts[probe], probes.ends[probe],
+            index.starts[row], index.ends[row],
+        )
+        for predicate in colocation:
+            counts[predicate.name] += int(
+                np.count_nonzero(predicate.holds_columns(*endpoints))
+            )
+    return counts
 
 
 def concurrency_profile(

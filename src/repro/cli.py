@@ -29,9 +29,10 @@ Commands
     Render the physical plan for a query without running it: planner
     rationale (chosen algorithm and why each alternative was rejected,
     or the Allen path-consistency emptiness proof), MapReduce cycles,
-    reducer-grid shape, partitioner and per-predicate kernels, plus the
-    cost model's analytic predictions (``--exact`` dry-runs the real
-    mappers instead when relations are bound).
+    reducer-grid shape, partitioner and, per condition, the sweep
+    windows and mask the pair kernel runs, plus the cost model's
+    analytic predictions (``--exact`` dry-runs the real mappers instead
+    when relations are bound).
 ``profile``
     Execute a query under the data-plane profiler and print the
     CPU/memory/serialization rundown; ``--flame`` writes a

@@ -328,18 +328,6 @@ class ColumnValues:
             for code in codes[np.argsort(first)].tolist()
         ]
 
-    def items(self, mask: Optional[np.ndarray] = None) -> List[Tuple[Any, int]]:
-        """``(Interval, gid)`` sweep items in value order (optionally
-        restricted to ``mask``), ready for the
-        :func:`repro.intervals.sweep.join_pairs` kernels."""
-        from repro.intervals.sweep import column_items
-
-        if mask is None:
-            return column_items(self.starts, self.ends, self.gids)
-        return column_items(
-            self.starts[mask], self.ends[mask], self.gids[mask]
-        )
-
 
 class PayloadStore:
     """Parent-side payload-id resolution for one job.

@@ -26,6 +26,8 @@ from __future__ import annotations
 import math
 from typing import Any, Hashable, List, Mapping, Optional, Sequence, Tuple
 
+import numpy as np
+
 from repro.errors import PlanningError
 from repro.columnar.batch import ColumnValues, reduce_columns
 from repro.core.algorithms.base import (
@@ -45,10 +47,12 @@ from repro.core.algorithms.routing import (
     RoutedMapper,
     RowView,
 )
-from repro.core.query import IntervalJoinQuery, JoinCondition
+from repro.core.local import attribute_columns
+from repro.core.query import IntervalJoinQuery, JoinCondition, Term
 from repro.core.schema import Row
 from repro.intervals.allen import MapOperator
 from repro.intervals.partitioning import Partitioning
+from repro.intervals.sweep import SortedColumns, true_pairs
 from repro.mapreduce.job import InputSpec, JobConf
 from repro.mapreduce.shuffle import RoundRobinKeyPartitioner
 from repro.mapreduce.task import ReduceContext, Reducer
@@ -110,10 +114,13 @@ class _StepJoinReducer(Reducer):
     checking every step condition; exactly-once via the projected /
     pinned side.
 
-    Candidates are generated output-sensitively with a plane sweep on the
-    routing condition (the cascade's cost should come from re-reading and
-    re-shuffling intermediates, not from a needlessly quadratic local
-    join), then filtered by the remaining step conditions.
+    The join is written once, over endpoint columns
+    (:meth:`_join_columns`): the routing condition runs through the pair
+    kernel — output-sensitive, the cascade's cost should come from
+    re-reading and re-shuffling intermediates, not from a needlessly
+    quadratic local join — and each remaining step condition is a mask
+    over the survivors.  The two reducer forms only build the columns
+    and turn the resulting rows back into their own outputs.
     """
 
     def __init__(
@@ -127,16 +134,55 @@ class _StepJoinReducer(Reducer):
         self.routing = routing
         self.conditions = [c for c in conditions if c is not routing]
         self.attributes = dict(attributes)
-        if routing.left.relation == new_relation:
-            self._member = routing.right.relation
-            self._member_attr = routing.right.attribute
-            self._new_attr = routing.left.attribute
-            self._new_is_left = True
-        else:
-            self._member = routing.left.relation
-            self._member_attr = routing.left.attribute
-            self._new_attr = routing.right.attribute
-            self._new_is_left = False
+        #: every term a step condition names, the routing condition's first.
+        self._terms: List[Term] = list(
+            dict.fromkeys(
+                term
+                for cond in (routing, *self.conditions)
+                for term in (cond.left, cond.right)
+            )
+        )
+
+    def _join_columns(
+        self, columns: Mapping[Term, SortedColumns], counters
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """The ``(bound row, new row)`` index columns of the pairs
+        satisfying every step condition.  ``columns`` holds one column
+        per term: the new relation's rows, or the bound side's partial
+        tuples read at that member (every bound term shares one row
+        index).  Charges ``work:comparisons`` by the two-relation rule of
+        :mod:`repro.core.local`: one per pair satisfying the routing
+        condition, then one per further condition evaluated."""
+        routing = self.routing
+        new_is_left = routing.left.relation == self.new_relation
+        no_rows = np.empty(0, dtype=np.int64)
+        bound_rows, new_rows = [no_rows], [no_rows]
+        charged = 0
+        for left_rows, right_rows in true_pairs(
+            routing.predicate, columns[routing.left], columns[routing.right]
+        ):
+            if new_is_left:
+                bound, new = right_rows, left_rows
+            else:
+                bound, new = left_rows, right_rows
+            charged += len(new)
+            for cond in self.conditions:
+                charged += len(new)
+
+                def endpoints(term: Term):
+                    column = columns[term]
+                    rows = new if term.relation == self.new_relation else bound
+                    return column.starts[rows], column.ends[rows]
+
+                keep = cond.predicate.holds_columns(
+                    *endpoints(cond.left), *endpoints(cond.right)
+                )
+                bound, new = bound[keep], new[keep]
+            bound_rows.append(bound)
+            new_rows.append(new)
+        if charged:
+            counters.increment("work", "comparisons", charged)
+        return np.concatenate(bound_rows), np.concatenate(new_rows)
 
     def reduce(
         self, key: Hashable, values: List[Tuple[str, object]], context: ReduceContext
@@ -144,56 +190,26 @@ class _StepJoinReducer(Reducer):
         if isinstance(values, ColumnValues):
             reduce_columns(self, key, values, context)
             return
-        partials: List[Tuple[object, PartialTuple]] = []
-        new_rows: List[Tuple[object, Row]] = []
+        partials: List[PartialTuple] = []
+        new_rows: List[Row] = []
         for side, payload in values:
             if side == BOUND_SIDE:
-                partial: PartialTuple = payload  # type: ignore[assignment]
-                member_row = dict(partial)[self._member]
-                partials.append(
-                    (member_row.interval(self._member_attr), partial)
-                )
+                partials.append(payload)  # type: ignore[arg-type]
             else:
-                _, row = payload  # type: ignore[misc]
-                new_rows.append((row.interval(self._new_attr), row))
-
-        from repro.intervals.sweep import join_pairs
-
-        predicate = self.routing.predicate
-        if self._new_is_left:
-            left_items, right_items = new_rows, partials
-        else:
-            left_items, right_items = partials, new_rows
-
-        def candidates():
-            # The routing condition runs through the per-predicate sweep
-            # kernels — output-sensitive, so only satisfying pairs are
-            # enumerated (and charged as comparisons, mirroring how
-            # LocalJoiner charges the pairs it examines).
-            for litem, ritem in join_pairs(left_items, right_items, predicate):
-                context.counters.increment("work", "comparisons")
-                if self._new_is_left:
-                    yield ritem, litem
-                else:
-                    yield litem, ritem
-
-        for (_, partial), (_, row) in candidates():
-            members = dict(partial)
-            members[self.new_relation] = row
-            ok = True
-            for cond in self.conditions:
-                context.counters.increment("work", "comparisons")
-                left = members[cond.left.relation].interval(
-                    cond.left.attribute
-                )
-                right = members[cond.right.relation].interval(
-                    cond.right.attribute
-                )
-                if not cond.predicate.holds(left, right):
-                    ok = False
-                    break
-            if ok:
-                context.emit(partial + ((self.new_relation, row),))
+                new_rows.append(payload[1])  # type: ignore[index]
+        members = [dict(partial) for partial in partials]
+        columns = {
+            term: attribute_columns(
+                new_rows
+                if term.relation == self.new_relation
+                else [member[term.relation] for member in members],
+                term.attribute,
+            )
+            for term in self._terms
+        }
+        bound, new = self._join_columns(columns, context.counters)
+        for i, j in zip(bound.tolist(), new.tolist()):
+            context.emit(partials[i] + ((self.new_relation, new_rows[j]),))
 
     # -- columnar protocol (see repro.mapreduce.task) -------------------
     def columnar_ready(self) -> bool:
@@ -202,24 +218,19 @@ class _StepJoinReducer(Reducer):
         return not self.conditions
 
     def columnar_outputs(self, key, values: ColumnValues, counters):
-        from repro.intervals.sweep import join_pairs
-
         bound_mask = values.tag_mask(BOUND_SIDE)
-        partials = values.items(bound_mask)
-        news = values.items(~bound_mask)
-        if self._new_is_left:
-            left_items, right_items = news, partials
-        else:
-            left_items, right_items = partials, news
-        outputs = [
-            (ritem[1], litem[1]) if self._new_is_left else (litem[1], ritem[1])
-            for litem, ritem in join_pairs(
-                left_items, right_items, self.routing.predicate
+        bound_at, new_at = np.flatnonzero(bound_mask), np.flatnonzero(~bound_mask)
+        columns = {}
+        for term in self._terms:
+            at = new_at if term.relation == self.new_relation else bound_at
+            columns[term] = SortedColumns(values.starts[at], values.ends[at])
+        bound, new = self._join_columns(columns, counters)
+        return list(
+            zip(
+                values.gids[bound_at][bound].tolist(),
+                values.gids[new_at][new].tolist(),
             )
-        ]
-        if outputs:
-            counters.increment("work", "comparisons", len(outputs))
-        return outputs
+        )
 
     def materialize_outputs(self, outs, store):
         return [

@@ -43,10 +43,10 @@ is five).
 Everything runs on endpoint columns, one
 :class:`~repro.intervals.sweep.SortedColumns` per relation.  A
 condition's support is never a matrix: it is the ``(left row, right
-row)`` index columns of its true pairs — the candidate windows of the
-array sweep masked by ``AllenPredicate.holds_columns``, expanded a block
-at a time — computed when the first pattern needs it and shared by the
-patterns after it.  A tree message is a boolean scatter over those
+row)`` index columns of its true pairs — the pair kernel's
+(:func:`repro.intervals.sweep.true_pairs`) blocks, concatenated —
+computed when the first pattern needs it and shared by the patterns
+after it.  A tree message is a boolean scatter over those
 columns and the cyclic solver walks them as neighbour sets, so one
 partition costs memory proportional to its rows plus its true pairs, at
 every size.
@@ -73,15 +73,9 @@ from typing import (
 
 import numpy as np
 
-from repro.core.local import window_blocks
 from repro.intervals.allen import AllenPredicate
 from repro.intervals.partitioning import Partitioning
-from repro.intervals.sweep import (
-    ENDING_BEFORE,
-    INTERSECTING,
-    STARTING_AFTER,
-    SortedColumns,
-)
+from repro.intervals.sweep import SortedColumns, true_pairs
 
 __all__ = [
     "CrossingSetFinder",
@@ -97,31 +91,6 @@ Condition = Tuple[str, AllenPredicate, str]
 #: A condition's support: the ``(left row, right row)`` index columns of
 #: its true pairs, looked up by condition index.
 Support = Callable[[int], Tuple[np.ndarray, np.ndarray]]
-
-
-def _true_pairs(
-    predicate: AllenPredicate, left: SortedColumns, right: SortedColumns
-) -> Tuple[np.ndarray, np.ndarray]:
-    """The ``(left row, right row)`` index columns of the pairs
-    satisfying ``predicate``, in no particular order: every left
-    interval's candidate window over ``right``'s sorted endpoints, kept
-    where the predicate holds."""
-    if predicate.is_colocation:
-        kind = INTERSECTING
-    elif predicate.enforces_left_first():
-        kind = STARTING_AFTER
-    else:
-        kind = ENDING_BEFORE
-    empty = np.empty(0, dtype=np.int64)
-    left_rows, right_rows = [empty], [empty]
-    for probe, row in window_blocks(right, kind, left.starts, left.ends):
-        keep = predicate.holds_columns(
-            left.starts[probe], left.ends[probe],
-            right.starts[row], right.ends[row],
-        )
-        left_rows.append(probe[keep])
-        right_rows.append(row[keep])
-    return np.concatenate(left_rows), np.concatenate(right_rows)
 
 
 def order_reachability(
@@ -232,13 +201,14 @@ class CrossingSetFinder:
         owed = self._obligations(columns)
 
         pairs: Dict[int, Tuple[np.ndarray, np.ndarray]] = {}
+        no_rows = np.empty(0, dtype=np.int64)
 
         def support(index: int) -> Tuple[np.ndarray, np.ndarray]:
             if index not in pairs:
                 left, predicate, right = self.conditions[index]
-                pairs[index] = _true_pairs(
-                    predicate, columns[left], columns[right]
-                )
+                blocks = [(no_rows, no_rows)]
+                blocks += true_pairs(predicate, columns[left], columns[right])
+                pairs[index] = tuple(map(np.concatenate, zip(*blocks)))
             return pairs[index]
 
         for r in range(1, len(self.relations) + 1):

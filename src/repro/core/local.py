@@ -11,13 +11,15 @@ sorted once per reduce call):
   to the already-bound ones; partial bindings are one row-index column
   per bound relation;
 * the candidate rows for the next relation are contiguous windows of its
-  sorted endpoints — the closed-intersection set for a colocation
-  condition, a strict prefix/suffix for a sequence condition, every row
-  only when nothing connects the relation's index attribute;
+  sorted endpoints, of the kind the pair kernel's rule
+  (:func:`~repro.intervals.sweep.window_kind`) gives the step's access
+  condition — every row only when nothing connects the relation's index
+  attribute;
 * the step's conditions are array masks, evaluated in
   ``query.conditions`` order, each over the survivors of the one before;
-* no step expands more than :data:`MAX_CANDIDATE_PAIRS` candidate pairs
-  at once — the partial bindings are cut into blocks first.
+* no step expands more than ``sweep.MAX_CANDIDATE_PAIRS`` candidate
+  pairs at once (:func:`~repro.intervals.sweep.window_blocks` cuts the
+  partial bindings into blocks first).
 
 ``work:comparisons`` is charged by rule (the cost model prices it).
 Three or more relations: each step charges one per (candidate, condition
@@ -50,16 +52,15 @@ from typing import (
 
 import numpy as np
 
-from repro.columnar.batch import endpoint_column
 from repro.core.query import IntervalJoinQuery, JoinCondition, Term
 from repro.core.schema import Row
 from repro.intervals.partitioning import Partitioning
 from repro.intervals.sweep import (
     ALL_ROWS,
-    ENDING_BEFORE,
     INTERSECTING,
-    STARTING_AFTER,
     SortedColumns,
+    window_blocks,
+    window_kind,
 )
 
 __all__ = [
@@ -68,12 +69,7 @@ __all__ = [
     "attribute_columns",
     "row_columns",
     "take_tuples",
-    "window_blocks",
 ]
-
-#: The most candidate pairs one step expands at a time.  A single
-#: partial binding with more candidates than this is expanded alone.
-MAX_CANDIDATE_PAIRS = 1 << 18
 
 #: One :class:`SortedColumns` per query term.
 Columns = Mapping[Term, SortedColumns]
@@ -92,11 +88,7 @@ def object_column(items: Sequence[object]) -> np.ndarray:
 def attribute_columns(rows: Sequence[Row], attribute: str) -> SortedColumns:
     """One interval attribute of ``rows`` as endpoint columns, in row
     order (``object`` columns when an endpoint is not float64-exact)."""
-    intervals = [row.interval(attribute) for row in rows]
-    return SortedColumns(
-        endpoint_column([interval.start for interval in intervals]),
-        endpoint_column([interval.end for interval in intervals]),
-    )
+    return SortedColumns.of_intervals([row.interval(attribute) for row in rows])
 
 
 def row_columns(
@@ -209,16 +201,10 @@ class LocalJoiner:
                     index = mine
                 elif mine != index:
                     continue
-                if cond.is_colocation:
-                    kind, probe = INTERSECTING, other
-                    break
-                earlier_is_me = (
-                    cond.predicate.enforces_left_first()
-                    if mine is cond.left
-                    else cond.predicate.enforces_right_first()
-                )
-                kind = ENDING_BEFORE if earlier_is_me else STARTING_AFTER
+                kind = window_kind(cond.predicate, mine is cond.left)
                 probe = other
+                if kind == INTERSECTING:
+                    break
             steps.append(_Step(name, conditions, kind, index, probe))
         return steps
 
@@ -303,33 +289,6 @@ class LocalJoiner:
                     k + 1, extended, columns, accept
                 )
         return charged
-
-
-def window_blocks(
-    index: SortedColumns, kind: int, starts, ends
-) -> Iterator[Tuple[np.ndarray, np.ndarray]]:
-    """``index.windows(kind, starts, ends)`` a block at a time: the
-    ``(probe index, row index)`` candidate pairs of consecutive probes,
-    at most :data:`MAX_CANDIDATE_PAIRS` per block."""
-    sizes = index.window_sizes(kind, starts, ends)
-    for lo, hi in _blocks(sizes):
-        probe, row = index.windows(kind, starts[lo:hi], ends[lo:hi])
-        yield (probe + lo if lo else probe), row
-
-
-def _blocks(sizes: np.ndarray) -> Iterator[Tuple[int, int]]:
-    """Cut consecutive partial bindings into ``[lo, hi)`` blocks whose
-    candidate windows total at most :data:`MAX_CANDIDATE_PAIRS`."""
-    running = np.cumsum(sizes)
-    lo = 0
-    while lo < len(sizes):
-        before = int(running[lo - 1]) if lo else 0
-        hi = int(
-            np.searchsorted(running, before + MAX_CANDIDATE_PAIRS, "right")
-        )
-        hi = max(hi, lo + 1)
-        yield lo, hi
-        lo = hi
 
 
 def anchored_join(

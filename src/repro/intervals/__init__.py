@@ -21,7 +21,7 @@ from repro.intervals.interval import Interval, point, span
 from repro.intervals.order import leftmost, less_than, rightmost, sort_by_order
 from repro.intervals.partitioning import Partitioning
 from repro.intervals.sets import crosses, is_consistent, normalize_conditions
-from repro.intervals.sweep import before_pairs, intersecting_pairs, join_pairs
+from repro.intervals.sweep import join_pairs
 from repro.intervals.tree import IntervalTree
 
 __all__ = [
@@ -47,8 +47,6 @@ __all__ = [
     "crosses",
     "is_consistent",
     "normalize_conditions",
-    "before_pairs",
-    "intersecting_pairs",
     "join_pairs",
     "IntervalTree",
 ]

@@ -1,49 +1,35 @@
-"""Sweep kernels for 2-way interval joins, over arrays and over items.
+"""The array sweep: 2-way interval joins over endpoint columns.
 
-* :class:`SortedColumns` — the array kernel behind the reducer-local
-  join (:mod:`repro.core.local`) and the crossing-set finder
-  (:mod:`repro.core.algorithms.crossing`): one interval column sorted
-  by start and by end, whose :meth:`~SortedColumns.windows` derives each probe
+* :class:`SortedColumns` — one interval column sorted by start and by
+  end, whose :meth:`~SortedColumns.windows` derives each probe
   interval's candidate rows as contiguous ``searchsorted`` windows
   expanded by run length — sorted endpoint columns and gapless windows
   after Piatov et al. (cache-efficient sweeping for extended Allen
   predicates), with no per-pair Python.
-* :func:`join_pairs` — the item-at-a-time kernels (the cascade's step
-  reducers): it dispatches through
-  :data:`KERNELS`, one output-sensitive kernel per Allen predicate —
-  endpoint hash-groups for the ``equals``/``starts``/``finishes``
-  families, a sorted-start bisect for ``meets``/``overlaps``, a
-  dual-sorted prefix/suffix scan for ``during``/``contains``,
-  :func:`before_pairs` for the sequence predicates; inverses reuse their
-  converse's kernel with the sides swapped, and a predicate without a
-  kernel filters :func:`intersecting_pairs`.  Payloads travel with the
-  intervals so callers can join arbitrary records.
+* :func:`true_pairs` — the pair kernel, one parameterised sweep for all
+  thirteen predicates: :func:`window_kind` picks the predicate's
+  candidate windows (the only place a predicate is mapped to its access
+  path), :func:`window_blocks` expands them at most
+  :data:`MAX_CANDIDATE_PAIRS` at a time, ``AllenPredicate.holds_columns``
+  masks them.  The reducer-local join (:mod:`repro.core.local`), the
+  crossing-set finder (:mod:`repro.core.algorithms.crossing`) and the
+  cascade's step reducers (:mod:`repro.core.algorithms.cascade`) all
+  join through it.
+* :func:`join_pairs` — the kernel's item-level adapter, for callers
+  holding ``(Interval, payload)`` items instead of columns.
 
-Every kernel enumerates exactly the pairs the predicate's truth function
+The kernel enumerates exactly the pairs the predicate's truth function
 accepts (property-tested against the brute-force nested loop).
 """
 
 from __future__ import annotations
 
-import bisect
-from collections import defaultdict
-from typing import (
-    Callable,
-    Dict,
-    Iterator,
-    List,
-    Optional,
-    Sequence,
-    Tuple,
-    TypeVar,
-    Union,
-)
+from typing import Dict, Iterator, Sequence, Tuple, TypeVar, Union
 
 import numpy as np
 
-from repro.columnar.batch import ranged_targets
+from repro.columnar.batch import endpoint_column, ranged_targets
 from repro.intervals.allen import AllenPredicate, get_predicate
-from repro.intervals.interval import Interval
 
 __all__ = [
     "SortedColumns",
@@ -51,37 +37,20 @@ __all__ = [
     "ENDING_BEFORE",
     "STARTING_AFTER",
     "ALL_ROWS",
-    "intersecting_pairs",
-    "before_pairs",
-    "column_items",
+    "WINDOW_NAMES",
+    "MAX_CANDIDATE_PAIRS",
+    "window_kind",
+    "window_blocks",
+    "true_pairs",
     "join_pairs",
-    "KERNELS",
-    "register_kernel",
-    "kernel_for",
 ]
-
-
-def column_items(starts, ends, payloads) -> List[Tuple[Interval, int]]:
-    """Sweep items from endpoint columns: ``(Interval, payload)`` pairs
-    in column order.
-
-    The columnar data plane's reducers call the kernels with payload
-    *ids* instead of row objects — every kernel orders items only by
-    ``item[0].start`` / ``item[0].end`` (stably), so enumeration over
-    ``(Interval, gid)`` items is pair-for-pair identical to the records
-    plane's ``(Interval, row)`` items.
-    """
-    return [
-        (Interval(start, end), payload)
-        for start, end, payload in zip(
-            starts.tolist(), ends.tolist(), payloads.tolist()
-        )
-    ]
 
 #: The candidate sets :meth:`SortedColumns.windows` derives for a probe
 #: interval ``[s, e]``: rows sharing a point with it, rows ending
 #: strictly before ``s``, rows starting strictly after ``e``, every row.
 INTERSECTING, ENDING_BEFORE, STARTING_AFTER, ALL_ROWS = range(4)
+#: The kinds by name, indexed by kind (what ``repro explain`` prints).
+WINDOW_NAMES = ("intersecting", "ending-before", "starting-after", "all-rows")
 
 
 class SortedColumns:
@@ -99,6 +68,15 @@ class SortedColumns:
         self.active = active
         self._full_orders = {} if _full_orders is None else _full_orders
         self._sorted: Dict[int, Tuple[np.ndarray, np.ndarray]] = {}
+
+    @classmethod
+    def of_intervals(cls, intervals) -> "SortedColumns":
+        """The column of ``intervals``, in their order (``object``
+        columns when an endpoint is not float64-exact)."""
+        return cls(
+            endpoint_column([interval.start for interval in intervals]),
+            endpoint_column([interval.end for interval in intervals]),
+        )
 
     def __len__(self) -> int:
         if self.active is None:
@@ -177,282 +155,88 @@ class SortedColumns:
         )
 
 
-L = TypeVar("L")
-R = TypeVar("R")
-
-Item = Tuple[Interval, L]
-#: A kernel enumerates the satisfying cross-side pairs of one predicate.
-Kernel = Callable[
-    [Sequence[Tuple[Interval, L]], Sequence[Tuple[Interval, R]]],
-    Iterator[Tuple[Tuple[Interval, L], Tuple[Interval, R]]],
-]
+#: The most candidate pairs :func:`window_blocks` expands at a time.  A
+#: single probe with more candidates than this is expanded alone.
+MAX_CANDIDATE_PAIRS = 1 << 18
 
 
-def intersecting_pairs(
-    left: Sequence[Tuple[Interval, L]],
-    right: Sequence[Tuple[Interval, R]],
-) -> Iterator[Tuple[Tuple[Interval, L], Tuple[Interval, R]]]:
-    """All cross-side pairs of intervals sharing at least one point.
-
-    Implements the standard sort-merge interval intersection: both sides
-    are sorted by start; for each item the opposite side's active window
-    (items starting no later whose end has not yet passed) is scanned.
-    Each intersecting pair is produced exactly once.
-    """
-    ls = sorted(left, key=lambda item: item[0].start)
-    rs = sorted(right, key=lambda item: item[0].start)
-    i = j = 0
-    while i < len(ls) and j < len(rs):
-        li, ri = ls[i], rs[j]
-        if li[0].start <= ri[0].start:
-            # li is the next interval to open; pair it with every already-
-            # open right interval still covering li's start.
-            for k in range(j, len(rs)):
-                other = rs[k]
-                if other[0].start > li[0].end:
-                    break
-                if other[0].end >= li[0].start:
-                    yield li, other
-            i += 1
-        else:
-            for k in range(i, len(ls)):
-                other = ls[k]
-                if other[0].start > ri[0].end:
-                    break
-                if other[0].end >= ri[0].start:
-                    yield other, ri
-            j += 1
-    # Drain the remaining side against the other's still-open intervals.
-    while i < len(ls):
-        li = ls[i]
-        for k in range(j, len(rs)):
-            other = rs[k]
-            if other[0].start > li[0].end:
-                break
-            if other[0].end >= li[0].start:
-                yield li, other
-        i += 1
-    while j < len(rs):
-        ri = rs[j]
-        for k in range(i, len(ls)):
-            other = ls[k]
-            if other[0].start > ri[0].end:
-                break
-            if other[0].end >= ri[0].start:
-                yield other, ri
-        j += 1
+def window_blocks(
+    index: SortedColumns, kind: int, starts, ends
+) -> Iterator[Tuple[np.ndarray, np.ndarray]]:
+    """``index.windows(kind, starts, ends)`` a block at a time: the
+    ``(probe index, row index)`` candidate pairs of consecutive probes,
+    at most :data:`MAX_CANDIDATE_PAIRS` per block."""
+    sizes = index.window_sizes(kind, starts, ends)
+    for lo, hi in _blocks(sizes):
+        probe, row = index.windows(kind, starts[lo:hi], ends[lo:hi])
+        yield (probe + lo if lo else probe), row
 
 
-def before_pairs(
-    left: Sequence[Tuple[Interval, L]],
-    right: Sequence[Tuple[Interval, R]],
-) -> Iterator[Tuple[Tuple[Interval, L], Tuple[Interval, R]]]:
-    """All pairs with ``left.end < right.start`` (Allen ``before``).
-
-    Output-sensitive: the left side is sorted by end point once; each right
-    interval then pairs with the strict prefix of left intervals ending
-    before its start.
-    """
-    ls = sorted(left, key=lambda item: item[0].end)
-    ends = [item[0].end for item in ls]
-    for ri in right:
-        cutoff = bisect.bisect_left(ends, ri[0].start)
-        for k in range(cutoff):
-            yield ls[k], ri
+def _blocks(sizes: np.ndarray) -> Iterator[Tuple[int, int]]:
+    """Cut consecutive probes into ``[lo, hi)`` blocks whose candidate
+    windows total at most :data:`MAX_CANDIDATE_PAIRS`."""
+    running = np.cumsum(sizes)
+    lo = 0
+    while lo < len(sizes):
+        before = int(running[lo - 1]) if lo else 0
+        hi = int(
+            np.searchsorted(running, before + MAX_CANDIDATE_PAIRS, "right")
+        )
+        hi = max(hi, lo + 1)
+        yield lo, hi
+        lo = hi
 
 
-# ----------------------------------------------------------------------
-# Per-predicate kernels.  Conventions: ``u`` is the left operand, ``v``
-# the right; every kernel enumerates exactly the pairs where the
-# predicate's truth function holds, and inverse predicates reuse their
-# converse's kernel through :func:`_swapped`.
-# ----------------------------------------------------------------------
-
-def _swapped(kernel: Kernel) -> Kernel:
-    """The converse kernel: ``P(u, v)`` iff ``inverse(v, u)``, so run the
-    inverse's kernel with the sides exchanged and flip each pair back."""
-
-    def swapped(left, right):
-        for ritem, litem in kernel(right, left):
-            yield litem, ritem
-
-    return swapped
+def window_kind(predicate: AllenPredicate, indexed_is_left: bool = False) -> int:
+    """The candidate windows ``predicate`` needs over its indexed operand
+    — the right one, or the left when ``indexed_is_left`` — for probes
+    from the other: a colocation predicate's true pairs all intersect; a
+    sequence predicate puts one operand wholly first, so the indexed
+    rows start after a probe from that operand and end before a probe
+    from the other."""
+    if predicate.is_colocation:
+        return INTERSECTING
+    if predicate.enforces_left_first() != indexed_is_left:
+        return STARTING_AFTER
+    return ENDING_BEFORE
 
 
-def _meets_kernel(left, right):
-    """``u.end == v.start`` with both intervals non-degenerate on the
-    touching side: index rights by start, bisect each left's end."""
-    rs = sorted(
-        (item for item in right if item[0].start < item[0].end),
-        key=lambda item: item[0].start,
-    )
-    starts = [item[0].start for item in rs]
-    for litem in left:
-        u = litem[0]
-        if not u.start < u.end:
-            continue
-        lo = bisect.bisect_left(starts, u.end)
-        hi = bisect.bisect_right(starts, u.end)
-        for k in range(lo, hi):
-            yield litem, rs[k]
+def true_pairs(
+    predicate: AllenPredicate, left: SortedColumns, right: SortedColumns
+) -> Iterator[Tuple[np.ndarray, np.ndarray]]:
+    """The pair kernel: the ``(left row, right row)`` index columns of
+    the pairs satisfying ``predicate``, block by block and in no
+    particular order — every left interval's candidate window over
+    ``right``'s sorted endpoints, kept where the predicate holds.  Every
+    row of ``left`` probes; only ``right`` may be restricted."""
+    kind = window_kind(predicate)
+    for probe, row in window_blocks(right, kind, left.starts, left.ends):
+        keep = predicate.holds_columns(
+            left.starts[probe], left.ends[probe],
+            right.starts[row], right.ends[row],
+        )
+        yield probe[keep], row[keep]
 
 
-def _overlaps_kernel(left, right):
-    """``u.start < v.start < u.end < v.end``: the candidate window of each
-    left is the rights starting strictly inside ``u``; the last condition
-    is checked per candidate (every candidate already intersects)."""
-    rs = sorted(right, key=lambda item: item[0].start)
-    starts = [item[0].start for item in rs]
-    for litem in left:
-        u = litem[0]
-        lo = bisect.bisect_right(starts, u.start)
-        hi = bisect.bisect_left(starts, u.end)
-        for k in range(lo, hi):
-            if rs[k][0].end > u.end:
-                yield litem, rs[k]
-
-
-def _starts_kernel(left, right):
-    """``u.start == v.start and u.end < v.end``: hash-group rights by
-    start point, bisect the group's sorted ends."""
-    by_start: Dict[float, List] = defaultdict(list)
-    for item in right:
-        by_start[item[0].start].append(item)
-    ends_by_start: Dict[float, List[float]] = {}
-    for start, group in by_start.items():
-        group.sort(key=lambda item: item[0].end)
-        ends_by_start[start] = [item[0].end for item in group]
-    for litem in left:
-        u = litem[0]
-        group = by_start.get(u.start)
-        if not group:
-            continue
-        for k in range(bisect.bisect_right(ends_by_start[u.start], u.end), len(group)):
-            yield litem, group[k]
-
-
-def _finishes_kernel(left, right):
-    """``u.end == v.end and v.start < u.start``: hash-group rights by end
-    point, bisect the group's sorted starts."""
-    by_end: Dict[float, List] = defaultdict(list)
-    for item in right:
-        by_end[item[0].end].append(item)
-    starts_by_end: Dict[float, List[float]] = {}
-    for end, group in by_end.items():
-        group.sort(key=lambda item: item[0].start)
-        starts_by_end[end] = [item[0].start for item in group]
-    for litem in left:
-        u = litem[0]
-        group = by_end.get(u.end)
-        if not group:
-            continue
-        for k in range(bisect.bisect_left(starts_by_end[u.end], u.start)):
-            yield litem, group[k]
-
-
-def _equals_kernel(left, right):
-    """Hash join on the ``(start, end)`` pair."""
-    table: Dict[Tuple[float, float], List] = defaultdict(list)
-    for item in right:
-        table[(item[0].start, item[0].end)].append(item)
-    for litem in left:
-        u = litem[0]
-        for ritem in table.get((u.start, u.end), ()):
-            yield litem, ritem
-
-
-def _during_kernel(left, right):
-    """``v.start < u.start and u.end < v.end``: two sorted endpoint
-    indexes over the right side; each left scans whichever one-sided
-    candidate set is smaller and filters by the other condition."""
-    by_start = sorted(right, key=lambda item: item[0].start)
-    starts = [item[0].start for item in by_start]
-    by_end = sorted(right, key=lambda item: item[0].end)
-    ends = [item[0].end for item in by_end]
-    n = len(right)
-    for litem in left:
-        u = litem[0]
-        p = bisect.bisect_left(starts, u.start)  # rights starting before u
-        q = bisect.bisect_right(ends, u.end)  # n - q rights ending after u
-        if p <= n - q:
-            for k in range(p):
-                if by_start[k][0].end > u.end:
-                    yield litem, by_start[k]
-        else:
-            for k in range(q, n):
-                if by_end[k][0].start < u.start:
-                    yield litem, by_end[k]
-
-
-#: Kernel registry, keyed by canonical predicate name.  ``join_pairs``
-#: dispatches here; predicates without an entry fall back to filtering
-#: the intersection sweep.
-KERNELS: Dict[str, Kernel] = {}
-
-
-def register_kernel(
-    predicate: Union[str, AllenPredicate], kernel: Kernel
-) -> None:
-    """Register (or replace) the kernel enumerating one predicate's pairs.
-
-    The kernel must yield exactly the cross-side pairs for which the
-    predicate's truth function holds — :func:`join_pairs` trusts it
-    without re-checking.
-    """
-    KERNELS[get_predicate(predicate).name] = kernel
-
-
-def kernel_for(
-    predicate: Union[str, AllenPredicate],
-) -> Optional[Kernel]:
-    """The registered kernel for a predicate, or ``None`` (fallback)."""
-    return KERNELS.get(get_predicate(predicate).name)
-
-
-register_kernel("before", before_pairs)
-register_kernel("after", _swapped(before_pairs))
-register_kernel("meets", _meets_kernel)
-register_kernel("met_by", _swapped(_meets_kernel))
-register_kernel("overlaps", _overlaps_kernel)
-register_kernel("overlapped_by", _swapped(_overlaps_kernel))
-register_kernel("starts", _starts_kernel)
-register_kernel("started_by", _swapped(_starts_kernel))
-register_kernel("during", _during_kernel)
-register_kernel("contains", _swapped(_during_kernel))
-register_kernel("finishes", _finishes_kernel)
-register_kernel("finished_by", _swapped(_finishes_kernel))
-register_kernel("equals", _equals_kernel)
-
-
-def filtered_intersecting_pairs(
-    left: Sequence[Tuple[Interval, L]],
-    right: Sequence[Tuple[Interval, R]],
-    predicate: Union[str, AllenPredicate],
-) -> Iterator[Tuple[Tuple[Interval, L], Tuple[Interval, R]]]:
-    """The generic colocation path: filter the intersection sweep.
-
-    Correct for every colocation predicate (their satisfying pairs all
-    intersect); kept as the fallback for unregistered predicates.
-    """
-    pred = get_predicate(predicate)
-    for litem, ritem in intersecting_pairs(left, right):
-        if pred.holds(litem[0], ritem[0]):
-            yield litem, ritem
+#: An ``(Interval, payload)`` item of either side.
+LeftItem = TypeVar("LeftItem")
+RightItem = TypeVar("RightItem")
 
 
 def join_pairs(
-    left: Sequence[Tuple[Interval, L]],
-    right: Sequence[Tuple[Interval, R]],
+    left: Sequence[LeftItem],
+    right: Sequence[RightItem],
     predicate: Union[str, AllenPredicate],
-) -> Iterator[Tuple[Tuple[Interval, L], Tuple[Interval, R]]]:
-    """All cross-side pairs satisfying one Allen predicate.
-
-    Dispatches through :data:`KERNELS`; predicates without a registered
-    kernel filter the intersection stream.
-    """
-    pred = get_predicate(predicate)
-    kernel = KERNELS.get(pred.name)
-    if kernel is not None:
-        yield from kernel(left, right)
-    else:
-        yield from filtered_intersecting_pairs(left, right, pred)
+) -> Iterator[Tuple[LeftItem, RightItem]]:
+    """All cross-side pairs of ``(Interval, payload)`` items satisfying
+    one Allen predicate (a name or an :class:`AllenPredicate`): the
+    caller's own items, in no particular order, nothing for an empty
+    side.  The item-level adapter of :func:`true_pairs` — endpoints
+    float64 cannot hold exactly go on ``object`` columns."""
+    columns = [
+        SortedColumns.of_intervals([item[0] for item in side])
+        for side in (left, right)
+    ]
+    for left_rows, right_rows in true_pairs(get_predicate(predicate), *columns):
+        for i, j in zip(left_rows.tolist(), right_rows.tolist()):
+            yield left[i], right[j]

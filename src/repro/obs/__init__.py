@@ -25,9 +25,10 @@ function of it.
 * analysis — :class:`RunReport` flags skewed reducers, stragglers and
   empty-output tasks using the Section-7 load statistics
 * explain — :func:`explain_query` renders the pre-run physical plan
-  (planner rationale, cycles, grid shape, kernels, analytic cost-model
-  predictions) and :class:`PlanReconciliation` joins those predictions
-  against the observed metrics after the run
+  (planner rationale, cycles, grid shape, each condition's sweep
+  windows and mask, analytic cost-model predictions) and
+  :class:`PlanReconciliation` joins those predictions against the
+  observed metrics after the run
 * dashboard — :func:`render_dashboard` emits one self-contained HTML
   page (``repro report --html``) with phase timelines, reducer-load
   charts and the replication/skew tables

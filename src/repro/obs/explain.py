@@ -7,7 +7,8 @@ Two halves, one contract:
   (query class, Allen path-consistency emptiness proof, chosen algorithm
   and why each alternative was rejected), the MapReduce cycle structure,
   the reducer-grid shape (consistent vs total reducers), the partitioner
-  and the per-predicate sweep kernel, plus the analytic predictions of
+  and what the pair kernel does for each predicate (its candidate
+  windows and its mask), plus the analytic predictions of
   :meth:`~repro.core.algorithms.base.JoinAlgorithm.predict` (replication
   factor, map-output tuples, shuffled records, max reducer load,
   modelled seconds).
@@ -344,7 +345,7 @@ def explain_query(
     from repro.core.planner import ALGORITHMS, plan, plan_alternatives
     from repro.core.tuning import PredictConfig, profile_data
     from repro.errors import PlanningError
-    from repro.intervals.sweep import kernel_for
+    from repro.intervals.sweep import WINDOW_NAMES, window_kind
     from repro.mapreduce.cost import DEFAULT_COST_MODEL
 
     chosen = plan(query, prune=prune)
@@ -388,21 +389,16 @@ def explain_query(
             query, runner.name, prune=prune
         )
 
-    kernels = []
-    for condition in query.conditions:
-        kernel = kernel_for(condition.predicate)
-        if kernel is None:
-            description = "filtered intersection sweep (fallback)"
-        else:
-            name = getattr(kernel, "__name__", "kernel").strip("_")
-            if name == "swapped":
-                description = (
-                    f"sweep kernel for {condition.predicate.inverse_name} "
-                    "with sides swapped"
-                )
-            else:
-                description = f"sweep kernel {name}"
-        kernels.append((str(condition), description))
+    # What the pair kernel does for each condition: the candidate
+    # windows its rule picks, masked by the predicate.
+    kernels = [
+        (
+            str(condition),
+            f"{WINDOW_NAMES[window_kind(condition.predicate)]} windows, "
+            f"{condition.predicate.name} mask",
+        )
+        for condition in query.conditions
+    ]
 
     prediction = None
     prediction_error = None

@@ -186,15 +186,10 @@ class TestColumnValues:
             store=store,
         )
 
-    def test_tag_mask_and_items(self):
+    def test_tag_mask(self):
         group = self._group()
-        mask = group.tag_mask("left")
-        assert mask.tolist() == [True, False, True]
+        assert group.tag_mask("left").tolist() == [True, False, True]
         assert group.tag_mask("missing").tolist() == [False] * 3
-        items = group.items(mask)
-        assert [(item[0].start, item[0].end, item[1]) for item in items] == [
-            (1.0, 2.0, 0), (3.0, 4.0, 2),
-        ]
 
     def test_tag_groups_follow_first_appearance(self):
         """The order a records reducer's group-by-tag dict iterates in —

@@ -2,13 +2,15 @@
 
 import random
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.analysis import (
     allen_histogram,
     concurrency_profile,
     peak_concurrency,
 )
-from repro.intervals.allen import ALLEN_PREDICATES
+from repro.intervals.allen import ALLEN_PREDICATES, relation_between
 from repro.intervals.interval import Interval
 
 
@@ -21,6 +23,16 @@ def random_intervals(seed, n, span=50, max_len=8):
     return out
 
 
+#: Integer endpoints, small ones mixed with neighbours of 2**53 (where
+#: float64 stops telling consecutive integers apart).
+_endpoints = st.one_of(
+    st.integers(0, 12), st.integers(2**53 - 6, 2**53 + 6)
+)
+_mixed_intervals = st.tuples(_endpoints, _endpoints).map(
+    lambda pair: Interval(min(pair), max(pair))
+)
+
+
 class TestAllenHistogram:
     def test_sums_to_cross_product(self):
         left = random_intervals(1, 40)
@@ -29,8 +41,6 @@ class TestAllenHistogram:
         assert sum(histogram.values()) == 40 * 35
 
     def test_matches_brute_force(self):
-        from repro.intervals.allen import relation_between
-
         left = random_intervals(3, 30)
         right = random_intervals(4, 30)
         histogram = allen_histogram(left, right)
@@ -50,6 +60,26 @@ class TestAllenHistogram:
         histogram = allen_histogram(left, right)
         assert histogram["before"] == 2
         assert sum(histogram.values()) == 2
+
+    def test_endpoints_beyond_float64_are_not_lost(self):
+        """A float cast rounds 2**53 + 1 onto 2**53: the pair used to be
+        neither ``before`` nor intersecting, and vanished."""
+        early, late = [Interval(0, 2**53)], [Interval(2**53 + 1, 2**53 + 5)]
+        nothing = {name: 0 for name in ALLEN_PREDICATES}
+        assert allen_histogram(early, late) == {**nothing, "before": 1}
+        assert allen_histogram(late, early) == {**nothing, "after": 1}
+
+    @settings(max_examples=150, deadline=None)
+    @given(left=st.lists(_mixed_intervals, max_size=12),
+           right=st.lists(_mixed_intervals, max_size=12))
+    def test_every_pair_counted_once_at_any_magnitude(self, left, right):
+        histogram = allen_histogram(left, right)
+        assert sum(histogram.values()) == len(left) * len(right)
+        brute = {name: 0 for name in ALLEN_PREDICATES}
+        for u in left:
+            for v in right:
+                brute[relation_between(u, v).name] += 1
+        assert histogram == brute
 
 
 class TestConcurrencyProfile:

@@ -7,11 +7,11 @@ import pytest
 
 from tests.conftest import make_dataset
 
-from repro.core import local
 from repro.core.local import LocalJoiner, anchored_join, row_columns
 from repro.core.query import IntervalJoinQuery, Term
 from repro.core.reference import reference_join
 from repro.core.schema import Row
+from repro.intervals import sweep
 from repro.intervals.interval import Interval
 from repro.intervals.partitioning import Partitioning
 from repro.intervals.sweep import (
@@ -120,17 +120,17 @@ class TestBlocking:
             return tuples, counted
 
         whole = run()
-        monkeypatch.setattr(local, "MAX_CANDIDATE_PAIRS", 1)
+        monkeypatch.setattr(sweep, "MAX_CANDIDATE_PAIRS", 1)
         assert run() == whole
         assert whole[0] == reference_join(q, data).tuple_ids()
         assert len(whole[1]) == 1  # charged once per join
 
     def test_blocks_cover_every_partial_once(self, monkeypatch):
-        monkeypatch.setattr(local, "MAX_CANDIDATE_PAIRS", 10)
+        monkeypatch.setattr(sweep, "MAX_CANDIDATE_PAIRS", 10)
         sizes = np.array([3, 3, 3, 30, 0, 0, 4, 7])
-        blocks = list(local._blocks(sizes))
+        blocks = list(sweep._blocks(sizes))
         assert blocks == [(0, 3), (3, 4), (4, 7), (7, 8)]
-        assert list(local._blocks(np.array([], dtype=np.int64))) == []
+        assert list(sweep._blocks(np.array([], dtype=np.int64))) == []
 
 
 class TestAnchoredJoin:

@@ -6,11 +6,13 @@ may be visible from it, the shuffle and the file system know nothing
 about observation at all, and the object an unobserved run reports to
 holds no registry.  A sibling case keeps ``IntervalTree`` — alive only
 for the frozen benchmark's layer probes (ROADMAP item 3a) — off every
-query path, another does the same for the item-at-a-time ``join_pairs``
-kernels and the flagging decision (columns only, stated once), and
-another keeps the map side of ``core/algorithms`` written once (one
-mapper, in ``routing.py``).  All of it is read off the AST, so a
-convention cannot drift without a tier-1 failure.
+query path, another keeps "the pairs satisfying an Allen predicate" one
+function (the pair kernel in ``intervals/sweep.py``, the only place a
+predicate picks its windows; ``join_pairs`` is its adapter and nothing
+in the package calls it), another the flagging decision (columns only,
+stated once), and another keeps the map side of ``core/algorithms``
+written once (one mapper, in ``routing.py``).  All of it is read off
+the AST, so a convention cannot drift without a tier-1 failure.
 """
 
 from __future__ import annotations
@@ -22,6 +24,7 @@ from pathlib import Path
 import pytest
 
 import repro
+from repro.columnar.batch import ColumnValues
 from repro.obs import MetricsRegistry
 from repro.obs.recorder import NullRecorder, Observer, TraceRecorder
 
@@ -156,20 +159,63 @@ def test_interval_tree_stays_off_every_query_path():
     assert offending == []
 
 
-def test_the_flagging_decision_runs_on_columns_and_is_written_once():
-    """Under ``core/`` only the cascade's step reducers still call the
-    item-at-a-time ``join_pairs`` kernels; the crossing-set finder reads
-    endpoint columns (no ``Interval`` boxing, no item kernels); and the
-    flagging loop — build a finder for this partition, solve — is one
-    function, which both flag-cycle reducers call."""
-    item_kernel_users = [
+def test_the_pair_kernel_is_written_once():
+    """The item-kernel fork cannot re-grow: ``join_pairs`` is the frozen
+    benchmark's entry point, not the engine's; ``sweep.py`` holds no
+    registry and boxes no ``Interval``; a predicate is mapped to its
+    window kind in one function; and the cascade's step reducer reads
+    rows only as columns (``local.attribute_columns``) and conditions
+    only as ``holds_columns`` masks."""
+    home = {"intervals/__init__.py", "intervals/sweep.py"}
+    join_pairs_users = [
         path.relative_to(SRC).as_posix()
-        for path, tree in _modules("core")
+        for path, tree in _modules("")
         if "join_pairs" in _names(tree)
         or any(name.endswith(".join_pairs") for name in _imported(tree))
     ]
-    assert item_kernel_users == ["core/algorithms/cascade.py"]
+    assert [path for path in join_pairs_users if path not in home] == []
 
+    sweep = ast.parse((SRC / "intervals/sweep.py").read_text(encoding="utf-8"))
+    assert not {
+        name
+        for name in _imported(sweep)
+        if name == "bisect" or name.startswith("repro.intervals.interval")
+    }
+    assert "KERNELS" not in _names(sweep)
+    assert not hasattr(ColumnValues, "items")
+
+    kinds = {"STARTING_AFTER", "ENDING_BEFORE"}
+    traits = {
+        "is_colocation", "is_sequence",
+        "enforces_left_first", "enforces_right_first",
+    }
+    choosers = [
+        f"{path.relative_to(SRC).as_posix()}:{function.name}"
+        for path, tree in _modules("")
+        for function in ast.walk(tree)
+        if isinstance(function, ast.FunctionDef)
+        and kinds & _names(function)
+        and traits & _names(function)
+    ]
+    assert choosers == ["intervals/sweep.py:window_kind"]
+
+    cascade = ast.parse(
+        (SRC / "core/algorithms/cascade.py").read_text(encoding="utf-8")
+    )
+    assert not [
+        node.lineno
+        for node in ast.walk(cascade)
+        if isinstance(node, ast.Call)
+        and getattr(node.func, "attr", getattr(node.func, "id", None))
+        in ("join_pairs", "interval", "holds")
+    ]
+
+
+def test_the_flagging_decision_runs_on_columns_and_is_written_once():
+    """The crossing-set finder reads endpoint columns (no ``Interval``
+    boxing, no item adapter); and the flagging loop — build a finder for
+    this partition, solve — is one function, which both flag-cycle
+    reducers call."""
     crossing = ast.parse(
         (SRC / "core/algorithms/crossing.py").read_text(encoding="utf-8")
     )

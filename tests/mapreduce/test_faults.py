@@ -3,16 +3,24 @@
 Covers the :mod:`repro.faults` plan machinery (reproducibility is the
 load-bearing property), the runner's attempt loop across lifecycle
 injection points (setup, combiner, cleanup, commit), the commit
-protocol under corrupt output, speculation, environment resolution, and
-the observability of retries (attempt spans, fault counters, the
-RunReport fault summary).
+protocol under corrupt output, speculation, environment resolution, the
+observability of retries (attempt spans, fault counters, the RunReport
+fault summary), and what a worker process killed mid-reduce leaves
+behind (nothing).
 """
 
+import multiprocessing
 import os
 import random
+import signal
+import time
 
 import pytest
 
+from repro.core.algorithms import rccis
+from repro.core.algorithms.base import build_partitioning
+from repro.core.executor import execute
+from repro.core.query import IntervalJoinQuery
 from repro.errors import FaultInjectedError, MapReduceError, WorkerPoolError
 from repro.faults import (
     CORRUPT,
@@ -27,11 +35,14 @@ from repro.faults import (
     ScriptedFaultPlan,
     resolve_faults,
 )
+from repro.mapreduce import runner
 from repro.mapreduce.fs import InMemoryFileSystem, LocalFileSystem
 from repro.mapreduce.job import InputSpec, JobConf
 from repro.mapreduce.runner import run_job
+from repro.mapreduce.shuffle import RoundRobinKeyPartitioner
 from repro.mapreduce.task import Mapper, Reducer
 from repro.obs import RunReport, TraceRecorder
+from repro.workloads.synthetic import SyntheticConfig, generate_relation
 
 
 class TokenizeMapper(Mapper):
@@ -61,6 +72,26 @@ class FailOnKeyReducer(SumReducer):
         if key == self.bad_key:
             raise self.error(f"cannot reduce {key!r}")
         super().reduce(key, values, context)
+
+
+class KillingJoinReducer(rccis.JoinReducer):
+    """``rccis-join``'s reducer, SIGKILLing the worker process that
+    reduces key 0 — every time, or only while ``once_flag`` (a path) does
+    not exist yet.  Travels to the workers by pickle, so its settings are
+    instance state; it refuses to fire in the process that built it."""
+
+    def __init__(self, *args, once_flag=None):
+        super().__init__(*args)
+        self.once_flag = once_flag
+        self.parent_pid = os.getpid()
+
+    def columnar_outputs(self, key, values, counters):
+        if key == 0 and not (self.once_flag and os.path.exists(self.once_flag)):
+            assert os.getpid() != self.parent_pid, "reduce ran in the parent"
+            if self.once_flag:
+                open(self.once_flag, "w").close()
+            os.kill(os.getpid(), signal.SIGKILL)
+        return super().columnar_outputs(key, values, counters)
 
 
 @pytest.fixture
@@ -587,3 +618,108 @@ class TestWorkerPoolError:
         clone = pickle.loads(pickle.dumps(error))
         assert (clone.kind, clone.point) == (CRASH, "combiner")
         assert str(clone) == str(error)
+
+
+@pytest.mark.skipif(not os.path.isdir("/dev/shm"), reason="no /dev/shm")
+class TestWorkerKilledMidReduce:
+    """A worker SIGKILLed inside a columnar ``rccis-join`` reduce task
+    (``processes``, shared-memory transport): the job ends with a precise
+    error and a clean state, or — given a retry budget — succeeds."""
+
+    QUERY = IntervalJoinQuery.parse(
+        [("R1", "overlaps", "R2"), ("R2", "overlaps", "R3")]
+    )
+    ATTRIBUTES = {name: "I" for name in QUERY.relations}
+
+    @pytest.fixture
+    def flagged(self):
+        """``(fs, partitioning)`` after a clean RCCIS run: the flag
+        cycle's output for the join cycle to read, and the clean tuples
+        under ``rccis/output``."""
+        data = {
+            name: generate_relation(
+                name,
+                SyntheticConfig(
+                    60, t_range=(0, 400), length_range=(1, 40), seed=seed
+                ),
+            )
+            for seed, name in enumerate(self.QUERY.relations)
+        }
+        fs = InMemoryFileSystem()
+        clean = execute(
+            self.QUERY, data, "rccis", num_partitions=4, fs=fs,
+            executor="serial", faults=False,
+        )
+        assert len(clean) > 0
+        return fs, build_partitioning(self.QUERY, data, 4)
+
+    def join_job(self, parts, output, reducer=rccis.JoinReducer, **settings):
+        """RCCIS's join cycle, reduced by ``reducer``."""
+        return JobConf(
+            name="rccis-join",
+            inputs=[
+                InputSpec(
+                    "rccis/flags", rccis.RouteMapper(self.ATTRIBUTES, parts)
+                )
+            ],
+            reducer=reducer(self.QUERY, self.ATTRIBUTES, parts, **settings),
+            output=output,
+            num_reduce_tasks=4,
+            partitioner=RoundRobinKeyPartitioner(),
+        )
+
+    @staticmethod
+    def run(fs, conf, max_attempts=1):
+        return run_job(
+            fs, conf, executor="processes", workers=2, faults=False,
+            max_attempts=max_attempts,
+        )
+
+    @staticmethod
+    def worker_pids():
+        return {child.pid for child in multiprocessing.active_children()}
+
+    def test_kill_without_budget_fails_precisely_and_cleanly(self, flagged):
+        fs, parts = flagged
+        runner.shutdown_worker_pools()
+        others = self.worker_pids()
+        assert self.run(fs, self.join_job(parts, "first")).data_plane == "columnar"
+        pool = runner._pools[2]
+        workers = self.worker_pids() - others
+        assert workers
+        segments = set(os.listdir("/dev/shm"))
+
+        with pytest.raises(WorkerPoolError) as excinfo:
+            self.run(fs, self.join_job(parts, "killed", KillingJoinReducer))
+        error = excinfo.value
+        assert (error.job, error.phase) == ("rccis-join", "reduce")
+        assert error.pending_tasks == (0,)  # key 0 reduces in task 0
+        assert set(os.listdir("/dev/shm")) <= segments
+        assert fs.list_prefix("killed") == []  # _temporary/ included
+        assert runner._pools.get(2) is not pool
+        deadline = time.monotonic() + 10
+        while workers & self.worker_pids() and time.monotonic() < deadline:
+            time.sleep(0.05)
+        assert not workers & self.worker_pids()  # no orphan of the dead pool
+
+        self.run(fs, self.join_job(parts, "next"))
+        assert runner._pools[2] is not pool
+        assert list(fs.read_dir("next")) == list(fs.read_dir("rccis/output"))
+        assert set(os.listdir("/dev/shm")) <= segments
+
+    def test_one_kill_within_budget_is_retried(self, flagged, tmp_path):
+        fs, parts = flagged
+        segments = set(os.listdir("/dev/shm"))
+        flag = tmp_path / "killed-once"
+        conf = self.join_job(
+            parts, "recovered", KillingJoinReducer, once_flag=str(flag)
+        )
+        recovered = self.run(fs, conf, max_attempts=3)
+        assert flag.exists()
+        assert recovered.data_plane == "columnar"
+        assert recovered.counters.value("faults", "tasks_retried") >= 1
+        assert list(fs.read_dir("recovered")) == list(fs.read_dir("rccis/output"))
+        assert [path[len("recovered/"):] for path in fs.list_prefix("recovered")] == [
+            f"part-{task:05d}" for task in range(4)
+        ]
+        assert set(os.listdir("/dev/shm")) <= segments

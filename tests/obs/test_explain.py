@@ -23,6 +23,8 @@ import pytest
 from repro.cli import main
 from repro.core.executor import execute
 from repro.core.query import IntervalJoinQuery
+from repro.intervals.allen import get_predicate
+from repro.intervals.sweep import WINDOW_NAMES, window_kind
 from repro.io import save_relation
 from repro.obs import (
     JsonlSink,
@@ -165,12 +167,21 @@ class TestExplainRender:
         assert explained.prediction.tier == "exact"
         assert "exact prediction" in explained.render()
 
-    def test_converse_kernel_described_as_swapped(self):
-        query = IntervalJoinQuery.parse([("R1", "after", "R2")])
-        explained = explain_query(query)
-        assert explained.kernels[0][1] == (
-            "sweep kernel for before with sides swapped"
+    @pytest.mark.parametrize("name", ["overlaps", "before", "after", "contains"])
+    def test_kernels_describe_the_windows_and_the_mask(self, name):
+        """What runs, read off the pair kernel's own rule — a colocation
+        predicate, a sequence one and two converses."""
+        query = IntervalJoinQuery.parse([("R1", name, "R2")])
+        kind = window_kind(get_predicate(name))
+        assert explain_query(query).kernels == (
+            (f"R1.I {name} R2.I", f"{WINDOW_NAMES[kind]} windows, {name} mask"),
         )
+
+    def test_kernels_name_no_function_the_plan_never_calls(self):
+        text = explain_query(IntervalJoinQuery.parse(HYBRID)).render()
+        assert "R1.I overlaps R2.I -> intersecting windows, overlaps mask" in text
+        assert "R2.I before R3.I -> starting-after windows, before mask" in text
+        assert "sweep kernel" not in text
 
     def test_as_dict_is_json_serialisable(self):
         query = IntervalJoinQuery.parse(HYBRID)

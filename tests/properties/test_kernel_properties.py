@@ -1,21 +1,28 @@
-"""Property-based tests for the predicate join kernels.
+"""Property-based tests for the pair kernel.
 
-Every registered kernel in :data:`repro.intervals.sweep.KERNELS` must
-produce exactly the pair set of the brute-force nested loop over
-``predicate.holds`` — including on degenerate (zero-length) intervals
-and touching endpoints, where the bisect boundaries are easiest to get
-wrong.
+:func:`repro.intervals.sweep.true_pairs` — and :func:`join_pairs`, its
+item-level adapter — must produce exactly the pair set of the
+brute-force nested loop over ``predicate.holds`` for all thirteen
+predicates, including on degenerate (zero-length) intervals and touching
+endpoints, where the window boundaries are easiest to get wrong, on
+``object`` columns (integer endpoints beyond 2**53) and however many
+blocks the candidate windows are cut into.
 """
 
 from __future__ import annotations
 
+from collections import Counter
+from unittest import mock
+
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.intervals import sweep
 from repro.intervals.allen import ALLEN_PREDICATES
 from repro.intervals.interval import Interval
-from repro.intervals.sweep import KERNELS, join_pairs, kernel_for
+from repro.intervals.sweep import SortedColumns, join_pairs, true_pairs
 
 # Small integer endpoints so equal/touching endpoints are common.
 interval_strategy = st.tuples(
@@ -23,8 +30,17 @@ interval_strategy = st.tuples(
     st.integers(min_value=0, max_value=6),
 ).map(lambda t: Interval(t[0], t[0] + t[1]))
 
-side_strategy = st.lists(interval_strategy, min_size=0, max_size=25).map(
-    lambda intervals: [(iv, i) for i, iv in enumerate(intervals)]
+
+def sides(intervals=interval_strategy):
+    return st.lists(intervals, min_size=0, max_size=25).map(
+        lambda intervals: [(iv, i) for i, iv in enumerate(intervals)]
+    )
+
+
+#: The same shapes shifted to where float64 cannot tell neighbours apart.
+BIG = 2**53
+big_sides = sides(
+    interval_strategy.map(lambda iv: Interval(BIG + iv.start, BIG + iv.end))
 )
 
 
@@ -37,21 +53,59 @@ def brute_force(left, right, predicate):
     )
 
 
-def test_every_allen_predicate_has_a_kernel():
-    assert set(KERNELS) == set(ALLEN_PREDICATES)
-    for name in ALLEN_PREDICATES:
-        assert kernel_for(name) is KERNELS[name]
+def kernel_pairs(left, right, predicate):
+    """The column-level kernel's pairs, every block, as a multiset."""
+    columns = [
+        SortedColumns.of_intervals([iv for iv, _ in side])
+        for side in (left, right)
+    ]
+    pairs = Counter()
+    for left_rows, right_rows in true_pairs(predicate, *columns):
+        assert left_rows.dtype == right_rows.dtype == np.int64
+        pairs.update(zip(left_rows.tolist(), right_rows.tolist()))
+    return pairs
 
 
 @pytest.mark.parametrize("name", sorted(ALLEN_PREDICATES))
 @settings(max_examples=60, deadline=None)
-@given(left=side_strategy, right=side_strategy)
+@given(left=sides(), right=sides())
 def test_kernel_matches_brute_force(name, left, right):
     predicate = ALLEN_PREDICATES[name]
     got = sorted(
         (li, ri) for (_, li), (_, ri) in join_pairs(left, right, predicate)
     )
     assert got == brute_force(left, right, predicate)
+
+
+@pytest.mark.parametrize("name", sorted(ALLEN_PREDICATES))
+@settings(max_examples=40, deadline=None)
+@given(left=big_sides, right=st.one_of(big_sides, sides()))
+def test_column_kernel_is_exact_beyond_float64(name, left, right):
+    """Endpoints float64 would round travel on ``object`` columns —
+    against a float64 side too — and compare as the integers they are."""
+    predicate = ALLEN_PREDICATES[name]
+    ends = [iv.end for iv, _ in left]
+    column = SortedColumns.of_intervals([iv for iv, _ in left]).ends
+    assert (column.dtype == object) == any(float(end) != end for end in ends)
+    assert kernel_pairs(left, right, predicate) == Counter(
+        brute_force(left, right, predicate)
+    )
+    assert kernel_pairs(right, left, predicate) == Counter(
+        brute_force(right, left, predicate)
+    )
+
+
+@pytest.mark.parametrize("name", sorted(ALLEN_PREDICATES))
+@pytest.mark.parametrize("block", [1, 7])
+@settings(max_examples=25, deadline=None)
+@given(left=sides(), right=sides())
+def test_blocking_changes_no_pair(name, block, left, right):
+    """Many blocks, the same pair multiset."""
+    predicate = ALLEN_PREDICATES[name]
+    with mock.patch.object(sweep, "MAX_CANDIDATE_PAIRS", block):
+        assert kernel_pairs(left, right, predicate) == Counter(
+            brute_force(left, right, predicate)
+        )
 
 
 @pytest.mark.parametrize("name", sorted(ALLEN_PREDICATES))
@@ -87,11 +141,11 @@ def test_kernel_empty_sides(name):
 
 @pytest.mark.parametrize("name", sorted(ALLEN_PREDICATES))
 def test_kernel_yields_original_items(name):
-    """Kernels must yield the caller's (interval, payload) items intact."""
+    """The adapter must yield the caller's (interval, payload) items intact."""
     predicate = ALLEN_PREDICATES[name]
     left = [(Interval(0, 5), {"row": 1}), (Interval(5, 9), {"row": 2})]
     right = [(Interval(0, 5), {"row": 3}), (Interval(9, 12), {"row": 4})]
-    for l_item, r_item in join_pairs(left, right, predicate):
-        assert l_item in left
-        assert r_item in right
+    for l_item, r_item in join_pairs(left, right, name):
+        assert any(l_item is item for item in left)
+        assert any(r_item is item for item in right)
         assert predicate.holds(l_item[0], r_item[0])

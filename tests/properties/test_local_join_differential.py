@@ -20,13 +20,13 @@ from unittest import mock
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core import local
 from repro.core.algorithms.gen_matrix import GridSpec, _GridJoinReducer
 from repro.core.graph import JoinGraph
 from repro.core.local import LocalJoiner
 from repro.core.query import IntervalJoinQuery
 from repro.core.schema import Row
 from repro.errors import UnsatisfiableQueryError
+from repro.intervals import sweep
 from repro.intervals.allen import ALLEN_PREDICATES
 from repro.intervals.interval import Interval
 from repro.intervals.partitioning import Partitioning
@@ -216,7 +216,7 @@ def kernel_join(query, data, start_with, accept=None):
 @given(case=cases(), block=st.sampled_from([1, 2, 7, 1 << 18]))
 def test_kernel_equals_per_row_oracle(case, block):
     query, _, data = case
-    with mock.patch.object(local, "MAX_CANDIDATE_PAIRS", block):
+    with mock.patch.object(sweep, "MAX_CANDIDATE_PAIRS", block):
         for start_with in (None, *query.relations):
             assert kernel_join(query, data, start_with) == oracle_join(
                 query, data, start_with

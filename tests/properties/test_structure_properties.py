@@ -1,10 +1,13 @@
-"""Property-based tests for the interval tree and sweep primitives."""
+"""Property-based tests for the interval tree and the sweep's candidate
+windows."""
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from tests.intervals.test_sweep import window_pairs
+
 from repro.intervals.interval import Interval
-from repro.intervals.sweep import before_pairs, intersecting_pairs
+from repro.intervals.sweep import ENDING_BEFORE, INTERSECTING, STARTING_AFTER
 from repro.intervals.tree import IntervalTree
 
 
@@ -53,7 +56,7 @@ class TestSweepProperties:
     @given(interval_lists(20), interval_lists(20))
     @settings(max_examples=150)
     def test_intersecting_pairs_exact(self, left, right):
-        got = sorted((l[1], r[1]) for l, r in intersecting_pairs(left, right))
+        got = sorted(window_pairs(INTERSECTING, left, right))
         want = sorted(
             (li, ri)
             for liv, li in left
@@ -66,11 +69,13 @@ class TestSweepProperties:
     @given(interval_lists(20), interval_lists(20))
     @settings(max_examples=150)
     def test_before_pairs_exact(self, left, right):
-        got = sorted((l[1], r[1]) for l, r in before_pairs(left, right))
         want = sorted(
             (li, ri)
             for liv, li in left
             for riv, ri in right
             if liv.end < riv.start
         )
-        assert got == want
+        assert sorted(window_pairs(STARTING_AFTER, left, right)) == want
+        assert sorted(
+            (li, ri) for ri, li in window_pairs(ENDING_BEFORE, right, left)
+        ) == want
