@@ -12,13 +12,14 @@ The raw input records stay on the parent in the job's
 :class:`PayloadStore`; reducers work on :class:`ColumnValues` — the
 sorted column slices of one key group — and emit gid-shaped outputs
 that are materialised back into the exact records-plane objects at the
-end.  Every materialised value is the same object the records plane
-would have shuffled, which is what keeps outputs and counters
-bit-identical across planes.
+end, a column of gids at a time.  Every materialised value is the same
+object the records plane would have shuffled, which is what keeps
+outputs and counters bit-identical across planes.
 """
 
 from __future__ import annotations
 
+import threading
 from typing import (
     TYPE_CHECKING,
     Any,
@@ -46,6 +47,7 @@ __all__ = [
     "PayloadStore",
     "job_columnar_gate",
     "endpoint_column",
+    "object_column",
     "interval_columns",
     "operator_map_columns",
     "ranged_targets",
@@ -109,6 +111,12 @@ class MapBlock:
     ) -> "MapBlock":
         codes = np.zeros(len(key_codes), dtype=np.int16)
         return cls(key_codes, row_idx, codes, (tag,), counters)
+
+
+def object_column(items: Sequence[Any]) -> np.ndarray:
+    """``items`` as a 1-D object array to ``take`` from — tuples stay
+    whole items, not a second axis."""
+    return np.fromiter(items, dtype=object, count=len(items))
 
 
 def endpoint_column(values: List[Any]) -> np.ndarray:
@@ -332,25 +340,65 @@ class ColumnValues:
 class PayloadStore:
     """Parent-side payload-id resolution for one job.
 
-    Maps ``gid -> `` the exact shuffle value the records plane would
-    have emitted for that pair (``segment`` selects the map task whose
-    input held the record, the low 32 bits select the record).  Values
-    are materialised lazily through the mapper's ``value_of``.
+    ``gid -> `` the exact shuffle value ``(tag, payload)`` the records
+    plane would have emitted for that pair (``segment`` selects the map
+    task whose input held the record, the low 32 bits select the
+    record).  Reducers rebuild their outputs from the payloads, which
+    :meth:`take` resolves a column at a time.
     """
 
     def __init__(self) -> None:
-        self._segments: Dict[int, Tuple[Sequence[Any], Any]] = {}
+        self._segments: Dict[int, Tuple[Sequence[Any], Any, Any]] = {}
+        #: segment -> its records' payloads as an object column, built
+        #: on first use; reduce tasks share the store across threads.
+        self._payloads: Dict[int, np.ndarray] = {}
+        self._lock = threading.Lock()
 
-    def add_segment(self, segment: int, records: Sequence[Any], mapper) -> None:
-        self._segments[segment] = (records, mapper)
+    def add_segment(
+        self, segment: int, records: Sequence[Any], mapper, source: Any = None
+    ) -> None:
+        """One map task's input: its records, its mapper and, if it
+        names one, its :attr:`~repro.mapreduce.job.InputSpec.source`."""
+        self._segments[segment] = (records, mapper, source)
 
     def record(self, gid: int) -> Any:
-        records, _ = self._segments[gid >> 32]
-        return records[gid & _MASK32]
+        return self._segments[gid >> 32][0][gid & _MASK32]
 
     def value(self, gid: int) -> Any:
-        records, mapper = self._segments[gid >> 32]
+        """One gid's shuffle value (the pickle safety net's form)."""
+        records, mapper, _ = self._segments[gid >> 32]
         return mapper.value_of(records[gid & _MASK32])
+
+    def take(self, gids) -> np.ndarray:
+        """``[self.value(gid)[1] for gid in gids]`` as an object column:
+        one ``take`` per segment over the segment's payload column."""
+        gids = np.asarray(gids, dtype=np.int64)
+        segments, rows = gids >> 32, gids & _MASK32
+        taken = np.empty(len(gids), dtype=object)
+        unresolved = len(gids)
+        for segment in self._segments:
+            here = segments == segment
+            if here.any():
+                column = self._payload_column(segment)
+                if here.all():
+                    return column[rows]
+                taken[here] = column[rows[here]]
+                unresolved -= int(np.count_nonzero(here))
+        if unresolved:
+            raise KeyError("payload id of an unknown segment")
+        return taken
+
+    def _payload_column(self, segment: int) -> np.ndarray:
+        with self._lock:
+            column = self._payloads.get(segment)
+            if column is None:
+                records, mapper, source = self._segments[segment]
+                # A base input's records are its relation's rows, which
+                # the relation already keeps as an object column.
+                column = self._payloads[segment] = mapper.payloads_of(
+                    object_column(records) if source is None else source.row_column()
+                )
+            return column
 
 
 # ----------------------------------------------------------------------

@@ -16,17 +16,12 @@ from __future__ import annotations
 from typing import Dict, List, Set, Tuple
 
 from repro.errors import PlanningError
-from repro.core.algorithms.base import (
-    JoinAlgorithm,
-    Plan,
-    PlanContext,
-    input_path,
-)
+from repro.core.algorithms.base import JoinAlgorithm, Plan, PlanContext
 from repro.core.algorithms.rccis import JoinReducer
 from repro.core.algorithms.routing import OperatorRouter, RoutedMapper, RowView
 from repro.core.query import IntervalJoinQuery
 from repro.intervals.allen import MapOperator
-from repro.mapreduce.job import InputSpec, JobConf
+from repro.mapreduce.job import JobConf
 from repro.mapreduce.shuffle import RoundRobinKeyPartitioner
 
 __all__ = ["AllReplicate", "maximal_relations"]
@@ -89,8 +84,8 @@ class AllReplicate(JoinAlgorithm):
             JobConf(
                 name="all-replicate",
                 inputs=[
-                    InputSpec(
-                        input_path(name),
+                    ctx.base_input(
+                        name,
                         RoutedMapper(
                             RowView(name, attributes[name]),
                             OperatorRouter(parts, operator_of[name]),

@@ -11,7 +11,8 @@ dry (:mod:`repro.core.predict`).
 Conventions used by all implementations:
 
 * relations are written to the file system as one file per relation,
-  ``input/<name>``, holding the raw :class:`~repro.core.schema.Row` records;
+  ``input/<name>``, holding the raw :class:`~repro.core.schema.Row`
+  records; a plan names such an input with :meth:`PlanContext.base_input`;
 * intermediate values are ``(relation_name, row)`` pairs;
 * user counters: ``join:replicated_intervals`` (distinct intervals chosen
   for replication), ``join:replicated_pairs`` (key-value pairs produced by
@@ -30,12 +31,14 @@ from repro.core.query import IntervalJoinQuery
 from repro.core.results import ExecutionMetrics, JoinResult
 from repro.core.schema import Relation, Row
 from repro.intervals.partitioning import Partitioning
+from repro.intervals.sweep import hull
 from repro.mapreduce.cost import CostModel, DEFAULT_COST_MODEL
 from repro.mapreduce.fs import FileSystem, InMemoryFileSystem
-from repro.mapreduce.job import JobConf
+from repro.mapreduce.job import InputSpec, JobConf
 from repro.mapreduce.options import RunOptions
 from repro.gc_pause import collector_paused
 from repro.mapreduce.pipeline import Pipeline
+from repro.mapreduce.task import Mapper
 from repro.obs.recorder import NullRecorder, Observer
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -76,19 +79,11 @@ def build_partitioning(
     ``strategy`` is ``"uniform"`` (the paper's equi-width setup) or
     ``"equi_depth"`` (boundaries at start-point quantiles; ablation A2).
     """
-    starts: List[float] = []
-    lo: Optional[float] = None
-    hi: Optional[float] = None
-    for term in query.terms:
-        relation = data[term.relation]
-        for row in relation.rows:
-            iv = row.interval(term.attribute)
-            starts.append(iv.start)
-            lo = iv.start if lo is None else min(lo, iv.start)
-            hi = iv.end if hi is None else max(hi, iv.end)
-    if lo is None or hi is None:
-        # No data at all: any non-degenerate range works.
-        lo, hi = 0.0, 1.0
+    columns = [
+        data[term.relation].columns(term.attribute) for term in query.terms
+    ]
+    # No data at all: any non-degenerate range works.
+    lo, hi = hull(columns) or (0.0, 1.0)
     if hi <= lo:
         hi = lo + 1.0
     if strategy == "uniform":
@@ -96,6 +91,7 @@ def build_partitioning(
         span = hi - lo
         return Partitioning.uniform(lo, hi + span * 1e-9 + 1e-9, parts)
     if strategy == "equi_depth":
+        starts = [s for column in columns for s in column.starts.tolist()]
         return Partitioning.equi_depth(starts, parts)
     raise PlanningError(f"unknown partitioning strategy {strategy!r}")
 
@@ -155,6 +151,11 @@ class PlanContext:
         return self.partitioning or build_partitioning(
             self.query, self.data, parts, strategy=self.partition_strategy
         )
+
+    def base_input(self, relation: str, mapper: Mapper) -> InputSpec:
+        """The input spec of a base relation's file, naming the relation
+        as its source: a columnar job reads the relation's own columns."""
+        return InputSpec(input_path(relation), mapper, self.data[relation])
 
     def submit(self, job: JobConf) -> None:
         self.pipeline.run(job)

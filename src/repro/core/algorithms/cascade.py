@@ -30,12 +30,7 @@ import numpy as np
 
 from repro.errors import PlanningError
 from repro.columnar.batch import ColumnValues, reduce_columns
-from repro.core.algorithms.base import (
-    JoinAlgorithm,
-    Plan,
-    PlanContext,
-    input_path,
-)
+from repro.core.algorithms.base import JoinAlgorithm, Plan, PlanContext
 from repro.core.algorithms.routing import (
     BOUND_SIDE,
     NEW_SIDE,
@@ -233,10 +228,11 @@ class _StepJoinReducer(Reducer):
         )
 
     def materialize_outputs(self, outs, store):
+        # The new side's payload is the ``(relation, row)`` member itself.
+        bound, new = np.asarray(outs, dtype=np.int64).reshape(-1, 2).T
         return [
-            store.value(bound_gid)[1]
-            + ((self.new_relation, store.value(new_gid)[1][1]),)
-            for bound_gid, new_gid in outs
+            partial + (member,)
+            for partial, member in zip(store.take(bound), store.take(new))
         ]
 
 
@@ -258,11 +254,11 @@ def step_operators(
 
 
 def _step_job(
+    ctx: PlanContext,
     name: str,
     new: str,
     routing: JoinCondition,
     step_conditions: Sequence[JoinCondition],
-    attributes: Mapping[str, str],
     bound_path: Optional[str],
     bound_router: Any,
     new_router: Any,
@@ -274,18 +270,19 @@ def _step_job(
     the first relation's base rows lifted to one-member partials — and
     the ``new`` relation, each through its router."""
     member, member_attr, new_attr, _ = _step_sides(routing, new)
-    bound_view = MemberView(member, member_attr)
     if bound_path is None:
-        bound_view = LiftedRowView(member, member_attr)
-        bound_path = input_path(member)
+        bound = ctx.base_input(
+            member, RoutedMapper(LiftedRowView(member, member_attr), bound_router)
+        )
+    else:
+        bound = InputSpec(
+            bound_path, RoutedMapper(MemberView(member, member_attr), bound_router)
+        )
     new_view = RowView(new, new_attr, side=NEW_SIDE)
     return JobConf(
         name=name,
-        inputs=[
-            InputSpec(bound_path, RoutedMapper(bound_view, bound_router)),
-            InputSpec(input_path(new), RoutedMapper(new_view, new_router)),
-        ],
-        reducer=_StepJoinReducer(new, routing, step_conditions, attributes),
+        inputs=[bound, ctx.base_input(new, RoutedMapper(new_view, new_router))],
+        reducer=_StepJoinReducer(new, routing, step_conditions, ctx.attributes),
         output=output,
         num_reduce_tasks=num_reduce_tasks,
         partitioner=RoundRobinKeyPartitioner(),
@@ -293,15 +290,14 @@ def _step_job(
 
 
 def colocation_step_job(
+    ctx: PlanContext,
     name: str,
     new: str,
     routing: JoinCondition,
     step_conditions: Sequence[JoinCondition],
-    attributes: Mapping[str, str],
     parts: Partitioning,
     bound_path: Optional[str],
     output: str,
-    num_reduce_tasks: int,
 ) -> JobConf:
     """One cascade step routed by a colocation condition: the bound side
     (the partial tuples at ``bound_path``, or the first relation's raw
@@ -309,17 +305,17 @@ def colocation_step_job(
     Figure-1 operator."""
     bound_op, new_op = step_operators(routing, new)
     return _step_job(
-        name, new, routing, step_conditions, attributes, bound_path,
+        ctx, name, new, routing, step_conditions, bound_path,
         OperatorRouter(parts, bound_op), OperatorRouter(parts, new_op),
-        output, num_reduce_tasks,
+        output, ctx.num_partitions,
     )
 
 
 def _sequence_step_job(
+    ctx: PlanContext,
     new: str,
     routing: JoinCondition,
     step_conditions: Sequence[JoinCondition],
-    attributes: Mapping[str, str],
     grid_partitioning: Partitioning,
     bound_path: Optional[str],
     output: str,
@@ -342,7 +338,7 @@ def _sequence_step_job(
         if (i <= j if bound_first else j <= i)
     ]
     return _step_job(
-        f"cascade-{new}", new, routing, step_conditions, attributes, bound_path,
+        ctx, f"cascade-{new}", new, routing, step_conditions, bound_path,
         PinnedCellRouter(grid_partitioning, 0, cells),
         PinnedCellRouter(grid_partitioning, 1, cells),
         output, max(1, len(cells)),
@@ -371,7 +367,7 @@ class TwoWayCascade(JoinAlgorithm):
         )
 
     def plan(self, ctx: PlanContext) -> Plan:
-        query, attributes = ctx.query, ctx.attributes
+        query = ctx.query
         self._check_query(query)
         parts = ctx.partition(ctx.num_partitions)
         order = _binding_order(query)
@@ -389,13 +385,12 @@ class TwoWayCascade(JoinAlgorithm):
             output = f"cascade/step-{step:02d}"
             if routing.is_colocation:
                 job = colocation_step_job(
-                    f"cascade-{new}", new, routing, step_conditions,
-                    attributes, parts, current_path, output,
-                    ctx.num_partitions,
+                    ctx, f"cascade-{new}", new, routing, step_conditions,
+                    parts, current_path, output,
                 )
             else:
                 job = _sequence_step_job(
-                    new, routing, step_conditions, attributes,
+                    ctx, new, routing, step_conditions,
                     grid_partitioning, current_path, output,
                 )
             ctx.submit(job)

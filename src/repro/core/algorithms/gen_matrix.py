@@ -324,19 +324,22 @@ class _ComponentFlaggingReducer(Reducer):
             for name, rows in groups
         }
         decisions = self._decide(key, columns, counters)
-        # The flagged rows' gids.
-        return np.concatenate(
-            [np.empty(0, dtype=np.int64)]
-            + [values.gids[rows][decisions[name][1]] for name, rows in groups]
-        )
+        # One ``gid, term`` row per flagged interval.
+        names = list(self.terms)
+        outs = [np.empty((0, 2), dtype=np.int64)]
+        for name, rows in groups:
+            gids = values.gids[rows][decisions[name][1]]
+            code = np.full(len(gids), names.index(name))
+            outs.append(np.stack([gids, code], axis=1))
+        return np.concatenate(outs)
 
     def materialize_outputs(self, outs, store):
-        triples = []
-        for gid in np.asarray(outs, dtype=np.int64).tolist():
-            name, row = store.value(gid)
-            term = self.terms[name]
-            triples.append((term.relation, row.rid, term.attribute))
-        return triples
+        gids, codes = np.asarray(outs, dtype=np.int64).reshape(-1, 2).T
+        terms = list(self.terms.values())
+        return [
+            (terms[code].relation, row.rid, terms[code].attribute)
+            for row, code in zip(store.take(gids), codes.tolist())
+        ]
 
 
 # ----------------------------------------------------------------------
@@ -517,8 +520,8 @@ def flag_cycle(ctx: PlanContext, name: str, grid: GridSpec) -> FrozenSet[FlagKey
         JobConf(
             name=f"{name}-flag",
             inputs=[
-                InputSpec(
-                    input_path(term.relation),
+                ctx.base_input(
+                    term.relation,
                     # Split, keyed by (component, partition).
                     RoutedMapper(
                         RowView(str(term), term.attribute),

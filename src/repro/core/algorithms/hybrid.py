@@ -399,7 +399,7 @@ class FSTC(JoinAlgorithm):
             ) from exc
 
     def plan(self, ctx: PlanContext) -> Plan:
-        query, attributes = ctx.query, ctx.attributes
+        query = ctx.query
         seq_query = self._sequence_subquery(query)
 
         # ----- phase 1: the sequence sub-join via All-Matrix -----
@@ -423,9 +423,8 @@ class FSTC(JoinAlgorithm):
             output = f"fstc/step-{step:02d}"
             ctx.submit(
                 colocation_step_job(
-                    f"fstc-{nxt}", nxt, routing, step_conditions,
-                    attributes, parts, current_path, output,
-                    ctx.num_partitions,
+                    ctx, f"fstc-{nxt}", nxt, routing, step_conditions,
+                    parts, current_path, output,
                 )
             )
             current_path = output

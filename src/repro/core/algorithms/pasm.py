@@ -23,12 +23,7 @@ from typing import Dict, FrozenSet, Hashable, List, Mapping, Optional, Set, Tupl
 import numpy as np
 
 from repro.errors import PlanningError, UnsatisfiableQueryError
-from repro.core.algorithms.base import (
-    JoinAlgorithm,
-    Plan,
-    PlanContext,
-    input_path,
-)
+from repro.core.algorithms.base import JoinAlgorithm, Plan, PlanContext
 from repro.core.algorithms.gen_matrix import (
     FlagKey,
     GridSpec,
@@ -42,7 +37,7 @@ from repro.core.local import anchored_join, row_columns
 from repro.core.query import IntervalJoinQuery, Term
 from repro.core.schema import Row
 from repro.intervals.partitioning import Partitioning
-from repro.mapreduce.job import InputSpec, JobConf
+from repro.mapreduce.job import JobConf
 from repro.mapreduce.shuffle import RoundRobinKeyPartitioner
 from repro.mapreduce.task import ReduceContext, Reducer
 
@@ -137,8 +132,8 @@ class PASM(JoinAlgorithm):
                 JobConf(
                     name="pasm-mark",
                     inputs=[
-                        InputSpec(
-                            input_path(term.relation),
+                        ctx.base_input(
+                            term.relation,
                             # RCCIS cycle-2 routing per component.
                             # Its pairs are pruning overhead, not the
                             # join's replication: uncounted.

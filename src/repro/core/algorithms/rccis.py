@@ -29,17 +29,11 @@ from typing import Dict, Hashable, List, Mapping, Sequence, Tuple
 import numpy as np
 
 from repro.errors import PlanningError
-from repro.columnar.batch import ColumnValues, reduce_columns
-from repro.core.algorithms.base import (
-    JoinAlgorithm,
-    Plan,
-    PlanContext,
-    input_path,
-)
+from repro.columnar.batch import ColumnValues, object_column, reduce_columns
+from repro.core.algorithms.base import JoinAlgorithm, Plan, PlanContext
 from repro.core.local import (
     anchored_join,
     attribute_columns,
-    object_column,
     row_columns,
     take_tuples,
 )
@@ -132,22 +126,21 @@ class FlaggingReducer(Reducer):
             for relation, rows in groups
         }
         decisions = self._decide(key, columns, counters)
-        # One ``gid, flagged`` row per interval starting here.
-        outs = [np.empty((0, 2), dtype=np.int64)]
+        # One ``gid, flagged, relation`` row per interval starting here.
+        outs = [np.empty((0, 3), dtype=np.int64)]
         for relation, rows in groups:
             local, flagged = decisions[relation]
-            outs.append(
-                np.stack([values.gids[rows][local], flagged[local]], axis=1)
-            )
+            gids = values.gids[rows][local]
+            code = np.full(len(gids), self.relations.index(relation))
+            outs.append(np.stack([gids, flagged[local], code], axis=1))
         return np.concatenate(outs)
 
     def materialize_outputs(self, outs, store):
-        return [
-            (*store.value(gid), bool(flagged))
-            for gid, flagged in np.asarray(outs, dtype=np.int64)
-            .reshape(-1, 2)
-            .tolist()
-        ]
+        gids, flagged, codes = np.asarray(outs, dtype=np.int64).reshape(-1, 3).T
+        relations = object_column(self.relations)[codes]
+        return list(
+            zip(relations, store.take(gids), flagged.astype(bool).tolist())
+        )
 
 
 class RouteMapper(RoutedMapper):
@@ -229,19 +222,11 @@ class JoinReducer(Reducer):
         return np.concatenate(blocks)
 
     def materialize_outputs(self, outs, store):
-        # One store lookup per distinct row, then an object-array take
-        # per relation — not one lookup per member of every tuple.
+        # One object-array take per relation, zipped into tuples.
         members = np.asarray(outs, dtype=np.int64).reshape(
             -1, len(self.query.relations)
         )
-        columns = []
-        for column in members.T:
-            distinct, inverse = np.unique(column, return_inverse=True)
-            rows = object_column(
-                [store.value(gid)[1] for gid in distinct.tolist()]
-            )
-            columns.append(rows[inverse])
-        return list(zip(*columns))
+        return list(zip(*map(store.take, members.T)))
 
 
 class RCCIS(JoinAlgorithm):
@@ -261,9 +246,8 @@ class RCCIS(JoinAlgorithm):
             JobConf(
                 name="rccis-flag",
                 inputs=[
-                    InputSpec(
-                        input_path(name),
-                        SplitMapper(name, attributes[name], parts),
+                    ctx.base_input(
+                        name, SplitMapper(name, attributes[name], parts)
                     )
                     for name in query.relations
                 ],

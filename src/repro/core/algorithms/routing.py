@@ -15,7 +15,8 @@ and what value is shuffled.  Each of those is said once here:
   row_idx, counter increments)`` for a whole input; ``key_kind`` names
   its key codec (``None``: it has none);
 * a **view** owns *what is read and what is shuffled*: a record's
-  routing interval, its shuffle value and its columnar tag;
+  routing interval, its shuffle value ``(tag, payload)`` and, for a
+  whole input, the tag codes and the payload column;
 * :class:`RoutedMapper` is the one mapper: ``map`` and the columnar
   protocol of :mod:`repro.mapreduce.task` delegate to the same two
   objects, so the two forms of a map side cannot drift apart per class.
@@ -33,7 +34,13 @@ from typing import Any, Callable, Dict, Hashable, List, Mapping, Optional, Seque
 import numpy as np
 
 from repro.errors import PlanningError
-from repro.columnar.batch import MapBlock, interval_columns, operator_map_columns, ranged_targets
+from repro.columnar.batch import (
+    MapBlock,
+    interval_columns,
+    object_column,
+    operator_map_columns,
+    ranged_targets,
+)
 from repro.columnar.codec import CellKeyCodec, IntKeyCodec
 from repro.core.schema import Row
 from repro.intervals.allen import MapOperator
@@ -68,15 +75,23 @@ PartialTuple = Tuple[Tuple[str, Row], ...]
 
 class View:
     """What a mapper reads off an input record (``interval_of``) and what
-    it shuffles (``value_of``).  ``tag`` is the first element of every
-    shuffle value of a one-tag view — what a columnar reducer selects
-    its inputs by (:meth:`~repro.columnar.batch.ColumnValues.tag_mask`)."""
+    it shuffles (``value_of``): a ``(tag, payload)`` pair.  ``tag`` is
+    the first element of every shuffle value of a one-tag view — what a
+    columnar reducer selects its inputs by
+    (:meth:`~repro.columnar.batch.ColumnValues.tag_mask`); the payloads
+    are what it rebuilds its outputs from
+    (:meth:`~repro.columnar.batch.PayloadStore.take`)."""
 
     tag: Hashable
 
     def tag_codes(self, records: Sequence[Any]):
         """``(per-record int16 tag codes, tag table)`` of an input."""
         return np.zeros(len(records), dtype=np.int16), (self.tag,)
+
+    def payloads_of(self, records: np.ndarray) -> np.ndarray:
+        """The payloads of an object column of records, as one: the
+        column itself where a record is its own payload."""
+        return object_column([self.value_of(r)[1] for r in records.tolist()])
 
 
 class RowView(View):
@@ -96,6 +111,9 @@ class RowView(View):
     def value_of(self, record: Row) -> Any:
         value = (self.label, record)
         return value if self.side is None else (self.side, value)
+
+    def payloads_of(self, records: np.ndarray) -> np.ndarray:
+        return records if self.side is None else super().payloads_of(records)
 
 
 class MemberView(View):
@@ -117,6 +135,9 @@ class MemberView(View):
     def value_of(self, record: PartialTuple) -> Any:
         return (BOUND_SIDE, record)
 
+    def payloads_of(self, records: np.ndarray) -> np.ndarray:
+        return records
+
 
 class LiftedRowView(MemberView):
     """Step 0 of a cascade: the first relation's base rows stand in for
@@ -128,6 +149,8 @@ class LiftedRowView(MemberView):
 
     def value_of(self, record: Row) -> Any:
         return (BOUND_SIDE, ((self.member, record),))
+
+    payloads_of = View.payloads_of
 
 
 class FlaggedRowView(View):
@@ -144,6 +167,9 @@ class FlaggedRowView(View):
 
     def value_of(self, record: Tuple[str, Row, bool]) -> Any:
         return (record[0], record[1])
+
+    def payloads_of(self, records: np.ndarray) -> np.ndarray:
+        return object_column([record[1] for record in records.tolist()])
 
     def flagged(self, record: Tuple[str, Row, bool]) -> bool:
         """Whether cycle 1 marked the row for replication."""
@@ -343,8 +369,15 @@ class RoutedMapper(Mapper):
     def columnar_ready(self) -> bool:
         return self.columnar_key_kind is not None
 
-    def encode_intervals(self, records):
-        return interval_columns(records, self.view.interval_of)
+    def encode_intervals(self, records, source=None):
+        """An input's routing-interval columns: its ``source``
+        relation's own if it names one, else read off the records."""
+        if source is None:
+            return interval_columns(records, self.view.interval_of)
+        columns = source.columns(self.view.attribute)
+        if columns.starts.dtype == object or columns.ends.dtype == object:
+            return None
+        return columns.starts, columns.ends
 
     def map_columns(self, starts, ends, records) -> MapBlock:
         key_codes, row_idx, counters = self.router.map_columns(starts, ends, records)
@@ -353,3 +386,6 @@ class RoutedMapper(Mapper):
 
     def value_of(self, record: Any) -> Any:
         return self.view.value_of(record)
+
+    def payloads_of(self, records: np.ndarray) -> np.ndarray:
+        return self.view.payloads_of(records)

@@ -10,18 +10,13 @@ for the predicates that split or replicate one side.
 from __future__ import annotations
 
 from repro.errors import PlanningError
-from repro.core.algorithms.base import (
-    JoinAlgorithm,
-    Plan,
-    PlanContext,
-    input_path,
-)
+from repro.core.algorithms.base import JoinAlgorithm, Plan, PlanContext
 from repro.core.algorithms.rccis import JoinReducer
 from repro.core.algorithms.routing import OperatorRouter, RoutedMapper, RowView
 from repro.core.query import IntervalJoinQuery
 from repro.intervals.allen import MapOperator
 from repro.intervals.partitioning import Partitioning
-from repro.mapreduce.job import InputSpec, JobConf
+from repro.mapreduce.job import JobConf
 from repro.mapreduce.shuffle import RoundRobinKeyPartitioner
 
 __all__ = ["TwoWayJoin", "OperatorMapper"]
@@ -63,8 +58,8 @@ class TwoWayJoin(JoinAlgorithm):
             JobConf(
                 name="two-way",
                 inputs=[
-                    InputSpec(
-                        input_path(term.relation),
+                    ctx.base_input(
+                        term.relation,
                         OperatorMapper(
                             term.relation, term.attribute, parts, operator
                         ),

@@ -52,6 +52,7 @@ from typing import (
 
 import numpy as np
 
+from repro.columnar.batch import object_column
 from repro.core.query import IntervalJoinQuery, JoinCondition, Term
 from repro.core.schema import Row
 from repro.intervals.partitioning import Partitioning
@@ -76,13 +77,6 @@ Columns = Mapping[Term, SortedColumns]
 #: A block of bindings: per relation, a column of row indices.
 Binding = Dict[str, np.ndarray]
 Accept = Callable[[Binding], np.ndarray]
-
-
-def object_column(items: Sequence[object]) -> np.ndarray:
-    """``items`` as a 1-D object array (for ``take`` by a binding)."""
-    column = np.empty(len(items), dtype=object)
-    column[:] = items
-    return column
 
 
 def attribute_columns(rows: Sequence[Row], attribute: str) -> SortedColumns:

@@ -4,7 +4,9 @@ A :class:`Row` is an immutable record with a row id and named attribute
 values; attribute values are :class:`~repro.intervals.interval.Interval`
 instances or plain numbers (the latter are *real-valued attributes*, which
 Section 9 of the paper embeds as length-0 intervals).  A :class:`Relation`
-is a named, ordered collection of rows sharing an attribute schema.
+is a named, ordered, immutable collection of rows sharing an attribute
+schema; it owns its endpoint columns (:meth:`Relation.columns`), which
+every whole-relation reader reads instead of the rows.
 
 Row ids are unique within a relation, so an output tuple is fully
 identified by the rids of its member rows in query relation order — the
@@ -16,19 +18,23 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import (
+    Any,
     Dict,
     Iterable,
     Iterator,
     List,
     Mapping,
     Optional,
-    Sequence,
     Tuple,
     Union,
 )
 
+import numpy as np
+
+from repro.columnar.batch import object_column
 from repro.errors import QueryError
 from repro.intervals.interval import Interval, point
+from repro.intervals.sweep import SortedColumns
 
 __all__ = ["Row", "Relation", "DEFAULT_ATTRIBUTE", "AttributeValue"]
 
@@ -89,11 +95,16 @@ class Row:
 
 
 class Relation:
-    """A named, ordered collection of rows with a fixed attribute schema."""
+    """A named, ordered collection of rows with a fixed attribute schema.
+    ``rows`` is a tuple: a mutable list would silently invalidate the
+    columns memoised from it (:meth:`columns`, :meth:`row_column`)."""
 
     def __init__(self, name: str, rows: Iterable[Row]):
         self.name = name
-        self.rows: List[Row] = list(rows)
+        self.rows: Tuple[Row, ...] = tuple(rows)
+        #: attribute -> its endpoint columns, ``None`` -> the rows as an
+        #: object column; each built on first use, shared by aliases.
+        self._memo: Dict[Optional[str], Any] = {}
         if self.rows:
             schema = self.rows[0].attributes
             seen_rids = set()
@@ -138,13 +149,37 @@ class Relation:
         return cls(name, rows)
 
     def alias(self, name: str) -> "Relation":
-        """The same rows under another relation name (for self-joins)."""
-        return Relation(name, self.rows)
+        """The same rows under another relation name (for self-joins),
+        sharing the row tuple and every column memoised before or after."""
+        twin = object.__new__(type(self))
+        twin.__dict__.update(self.__dict__)
+        twin.name = name
+        return twin
 
     # ------------------------------------------------------------------
     def intervals(self, attribute: str = DEFAULT_ATTRIBUTE) -> List[Interval]:
         """All values of one attribute, as intervals, in row order."""
         return [row.interval(attribute) for row in self.rows]
+
+    def columns(self, attribute: str) -> SortedColumns:
+        """One attribute's endpoint columns in row order (``object``
+        where an endpoint is not float64-exact), built from the rows on
+        first use, kept for the life of the relation and read-only."""
+        columns = self._memo.get(attribute)
+        if columns is None:
+            columns = SortedColumns.of_intervals(self.intervals(attribute))
+            columns.starts.flags.writeable = columns.ends.flags.writeable = False
+            self._memo[attribute] = columns
+        return columns
+
+    def row_column(self) -> np.ndarray:
+        """The rows as a read-only object column, to ``take`` from."""
+        column = self._memo.get(None)
+        if column is None:
+            column = object_column(self.rows)
+            column.flags.writeable = False
+            self._memo[None] = column
+        return column
 
     def row_by_id(self, rid: int) -> Row:
         for row in self.rows:

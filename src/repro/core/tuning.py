@@ -21,11 +21,14 @@ import math
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
+import numpy as np
+
 from repro.errors import PlanningError
 from repro.core.graph import JoinGraph
 from repro.core.query import IntervalJoinQuery, JoinCondition, QueryClass
 from repro.core.schema import Relation
 from repro.intervals.partitioning import Partitioning
+from repro.intervals.sweep import hull
 from repro.mapreduce.cost import CostModel, DEFAULT_COST_MODEL
 
 __all__ = [
@@ -69,27 +72,21 @@ class DataProfile:
 def profile_data(
     query: IntervalJoinQuery, data: Mapping[str, Relation]
 ) -> DataProfile:
-    """Collect the statistics the predictors need (single pass)."""
-    rows_per_relation: Dict[str, int] = {}
-    total_length = 0.0
-    count = 0
-    lo: Optional[float] = None
-    hi: Optional[float] = None
-    for term in query.terms:
-        relation = data[term.relation]
-        rows_per_relation.setdefault(term.relation, len(relation))
-        for row in relation.rows:
-            interval = row.interval(term.attribute)
-            total_length += interval.length
-            count += 1
-            lo = interval.start if lo is None else min(lo, interval.start)
-            hi = interval.end if hi is None else max(hi, interval.end)
-    span = (hi - lo) if (lo is not None and hi is not None) else 1.0
+    """Collect the statistics the predictors need, from the relations'
+    endpoint columns."""
+    terms = query.terms
+    columns = [data[term.relation].columns(term.attribute) for term in terms]
+    rows_per_relation = {term.relation: len(data[term.relation]) for term in terms}
+    # Summed in row order below: ``np.sum`` is pairwise and moves the last
+    # bits, which every analytic prediction would inherit.
+    lengths = np.concatenate([[0.0]] + [c.ends - c.starts for c in columns])
+    count = len(lengths) - 1
+    lo, hi = hull(columns) or (0.0, 1.0)
     return DataProfile(
         total_rows=sum(rows_per_relation.values()),
         rows_per_relation=rows_per_relation,
-        mean_length=(total_length / count) if count else 0.0,
-        time_span=max(span, 1e-9),
+        mean_length=float(np.cumsum(lengths)[-1]) / count if count else 0.0,
+        time_span=max(hi - lo, 1e-9),
     )
 
 

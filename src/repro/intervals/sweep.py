@@ -24,7 +24,7 @@ accepts (property-tested against the brute-force nested loop).
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, Sequence, Tuple, TypeVar, Union
+from typing import Any, Dict, Iterable, Iterator, Optional, Sequence, Tuple, TypeVar, Union
 
 import numpy as np
 
@@ -39,6 +39,7 @@ __all__ = [
     "ALL_ROWS",
     "WINDOW_NAMES",
     "MAX_CANDIDATE_PAIRS",
+    "hull",
     "window_kind",
     "window_blocks",
     "true_pairs",
@@ -153,6 +154,19 @@ class SortedColumns:
             np.concatenate([probe, by_start[probe_position]]),
             np.concatenate([order[position], order[row]]),
         )
+
+
+def hull(columns: Iterable[SortedColumns]) -> Optional[Tuple[Any, Any]]:
+    """``(least start, greatest end)`` over every row of ``columns``
+    (restricted or not) as Python numbers, or ``None`` without a row."""
+    columns = [column for column in columns if len(column.starts)]
+    if not columns:
+        return None
+    lo = min(column.starts.min() for column in columns)
+    hi = max(column.ends.max() for column in columns)
+    # A float64 extreme becomes a float; an ``object`` column's already
+    # is the exact Python number.
+    return tuple(v.item() if isinstance(v, np.generic) else v for v in (lo, hi))
 
 
 #: The most candidate pairs :func:`window_blocks` expands at a time.  A

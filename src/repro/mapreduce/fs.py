@@ -37,6 +37,7 @@ across planes, which is what lets each job of a pipeline pick its own.
 from __future__ import annotations
 
 import abc
+import itertools
 import json
 import os
 import shutil
@@ -147,7 +148,9 @@ class FileSystem(abc.ABC):
 
     def read_dir(self, base: str) -> Iterator[Any]:
         """Iterate over all records in all *visible* files under ``base``
-        (uncommitted ``_temporary`` attempt data is never surfaced)."""
+        (uncommitted ``_temporary`` attempt data is never surfaced).
+        The files are chained, not re-yielded: collecting a directory
+        costs one pass per file, not one generator resume per record."""
         prefix = base.rstrip("/") + "/"
         paths = [
             path
@@ -156,8 +159,7 @@ class FileSystem(abc.ABC):
         ]
         if not paths and self.exists(base):
             paths = [base]
-        for path in paths:
-            yield from self.read(path)
+        return itertools.chain.from_iterable(map(self.read, paths))
 
     def count(self, path: str) -> int:
         """Number of records at ``path`` (or under it as a directory)."""

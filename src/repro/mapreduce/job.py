@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Hashable, List, Optional
+from typing import Any, Dict, Hashable, List, Optional
 
 from repro.mapreduce.counters import Counters
 from repro.mapreduce.shuffle import HashPartitioner, Partitioner
@@ -18,10 +18,17 @@ class InputSpec:
 
     Mirrors Hadoop's ``MultipleInputs``: a multi-way join reads each
     relation from its own path with a relation-specific mapper.
+
+    ``source`` is the base relation whose rows, in order, are the
+    records at ``path`` (duck-typed: ``columns(attribute)``,
+    ``row_column()``), whose own columns a columnar job then reads;
+    ``None`` for an input an earlier job wrote.  Here, not on the mapper:
+    a mapper is deep-copied or pickled per attempt, a spec never is.
     """
 
     path: str
     mapper: Mapper
+    source: Optional[Any] = None
 
 
 @dataclass

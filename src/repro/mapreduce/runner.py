@@ -538,7 +538,7 @@ class _ColumnarMapTasks(_MapTasks):
         for index, ((spec, records), outcome) in enumerate(
             zip(self.inputs, outcomes)
         ):
-            self.store.add_segment(index, records, spec.mapper)
+            self.store.add_segment(index, records, spec.mapper, spec.source)
             pairs.append_block(outcome.result, index, *self.columns[index])
         return pairs
 
@@ -552,15 +552,23 @@ def _map_tasks_for(run: _JobRun) -> Tuple[_MapTasks, Optional[str]]:
     (:func:`~repro.columnar.batch.job_columnar_gate`) and every input's
     routing endpoints encode exactly as float64 columns; the records
     plane otherwise.  Both read the same materialised inputs, and the
-    encoded columns are the ones the columnar map bodies then consume.
+    encoded columns (an input's ``source`` relation's own, if it names
+    one) are the ones the columnar map bodies then consume.
     """
     inputs = [
         (spec, list(run.fs.read_dir(spec.path))) for spec in run.conf.inputs
     ]
+    for spec, records in inputs:
+        if spec.source is not None and len(spec.source) != len(records):
+            raise MapReduceError(
+                f"input {spec.path!r} holds {len(records)} records, its "
+                f"source relation {len(spec.source)} rows"
+            )
     kind, reason = job_columnar_gate(run.conf)
     if kind is not None:
         columns = [
-            spec.mapper.encode_intervals(records) for spec, records in inputs
+            spec.mapper.encode_intervals(records, spec.source)
+            for spec, records in inputs
         ]
         if all(encoded is not None for encoded in columns):
             return (

@@ -28,17 +28,22 @@ Mapper side::
     columnar_key_kind: str            # "int" | "cell" — codec in
                                       # repro.columnar.codec.KEY_CODECS
     def columnar_ready(self) -> bool  # dynamic gate (e.g. operator support)
-    def encode_intervals(self, records) -> (starts, ends) | None
+    def encode_intervals(self, records, source=None) -> (starts, ends) | None
                                       # float64 columns, one row per
                                       # record; None when an endpoint is
                                       # not exact in float64 (the job
-                                      # then runs on the records plane)
+                                      # then runs on the records plane);
+                                      # source: the input's
+                                      # InputSpec.source, if it names one
     def map_columns(self, starts, ends, records) -> MapBlock
                                       # vectorised map(): encoded target
                                       # keys + row indices (+ tag codes and
                                       # *non-zero* counter amounts only)
     def value_of(self, record) -> Any # the exact shuffle value map() would
-                                      # emit — used for lazy materialisation
+                                      # emit, a (tag, payload) pair
+    def payloads_of(self, records) -> object column
+                                      # value_of(r)[1] per record: what
+                                      # PayloadStore.take resolves gids to
 
 Reducer side::
 

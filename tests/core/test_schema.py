@@ -1,5 +1,6 @@
 """Unit tests for rows and relations."""
 
+import numpy as np
 import pytest
 
 from repro.errors import QueryError
@@ -83,8 +84,67 @@ class TestRelation:
         assert other.name == "S"
         assert other.rows == rel.rows
 
+    def test_rows_are_immutable(self):
+        """The relation memoises columns of its rows: a row list that
+        could change under them would join stale endpoints."""
+        rel = Relation.of_intervals("R", [Interval(0, 1)])
+        assert isinstance(rel.rows, tuple)
+        with pytest.raises(AttributeError):
+            rel.rows.append(Row.make(9, {"I": Interval(2, 3)}))
+        with pytest.raises(TypeError):
+            rel.rows[0] = Row.make(9, {"I": Interval(2, 3)})
+        columns = rel.columns("I")
+        for column in (columns.starts, columns.ends, rel.row_column()):
+            with pytest.raises(ValueError):
+                column[0] = column[0]
+
+    def test_columns_are_built_once(self):
+        rel = Relation.of_records("R", [{"x": Interval(0, 1), "v": 5}])
+        assert rel.columns("x") is rel.columns("x")
+        assert rel.columns("x") is not rel.columns("v")
+        assert rel.row_column() is rel.row_column()
+        assert _endpoints(rel.columns("v")) == ([5.0], [5.0])
+        with pytest.raises(QueryError):
+            rel.columns("missing")
+
+    def test_alias_shares_the_columns(self):
+        """Whichever of the two builds a column, both hold that one
+        object — a packet-train self-join aliases one base three times
+        and encodes it once."""
+        rel = Relation.of_intervals("R", [Interval(0, 1), Interval(2, 3)])
+        before = rel.columns("I")
+        other = rel.alias("S")
+        assert other.rows is rel.rows
+        assert other.columns("I") is before
+        assert other.row_column() is rel.row_column()
+        again = other.alias("T")
+        assert again.name == "T" and rel.name == "R"
+        assert again.row_column() is rel.row_column()
+
+    def test_alias_does_not_revalidate(self):
+        class Counting(Relation):
+            built = 0
+
+            def __init__(self, name, rows):
+                type(self).built += 1
+                super().__init__(name, rows)
+
+        rel = Counting("R", [Row.make(0, {"I": Interval(0, 1)})])
+        other = rel.alias("S")
+        assert type(other) is Counting and Counting.built == 1
+
+    def test_empty_relation_has_empty_float64_columns(self):
+        columns = Relation("R", []).columns("I")
+        assert columns.starts.dtype == columns.ends.dtype == np.float64
+        assert len(columns.starts) == len(columns.ends) == 0
+        assert len(Relation("R", []).row_column()) == 0
+
     def test_row_by_id(self):
         rel = Relation.of_intervals("R", [Interval(0, 1), Interval(2, 3)])
         assert rel.row_by_id(1).interval("I") == Interval(2, 3)
         with pytest.raises(QueryError):
             rel.row_by_id(99)
+
+
+def _endpoints(columns):
+    return columns.starts.tolist(), columns.ends.tolist()

@@ -10,9 +10,12 @@ query path, another keeps "the pairs satisfying an Allen predicate" one
 function (the pair kernel in ``intervals/sweep.py``, the only place a
 predicate picks its windows; ``join_pairs`` is its adapter and nothing
 in the package calls it), another the flagging decision (columns only,
-stated once), and another keeps the map side of ``core/algorithms``
-written once (one mapper, in ``routing.py``).  All of it is read off
-the AST, so a convention cannot drift without a tier-1 failure.
+stated once), another keeps the map side of ``core/algorithms``
+written once (one mapper, in ``routing.py``), and the last keeps rows
+off the whole-relation paths (``Row.interval`` only where a column is
+built or a record form remains; payload ids resolved a column at a
+time).  All of it is read off the AST, so a convention cannot drift
+without a tier-1 failure.
 """
 
 from __future__ import annotations
@@ -142,6 +145,74 @@ def test_the_map_side_is_written_once():
     )
     assert len(defined["map_columns"]) <= 4
     assert switches == []
+
+
+def _calls(tree, attr):
+    """``(enclosing function, receiver)`` of every ``<receiver>.attr(...)``
+    call in the module; the function is ``""`` at module level."""
+
+    def walk(node, function):
+        for child in ast.iter_child_nodes(node):
+            inside = function
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                inside = child.name
+            if (
+                isinstance(child, ast.Call)
+                and isinstance(child.func, ast.Attribute)
+                and child.func.attr == attr
+            ):
+                yield function, child.func.value
+            yield from walk(child, inside)
+
+    return list(walk(tree, ""))
+
+
+#: Where ``core/`` and ``columnar/`` may still read a row's interval one
+#: row at a time: module -> the functions allowed to (``None``: any).
+ROW_INTERVAL_SITES = {
+    # The column build itself.
+    "core/schema.py": None,
+    # Derived inputs (records an earlier job wrote) and the records form.
+    "core/algorithms/routing.py": {"interval_of"},
+    # Records-plane reducers turning received rows into columns.
+    "core/local.py": {"attribute_columns"},
+    # Oracles.
+    "core/validation.py": None,
+    "core/reference.py": None,
+    # Records-only forms that ROADMAP items 1 and 5 delete: the grid
+    # join's mapper, fcts-matrix's reducer, FCTS's driver-side filter.
+    "core/algorithms/gen_matrix.py": {"map"},
+    "core/algorithms/hybrid.py": {"extend", "plan"},
+}
+
+
+def test_rows_are_read_as_columns():
+    """Whole-relation readers go through ``Relation.columns``: under
+    ``core/`` and ``columnar/`` a row's ``.interval(`` is called only at
+    the sites above — ``base.py`` (partitioning) and ``tuning.py``
+    (profiling) have none — and a payload id is resolved one at a time
+    (``store.value(``) only inside ``columnar/batch.py``, by the pickle
+    safety net; reducers ``take`` a column."""
+    offending = []
+    for path, tree in _modules("core", "columnar"):
+        relative = path.relative_to(SRC).as_posix()
+        allowed = ROW_INTERVAL_SITES.get(relative, set())
+        offending += [
+            f"{relative}:{function}"
+            for function, _ in _calls(tree, "interval")
+            if allowed is not None and function not in allowed
+        ]
+    assert offending == []
+    assert "core/algorithms/base.py" not in ROW_INTERVAL_SITES
+    assert "core/tuning.py" not in ROW_INTERVAL_SITES
+
+    one_at_a_time = [
+        path.relative_to(SRC).as_posix()
+        for path, tree in _modules("")
+        for _, receiver in _calls(tree, "value")
+        if "store" in (getattr(receiver, "id", None), getattr(receiver, "attr", None))
+    ]
+    assert set(one_at_a_time) == {"columnar/batch.py"}
 
 
 def test_interval_tree_stays_off_every_query_path():

@@ -58,6 +58,20 @@ class TestFileSystemContract:
         assert sorted(fs.read_dir("out")) == [1, 2]
         assert fs.list_prefix("out/") == ["out/part-00000"]
 
+    def test_read_dir_is_an_iterator_over_the_part_files_in_order(self, fs):
+        """Part files are chained (collecting a directory is one pass per
+        file), each opened only when the one before it is exhausted."""
+        fs.append_partition("out", 1, [3])
+        fs.append_partition("out", 0, [1, 2])
+        records = fs.read_dir("out")
+        assert iter(records) is records
+        assert next(records) == 1
+        fs.delete("out/part-00001")
+        assert next(records) == 2
+        with pytest.raises(FileSystemError):
+            next(records)
+        assert list(fs.read_dir("missing")) == []
+
     def test_read_dir_single_file_fallback(self, fs):
         fs.write("solo", [5, 6])
         assert sorted(fs.read_dir("solo")) == [5, 6]

@@ -11,7 +11,8 @@ record equal the decoded ``map_columns()`` keys with the same
 ``row_idx``, and the counter increments are equal — a counter that stays
 zero is created by neither.  The mapper built on a router then emits the
 same ``(key, value)`` pairs through ``map`` as through ``map_columns`` +
-``value_of``.
+``value_of``.  A view states what it shuffles twice as well:
+``value_of`` for one record, ``payloads_of`` for a column of them.
 """
 
 from __future__ import annotations
@@ -25,12 +26,19 @@ from hypothesis import strategies as st
 
 from repro.columnar.codec import KEY_CODECS
 from repro.core.algorithms.routing import (
+    NEW_SIDE,
+    FlaggedRowView,
     FlagRouter,
+    LiftedRowView,
+    MemberView,
     OperatorRouter,
     PinnedCellRouter,
+    RightmostMemberView,
     RoutedMapper,
+    RowView,
     View,
 )
+from repro.core.schema import Relation
 from repro.intervals.allen import MapOperator
 from repro.intervals.interval import Interval
 from repro.intervals.partitioning import Partitioning
@@ -188,3 +196,30 @@ def test_a_prefix_only_wraps_the_keys(routed, prefix):
                 for index in plain.targets(record[0], record, plain_counters)
             ]
         assert prefixed_counters.snapshot() == plain_counters.snapshot()
+
+
+_ROWS = Relation.of_intervals("R", [Interval(0, 1), Interval(2, 5), Interval(2, 2)]).rows
+_PARTIALS = [(("R", row), ("S", _ROWS[0])) for row in _ROWS]
+#: Every view, over records of the shape it reads.
+VIEWS = {
+    "row": (RowView("R", "I"), _ROWS),
+    "row-sided": (RowView("R", "I", side=NEW_SIDE), _ROWS),
+    "lifted": (LiftedRowView("R", "I"), _ROWS),
+    "member": (MemberView("S", "I"), _PARTIALS),
+    "flagged": (
+        FlaggedRowView({"R": "I"}),
+        [("R", row, index % 2 == 0) for index, row in enumerate(_ROWS)],
+    ),
+    "rightmost": (RightmostMemberView({"R": "I", "S": "I"}, 1), _PARTIALS),
+    "generic": (_PairView(), [(Interval(0, 1), True), (Interval(3, 3), False)]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(VIEWS))
+def test_a_payload_column_is_the_values_second_members(name):
+    view, records = VIEWS[name]
+    column = np.fromiter(records, dtype=object, count=len(records))
+    payloads = view.payloads_of(column)
+    assert payloads.dtype == object and payloads.shape == (len(records),)
+    assert payloads.tolist() == [view.value_of(record)[1] for record in records]
+    assert len(view.payloads_of(column[:0])) == 0

@@ -113,7 +113,12 @@ class _Store:
     """The payload store of a group whose gids are its value positions."""
 
     def __init__(self, values):
-        self.value = values.__getitem__
+        self.payloads = np.fromiter(
+            (payload for _, payload in values), dtype=object, count=len(values)
+        )
+
+    def take(self, gids):
+        return self.payloads[gids]
 
 
 def run_form(reducer, values):
