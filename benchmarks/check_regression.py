@@ -65,8 +65,6 @@ BENCH_FILES = (
     "BENCH_executors.json",
     "BENCH_shuffle_sort.json",
     "BENCH_explain.json",
-    "BENCH_profile.json",
-    "BENCH_live.json",
 )
 
 #: Fields that must match the baseline bit-for-bit (simulator-determined).
@@ -101,12 +99,12 @@ INFORMATIONAL_FIELDS = frozenset(
 #: Metric groups allowlisted out of the ``metrics`` fingerprint: the
 #: ``wall`` group is host wall-clock (noise by definition), the
 #: ``faults`` group depends on whether the run injected faults, the
-#: ``profile`` group is the data-plane profiler's CPU/memory/pickle
+#: ``profile`` group is the data-plane profiler's CPU/memory
 #: accounting (host-dependent and only present on profiled runs), and
-#: the ``live`` group is the telemetry hub's heartbeat/progress/ETA
-#: state (time-throttled beats and wall-clock ETAs, only present on
-#: monitored runs).  Every other group — in practice ``run`` — is
-#: deterministic and compared sample-for-sample.
+#: the ``live`` group is the telemetry hub's running-task/progress/ETA
+#: state (wall-clock ETAs, only present on monitored runs).  Every
+#: other group — in practice ``run`` — is deterministic and compared
+#: sample-for-sample.
 SKIPPED_METRIC_GROUPS = frozenset({"wall", "faults", "profile", "live"})
 
 

@@ -17,14 +17,13 @@ Commands
     (metric summary, JSON or Prometheus text), ``--html`` (one
     self-contained dashboard page) and ``--explain`` (EXPLAIN the plan
     before running, reconcile predictions against observations after).
-    Live monitoring: ``--live`` (per-task heartbeat telemetry with an
-    observed-straggler watchdog), ``--progress`` (in-terminal
-    progress/ETA ticker), ``--serve-status PORT`` (HTTP endpoint with
-    ``/metrics``, ``/progress`` and a live dashboard at ``/``) and
-    ``--task-timeout`` (fail-and-retry attempts that overrun a budget).
-``top``
-    Attach to a serving run's status endpoint and render a live
-    terminal view of its progress, phases and stalled tasks.
+    ``--profile`` adds the data-plane rundown (per-phase CPU and memory
+    watermarks).  Live monitoring: ``--live`` (running / finished tasks
+    and progress/ETA, folded from the span stream), ``--progress``
+    (in-terminal progress/ETA ticker), ``--serve-status PORT`` (HTTP
+    endpoint with ``/metrics``, ``/progress`` and a live dashboard at
+    ``/``) and ``--task-timeout`` (fail-and-retry attempts that overrun
+    a budget).
 ``explain``
     Render the physical plan for a query without running it: planner
     rationale (chosen algorithm and why each alternative was rejected,
@@ -33,12 +32,6 @@ Commands
     windows and mask the pair kernel runs, plus the cost model's
     analytic predictions (``--exact`` dry-runs the real mappers instead
     when relations are bound).
-``profile``
-    Execute a query under the data-plane profiler and print the
-    CPU/memory/serialization rundown; ``--flame`` writes a
-    self-contained SVG flame graph, ``--collapsed`` the
-    flamegraph.pl-format stack text, ``--html`` the dashboard with the
-    Data plane panel.  ``repro run --profile`` profiles a normal run.
 ``report``
     Rebuild the HTML dashboard, the predicted-vs-observed plan
     reconciliation and (``--profile``) the data-plane rundown from a
@@ -197,29 +190,13 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--html", default=None, metavar="PATH",
                      help="write a self-contained HTML run dashboard")
     run.add_argument("--profile", action="store_true", default=None,
-                     help="run under the data-plane profiler: sampled "
-                     "CPU stacks, per-phase memory watermarks, pickle "
-                     "accounting (default: $REPRO_PROFILE, then off)")
-    run.add_argument("--profile-full", action="store_true", default=None,
-                     help="like --profile plus tracemalloc traced-byte "
-                     "watermarks (exact but well over the 10%% overhead "
-                     "budget)")
-    run.add_argument("--flame", default=None, metavar="PATH",
-                     help="write the profiled run's flame graph as a "
-                     "self-contained SVG (implies --profile)")
-    run.add_argument("--collapsed", default=None, metavar="PATH",
-                     help="write the profiled run's collapsed-stack text "
-                     "(flamegraph.pl format; implies --profile)")
+                     help="run under the data-plane profiler: per-phase "
+                     "driver CPU and memory watermarks, in-process task "
+                     "CPU (default: $REPRO_PROFILE, then off)")
     run.add_argument("--live", action="store_true", default=None,
-                     help="collect per-task heartbeat telemetry: live "
-                     "progress/ETA, repro_live_* metrics and an observed-"
-                     "straggler watchdog that feeds --speculative "
-                     "(default: $REPRO_LIVE, then off)")
-    run.add_argument("--live-stall", type=float, default=None,
-                     metavar="SECONDS",
-                     help="watchdog threshold: flag a task whose last "
-                     "heartbeat is older than this as stalled "
-                     "(implies --live; default: $REPRO_LIVE_STALL, then 5)")
+                     help="collect live telemetry from the span stream: "
+                     "running/finished tasks, progress/ETA and the "
+                     "repro_live_* metrics (default: $REPRO_LIVE, then off)")
     run.add_argument("--progress", action="store_true",
                      help="render a live progress/ETA ticker on stderr "
                      "while the query runs (implies --live)")
@@ -233,21 +210,6 @@ def build_parser() -> argparse.ArgumentParser:
                      help="fail any task attempt that runs longer than "
                      "this; it retries under the normal backoff budget "
                      "(default: $REPRO_TASK_TIMEOUT, then unlimited)")
-
-    top = sub.add_parser(
-        "top",
-        help="live terminal view of a run serving --serve-status",
-    )
-    top.add_argument(
-        "url",
-        help="status endpoint, e.g. http://127.0.0.1:8750 (the /progress "
-        "route is implied)",
-    )
-    top.add_argument("--interval", type=float, default=1.0, metavar="SECONDS",
-                     help="refresh period (default: 1s)")
-    top.add_argument("--count", type=int, default=None, metavar="N",
-                     help="render N snapshots then exit (default: until "
-                     "the endpoint goes away or Ctrl-C)")
 
     explain = sub.add_parser(
         "explain",
@@ -282,51 +244,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--json", action="store_true",
         help="emit the plan as JSON instead of the printable rendering",
     )
-
-    profile = sub.add_parser(
-        "profile",
-        help="execute a query under the data-plane profiler and report "
-        "CPU/memory/serialization costs",
-    )
-    profile.add_argument(
-        "--relation", action="append", required=True, metavar="NAME=FILE",
-        help="bind a relation name to a file (repeatable)",
-    )
-    profile.add_argument(
-        "--condition", action="append", required=True,
-        metavar="'LEFT PRED RIGHT'",
-        help="a join condition, e.g. 'R1 overlaps R2' (repeatable)",
-    )
-    profile.add_argument(
-        "--algorithm", default=None, choices=sorted(ALGORITHMS),
-        help="override the planner's choice",
-    )
-    profile.add_argument("--partitions", type=int, default=16)
-    profile.add_argument(
-        "--executor", default=None,
-        choices=["serial", "threads", "processes"],
-        help="MapReduce executor (default: $REPRO_EXECUTOR, then serial)",
-    )
-    profile.add_argument(
-        "--workers", type=int, default=None, metavar="N",
-        help="worker count for the parallel executors",
-    )
-    profile.add_argument(
-        "--full", action="store_true",
-        help="add tracemalloc traced-byte watermarks (exact but well "
-        "over the 10%% overhead budget)",
-    )
-    profile.add_argument("--flame", default=None, metavar="PATH",
-                         help="write the flame graph as self-contained SVG")
-    profile.add_argument("--collapsed", default=None, metavar="PATH",
-                         help="write collapsed-stack text "
-                         "(flamegraph.pl format)")
-    profile.add_argument("--html", default=None, metavar="PATH",
-                         help="write the run dashboard (with the Data "
-                         "plane panel and embedded flame graph)")
-    profile.add_argument("--metrics-out", default=None, metavar="PATH",
-                         help="write the metric families as JSON "
-                         "(*.prom for Prometheus text)")
 
     report = sub.add_parser(
         "report",
@@ -458,29 +375,23 @@ def _cmd_run(args: argparse.Namespace) -> int:
         args.executor, args.workers, args.faults, args.max_attempts,
         args.speculative, args.task_timeout,
     )
-    from repro.obs import resolve_profile
+    from repro.obs import resolve_live, resolve_profile
 
-    if args.profile_full:
-        profile_level = resolve_profile("full")
-    elif args.profile or args.flame or args.collapsed:
-        profile_level = resolve_profile(True)
-    else:
-        profile_level = resolve_profile(None)  # $REPRO_PROFILE decides
-    from repro.obs import resolve_live
-
-    if args.live_stall is not None:
-        live_config = resolve_live(args.live_stall)
-    elif args.live or args.progress or args.serve_status is not None:
-        live_config = resolve_live(True)
-    else:
-        live_config = resolve_live(None)  # $REPRO_LIVE decides
+    # A flag forces its telemetry on; otherwise $REPRO_PROFILE /
+    # $REPRO_LIVE decide.
+    profile = resolve_profile(args.profile)
+    live = resolve_live(
+        True
+        if args.live or args.progress or args.serve_status is not None
+        else None
+    )
     observer = status_server = progress = None
     try:
         if args.serve_status is not None:
             from repro.obs import StatusServer
 
             # Bind first: a taken port has to end the run before a
-            # watchdog or sampler thread starts or a trace file opens.
+            # trace file opens.
             try:
                 status_server = StatusServer(
                     port=args.serve_status, title=f"repro run: {query}"
@@ -497,19 +408,15 @@ def _cmd_run(args: argparse.Namespace) -> int:
             or args.metrics
             or args.metrics_out
             or args.html
-            or profile_level
-            or live_config
+            or profile
+            or live
         ):
             from repro.obs import TraceRecorder, open_sink
 
             sinks = (
                 [open_sink(args.trace, args.trace_format)] if args.trace else []
             )
-            observer = TraceRecorder(
-                *sinks,
-                profile=profile_level if profile_level else False,
-                live=live_config if live_config is not None else False,
-            )
+            observer = TraceRecorder(*sinks, profile=profile, live=live)
         if status_server is not None:
             status_server.recorder = observer
             status_server.start()
@@ -601,7 +508,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
         print()
         print(data_plane_summary(observer.spans, observer.metrics))
-        _write_profile_artifacts(observer.profiler, args, str(query))
     if args.metrics_out:
         with open(args.metrics_out, "w", encoding="utf-8") as handle:
             if args.metrics_out.endswith(".prom"):
@@ -614,71 +520,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
         from repro.obs import dashboard_from_recorder
 
         page = dashboard_from_recorder(observer, title=f"repro run: {query}")
-        with open(args.html, "w", encoding="utf-8") as handle:
-            handle.write(page)
-        print(f"dashboard:  {args.html}")
-    return 0
-
-
-def _write_profile_artifacts(profiler, args: argparse.Namespace, query: str) -> None:
-    """Write --flame / --collapsed artifacts of a profiled run."""
-    flame = getattr(args, "flame", None)
-    collapsed = getattr(args, "collapsed", None)
-    if flame:
-        with open(flame, "w", encoding="utf-8") as handle:
-            handle.write(profiler.flame_svg(title=f"repro: {query}"))
-        print(f"flame:      {flame}")
-    if collapsed:
-        with open(collapsed, "w", encoding="utf-8") as handle:
-            handle.write(profiler.collapsed_stacks())
-            handle.write("\n")
-        print(f"collapsed:  {collapsed}")
-
-
-def _cmd_profile(args: argparse.Namespace) -> int:
-    from repro.mapreduce.options import resolve_options
-    from repro.obs import (
-        TraceRecorder,
-        dashboard_from_recorder,
-        data_plane_summary,
-    )
-
-    data = _load_bindings(args.relation)
-    query = IntervalJoinQuery.parse(
-        [_parse_condition(c) for c in args.condition]
-    )
-    options = resolve_options(args.executor, args.workers)
-    observer = TraceRecorder(profile="full" if args.full else True)
-    result = execute(
-        query,
-        data,
-        algorithm=args.algorithm,
-        num_partitions=args.partitions,
-        executor=options.executor,
-        workers=options.workers,
-        observer=observer,
-    )
-    observer.close()
-    m = result.metrics
-    print(f"query:      {query}")
-    print(f"algorithm:  {m.algorithm}")
-    print(f"executor:   {options.executor} ({options.workers} workers)")
-    print(f"tuples:     {len(result)}")
-    print()
-    print(data_plane_summary(observer.spans, observer.metrics))
-    _write_profile_artifacts(observer.profiler, args, str(query))
-    if args.metrics_out:
-        with open(args.metrics_out, "w", encoding="utf-8") as handle:
-            if args.metrics_out.endswith(".prom"):
-                handle.write(observer.metrics.to_prometheus())
-            else:
-                handle.write(observer.metrics.to_json())
-                handle.write("\n")
-        print(f"metrics:    {args.metrics_out}")
-    if args.html:
-        page = dashboard_from_recorder(
-            observer, title=f"repro profile: {query}"
-        )
         with open(args.html, "w", encoding="utf-8") as handle:
             handle.write(page)
         print(f"dashboard:  {args.html}")
@@ -747,36 +588,6 @@ def _cmd_report(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_top(args: argparse.Namespace) -> int:
-    import time
-    from urllib.error import URLError
-
-    from repro.obs import fetch_progress, render_top
-
-    rendered = 0
-    while True:
-        try:
-            snapshot = fetch_progress(args.url)
-        except (URLError, OSError, ValueError) as exc:
-            if rendered:
-                # The run finished and took its endpoint with it.
-                print("endpoint gone; run finished")
-                return 0
-            raise ReproError(
-                f"cannot reach status endpoint {args.url!r}: {exc}"
-            ) from exc
-        print(render_top(snapshot))
-        rendered += 1
-        if args.count is not None and rendered >= args.count:
-            return 0
-        if snapshot.get("closed"):
-            return 0
-        try:
-            time.sleep(max(args.interval, 0.05))
-        except KeyboardInterrupt:  # pragma: no cover - interactive
-            return 0
-
-
 def _cmd_histogram(args: argparse.Namespace) -> int:
     from repro.analysis import allen_histogram
 
@@ -800,9 +611,7 @@ _COMMANDS = {
     "trace": _cmd_trace,
     "run": _cmd_run,
     "explain": _cmd_explain,
-    "profile": _cmd_profile,
     "report": _cmd_report,
-    "top": _cmd_top,
     "histogram": _cmd_histogram,
 }
 

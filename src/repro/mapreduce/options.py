@@ -115,8 +115,8 @@ def resolve_faults(
     speculative: Optional[bool] = None,
     task_timeout: Optional[float] = None,
 ) -> ResolvedFaults:
-    """The effective fault configuration: explicit arguments beat the
-    environment, the environment beats the fault-free default.
+    """The effective fault configuration: explicit arguments win
+    over the environment, the environment over the fault-free default.
 
     ``faults`` may be ``None`` (defer to ``$REPRO_FAULTS``), ``False``
     (no plan, and the environment's retry budget and task timeout are

@@ -67,7 +67,6 @@ from typing import (
     Callable,
     Dict,
     Hashable,
-    Iterator,
     List,
     Optional,
     Sequence,
@@ -188,33 +187,9 @@ def _submit_attempt(
 # code executes identically in-process and in a worker process; the
 # parent merges per-task counters in task order, which makes totals
 # independent of the executor.  Every body ends its signature with
-# ``(faults, beat)``: ``faults`` carries the attempt's injected events to
-# the lifecycle points inside the body (combiner, cleanup); ``beat`` is
-# the attempt's heartbeat emitter, ``None`` with live telemetry off.
+# ``faults``, which carries the attempt's injected events to the
+# lifecycle points inside the body (combiner, cleanup).
 # ----------------------------------------------------------------------
-
-def _with_progress(
-    items: Sequence[Any],
-    beat: Optional[Any],
-    weight: Callable[[Any], int] = lambda item: 1,
-) -> Any:
-    """``items`` itself with live telemetry off — the per-item progress
-    report is the one piece of telemetry too hot to no-op; otherwise an
-    iterator that reports the cumulative ``weight`` processed after each
-    item, and once more (forced) at the end."""
-    if beat is None:
-        return items
-
-    def reporting() -> Iterator[Any]:
-        processed = 0
-        for item in items:
-            yield item
-            processed += weight(item)
-            beat.progress(processed)
-        beat.progress(processed, force=True)
-
-    return reporting()
-
 
 def _map_task_core(
     path: str,
@@ -222,13 +197,12 @@ def _map_task_core(
     mapper: Mapper,
     combiner: Optional[Reducer],
     faults: AttemptInjector,
-    beat: Optional[Any] = None,
 ) -> Tuple[List[Tuple[Hashable, Any]], Counters]:
     """Run one map task (one input spec), combiner included."""
     counters = Counters()
-    context = MapContext(counters, path, beat)
+    context = MapContext(counters, path)
     mapper.setup(context)
-    for record in _with_progress(records, beat):
+    for record in records:
         counters.increment("framework", "map_input_records")
         mapper.map(record, context)
     faults.check("cleanup")
@@ -236,9 +210,6 @@ def _map_task_core(
     task_pairs = context.drain()
     counters.increment("framework", "map_output_records", len(task_pairs))
     if combiner is not None:
-        if beat is not None:
-            # Boundary beat before the combiner takes over the attempt.
-            beat.progress(force=True)
         task_pairs = _run_combiner(combiner, task_pairs, counters, faults)
     return task_pairs, counters
 
@@ -276,7 +247,6 @@ def _columnar_map_task(
     starts: Any,
     ends: Any,
     faults: AttemptInjector,
-    beat: Optional[Any] = None,
 ) -> Tuple[MapBlock, Counters]:
     """Run one map task on the columnar plane, over the routing-interval
     columns the plane decision already encoded.
@@ -285,9 +255,7 @@ def _columnar_map_task(
     with :func:`_map_task_core` is deliberate: ``map_input_records``
     appears only when the input is non-empty (the records plane
     increments per record), user counters come from the block (non-zero
-    amounts only), ``map_output_records`` is always recorded.  A few
-    vectorised passes have no per-record loop to report progress from,
-    so ``beat`` goes unused.
+    amounts only), ``map_output_records`` is always recorded.
     """
     counters = Counters()
     context = MapContext(counters, path)
@@ -314,7 +282,6 @@ def _reduce_task_core(
     task_index: int,
     groups: List[Tuple[Hashable, List[Any]]],
     faults: AttemptInjector,
-    beat: Optional[Any] = None,
 ) -> Tuple[List[Any], Counters]:
     """Run one physical reduce task over its key groups."""
     counters = Counters()
@@ -322,10 +289,10 @@ def _reduce_task_core(
     # (key routing decides which tasks receive groups at all).
     counters.increment("framework", "reduce_input_groups", 0)
     counters.increment("framework", "reduce_input_records", 0)
-    context = ReduceContext(counters, task_index, beat)
+    context = ReduceContext(counters, task_index)
     reducer.setup(context)
     output: List[Any] = []
-    for key, values in _with_progress(groups, beat, lambda g: len(g[1])):
+    for key, values in groups:
         counters.increment("framework", "reduce_input_groups")
         counters.increment("framework", "reduce_input_records", len(values))
         reducer.reduce(key, values, context)
@@ -342,7 +309,6 @@ def _shm_reduce_task(
     task_index: int,
     task: Any,
     faults: AttemptInjector,
-    beat: Optional[Any] = None,
 ) -> Tuple[List[Any], Counters]:
     """Run one reduce task whose groups arrive as a shared-memory block
     (worker side of the columnar plane under ``processes``).
@@ -353,7 +319,7 @@ def _shm_reduce_task(
     """
     groups, shm = unpack_reduce_task(task)
     try:
-        return _reduce_task_core(reducer, task_index, groups, faults, beat)
+        return _reduce_task_core(reducer, task_index, groups, faults)
     finally:
         del groups
         if shm is not None:
@@ -361,7 +327,7 @@ def _shm_reduce_task(
 
 
 def _process_attempt(
-    payload: Tuple[Callable[..., Tuple[Any, Counters]], Tuple, Tuple, Any],
+    payload: Tuple[Callable[..., Tuple[Any, Counters]], Tuple, Tuple],
 ) -> Tuple[Any, Dict[str, Dict[str, int]], float]:
     """Worker entry point of one pooled attempt.
 
@@ -371,9 +337,9 @@ def _process_attempt(
     propagate back through the attempt's future.  Returns ``(output,
     counters_dict, seconds)`` for the parent to fold back in.
     """
-    body, args, events, beat = payload
+    body, args, events = payload
     started = time.perf_counter()
-    output, task_counters = body(*args, AttemptInjector(events), beat)
+    output, task_counters = body(*args, AttemptInjector(events))
     return output, task_counters.as_dict(), time.perf_counter() - started
 
 
@@ -409,7 +375,7 @@ class _Tasks:
 
     Subclasses name the ``phase`` and provide ``span_name(index)``;
     ``body(index)``, the task's body as ``(function, arguments)`` — the
-    attempt's ``(faults, beat)`` are appended at the call; and
+    attempt's ``faults`` are appended at the call; and
     ``winner(index, counters, result)``, the winning attempt's span
     annotations and the counter view its span carries.  Only a winner
     closes as a ``kind="task"`` span, so whatever is computed from task
@@ -691,87 +657,77 @@ class _TaskOutcome:
 
 
 class _Attempt:
-    """One attempt of one task: where its body runs and how its span is
-    recorded.
+    """One attempt of one task: where its body runs and the span that
+    records it.
 
-    An in-process attempt opens its span *live*, as ``kind="task"``
-    before the body runs, so whoever watches spans open and close (a
-    profiler's CPU clock and sampler label) covers the body.  A pooled
-    attempt ran in a worker; its span is materialised on :meth:`close`
-    from the duration the worker measured, and what the observer
-    measured around the round trip (:meth:`Observer.ship`) joins its
-    attributes.
+    The span opens *live* on the parent thread that drives the attempt,
+    as ``kind="task"`` before the body runs, so whoever watches spans
+    open and close sees the task running on every executor.  A pooled
+    attempt's body runs in a worker process; its span says so
+    (``pooled=True``) and closes lasting what the worker measured.
     """
 
     def __init__(
         self, run: _JobRun, tasks: _Tasks, index: int, parent: Any,
         **ids: Any,
     ) -> None:
-        self.run, self.tasks, self.index, self.parent = run, tasks, index, parent
-        self.name = tasks.span_name(index)
+        self.run, self.tasks, self.index = run, tasks, index
         self.attrs: Dict[str, Any] = dict(
             job=run.conf.name, phase=tasks.phase, task_index=index, **ids
         )
+        if tasks.pooled:
+            self.attrs["pooled"] = True
         self.started = time.perf_counter()
-        self.span = None
-        if not tasks.pooled:
-            self.span = run.recorder.start_span(
-                self.name, kind="task", parent=parent, **self.attrs
-            )
+        self.span = run.recorder.start_span(
+            tasks.span_name(index), kind="task", parent=parent, **self.attrs
+        )
 
     def run_body(
-        self, faults: AttemptInjector, beat: Optional[Any]
+        self, faults: AttemptInjector
     ) -> Tuple[Any, Counters, float]:
         """Run the task body; returns ``(result, counters, seconds)``."""
         run, tasks = self.run, self.tasks
         body, args = tasks.body(self.index)
         if tasks.pooled:
-            workers = run.options.workers
             try:
-                (result, counter_dict, elapsed), facts = run.recorder.ship(
-                    _process_attempt, (body, args, faults.events, beat),
-                    lambda fn, payload: _submit_attempt(fn, payload, workers),
-                    self.parent,
+                result, counter_dict, elapsed = _submit_attempt(
+                    _process_attempt, (body, args, faults.events),
+                    run.options.workers,
                 )
             except BrokenProcessPool as exc:
                 raise WorkerPoolError(
                     run.conf.name, tasks.phase, (self.index,), str(exc)
                 ) from exc
-            self.attrs.update(facts)
             return (
                 tasks.received(result), Counters.from_dict(counter_dict),
                 elapsed,
             )
         started = time.perf_counter()
-        result, task_counters = body(*args, faults, beat)
+        result, task_counters = body(*args, faults)
         return result, task_counters, time.perf_counter() - started
 
     def close(
         self,
         kind: str,
-        duration: Optional[float] = None,
+        body_seconds: Optional[float] = None,
         counters: Optional[Dict[str, Dict[str, int]]] = None,
         virtual: float = 0.0,
     ) -> None:
         """Record the finished attempt: ``kind="task"`` for the winner,
-        ``"attempt"`` for a failed or speculative one.  ``duration``
-        defaults to the wall time since the attempt began; ``virtual``
-        seconds (delay and backoff the serial executor charges without
-        sleeping) backdate the live span's start."""
-        if self.span is None:
-            if duration is None:
-                duration = time.perf_counter() - self.started
-            self.run.recorder.record_completed(
-                self.name, kind=kind, parent=self.parent, duration=duration,
-                counters=counters, **self.attrs,
-            )
-            return
+        ``"attempt"`` for a failed or speculative one.  The span lasts
+        the wall time since the attempt began, moved by backdating its
+        start: ``virtual`` seconds (delay and backoff the serial
+        executor charges without sleeping) lengthen it, and a pooled
+        winner lasts the ``body_seconds`` its worker measured."""
         span = self.span
         span.kind = kind
         if counters:
             span.counters = counters
         span.annotate(**self.attrs)
-        span.start = max(0.0, span.start - virtual)
+        backdate = virtual
+        if self.tasks.pooled and body_seconds is not None:
+            backdate += body_seconds - (time.perf_counter() - self.started)
+        span.start = max(0.0, span.start - backdate)
         self.run.recorder.end_span(span)
 
 
@@ -793,16 +749,12 @@ def _run_task_attempts(
     number.  Once the budget is spent the *original* exception
     propagates.
 
-    With live telemetry attached each attempt reports through its own
-    heartbeat emitter: its start is emitted *before* the injected-delay
-    sleep, so a delayed attempt looks to the watchdog exactly like an
-    observed straggler — started, then silent.  ``task_timeout`` fails
-    any attempt whose observed time (injected delay included; virtual
-    under ``serial``) exceeds the limit, feeding this same retry loop.
+    ``task_timeout`` fails any attempt whose observed time (injected
+    delay included; virtual under ``serial``) exceeds the limit, feeding
+    this same retry loop.
     """
     fctx = run.options.faults
     job, phase = run.conf.name, tasks.phase
-    task_beat = run.recorder.task_beat(job, phase, index)
     fault_counters = Counters()
     for number in range(fctx.max_attempts):
         injector = AttemptInjector(fctx.events_for(job, phase, index, number))
@@ -810,16 +762,13 @@ def _run_task_attempts(
         if backoff and not run.inline:
             time.sleep(min(backoff, fctx.sleep_cap))
         delay = injector.delay_seconds()
-        beat = task_beat.for_attempt(number) if task_beat is not None else None
         attempt = _Attempt(run, tasks, index, parent, attempt=number)
         staged = False
         try:
             injector.check("setup")
-            if beat is not None:
-                beat.start()
             if delay and not run.inline:
                 time.sleep(min(delay, fctx.sleep_cap))
-            result, task_counters, elapsed = attempt.run_body(injector, beat)
+            result, task_counters, elapsed = attempt.run_body(injector)
             if fctx.task_timeout is not None:
                 observed = (
                     elapsed + delay
@@ -847,8 +796,6 @@ def _run_task_attempts(
                 raise
             fault_counters.increment(FAULTS_GROUP, "tasks_retried")
             continue
-        if beat is not None:
-            beat.finish()
         if delay:
             attempt.attrs["fault_delay_seconds"] = delay
         attrs, view = tasks.winner(index, task_counters, result)
@@ -870,33 +817,27 @@ def _speculate(
     outcomes: Sequence[_TaskOutcome],
     parent: Any,
 ) -> None:
-    """Run backup attempts for straggling winners.
+    """Run backup attempts for straggling winners: those the fault plan
+    delayed.
 
-    Candidates come from two sources: winners the fault *plan* delayed
-    (the scripted path), and tasks the live telemetry *watchdog* flagged
-    as observed stragglers — no script involved, just stalled
-    heartbeats.  First-to-finish wins — and by construction the original
-    attempt has already finished, so the backup is pure wasted work: its
-    output is staged, then discarded without promotion (the winner's
-    attempt file commits instead), and it is counted as
-    ``faults:speculative_wasted`` and recorded as a speculative
-    ``kind="attempt"`` span (watchdog-launched backups additionally
-    carry ``trigger="watchdog"``).  A backup that itself fails is
-    swallowed (a lost speculation never fails the job)."""
+    First-to-finish wins — and by construction the original attempt has
+    already finished, so the backup is pure wasted work: its output is
+    staged, then discarded without promotion (the winner's attempt file
+    commits instead), and it is counted as ``faults:speculative_wasted``
+    and recorded as a speculative ``kind="attempt"`` span.  A backup
+    that itself fails is swallowed (a lost speculation never fails the
+    job)."""
     if not run.options.faults.speculative:
         return
-    stalled = run.recorder.stalled_tasks(run.conf.name, tasks.phase)
     for index, outcome in enumerate(outcomes):
-        if not outcome.delayed and index not in stalled:
+        if not outcome.delayed:
             continue
         number = outcome.attempt + 1
         backup = _Attempt(
             run, tasks, index, parent, attempt=number, speculative=True
         )
-        if not outcome.delayed:
-            backup.attrs["trigger"] = "watchdog"
         try:
-            result, _, _ = backup.run_body(AttemptInjector(), None)
+            result, _, _ = backup.run_body(AttemptInjector())
             if tasks.stage(index, result, number):
                 tasks.discard(index, number)
                 backup.attrs["staged"] = True

@@ -75,29 +75,17 @@ __all__ = ["MapContext", "ReduceContext", "Mapper", "Reducer", "IdentityMapper"]
 class MapContext:
     """Execution context handed to every :meth:`Mapper.map` call."""
 
-    def __init__(
-        self, counters: Counters, input_path: str, beat: Any = None
-    ) -> None:
+    def __init__(self, counters: Counters, input_path: str) -> None:
         self.counters = counters
         #: the input file the current record came from (Hadoop exposes the
         #: same through ``InputSplit``; mappers keyed per input rarely need
         #: it but it is invaluable for debugging).
         self.input_path = input_path
-        #: live-telemetry heartbeat emitter (``None`` when telemetry is
-        #: off — the common case; mirrors Hadoop's task progress report).
-        self.beat = beat
         self._sink: List[Any] = []
 
     def emit(self, key: Hashable, value: Any) -> None:
         """Emit one intermediate key-value pair."""
         self._sink.append((key, value))
-
-    def progress(self) -> None:
-        """Report liveness mid-record (long-running map bodies may call
-        this like Hadoop's ``context.progress()``).  No-op when live
-        telemetry is off."""
-        if self.beat is not None:
-            self.beat.progress()
 
     def drain(self) -> List[Any]:
         pairs, self._sink = self._sink, []
@@ -107,14 +95,10 @@ class MapContext:
 class ReduceContext:
     """Execution context handed to every :meth:`Reducer.reduce` call."""
 
-    def __init__(
-        self, counters: Counters, task_index: int, beat: Any = None
-    ) -> None:
+    def __init__(self, counters: Counters, task_index: int) -> None:
         self.counters = counters
         #: which simulated reduce task this group was assigned to.
         self.task_index = task_index
-        #: live-telemetry heartbeat emitter (``None`` when telemetry is off).
-        self.beat = beat
         self._sink: List[Any] = []
 
     def emit(self, record: Any) -> None:
@@ -124,11 +108,6 @@ class ReduceContext:
     def emit_many(self, records: Iterable[Any]) -> None:
         """Emit a batch of output records."""
         self._sink.extend(records)
-
-    def progress(self) -> None:
-        """Report liveness mid-group (see :meth:`MapContext.progress`)."""
-        if self.beat is not None:
-            self.beat.progress()
 
     def drain(self) -> List[Any]:
         records, self._sink = self._sink, []

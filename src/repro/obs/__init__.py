@@ -33,15 +33,14 @@ function of it.
   page (``repro report --html``) with phase timelines, reducer-load
   charts and the replication/skew tables
 * profile — :class:`Profiler` (``repro run --profile`` /
-  ``$REPRO_PROFILE``): sampling CPU profiler with collapsed stacks and
-  an SVG flame graph, per-phase memory watermarks and pickle
-  accounting, annotated on the spans and folded into the ``profile``
-  metric group
+  ``$REPRO_PROFILE``): per-phase driver CPU and memory watermarks and
+  in-process task CPU, measured between a span's open and close,
+  annotated on the spans and folded into the ``profile`` metric group
 * live — :class:`TelemetryHub` (``repro run --live`` / ``--progress`` /
-  ``--serve-status`` / ``$REPRO_LIVE``): per-task heartbeat bus with
-  live progress/ETA, an observed-straggler watchdog that feeds the
-  existing speculative re-execution path, and an embedded HTTP status
-  endpoint (:class:`StatusServer`: ``/metrics``, ``/progress``, ``/``)
+  ``--serve-status`` / ``$REPRO_LIVE``): running / finished tasks and
+  progress/ETA folded from the same span stream, with a terminal ticker
+  (:class:`ProgressPrinter`) and an embedded HTTP status endpoint
+  (:class:`StatusServer`: ``/metrics``, ``/progress``, ``/``)
 
 Observation is strictly passive: with no observer attached nothing is
 recorded and results, counters and benchmark numbers are unchanged.
@@ -49,15 +48,10 @@ recorded and results, counters and benchmark numbers are unchanged.
 
 from repro.obs.dashboard import dashboard_from_recorder, render_dashboard
 from repro.obs.live import (
-    Heartbeat,
-    LiveConfig,
     ProgressPrinter,
     StatusServer,
-    TaskBeat,
     TelemetryHub,
-    fetch_progress,
     render_progress_line,
-    render_top,
     resolve_live,
 )
 from repro.obs.explain import (
@@ -75,13 +69,7 @@ from repro.obs.metrics import (
     MetricsRegistry,
     fold_spans,
 )
-from repro.obs.profile import (
-    Profiler,
-    StackSampler,
-    data_plane_summary,
-    render_flame_svg,
-    resolve_profile,
-)
+from repro.obs.profile import Profiler, data_plane_summary, resolve_profile
 from repro.obs.recorder import TraceRecorder
 from repro.obs.report import FaultSummary, JobLoadSummary, RunReport, TaskFlag
 from repro.obs.sinks import (
@@ -123,18 +111,11 @@ __all__ = [
     "explain_query",
     "reconciliation_from_spans",
     "Profiler",
-    "StackSampler",
     "resolve_profile",
-    "render_flame_svg",
     "data_plane_summary",
     "TelemetryHub",
-    "LiveConfig",
     "resolve_live",
-    "TaskBeat",
-    "Heartbeat",
     "StatusServer",
     "ProgressPrinter",
-    "fetch_progress",
     "render_progress_line",
-    "render_top",
 ]

@@ -21,9 +21,9 @@ Sections, in reading order:
   per algorithm and quantity (replication, shuffle, max load, ...),
   worst offender first, from the trace's plan/algorithm spans;
 * **data plane panel** — the profiler's per-job, per-phase CPU /
-  memory / pickle accounting (the rows of
+  memory accounting and shared-memory transport notes (the rows of
   :func:`~repro.obs.profile.data_plane_rows`, present for a profiled
-  run), plus an optional embedded CPU flame graph;
+  run);
 * **algorithm tables** — replication factor and consistent-vs-total
   grid-reducer utilisation per algorithm.
 
@@ -508,16 +508,8 @@ def _data_plane_panel(spans: Sequence[Span], metrics: MetricsRegistry) -> str:
     if not rows:
         return ""
     table_rows = [
-        (
-            job,
-            phase,
-            f"{task_cpu:.3f}",
-            f"{driver_cpu:.3f}",
-            fmt_bytes(memory),
-            fmt_bytes(nbytes),
-            f"{seconds:.3f}",
-        )
-        for job, phase, task_cpu, driver_cpu, memory, nbytes, seconds in rows
+        (job, phase, f"{task_cpu:.3f}", f"{driver_cpu:.3f}", fmt_bytes(memory))
+        for job, phase, task_cpu, driver_cpu, memory in rows
     ]
     extra_html = (
         '<p class="legend">'
@@ -530,24 +522,10 @@ def _data_plane_panel(spans: Sequence[Span], metrics: MetricsRegistry) -> str:
         "<h2>Data plane &#183; CPU / memory / serialization</h2>"
         '<div class="card">'
         + _table(
-            (
-                "job", "phase", "task cpu s", "driver cpu s", "mem peak",
-                "pickle bytes", "pickle s",
-            ),
+            ("job", "phase", "task cpu s", "driver cpu s", "rss peak"),
             table_rows,
         )
         + extra_html
-        + "</div>"
-    )
-
-
-def _flame_panel(flame_svg: Optional[str]) -> str:
-    if not flame_svg:
-        return ""
-    return (
-        "<h2>CPU flame graph</h2>"
-        '<div class="card" style="overflow-x:auto">'
-        + flame_svg
         + "</div>"
     )
 
@@ -576,7 +554,6 @@ def render_dashboard(
     metrics: Optional[MetricsRegistry] = None,
     *,
     title: str = "repro run",
-    flame_svg: Optional[str] = None,
     now: Optional[float] = None,
 ) -> str:
     """Render one self-contained HTML dashboard string.
@@ -584,10 +561,9 @@ def render_dashboard(
     ``spans`` is any span sequence (live recorder or reloaded JSONL
     trace).  ``metrics`` is the registry a live recorder already folded
     from those spans (it then also lists the recorder's ``live``
-    families); left out, the spans are folded here.  ``flame_svg`` embeds
-    a profiled run's flame graph (``Profiler.flame_svg()``) as its own
-    panel; the Data plane table appears whenever the spans carry the
-    profiler's annotations.  ``now`` (recorder-epoch seconds) renders
+    families); left out, the spans are folded here.  The Data plane
+    table appears whenever the spans carry the profiler's annotations.
+    ``now`` (recorder-epoch seconds) renders
     spans still *open* as if they ended now — the live status endpoint's
     mid-run view; without it open spans are skipped.
     """
@@ -642,7 +618,6 @@ def render_dashboard(
         f'<div class="card">{_skew_table(jobs)}</div>',
         _plan_panel(spans),
         _data_plane_panel(spans, metrics),
-        _flame_panel(flame_svg),
         _algorithm_tables(metrics),
         _metrics_overview(metrics),
         "</body></html>",
@@ -654,10 +629,5 @@ def dashboard_from_recorder(
     recorder: Any, *, title: str = "repro run"
 ) -> str:
     """Dashboard for a live :class:`~repro.obs.recorder.TraceRecorder`
-    (its spans plus its metrics registry; a profiled recorder also gets
-    the flame-graph panel)."""
-    profiler = getattr(recorder, "profiler", None)
-    flame = profiler.flame_svg(title=title) if profiler is not None else None
-    return render_dashboard(
-        recorder.spans, recorder.metrics, title=title, flame_svg=flame
-    )
+    (its spans plus its metrics registry)."""
+    return render_dashboard(recorder.spans, recorder.metrics, title=title)

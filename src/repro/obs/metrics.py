@@ -8,8 +8,9 @@ them: :func:`fold_span` turns one closed span into samples of the
 families declared in :data:`FAMILIES`, a recorder's registry is that
 fold kept up to date as spans close (:class:`MetricsFold`), and
 :func:`fold_spans` over a reloaded JSONL trace rebuilds the same
-registry sample for sample.  Only the beat-driven ``live`` group is
-written from elsewhere (:mod:`repro.obs.live`).  Three metric types
+registry sample for sample.  Only the ``live`` group is written from
+elsewhere (:mod:`repro.obs.live`, a fold of the same spans against the
+wall clock).  Three metric types
 cover every signal the simulator emits:
 
 * :class:`Counter` — monotonically increasing totals (records mapped,
@@ -17,10 +18,7 @@ cover every signal the simulator emits:
 * :class:`Gauge` — last-written values (replication factor of a job,
   consistent vs total reducers of a grid).
 * :class:`Histogram` — distributions over **fixed bucket boundaries**
-  (per-reducer loads, per-key skew, phase wall seconds).  Fixed
-  boundaries make histograms mergeable by plain addition, exactly like
-  :meth:`Counters.from_dict <repro.mapreduce.counters.Counters>` merges
-  worker counter snapshots.
+  (per-reducer loads, per-key skew, phase wall seconds).
 
 Every metric belongs to a **group**:
 
@@ -32,9 +30,10 @@ Every metric belongs to a **group**:
 * ``"faults"`` — chaos bookkeeping (retries, discarded attempts);
   identical across executors for a pinned fault plan but empty on a
   fault-free run.
-* ``"profile"`` — data-plane profiling facts (CPU seconds, pickle
-  bytes, memory watermarks; see :mod:`repro.obs.profile`).  Machine- and
-  executor-dependent by nature, so excluded from parity like ``wall``.
+* ``"profile"`` — data-plane profiling facts (CPU seconds, memory
+  watermarks, shared-memory bytes; see :mod:`repro.obs.profile`).
+  Machine- and executor-dependent by nature, so excluded from parity
+  like ``wall``.
 
 :meth:`MetricsRegistry.fingerprint` exposes exactly that contract: the
 parity tests compare fingerprints with ``exclude_groups=("wall",
@@ -97,9 +96,9 @@ GROUP_WALL = "wall"
 GROUP_FAULTS = "faults"
 #: Data-plane profiling facts (machine-dependent, excluded from parity).
 GROUP_PROFILE = "profile"
-#: Live operational telemetry — heartbeat counts, progress/ETA gauges,
-#: watchdog flags.  Cadence-driven and configuration-dependent, so
-#: excluded from parity fingerprints.
+#: Live operational telemetry — running / finished task counts and
+#: progress / ETA gauges.  Wall-clock-driven, so excluded from parity
+#: fingerprints.
 GROUP_LIVE = "live"
 
 #: Fixed boundaries for tuple-load histograms (per-reducer and per-key).
@@ -195,15 +194,12 @@ class Metric:
     def _sample_dict(self, key: Tuple[str, ...], value: Any) -> Dict[str, Any]:
         return {"labels": list(key), "value": value}
 
-    def _absorb_sample(self, key: Tuple[str, ...], payload: Any) -> None:
-        raise NotImplementedError
-
     def _exposition_lines(self) -> List[str]:
         raise NotImplementedError
 
 
 class Counter(Metric):
-    """A monotonically increasing total; merge is addition."""
+    """A monotonically increasing total."""
 
     kind = "counter"
 
@@ -221,9 +217,6 @@ class Counter(Metric):
         with self._lock:
             return self._samples.get(key, 0)
 
-    def _absorb_sample(self, key: Tuple[str, ...], payload: Any) -> None:
-        self._samples[key] = self._samples.get(key, 0) + payload
-
     def _exposition_lines(self) -> List[str]:
         lines = []
         for key, value in self.samples():
@@ -233,7 +226,7 @@ class Counter(Metric):
 
 
 class Gauge(Metric):
-    """A last-write-wins value; merge keeps the merged-in value."""
+    """A last-write-wins value."""
 
     kind = "gauge"
 
@@ -247,9 +240,6 @@ class Gauge(Metric):
         with self._lock:
             return self._samples.get(key)
 
-    def _absorb_sample(self, key: Tuple[str, ...], payload: Any) -> None:
-        self._samples[key] = payload
-
     def _exposition_lines(self) -> List[str]:
         lines = []
         for key, value in self.samples():
@@ -259,12 +249,7 @@ class Gauge(Metric):
 
 
 class Histogram(Metric):
-    """Cumulative-bucket distribution over fixed boundaries.
-
-    Because every registry instantiates the same boundaries, two
-    histograms merge by adding bucket counts — no resampling, no loss —
-    which is what makes cross-worker aggregation deterministic.
-    """
+    """Cumulative-bucket distribution over fixed boundaries."""
 
     kind = "histogram"
 
@@ -336,25 +321,6 @@ class Histogram(Metric):
             "sum": value["sum"],
             "count": value["count"],
         }
-
-    def _absorb_sample(self, key: Tuple[str, ...], payload: Any) -> None:
-        state = self._samples.get(key)
-        if state is None:
-            state = {
-                "counts": [0] * (len(self.buckets) + 1),
-                "sum": 0.0,
-                "count": 0,
-            }
-            self._samples[key] = state
-        counts = payload["counts"]
-        if len(counts) != len(state["counts"]):
-            raise MetricError(
-                f"histogram {self.name!r} merge: bucket count mismatch"
-            )
-        for index, count in enumerate(counts):
-            state["counts"][index] += count
-        state["sum"] += payload["sum"]
-        state["count"] += payload["count"]
 
     def _exposition_lines(self) -> List[str]:
         lines = []
@@ -477,49 +443,6 @@ class MetricsRegistry:
             out[metric.name] = entry
         return out
 
-    @classmethod
-    def from_dict(cls, payload: Mapping[str, Any]) -> "MetricsRegistry":
-        """Rebuild a registry from :meth:`as_dict` output."""
-        registry = cls()
-        registry.merge_dict(payload)
-        return registry
-
-    def merge_dict(self, payload: Mapping[str, Any]) -> None:
-        """Fold a serialised snapshot in: counters and histograms add,
-        gauges take the merged-in value (last write wins)."""
-        for name in sorted(payload):
-            entry = payload[name]
-            kind = entry["type"]
-            labels = tuple(entry.get("labels", ()))
-            group = entry.get("group", GROUP_RUN)
-            if kind == "counter":
-                metric: Metric = self.counter(
-                    name, entry.get("help", ""), labels, group
-                )
-            elif kind == "gauge":
-                metric = self.gauge(name, entry.get("help", ""), labels, group)
-            elif kind == "histogram":
-                metric = self.histogram(
-                    name,
-                    entry.get("help", ""),
-                    labels,
-                    group,
-                    tuple(entry.get("buckets", LOAD_BUCKETS)),
-                )
-            else:
-                raise MetricError(f"unknown metric type {kind!r} for {name!r}")
-            with self._lock:
-                for sample in entry.get("samples", ()):
-                    key = tuple(sample["labels"])
-                    if kind == "histogram":
-                        metric._absorb_sample(key, sample)
-                    else:
-                        metric._absorb_sample(key, sample["value"])
-
-    def merge(self, other: "MetricsRegistry") -> None:
-        """Fold another registry in (same semantics as merge_dict)."""
-        self.merge_dict(other.as_dict())
-
     def to_json(self, indent: Optional[int] = 2) -> str:
         return json.dumps(self.as_dict(), indent=indent, sort_keys=True)
 
@@ -637,20 +560,10 @@ FAMILIES: Dict[str, Tuple[Any, ...]] = {
     "repro_profile_cpu_seconds_total": (
         "counter", ("job", "phase", "where"), GROUP_PROFILE,
         "CPU seconds, thread_time-measured.  where=task charges task bodies "
-        "(worker-side under processes); where=driver charges the "
-        "coordinating thread across the phase — under the serial executor "
-        "task CPU is a subset of driver CPU.",
-    ),
-    "repro_profile_pickle_seconds_total": (
-        "counter", ("job", "phase", "side", "op"), GROUP_PROFILE,
-        "Wall seconds spent pickling (encode) / unpickling (decode) task "
-        "payloads and results at the processes-executor boundary, split by "
-        "side.",
-    ),
-    "repro_profile_pickle_bytes_total": (
-        "counter", ("job", "phase", "direction"), GROUP_PROFILE,
-        "Pickled bytes shipped across the process boundary: "
-        "direction=request (payloads out) / response (results back).",
+        "that ran in this process (none for attempts shipped to a pool "
+        "worker); where=driver charges the coordinating thread across the "
+        "phase — under the serial executor task CPU is a subset of driver "
+        "CPU.",
     ),
     # -- from phase spans -----------------------------------------------
     "repro_phase_wall_seconds": (
@@ -664,14 +577,6 @@ FAMILIES: Dict[str, Tuple[Any, ...]] = {
     "repro_profile_mem_alloc_blocks": (
         "gauge", _JOB_PHASE, GROUP_PROFILE,
         "Live interpreter allocation blocks at phase end.",
-    ),
-    "repro_profile_mem_current_bytes": (
-        "gauge", _JOB_PHASE, GROUP_PROFILE,
-        "tracemalloc-traced bytes live at phase end (level=full).",
-    ),
-    "repro_profile_mem_peak_bytes": (
-        "gauge", _JOB_PHASE, GROUP_PROFILE,
-        "tracemalloc peak traced bytes within the phase (level=full).",
     ),
     "repro_profile_shm_bytes_total": (
         "counter", ("job", "phase", "direction"), GROUP_PROFILE,
@@ -777,8 +682,7 @@ def _fold_attempt(registry: MetricsRegistry, span: Span) -> Sequence[str]:
 
 def _fold_task(registry: MetricsRegistry, span: Span) -> Sequence[str]:
     """A winning attempt: what the task read and wrote, and — on a
-    profiled run — its CPU seconds and what crossing the process
-    boundary cost."""
+    profiled run, for a body that ran in-process — its CPU seconds."""
     attrs = span.attributes
     job, phase = attrs.get("job", ""), attrs.get("phase", span.name)
     skipped: Sequence[str] = ()
@@ -806,19 +710,9 @@ def _fold_task(registry: MetricsRegistry, span: Span) -> Sequence[str]:
         _fold_attempt(registry, span)
         if "staged" not in attrs:  # every winner staged its output
             skipped = ("repro_fs_attempts_total",)
-    labels = {"job": job, "phase": phase}
     if "profile_cpu_seconds" in attrs:
         _family(registry, "repro_profile_cpu_seconds_total").inc(
-            attrs["profile_cpu_seconds"], where="task", **labels
-        )
-    for side, ops in attrs.get("profile_pickle_seconds", {}).items():
-        for op, seconds in ops.items():
-            _family(registry, "repro_profile_pickle_seconds_total").inc(
-                seconds, side=side, op=op, **labels
-            )
-    for direction, nbytes in attrs.get("profile_pickle_bytes", {}).items():
-        _family(registry, "repro_profile_pickle_bytes_total").inc(
-            nbytes, direction=direction, **labels
+            attrs["profile_cpu_seconds"], where="task", job=job, phase=phase
         )
     return skipped
 
@@ -836,7 +730,6 @@ def _fold_phase(registry: MetricsRegistry, span: Span) -> Sequence[str]:
         )
         for attribute in (
             "profile_mem_rss_peak_bytes", "profile_mem_alloc_blocks",
-            "profile_mem_current_bytes", "profile_mem_peak_bytes",
         ):
             if attribute in attrs:
                 _family(registry, f"repro_{attribute}").set(

@@ -29,13 +29,10 @@ from contextlib import contextmanager
 from typing import (
     Any,
     ContextManager,
-    Dict,
-    FrozenSet,
     Iterator,
     List,
     Optional,
     Protocol,
-    Tuple,
 )
 
 from repro.obs.live import TelemetryHub, resolve_live
@@ -60,33 +57,8 @@ class Observer(Protocol):
     def span(self, name: str, **attributes: Any) -> ContextManager[Any]:
         """:meth:`start_span` / :meth:`end_span` around a ``with`` block."""
 
-    def record_completed(self, name: str, **attributes: Any) -> Any:
-        """Record a span that already finished somewhere else (a task in
-        a worker process), from its measured ``duration=``."""
-
     def record_job(self, result: Any) -> None:
         """Register one executed job's :class:`JobResult`."""
-
-    def task_beat(
-        self, job: str, phase: str, task_index: int
-    ) -> Optional[Any]:
-        """The heartbeat emitter of one task, or ``None`` when nobody
-        listens — which is what keeps the per-record progress report out
-        of unmonitored task bodies."""
-
-    def stalled_tasks(self, job: str, phase: str) -> FrozenSet[int]:
-        """Task indices of one job phase that a watchdog saw go silent —
-        the observed stragglers the speculation pass backs up."""
-
-    def ship(
-        self, fn: Any, payload: Any, submit: Any, parent: Any
-    ) -> Tuple[Any, Dict[str, Any]]:
-        """Run ``fn(payload)`` in a worker process through ``submit(fn,
-        payload)`` — the one call that wraps engine work instead of
-        watching it, so that a profiler can time the pickling on both
-        sides.  Returns the result and the attributes to put on the
-        attempt's span (``parent`` is its phase span); none when nobody
-        measures."""
 
 
 class TraceRecorder:
@@ -100,17 +72,16 @@ class TraceRecorder:
         the recorder lock, so sinks need no locking of their own).
     profile:
         Data-plane profiling: ``None`` (default) defers to
-        ``$REPRO_PROFILE``, ``True``/``False``/a level string force it.
-        When active, ``self.profiler`` samples CPU stacks and annotates
-        phase and task spans with CPU/memory/serialization facts, which
-        the fold turns into the ``profile`` metric group.
+        ``$REPRO_PROFILE``, ``True``/``False`` force it.  When active,
+        ``self.profiler`` annotates phase spans, and task spans whose
+        body ran in this process, with CPU and memory facts, which the
+        fold turns into the ``profile`` metric group.
     live:
         Live run telemetry: ``None`` (default) defers to
-        ``$REPRO_LIVE``, ``True``/``False``/a stall threshold or a
-        :class:`~repro.obs.live.LiveConfig` force it.  When active,
-        ``self.live`` collects per-task heartbeats into the ``live``
-        metric group and powers ``--progress``, ``--serve-status`` and
-        the observed-straggler watchdog.
+        ``$REPRO_LIVE``, ``True``/``False`` force it.  When active,
+        ``self.live`` folds the job, phase, task and plan spans into the
+        ``live`` metric group and powers ``--progress`` and
+        ``--serve-status``.
 
     The recorder itself is the in-memory record: ``roots`` is the span
     tree, ``spans`` the flat close-order list, and ``job_results`` the
@@ -118,11 +89,14 @@ class TraceRecorder:
     the recorder was attached (what ``JobHistory`` and ``RunReport``
     consume).  ``metrics`` is the fold of the closed spans
     (:func:`~repro.obs.metrics.fold_span`) plus, with live telemetry,
-    the hub's beat-driven ``live`` group.
+    the hub's ``live`` group.
     """
 
     def __init__(
-        self, *sinks: Any, profile: Any = None, live: Any = None
+        self,
+        *sinks: Any,
+        profile: Optional[bool] = None,
+        live: Optional[bool] = None,
     ) -> None:
         self._lock = threading.Lock()
         self._local = threading.local()
@@ -137,16 +111,13 @@ class TraceRecorder:
         #: The run's metric families: the fold of the spans closed so far.
         self.metrics = MetricsRegistry()
         #: The data-plane profiler, or ``None`` when profiling is off.
-        self.profiler: Optional[Profiler] = None
-        level = resolve_profile(profile)
-        if level is not None:
-            self.profiler = Profiler(level=level)
-            self.profiler.start()
+        self.profiler: Optional[Profiler] = (
+            Profiler() if resolve_profile(profile) else None
+        )
         #: The live telemetry hub, or ``None`` when live telemetry is off.
-        self.live: Optional[TelemetryHub] = None
-        config = resolve_live(live)
-        if config is not None:
-            self.live = TelemetryHub(self.metrics, config).start()
+        self.live: Optional[TelemetryHub] = (
+            TelemetryHub(self.metrics) if resolve_live(live) else None
+        )
         # The profiler goes first: what it writes onto a closing span
         # (CPU seconds, memory watermarks) must be there when the fold
         # and the trace sinks read the span.
@@ -187,24 +158,6 @@ class TraceRecorder:
         finally:
             self.end_span(span)
 
-    def _link(
-        self, name: str, kind: str, parent: Optional[Span], start: float,
-        attributes: Dict[str, Any],
-    ) -> Span:
-        """A new span linked under ``parent`` (caller holds the lock)."""
-        self._next_id += 1
-        span = Span(
-            name=name,
-            kind=kind,
-            span_id=self._next_id,
-            parent_id=parent.span_id if parent is not None else None,
-            start=start,
-            thread_id=threading.get_ident(),
-            attributes=attributes,
-        )
-        (self.roots if parent is None else parent.children).append(span)
-        return span
-
     def start_span(
         self,
         name: str,
@@ -217,44 +170,20 @@ class TraceRecorder:
         if parent is None and stack:
             parent = stack[-1]
         with self._lock:
-            span = self._link(name, kind, parent, self._now(), attributes)
+            self._next_id += 1
+            span = Span(
+                name=name,
+                kind=kind,
+                span_id=self._next_id,
+                parent_id=parent.span_id if parent is not None else None,
+                start=self._now(),
+                thread_id=threading.get_ident(),
+                attributes=attributes,
+            )
+            (self.roots if parent is None else parent.children).append(span)
             for sink in self._sinks:
                 sink.opened(span)
         stack.append(span)
-        return span
-
-    def record_completed(
-        self,
-        name: str,
-        kind: str = "span",
-        parent: Optional[Span] = None,
-        duration: float = 0.0,
-        counters: Optional[dict] = None,
-        **attributes: Any,
-    ) -> Span:
-        """Record an already-finished span in one call.
-
-        Used for task spans executed in *worker processes*: the worker
-        ships back a lightweight ``(duration, counters, attributes)``
-        record and the parent materialises the span here, backdating
-        ``start`` by the measured duration.  The span never enters the
-        thread-local stack (it was not open on this thread), and sinks
-        receive it fully annotated.
-        """
-        stack = self._stack()
-        if parent is None and stack:
-            parent = stack[-1]
-        now = self._now()
-        with self._lock:
-            span = self._link(
-                name, kind, parent, max(0.0, now - duration), attributes
-            )
-            span.end = now
-            if counters:
-                span.counters = counters
-            self.spans.append(span)
-            for sink in self._sinks:
-                sink.emit(span)
         return span
 
     def end_span(self, span: Span) -> None:
@@ -274,29 +203,10 @@ class TraceRecorder:
         with self._lock:
             self.job_results.append(result)
 
-    def task_beat(
-        self, job: str, phase: str, task_index: int
-    ) -> Optional[Any]:
-        if self.live is None:
-            return None
-        return self.live.task_beat(job, phase, task_index)
-
-    def stalled_tasks(self, job: str, phase: str) -> FrozenSet[int]:
-        if self.live is None:
-            return frozenset()
-        return self.live.stalled_indices(job, phase)
-
-    def ship(
-        self, fn: Any, payload: Any, submit: Any, parent: Any
-    ) -> Tuple[Any, Dict[str, Any]]:
-        if self.profiler is None:
-            return submit(fn, payload), {}
-        return self.profiler.ship(fn, payload, submit, parent)
-
     def close(self) -> None:
-        """Flush and close every sink: stops the profiler and the live
-        telemetry hub (publishing its final ETA-vs-actual gauges) and
-        finishes the trace files."""
+        """Flush and close every sink: the live telemetry hub publishes
+        its final ETA-vs-actual gauges and the trace files are
+        finished."""
         with self._lock:
             for sink in self._sinks:
                 sink.close()
@@ -370,8 +280,6 @@ class NullRecorder:
     def start_span(self, name: str, **attributes: Any) -> _NullSpan:
         return self._span
 
-    record_completed = start_span
-
     @contextmanager
     def span(self, name: str, **attributes: Any) -> Iterator[_NullSpan]:
         yield self._span
@@ -380,14 +288,3 @@ class NullRecorder:
         pass
 
     record_job = end_span
-
-    def task_beat(self, job: str, phase: str, task_index: int) -> None:
-        return None
-
-    def stalled_tasks(self, job: str, phase: str) -> FrozenSet[int]:
-        return frozenset()
-
-    def ship(
-        self, fn: Any, payload: Any, submit: Any, parent: Any
-    ) -> Tuple[Any, Dict[str, Any]]:
-        return submit(fn, payload), {}

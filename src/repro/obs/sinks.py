@@ -43,8 +43,7 @@ class TraceSink:
 
     def opened(self, span: Span) -> None:
         """Receive one span as it opens (called under the recorder lock,
-        on the opening thread).  Spans materialised already finished —
-        tasks that ran in a worker process — are only ever emitted."""
+        on the opening thread)."""
 
     def emit(self, span: Span) -> None:
         """Receive one finished span (called under the recorder lock)."""

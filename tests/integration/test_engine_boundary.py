@@ -1,10 +1,15 @@
 """The engine/observability boundary, checked on the source tree.
 
 The engine reports to one observer through one protocol
-(:class:`repro.obs.recorder.Observer`); nothing else of ``repro.obs``
-may be visible from it, the shuffle and the file system know nothing
-about observation at all, and the object an unobserved run reports to
-holds no registry.  A sibling case keeps ``IntervalTree`` — alive only
+(:class:`repro.obs.recorder.Observer`) that can only *describe* a run —
+open a span, close it, register a job result: no call lets an observer
+ride inside a task, launch an attempt or wrap a dispatch, and the
+machinery such calls needed (a heartbeat argument through the task
+bodies, a manager queue, a frame sampler) stays out of ``src/``.
+Nothing else of ``repro.obs`` may be visible from the engine, the
+shuffle and the file system know nothing about observation at all, and
+the object an unobserved run reports to holds no registry.  A sibling
+case keeps ``IntervalTree`` — alive only
 for the frozen benchmark's layer probes (ROADMAP item 3a) — off every
 query path, another keeps "the pairs satisfying an Allen predicate" one
 function (the pair kernel in ``intervals/sweep.py``, the only place a
@@ -21,7 +26,6 @@ without a tier-1 failure.
 from __future__ import annotations
 
 import ast
-import inspect
 from pathlib import Path
 
 import pytest
@@ -99,13 +103,70 @@ def test_null_recorder_holds_no_registry():
     )
 
 
+#: Everything the engine may ask of an observer.
+PROTOCOL = {"start_span", "end_span", "span", "record_job"}
+
+#: What a recorder offers beside it — to whoever *reads* the run.
+READER_SIDE = {"close", "snapshot_spans", "find", "render"}
+
+
 @pytest.mark.parametrize("observer", [Observer, TraceRecorder, NullRecorder])
-def test_task_beat_does_not_name_the_executor(observer):
-    """A beat finds its own channel (it switches when it is pickled);
-    the engine does not tell the observer where a task runs."""
-    assert list(inspect.signature(observer.task_beat).parameters) == [
-        "self", "job", "phase", "task_index",
+def test_the_observer_protocol_only_describes_a_run(observer):
+    public = {
+        name
+        for name, value in vars(observer).items()
+        if callable(value) and not name.startswith("_")
+    }
+    if observer is TraceRecorder:
+        assert READER_SIDE <= public
+        public -= READER_SIDE
+    assert public == PROTOCOL
+
+
+def test_the_engine_calls_nothing_else_on_its_observer():
+    """Whatever is called on a ``recorder`` / ``observer`` under the
+    engine packages or ``core/`` is a protocol method — and each of the
+    four has a caller."""
+    called = {
+        node.func.attr
+        for path, tree in _modules("core", *ENGINE)
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Attribute)
+        and getattr(
+            node.func.value, "id", getattr(node.func.value, "attr", "")
+        ) in ("recorder", "observer")
+    }
+    assert called == PROTOCOL
+
+
+def test_no_telemetry_rides_inside_a_task():
+    """What an observer would need to ride inside a task stays out:
+    nothing named ``beat`` is passed, stored or read under
+    ``mapreduce/``; no manager process and no frame sampler anywhere in
+    ``src/``; and the collector pause — a stdlib workaround wherever
+    telemetry needed it — is imported by the algorithm driver alone."""
+    beats = [
+        f"{path.relative_to(SRC).as_posix()}:{node.lineno}"
+        for path, tree in _modules("mapreduce")
+        for node in ast.walk(tree)
+        if "beat" in (
+            getattr(node, "arg", None),   # parameters and keywords
+            getattr(node, "attr", None),
+            getattr(node, "id", None),
+        )
     ]
+    assert beats == []
+
+    for path, tree in _modules(""):
+        assert not {"Manager", "_current_frames"} & _names(tree), path
+
+    pausers = [
+        path.relative_to(SRC).as_posix()
+        for path, tree in _modules("")
+        if any(name.startswith("repro.gc_pause") for name in _imported(tree))
+    ]
+    assert pausers == ["core/algorithms/base.py"]
 
 
 def test_the_map_side_is_written_once():

@@ -1,18 +1,18 @@
 """Live telemetry parity: monitoring must never change the run.
 
-The contract of :mod:`repro.obs.live` — the heartbeat bus, progress/ETA,
-the observed-straggler watchdog and the status endpoint are strictly
-*passive*: with live telemetry off the run is bit-identical to the seed
-behaviour, and with it on the output tuples, counters and metric
-fingerprints (which exclude the ``wall``/``profile``/``live`` groups by
-construction) stay bit-identical across all three executors, with or
-without chaos.  The watchdog feeds the existing speculative path — the
-backup is launched by *observation*, not by a fault script — and its
-loser is discarded before commit.
+The contract of :mod:`repro.obs.live` — the hub, progress/ETA and the
+status endpoint are strictly *passive*: with live telemetry off the run
+is bit-identical to the seed behaviour, and with it on the output
+tuples, counters and metric fingerprints (which exclude the
+``wall``/``profile``/``live`` groups by construction) stay bit-identical
+across all three executors, with or without chaos.  And the live state
+is a function of the span stream alone: replaying a recorded run's
+spans into a fresh hub rebuilds it.
 """
 
 from __future__ import annotations
 
+import json
 import threading
 import time
 import urllib.request
@@ -25,9 +25,10 @@ from repro.mapreduce.fs import InMemoryFileSystem
 from repro.mapreduce.job import InputSpec, JobConf
 from repro.mapreduce.runner import run_job
 from repro.mapreduce.task import Mapper, Reducer
-from repro.obs import LiveConfig, StatusServer, TraceRecorder, fetch_progress
+from repro.obs import StatusServer, TelemetryHub, TraceRecorder
 
 from tests.conftest import make_dataset
+from tests.integration.test_executor_parity import CASES as ALL_ALGORITHMS
 from tests.integration.test_fault_parity import (
     _counters_sans_faults,
     _task_span_profile,
@@ -53,12 +54,9 @@ CASES = [
 
 EXECUTORS = ["serial", "threads", "processes"]
 
-#: Fast watchdog settings for tests: a 50 ms silence is a stall.
-FAST_WATCH = dict(stall_seconds=0.05, poll_interval=0.01)
 
-
-def _run(algorithm, query, data, executor, live=None, **kwargs):
-    recorder = TraceRecorder(live=live if live is not None else False)
+def _run(algorithm, query, data, executor, live=False, **kwargs):
+    recorder = TraceRecorder(live=live)
     result = execute(
         query,
         data,
@@ -101,9 +99,7 @@ class TestLivePassivity:
     ):
         data = make_dataset(relations, 60, seed=11)
         plain, plain_rec = _run(algorithm, query, data, executor)
-        live, live_rec = _run(
-            algorithm, query, data, executor, live=LiveConfig()
-        )
+        live, live_rec = _run(algorithm, query, data, executor, live=True)
 
         assert live.tuple_ids() == plain.tuple_ids()
         assert len(plain) > 0
@@ -118,7 +114,7 @@ class TestLivePassivity:
 
         # ... and the hub really did observe the run.
         snapshot = live_rec.live.snapshot()
-        assert snapshot["heartbeats"] > 0
+        assert _phase_states(snapshot)
         assert snapshot["closed"] is True
         assert snapshot["progress"] == pytest.approx(1.0)
 
@@ -132,15 +128,8 @@ class TestLivePassivity:
 )
 def test_live_runs_identical_across_executors(algorithm, query, relations):
     data = make_dataset(relations, 60, seed=11)
-    # A huge heartbeat interval suppresses the *time-throttled* mid-task
-    # progress beats, leaving only the structural ones (start, forced
-    # end-of-loop progress, finish) — a deterministic count that must
-    # not depend on which backend ran the task.
     packs = [
-        _run(
-            algorithm, query, data, executor,
-            live=LiveConfig(heartbeat_interval=60.0),
-        )
+        _run(algorithm, query, data, executor, live=True)
         for executor in EXECUTORS
     ]
     tuple_ids = [result.tuple_ids() for result, _ in packs]
@@ -149,23 +138,22 @@ def test_live_runs_identical_across_executors(algorithm, query, relations):
     assert fingerprints[0] == fingerprints[1] == fingerprints[2]
     counters = [_job_counters(rec) for _, rec in packs]
     assert counters[0] == counters[1] == counters[2]
-    # Heartbeat *counts* are executor-independent too: every task emits
-    # exactly one start and one finish, and throttled progress beats are
-    # record-count driven, not time driven.
-    beats = [rec.live.snapshot()["heartbeats"] for _, rec in packs]
-    assert beats[0] == beats[1] == beats[2]
-    assert beats[0] > 0
+    # What the hub saw is executor-independent too: the same phases,
+    # each with the same tasks, all done.
+    states = [_phase_states(rec.live.snapshot()) for _, rec in packs]
+    assert states[0] == states[1] == states[2]
+    assert states[0]
 
 
 @pytest.mark.parametrize("executor", EXECUTORS)
 def test_chaos_with_live_equals_clean_without(executor):
-    """Chaos + watchdog + monitoring together stay invisible."""
+    """Chaos + speculation + monitoring together stay invisible."""
     data = make_dataset(("R1", "R2", "R3"), 60, seed=11)
     clean, clean_rec = _run("rccis", CASES[1][1], data, "serial",
                             faults=False, max_attempts=1)
     chaos, chaos_rec = _run(
         "rccis", CASES[1][1], data, executor,
-        live=LiveConfig(**FAST_WATCH),
+        live=True,
         faults=pinned_plan(), max_attempts=3, speculative=True,
     )
     assert chaos.tuple_ids() == clean.tuple_ids()
@@ -177,29 +165,68 @@ def test_chaos_with_live_equals_clean_without(executor):
 
 
 # ----------------------------------------------------------------------
-# Watchdog-triggered speculation: the backup comes from observation.
+# Live state is a function of the span stream.
 # ----------------------------------------------------------------------
+
+def _phase_states(snapshot):
+    """Per (job, phase): total, done, still running, finished."""
+    return {
+        (job["job"], phase["phase"]): (
+            phase["total_tasks"], phase["done_tasks"],
+            phase["running_tasks"], phase["finished"],
+        )
+        for job in snapshot["jobs"]
+        for phase in job["phases"]
+    }
+
+
+def _replayed(recorder):
+    """A fresh hub fed the recorded spans: opened in the order they
+    opened (span ids), emitted in the order they closed."""
+    hub = TelemetryHub()
+    for span in sorted(recorder.spans, key=lambda span: span.span_id):
+        hub.opened(span)
+    for span in recorder.spans:
+        hub.emit(span)
+    return hub
+
+
+@pytest.mark.parametrize("executor", EXECUTORS)
+@pytest.mark.parametrize(
+    "algorithm,query,relations",
+    ALL_ALGORITHMS,
+    ids=[case[0] for case in ALL_ALGORITHMS],
+)
+def test_replayed_spans_rebuild_the_live_state(
+    algorithm, query, relations, executor
+):
+    data = make_dataset(relations, 60, seed=11)
+    for chaos in (
+        {},
+        dict(faults=2014, max_attempts=3, speculative=True),
+    ):
+        _, recorder = _run(
+            algorithm, query, data, executor, live=True, **chaos
+        )
+        live = _phase_states(recorder.live.snapshot())
+        assert live == _phase_states(_replayed(recorder).snapshot())
+        # Every task done exactly once and nothing left running, however
+        # many failed or speculative attempts the phase also saw.
+        tasks = {}
+        for span in recorder.find(kind="task"):
+            key = (span.attributes["job"], span.attributes["phase"])
+            tasks[key] = tasks.get(key, 0) + 1
+        for key, (total, done, running, finished) in live.items():
+            assert (done, running, finished) == (tasks.get(key, 0), 0, True)
+            assert done == total or key[1] == "shuffle"
+        if chaos:
+            assert recorder.find(kind="attempt")
+
 
 class TokenizeMapper(Mapper):
     def map(self, record, context):
         for word in record.split():
             context.emit(word, 1)
-
-
-class StallingSumReducer(Reducer):
-    """Sums per key — but reduce task 0 goes silent for ``seconds``
-    before its first key, with no fault plan scripting it.  Exactly the
-    observed straggler the watchdog exists to catch."""
-
-    def __init__(self, seconds: float = 0.3) -> None:
-        self.seconds = seconds
-
-    def setup(self, context):
-        if context.task_index == 0:
-            time.sleep(self.seconds)
-
-    def reduce(self, key, values, context):
-        context.emit((key, sum(values)))
 
 
 def _word_count_conf(reducer):
@@ -218,138 +245,88 @@ def _word_count_fs():
     return fs
 
 
-@pytest.mark.parametrize("executor", EXECUTORS)
-def test_watchdog_launches_backup_and_discards_loser(executor):
-    clean_fs = _word_count_fs()
-    run_job(clean_fs, _word_count_conf(StallingSumReducer(0.0)),
-            faults=False)
-    expected = sorted(clean_fs.read_dir("out"))
-
-    fs = _word_count_fs()
-    recorder = TraceRecorder(live=LiveConfig(**FAST_WATCH))
-    result = run_job(
-        fs,
-        _word_count_conf(StallingSumReducer(0.3)),
-        executor=executor,
-        observer=recorder,
-        faults=False,
-        speculative=True,
-    )
-    recorder.close()
-
-    # The watchdog observed the stall (no script told it to)...
-    snapshot = recorder.live.snapshot()
-    assert {"job": "wordcount", "phase": "reduce", "task_index": 0} in (
-        snapshot["stalled"]
-    )
-
-    # ... launched a backup attempt through the speculative path ...
-    backups = [
-        span
-        for span in recorder.spans
-        if span.kind == "attempt"
-        and span.attributes.get("speculative") is True
-    ]
-    assert len(backups) == 1
-    assert backups[0].attributes["trigger"] == "watchdog"
-    assert backups[0].attributes["task_index"] == 0
-    assert backups[0].attributes["phase"] == "reduce"
-    assert result.counters.value("faults", "speculative_wasted") == 1
-
-    # ... and the loser was discarded before commit: outputs, part files
-    # and non-fault counters are bit-identical to the clean run.
-    assert sorted(fs.read_dir("out")) == expected
-    assert result.counters.value("faults", "tasks_failed") == 0
-
-
-def test_watchdog_needs_speculative_opt_in():
-    """Monitoring alone never launches backups: without --speculative
-    the stall is flagged (metrics) but nothing re-runs."""
-    fs = _word_count_fs()
-    recorder = TraceRecorder(live=LiveConfig(**FAST_WATCH))
-    run_job(
-        fs,
-        _word_count_conf(StallingSumReducer(0.2)),
-        executor="threads",
-        observer=recorder,
-        faults=False,
-    )
-    recorder.close()
-    assert recorder.live.snapshot()["stalled"]
-    assert not any(
-        span.attributes.get("speculative") for span in recorder.spans
-    )
-
-
 # ----------------------------------------------------------------------
 # The status endpoint, scraped mid-run.
 # ----------------------------------------------------------------------
 
 class DawdlingSumReducer(Reducer):
     """Sums per key, taking its time — keeps the run alive long enough
-    for an HTTP scrape while emitting steady heartbeats."""
+    for an HTTP scrape to find its tasks running."""
 
     def reduce(self, key, values, context):
-        time.sleep(0.02)
-        context.progress()
+        time.sleep(0.05)
         context.emit((key, sum(values)))
 
 
-def test_endpoint_serves_metrics_and_progress_mid_run():
+def _get(server, route):
+    with urllib.request.urlopen(server.url + route, timeout=5) as response:
+        return response.read().decode("utf-8")
+
+
+def _progress(server):
+    return json.loads(_get(server, "/progress"))
+
+
+def _running_reduce_tasks(snapshot):
+    return sum(
+        phase["running_tasks"]
+        for job in snapshot["jobs"]
+        for phase in job["phases"]
+        if phase["phase"] == "reduce"
+    )
+
+
+@pytest.mark.parametrize("executor", EXECUTORS)
+def test_endpoint_serves_metrics_and_progress_mid_run(executor):
     fs = _word_count_fs()
-    recorder = TraceRecorder(live=LiveConfig())
+    recorder = TraceRecorder(live=True)
     server = StatusServer(recorder, port=0)
     server.start()
     try:
         worker = threading.Thread(
             target=run_job,
             args=(fs, _word_count_conf(DawdlingSumReducer())),
-            kwargs=dict(executor="threads", observer=recorder),
+            kwargs=dict(executor=executor, workers=2, observer=recorder),
         )
         worker.start()
         try:
-            # Poll /progress until the run is visibly in flight.
+            # Poll /progress until a reduce task is visibly running —
+            # its span opened, whichever executor runs its body.
             deadline = time.monotonic() + 10.0
-            snapshot = fetch_progress(server.url)
+            snapshot = _progress(server)
             while (
-                snapshot["heartbeats"] == 0 or not snapshot["jobs"]
-            ) and time.monotonic() < deadline:
-                time.sleep(0.01)
-                snapshot = fetch_progress(server.url)
-            assert snapshot["heartbeats"] > 0
+                not _running_reduce_tasks(snapshot)
+                and time.monotonic() < deadline
+            ):
+                time.sleep(0.005)
+                snapshot = _progress(server)
+            assert _running_reduce_tasks(snapshot) > 0
             assert snapshot["jobs"][0]["job"] == "wordcount"
             assert snapshot["closed"] is False
+            assert "heartbeats" not in snapshot
 
             # /metrics speaks Prometheus text and carries the live
             # families while tasks are still running.
-            with urllib.request.urlopen(
-                server.url + "/metrics", timeout=5
-            ) as response:
-                body = response.read().decode("utf-8")
-            assert "# TYPE repro_live_heartbeats_total counter" in body
+            body = _get(server, "/metrics")
+            assert "# TYPE repro_live_tasks gauge" in body
             assert 'repro_live_tasks{job="wordcount"' in body
             assert "repro_live_run_progress_ratio" in body
 
             # The dashboard renders from the in-flight spans.
-            with urllib.request.urlopen(server.url + "/", timeout=5) as (
-                response
-            ):
-                page = response.read().decode("utf-8")
-            assert "wordcount" in page
+            assert "wordcount" in _get(server, "/")
         finally:
             worker.join(timeout=30)
         assert not worker.is_alive()
 
         recorder.close()
-        final = fetch_progress(server.url)
+        final = _progress(server)
         assert final["closed"] is True
         assert final["progress"] == pytest.approx(1.0)
+        assert _running_reduce_tasks(final) == 0
         # Closing publishes the ETA-vs-actual reconciliation gauge.
-        with urllib.request.urlopen(
-            server.url + "/metrics", timeout=5
-        ) as response:
-            body = response.read().decode("utf-8")
-        assert 'repro_live_run_seconds{kind="actual"}' in body
+        assert 'repro_live_run_seconds{kind="actual"}' in _get(
+            server, "/metrics"
+        )
     finally:
         server.close()
 

@@ -11,7 +11,7 @@ work; only the ``faults`` and ``wall`` groups may differ).
 And the registry is nothing but a fold over the span stream: a run
 written through a :class:`JsonlSink`, reloaded and folded again gives
 the live registry back sample for sample — every group but ``live``,
-which is beat-driven.
+which is read off the wall clock.
 """
 
 from __future__ import annotations

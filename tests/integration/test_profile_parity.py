@@ -1,6 +1,6 @@
-"""Profiler passivity and chaos compatibility.
+"""Profiler passivity, chaos compatibility, and nothing left running.
 
-Two invariants gate the data-plane profiler:
+Three invariants gate the data-plane profiler:
 
 * **Passivity** — profiling must never change what a run computes.  With
   the profiler off, a recorder-observed run is bit-identical to the
@@ -12,15 +12,25 @@ Two invariants gate the data-plane profiler:
   injection: a profiled chaos run still equals the clean run on
   everything outside the allowlisted ``wall``/``faults``/``profile``
   groups.
+* **Nothing rides along** — an observed run, profiled and live, starts
+  no thread and no child process on any executor, and leaves nothing
+  behind in the worker pool: telemetry is computed on the threads that
+  open and close spans.
 """
 
 from __future__ import annotations
+
+import multiprocessing
+import os
+import threading
+import time
 
 import pytest
 
 from repro.core.executor import execute
 from repro.core.query import IntervalJoinQuery
-from repro.obs import TraceRecorder
+from repro.mapreduce import runner
+from repro.obs import TraceRecorder, TraceSink
 from repro.obs.metrics import GROUP_FAULTS, GROUP_PROFILE, GROUP_WALL
 
 from tests.conftest import make_dataset
@@ -146,21 +156,69 @@ def test_retry_budget_keeps_task_cpu_accounting(executor):
         assert all("profile_cpu_seconds" in s.attributes for s in tasks)
 
 
-def test_processes_executor_reports_serialization():
-    """The processes backend's pickle boundary is real and must be
-    accounted: request/response bytes and parent/worker encode/decode
-    seconds all non-zero."""
+def _worker_threads(_):
+    """Pool probe: this worker's pid and thread names.  The pause lets
+    every worker of the pool pick one probe up."""
+    time.sleep(0.05)
+    return os.getpid(), [thread.name for thread in threading.enumerate()]
+
+
+def test_profiled_processes_run_leaves_nothing_in_the_pool():
+    """The pool is cached across runs, so anything a profiled run
+    started in a worker would keep running through every later
+    *unprofiled* query: off must mean nothing runs."""
     data = make_dataset(("R1", "R2", "R3"), 60, seed=5)
-    _, recorder = _run(SEQUENCE, data, "processes", profile=True)
+    _run(SEQUENCE, data, "processes", profile=True)
 
-    nbytes = recorder.metrics.get("repro_profile_pickle_bytes_total")
-    assert nbytes is not None
-    directions = {labels[2] for labels, value in nbytes.samples() if value}
-    assert {"request", "response"} <= directions
+    pool = runner._process_pool(2)
+    seen = {}
+    deadline = time.monotonic() + 30.0
+    while set(seen) != set(pool._processes) and time.monotonic() < deadline:
+        probes = [pool.submit(_worker_threads, index) for index in range(4)]
+        seen.update(probe.result(timeout=30) for probe in probes)
+    assert set(seen) == set(pool._processes)
+    for names in seen.values():
+        assert not [name for name in names if name.startswith("repro-")]
 
-    seconds = recorder.metrics.get("repro_profile_pickle_seconds_total")
-    sides = {labels[2] for labels, value in seconds.samples() if value > 0}
-    assert {"parent", "worker"} <= sides
+
+class _Census(TraceSink):
+    """What is alive beside the run, looked at mid-run: at every closing
+    task span."""
+
+    def __init__(self):
+        self.threads, self.children = set(), set()
+
+    def emit(self, span):
+        if span.kind == "task":
+            self.threads.update(t.name for t in threading.enumerate())
+            self.children.update(
+                child.pid for child in multiprocessing.active_children()
+            )
+
+
+@pytest.mark.parametrize("executor", EXECUTORS)
+def test_observed_run_starts_no_thread_and_no_process(executor):
+    """``live=True, profile=True``: no telemetry thread, and no child
+    process but the pool's workers, while tasks are closing."""
+    data = make_dataset(("R1", "R2", "R3"), 60, seed=5)
+    children_before = {
+        child.pid for child in multiprocessing.active_children()
+    }
+    census = _Census()
+    recorder = TraceRecorder(census, profile=True, live=True)
+    execute(
+        SEQUENCE, data, num_partitions=5, executor=executor, workers=2,
+        observer=recorder,
+    )
+    recorder.close()
+
+    assert census.threads  # the sink did look
+    assert not [name for name in census.threads if name.startswith("repro-")]
+    workers = (
+        set(runner._process_pool(2)._processes)
+        if executor == "processes" else set()
+    )
+    assert census.children - children_before <= workers
 
 
 def test_serial_and_threads_report_cpu_and_memory():

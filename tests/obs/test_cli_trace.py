@@ -182,7 +182,7 @@ class TestReportDegradation:
         from repro.mapreduce.job import InputSpec, JobConf
         from repro.mapreduce.runner import run_job
         from repro.mapreduce.task import IdentityMapper, Reducer
-        from repro.obs import JsonlSink, LiveConfig, TraceRecorder
+        from repro.obs import JsonlSink, TraceRecorder
 
         class CountReducer(Reducer):
             def reduce(self, key, values, context):
@@ -191,9 +191,7 @@ class TestReportDegradation:
         fs = InMemoryFileSystem()
         fs.write("in/doc", ["a", "b", "c"])
         trace = tmp_path / "live.jsonl"
-        recorder = TraceRecorder(
-            JsonlSink(str(trace)), live=LiveConfig()
-        )
+        recorder = TraceRecorder(JsonlSink(str(trace)), live=True)
         run_job(
             fs,
             JobConf(
@@ -226,7 +224,7 @@ class TestServeStatusOnATakenPort:
     ):
         """``--serve-status`` on a port somebody else holds: ``error:``
         and exit status 1 before any job runs, with nothing started —
-        no live or sampler thread, no trace file."""
+        no telemetry thread, no trace file."""
         import socket
         import threading
 
@@ -251,7 +249,7 @@ class TestServeStatusOnATakenPort:
         assert not [
             thread.name
             for thread in threading.enumerate()
-            if thread.name.startswith(("repro-live", "repro-stack-sampler"))
+            if thread.name.startswith("repro-")
         ]
 
 

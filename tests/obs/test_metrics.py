@@ -1,4 +1,4 @@
-"""MetricsRegistry: types, merge semantics, exposition goldens.
+"""MetricsRegistry: types, serialisation, exposition goldens.
 
 The golden files pin the full Prometheus text exposition of a small
 RCCIS run and a small All-Matrix run (deterministic ``run`` + ``faults``
@@ -93,33 +93,6 @@ class TestMergeAndSerialisation:
             histogram.observe(value)
         return registry
 
-    def test_roundtrip(self):
-        registry = self._populated(2)
-        clone = MetricsRegistry.from_dict(registry.as_dict())
-        assert clone.fingerprint() == registry.fingerprint()
-        assert clone.to_prometheus() == registry.to_prometheus()
-
-    def test_merge_adds_counters_and_histograms(self):
-        merged = self._populated(1)
-        merged.merge(self._populated(2))
-        assert merged.get("records_total").value(job="j") == 30
-        # Gauges are last-write-wins.
-        assert merged.get("factor").value() == 3.0
-        assert merged.get("load").state()["count"] == 3 + 6
-
-    def test_merge_is_deterministic(self):
-        a = self._populated(1)
-        a.merge(self._populated(3))
-        b = self._populated(3)
-        # Merging in either order gives identical counters/histograms
-        # (gauges differ by design: last write wins).
-        b.merge(self._populated(1))
-        assert (
-            a.get("records_total").samples()
-            == b.get("records_total").samples()
-        )
-        assert a.get("load").samples() == b.get("load").samples()
-
     def test_fingerprint_excludes_groups(self):
         registry = self._populated()
         registry.counter("wall_thing", group=GROUP_WALL).inc(123)
@@ -161,12 +134,20 @@ def _deterministic_exposition(algorithm, query, relations) -> str:
         # include varies with injected failures by design).
         faults=False,
     )
-    payload = {
-        name: entry
-        for name, entry in recorder.metrics.as_dict().items()
-        if entry["group"] != GROUP_WALL
-    }
-    return MetricsRegistry.from_dict(payload).to_prometheus()
+    # The registry the run built, minus the wall-clock families.
+    wall = tuple(
+        metric.name
+        for metric in recorder.metrics.families()
+        if metric.group == GROUP_WALL
+    )
+    exposition = recorder.metrics.to_prometheus()
+    return "".join(
+        line
+        for line in exposition.splitlines(keepends=True)
+        if not line.removeprefix("# HELP ")
+        .removeprefix("# TYPE ")
+        .startswith(wall)
+    )
 
 
 @pytest.mark.parametrize(
