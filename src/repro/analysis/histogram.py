@@ -29,6 +29,7 @@ from repro.intervals.interval import Interval
 from repro.intervals.sweep import (
     INTERSECTING,
     SortedColumns,
+    WindowPlan,
     window_blocks,
     window_kind,
 )
@@ -55,8 +56,8 @@ def allen_histogram(
             counts[name] = 0
             colocation.append(predicate)
         else:
-            sizes = index.window_sizes(kind, probes.starts, probes.ends)
-            counts[name] = int(sizes.sum())
+            plan = WindowPlan(index, kind, probes.starts, probes.ends)
+            counts[name] = int(plan.sizes.sum())
     for probe, row in window_blocks(
         index, INTERSECTING, probes.starts, probes.ends
     ):

@@ -169,7 +169,11 @@ class JoinResult:
         metrics: ExecutionMetrics,
     ) -> None:
         self.query = query
-        self.tuples: List[Tuple[Row, ...]] = list(tuples)
+        # A list is kept, not copied: ``run_plan`` hands over the one it
+        # collected the output into.
+        self.tuples: List[Tuple[Row, ...]] = (
+            tuples if isinstance(tuples, list) else list(tuples)
+        )
         self.metrics = metrics
 
     def __len__(self) -> int:

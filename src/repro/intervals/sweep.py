@@ -1,11 +1,11 @@
 """The array sweep: 2-way interval joins over endpoint columns.
 
-* :class:`SortedColumns` — one interval column sorted by start and by
-  end, whose :meth:`~SortedColumns.windows` derives each probe
-  interval's candidate rows as contiguous ``searchsorted`` windows
-  expanded by run length — sorted endpoint columns and gapless windows
-  after Piatov et al. (cache-efficient sweeping for extended Allen
-  predicates), with no per-pair Python.
+* :class:`SortedColumns` — one interval column and its sorted orders;
+  :class:`WindowPlan` derives each probe interval's candidate rows as
+  contiguous ``searchsorted`` windows expanded by run length, once and
+  with the probes sorted too — both sides walked in endpoint order,
+  gapless windows, after Piatov et al. (cache-efficient sweeping for
+  extended Allen predicates), with no per-pair Python.
 * :func:`true_pairs` — the pair kernel, one parameterised sweep for all
   thirteen predicates: :func:`window_kind` picks the predicate's
   candidate windows (the only place a predicate is mapped to its access
@@ -39,6 +39,7 @@ __all__ = [
     "ALL_ROWS",
     "WINDOW_NAMES",
     "MAX_CANDIDATE_PAIRS",
+    "WindowPlan",
     "hull",
     "window_kind",
     "window_blocks",
@@ -46,7 +47,7 @@ __all__ = [
     "join_pairs",
 ]
 
-#: The candidate sets :meth:`SortedColumns.windows` derives for a probe
+#: The candidate sets :class:`WindowPlan` derives for a probe
 #: interval ``[s, e]``: rows sharing a point with it, rows ending
 #: strictly before ``s``, rows starting strictly after ``e``, every row.
 INTERSECTING, ENDING_BEFORE, STARTING_AFTER, ALL_ROWS = range(4)
@@ -57,9 +58,10 @@ WINDOW_NAMES = ("intersecting", "ending-before", "starting-after", "all-rows")
 class SortedColumns:
     """One interval column — ``starts``/``ends`` in row order, float64 or
     ``object`` for endpoints float64 cannot hold exactly — with its
-    by-start and by-end orders, computed on first use.  :meth:`restrict`
-    narrows the candidate rows without sorting again (the full orders
-    are shared and filtered); row indices stay the unrestricted column's.
+    by-start and by-end orders, each computed on first use (the by-end
+    one only by ``ENDING_BEFORE`` windows).  :meth:`restrict` narrows
+    the candidate rows without sorting again (the full orders are
+    shared and filtered); row indices stay the unrestricted column's.
     """
 
     def __init__(self, starts, ends, active=None, _full_orders=None) -> None:
@@ -111,50 +113,6 @@ class SortedColumns:
             hit = self._sorted[side] = (order, column[order])
         return hit
 
-    def window_sizes(self, kind: int, starts, ends) -> np.ndarray:
-        """How many candidate rows each probe ``[starts[i], ends[i]]``
-        has under ``kind`` — what :meth:`windows` would expand."""
-        if kind == ALL_ROWS:
-            return np.full(len(starts), len(self), dtype=np.int64)
-        if kind == STARTING_AFTER:
-            return len(self) - np.searchsorted(self._by(0)[1], ends, "right")
-        ending_before = np.searchsorted(self._by(1)[1], starts, "left")
-        if kind == ENDING_BEFORE:
-            return ending_before
-        # Rows starting at or before the probe's end, less those already
-        # over before its start (a subset: start <= end on both sides).
-        return np.searchsorted(self._by(0)[1], ends, "right") - ending_before
-
-    def windows(self, kind: int, starts, ends) -> Tuple[np.ndarray, np.ndarray]:
-        """``(probe index, row index)`` for every candidate row of every
-        probe, in no particular order."""
-        if kind != INTERSECTING:
-            # A prefix of the by-end order, or a suffix of the by-start one.
-            ending = kind == ENDING_BEFORE
-            order, _ = self._by(1 if ending else 0)
-            sizes = self.window_sizes(kind, starts, ends)
-            lo = np.zeros_like(sizes) if ending else len(order) - sizes
-            position, probe = ranged_targets(lo, lo + sizes - 1)
-            return probe, order[position]
-        order, keys = self._by(0)
-        # Closed intersection = rows starting inside the probe, plus the
-        # probes whose start falls in (row.start, row.end]: two disjoint
-        # families of contiguous windows.
-        position, probe = ranged_targets(
-            np.searchsorted(keys, starts, "left"),
-            np.searchsorted(keys, ends, "right") - 1,
-        )
-        by_start = np.argsort(starts, kind="stable")
-        probe_keys = starts[by_start]
-        probe_position, row = ranged_targets(
-            np.searchsorted(probe_keys, keys, "right"),
-            np.searchsorted(probe_keys, self.ends[order], "right") - 1,
-        )
-        return (
-            np.concatenate([probe, by_start[probe_position]]),
-            np.concatenate([order[position], order[row]]),
-        )
-
 
 def hull(columns: Iterable[SortedColumns]) -> Optional[Tuple[Any, Any]]:
     """``(least start, greatest end)`` over every row of ``columns``
@@ -174,16 +132,80 @@ def hull(columns: Iterable[SortedColumns]) -> Optional[Tuple[Any, Any]]:
 MAX_CANDIDATE_PAIRS = 1 << 18
 
 
+class WindowPlan:
+    """The candidate windows of the probes ``[starts[i], ends[i]]`` over
+    ``index`` under ``kind``, computed once: the probes are visited in
+    the order of the endpoint the kind searches with, so every
+    ``searchsorted`` walks its keys forwards, and the same bounds give
+    the per-probe :attr:`sizes` (in visiting order; their sum is the
+    candidate count) and what :meth:`blocks` expands."""
+
+    __slots__ = ("sizes", "_by", "_rows", "_lo", "_hi", "_across")
+
+    def __init__(self, index: SortedColumns, kind: int, starts, ends) -> None:
+        self._by = self._across = None
+        if kind == ALL_ROWS:
+            self._rows = index.rows()
+            lo, hi = 0, len(self._rows) - 1
+        else:
+            searched = ends if kind == STARTING_AFTER else starts
+            self._by = by = np.argsort(searched, kind="stable")
+            searched = searched[by]
+            self._rows, keys = index._by(1 if kind == ENDING_BEFORE else 0)
+            if kind == ENDING_BEFORE:  # a prefix of the by-end order
+                lo, hi = 0, np.searchsorted(keys, searched, "left") - 1
+            elif kind == STARTING_AFTER:  # a suffix of the by-start order
+                lo, hi = np.searchsorted(keys, searched, "right"), len(keys) - 1
+            else:
+                # Closed intersection = the rows starting inside the
+                # probe, plus the probes whose start falls in
+                # (row.start, row.end]: two disjoint families of
+                # contiguous windows, the second over the sorted probes.
+                lo = np.searchsorted(keys, searched, "left")
+                hi = np.searchsorted(keys, ends[by], "right") - 1
+                self._across = (
+                    np.searchsorted(searched, keys, "right"),
+                    np.searchsorted(searched, index.ends[self._rows], "right") - 1,
+                )
+        zero = np.zeros(len(starts), dtype=np.int64)
+        self._lo, self._hi = zero + lo, zero + hi
+        self.sizes = self._hi - self._lo + 1
+        if self._across is not None:
+            # Each row's probe window adds one to every probe in it: a
+            # difference array over the windows' bounds.
+            self.sizes += np.cumsum(
+                np.bincount(self._across[0], minlength=len(zero) + 1)
+                - np.bincount(self._across[1] + 1, minlength=len(zero) + 1)
+            )[:-1]
+
+    def blocks(self) -> Iterator[Tuple[np.ndarray, np.ndarray]]:
+        """``(probe index, row index)`` — into the caller's arrays and
+        the unrestricted column — for every candidate row of every
+        probe: consecutive probes in visiting order, at most
+        :data:`MAX_CANDIDATE_PAIRS` candidate pairs per block."""
+        for first, stop in _blocks(self.sizes):
+            position, probe = ranged_targets(
+                self._lo[first:stop], self._hi[first:stop]
+            )
+            probe += first
+            if self._across is not None:
+                # The part of each row's probe window inside the block.
+                lo = np.maximum(self._across[0], first)
+                hi = np.minimum(self._across[1], stop - 1)
+                inside, row = ranged_targets(lo, np.maximum(hi, lo - 1))
+                probe = np.concatenate([probe, inside])
+                position = np.concatenate([position, row])
+            yield (
+                probe if self._by is None else self._by[probe]
+            ), self._rows[position]
+
+
 def window_blocks(
     index: SortedColumns, kind: int, starts, ends
 ) -> Iterator[Tuple[np.ndarray, np.ndarray]]:
-    """``index.windows(kind, starts, ends)`` a block at a time: the
-    ``(probe index, row index)`` candidate pairs of consecutive probes,
-    at most :data:`MAX_CANDIDATE_PAIRS` per block."""
-    sizes = index.window_sizes(kind, starts, ends)
-    for lo, hi in _blocks(sizes):
-        probe, row = index.windows(kind, starts[lo:hi], ends[lo:hi])
-        yield (probe + lo if lo else probe), row
+    """:meth:`WindowPlan.blocks` of ``kind`` for the probes
+    ``[starts[i], ends[i]]`` over ``index``."""
+    return WindowPlan(index, kind, starts, ends).blocks()
 
 
 def _blocks(sizes: np.ndarray) -> Iterator[Tuple[int, int]]:

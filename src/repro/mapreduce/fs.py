@@ -186,7 +186,9 @@ class InMemoryFileSystem(FileSystem):
             records = self._files[path]
         except KeyError:
             raise FileSystemError(f"no such file: {path!r}") from None
-        return iter(list(records))
+        # No snapshot: a stored list is replaced (write, rename), never
+        # mutated in place.
+        return iter(records)
 
     def exists(self, path: str) -> bool:
         return path in self._files

@@ -20,6 +20,7 @@ from repro.intervals.sweep import (
     INTERSECTING,
     STARTING_AFTER,
     SortedColumns,
+    WindowPlan,
 )
 
 
@@ -38,10 +39,12 @@ class TestRelationIndex:
 
     @staticmethod
     def candidates(index, kind, start, end):
-        probes = (np.array([float(start)]), np.array([float(end)]))
-        probe, rows = index.windows(kind, *probes)
+        plan = WindowPlan(
+            index, kind, np.array([float(start)]), np.array([float(end)])
+        )
+        ((probe, rows),) = plan.blocks()  # one probe is one block
         assert probe.tolist() == [0] * len(rows)
-        assert index.window_sizes(kind, *probes).tolist() == [len(rows)]
+        assert plan.sizes.tolist() == [len(rows)]
         return sorted(rows.tolist())
 
     def test_intersecting(self, index):
@@ -62,7 +65,7 @@ class TestRelationIndex:
         assert self.candidates(index, ALL_ROWS, 0, 0) == [0, 1, 2]
 
     def test_restriction_shares_the_sort_and_keeps_row_numbers(self, index):
-        index.window_sizes(INTERSECTING, np.array([0.0]), np.array([1.0]))
+        WindowPlan(index, INTERSECTING, np.array([0.0]), np.array([1.0]))
         narrowed = index.restrict(np.array([False, True, True]))
         assert narrowed._full_orders is index._full_orders
         assert len(narrowed) == 2 and narrowed.rows().tolist() == [1, 2]

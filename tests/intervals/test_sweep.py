@@ -12,6 +12,7 @@ from repro.intervals.sweep import (
     STARTING_AFTER,
     SortedColumns,
     join_pairs,
+    window_blocks,
     window_kind,
 )
 
@@ -31,9 +32,10 @@ def window_pairs(kind, left, right):
     windows of ``left``'s intervals over ``right``'s column."""
     index = SortedColumns.of_intervals([iv for iv, _ in right])
     probes = SortedColumns.of_intervals([iv for iv, _ in left])
-    probe, row = index.windows(kind, probes.starts, probes.ends)
     return [
-        (left[i][1], right[j][1]) for i, j in zip(probe.tolist(), row.tolist())
+        (left[i][1], right[j][1])
+        for probe, row in window_blocks(index, kind, probes.starts, probes.ends)
+        for i, j in zip(probe.tolist(), row.tolist())
     ]
 
 

@@ -6,7 +6,11 @@ brute-force nested loop over ``predicate.holds`` for all thirteen
 predicates, including on degenerate (zero-length) intervals and touching
 endpoints, where the window boundaries are easiest to get wrong, on
 ``object`` columns (integer endpoints beyond 2**53) and however many
-blocks the candidate windows are cut into.
+blocks the candidate windows are cut into.  :class:`WindowPlan`, the one
+window computation under it, must yield exactly the window members of
+the nested loop — as many candidates, which is what
+``work:comparisons`` is charged from — on unsorted, duplicated and tied
+probes, a restricted index and block cuts inside a row's probe window.
 """
 
 from __future__ import annotations
@@ -22,7 +26,16 @@ from hypothesis import strategies as st
 from repro.intervals import sweep
 from repro.intervals.allen import ALLEN_PREDICATES
 from repro.intervals.interval import Interval
-from repro.intervals.sweep import SortedColumns, join_pairs, true_pairs
+from repro.intervals.sweep import (
+    ENDING_BEFORE,
+    INTERSECTING,
+    STARTING_AFTER,
+    SortedColumns,
+    WindowPlan,
+    join_pairs,
+    true_pairs,
+    window_kind,
+)
 
 # Small integer endpoints so equal/touching endpoints are common.
 interval_strategy = st.tuples(
@@ -149,3 +162,108 @@ def test_kernel_yields_original_items(name):
         assert any(l_item is item for item in left)
         assert any(r_item is item for item in right)
         assert predicate.holds(l_item[0], r_item[0])
+
+
+#: Whether ``row`` is in ``probe``'s window, per kind: the nested loop
+#: :class:`WindowPlan` must agree with.
+WINDOW_MEMBER = {
+    INTERSECTING: lambda probe, row: probe.intersects(row),
+    STARTING_AFTER: lambda probe, row: row.start > probe.end,
+    ENDING_BEFORE: lambda probe, row: row.end < probe.start,
+}
+
+
+def restricted_sides(intervals=interval_strategy):
+    """A probe side and an index side with a mask over its rows."""
+    return st.tuples(
+        sides(intervals),
+        st.lists(st.tuples(intervals, st.booleans()), max_size=25),
+    )
+
+
+def check_window_plan(predicate, left, masked_right, block):
+    """The plan's candidates — every block — against the nested loop
+    over the unmasked rows: the pair multiset, the candidate count the
+    blocks add up to, the sizes, the block bound; then the kernel on the
+    same restricted index against the predicate's nested loop."""
+    probes = SortedColumns.of_intervals([iv for iv, _ in left])
+    parent = SortedColumns.of_intervals([iv for iv, _ in masked_right])
+    kind = window_kind(predicate)
+    WindowPlan(parent, kind, probes.starts, probes.ends)  # sorts the parent
+    index = parent.restrict(
+        np.array([keep for _, keep in masked_right], dtype=bool)
+    )
+    assert index._full_orders is parent._full_orders
+    members = Counter(
+        (i, j)
+        for i, (probe, _) in enumerate(left)
+        for j, (row, keep) in enumerate(masked_right)
+        if keep and WINDOW_MEMBER[kind](probe, row)
+    )
+    with mock.patch.object(sweep, "MAX_CANDIDATE_PAIRS", block):
+        plan = WindowPlan(index, kind, probes.starts, probes.ends)
+        blocks = list(plan.blocks())
+        kept = Counter()
+        for left_rows, right_rows in true_pairs(predicate, probes, index):
+            kept.update(zip(left_rows.tolist(), right_rows.tolist()))
+    candidates = Counter()
+    for probe, row in blocks:
+        assert len(probe) == len(row)
+        assert len(row) <= block or len(set(probe.tolist())) == 1
+        candidates.update(zip(probe.tolist(), row.tolist()))
+    assert candidates == members
+    assert sum(len(row) for _, row in blocks) == sum(members.values())
+    per_probe = Counter(i for i, _ in members.elements())
+    assert sorted(plan.sizes.tolist()) == sorted(
+        per_probe[i] for i in range(len(left))
+    )
+    if kind == INTERSECTING:
+        assert 1 not in parent._full_orders  # no by-end order is built
+    assert kept == Counter(
+        (i, j)
+        for i, (probe, _) in enumerate(left)
+        for j, (row, keep) in enumerate(masked_right)
+        if keep and predicate.holds(probe, row)
+    )
+
+
+@pytest.mark.parametrize("name", sorted(ALLEN_PREDICATES))
+@pytest.mark.parametrize("block", [1, 2, 7, sweep.MAX_CANDIDATE_PAIRS])
+@settings(max_examples=25, deadline=None)
+@given(drawn=restricted_sides())
+def test_window_plan_matches_nested_loop(name, block, drawn):
+    """Small integer endpoints: probes arrive unsorted, repeat and tie
+    on start; zero-length and touching intervals are common; cuts of 1,
+    2 and 7 candidates fall inside a row's probe window (the second
+    ``INTERSECTING`` family)."""
+    check_window_plan(ALLEN_PREDICATES[name], *drawn, block)
+
+
+@pytest.mark.parametrize("name", sorted(ALLEN_PREDICATES))
+@settings(max_examples=15, deadline=None)
+@given(
+    drawn=restricted_sides(
+        interval_strategy.map(lambda iv: Interval(BIG + iv.start, BIG + iv.end))
+    ),
+    block=st.sampled_from([2, sweep.MAX_CANDIDATE_PAIRS]),
+)
+def test_window_plan_is_exact_beyond_float64(name, drawn, block):
+    check_window_plan(ALLEN_PREDICATES[name], *drawn, block)
+
+
+@pytest.mark.parametrize("name", sorted(ALLEN_PREDICATES))
+def test_window_plan_fixed_cases(name):
+    """An empty probe or index side, an all-masked index, and a block
+    cut inside the probe window of a long row."""
+    predicate = ALLEN_PREDICATES[name]
+    some = [(Interval(3, 3), 0), (Interval(0, 9), 1), (Interval(3, 4), 2)]
+    long_row = [(Interval(0, 20), True), (Interval(5, 5), True)]
+    stabbing = [(Interval(t, t + 1), t) for t in (7, 1, 7, 3, 12, 1, 5)]
+    for left, right in (
+        ([], [(iv, True) for iv, _ in some]),
+        (some, []),
+        (some, [(iv, False) for iv, _ in some]),
+        (stabbing, long_row),
+    ):
+        for block in (1, 2, 3, sweep.MAX_CANDIDATE_PAIRS):
+            check_window_plan(predicate, left, right, block)

@@ -27,12 +27,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from tests.integration.test_pinned_counters import observed
 from tests.properties.test_local_join_differential import (
     PREDICATES,
     random_interval,
 )
 
-from repro import IntervalJoinQuery, execute
 from repro.columnar.batch import ColumnValues
 from repro.core.algorithms.cascade import _StepJoinReducer
 from repro.core.algorithms.routing import BOUND_SIDE, NEW_SIDE
@@ -40,7 +40,6 @@ from repro.core.query import JoinCondition
 from repro.core.schema import Row
 from repro.mapreduce.counters import Counters
 from repro.mapreduce.task import ReduceContext
-from repro.workloads.synthetic import SyntheticConfig, generate_relation
 
 NEW = "N"
 
@@ -216,19 +215,5 @@ SIZING = {
 
 @pytest.mark.parametrize("case", sorted(SIZING))
 def test_sizing_queries_are_pinned(case):
-    algorithm, n, t_max, conditions, pinned = SIZING[case]
-    query = IntervalJoinQuery.parse(conditions)
-    data = {
-        name: generate_relation(
-            name,
-            SyntheticConfig(
-                n, t_range=(0, t_max), length_range=(1, 100), seed=seed
-            ),
-        )
-        for seed, name in enumerate(query.relations)
-    }
-    result = execute(query, data, algorithm, num_partitions=8)
-    metrics = result.metrics
-    assert (
-        len(result), metrics.comparisons, metrics.shuffled_records
-    ) == pinned
+    *shape, pinned = SIZING[case]
+    assert observed(*shape)[:3] == pinned
