@@ -15,8 +15,6 @@ import sys
 
 sys.path.insert(0, os.path.dirname(__file__))
 
-import pytest  # noqa: E402
-
 from common import (  # noqa: E402
     human_count,
     human_seconds,
@@ -121,20 +119,6 @@ def main() -> None:
             "shrinks ~o^m — the sweet spot balances the two",
         )
     )
-
-
-@pytest.mark.parametrize("parts", [4, 16, 64])
-def test_ablation_partitions_bench(benchmark, parts):
-    data = colocation_data(800)
-    cost = scaled_cost_model(SCALE)
-    result = benchmark.pedantic(
-        lambda: run_algorithm(
-            Q1, data, "rccis", num_partitions=parts, cost_model=cost
-        ),
-        rounds=1,
-        iterations=1,
-    )
-    assert len(result) > 0
 
 
 if __name__ == "__main__":

@@ -15,8 +15,6 @@ import sys
 
 sys.path.insert(0, os.path.dirname(__file__))
 
-import pytest  # noqa: E402
-
 from common import (  # noqa: E402
     human_count,
     human_seconds,
@@ -97,28 +95,6 @@ def main() -> None:
             "the budget; identical output either way",
         )
     )
-
-
-def test_shares_reduce_communication():
-    recommendation, tuned, uniform = run_pair(1_000)
-    assert tuned.metrics.shuffled_records < uniform.metrics.shuffled_records
-
-
-@pytest.mark.parametrize("mode", ["tuned", "uniform"])
-def test_ablation_shares_bench(benchmark, mode):
-    data = make_data(800)
-    cost = scaled_cost_model(SCALE)
-    if mode == "tuned":
-        shares = recommend_shares(Q4, data, cell_budget=36).shares
-        algorithm = ALGORITHMS["all_seq_matrix"](grid_parts=shares)
-    else:
-        algorithm = ALGORITHMS["all_seq_matrix"](grid_parts=6)
-    result = benchmark.pedantic(
-        lambda: algorithm.run(Q4, data, num_partitions=6, cost_model=cost),
-        rounds=1,
-        iterations=1,
-    )
-    assert len(result) >= 0
 
 
 if __name__ == "__main__":

@@ -16,14 +16,11 @@ import sys
 
 sys.path.insert(0, os.path.dirname(__file__))
 
-import pytest  # noqa: E402
-
 from common import (  # noqa: E402
     human_count,
     human_seconds,
     print_section,
     render_table,
-    run_algorithm,
     scaled_cost_model,
 )
 
@@ -101,28 +98,6 @@ def main() -> None:
             "skew; identical join output in all cases",
         )
     )
-
-
-def test_equi_depth_improves_balance_under_zipf():
-    width, depth = run_pair("zipf")
-    wb = load_balance(width.metrics.reducer_loads)
-    db = load_balance(depth.metrics.reducer_loads)
-    assert db.imbalance < wb.imbalance
-
-
-@pytest.mark.parametrize("strategy", ["uniform", "equi_depth"])
-def test_ablation_skew_bench(benchmark, strategy):
-    data = skewed_data("zipf", 400)
-    cost = scaled_cost_model(SCALE)
-    result = benchmark.pedantic(
-        lambda: execute(
-            Q1, data, algorithm="rccis", num_partitions=16,
-            cost_model=cost, partition_strategy=strategy,
-        ),
-        rounds=1,
-        iterations=1,
-    )
-    assert len(result) >= 0
 
 
 if __name__ == "__main__":

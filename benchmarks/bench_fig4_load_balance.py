@@ -16,10 +16,7 @@ import sys
 
 sys.path.insert(0, os.path.dirname(__file__))
 
-import pytest  # noqa: E402
-
 from common import (  # noqa: E402
-    human_count,
     print_section,
     render_table,
     run_algorithm,
@@ -106,38 +103,6 @@ def main() -> None:
             "right-most reducer; All-Matrix cells are near-uniform",
         )
     )
-
-
-def test_fig4_all_matrix_balances_better():
-    data = make_data(300)
-    cost = scaled_cost_model(SCALE)
-    allrep = run_algorithm(
-        QUERY, data, "all_replicate", num_partitions=6, cost_model=cost
-    )
-    matrix = run_algorithm(
-        QUERY, data, "all_matrix", num_partitions=6,
-        cost_model=cost, grid_parts=3,
-    )
-    assert allrep.same_output(matrix)
-    rep = load_balance(allrep.metrics.reducer_loads)
-    mat = load_balance(matrix.metrics.reducer_loads)
-    assert mat.fairness > rep.fairness
-    assert mat.imbalance < rep.imbalance
-
-
-@pytest.mark.parametrize("algorithm,grid", [("all_replicate", None), ("all_matrix", 3)])
-def test_fig4_bench(benchmark, algorithm, grid):
-    data = make_data(300)
-    cost = scaled_cost_model(SCALE)
-    result = benchmark.pedantic(
-        lambda: run_algorithm(
-            QUERY, data, algorithm, num_partitions=6,
-            cost_model=cost, grid_parts=grid,
-        ),
-        rounds=1,
-        iterations=1,
-    )
-    assert len(result) > 0
 
 
 if __name__ == "__main__":

@@ -23,8 +23,6 @@ import sys
 
 sys.path.insert(0, os.path.dirname(__file__))
 
-import pytest  # noqa: E402
-
 from common import (  # noqa: E402
     human_count,
     human_seconds,
@@ -143,18 +141,6 @@ def main() -> None:
         trace_data,
         "same shape as 5(a) on real-life-like data",
     )
-
-
-@pytest.mark.parametrize("algorithm,kwargs", SETUPS, ids=[s[0] for s in SETUPS])
-def test_fig5_bench(benchmark, algorithm, kwargs):
-    data = synthetic_data(40)
-    cost = scaled_cost_model(SCALE)
-    result = benchmark.pedantic(
-        lambda: run_algorithm(Q2, data, algorithm, cost_model=cost, **kwargs),
-        rounds=1,
-        iterations=1,
-    )
-    assert len(result) > 0
 
 
 if __name__ == "__main__":

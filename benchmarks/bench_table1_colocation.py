@@ -25,8 +25,6 @@ import sys
 
 sys.path.insert(0, os.path.dirname(__file__))
 
-import pytest  # noqa: E402
-
 from common import (  # noqa: E402
     human_count,
     human_seconds,
@@ -151,25 +149,6 @@ def main() -> None:
             "(intermediate ~50x input), where the cascade is worst",
         )
     )
-
-
-# ----------------------------------------------------------------------
-# pytest-benchmark entry points (small configuration, one round)
-# ----------------------------------------------------------------------
-
-
-@pytest.mark.parametrize("algorithm", ALGORITHMS)
-def test_table1_small(benchmark, algorithm):
-    data = make_data(800)
-    cost = scaled_cost_model(SCALE)
-    result = benchmark.pedantic(
-        lambda: run_algorithm(
-            Q1, data, algorithm, num_partitions=16, cost_model=cost
-        ),
-        rounds=1,
-        iterations=1,
-    )
-    assert len(result) > 0
 
 
 if __name__ == "__main__":

@@ -23,8 +23,6 @@ import sys
 
 sys.path.insert(0, os.path.dirname(__file__))
 
-import pytest  # noqa: E402
-
 from common import (  # noqa: E402
     human_count,
     human_seconds,
@@ -110,20 +108,6 @@ def main() -> None:
             "00:13-02:08), margin widening with trace size",
         )
     )
-
-
-@pytest.mark.parametrize("algorithm", ["two_way_cascade", "rccis"])
-def test_table2_small(benchmark, algorithm):
-    data = trace_data("P04", target=2_000)
-    cost = scaled_cost_model(SCALE)
-    result = benchmark.pedantic(
-        lambda: run_algorithm(
-            QUERY, data, algorithm, num_partitions=16, cost_model=cost
-        ),
-        rounds=1,
-        iterations=1,
-    )
-    assert len(result) >= 0
 
 
 if __name__ == "__main__":

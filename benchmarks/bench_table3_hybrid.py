@@ -26,8 +26,6 @@ import sys
 
 sys.path.insert(0, os.path.dirname(__file__))
 
-import pytest  # noqa: E402
-
 from common import (  # noqa: E402
     human_count,
     human_seconds,
@@ -129,25 +127,6 @@ def main() -> None:
             "(see module docstring)",
         )
     )
-
-
-@pytest.mark.parametrize("algorithm", ALGORITHMS)
-def test_table3_bench(benchmark, algorithm):
-    data = make_data(2_000)
-    # shrink R1 for the timed variant
-    from repro.core.schema import Relation
-
-    data["R1"] = Relation("R1", data["R1"].rows[:1_000])
-    cost = scaled_cost_model(SCALE)
-    result = benchmark.pedantic(
-        lambda: run_algorithm(
-            Q4, data, algorithm, num_partitions=6,
-            cost_model=cost, grid_parts=6,
-        ),
-        rounds=1,
-        iterations=1,
-    )
-    assert len(result) >= 0
 
 
 if __name__ == "__main__":

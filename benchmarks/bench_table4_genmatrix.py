@@ -20,8 +20,6 @@ import sys
 
 sys.path.insert(0, os.path.dirname(__file__))
 
-import pytest  # noqa: E402
-
 from common import (  # noqa: E402
     human_count,
     human_seconds,
@@ -99,30 +97,6 @@ def main() -> None:
             "375/625 consistent reducers reproduced exactly",
         )
     )
-
-
-def test_table4_consistent_reducers():
-    data = make_data(400)
-    result = run_algorithm(
-        Q5, data, "gen_matrix", num_partitions=5,
-        cost_model=scaled_cost_model(SCALE), grid_parts=5,
-    )
-    assert result.metrics.consistent_reducers == 375
-    assert result.metrics.total_reducers == 625
-
-
-def test_table4_bench(benchmark):
-    data = make_data(500)
-    cost = scaled_cost_model(SCALE)
-    result = benchmark.pedantic(
-        lambda: run_algorithm(
-            Q5, data, "gen_matrix", num_partitions=5,
-            cost_model=cost, grid_parts=5,
-        ),
-        rounds=1,
-        iterations=1,
-    )
-    assert len(result) >= 0
 
 
 if __name__ == "__main__":

@@ -8,25 +8,17 @@ while job-startup overhead stays fixed (startup does not shrink when data
 does).  Absolute seconds are still not the point — the *shape* (who wins,
 by what factor, where crossovers fall) is; EXPERIMENTS.md records both.
 
-Each ``bench_*`` module exposes
-
-* pytest-benchmark tests (small configurations, one round each) so
-  ``pytest benchmarks/ --benchmark-only`` measures real wall-clock of the
-  simulated stacks, and
-* a ``main()`` that prints the full paper-style table; ``run_paper_tables``
-  drives them all.
+Each ``bench_*`` module exposes a ``main()`` that prints the full
+paper-style table from deterministic counters and *modelled* seconds;
+``run_paper_tables`` drives them all.  Wall-clock performance is measured
+in one place, ``benchmarks/e2e``.
 """
 
 from __future__ import annotations
 
-import datetime
 import itertools
-import json
 import os
-import platform
-import sys
-from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Sequence
+from typing import Optional
 
 from repro.core.executor import execute
 from repro.core.query import IntervalJoinQuery
@@ -39,8 +31,6 @@ __all__ = [
     "scaled_cost_model",
     "run_algorithm",
     "trace_artifact_dir",
-    "emit_bench_json",
-    "git_commit",
     "human_count",
     "human_seconds",
     "render_table",
@@ -50,37 +40,7 @@ __all__ = [
 #: Environment variable naming a directory for per-run trace artifacts.
 TRACE_DIR_ENV = "REPRO_TRACE_DIR"
 
-#: Environment variable naming the directory BENCH_*.json artifacts go to
-#: (default: the current working directory).
-BENCH_DIR_ENV = "REPRO_BENCH_DIR"
-
 _TRACE_SEQ = itertools.count(1)
-
-
-def git_commit() -> Optional[str]:
-    """The commit the numbers were measured at, or ``None``.
-
-    Prefers ``$GITHUB_SHA`` (set by CI even in shallow/detached
-    checkouts), then asks ``git rev-parse HEAD``; outside a repository
-    the stamp is simply absent rather than an error.
-    """
-    sha = os.environ.get("GITHUB_SHA", "").strip()
-    if sha:
-        return sha
-    import subprocess
-
-    try:
-        out = subprocess.run(
-            ["git", "rev-parse", "HEAD"],
-            cwd=os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
-            capture_output=True,
-            text=True,
-            timeout=10,
-        )
-    except (OSError, subprocess.TimeoutExpired):
-        return None
-    sha = out.stdout.strip()
-    return sha if out.returncode == 0 and sha else None
 
 
 def trace_artifact_dir() -> Optional[str]:
@@ -177,55 +137,6 @@ def run_algorithm(
     # duplicates (scales where the reference oracle cannot).
     validate_result(result)
     return result
-
-
-def emit_bench_json(
-    name: str, payload: Dict[str, Any], metrics: Optional[Any] = None
-) -> str:
-    """Write a machine-readable benchmark artifact ``BENCH_<name>.json``.
-
-    The file lands in ``$REPRO_BENCH_DIR`` (created if needed) or the
-    current directory, and wraps ``payload`` in an envelope recording the
-    environment the numbers were measured on — CPU count above all, since
-    parallel-executor speedups are meaningless without it.  Every
-    artifact also records the resolved ``executor`` and ``workers`` the
-    numbers were measured with (informational to ``check_regression.py``)
-    and ``metrics`` (a :class:`~repro.obs.metrics.MetricsRegistry` or its
-    ``as_dict`` snapshot) attaches the run's metric families — whose
-    deterministic ``run`` group ``check_regression.py`` fingerprints
-    against the baseline sample-for-sample (the ``wall`` and ``faults``
-    groups stay allowlisted out).  Old baselines without a ``metrics``
-    field still pass.  Returns the path written.
-    """
-    from repro.mapreduce.runner import resolve_executor, resolve_workers
-
-    directory = os.environ.get(BENCH_DIR_ENV, "").strip() or "."
-    os.makedirs(directory, exist_ok=True)
-    path = os.path.join(directory, f"BENCH_{name}.json")
-    results = dict(payload)
-    results.setdefault("executor", resolve_executor(None))
-    results.setdefault("workers", resolve_workers(None))
-    if metrics is not None:
-        if hasattr(metrics, "as_dict"):
-            metrics = metrics.as_dict()
-        results["metrics"] = metrics
-    document = {
-        "benchmark": name,
-        "generated_at": datetime.datetime.now(datetime.timezone.utc)
-        .isoformat(timespec="seconds"),
-        "git_commit": git_commit(),
-        "environment": {
-            "python": platform.python_version(),
-            "platform": platform.platform(),
-            "cpu_count": os.cpu_count(),
-        },
-        "results": results,
-    }
-    with open(path, "w", encoding="utf-8") as handle:
-        json.dump(document, handle, indent=2, sort_keys=True)
-        handle.write("\n")
-    print(f"wrote {path}")
-    return path
 
 
 def print_section(title: str) -> None:

@@ -7,8 +7,9 @@ paper-style tables.  Typical use::
     python benchmarks/run_paper_tables.py            # everything
     python benchmarks/run_paper_tables.py table1 fig4  # a subset
 
-The full run takes a few minutes; EXPERIMENTS.md archives a reference
-transcript together with the paper-vs-measured discussion.
+The full run takes about a minute and writes nothing;
+``benchmarks/reference_transcript.txt`` is its committed output and
+EXPERIMENTS.md the paper-vs-measured discussion.
 """
 
 from __future__ import annotations
@@ -22,8 +23,6 @@ sys.path.insert(0, os.path.dirname(__file__))
 import bench_ablation_partitions  # noqa: E402
 import bench_ablation_shares  # noqa: E402
 import bench_ablation_skew  # noqa: E402
-import bench_executors  # noqa: E402
-import bench_shuffle_sort  # noqa: E402
 import bench_fig4_load_balance  # noqa: E402
 import bench_fig5_sequence  # noqa: E402
 import bench_table1_colocation  # noqa: E402
@@ -41,8 +40,6 @@ EXPERIMENTS = {
     "ablation_partitions": bench_ablation_partitions.main,
     "ablation_shares": bench_ablation_shares.main,
     "ablation_skew": bench_ablation_skew.main,
-    "executors": bench_executors.main,
-    "shuffle_sort": bench_shuffle_sort.main,
 }
 
 

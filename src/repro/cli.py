@@ -66,6 +66,7 @@ from repro.io import (
     load_relation,
     save_relation,
 )
+from repro.mapreduce.options import EXECUTORS
 from repro.stats import human_count, human_seconds
 from repro.workloads import (
     TRACE_PROFILES,
@@ -134,8 +135,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     run.add_argument("--partitions", type=int, default=16)
     run.add_argument(
-        "--executor", default=None,
-        choices=["serial", "threads", "processes"],
+        "--executor", default=None, choices=EXECUTORS,
         help="MapReduce executor (default: $REPRO_EXECUTOR, then serial)",
     )
     run.add_argument(

@@ -314,15 +314,10 @@ class JoinAlgorithm(abc.ABC):
                 modelled_seconds=metrics.simulated_seconds,
                 observed_quantities=metrics.observed_quantities(),
                 output_records=metrics.output_records,
-                shape=metrics.shape,
             )
             if plan.grid is not None:
                 metrics.consistent_reducers = len(plan.grid.cells)
                 metrics.total_reducers = plan.grid.total_cells
-                span.annotate(
-                    consistent_reducers=metrics.consistent_reducers,
-                    total_reducers=metrics.total_reducers,
-                )
             return JoinResult(query, tuples, metrics)
 
     # ------------------------------------------------------------------

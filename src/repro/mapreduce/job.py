@@ -51,14 +51,6 @@ class JobConf:
         Optional map-side combiner (a :class:`Reducer` run per map task).
     partitioner:
         Key -> reduce-task routing; defaults to Hadoop-style hashing.
-    max_attempts:
-        Per-job retry budget for each map/reduce task (Hadoop's
-        ``mapreduce.{map,reduce}.maxattempts``).  ``None`` defers to the
-        ``run_job`` argument, then ``$REPRO_MAX_ATTEMPTS``, then 1
-        (fail-fast) without a fault plan / 3 with one.
-    speculative:
-        Per-job speculative-execution switch; ``None`` defers to the
-        ``run_job`` argument and ``$REPRO_SPECULATIVE``.
     """
 
     name: str
@@ -68,8 +60,6 @@ class JobConf:
     num_reduce_tasks: int = 16
     combiner: Optional[Reducer] = None
     partitioner: Partitioner = field(default_factory=HashPartitioner)
-    max_attempts: Optional[int] = None
-    speculative: Optional[bool] = None
 
 
 @dataclass

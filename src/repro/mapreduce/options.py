@@ -17,10 +17,9 @@ one configuration), else the default — implemented by one helper,
 
 from __future__ import annotations
 
-import dataclasses
 import os
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, Optional, Union
+from typing import Any, Callable, Optional, Union
 
 from repro.errors import MapReduceError
 from repro.faults import (
@@ -184,23 +183,6 @@ class RunOptions:
     executor: str = "serial"
     workers: int = 1
     faults: ResolvedFaults = ResolvedFaults()
-
-    def for_job(
-        self, max_attempts: Optional[int], speculative: Optional[bool]
-    ) -> "RunOptions":
-        """These options with one job's ``JobConf.max_attempts`` /
-        ``JobConf.speculative`` overrides applied (``None`` keeps the
-        run-level value)."""
-        overrides: Dict[str, Any] = {}
-        if max_attempts is not None:
-            overrides["max_attempts"] = _positive_int(
-                "max_attempts", max_attempts
-            )
-        if speculative is not None:
-            overrides["speculative"] = bool(speculative)
-        return dataclasses.replace(
-            self, faults=dataclasses.replace(self.faults, **overrides)
-        )
 
 
 def resolve_options(

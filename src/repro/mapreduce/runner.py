@@ -893,8 +893,7 @@ def run_job(
     fs:
         The file system holding the inputs; outputs are written back to it.
     conf:
-        The job configuration.  ``conf.max_attempts`` / ``conf.speculative``
-        override the run-level values for this job.
+        The job configuration.
     observer:
         Optional :class:`~repro.obs.recorder.Observer` (a
         :class:`~repro.obs.TraceRecorder`); when given, the job, its
@@ -922,7 +921,6 @@ def run_job(
         options = resolve_options(
             executor, workers, faults, max_attempts, speculative, task_timeout
         )
-    options = options.for_job(conf.max_attempts, conf.speculative)
     if conf.num_reduce_tasks < 1:
         raise MapReduceError("a job needs at least one reduce task")
     if not conf.inputs:

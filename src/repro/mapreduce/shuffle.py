@@ -20,7 +20,8 @@ Keys are ordered by their ``repr`` throughout (the only total order
 available over mixed key types).  Each ``repr`` is computed once per
 distinct key via a decorate-sort — on grid workloads with 100k+ distinct
 keys the repeated ``repr`` calls of a naive ``sorted(keys, key=repr)``
-per consumer dominate the shuffle (see ``benchmarks/bench_shuffle_sort``).
+per consumer dominate the shuffle (the repo benchmark's
+``shuffle.shuffle_s`` layer times this function).
 """
 
 from __future__ import annotations

@@ -6,8 +6,9 @@ or reloaded from a JSONL trace via
 :func:`~repro.obs.sinks.load_spans_jsonl`) into a single HTML page with
 inline CSS and server-rendered SVG — it opens from disk, attaches to a
 CI artifact, and pastes into a bug report without any JavaScript, fonts
-or CDN fetches.  The spans are all it needs: the metric-backed tables
-read the fold of those spans (:func:`~repro.obs.metrics.fold_spans`).
+or CDN fetches.  The spans are all it needs: the one metric-backed
+table (the data plane panel) reads the fold of those spans
+(:func:`~repro.obs.metrics.fold_spans`).
 
 Sections, in reading order:
 
@@ -23,9 +24,7 @@ Sections, in reading order:
 * **data plane panel** — the profiler's per-job, per-phase CPU /
   memory accounting and shared-memory transport notes (the rows of
   :func:`~repro.obs.profile.data_plane_rows`, present for a profiled
-  run);
-* **algorithm tables** — replication factor and consistent-vs-total
-  grid-reducer utilisation per algorithm.
+  run).
 
 Colour and mark conventions follow a small fixed design system: three
 categorical series hues (validated for colour-vision deficiency
@@ -38,7 +37,7 @@ from __future__ import annotations
 
 import html as _html
 from dataclasses import replace
-from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Mapping, Optional, Sequence
 
 from repro.obs.explain import reconciliation_from_spans
 from repro.obs.metrics import MetricsRegistry, fold_spans
@@ -400,68 +399,6 @@ def _skew_table(jobs: List[Dict[str, Any]]) -> str:
     )
 
 
-def _metric_samples(
-    metrics: MetricsRegistry, name: str
-) -> List[Tuple[Dict[str, str], Any]]:
-    """``(labels-dict, value)`` pairs of one family of a registry."""
-    metric = metrics.get(name)
-    if metric is None:
-        return []
-    return [
-        (dict(zip(metric.label_names, key)), value)
-        for key, value in metric.samples()
-    ]
-
-
-def _algorithm_tables(metrics: MetricsRegistry) -> str:
-    replication = _metric_samples(
-        metrics, "repro_algorithm_replication_factor"
-    )
-    grid = _metric_samples(metrics, "repro_grid_reducers")
-    sections = []
-    if replication:
-        rows = [
-            (labels["algorithm"], _fmt(value, 4))
-            for labels, value in sorted(
-                replication, key=lambda s: s[0]["algorithm"]
-            )
-        ]
-        sections.append(
-            "<h2>Replication factor per algorithm</h2>"
-            '<div class="card">'
-            + _table(("algorithm", "tuples emitted / tuples read"), rows)
-            + "</div>"
-        )
-    if grid:
-        by_algorithm: Dict[str, Dict[str, float]] = {}
-        for labels, value in grid:
-            by_algorithm.setdefault(labels["algorithm"], {})[
-                labels["kind"]
-            ] = value
-        rows = []
-        for algorithm in sorted(by_algorithm):
-            kinds = by_algorithm[algorithm]
-            consistent = kinds.get("consistent", 0)
-            total = kinds.get("total", 0)
-            rows.append(
-                (
-                    algorithm,
-                    _fmt(consistent),
-                    _fmt(total),
-                    _fmt(consistent / total, 4) if total else "-",
-                )
-            )
-        sections.append(
-            "<h2>Grid reducer utilisation</h2>"
-            '<div class="card">'
-            + _table(
-                ("algorithm", "consistent", "total", "utilisation"), rows
-            )
-            + "</div>"
-        )
-    return "".join(sections)
-
-
 def _plan_panel(spans: Sequence[Span]) -> str:
     """The predicted-vs-observed cost-model scorecard, from the trace's
     ``plan``/``algorithm`` span pairs; worst offender (largest absolute
@@ -530,22 +467,6 @@ def _data_plane_panel(spans: Sequence[Span], metrics: MetricsRegistry) -> str:
     )
 
 
-def _metrics_overview(metrics: MetricsRegistry) -> str:
-    families = metrics.families()
-    if not families:
-        return ""
-    rows = [
-        (family.name, family.kind, family.group, len(family.samples()))
-        for family in families
-    ]
-    return (
-        "<h2>Metric families</h2>"
-        '<div class="card">'
-        + _table(("family", "type", "group", "samples"), rows)
-        + "</div>"
-    )
-
-
 # --------------------------------------------------------------------------
 # page assembly
 # --------------------------------------------------------------------------
@@ -560,8 +481,7 @@ def render_dashboard(
 
     ``spans`` is any span sequence (live recorder or reloaded JSONL
     trace).  ``metrics`` is the registry a live recorder already folded
-    from those spans (it then also lists the recorder's ``live``
-    families); left out, the spans are folded here.  The Data plane
+    from those spans; left out, the spans are folded here.  The Data plane
     table appears whenever the spans carry the profiler's annotations.
     ``now`` (recorder-epoch seconds) renders
     spans still *open* as if they ended now — the live status endpoint's
@@ -618,8 +538,6 @@ def render_dashboard(
         f'<div class="card">{_skew_table(jobs)}</div>',
         _plan_panel(spans),
         _data_plane_panel(spans, metrics),
-        _algorithm_tables(metrics),
-        _metrics_overview(metrics),
         "</body></html>",
     ]
     return "".join(parts)

@@ -315,7 +315,6 @@ class TelemetryHub(TraceSink):
                 "eta_seconds": eta,
                 "eta_initial_seconds": self._first_eta,
                 "modelled_seconds": self._plan.get("modelled_seconds"),
-                "predicted_cycles": len(self._plan.get("cycles") or []),
                 "closed": self.closed,
                 "jobs": [
                     {

@@ -574,10 +574,6 @@ FAMILIES: Dict[str, Tuple[Any, ...]] = {
         "gauge", _JOB_PHASE, GROUP_PROFILE,
         "Process peak RSS at phase end (monotonic across phases).",
     ),
-    "repro_profile_mem_alloc_blocks": (
-        "gauge", _JOB_PHASE, GROUP_PROFILE,
-        "Live interpreter allocation blocks at phase end.",
-    ),
     "repro_profile_shm_bytes_total": (
         "counter", ("job", "phase", "direction"), GROUP_PROFILE,
         "Column bytes shipped via multiprocessing.shared_memory blocks "
@@ -612,11 +608,6 @@ FAMILIES: Dict[str, Tuple[Any, ...]] = {
         "per job.",
     ),
     # -- from algorithm and reconciliation spans -------------------------
-    "repro_algorithm_replication_factor": (
-        "gauge", ("algorithm",), GROUP_RUN,
-        "Map-output pairs per input record over the whole algorithm (all "
-        "cycles).",
-    ),
     "repro_algorithm_observed": (
         "gauge", _PLAN, GROUP_RUN,
         "Observed run quantities the cost model predicts: the observed side "
@@ -625,20 +616,6 @@ FAMILIES: Dict[str, Tuple[Any, ...]] = {
     "repro_algorithm_output_records": (
         "gauge", ("algorithm",), GROUP_RUN,
         "Tuples produced by the algorithm's final cycle.",
-    ),
-    "repro_grid_reducers": (
-        "gauge", ("algorithm", "kind"), GROUP_RUN,
-        "Grid reducers by kind: consistent (receive data) vs total (all "
-        "grid cells).",
-    ),
-    "repro_grid_utilisation": (
-        "gauge", ("algorithm",), GROUP_RUN,
-        "Consistent reducers as a fraction of the full grid.",
-    ),
-    "repro_algorithm_shape": (
-        "gauge", ("algorithm", "dimension"), GROUP_RUN,
-        "Algorithm-declared shape metadata (grid dims, stages, partition "
-        "intervals).",
     ),
     "repro_plan_predicted": (
         "gauge", _PLAN, GROUP_RUN,
@@ -728,13 +705,10 @@ def _fold_phase(registry: MetricsRegistry, span: Span) -> Sequence[str]:
         _family(registry, "repro_profile_cpu_seconds_total").inc(
             attrs["profile_cpu_driver_seconds"], where="driver", **labels
         )
-        for attribute in (
-            "profile_mem_rss_peak_bytes", "profile_mem_alloc_blocks",
-        ):
-            if attribute in attrs:
-                _family(registry, f"repro_{attribute}").set(
-                    attrs[attribute], **labels
-                )
+        if "profile_mem_rss_peak_bytes" in attrs:
+            _family(registry, "repro_profile_mem_rss_peak_bytes").set(
+                attrs["profile_mem_rss_peak_bytes"], **labels
+            )
         if "shm_bytes" in attrs:
             _family(registry, "repro_profile_shm_bytes_total").inc(
                 attrs["shm_bytes"], direction="request", **labels
@@ -779,43 +753,23 @@ def _fold_job(registry: MetricsRegistry, span: Span) -> Sequence[str]:
 
 
 def _fold_algorithm(registry: MetricsRegistry, span: Span) -> Sequence[str]:
-    """One algorithm run's paper-level numbers: replication factor and
-    (for grid algorithms) the consistent-vs-total reducer utilisation
-    are what Sections 6–7 of the paper compare algorithms by.  A
+    """One algorithm run's paper-level numbers: the observed side of
+    every quantity the cost model predicts, and the output size.  A
     composite algorithm (FCTS/FSTC) closes its span after each sub-plan
     closed its own."""
     attrs = span.attributes
     labels = {"algorithm": attrs.get("algorithm", span.name)}
     if "observed_quantities" not in attrs:
         return ()
-    observed = attrs["observed_quantities"]
-    _family(registry, "repro_algorithm_replication_factor").set(
-        observed["replication_factor"], **labels
-    )
-    for quantity, value in sorted(observed.items()):
+    for quantity, value in sorted(attrs["observed_quantities"].items()):
         _family(registry, "repro_algorithm_observed").set(
             value, quantity=quantity, **labels
         )
     if "output_records" not in attrs:
-        return (
-            "repro_algorithm_output_records", "repro_algorithm_shape",
-            "repro_grid_reducers", "repro_grid_utilisation",
-        )
+        return ("repro_algorithm_output_records",)
     _family(registry, "repro_algorithm_output_records").set(
         attrs["output_records"], **labels
     )
-    if attrs.get("total_reducers"):
-        consistent, total = attrs["consistent_reducers"], attrs["total_reducers"]
-        reducers = _family(registry, "repro_grid_reducers")
-        reducers.set(consistent, kind="consistent", **labels)
-        reducers.set(total, kind="total", **labels)
-        _family(registry, "repro_grid_utilisation").set(
-            consistent / total, **labels
-        )
-    for dimension, value in sorted(attrs.get("shape", {}).items()):
-        _family(registry, "repro_algorithm_shape").set(
-            value, dimension=dimension, **labels
-        )
     return ()
 
 

@@ -12,9 +12,8 @@ can measure by itself, on the thread that opens and closes the span:
   columnar map task).  A task whose body ran in a pool worker says so
   on its span (``pooled=True``) and is not charged — the opening thread
   only waited for it.
-* **Memory** — per-phase watermarks: process peak RSS
-  (``resource.getrusage``) and live allocation blocks
-  (``sys.getallocatedblocks``).
+* **Memory** — a per-phase watermark: process peak RSS
+  (``resource.getrusage``).
 
 The profiler starts no thread, sends nothing to a worker and writes no
 metric: it annotates the spans it watches (``profile_*`` attributes), so
@@ -31,7 +30,6 @@ are bit-identical (pinned by the profiler passivity tests).
 from __future__ import annotations
 
 import os
-import sys
 import time
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
@@ -104,7 +102,6 @@ class Profiler(TraceSink):
             span.annotate(
                 profile_cpu_driver_seconds=cpu,
                 profile_mem_rss_peak_bytes=_rss_peak_bytes(),
-                profile_mem_alloc_blocks=sys.getallocatedblocks(),
             )
         else:
             span.annotate(profile_cpu_seconds=cpu)

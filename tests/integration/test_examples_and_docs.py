@@ -1,7 +1,9 @@
 """Smoke checks for the example scripts and documentation hygiene."""
 
+import importlib
 import importlib.util
 import pathlib
+import re
 
 import pytest
 
@@ -70,3 +72,56 @@ class TestDocumentationHygiene:
             assert (REPO_ROOT / doc).is_file(), doc
         for doc in ("algorithms.md", "mapreduce.md", "api.md"):
             assert (REPO_ROOT / "docs" / doc).is_file(), doc
+
+
+BENCHMARKS = REPO_ROOT / "benchmarks"
+BENCHMARK_SCRIPTS = sorted(BENCHMARKS.glob("*.py"))
+
+
+class TestBenchmarkReferences:
+    """No document names a benchmark file that is gone, and what is left
+    under ``benchmarks/`` still loads.  ``benchmarks/e2e/`` is excluded
+    throughout: the repo benchmark is frozen to ordinary PRs, so its
+    files (and what its README names) change only with the benchmark."""
+
+    DOCUMENTS = [
+        REPO_ROOT / "README.md",
+        REPO_ROOT / "DESIGN.md",
+        REPO_ROOT / "EXPERIMENTS.md",
+        *sorted((REPO_ROOT / "docs").glob("*.md")),
+        REPO_ROOT / ".claude" / "skills" / "verify" / "SKILL.md",
+    ]
+    #: (pattern of a file reference, directory it is relative to)
+    REFERENCES = [
+        (re.compile(r"benchmarks/(?!e2e/)[\w/]+\.py"), REPO_ROOT),
+        # "[_]" keeps this line out of the grep that shows the old stack gone.
+        (re.compile(r"BENCH[_][\w*]+\.jsonl?"), REPO_ROOT),
+        (re.compile(r"\w+_baseline\.json"), BENCHMARKS),
+    ]
+
+    def test_named_benchmark_files_exist(self):
+        stale = [
+            f"{document.relative_to(REPO_ROOT)}: {name}"
+            for document in self.DOCUMENTS
+            if document.is_file()
+            for pattern, directory in self.REFERENCES
+            for name in sorted(set(pattern.findall(document.read_text())))
+            if not any(directory.glob(name))
+        ]
+        assert not stale, f"documents name missing files: {stale}"
+
+    @pytest.fixture
+    def benchmarks_on_path(self, monkeypatch):
+        # Also undoes the sys.path.insert each script does on import.
+        monkeypatch.syspath_prepend(str(BENCHMARKS))
+
+    @pytest.mark.parametrize(
+        "path", BENCHMARK_SCRIPTS, ids=[p.stem for p in BENCHMARK_SCRIPTS]
+    )
+    def test_benchmark_script_imports(self, path, benchmarks_on_path):
+        importlib.import_module(path.stem)
+
+    def test_every_paper_table_entry_is_callable(self, benchmarks_on_path):
+        experiments = importlib.import_module("run_paper_tables").EXPERIMENTS
+        assert experiments
+        assert all(callable(entry) for entry in experiments.values())

@@ -11,6 +11,7 @@ import pytest
 from repro.core.executor import execute
 from repro.core.query import IntervalJoinQuery
 from repro.core.planner import ALGORITHMS
+from repro.core.tuning import recommend_shares
 from repro.stats import load_balance
 from repro.workloads import SyntheticConfig, generate_relation
 
@@ -187,3 +188,52 @@ class TestTable4Shape:
         )
         assert result.metrics.consistent_reducers == 375
         assert result.metrics.total_reducers == 625
+
+
+class TestAblationShapes:
+    """The two ablation claims of EXPERIMENTS.md (A2, A3), at the sizes
+    of the first row of their tables."""
+
+    def test_equi_depth_improves_balance_under_zipf(self):
+        data = {
+            name: generate_relation(
+                name,
+                SyntheticConfig(
+                    n=1_000, start_dist="zipf", t_range=(0, 100_000),
+                    length_range=(1, 150), seed=seed,
+                ),
+            )
+            for seed, name in enumerate(("R1", "R2", "R3"))
+        }
+        width, depth = (
+            execute(
+                Q1, data, algorithm="rccis", num_partitions=16,
+                partition_strategy=strategy,
+            )
+            for strategy in ("uniform", "equi_depth")
+        )
+        assert width.same_output(depth)
+        assert (
+            load_balance(depth.metrics.reducer_loads).imbalance
+            < load_balance(width.metrics.reducer_loads).imbalance
+        )
+
+    def test_shares_reduce_communication(self):
+        data = {
+            name: synth(name, n, seed, max_len=800)
+            for seed, (name, n) in enumerate(
+                (("R1", 1_000), ("R2", 20), ("R3", 40))
+            )
+        }
+        shares = recommend_shares(Q4, data, cell_budget=36).shares
+        tuned, uniform = (
+            execute(
+                Q4, data, num_partitions=6,
+                algorithm=ALGORITHMS["all_seq_matrix"](grid_parts=grid),
+            )
+            for grid in (shares, 6)
+        )
+        assert tuned.same_output(uniform)
+        assert (
+            tuned.metrics.shuffled_records < uniform.metrics.shuffled_records
+        )

@@ -546,14 +546,6 @@ class TestResolution:
     def test_plan_implies_retry_budget(self):
         assert resolve_faults(faults=42).max_attempts > 1
 
-    def test_jobconf_overrides_beat_arguments(self, fs):
-        conf = word_count_conf(fs, max_attempts=1)
-        plan = scripted(
-            "wordcount", "map", 0, 0, FaultEvent(CRASH, "setup")
-        )
-        with pytest.raises(FaultInjectedError):
-            run_job(fs, conf, faults=plan, max_attempts=4)
-
     def test_bad_values_rejected(self, monkeypatch):
         with pytest.raises(MapReduceError):
             resolve_faults(faults=object())

@@ -299,7 +299,6 @@ class TestReportFromTheTraceAlone:
         for panel in (
             "Plan &#183; predicted vs observed",
             "Data plane &#183; CPU / memory / serialization",
-            "Replication factor per algorithm",
         ):
             assert panel in page
 
@@ -320,7 +319,7 @@ class TestReportFromTheTraceAlone:
         ) == 0
         newer = {
             "input", "staged", "key_loads", "promoted", "tasks", "keys",
-            "output_records", "shape",
+            "output_records",
         }
         old_lines = []
         for line in trace.read_text().splitlines():
@@ -348,9 +347,8 @@ class TestReportFromTheTraceAlone:
         for family in (
             "repro_map_records_total", "repro_key_load",
             "repro_fs_attempts_total", "repro_algorithm_output_records",
-            "repro_grid_reducers",
         ):
             assert family in metrics_line
         assert "plan reconciliation — rccis" in captured.out
         assert "no profile metrics recorded" in captured.out
-        assert "Replication factor per algorithm" in html.read_text()
+        assert "Skew &amp; replication per job" in html.read_text()

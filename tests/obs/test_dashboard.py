@@ -104,15 +104,12 @@ def test_dashboard_smoke(algorithm, query, relations):
         assert banned not in page
     # Every phase name, every executed job, and the headline sections.
     for needle in ("map", "shuffle", "reduce", "Per-phase timeline",
-                   "Per-reducer load", "Skew", "Replication factor",
+                   "Per-reducer load", "Skew", "replication",
                    "Gini", "Jain"):
         assert needle in page, needle
     for job_result in recorder.job_results:
         assert job_result.name in page
-    # The metrics-backed tables made it in.
     assert algorithm in page
-    if algorithm == "all_matrix":
-        assert "Grid reducer utilisation" in page
 
 
 @pytest.mark.parametrize(
@@ -125,14 +122,15 @@ def test_dashboard_replication_for_every_algorithm(
     recorder = _observed_run(algorithm, query, relations)
     page = dashboard_from_recorder(recorder)
     _parse(page)
-    assert "Replication factor per algorithm" in page
+    assert "Skew &amp; replication per job" in page
+    assert "Plan &#183; predicted vs observed" in page
     assert f"<td>{algorithm}</td>" in page
 
 
 def test_dashboard_from_reloaded_trace(tmp_path):
     """The CLI path: spans round-trip through JSONL and the dashboard is
-    rebuilt from them alone — the metric-backed tables come from the
-    fold of the reloaded spans, with the numbers the live registry had."""
+    rebuilt from them alone, every table with the numbers the live
+    recorder's dashboard had."""
     trace = tmp_path / "trace.jsonl"
     recorder = TraceRecorder(JsonlSink(str(trace)))
     execute(
@@ -146,7 +144,6 @@ def test_dashboard_from_reloaded_trace(tmp_path):
     page = render_dashboard(load_spans_jsonl(str(trace)))
     _parse(page)
     for needle in ("rccis-flag", "rccis-join", "Per-phase timeline",
-                   "Replication factor per algorithm",
                    "Plan &#183; predicted vs observed"):
         assert needle in page
     live = render_dashboard(recorder.spans, recorder.metrics)

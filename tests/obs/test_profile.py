@@ -70,7 +70,6 @@ class TestProfilerHooks:
         assert families == {
             "repro_profile_cpu_seconds_total",
             "repro_profile_mem_rss_peak_bytes",
-            "repro_profile_mem_alloc_blocks",
             "repro_profile_shm_bytes_total",
         }
         cpu = registry.get("repro_profile_cpu_seconds_total")
