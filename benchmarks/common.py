@@ -24,7 +24,7 @@ from repro.core.executor import execute
 from repro.core.query import IntervalJoinQuery
 from repro.core.results import JoinResult
 from repro.mapreduce.cost import CostModel
-from repro.obs import ChromeTraceSink, TraceRecorder
+from repro.obs import JsonlSink, TraceRecorder
 from repro.stats import human_count, human_seconds, render_table
 
 __all__ = [
@@ -47,8 +47,8 @@ def trace_artifact_dir() -> Optional[str]:
     """The directory benchmark trace artifacts go to, or ``None``.
 
     Set ``REPRO_TRACE_DIR=/some/dir`` (or pass ``trace_dir=`` to
-    :func:`run_algorithm`) and every benchmark execution writes a
-    Perfetto-loadable Chrome trace-event JSON there, one file per run.
+    :func:`run_algorithm`) and every benchmark execution writes a JSONL
+    span trace there (what ``repro report`` reads), one file per run.
     Default off: an unobserved run is bit-identical to the seed.
     """
     directory = os.environ.get(TRACE_DIR_ENV, "").strip()
@@ -91,8 +91,8 @@ def run_algorithm(
     """Execute one algorithm with benchmark-friendly defaults.
 
     When ``trace_dir`` (or ``$REPRO_TRACE_DIR``) names a directory, the
-    run is observed and a Chrome trace-event artifact
-    ``<algorithm>-<seq>.trace.json`` is written there.  Pass your own
+    run is observed and a JSONL span trace
+    ``<algorithm>-<seq>.trace.jsonl`` is written there.  Pass your own
     ``observer`` instead to keep the recorder (spans, job results,
     metrics) after the call; it wins over ``trace_dir``.
     """
@@ -104,9 +104,9 @@ def run_algorithm(
     owns_observer = observer is None
     if observer is None and trace_dir:
         trace_path = os.path.join(
-            trace_dir, f"{algorithm}-{next(_TRACE_SEQ):03d}.trace.json"
+            trace_dir, f"{algorithm}-{next(_TRACE_SEQ):03d}.trace.jsonl"
         )
-        observer = TraceRecorder(ChromeTraceSink(trace_path))
+        observer = TraceRecorder(JsonlSink(trace_path))
 
     if grid_parts is not None:
         cls = ALGORITHMS[algorithm]

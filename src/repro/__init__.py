@@ -38,12 +38,7 @@ from repro.errors import (
     ReproError,
     UnsatisfiableQueryError,
 )
-from repro.faults import (
-    FaultEvent,
-    FaultPlan,
-    ScriptedFaultPlan,
-    resolve_faults,
-)
+from repro.faults import FaultEvent, FaultPlan, ScriptedFaultPlan
 from repro.intervals import (
     ALLEN_PREDICATES,
     AllenPredicate,
@@ -52,6 +47,7 @@ from repro.intervals import (
     get_predicate,
     relation_between,
 )
+from repro.mapreduce.options import resolve_faults
 
 __version__ = "1.0.0"
 

@@ -11,19 +11,18 @@ Commands
 ``run``
     Execute an interval join query over relation files, print the metric
     summary, optionally write the output tuples — plus observability
-    artifacts: ``--trace`` (Chrome trace-event or JSONL span log),
+    artifacts: ``--trace`` (the JSONL span log ``report`` reads),
     ``--history`` (JobHistory JSON + totals), ``--report`` (skew /
     straggler / empty-task diagnosis), ``--metrics`` / ``--metrics-out``
     (metric summary, JSON or Prometheus text), ``--html`` (one
     self-contained dashboard page) and ``--explain`` (EXPLAIN the plan
     before running, reconcile predictions against observations after).
     ``--profile`` adds the data-plane rundown (per-phase CPU and memory
-    watermarks).  Live monitoring: ``--live`` (running / finished tasks
-    and progress/ETA, folded from the span stream), ``--progress``
-    (in-terminal progress/ETA ticker), ``--serve-status PORT`` (HTTP
+    watermarks).  Live monitoring — running / finished tasks and
+    progress/ETA, folded from the span stream: ``--progress``
+    (in-terminal progress/ETA ticker) and ``--serve-status PORT`` (HTTP
     endpoint with ``/metrics``, ``/progress`` and a live dashboard at
-    ``/``) and ``--task-timeout`` (fail-and-retry attempts that overrun
-    a budget).
+    ``/``).
 ``explain``
     Render the physical plan for a query without running it: planner
     rationale (chosen algorithm and why each alternative was rejected,
@@ -150,18 +149,13 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument(
         "--faults", default=None, metavar="SEED[:OPTS]",
         help="run under deterministic fault injection, e.g. '42' or "
-        "'42:crash=0.3,delay=0.2,corrupt=0.1' "
+        "'42:crash=0.3,corrupt=0.1' "
         "(default: $REPRO_FAULTS, then off)",
     )
     run.add_argument(
         "--max-attempts", type=int, default=None, metavar="N",
         help="per-task retry budget "
         "(default: $REPRO_MAX_ATTEMPTS, then 3 with faults / 1 without)",
-    )
-    run.add_argument(
-        "--speculative", action="store_true", default=None,
-        help="speculatively re-execute plan-delayed straggler tasks "
-        "(default: $REPRO_SPECULATIVE, then off)",
     )
     run.add_argument("--explain", action="store_true",
                      help="print the EXPLAIN plan (with cost-model "
@@ -170,12 +164,8 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("-o", "--output", default=None,
                      help="write output tuples as JSON lines")
     run.add_argument("--trace", default=None, metavar="PATH",
-                     help="record the run's span trace to PATH")
-    run.add_argument(
-        "--trace-format", default="chrome", choices=["chrome", "jsonl"],
-        help="trace artifact format: Chrome trace-event JSON "
-        "(Perfetto / chrome://tracing) or JSONL span events",
-    )
+                     help="record the run's span trace to PATH as JSONL "
+                     "(what repro report reads)")
     run.add_argument("--history", default=None, metavar="PATH",
                      help="save a JobHistory JSON of the executed jobs "
                      "and print its totals")
@@ -189,27 +179,20 @@ def build_parser() -> argparse.ArgumentParser:
                      "(*.prom writes Prometheus text exposition instead)")
     run.add_argument("--html", default=None, metavar="PATH",
                      help="write a self-contained HTML run dashboard")
-    run.add_argument("--profile", action="store_true", default=None,
+    run.add_argument("--profile", action="store_true",
                      help="run under the data-plane profiler: per-phase "
                      "driver CPU and memory watermarks, in-process task "
-                     "CPU (default: $REPRO_PROFILE, then off)")
-    run.add_argument("--live", action="store_true", default=None,
-                     help="collect live telemetry from the span stream: "
-                     "running/finished tasks, progress/ETA and the "
-                     "repro_live_* metrics (default: $REPRO_LIVE, then off)")
+                     "CPU")
     run.add_argument("--progress", action="store_true",
                      help="render a live progress/ETA ticker on stderr "
-                     "while the query runs (implies --live)")
+                     "while the query runs (collects live telemetry: the "
+                     "repro_live_* metrics)")
     run.add_argument("--serve-status", type=int, default=None,
                      metavar="PORT",
                      help="serve live run status over HTTP on this port "
                      "(0 picks a free one): /metrics Prometheus text, "
-                     "/progress JSON, / live dashboard (implies --live)")
-    run.add_argument("--task-timeout", type=float, default=None,
-                     metavar="SECONDS",
-                     help="fail any task attempt that runs longer than "
-                     "this; it retries under the normal backoff budget "
-                     "(default: $REPRO_TASK_TIMEOUT, then unlimited)")
+                     "/progress JSON, / live dashboard (collects live "
+                     "telemetry, as --progress does)")
 
     explain = sub.add_parser(
         "explain",
@@ -250,7 +233,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="rebuild reports from a recorded JSONL span trace",
     )
     report.add_argument("trace", help="JSONL span trace (repro run "
-                        "--trace T.jsonl --trace-format jsonl)")
+                        "--trace T.jsonl)")
     report.add_argument("--html", default=None, metavar="PATH",
                         help="write the self-contained HTML dashboard here")
     report.add_argument("--title", default=None,
@@ -353,6 +336,14 @@ def _cmd_run(args: argparse.Namespace) -> int:
     query = IntervalJoinQuery.parse(
         [_parse_condition(c) for c in args.condition]
     )
+    # Validate the run options before anything else, as execute() does
+    # before planning: a bad value fails even when the query is provably
+    # empty.
+    from repro.mapreduce.options import resolve_options
+
+    options = resolve_options(
+        args.executor, args.workers, args.faults, args.max_attempts
+    )
     if args.explain:
         from repro.obs import explain_query
 
@@ -367,24 +358,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
         if explained.provably_empty:
             return 0
         print()
-    # Validate the run options up front so bad values fail before any
-    # work (execute() resolves the same arguments to the same values).
-    from repro.mapreduce.options import resolve_options
-
-    options = resolve_options(
-        args.executor, args.workers, args.faults, args.max_attempts,
-        args.speculative, args.task_timeout,
-    )
-    from repro.obs import resolve_live, resolve_profile
-
-    # A flag forces its telemetry on; otherwise $REPRO_PROFILE /
-    # $REPRO_LIVE decide.
-    profile = resolve_profile(args.profile)
-    live = resolve_live(
-        True
-        if args.live or args.progress or args.serve_status is not None
-        else None
-    )
+    live = args.progress or args.serve_status is not None
     observer = status_server = progress = None
     try:
         if args.serve_status is not None:
@@ -408,15 +382,13 @@ def _cmd_run(args: argparse.Namespace) -> int:
             or args.metrics
             or args.metrics_out
             or args.html
-            or profile
+            or args.profile
             or live
         ):
-            from repro.obs import TraceRecorder, open_sink
+            from repro.obs import JsonlSink, TraceRecorder
 
-            sinks = (
-                [open_sink(args.trace, args.trace_format)] if args.trace else []
-            )
-            observer = TraceRecorder(*sinks, profile=profile, live=live)
+            sinks = [JsonlSink(args.trace)] if args.trace else []
+            observer = TraceRecorder(*sinks, profile=args.profile, live=live)
         if status_server is not None:
             status_server.recorder = observer
             status_server.start()
@@ -441,8 +413,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
             observer=observer,
             faults=args.faults,
             max_attempts=args.max_attempts,
-            speculative=args.speculative,
-            task_timeout=args.task_timeout,
         )
     finally:
         if observer is not None:
@@ -461,10 +431,9 @@ def _cmd_run(args: argparse.Namespace) -> int:
     print(f"shuffled:   {human_count(m.shuffled_records)} pairs")
     print(f"replicated: {human_count(m.replicated_intervals)} intervals")
     print(f"modelled:   {human_seconds(m.simulated_seconds)}")
-    if m.tasks_failed or m.tasks_retried or m.speculative_wasted:
+    if m.tasks_failed or m.tasks_retried:
         print(
-            f"faults:     {m.tasks_failed} failed, {m.tasks_retried} "
-            f"retried, {m.speculative_wasted} speculative wasted"
+            f"faults:     {m.tasks_failed} failed, {m.tasks_retried} retried"
         )
     if args.explain:
         from repro.obs import reconciliation_from_spans
@@ -483,7 +452,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
                 handle.write("\n")
         print(f"output:     {args.output}")
     if args.trace:
-        print(f"trace:      {args.trace} ({args.trace_format})")
+        print(f"trace:      {args.trace}")
     if args.history:
         from repro.mapreduce.history import JobHistory
 

@@ -228,8 +228,7 @@ class JoinAlgorithm(abc.ABC):
             without it.
         options:
             How the jobs run — executor, workers, fault plan, retry
-            budget, speculation, task timeout — as one resolved
-            :class:`~repro.mapreduce.options.RunOptions`
+            budget — as one resolved :class:`~repro.mapreduce.options.RunOptions`
             (:func:`repro.execute` builds it from its keyword arguments).
             ``None`` resolves from the ``REPRO_*`` environment, then the
             defaults.  No option changes tuples, outputs or counters
@@ -270,8 +269,8 @@ class JoinAlgorithm(abc.ABC):
 
         Each call is one ``kind="algorithm"`` span around its jobs (a
         sub-plan's nests inside its parent's) that carries the run's
-        paper-level numbers: the observed quantities, the output size
-        and the plan's shape and grid.
+        paper-level numbers: tuples, cycles, shuffled records, modelled
+        seconds and the output size.
         """
         if ctx.num_partitions < 1:
             raise PlanningError("num_partitions must be >= 1")
@@ -312,7 +311,6 @@ class JoinAlgorithm(abc.ABC):
                 cycles=metrics.num_cycles,
                 shuffled_records=metrics.shuffled_records,
                 modelled_seconds=metrics.simulated_seconds,
-                observed_quantities=metrics.observed_quantities(),
                 output_records=metrics.output_records,
             )
             if plan.grid is not None:

@@ -49,8 +49,6 @@ def execute(
     observer: Optional[TraceRecorder] = None,
     faults=None,
     max_attempts: Optional[int] = None,
-    speculative: Optional[bool] = None,
-    task_timeout: Optional[float] = None,
 ) -> JoinResult:
     """Plan and run an interval join query.
 
@@ -76,16 +74,14 @@ def execute(
         is recorded as a span hierarchy (query -> plan, algorithm -> job
         -> phase -> task) with counter deltas and cost-model charges;
         results are identical with or without it.
-    faults, max_attempts, speculative, task_timeout:
-        Fault-injection plan (seed / spec string / plan object), per-task
-        retry budget, speculative re-execution switch and per-attempt
-        timeout in seconds; ``None`` defers to ``REPRO_FAULTS`` /
-        ``REPRO_MAX_ATTEMPTS`` / ``REPRO_SPECULATIVE`` /
-        ``REPRO_TASK_TIMEOUT``.  Any plan within the retry budget leaves
+    faults, max_attempts:
+        Fault-injection plan (seed / spec string / plan object) and
+        per-task retry budget; ``None`` defers to ``REPRO_FAULTS`` /
+        ``REPRO_MAX_ATTEMPTS``.  Any plan within the retry budget leaves
         tuples and counters (modulo the ``faults`` group) bit-identical
         to a fault-free run.
 
-    The six run options (``executor`` … ``task_timeout``) are resolved
+    The four run options (``executor`` … ``max_attempts``) are resolved
     and validated here, once, into a
     :class:`~repro.mapreduce.options.RunOptions` — before planning, so an
     invalid option raises even when the planner proves the query empty —
@@ -94,9 +90,7 @@ def execute(
     :meth:`~repro.core.algorithms.base.JoinAlgorithm.run`.
     """
     query.validate_against(data)
-    options = resolve_options(
-        executor, workers, faults, max_attempts, speculative, task_timeout
-    )
+    options = resolve_options(executor, workers, faults, max_attempts)
     if algorithm is None:
         chosen = plan(query, prune=prune)
         if chosen.provably_empty:

@@ -48,8 +48,6 @@ class ExecutionMetrics:
     tasks_failed: int = 0
     #: failed attempts that were re-run within the retry budget.
     tasks_retried: int = 0
-    #: speculative backup attempts whose output was discarded.
-    speculative_wasted: int = 0
     #: algorithm-specific shape metadata (grid dimensions, cascade
     #: stages, partition counts) — what the dashboard's utilisation
     #: table is built from.
@@ -83,7 +81,6 @@ class ExecutionMetrics:
             simulated_seconds=cost_model.pipeline_time(pipeline),
             tasks_failed=counters.value("faults", "tasks_failed"),
             tasks_retried=counters.value("faults", "tasks_retried"),
-            speculative_wasted=counters.value("faults", "speculative_wasted"),
         )
 
     @classmethod
@@ -105,7 +102,6 @@ class ExecutionMetrics:
             merged.simulated_seconds += part.simulated_seconds
             merged.tasks_failed += part.tasks_failed
             merged.tasks_retried += part.tasks_retried
-            merged.speculative_wasted += part.speculative_wasted
             for key, value in part.reducer_loads.items():
                 composite_key = (part.algorithm, key)
                 merged.reducer_loads[composite_key] = (

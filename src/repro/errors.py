@@ -69,37 +69,6 @@ class FaultInjectedError(MapReduceError):
         return (type(self), (self.kind, self.point))
 
 
-class TaskTimeoutError(MapReduceError):
-    """Raised when a task attempt exceeds the configured per-task
-    timeout (``--task-timeout`` / ``$REPRO_TASK_TIMEOUT``).
-
-    Enforced at the attempt boundary; within the retry budget the
-    attempt is re-run with the established backoff semantics, past the
-    budget it propagates like any other task failure.
-    """
-
-    def __init__(
-        self, job: str, phase: str, task_index: int,
-        seconds: float, limit: float,
-    ) -> None:
-        super().__init__(
-            f"{phase} task {task_index} of job {job!r} took "
-            f"{seconds:.3f}s, exceeding the {limit:.3f}s task timeout"
-        )
-        self.job = job
-        self.phase = phase
-        self.task_index = task_index
-        self.seconds = seconds
-        self.limit = limit
-
-    def __reduce__(self):  # crosses process-pool boundaries intact
-        return (
-            type(self),
-            (self.job, self.phase, self.task_index,
-             self.seconds, self.limit),
-        )
-
-
 class WorkerPoolError(MapReduceError):
     """Raised when the ``processes`` executor's worker pool breaks.
 

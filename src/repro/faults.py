@@ -1,15 +1,14 @@
 """Deterministic fault injection for the MapReduce simulator.
 
 The paper's algorithms inherit Hadoop's task-level fault tolerance: a
-failed map or reduce *attempt* is simply re-executed, and slow attempts
-are speculatively duplicated.  That only works because tasks are
-independently re-executable — re-running an attempt must not change the
-job's output.  This module supplies the machinery to *test* that
-property:
+failed map or reduce *attempt* is simply re-executed.  That only works
+because tasks are independently re-executable — re-running an attempt
+must not change the job's output.  This module supplies the machinery to
+*test* that property:
 
 * :class:`FaultPlan` — a seeded, fully deterministic schedule of
-  ``crash`` / ``delay`` / ``corrupt-output`` events.  Every draw comes
-  from an explicit :class:`random.Random` keyed by a BLAKE2 hash of
+  ``crash`` / ``corrupt-output`` events.  Every draw comes from an
+  explicit :class:`random.Random` keyed by a BLAKE2 hash of
   ``(seed, job, phase, task_index)`` — never the ``random`` module's
   global state — so the same seed produces the same event schedule on
   every run, every executor, and every platform, and two concurrent
@@ -17,11 +16,10 @@ property:
 * :class:`ScriptedFaultPlan` — an explicit per-attempt event table for
   tests that need a fault in one precise place (a combiner, a
   ``cleanup()`` hook, a commit).
-* :class:`ResolvedFaults` — the plan, retry budget, speculation switch
-  and task timeout of one run, in the shape the runner's task-attempt
-  loop consumes.  :mod:`repro.mapreduce.options` resolves it from
-  explicit arguments and the ``REPRO_FAULTS`` / ``REPRO_MAX_ATTEMPTS`` /
-  ``REPRO_SPECULATIVE`` / ``REPRO_TASK_TIMEOUT`` environment variables
+* :class:`ResolvedFaults` — the plan and retry budget of one run, in
+  the shape the runner's task-attempt loop consumes.
+  :mod:`repro.mapreduce.options` resolves it from explicit arguments and
+  the ``REPRO_FAULTS`` / ``REPRO_MAX_ATTEMPTS`` environment variables
   (how CI runs the whole suite under chaos).
 
 The contract, pinned by the fault-parity tests: any fault plan whose
@@ -41,42 +39,34 @@ from repro.errors import FaultInjectedError, MapReduceError
 
 __all__ = [
     "CRASH",
-    "DELAY",
     "CORRUPT",
     "INJECTION_POINTS",
     "FAULTS_GROUP",
     "FAULTS_ENV",
     "MAX_ATTEMPTS_ENV",
-    "SPECULATIVE_ENV",
-    "TASK_TIMEOUT_ENV",
     "FaultEvent",
     "FaultPlan",
     "ScriptedFaultPlan",
     "AttemptInjector",
     "ResolvedFaults",
-    "resolve_faults",
 ]
 
 #: Event kinds.
 CRASH = "crash"
-DELAY = "delay"
 CORRUPT = "corrupt-output"
 
 #: Where a crash may fire during an attempt's lifecycle.
 INJECTION_POINTS = ("setup", "combiner", "cleanup", "commit")
 
 #: Counter group used for fault bookkeeping (``tasks_failed``,
-#: ``tasks_retried``, ``speculative_wasted``).  Kept out of
-#: ``framework`` so a chaos run's counters equal a fault-free run's
-#: "modulo the faults group".
+#: ``tasks_retried``).  Kept out of ``framework`` so a chaos run's
+#: counters equal a fault-free run's "modulo the faults group".
 FAULTS_GROUP = "faults"
 
 #: Environment variables :mod:`repro.mapreduce.options` consults (how CI
 #: forces a chaos configuration onto a whole test run).
 FAULTS_ENV = "REPRO_FAULTS"
 MAX_ATTEMPTS_ENV = "REPRO_MAX_ATTEMPTS"
-SPECULATIVE_ENV = "REPRO_SPECULATIVE"
-TASK_TIMEOUT_ENV = "REPRO_TASK_TIMEOUT"
 
 #: Attempts per task when a fault plan is active and nothing says
 #: otherwise (Hadoop's ``mapreduce.map.maxattempts`` defaults to 4; the
@@ -89,19 +79,15 @@ DEFAULT_MAX_ATTEMPTS = 3
 class FaultEvent:
     """One injected fault in one task attempt.
 
-    ``kind`` is :data:`CRASH`, :data:`DELAY` or :data:`CORRUPT`;
-    ``point`` locates crashes in the attempt lifecycle (see
-    :data:`INJECTION_POINTS`); ``seconds`` is the delay duration for
-    :data:`DELAY` events (virtual under the serial executor, a capped
-    real sleep under ``threads``/``processes``).
+    ``kind`` is :data:`CRASH` or :data:`CORRUPT`; ``point`` locates
+    crashes in the attempt lifecycle (see :data:`INJECTION_POINTS`).
     """
 
     kind: str
     point: str = "setup"
-    seconds: float = 0.0
 
     def __post_init__(self) -> None:
-        if self.kind not in (CRASH, DELAY, CORRUPT):
+        if self.kind not in (CRASH, CORRUPT):
             raise MapReduceError(f"unknown fault kind {self.kind!r}")
         if self.kind == CRASH and self.point not in INJECTION_POINTS:
             raise MapReduceError(
@@ -118,9 +104,7 @@ class FaultPlan:
     global ``random`` state — whether the task fails, how many attempts
     fail (1..``max_failures_per_task``), whether the failure is a
     ``crash`` (raised before any user code runs) or ``corrupt-output``
-    (detected when the attempt commits, after the task body ran), and
-    whether the first *successful* attempt is delayed (which is what
-    speculative execution chases).
+    (detected when the attempt commits, after the task body ran).
 
     Because the draw depends only on the seed and the task identity, the
     schedule is reproducible across runs, platforms and executors — the
@@ -133,10 +117,6 @@ class FaultPlan:
     crash_rate / corrupt_rate:
         Probability that a task's failing attempts crash / corrupt.
         Their sum is the per-task failure probability.
-    delay_rate:
-        Probability that a task's winning attempt carries a delay event.
-    delay_seconds:
-        Duration of injected delays.
     max_failures_per_task:
         Upper bound on failing attempts per task; any ``max_attempts``
         strictly greater than this is guaranteed to stay within the
@@ -148,14 +128,11 @@ class FaultPlan:
         seed: int,
         *,
         crash_rate: float = 0.15,
-        delay_rate: float = 0.10,
         corrupt_rate: float = 0.05,
-        delay_seconds: float = 0.02,
         max_failures_per_task: int = 2,
     ) -> None:
         for name, rate in (
             ("crash_rate", crash_rate),
-            ("delay_rate", delay_rate),
             ("corrupt_rate", corrupt_rate),
         ):
             if not 0.0 <= rate <= 1.0:
@@ -166,9 +143,7 @@ class FaultPlan:
             raise MapReduceError("max_failures_per_task must be >= 1")
         self.seed = int(seed)
         self.crash_rate = crash_rate
-        self.delay_rate = delay_rate
         self.corrupt_rate = corrupt_rate
-        self.delay_seconds = delay_seconds
         self.max_failures_per_task = max_failures_per_task
 
     # ------------------------------------------------------------------
@@ -190,21 +165,13 @@ class FaultPlan:
         """
         rng = self._task_rng(job, phase, task_index)
         failure_draw = rng.random()
-        failures = 0
-        corrupt = False
-        if failure_draw < self.crash_rate + self.corrupt_rate:
-            failures = rng.randint(1, self.max_failures_per_task)
-            corrupt = failure_draw >= self.crash_rate
-        delayed = rng.random() < self.delay_rate
-        events = []
-        if attempt < failures:
-            if corrupt:
-                events.append(FaultEvent(CORRUPT, "commit"))
-            else:
-                events.append(FaultEvent(CRASH, "setup"))
-        if delayed and attempt == failures:
-            events.append(FaultEvent(DELAY, "setup", self.delay_seconds))
-        return tuple(events)
+        if failure_draw >= self.crash_rate + self.corrupt_rate:
+            return ()
+        if attempt >= rng.randint(1, self.max_failures_per_task):
+            return ()
+        if failure_draw >= self.crash_rate:
+            return (FaultEvent(CORRUPT, "commit"),)
+        return (FaultEvent(CRASH, "setup"),)
 
     def schedule(
         self, job: str, phase: str, task_index: int, max_attempts: int
@@ -221,7 +188,7 @@ class FaultPlan:
         """Build a plan from a ``$REPRO_FAULTS``-style spec string.
 
         Either a bare integer seed (``"42"``) or
-        ``"42:crash=0.3,delay=0.2,corrupt=0.1,delay_seconds=0.05,max_failures=2"``.
+        ``"42:crash=0.3,corrupt=0.1,max_failures=2"``.
         """
         if isinstance(spec, int):
             return cls(spec)
@@ -236,9 +203,7 @@ class FaultPlan:
         kwargs: Dict[str, Any] = {}
         keys = {
             "crash": ("crash_rate", float),
-            "delay": ("delay_rate", float),
             "corrupt": ("corrupt_rate", float),
-            "delay_seconds": ("delay_seconds", float),
             "max_failures": ("max_failures_per_task", int),
         }
         if options:
@@ -262,7 +227,7 @@ class FaultPlan:
     def describe(self) -> str:
         return (
             f"FaultPlan(seed={self.seed}, crash={self.crash_rate}, "
-            f"delay={self.delay_rate}, corrupt={self.corrupt_rate}, "
+            f"corrupt={self.corrupt_rate}, "
             f"max_failures={self.max_failures_per_task})"
         )
 
@@ -319,9 +284,6 @@ class AttemptInjector:
             if event.kind == CRASH and event.point == point:
                 raise FaultInjectedError(CRASH, point)
 
-    def delay_seconds(self) -> float:
-        return sum(e.seconds for e in self.events if e.kind == DELAY)
-
     def corrupts_output(self) -> bool:
         return any(e.kind == CORRUPT for e in self.events)
 
@@ -332,23 +294,12 @@ class ResolvedFaults:
 
     ``plan`` is any object with an ``events_for(job, phase, task_index,
     attempt)`` method, or ``None``.  ``max_attempts`` is the retry
-    budget per task; ``speculative`` enables backup attempts for tasks
-    the plan delayed.  ``backoff_base``/``backoff_cap`` parameterise the
-    exponential retry backoff (``base * 2**(attempt-1)``, capped): the
-    full value is charged as *virtual* time on the retry's span, while
-    real sleeping — only under the parallel executors — is additionally
-    capped by ``sleep_cap`` so chaos runs stay fast.  ``task_timeout``
-    (seconds, ``None`` for unlimited) fails any attempt that runs longer,
-    feeding the same retry/backoff path as an injected crash.
+    budget per task: a failed attempt is re-run at once, and once the
+    budget is spent the task's original exception propagates.
     """
 
     plan: Optional[Any] = None
     max_attempts: int = 1
-    speculative: bool = False
-    backoff_base: float = 0.002
-    backoff_cap: float = 0.1
-    sleep_cap: float = 0.05
-    task_timeout: Optional[float] = None
 
     def events_for(
         self, job: str, phase: str, task_index: int, attempt: int
@@ -356,25 +307,3 @@ class ResolvedFaults:
         if self.plan is None:
             return ()
         return tuple(self.plan.events_for(job, phase, task_index, attempt))
-
-    def backoff_seconds(self, attempt: int) -> float:
-        """Virtual backoff charged before retry ``attempt`` (>= 1)."""
-        if attempt < 1:
-            return 0.0
-        return min(self.backoff_base * (2 ** (attempt - 1)), self.backoff_cap)
-
-
-def resolve_faults(
-    faults: Union[None, bool, int, str, Any] = None,
-    max_attempts: Optional[int] = None,
-    speculative: Optional[bool] = None,
-    task_timeout: Optional[float] = None,
-) -> ResolvedFaults:
-    """The effective fault configuration: explicit arguments beat the
-    ``REPRO_*`` environment, which beats the fault-free default.  See
-    :func:`repro.mapreduce.options.resolve_faults`, where all run
-    options are resolved."""
-    # Imported here: the options module builds on this one.
-    from repro.mapreduce.options import resolve_faults as resolve
-
-    return resolve(faults, max_attempts, speculative, task_timeout)

@@ -16,15 +16,15 @@ from repro.mapreduce.history import JobHistory, JobRecord
 from repro.mapreduce.cost import DEFAULT_COST_MODEL, CostModel
 from repro.mapreduce.fs import FileSystem, InMemoryFileSystem, LocalFileSystem
 from repro.mapreduce.job import InputSpec, JobConf, JobResult
-from repro.mapreduce.options import RunOptions, resolve_options
-from repro.mapreduce.pipeline import Pipeline, PipelineResult
-from repro.mapreduce.runner import (
+from repro.mapreduce.options import (
     EXECUTORS,
+    RunOptions,
     resolve_executor,
+    resolve_options,
     resolve_workers,
-    run_job,
-    shutdown_worker_pools,
 )
+from repro.mapreduce.pipeline import Pipeline, PipelineResult
+from repro.mapreduce.runner import run_job, shutdown_worker_pools
 from repro.mapreduce.shuffle import (
     HashPartitioner,
     Partitioner,

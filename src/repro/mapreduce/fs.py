@@ -18,9 +18,8 @@ unless ``overwrite=True``.
 Task output follows Hadoop's two-phase commit protocol: a reduce attempt
 writes to ``<output>/_temporary/task-NNNNN/attempt-K`` and the winning
 attempt is *promoted* (renamed) to ``<output>/part-NNNNN`` on success —
-failed and speculative attempts are discarded without ever becoming
-visible, and a job that fails is *aborted*: whatever its tasks staged is
-removed.  Mirroring Hadoop's hidden-file convention, path components
+failed attempts are discarded without ever becoming visible, and a job
+that fails is *aborted*: whatever its tasks staged is removed.  Mirroring Hadoop's hidden-file convention, path components
 starting with ``_`` are invisible to :meth:`FileSystem.read_dir`, so a
 reader of the output directory can never observe uncommitted data.
 
@@ -105,7 +104,7 @@ class FileSystem(abc.ABC):
         return path
 
     def discard_attempt(self, base: str, index: int, attempt: int) -> None:
-        """Drop one staged attempt (failed or speculative loser)."""
+        """Drop one staged attempt (a failed one)."""
         self.delete(self.task_attempt_path(base, index, attempt))
 
     def promote_attempt(self, base: str, index: int, attempt: int) -> str:

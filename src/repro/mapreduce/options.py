@@ -1,18 +1,18 @@
-"""Run options: the six values that say *how* a job runs, resolved once.
+"""Run options: the four values that say *how* a job runs, resolved once.
 
-``executor``, ``workers``, the fault plan, ``max_attempts``,
-``speculative`` and ``task_timeout`` never change *what* a job computes —
-outputs and counters are bit-identical across all of them — so they
-travel together as one frozen :class:`RunOptions`, resolved exactly once
-per :func:`~repro.core.executor.execute` / direct
+``executor``, ``workers``, the fault plan and ``max_attempts`` never
+change *what* a job computes — outputs and counters are bit-identical
+across all of them — so they travel together as one frozen
+:class:`RunOptions`, resolved exactly once per
+:func:`~repro.core.executor.execute` / direct
 :func:`~repro.mapreduce.runner.run_job` call and passed down as a single
 ``options`` argument (``execute -> algorithm.run -> Pipeline -> run_job``).
 
 Every value follows the same precedence — explicit argument, else its
 ``$REPRO_*`` environment variable (how CI forces a whole test run onto
 one configuration), else the default — implemented by one helper,
-:func:`_setting`.  This module is the only place that reads
-``os.environ`` for run options, and nothing writes it.
+:func:`_setting`.  This module is the only place in the package that
+reads ``os.environ``, and nothing writes it.
 """
 
 from __future__ import annotations
@@ -26,8 +26,6 @@ from repro.faults import (
     DEFAULT_MAX_ATTEMPTS,
     FAULTS_ENV,
     MAX_ATTEMPTS_ENV,
-    SPECULATIVE_ENV,
-    TASK_TIMEOUT_ENV,
     FaultPlan,
     ResolvedFaults,
 )
@@ -104,29 +102,20 @@ def resolve_workers(workers: Optional[int] = None) -> int:
     ))
 
 
-def _parse_bool(text: str) -> bool:
-    return text.lower() in ("1", "true", "yes", "on")
-
-
 def resolve_faults(
     faults: Union[None, bool, int, str, Any] = None,
     max_attempts: Optional[int] = None,
-    speculative: Optional[bool] = None,
-    task_timeout: Optional[float] = None,
 ) -> ResolvedFaults:
     """The effective fault configuration: explicit arguments win
     over the environment, the environment over the fault-free default.
 
     ``faults`` may be ``None`` (defer to ``$REPRO_FAULTS``), ``False``
-    (no plan, and the environment's retry budget and task timeout are
-    ignored too — the fail-fast configuration regardless of what CI
-    exported), an integer seed, a spec string (see
-    :meth:`FaultPlan.parse`), or any plan object exposing
-    ``events_for``.  ``max_attempts`` defaults to
+    (no plan, and the environment's retry budget is ignored too — the
+    fail-fast configuration regardless of what CI exported), an integer
+    seed, a spec string (see :meth:`FaultPlan.parse`), or any plan
+    object exposing ``events_for``.  ``max_attempts`` defaults to
     ``$REPRO_MAX_ATTEMPTS``, then :data:`DEFAULT_MAX_ATTEMPTS` when a
-    plan is active, else 1 (fail fast).  ``speculative`` defaults to
-    ``$REPRO_SPECULATIVE``, then off.  ``task_timeout`` defaults to
-    ``$REPRO_TASK_TIMEOUT``, then unlimited.
+    plan is active, else 1 (fail fast).
     """
     if faults is None:
         faults = _setting(None, FAULTS_ENV, FaultPlan.parse, "a fault spec", None)
@@ -149,25 +138,8 @@ def resolve_faults(
             max_attempts, MAX_ATTEMPTS_ENV, int, "an integer",
             DEFAULT_MAX_ATTEMPTS if plan is not None else 1,
         )
-        task_timeout = _setting(
-            task_timeout, TASK_TIMEOUT_ENV, float, "a number of seconds", None
-        )
-    if task_timeout is not None and (
-        isinstance(task_timeout, bool) or task_timeout <= 0
-    ):
-        raise MapReduceError(
-            f"task_timeout must be a positive number of seconds, "
-            f"got {task_timeout!r}"
-        )
     return ResolvedFaults(
-        plan=plan,
-        max_attempts=_positive_int("max_attempts", max_attempts),
-        speculative=bool(
-            _setting(speculative, SPECULATIVE_ENV, _parse_bool, "a boolean", False)
-        ),
-        task_timeout=(
-            float(task_timeout) if task_timeout is not None else None
-        ),
+        plan=plan, max_attempts=_positive_int("max_attempts", max_attempts)
     )
 
 
@@ -175,8 +147,7 @@ def resolve_faults(
 class RunOptions:
     """How jobs run — resolved, validated, immutable.
 
-    ``faults`` bundles the fault plan, ``max_attempts``, ``speculative``
-    and ``task_timeout`` (plus the fixed backoff constants) in the shape
+    ``faults`` bundles the fault plan and ``max_attempts`` in the shape
     the task-attempt loop consumes.
     """
 
@@ -190,13 +161,11 @@ def resolve_options(
     workers: Optional[int] = None,
     faults: Any = None,
     max_attempts: Optional[int] = None,
-    speculative: Optional[bool] = None,
-    task_timeout: Optional[float] = None,
 ) -> RunOptions:
-    """Resolve and validate all six run options in one place (each
+    """Resolve and validate all four run options in one place (each
     ``None`` defers to its ``$REPRO_*`` variable, then the default)."""
     return RunOptions(
         executor=resolve_executor(executor),
         workers=resolve_workers(workers),
-        faults=resolve_faults(faults, max_attempts, speculative, task_timeout),
+        faults=resolve_faults(faults, max_attempts),
     )

@@ -8,22 +8,20 @@ task committing one ``part-*`` file under the job's output path.
 
 Every map and reduce task runs as a **task-attempt loop**
 (:func:`_run_task_attempts`, which documents the semantics): failed
-attempts retry with backoff within the ``max_attempts`` budget, only the
-winner's counters count, reduce output goes through the file
-system's stage/promote commit protocol, and stragglers get speculative
-backups that are discarded before commit.  A fault-free run is that
-same loop with a budget of one attempt and an empty fault plan — there
-is no second, "plain" path.  The run options
+attempts retry within the ``max_attempts`` budget, only the winner's
+counters count, and reduce output goes through the file system's
+stage/promote commit protocol.  A fault-free run is that same loop with
+a budget of one attempt and an empty fault plan — there is no second,
+"plain" path.  The run options
 (:class:`~repro.mapreduce.options.RunOptions`) only choose *where* the
 loop's pieces run:
 
 * ``executor`` — ``"serial"`` drives the per-task loops inline on the
   calling thread (deterministic; what tests and benchmarks use —
   parallelism is *simulated* by the cost model, which is how the
-  paper's cluster numbers are reproduced in shape) and charges injected
-  delays and backoff as virtual time; ``"threads"`` and ``"processes"``
-  drive one loop per task on parent-side driver threads and really
-  sleep (capped).  Under ``"processes"`` each attempt's body is shipped
+  paper's cluster numbers are reproduced in shape); ``"threads"`` and
+  ``"processes"`` drive one loop per task on parent-side driver
+  threads.  Under ``"processes"`` each attempt's body is shipped
   to a shared :class:`~concurrent.futures.ProcessPoolExecutor`, one
   future per attempt; otherwise it runs in-process, on a pristine copy
   of the mapper/combiner/reducer whenever the task could run more than
@@ -81,25 +79,12 @@ from repro.columnar.batch import (
 )
 from repro.columnar.codec import KEY_CODECS, KeyCodec
 from repro.columnar.shm import pack_reduce_task, unpack_reduce_task
-from repro.errors import (
-    FaultInjectedError,
-    MapReduceError,
-    TaskTimeoutError,
-    WorkerPoolError,
-)
+from repro.errors import FaultInjectedError, MapReduceError, WorkerPoolError
 from repro.faults import CORRUPT, FAULTS_GROUP, AttemptInjector
 from repro.mapreduce.counters import Counters
 from repro.mapreduce.fs import FileSystem
 from repro.mapreduce.job import JobConf, JobResult
-from repro.mapreduce.options import (
-    EXECUTOR_ENV,
-    EXECUTORS,
-    WORKERS_ENV,
-    RunOptions,
-    resolve_executor,
-    resolve_options,
-    resolve_workers,
-)
+from repro.mapreduce.options import RunOptions, resolve_options
 from repro.mapreduce.shuffle import columnar_shuffle, shuffle
 from repro.mapreduce.task import MapContext, Mapper, ReduceContext, Reducer
 from repro.obs.recorder import NullRecorder
@@ -108,15 +93,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.mapreduce.cost import CostModel
     from repro.obs.recorder import Observer
 
-__all__ = [
-    "run_job",
-    "EXECUTORS",
-    "EXECUTOR_ENV",
-    "WORKERS_ENV",
-    "resolve_executor",
-    "resolve_workers",
-    "shutdown_worker_pools",
-]
+__all__ = ["run_job", "shutdown_worker_pools"]
 
 # ----------------------------------------------------------------------
 # Worker-process pool.  One shared pool per worker count, reused across
@@ -360,14 +337,12 @@ class _JobRun:
     cost_model: Optional["CostModel"]
 
     def __post_init__(self) -> None:
-        faults = self.options.faults
-        #: serial: per-task loops run inline on the calling thread, and
-        #: injected delays/backoff are charged as virtual time.
+        #: serial: per-task loops run inline on the calling thread.
         self.inline = self.options.executor == "serial"
         #: processes: attempt bodies are shipped to the worker pool.
         self.pooled = self.options.executor == "processes"
         #: whether any task may run more than one attempt.
-        self.reruns = faults.max_attempts > 1 or faults.speculative
+        self.reruns = self.options.faults.max_attempts > 1
 
 
 class _Tasks:
@@ -392,7 +367,7 @@ class _Tasks:
         """The mapper/combiner/reducer instance one attempt runs on.
 
         Hadoop semantics: every attempt deserialises a pristine
-        instance, so a failed or backup attempt leaves no state behind
+        instance, so a failed attempt leaves no state behind
         for the next.  Pooled attempts get that from pickling; an
         in-process attempt gets a deep copy — unless the task can only
         ever run once, which uses the configured instance itself.
@@ -549,8 +524,8 @@ class _ReduceTasks(_Tasks):
     """Reduce tasks: one per shuffled partition.
 
     Every attempt stages its output through the file system's commit
-    protocol (``_temporary/task-NNNNN/attempt-K``); a failed or backup
-    attempt's file is discarded, and ``run_job`` promotes each winner to
+    protocol (``_temporary/task-NNNNN/attempt-K``); a failed attempt's
+    file is discarded, and ``run_job`` promotes each winner to
     its ``part-*`` file when gathering results — or, when the phase
     fails, aborts the job so that nothing stays staged.  On the columnar
     plane the groups are :class:`ColumnValues` slices that reference the
@@ -601,8 +576,8 @@ class _ShmReduceTasks(_ReduceTasks):
     """Columnar reduce tasks under ``processes``.
 
     Each task's group columns travel in one shared-memory block that the
-    parent packs once — every attempt of the task, retries and backups
-    included, attaches the same block through its small picklable
+    parent packs once — every attempt of the task, retries included,
+    attaches the same block through its small picklable
     descriptor — and :meth:`close` unlinks, so the pickled payload
     shrinks to the reducer plus the descriptor.  Workers return
     gid-shaped outputs, which the parent materialises through the
@@ -647,13 +622,11 @@ class _ShmReduceTasks(_ReduceTasks):
 class _TaskOutcome:
     """What one task's attempt loop produced: the winning attempt's
     result and counters (plus, in the ``faults`` group, the bookkeeping
-    of the attempts that lost), which attempt number won, and whether
-    the winner was plan-delayed (making it a speculation candidate)."""
+    of the attempts that lost) and which attempt number won."""
 
     result: Any
     counters: Counters
     attempt: int
-    delayed: bool
 
 
 class _Attempt:
@@ -684,8 +657,10 @@ class _Attempt:
 
     def run_body(
         self, faults: AttemptInjector
-    ) -> Tuple[Any, Counters, float]:
-        """Run the task body; returns ``(result, counters, seconds)``."""
+    ) -> Tuple[Any, Counters, Optional[float]]:
+        """Run the task body; returns ``(result, counters, seconds)``,
+        ``seconds`` being what a pool worker measured (``None`` for an
+        in-process body, whose span measures it)."""
         run, tasks = self.run, self.tasks
         body, args = tasks.body(self.index)
         if tasks.pooled:
@@ -702,32 +677,28 @@ class _Attempt:
                 tasks.received(result), Counters.from_dict(counter_dict),
                 elapsed,
             )
-        started = time.perf_counter()
         result, task_counters = body(*args, faults)
-        return result, task_counters, time.perf_counter() - started
+        return result, task_counters, None
 
     def close(
         self,
         kind: str,
         body_seconds: Optional[float] = None,
         counters: Optional[Dict[str, Dict[str, int]]] = None,
-        virtual: float = 0.0,
     ) -> None:
         """Record the finished attempt: ``kind="task"`` for the winner,
-        ``"attempt"`` for a failed or speculative one.  The span lasts
-        the wall time since the attempt began, moved by backdating its
-        start: ``virtual`` seconds (delay and backoff the serial
-        executor charges without sleeping) lengthen it, and a pooled
-        winner lasts the ``body_seconds`` its worker measured."""
+        ``"attempt"`` for a failed one.  The span lasts the wall time
+        since the attempt began, except a pooled winner, whose start is
+        backdated so that it lasts the ``body_seconds`` its worker
+        measured."""
         span = self.span
         span.kind = kind
         if counters:
             span.counters = counters
         span.annotate(**self.attrs)
-        backdate = virtual
-        if self.tasks.pooled and body_seconds is not None:
-            backdate += body_seconds - (time.perf_counter() - self.started)
-        span.start = max(0.0, span.start - backdate)
+        if body_seconds is not None:
+            backdate = body_seconds - (time.perf_counter() - self.started)
+            span.start = max(0.0, span.start - backdate)
         self.run.recorder.end_span(span)
 
 
@@ -736,49 +707,27 @@ def _run_task_attempts(
 ) -> _TaskOutcome:
     """Run one task to success within its retry budget.
 
-    Each attempt walks Hadoop's lifecycle: exponential backoff (real
-    sleeping — capped — only under the parallel executors; the serial
-    executor charges it as virtual time on the winning span), injected
-    ``setup`` crashes, injected delays, the task body, output staging,
-    then the commit-point checks (a ``corrupt-output`` event discards
-    the staged output and fails the attempt).  A failed attempt's
-    counters are discarded — only the winner's merge into the job, which
+    Each attempt walks Hadoop's lifecycle: injected ``setup`` crashes,
+    the task body, output staging, then the commit-point checks (a
+    ``corrupt-output`` event discards the staged output and fails the
+    attempt).  A failed attempt is re-run at once; its counters are
+    discarded — only the winner's merge into the job, which
     is what keeps chaos-run totals bit-identical to fault-free runs —
     and the failure is recorded as a ``kind="attempt"`` span.  The
     winner gets the ``kind="task"`` span, annotated with its ``attempt``
     number.  Once the budget is spent the *original* exception
     propagates.
-
-    ``task_timeout`` fails any attempt whose observed time (injected
-    delay included; virtual under ``serial``) exceeds the limit, feeding
-    this same retry loop.
     """
     fctx = run.options.faults
     job, phase = run.conf.name, tasks.phase
     fault_counters = Counters()
     for number in range(fctx.max_attempts):
         injector = AttemptInjector(fctx.events_for(job, phase, index, number))
-        backoff = fctx.backoff_seconds(number)
-        if backoff and not run.inline:
-            time.sleep(min(backoff, fctx.sleep_cap))
-        delay = injector.delay_seconds()
         attempt = _Attempt(run, tasks, index, parent, attempt=number)
         staged = False
         try:
             injector.check("setup")
-            if delay and not run.inline:
-                time.sleep(min(delay, fctx.sleep_cap))
             result, task_counters, elapsed = attempt.run_body(injector)
-            if fctx.task_timeout is not None:
-                observed = (
-                    elapsed + delay
-                    if run.inline
-                    else time.perf_counter() - attempt.started
-                )
-                if observed > fctx.task_timeout:
-                    raise TaskTimeoutError(
-                        job, phase, index, observed, fctx.task_timeout
-                    )
             if tasks.stage(index, result, number):
                 attempt.attrs["staged"] = staged = True
             if injector.corrupts_output():
@@ -796,78 +745,34 @@ def _run_task_attempts(
                 raise
             fault_counters.increment(FAULTS_GROUP, "tasks_retried")
             continue
-        if delay:
-            attempt.attrs["fault_delay_seconds"] = delay
         attrs, view = tasks.winner(index, task_counters, result)
         attempt.attrs.update(attrs)
-        attempt.close(
-            "task", elapsed, view,
-            virtual=delay + backoff if run.inline else 0.0,
-        )
+        attempt.close("task", elapsed, view)
         task_counters.merge(fault_counters)
-        return _TaskOutcome(result, task_counters, number, delay > 0)
+        return _TaskOutcome(result, task_counters, number)
     raise MapReduceError(  # pragma: no cover - loop always returns/raises
         f"task {index} of job {job!r} exhausted its attempt budget"
     )
 
 
-def _speculate(
-    run: _JobRun,
-    tasks: _Tasks,
-    outcomes: Sequence[_TaskOutcome],
-    parent: Any,
-) -> None:
-    """Run backup attempts for straggling winners: those the fault plan
-    delayed.
-
-    First-to-finish wins — and by construction the original attempt has
-    already finished, so the backup is pure wasted work: its output is
-    staged, then discarded without promotion (the winner's attempt file
-    commits instead), and it is counted as ``faults:speculative_wasted``
-    and recorded as a speculative ``kind="attempt"`` span.  A backup
-    that itself fails is swallowed (a lost speculation never fails the
-    job)."""
-    if not run.options.faults.speculative:
-        return
-    for index, outcome in enumerate(outcomes):
-        if not outcome.delayed:
-            continue
-        number = outcome.attempt + 1
-        backup = _Attempt(
-            run, tasks, index, parent, attempt=number, speculative=True
-        )
-        try:
-            result, _, _ = backup.run_body(AttemptInjector())
-            if tasks.stage(index, result, number):
-                tasks.discard(index, number)
-                backup.attrs["staged"] = True
-        except Exception as exc:
-            backup.attrs["error"] = type(exc).__name__
-        outcome.counters.increment(FAULTS_GROUP, "speculative_wasted")
-        backup.close("attempt")
-
-
 def _run_tasks(run: _JobRun, tasks: _Tasks, parent: Any) -> List[_TaskOutcome]:
-    """Run every task of one phase through the attempt loop, then the
-    speculation pass.  The serial executor drives the loops inline; the
-    parallel executors drive one loop per task on parent-side driver
-    threads.  Outcomes come back in task order either way, so what the
-    caller merges is executor-independent."""
+    """Run every task of one phase through the attempt loop.  The serial
+    executor drives the loops inline; the parallel executors drive one
+    loop per task on parent-side driver threads.  Outcomes come back in
+    task order either way, so what the caller merges is
+    executor-independent."""
     try:
         if run.inline:
-            outcomes = [
+            return [
                 _run_task_attempts(run, tasks, index, parent)
                 for index in range(tasks.count)
             ]
-        else:
-            with ThreadPoolExecutor(max_workers=run.options.workers) as pool:
-                futures = [
-                    pool.submit(_run_task_attempts, run, tasks, index, parent)
-                    for index in range(tasks.count)
-                ]
-                outcomes = [future.result() for future in futures]
-        _speculate(run, tasks, outcomes, parent)
-        return outcomes
+        with ThreadPoolExecutor(max_workers=run.options.workers) as pool:
+            futures = [
+                pool.submit(_run_task_attempts, run, tasks, index, parent)
+                for index in range(tasks.count)
+            ]
+            return [future.result() for future in futures]
     finally:
         tasks.close()
 
@@ -881,8 +786,6 @@ def run_job(
     workers: Optional[int] = None,
     faults: Any = None,
     max_attempts: Optional[int] = None,
-    speculative: Optional[bool] = None,
-    task_timeout: Optional[float] = None,
     *,
     options: Optional[RunOptions] = None,
 ) -> JobResult:
@@ -903,24 +806,22 @@ def run_job(
         Optional :class:`~repro.mapreduce.cost.CostModel` used only to
         attach modelled-seconds charges to the recorded spans (never
         affects execution).
-    executor, workers, faults, max_attempts, speculative, task_timeout:
-        The six run options as keywords, each ``None`` deferring to its
+    executor, workers, faults, max_attempts:
+        The four run options as keywords, each ``None`` deferring to its
         ``$REPRO_*`` variable and then the default; resolved here by
         :func:`repro.mapreduce.options.resolve_options`, which documents
         them.  None of them changes outputs or counters.
     options:
         Already-resolved :class:`~repro.mapreduce.options.RunOptions`
         (what :class:`~repro.mapreduce.pipeline.Pipeline` passes).  When
-        given, the six keywords are not consulted.
+        given, the four keywords are not consulted.
 
     Which data plane the job runs on is the job's own business
     (:func:`_map_tasks_for`); the job span and the :class:`JobResult`
     say which it was and, for the records plane, why.
     """
     if options is None:
-        options = resolve_options(
-            executor, workers, faults, max_attempts, speculative, task_timeout
-        )
+        options = resolve_options(executor, workers, faults, max_attempts)
     if conf.num_reduce_tasks < 1:
         raise MapReduceError("a job needs at least one reduce task")
     if not conf.inputs:

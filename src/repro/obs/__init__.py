@@ -4,7 +4,7 @@ The paper's evaluation is an argument about *where work goes* —
 intermediate pair counts, replication, per-reducer load.  This package
 makes a run inspectable at that granularity: attach a
 :class:`TraceRecorder` (``execute(..., observer=recorder)`` or
-``repro run --trace out.json``) and every query, algorithm, MapReduce
+``repro run --trace out.jsonl``) and every query, algorithm, MapReduce
 job, phase and map/reduce task is recorded as a hierarchical span with
 wall-clock duration, counter deltas, and cost-model charges.
 
@@ -13,15 +13,15 @@ function of it.
 
 * spans & recorder — :class:`Span`, :class:`TraceRecorder`
 * sinks — the one subscriber protocol (:class:`TraceSink`):
-  :class:`InMemorySink` (tests), :class:`JsonlSink` (event log),
-  :class:`ChromeTraceSink` (load the file in Perfetto or
-  ``chrome://tracing``) — and the metrics fold, the profiler and the
-  live hub below
+  :class:`InMemorySink` (tests) and :class:`JsonlSink` (the one trace
+  format, which ``repro report`` reads back) — and the metrics fold,
+  the profiler and the live hub below
 * metrics — :class:`MetricsRegistry` on ``recorder.metrics``, a fold
   over the closed spans (:func:`fold_spans` rebuilds it from a trace):
   counters/gauges/histograms with Prometheus-text and JSON export,
   recording per-phase wall time, tuple in/out, shuffled records,
-  replication factor, grid utilisation and key-skew histograms
+  replication factor, key-skew histograms and the plan's predicted vs
+  observed quantities
 * analysis — :class:`RunReport` flags skewed reducers, stragglers and
   empty-output tasks using the Section-7 load statistics
 * explain — :func:`explain_query` renders the pre-run physical plan
@@ -32,15 +32,16 @@ function of it.
 * dashboard — :func:`render_dashboard` emits one self-contained HTML
   page (``repro report --html``) with phase timelines, reducer-load
   charts and the replication/skew tables
-* profile — :class:`Profiler` (``repro run --profile`` /
-  ``$REPRO_PROFILE``): per-phase driver CPU and memory watermarks and
-  in-process task CPU, measured between a span's open and close,
-  annotated on the spans and folded into the ``profile`` metric group
-* live — :class:`TelemetryHub` (``repro run --live`` / ``--progress`` /
-  ``--serve-status`` / ``$REPRO_LIVE``): running / finished tasks and
-  progress/ETA folded from the same span stream, with a terminal ticker
-  (:class:`ProgressPrinter`) and an embedded HTTP status endpoint
-  (:class:`StatusServer`: ``/metrics``, ``/progress``, ``/``)
+* profile — :class:`Profiler` (``repro run --profile``,
+  ``TraceRecorder(profile=True)``): per-phase driver CPU and memory
+  watermarks and in-process task CPU, measured between a span's open
+  and close, annotated on the spans and folded into the ``profile``
+  metric group
+* live — :class:`TelemetryHub` (``repro run --progress`` /
+  ``--serve-status``, ``TraceRecorder(live=True)``): running / finished
+  tasks and progress/ETA folded from the same span stream, with a
+  terminal ticker (:class:`ProgressPrinter`) and an embedded HTTP status
+  endpoint (:class:`StatusServer`: ``/metrics``, ``/progress``, ``/``)
 
 Observation is strictly passive: with no observer attached nothing is
 recorded and results, counters and benchmark numbers are unchanged.
@@ -52,7 +53,6 @@ from repro.obs.live import (
     StatusServer,
     TelemetryHub,
     render_progress_line,
-    resolve_live,
 )
 from repro.obs.explain import (
     PlanExplain,
@@ -69,17 +69,15 @@ from repro.obs.metrics import (
     MetricsRegistry,
     fold_spans,
 )
-from repro.obs.profile import Profiler, data_plane_summary, resolve_profile
+from repro.obs.profile import Profiler, data_plane_summary
 from repro.obs.recorder import TraceRecorder
 from repro.obs.report import FaultSummary, JobLoadSummary, RunReport, TaskFlag
 from repro.obs.sinks import (
-    ChromeTraceSink,
     InMemorySink,
     JsonlSink,
     TraceSink,
     load_spans_jsonl,
     load_spans_jsonl_tolerant,
-    open_sink,
 )
 from repro.obs.span import Span
 
@@ -89,8 +87,6 @@ __all__ = [
     "TraceSink",
     "InMemorySink",
     "JsonlSink",
-    "ChromeTraceSink",
-    "open_sink",
     "load_spans_jsonl",
     "load_spans_jsonl_tolerant",
     "RunReport",
@@ -111,10 +107,8 @@ __all__ = [
     "explain_query",
     "reconciliation_from_spans",
     "Profiler",
-    "resolve_profile",
     "data_plane_summary",
     "TelemetryHub",
-    "resolve_live",
     "StatusServer",
     "ProgressPrinter",
     "render_progress_line",

@@ -7,8 +7,8 @@ setting assumes.  The :class:`TelemetryHub` is a sink of the recorder's
 span stream and nothing else: ``job`` and ``phase`` spans opening and
 closing give it the run's structure (a phase span carries its task count
 as ``tasks=``), an opening ``task`` span is a task running, a closing
-one a task done (or, closed as a failed or speculative ``attempt``, just
-no longer running), and the ``plan`` span brings the analytic
+one a task done (or, closed as a failed ``attempt``, just no longer
+running), and the ``plan`` span brings the analytic
 prediction.  The hub owns no thread and nothing reports to it from
 inside a task: it computes on every span event and whenever it is
 asked.
@@ -37,7 +37,6 @@ and run-group metrics stay bit-identical across all three executors.
 from __future__ import annotations
 
 import json
-import os
 import threading
 import time
 from dataclasses import dataclass, field
@@ -49,31 +48,15 @@ from repro.obs.sinks import TraceSink
 from repro.obs.span import Span
 
 __all__ = [
-    "LIVE_ENV",
-    "resolve_live",
     "TelemetryHub",
     "StatusServer",
     "ProgressPrinter",
     "render_progress_line",
 ]
 
-#: Environment switch (how CI runs a whole suite with live telemetry).
-LIVE_ENV = "REPRO_LIVE"
-
-_FALSEY = ("", "0", "false", "no", "off")
-
-#: The kinds a task's span closes as: the winner, a failed or
-#: speculative attempt.  Every one of them opened as a running task.
+#: The kinds a task's span closes as: the winner, a failed attempt.
+#: Every one of them opened as a running task.
 _TASK_KINDS = ("task", "attempt")
-
-
-def resolve_live(explicit: Optional[bool] = None) -> bool:
-    """Whether to attach live telemetry: ``explicit`` when not ``None``,
-    otherwise what ``$REPRO_LIVE`` says — mirroring
-    :func:`repro.obs.profile.resolve_profile`."""
-    if explicit is not None:
-        return bool(explicit)
-    return os.environ.get(LIVE_ENV, "").strip().lower() not in _FALSEY
 
 
 # ----------------------------------------------------------------------
@@ -164,8 +147,8 @@ class TelemetryHub(TraceSink):
     def emit(self, span: Span) -> None:
         with self._lock:
             if span.kind in _TASK_KINDS:
-                # Only the winner closes as a task; failed and
-                # speculative attempts just stop running.
+                # Only the winner closes as a task; failed attempts
+                # just stop running.
                 job, phase, state = self._task_phase(span)
                 state.running -= 1
                 if span.kind == "task":

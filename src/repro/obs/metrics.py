@@ -604,19 +604,9 @@ FAMILIES: Dict[str, Tuple[Any, ...]] = {
     ),
     "repro_faults_total": (
         "counter", ("job", "kind"), GROUP_FAULTS,
-        "Fault-injection bookkeeping: failed/retried/speculative attempts "
-        "per job.",
+        "Fault-injection bookkeeping: failed/retried attempts per job.",
     ),
-    # -- from algorithm and reconciliation spans -------------------------
-    "repro_algorithm_observed": (
-        "gauge", _PLAN, GROUP_RUN,
-        "Observed run quantities the cost model predicts: the observed side "
-        "of every plan reconciliation.",
-    ),
-    "repro_algorithm_output_records": (
-        "gauge", ("algorithm",), GROUP_RUN,
-        "Tuples produced by the algorithm's final cycle.",
-    ),
+    # -- from reconciliation spans ---------------------------------------
     "repro_plan_predicted": (
         "gauge", _PLAN, GROUP_RUN,
         "Cost-model-predicted run quantity for the executed plan.",
@@ -646,9 +636,9 @@ def _family(registry: MetricsRegistry, name: str) -> Any:
 
 def _fold_attempt(registry: MetricsRegistry, span: Span) -> Sequence[str]:
     """Commit-protocol traffic of one attempt: a staged file, discarded
-    again unless the attempt won.  All a failed or speculative attempt
-    folds into — attempt traffic varies under chaos, so the family lives
-    in the ``faults`` group."""
+    again unless the attempt won.  All a failed attempt folds into —
+    attempt traffic varies under chaos, so the family lives in the
+    ``faults`` group."""
     if span.attributes.get("staged"):
         attempts = _family(registry, "repro_fs_attempts_total")
         attempts.inc(1, event="staged")
@@ -752,27 +742,6 @@ def _fold_job(registry: MetricsRegistry, span: Span) -> Sequence[str]:
     return ()
 
 
-def _fold_algorithm(registry: MetricsRegistry, span: Span) -> Sequence[str]:
-    """One algorithm run's paper-level numbers: the observed side of
-    every quantity the cost model predicts, and the output size.  A
-    composite algorithm (FCTS/FSTC) closes its span after each sub-plan
-    closed its own."""
-    attrs = span.attributes
-    labels = {"algorithm": attrs.get("algorithm", span.name)}
-    if "observed_quantities" not in attrs:
-        return ()
-    for quantity, value in sorted(attrs["observed_quantities"].items()):
-        _family(registry, "repro_algorithm_observed").set(
-            value, quantity=quantity, **labels
-        )
-    if "output_records" not in attrs:
-        return ("repro_algorithm_output_records",)
-    _family(registry, "repro_algorithm_output_records").set(
-        attrs["output_records"], **labels
-    )
-    return ()
-
-
 def _fold_reconciliation(
     registry: MetricsRegistry, span: Span
 ) -> Sequence[str]:
@@ -794,7 +763,6 @@ _FOLDS: Dict[str, Callable[[MetricsRegistry, Span], Sequence[str]]] = {
     "attempt": _fold_attempt,
     "phase": _fold_phase,
     "job": _fold_job,
-    "algorithm": _fold_algorithm,
     "reconciliation": _fold_reconciliation,
 }
 

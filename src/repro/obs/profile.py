@@ -1,10 +1,10 @@
 """The data-plane profiler: CPU and memory accounting from span events.
 
 Spans time *phases*; nothing in them says what a phase cost the
-processor or the heap.  When a run is profiled (``repro run --profile``
-/ ``$REPRO_PROFILE``), a :class:`Profiler` is the first sink of the
-:class:`~repro.obs.recorder.TraceRecorder` and measures what a span sink
-can measure by itself, on the thread that opens and closes the span:
+processor or the heap.  When a run is profiled (``repro run
+--profile``, i.e. ``TraceRecorder(profile=True)``), a :class:`Profiler`
+is the first sink of the recorder and measures what a span sink can
+measure by itself, on the thread that opens and closes the span:
 
 * **CPU** — ``time.thread_time()`` between a span's open and close:
   driver CPU per phase, and task CPU for every task body that ran in
@@ -29,37 +29,18 @@ are bit-identical (pinned by the profiler passivity tests).
 
 from __future__ import annotations
 
-import os
 import time
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Sequence, Tuple
 
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.sinks import TraceSink
 from repro.obs.span import Span
 
 __all__ = [
-    "PROFILE_ENV",
-    "resolve_profile",
     "Profiler",
     "data_plane_rows",
     "data_plane_summary",
 ]
-
-#: Environment variable enabling profiling (``repro run --profile`` on
-#: the CLI).  Empty / ``0`` / ``false`` / ``no`` / ``off`` disable; any
-#: other value enables.
-PROFILE_ENV = "REPRO_PROFILE"
-
-_FALSEY = ("", "0", "false", "no", "off")
-
-
-def resolve_profile(explicit: Optional[bool] = None) -> bool:
-    """Whether to profile: ``explicit`` when not ``None``, otherwise
-    what ``$REPRO_PROFILE`` says."""
-    if explicit is not None:
-        return bool(explicit)
-    return os.environ.get(PROFILE_ENV, "").strip().lower() not in _FALSEY
-
 
 def _rss_peak_bytes() -> int:
     """Process peak RSS in bytes (0 where ``resource`` is unavailable)."""
@@ -93,7 +74,7 @@ class Profiler(TraceSink):
 
     def emit(self, span: Span) -> None:
         # Only spans :meth:`opened` took a baseline for (the runner may
-        # have closed a task as a failed or speculative ``attempt``).
+        # have closed a task as a failed ``attempt``).
         cpu0 = self._cpu_started.pop(span.span_id, None)
         if cpu0 is None:
             return
@@ -201,7 +182,7 @@ def data_plane_summary(
     if not rows:
         return (
             "data-plane profile: no profile metrics recorded "
-            "(run with --profile / REPRO_PROFILE=1)"
+            "(run with --profile)"
         )
     lines: List[str] = ["data-plane profile", "=" * 18]
     columns = ("phase", "task-cpu", "driver-cpu", "rss-peak")

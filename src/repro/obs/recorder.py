@@ -35,9 +35,9 @@ from typing import (
     Protocol,
 )
 
-from repro.obs.live import TelemetryHub, resolve_live
+from repro.obs.live import TelemetryHub
 from repro.obs.metrics import MetricsFold, MetricsRegistry
-from repro.obs.profile import Profiler, resolve_profile
+from repro.obs.profile import Profiler
 from repro.obs.span import Span
 
 __all__ = ["Observer", "TraceRecorder", "NullRecorder"]
@@ -71,17 +71,14 @@ class TraceRecorder:
         span is pushed to every sink as it opens and as it closes (under
         the recorder lock, so sinks need no locking of their own).
     profile:
-        Data-plane profiling: ``None`` (default) defers to
-        ``$REPRO_PROFILE``, ``True``/``False`` force it.  When active,
+        Data-plane profiling, off by default.  When on,
         ``self.profiler`` annotates phase spans, and task spans whose
         body ran in this process, with CPU and memory facts, which the
         fold turns into the ``profile`` metric group.
     live:
-        Live run telemetry: ``None`` (default) defers to
-        ``$REPRO_LIVE``, ``True``/``False`` force it.  When active,
-        ``self.live`` folds the job, phase, task and plan spans into the
-        ``live`` metric group and powers ``--progress`` and
-        ``--serve-status``.
+        Live run telemetry, off by default.  When on, ``self.live``
+        folds the job, phase, task and plan spans into the ``live``
+        metric group and powers ``--progress`` and ``--serve-status``.
 
     The recorder itself is the in-memory record: ``roots`` is the span
     tree, ``spans`` the flat close-order list, and ``job_results`` the
@@ -95,8 +92,8 @@ class TraceRecorder:
     def __init__(
         self,
         *sinks: Any,
-        profile: Optional[bool] = None,
-        live: Optional[bool] = None,
+        profile: bool = False,
+        live: bool = False,
     ) -> None:
         self._lock = threading.Lock()
         self._local = threading.local()
@@ -111,12 +108,10 @@ class TraceRecorder:
         #: The run's metric families: the fold of the spans closed so far.
         self.metrics = MetricsRegistry()
         #: The data-plane profiler, or ``None`` when profiling is off.
-        self.profiler: Optional[Profiler] = (
-            Profiler() if resolve_profile(profile) else None
-        )
+        self.profiler: Optional[Profiler] = Profiler() if profile else None
         #: The live telemetry hub, or ``None`` when live telemetry is off.
         self.live: Optional[TelemetryHub] = (
-            TelemetryHub(self.metrics) if resolve_live(live) else None
+            TelemetryHub(self.metrics) if live else None
         )
         # The profiler goes first: what it writes onto a closing span
         # (CPU seconds, memory watermarks) must be there when the fold

@@ -15,10 +15,10 @@ reduce-task load distribution with the Section-7 statistics
   nothing (wasted shuffle volume; grid cells that never join).
 
 When the run executed under fault injection (:mod:`repro.faults`), the
-report also aggregates a :class:`FaultSummary` — failed / retried /
-speculatively-wasted attempt counts from the ``faults`` counter group
-plus the wall-clock spent in failed and speculative attempts (the
-``kind="attempt"`` spans), i.e. the run's retry & speculation overhead.
+report also aggregates a :class:`FaultSummary` — failed / retried
+attempt counts from the ``faults`` counter group plus the wall-clock
+spent in failed attempts (the ``kind="attempt"`` spans), i.e. the run's
+retry overhead.
 
 When the trace carries plan predictions (``kind="plan"`` spans, emitted
 whenever :func:`repro.core.executor.execute` runs with an observer),
@@ -70,26 +70,21 @@ class TaskFlag:
 
 @dataclass
 class FaultSummary:
-    """Retry/speculation overhead of one traced run.
+    """Retry overhead of one traced run.
 
     Counter totals come from the ``faults`` group; ``attempt_spans`` and
     ``overhead_seconds`` aggregate the recorded ``kind="attempt"`` spans
-    (failed and speculative attempts — the work that did not commit).
+    (failed attempts — the work that did not commit).
     """
 
     tasks_failed: int = 0
     tasks_retried: int = 0
-    speculative_wasted: int = 0
     attempt_spans: int = 0
     overhead_seconds: float = 0.0
 
     @property
     def any_faults(self) -> bool:
-        return (
-            self.tasks_failed > 0
-            or self.speculative_wasted > 0
-            or self.attempt_spans > 0
-        )
+        return self.tasks_failed > 0 or self.attempt_spans > 0
 
 
 @dataclass
@@ -127,7 +122,7 @@ class RunReport:
     ) -> None:
         self.jobs = jobs
         self.flags = flags
-        #: retry/speculation overhead; zeros on fault-free runs.
+        #: retry overhead; zeros on fault-free runs.
         self.faults = faults if faults is not None else FaultSummary()
         #: predicted-vs-observed plan scorecards, one per algorithm
         #: whose trace carried a prediction; empty without plan spans.
@@ -268,9 +263,6 @@ class RunReport:
             summary.tasks_retried += result.counters.value(
                 "faults", "tasks_retried"
             )
-            summary.speculative_wasted += result.counters.value(
-                "faults", "speculative_wasted"
-            )
         for span in spans:
             if span.kind == "attempt":
                 summary.attempt_spans += 1
@@ -396,8 +388,7 @@ class RunReport:
             f = self.faults
             lines.append(
                 f"  faults: {f.tasks_failed} failed, "
-                f"{f.tasks_retried} retried, "
-                f"{f.speculative_wasted} speculative wasted; "
+                f"{f.tasks_retried} retried; "
                 f"{f.attempt_spans} non-committing attempts cost "
                 f"{f.overhead_seconds * 1e3:.2f} ms"
             )

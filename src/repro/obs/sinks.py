@@ -8,32 +8,28 @@ starts, ``emit(span)`` once as it closes — fully annotated — and
 (:class:`~repro.obs.metrics.MetricsFold`), the
 :class:`~repro.obs.profile.Profiler` and the
 :class:`~repro.obs.live.TelemetryHub` are sinks the recorder attaches
-itself; three more cover the trace artifacts:
+itself; two more cover the trace artifacts:
 
 * :class:`InMemorySink` — keeps the spans (and the roots of their tree)
   in memory; what tests assert against.
 * :class:`JsonlSink` — appends one JSON object per span to a file, in
-  close order; cheap to grep and to stream.
-* :class:`ChromeTraceSink` — writes the Chrome trace-event JSON format
-  (``{"traceEvents": [...]}`` with complete ``"ph": "X"`` events), which
-  loads directly in Perfetto (https://ui.perfetto.dev) or
-  ``chrome://tracing`` for a flame-graph view of a run.
+  close order; cheap to grep and to stream.  It is the one trace format:
+  ``repro run --trace`` writes it and ``repro report`` reads it back
+  (:func:`load_spans_jsonl`).
 """
 
 from __future__ import annotations
 
 import json
 import os
-from typing import Any, Dict, List, TextIO, Union
+from typing import List, TextIO, Union
 
-from repro.obs.span import Span, jsonable
+from repro.obs.span import Span
 
 __all__ = [
     "TraceSink",
     "InMemorySink",
     "JsonlSink",
-    "ChromeTraceSink",
-    "open_sink",
     "load_spans_jsonl",
 ]
 
@@ -94,63 +90,6 @@ class JsonlSink(TraceSink):
             self._handle.close()
 
 
-class ChromeTraceSink(TraceSink):
-    """Exports spans as Chrome trace-event JSON (Perfetto-loadable).
-
-    Every span becomes one *complete* event (``"ph": "X"``) with
-    microsecond timestamps relative to the recorder epoch; the span's
-    kind becomes the event category and its attributes and counter
-    deltas land in ``args``.
-    """
-
-    def __init__(self, path: str, process_name: str = "repro") -> None:
-        self.path = path
-        self.process_name = process_name
-        self._events: List[Dict[str, Any]] = []
-        self._closed = False
-
-    def emit(self, span: Span) -> None:
-        args: Dict[str, Any] = dict(jsonable(span.attributes))
-        if span.counters:
-            args["counters"] = span.counters
-        args["span_id"] = span.span_id
-        if span.parent_id is not None:
-            args["parent_id"] = span.parent_id
-        self._events.append(
-            {
-                "name": span.name,
-                "cat": span.kind,
-                "ph": "X",
-                "ts": span.start * 1e6,
-                "dur": span.duration * 1e6,
-                "pid": 1,
-                "tid": span.thread_id,
-                "args": args,
-            }
-        )
-
-    def close(self) -> None:
-        if self._closed:
-            return
-        self._closed = True
-        _ensure_parent_dir(self.path)
-        payload = {
-            "traceEvents": self._events
-            + [
-                {
-                    "name": "process_name",
-                    "ph": "M",
-                    "pid": 1,
-                    "tid": 0,
-                    "args": {"name": self.process_name},
-                }
-            ],
-            "displayTimeUnit": "ms",
-        }
-        with open(self.path, "w", encoding="utf-8") as handle:
-            json.dump(payload, handle, indent=2, default=str)
-
-
 def load_spans_jsonl(path: str) -> List[Span]:
     """Read a :class:`JsonlSink` trace back into :class:`Span` objects.
 
@@ -192,14 +131,3 @@ def load_spans_jsonl_tolerant(path: str) -> "tuple[List[Span], List[str]]":
             spans.append(Span.from_dict(payload))
     return spans, warnings
 
-
-def open_sink(path: str, fmt: str) -> TraceSink:
-    """Build the sink for a CLI/benchmark trace artifact.
-
-    ``fmt`` is ``"chrome"`` (trace-event JSON) or ``"jsonl"``.
-    """
-    if fmt == "chrome":
-        return ChromeTraceSink(path)
-    if fmt == "jsonl":
-        return JsonlSink(path)
-    raise ValueError(f"unknown trace format {fmt!r}; use 'chrome' or 'jsonl'")

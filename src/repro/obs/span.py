@@ -4,8 +4,8 @@ A :class:`Span` is one timed region of a run.  Spans nest into the
 hierarchy the tracer records, each level a span ``kind``::
 
     query -> plan, algorithm -> job -> phase (map / shuffle / reduce)
-          -> task (the winning attempt) / attempt (a failed or
-             speculative one), reconciliation
+          -> task (the winning attempt) / attempt (a failed one),
+             reconciliation
 
 Each span carries wall-clock start/end (seconds relative to its
 recorder's epoch), the thread that recorded it, free-form attributes

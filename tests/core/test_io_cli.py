@@ -113,49 +113,30 @@ class TestCli:
         expected = execute(query, data, num_partitions=4)
         assert len(records) == len(expected)
 
-    def test_task_timeout_travels_by_argument(
-        self, tmp_path, capsys, monkeypatch
+    def test_explain_validates_options_on_an_empty_query(
+        self, tmp_path, capsys
     ):
-        """``--task-timeout`` reaches the attempt loop through
-        ``execute(task_timeout=...)``: the process environment is left
-        exactly as it was, and the limit really applies."""
-        import os
-
-        # A chaos environment would fail the budget-less second run with
-        # an injected crash instead of the timeout under test.
-        monkeypatch.delenv("REPRO_FAULTS", raising=False)
+        """A provably empty query still has its run options validated
+        first, with ``--explain`` as without it."""
         r1 = str(tmp_path / "r1.jsonl")
         r2 = str(tmp_path / "r2.jsonl")
-        main(["generate", "--n", "50", "--seed", "1", "-o", r1])
-        main(["generate", "--n", "50", "--seed", "2", "-o", r2])
+        main(["generate", "--n", "10", "--seed", "3", "-o", r1])
+        main(["generate", "--n", "10", "--seed", "4", "-o", r2])
         run = [
             "run",
             "--relation", f"R1={r1}",
             "--relation", f"R2={r2}",
-            "--condition", "R1 overlaps R2",
-            "--partitions", "4",
-            "--max-attempts", "1",
+            "--condition", "R1 before R2",
+            "--condition", "R2 before R1",
         ]
-        import repro.cli
-
-        seen = {}
-        real_execute = repro.cli.execute
-
-        def spy(*args, **kwargs):
-            seen["task_timeout"] = kwargs.get("task_timeout")
-            seen["environ"] = dict(os.environ)
-            return real_execute(*args, **kwargs)
-
-        monkeypatch.setattr(repro.cli, "execute", spy)
-        before = dict(os.environ)
-        assert main(run + ["--task-timeout", "60"]) == 0
-        assert seen == {"task_timeout": 60.0, "environ": before}
-        assert dict(os.environ) == before
-        # A limit no attempt can meet fails the run (one attempt, no
-        # budget to retry within) with the timeout error.
-        assert main(run + ["--task-timeout", "1e-9"]) == 1
-        assert dict(os.environ) == before
-        assert "task timeout" in capsys.readouterr().err
+        capsys.readouterr()
+        for extra in ([], ["--explain"]):
+            assert main(run + extra + ["--workers", "0"]) == 1
+            captured = capsys.readouterr()
+            assert "workers must be a positive integer" in captured.err
+            assert captured.out == ""
+        assert main(run + ["--explain"]) == 0
+        assert "answer empty without running jobs" in capsys.readouterr().out
 
     def test_explain(self, tmp_path, capsys):
         r1 = str(tmp_path / "r1.jsonl")

@@ -10,7 +10,6 @@ from repro.core.planner import ALGORITHMS, choose_algorithm, plan
 from repro.core.query import IntervalJoinQuery
 from repro.core.results import ExecutionMetrics
 from repro.core.schema import Relation
-from repro.intervals.interval import Interval
 
 
 class TestChooseAlgorithm:
@@ -122,7 +121,7 @@ class TestExecute:
             {"max_attempts": 0},
             {"workers": 0},
             {"faults": 1.5},
-            {"task_timeout": -1.0},
+            {"max_attempts": True},
         ],
     )
     def test_invalid_options_rejected_even_when_provably_empty(self, bad):

@@ -19,19 +19,25 @@ stated once), another keeps the map side of ``core/algorithms``
 written once (one mapper, in ``routing.py``), and the last keeps rows
 off the whole-relation paths (``Row.interval`` only where a column is
 built or a record form remains; payload ids resolved a column at a
-time).  All of it is read off the AST, so a convention cannot drift
-without a tier-1 failure.
+time).  The knob inventory is pinned here too: one module reads the
+environment, for the four run options and nothing else.  All of it is
+read off the AST, so a convention cannot drift without a tier-1
+failure.
 """
 
 from __future__ import annotations
 
 import ast
+import dataclasses
+import re
 from pathlib import Path
 
 import pytest
 
 import repro
 from repro.columnar.batch import ColumnValues
+from repro.faults import ResolvedFaults
+from repro.mapreduce.options import RunOptions
 from repro.obs import MetricsRegistry
 from repro.obs.recorder import NullRecorder, Observer, TraceRecorder
 
@@ -369,3 +375,43 @@ def test_the_flagging_decision_runs_on_columns_and_is_written_once():
         in (getattr(node.func, "id", None), getattr(node.func, "attr", None))
     ]
     assert constructions == ["crossing.py:flag_columns"]
+
+
+#: The ``$REPRO_*`` variables the package reads: the four run options.
+RUN_OPTION_VARIABLES = {
+    "REPRO_EXECUTOR", "REPRO_WORKERS", "REPRO_FAULTS", "REPRO_MAX_ATTEMPTS",
+}
+
+
+def env_variables(tree):
+    """The ``REPRO_*`` names a module spells as a string of their own —
+    the only way one reaches ``os.environ``; docstrings never match."""
+    return {
+        node.value
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Constant)
+        and isinstance(node.value, str)
+        and re.fullmatch(r"REPRO_[A-Z][A-Z0-9_]*", node.value)
+    }
+
+
+def test_the_knob_inventory_does_not_grow():
+    """One module reads the environment, for the four run options; the
+    options themselves are executor, workers and a fault plan with its
+    retry budget."""
+    readers = [
+        path.relative_to(SRC).as_posix()
+        for path, tree in _modules("")
+        if {"environ", "getenv"} & _names(tree)
+    ]
+    assert readers == ["mapreduce/options.py"]
+    variables = set()
+    for _, tree in _modules(""):
+        variables |= env_variables(tree)
+    assert variables == RUN_OPTION_VARIABLES
+    assert [field.name for field in dataclasses.fields(RunOptions)] == [
+        "executor", "workers", "faults",
+    ]
+    assert [field.name for field in dataclasses.fields(ResolvedFaults)] == [
+        "plan", "max_attempts",
+    ]

@@ -1,5 +1,6 @@
 """Smoke checks for the example scripts and documentation hygiene."""
 
+import ast
 import importlib
 import importlib.util
 import pathlib
@@ -8,6 +9,8 @@ import re
 import pytest
 
 import repro
+
+from tests.integration.test_engine_boundary import env_variables
 
 REPO_ROOT = pathlib.Path(__file__).resolve().parents[2]
 EXAMPLES = sorted((REPO_ROOT / "examples").glob("*.py"))
@@ -125,3 +128,81 @@ class TestBenchmarkReferences:
         experiments = importlib.import_module("run_paper_tables").EXPERIMENTS
         assert experiments
         assert all(callable(entry) for entry in experiments.values())
+
+
+class TestKnobReferences:
+    """Every ``$REPRO_*`` variable and every ``repro <command> --flag``
+    a document names still exists: the variable is read by ``src/`` or
+    ``benchmarks/`` (``benchmarks/e2e/`` excluded, as above) and the
+    flag is accepted by the CLI parser."""
+
+    DOCUMENTS = [
+        REPO_ROOT / "README.md",
+        REPO_ROOT / "DESIGN.md",
+        *sorted((REPO_ROOT / "docs").glob("*.md")),
+        REPO_ROOT / ".claude" / "skills" / "verify" / "SKILL.md",
+    ]
+    VARIABLE = re.compile(r"\bREPRO_[A-Z][A-Z0-9_]*\b")
+    FENCE = re.compile(r"^```[^\n]*\n(.*?)^```", re.M | re.S)
+    INLINE = re.compile(r"`([^`]+)`")
+    COMMAND = re.compile(
+        r"\brepro\s+(generate|trace|run|explain|report|histogram)\b"
+        r"([^|;&\n]*)"
+    )
+    FLAG = re.compile(r"(?<![\w-])--[a-z][a-z0-9-]*")
+
+    def _documents(self):
+        for document in self.DOCUMENTS:
+            if document.is_file():
+                yield document.relative_to(REPO_ROOT), document.read_text()
+
+    def _code(self, text):
+        """Code as a shell would read it: fenced blocks with their line
+        continuations joined, and inline spans on one line."""
+        for block in self.FENCE.findall(text):
+            yield block.replace("\\\n", " ")
+        for span in self.INLINE.findall(self.FENCE.sub("", text)):
+            yield span.replace("\n", " ")
+
+    def test_named_variables_are_read(self):
+        sources = [
+            *(REPO_ROOT / "src").rglob("*.py"),
+            *(
+                path
+                for path in BENCHMARKS.rglob("*.py")
+                if "e2e" not in path.relative_to(BENCHMARKS).parts
+            ),
+        ]
+        read = set()
+        for path in sources:
+            read |= env_variables(ast.parse(path.read_text()))
+        stale = [
+            f"{name}: {variable}"
+            for name, text in self._documents()
+            for variable in sorted(set(self.VARIABLE.findall(text)))
+            if variable not in read
+        ]
+        assert not stale, f"documents name variables nothing reads: {stale}"
+
+    def test_named_flags_are_accepted(self):
+        import argparse
+
+        from repro.cli import build_parser
+
+        (commands,) = [
+            action.choices
+            for action in build_parser()._actions
+            if isinstance(action, argparse._SubParsersAction)
+        ]
+        stale = []
+        named = 0
+        for name, text in self._documents():
+            for code in self._code(text):
+                for command, rest in self.COMMAND.findall(code):
+                    accepted = commands[command]._option_string_actions
+                    for flag in self.FLAG.findall(rest):
+                        named += 1
+                        if flag not in accepted:
+                            stale.append(f"{name}: repro {command} {flag}")
+        assert named > 0
+        assert not stale, f"documents name flags the CLI rejects: {stale}"

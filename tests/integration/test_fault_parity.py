@@ -48,7 +48,7 @@ CASES = [
 #: The pinned chaos plan: seed 2014 (the paper's year) at rates that
 #: hit both phases of every algorithm while staying within the
 #: max_attempts=3 budget (max_failures_per_task defaults to 2).
-PINNED_PLAN = dict(crash_rate=0.35, corrupt_rate=0.2, delay_rate=0.2)
+PINNED_PLAN = dict(crash_rate=0.35, corrupt_rate=0.2)
 PINNED_SEED = 2014
 
 

@@ -147,14 +147,14 @@ def test_live_runs_identical_across_executors(algorithm, query, relations):
 
 @pytest.mark.parametrize("executor", EXECUTORS)
 def test_chaos_with_live_equals_clean_without(executor):
-    """Chaos + speculation + monitoring together stay invisible."""
+    """Chaos + monitoring together stay invisible."""
     data = make_dataset(("R1", "R2", "R3"), 60, seed=11)
     clean, clean_rec = _run("rccis", CASES[1][1], data, "serial",
                             faults=False, max_attempts=1)
     chaos, chaos_rec = _run(
         "rccis", CASES[1][1], data, executor,
         live=True,
-        faults=pinned_plan(), max_attempts=3, speculative=True,
+        faults=pinned_plan(), max_attempts=3,
     )
     assert chaos.tuple_ids() == clean.tuple_ids()
     assert chaos.metrics.tasks_failed > 0
@@ -203,7 +203,7 @@ def test_replayed_spans_rebuild_the_live_state(
     data = make_dataset(relations, 60, seed=11)
     for chaos in (
         {},
-        dict(faults=2014, max_attempts=3, speculative=True),
+        dict(faults=2014, max_attempts=3),
     ):
         _, recorder = _run(
             algorithm, query, data, executor, live=True, **chaos
@@ -211,7 +211,7 @@ def test_replayed_spans_rebuild_the_live_state(
         live = _phase_states(recorder.live.snapshot())
         assert live == _phase_states(_replayed(recorder).snapshot())
         # Every task done exactly once and nothing left running, however
-        # many failed or speculative attempts the phase also saw.
+        # many failed attempts the phase also saw.
         tasks = {}
         for span in recorder.find(kind="task"):
             key = (span.attributes["job"], span.attributes["phase"])

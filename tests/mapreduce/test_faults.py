@@ -3,7 +3,7 @@
 Covers the :mod:`repro.faults` plan machinery (reproducibility is the
 load-bearing property), the runner's attempt loop across lifecycle
 injection points (setup, combiner, cleanup, commit), the commit
-protocol under corrupt output, speculation, environment resolution, the
+protocol under corrupt output, environment resolution, the
 observability of retries (attempt spans, fault counters, the RunReport
 fault summary), and what a worker process killed mid-reduce leaves
 behind (nothing).
@@ -25,19 +25,16 @@ from repro.errors import FaultInjectedError, MapReduceError, WorkerPoolError
 from repro.faults import (
     CORRUPT,
     CRASH,
-    DELAY,
     FAULTS_ENV,
     MAX_ATTEMPTS_ENV,
-    SPECULATIVE_ENV,
     FaultEvent,
     FaultPlan,
-    ResolvedFaults,
     ScriptedFaultPlan,
-    resolve_faults,
 )
 from repro.mapreduce import runner
 from repro.mapreduce.fs import InMemoryFileSystem, LocalFileSystem
 from repro.mapreduce.job import InputSpec, JobConf
+from repro.mapreduce.options import resolve_faults
 from repro.mapreduce.runner import run_job
 from repro.mapreduce.shuffle import RoundRobinKeyPartitioner
 from repro.mapreduce.task import Mapper, Reducer
@@ -129,10 +126,6 @@ class TestFaultEvent:
         with pytest.raises(MapReduceError):
             FaultEvent(CRASH, "teardown")
 
-    def test_delay_carries_seconds(self):
-        event = FaultEvent(DELAY, "setup", 0.5)
-        assert event.seconds == 0.5
-
 
 class TestFaultPlanReproducibility:
     """Same seed => same schedule: the property the whole chaos CI lane
@@ -188,11 +181,7 @@ class TestFaultPlanReproducibility:
         for job, phase, index in self.TASKS:
             schedule = plan.schedule(job, phase, index, 5)
             final = schedule[plan.max_failures_per_task:]
-            assert all(
-                event.kind == DELAY
-                for events in final
-                for event in events
-            )
+            assert all(events == () for events in final)
 
 
 class TestFaultPlanParse:
@@ -201,11 +190,8 @@ class TestFaultPlanParse:
         assert plan.seed == 42
 
     def test_options(self):
-        plan = FaultPlan.parse(
-            "7:crash=0.3,delay=0.2,corrupt=0.1,delay_seconds=0.05,"
-            "max_failures=1"
-        )
-        assert (plan.seed, plan.crash_rate, plan.delay_rate) == (7, 0.3, 0.2)
+        plan = FaultPlan.parse("7:crash=0.3,corrupt=0.1,max_failures=1")
+        assert (plan.seed, plan.crash_rate) == (7, 0.3)
         assert (plan.corrupt_rate, plan.max_failures_per_task) == (0.1, 1)
 
     def test_bad_seed_rejected(self):
@@ -213,8 +199,9 @@ class TestFaultPlanParse:
             FaultPlan.parse("not-a-seed")
 
     def test_unknown_option_rejected(self):
-        with pytest.raises(MapReduceError):
-            FaultPlan.parse("42:explosions=0.5")
+        for key in ("explosions", "delay", "delay_seconds"):
+            with pytest.raises(MapReduceError):
+                FaultPlan.parse(f"42:{key}=0.5")
 
     def test_bad_rates_rejected(self):
         with pytest.raises(MapReduceError):
@@ -376,7 +363,7 @@ class TestSeededChaosParity:
             word_count_conf(fs),
             executor=executor,
             workers=2,
-            faults=f"{seed}:crash=0.5,corrupt=0.3,delay=0.2",
+            faults=f"{seed}:crash=0.5,corrupt=0.3",
             max_attempts=3,
         )
         assert sorted(fs.read_dir("out")) == expected
@@ -424,119 +411,28 @@ class TestSeededChaosParity:
         assert "faults:" in report.render()
 
 
-class TestSpeculation:
-    def test_delayed_winner_gets_wasted_backup(self, fs):
-        expected = expected_output(fs)
-        recorder = TraceRecorder()
-        result = run_job(
-            fs,
-            word_count_conf(fs),
-            faults="7:crash=0.0,corrupt=0.0,delay=1.0",
-            max_attempts=2,
-            speculative=True,
-            observer=recorder,
-        )
-        assert sorted(fs.read_dir("out")) == expected
-        wasted = result.counters.value("faults", "speculative_wasted")
-        assert wasted == 1 + 3  # every task is delayed under delay=1.0
-        backups = [
-            s
-            for s in recorder.spans
-            if s.kind == "attempt" and s.attributes.get("speculative")
-        ]
-        assert len(backups) == wasted
-        assert not [
-            path for path in fs.list_prefix("out/") if "_temporary" in path
-        ]
-
-    def test_speculation_off_by_default(self, fs):
-        result = run_job(
-            fs,
-            word_count_conf(fs),
-            faults="7:crash=0.0,corrupt=0.0,delay=1.0",
-            max_attempts=2,
-        )
-        assert result.counters.value("faults", "speculative_wasted") == 0
-
-
-class TestTaskTimeout:
-    """``task_timeout`` fails an overrunning attempt into the same
-    retry/backoff path an injected crash takes."""
-
-    def _delayed_first_attempt(self):
-        # Under the serial executor the delay is virtual time, so the
-        # overrun is deterministic: 0.5 s observed against a 0.2 s limit.
-        return scripted(
-            "wordcount", "reduce", 1, 0, FaultEvent(DELAY, "setup", 0.5)
-        )
-
-    def test_timed_out_attempt_is_retried(self, fs):
-        expected = expected_output(fs)
-        recorder = TraceRecorder()
-        result = run_job(
-            fs,
-            word_count_conf(fs),
-            executor="serial",
-            faults=self._delayed_first_attempt(),
-            max_attempts=2,
-            task_timeout=0.2,
-            observer=recorder,
-        )
-        assert sorted(fs.read_dir("out")) == expected
-        assert result.counters.value("faults", "tasks_failed") == 1
-        assert result.counters.value("faults", "tasks_retried") == 1
-        (failed,) = [s for s in recorder.spans if s.kind == "attempt"]
-        assert failed.attributes["error"] == "TaskTimeoutError"
-        assert failed.attributes["task_index"] == 1
-        (winner,) = [
-            s
-            for s in recorder.spans
-            if s.kind == "task" and s.name == "reduce[1]"
-        ]
-        assert winner.attributes["attempt"] == 1
-
-    def test_timeout_past_the_budget_propagates(self, fs):
-        from repro.errors import TaskTimeoutError
-
-        with pytest.raises(TaskTimeoutError):
-            run_job(
-                fs,
-                word_count_conf(fs),
-                executor="serial",
-                faults=self._delayed_first_attempt(),
-                max_attempts=1,
-                task_timeout=0.2,
-            )
-
-
 class TestResolution:
     def test_inactive_by_default(self, monkeypatch):
         monkeypatch.delenv(FAULTS_ENV, raising=False)
         monkeypatch.delenv(MAX_ATTEMPTS_ENV, raising=False)
-        monkeypatch.delenv(SPECULATIVE_ENV, raising=False)
         resolved = resolve_faults()
         assert resolved.plan is None
         assert resolved.max_attempts == 1
-        assert not resolved.speculative
-        assert resolved.task_timeout is None
 
     def test_environment_is_consulted(self, monkeypatch):
         monkeypatch.setenv(FAULTS_ENV, "42:crash=0.25")
         monkeypatch.setenv(MAX_ATTEMPTS_ENV, "5")
-        monkeypatch.setenv(SPECULATIVE_ENV, "1")
         resolved = resolve_faults()
         assert resolved.plan.seed == 42
         assert resolved.plan.crash_rate == 0.25
         assert resolved.max_attempts == 5
-        assert resolved.speculative
 
     def test_arguments_beat_environment(self, monkeypatch):
         monkeypatch.setenv(FAULTS_ENV, "42")
         monkeypatch.setenv(MAX_ATTEMPTS_ENV, "5")
-        resolved = resolve_faults(faults=7, max_attempts=2, speculative=False)
+        resolved = resolve_faults(faults=7, max_attempts=2)
         assert resolved.plan.seed == 7
         assert resolved.max_attempts == 2
-        assert not resolved.speculative
 
     def test_false_forces_injection_off(self, monkeypatch):
         monkeypatch.setenv(FAULTS_ENV, "42")
@@ -554,14 +450,6 @@ class TestResolution:
         monkeypatch.setenv(MAX_ATTEMPTS_ENV, "many")
         with pytest.raises(MapReduceError):
             resolve_faults()
-
-    def test_backoff_grows_and_caps(self):
-        resolved = ResolvedFaults(max_attempts=10)
-        values = [resolved.backoff_seconds(a) for a in range(1, 10)]
-        assert values == sorted(values)
-        assert values[0] == resolved.backoff_base
-        assert values[-1] == resolved.backoff_cap
-        assert resolved.backoff_seconds(0) == 0.0
 
 
 class TestWorkerPoolError:

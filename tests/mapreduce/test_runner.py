@@ -6,14 +6,14 @@ import pytest
 from repro.errors import MapReduceError
 from repro.mapreduce.fs import InMemoryFileSystem
 from repro.mapreduce.job import InputSpec, JobConf
-from repro.mapreduce.runner import (
+from repro.mapreduce.options import (
     EXECUTOR_ENV,
     EXECUTORS,
     WORKERS_ENV,
     resolve_executor,
     resolve_workers,
-    run_job,
 )
+from repro.mapreduce.runner import run_job
 from repro.mapreduce.task import Mapper, Reducer
 
 

@@ -1,10 +1,7 @@
 """CLI observability artifacts: ``repro run --trace/--history/--report``.
 
-The trace test validates the emitted file against the Chrome trace-event
-schema (the subset Perfetto/``chrome://tracing`` require): a JSON object
-with a ``traceEvents`` array whose complete events carry ``name``,
-``cat``, ``ph == "X"``, numeric non-negative ``ts``/``dur`` and integer
-``pid``/``tid``.
+``--trace`` writes one format, the JSONL span log: one span object per
+line, which ``repro report`` reads back.
 """
 
 from __future__ import annotations
@@ -53,51 +50,11 @@ def _run_args(quickstart_files):
     ]
 
 
-def assert_valid_trace_events(payload) -> None:
-    """Validate the Chrome trace-event JSON schema subset we emit."""
-    assert isinstance(payload, dict)
-    events = payload["traceEvents"]
-    assert isinstance(events, list) and events
-    complete = [event for event in events if event.get("ph") == "X"]
-    assert complete, "at least one complete event"
-    for event in complete:
-        assert isinstance(event["name"], str) and event["name"]
-        assert isinstance(event["cat"], str)
-        assert isinstance(event["ts"], (int, float)) and event["ts"] >= 0
-        assert isinstance(event["dur"], (int, float)) and event["dur"] >= 0
-        assert isinstance(event["pid"], int)
-        assert isinstance(event["tid"], int)
-        assert isinstance(event.get("args", {}), dict)
-
-
 class TestTraceArtifact:
-    def test_chrome_trace_on_quickstart_query(self, quickstart_files, tmp_path):
-        trace = tmp_path / "run.trace.json"
-        exit_code = main(_run_args(quickstart_files) + ["--trace", str(trace)])
-        assert exit_code == 0
-        payload = json.loads(trace.read_text())
-        assert_valid_trace_events(payload)
-        categories = {
-            event["cat"]
-            for event in payload["traceEvents"]
-            if event.get("ph") == "X"
-        }
-        # the full span hierarchy made it into the artifact.
-        assert {"query", "algorithm", "job", "phase", "task"} <= categories
-        # rccis (the planner's choice for a colocation chain) runs two
-        # cycles: both job spans are present.
-        jobs = {
-            event["name"]
-            for event in payload["traceEvents"]
-            if event.get("cat") == "job"
-        }
-        assert jobs == {"job:rccis-flag", "job:rccis-join"}
-
     def test_jsonl_trace(self, quickstart_files, tmp_path):
         trace = tmp_path / "run.jsonl"
         exit_code = main(
-            _run_args(quickstart_files)
-            + ["--trace", str(trace), "--trace-format", "jsonl"]
+            _run_args(quickstart_files) + ["--trace", str(trace)]
         )
         assert exit_code == 0
         entries = [
@@ -110,6 +67,28 @@ class TestTraceArtifact:
         for entry in entries:
             if entry["parent"] is not None:
                 assert entry["parent"] in by_id
+        # rccis (the planner's choice for a colocation chain) runs two
+        # cycles: both job spans are present.
+        jobs = {entry["name"] for entry in entries if entry["kind"] == "job"}
+        assert jobs == {"job:rccis-flag", "job:rccis-join"}
+
+    def test_report_reads_what_run_traced(
+        self, quickstart_files, tmp_path, capsys
+    ):
+        """``repro run --trace T`` then ``repro report T``: the report
+        shows the run's spans and jobs and warns about nothing."""
+        trace = tmp_path / "t.json"
+        assert main(_run_args(quickstart_files) + ["--trace", str(trace)]) == 0
+        capsys.readouterr()
+        assert main(["report", str(trace)]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        lines = captured.out.splitlines()
+        (spans_line,) = [line for line in lines if line.startswith("spans:")]
+        assert spans_line.endswith("(2 jobs)")
+        assert int(spans_line.split()[1]) > 2
+        assert "data plane: rccis-flag: columnar" in lines
+        assert "data plane: rccis-join: columnar" in lines
 
 
 class TestHistoryAndReport:
@@ -154,7 +133,7 @@ class TestReportDegradation:
         trace = tmp_path / "run.jsonl"
         exit_code = main(
             _run_args(quickstart_files)
-            + ["--trace", str(trace), "--trace-format", "jsonl"]
+            + ["--trace", str(trace)]
         )
         assert exit_code == 0
         return trace
@@ -237,7 +216,7 @@ class TestServeStatusOnATakenPort:
                 _run_args(quickstart_files)
                 + [
                     "--serve-status", str(port), "--profile",
-                    "--trace", str(trace), "--trace-format", "jsonl",
+                    "--trace", str(trace),
                 ]
             )
         captured = capsys.readouterr()
@@ -274,7 +253,7 @@ class TestReportFromTheTraceAlone:
             _run_args(quickstart_files)
             + [
                 "--profile", "--executor", "processes", "--workers", "2",
-                "--trace", str(trace), "--trace-format", "jsonl",
+                "--trace", str(trace),
                 "--metrics-out", str(snapshot),
             ]
         )
@@ -315,20 +294,16 @@ class TestReportFromTheTraceAlone:
         trace = tmp_path / "run.jsonl"
         assert main(
             _run_args(quickstart_files)
-            + ["--trace", str(trace), "--trace-format", "jsonl"]
+            + ["--trace", str(trace)]
         ) == 0
-        newer = {
-            "input", "staged", "key_loads", "promoted", "tasks", "keys",
-            "output_records",
-        }
+        newer = {"input", "staged", "key_loads", "promoted", "tasks", "keys"}
         old_lines = []
         for line in trace.read_text().splitlines():
             entry = json.loads(line)
-            keep = set() if entry["kind"] == "algorithm" else {"output_records"}
             entry["attributes"] = {
                 key: value
                 for key, value in entry["attributes"].items()
-                if key not in newer - keep
+                if key not in newer
             }
             old_lines.append(json.dumps(entry))
         trace.write_text("\n".join(old_lines) + "\n")
@@ -346,7 +321,7 @@ class TestReportFromTheTraceAlone:
         ]
         for family in (
             "repro_map_records_total", "repro_key_load",
-            "repro_fs_attempts_total", "repro_algorithm_output_records",
+            "repro_fs_attempts_total",
         ):
             assert family in metrics_line
         assert "plan reconciliation — rccis" in captured.out

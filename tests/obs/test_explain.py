@@ -466,7 +466,7 @@ class TestCli:
                 + self._bindings(relation_files, ("R1", "R2"))
                 + ["--condition", "R1 overlaps R2",
                    "--partitions", "4",
-                   "--trace", str(trace), "--trace-format", "jsonl"]
+                   "--trace", str(trace)]
             )
             == 0
         )

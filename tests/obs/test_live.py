@@ -2,7 +2,7 @@
 
 End-to-end passivity/parity is pinned by
 ``tests/integration/test_live_parity.py``; these tests exercise the hub,
-the resolver, the ETA model, the HTTP endpoint and the terminal
+the switch, the ETA model, the HTTP endpoint and the terminal
 rendering in isolation.  The hub is a sink of the span stream and
 nothing else, so the tests feed it ``job`` / ``phase`` / ``task`` /
 ``plan`` spans (``_open`` / ``_close`` / ``_plan``) the way a recorder
@@ -25,9 +25,7 @@ from repro.obs import (
     TelemetryHub,
     TraceRecorder,
     render_progress_line,
-    resolve_live,
 )
-from repro.obs.live import LIVE_ENV
 from repro.obs.metrics import GROUP_LIVE
 
 
@@ -73,26 +71,37 @@ def _plan(hub, cycles, modelled_seconds=0.0) -> None:
     )
 
 
+def _hub(**switch):
+    """The hub a recorder built with ``switch`` attaches, or ``None``."""
+    recorder = TraceRecorder(**switch)
+    recorder.close()
+    return recorder.live
+
+
 class TestResolveLive:
+    """Live telemetry is on exactly when the recorder is asked for it
+    (``--progress`` / ``--serve-status`` on the CLI); ``$REPRO_LIVE`` is
+    not a switch — only the run options read the environment."""
+
     def test_explicit_wins(self, monkeypatch):
-        monkeypatch.setenv(LIVE_ENV, "1")
-        assert resolve_live(False) is False
-        assert resolve_live(True) is True
-        monkeypatch.delenv(LIVE_ENV)
-        assert resolve_live(True) is True
+        monkeypatch.setenv("REPRO_LIVE", "1")
+        assert _hub(live=False) is None
+        assert isinstance(_hub(live=True), TelemetryHub)
+        monkeypatch.delenv("REPRO_LIVE")
+        assert isinstance(_hub(live=True), TelemetryHub)
 
     @pytest.mark.parametrize("value", ["", "0", "false", "no", "off"])
     def test_falsey_env(self, monkeypatch, value):
-        monkeypatch.setenv(LIVE_ENV, value)
-        assert resolve_live() is False
+        monkeypatch.setenv("REPRO_LIVE", value)
+        assert _hub() is None
 
     def test_truthy_env(self, monkeypatch):
-        monkeypatch.setenv(LIVE_ENV, "1")
-        assert resolve_live() is True
+        monkeypatch.setenv("REPRO_LIVE", "1")
+        assert _hub() is None
 
     def test_unset_env_is_off(self, monkeypatch):
-        monkeypatch.delenv(LIVE_ENV, raising=False)
-        assert resolve_live() is False
+        monkeypatch.delenv("REPRO_LIVE", raising=False)
+        assert _hub() is None
 
 
 class TestTaskSpans:
@@ -114,13 +123,13 @@ class TestTaskSpans:
         assert tasks.value(job="j", phase="map", state="finished") == 1
 
     def test_losing_attempts_are_not_done(self):
-        """A failed attempt, the winner, a speculative backup: one task
-        done, nothing left running."""
+        """Two failed attempts, then the winner: one task done, nothing
+        left running."""
         hub = TelemetryHub()
         _open(hub, "phase", "reduce", job="j", tasks=2)
         _task(hub, "j", "reduce", 0, kind="attempt")
-        _task(hub, "j", "reduce", 0)
         _task(hub, "j", "reduce", 0, kind="attempt")
+        _task(hub, "j", "reduce", 0)
         (phase,) = hub.snapshot()["jobs"][0]["phases"]
         assert (phase["running_tasks"], phase["done_tasks"]) == (0, 1)
 
@@ -305,12 +314,26 @@ class TestRecorderIntegration:
         assert recorder.live.closed
 
     def test_live_env(self, monkeypatch):
-        monkeypatch.setenv(LIVE_ENV, "1")
+        """An observed run under ``REPRO_LIVE=1`` folds no live family."""
+        from repro.core.executor import execute
+        from repro.core.query import IntervalJoinQuery
+
+        from tests.conftest import make_dataset
+
+        monkeypatch.setenv("REPRO_LIVE", "1")
         recorder = TraceRecorder()
-        try:
-            assert isinstance(recorder.live, TelemetryHub)
-        finally:
-            recorder.close()
+        execute(
+            IntervalJoinQuery.parse([("R1", "overlaps", "R2")]),
+            make_dataset(("R1", "R2"), 20, seed=3),
+            observer=recorder,
+        )
+        recorder.close()
+        assert recorder.live is None
+        assert not [
+            metric.name
+            for metric in recorder.metrics.families()
+            if metric.group == GROUP_LIVE
+        ]
 
     def test_live_group_excluded_from_fingerprint(self):
         registry = MetricsRegistry()

@@ -14,29 +14,40 @@ from repro.obs import (
     load_spans_jsonl_tolerant,
 )
 from repro.obs.metrics import GROUP_PROFILE
-from repro.obs.profile import PROFILE_ENV, resolve_profile
+
+
+def _profiler(**switch):
+    """The profiler a recorder built with ``switch`` attaches, or
+    ``None``."""
+    recorder = TraceRecorder(**switch)
+    recorder.close()
+    return recorder.profiler
 
 
 class TestResolveProfile:
+    """Profiling is on exactly when the recorder is asked for it (``repro
+    run --profile``); ``$REPRO_PROFILE`` is not a switch — only the run
+    options read the environment."""
+
     def test_explicit_wins(self, monkeypatch):
-        monkeypatch.setenv(PROFILE_ENV, "1")
-        assert resolve_profile(False) is False
-        assert resolve_profile(True) is True
-        monkeypatch.delenv(PROFILE_ENV)
-        assert resolve_profile(True) is True
+        monkeypatch.setenv("REPRO_PROFILE", "1")
+        assert _profiler(profile=False) is None
+        assert isinstance(_profiler(profile=True), Profiler)
+        monkeypatch.delenv("REPRO_PROFILE")
+        assert isinstance(_profiler(profile=True), Profiler)
 
     @pytest.mark.parametrize("value", ["", "0", "false", "no", "off"])
     def test_falsey_env(self, monkeypatch, value):
-        monkeypatch.setenv(PROFILE_ENV, value)
-        assert resolve_profile() is False
+        monkeypatch.setenv("REPRO_PROFILE", value)
+        assert _profiler() is None
 
     def test_truthy_env(self, monkeypatch):
-        monkeypatch.setenv(PROFILE_ENV, "1")
-        assert resolve_profile() is True
+        monkeypatch.setenv("REPRO_PROFILE", "1")
+        assert _profiler() is None
 
     def test_unset_env(self, monkeypatch):
-        monkeypatch.delenv(PROFILE_ENV, raising=False)
-        assert resolve_profile() is False
+        monkeypatch.delenv("REPRO_PROFILE", raising=False)
+        assert _profiler() is None
 
 
 def _span(kind, name, span_id, duration=0.25, **attributes):

@@ -10,14 +10,7 @@ from repro.mapreduce import Counters, InMemoryFileSystem, run_job
 from repro.mapreduce.cost import CostModel
 from repro.mapreduce.job import InputSpec, JobConf
 from repro.mapreduce.task import Mapper, Reducer
-from repro.obs import (
-    ChromeTraceSink,
-    InMemorySink,
-    JsonlSink,
-    TraceRecorder,
-    TraceSink,
-    open_sink,
-)
+from repro.obs import InMemorySink, JsonlSink, TraceRecorder, TraceSink
 
 
 class TestSpanNesting:
@@ -218,28 +211,3 @@ class TestSinks:
         path = tmp_path / "sub" / "trace.jsonl"
         self._record(JsonlSink(str(path)))
         assert len(path.read_text().splitlines()) == 2
-
-    def test_chrome_sink_writes_trace_events(self, tmp_path):
-        path = tmp_path / "trace.json"
-        self._record(ChromeTraceSink(str(path)))
-        payload = json.loads(path.read_text())
-        events = [e for e in payload["traceEvents"] if e["ph"] == "X"]
-        assert [e["name"] for e in events] == ["j", "q"]
-        for event in events:
-            assert event["ts"] >= 0 and event["dur"] >= 0
-            assert isinstance(event["pid"], int)
-            assert isinstance(event["tid"], int)
-
-    def test_open_sink_selects_format(self, tmp_path):
-        assert isinstance(
-            open_sink(str(tmp_path / "a.json"), "chrome"), ChromeTraceSink
-        )
-        jsonl = open_sink(str(tmp_path / "a.jsonl"), "jsonl")
-        assert isinstance(jsonl, JsonlSink)
-        jsonl.close()
-        try:
-            open_sink(str(tmp_path / "x"), "nope")
-        except ValueError:
-            pass
-        else:  # pragma: no cover
-            raise AssertionError("unknown format must raise")

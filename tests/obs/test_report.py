@@ -4,14 +4,11 @@ from __future__ import annotations
 
 from repro.core.executor import execute
 from repro.core.query import IntervalJoinQuery
-from repro.faults import CRASH, DELAY, FaultEvent, ScriptedFaultPlan
 from repro.mapreduce.counters import Counters
 from repro.mapreduce.job import JobResult
 from repro.obs import RunReport, TraceRecorder
 from repro.obs.span import Span
 from repro.workloads import SyntheticConfig, generate_relation
-
-from tests.conftest import make_dataset
 
 
 def _job_result(
@@ -116,72 +113,51 @@ class TestStragglerFlags:
 
 class TestScriptedFaultStragglers:
     """Regression: under fault injection the non-committing attempt
-    spans carry the retry/delay history; straggler detection must diagnose
-    the committed tasks only, identically to a fault-free run."""
+    spans carry the retry history; straggler detection must diagnose the
+    committed tasks only, identically to a fault-free run."""
 
-    QUERY = IntervalJoinQuery.parse([("R1", "overlaps", "R2")])
-
-    def _run(self, faults):
-        recorder = TraceRecorder()
-        execute(
-            self.QUERY,
-            make_dataset(("R1", "R2"), 60, seed=11),
-            algorithm="two_way",
-            num_partitions=5,
-            executor="threads",
-            workers=2,
-            observer=recorder,
-            faults=faults,
-            max_attempts=3 if faults else 1,
+    @staticmethod
+    def _span(sid, index, seconds, kind="task") -> Span:
+        return Span(
+            name=f"reduce[{index}]",
+            kind=kind,
+            span_id=sid,
+            parent_id=None,
+            start=0.0,
+            end=seconds,
+            attributes={"phase": "reduce", "job": "two-way", "task_index": index},
         )
-        return recorder
 
     def test_slow_failed_attempt_not_a_straggler(self):
-        # Attempt 0 of reduce task 0 sleeps ~50 ms (the sleep cap) and
-        # then crashes at commit; attempt 1 wins normally.  The failed
-        # attempt dwarfs every real task, so counting it would both
-        # skew the median and flag a phantom straggler.
-        plan = ScriptedFaultPlan(
-            {
-                ("two-way", "reduce", 0, 0): (
-                    FaultEvent(DELAY, "setup", 0.2),
-                    FaultEvent(CRASH, "commit"),
-                )
-            }
-        )
-        chaos = self._run(plan)
-        attempt_spans = [s for s in chaos.spans if s.kind == "attempt"]
-        assert len(attempt_spans) == 1
-        # Real tasks here run for ~0.2-1 ms (the retried winner, on a
-        # fresh reducer copy, consistently near 3x the others), so with
-        # no floor the 3x-median rule flags scheduler noise; 20 ms is
-        # far above any real task and far below the >= 50 ms failed
-        # attempt, which would still be flagged if it were counted.
-        floor = 0.02
-        report = RunReport.from_recorder(chaos, min_straggler_seconds=floor)
+        # Attempt 0 of reduce task 0 ran 200 ms and then failed; attempt
+        # 1 won in ~1 ms like every other task.  The failed attempt
+        # dwarfs every real task, so counting it would both skew the
+        # median and flag a phantom straggler.
+        tasks = [self._span(i, i, 0.001 + i * 0.0001) for i in range(5)]
+        failed = self._span(99, 0, 0.2, kind="attempt")
+        chaos = RunReport.from_observations([], tasks + [failed])
         flagged = {
             (flag.job, flag.task_index)
-            for flag in report.flags_for(reason="straggler")
+            for flag in chaos.flags_for(reason="straggler")
         }
         assert ("two-way", 0) not in flagged
         # The overhead is visible where it belongs: the fault summary.
-        assert report.faults.attempt_spans == 1
-        assert report.faults.overhead_seconds >= 0.04
-        # And a baseline run flags exactly the same stragglers.  The
-        # baseline is its own threads-executor run whose ms-scale task
-        # timings can flag a phantom straggler under host load, so allow
-        # a couple of fresh baselines before declaring a mismatch.
-        for _ in range(3):
-            baseline = RunReport.from_recorder(
-                self._run(False), min_straggler_seconds=floor
-            )
-            baseline_flagged = {
-                (flag.job, flag.task_index)
-                for flag in baseline.flags_for(reason="straggler")
-            }
-            if flagged == baseline_flagged:
-                break
-        assert flagged == baseline_flagged
+        assert chaos.faults.attempt_spans == 1
+        assert chaos.faults.overhead_seconds >= 0.2
+        # A fault-free run flags exactly the same stragglers.
+        baseline = RunReport.from_observations([], tasks)
+        assert not baseline.faults.any_faults
+        assert flagged == {
+            (flag.job, flag.task_index)
+            for flag in baseline.flags_for(reason="straggler")
+        }
+        # Counted as a committed task, the same span would be flagged.
+        failed.kind = "task"
+        counted = RunReport.from_observations([], tasks + [failed])
+        assert ("two-way", 0) in {
+            (flag.job, flag.task_index)
+            for flag in counted.flags_for(reason="straggler")
+        }
 
 
 class TestProfilerExtensions:
