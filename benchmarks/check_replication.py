@@ -77,7 +77,7 @@ def pinned_factors() -> Dict[str, float]:
         num_partitions=NUM_PARTITIONS,
         observer=observer,
     )
-    report = RunReport.from_recorder(observer)
+    report = RunReport.from_spans(observer.spans)
     return {
         name: round(factor, 6)
         for name, factor in report.replication_factors.items()

@@ -9,20 +9,17 @@ Commands
     Generate a synthetic packet trace profile and write its packet-train
     intervals.
 ``run``
-    Execute an interval join query over relation files, print the metric
-    summary, optionally write the output tuples — plus observability
-    artifacts: ``--trace`` (the JSONL span log ``report`` reads),
-    ``--history`` (JobHistory JSON + totals), ``--report`` (skew /
-    straggler / empty-task diagnosis), ``--metrics`` / ``--metrics-out``
-    (metric summary, JSON or Prometheus text), ``--html`` (one
-    self-contained dashboard page) and ``--explain`` (EXPLAIN the plan
-    before running, reconcile predictions against observations after).
-    ``--profile`` adds the data-plane rundown (per-phase CPU and memory
-    watermarks).  Live monitoring — running / finished tasks and
-    progress/ETA, folded from the span stream: ``--progress``
-    (in-terminal progress/ETA ticker) and ``--serve-status PORT`` (HTTP
-    endpoint with ``/metrics``, ``/progress`` and a live dashboard at
-    ``/``).
+    Execute an interval join query over relation files, print its
+    headline numbers and optionally write the output tuples (``-o``).
+    It records; ``report`` reads: ``--trace`` writes the JSONL span log
+    every report is rebuilt from.  ``--explain`` prints the EXPLAIN plan
+    before running and the predicted-vs-observed reconciliation after;
+    ``--profile`` records and prints the data-plane rundown (per-phase
+    CPU and memory watermarks).  Live monitoring — running / finished
+    tasks and progress/ETA, folded from the span stream:
+    ``--progress`` (in-terminal progress/ETA ticker) and
+    ``--serve-status PORT`` (HTTP endpoint with ``/metrics``,
+    ``/progress`` and a live dashboard at ``/``).
 ``explain``
     Render the physical plan for a query without running it: planner
     rationale (chosen algorithm and why each alternative was rejected,
@@ -32,9 +29,12 @@ Commands
     analytic predictions (``--exact`` dry-runs the real mappers instead
     when relations are bound).
 ``report``
-    Rebuild the HTML dashboard, the predicted-vs-observed plan
-    reconciliation and (``--profile``) the data-plane rundown from a
-    saved JSONL span trace alone, after the run is gone.  Degrades
+    Read a saved JSONL span trace, after the run is gone: the run report
+    (skew, stragglers, empty-output tasks, faults, the predicted-vs-
+    observed plan reconciliation) and the metric summary, plus
+    ``--metrics-out`` (JSON or Prometheus text), ``--html`` (one
+    self-contained dashboard page) and ``--profile`` (the data-plane
+    rundown).  Degrades
     gracefully on traces from older versions: unknown lines are
     warnings, missing plan spans just skip their sections, and metric
     families whose span attributes the trace predates are named.
@@ -166,19 +166,6 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--trace", default=None, metavar="PATH",
                      help="record the run's span trace to PATH as JSONL "
                      "(what repro report reads)")
-    run.add_argument("--history", default=None, metavar="PATH",
-                     help="save a JobHistory JSON of the executed jobs "
-                     "and print its totals")
-    run.add_argument("--report", action="store_true",
-                     help="print the skew/straggler/empty-task run report")
-    run.add_argument("--metrics", action="store_true",
-                     help="print the run's metric summary (counters, "
-                     "gauges, histogram quantiles)")
-    run.add_argument("--metrics-out", default=None, metavar="PATH",
-                     help="write the metric families as JSON "
-                     "(*.prom writes Prometheus text exposition instead)")
-    run.add_argument("--html", default=None, metavar="PATH",
-                     help="write a self-contained HTML run dashboard")
     run.add_argument("--profile", action="store_true",
                      help="run under the data-plane profiler: per-phase "
                      "driver CPU and memory watermarks, in-process task "
@@ -230,10 +217,17 @@ def build_parser() -> argparse.ArgumentParser:
 
     report = sub.add_parser(
         "report",
-        help="rebuild reports from a recorded JSONL span trace",
+        help="print the run report and metric summary of a recorded "
+        "JSONL span trace",
+        # No prefixes: the removed ``--metrics SNAPSHOT`` input must not
+        # resolve to ``--metrics-out`` and overwrite the snapshot.
+        allow_abbrev=False,
     )
     report.add_argument("trace", help="JSONL span trace (repro run "
                         "--trace T.jsonl)")
+    report.add_argument("--metrics-out", default=None, metavar="PATH",
+                        help="write the metric families as JSON "
+                        "(*.prom writes Prometheus text exposition instead)")
     report.add_argument("--html", default=None, metavar="PATH",
                         help="write the self-contained HTML dashboard here")
     report.add_argument("--title", default=None,
@@ -355,8 +349,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
             partition_strategy=args.partition_strategy,
         )
         print(explained.render())
-        if explained.provably_empty:
-            return 0
         print()
     live = args.progress or args.serve_status is not None
     observer = status_server = progress = None
@@ -374,17 +366,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
                 raise ReproError(
                     f"cannot serve status on port {args.serve_status}: {exc}"
                 ) from exc
-        if (
-            args.explain
-            or args.trace
-            or args.history
-            or args.report
-            or args.metrics
-            or args.metrics_out
-            or args.html
-            or args.profile
-            or live
-        ):
+        if args.explain or args.trace or args.profile or live:
             from repro.obs import JsonlSink, TraceRecorder
 
             sinks = [JsonlSink(args.trace)] if args.trace else []
@@ -453,54 +435,20 @@ def _cmd_run(args: argparse.Namespace) -> int:
         print(f"output:     {args.output}")
     if args.trace:
         print(f"trace:      {args.trace}")
-    if args.history:
-        from repro.mapreduce.history import JobHistory
-
-        history = JobHistory()
-        for job_result in observer.job_results:
-            history.record(job_result)
-        history.save(args.history)
-        totals = history.totals()
-        print(f"history:    {args.history}")
-        print(
-            "totals:     "
-            + ", ".join(f"{key}={value}" for key, value in totals.items())
-        )
-    if args.report:
-        from repro.obs import RunReport
-
-        print(RunReport.from_recorder(observer).render())
-    if args.metrics:
-        print(observer.metrics.summary())
     if observer is not None and observer.profiler is not None:
         from repro.obs import data_plane_summary
 
         print()
         print(data_plane_summary(observer.spans, observer.metrics))
-    if args.metrics_out:
-        with open(args.metrics_out, "w", encoding="utf-8") as handle:
-            if args.metrics_out.endswith(".prom"):
-                handle.write(observer.metrics.to_prometheus())
-            else:
-                handle.write(observer.metrics.to_json())
-                handle.write("\n")
-        print(f"metrics:    {args.metrics_out}")
-    if args.html:
-        from repro.obs import dashboard_from_recorder
-
-        page = dashboard_from_recorder(observer, title=f"repro run: {query}")
-        with open(args.html, "w", encoding="utf-8") as handle:
-            handle.write(page)
-        print(f"dashboard:  {args.html}")
     return 0
 
 
 def _cmd_report(args: argparse.Namespace) -> int:
     from repro.obs import (
+        RunReport,
         data_plane_summary,
         fold_spans,
         load_spans_jsonl_tolerant,
-        reconciliation_from_spans,
         render_dashboard,
     )
     from repro.obs.dashboard import job_plane
@@ -519,19 +467,17 @@ def _cmd_report(args: argparse.Namespace) -> int:
     # spans or the attributes a metric family is folded from — report
     # what exists instead of failing.
     try:
-        reconciliations = reconciliation_from_spans(spans)
+        report = RunReport.from_spans(spans)
     except Exception as exc:
         print(
-            f"warning: plan reconciliation failed ({exc}); skipping",
+            f"warning: run report failed ({exc}); skipping",
             file=sys.stderr,
         )
-        reconciliations = []
-    if reconciliations:
-        for reconciliation in reconciliations:
-            print()
-            print(reconciliation.render())
     else:
-        print("plan:       no plan spans in trace; reconciliation skipped")
+        print()
+        print(report.render())
+        if not report.reconciliations:
+            print("plan:       no plan spans in trace; reconciliation skipped")
     metrics, skipped = fold_spans(spans)
     if skipped:
         print(
@@ -539,9 +485,19 @@ def _cmd_report(args: argparse.Namespace) -> int:
             + ", ".join(skipped)
             + "; skipped"
         )
+    print()
+    print(metrics.summary())
     if args.profile:
         print()
         print(data_plane_summary(spans, metrics))
+    if args.metrics_out:
+        with open(args.metrics_out, "w", encoding="utf-8") as handle:
+            if args.metrics_out.endswith(".prom"):
+                handle.write(metrics.to_prometheus())
+            else:
+                handle.write(metrics.to_json())
+                handle.write("\n")
+        print(f"metrics:    {args.metrics_out}")
     if args.html:
         try:
             page = render_dashboard(spans, metrics, title=title)

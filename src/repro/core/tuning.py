@@ -60,14 +60,6 @@ class DataProfile:
     mean_length: float
     time_span: float
 
-    @property
-    def boundary_density(self) -> float:
-        """Expected fraction of intervals crossing a unit-width boundary,
-        per unit of partition width (mean length / span)."""
-        if self.time_span <= 0:
-            return 0.0
-        return self.mean_length / self.time_span
-
 
 def profile_data(
     query: IntervalJoinQuery, data: Mapping[str, Relation]

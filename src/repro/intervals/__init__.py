@@ -2,13 +2,6 @@
 project/split/replicate partitioning primitives, and the consistent /
 crossing interval-set machinery of the paper's Section 5."""
 
-from repro.intervals.coalesce import (
-    coalesce,
-    gaps,
-    intersect_sets,
-    subtract,
-    total_coverage,
-)
 from repro.intervals.allen import (
     ALLEN_PREDICATES,
     AllenPredicate,
@@ -18,7 +11,6 @@ from repro.intervals.allen import (
     relation_between,
 )
 from repro.intervals.interval import Interval, point, span
-from repro.intervals.order import leftmost, less_than, rightmost, sort_by_order
 from repro.intervals.partitioning import Partitioning
 from repro.intervals.sets import crosses, is_consistent, normalize_conditions
 from repro.intervals.sweep import join_pairs
@@ -26,11 +18,6 @@ from repro.intervals.tree import IntervalTree
 
 __all__ = [
     "ALLEN_PREDICATES",
-    "coalesce",
-    "gaps",
-    "intersect_sets",
-    "subtract",
-    "total_coverage",
     "AllenPredicate",
     "MapOperator",
     "Order",
@@ -39,10 +26,6 @@ __all__ = [
     "Interval",
     "point",
     "span",
-    "leftmost",
-    "less_than",
-    "rightmost",
-    "sort_by_order",
     "Partitioning",
     "crosses",
     "is_consistent",

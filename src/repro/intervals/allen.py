@@ -36,7 +36,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Callable, Dict, FrozenSet, Iterable, List, Tuple, Union
+from typing import Callable, Dict, FrozenSet, Tuple, Union
 
 import numpy as np
 
@@ -382,22 +382,3 @@ def relation_between(u: Interval, v: Interval) -> AllenPredicate:
         f"no Allen relation holds between {u} and {v}"
     )
 
-
-def relations_holding(u: Interval, v: Interval) -> List[AllenPredicate]:
-    """All basic relations holding between two intervals (normally one)."""
-    return [p for p in ALLEN_PREDICATES.values() if p.holds(u, v)]
-
-
-def classify_predicates(
-    predicates: Iterable[Union[str, AllenPredicate]],
-) -> Tuple[bool, bool]:
-    """Return ``(has_colocation, has_sequence)`` over a predicate collection."""
-    has_colocation = False
-    has_sequence = False
-    for pred in predicates:
-        predicate = get_predicate(pred)
-        if predicate.is_sequence:
-            has_sequence = True
-        else:
-            has_colocation = True
-    return has_colocation, has_sequence

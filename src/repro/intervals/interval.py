@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Optional, Tuple
+from typing import Iterable, Iterator, Optional
 
 from repro.errors import InvalidIntervalError
 
@@ -62,15 +62,6 @@ class Interval:
         """The extent ``end - start``; zero for point intervals."""
         return self.end - self.start
 
-    @property
-    def is_point(self) -> bool:
-        """True when the interval degenerates to a single point."""
-        return self.start == self.end
-
-    def contains_point(self, t: float) -> bool:
-        """Whether time point ``t`` lies inside the closed interval."""
-        return self.start <= t <= self.end
-
     def intersects(self, other: "Interval") -> bool:
         """Whether the two closed intervals share at least one point.
 
@@ -87,14 +78,6 @@ class Interval:
             return None
         return Interval(lo, hi)
 
-    def union_span(self, other: "Interval") -> "Interval":
-        """The smallest interval covering both operands (their hull)."""
-        return Interval(min(self.start, other.start), max(self.end, other.end))
-
-    def shift(self, delta: float) -> "Interval":
-        """A copy translated by ``delta`` along the axis."""
-        return Interval(self.start + delta, self.end + delta)
-
     def scale(self, factor: float, origin: float = 0.0) -> "Interval":
         """A copy scaled about ``origin`` by a non-negative ``factor``."""
         if factor < 0:
@@ -105,23 +88,8 @@ class Interval:
         )
 
     # ------------------------------------------------------------------
-    # Less-than-order (Section 5.1)
-    # ------------------------------------------------------------------
-    def less_than(self, other: "Interval") -> bool:
-        """The paper's less-than-order: ``self.start <= other.start``.
-
-        Note this is a *pre*-order, not a strict order: two intervals with
-        equal starts are each less-than the other.
-        """
-        return self.start <= other.start
-
-    # ------------------------------------------------------------------
     # Conversions
     # ------------------------------------------------------------------
-    def as_tuple(self) -> Tuple[float, float]:
-        """The ``(start, end)`` pair."""
-        return (self.start, self.end)
-
     def __iter__(self) -> Iterator[float]:
         yield self.start
         yield self.end

@@ -12,7 +12,6 @@ Public surface:
 """
 
 from repro.mapreduce.counters import Counters
-from repro.mapreduce.history import JobHistory, JobRecord
 from repro.mapreduce.cost import DEFAULT_COST_MODEL, CostModel
 from repro.mapreduce.fs import FileSystem, InMemoryFileSystem, LocalFileSystem
 from repro.mapreduce.job import InputSpec, JobConf, JobResult
@@ -41,8 +40,6 @@ from repro.mapreduce.task import (
 
 __all__ = [
     "Counters",
-    "JobHistory",
-    "JobRecord",
     "CostModel",
     "DEFAULT_COST_MODEL",
     "FileSystem",

@@ -930,7 +930,11 @@ def run_job(
             output_records=result.output_records,
             shuffled_records=len(pairs),
             reduce_task_loads=list(reduce_task_loads),
-            key_loads=sorted(logical_loads.values()),
+            # Hottest first, ties by repr(key): what a run report names.
+            key_loads=sorted(
+                ((repr(key), load) for key, load in logical_loads.items()),
+                key=lambda item: (-item[1], item[0]),
+            ),
             promoted=len(reduce_outcomes),
         )
         if cost_model is not None:

@@ -47,7 +47,7 @@ Observation is strictly passive: with no observer attached nothing is
 recorded and results, counters and benchmark numbers are unchanged.
 """
 
-from repro.obs.dashboard import dashboard_from_recorder, render_dashboard
+from repro.obs.dashboard import render_dashboard
 from repro.obs.live import (
     ProgressPrinter,
     StatusServer,
@@ -100,7 +100,6 @@ __all__ = [
     "Gauge",
     "Histogram",
     "render_dashboard",
-    "dashboard_from_recorder",
     "PlanExplain",
     "PlanReconciliation",
     "ReconciliationRow",

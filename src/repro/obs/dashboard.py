@@ -45,7 +45,7 @@ from repro.obs.profile import data_plane_rows, fmt_bytes
 from repro.obs.span import Span
 from repro.stats.metrics import load_balance
 
-__all__ = ["render_dashboard", "dashboard_from_recorder"]
+__all__ = ["render_dashboard"]
 
 
 # --------------------------------------------------------------------------
@@ -542,10 +542,3 @@ def render_dashboard(
     ]
     return "".join(parts)
 
-
-def dashboard_from_recorder(
-    recorder: Any, *, title: str = "repro run"
-) -> str:
-    """Dashboard for a live :class:`~repro.obs.recorder.TraceRecorder`
-    (its spans plus its metrics registry)."""
-    return render_dashboard(recorder.spans, recorder.metrics, title=title)

@@ -488,7 +488,7 @@ class MetricsRegistry:
 
     # -- human output ---------------------------------------------------
     def summary(self) -> str:
-        """A compact human-readable rundown for ``repro run --metrics``."""
+        """A compact human-readable rundown (what ``repro report`` prints)."""
         families = self.families()
         sample_total = sum(len(metric.samples()) for metric in families)
         lines = [
@@ -737,8 +737,11 @@ def _fold_job(registry: MetricsRegistry, span: Span) -> Sequence[str]:
     if "key_loads" not in attrs:
         return ("repro_key_load",)
     key_load = _family(registry, "repro_key_load")
-    for load in attrs["key_loads"]:
-        key_load.observe(load, job=job)
+    for entry in attrs["key_loads"]:
+        # ``(repr(key), load)`` pairs; an older trace holds bare loads.
+        key_load.observe(
+            entry[1] if isinstance(entry, (list, tuple)) else entry, job=job
+        )
     return ()
 
 

@@ -83,8 +83,7 @@ class TraceRecorder:
     The recorder itself is the in-memory record: ``roots`` is the span
     tree, ``spans`` the flat close-order list, and ``job_results`` the
     :class:`~repro.mapreduce.job.JobResult` of every job executed while
-    the recorder was attached (what ``JobHistory`` and ``RunReport``
-    consume).  ``metrics`` is the fold of the closed spans
+    the recorder was attached.  ``metrics`` is the fold of the closed spans
     (:func:`~repro.obs.metrics.fold_span`) plus, with live telemetry,
     the hub's ``live`` group.
     """

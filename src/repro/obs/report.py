@@ -45,9 +45,7 @@ from repro.obs.span import Span
 from repro.stats.metrics import LoadBalance, load_balance
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.mapreduce.job import JobResult
     from repro.obs.explain import PlanReconciliation
-    from repro.obs.recorder import TraceRecorder
 
 __all__ = ["TaskFlag", "JobLoadSummary", "FaultSummary", "RunReport"]
 
@@ -108,8 +106,8 @@ class JobLoadSummary:
 class RunReport:
     """Skew/straggler/empty-task diagnosis of one traced run.
 
-    Build with :meth:`from_recorder` after executing with an observer
-    attached; ``flags`` holds every finding, ``jobs`` the per-job load
+    Build with :meth:`from_spans` from a recorder's spans or a reloaded
+    trace; ``flags`` holds every finding, ``jobs`` the per-job load
     summaries, and :meth:`render` a printable report.
     """
 
@@ -130,9 +128,9 @@ class RunReport:
 
     # ------------------------------------------------------------------
     @classmethod
-    def from_recorder(
+    def from_spans(
         cls,
-        recorder: "TraceRecorder",
+        spans: Sequence[Span],
         *,
         imbalance_threshold: float = 2.0,
         fairness_threshold: float = 0.5,
@@ -140,45 +138,43 @@ class RunReport:
         min_straggler_seconds: float = 0.0,
         top_keys: int = 5,
     ) -> "RunReport":
-        """Analyse everything a :class:`TraceRecorder` observed."""
-        return cls.from_observations(
-            recorder.job_results,
-            recorder.spans,
-            imbalance_threshold=imbalance_threshold,
-            fairness_threshold=fairness_threshold,
-            straggler_factor=straggler_factor,
-            min_straggler_seconds=min_straggler_seconds,
-            top_keys=top_keys,
-        )
-
-    @classmethod
-    def from_observations(
-        cls,
-        job_results: Sequence["JobResult"],
-        spans: Sequence[Span] = (),
-        *,
-        imbalance_threshold: float = 2.0,
-        fairness_threshold: float = 0.5,
-        straggler_factor: float = 3.0,
-        min_straggler_seconds: float = 0.0,
-        top_keys: int = 5,
-    ) -> "RunReport":
-        """Analyse job results plus (optionally) their recorded spans."""
+        """Analyse a run's closed spans — a live recorder's ``spans`` or
+        a reloaded JSONL trace, which give the same report."""
+        reduce_tasks = cls._reduce_tasks_by_job(spans)
         jobs: List[JobLoadSummary] = []
         flags: List[TaskFlag] = []
-        for result in job_results:
-            loads = list(result.reduce_task_loads)
+        faults = FaultSummary()
+        for span in spans:
+            attrs = span.attributes
+            # A job that failed closes its span without its facts.
+            if span.kind != "job" or "reduce_task_loads" not in attrs:
+                continue
+            name = str(attrs.get("job", span.name))
+            loads = list(attrs["reduce_task_loads"])
             balance = load_balance(dict(enumerate(loads)))
             skewed = len(loads) > 1 and (
                 balance.imbalance > imbalance_threshold
                 or balance.fairness < fairness_threshold
             )
+            framework = span.counters.get("framework", {})
+            reads = framework.get("map_input_records", 0)
             summary = JobLoadSummary(
-                name=result.name,
+                name=name,
                 balance=balance,
                 skewed=skewed,
-                hot_keys=cls._hot_keys(result, top_keys),
-                replication=cls._replication(result),
+                hot_keys=[
+                    (str(entry[0]), int(entry[1]))
+                    for entry in attrs.get("key_loads", ())[: max(top_keys, 0)]
+                    # An older trace's bare loads name no key.
+                    if isinstance(entry, (list, tuple))
+                ],
+                # Map output ÷ map input records: the per-job
+                # replication factor of Tables 1-3.
+                replication=(
+                    framework.get("map_output_records", 0) / reads
+                    if reads
+                    else 0.0
+                ),
             )
             if skewed and balance.mean_load > 0:
                 for index, load in enumerate(loads):
@@ -186,7 +182,7 @@ class RunReport:
                         summary.hot_tasks.append(index)
                         flags.append(
                             TaskFlag(
-                                job=result.name,
+                                job=name,
                                 task_index=index,
                                 reason="skew",
                                 detail=(
@@ -198,22 +194,27 @@ class RunReport:
                                 load=load,
                             )
                         )
-            outputs = list(result.reduce_task_outputs)
-            for index, load in enumerate(loads):
-                if load > 0 and index < len(outputs) and outputs[index] == 0:
+            for task in reduce_tasks.get(span.span_id, ()):
+                load = task.attributes.get("input_records", 0)
+                if load > 0 and task.attributes.get("output_records") == 0:
                     flags.append(
                         TaskFlag(
-                            job=result.name,
-                            task_index=index,
+                            job=name,
+                            task_index=int(task.attributes["task_index"]),
                             reason="empty-output",
-                            detail=(
-                                f"received {load} records, emitted none"
-                            ),
+                            detail=f"received {load} records, emitted none",
                             load=load,
                         )
                     )
+            fault_counters = span.counters.get("faults", {})
+            faults.tasks_failed += fault_counters.get("tasks_failed", 0)
+            faults.tasks_retried += fault_counters.get("tasks_retried", 0)
             jobs.append(summary)
 
+        for span in spans:
+            if span.kind == "attempt":
+                faults.attempt_spans += 1
+                faults.overhead_seconds += span.duration
         flags.extend(
             cls._straggler_flags(
                 spans, straggler_factor, min_straggler_seconds
@@ -221,53 +222,24 @@ class RunReport:
         )
         from repro.obs.explain import reconciliation_from_spans
 
-        return cls(
-            jobs,
-            flags,
-            cls._fault_summary(job_results, spans),
-            reconciliation_from_spans(spans),
-        )
+        return cls(jobs, flags, faults, reconciliation_from_spans(spans))
 
     @staticmethod
-    def _hot_keys(result: "JobResult", top_keys: int) -> List[Tuple[str, int]]:
-        """Top-k hottest logical reducer keys, deterministically ordered
-        by (descending load, ``repr(key)``)."""
-        if top_keys <= 0:
-            return []
-        ranked = sorted(
-            (
-                (repr(key), load)
-                for key, load in result.logical_reducer_loads.items()
-            ),
-            key=lambda item: (-item[1], item[0]),
-        )
-        return ranked[:top_keys]
-
-    @staticmethod
-    def _replication(result: "JobResult") -> float:
-        """Map output ÷ map input records — the per-job replication
-        factor of Tables 1-3 (0.0 for jobs that read nothing)."""
-        reads = result.counters.value("framework", "map_input_records")
-        emitted = result.counters.value("framework", "map_output_records")
-        return emitted / reads if reads else 0.0
-
-    @staticmethod
-    def _fault_summary(
-        job_results: Sequence["JobResult"], spans: Sequence[Span]
-    ) -> FaultSummary:
-        summary = FaultSummary()
-        for result in job_results:
-            summary.tasks_failed += result.counters.value(
-                "faults", "tasks_failed"
-            )
-            summary.tasks_retried += result.counters.value(
-                "faults", "tasks_retried"
-            )
+    def _reduce_tasks_by_job(spans: Sequence[Span]) -> Dict[int, List[Span]]:
+        """The committed reduce-task spans under each job span's id, in
+        task order (task -> reduce phase -> job)."""
+        phase_job = {
+            span.span_id: span.parent_id
+            for span in spans
+            if span.kind == "phase" and span.name == "reduce"
+        }
+        by_job: Dict[int, List[Span]] = {}
         for span in spans:
-            if span.kind == "attempt":
-                summary.attempt_spans += 1
-                summary.overhead_seconds += span.duration
-        return summary
+            if span.kind == "task" and span.parent_id in phase_job:
+                by_job.setdefault(phase_job[span.parent_id], []).append(span)
+        for tasks in by_job.values():
+            tasks.sort(key=lambda task: task.attributes.get("task_index", 0))
+        return by_job
 
     @staticmethod
     def _straggler_flags(

@@ -107,5 +107,5 @@ class TestConcurrencyProfile:
         profile = concurrency_profile(intervals)
         # At each breakpoint, the count equals a direct stabbing count.
         for time, count in profile[:20]:
-            stab = sum(1 for iv in intervals if iv.contains_point(time))
+            stab = sum(1 for iv in intervals if iv.start <= time <= iv.end)
             assert stab == count, time

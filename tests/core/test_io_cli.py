@@ -138,6 +138,62 @@ class TestCli:
         assert main(run + ["--explain"]) == 0
         assert "answer empty without running jobs" in capsys.readouterr().out
 
+    def test_explain_still_runs_a_provably_empty_query(self, tmp_path, capsys):
+        """``--explain`` prints the emptiness proof and then runs the
+        query as without it: the ``-o`` file and the ``--trace`` file
+        are written either way (a report needs the trace)."""
+        paths = []
+        for seed in (1, 2, 3):
+            paths.append(str(tmp_path / f"r{seed}.jsonl"))
+            main(["generate", "--n", "10", "--seed", str(seed), "-o", paths[-1]])
+        for extra in (["--explain"], []):
+            out, trace = tmp_path / "out.jsonl", tmp_path / "t.jsonl"
+            for artifact in (out, trace):
+                artifact.unlink(missing_ok=True)
+            code = main(
+                [
+                    "run",
+                    *(f"--relation=R{i}={p}" for i, p in enumerate(paths, 1)),
+                    "--condition", "R1 before R2",
+                    "--condition", "R2 before R3",
+                    "--condition", "R3 before R1",
+                    "-o", str(out),
+                    "--trace", str(trace),
+                ]
+                + extra
+            )
+            assert code == 0
+            captured = capsys.readouterr().out
+            assert "tuples:     0" in captured
+            assert out.read_text() == ""
+            assert trace.read_text()
+            assert main(["report", str(trace)]) == 0
+            assert "run report" in capsys.readouterr().out
+
+    def test_run_flags_are_pinned(self):
+        """``repro run`` takes what changes the run or what it records,
+        nothing more: the artifacts are ``repro report``'s."""
+        import argparse
+
+        from repro.cli import build_parser
+
+        (commands,) = [
+            action.choices
+            for action in build_parser()._actions
+            if isinstance(action, argparse._SubParsersAction)
+        ]
+        flags = {
+            action.option_strings[-1].lstrip("-")
+            for action in commands["run"]._actions
+            if action.option_strings and action.dest != "help"
+        }
+        assert flags == {
+            "relation", "condition", "algorithm", "partitions", "executor",
+            "workers", "partition-strategy", "faults", "max-attempts",
+            "explain", "output", "trace", "profile", "progress",
+            "serve-status",
+        }
+
     def test_explain(self, tmp_path, capsys):
         r1 = str(tmp_path / "r1.jsonl")
         r2 = str(tmp_path / "r2.jsonl")

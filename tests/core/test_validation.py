@@ -1,4 +1,4 @@
-"""Unit tests for output validation and job history."""
+"""Unit tests for output validation."""
 
 import pytest
 
@@ -14,20 +14,11 @@ from repro.core.validation import (
     validate_result,
 )
 from repro.intervals.interval import Interval
-from repro.mapreduce.task import Reducer
 
 
 Q = IntervalJoinQuery.parse(
     [("R1", "overlaps", "R2"), ("R2", "overlaps", "R3")]
 )
-
-
-class CountReducer(Reducer):
-    """Module-level so the ``processes`` executor can pickle it."""
-
-    def reduce(self, key, values, ctx):
-        ctx.counters.increment("work", "comparisons", len(values))
-        ctx.emit((key, len(values)))
 
 
 def run(data, algorithm="rccis"):
@@ -110,35 +101,3 @@ class TestAssertEquivalent:
         with pytest.raises(ValidationError):
             assert_equivalent(a, b, sample=len(a.tuples))
 
-
-class TestJobHistory:
-    def test_record_and_totals(self, tmp_path):
-        from repro.mapreduce.history import JobHistory
-        from repro.mapreduce.fs import InMemoryFileSystem
-        from repro.mapreduce.job import InputSpec, JobConf
-        from repro.mapreduce.runner import run_job
-        from repro.mapreduce.task import IdentityMapper
-
-        fs = InMemoryFileSystem()
-        fs.write("in", list(range(10)))
-        result = run_job(
-            fs,
-            JobConf(
-                name="count",
-                inputs=[InputSpec("in", IdentityMapper())],
-                reducer=CountReducer(),
-                output="out",
-                num_reduce_tasks=2,
-            ),
-        )
-        history = JobHistory()
-        record = history.record(result)
-        assert record.map_input_records == 10
-        assert record.user_counters["work"]["comparisons"] == 10
-        assert history.totals()["jobs"] == 1
-
-        path = str(tmp_path / "history.json")
-        history.save(path)
-        loaded = JobHistory.load(path)
-        assert len(loaded) == 1
-        assert loaded.records[0] == record

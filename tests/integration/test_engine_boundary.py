@@ -20,9 +20,11 @@ written once (one mapper, in ``routing.py``), and the last keeps rows
 off the whole-relation paths (``Row.interval`` only where a column is
 built or a record form remains; payload ids resolved a column at a
 time).  The knob inventory is pinned here too: one module reads the
-environment, for the four run options and nothing else.  All of it is
-read off the AST, so a convention cannot drift without a tier-1
-failure.
+environment, for the four run options and nothing else.  So is
+reachability: every module of the package is imported from an entry
+point (``repro.execute``, the CLI, the examples, the benchmarks) or is
+listed with the reason it stays.  All of it is read off the AST, so a
+convention cannot drift without a tier-1 failure.
 """
 
 from __future__ import annotations
@@ -415,3 +417,131 @@ def test_the_knob_inventory_does_not_grow():
     assert [field.name for field in dataclasses.fields(ResolvedFaults)] == [
         "plan", "max_attempts",
     ]
+
+
+# ---------------------------------------------------------------------
+# Reachability: every module of the package is imported from an entry
+# point, or says here why it stays.
+# ---------------------------------------------------------------------
+REPO = SRC.parent.parent
+
+#: Modules no entry point imports, each with the reason it stays.
+UNREACHED_ALLOWED = {
+    "repro.intervals.sets": (
+        "the brute-force oracle that tests/core/test_crossing.py and "
+        "tests/properties/test_crossing_properties.py check "
+        "core/algorithms/crossing.py against"
+    ),
+}
+
+
+def _module_paths():
+    paths = {}
+    for path in sorted(SRC.rglob("*.py")):
+        parts = path.relative_to(SRC.parent).with_suffix("").parts
+        if parts[-1] == "__init__":
+            parts = parts[:-1]
+        paths[".".join(parts)] = path
+    return paths
+
+
+MODULE_PATHS = _module_paths()
+
+
+def _runtime_imports(tree, module=None, package=False):
+    """``(target module, imported names)`` of every import statement
+    that runs — a lazy import inside a function is still an edge; an
+    ``if TYPE_CHECKING:`` block is not."""
+    typing_only = {
+        id(inner)
+        for node in ast.walk(tree)
+        if isinstance(node, ast.If)
+        and "TYPE_CHECKING" in (
+            getattr(node.test, "id", None), getattr(node.test, "attr", None)
+        )
+        for statement in node.body
+        for inner in ast.walk(statement)
+    }
+    for node in ast.walk(tree):
+        if id(node) in typing_only:
+            continue
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                yield alias.name, ()
+        elif isinstance(node, ast.ImportFrom):
+            target = node.module
+            if node.level:
+                base = module if package else module.rpartition(".")[0]
+                for _ in range(node.level - 1):
+                    base = base.rpartition(".")[0]
+                target = f"{base}.{node.module}" if node.module else base
+            yield target, tuple(alias.name for alias in node.names)
+
+
+def _reached(entries):
+    """The ``repro`` modules an import walk from ``entries`` reaches.
+
+    A module's imports are followed whole.  A package ``__init__`` runs
+    when anything under it is imported, but its re-exports are followed
+    only for the names somebody imports from the package — otherwise
+    ``repro/__init__.py`` alone would reach everything it re-exports.
+    """
+    trees = {}
+
+    def parsed(module):
+        if module not in trees:
+            trees[module] = ast.parse(
+                MODULE_PATHS[module].read_text(encoding="utf-8")
+            )
+        return trees[module]
+
+    reached, seen = set(), set()
+    pending = list(entries)
+    while pending:
+        target, names = pending.pop()
+        if (target, names) in seen or target.split(".")[0] != "repro":
+            continue
+        seen.add((target, names))
+        parts = target.split(".")
+        reached.update(
+            ".".join(parts[:end])
+            for end in range(1, len(parts) + 1)
+            if ".".join(parts[:end]) in MODULE_PATHS
+        )
+        if target not in MODULE_PATHS:
+            continue
+        is_package = MODULE_PATHS[target].name == "__init__.py"
+        if not is_package:
+            pending.extend(_runtime_imports(parsed(target), target))
+            continue
+        for name in names:
+            if f"{target}.{name}" in MODULE_PATHS:
+                pending.append((f"{target}.{name}", ()))
+                continue
+            for source, imported in _runtime_imports(
+                parsed(target), target, package=True
+            ):
+                if name in imported:
+                    pending.append((source, (name,)))
+    return reached
+
+
+def test_every_module_is_reached_from_an_entry_point():
+    """Walk the imports of ``repro.execute``, the CLI (``repro.cli.main``
+    and ``python -m repro``), ``examples/*.py`` and
+    ``benchmarks/**/*.py``: a module none of them reaches is dead code
+    unless it is allowed above with a reason (and an allowed module
+    that has become reachable leaves the list)."""
+    entries = [
+        ("repro", ("execute",)), ("repro.cli", ("main",)),
+        ("repro.__main__", ()),
+    ]
+    for script in [
+        *sorted((REPO / "examples").glob("*.py")),
+        *sorted((REPO / "benchmarks").rglob("*.py")),
+    ]:
+        entries.extend(
+            _runtime_imports(ast.parse(script.read_text(encoding="utf-8")))
+        )
+    unreached = set(MODULE_PATHS) - _reached(entries)
+    assert unreached == set(UNREACHED_ALLOWED)

@@ -13,10 +13,8 @@ from repro.intervals.allen import (
     OVERLAPS,
     STARTS,
     MapOperator,
-    classify_predicates,
     get_predicate,
     relation_between,
-    relations_holding,
 )
 from repro.intervals.interval import Interval
 
@@ -62,6 +60,9 @@ class TestTruthTables:
         assert len(ALLEN_PREDICATES) == 13
 
     def test_touching_point_intervals_are_unambiguous(self):
+        def relations_holding(u, v):
+            return [p for p in ALLEN_PREDICATES.values() if p.holds(u, v)]
+
         # A point at another interval's right endpoint finishes it (not
         # meets / met_by) under closed-interval semantics.
         assert relations_holding(Interval(3, 3), Interval(1, 3)) == [
@@ -96,11 +97,6 @@ class TestClassification:
                 assert left.intersects(right), name
             else:
                 assert not left.intersects(right), name
-
-    def test_classify_predicates(self):
-        assert classify_predicates(["overlaps", "contains"]) == (True, False)
-        assert classify_predicates(["before"]) == (False, True)
-        assert classify_predicates(["before", "meets"]) == (True, True)
 
 
 class TestEnforcedOrders:

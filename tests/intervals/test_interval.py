@@ -16,7 +16,6 @@ class TestConstruction:
 
     def test_point_interval_allowed(self):
         iv = Interval(2, 2)
-        assert iv.is_point
         assert iv.length == 0
 
     def test_reversed_endpoints_rejected(self):
@@ -42,14 +41,6 @@ class TestGeometry:
     def test_length(self):
         assert Interval(2, 9).length == 7
 
-    def test_contains_point_boundaries_inclusive(self):
-        iv = Interval(1, 4)
-        assert iv.contains_point(1)
-        assert iv.contains_point(4)
-        assert iv.contains_point(2.5)
-        assert not iv.contains_point(0.999)
-        assert not iv.contains_point(4.001)
-
     def test_intersects_shared_endpoint(self):
         assert Interval(0, 2).intersects(Interval(2, 5))
         assert Interval(2, 5).intersects(Interval(0, 2))
@@ -66,12 +57,6 @@ class TestGeometry:
         assert Interval(0, 5).intersection(Interval(5, 9)) == Interval(5, 5)
         assert Interval(0, 1).intersection(Interval(2, 3)) is None
 
-    def test_union_span(self):
-        assert Interval(0, 2).union_span(Interval(5, 7)) == Interval(0, 7)
-
-    def test_shift(self):
-        assert Interval(1, 4).shift(2.5) == Interval(3.5, 6.5)
-
     def test_scale(self):
         assert Interval(2, 4).scale(2.0) == Interval(4, 8)
         assert Interval(2, 4).scale(0.5, origin=2) == Interval(2, 3)
@@ -82,15 +67,6 @@ class TestGeometry:
 
 
 class TestOrdering:
-    def test_less_than_order_is_start_based(self):
-        assert Interval(1, 100).less_than(Interval(2, 3))
-        assert not Interval(2, 3).less_than(Interval(1, 100))
-
-    def test_less_than_is_reflexive_on_equal_starts(self):
-        a, b = Interval(1, 5), Interval(1, 9)
-        assert a.less_than(b)
-        assert b.less_than(a)
-
     def test_dataclass_ordering(self):
         assert Interval(1, 2) < Interval(1, 3) < Interval(2, 2)
 
@@ -110,5 +86,4 @@ class TestSpan:
             span([])
 
     def test_as_tuple_and_iter(self):
-        assert Interval(1, 2).as_tuple() == (1, 2)
         assert tuple(Interval(1, 2)) == (1, 2)

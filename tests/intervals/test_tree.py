@@ -16,7 +16,7 @@ def brute_overlapping(items, query):
 
 def brute_stabbing(items, t):
     return sorted(
-        (payload for iv, payload in items if iv.contains_point(t))
+        (payload for iv, payload in items if iv.start <= t <= iv.end)
     )
 
 

@@ -404,7 +404,7 @@ class TestSeededChaosParity:
             max_attempts=3,
             observer=recorder,
         )
-        report = RunReport.from_recorder(recorder)
+        report = RunReport.from_spans(recorder.spans)
         assert report.faults.any_faults
         assert report.faults.tasks_failed > 0
         assert report.faults.attempt_spans == report.faults.tasks_failed

@@ -1,7 +1,8 @@
-"""CLI observability artifacts: ``repro run --trace/--history/--report``.
+"""CLI observability: ``repro run --trace`` records, ``repro report`` reads.
 
 ``--trace`` writes one format, the JSONL span log: one span object per
-line, which ``repro report`` reads back.
+line.  Every report of a run — the run report, the metric summary,
+``--metrics-out``, ``--html``, ``--profile`` — is rebuilt from it.
 """
 
 from __future__ import annotations
@@ -12,7 +13,6 @@ import pytest
 
 from repro.cli import main
 from repro.io import save_relation
-from repro.mapreduce.history import JobHistory
 from repro.workloads import SyntheticConfig, generate_relation
 
 
@@ -91,36 +91,35 @@ class TestTraceArtifact:
         assert "data plane: rccis-join: columnar" in lines
 
 
-class TestHistoryAndReport:
-    def test_history_saved_and_totals_printed(
-        self, quickstart_files, tmp_path, capsys
-    ):
-        history_path = tmp_path / "history.json"
-        exit_code = main(
-            _run_args(quickstart_files) + ["--history", str(history_path)]
-        )
-        assert exit_code == 0
-        out = capsys.readouterr().out
-        assert "totals:" in out and "jobs=2" in out
-        history = JobHistory.load(str(history_path))
-        assert [record.name for record in history] == [
-            "rccis-flag",
-            "rccis-join",
-        ]
-        # the new per-task columns are persisted.
-        assert all(
-            len(record.reduce_task_outputs) == len(record.reduce_task_loads)
-            for record in history
-        )
-        assert history.totals()["jobs"] == 2
+class TestRunReportFromTrace:
+    """What ``repro run --history`` / ``--report`` printed, ``repro
+    report TRACE`` prints from the trace."""
 
-    def test_report_printed(self, quickstart_files, capsys):
-        exit_code = main(_run_args(quickstart_files) + ["--report"])
-        assert exit_code == 0
-        out = capsys.readouterr().out
+    def _report(self, quickstart_files, tmp_path, capsys):
+        trace = tmp_path / "t.jsonl"
+        assert main(_run_args(quickstart_files) + ["--trace", str(trace)]) == 0
+        capsys.readouterr()
+        assert main(["report", str(trace)]) == 0
+        return capsys.readouterr().out
+
+    def test_report_lists_every_job(self, quickstart_files, tmp_path, capsys):
+        lines = self._report(quickstart_files, tmp_path, capsys).splitlines()
+        jobs = [line for line in lines if line.startswith("  job ")]
+        assert [line.split(":")[0] for line in jobs] == [
+            "  job rccis-flag",
+            "  job rccis-join",
+        ]
+        # One load per reduce task, hottest keys named.
+        assert all("8 reduce tasks" in line for line in jobs)
+        assert sum(line.startswith("    hottest keys: ") for line in lines) == 2
+
+    def test_report_printed(self, quickstart_files, tmp_path, capsys):
+        out = self._report(quickstart_files, tmp_path, capsys)
         assert "run report" in out
         assert "job rccis-flag:" in out
         assert "job rccis-join:" in out
+        assert "plan reconciliation — rccis" in out
+        assert "metrics: " in out and "repro_shuffle_records_total" in out
 
 
 class TestReportDegradation:
@@ -254,7 +253,6 @@ class TestReportFromTheTraceAlone:
             + [
                 "--profile", "--executor", "processes", "--workers", "2",
                 "--trace", str(trace),
-                "--metrics-out", str(snapshot),
             ]
         )
         assert exit_code == 0
@@ -263,13 +261,16 @@ class TestReportFromTheTraceAlone:
 
         html = tmp_path / "d.html"
         exit_code = main(
-            ["report", str(trace), "--profile", "--html", str(html)]
+            [
+                "report", str(trace), "--profile", "--html", str(html),
+                "--metrics-out", str(snapshot),
+            ]
         )
         assert exit_code == 0
         out = capsys.readouterr().out
         assert "plan reconciliation — rccis" in out
-        assert "metrics:" not in out  # nothing had to be skipped
-        # Same numbers as the run printed and as --metrics-out wrote.
+        assert "trace predates" not in out  # nothing had to be skipped
+        # Same numbers as the run printed; --metrics-out writes the fold.
         assert self._rundown(out) == run_rundown
         registry, skipped = fold_spans(load_spans_jsonl(str(trace)))
         assert skipped == []
@@ -317,7 +318,7 @@ class TestReportFromTheTraceAlone:
         captured = capsys.readouterr()
         (metrics_line,) = [
             line for line in captured.out.splitlines()
-            if line.startswith("metrics:")
+            if line.startswith("metrics:    trace predates")
         ]
         for family in (
             "repro_map_records_total", "repro_key_load",

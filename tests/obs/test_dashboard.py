@@ -11,7 +11,6 @@ from repro.core.query import IntervalJoinQuery
 from repro.obs import (
     JsonlSink,
     TraceRecorder,
-    dashboard_from_recorder,
     load_spans_jsonl,
     render_dashboard,
 )
@@ -95,7 +94,9 @@ def _observed_run(algorithm, query, relations):
 )
 def test_dashboard_smoke(algorithm, query, relations):
     recorder = _observed_run(algorithm, query, relations)
-    page = dashboard_from_recorder(recorder, title=f"run {algorithm}")
+    page = render_dashboard(
+        recorder.spans, recorder.metrics, title=f"run {algorithm}"
+    )
     parser = _parse(page)
     assert page.startswith("<!DOCTYPE html>")
     assert "svg" in parser.seen and "table" in parser.seen
@@ -120,7 +121,7 @@ def test_dashboard_replication_for_every_algorithm(
     algorithm, query, relations
 ):
     recorder = _observed_run(algorithm, query, relations)
-    page = dashboard_from_recorder(recorder)
+    page = render_dashboard(recorder.spans, recorder.metrics)
     _parse(page)
     assert "Skew &amp; replication per job" in page
     assert "Plan &#183; predicted vs observed" in page

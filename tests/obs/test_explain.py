@@ -287,7 +287,7 @@ class TestReconciliationSpans:
 
     def test_run_report_carries_reconciliation(self):
         recorder = self._observed_run()
-        report = RunReport.from_recorder(recorder)
+        report = RunReport.from_spans(recorder.spans)
         assert len(report.reconciliations) == 1
         assert "plan reconciliation — all_seq_matrix" in report.render()
 

@@ -122,8 +122,8 @@ ALL_MATRIX = (
 )
 
 
-def _deterministic_exposition(algorithm, query, relations) -> str:
-    recorder = TraceRecorder()
+def _traced_run(algorithm, query, relations, *sinks) -> TraceRecorder:
+    recorder = TraceRecorder(*sinks)
     execute(
         query,
         make_dataset(relations, 40, seed=11),
@@ -134,13 +134,17 @@ def _deterministic_exposition(algorithm, query, relations) -> str:
         # include varies with injected failures by design).
         faults=False,
     )
-    # The registry the run built, minus the wall-clock families.
+    recorder.close()
+    return recorder
+
+
+def _without_wall(exposition: str, registry: MetricsRegistry) -> str:
+    """The exposition minus the wall-clock families."""
     wall = tuple(
         metric.name
-        for metric in recorder.metrics.families()
+        for metric in registry.families()
         if metric.group == GROUP_WALL
     )
-    exposition = recorder.metrics.to_prometheus()
     return "".join(
         line
         for line in exposition.splitlines(keepends=True)
@@ -148,6 +152,18 @@ def _deterministic_exposition(algorithm, query, relations) -> str:
         .removeprefix("# TYPE ")
         .startswith(wall)
     )
+
+
+def _deterministic_exposition(algorithm, query, relations) -> str:
+    recorder = _traced_run(algorithm, query, relations)
+    # The registry the run built, minus the wall-clock families.
+    return _without_wall(recorder.metrics.to_prometheus(), recorder.metrics)
+
+
+def _golden(algorithm) -> str:
+    path = os.path.join(GOLDEN_DIR, f"{algorithm}_metrics.prom")
+    with open(path, "r", encoding="utf-8") as handle:
+        return handle.read()
 
 
 @pytest.mark.parametrize(
@@ -161,5 +177,21 @@ def test_prometheus_exposition_golden(case):
         os.makedirs(GOLDEN_DIR, exist_ok=True)
         with open(path, "w", encoding="utf-8") as handle:
             handle.write(exposition)
-    with open(path, "r", encoding="utf-8") as handle:
-        assert exposition == handle.read()
+    assert exposition == _golden(algorithm)
+
+
+@pytest.mark.parametrize(
+    "case", [RCCIS, ALL_MATRIX], ids=[RCCIS[0], ALL_MATRIX[0]]
+)
+def test_report_metrics_out_matches_golden(case, tmp_path):
+    """``repro report T --metrics-out x.prom`` over the golden run's
+    trace writes the golden exposition: the trace alone carries it."""
+    from repro.cli import main
+    from repro.obs import JsonlSink, fold_spans, load_spans_jsonl
+
+    algorithm, query, relations = case
+    trace, prom = tmp_path / "t.jsonl", tmp_path / "x.prom"
+    _traced_run(algorithm, query, relations, JsonlSink(str(trace)))
+    assert main(["report", str(trace), "--metrics-out", str(prom)]) == 0
+    registry, _ = fold_spans(load_spans_jsonl(str(trace)))
+    assert _without_wall(prom.read_text(), registry) == _golden(algorithm)

@@ -3,7 +3,7 @@
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.intervals.allen import ALLEN_PREDICATES, relation_between, relations_holding
+from repro.intervals.allen import ALLEN_PREDICATES, relation_between
 from repro.intervals.interval import Interval
 from repro.columnar.batch import endpoint_column
 
@@ -25,7 +25,7 @@ class TestExclusivityExhaustiveness:
     @given(intervals(), intervals())
     @settings(max_examples=400)
     def test_exactly_one_relation_holds(self, u, v):
-        holding = relations_holding(u, v)
+        holding = [p for p in ALLEN_PREDICATES.values() if p.holds(u, v)]
         assert len(holding) == 1, (
             f"{[p.name for p in holding]} all hold for {u}, {v}"
         )

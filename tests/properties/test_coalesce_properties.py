@@ -1,18 +1,10 @@
-"""Property-based tests for temporal-set operations and histograms."""
+"""Property-based tests for the Allen histogram and peak concurrency."""
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.analysis import allen_histogram, peak_concurrency
 from repro.intervals.allen import relation_between
-from repro.intervals.coalesce import (
-    clip,
-    coalesce,
-    gaps,
-    intersect_sets,
-    subtract,
-    total_coverage,
-)
 from repro.intervals.interval import Interval
 
 
@@ -22,72 +14,6 @@ def interval_lists(max_size=25):
 
     scalars = st.integers(min_value=0, max_value=40)
     return st.lists(st.tuples(scalars, scalars), max_size=max_size).map(build)
-
-
-class TestCoalesceProperties:
-    @given(interval_lists())
-    @settings(max_examples=200)
-    def test_coalesced_is_sorted_and_disjoint(self, intervals):
-        merged = coalesce(intervals)
-        for a, b in zip(merged, merged[1:]):
-            assert a.end < b.start
-
-    @given(interval_lists())
-    @settings(max_examples=200)
-    def test_coalesce_preserves_point_membership(self, intervals):
-        merged = coalesce(intervals)
-        for t in range(0, 41):
-            covered = any(iv.contains_point(t) for iv in intervals)
-            covered_merged = any(iv.contains_point(t) for iv in merged)
-            assert covered == covered_merged
-
-    @given(interval_lists())
-    @settings(max_examples=200)
-    def test_coalesce_idempotent(self, intervals):
-        once = coalesce(intervals)
-        assert coalesce(once) == once
-
-    @given(interval_lists())
-    @settings(max_examples=150)
-    def test_coverage_upper_bound(self, intervals):
-        assert total_coverage(intervals) <= sum(iv.length for iv in intervals)
-
-    @given(interval_lists())
-    @settings(max_examples=150)
-    def test_gaps_are_uncovered(self, intervals):
-        for gap in gaps(intervals):
-            mid = (gap.start + gap.end) / 2
-            if gap.length > 0:
-                assert not any(
-                    iv.contains_point(mid) for iv in intervals
-                )
-
-
-class TestSubtractIntersectProperties:
-    @given(interval_lists(15), interval_lists(15))
-    @settings(max_examples=150)
-    def test_subtract_points(self, a, b):
-        remaining = subtract(a, b)
-        # Interior integer points of the result are in A and not in B's
-        # interior coverage.
-        for iv in remaining:
-            for t in range(int(iv.start), int(iv.end) + 1):
-                if iv.start < t < iv.end:
-                    assert any(x.contains_point(t) for x in a)
-
-    @given(interval_lists(15), interval_lists(15))
-    @settings(max_examples=150)
-    def test_intersection_commutative_coverage(self, a, b):
-        assert total_coverage(intersect_sets(a, b)) == total_coverage(
-            intersect_sets(b, a)
-        )
-
-    @given(interval_lists(15))
-    @settings(max_examples=100)
-    def test_clip_within_window(self, a):
-        window = Interval(10, 30)
-        for iv in clip(a, window):
-            assert iv.start >= 10 and iv.end <= 30
 
 
 class TestHistogramProperties:

@@ -29,7 +29,7 @@ class TestTreeProperties:
         tree = IntervalTree(items)
         got = sorted(payload for _, payload in tree.stabbing(t))
         want = sorted(
-            payload for iv, payload in items if iv.contains_point(t)
+            payload for iv, payload in items if iv.start <= t <= iv.end
         )
         assert got == want
 
