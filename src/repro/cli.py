@@ -18,8 +18,8 @@ Commands
     CPU and memory watermarks).  Live monitoring — running / finished
     tasks and progress/ETA, folded from the span stream:
     ``--progress`` (in-terminal progress/ETA ticker) and
-    ``--serve-status PORT`` (HTTP endpoint with ``/metrics``,
-    ``/progress`` and a live dashboard at ``/``).
+    ``--serve-status PORT`` (HTTP endpoint with ``/metrics`` and
+    ``/progress``).
 ``explain``
     Render the physical plan for a query without running it: planner
     rationale (chosen algorithm and why each alternative was rejected,
@@ -172,14 +172,13 @@ def build_parser() -> argparse.ArgumentParser:
                      "CPU")
     run.add_argument("--progress", action="store_true",
                      help="render a live progress/ETA ticker on stderr "
-                     "while the query runs (collects live telemetry: the "
-                     "repro_live_* metrics)")
+                     "while the query runs (collects live telemetry)")
     run.add_argument("--serve-status", type=int, default=None,
                      metavar="PORT",
                      help="serve live run status over HTTP on this port "
-                     "(0 picks a free one): /metrics Prometheus text, "
-                     "/progress JSON, / live dashboard (collects live "
-                     "telemetry, as --progress does)")
+                     "(0 picks a free one): /metrics Prometheus text of "
+                     "the spans closed so far, /progress JSON (collects "
+                     "live telemetry, as --progress does)")
 
     explain = sub.add_parser(
         "explain",
@@ -359,9 +358,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
             # Bind first: a taken port has to end the run before a
             # trace file opens.
             try:
-                status_server = StatusServer(
-                    port=args.serve_status, title=f"repro run: {query}"
-                )
+                status_server = StatusServer(port=args.serve_status)
             except OSError as exc:
                 raise ReproError(
                     f"cannot serve status on port {args.serve_status}: {exc}"
@@ -376,7 +373,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
             status_server.start()
             print(
                 f"status:     serving {status_server.url} "
-                "(/metrics, /progress, / dashboard)",
+                "(/metrics, /progress)",
                 file=sys.stderr,
                 flush=True,
             )

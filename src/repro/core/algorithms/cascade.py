@@ -42,7 +42,7 @@ from repro.core.algorithms.routing import (
     RoutedMapper,
     RowView,
 )
-from repro.core.local import attribute_columns
+from repro.core.local import attribute_columns, binding_order
 from repro.core.query import IntervalJoinQuery, JoinCondition, Term
 from repro.core.schema import Row
 from repro.intervals.allen import MapOperator
@@ -53,33 +53,6 @@ from repro.mapreduce.shuffle import RoundRobinKeyPartitioner
 from repro.mapreduce.task import ReduceContext, Reducer
 
 __all__ = ["TwoWayCascade"]
-
-
-def _binding_order(query: IntervalJoinQuery) -> List[str]:
-    """A connected relation order (each new relation shares a condition
-    with an already-bound one)."""
-    remaining = list(query.relations)
-    order = [remaining.pop(0)]
-    while remaining:
-        for candidate in list(remaining):
-            touches_bound = any(
-                (
-                    cond.left.relation == candidate
-                    and cond.right.relation in order
-                )
-                or (
-                    cond.right.relation == candidate
-                    and cond.left.relation in order
-                )
-                for cond in query.conditions
-            )
-            if touches_bound:
-                remaining.remove(candidate)
-                order.append(candidate)
-                break
-        else:  # pragma: no cover - queries are validated connected
-            order.append(remaining.pop(0))
-    return order
 
 
 def _step_conditions(
@@ -370,7 +343,7 @@ class TwoWayCascade(JoinAlgorithm):
         query = ctx.query
         self._check_query(query)
         parts = ctx.partition(ctx.num_partitions)
-        order = _binding_order(query)
+        order = binding_order(query)
         grid_o = self._grid_side(ctx.num_partitions)
         grid_partitioning = (
             parts
@@ -421,7 +394,7 @@ class TwoWayCascade(JoinAlgorithm):
             return exact_prediction(self, query, conf)
         parts = conf.num_partitions
         grid_o = self._grid_side(parts)
-        order = _binding_order(query)
+        order = binding_order(query)
         partials = float(profile.rows_per_relation.get(order[0], 0))
         cycles = []
         # Colocation steps key by partition index, sequence steps by

@@ -68,6 +68,7 @@ __all__ = [
     "LocalJoiner",
     "anchored_join",
     "attribute_columns",
+    "binding_order",
     "row_columns",
     "take_tuples",
 ]
@@ -112,6 +113,34 @@ def take_tuples(
     return zip(*(payloads[name][binding[name]] for name in payloads))
 
 
+def binding_order(
+    query: IntervalJoinQuery, start_with: Optional[str] = None
+) -> List[str]:
+    """A connected relation order — each relation after the first shares
+    a condition with one bound before it — from ``start_with`` if given."""
+    remaining = list(query.relations)
+    if start_with is None:
+        start_with = remaining[0]
+    elif start_with not in remaining:
+        raise ValueError(f"unknown start relation {start_with!r}")
+    remaining.remove(start_with)
+    order = [start_with]
+    while remaining:
+        bound = set(order)
+        for candidate in remaining:
+            if any(
+                {c.left.relation, c.right.relation} <= bound | {candidate}
+                and candidate in (c.left.relation, c.right.relation)
+                for c in query.conditions
+            ):
+                break
+        else:  # disconnected (checked at query build; defensive)
+            candidate = remaining[0]
+        remaining.remove(candidate)
+        order.append(candidate)
+    return order
+
+
 class _Step(NamedTuple):
     """Binding one more relation: its candidate windows, then its masks."""
 
@@ -141,35 +170,11 @@ class LocalJoiner:
     ) -> None:
         self.query = query
         self._count = count_comparisons or (lambda n: None)
-        self._binding_order = self._plan_order(start_with)
+        self._binding_order = binding_order(query, start_with)
         self._two_way = len(query.relations) == 2
         self._steps = self._plan_steps()
 
     # ------------------------------------------------------------------
-    def _plan_order(self, start_with: Optional[str] = None) -> List[str]:
-        """A connected binding order, from ``start_with`` if given."""
-        remaining = list(self.query.relations)
-        if start_with is None:
-            start_with = remaining[0]
-        elif start_with not in remaining:
-            raise ValueError(f"unknown start relation {start_with!r}")
-        remaining.remove(start_with)
-        order = [start_with]
-        while remaining:
-            bound = set(order)
-            for candidate in remaining:
-                if any(
-                    {c.left.relation, c.right.relation} <= bound | {candidate}
-                    and candidate in (c.left.relation, c.right.relation)
-                    for c in self.query.conditions
-                ):
-                    break
-            else:  # disconnected (checked at query build; defensive)
-                candidate = remaining[0]
-            remaining.remove(candidate)
-            order.append(candidate)
-        return order
-
     def _index_term(self, relation: str) -> Term:
         return Term(relation, self.query.attributes_of(relation)[0])
 

@@ -19,7 +19,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Any, Dict, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -161,25 +161,13 @@ def recommend_partitions(
     return TuningReport(best=best, candidates=evaluated, algorithm="rccis")
 
 
-def _count_consistent_cells(
-    graph: JoinGraph, o: int
-) -> Tuple[int, List[float]]:
-    """Consistent-cell count plus, per dimension, the mean number of
-    consistent cells pinned at each coordinate (the routing fan-out)."""
-    dims = len(graph.components)
-    orders = graph.component_orders
-    total = 0
-    fanout_sums = [0.0] * dims
-    for cell in itertools.product(range(o), repeat=dims):
-        if all(cell[j] <= cell[k] for j, k in orders):
-            total += 1
-            for dim in range(dims):
-                fanout_sums[dim] += 1
-    if total == 0:
-        return 0, [0.0] * dims
-    # Rows pinned on dimension d reach (consistent cells with that
-    # coordinate); averaged over coordinates that is total / o.
-    return total, [total / o] * dims
+def _grid_cells(graph: JoinGraph, shares: Sequence[int]) -> int:
+    """Consistent cells of the grid a run with these per-dimension
+    shares builds, counted by that grid's own pruning rule (only the
+    provably sound component orders prune)."""
+    from repro.core.predict import analytic_grid
+
+    return len(analytic_grid(graph, shares).cells)
 
 
 @dataclass(frozen=True)
@@ -237,30 +225,6 @@ def recommend_shares(
         for comp in graph.components
     ]
 
-    orders = graph.component_orders
-
-    def consistent_cells(shares: Sequence[int]) -> int:
-        count = 0
-        for cell in itertools.product(*(range(o) for o in shares)):
-            # Uniform per-dimension partitionings over one shared time
-            # range: coordinate i of granularity o covers fraction
-            # [i/o, (i+1)/o); an order (j, k) is possible unless dim j's
-            # slice starts at or after dim k's slice ends.
-            ok = True
-            for j, k in orders:
-                min_j = 0.0 if cell[j] == 0 else cell[j] / shares[j]
-                max_k = (
-                    1.0
-                    if cell[k] == shares[k] - 1
-                    else (cell[k] + 1) / shares[k]
-                )
-                if min_j >= max_k:
-                    ok = False
-                    break
-            if ok:
-                count += 1
-        return count
-
     multi_dims = {
         comp.index for comp in graph.components if len(comp.terms) > 1
     }
@@ -271,7 +235,7 @@ def recommend_shares(
         total = math.prod(shares)
         if total > cell_budget:
             continue
-        cells = consistent_cells(shares)
+        cells = _grid_cells(graph, shares)
         if cells == 0:
             continue
         shuffled = 0.0
@@ -331,14 +295,12 @@ def recommend_grid(
     ]
     evaluated = []
     for o in candidates:
-        cells, fanouts = _count_consistent_cells(graph, o)
+        cells = _grid_cells(graph, [o] * dims)
         if cells == 0:
             continue
         # Per-row fan-out on dimension d = consistent cells with that
         # coordinate pinned = cells / o on average.
-        shuffled = sum(
-            rows * fanout for rows, fanout in zip(rows_per_dim, fanouts)
-        )
+        shuffled = sum(rows * cells / o for rows in rows_per_dim)
         max_load = shuffled / cells
         seconds = (
             cost_model.per_cycle_overhead

@@ -13,15 +13,13 @@ function of it.
 
 * spans & recorder — :class:`Span`, :class:`TraceRecorder`
 * sinks — the one subscriber protocol (:class:`TraceSink`):
-  :class:`InMemorySink` (tests) and :class:`JsonlSink` (the one trace
-  format, which ``repro report`` reads back) — and the metrics fold,
-  the profiler and the live hub below
+  :class:`JsonlSink` (the one trace format, which ``repro report`` reads
+  back) — and the metrics fold, the profiler and the live hub below
 * metrics — :class:`MetricsRegistry` on ``recorder.metrics``, a fold
   over the closed spans (:func:`fold_spans` rebuilds it from a trace):
   counters/gauges/histograms with Prometheus-text and JSON export,
   recording per-phase wall time, tuple in/out, shuffled records,
-  replication factor, key-skew histograms and the plan's predicted vs
-  observed quantities
+  reducer- and key-load histograms and fault counts
 * analysis — :class:`RunReport` flags skewed reducers, stragglers and
   empty-output tasks using the Section-7 load statistics
 * explain — :func:`explain_query` renders the pre-run physical plan
@@ -31,7 +29,7 @@ function of it.
   observed metrics after the run
 * dashboard — :func:`render_dashboard` emits one self-contained HTML
   page (``repro report --html``) with phase timelines, reducer-load
-  charts and the replication/skew tables
+  charts and the run report's skew, replication and plan tables
 * profile — :class:`Profiler` (``repro run --profile``,
   ``TraceRecorder(profile=True)``): per-phase driver CPU and memory
   watermarks and in-process task CPU, measured between a span's open
@@ -41,7 +39,7 @@ function of it.
   ``--serve-status``, ``TraceRecorder(live=True)``): running / finished
   tasks and progress/ETA folded from the same span stream, with a
   terminal ticker (:class:`ProgressPrinter`) and an embedded HTTP status
-  endpoint (:class:`StatusServer`: ``/metrics``, ``/progress``, ``/``)
+  endpoint (:class:`StatusServer`: ``/metrics``, ``/progress``)
 
 Observation is strictly passive: with no observer attached nothing is
 recorded and results, counters and benchmark numbers are unchanged.
@@ -73,7 +71,6 @@ from repro.obs.profile import Profiler, data_plane_summary
 from repro.obs.recorder import TraceRecorder
 from repro.obs.report import FaultSummary, JobLoadSummary, RunReport, TaskFlag
 from repro.obs.sinks import (
-    InMemorySink,
     JsonlSink,
     TraceSink,
     load_spans_jsonl,
@@ -85,7 +82,6 @@ __all__ = [
     "Span",
     "TraceRecorder",
     "TraceSink",
-    "InMemorySink",
     "JsonlSink",
     "load_spans_jsonl",
     "load_spans_jsonl_tolerant",

@@ -6,7 +6,9 @@ or reloaded from a JSONL trace via
 :func:`~repro.obs.sinks.load_spans_jsonl`) into a single HTML page with
 inline CSS and server-rendered SVG — it opens from disk, attaches to a
 CI artifact, and pastes into a bug report without any JavaScript, fonts
-or CDN fetches.  The spans are all it needs: the one metric-backed
+or CDN fetches.  The spans are all it needs: the skew table and the
+plan panel render the spans' :class:`~repro.obs.report.RunReport` —
+the same numbers ``repro report`` prints — and the one metric-backed
 table (the data plane panel) reads the fold of those spans
 (:func:`~repro.obs.metrics.fold_spans`).
 
@@ -16,11 +18,11 @@ Sections, in reading order:
   shuffle / reduce phases colour-coded (the where-did-the-time-go view);
 * **per-reducer load charts** — one bar chart per job from the job
   span's recorded ``reduce_task_loads`` (the paper's Figure 4, per run);
-* **skew table** — the Section-7 statistics per job: p50/p95/max load,
-  Gini, Jain fairness, imbalance, replication factor;
-* **plan panel** — the cost model's predicted-vs-observed scorecard
+* **skew table** — the run report's Section-7 statistics per job:
+  p50/p95/max load, Gini, Jain fairness, imbalance, replication factor;
+* **plan panel** — the run report's predicted-vs-observed scorecard
   per algorithm and quantity (replication, shuffle, max load, ...),
-  worst offender first, from the trace's plan/algorithm spans;
+  worst offender first, from the trace's reconciliation spans;
 * **data plane panel** — the profiler's per-job, per-phase CPU /
   memory accounting and shared-memory transport notes (the rows of
   :func:`~repro.obs.profile.data_plane_rows`, present for a profiled
@@ -36,14 +38,12 @@ anchored to the baseline, and text never set in a series colour.
 from __future__ import annotations
 
 import html as _html
-from dataclasses import replace
-from typing import Any, Dict, List, Mapping, Optional, Sequence
+from typing import Any, Dict, List, Optional, Sequence
 
-from repro.obs.explain import reconciliation_from_spans
 from repro.obs.metrics import MetricsRegistry, fold_spans
 from repro.obs.profile import data_plane_rows, fmt_bytes
+from repro.obs.report import RunReport
 from repro.obs.span import Span
-from repro.stats.metrics import load_balance
 
 __all__ = ["render_dashboard"]
 
@@ -152,17 +152,6 @@ def _fmt(value: float, digits: int = 2) -> str:
 # --------------------------------------------------------------------------
 # span digestion
 # --------------------------------------------------------------------------
-def _effective(span: Span, now: Optional[float]) -> Optional[Span]:
-    """The span itself when closed; a shallow copy ending *now* when the
-    span is still open and ``now`` is given (the live status endpoint
-    renders in-flight spans this way); ``None`` otherwise."""
-    if span.end is not None:
-        return span
-    if now is None:
-        return None
-    return replace(span, end=max(now, span.start), children=[])
-
-
 def job_plane(span: Span) -> str:
     """Which data plane a job span says the job ran on — and, for the
     records plane, the reason the job itself gave."""
@@ -171,35 +160,22 @@ def job_plane(span: Span) -> str:
     return f"{plane} ({reason})" if reason else plane
 
 
-def _job_rows(
-    spans: Sequence[Span], now: Optional[float] = None
-) -> List[Dict[str, Any]]:
+def _job_rows(spans: Sequence[Span]) -> List[Dict[str, Any]]:
     """One row per job span (start order): name, window, phase spans,
-    data plane, recorded reducer loads, counter snapshot.  With ``now`` given, jobs
-    and phases still open are included as if they ended now."""
+    data plane, recorded reducer loads."""
     phases_by_job: Dict[str, List[Span]] = {}
-    for raw in spans:
-        if raw.kind != "phase":
-            continue
-        span = _effective(raw, now)
-        if span is None:
-            continue
-        job = str(span.attributes.get("job", "?"))
-        phases_by_job.setdefault(job, []).append(span)
-    job_spans = [
-        effective
-        for effective in (
-            _effective(s, now) for s in spans if s.kind == "job"
-        )
-        if effective is not None
-    ]
+    for span in spans:
+        if span.kind == "phase":
+            job = str(span.attributes.get("job", "?"))
+            phases_by_job.setdefault(job, []).append(span)
+    job_spans = [span for span in spans if span.kind == "job"]
     rows: List[Dict[str, Any]] = []
     for span in sorted(job_spans, key=lambda s: (s.start, s.span_id)):
         name = str(span.attributes.get("job", span.name))
         phases = [
             phase
             for phase in phases_by_job.get(name, [])
-            if span.start <= phase.start and phase.end <= (span.end or 0.0)
+            if span.start <= phase.start and phase.end <= span.end
         ]
         rows.append(
             {
@@ -212,17 +188,9 @@ def _job_rows(
                     int(v)
                     for v in span.attributes.get("reduce_task_loads") or []
                 ],
-                "counters": span.counters or {},
             }
         )
     return rows
-
-
-def _job_replication(row: Mapping[str, Any]) -> float:
-    framework = row["counters"].get("framework", {})
-    reads = framework.get("map_input_records", 0)
-    emitted = framework.get("map_output_records", 0)
-    return emitted / reads if reads else 0.0
 
 
 # --------------------------------------------------------------------------
@@ -371,25 +339,24 @@ def _table(headers: Sequence[str], rows: Sequence[Sequence[Any]]) -> str:
     return f"<table><thead><tr>{head}</tr></thead><tbody>{body}</tbody></table>"
 
 
-def _skew_table(jobs: List[Dict[str, Any]]) -> str:
-    rows = []
-    for job in jobs:
-        balance = load_balance(dict(enumerate(job["loads"])))
-        rows.append(
-            (
-                job["name"],
-                job["plane"],
-                balance.reducers,
-                balance.total,
-                _fmt(balance.p50),
-                _fmt(balance.p95),
-                balance.max_load,
-                _fmt(balance.gini, 3),
-                _fmt(balance.fairness, 3),
-                _fmt(balance.imbalance),
-                _fmt(_job_replication(job)),
-            )
+def _skew_table(report: RunReport, jobs: List[Dict[str, Any]]) -> str:
+    planes = {job["name"]: job["plane"] for job in jobs}
+    rows = [
+        (
+            job.name,
+            planes.get(job.name, "?"),
+            job.balance.reducers,
+            job.balance.total,
+            _fmt(job.balance.p50),
+            _fmt(job.balance.p95),
+            job.balance.max_load,
+            _fmt(job.balance.gini, 3),
+            _fmt(job.balance.fairness, 3),
+            _fmt(job.balance.imbalance),
+            _fmt(job.replication),
         )
+        for job in report.jobs
+    ]
     return _table(
         (
             "job", "plane", "reducers", "records", "p50", "p95", "max",
@@ -399,10 +366,9 @@ def _skew_table(jobs: List[Dict[str, Any]]) -> str:
     )
 
 
-def _plan_panel(spans: Sequence[Span]) -> str:
-    """The predicted-vs-observed cost-model scorecard, from the trace's
-    ``plan``/``algorithm`` span pairs; worst offender (largest absolute
-    relative error) first."""
+def _plan_panel(report: RunReport) -> str:
+    """The run report's predicted-vs-observed cost-model scorecard;
+    worst offender (largest absolute relative error) first."""
     rows = [
         (
             reconciliation.algorithm,
@@ -411,7 +377,7 @@ def _plan_panel(spans: Sequence[Span]) -> str:
             row.observed,
             row.error,
         )
-        for reconciliation in reconciliation_from_spans(spans)
+        for reconciliation in report.reconciliations
         for row in reconciliation.rows
     ]
     if not rows:
@@ -475,31 +441,22 @@ def render_dashboard(
     metrics: Optional[MetricsRegistry] = None,
     *,
     title: str = "repro run",
-    now: Optional[float] = None,
 ) -> str:
     """Render one self-contained HTML dashboard string.
 
-    ``spans`` is any span sequence (live recorder or reloaded JSONL
-    trace).  ``metrics`` is the registry a live recorder already folded
-    from those spans; left out, the spans are folded here.  The Data plane
-    table appears whenever the spans carry the profiler's annotations.
-    ``now`` (recorder-epoch seconds) renders
-    spans still *open* as if they ended now — the live status endpoint's
-    mid-run view; without it open spans are skipped.
+    ``spans`` are a run's closed spans (a recorder's ``spans`` or a
+    reloaded JSONL trace).  ``metrics`` is the registry a live recorder
+    already folded from those spans; left out, the spans are folded
+    here.  The Data plane table appears whenever the spans carry the
+    profiler's annotations.
     """
     if metrics is None:
         metrics, _ = fold_spans(spans)
-    jobs = _job_rows(spans, now)
-    closed = [span for span in spans if span.end is not None]
-    open_count = len(spans) - len(closed)
-    bounds = [
-        (span.start, span.end if span.end is not None else now)
-        for span in spans
-        if span.end is not None or now is not None
-    ]
+    jobs = _job_rows(spans)
+    report = RunReport.from_spans(spans)
     wall = (
-        max(end for _, end in bounds) - min(start for start, _ in bounds)
-        if bounds
+        max(span.end for span in spans) - min(span.start for span in spans)
+        if spans
         else 0.0
     )
     legend = (
@@ -523,20 +480,15 @@ def render_dashboard(
         f"<title>{_esc(title)}</title>",
         f"<style>{_CSS}</style></head><body>",
         f"<h1>{_esc(title)}</h1>",
-        f'<p class="sub">{len(jobs)} jobs &#183; {len(closed)} spans'
-        + (
-            f" (+{open_count} in flight)"
-            if now is not None and open_count
-            else ""
-        )
-        + f" &#183; {wall * 1e3:.2f} ms wall</p>",
+        f'<p class="sub">{len(jobs)} jobs &#183; {len(spans)} spans'
+        f" &#183; {wall * 1e3:.2f} ms wall</p>",
         "<h2>Per-phase timeline</h2>",
         f'<div class="card">{legend}{_timeline_svg(jobs)}</div>',
         "<h2>Per-reducer load distribution</h2>",
         load_cards or '<p class="sub">no jobs recorded</p>',
         "<h2>Skew &amp; replication per job</h2>",
-        f'<div class="card">{_skew_table(jobs)}</div>',
-        _plan_panel(spans),
+        f'<div class="card">{_skew_table(report, jobs)}</div>',
+        _plan_panel(report),
         _data_plane_panel(spans, metrics),
         "</body></html>",
     ]

@@ -17,12 +17,10 @@ Two halves, one contract:
   :meth:`~repro.core.results.ExecutionMetrics.observed_quantities`, one
   row per quantity with the signed relative error, ranked worst-offender
   first.  The executor records both sides as spans (``kind="plan"`` and
-  ``kind="reconciliation"``) and the metrics fold turns the latter into
-  run-group gauges (``repro_plan_predicted`` / ``repro_plan_observed`` /
-  ``repro_plan_relative_error``), so the numbers survive into the JSONL
-  trace, the Prometheus exposition, the HTML dashboard's Plan panel and
-  ``repro report`` — and ``benchmarks/check_model_error.py`` turns
-  cost-model drift into a CI gate.
+  ``kind="reconciliation"``), so the numbers survive into the JSONL
+  trace, where ``repro report``, the HTML dashboard's Plan panel and
+  ``benchmarks/check_model_error.py`` (which turns cost-model drift into
+  a CI gate) read them.
 
 Everything here is deterministic: the analytic tier depends only on the
 :class:`~repro.core.tuning.DataProfile` and the

@@ -22,16 +22,15 @@ On top of the hub:
   --progress`` (:class:`ProgressPrinter`).
 * **live HTTP endpoint** — :class:`StatusServer` (stdlib
   ``http.server`` on a daemon thread; ``repro run --serve-status PORT``)
-  serves ``/metrics`` (Prometheus text), ``/progress`` (JSON snapshot)
-  and ``/`` (the HTML dashboard rendered from in-flight spans).
+  serves ``/metrics`` (the recorder's registry as Prometheus text, as
+  folded so far) and ``/progress`` (the hub's JSON snapshot).
 
 Those two views are the only threads here, each started by the flag
-that asks for it.  All live families live in the ``live`` metric group,
-which — like ``wall`` and ``profile`` — is excluded from parity
-fingerprints: it is read off the wall clock.  The passivity contract is
-pinned by ``tests/integration/test_live_parity.py``: with telemetry off
-the run is bit-identical to an unobserved one; with it on, output tuples
-and run-group metrics stay bit-identical across all three executors.
+that asks for it.  The hub writes no metric: its state is the snapshot.
+The passivity contract is pinned by
+``tests/integration/test_live_parity.py``: with telemetry off the run is
+bit-identical to an unobserved one; with it on, output tuples and
+run-group metrics stay bit-identical across all three executors.
 """
 
 from __future__ import annotations
@@ -43,7 +42,6 @@ from dataclasses import dataclass, field
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Any, Dict, Optional, Tuple
 
-from repro.obs.metrics import GROUP_LIVE, MetricsRegistry
 from repro.obs.sinks import TraceSink
 from repro.obs.span import Span
 
@@ -98,15 +96,13 @@ def _cycle_weights(cycle: Dict[str, Any]) -> Dict[str, float]:
 class TelemetryHub(TraceSink):
     """The live state of a run, folded from its span stream.
 
-    Strictly additive: the hub only *reads* the spans it receives as a
-    sink and *writes* the ``live`` metric group — never counters, spans
-    or outputs.  The span hooks arrive serialised by the recorder; the
-    hub lock is against the views (:meth:`snapshot`, :meth:`publish`),
-    which other threads call.
+    Strictly passive: the hub only *reads* the spans it receives as a
+    sink — it writes no counter, span, metric or output.  The span hooks
+    arrive serialised by the recorder; the hub lock is against
+    :meth:`snapshot`, which the views call from other threads.
     """
 
-    def __init__(self, metrics: Optional[MetricsRegistry] = None) -> None:
-        self.metrics = metrics if metrics is not None else MetricsRegistry()
+    def __init__(self) -> None:
         self._lock = threading.Lock()
         self.closed = False
         self._started_at = time.monotonic()
@@ -122,18 +118,15 @@ class TelemetryHub(TraceSink):
             state = self._jobs[name] = _JobState(name, order=len(self._jobs))
         return state
 
-    def _task_phase(self, span: Span) -> Tuple[str, str, _PhaseState]:
-        """(job name, phase name, phase state) of a task's span."""
-        job = self._job(span)
+    def _task_phase(self, span: Span) -> _PhaseState:
+        """The state of the phase a task's span belongs to."""
         phase = str(span.attributes.get("phase", span.name))
-        return job.name, phase, job.phases.setdefault(phase, _PhaseState())
+        return self._job(span).phases.setdefault(phase, _PhaseState())
 
     def opened(self, span: Span) -> None:
         with self._lock:
             if span.kind in _TASK_KINDS:
-                job, phase, state = self._task_phase(span)
-                state.running += 1
-                self._publish_tasks(job, phase, state)
+                self._task_phase(span).running += 1
             elif span.kind == "job":
                 self._job(span)
             elif span.kind == "phase":
@@ -142,18 +135,17 @@ class TelemetryHub(TraceSink):
                 )
             else:
                 return
-            self._publish_run()
+            self._progress(time.monotonic())  # latches the first ETA
 
     def emit(self, span: Span) -> None:
         with self._lock:
             if span.kind in _TASK_KINDS:
                 # Only the winner closes as a task; failed attempts
                 # just stop running.
-                job, phase, state = self._task_phase(span)
+                state = self._task_phase(span)
                 state.running -= 1
                 if span.kind == "task":
                     state.done += 1
-                self._publish_tasks(job, phase, state)
             elif span.kind == "job":
                 job = self._job(span)
                 for state in (job, *job.phases.values()):
@@ -177,32 +169,18 @@ class TelemetryHub(TraceSink):
                 }
             else:
                 return
-            self._publish_run()
+            self._progress(time.monotonic())  # latches the first ETA
 
     def close(self) -> None:
-        """Publish the final ETA-vs-actual gauges."""
+        """The run is over: the snapshot says so from now on."""
         with self._lock:
-            if self.closed:
-                return
             self.closed = True
-            self._publish_run()
-            final = self.metrics.gauge(
-                "repro_live_run_seconds",
-                "Final ETA-vs-actual accounting: the run's actual wall "
-                "seconds, the analytic prediction, and the first live "
-                "ETA computed.",
-                labels=("kind",),
-                group=GROUP_LIVE,
-            )
-            final.set(time.monotonic() - self._started_at, kind="actual")
-            if self._plan:
-                final.set(self._plan["modelled_seconds"], kind="predicted")
-            if self._first_eta is not None:
-                final.set(self._first_eta, kind="eta_initial")
 
     # -- progress / ETA ---------------------------------------------------
     def _progress(self, now: float) -> Tuple[float, Optional[float]]:
-        """(overall fraction, eta seconds) of the run right now.
+        """(overall fraction, eta seconds) of the run right now; the
+        first ETA it computes before the run is done is kept as
+        ``eta_initial_seconds``.
 
         Cycle ``i`` of the prediction weights observed job ``i`` (extra
         observed jobs reuse the last cycle), and predicted cycles not
@@ -235,55 +213,6 @@ class TelemetryHub(TraceSink):
         if self._first_eta is None and fraction < 1.0:
             self._first_eta = elapsed + eta
         return fraction, eta
-
-    def _publish_tasks(self, job: str, phase: str, state: _PhaseState) -> None:
-        gauge = self.metrics.gauge(
-            "repro_live_tasks",
-            "Tasks currently running / finished per job phase, from task "
-            "spans opening and closing.",
-            labels=("job", "phase", "state"),
-            group=GROUP_LIVE,
-        )
-        gauge.set(state.running, job=job, phase=phase, state="running")
-        gauge.set(state.done, job=job, phase=phase, state="finished")
-
-    def _publish_run(self) -> None:
-        progress_gauge = self.metrics.gauge(
-            "repro_live_phase_progress_ratio",
-            "Completed fraction of each job phase's task wave.",
-            labels=("job", "phase"),
-            group=GROUP_LIVE,
-        )
-        for job in self._jobs.values():
-            for phase, state in job.phases.items():
-                ratio = (
-                    1.0 if state.finished
-                    else (state.done / state.total if state.total else 0.0)
-                )
-                progress_gauge.set(ratio, job=job.name, phase=phase)
-        fraction, eta = self._progress(time.monotonic())
-        self.metrics.gauge(
-            "repro_live_run_progress_ratio",
-            "Overall run progress: observed completion fractions scaled "
-            "by the analytic per-cycle work weights.",
-            group=GROUP_LIVE,
-        ).set(fraction)
-        if eta is not None:
-            self.metrics.gauge(
-                "repro_live_eta_seconds",
-                "Estimated wall seconds until the run completes.",
-                group=GROUP_LIVE,
-            ).set(eta)
-
-    def publish(self) -> None:
-        """Refresh the ``repro_live_*`` gauges right now.
-
-        Every span event publishes; an HTTP scrape calls this first so
-        the ETA on ``/metrics`` is read off the current clock, not the
-        last event's.
-        """
-        with self._lock:
-            self._publish_run()
 
     # -- snapshots ----------------------------------------------------------
     def snapshot(self) -> Dict[str, Any]:
@@ -353,12 +282,10 @@ class _StatusHandler(BaseHTTPRequestHandler):
                     200, "application/json; charset=utf-8",
                     json.dumps(server.progress(), sort_keys=True),
                 )
-            elif path == "/":
-                self._send(200, "text/html; charset=utf-8", server.page())
             else:
                 self._send(
                     404, "text/plain; charset=utf-8",
-                    "unknown path; try /metrics, /progress or /\n",
+                    "unknown path; try /metrics or /progress\n",
                 )
         except Exception as exc:  # pragma: no cover - defensive
             self._send(500, "text/plain; charset=utf-8", f"error: {exc}\n")
@@ -367,11 +294,10 @@ class _StatusHandler(BaseHTTPRequestHandler):
 class StatusServer:
     """``repro run --serve-status PORT``: the live HTTP endpoint.
 
-    Serves ``/metrics`` (Prometheus text exposition of the live
-    registry), ``/progress`` (the hub's JSON snapshot) and ``/`` (the
-    self-contained HTML dashboard rendered from the recorder's
-    *in-flight* spans).  Runs on a daemon thread; pass port 0 to bind an
-    ephemeral port (tests) and read it back from :attr:`port`.
+    Serves ``/metrics`` (Prometheus text exposition of the recorder's
+    registry — the fold of the spans closed so far) and ``/progress``
+    (the hub's JSON snapshot).  Runs on a daemon thread; pass port 0 to
+    bind an ephemeral port (tests) and read it back from :attr:`port`.
 
     Constructing it binds the port (``OSError`` when it is taken) and
     starts nothing, so a run can claim its port before anything else
@@ -383,10 +309,8 @@ class StatusServer:
         recorder: Any = None,
         port: int = 0,
         host: str = "127.0.0.1",
-        title: str = "repro run (live)",
     ) -> None:
         self.recorder = recorder
-        self.title = title
         self._httpd = ThreadingHTTPServer((host, port), _StatusHandler)
         self._httpd.daemon_threads = True
         self._httpd.status = self  # type: ignore[attr-defined]
@@ -427,25 +351,12 @@ class StatusServer:
 
     # -- route bodies -----------------------------------------------------
     def metrics_text(self) -> str:
-        if self.hub is not None:
-            self.hub.publish()
         return self.recorder.metrics.to_prometheus()
 
     def progress(self) -> Dict[str, Any]:
         if self.hub is None:
             return {"error": "live telemetry not attached"}
         return self.hub.snapshot()
-
-    def page(self) -> str:
-        from repro.obs.dashboard import render_dashboard
-
-        spans = self.recorder.snapshot_spans()
-        return render_dashboard(
-            spans,
-            self.recorder.metrics,
-            title=self.title,
-            now=self.recorder._now(),
-        )
 
 
 # ----------------------------------------------------------------------

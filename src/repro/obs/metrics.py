@@ -8,15 +8,15 @@ them: :func:`fold_span` turns one closed span into samples of the
 families declared in :data:`FAMILIES`, a recorder's registry is that
 fold kept up to date as spans close (:class:`MetricsFold`), and
 :func:`fold_spans` over a reloaded JSONL trace rebuilds the same
-registry sample for sample.  Only the ``live`` group is written from
-elsewhere (:mod:`repro.obs.live`, a fold of the same spans against the
-wall clock).  Three metric types
-cover every signal the simulator emits:
+registry sample for sample.  The families aggregate — they sum and
+bucket over many spans; a fact one span already states (a job's
+per-partition loads and replication factor, the plan reconciliation)
+stays on that span, where ``repro report`` and the dashboard read it.
+Three metric types cover every signal the simulator emits:
 
 * :class:`Counter` — monotonically increasing totals (records mapped,
-  tasks retried, bytes-ish shuffled).
-* :class:`Gauge` — last-written values (replication factor of a job,
-  consistent vs total reducers of a grid).
+  tasks retried, records shuffled).
+* :class:`Gauge` — last-written values (a phase's peak RSS).
 * :class:`Histogram` — distributions over **fixed bucket boundaries**
   (per-reducer loads, per-key skew, phase wall seconds).
 
@@ -83,7 +83,6 @@ __all__ = [
     "GROUP_WALL",
     "GROUP_FAULTS",
     "GROUP_PROFILE",
-    "GROUP_LIVE",
     "LOAD_BUCKETS",
     "SECONDS_BUCKETS",
 ]
@@ -96,10 +95,6 @@ GROUP_WALL = "wall"
 GROUP_FAULTS = "faults"
 #: Data-plane profiling facts (machine-dependent, excluded from parity).
 GROUP_PROFILE = "profile"
-#: Live operational telemetry — running / finished task counts and
-#: progress / ETA gauges.  Wall-clock-driven, so excluded from parity
-#: fingerprints.
-GROUP_LIVE = "live"
 
 #: Fixed boundaries for tuple-load histograms (per-reducer and per-key).
 LOAD_BUCKETS: Tuple[float, ...] = (
@@ -113,9 +108,7 @@ SECONDS_BUCKETS: Tuple[float, ...] = (
     0.25, 0.5, 1.0, 2.5, 5.0, 10.0, 30.0,
 )
 
-_VALID_GROUPS = (
-    GROUP_RUN, GROUP_WALL, GROUP_FAULTS, GROUP_PROFILE, GROUP_LIVE
-)
+_VALID_GROUPS = (GROUP_RUN, GROUP_WALL, GROUP_FAULTS, GROUP_PROFILE)
 
 
 class MetricError(ReproError, ValueError):
@@ -294,26 +287,6 @@ class Histogram(Metric):
             state = self._samples.get(key)
             return None if state is None else dict(state)
 
-    def quantile(self, q: float, **labels: Any) -> Optional[float]:
-        """Upper bucket boundary holding the q-quantile observation.
-
-        An estimate by construction — the histogram only knows bucket
-        membership — but with the load buckets above it is exact for
-        small integer loads.  Returns ``None`` with no observations.
-        """
-        state = self.state(**labels)
-        if state is None or state["count"] == 0:
-            return None
-        rank = max(1, int(q * state["count"] + 0.5))
-        seen = 0
-        for index, count in enumerate(state["counts"]):
-            seen += count
-            if seen >= rank:
-                if index < len(self.buckets):
-                    return self.buckets[index]
-                return state["sum"] / state["count"] if state["count"] else 0.0
-        return self.buckets[-1]
-
     def _sample_dict(self, key: Tuple[str, ...], value: Any) -> Dict[str, Any]:
         return {
             "labels": list(key),
@@ -459,9 +432,7 @@ class MetricsRegistry:
     # -- comparison -----------------------------------------------------
     def fingerprint(
         self,
-        exclude_groups: Tuple[str, ...] = (
-            GROUP_WALL, GROUP_PROFILE, GROUP_LIVE,
-        ),
+        exclude_groups: Tuple[str, ...] = (GROUP_WALL, GROUP_PROFILE),
     ) -> Dict[str, Tuple[Any, ...]]:
         """A hashable, comparable digest of the sample values.
 
@@ -500,23 +471,35 @@ class MetricsRegistry:
                 if isinstance(metric, Histogram):
                     if value["count"] == 0:
                         continue
-                    p50 = metric.quantile(
-                        0.5, **dict(zip(metric.label_names, key))
-                    )
-                    p95 = metric.quantile(
-                        0.95, **dict(zip(metric.label_names, key))
+                    p50, p95 = (
+                        _bucket_bound(metric.buckets, value, q)
+                        for q in (0.5, 0.95)
                     )
                     lines.append(
                         f"  {metric.name}{labels} count={value['count']} "
                         f"sum={_format_number(value['sum'])} "
-                        f"p50<={_format_number(p50)} "
-                        f"p95<={_format_number(p95)}"
+                        f"p50<={p50} p95<={p95}"
                     )
                 else:
                     lines.append(
                         f"  {metric.name}{labels} {_format_number(value)}"
                     )
         return "\n".join(lines)
+
+
+def _bucket_bound(
+    buckets: Tuple[float, ...], state: Mapping[str, Any], q: float
+) -> str:
+    """The upper boundary of the bucket holding the q-quantile
+    observation — an estimate by construction, exact for small integer
+    loads — or ``+Inf`` when that observation is past the last bucket."""
+    rank = max(1, int(q * state["count"] + 0.5))
+    seen = 0
+    for bound, count in zip(buckets, state["counts"]):
+        seen += count
+        if seen >= rank:
+            return _format_number(bound)
+    return "+Inf"
 
 
 def _valid_group(group: str) -> str:
@@ -528,15 +511,13 @@ def _valid_group(group: str) -> str:
 
 
 # ----------------------------------------------------------------------
-# The fold: every family outside the ``live`` group, and the one function
-# that turns a closed span into its samples.
+# The fold: every family, and the one function that turns a closed span
+# into its samples.
 # ----------------------------------------------------------------------
 
 _JOB_PHASE = ("job", "phase")
-_PLAN = ("algorithm", "quantity")
 
-#: Every family of the ``run``, ``faults``, ``wall`` and ``profile``
-#: groups: name -> (type, labels, group, help[, histogram buckets]).
+#: Every family: name -> (type, labels, group, help[, histogram buckets]).
 FAMILIES: Dict[str, Tuple[Any, ...]] = {
     # -- from task and attempt spans ------------------------------------
     "repro_map_records_total": (
@@ -588,37 +569,14 @@ FAMILIES: Dict[str, Tuple[Any, ...]] = {
         "counter", ("job",), GROUP_RUN,
         "Intermediate pairs routed through the shuffle.",
     ),
-    "repro_shuffle_partition_records": (
-        "gauge", ("job", "partition"), GROUP_RUN,
-        "Records routed to each physical reduce partition.",
-    ),
     "repro_key_load": (
         "histogram", ("job",), GROUP_RUN,
         "Per-logical-reducer (distinct intermediate key) load distribution "
         "— the key-skew histogram.",
     ),
-    "repro_replication_factor": (
-        "gauge", ("job",), GROUP_RUN,
-        "Map-output pairs emitted per input record of the job (tuples "
-        "emitted / distinct input tuples).",
-    ),
     "repro_faults_total": (
         "counter", ("job", "kind"), GROUP_FAULTS,
         "Fault-injection bookkeeping: failed/retried attempts per job.",
-    ),
-    # -- from reconciliation spans ---------------------------------------
-    "repro_plan_predicted": (
-        "gauge", _PLAN, GROUP_RUN,
-        "Cost-model-predicted run quantity for the executed plan.",
-    ),
-    "repro_plan_observed": (
-        "gauge", _PLAN, GROUP_RUN,
-        "Observed run quantity joined against the plan prediction.",
-    ),
-    "repro_plan_relative_error": (
-        "gauge", _PLAN, GROUP_RUN,
-        "Signed relative error of the plan prediction ((predicted - "
-        "observed) / |observed|).",
     ),
 }
 
@@ -707,8 +665,8 @@ def _fold_phase(registry: MetricsRegistry, span: Span) -> Sequence[str]:
 
 
 def _fold_job(registry: MetricsRegistry, span: Span) -> Sequence[str]:
-    """Job-level shuffle, skew, replication and fault facts (a job that
-    failed closes its span without them and leaves only wall time)."""
+    """Job-level shuffle, key-skew and fault facts (a job that failed
+    closes its span without them and leaves only wall time)."""
     attrs = span.attributes
     job = attrs.get("job", span.name)
     _family(registry, "repro_job_wall_seconds").observe(span.duration, job=job)
@@ -717,15 +675,6 @@ def _fold_job(registry: MetricsRegistry, span: Span) -> Sequence[str]:
     _family(registry, "repro_shuffle_records_total").inc(
         attrs["shuffled_records"], job=job
     )
-    partition_records = _family(registry, "repro_shuffle_partition_records")
-    for index, records in enumerate(attrs.get("reduce_task_loads", ())):
-        partition_records.set(records, job=job, partition=f"{index:05d}")
-    framework = span.counters.get("framework", {})
-    reads = framework.get("map_input_records", 0)
-    if reads:
-        _family(registry, "repro_replication_factor").set(
-            framework.get("map_output_records", 0) / reads, job=job
-        )
     faults_total = _family(registry, "repro_faults_total")
     for kind, value in sorted(span.counters.get("faults", {}).items()):
         if value:
@@ -745,28 +694,11 @@ def _fold_job(registry: MetricsRegistry, span: Span) -> Sequence[str]:
     return ()
 
 
-def _fold_reconciliation(
-    registry: MetricsRegistry, span: Span
-) -> Sequence[str]:
-    """Every reconciliation row as three gauges.  All are deterministic
-    facts of the computation — the analytic prediction depends only on
-    the data profile and the observed side lives in the ``run`` counter
-    groups — so they are executor- and fault-invariant like the rest of
-    the ``run`` group."""
-    algorithm = span.attributes.get("algorithm", span.name)
-    for side in ("predicted", "observed", "relative_error"):
-        gauge = _family(registry, f"repro_plan_{side}")
-        for row in span.attributes.get("rows", ()):
-            gauge.set(row[side], algorithm=algorithm, quantity=row["quantity"])
-    return ()
-
-
 _FOLDS: Dict[str, Callable[[MetricsRegistry, Span], Sequence[str]]] = {
     "task": _fold_task,
     "attempt": _fold_attempt,
     "phase": _fold_phase,
     "job": _fold_job,
-    "reconciliation": _fold_reconciliation,
 }
 
 
@@ -787,13 +719,12 @@ def fold_spans(
     spans: Iterable[Span],
 ) -> Tuple[MetricsRegistry, List[str]]:
     """The registry of a recorded span sequence (close order, as a JSONL
-    trace holds it; spans still open are passed over) and the sorted
-    names of the families that an older trace could not supply."""
+    trace holds it) and the sorted names of the families that an older
+    trace could not supply."""
     registry = MetricsRegistry()
     skipped = set()
     for span in spans:
-        if span.end is not None:
-            skipped.update(fold_span(registry, span))
+        skipped.update(fold_span(registry, span))
     return registry, sorted(skipped)
 
 

@@ -77,15 +77,14 @@ class TraceRecorder:
         fold turns into the ``profile`` metric group.
     live:
         Live run telemetry, off by default.  When on, ``self.live``
-        folds the job, phase, task and plan spans into the ``live``
-        metric group and powers ``--progress`` and ``--serve-status``.
+        folds the job, phase, task and plan spans into the progress
+        snapshot behind ``--progress`` and ``--serve-status``.
 
     The recorder itself is the in-memory record: ``roots`` is the span
     tree, ``spans`` the flat close-order list, and ``job_results`` the
     :class:`~repro.mapreduce.job.JobResult` of every job executed while
     the recorder was attached.  ``metrics`` is the fold of the closed spans
-    (:func:`~repro.obs.metrics.fold_span`) plus, with live telemetry,
-    the hub's ``live`` group.
+    (:func:`~repro.obs.metrics.fold_span`).
     """
 
     def __init__(
@@ -109,9 +108,7 @@ class TraceRecorder:
         #: The data-plane profiler, or ``None`` when profiling is off.
         self.profiler: Optional[Profiler] = Profiler() if profile else None
         #: The live telemetry hub, or ``None`` when live telemetry is off.
-        self.live: Optional[TelemetryHub] = (
-            TelemetryHub(self.metrics) if live else None
-        )
+        self.live: Optional[TelemetryHub] = TelemetryHub() if live else None
         # The profiler goes first: what it writes onto a closing span
         # (CPU seconds, memory watermarks) must be there when the fold
         # and the trace sinks read the span.
@@ -198,30 +195,11 @@ class TraceRecorder:
             self.job_results.append(result)
 
     def close(self) -> None:
-        """Flush and close every sink: the live telemetry hub publishes
-        its final ETA-vs-actual gauges and the trace files are
-        finished."""
+        """Flush and close every sink: the live telemetry hub marks the
+        run closed and the trace files are finished."""
         with self._lock:
             for sink in self._sinks:
                 sink.close()
-
-    def snapshot_spans(self) -> List[Span]:
-        """Every span recorded so far — closed spans plus the spans
-        still *open* right now.  This is what the live status endpoint
-        renders the mid-run dashboard from; open spans keep
-        ``end=None`` and renderers substitute the current time."""
-        with self._lock:
-            seen = set()
-            out: List[Span] = []
-            for span in self.spans:
-                out.append(span)
-                seen.add(span.span_id)
-            for root in self.roots:
-                for span in root.walk():
-                    if span.span_id not in seen:
-                        out.append(span)
-                        seen.add(span.span_id)
-            return out
 
     # ------------------------------------------------------------------
     def find(

@@ -8,14 +8,12 @@ starts, ``emit(span)`` once as it closes — fully annotated — and
 (:class:`~repro.obs.metrics.MetricsFold`), the
 :class:`~repro.obs.profile.Profiler` and the
 :class:`~repro.obs.live.TelemetryHub` are sinks the recorder attaches
-itself; two more cover the trace artifacts:
-
-* :class:`InMemorySink` — keeps the spans (and the roots of their tree)
-  in memory; what tests assert against.
-* :class:`JsonlSink` — appends one JSON object per span to a file, in
-  close order; cheap to grep and to stream.  It is the one trace format:
-  ``repro run --trace`` writes it and ``repro report`` reads it back
-  (:func:`load_spans_jsonl`).
+itself.  The recorder keeps the spans in memory itself (``spans``,
+``roots``); the one sink for a trace artifact is :class:`JsonlSink`,
+which appends one JSON object per span to a file, in close order —
+cheap to grep and to stream.  It is the one trace format: ``repro run
+--trace`` writes it and ``repro report`` reads it back
+(:func:`load_spans_jsonl`).
 """
 
 from __future__ import annotations
@@ -28,7 +26,6 @@ from repro.obs.span import Span
 
 __all__ = [
     "TraceSink",
-    "InMemorySink",
     "JsonlSink",
     "load_spans_jsonl",
 ]
@@ -51,21 +48,6 @@ class TraceSink:
 def _ensure_parent_dir(path: str) -> None:
     directory = os.path.dirname(os.path.abspath(path))
     os.makedirs(directory, exist_ok=True)
-
-
-class InMemorySink(TraceSink):
-    """Collects finished spans in memory — the testing sink."""
-
-    def __init__(self) -> None:
-        self.spans: List[Span] = []
-
-    @property
-    def roots(self) -> List[Span]:
-        """Spans with no parent — the recorded trees."""
-        return [span for span in self.spans if span.parent_id is None]
-
-    def emit(self, span: Span) -> None:
-        self.spans.append(span)
 
 
 class JsonlSink(TraceSink):

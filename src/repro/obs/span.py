@@ -19,7 +19,7 @@ on ``kind``).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, Iterator, List, Optional
+from typing import Any, Dict, List, Optional
 
 __all__ = ["Span"]
 
@@ -73,12 +73,6 @@ class Span:
     def annotate(self, **attributes: Any) -> None:
         """Attach (or overwrite) attributes on the span."""
         self.attributes.update(attributes)
-
-    def walk(self) -> Iterator["Span"]:
-        """This span and every descendant, depth first."""
-        yield self
-        for child in self.children:
-            yield from child.walk()
 
     def to_dict(self) -> Dict[str, Any]:
         """A JSON-friendly dict of the span (children omitted)."""

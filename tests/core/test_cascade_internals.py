@@ -2,10 +2,10 @@
 
 
 from repro.core.algorithms.cascade import (
-    _binding_order,
     _routing_condition,
     _step_conditions,
 )
+from repro.core.local import binding_order
 from repro.core.query import IntervalJoinQuery
 
 
@@ -14,14 +14,14 @@ class TestBindingOrder:
         q = IntervalJoinQuery.parse(
             [("A", "overlaps", "B"), ("B", "overlaps", "C")]
         )
-        assert _binding_order(q) == ["A", "B", "C"]
+        assert binding_order(q) == ["A", "B", "C"]
 
     def test_star_stays_connected(self):
         q = IntervalJoinQuery.parse(
             [("Hub", "contains", "S1"), ("Hub", "contains", "S2"),
              ("Hub", "contains", "S3")]
         )
-        order = _binding_order(q)
+        order = binding_order(q)
         assert order[0] == "Hub"
         assert set(order) == {"Hub", "S1", "S2", "S3"}
 
@@ -33,7 +33,7 @@ class TestBindingOrder:
                 ("C", "overlaps", "D"),
             ]
         )
-        order = _binding_order(q)
+        order = binding_order(q)
         for index in range(1, len(order)):
             assert _step_conditions(q, order[:index], order[index])
 

@@ -245,3 +245,39 @@ class TestRecommendGrid:
             report.best.partitions,
             measured,
         )
+
+
+class TestCellCounts:
+    """The tuners count the consistent cells of the grid that will run,
+    by its rule: only the provably sound component orders prune."""
+
+    #: ``R4 before R3`` orders the two components, but R2 may start
+    #: after R4 ends, so the order does not prune the grid.
+    QUERY = IntervalJoinQuery.parse(
+        [("R4", "overlaps", "R2"), ("R2", "overlaps", "R1"),
+         ("R4", "before", "R3")]
+    )
+
+    def _run_cells(self, data, shares):
+        from repro.core.planner import ALGORITHMS
+
+        result = ALGORITHMS["gen_matrix"](grid_parts=shares).run(
+            self.QUERY, data, num_partitions=4
+        )
+        return result.metrics.consistent_reducers
+
+    def test_recommend_grid_counts_the_cells_that_run(self):
+        data = make_dataset(["R1", "R2", "R3", "R4"], 40, seed=5)
+        report = recommend_grid(self.QUERY, data, candidates=(2, 4, 6))
+        for candidate in report.candidates:
+            cells = self._run_cells(data, candidate.partitions)
+            assert candidate.predicted_max_load == pytest.approx(
+                candidate.predicted_shuffled / cells
+            ), candidate.partitions
+
+    def test_recommend_shares_counts_the_cells_that_run(self):
+        from repro.core.tuning import recommend_shares
+
+        data = make_dataset(["R1", "R2", "R3", "R4"], 40, seed=5)
+        rec = recommend_shares(self.QUERY, data, cell_budget=36)
+        assert rec.total_cells == self._run_cells(data, rec.shares)

@@ -115,7 +115,7 @@ def test_null_recorder_holds_no_registry():
 PROTOCOL = {"start_span", "end_span", "span", "record_job"}
 
 #: What a recorder offers beside it — to whoever *reads* the run.
-READER_SIDE = {"close", "snapshot_spans", "find", "render"}
+READER_SIDE = {"close", "find", "render"}
 
 
 @pytest.mark.parametrize("observer", [Observer, TraceRecorder, NullRecorder])

@@ -206,3 +206,37 @@ class TestKnobReferences:
                             stale.append(f"{name}: repro {command} {flag}")
         assert named > 0
         assert not stale, f"documents name flags the CLI rejects: {stale}"
+
+
+class TestMetricReferences:
+    """Every ``repro_*`` metric a document names is a family the metrics
+    fold still produces (the live hub produces none) — a histogram's
+    ``_bucket`` / ``_sum`` / ``_count`` series included, and a name
+    ending in ``*`` read as a prefix."""
+
+    METRIC = re.compile(r"\brepro_[a-z0-9_]+(?:\*|\b)")
+
+    @staticmethod
+    def _produced(name):
+        from repro.obs.metrics import FAMILIES
+
+        if name.endswith("*"):
+            return any(family.startswith(name[:-1]) for family in FAMILIES)
+        if name in FAMILIES:
+            return True
+        base, _, series = name.rpartition("_")
+        return (
+            series in ("bucket", "sum", "count")
+            and FAMILIES.get(base, ("",))[0] == "histogram"
+        )
+
+    def test_named_metrics_are_produced(self):
+        named = [
+            (document.relative_to(REPO_ROOT), name)
+            for document in TestKnobReferences.DOCUMENTS
+            if document.is_file()
+            for name in sorted(set(self.METRIC.findall(document.read_text())))
+        ]
+        assert named
+        stale = [f"{doc}: {name}" for doc, name in named if not self._produced(name)]
+        assert not stale, f"documents name metrics nothing produces: {stale}"

@@ -4,7 +4,7 @@ The contract of :mod:`repro.obs.live` — the hub, progress/ETA and the
 status endpoint are strictly *passive*: with live telemetry off the run
 is bit-identical to the seed behaviour, and with it on the output
 tuples, counters and metric fingerprints (which exclude the
-``wall``/``profile``/``live`` groups by construction) stay bit-identical
+``wall``/``profile`` groups by construction) stay bit-identical
 across all three executors, with or without chaos.  And the live state
 is a function of the span stream alone: replaying a recorded run's
 spans into a fresh hub rebuilds it.
@@ -104,7 +104,7 @@ class TestLivePassivity:
         assert live.tuple_ids() == plain.tuple_ids()
         assert len(plain) > 0
         assert _job_counters(live_rec) == _job_counters(plain_rec)
-        # The default fingerprint excludes wall/profile/live, so the
+        # The default fingerprint excludes wall/profile, so the
         # monitored run hashes identically to the unmonitored one.
         assert (
             live_rec.metrics.fingerprint()
@@ -305,15 +305,16 @@ def test_endpoint_serves_metrics_and_progress_mid_run(executor):
             assert snapshot["closed"] is False
             assert "heartbeats" not in snapshot
 
-            # /metrics speaks Prometheus text and carries the live
-            # families while tasks are still running.
+            # /metrics speaks Prometheus text while tasks are still
+            # running: the fold of the spans closed so far, the map
+            # phase among them.
             body = _get(server, "/metrics")
-            assert "# TYPE repro_live_tasks gauge" in body
-            assert 'repro_live_tasks{job="wordcount"' in body
-            assert "repro_live_run_progress_ratio" in body
-
-            # The dashboard renders from the in-flight spans.
-            assert "wordcount" in _get(server, "/")
+            assert "# TYPE repro_phase_wall_seconds histogram" in body
+            assert (
+                'repro_phase_wall_seconds_count{job="wordcount",phase="map"} 1'
+                in body
+            )
+            assert "repro_live_" not in body
         finally:
             worker.join(timeout=30)
         assert not worker.is_alive()
@@ -323,8 +324,7 @@ def test_endpoint_serves_metrics_and_progress_mid_run(executor):
         assert final["closed"] is True
         assert final["progress"] == pytest.approx(1.0)
         assert _running_reduce_tasks(final) == 0
-        # Closing publishes the ETA-vs-actual reconciliation gauge.
-        assert 'repro_live_run_seconds{kind="actual"}' in _get(
+        assert 'repro_job_wall_seconds_count{job="wordcount"} 1' in _get(
             server, "/metrics"
         )
     finally:

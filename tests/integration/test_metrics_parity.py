@@ -10,8 +10,8 @@ work; only the ``faults`` and ``wall`` groups may differ).
 
 And the registry is nothing but a fold over the span stream: a run
 written through a :class:`JsonlSink`, reloaded and folded again gives
-the live registry back sample for sample — every group but ``live``,
-which is read off the wall clock.
+the live registry back sample for sample — every group, with live
+telemetry attached or not (the hub writes no metric).
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ import pytest
 
 from repro.core.executor import execute
 from repro.obs import JsonlSink, TraceRecorder, fold_spans, load_spans_jsonl
-from repro.obs.metrics import GROUP_FAULTS, GROUP_LIVE, GROUP_WALL
+from repro.obs.metrics import GROUP_FAULTS, GROUP_WALL
 
 from tests.conftest import make_dataset
 from tests.integration.test_fault_parity import CASES, pinned_plan
@@ -45,15 +45,6 @@ def _metrics_of(
     )
     recorder.close()
     return recorder.metrics
-
-
-def _samples(registry):
-    """Every sample of every family outside ``live``, floats and all."""
-    return {
-        name: entry
-        for name, entry in registry.as_dict().items()
-        if entry["group"] != GROUP_LIVE
-    }
 
 
 @pytest.mark.parametrize(
@@ -110,8 +101,8 @@ class TestMetricsParity:
         )
         replayed, skipped = fold_spans(load_spans_jsonl(trace))
         assert skipped == []
-        assert _samples(replayed) == _samples(live)
-        groups = {entry["group"] for entry in _samples(live).values()}
+        assert replayed.as_dict() == live.as_dict()
+        groups = {entry["group"] for entry in live.as_dict().values()}
         assert {"run", "wall", "faults"} <= groups
         if observing:
             assert "profile" in groups

@@ -3,7 +3,7 @@
 Covers the whole predicted-vs-actual observability chain: the EXPLAIN
 text per query class (including the Allen path-consistency emptiness
 proof with its predicate cycle), the ``plan``/``reconciliation`` spans
-and ``repro_plan_*`` gauges the executor records, the span-trace
+the executor records, the span-trace
 rebuild (``repro report``), the dashboard's Plan panel, the CLI
 surfaces, the per-algorithm pin of prediction errors against
 ``benchmarks/model_error_baseline.json``, and chaos parity — a
@@ -253,19 +253,6 @@ class TestReconciliationSpans:
         assert rec_span.attributes["rows"]
         rebuilt = PlanReconciliation.from_dict(rec_span.attributes)
         assert rebuilt.row("num_cycles").error == 0.0
-
-    def test_plan_gauges_in_prometheus_exposition(self):
-        recorder = self._observed_run()
-        exposition = recorder.metrics.to_prometheus()
-        for family in (
-            "repro_plan_predicted",
-            "repro_plan_observed",
-            "repro_plan_relative_error",
-        ):
-            assert (
-                f'{family}{{algorithm="all_seq_matrix",'
-                f'quantity="shuffled_records"}}'
-            ) in exposition
 
     def test_reconciliation_survives_jsonl_roundtrip(self, tmp_path):
         query = IntervalJoinQuery.parse(HYBRID)

@@ -13,12 +13,12 @@ from __future__ import annotations
 
 import io
 import json
+from urllib.error import HTTPError
 from urllib.request import urlopen
 
 import pytest
 
 from repro.obs import (
-    MetricsRegistry,
     ProgressPrinter,
     Span,
     StatusServer,
@@ -26,7 +26,6 @@ from repro.obs import (
     TraceRecorder,
     render_progress_line,
 )
-from repro.obs.metrics import GROUP_LIVE
 
 
 def _open(hub, kind, name, **attributes) -> Span:
@@ -118,9 +117,6 @@ class TestTaskSpans:
         (phase,) = hub.snapshot()["jobs"][0]["phases"]
         assert (phase["running_tasks"], phase["done_tasks"]) == (0, 1)
         assert phase["total_tasks"] == 2 and not phase["finished"]
-        tasks = hub.metrics.get("repro_live_tasks")
-        assert tasks.value(job="j", phase="map", state="running") == 0
-        assert tasks.value(job="j", phase="map", state="finished") == 1
 
     def test_losing_attempts_are_not_done(self):
         """Two failed attempts, then the winner: one task done, nothing
@@ -138,7 +134,6 @@ class TestTaskSpans:
         _close(hub, _open(hub, "query", "q"))
         _close(hub, _open(hub, "algorithm", "rccis"))
         assert hub.snapshot()["jobs"] == []
-        assert hub.metrics.families() == []
 
     def test_the_hub_owns_no_thread(self):
         import threading
@@ -147,7 +142,6 @@ class TestTaskSpans:
         hub = TelemetryHub()
         _open(hub, "phase", "map", job="j", tasks=1)
         _task(hub, "j", "map", 0)
-        hub.publish()
         hub.snapshot()
         assert set(threading.enumerate()) == before
         hub.close()
@@ -196,20 +190,35 @@ class TestProgressAndEta:
         # One of two equal-weight cycles done.
         assert hub.snapshot()["progress"] == pytest.approx(0.5)
 
-    def test_final_gauges_on_close(self):
+    def test_final_snapshot_on_close(self):
+        """What ``--progress`` reconciles on its last line: a closed
+        hub's snapshot still holds the prediction and the first ETA."""
         hub = TelemetryHub()
         _plan(hub, [{"records_read": 10.0, "shuffled_records": 5.0}],
               modelled_seconds=2.5)
         _open(hub, "job", "job:j", job="j")
         _close(hub, _open(hub, "phase", "map", job="j", tasks=1))
+        first_eta = hub.snapshot()["eta_initial_seconds"]
         hub.close()
-        gauge = hub.metrics.gauge(
-            "repro_live_run_seconds", labels=("kind",), group=GROUP_LIVE
-        )
-        kinds = {key[0]: value for key, value in gauge.samples()}
-        assert kinds["actual"] >= 0.0
-        assert kinds["predicted"] == 2.5
-        assert kinds["eta_initial"] == hub.snapshot()["eta_initial_seconds"]
+        snap = hub.snapshot()
+        assert snap["closed"]
+        assert snap["modelled_seconds"] == 2.5
+        assert first_eta is not None
+        assert snap["eta_initial_seconds"] == first_eta
+
+    def test_first_eta_is_latched_by_span_events(self, monkeypatch):
+        """The first ETA is taken at the first span event that gives
+        one, not at the first time somebody asks for a snapshot."""
+        clock = [0.0]
+        monkeypatch.setattr("repro.obs.live.time.monotonic", lambda: clock[0])
+        hub = TelemetryHub()
+        _open(hub, "job", "job:j", job="j")
+        _open(hub, "phase", "map", job="j", tasks=4)
+        clock[0] = 1.0
+        _task(hub, "j", "map", 0)
+        # map 1/4 done, weighing 1/3 of the job: 1/12 after 1 s.
+        clock[0] = 100.0
+        assert hub.snapshot()["eta_initial_seconds"] == pytest.approx(12.0)
 
     def test_close_idempotent(self):
         hub = TelemetryHub()
@@ -228,25 +237,29 @@ class TestStatusServer:
             task_index=0,
         ):
             pass
+        recorder.end_span(phase)
         return recorder
 
     def test_routes(self):
         recorder = self._recorder()
         server = StatusServer(recorder, port=0).start()
         try:
+            # /metrics is the fold of the spans closed so far.
             prom = urlopen(server.url + "/metrics").read().decode("utf-8")
-            assert 'repro_live_tasks{job="j",phase="map",state="finished"} 1' in prom
-            assert "repro_live_run_progress_ratio" in prom
+            assert (
+                'repro_phase_wall_seconds_count{job="j",phase="map"} 1'
+                in prom
+            )
+            assert "repro_live_" not in prom
             progress = json.loads(
                 urlopen(server.url + "/progress").read().decode("utf-8")
             )
             assert progress["jobs"][0]["job"] == "j"
             assert progress["jobs"][0]["phases"][0]["done_tasks"] == 1
-            page = urlopen(server.url + "/").read().decode("utf-8")
-            assert "<html" in page.lower()
-            error = urlopen(server.url + "/nope")
-        except Exception as exc:  # urllib raises on 404
-            assert "404" in str(exc)
+            for route in ("/", "/nope"):
+                with pytest.raises(HTTPError) as error:
+                    urlopen(server.url + route)
+                assert error.value.code == 404
         finally:
             server.close()
             recorder.close()
@@ -304,7 +317,6 @@ class TestRecorderIntegration:
         recorder = TraceRecorder(live=True)
         try:
             assert isinstance(recorder.live, TelemetryHub)
-            assert recorder.live.metrics is recorder.metrics
         finally:
             recorder.close()
 
@@ -314,7 +326,7 @@ class TestRecorderIntegration:
         assert recorder.live.closed
 
     def test_live_env(self, monkeypatch):
-        """An observed run under ``REPRO_LIVE=1`` folds no live family."""
+        """An observed run under ``REPRO_LIVE=1`` attaches no hub."""
         from repro.core.executor import execute
         from repro.core.query import IntervalJoinQuery
 
@@ -329,23 +341,3 @@ class TestRecorderIntegration:
         )
         recorder.close()
         assert recorder.live is None
-        assert not [
-            metric.name
-            for metric in recorder.metrics.families()
-            if metric.group == GROUP_LIVE
-        ]
-
-    def test_live_group_excluded_from_fingerprint(self):
-        registry = MetricsRegistry()
-        registry.counter("plain_total").inc(3)
-        baseline = registry.fingerprint()
-        registry.gauge("repro_live_run_progress_ratio", group=GROUP_LIVE).set(1)
-        assert registry.fingerprint() == baseline
-
-    def test_snapshot_spans_includes_open_spans(self):
-        recorder = TraceRecorder()
-        span = recorder.start_span("job:x", kind="job")
-        spans = recorder.snapshot_spans()
-        assert any(s.name == "job:x" for s in spans)
-        recorder.end_span(span)
-        recorder.close()

@@ -57,15 +57,24 @@ class TestGauge:
 
 class TestHistogram:
     def test_bucketing_and_quantiles(self):
-        histogram = MetricsRegistry().histogram(
-            "h", buckets=(1.0, 10.0, 100.0)
-        )
+        registry = MetricsRegistry()
+        histogram = registry.histogram("h", buckets=(1.0, 10.0, 100.0))
         for value in (0.5, 5, 5, 50, 500):
             histogram.observe(value)
         state = histogram.state()
         assert state["counts"] == [1, 2, 1, 1]
         assert state["count"] == 5
-        assert histogram.quantile(0.5) == 10.0
+        assert "count=5 sum=560.5 p50<=10 p95<=+Inf" in registry.summary()
+
+    def test_summary_quantile_past_the_last_bucket_is_inf(self):
+        """A p95 observation above the last bucket has no finite upper
+        bound: the summary says ``+Inf``, not the mean of everything."""
+        registry = MetricsRegistry()
+        histogram = registry.histogram("repro_reduce_task_load", labels=("job",))
+        for load in (10, 10, 10, 60_000):
+            histogram.observe(load, job="j")
+        line = registry.summary().splitlines()[1]
+        assert line.endswith("p50<=10 p95<=+Inf"), line
 
     def test_registration_signature_checked(self):
         registry = MetricsRegistry()

@@ -10,7 +10,7 @@ from repro.mapreduce import Counters, InMemoryFileSystem, run_job
 from repro.mapreduce.cost import CostModel
 from repro.mapreduce.job import InputSpec, JobConf
 from repro.mapreduce.task import Mapper, Reducer
-from repro.obs import InMemorySink, JsonlSink, TraceRecorder, TraceSink
+from repro.obs import JsonlSink, TraceRecorder, TraceSink
 
 
 class TestSpanNesting:
@@ -192,12 +192,6 @@ class TestSinks:
                 span.counters = {"framework": {"map_input_records": 2}}
         rec.close()
         return rec
-
-    def test_in_memory_sink(self):
-        sink = InMemorySink()
-        self._record(sink)
-        assert [s.name for s in sink.spans] == ["j", "q"]
-        assert [s.name for s in sink.roots] == ["q"]
 
     def test_jsonl_sink_emits_one_object_per_span(self):
         buffer = io.StringIO()
