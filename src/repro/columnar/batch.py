@@ -20,6 +20,7 @@ outputs and counters bit-identical across planes.
 from __future__ import annotations
 
 import threading
+from collections.abc import Sequence as SequenceABC
 from typing import (
     TYPE_CHECKING,
     Any,
@@ -28,6 +29,7 @@ from typing import (
     Hashable,
     Iterator,
     List,
+    Mapping,
     Optional,
     Sequence,
     Tuple,
@@ -44,6 +46,7 @@ __all__ = [
     "MapBlock",
     "ColumnarPairs",
     "ColumnValues",
+    "IndexBlock",
     "PayloadStore",
     "job_columnar_gate",
     "endpoint_column",
@@ -337,6 +340,77 @@ class ColumnValues:
         ]
 
 
+class IndexBlock(SequenceABC):
+    """``(relation, row, flagged)`` records as read-only index columns:
+    per record its relation's code into ``names`` / ``relations``, its
+    row in that relation and its flag.  As a sequence it *is* those
+    records; as an :attr:`~repro.mapreduce.job.InputSpec.source` it is
+    the relations' columns, gathered by row index."""
+
+    __slots__ = ("names", "relations", "codes", "rows", "flagged")
+
+    def __init__(self, names, relations, codes, rows, flagged) -> None:
+        self.names, self.relations = tuple(names), tuple(relations)
+        self.codes = np.asarray(codes, dtype=np.int64)
+        self.rows = np.asarray(rows, dtype=np.int64)
+        self.flagged = np.asarray(flagged, dtype=bool)
+        for column in (self.codes, self.rows, self.flagged):
+            column.flags.writeable = False
+
+    @classmethod
+    def concat(cls, blocks: Sequence["IndexBlock"]) -> "IndexBlock":
+        """The records of ``blocks``, in order, as one block."""
+        first = blocks[0]
+        if any((b.names, b.relations) != (first.names, first.relations) for b in blocks):
+            raise ValueError("cannot concatenate blocks over other relations")
+        columns = ("codes", "rows", "flagged")
+        return cls(first.names, first.relations, *(
+            np.concatenate([getattr(b, column) for b in blocks]) for column in columns
+        ))
+
+    def __len__(self) -> int:
+        return len(self.codes)
+
+    def __getitem__(self, index):
+        code = int(self.codes[index])
+        row = self.relations[code].rows[self.rows[index]]
+        return (self.names[code], row, bool(self.flagged[index]))
+
+    def __iter__(self) -> Iterator[Tuple[str, Any, bool]]:
+        names = object_column(self.names)[self.codes]
+        return zip(names.tolist(), self.row_column().tolist(), self.flagged.tolist())
+
+    def __reduce__(self):
+        # Pickled (a records-plane task shipped to a worker), it is the
+        # record list: the relations it indexes never travel.
+        return (list, (list(self),))
+
+    # -- the source role (see repro.mapreduce.job.InputSpec) -----------
+    def columns(self, attributes: Mapping[str, str]):
+        """The records' endpoint columns: each relation's ``columns`` of
+        its attribute in ``attributes``, gathered by row index."""
+        from repro.intervals.sweep import SortedColumns  # builds on this module
+
+        column = lambda code: self.relations[code].columns(attributes[self.names[code]])
+        return SortedColumns(
+            self._gather(lambda code: column(code).starts, np.float64),
+            self._gather(lambda code: column(code).ends, np.float64),
+        )
+
+    def row_column(self) -> np.ndarray:
+        """The records' rows as an object column."""
+        return self._gather(lambda code: self.relations[code].row_column(), object)
+
+    def _gather(self, column_of: Callable[[int], np.ndarray], dtype) -> np.ndarray:
+        """Per record, ``column_of(its code)[its row]``, in ``dtype`` or wider."""
+        masks = {code: self.codes == code for code in range(len(self.relations))}
+        columns = {code: column_of(code) for code, mask in masks.items() if mask.any()}
+        out = np.empty(len(self), dtype=np.result_type(dtype, *columns.values()))
+        for code, column in columns.items():
+            out[masks[code]] = column[self.rows[masks[code]]]
+        return out
+
+
 class PayloadStore:
     """Parent-side payload-id resolution for one job.
 
@@ -360,6 +434,10 @@ class PayloadStore:
         """One map task's input: its records, its mapper and, if it
         names one, its :attr:`~repro.mapreduce.job.InputSpec.source`."""
         self._segments[segment] = (records, mapper, source)
+
+    def sources(self) -> Tuple[Any, ...]:
+        """Each segment's source (or ``None``), in segment order."""
+        return tuple(self._segments[segment][2] for segment in sorted(self._segments))
 
     def record(self, gid: int) -> Any:
         return self._segments[gid >> 32][0][gid & _MASK32]

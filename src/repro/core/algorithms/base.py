@@ -78,6 +78,7 @@ def build_partitioning(
 
     ``strategy`` is ``"uniform"`` (the paper's equi-width setup) or
     ``"equi_depth"`` (boundaries at start-point quantiles; ablation A2).
+    With no data at all both are the uniform split of a default range.
     """
     columns = [
         data[term.relation].columns(term.attribute) for term in query.terms
@@ -86,7 +87,7 @@ def build_partitioning(
     lo, hi = hull(columns) or (0.0, 1.0)
     if hi <= lo:
         hi = lo + 1.0
-    if strategy == "uniform":
+    if strategy == "uniform" or (strategy == "equi_depth" and not any(map(len, columns))):
         # Pad the right edge so the maximal start point projects inside.
         span = hi - lo
         return Partitioning.uniform(lo, hi + span * 1e-9 + 1e-9, parts)

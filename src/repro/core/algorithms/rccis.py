@@ -29,7 +29,7 @@ from typing import Dict, Hashable, List, Mapping, Sequence, Tuple
 import numpy as np
 
 from repro.errors import PlanningError
-from repro.columnar.batch import ColumnValues, object_column, reduce_columns
+from repro.columnar.batch import ColumnValues, IndexBlock, reduce_columns
 from repro.core.algorithms.base import JoinAlgorithm, Plan, PlanContext
 from repro.core.local import (
     anchored_join,
@@ -126,21 +126,18 @@ class FlaggingReducer(Reducer):
             for relation, rows in groups
         }
         decisions = self._decide(key, columns, counters)
-        # One ``gid, flagged, relation`` row per interval starting here.
-        outs = [np.empty((0, 3), dtype=np.int64)]
+        # One ``gid, flagged`` row per interval starting here.
+        outs = [np.empty((0, 2), dtype=np.int64)]
         for relation, rows in groups:
             local, flagged = decisions[relation]
-            gids = values.gids[rows][local]
-            code = np.full(len(gids), self.relations.index(relation))
-            outs.append(np.stack([gids, flagged[local], code], axis=1))
+            outs.append(np.stack([values.gids[rows][local], flagged[local]], axis=1))
         return np.concatenate(outs)
 
     def materialize_outputs(self, outs, store):
-        gids, flagged, codes = np.asarray(outs, dtype=np.int64).reshape(-1, 3).T
-        relations = object_column(self.relations)[codes]
-        return list(
-            zip(relations, store.take(gids), flagged.astype(bool).tolist())
-        )
+        # Input i of the flag cycle is relation i (``RCCIS.plan``): a
+        # gid's segment is its relation's code, its low half the row.
+        gids, flagged = np.asarray(outs, dtype=np.int64).reshape(-1, 2).T
+        return IndexBlock(self.relations, store.sources(), gids >> 32, gids & 0xFFFFFFFF, flagged)
 
 
 class RouteMapper(RoutedMapper):

@@ -35,6 +35,7 @@ import numpy as np
 
 from repro.errors import PlanningError
 from repro.columnar.batch import (
+    IndexBlock,
     MapBlock,
     interval_columns,
     object_column,
@@ -156,19 +157,25 @@ class LiftedRowView(MemberView):
 class FlaggedRowView(View):
     """RCCIS's cycle-1 output record ``(relation, row, flagged)``,
     shuffled as ``(relation, row)``.  One input file carries every
-    relation, so the tag is per record."""
+    relation, so the tag is per record.  Read back as an
+    :class:`~repro.columnar.batch.IndexBlock`, the file's columnar forms
+    read the block's codes and, through it, the relations' columns."""
 
     def __init__(self, attributes: Mapping[str, str]) -> None:
-        self.attributes = dict(attributes)
+        #: each relation's attribute: what a block's ``columns`` takes.
+        self.attribute = dict(attributes)
 
     def interval_of(self, record: Tuple[str, Row, bool]) -> Interval:
         relation, row, _flagged = record
-        return row.interval(self.attributes[relation])
+        return row.interval(self.attribute[relation])
 
     def value_of(self, record: Tuple[str, Row, bool]) -> Any:
         return (record[0], record[1])
 
     def payloads_of(self, records: np.ndarray) -> np.ndarray:
+        # A block's row column holds the payloads already.
+        if len(records) and isinstance(records[0], Row):
+            return records
         return object_column([record[1] for record in records.tolist()])
 
     def flagged(self, record: Tuple[str, Row, bool]) -> bool:
@@ -176,6 +183,8 @@ class FlaggedRowView(View):
         return record[2]
 
     def tag_codes(self, records):
+        if isinstance(records, IndexBlock):
+            return records.codes.astype(np.int16), records.names
         relations = [record[0] for record in records]
         tags = list(dict.fromkeys(relations))  # first-appearance order
         code_of = {tag: code for code, tag in enumerate(tags)}
@@ -285,7 +294,8 @@ class FlagRouter(_PartitionRouter):
         return self._keys(indices)
 
     def map_columns(self, starts, ends, records):
-        flags = np.fromiter(map(self.flagged, records), dtype=bool, count=len(records))
+        flags = records.flagged if isinstance(records, IndexBlock) else np.fromiter(
+            map(self.flagged, records), dtype=bool, count=len(records))
         lo = self.partitioning.locate_array(starts)
         hi = np.where(flags, np.int64(len(self.partitioning) - 1), lo).astype(np.int64)
         indices, row_idx = ranged_targets(lo, hi)

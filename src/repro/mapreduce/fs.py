@@ -25,9 +25,11 @@ reader of the output directory can never observe uncommitted data.
 
 The file system is the data plane's record boundary: on the columnar
 plane map tasks still read their input records through
-:meth:`FileSystem.read_dir` and reduce outputs are still committed as
-materialised record lists — only the *intermediate* pair stream between
-map and reduce changes representation (struct-of-arrays columns and
+:meth:`FileSystem.read_dir` and reduce outputs are committed as records
+(RCCIS's flag file as an :class:`~repro.columnar.batch.IndexBlock`, a
+sequence of exactly those records, which :class:`InMemoryFileSystem`
+keeps whole) — only the *intermediate* pair stream between map and
+reduce changes representation (struct-of-arrays columns and
 shared-memory blocks; see :mod:`repro.columnar` and
 ``docs/data_plane.md``).  Persisted files are therefore byte-identical
 across planes, which is what lets each job of a pipeline pick its own.
@@ -40,8 +42,9 @@ import itertools
 import json
 import os
 import shutil
-from typing import Any, Callable, Dict, Iterable, Iterator, List, Optional
+from typing import Any, Callable, Dict, Iterable, Iterator, List, Optional, Sequence
 
+from repro.columnar.batch import IndexBlock
 from repro.errors import FileSystemError
 
 __all__ = ["FileSystem", "InMemoryFileSystem", "LocalFileSystem"]
@@ -145,11 +148,8 @@ class FileSystem(abc.ABC):
         to directory readers (``_temporary`` staging, ``_SUCCESS``)."""
         return any(part.startswith("_") for part in relative.split("/"))
 
-    def read_dir(self, base: str) -> Iterator[Any]:
-        """Iterate over all records in all *visible* files under ``base``
-        (uncommitted ``_temporary`` attempt data is never surfaced).
-        The files are chained, not re-yielded: collecting a directory
-        costs one pass per file, not one generator resume per record."""
+    def _visible(self, base: str) -> List[str]:
+        """The files under ``base`` but ``_temporary`` ones, or ``base``."""
         prefix = base.rstrip("/") + "/"
         paths = [
             path
@@ -158,7 +158,13 @@ class FileSystem(abc.ABC):
         ]
         if not paths and self.exists(base):
             paths = [base]
-        return itertools.chain.from_iterable(map(self.read, paths))
+        return paths
+
+    def read_dir(self, base: str) -> Iterator[Any]:
+        """Iterate over all records in all visible files under ``base``.
+        The files are chained, not re-yielded: collecting a directory
+        costs one pass per file, not one generator resume per record."""
+        return itertools.chain.from_iterable(map(self.read, self._visible(base)))
 
     def count(self, path: str) -> int:
         """Number of records at ``path`` (or under it as a directory)."""
@@ -169,14 +175,15 @@ class InMemoryFileSystem(FileSystem):
     """A dict-backed file system; the default substrate for simulations."""
 
     def __init__(self) -> None:
-        self._files: Dict[str, List[Any]] = {}
+        self._files: Dict[str, Sequence[Any]] = {}
 
     def write(
         self, path: str, records: Iterable[Any], overwrite: bool = False
     ) -> int:
         if path in self._files and not overwrite:
             raise FileSystemError(f"output path already exists: {path!r}")
-        stored = list(records)
+        # A block is immutable already: stored as it is, not listed.
+        stored = records if isinstance(records, IndexBlock) else list(records)
         self._files[path] = stored
         return len(stored)
 
@@ -188,6 +195,15 @@ class InMemoryFileSystem(FileSystem):
         # No snapshot: a stored list is replaced (write, rename), never
         # mutated in place.
         return iter(records)
+
+    def read_dir(self, base: str) -> Iterator[Any]:
+        """As :meth:`FileSystem.read_dir` — except that a directory whose
+        non-empty files are all blocks reads back as one block."""
+        paths = self._visible(base)
+        blocks = [records for records in map(self._files.get, paths) if records]
+        if blocks and all(isinstance(block, IndexBlock) for block in blocks):
+            return IndexBlock.concat(blocks)
+        return itertools.chain.from_iterable(map(self.read, paths))
 
     def exists(self, path: str) -> bool:
         return path in self._files

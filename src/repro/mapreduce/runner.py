@@ -73,6 +73,7 @@ from typing import (
 
 from repro.columnar.batch import (
     ColumnarPairs,
+    IndexBlock,
     MapBlock,
     PayloadStore,
     job_columnar_gate,
@@ -259,7 +260,7 @@ def _reduce_task_core(
     task_index: int,
     groups: List[Tuple[Hashable, List[Any]]],
     faults: AttemptInjector,
-) -> Tuple[List[Any], Counters]:
+) -> Tuple[Sequence[Any], Counters]:
     """Run one physical reduce task over its key groups."""
     counters = Counters()
     # Zero-initialise so even an empty task reports its input counters
@@ -268,15 +269,13 @@ def _reduce_task_core(
     counters.increment("framework", "reduce_input_records", 0)
     context = ReduceContext(counters, task_index)
     reducer.setup(context)
-    output: List[Any] = []
     for key, values in groups:
         counters.increment("framework", "reduce_input_groups")
         counters.increment("framework", "reduce_input_records", len(values))
         reducer.reduce(key, values, context)
-        output.extend(context.drain())
     faults.check("cleanup")
     reducer.cleanup(context)
-    output.extend(context.drain())
+    output = context.drain()  # one drain: the groups' blocks stay one
     counters.increment("framework", "reduce_output_records", len(output))
     return output, counters
 
@@ -479,9 +478,16 @@ class _ColumnarMapTasks(_MapTasks):
         for index, ((spec, records), outcome) in enumerate(
             zip(self.inputs, outcomes)
         ):
-            self.store.add_segment(index, records, spec.mapper, spec.source)
+            self.store.add_segment(
+                index, records, spec.mapper, _source(spec, records)
+            )
             pairs.append_block(outcome.result, index, *self.columns[index])
         return pairs
+
+
+def _source(spec: Any, records: Sequence[Any]) -> Any:
+    """An input's source: its spec's, or the input read back as a block."""
+    return records if spec.source is None and isinstance(records, IndexBlock) else spec.source
 
 
 def _map_tasks_for(run: _JobRun) -> Tuple[_MapTasks, Optional[str]]:
@@ -494,11 +500,11 @@ def _map_tasks_for(run: _JobRun) -> Tuple[_MapTasks, Optional[str]]:
     routing endpoints encode exactly as float64 columns; the records
     plane otherwise.  Both read the same materialised inputs, and the
     encoded columns (an input's ``source`` relation's own, if it names
-    one) are the ones the columnar map bodies then consume.
+    one, or the input itself read back as one block) are the ones the
+    columnar map bodies then consume.
     """
-    inputs = [
-        (spec, list(run.fs.read_dir(spec.path))) for spec in run.conf.inputs
-    ]
+    read = [(spec, run.fs.read_dir(spec.path)) for spec in run.conf.inputs]
+    inputs = [(s, r if isinstance(r, IndexBlock) else list(r)) for s, r in read]
     for spec, records in inputs:
         if spec.source is not None and len(spec.source) != len(records):
             raise MapReduceError(
@@ -508,7 +514,7 @@ def _map_tasks_for(run: _JobRun) -> Tuple[_MapTasks, Optional[str]]:
     kind, reason = job_columnar_gate(run.conf)
     if kind is not None:
         columns = [
-            spec.mapper.encode_intervals(records, spec.source)
+            spec.mapper.encode_intervals(records, _source(spec, records))
             for spec, records in inputs
         ]
         if all(encoded is not None for encoded in columns):

@@ -53,9 +53,10 @@ Reducer side::
                                       # the compact gid-shaped outputs:
                                       # a list, or an int64 array with
                                       # one row per output
-    def materialize_outputs(self, outs, store) -> list
+    def materialize_outputs(self, outs, store) -> list | IndexBlock
                                       # rebuild the records-plane output
-                                      # records from a batch of them
+                                      # records from a batch of them (a
+                                      # block stands for them as columns)
 
 The contract is bit-parity: for every input, the columnar path must
 produce the same outputs, the same counters and the same logical loads
@@ -65,8 +66,9 @@ as the records path (``tests/integration/test_columnar_parity.py``).
 from __future__ import annotations
 
 import abc
-from typing import Any, Hashable, Iterable, List
+from typing import Any, Hashable, Iterable, List, Sequence
 
+from repro.columnar.batch import IndexBlock
 from repro.mapreduce.counters import Counters
 
 __all__ = ["MapContext", "ReduceContext", "Mapper", "Reducer", "IdentityMapper"]
@@ -100,18 +102,28 @@ class ReduceContext:
         #: which simulated reduce task this group was assigned to.
         self.task_index = task_index
         self._sink: List[Any] = []
+        #: blocks emitted before any single record: they stay columns.
+        self._blocks: List[IndexBlock] = []
 
     def emit(self, record: Any) -> None:
         """Emit one output record."""
         self._sink.append(record)
 
     def emit_many(self, records: Iterable[Any]) -> None:
-        """Emit a batch of output records."""
-        self._sink.extend(records)
+        """Emit a batch of output records; a first :class:`IndexBlock` stays one."""
+        if isinstance(records, IndexBlock) and not self._sink:
+            self._blocks.append(records)
+        else:
+            self._sink.extend(records)
 
-    def drain(self) -> List[Any]:
-        records, self._sink = self._sink, []
-        return records
+    def drain(self) -> Sequence[Any]:
+        """The records emitted so far: one block if blocks are all of it."""
+        blocks, records = self._blocks, self._sink
+        self._blocks, self._sink = [], []
+        if not blocks:
+            return records
+        block = IndexBlock.concat(blocks)
+        return block if not records else [*block, *records]
 
 
 class Mapper(abc.ABC):

@@ -21,6 +21,7 @@ from repro.core.algorithms.pasm import PASM
 from repro.core.algorithms.rccis import RCCIS
 from repro.core.algorithms.two_way import TwoWayJoin
 from repro.core.algorithms.base import build_partitioning
+from repro.core.executor import execute
 from repro.core.graph import JoinGraph
 from repro.core.query import IntervalJoinQuery
 from repro.core.schema import Relation
@@ -355,6 +356,30 @@ class TestPartitioningHelpers:
         data = {"R1": Relation("R1", []), "R2": Relation("R2", [])}
         parts = build_partitioning(q, data, 4)
         assert len(parts) == 4
+        assert build_partitioning(q, data, 4, "equi_depth") == parts
+
+    @pytest.mark.parametrize("strategy", ["uniform", "equi_depth"])
+    @pytest.mark.parametrize(
+        "algorithm, query",
+        [
+            ("two_way", IntervalJoinQuery.parse([("R1", "overlaps", "R2")])),
+            ("all_replicate", Q_COLOCATION),
+            ("rccis", Q_COLOCATION),
+            ("two_way_cascade", Q_COLOCATION),
+            ("pasm", Q_HYBRID),
+            ("gen_matrix", Q_HYBRID),
+            ("fcts", Q_HYBRID),
+            ("all_seq_matrix", Q_SEQUENCE),
+        ],
+    )
+    def test_empty_relations_join_to_nothing(self, algorithm, query, strategy):
+        """No start point to take quantiles of: equi-depth falls back to
+        the range uniform uses, and the join is empty either way."""
+        data = {name: Relation(name, []) for name in query.relations}
+        result = execute(
+            query, data, algorithm, num_partitions=4, partition_strategy=strategy
+        )
+        assert len(result) == 0
 
 
 class TestRunPausesTheCollector:

@@ -48,12 +48,13 @@ RUNS = {
 }
 
 #: algorithm, query -> ``Row.interval`` calls allowed per input row in a
-#: second query over the same relations.  RCCIS still reads each row
-#: once, where its join cycle encodes the flag cycle's output records.
+#: second query over the same relations.  None: RCCIS's flag cycle
+#: commits its file as index columns into the relations, which its join
+#: cycle reads back through the relations' own endpoint columns.
 CENSUS = [
     ("two_way", TWO_WAY, 0),
     ("all_replicate", COLOCATION, 0),
-    ("rccis", COLOCATION, 1),
+    ("rccis", COLOCATION, 0),
 ]
 
 

@@ -171,7 +171,7 @@ def partitioning_by_rows(query, data, parts, strategy):
         lo, hi = 0.0, 1.0
     if hi <= lo:
         hi = lo + 1.0
-    if strategy == "uniform":
+    if strategy == "uniform" or not starts:
         span = hi - lo
         return Partitioning.uniform(lo, hi + span * 1e-9 + 1e-9, parts)
     return Partitioning.equi_depth(starts, parts)
@@ -208,7 +208,7 @@ def test_build_partitioning_equals_the_row_loop(strategy, kind, data, parts):
     try:
         want = partitioning_by_rows(query, data, parts, strategy)
     except InvalidPartitioningError as error:
-        # Equi-depth of no rows; a range float64 cannot tell apart.
+        # A range float64 cannot tell apart.
         with pytest.raises(InvalidPartitioningError, match=re.escape(str(error))):
             build_partitioning(query, data, parts, strategy)
         return
