@@ -26,8 +26,8 @@ Commands
     or the Allen path-consistency emptiness proof), MapReduce cycles,
     reducer-grid shape, partitioner and, per condition, the sweep
     windows and mask the pair kernel runs, plus the cost model's
-    analytic predictions (``--exact`` dry-runs the real mappers instead
-    when relations are bound).
+    analytic predictions (``--exact`` runs the plan's map and shuffle
+    instead when relations are bound).
 ``report``
     Read a saved JSONL span trace, after the run is gone: the run report
     (skew, stragglers, empty-output tasks, faults, the predicted-vs-
@@ -206,7 +206,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     explain.add_argument(
         "--exact", action="store_true",
-        help="dry-run the real mappers for exact predictions "
+        help="run the plan's map and shuffle for exact predictions "
         "(requires --relation bindings)",
     )
     explain.add_argument(

@@ -109,18 +109,13 @@ class AllReplicate(JoinAlgorithm):
             },
         )
 
-    def predict(self, query, profile, conf=None):
-        from repro.core.predict import exact_prediction
+    def analytic_prediction(self, query, profile, conf):
         from repro.core.tuning import (
             CyclePrediction,
             PlanPrediction,
-            PredictConfig,
             replicate_fanout,
         )
 
-        conf = conf or PredictConfig()
-        if conf.exact:
-            return exact_prediction(self, query, conf)
         parts = conf.num_partitions
         maximal = maximal_relations(query)
         projected = maximal[0] if maximal else None

@@ -5,8 +5,8 @@ and sizing knobs it runs one or more simulated MapReduce jobs and returns a
 :class:`~repro.core.results.JoinResult` whose metrics carry the counters the
 paper's evaluation tables report.  The algorithm itself states only its
 job plan (:meth:`JoinAlgorithm.plan`); :meth:`JoinAlgorithm.run` is the one
-template around it, and the exact prediction tier interprets the same plan
-dry (:mod:`repro.core.predict`).
+template around it, and the exact prediction tier runs the same plan's
+map and shuffle dry (:mod:`repro.core.predict`).
 
 Conventions used by all implementations:
 
@@ -30,6 +30,7 @@ from repro.errors import PlanningError, UnsatisfiableQueryError
 from repro.core.query import IntervalJoinQuery
 from repro.core.results import ExecutionMetrics, JoinResult
 from repro.core.schema import Relation, Row
+from repro.core.tuning import PredictConfig
 from repro.intervals.partitioning import Partitioning
 from repro.intervals.sweep import hull
 from repro.mapreduce.cost import CostModel, DEFAULT_COST_MODEL
@@ -185,7 +186,8 @@ class PlanContext:
 
 class JoinAlgorithm(abc.ABC):
     """A join execution strategy: one :meth:`plan` method plus the
-    analytic :meth:`predict` formula; :meth:`run` is the shared template.
+    :meth:`analytic_prediction` formula; :meth:`run` and :meth:`predict`
+    are the shared templates.
     """
 
     #: Short name used in metrics, planning, and benchmark tables.
@@ -333,11 +335,12 @@ class JoinAlgorithm(abc.ABC):
         conf:
             A :class:`repro.core.tuning.PredictConfig`.  The default
             *analytic* tier evaluates the paper's Section-6 closed-form
-            formulas from the profile alone; ``conf.exact=True`` instead
-            interprets :meth:`plan` dry over ``conf.data``
+            formulas from the profile alone
+            (:meth:`analytic_prediction`); ``conf.exact=True`` instead
+            runs :meth:`plan`'s map and shuffle over ``conf.data``
             (:func:`repro.core.predict.exact_prediction`) so the
             predicted counters match the run bit-for-bit — the plan's
-            final join is never executed.
+            final reduce is never executed.
 
         Returns
         -------
@@ -346,6 +349,19 @@ class JoinAlgorithm(abc.ABC):
             plan totals; ``prediction.quantities()`` aligns key-for-key
             with ``ExecutionMetrics.observed_quantities()``.
         """
+        from repro.core.predict import exact_prediction
+
+        conf = conf or PredictConfig()
+        self._check_query(query)
+        if conf.exact:
+            return exact_prediction(self, query, conf)
+        return self.analytic_prediction(query, profile, conf)
+
+    def _check_query(self, query: IntervalJoinQuery) -> None:
+        """Raise ``PlanningError`` for a query class not handled here."""
+
+    def analytic_prediction(self, query, profile, conf):
+        """The analytic tier: the Section-6 formulas over ``profile``."""
         raise PlanningError(
-            f"algorithm {self.name!r} does not implement predict()"
+            f"algorithm {self.name!r} does not implement analytic_prediction()"
         )

@@ -379,19 +379,14 @@ class TwoWayCascade(JoinAlgorithm):
             partial_tuples=True,
         )
 
-    def predict(self, query, profile, conf=None):
-        from repro.core.predict import exact_prediction, operator_fanout
+    def analytic_prediction(self, query, profile, conf):
+        from repro.core.predict import operator_fanout
         from repro.core.tuning import (
             CyclePrediction,
             PlanPrediction,
-            PredictConfig,
             condition_selectivity,
         )
 
-        conf = conf or PredictConfig()
-        self._check_query(query)
-        if conf.exact:
-            return exact_prediction(self, query, conf)
         parts = conf.num_partitions
         grid_o = self._grid_side(parts)
         order = binding_order(query)

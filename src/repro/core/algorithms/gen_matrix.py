@@ -642,24 +642,15 @@ class GenMatrix(JoinAlgorithm):
         ctx.submit(grid_join_job(self.name, query, grid, flags))
         return Plan(f"{self.name}/output", shape=grid.shape(), grid=grid)
 
-    def predict(self, query, profile, conf=None):
-        from repro.core.predict import (
-            analytic_grid,
-            empty_prediction,
-            exact_prediction,
-        )
+    def analytic_prediction(self, query, profile, conf):
+        from repro.core.predict import analytic_grid, empty_prediction
         from repro.core.tuning import (
             CyclePrediction,
             PlanPrediction,
-            PredictConfig,
             crossing_fraction,
             split_factor,
         )
 
-        conf = conf or PredictConfig()
-        self._check_query(query)
-        if conf.exact:
-            return exact_prediction(self, query, conf)
         try:
             graph = JoinGraph(query)
         except UnsatisfiableQueryError:

@@ -264,26 +264,17 @@ class FCTS(JoinAlgorithm):
             partial_tuples=True,
         )
 
-    def predict(self, query, profile, conf=None):
-        from repro.core.predict import (
-            analytic_grid,
-            empty_prediction,
-            exact_prediction,
-        )
+    def analytic_prediction(self, query, profile, conf):
+        from repro.core.predict import analytic_grid, empty_prediction
         from repro.core.tuning import (
             CyclePrediction,
             PlanPrediction,
-            PredictConfig,
             condition_selectivity,
             crossing_fraction,
             replicate_fanout,
             split_factor,
         )
 
-        conf = conf or PredictConfig()
-        self._check_query(query)
-        if conf.exact:
-            return exact_prediction(self, query, conf)
         try:
             graph = JoinGraph(query)
         except UnsatisfiableQueryError:
@@ -384,6 +375,9 @@ class FSTC(JoinAlgorithm):
     def __init__(self, grid_parts: Optional[int] = None) -> None:
         self.grid_parts = grid_parts
 
+    def _check_query(self, query: IntervalJoinQuery) -> None:
+        self._sequence_subquery(query)
+
     def _sequence_subquery(self, query: IntervalJoinQuery) -> IntervalJoinQuery:
         """The connected sequence sub-query phase 1 solves."""
         if query.query_class is not QueryClass.HYBRID:
@@ -437,23 +431,15 @@ class FSTC(JoinAlgorithm):
             partial_tuples=True,
         )
 
-    def predict(self, query, profile, conf=None):
-        from repro.core.predict import (
-            analytic_grid,
-            exact_prediction,
-            operator_fanout,
-        )
+    def analytic_prediction(self, query, profile, conf):
+        from repro.core.predict import analytic_grid, operator_fanout
         from repro.core.tuning import (
             CyclePrediction,
             PlanPrediction,
-            PredictConfig,
             condition_selectivity,
         )
 
-        conf = conf or PredictConfig()
         seq_query = self._sequence_subquery(query)
-        if conf.exact:
-            return exact_prediction(self, query, conf)
         parts = conf.num_partitions
         grid_o = self.grid_parts or parts
         seq_graph = JoinGraph(seq_query)

@@ -174,25 +174,16 @@ class PASM(JoinAlgorithm):
             "pasm/output", shape={**grid.shape(), "cycles": 3}, grid=grid
         )
 
-    def predict(self, query, profile, conf=None):
-        from repro.core.predict import (
-            analytic_grid,
-            empty_prediction,
-            exact_prediction,
-        )
+    def analytic_prediction(self, query, profile, conf):
+        from repro.core.predict import analytic_grid, empty_prediction
         from repro.core.tuning import (
             CyclePrediction,
             PlanPrediction,
-            PredictConfig,
             crossing_fraction,
             replicate_fanout,
             split_factor,
         )
 
-        conf = conf or PredictConfig()
-        self._check_query(query)
-        if conf.exact:
-            return exact_prediction(self, query, conf)
         try:
             graph = JoinGraph(query)
         except UnsatisfiableQueryError:

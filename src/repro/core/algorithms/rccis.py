@@ -273,20 +273,15 @@ class RCCIS(JoinAlgorithm):
             shape={"partition_intervals": len(parts), "cycles": 2},
         )
 
-    def predict(self, query, profile, conf=None):
-        from repro.core.predict import exact_prediction
+    def analytic_prediction(self, query, profile, conf):
         from repro.core.tuning import (
             CyclePrediction,
             PlanPrediction,
-            PredictConfig,
             crossing_fraction,
             replicate_fanout,
             split_factor,
         )
 
-        conf = conf or PredictConfig()
-        if conf.exact:
-            return exact_prediction(self, query, conf)
         parts = conf.num_partitions
         n = profile.total_rows
         out_flag = n * split_factor(profile, parts)

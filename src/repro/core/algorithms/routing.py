@@ -10,10 +10,11 @@ and what value is shuffled.  Each of those is said once here:
 
 * a **router** owns *routing interval → target keys*, both planes side
   by side: ``targets(interval, record, counters)`` for one record (a
-  records-plane job, the exact prediction tier, the parity suite's
-  reference arm) and ``map_columns(starts, ends, records) -> (key_codes,
-  row_idx, counter increments)`` for a whole input; ``key_kind`` names
-  its key codec (``None``: it has none);
+  records-plane job and the parity suite's reference arm — the exact
+  prediction tier runs on whichever plane the run picks) and
+  ``map_columns(starts, ends, records) -> (key_codes, row_idx, counter
+  increments)`` for a whole input; ``key_kind`` names its key codec
+  (``None``: it has none);
 * a **view** owns *what is read and what is shuffled*: a record's
   routing interval, its shuffle value ``(tag, payload)`` and, for a
   whole input, the tag codes and the payload column;

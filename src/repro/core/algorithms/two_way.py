@@ -80,18 +80,10 @@ class TwoWayJoin(JoinAlgorithm):
             shape={"partition_intervals": len(parts), "cycles": 1},
         )
 
-    def predict(self, query, profile, conf=None):
-        from repro.core.predict import exact_prediction, operator_fanout
-        from repro.core.tuning import (
-            CyclePrediction,
-            PlanPrediction,
-            PredictConfig,
-        )
+    def analytic_prediction(self, query, profile, conf):
+        from repro.core.predict import operator_fanout
+        from repro.core.tuning import CyclePrediction, PlanPrediction
 
-        conf = conf or PredictConfig()
-        self._check_query(query)
-        if conf.exact:
-            return exact_prediction(self, query, conf)
         condition = query.conditions[0]
         parts = conf.num_partitions
         reads = 0.0

@@ -1,16 +1,18 @@
-"""Plan prediction helpers and the exact tier's dry plan interpreter.
+"""Plan prediction helpers and the exact tier's dry pipeline.
 
 ``JoinAlgorithm.predict`` has two tiers.  The *analytic* tier (the
 default, implemented per algorithm next to its ``plan``) evaluates the
 closed-form Section-6 formulas from a :class:`~repro.core.tuning.DataProfile`
-alone.  The *exact* tier here has no per-algorithm code: it hands the
-algorithm's own ``plan`` method a :class:`DryPipeline`, which drives each
-job's **real** mappers over the actual data and runs a job's reducer
-only when something downstream reads its output.  So the run's
-communication counters are reproduced bit-for-bit (the property tests in
+alone.  The *exact* tier here has no per-algorithm code and no engine of
+its own: it hands the algorithm's own ``plan`` method a
+:class:`DryPipeline`, which runs each job's map and shuffle through the
+job runner's own code (:mod:`repro.mapreduce.runner`) over the actual
+data, on the data plane the run would pick, and runs a job's reduce only
+when something downstream reads its output.  So the run's communication
+counters are reproduced bit-for-bit (the property tests in
 ``tests/core/test_predict.py`` pin it) under whatever partitioning the
-run would use, while the plan's final join — where a run spends its
-time — is never executed.
+run would use, while the plan's final reduce (where a run spends its
+time), task retries, spans and metrics are skipped.
 
 Per-key reducer loads are not accumulated here: every dry job is
 recorded as a :class:`~repro.mapreduce.job.JobResult`, and
@@ -20,10 +22,8 @@ and sub-plans exactly as they do for a run.
 
 from __future__ import annotations
 
-from collections import defaultdict
-from typing import Any, Dict, Hashable, Iterator, List, Optional, Sequence, Tuple
+from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
 
-from repro.errors import PlanningError
 from repro.core.algorithms.base import PlanContext
 from repro.core.algorithms.gen_matrix import GridSpec
 from repro.core.query import IntervalJoinQuery
@@ -37,11 +37,17 @@ from repro.core.tuning import (
 )
 from repro.intervals.allen import MapOperator
 from repro.intervals.partitioning import Partitioning
-from repro.mapreduce.counters import Counters
 from repro.mapreduce.fs import InMemoryFileSystem
 from repro.mapreduce.job import JobConf, JobResult
+from repro.mapreduce.options import RunOptions
 from repro.mapreduce.pipeline import PipelineResult
-from repro.mapreduce.task import MapContext, ReduceContext, Reducer
+from repro.mapreduce.runner import (
+    _JobRun,
+    _map_and_shuffle,
+    _reduce_and_commit,
+    _Shuffled,
+)
+from repro.obs.recorder import NullRecorder
 
 __all__ = [
     "DryPipeline",
@@ -94,28 +100,23 @@ def empty_prediction(
 
 
 # ----------------------------------------------------------------------
-# The exact tier: the algorithm's own plan, interpreted dry
+# The exact tier: the algorithm's own plan on the engine's map and shuffle
 # ----------------------------------------------------------------------
 
 
 class _DryFileSystem(InMemoryFileSystem):
-    """Holds each dry job's grouped map output until something reads the
-    job's output path; only then does the job's reducer run."""
+    """Holds each dry job between its shuffle and its reduce until
+    something reads the job's output path; only then does the job's
+    reduce half run and commit its ``part-*`` files."""
 
     def __init__(self) -> None:
         super().__init__()
-        self.unreduced: Dict[str, Tuple[Reducer, Dict[Hashable, List[Any]]]] = {}
+        self.unreduced: Dict[str, Tuple[_JobRun, _Shuffled]] = {}
 
     def read_dir(self, base: str) -> Iterator[Any]:
         job = self.unreduced.pop(base, None)
         if job is not None:
-            reducer, groups = job
-            context = ReduceContext(Counters(), task_index=0)
-            reducer.setup(context)
-            for key, values in groups.items():
-                reducer.reduce(key, values, context)
-            reducer.cleanup(context)
-            self.write(base, context.drain(), overwrite=True)
+            _reduce_and_commit(*job)
         return super().read_dir(base)
 
 
@@ -123,15 +124,18 @@ class DryPipeline:
     """The :class:`~repro.mapreduce.pipeline.Pipeline` stand-in a plan is
     handed for an exact prediction.
 
-    ``run`` drives the job's real mappers over its inputs, in-process,
-    and records the cycle as an ordinary
+    ``run`` runs the engine's own map and shuffle
+    (:func:`~repro.mapreduce.runner.run_job`'s first half) serially,
+    fault-free and unobserved, on the data plane the run would pick, and
+    records the cycle as an ordinary
     :class:`~repro.mapreduce.job.JobResult` — so ``ExecutionMetrics``
     folds per-key loads across cycles and sub-plans exactly as it does
-    for a run.  The reducer runs only if a later job, the plan method or
-    a parent plan reads the job's output: flag/mark reducers and
-    intermediate joins execute, the plan's final join never does.
-    Nothing goes through ``run_job``, so executors, fault plans, data
-    planes and observers cannot touch a prediction.
+    for a run.  The reduce half runs only if a later job, the plan
+    method or a parent plan reads the job's output: flag/mark reducers
+    and intermediate joins execute, the plan's final join never does.
+    Its run options are the defaults, never the environment's, and its
+    recorder is a ``NullRecorder``, so no executor, fault plan or
+    observer can touch a prediction.
     """
 
     observer = None
@@ -146,33 +150,15 @@ class DryPipeline:
         return DryPipeline(self.cycles)
 
     def run(self, conf: JobConf) -> JobResult:
-        if conf.combiner is not None:
-            raise PlanningError(
-                f"exact prediction does not model combiners (job {conf.name!r})"
-            )
-        counters = Counters()
-        groups: Dict[Hashable, List[Any]] = defaultdict(list)
-        reads = 0
-        for spec in conf.inputs:
-            context = MapContext(counters, spec.path)
-            spec.mapper.setup(context)
-            for record in self.fs.read_dir(spec.path):
-                reads += 1
-                spec.mapper.map(record, context)
-            spec.mapper.cleanup(context)
-            for key, value in context.drain():
-                groups[key].append(value)
-        loads = {key: len(values) for key, values in groups.items()}
-        pairs = sum(loads.values())
-        counters.increment("framework", "map_input_records", reads)
-        counters.increment("framework", "map_output_records", pairs)
-        counters.increment("framework", "shuffle_records", pairs)
-        self.fs.unreduced[conf.output] = (conf.reducer, groups)
+        recorder = NullRecorder()
+        run = _JobRun(self.fs, conf, RunOptions(), recorder, None)
+        shuffled = _map_and_shuffle(run, recorder.start_span("job"))
+        self.fs.unreduced[conf.output] = (run, shuffled)
         result = JobResult(
             name=conf.name,
-            counters=counters,
+            counters=shuffled.counters,
             reduce_task_loads=[],
-            logical_reducer_loads=loads,
+            logical_reducer_loads=shuffled.logical_loads,
             output=conf.output,
             output_records=0,
         )
@@ -180,11 +166,15 @@ class DryPipeline:
         self.cycles.append(
             CyclePrediction(
                 name=conf.name,
-                records_read=float(reads),
-                map_output_records=float(pairs),
-                shuffled_records=float(pairs),
+                records_read=float(
+                    result.counters.value("framework", "map_input_records")
+                ),
+                map_output_records=float(result.map_output_records),
+                shuffled_records=float(result.shuffled_records),
                 reduce_tasks=conf.num_reduce_tasks,
-                max_reducer_load=float(max(loads.values(), default=0)),
+                max_reducer_load=float(
+                    max(result.logical_reducer_loads.values(), default=0)
+                ),
             )
         )
         return result

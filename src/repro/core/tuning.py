@@ -325,7 +325,7 @@ def recommend_grid(
 # :class:`PlanPrediction` — per-cycle communication volumes plus grid
 # shape — computed either *analytically* from a :class:`DataProfile`
 # alone (the closed-form Section-6 style formulas below) or *exactly* by
-# interpreting the algorithm's own plan dry over the data
+# running the algorithm's own plan's map and shuffle over the data
 # (``repro.core.predict``).  The reconciliation layer
 # (``repro.obs.explain``) joins these numbers against the observed
 # ``ExecutionMetrics``/``MetricsRegistry`` values after the run.
@@ -393,7 +393,7 @@ class PredictConfig:
 
     num_partitions: int = 16
     cost_model: CostModel = DEFAULT_COST_MODEL
-    #: ``True`` interprets the algorithm's plan dry over the actual data
+    #: ``True`` runs the algorithm's plan's map and shuffle over the actual data
     #: (requires ``data``); default is the closed-form analytic tier.
     exact: bool = False
     #: The actual relations, required by the exact tier.
@@ -407,7 +407,7 @@ class PredictConfig:
     def require_data(self) -> Mapping[str, Relation]:
         if self.data is None:
             raise PlanningError(
-                "exact prediction dry-runs the mappers and needs data="
+                "exact prediction runs the plan's map and shuffle and needs data="
             )
         return self.data
 

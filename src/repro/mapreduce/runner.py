@@ -4,7 +4,9 @@
 following Hadoop's lifecycle: per-input map tasks (setup, map each
 record, cleanup), optional per-map-task combiner, sort-shuffle, reduce
 tasks (setup, reduce each key group in key order, cleanup), each reduce
-task committing one ``part-*`` file under the job's output path.
+task committing one ``part-*`` file under the job's output path.  Its
+two halves, :func:`_map_and_shuffle` and :func:`_reduce_and_commit`, are
+also what the exact prediction tier (:mod:`repro.core.predict`) runs.
 
 Every map and reduce task runs as a **task-attempt loop**
 (:func:`_run_task_attempts`, which documents the semantics): failed
@@ -783,6 +785,127 @@ def _run_tasks(run: _JobRun, tasks: _Tasks, parent: Any) -> List[_TaskOutcome]:
         tasks.close()
 
 
+# ----------------------------------------------------------------------
+# The two halves of a job, split at the shuffle.
+# ----------------------------------------------------------------------
+
+@dataclass
+class _Shuffled:
+    """A job between its shuffle and its reduce."""
+
+    #: the map tasks' merged counters, plus ``shuffle_records``.
+    counters: Counters
+    #: per reduce task, its ``(key, values)`` groups in key order.
+    tasks: List[List[Tuple[Hashable, Any]]]
+    #: the payload store of a columnar job; ``None`` on the records plane.
+    store: Optional[PayloadStore]
+    #: records received per intermediate key.
+    logical_loads: Dict[Hashable, int]
+    data_plane: str
+    data_plane_reason: Optional[str]
+
+
+def _map_and_shuffle(run: _JobRun, job_span: Any) -> _Shuffled:
+    """The map phase, on the plane the job picks, then the shuffle."""
+    recorder, conf = run.recorder, run.conf
+    with recorder.span(
+        "map", kind="phase", job=conf.name, tasks=len(conf.inputs)
+    ) as map_span:
+        map_tasks, plane_reason = _map_tasks_for(run)
+        store = map_tasks.store
+        data_plane = "columnar" if store is not None else "records"
+        job_span.annotate(data_plane=data_plane)
+        if plane_reason is not None:
+            job_span.annotate(data_plane_reason=plane_reason)
+        map_outcomes = _run_tasks(run, map_tasks, map_span)
+        pairs = map_tasks.collect(map_outcomes)
+    counters = Counters()
+    for outcome in map_outcomes:
+        counters.merge(outcome.counters)
+    # Inputs and per-task pair lists are dead weight from here on.
+    del map_tasks, map_outcomes
+    counters.increment("framework", "shuffle_records", len(pairs))
+
+    if store is not None:
+        logical_loads: Dict[Hashable, int] = pairs.logical_loads()
+    else:
+        logical_loads = defaultdict(int)
+        for key, _ in pairs:
+            logical_loads[key] += 1
+
+    # The shuffle phase is the sort of the distinct keys.
+    with recorder.span(
+        "shuffle", kind="phase", job=conf.name, tasks=1,
+        records=len(pairs), keys=len(logical_loads),
+        reduce_tasks=conf.num_reduce_tasks,
+    ) as shuffle_span:
+        if store is not None:
+            tasks = columnar_shuffle(
+                pairs, conf.num_reduce_tasks, conf.partitioner, store=store,
+            )
+        else:
+            tasks = shuffle(pairs, conf.num_reduce_tasks, conf.partitioner)
+        cost_model = run.cost_model
+        if cost_model is not None:
+            shuffle_span.annotate(
+                modelled_seconds=len(pairs)
+                * cost_model.shuffle_cost
+                / cost_model.parallelism
+            )
+    return _Shuffled(
+        counters, tasks, store, dict(logical_loads), data_plane, plane_reason
+    )
+
+
+def _reduce_and_commit(run: _JobRun, shuffled: _Shuffled) -> JobResult:
+    """The reduce phase and the commit of its ``part-*`` files (or the
+    job's abort); returns the job's measurements."""
+    fs, conf, tasks = run.fs, run.conf, shuffled.tasks
+    counters = Counters()
+    counters.merge(shuffled.counters)
+    reduce_task_loads = [
+        sum(len(values) for _, values in groups) for groups in tasks
+    ]
+    try:
+        with run.recorder.span(
+            "reduce", kind="phase", job=conf.name, tasks=len(tasks)
+        ) as reduce_span:
+            if shuffled.store is not None and run.pooled:
+                reduce_tasks = _ShmReduceTasks(run, tasks, shuffled.store)
+                reduce_span.annotate(
+                    shm_bytes=sum(d.nbytes for d, _ in reduce_tasks.packed)
+                )
+            else:
+                reduce_tasks = _ReduceTasks(run, tasks)
+            reduce_outcomes = _run_tasks(run, reduce_tasks, reduce_span)
+
+        for index, outcome in enumerate(reduce_outcomes):
+            counters.merge(outcome.counters)
+            # Commit: promote the winning attempt's staged file.
+            fs.promote_attempt(conf.output, index, outcome.attempt)
+    except BaseException:
+        # Abort: the job will not commit, so what its other tasks
+        # staged must not outlive it — an interrupt included.
+        fs.abort_job(conf.output)
+        raise
+    task_outputs = [len(outcome.result) for outcome in reduce_outcomes]
+    return JobResult(
+        name=conf.name,
+        counters=counters,
+        reduce_task_loads=reduce_task_loads,
+        logical_reducer_loads=shuffled.logical_loads,
+        output=conf.output,
+        output_records=sum(task_outputs),
+        reduce_task_outputs=task_outputs,
+        reduce_task_comparisons=[
+            outcome.counters.value("work", "comparisons")
+            for outcome in reduce_outcomes
+        ],
+        data_plane=shuffled.data_plane,
+        data_plane_reason=shuffled.data_plane_reason,
+    )
+
+
 def run_job(
     fs: FileSystem,
     conf: JobConf,
@@ -834,7 +957,6 @@ def run_job(
         raise MapReduceError(f"job {conf.name!r} has no inputs")
     recorder = observer if observer is not None else NullRecorder()
     run = _JobRun(fs, conf, options, recorder, cost_model)
-    counters = Counters()
 
     job_span = recorder.start_span(
         f"job:{conf.name}",
@@ -845,103 +967,19 @@ def run_job(
         max_attempts=options.faults.max_attempts,
     )
     try:
-        with recorder.span(
-            "map", kind="phase", job=conf.name, tasks=len(conf.inputs)
-        ) as map_span:
-            map_tasks, plane_reason = _map_tasks_for(run)
-            store = map_tasks.store
-            data_plane = "columnar" if store is not None else "records"
-            job_span.annotate(data_plane=data_plane)
-            if plane_reason is not None:
-                job_span.annotate(data_plane_reason=plane_reason)
-            map_outcomes = _run_tasks(run, map_tasks, map_span)
-            pairs = map_tasks.collect(map_outcomes)
-        for outcome in map_outcomes:
-            counters.merge(outcome.counters)
-        # Inputs and per-task pair lists are dead weight from here on.
-        del map_tasks, map_outcomes
-        counters.increment("framework", "shuffle_records", len(pairs))
-
-        if store is not None:
-            logical_loads: Dict[Hashable, int] = pairs.logical_loads()
-        else:
-            logical_loads = defaultdict(int)
-            for key, _ in pairs:
-                logical_loads[key] += 1
-
-        # The shuffle phase is the sort of the distinct keys.
-        with recorder.span(
-            "shuffle", kind="phase", job=conf.name, tasks=1,
-            records=len(pairs), keys=len(logical_loads),
-            reduce_tasks=conf.num_reduce_tasks,
-        ) as shuffle_span:
-            if store is not None:
-                tasks = columnar_shuffle(
-                    pairs, conf.num_reduce_tasks, conf.partitioner,
-                    store=store,
-                )
-            else:
-                tasks = shuffle(pairs, conf.num_reduce_tasks, conf.partitioner)
-            if cost_model is not None:
-                shuffle_span.annotate(
-                    modelled_seconds=len(pairs)
-                    * cost_model.shuffle_cost
-                    / cost_model.parallelism
-                )
-        reduce_task_loads = [
-            sum(len(values) for _, values in groups) for groups in tasks
-        ]
-
-        try:
-            with recorder.span(
-                "reduce", kind="phase", job=conf.name, tasks=len(tasks)
-            ) as reduce_span:
-                if store is not None and run.pooled:
-                    reduce_tasks = _ShmReduceTasks(run, tasks, store)
-                    reduce_span.annotate(
-                        shm_bytes=sum(d.nbytes for d, _ in reduce_tasks.packed)
-                    )
-                else:
-                    reduce_tasks = _ReduceTasks(run, tasks)
-                reduce_outcomes = _run_tasks(run, reduce_tasks, reduce_span)
-
-            for index, outcome in enumerate(reduce_outcomes):
-                counters.merge(outcome.counters)
-                # Commit: promote the winning attempt's staged file.
-                fs.promote_attempt(conf.output, index, outcome.attempt)
-        except BaseException:
-            # Abort: the job will not commit, so what its other tasks
-            # staged must not outlive it — an interrupt included.
-            fs.abort_job(conf.output)
-            raise
-        task_outputs = [len(outcome.result) for outcome in reduce_outcomes]
-
-        result = JobResult(
-            name=conf.name,
-            counters=counters,
-            reduce_task_loads=reduce_task_loads,
-            logical_reducer_loads=dict(logical_loads),
-            output=conf.output,
-            output_records=sum(task_outputs),
-            reduce_task_outputs=task_outputs,
-            reduce_task_comparisons=[
-                outcome.counters.value("work", "comparisons")
-                for outcome in reduce_outcomes
-            ],
-            data_plane=data_plane,
-            data_plane_reason=plane_reason,
-        )
-        job_span.counters = counters.snapshot()
+        result = _reduce_and_commit(run, _map_and_shuffle(run, job_span))
+        loads = result.logical_reducer_loads
+        job_span.counters = result.counters.snapshot()
         job_span.annotate(
             output_records=result.output_records,
-            shuffled_records=len(pairs),
-            reduce_task_loads=list(reduce_task_loads),
+            shuffled_records=result.shuffled_records,
+            reduce_task_loads=list(result.reduce_task_loads),
             # Hottest first, ties by repr(key): what a run report names.
             key_loads=sorted(
-                ((repr(key), load) for key, load in logical_loads.items()),
+                ((repr(key), load) for key, load in loads.items()),
                 key=lambda item: (-item[1], item[0]),
             ),
-            promoted=len(reduce_outcomes),
+            promoted=len(result.reduce_task_outputs),
         )
         if cost_model is not None:
             job_span.annotate(modelled_seconds=cost_model.job_time(result))

@@ -1,12 +1,13 @@
-"""The exact tier interprets each algorithm's own plan, dry.
+"""The exact tier runs each algorithm's own plan through the engine's
+map and shuffle, dry.
 
 ``tests/core/test_predict.py`` pins *what* the exact tier returns (the
 run's counters, bit for bit).  These tests pin *how*: the plan's final
 join never executes while the flag / mark reducers later cycles depend on
-do; nothing reaches ``run_job`` — so no run option, environment variable
-or observer can touch a prediction; and ``core/predict.py`` holds no
-per-algorithm knowledge (it imports nothing private from the
-algorithms).
+do; no run option, environment variable or observer can touch a
+prediction; ``core/predict.py`` has no map, group or reduce loop of its
+own (every job goes through the runner's); and it holds no per-algorithm
+knowledge (it imports nothing private from the algorithms).
 """
 
 from __future__ import annotations
@@ -85,10 +86,6 @@ def test_run_options_and_observers_cannot_touch_a_prediction(
 
     recorded = []
 
-    def forbidden(*args, **kwargs):
-        recorded.append(args)
-        raise AssertionError("an exact prediction must not run a job")
-
     def counting(original):
         def wrapper(self, *args, **kwargs):
             recorded.append(args)
@@ -97,19 +94,34 @@ def test_run_options_and_observers_cannot_touch_a_prediction(
         return wrapper
 
     from repro.obs.metrics import MetricsRegistry
-    from repro.obs.recorder import NullRecorder, TraceRecorder
+    from repro.obs.recorder import TraceRecorder
 
-    monkeypatch.setattr("repro.mapreduce.pipeline.run_job", forbidden)
     monkeypatch.setattr(
         MetricsRegistry, "_register", counting(MetricsRegistry._register)
     )
-    for recorder in (TraceRecorder, NullRecorder):
-        monkeypatch.setattr(
-            recorder, "start_span", counting(recorder.start_span)
-        )
+    monkeypatch.setattr(
+        TraceRecorder, "start_span", counting(TraceRecorder.start_span)
+    )
 
     assert _exact(algorithm) == baseline
     assert recorded == []
+
+
+def test_predict_module_runs_no_engine_of_its_own():
+    """Every job a prediction runs goes through the runner's map and
+    shuffle: ``core/predict.py`` imports no task or shuffle code and
+    names no task context or grouping dict."""
+    nodes = list(ast.walk(ast.parse(Path(predict_module.__file__).read_text())))
+    modules = {node.module for node in nodes if isinstance(node, ast.ImportFrom)}
+    names = {node.id for node in nodes if isinstance(node, ast.Name)}
+    for node in nodes:
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            names.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+    engine = {"repro.mapreduce.task", "repro.mapreduce.shuffle"}
+    assert (modules | names) & engine == set()
+    assert names & {"MapContext", "ReduceContext", "defaultdict"} == set()
 
 
 def test_predict_module_imports_nothing_private_from_the_algorithms():

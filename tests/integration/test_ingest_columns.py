@@ -7,7 +7,8 @@ input that *is* a base relation, and the reducers' output
 materialisation (``PayloadStore.take`` over the relation's row column)
 read those.  What is pinned here is the consequence: a second query on
 the same relations never calls ``Row.interval`` — on any executor, with
-or without a fault plan — outputs are the relations' own ``Row``
+or without a fault plan, and for an exact prediction, which runs the
+same map and shuffle — outputs are the relations' own ``Row``
 objects, and the thing tying an input to its relation (the input spec's
 ``source``) is never deep-copied per attempt nor pickled to a worker.
 """
@@ -20,8 +21,10 @@ from repro import Interval, Relation, reference_join
 from repro.core.algorithms.rccis import JoinReducer
 from repro.core.algorithms.two_way import OperatorMapper
 from repro.core.executor import execute
+from repro.core.planner import ALGORITHMS
 from repro.core.query import IntervalJoinQuery
 from repro.core.schema import Row
+from repro.core.tuning import PredictConfig, profile_data
 from repro.errors import MapReduceError
 from repro.intervals.allen import MapOperator
 from repro.intervals.partitioning import Partitioning
@@ -106,6 +109,15 @@ def test_a_second_query_does_not_read_the_rows(
     )
     assert interval_calls[0] <= per_row * rows
     assert {job.data_plane for job in recorder.job_results} == {"columnar"}
+
+    # An exact prediction runs the same map and shuffle, so a second one
+    # reads no rows either.
+    profile = profile_data(query, data)
+    conf = PredictConfig(num_partitions=4, exact=True, data=data)
+    predicted = ALGORITHMS[algorithm]().predict(query, profile, conf)
+    interval_calls[0] = 0
+    assert ALGORITHMS[algorithm]().predict(query, profile, conf) == predicted
+    assert interval_calls[0] <= per_row * rows
 
     assert len(want) > 0
     assert sorted(first.tuple_ids()) == sorted(second.tuple_ids()) == sorted(want)
