@@ -5,8 +5,10 @@ key type used by the paper's algorithms needs a bijective encoding:
 
 * partition-interval indices (2-way joins, RCCIS, cascade colocation
   steps) are non-negative ints — the code *is* the key;
-* 2-D grid cells ``(i, j)`` (matrix algorithms, cascade sequence steps)
-  pack as ``(i << 32) | j``.
+* grid cells ``(c_0, ..., c_{d-1})`` of any dimensionality (reducer
+  grids, cascade sequence steps, the grid flag and mark cycles'
+  ``(component, partition)``) pack into one int64, the compact keying
+  of an m-dimensional cell space of Zhang et al.'s multi-way theta-join.
 
 Decoding always produces **native Python** ints and tuples — numpy
 scalars repr differently under numpy 2.x (``np.int64(3)`` vs ``3``),
@@ -23,7 +25,8 @@ import numpy as np
 
 __all__ = ["KeyCodec", "IntKeyCodec", "CellKeyCodec", "KEY_CODECS"]
 
-_MASK32 = 0xFFFFFFFF
+#: The bits of a cell code below its dimensionality: the coordinates.
+_COORD_BITS = 59
 
 
 class KeyCodec(abc.ABC):
@@ -81,33 +84,50 @@ class IntKeyCodec(KeyCodec):
 
 
 class CellKeyCodec(KeyCodec):
-    """2-D grid cells ``(i, j)`` with ``0 <= i, j < 2**32``."""
+    """Grid cells ``(c_0, ..., c_{d-1})`` with ``1 <= d <= 15``: reducer
+    grid cells, and the ``(component, partition)`` keys of the grid flag
+    and mark cycles.  A code holds ``d`` in its top four bits and the
+    coordinates in the 59 below, ``59 // d`` bits each, the last lowest:
+    one ``d``'s codes order their cells row-major, and ``(prefix,
+    index)`` is ``encode_cell((prefix, 0)) | index``."""
 
     kind = "cell"
 
-    def decode(self, code: int) -> Hashable:
-        code = int(code)
-        return (code >> 32, code & _MASK32)
-
     @staticmethod
     def encode_cell(cell) -> int:
-        i, j = cell
-        return (int(i) << 32) | int(j)
+        width = _COORD_BITS // len(cell) if 0 < len(cell) < 16 else 0
+        code = 0
+        for coordinate in map(int, cell):
+            if not 0 <= coordinate < 1 << width:
+                raise ValueError(f"cell {tuple(cell)!r} does not fit the cell codec")
+            code = (code << width) | coordinate
+        return (len(cell) << _COORD_BITS) | code
+
+    def decode(self, code: int) -> Hashable:
+        code = int(code)
+        dims = code >> _COORD_BITS
+        width = _COORD_BITS // dims
+        mask = (1 << width) - 1
+        return tuple((code >> (width * k)) & mask for k in reversed(range(dims)))
 
     def compact_codes(self, codes: np.ndarray) -> Optional[np.ndarray]:
-        # ``(i << 32) | j`` orders cells row-major; ``i * width + j``
-        # with ``width > max(j)`` orders them the same way (if
-        # ``i1 < i2`` then ``i1 * width + j1 < i2 * width`` because
-        # ``j1 < width``), so the dense recoding is monotone whenever
-        # the grid is small enough for it to fit 16 bits.
-        if codes.size == 0:
+        # The coordinates as the digits of a mixed radix, each digit's
+        # radix one past its largest value, number the cells row-major
+        # as the codes order them: monotone when one dimensionality is
+        # live and the cells the radix spans fit 16 bits.
+        dims = codes >> np.int64(_COORD_BITS)
+        if codes.size == 0 or dims.min() != dims.max():
             return None
-        rows = codes >> np.int64(32)
-        cols = codes & np.int64(_MASK32)
-        width = int(cols.max()) + 1
-        if int(rows.max()) * width + (width - 1) < 2 ** 15:
-            return (rows * width + cols).astype(np.int16)
-        return None
+        width = _COORD_BITS // int(dims[0])
+        compact = np.zeros(len(codes), dtype=np.int64)
+        span = 1
+        for k in range(int(dims[0])):
+            digit = (codes >> np.int64(width * k)) & np.int64((1 << width) - 1)
+            compact += digit * span
+            span *= int(digit.max()) + 1
+            if span > 2 ** 15:
+                return None
+        return compact.astype(np.int16)
 
 
 #: One shared codec instance per ``columnar_key_kind``.

@@ -90,8 +90,7 @@ def build_partitioning(
         hi = lo + 1.0
     if strategy == "uniform" or (strategy == "equi_depth" and not any(map(len, columns))):
         # Pad the right edge so the maximal start point projects inside.
-        span = hi - lo
-        return Partitioning.uniform(lo, hi + span * 1e-9 + 1e-9, parts)
+        return Partitioning.covering(lo, hi, parts)
     if strategy == "equi_depth":
         starts = [s for column in columns for s in column.starts.tolist()]
         return Partitioning.equi_depth(starts, parts)

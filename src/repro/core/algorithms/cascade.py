@@ -34,11 +34,11 @@ from repro.core.algorithms.base import JoinAlgorithm, Plan, PlanContext
 from repro.core.algorithms.routing import (
     BOUND_SIDE,
     NEW_SIDE,
+    CellRouter,
     LiftedRowView,
     MemberView,
     OperatorRouter,
     PartialTuple,
-    PinnedCellRouter,
     RoutedMapper,
     RowView,
 )
@@ -312,8 +312,8 @@ def _sequence_step_job(
     ]
     return _step_job(
         ctx, f"cascade-{new}", new, routing, step_conditions, bound_path,
-        PinnedCellRouter(grid_partitioning, 0, cells),
-        PinnedCellRouter(grid_partitioning, 1, cells),
+        CellRouter(grid_partitioning, 0, cells),
+        CellRouter(grid_partitioning, 1, cells),
         output, max(1, len(cells)),
     )
 

@@ -26,14 +26,18 @@ soundness condition per order pair with Allen path consistency and fall
 back to keeping the cells whenever it cannot be proven, preserving
 correctness at the cost of pruning less.
 
-Flag distribution
+Flags and routing
 -----------------
 The flagging cycle emits only the flagged ``(relation, rid, attribute)``
-triples; the driver ships that small table to the routing mappers the way
-a Hadoop job would use the DistributedCache.  (RCCIS proper instead passes
-whole flagged rows through its first cycle's output, exactly as the paper
-describes; both designs are implemented so the test suite cross-checks
-them.)
+triples; the driver ships that small table to the join cycle's routers
+the way a Hadoop job would use the DistributedCache.  (RCCIS proper
+instead passes whole flagged rows through its first cycle's output,
+exactly as the paper describes; both designs are implemented so the test
+suite cross-checks them.)  Each relation's rows go through one
+:class:`~repro.core.algorithms.routing.CellRouter` — pinned at their
+coordinate, the upper tail where flagged — and every cycle of a
+single-attribute query runs on the columnar plane; a multi-attribute
+relation's per-term intersection keeps its join cycle on records.
 """
 
 from __future__ import annotations
@@ -41,7 +45,6 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from collections import defaultdict
 from typing import (
     Dict,
     FrozenSet,
@@ -58,22 +61,22 @@ from typing import (
 import numpy as np
 
 from repro.errors import PlanningError, UnsatisfiableQueryError
-from repro.core.algorithms.base import (
-    JoinAlgorithm,
-    Plan,
-    PlanContext,
-    input_path,
-)
+from repro.core.algorithms.base import JoinAlgorithm, Plan, PlanContext
 from repro.columnar.batch import ColumnValues, reduce_columns
 from repro.core.algorithms.crossing import count_flagged, flag_columns
-from repro.core.algorithms.routing import OperatorRouter, RoutedMapper, RowView
+from repro.core.algorithms.routing import (
+    CellRouter,
+    OperatorRouter,
+    RoutedMapper,
+    RowView,
+)
 from repro.core.graph import Component, JoinGraph
 from repro.core.local import (
     LocalJoiner,
+    TupleReducer,
     anchored_join,
     attribute_columns,
-    row_columns,
-    take_tuples,
+    group_rows,
 )
 from repro.core.query import IntervalJoinQuery, QueryClass, Term
 from repro.core.schema import Row
@@ -81,9 +84,9 @@ from repro.intervals.allen import MapOperator
 from repro.intervals.composition import path_consistency
 from repro.intervals.partitioning import Partitioning
 from repro.intervals.sweep import SortedColumns
-from repro.mapreduce.job import InputSpec, JobConf
+from repro.mapreduce.job import JobConf
 from repro.mapreduce.shuffle import RoundRobinKeyPartitioner
-from repro.mapreduce.task import MapContext, Mapper, ReduceContext, Reducer
+from repro.mapreduce.task import ReduceContext, Reducer
 
 __all__ = ["GenMatrix", "AllSeqMatrix", "AllMatrix", "GridSpec"]
 
@@ -142,7 +145,6 @@ class GridSpec:
         self.total_cells = 1
         for p in self.partitionings:
             self.total_cells *= len(p)
-        self._projections: Dict[Tuple[int, ...], Dict[Tuple[int, ...], List[Cell]]] = {}
 
     # ------------------------------------------------------------------
     def shape(self) -> Dict[str, int]:
@@ -156,16 +158,6 @@ class GridSpec:
     def partitioning_of(self, dim: int) -> Partitioning:
         """The partitioning governing one grid dimension."""
         return self.partitionings[dim]
-
-    @property
-    def partitioning(self) -> Partitioning:
-        """The shared partitioning of a uniform grid (the common case)."""
-        first = self.partitionings[0]
-        if any(p is not first and p != first for p in self.partitionings):
-            raise PlanningError(
-                "grid has per-dimension partitionings; use partitioning_of"
-            )
-        return first
 
     def _order_possible(self, dim_j: int, i_j: int, dim_k: int, i_k: int) -> bool:
         """Whether a start in partition ``i_j`` of dim ``j`` can be <= a
@@ -216,29 +208,6 @@ class GridSpec:
             if sound:
                 justified.add((cj, ck))
         return frozenset(justified)
-
-    # ------------------------------------------------------------------
-    def cells_matching(
-        self, constraints: Mapping[int, FrozenSet[int]]
-    ) -> List[Cell]:
-        """Consistent cells whose coordinate on each constrained dimension
-        lies in the allowed set (grouped-lookup, precomputed per dimension
-        subset)."""
-        dims = tuple(sorted(constraints))
-        if not dims:
-            return self.cells
-        index = self._projections.get(dims)
-        if index is None:
-            index = defaultdict(list)
-            for cell in self.cells:
-                index[tuple(cell[d] for d in dims)].append(cell)
-            self._projections[dims] = index
-        out: List[Cell] = []
-        for values in itertools.product(
-            *(sorted(constraints[d]) for d in dims)
-        ):
-            out.extend(index.get(values, ()))
-        return out
 
 
 # ----------------------------------------------------------------------
@@ -300,9 +269,7 @@ class _ComponentFlaggingReducer(Reducer):
         if isinstance(values, ColumnValues):
             reduce_columns(self, key, values, context)
             return
-        rows_by_term: Dict[str, List[Row]] = defaultdict(list)
-        for term_name, row in values:
-            rows_by_term[term_name].append(row)
+        rows_by_term = group_rows(values)
         columns = {
             name: attribute_columns(rows, self.terms[name].attribute)
             for name, rows in rows_by_term.items()
@@ -347,65 +314,17 @@ class _ComponentFlaggingReducer(Reducer):
 # ----------------------------------------------------------------------
 
 
-class _GridRouteMapper(Mapper):
-    """Route one relation's rows to the consistent cells satisfying all
-    per-attribute constraints (conditions E1 + E2 of Sections 8.1/9.1).
-
-    The one routing that is none of the three routers of
-    :mod:`repro.core.algorithms.routing`: a row carries one constraint
-    per term — pinned, or widened to the upper tail when flagged — and
-    its targets are the cells in the *intersection* over all of its
-    dimensions, which no single routing interval describes.  Records
-    plane only.
-    """
-
-    def __init__(
-        self,
-        relation: str,
-        terms: Sequence[Term],
-        term_components: Mapping[str, int],
-        grid: GridSpec,
-        flags: FrozenSet[FlagKey],
-        keep: Optional[FrozenSet[int]] = None,
-    ) -> None:
-        self.relation = relation
-        self.terms = list(terms)
-        self.term_components = dict(term_components)
-        self.grid = grid
-        self.flags = flags
-        #: rids surviving PASM's marking cycle; None = relation not pruned.
-        self.keep = keep
-
-    def map(self, record: Row, context: MapContext) -> None:
-        if self.keep is not None and record.rid not in self.keep:
-            context.counters.increment("join", "pruned_rows")
-            return
-        constraints: Dict[int, FrozenSet[int]] = {}
-        replicated = False
-        for term in self.terms:
-            dim = self.term_components[str(term)]
-            parts = self.grid.partitioning_of(dim)
-            interval = record.interval(term.attribute)
-            q = parts.project(interval)
-            if (self.relation, record.rid, term.attribute) in self.flags:
-                allowed = frozenset(range(q, len(parts)))
-                replicated = True
-            else:
-                allowed = frozenset((q,))
-            if dim in constraints:
-                constraints[dim] = constraints[dim] & allowed
-            else:
-                constraints[dim] = allowed
-        if any(not allowed for allowed in constraints.values()):
-            return  # contradictory constraints: the row joins nothing
-        targets = self.grid.cells_matching(constraints)
-        if replicated:
-            context.counters.increment("join", "replicated_pairs", len(targets))
-        for cell in targets:
-            context.emit(cell, (self.relation, record))
+def flagged_in(flags: FrozenSet[FlagKey], term: Term, row: Row) -> bool:
+    """Whether the flag cycle marked ``term``'s interval of ``row``."""
+    return (term.relation, row.rid, term.attribute) in flags
 
 
-class _GridJoinReducer(Reducer):
+def _kept(rids: FrozenSet[int], row: Row) -> bool:
+    """Whether PASM's marking cycle kept ``row``."""
+    return row.rid in rids
+
+
+class _GridJoinReducer(TupleReducer):
     """Join one cell's rows; emit tuples owned by this cell (per
     component, the right-most member interval starts at the cell's
     coordinate).
@@ -421,10 +340,11 @@ class _GridJoinReducer(Reducer):
     def __init__(self, query: IntervalJoinQuery, grid: GridSpec) -> None:
         self.query = query
         self.grid = grid
-        # component index -> list of terms whose intervals it governs
-        self.component_terms: Dict[int, List[Term]] = defaultdict(list)
-        for component in grid.graph.components:
-            self.component_terms[component.index] = sorted(component.terms)
+        # component index -> the terms whose intervals it governs
+        self.component_terms: Dict[int, List[Term]] = {
+            component.index: sorted(component.terms)
+            for component in grid.graph.components
+        }
         # Anchor on the largest component (the one whose replication
         # would otherwise cause re-enumeration); None for all-singleton
         # grids (pure routing delivers each tuple to exactly one cell).
@@ -443,17 +363,8 @@ class _GridJoinReducer(Reducer):
             max(multi, key=lambda c: len(c.terms)).index if multi else None
         )
 
-    def reduce(
-        self,
-        key: Hashable,
-        values: List[Tuple[str, Row]],
-        context: ReduceContext,
-    ) -> None:
+    def _join(self, key, columns, counters):
         cell: Cell = tuple(key)  # type: ignore[arg-type]
-        rows_by_relation: Dict[str, List[Row]] = defaultdict(list)
-        for relation, row in values:
-            rows_by_relation[relation].append(row)
-        columns, rows = row_columns(self.query, rows_by_relation)
         # The grid coordinate of every row's start, per term: locate is
         # monotone, so a component's right-most start lies in the
         # largest of its members' coordinates.
@@ -464,9 +375,7 @@ class _GridJoinReducer(Reducer):
             for dim, terms in self.component_terms.items()
             for term in terms
         }
-        count = functools.partial(
-            context.counters.increment, "work", "comparisons"
-        )
+        count = functools.partial(counters.increment, "work", "comparisons")
 
         def owns(binding: Mapping[str, np.ndarray]) -> np.ndarray:
             keep = True
@@ -478,22 +387,18 @@ class _GridJoinReducer(Reducer):
             return keep
 
         if self._anchor_component is None:
-            bindings = LocalJoiner(self.query, count).join_columns(
+            return LocalJoiner(self.query, count).join_columns(
                 columns, accept=owns
             )
-        else:
-            # Anchor on the component's terms in order (local = the
-            # interval starts at the cell's coordinate on that
-            # dimension); the other dimensions' ownership checks stay
-            # in ``owns``.
-            anchor_dim = self._anchor_component
-            bindings = anchored_join(
-                self.query, count, columns, self.component_terms[anchor_dim],
-                self.grid.partitioning_of(anchor_dim), cell[anchor_dim],
-                accept=owns,
-            )
-        for binding in bindings:
-            context.emit_many(take_tuples(rows, binding))
+        # Anchor on the component's terms in order (local = the interval
+        # starts at the cell's coordinate on that dimension); the other
+        # dimensions' ownership checks stay in ``owns``.
+        anchor_dim = self._anchor_component
+        return anchored_join(
+            self.query, count, columns, self.component_terms[anchor_dim],
+            self.grid.partitioning_of(anchor_dim), cell[anchor_dim],
+            accept=owns,
+        )
 
 
 # ----------------------------------------------------------------------
@@ -547,43 +452,78 @@ def flag_cycle(ctx: PlanContext, name: str, grid: GridSpec) -> FrozenSet[FlagKey
 
 
 def grid_join_job(
+    ctx: PlanContext,
     name: str,
-    query: IntervalJoinQuery,
     grid: GridSpec,
     flags: FrozenSet[FlagKey],
     keep: Optional[Mapping[str, Set[int]]] = None,
 ) -> JobConf:
-    """The grid routing + join cycle shared by the grid plans; ``keep``
-    maps each pruned relation to its surviving rids (PASM)."""
-    term_components = {
-        str(term): grid.graph.component_of(term).index for term in query.terms
-    }
-    terms_by_relation: Dict[str, List[Term]] = defaultdict(list)
-    for term in query.terms:
-        terms_by_relation[term.relation].append(term)
-    keep = keep or {}
+    """The grid routing + join cycle shared by the grid plans: each
+    relation's rows go to the consistent cells at their coordinates —
+    the upper tail where the flag cycle flagged them (conditions E1 + E2
+    of Sections 8.1/9.1).  ``keep`` maps each pruned relation to its
+    surviving rids (PASM)."""
+    query, keep = ctx.query, keep or {}
+
+    def pin(term: Term):
+        component = grid.graph.component_of(term)
+        multi = len(component.terms) > 1
+        flagged = functools.partial(flagged_in, flags, term) if multi else None
+        return component.index, grid.partitioning_of(component.index), term.attribute, flagged
+
+    def mapper(relation: str) -> RoutedMapper:
+        (dim, parts, attribute, flagged), *also = [
+            pin(term) for term in query.terms if term.relation == relation
+        ]
+        kept = functools.partial(_kept, frozenset(keep[relation])) if relation in keep else None
+        return RoutedMapper(
+            RowView(relation, attribute),
+            CellRouter(parts, dim, grid.cells, flagged, kept, also),
+        )
+
     return JobConf(
         name=f"{name}-join",
         inputs=[
-            InputSpec(
-                input_path(relation),
-                _GridRouteMapper(
-                    relation,
-                    terms_by_relation[relation],
-                    term_components,
-                    grid,
-                    flags,
-                    keep=(
-                        frozenset(keep[relation]) if relation in keep else None
-                    ),
-                ),
-            )
+            ctx.base_input(relation, mapper(relation))
             for relation in query.relations
         ],
         reducer=_GridJoinReducer(query, grid),
         output=f"{name}/output",
         num_reduce_tasks=max(1, len(grid.cells)),
         partitioner=RoundRobinKeyPartitioner(),
+    )
+
+
+def join_cycle_prediction(name, query, graph, grid, per_dim, profile):
+    """The analytic :class:`~repro.core.tuning.CyclePrediction` of a grid
+    join cycle: each row reaches a fraction of the consistent cells — on
+    each of its term dimensions the coordinate is pinned (1/o), or, for
+    replicated rows of multi-term components, widened to the upper tail
+    range(q, o), (o+1)/(2o) on average."""
+    from repro.core.tuning import CyclePrediction, crossing_fraction
+
+    reads = out = 0.0
+    for relation in query.relations:
+        n = profile.rows_per_relation.get(relation, 0)
+        reads += n
+        fraction = 1.0
+        for term in (term for term in query.terms if term.relation == relation):
+            comp = graph.component_of(term)
+            o = per_dim[comp.index]
+            if len(comp.terms) > 1:
+                crossing = crossing_fraction(profile, o)
+                fraction *= (1.0 - crossing) / o + crossing * (o + 1) / (2.0 * o)
+            else:
+                fraction *= 1.0 / o
+        out += n * len(grid.cells) * fraction
+    cells = max(1, len(grid.cells))
+    return CyclePrediction(
+        name=name,
+        records_read=reads,
+        map_output_records=out,
+        shuffled_records=out,
+        reduce_tasks=cells,
+        max_reducer_load=out / cells,
     )
 
 
@@ -639,17 +579,12 @@ class GenMatrix(JoinAlgorithm):
         built = {o: ctx.partition(o) for o in set(per_dim_parts)}
         grid = GridSpec(graph, [built[o] for o in per_dim_parts])
         flags = flag_cycle(ctx, self.name, grid)
-        ctx.submit(grid_join_job(self.name, query, grid, flags))
+        ctx.submit(grid_join_job(ctx, self.name, grid, flags))
         return Plan(f"{self.name}/output", shape=grid.shape(), grid=grid)
 
     def analytic_prediction(self, query, profile, conf):
         from repro.core.predict import analytic_grid, empty_prediction
-        from repro.core.tuning import (
-            CyclePrediction,
-            PlanPrediction,
-            crossing_fraction,
-            split_factor,
-        )
+        from repro.core.tuning import CyclePrediction, PlanPrediction, split_factor
 
         try:
             graph = JoinGraph(query)
@@ -659,7 +594,6 @@ class GenMatrix(JoinAlgorithm):
             )
         per_dim = self._per_dim_parts(graph, conf.num_partitions)
         grid = analytic_grid(graph, per_dim)
-        cells = max(1, len(grid.cells))
         multi = multi_term_components(graph)
         cycles = []
         flag_load = 0.0
@@ -684,46 +618,14 @@ class GenMatrix(JoinAlgorithm):
                     max_reducer_load=flag_load,
                 )
             )
-        reads = 0.0
-        out = 0.0
-        terms_by_relation: Dict[str, List[Term]] = defaultdict(list)
-        for term in query.terms:
-            terms_by_relation[term.relation].append(term)
-        for name in query.relations:
-            n = profile.rows_per_relation.get(name, 0)
-            reads += n
-            # Fraction of the consistent cells one row reaches: on each
-            # of its term dimensions the coordinate is pinned (1/o), or —
-            # for replicated rows of multi-term components — widened to
-            # the upper tail range(q, o), (o+1)/(2o) on average.
-            fraction = 1.0
-            for term in terms_by_relation[name]:
-                comp = graph.component_of(term)
-                o = per_dim[comp.index]
-                if len(comp.terms) > 1:
-                    crossing = crossing_fraction(profile, o)
-                    fraction *= (1.0 - crossing) / o + crossing * (
-                        o + 1
-                    ) / (2.0 * o)
-                else:
-                    fraction *= 1.0 / o
-            out += n * len(grid.cells) * fraction
-        join_load = out / cells
-        cycles.append(
-            CyclePrediction(
-                name=f"{self.name}-join",
-                records_read=reads,
-                map_output_records=out,
-                shuffled_records=out,
-                reduce_tasks=cells,
-                max_reducer_load=join_load,
-            )
+        join = join_cycle_prediction(
+            f"{self.name}-join", query, graph, grid, per_dim, profile
         )
         return PlanPrediction(
             algorithm=self.name,
             cost_model=conf.cost_model,
-            cycles=tuple(cycles),
-            max_reducer_load=max(flag_load, join_load),
+            cycles=(*cycles, join),
+            max_reducer_load=max(flag_load, join.max_reducer_load),
             consistent_reducers=len(grid.cells),
             total_reducers=grid.total_cells,
         )

@@ -30,8 +30,8 @@ from repro.core.algorithms.cascade import colocation_step_job, step_operators
 from repro.core.algorithms.gen_matrix import AllMatrix, GridSpec
 from repro.core.algorithms.rccis import RCCIS
 from repro.core.algorithms.routing import (
+    CellRouter,
     PartialTuple,
-    PinnedCellRouter,
     RightmostMemberView,
     RoutedMapper,
 )
@@ -239,8 +239,9 @@ class FCTS(JoinAlgorithm):
                         # component's right-most member interval.
                         RoutedMapper(
                             RightmostMemberView(attributes, component.index),
-                            PinnedCellRouter(
-                                grid.partitioning, component.index, grid.cells
+                            CellRouter(
+                                grid.partitioning_of(component.index),
+                                component.index, grid.cells,
                             ),
                         ),
                     )

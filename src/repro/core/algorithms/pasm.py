@@ -18,35 +18,31 @@ from __future__ import annotations
 
 import functools
 from collections import defaultdict
-from typing import Dict, FrozenSet, Hashable, List, Mapping, Optional, Set, Tuple
+from typing import Dict, List, Mapping, Optional, Set
 
 import numpy as np
 
 from repro.errors import PlanningError, UnsatisfiableQueryError
+from repro.columnar.batch import ColumnValues, reduce_columns
 from repro.core.algorithms.base import JoinAlgorithm, Plan, PlanContext
 from repro.core.algorithms.gen_matrix import (
-    FlagKey,
     GridSpec,
     flag_cycle,
+    flagged_in,
     grid_join_job,
+    join_cycle_prediction,
     multi_term_components,
 )
 from repro.core.algorithms.routing import FlagRouter, RoutedMapper, RowView
 from repro.core.graph import JoinGraph
-from repro.core.local import anchored_join, row_columns
+from repro.core.local import anchored_join, group_columns, group_rows, row_columns
 from repro.core.query import IntervalJoinQuery, Term
-from repro.core.schema import Row
 from repro.intervals.partitioning import Partitioning
 from repro.mapreduce.job import JobConf
 from repro.mapreduce.shuffle import RoundRobinKeyPartitioner
 from repro.mapreduce.task import ReduceContext, Reducer
 
 __all__ = ["PASM"]
-
-
-def _flagged(flags: FrozenSet[FlagKey], term: Term, record: Row) -> bool:
-    """Whether the flag cycle marked ``term``'s interval of ``record``."""
-    return (term.relation, record.rid, term.attribute) in flags
 
 
 class _MarkingReducer(Reducer):
@@ -62,37 +58,57 @@ class _MarkingReducer(Reducer):
         self.subqueries = dict(subqueries)
         self.attributes = dict(attributes)
         self.partitioning = partitioning
+        #: the relations an output's code names, in a fixed order.
+        self.relations = sorted(self.attributes)
 
-    def reduce(
-        self,
-        key: Hashable,
-        values: List[Tuple[str, Row]],
-        context: ReduceContext,
-    ) -> None:
-        component_index, partition = key  # type: ignore[misc]
+    def _marked(self, key, columns, counters) -> Dict[str, np.ndarray]:
+        """Per relation of the key's component, the rows (indices into
+        its columns) some tuple owned here binds, ascending."""
+        component_index, partition = key
         subquery = self.subqueries[component_index]
-        rows_by_relation: Dict[str, List[Row]] = defaultdict(list)
-        for relation, row in values:
-            rows_by_relation[relation].append(row)
-        columns, rows = row_columns(subquery, rows_by_relation)
         # Exactly-once decomposition by the last local member, as in the
         # RCCIS JoinReducer.
-        anchors = [
-            Term(name, self.attributes[name]) for name in subquery.relations
-        ]
-        count = functools.partial(
-            context.counters.increment, "work", "comparisons"
-        )
+        anchors = [Term(name, self.attributes[name]) for name in subquery.relations]
+        count = functools.partial(counters.increment, "work", "comparisons")
         participating: Dict[str, List[np.ndarray]] = defaultdict(list)
         for binding in anchored_join(
             subquery, count, columns, anchors, self.partitioning, partition
         ):
             for name, members in binding.items():
                 participating[name].append(np.unique(members))
-        for name in subquery.relations:
-            if participating[name]:
-                marked = np.unique(np.concatenate(participating[name]))
-                context.emit_many((name, row.rid) for row in rows[name][marked])
+        return {
+            name: np.unique(np.concatenate(participating[name]))
+            for name in subquery.relations
+            if participating[name]
+        }
+
+    def reduce(self, key, values, context: ReduceContext) -> None:
+        if isinstance(values, ColumnValues):
+            reduce_columns(self, key, values, context)
+            return
+        columns, rows = row_columns(self.subqueries[key[0]], group_rows(values))
+        for name, marked in self._marked(key, columns, context.counters).items():
+            context.emit_many((name, row.rid) for row in rows[name][marked])
+
+    # -- columnar protocol (see repro.mapreduce.task) -------------------
+    def columnar_ready(self) -> bool:
+        return True
+
+    def columnar_outputs(self, key, values: ColumnValues, counters):
+        columns, gids = group_columns(self.subqueries[key[0]], values)
+        # One ``gid, relation`` row per marked row.
+        outs = [np.empty((0, 2), dtype=np.int64)]
+        for name, marked in self._marked(key, columns, counters).items():
+            code = np.full(len(marked), self.relations.index(name))
+            outs.append(np.stack([gids[name][marked], code], axis=1))
+        return np.concatenate(outs)
+
+    def materialize_outputs(self, outs, store):
+        gids, codes = np.asarray(outs, dtype=np.int64).reshape(-1, 2).T
+        return [
+            (self.relations[code], row.rid)
+            for row, code in zip(store.take(gids), codes.tolist())
+        ]
 
 
 class PASM(JoinAlgorithm):
@@ -141,7 +157,7 @@ class PASM(JoinAlgorithm):
                                 RowView(term.relation, term.attribute),
                                 FlagRouter(
                                     parts,
-                                    functools.partial(_flagged, flags, term),
+                                    functools.partial(flagged_in, flags, term),
                                     prefix=comp.index,
                                     count_pairs=False,
                                 ),
@@ -169,7 +185,7 @@ class PASM(JoinAlgorithm):
                 keep[relation].add(rid)
 
         # ----- cycle 3: pruned grid join -----
-        ctx.submit(grid_join_job("pasm", query, grid, flags, keep))
+        ctx.submit(grid_join_job(ctx, "pasm", grid, flags, keep))
         return Plan(
             "pasm/output", shape={**grid.shape(), "cycles": 3}, grid=grid
         )
@@ -192,7 +208,6 @@ class PASM(JoinAlgorithm):
             )
         o = self.grid_parts or conf.num_partitions
         grid = analytic_grid(graph, [o] * len(graph.components))
-        cells = max(1, len(grid.cells))
         multi = multi_term_components(graph)
         cycles = []
         flag_mark_load = 0.0
@@ -232,41 +247,14 @@ class PASM(JoinAlgorithm):
             # Flag + mark cycles share the (component, partition) key
             # space, so their loads collide and sum.
             flag_mark_load = (out_flag + out_mark) / reduce_tasks
-        reads = 0.0
-        out = 0.0
-        terms_by_relation: Dict[str, List[Term]] = defaultdict(list)
-        for term in query.terms:
-            terms_by_relation[term.relation].append(term)
-        for name in query.relations:
-            n = profile.rows_per_relation.get(name, 0)
-            reads += n
-            fraction = 1.0
-            for term in terms_by_relation[name]:
-                comp = graph.component_of(term)
-                if len(comp.terms) > 1:
-                    crossing = crossing_fraction(profile, o)
-                    fraction *= (1.0 - crossing) / o + crossing * (
-                        o + 1
-                    ) / (2.0 * o)
-                else:
-                    fraction *= 1.0 / o
-            out += n * len(grid.cells) * fraction
-        join_load = out / cells
-        cycles.append(
-            CyclePrediction(
-                name="pasm-join",
-                records_read=reads,
-                map_output_records=out,
-                shuffled_records=out,
-                reduce_tasks=cells,
-                max_reducer_load=join_load,
-            )
+        join = join_cycle_prediction(
+            "pasm-join", query, graph, grid, [o] * len(graph.components), profile
         )
         return PlanPrediction(
             algorithm=self.name,
             cost_model=conf.cost_model,
-            cycles=tuple(cycles),
-            max_reducer_load=max(flag_mark_load, join_load),
+            cycles=(*cycles, join),
+            max_reducer_load=max(flag_mark_load, join.max_reducer_load),
             consistent_reducers=len(grid.cells),
             total_reducers=grid.total_cells,
             notes=(

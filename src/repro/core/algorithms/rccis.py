@@ -23,8 +23,7 @@ All-Matrix / All-Seq-Matrix / Gen-Matrix.
 from __future__ import annotations
 
 import functools
-from collections import defaultdict
-from typing import Dict, Hashable, List, Mapping, Sequence, Tuple
+from typing import Hashable, List, Mapping, Sequence, Tuple
 
 import numpy as np
 
@@ -32,10 +31,10 @@ from repro.errors import PlanningError
 from repro.columnar.batch import ColumnValues, IndexBlock, reduce_columns
 from repro.core.algorithms.base import JoinAlgorithm, Plan, PlanContext
 from repro.core.local import (
+    TupleReducer,
     anchored_join,
     attribute_columns,
-    row_columns,
-    take_tuples,
+    group_rows,
 )
 from repro.core.query import IntervalJoinQuery, QueryClass, Term
 from repro.core.schema import Row
@@ -100,9 +99,7 @@ class FlaggingReducer(Reducer):
         if isinstance(values, ColumnValues):
             reduce_columns(self, key, values, context)
             return
-        rows_by_relation: Dict[str, List[Row]] = defaultdict(list)
-        for relation, row in values:
-            rows_by_relation[relation].append(row)
+        rows_by_relation = group_rows(values)
         columns = {
             relation: attribute_columns(rows, self.attributes[relation])
             for relation, rows in rows_by_relation.items()
@@ -148,7 +145,7 @@ class RouteMapper(RoutedMapper):
         super().__init__(view, FlagRouter(partitioning, view.flagged))
 
 
-class JoinReducer(Reducer):
+class JoinReducer(TupleReducer):
     """Cycle 2 reduce: join received rows; emit tuples owned by this
     partition (right-most member starts here).
 
@@ -169,24 +166,7 @@ class JoinReducer(Reducer):
         self.attributes = dict(attributes)
         self.partitioning = partitioning
 
-    def reduce(
-        self, key: Hashable, values: List[Tuple[str, Row]], context: ReduceContext
-    ) -> None:
-        if isinstance(values, ColumnValues):
-            reduce_columns(self, key, values, context)
-            return
-        rows_by_relation: Dict[str, List[Row]] = defaultdict(list)
-        for relation, row in values:
-            rows_by_relation[relation].append(row)
-        columns, rows = row_columns(self.query, rows_by_relation)
-        for binding in self._join(key, columns, context.counters):
-            context.emit_many(take_tuples(rows, binding))
-
     def _join(self, key, columns, counters):
-        """The bindings this partition owns, over either plane's columns."""
-        # Counting through the task's own counters, not a cached
-        # joiner's: this reducer instance is shared across concurrently
-        # running tasks under the threads executor.
         count = functools.partial(counters.increment, "work", "comparisons")
         anchors = [
             Term(name, self.attributes[name]) for name in self.query.relations
@@ -194,36 +174,6 @@ class JoinReducer(Reducer):
         return anchored_join(
             self.query, count, columns, anchors, self.partitioning, int(key)
         )
-
-    # -- columnar protocol (see repro.mapreduce.task) -------------------
-    def columnar_ready(self) -> bool:
-        # A group carries one interval per value — the routing interval —
-        # which is every term's column only when each relation joins on
-        # a single attribute.
-        return self.query.is_single_attribute
-
-    def columnar_outputs(self, key, values: ColumnValues, counters):
-        gids, columns = {}, {}
-        for name in self.query.relations:
-            rows = np.flatnonzero(values.tag_mask(name))
-            gids[name] = values.gids[rows]
-            columns[Term(name, self.attributes[name])] = SortedColumns(
-                values.starts[rows], values.ends[rows]
-            )
-        # One row of member gids per tuple.
-        blocks = [np.empty((0, len(gids)), dtype=np.int64)]
-        for binding in self._join(key, columns, counters):
-            blocks.append(
-                np.stack([gids[name][binding[name]] for name in gids], axis=1)
-            )
-        return np.concatenate(blocks)
-
-    def materialize_outputs(self, outs, store):
-        # One object-array take per relation, zipped into tuples.
-        members = np.asarray(outs, dtype=np.int64).reshape(
-            -1, len(self.query.relations)
-        )
-        return list(zip(*map(store.take, members.T)))
 
 
 class RCCIS(JoinAlgorithm):

@@ -3,8 +3,8 @@
 The paper reduces the map phase of each algorithm to three communication
 primitives over a partitioning — *project*, *split*, *replicate*
 (Section 3), chosen per side by the Figure-1 operator table — plus, for
-the matrix algorithms, "send the tuple to every consistent cell pinned
-at its coordinate".  What differs between RCCIS, the cascade,
+every grid, "send the tuple to the consistent cells at its coordinate"
+(:class:`CellRouter`).  What differs between RCCIS, the cascade,
 All-Replicate and the grids is only what is read off the input record
 and what value is shuffled.  Each of those is said once here:
 
@@ -14,7 +14,7 @@ and what value is shuffled.  Each of those is said once here:
   prediction tier runs on whichever plane the run picks) and
   ``map_columns(starts, ends, records) -> (key_codes, row_idx, counter
   increments)`` for a whole input; ``key_kind`` names its key codec
-  (``None``: it has none);
+  (``None``: it has none — a multi-attribute relation's grid routing);
 * a **view** owns *what is read and what is shuffled*: a record's
   routing interval, its shuffle value ``(tag, payload)`` and, for a
   whole input, the tag codes and the payload column;
@@ -29,8 +29,7 @@ order, the same counter increments, no counter created at zero.
 
 from __future__ import annotations
 
-from collections import defaultdict
-from typing import Any, Callable, Dict, Hashable, List, Mapping, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, Hashable, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -54,7 +53,7 @@ __all__ = [
     "RoutedMapper",
     "OperatorRouter",
     "FlagRouter",
-    "PinnedCellRouter",
+    "CellRouter",
     "View",
     "RowView",
     "MemberView",
@@ -307,55 +306,93 @@ class FlagRouter(_PartitionRouter):
         return self._codes(indices), row_idx, counters
 
 
-class PinnedCellRouter:
-    """Project onto one grid dimension, then fan out to every consistent
-    cell pinned at that coordinate — the hypercube-slice routing of the
-    matrix algorithms (Sections 7.1/8.1).  A coordinate's cells keep the
-    order ``cells`` lists them in."""
+class CellRouter:
+    """Send a row to the consistent cells of a reducer grid at its
+    coordinate: the fan-out of All-Matrix, All-Seq-Matrix, PASM and
+    Gen-Matrix (Sections 7.1-9.1) and of the cascade's sequence steps.
+
+    The coordinate on grid dimension ``dim`` is the routing interval's
+    start partition; a row ``flagged`` marks widens it to the upper tail
+    (counted in ``join:replicated_pairs``), a row ``keep`` rejects is
+    dropped (``join:pruned_rows``).  The row goes to the cells of
+    ``cells`` in that coordinate range, coordinate by coordinate, each
+    coordinate's in ``cells`` order.
+
+    ``also`` holds a multi-attribute relation's further terms,
+    ``(dim, partitioning, attribute, flagged)``: the row goes to the
+    cells inside every term's range, intersected per dimension (Section
+    9.1) — which no routing interval describes, so that router has no
+    key codec.
+    """
 
     def __init__(
         self,
         partitioning: Partitioning,
         dim: int,
         cells: Sequence[Tuple[int, ...]],
+        flagged: Optional[Callable[[Any], bool]] = None,
+        keep: Optional[Callable[[Any], bool]] = None,
+        also: Sequence[Tuple[int, Partitioning, str, Callable[[Any], bool]]] = (),
     ) -> None:
         self.partitioning = partitioning
-        self.by_coord: Dict[int, List[Tuple[int, ...]]] = defaultdict(list)
-        for cell in cells:
-            self.by_coord[cell[dim]].append(cell)
-        # The cell codec packs two coordinates; a grid of any other
-        # dimensionality has no codec.
-        two_d = all(len(cell) == 2 for cell in cells)
-        self.key_kind: Optional[str] = CellKeyCodec.kind if two_d else None
-        self._tables: Optional[Tuple[np.ndarray, ...]] = None
+        self.dim = dim
+        self.flagged = flagged
+        self.keep = keep
+        self.also = tuple(also)
+        self.key_kind: Optional[str] = None if self.also else CellKeyCodec.kind
+        #: the cells stably sorted by coordinate on ``dim``: a coordinate
+        #: range ``lo..hi``'s are ``cells[offsets[lo] : offsets[hi + 1]]``.
+        self.cells = sorted(cells, key=lambda cell: cell[dim])
+        coordinates = np.array([cell[dim] for cell in self.cells], dtype=np.int64)
+        counts = np.bincount(coordinates, minlength=len(partitioning))
+        self.offsets = np.concatenate(([0], np.cumsum(counts)))
+        self.codes = np.array(list(map(CellKeyCodec.encode_cell, self.cells)), dtype=np.int64)
 
     def targets(self, interval, record, counters):
-        return self.by_coord.get(self.partitioning.project(interval), ())
-
-    def _cell_tables(self) -> Tuple[np.ndarray, ...]:
-        """Dense per-coordinate fan-out tables ``(codes, counts,
-        offsets)``: coordinate ``q``'s cells, in ``by_coord`` order, are
-        ``codes[offsets[q] : offsets[q] + counts[q]]`` as packed int64
-        cell codes."""
-        n = len(self.partitioning)
-        counts = np.zeros(n, dtype=np.int64)
-        offsets = np.zeros(n, dtype=np.int64)
-        codes: List[int] = []
-        for coord in range(n):
-            cells = self.by_coord.get(coord, ())
-            offsets[coord] = len(codes)
-            counts[coord] = len(cells)
-            codes.extend(CellKeyCodec.encode_cell(cell) for cell in cells)
-        return np.asarray(codes, dtype=np.int64), counts, offsets
+        if self.keep is not None and not self.keep(record):
+            counters.increment("join", "pruned_rows")
+            return ()
+        terms = [(self.dim, self.partitioning, interval, self.flagged)] + [
+            (dim, partitioning, record.interval(attribute), flagged)
+            for dim, partitioning, attribute, flagged in self.also
+        ]
+        ranges: Dict[int, Tuple[int, int]] = {}
+        replicated = False
+        for dim, partitioning, term_interval, flagged in terms:
+            q, last = partitioning.project(term_interval), len(partitioning) - 1
+            tail = flagged is not None and flagged(record)
+            replicated = replicated or tail
+            a, b = ranges.get(dim, (q, last))
+            ranges[dim] = (max(a, q), min(b, last if tail else q))
+        lo, hi = ranges.pop(self.dim)
+        cells = self.cells[self.offsets[lo] : self.offsets[hi + 1]]
+        if ranges:
+            cells = [
+                cell for cell in cells
+                if all(a <= cell[d] <= b for d, (a, b) in ranges.items())
+            ]
+        if replicated and cells:
+            counters.increment("join", "replicated_pairs", len(cells))
+        return cells
 
     def map_columns(self, starts, ends, records):
-        if self._tables is None:
-            self._tables = self._cell_tables()
-        codes, counts, offsets = self._tables
-        q = self.partitioning.locate_array(starts)
-        # Record i's cells are the table slots offsets[q[i]] onward.
-        slots, row_idx = ranged_targets(offsets[q], offsets[q] + counts[q] - 1)
-        return codes[slots], row_idx, {}
+        n = len(starts)
+        rows, lo = np.arange(n, dtype=np.int64), self.partitioning.locate_array(starts)
+        flags, kept = np.zeros(n, dtype=bool), np.ones(n, dtype=bool)
+        if self.flagged is not None:
+            flags = np.fromiter(map(self.flagged, records), bool, n)
+        if self.keep is not None:
+            kept = np.fromiter(map(self.keep, records), bool, n)
+        rows, lo, flags = rows[kept], lo[kept], flags[kept]
+        first = self.offsets[lo]
+        stop = self.offsets[np.where(flags, len(self.partitioning) - 1, lo) + 1]
+        # Record i's cells are the table slots first[i] .. stop[i] - 1.
+        slots, index = ranged_targets(first, stop - 1)
+        counters = {
+            ("join", "pruned_rows"): n - len(rows),
+            ("join", "replicated_pairs"): int((stop - first)[flags].sum()),
+        }
+        return self.codes[slots], rows[index], {k: v for k, v in counters.items() if v}
 
 
 class RoutedMapper(Mapper):

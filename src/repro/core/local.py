@@ -37,10 +37,13 @@ exactly-once.
 
 from __future__ import annotations
 
+from collections import defaultdict
 from typing import (
+    Any,
     Callable,
     Dict,
     Generator,
+    Hashable,
     Iterator,
     List,
     Mapping,
@@ -52,7 +55,7 @@ from typing import (
 
 import numpy as np
 
-from repro.columnar.batch import object_column
+from repro.columnar.batch import ColumnValues, object_column, reduce_columns
 from repro.core.query import IntervalJoinQuery, JoinCondition, Term
 from repro.core.schema import Row
 from repro.intervals.partitioning import Partitioning
@@ -63,12 +66,16 @@ from repro.intervals.sweep import (
     window_blocks,
     window_kind,
 )
+from repro.mapreduce.task import ReduceContext, Reducer
 
 __all__ = [
     "LocalJoiner",
+    "TupleReducer",
     "anchored_join",
     "attribute_columns",
     "binding_order",
+    "group_columns",
+    "group_rows",
     "row_columns",
     "take_tuples",
 ]
@@ -103,6 +110,31 @@ def row_columns(
         for term in query.terms
     }
     return columns, rows
+
+
+def group_rows(values: Sequence[Tuple[str, Row]]) -> Dict[str, List[Row]]:
+    """A records-plane group's ``(relation, row)`` values as each
+    relation's rows, in arrival order."""
+    rows_by_relation: Dict[str, List[Row]] = defaultdict(list)
+    for relation, row in values:
+        rows_by_relation[relation].append(row)
+    return rows_by_relation
+
+
+def group_columns(
+    query: IntervalJoinQuery, values: ColumnValues
+) -> Tuple[Dict[Term, SortedColumns], Dict[str, np.ndarray]]:
+    """:func:`row_columns` of a columnar group tagged by relation, with
+    payload ids for rows: a single-attribute query's one term per
+    relation is the routing interval every value carries."""
+    columns, gids = {}, {}
+    for name in query.relations:
+        rows = np.flatnonzero(values.tag_mask(name))
+        gids[name] = values.gids[rows]
+        columns[Term(name, query.attributes_of(name)[0])] = SortedColumns(
+            values.starts[rows], values.ends[rows]
+        )
+    return columns, gids
 
 
 def take_tuples(
@@ -325,3 +357,45 @@ def anchored_join(
         }
         joiner = LocalJoiner(query, count_comparisons, start_with=term.relation)
         yield from joiner.join_columns(run, accept)
+
+
+class TupleReducer(Reducer):
+    """A reducer emitting the join tuples of the bindings ``_join(key,
+    columns, counters)`` yields over one key group's columns: the one
+    kernel both planes run.  ``reduce`` reads the columns off a
+    records-plane group's rows; the columnar protocol (see
+    :mod:`repro.mapreduce.task`) reads them off the group and emits one
+    row of member gids per tuple.  Subclasses set ``query`` and count
+    comparisons through ``counters``, not a cached joiner's: one
+    instance serves concurrently running tasks under the threads
+    executor."""
+
+    query: IntervalJoinQuery
+    _join: Callable[[Hashable, Columns, Any], Iterator[Binding]]
+
+    def reduce(self, key, values, context: ReduceContext) -> None:
+        if isinstance(values, ColumnValues):
+            reduce_columns(self, key, values, context)
+            return
+        columns, rows = row_columns(self.query, group_rows(values))
+        for binding in self._join(key, columns, context.counters):
+            context.emit_many(take_tuples(rows, binding))
+
+    # -- columnar protocol (see repro.mapreduce.task) -------------------
+    def columnar_ready(self) -> bool:
+        # A group carries one interval per value — the routing interval —
+        # which is every term's column only when each relation joins on
+        # a single attribute.
+        return self.query.is_single_attribute
+
+    def columnar_outputs(self, key, values: ColumnValues, counters):
+        columns, gids = group_columns(self.query, values)
+        blocks = [np.empty((0, len(gids)), dtype=np.int64)]
+        for binding in self._join(key, columns, counters):
+            blocks.append(np.stack([gids[name][binding[name]] for name in gids], axis=1))
+        return np.concatenate(blocks)
+
+    def materialize_outputs(self, outs, store):
+        # One object-array take per relation, zipped into tuples.
+        members = np.asarray(outs, dtype=np.int64).reshape(-1, len(self.query.relations))
+        return list(zip(*map(store.take, members.T)))

@@ -40,6 +40,12 @@ def _float_at_or_above(value: float) -> float:
     return math.nextafter(as_float, math.inf)
 
 
+def _float_above(value: float) -> float:
+    """The smallest float64 strictly above ``value``."""
+    above = _float_at_or_above(value)
+    return above if above > value else math.nextafter(above, math.inf)
+
+
 @dataclass(frozen=True)
 class Partitioning:
     """A sequence of contiguous half-open partition-intervals.
@@ -70,15 +76,30 @@ class Partitioning:
     # ------------------------------------------------------------------
     @classmethod
     def uniform(cls, t_min: float, t_max: float, parts: int) -> "Partitioning":
-        """Equi-width partitioning of ``[t_min, t_max)`` into ``parts``."""
+        """Equi-width partitioning of ``[t_min, t_max)`` into ``parts``;
+        boundaries that coincide in float64 (integers past 2**53, say)
+        merge into fewer partitions, as :meth:`equi_depth`'s ties do."""
         if parts < 1:
             raise InvalidPartitioningError("parts must be >= 1")
         if t_max <= t_min:
             raise InvalidPartitioningError("t_max must exceed t_min")
         step = (t_max - t_min) / parts
         bounds = [t_min + i * step for i in range(parts)]
-        bounds.append(t_max)
-        return cls(tuple(bounds))
+        bounds = [
+            bound for i, bound in enumerate(bounds)
+            if bound < t_max and (i == 0 or bound > bounds[i - 1])
+        ] or [t_min]  # t_min itself rounds up to t_max
+        return cls((*bounds, t_max))
+
+    @classmethod
+    def covering(cls, lo: float, hi: float, parts: int) -> "Partitioning":
+        """:meth:`uniform` over ``[lo, hi]``, the right edge padded so
+        that ``hi`` itself lies strictly inside — also where float64
+        cannot tell the padding from ``hi``."""
+        edge = hi + (hi - lo) * 1e-9 + 1e-9
+        if edge <= hi:
+            edge = _float_above(hi)
+        return cls.uniform(lo, edge, parts)
 
     @classmethod
     def equi_depth(

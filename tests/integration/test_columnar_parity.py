@@ -66,17 +66,28 @@ HYBRID = IntervalJoinQuery.parse(
 TWO_WAY = IntervalJoinQuery.parse([("R1", "overlaps", "R2")])
 
 #: The algorithms whose joins run columnar: the two-way overlap join (int
-#: partition keys), RCCIS (int keys, three relations) and the cascade in
+#: partition keys), RCCIS (int keys, three relations), the cascade in
 #: both its key families — colocation steps route on partition indices,
-#: sequence steps on 2-D grid cells.
+#: sequence steps on 2-D grid cells — and the grid algorithms, whose
+#: cycles route on n-dimensional cells and ``(component, partition)``
+#: pairs (FSTC through its All-Matrix sub-plan).
+GRID_CASES = [
+    ("all_matrix", SEQUENCE, ("R1", "R2", "R3")),
+    ("all_seq_matrix", HYBRID, ("R1", "R2", "R3")),
+    ("pasm", HYBRID, ("R1", "R2", "R3")),
+    ("gen_matrix", HYBRID, ("R1", "R2", "R3")),
+    ("fstc", HYBRID, ("R1", "R2", "R3")),
+]
+GRID_IDS = [case[0] for case in GRID_CASES]
 CASES = [
     ("two_way", TWO_WAY, ("R1", "R2")),
     ("rccis", COLOCATION, ("R1", "R2", "R3")),
     ("two_way_cascade", COLOCATION, ("R1", "R2", "R3")),
     ("two_way_cascade", SEQUENCE, ("R1", "R2", "R3")),
+    *GRID_CASES,
 ]
 
-CASE_IDS = ["two_way", "rccis", "cascade_colocation", "cascade_sequence"]
+CASE_IDS = ["two_way", "rccis", "cascade_colocation", "cascade_sequence", *GRID_IDS]
 
 
 def _run(algorithm, query, data, executor, **kwargs):
@@ -231,6 +242,47 @@ def test_flag_cycle_matches_records(
     assert columnar_job.reduce_task_loads == records_job.reduce_task_loads
 
 
+def _files(fs):
+    """Every file of a run, record for record."""
+    return {path: list(fs.read(path)) for path in fs.list_prefix("")}
+
+
+@pytest.mark.parametrize("chaos", [False, True], ids=["clean", "chaos"])
+@pytest.mark.parametrize("executor", EXECUTORS)
+@pytest.mark.parametrize("algorithm,query,names", GRID_CASES, ids=GRID_IDS)
+def test_grid_cycles_write_the_records_planes_files(
+    algorithm, query, names, executor, chaos, monkeypatch
+):
+    """Every cycle of a grid algorithm — flag, mark, join — runs columnar
+    and writes the records plane's files, part for part and record for
+    record, with the same counters, loads and committed task spans,
+    fault plan or not."""
+    data = make_dataset(names, 60, seed=11)
+    options = dict(faults=pinned_plan(), max_attempts=3) if chaos else {}
+    records_fs, columnar_fs = InMemoryFileSystem(), InMemoryFileSystem()
+    _, records_rec = _run_on_records(
+        monkeypatch, algorithm, query, data, executor,
+        fs=records_fs, **options,
+    )
+    _, columnar_rec = _run(
+        algorithm, query, data, executor, fs=columnar_fs, **options
+    )
+    assert {job.data_plane for job in columnar_rec.job_results} == {"columnar"}
+    assert _files(columnar_fs) == _files(records_fs)
+    assert _counters_sans_faults(columnar_rec) == _counters_sans_faults(
+        records_rec
+    )
+    for columnar_job, records_job in zip(
+        columnar_rec.job_results, records_rec.job_results
+    ):
+        assert (
+            columnar_job.logical_reducer_loads
+            == records_job.logical_reducer_loads
+        )
+        assert columnar_job.reduce_task_loads == records_job.reduce_task_loads
+    assert _task_span_profile(columnar_rec) == _task_span_profile(records_rec)
+
+
 def _shm_segments():
     return set(os.listdir("/dev/shm")) if os.path.isdir("/dev/shm") else set()
 
@@ -311,15 +363,20 @@ def test_shm_transport_accounted_only_under_processes(executor):
 # The rule: which plane each job runs on, and why.
 # ----------------------------------------------------------------------
 
-#: The multi-attribute grid routing is a mapper of its own.
-NO_PROTOCOL = "mapper-no-columnar-protocol"
-#: The map side is the one columnar-capable mapper; the reducer is not.
+#: A multi-attribute relation's grid routing intersects one constraint
+#: per term, which no key codec describes.
+NOT_READY = "mapper-not-columnar-ready"
+#: The map side is columnar-capable; the reducer is not.
 NO_REDUCER = "reducer-no-columnar-protocol"
 
+#: Two attributes of R1 in two components: a 3-D Gen-Matrix grid.
+MULTI_ATTRIBUTE = IntervalJoinQuery.parse(
+    [("R1.I", "overlaps", "R2.I"), ("R1.J", "before", "R3.J")]
+)
+
 #: algorithm, query, and per job in execution order ``(name, plane,
-#: reason)`` with default options.  Records-only: the grid join cycles,
-#: PASM's marking cycle and FCTS's matrix; every flag cycle runs
-#: columnar, and the hybrids mix through their component plans.
+#: reason)`` with default options.  Records-only: FCTS's matrix and a
+#: multi-attribute query's grid join; every other job runs columnar.
 RULE = [
     ("two_way", TWO_WAY, [("two-way", "columnar", None)]),
     ("rccis", COLOCATION, [
@@ -331,19 +388,23 @@ RULE = [
         ("cascade-R3", "columnar", None),
     ]),
     ("all_replicate", SEQUENCE, [("all-replicate", "columnar", None)]),
-    ("all_matrix", SEQUENCE, [("all_matrix-join", "records", NO_PROTOCOL)]),
+    ("all_matrix", SEQUENCE, [("all_matrix-join", "columnar", None)]),
     ("all_seq_matrix", HYBRID, [
         ("all_seq_matrix-flag", "columnar", None),
-        ("all_seq_matrix-join", "records", NO_PROTOCOL),
+        ("all_seq_matrix-join", "columnar", None),
     ]),
     ("pasm", HYBRID, [
         ("pasm-flag", "columnar", None),
-        ("pasm-mark", "records", NO_REDUCER),
-        ("pasm-join", "records", NO_PROTOCOL),
+        ("pasm-mark", "columnar", None),
+        ("pasm-join", "columnar", None),
     ]),
     ("gen_matrix", HYBRID, [
         ("gen_matrix-flag", "columnar", None),
-        ("gen_matrix-join", "records", NO_PROTOCOL),
+        ("gen_matrix-join", "columnar", None),
+    ]),
+    ("gen_matrix", MULTI_ATTRIBUTE, [
+        ("gen_matrix-flag", "columnar", None),
+        ("gen_matrix-join", "records", NOT_READY),
     ]),
     ("fcts", HYBRID, [
         ("rccis-flag", "columnar", None),
@@ -351,18 +412,40 @@ RULE = [
         ("fcts-matrix", "records", NO_REDUCER),
     ]),
     ("fstc", HYBRID, [
-        ("all_matrix-join", "records", NO_PROTOCOL),
+        ("all_matrix-join", "columnar", None),
         ("fstc-R1", "columnar", None),
     ]),
 ]
+RULE_IDS = [
+    algorithm if query.is_single_attribute else f"{algorithm}_multi_attribute"
+    for algorithm, query, _ in RULE
+]
+
+
+def _two_attribute_dataset(names, n, seed):
+    """Relations whose rows carry two intervals, ``I`` and ``J``."""
+    first, second = make_dataset(names, n, seed), make_dataset(names, n, seed + 1)
+    return {
+        name: Relation.of_records(
+            name,
+            [
+                {"I": i, "J": j}
+                for i, j in zip(first[name].intervals(), second[name].intervals())
+            ],
+        )
+        for name in names
+    }
 
 
 @pytest.mark.parametrize("executor", EXECUTORS)
-@pytest.mark.parametrize(
-    "algorithm,query,expected", RULE, ids=[case[0] for case in RULE]
-)
+@pytest.mark.parametrize("algorithm,query,expected", RULE, ids=RULE_IDS)
 def test_each_job_picks_its_plane(algorithm, query, expected, executor):
-    data = make_dataset(("R1", "R2", "R3"), 40, seed=11)
+    names = ("R1", "R2", "R3")
+    data = (
+        make_dataset(names, 40, seed=11)
+        if query.is_single_attribute
+        else _two_attribute_dataset(names, 40, seed=11)
+    )
     result, recorder = _run(algorithm, query, data, executor)
     assert_matches_reference(query, data, result)
     assert [
@@ -458,19 +541,23 @@ class TestFallbackObservability:
     reason string on its span and on its result."""
 
     def test_protocol_gap_reason_recorded(self):
-        """all_matrix implements no columnar protocol: every job runs on
-        records with the gate's reason, on the span and the job result
-        alike."""
+        """FCTS's matrix reducer implements no columnar protocol: its job
+        runs on records with the gate's reason, on the span and the job
+        result alike."""
         data = make_dataset(("R1", "R2", "R3"), 60, seed=11)
-        _, recorder = _run("all_matrix", SEQUENCE, data, "serial")
-        for job_result in recorder.job_results:
-            assert job_result.data_plane == "records"
-            assert job_result.data_plane_reason == NO_PROTOCOL
-        job_spans = [s for s in recorder.spans if s.kind == "job"]
-        assert job_spans
-        for span in job_spans:
-            assert span.attributes["data_plane"] == "records"
-            assert span.attributes["data_plane_reason"] == NO_PROTOCOL
+        _, recorder = _run("fcts", HYBRID, data, "serial")
+        (job_result,) = [
+            job for job in recorder.job_results if job.name == "fcts-matrix"
+        ]
+        assert (job_result.data_plane, job_result.data_plane_reason) == (
+            "records", NO_REDUCER,
+        )
+        (span,) = [
+            span for span in recorder.spans
+            if span.kind == "job" and span.attributes["job"] == "fcts-matrix"
+        ]
+        assert span.attributes["data_plane"] == "records"
+        assert span.attributes["data_plane_reason"] == NO_REDUCER
 
     def test_columnar_job_span_carries_no_reason(self):
         data = make_dataset(("R1", "R2"), 60, seed=11)
@@ -574,7 +661,7 @@ FIRST_JOB_BEYOND_FLOAT64 = {
     "all_replicate": ("all-replicate", "records", "endpoints-not-float64-exact"),
     "rccis": ("rccis-flag", "records", "endpoints-not-float64-exact"),
     "pasm": ("pasm-flag", "records", "endpoints-not-float64-exact"),
-    "all_matrix": ("all_matrix-join", "records", NO_PROTOCOL),
+    "all_matrix": ("all_matrix-join", "records", "endpoints-not-float64-exact"),
 }
 
 
@@ -590,9 +677,8 @@ FIRST_JOB_BEYOND_FLOAT64 = {
 )
 def test_whole_queries_are_exact_beyond_float64(algorithm, conditions):
     """The flagging decision and the reducer-local join run over
-    ``object`` columns when an endpoint is not a float64: a job over
-    base relations takes the records escape, the grid join reducers have
-    no columnar plane and so none to take — on a first query, which
+    ``object`` columns when an endpoint is not a float64: every job over
+    base relations takes the records escape — on a first query, which
     builds the relations' columns, and on a second, which finds them."""
     query = IntervalJoinQuery.parse(conditions)
     data = _beyond_float64_dataset(query.relations, seed=53)
@@ -618,3 +704,23 @@ def test_whole_queries_are_exact_beyond_float64(algorithm, conditions):
     assert (
         reference_join(query, rounded).tuple_ids() != result.tuple_ids()
     ), "the data does not tell exact endpoints from float64 ones"
+
+
+@pytest.mark.parametrize("strategy", ["uniform", "equi_depth"])
+@pytest.mark.parametrize("parts", [1, 8])
+@pytest.mark.parametrize("gap, length", [(30, 45), (1, 3)], ids=["gap30", "gap1"])
+def test_a_range_past_2_60_partitions(gap, length, parts, strategy):
+    """Starts ``gap`` apart from 2**60, where float64's spacing is 256:
+    the uniform partitioning's boundaries — and, for the narrower range,
+    its padded right edge — coincide in float64, so they merge into
+    fewer partitions instead of failing, as equi_depth's tied quantiles
+    do."""
+    rows = [Interval(2**60 + gap * i, 2**60 + gap * i + length) for i in range(20)]
+    data = _relations({"R1": rows, "R2": rows})
+    query = IntervalJoinQuery.parse([("R1", "overlaps", "R2")])
+    result = execute(
+        query, data, algorithm="two_way", num_partitions=parts,
+        partition_strategy=strategy,
+    )
+    assert_matches_reference(query, data, result)
+    assert len(result) > 0

@@ -241,16 +241,16 @@ def _calls(tree, attr):
 ROW_INTERVAL_SITES = {
     # The column build itself.
     "core/schema.py": None,
-    # Derived inputs (records an earlier job wrote) and the records form.
-    "core/algorithms/routing.py": {"interval_of"},
+    # Derived inputs (records an earlier job wrote) and the records form;
+    # ``targets``: a multi-attribute relation's further grid terms.
+    "core/algorithms/routing.py": {"interval_of", "targets"},
     # Records-plane reducers turning received rows into columns.
     "core/local.py": {"attribute_columns"},
     # Oracles.
     "core/validation.py": None,
     "core/reference.py": None,
-    # Records-only forms that ROADMAP items 1 and 5 delete: the grid
-    # join's mapper, fcts-matrix's reducer, FCTS's driver-side filter.
-    "core/algorithms/gen_matrix.py": {"map"},
+    # Records-only forms that ROADMAP item 1 deletes: fcts-matrix's
+    # reducer, FCTS's driver-side filter.
     "core/algorithms/hybrid.py": {"extend", "plan"},
 }
 

@@ -41,6 +41,9 @@ COLOCATION = IntervalJoinQuery.parse(
 HYBRID = IntervalJoinQuery.parse(
     [("R1", "overlaps", "R2"), ("R2", "before", "R3")]
 )
+SEQUENCE = IntervalJoinQuery.parse(
+    [("R1", "before", "R2"), ("R2", "before", "R3")]
+)
 
 #: How a query runs: every executor, and the chaos leg.
 RUNS = {
@@ -58,6 +61,10 @@ CENSUS = [
     ("two_way", TWO_WAY, 0),
     ("all_replicate", COLOCATION, 0),
     ("rccis", COLOCATION, 0),
+    ("all_matrix", SEQUENCE, 0),
+    ("all_seq_matrix", HYBRID, 0),
+    ("pasm", HYBRID, 0),
+    ("gen_matrix", HYBRID, 0),
 ]
 
 

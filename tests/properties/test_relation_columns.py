@@ -172,8 +172,7 @@ def partitioning_by_rows(query, data, parts, strategy):
     if hi <= lo:
         hi = lo + 1.0
     if strategy == "uniform" or not starts:
-        span = hi - lo
-        return Partitioning.uniform(lo, hi + span * 1e-9 + 1e-9, parts)
+        return Partitioning.covering(lo, hi, parts)
     return Partitioning.equi_depth(starts, parts)
 
 

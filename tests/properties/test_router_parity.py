@@ -17,6 +17,7 @@ same ``(key, value)`` pairs through ``map`` as through ``map_columns`` +
 
 from __future__ import annotations
 
+import itertools
 import operator
 
 import numpy as np
@@ -27,18 +28,18 @@ from hypothesis import strategies as st
 from repro.columnar.codec import KEY_CODECS
 from repro.core.algorithms.routing import (
     NEW_SIDE,
+    CellRouter,
     FlaggedRowView,
     FlagRouter,
     LiftedRowView,
     MemberView,
     OperatorRouter,
-    PinnedCellRouter,
     RightmostMemberView,
     RoutedMapper,
     RowView,
     View,
 )
-from repro.core.schema import Relation
+from repro.core.schema import Relation, Row
 from repro.intervals.allen import MapOperator
 from repro.intervals.interval import Interval
 from repro.intervals.partitioning import Partitioning
@@ -66,6 +67,20 @@ def _triangle(side, lower):
     ]
 
 
+def _chain(side, dims):
+    """The consistent cells of a pure sequence grid ``c_0 <= c_1 <= ...``."""
+    return [
+        cell
+        for cell in itertools.product(range(side), repeat=dims)
+        if list(cell) == sorted(cell)
+    ]
+
+
+def _kept(record):
+    """PASM's marks, stood in for: every interval but a zero-length one."""
+    return record[0].start != record[0].end
+
+
 #: name -> router over a partitioning; every router, every variant that
 #: changes a key or a counter.
 ROUTERS = {
@@ -79,12 +94,23 @@ ROUTERS = {
     # (component, index) keys: the grid algorithms' flag and mark cycles.
     "split-prefixed": lambda p: OperatorRouter(p, MapOperator.SPLIT, prefix=3),
     "flag-prefixed": lambda p: FlagRouter(p, _PairView.flagged, prefix=2),
-    "cells-dim0": lambda p: PinnedCellRouter(p, 0, _triangle(len(p), False)),
-    "cells-dim1": lambda p: PinnedCellRouter(p, 1, _triangle(len(p), True)),
+    # Pinned on each dimension of a 2-D grid (the cascade's sequence steps).
+    "cells-dim0": lambda p: CellRouter(p, 0, _triangle(len(p), False)),
+    "cells-dim1": lambda p: CellRouter(p, 1, _triangle(len(p), True)),
     # Odd coordinates pin no cell at all.
-    "cells-sparse": lambda p: PinnedCellRouter(
+    "cells-sparse": lambda p: CellRouter(
         p, 0, [cell for cell in _triangle(len(p), False) if cell[0] % 2 == 0]
     ),
+    # A flagged row widens to the upper tail (All-Seq-Matrix's join).
+    "cells-flagged": lambda p: CellRouter(
+        p, 1, _triangle(len(p), True), _PairView.flagged
+    ),
+    # A row outside ``keep`` is dropped (PASM's join).
+    "cells-pruned": lambda p: CellRouter(
+        p, 0, _triangle(len(p), False), _PairView.flagged, keep=_kept
+    ),
+    "cells-3d": lambda p: CellRouter(p, 1, _chain(len(p), 3), _PairView.flagged),
+    "cells-4d": lambda p: CellRouter(p, 3, _chain(len(p), 4)),
 }
 
 
@@ -196,6 +222,52 @@ def test_a_prefix_only_wraps_the_keys(routed, prefix):
                 for index in plain.targets(record[0], record, plain_counters)
             ]
         assert prefixed_counters.snapshot() == plain_counters.snapshot()
+
+
+@given(routed_inputs(), st.integers(min_value=0, max_value=2))
+@settings(max_examples=80, deadline=None)
+def test_a_multi_term_row_goes_to_the_cells_inside_every_range(routed, dim):
+    """A multi-attribute relation (Gen-Matrix, Section 9.1) constrains one
+    dimension per term — pinned at the term's start partition, or the
+    upper tail where the term is flagged — and a row goes to the cells
+    inside every constraint, intersected where two terms share a
+    dimension.  No routing interval describes that: the router has no
+    key codec, and its mapper stays on the records plane."""
+    parts, records = routed
+    cells = _chain(len(parts), 3)
+    rows = [
+        Row.make(rid, {"a": record[0], "b": records[rid - 1][0]})
+        for rid, record in enumerate(records)
+    ]
+    tail_a = [record[1] for record in records]
+    tail_b = [rid % 3 == 0 for rid in range(len(records))]
+    router = CellRouter(
+        parts, 0, cells, lambda row: tail_a[row.rid],
+        also=[(dim, parts, "b", lambda row: tail_b[row.rid])],
+    )
+    assert router.key_kind is None
+    assert not RoutedMapper(RowView("R", "a"), router).columnar_ready()
+
+    def allowed(interval, tail):
+        q = parts.project(interval)
+        return set(range(q, len(parts))) if tail else {q}
+
+    counters, replicated = Counters(), 0
+    for row in rows:
+        constraints = {0: allowed(row.interval("a"), tail_a[row.rid])}
+        constraints[dim] = constraints.get(dim, set(range(len(parts)))) & allowed(
+            row.interval("b"), tail_b[row.rid]
+        )
+        want = [
+            cell for cell in cells
+            if all(cell[d] in allowed_d for d, allowed_d in constraints.items())
+        ]
+        got = router.targets(row.interval("a"), row, counters)
+        assert sorted(got) == want
+        if tail_a[row.rid] or tail_b[row.rid]:
+            replicated += len(want)
+    assert counters.value("join", "replicated_pairs") == replicated
+    assert 0 not in counters.group("join").values()
 
 
 _ROWS = Relation.of_intervals("R", [Interval(0, 1), Interval(2, 5), Interval(2, 2)]).rows
