@@ -31,7 +31,6 @@ from repro.columnar.batch import (
     job_columnar_gate,
     operator_map_columns,
     ranged_targets,
-    reduce_columns,
 )
 from repro.columnar.codec import KEY_CODECS, CellKeyCodec, IntKeyCodec, KeyCodec
 
@@ -48,5 +47,4 @@ __all__ = [
     "job_columnar_gate",
     "operator_map_columns",
     "ranged_targets",
-    "reduce_columns",
 ]

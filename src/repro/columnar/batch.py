@@ -9,10 +9,10 @@ id* (``gid``)::
     gid = (map_task_index << 32) | row_index
 
 The raw input records stay on the parent in the job's
-:class:`PayloadStore`; reducers work on :class:`ColumnValues` — the
-sorted column slices of one key group — and emit gid-shaped outputs
-that are materialised back into the exact records-plane objects at the
-end, a column of gids at a time.  Every materialised value is the same
+:class:`PayloadStore`; reducer kernels work on :class:`ColumnValues` —
+the sorted column slices of one key group — and return gid blocks that
+the framework formats back into the exact records-plane objects once
+per task, a column of gids at a time.  Every materialised value is the same
 object the records plane would have shuffled, which is what keeps
 outputs and counters bit-identical across planes.
 """
@@ -54,7 +54,6 @@ __all__ = [
     "interval_columns",
     "operator_map_columns",
     "ranged_targets",
-    "reduce_columns",
 ]
 
 _MASK32 = 0xFFFFFFFF
@@ -280,8 +279,10 @@ class ColumnValues:
     Quacks like the records plane's value list where the framework needs
     it to — ``len()`` is the group size and iteration lazily materialises
     the exact records-plane value objects through the payload store (used
-    by the pickle safety net).  Reducers that understand columns never
-    materialise; they read the arrays directly.
+    by the pickle safety net).  Kernels never materialise; they read the
+    arrays directly.  A records-plane group (:meth:`of_records`) has no
+    endpoint columns: ``starts`` / ``ends`` are ``None``, and its store
+    is its own payload column, which ``take``s gids as positions.
     """
 
     __slots__ = ("key", "gids", "starts", "ends", "tag_codes", "tags", "store")
@@ -290,11 +291,11 @@ class ColumnValues:
         self,
         key: Hashable,
         gids: np.ndarray,
-        starts: np.ndarray,
-        ends: np.ndarray,
+        starts: Optional[np.ndarray],
+        ends: Optional[np.ndarray],
         tag_codes: np.ndarray,
         tags: Tuple[str, ...],
-        store: Optional["PayloadStore"],
+        store: Any,
     ) -> None:
         self.key = key
         self.gids = gids
@@ -303,6 +304,18 @@ class ColumnValues:
         self.tag_codes = tag_codes
         self.tags = tags
         self.store = store
+
+    @classmethod
+    def of_records(cls, key: Hashable, values: Sequence[Tuple[str, Any]]) -> "ColumnValues":
+        """A records-plane group's ``(tag, payload)`` values as a group:
+        gid ``i`` is value ``i``, tags are numbered in order of first
+        appearance, and the store is the group's payload column."""
+        tags = tuple(dict.fromkeys(tag for tag, _ in values))
+        code_of = {tag: code for code, tag in enumerate(tags)}
+        tag_codes = np.fromiter((code_of[tag] for tag, _ in values), np.int16, len(values))
+        payloads = object_column([payload for _, payload in values])
+        gids = np.arange(len(values), dtype=np.int64)
+        return cls(key, gids, None, None, tag_codes, tags, payloads)
 
     def __len__(self) -> int:
         return len(self.gids)
@@ -480,7 +493,7 @@ class PayloadStore:
 
 
 # ----------------------------------------------------------------------
-# Job gating and the reducer-side dispatch.
+# Job gating.
 # ----------------------------------------------------------------------
 
 def job_columnar_gate(
@@ -505,27 +518,9 @@ def job_columnar_gate(
         kinds.add(getattr(mapper, "columnar_key_kind", None))
     if len(kinds) != 1 or None in kinds:
         return None, "mixed-key-kinds"
-    reducer = conf.reducer
-    if not hasattr(reducer, "columnar_outputs"):
+    if not hasattr(conf.reducer, "kernel"):
         return None, "reducer-no-columnar-protocol"
-    ready = getattr(reducer, "columnar_ready", None)
-    if ready is None or not ready():
+    if not conf.reducer.columnar_ready():
         return None, "reducer-not-columnar-ready"
     return kinds.pop(), None
 
-
-def reduce_columns(reducer, key: Hashable, values: ColumnValues, context) -> None:
-    """Drive one columnar key group through a protocol-aware reducer.
-
-    With the payload store at hand (serial / threads, or the parent) the
-    group's gid-shaped outputs materialise in one batch; without it (a
-    worker process holding only shared-memory columns) the raw gid
-    outputs are emitted and the parent materialises them after the
-    round trip.
-    """
-    outs = reducer.columnar_outputs(key, values, context.counters)
-    if values.store is not None:
-        outs = reducer.materialize_outputs(outs, values.store)
-    elif isinstance(outs, np.ndarray):
-        outs = outs.tolist()  # plain ints pickle; array rows would not
-    context.emit_many(outs)

@@ -24,12 +24,11 @@ cascade is correct for arbitrary (including cyclic) join graphs.
 from __future__ import annotations
 
 import math
-from typing import Any, Hashable, List, Mapping, Optional, Sequence, Tuple
+from typing import Any, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.errors import PlanningError
-from repro.columnar.batch import ColumnValues, reduce_columns
 from repro.core.algorithms.base import JoinAlgorithm, Plan, PlanContext
 from repro.core.algorithms.routing import (
     BOUND_SIDE,
@@ -38,19 +37,17 @@ from repro.core.algorithms.routing import (
     LiftedRowView,
     MemberView,
     OperatorRouter,
-    PartialTuple,
     RoutedMapper,
     RowView,
 )
-from repro.core.local import attribute_columns, binding_order
+from repro.core.local import binding_order, term_columns
 from repro.core.query import IntervalJoinQuery, JoinCondition, Term
-from repro.core.schema import Row
 from repro.intervals.allen import MapOperator
 from repro.intervals.partitioning import Partitioning
 from repro.intervals.sweep import SortedColumns, true_pairs
 from repro.mapreduce.job import InputSpec, JobConf
 from repro.mapreduce.shuffle import RoundRobinKeyPartitioner
-from repro.mapreduce.task import ReduceContext, Reducer
+from repro.mapreduce.task import KernelReducer
 
 __all__ = ["TwoWayCascade"]
 
@@ -77,7 +74,7 @@ def _routing_condition(step_conditions: Sequence[JoinCondition]) -> JoinConditio
     return step_conditions[0]
 
 
-class _StepJoinReducer(Reducer):
+class _StepJoinReducer(KernelReducer):
     """Join partial tuples (or first-relation rows) with the new relation,
     checking every step condition; exactly-once via the projected /
     pinned side.
@@ -87,8 +84,8 @@ class _StepJoinReducer(Reducer):
     kernel — output-sensitive, the cascade's cost should come from
     re-reading and re-shuffling intermediates, not from a needlessly
     quadratic local join — and each remaining step condition is a mask
-    over the survivors.  The two reducer forms only build the columns
-    and turn the resulting rows back into their own outputs.
+    over the survivors.  Each output is a partial tuple extended by the
+    new relation's member.
     """
 
     def __init__(
@@ -152,57 +149,26 @@ class _StepJoinReducer(Reducer):
             counters.increment("work", "comparisons", charged)
         return np.concatenate(bound_rows), np.concatenate(new_rows)
 
-    def reduce(
-        self, key: Hashable, values: List[Tuple[str, object]], context: ReduceContext
-    ) -> None:
-        if isinstance(values, ColumnValues):
-            reduce_columns(self, key, values, context)
-            return
-        partials: List[PartialTuple] = []
-        new_rows: List[Row] = []
-        for side, payload in values:
-            if side == BOUND_SIDE:
-                partials.append(payload)  # type: ignore[arg-type]
-            else:
-                new_rows.append(payload[1])  # type: ignore[index]
-        members = [dict(partial) for partial in partials]
-        columns = {
-            term: attribute_columns(
-                new_rows
-                if term.relation == self.new_relation
-                else [member[term.relation] for member in members],
-                term.attribute,
-            )
-            for term in self._terms
-        }
-        bound, new = self._join_columns(columns, context.counters)
-        for i, j in zip(bound.tolist(), new.tolist()):
-            context.emit(partials[i] + ((self.new_relation, new_rows[j]),))
-
-    # -- columnar protocol (see repro.mapreduce.task) -------------------
     def columnar_ready(self) -> bool:
         # Residual (non-routing) conditions read arbitrary member
         # attributes, which the routing columns do not carry.
         return not self.conditions
 
-    def columnar_outputs(self, key, values: ColumnValues, counters):
-        bound_mask = values.tag_mask(BOUND_SIDE)
+    def kernel(self, key, group, counters) -> np.ndarray:
+        bound_mask = group.tag_mask(BOUND_SIDE)
         bound_at, new_at = np.flatnonzero(bound_mask), np.flatnonzero(~bound_mask)
-        columns = {}
-        for term in self._terms:
-            at = new_at if term.relation == self.new_relation else bound_at
-            columns[term] = SortedColumns(values.starts[at], values.ends[at])
-        bound, new = self._join_columns(columns, counters)
-        return list(
-            zip(
-                values.gids[bound_at][bound].tolist(),
-                values.gids[new_at][new].tolist(),
+        columns = {
+            term: term_columns(
+                group, new_at if term.relation == self.new_relation else bound_at, term
             )
-        )
+            for term in self._terms
+        }
+        bound, new = self._join_columns(columns, counters)
+        return np.stack([group.gids[bound_at][bound], group.gids[new_at][new]], axis=1)
 
-    def materialize_outputs(self, outs, store):
+    def format(self, block, store):
         # The new side's payload is the ``(relation, row)`` member itself.
-        bound, new = np.asarray(outs, dtype=np.int64).reshape(-1, 2).T
+        bound, new = block.reshape(-1, 2).T
         return [
             partial + (member,)
             for partial, member in zip(store.take(bound), store.take(new))

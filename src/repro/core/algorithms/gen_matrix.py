@@ -48,7 +48,6 @@ import math
 from typing import (
     Dict,
     FrozenSet,
-    Hashable,
     List,
     Mapping,
     Optional,
@@ -62,7 +61,6 @@ import numpy as np
 
 from repro.errors import PlanningError, UnsatisfiableQueryError
 from repro.core.algorithms.base import JoinAlgorithm, Plan, PlanContext
-from repro.columnar.batch import ColumnValues, reduce_columns
 from repro.core.algorithms.crossing import count_flagged, flag_columns
 from repro.core.algorithms.routing import (
     CellRouter,
@@ -75,18 +73,16 @@ from repro.core.local import (
     LocalJoiner,
     TupleReducer,
     anchored_join,
-    attribute_columns,
-    group_rows,
+    term_columns,
 )
 from repro.core.query import IntervalJoinQuery, QueryClass, Term
 from repro.core.schema import Row
 from repro.intervals.allen import MapOperator
 from repro.intervals.composition import path_consistency
 from repro.intervals.partitioning import Partitioning
-from repro.intervals.sweep import SortedColumns
 from repro.mapreduce.job import JobConf
 from repro.mapreduce.shuffle import RoundRobinKeyPartitioner
-from repro.mapreduce.task import ReduceContext, Reducer
+from repro.mapreduce.task import KernelReducer
 
 __all__ = ["GenMatrix", "AllSeqMatrix", "AllMatrix", "GridSpec"]
 
@@ -215,7 +211,7 @@ class GridSpec:
 # ----------------------------------------------------------------------
 
 
-class _ComponentFlaggingReducer(Reducer):
+class _ComponentFlaggingReducer(KernelReducer):
     """Run the crossing-set CSP for one (component, partition); emit the
     flagged ``(relation, rid, attribute)`` triples."""
 
@@ -231,8 +227,11 @@ class _ComponentFlaggingReducer(Reducer):
             str(term): term for comp in components for term in comp.terms
         }
 
-    def _decide(self, key, columns, counters):
-        """Per term received, the ``(local, flagged)`` row masks."""
+    def kernel(self, key, group, counters) -> np.ndarray:
+        groups = group.tag_groups()
+        columns = {
+            name: term_columns(group, rows, self.terms[name]) for name, rows in groups
+        }
         component_index, partition = key
         component = self.components[component_index]
         partitioning = self.partitionings[component_index]
@@ -258,54 +257,21 @@ class _ComponentFlaggingReducer(Reducer):
                 columns,
             )
         count_flagged(decisions, counters)
-        return decisions
-
-    def reduce(
-        self,
-        key: Hashable,
-        values: List[Tuple[str, Row]],
-        context: ReduceContext,
-    ) -> None:
-        if isinstance(values, ColumnValues):
-            reduce_columns(self, key, values, context)
-            return
-        rows_by_term = group_rows(values)
-        columns = {
-            name: attribute_columns(rows, self.terms[name].attribute)
-            for name, rows in rows_by_term.items()
-        }
-        decisions = self._decide(key, columns, context.counters)
-        for name, (_, flagged) in decisions.items():
-            term, rows = self.terms[name], rows_by_term[name]
-            for index in np.flatnonzero(flagged).tolist():
-                context.emit((term.relation, rows[index].rid, term.attribute))
-
-    # -- columnar protocol (see repro.mapreduce.task) -------------------
-    def columnar_ready(self) -> bool:
-        return True
-
-    def columnar_outputs(self, key, values: ColumnValues, counters):
-        groups = values.tag_groups()
-        columns = {
-            name: SortedColumns(values.starts[rows], values.ends[rows])
-            for name, rows in groups
-        }
-        decisions = self._decide(key, columns, counters)
         # One ``gid, term`` row per flagged interval.
         names = list(self.terms)
         outs = [np.empty((0, 2), dtype=np.int64)]
         for name, rows in groups:
-            gids = values.gids[rows][decisions[name][1]]
+            gids = group.gids[rows][decisions[name][1]]
             code = np.full(len(gids), names.index(name))
             outs.append(np.stack([gids, code], axis=1))
         return np.concatenate(outs)
 
-    def materialize_outputs(self, outs, store):
-        gids, codes = np.asarray(outs, dtype=np.int64).reshape(-1, 2).T
+    def format(self, block, store):
+        gids, codes = block.reshape(-1, 2).T
         terms = list(self.terms.values())
         return [
             (terms[code].relation, row.rid, terms[code].attribute)
-            for row, code in zip(store.take(gids), codes.tolist())
+            for row, code in zip(store.take(gids), codes)
         ]
 
 

@@ -23,7 +23,6 @@ from typing import Dict, List, Mapping, Optional, Set
 import numpy as np
 
 from repro.errors import PlanningError, UnsatisfiableQueryError
-from repro.columnar.batch import ColumnValues, reduce_columns
 from repro.core.algorithms.base import JoinAlgorithm, Plan, PlanContext
 from repro.core.algorithms.gen_matrix import (
     GridSpec,
@@ -35,17 +34,17 @@ from repro.core.algorithms.gen_matrix import (
 )
 from repro.core.algorithms.routing import FlagRouter, RoutedMapper, RowView
 from repro.core.graph import JoinGraph
-from repro.core.local import anchored_join, group_columns, group_rows, row_columns
+from repro.core.local import anchored_join, group_columns
 from repro.core.query import IntervalJoinQuery, Term
 from repro.intervals.partitioning import Partitioning
 from repro.mapreduce.job import JobConf
 from repro.mapreduce.shuffle import RoundRobinKeyPartitioner
-from repro.mapreduce.task import ReduceContext, Reducer
+from repro.mapreduce.task import KernelReducer
 
 __all__ = ["PASM"]
 
 
-class _MarkingReducer(Reducer):
+class _MarkingReducer(KernelReducer):
     """Marking-cycle reduce: join one component's colocation sub-query at
     one partition; emit the participating ``(relation, rid)`` pairs."""
 
@@ -61,11 +60,10 @@ class _MarkingReducer(Reducer):
         #: the relations an output's code names, in a fixed order.
         self.relations = sorted(self.attributes)
 
-    def _marked(self, key, columns, counters) -> Dict[str, np.ndarray]:
-        """Per relation of the key's component, the rows (indices into
-        its columns) some tuple owned here binds, ascending."""
+    def kernel(self, key, group, counters) -> np.ndarray:
         component_index, partition = key
         subquery = self.subqueries[component_index]
+        columns, gids = group_columns(subquery, group)
         # Exactly-once decomposition by the last local member, as in the
         # RCCIS JoinReducer.
         anchors = [Term(name, self.attributes[name]) for name in subquery.relations]
@@ -76,38 +74,21 @@ class _MarkingReducer(Reducer):
         ):
             for name, members in binding.items():
                 participating[name].append(np.unique(members))
-        return {
-            name: np.unique(np.concatenate(participating[name]))
-            for name in subquery.relations
-            if participating[name]
-        }
-
-    def reduce(self, key, values, context: ReduceContext) -> None:
-        if isinstance(values, ColumnValues):
-            reduce_columns(self, key, values, context)
-            return
-        columns, rows = row_columns(self.subqueries[key[0]], group_rows(values))
-        for name, marked in self._marked(key, columns, context.counters).items():
-            context.emit_many((name, row.rid) for row in rows[name][marked])
-
-    # -- columnar protocol (see repro.mapreduce.task) -------------------
-    def columnar_ready(self) -> bool:
-        return True
-
-    def columnar_outputs(self, key, values: ColumnValues, counters):
-        columns, gids = group_columns(self.subqueries[key[0]], values)
-        # One ``gid, relation`` row per marked row.
+        # One ``gid, relation`` row per row some tuple owned here binds,
+        # ascending per relation.
         outs = [np.empty((0, 2), dtype=np.int64)]
-        for name, marked in self._marked(key, columns, counters).items():
-            code = np.full(len(marked), self.relations.index(name))
-            outs.append(np.stack([gids[name][marked], code], axis=1))
+        for name in subquery.relations:
+            if participating[name]:
+                marked = np.unique(np.concatenate(participating[name]))
+                code = np.full(len(marked), self.relations.index(name))
+                outs.append(np.stack([gids[name][marked], code], axis=1))
         return np.concatenate(outs)
 
-    def materialize_outputs(self, outs, store):
-        gids, codes = np.asarray(outs, dtype=np.int64).reshape(-1, 2).T
+    def format(self, block, store):
+        gids, codes = block.reshape(-1, 2).T
         return [
             (self.relations[code], row.rid)
-            for row, code in zip(store.take(gids), codes.tolist())
+            for row, code in zip(store.take(gids), codes)
         ]
 
 

@@ -23,21 +23,15 @@ All-Matrix / All-Seq-Matrix / Gen-Matrix.
 from __future__ import annotations
 
 import functools
-from typing import Hashable, List, Mapping, Sequence, Tuple
+from typing import Mapping, Sequence
 
 import numpy as np
 
 from repro.errors import PlanningError
-from repro.columnar.batch import ColumnValues, IndexBlock, reduce_columns
+from repro.columnar.batch import IndexBlock, object_column
 from repro.core.algorithms.base import JoinAlgorithm, Plan, PlanContext
-from repro.core.local import (
-    TupleReducer,
-    anchored_join,
-    attribute_columns,
-    group_rows,
-)
+from repro.core.local import TupleReducer, anchored_join, term_columns
 from repro.core.query import IntervalJoinQuery, QueryClass, Term
-from repro.core.schema import Row
 from repro.core.algorithms.crossing import count_flagged, flag_columns
 from repro.core.algorithms.routing import (
     FlaggedRowView,
@@ -48,10 +42,9 @@ from repro.core.algorithms.routing import (
 )
 from repro.intervals.allen import MapOperator
 from repro.intervals.partitioning import Partitioning
-from repro.intervals.sweep import SortedColumns
 from repro.mapreduce.job import InputSpec, JobConf
 from repro.mapreduce.shuffle import RoundRobinKeyPartitioner
-from repro.mapreduce.task import ReduceContext, Reducer
+from repro.mapreduce.task import KernelReducer
 
 __all__ = ["RCCIS", "SplitMapper", "FlaggingReducer", "RouteMapper", "JoinReducer"]
 
@@ -68,8 +61,9 @@ class SplitMapper(RoutedMapper):
         )
 
 
-class FlaggingReducer(Reducer):
-    """Cycle 1 reduce: decide replication flags for rows starting here."""
+class FlaggingReducer(KernelReducer):
+    """Cycle 1 reduce: decide replication flags for rows starting here;
+    one ``(relation, row, flagged)`` record per such row."""
 
     def __init__(
         self,
@@ -84,57 +78,34 @@ class FlaggingReducer(Reducer):
         self.partitioning = partitioning
         self.conditions = query.conditions_as_triples()
 
-    def _decide(self, key, columns, counters):
-        """Per relation received, the ``(local, flagged)`` row masks."""
-        decisions = flag_columns(
-            self.relations, self.conditions, self.partitioning, int(key),
-            columns,
-        )
-        count_flagged(decisions, counters)
-        return decisions
-
-    def reduce(
-        self, key: Hashable, values: List[Tuple[str, Row]], context: ReduceContext
-    ) -> None:
-        if isinstance(values, ColumnValues):
-            reduce_columns(self, key, values, context)
-            return
-        rows_by_relation = group_rows(values)
+    def kernel(self, key, group, counters) -> np.ndarray:
+        groups = group.tag_groups()
         columns = {
-            relation: attribute_columns(rows, self.attributes[relation])
-            for relation, rows in rows_by_relation.items()
-        }
-        decisions = self._decide(key, columns, context.counters)
-        for relation, (local, flagged) in decisions.items():
-            rows = rows_by_relation[relation]
-            # Rows starting elsewhere are flagged (or not) by their own
-            # start partition.
-            for index in np.flatnonzero(local).tolist():
-                context.emit((relation, rows[index], bool(flagged[index])))
-
-    # -- columnar protocol (see repro.mapreduce.task) -------------------
-    def columnar_ready(self) -> bool:
-        return True
-
-    def columnar_outputs(self, key, values: ColumnValues, counters):
-        groups = values.tag_groups()
-        columns = {
-            relation: SortedColumns(values.starts[rows], values.ends[rows])
+            relation: term_columns(group, rows, Term(relation, self.attributes[relation]))
             for relation, rows in groups
         }
-        decisions = self._decide(key, columns, counters)
-        # One ``gid, flagged`` row per interval starting here.
-        outs = [np.empty((0, 2), dtype=np.int64)]
+        decisions = flag_columns(
+            self.relations, self.conditions, self.partitioning, int(key), columns
+        )
+        count_flagged(decisions, counters)
+        # One ``gid, relation, flagged`` row per interval starting here:
+        # rows starting elsewhere are flagged (or not) by their own start
+        # partition.
+        outs = [np.empty((0, 3), dtype=np.int64)]
         for relation, rows in groups:
             local, flagged = decisions[relation]
-            outs.append(np.stack([values.gids[rows][local], flagged[local]], axis=1))
+            code = np.full(np.count_nonzero(local), self.relations.index(relation))
+            outs.append(np.stack([group.gids[rows][local], code, flagged[local]], axis=1))
         return np.concatenate(outs)
 
-    def materialize_outputs(self, outs, store):
+    def format(self, block, store):
+        gids, codes, flagged = block.reshape(-1, 3).T
+        if isinstance(store, np.ndarray):  # a records-plane group's payloads
+            names = object_column(self.relations)[codes]
+            return list(zip(names, store.take(gids), map(bool, flagged)))
         # Input i of the flag cycle is relation i (``RCCIS.plan``): a
-        # gid's segment is its relation's code, its low half the row.
-        gids, flagged = np.asarray(outs, dtype=np.int64).reshape(-1, 2).T
-        return IndexBlock(self.relations, store.sources(), gids >> 32, gids & 0xFFFFFFFF, flagged)
+        # gid's low half is its row there.
+        return IndexBlock(self.relations, store.sources(), codes, gids & 0xFFFFFFFF, flagged)
 
 
 class RouteMapper(RoutedMapper):

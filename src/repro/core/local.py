@@ -37,7 +37,6 @@ exactly-once.
 
 from __future__ import annotations
 
-from collections import defaultdict
 from typing import (
     Any,
     Callable,
@@ -55,7 +54,7 @@ from typing import (
 
 import numpy as np
 
-from repro.columnar.batch import ColumnValues, object_column, reduce_columns
+from repro.columnar.batch import ColumnValues, object_column
 from repro.core.query import IntervalJoinQuery, JoinCondition, Term
 from repro.core.schema import Row
 from repro.intervals.partitioning import Partitioning
@@ -66,7 +65,7 @@ from repro.intervals.sweep import (
     window_blocks,
     window_kind,
 )
-from repro.mapreduce.task import ReduceContext, Reducer
+from repro.mapreduce.task import KernelReducer
 
 __all__ = [
     "LocalJoiner",
@@ -75,9 +74,7 @@ __all__ = [
     "attribute_columns",
     "binding_order",
     "group_columns",
-    "group_rows",
-    "row_columns",
-    "take_tuples",
+    "term_columns",
 ]
 
 #: One :class:`SortedColumns` per query term.
@@ -93,56 +90,41 @@ def attribute_columns(rows: Sequence[Row], attribute: str) -> SortedColumns:
     return SortedColumns.of_intervals([row.interval(attribute) for row in rows])
 
 
-def row_columns(
-    query: IntervalJoinQuery, rows_by_relation: Mapping[str, Sequence[Row]]
-) -> Tuple[Dict[Term, SortedColumns], Dict[str, np.ndarray]]:
-    """A reducer's rows as the join reads them: every query term's
-    endpoint columns and, per relation in output order, the rows as an
-    object column to ``take`` bindings from (empty for an absent one)."""
-    rows = {
-        name: object_column(rows_by_relation.get(name) or ())
-        for name in query.relations
-    }
-    columns = {
-        term: attribute_columns(
-            rows_by_relation.get(term.relation) or (), term.attribute
-        )
-        for term in query.terms
-    }
-    return columns, rows
+def term_columns(group: ColumnValues, rows: np.ndarray, term: Term) -> SortedColumns:
+    """``term``'s endpoint columns over the values ``rows`` of a group:
+    the routing interval a columnar value carries, or — a records-plane
+    group has none — the term's attribute of the row each payload holds
+    for its relation."""
+    if group.starts is not None:
+        return SortedColumns(group.starts[rows], group.ends[rows])
+    payloads = group.store.take(group.gids[rows])
+    return attribute_columns(
+        [_row_of(payload, term.relation) for payload in payloads], term.attribute
+    )
 
 
-def group_rows(values: Sequence[Tuple[str, Row]]) -> Dict[str, List[Row]]:
-    """A records-plane group's ``(relation, row)`` values as each
-    relation's rows, in arrival order."""
-    rows_by_relation: Dict[str, List[Row]] = defaultdict(list)
-    for relation, row in values:
-        rows_by_relation[relation].append(row)
-    return rows_by_relation
+def _row_of(payload: Any, relation: str) -> Row:
+    """The row a shuffle payload holds for ``relation``: a row is its
+    own, a ``(relation, row)`` member holds one, a partial tuple one per
+    member."""
+    if isinstance(payload, Row):
+        return payload
+    if isinstance(payload[0], str):
+        return payload[1]
+    return dict(payload)[relation]
 
 
 def group_columns(
-    query: IntervalJoinQuery, values: ColumnValues
+    query: IntervalJoinQuery, group: ColumnValues
 ) -> Tuple[Dict[Term, SortedColumns], Dict[str, np.ndarray]]:
-    """:func:`row_columns` of a columnar group tagged by relation, with
-    payload ids for rows: a single-attribute query's one term per
-    relation is the routing interval every value carries."""
-    columns, gids = {}, {}
-    for name in query.relations:
-        rows = np.flatnonzero(values.tag_mask(name))
-        gids[name] = values.gids[rows]
-        columns[Term(name, query.attributes_of(name)[0])] = SortedColumns(
-            values.starts[rows], values.ends[rows]
-        )
-    return columns, gids
-
-
-def take_tuples(
-    payloads: Mapping[str, np.ndarray], binding: Binding
-) -> Iterator[Tuple]:
-    """One block of bindings as tuples of ``payloads`` entries (a column
-    per relation, in output order)."""
-    return zip(*(payloads[name][binding[name]] for name in payloads))
+    """A group tagged by relation as the join reads it: every query
+    term's endpoint columns and, per relation in output order, the
+    values' gids (empty for an absent one)."""
+    rows = {name: np.flatnonzero(group.tag_mask(name)) for name in query.relations}
+    columns = {
+        term: term_columns(group, rows[term.relation], term) for term in query.terms
+    }
+    return columns, {name: group.gids[at] for name, at in rows.items()}
 
 
 def binding_order(
@@ -246,9 +228,18 @@ class LocalJoiner:
         accept: Optional[Accept] = None,
     ) -> Iterator[Tuple[Row, ...]]:
         """Enumerate satisfying tuples (in ``query.relations`` order)."""
-        columns, rows = row_columns(self.query, rows_by_relation)
+        columns = {
+            term: attribute_columns(
+                rows_by_relation.get(term.relation) or (), term.attribute
+            )
+            for term in self.query.terms
+        }
+        rows = {
+            name: object_column(rows_by_relation.get(name) or ())
+            for name in self.query.relations
+        }
         for binding in self.join_columns(columns, accept):
-            yield from take_tuples(rows, binding)
+            yield from zip(*(rows[name][binding[name]] for name in rows))
 
     def join_columns(
         self, columns: Columns, accept: Optional[Accept] = None
@@ -359,13 +350,10 @@ def anchored_join(
         yield from joiner.join_columns(run, accept)
 
 
-class TupleReducer(Reducer):
+class TupleReducer(KernelReducer):
     """A reducer emitting the join tuples of the bindings ``_join(key,
-    columns, counters)`` yields over one key group's columns: the one
-    kernel both planes run.  ``reduce`` reads the columns off a
-    records-plane group's rows; the columnar protocol (see
-    :mod:`repro.mapreduce.task`) reads them off the group and emits one
-    row of member gids per tuple.  Subclasses set ``query`` and count
+    columns, counters)`` yields over one key group's columns, one row of
+    member gids per tuple.  Subclasses set ``query`` and count
     comparisons through ``counters``, not a cached joiner's: one
     instance serves concurrently running tasks under the threads
     executor."""
@@ -373,29 +361,20 @@ class TupleReducer(Reducer):
     query: IntervalJoinQuery
     _join: Callable[[Hashable, Columns, Any], Iterator[Binding]]
 
-    def reduce(self, key, values, context: ReduceContext) -> None:
-        if isinstance(values, ColumnValues):
-            reduce_columns(self, key, values, context)
-            return
-        columns, rows = row_columns(self.query, group_rows(values))
-        for binding in self._join(key, columns, context.counters):
-            context.emit_many(take_tuples(rows, binding))
-
-    # -- columnar protocol (see repro.mapreduce.task) -------------------
     def columnar_ready(self) -> bool:
-        # A group carries one interval per value — the routing interval —
-        # which is every term's column only when each relation joins on
-        # a single attribute.
+        # A columnar group carries one interval per value — the routing
+        # interval — which is every term's column only when each
+        # relation joins on a single attribute.
         return self.query.is_single_attribute
 
-    def columnar_outputs(self, key, values: ColumnValues, counters):
-        columns, gids = group_columns(self.query, values)
+    def kernel(self, key, group: ColumnValues, counters) -> np.ndarray:
+        columns, gids = group_columns(self.query, group)
         blocks = [np.empty((0, len(gids)), dtype=np.int64)]
         for binding in self._join(key, columns, counters):
             blocks.append(np.stack([gids[name][binding[name]] for name in gids], axis=1))
         return np.concatenate(blocks)
 
-    def materialize_outputs(self, outs, store):
+    def format(self, block, store):
         # One object-array take per relation, zipped into tuples.
-        members = np.asarray(outs, dtype=np.int64).reshape(-1, len(self.query.relations))
+        members = block.reshape(-1, len(self.query.relations))
         return list(zip(*map(store.take, members.T)))

@@ -42,7 +42,7 @@ import itertools
 import json
 import os
 import shutil
-from typing import Any, Callable, Dict, Iterable, Iterator, List, Optional, Sequence
+from typing import Any, Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Set
 
 from repro.columnar.batch import IndexBlock
 from repro.errors import FileSystemError
@@ -52,6 +52,12 @@ __all__ = ["FileSystem", "InMemoryFileSystem", "LocalFileSystem"]
 
 class FileSystem(abc.ABC):
     """Abstract record-oriented file system."""
+
+    def __init__(self) -> None:
+        #: output base -> task index -> the attempt paths staged for it:
+        #: all a commit or an abort touches, whatever else the file
+        #: system holds.
+        self._staged: Dict[str, Dict[int, Set[str]]] = {}
 
     @abc.abstractmethod
     def write(
@@ -104,11 +110,14 @@ class FileSystem(abc.ABC):
         staged path.  Invisible to :meth:`read_dir` until promoted."""
         path = self.task_attempt_path(base, index, attempt)
         self.write(path, records, overwrite=True)
+        self._staged.setdefault(base, {}).setdefault(index, set()).add(path)
         return path
 
     def discard_attempt(self, base: str, index: int, attempt: int) -> None:
         """Drop one staged attempt (a failed one)."""
-        self.delete(self.task_attempt_path(base, index, attempt))
+        path = self.task_attempt_path(base, index, attempt)
+        self.delete(path)
+        self._staged.get(base, {}).get(index, set()).discard(path)
 
     def promote_attempt(self, base: str, index: int, attempt: int) -> str:
         """Commit one staged attempt as ``part-NNNNN``.
@@ -124,16 +133,20 @@ class FileSystem(abc.ABC):
             )
         dst = f"{base}/part-{index:05d}"
         self.rename(src, dst)
-        for leftover in self.list_prefix(f"{base}/_temporary/task-{index:05d}/"):
+        staged = self._staged.get(base, {})
+        for leftover in staged.pop(index, set()) - {src}:
             self.delete(leftover)
+        if not staged:
+            self._staged.pop(base, None)
         return dst
 
     def abort_job(self, base: str) -> None:
         """Abort a job that will not commit: drop every attempt still
         staged under ``<base>/_temporary/``, so a failed job leaves
         nothing behind.  Part files already promoted are not touched."""
-        for staged in self.list_prefix(f"{base}/_temporary/"):
-            self.delete(staged)
+        for staged in self._staged.pop(base, {}).values():
+            for path in staged:
+                self.delete(path)
 
     # ------------------------------------------------------------------
     def append_partition(self, base: str, index: int, records: Iterable[Any]) -> str:
@@ -175,6 +188,7 @@ class InMemoryFileSystem(FileSystem):
     """A dict-backed file system; the default substrate for simulations."""
 
     def __init__(self) -> None:
+        super().__init__()
         self._files: Dict[str, Sequence[Any]] = {}
 
     def write(
@@ -241,6 +255,7 @@ class LocalFileSystem(FileSystem):
         encode: Optional[Callable[[Any], Any]] = None,
         decode: Optional[Callable[[Any], Any]] = None,
     ) -> None:
+        super().__init__()
         self.root = os.path.abspath(root)
         os.makedirs(self.root, exist_ok=True)
         self._encode = encode or (lambda record: record)
@@ -305,21 +320,27 @@ class LocalFileSystem(FileSystem):
         task_dir = self._resolve(f"{base}/_temporary/task-{index:05d}")
         if os.path.isdir(task_dir):
             shutil.rmtree(task_dir)
-        temp_dir = self._resolve(f"{base}/_temporary")
-        if os.path.isdir(temp_dir) and not os.listdir(temp_dir):
-            os.rmdir(temp_dir)
+        if base not in self._staged:  # the job's last staged task
+            try:
+                os.rmdir(self._resolve(f"{base}/_temporary"))
+            except OSError:  # absent, or something else is staged there
+                pass
         return dst
 
     def abort_job(self, base: str) -> None:
         # The staging directories go with the files.
+        self._staged.pop(base, None)
         self.delete(f"{base}/_temporary")
 
     def list_prefix(self, prefix: str) -> List[str]:
         # Only the leading "/" is noise: a trailing one is the directory
         # boundary that keeps "out/" from matching a sibling "out2/".
+        # The walk starts in the prefix's own directory.
         wanted = prefix.lstrip("/")
+        directory = wanted[: wanted.rfind("/") + 1]
         found: List[str] = []
-        for dirpath, _, filenames in os.walk(self.root):
+        top = self._resolve(directory) if directory else self.root
+        for dirpath, _, filenames in os.walk(top):
             for name in filenames:
                 full = os.path.join(dirpath, name)
                 rel = os.path.relpath(full, self.root).replace(os.sep, "/")

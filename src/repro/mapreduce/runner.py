@@ -35,8 +35,10 @@ and routing endpoints that are exact in float64, runs on struct-of-arrays
 batches and an argsort shuffle; any other job runs on the records plane
 (:func:`_map_tasks_for` decides, ``docs/data_plane.md`` states the
 rule).  The plane only supplies different task *bodies* to the same
-loop: a vectorised in-process map body and, under ``processes``, a
-reduce body whose group columns travel through shared memory.
+loop: a vectorised in-process map body, and a reduce body that runs the
+reducer's kernel per group and returns the task's gid block, formatted
+once per task on the parent (under ``processes`` the group columns
+travel through shared memory and the block comes back as one array).
 
 Outcomes merge in task order, so outputs, counters and recorded span
 sets are bit-identical across executors, planes and — modulo the
@@ -72,6 +74,8 @@ from typing import (
     Sequence,
     Tuple,
 )
+
+import numpy as np
 
 from repro.columnar.batch import (
     ColumnarPairs,
@@ -260,10 +264,14 @@ def _columnar_map_task(
 def _reduce_task_core(
     reducer: Reducer,
     task_index: int,
-    groups: List[Tuple[Hashable, List[Any]]],
+    groups: List[Tuple[Hashable, Any]],
+    columnar: bool,
     faults: AttemptInjector,
-) -> Tuple[Sequence[Any], Counters]:
-    """Run one physical reduce task over its key groups."""
+) -> Tuple[Any, Counters]:
+    """Run one physical reduce task over its key groups: on the records
+    plane through ``reduce``, returning the records emitted; on the
+    columnar plane through the reducer's ``kernel``, returning the
+    groups' blocks as one int64 array for the parent to format."""
     counters = Counters()
     # Zero-initialise so even an empty task reports its input counters
     # (key routing decides which tasks receive groups at all).
@@ -271,13 +279,20 @@ def _reduce_task_core(
     counters.increment("framework", "reduce_input_records", 0)
     context = ReduceContext(counters, task_index)
     reducer.setup(context)
+    blocks = []
     for key, values in groups:
         counters.increment("framework", "reduce_input_groups")
         counters.increment("framework", "reduce_input_records", len(values))
-        reducer.reduce(key, values, context)
+        if columnar:
+            blocks.append(reducer.kernel(key, values, counters))
+        else:
+            reducer.reduce(key, values, context)
     faults.check("cleanup")
     reducer.cleanup(context)
-    output = context.drain()  # one drain: the groups' blocks stay one
+    if columnar:
+        output = np.concatenate(blocks) if blocks else np.empty((0, 0), dtype=np.int64)
+    else:
+        output = context.drain()
     counters.increment("framework", "reduce_output_records", len(output))
     return output, counters
 
@@ -287,17 +302,14 @@ def _shm_reduce_task(
     task_index: int,
     task: Any,
     faults: AttemptInjector,
-) -> Tuple[List[Any], Counters]:
-    """Run one reduce task whose groups arrive as a shared-memory block
-    (worker side of the columnar plane under ``processes``).
-
-    The reducer sees store-less :class:`ColumnValues` groups and emits
-    compact gid-shaped outputs; the parent materialises them.  Every
-    array view into the block must be dropped before ``close()``.
-    """
+) -> Tuple[Any, Counters]:
+    """Run one columnar reduce task whose groups arrive as a
+    shared-memory block (the worker side under ``processes``).  Every
+    array view into the block must be dropped before ``close()``; the
+    block returned is a fresh array."""
     groups, shm = unpack_reduce_task(task)
     try:
-        return _reduce_task_core(reducer, task_index, groups, faults)
+        return _reduce_task_core(reducer, task_index, groups, True, faults)
     finally:
         del groups
         if shm is not None:
@@ -378,7 +390,8 @@ class _Tasks:
         return obj
 
     def received(self, result: Any) -> Any:
-        """A pooled attempt's result as the parent consumes it."""
+        """An attempt's result, as its body returned it, in the form the
+        parent stages and records."""
         return result
 
     # Output staging: reduce tasks commit files, map output is
@@ -536,23 +549,35 @@ class _ReduceTasks(_Tasks):
     file is discarded, and ``run_job`` promotes each winner to
     its ``part-*`` file when gathering results — or, when the phase
     fails, aborts the job so that nothing stays staged.  On the columnar
-    plane the groups are :class:`ColumnValues` slices that reference the
-    job's payload store, and the same body applies.
+    plane (``store`` is the job's payload store) the groups are
+    :class:`ColumnValues` slices, the body runs the reducer's kernel,
+    and :meth:`received` formats each task's block once — the only
+    place a columnar job's outputs are materialised.
     """
 
     phase = "reduce"
 
-    def __init__(self, run: _JobRun, tasks: Sequence[Any]) -> None:
+    def __init__(
+        self, run: _JobRun, tasks: Sequence[Any],
+        store: Optional[PayloadStore] = None,
+    ) -> None:
         super().__init__(run, len(tasks))
         self.tasks = tasks
+        self.store = store
 
     def span_name(self, index: int) -> str:
         return f"reduce[{index}]"
 
     def body(self, index: int) -> Tuple[Callable[..., Any], Tuple]:
         return _reduce_task_core, (
-            self.fresh(self.run.conf.reducer), index, self.tasks[index]
+            self.fresh(self.run.conf.reducer), index, self.tasks[index],
+            self.store is not None,
         )
+
+    def received(self, result: Any) -> Any:
+        if self.store is None:
+            return result
+        return self.run.conf.reducer.format(result, self.store)
 
     def winner(
         self, index: int, counters: Counters, result: Any
@@ -587,17 +612,16 @@ class _ShmReduceTasks(_ReduceTasks):
     parent packs once — every attempt of the task, retries included,
     attaches the same block through its small picklable
     descriptor — and :meth:`close` unlinks, so the pickled payload
-    shrinks to the reducer plus the descriptor.  Workers return
-    gid-shaped outputs, which the parent materialises through the
-    payload store before staging and recording — so the committed
-    records and the recorded task facts are exactly the records plane's.
+    shrinks to the reducer plus the descriptor.  A worker sends back its
+    task's gid block as one int64 array, which :meth:`received` formats
+    before staging and recording — so the committed records and the
+    recorded task facts are exactly the other executors'.
     """
 
     def __init__(
         self, run: _JobRun, tasks: Sequence[Any], store: PayloadStore
     ) -> None:
-        super().__init__(run, tasks)
-        self.store = store
+        super().__init__(run, tasks, store)
         self.packed: List[Tuple[Any, Any]] = []
         try:
             for groups in tasks:
@@ -610,9 +634,6 @@ class _ShmReduceTasks(_ReduceTasks):
         return _shm_reduce_task, (
             self.run.conf.reducer, index, self.packed[index][0]
         )
-
-    def received(self, result: Any) -> Any:
-        return self.run.conf.reducer.materialize_outputs(result, self.store)
 
     def close(self) -> None:
         for _, shm in self.packed:
@@ -686,7 +707,7 @@ class _Attempt:
                 elapsed,
             )
         result, task_counters = body(*args, faults)
-        return result, task_counters, None
+        return tasks.received(result), task_counters, None
 
     def close(
         self,
@@ -876,7 +897,7 @@ def _reduce_and_commit(run: _JobRun, shuffled: _Shuffled) -> JobResult:
                     shm_bytes=sum(d.nbytes for d, _ in reduce_tasks.packed)
                 )
             else:
-                reduce_tasks = _ReduceTasks(run, tasks)
+                reduce_tasks = _ReduceTasks(run, tasks, shuffled.store)
             reduce_outcomes = _run_tasks(run, reduce_tasks, reduce_span)
 
         for index, outcome in enumerate(reduce_outcomes):

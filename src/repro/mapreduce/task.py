@@ -45,18 +45,30 @@ Mapper side::
                                       # value_of(r)[1] per record: what
                                       # PayloadStore.take resolves gids to
 
-Reducer side::
+Reducer side: a reducer that joins or flags the rows of one key group
+is a :class:`KernelReducer`, two methods and an optional gate::
 
-    def columnar_ready(self) -> bool
-    def columnar_outputs(self, key, values, counters)
-                                      # values is a ColumnValues group;
-                                      # the compact gid-shaped outputs:
-                                      # a list, or an int64 array with
-                                      # one row per output
-    def materialize_outputs(self, outs, store) -> list | IndexBlock
-                                      # rebuild the records-plane output
-                                      # records from a batch of them (a
-                                      # block stands for them as columns)
+    def kernel(self, key, group, counters) -> int64 array
+                                      # one row per output: group gids
+                                      # plus small int codes (a flag, a
+                                      # term code)
+    def format(self, block, store) -> Sequence
+                                      # a block's output records, gids
+                                      # resolved through store.take: the
+                                      # one place its format is written
+    def columnar_ready(self) -> bool  # whether a columnar group's one
+                                      # interval per value is enough
+
+The framework owns the rest, once per plane.  Columnar (every executor):
+the runner calls ``kernel`` per
+:class:`~repro.columnar.batch.ColumnValues` group, concatenates a task's
+blocks into one int64 array — all a ``processes`` worker sends back —
+and formats it once per task through the job's
+:class:`~repro.columnar.batch.PayloadStore`.  Records:
+:meth:`KernelReducer.reduce` is the adapter, running the kernel on
+:meth:`~repro.columnar.batch.ColumnValues.of_records` of the group (no
+endpoint columns: the kernel reads them off the payloads) and formatting
+through that group's own ``take``.
 
 The contract is bit-parity: for every input, the columnar path must
 produce the same outputs, the same counters and the same logical loads
@@ -68,10 +80,15 @@ from __future__ import annotations
 import abc
 from typing import Any, Hashable, Iterable, List, Sequence
 
-from repro.columnar.batch import IndexBlock
+import numpy as np
+
+from repro.columnar.batch import ColumnValues
 from repro.mapreduce.counters import Counters
 
-__all__ = ["MapContext", "ReduceContext", "Mapper", "Reducer", "IdentityMapper"]
+__all__ = [
+    "MapContext", "ReduceContext", "Mapper", "Reducer", "KernelReducer",
+    "IdentityMapper",
+]
 
 
 class MapContext:
@@ -102,28 +119,19 @@ class ReduceContext:
         #: which simulated reduce task this group was assigned to.
         self.task_index = task_index
         self._sink: List[Any] = []
-        #: blocks emitted before any single record: they stay columns.
-        self._blocks: List[IndexBlock] = []
 
     def emit(self, record: Any) -> None:
         """Emit one output record."""
         self._sink.append(record)
 
     def emit_many(self, records: Iterable[Any]) -> None:
-        """Emit a batch of output records; a first :class:`IndexBlock` stays one."""
-        if isinstance(records, IndexBlock) and not self._sink:
-            self._blocks.append(records)
-        else:
-            self._sink.extend(records)
+        """Emit a batch of output records."""
+        self._sink.extend(records)
 
-    def drain(self) -> Sequence[Any]:
-        """The records emitted so far: one block if blocks are all of it."""
-        blocks, records = self._blocks, self._sink
-        self._blocks, self._sink = [], []
-        if not blocks:
-            return records
-        block = IndexBlock.concat(blocks)
-        return block if not records else [*block, *records]
+    def drain(self) -> List[Any]:
+        """The records emitted so far."""
+        records, self._sink = self._sink, []
+        return records
 
 
 class Mapper(abc.ABC):
@@ -157,6 +165,28 @@ class Reducer(abc.ABC):
 
     def cleanup(self, context: ReduceContext) -> None:
         """Called once after the last key of a reduce task."""
+
+
+class KernelReducer(Reducer):
+    """A reducer written as a gid-block kernel and a formatter (see the
+    module docstring): ``reduce`` is their records-plane adapter, and the
+    runner drives both on the columnar plane."""
+
+    def columnar_ready(self) -> bool:
+        return True
+
+    @abc.abstractmethod
+    def kernel(self, key: Hashable, group: ColumnValues, counters: Counters) -> np.ndarray:
+        """One key group's outputs as an int64 block, one row each."""
+
+    @abc.abstractmethod
+    def format(self, block: np.ndarray, store: Any) -> Sequence[Any]:
+        """The output records a block of kernel rows stands for."""
+
+    def reduce(self, key: Hashable, values: List[Any], context: ReduceContext) -> None:
+        group = ColumnValues.of_records(key, values)
+        block = self.kernel(key, group, context.counters)
+        context.emit_many(self.format(block, group.store))
 
 
 class IdentityMapper(Mapper):

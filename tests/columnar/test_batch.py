@@ -239,7 +239,7 @@ class TestJobColumnarKind:
     def _reducer(self, ready=True):
         return SimpleNamespace(
             columnar_ready=lambda: ready,
-            columnar_outputs=lambda *a: iter(()),
+            kernel=lambda *a: None,
         )
 
     def _conf(self, mappers, reducer, combiner=None):

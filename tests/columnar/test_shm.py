@@ -5,8 +5,14 @@ from __future__ import annotations
 
 import numpy as np
 
+from tests.conftest import assert_matches_reference, make_dataset
+
+from repro import execute
 from repro.columnar.batch import ColumnValues
 from repro.columnar.shm import pack_reduce_task, unpack_reduce_task
+from repro.core.query import IntervalJoinQuery
+from repro.mapreduce import runner
+from repro.obs.recorder import TraceRecorder
 
 
 def _group(key, gids, starts, ends, tag_codes, tags):
@@ -74,3 +80,41 @@ class TestRoundtrip:
         assert restored == []
         assert attached is None
         assert task.nbytes == 0
+
+
+def test_a_pooled_reduce_task_sends_back_one_int64_block(monkeypatch):
+    """Under ``processes`` a columnar reduce task's outputs cross the
+    process boundary as one int64 array — its gid block, not boxed
+    ints — and the parent formats each task's block once, into as many
+    records as the block has rows and the worker counted."""
+    received = []
+    real_received = runner._ShmReduceTasks.received
+
+    def spy(self, result):
+        records = real_received(self, result)
+        received.append((self.run.conf.name, result, len(records)))
+        return records
+
+    monkeypatch.setattr(runner._ShmReduceTasks, "received", spy)
+    query = IntervalJoinQuery.parse([("R1", "overlaps", "R2"), ("R2", "before", "R3")])
+    data = make_dataset(query.relations, 30, seed=5)
+    recorder = TraceRecorder()
+    result = execute(
+        query, data, algorithm="pasm", num_partitions=4,
+        executor="processes", workers=2, faults=False, observer=recorder,
+    )
+    assert_matches_reference(query, data, result)
+    assert len(result) > 0
+    jobs = {job.name: job for job in recorder.job_results}
+    assert {name for name, _, _ in received} == {"pasm-flag", "pasm-mark", "pasm-join"}
+    for name, job in jobs.items():
+        blocks = [(block, formatted) for job_name, block, formatted in received if job_name == name]
+        assert len(blocks) == len(job.reduce_task_outputs)  # once per task
+        for block, formatted in blocks:
+            assert type(block) is np.ndarray and block.dtype == np.int64
+            assert len(block) == formatted
+        # (in the order the tasks finished)
+        assert sorted(formatted for _, formatted in blocks) == sorted(job.reduce_task_outputs)
+        assert job.counters.value("framework", "reduce_output_records") == sum(
+            job.reduce_task_outputs
+        )

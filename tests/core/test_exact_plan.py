@@ -37,21 +37,23 @@ def _exact(algorithm: str):
 
 @pytest.mark.parametrize("algorithm", sorted(QUERIES))
 def test_final_reducer_never_runs(algorithm, monkeypatch):
-    """A spy on every job's reducer: the last job of the plan is never
-    reduced; every flag and mark cycle is."""
+    """A spy on every job's reducer — its kernel, which both planes run,
+    if it has one: the last job of the plan is never reduced; every flag
+    and mark cycle is."""
     jobs = []
     reduce_calls: Counter = Counter()
     real_run = DryPipeline.run
 
     def spying_run(self, conf):
         jobs.append(conf.name)
-        reduce = conf.reducer.reduce
+        hook = "kernel" if hasattr(conf.reducer, "kernel") else "reduce"
+        reduce = getattr(conf.reducer, hook)
 
         def counted(key, values, context):
             reduce_calls[conf.name] += 1
             return reduce(key, values, context)
 
-        conf.reducer.reduce = counted  # shadows the method on the instance
+        setattr(conf.reducer, hook, counted)  # shadows the method on the instance
         return real_run(self, conf)
 
     monkeypatch.setattr(DryPipeline, "run", spying_run)

@@ -7,7 +7,7 @@ import pytest
 
 from tests.conftest import make_dataset
 
-from repro.core.local import LocalJoiner, anchored_join, row_columns
+from repro.core.local import LocalJoiner, anchored_join, attribute_columns
 from repro.core.query import IntervalJoinQuery, Term
 from repro.core.reference import reference_join
 from repro.core.schema import Row
@@ -143,7 +143,7 @@ class TestAnchoredJoin:
         )
         data = make_dataset(["A", "B", "C"], 30, seed=9)
         rows = {name: data[name].rows for name in data}
-        columns, _ = row_columns(q, rows)
+        columns = {t: attribute_columns(rows[t.relation], t.attribute) for t in q.terms}
         anchors = [Term(name, "I") for name in q.relations]
         halves = Partitioning((0.0, 100.0, 300.0))
         counted = []

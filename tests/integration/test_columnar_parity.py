@@ -662,6 +662,8 @@ FIRST_JOB_BEYOND_FLOAT64 = {
     "rccis": ("rccis-flag", "records", "endpoints-not-float64-exact"),
     "pasm": ("pasm-flag", "records", "endpoints-not-float64-exact"),
     "all_matrix": ("all_matrix-join", "records", "endpoints-not-float64-exact"),
+    "gen_matrix": ("gen_matrix-flag", "records", "endpoints-not-float64-exact"),
+    "two_way_cascade": ("cascade-R2", "records", "endpoints-not-float64-exact"),
 }
 
 
@@ -673,6 +675,10 @@ FIRST_JOB_BEYOND_FLOAT64 = {
         ("all_matrix", [("R1", "before", "R2"), ("R2", "before", "R3")]),
         ("two_way", [("R1", "overlaps", "R2")]),
         ("all_replicate", [("R1", "overlaps", "R2"), ("R2", "overlaps", "R3")]),
+        # A multi-term colocation component: the component flag cycle.
+        ("gen_matrix", [("R1", "overlaps", "R2"), ("R2", "before", "R3")]),
+        # Every step of a 3-relation cascade.
+        ("two_way_cascade", [("R1", "overlaps", "R2"), ("R2", "overlaps", "R3")]),
     ],
 )
 def test_whole_queries_are_exact_beyond_float64(algorithm, conditions):

@@ -195,8 +195,8 @@ def test_the_map_side_is_written_once():
                 for node in cls.body
                 if isinstance(node, ast.FunctionDef)
             }
-            # A reducer's columnar_ready is the other half of the protocol.
-            if "columnar_outputs" not in methods:
+            # A reducer's columnar_ready gates its kernel, not a map side.
+            if "kernel" not in methods:
                 for name in defined:
                     if name in methods:
                         defined[name].append(f"{module}:{cls.name}")
@@ -214,6 +214,47 @@ def test_the_map_side_is_written_once():
     )
     assert len(defined["map_columns"]) <= 4
     assert switches == []
+
+
+def test_the_reduce_side_is_written_once():
+    """The reducer fork cannot re-grow: a reducer under ``core`` is a
+    kernel and a formatter (``mapreduce.task.KernelReducer``), whose
+    ``reduce`` is the one records-plane adapter; only fcts-matrix's
+    records-only reducer still writes its own ``reduce``.  No class
+    restates materialisation, no reducer boxes its outputs into Python
+    ints, and no reduce body asks which plane it is on."""
+    reduces, restated, boxing = [], [], []
+    for path, tree in _modules("core"):
+        for cls in ast.walk(tree):
+            if not isinstance(cls, ast.ClassDef):
+                continue
+            methods = {
+                node.name for node in cls.body if isinstance(node, ast.FunctionDef)
+            }
+            where = f"{path.relative_to(SRC).as_posix()}:{cls.name}"
+            if "reduce" in methods:
+                reduces.append(where)
+            if methods & {"columnar_outputs", "materialize_outputs"}:
+                restated.append(where)
+            if cls.name.endswith("Reducer") and "tolist" in _names(cls):
+                boxing.append(where)
+    assert reduces == ["core/algorithms/hybrid.py:_ComponentJoinReducer"]
+    assert restated == []
+    assert boxing == []
+
+    plane_forks = [
+        f"{path.relative_to(SRC).as_posix()}:{node.lineno}"
+        for path, tree in _modules("")
+        for node in ast.walk(tree)
+        if "reduce_columns"
+        in (getattr(node, "name", None), getattr(node, "id", None), getattr(node, "attr", None))
+        or (
+            isinstance(node, ast.Call)
+            and getattr(node.func, "id", None) == "isinstance"
+            and "ColumnValues" in _names(node.args[1])
+        )
+    ]
+    assert plane_forks == []
 
 
 def _calls(tree, attr):

@@ -82,13 +82,13 @@ class KillingJoinReducer(rccis.JoinReducer):
         self.once_flag = once_flag
         self.parent_pid = os.getpid()
 
-    def columnar_outputs(self, key, values, counters):
+    def kernel(self, key, group, counters):
         if key == 0 and not (self.once_flag and os.path.exists(self.once_flag)):
             assert os.getpid() != self.parent_pid, "reduce ran in the parent"
             if self.once_flag:
                 open(self.once_flag, "w").close()
             os.kill(os.getpid(), signal.SIGKILL)
-        return super().columnar_outputs(key, values, counters)
+        return super().kernel(key, group, counters)
 
 
 @pytest.fixture

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.errors import FileSystemError
+from repro.mapreduce import fs as fs_module
 from repro.mapreduce.fs import InMemoryFileSystem, LocalFileSystem
 
 
@@ -166,3 +167,66 @@ class TestCommitProtocol:
         assert not any(
             "_temporary" in path for path in fs.list_prefix("out/")
         )
+
+
+class TestCommitWork:
+    """A commit touches its own task's staged files and an abort its own
+    job's — not every file the store holds — so committing a job costs
+    work linear in its reduce tasks (a grid job runs one task per cell)."""
+
+    @staticmethod
+    def _count_enumeration(fs, monkeypatch):
+        """A counter of the paths ``fs`` enumerates: the entries of every
+        directory ``LocalFileSystem`` walks; for ``InMemoryFileSystem``,
+        whose ``list_prefix`` scans every path it holds, that count per
+        call."""
+        touched = [0]
+        if isinstance(fs, LocalFileSystem):
+            walk = fs_module.os.walk
+
+            def counting_walk(top, *args, **kwargs):
+                for dirpath, dirnames, filenames in walk(top, *args, **kwargs):
+                    touched[0] += len(dirnames) + len(filenames)
+                    yield dirpath, dirnames, filenames
+
+            monkeypatch.setattr(fs_module.os, "walk", counting_walk)
+        else:
+            list_prefix = fs.list_prefix
+
+            def counting_list_prefix(prefix):
+                touched[0] += len(list_prefix(""))
+                return list_prefix(prefix)
+
+            monkeypatch.setattr(fs, "list_prefix", counting_list_prefix)
+        return touched
+
+    @pytest.mark.parametrize("tasks", [16, 64])
+    def test_commit_and_abort_work_is_linear_in_tasks(self, fs, monkeypatch, tasks):
+        for i in range(50):
+            fs.write(f"data/file-{i}", [i])
+        touched = self._count_enumeration(fs, monkeypatch)
+        for index in range(tasks):
+            fs.write_attempt("out", index, 0, ["lost"])
+            fs.discard_attempt("out", index, 0)
+            fs.write_attempt("out", index, 1, [index])
+        for index in range(tasks):
+            fs.promote_attempt("out", index, 1)
+        for index in range(tasks):
+            fs.write_attempt("failed", index, 0, [index])
+        fs.abort_job("failed")
+        assert touched[0] <= 4 * tasks
+        monkeypatch.undo()
+        assert sorted(fs.read_dir("out")) == list(range(tasks))
+        assert fs.list_prefix("failed") == []
+        assert not any("_temporary" in path for path in fs.list_prefix("out"))
+
+    def test_local_listing_walks_only_the_prefix_directory(self, tmp_path, monkeypatch):
+        fs = LocalFileSystem(str(tmp_path / "fsroot"))
+        for i in range(40):
+            fs.write(f"other/file-{i}", [i])
+        fs.write("out/part-00000", [1])
+        fs.write("out2/part-00000", [2])
+        touched = self._count_enumeration(fs, monkeypatch)
+        assert fs.list_prefix("out/") == ["out/part-00000"]
+        assert touched[0] == 1
+        assert fs.list_prefix("/out") == ["out/part-00000", "out2/part-00000"]

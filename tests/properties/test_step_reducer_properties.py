@@ -122,11 +122,15 @@ class _Store:
 
 def run_form(reducer, values):
     counters = Counters()
-    context = ReduceContext(counters, task_index=0)
-    reducer.reduce(0, values, context)
+    if isinstance(values, ColumnValues):  # the columnar form: the kernel
+        records = reducer.format(reducer.kernel(0, values, counters), values.store)
+    else:
+        context = ReduceContext(counters, task_index=0)
+        reducer.reduce(0, values, context)
+        records = context.drain()
     # Charged once with the total, the counter never created at zero.
     assert counters.as_dict().get("work", {}).get("comparisons") != 0
-    return context.drain(), counters.value("work", "comparisons")
+    return records, counters.value("work", "comparisons")
 
 
 def column_values(reducer, values):
