@@ -16,8 +16,8 @@ through map -> shuffle -> reduce:
   (:mod:`repro.columnar.shm`).
 
 Nobody selects the plane: :func:`~repro.mapreduce.runner.run_job` runs a
-job here exactly when :func:`job_columnar_gate` passes and every routing
-endpoint is exact in float64, and on the records plane otherwise, with
+job here exactly when :func:`job_columnar_gate` passes — its code
+implements the protocol — and on the records plane otherwise, with
 bit-identical outputs either way (``docs/data_plane.md`` states the
 rule and its evidence).
 """

@@ -30,6 +30,7 @@ from typing import (
     Iterator,
     List,
     Mapping,
+    NamedTuple,
     Optional,
     Sequence,
     Tuple,
@@ -47,6 +48,7 @@ __all__ = [
     "ColumnarPairs",
     "ColumnValues",
     "IndexBlock",
+    "Terms",
     "PayloadStore",
     "job_columnar_gate",
     "endpoint_column",
@@ -135,18 +137,29 @@ def endpoint_column(values: List[Any]) -> np.ndarray:
 
 def interval_columns(
     records: Sequence[Any], interval_of: Callable[[Any], Any]
-) -> Optional[Tuple[np.ndarray, np.ndarray]]:
-    """A mapper's ``encode_intervals``: the ``(starts, ends)`` float64
-    columns of the routing intervals ``interval_of`` reads off each
-    record — or ``None`` when some endpoint is not exact in float64, in
-    which case comparing the columns would not be comparing the
-    intervals and the job has to run on the records plane."""
+) -> Tuple[np.ndarray, np.ndarray]:
+    """A mapper's ``encode_intervals``: the ``(starts, ends)`` columns of
+    the intervals ``interval_of`` reads off each record — float64, or
+    ``object`` where some endpoint is not exact in float64, so that
+    comparing the columns is always comparing the intervals."""
     intervals = [interval_of(record) for record in records]
     starts = endpoint_column([interval.start for interval in intervals])
     ends = endpoint_column([interval.end for interval in intervals])
-    if starts.dtype == object or ends.dtype == object:
-        return None
     return starts, ends
+
+
+class Terms(NamedTuple):
+    """The query terms shuffled values carry besides their routing
+    interval: one row per value, one column of ``starts`` / ``ends`` per
+    slot, and ``layouts[c]`` naming the terms in the slots of a value
+    with tag code ``c`` (``()`` for a tag whose values carry none)."""
+
+    layouts: Tuple[Tuple[Any, ...], ...]
+    starts: np.ndarray
+    ends: np.ndarray
+
+    def take(self, rows) -> "Terms":
+        return Terms(self.layouts, self.starts[rows], self.ends[rows])
 
 
 def operator_map_columns(
@@ -184,17 +197,21 @@ class ColumnarPairs:
     """The job-level intermediate batch: one row per emitted pair.
 
     Columns: ``key_codes`` (int64), ``gids`` (int64 payload ids),
-    ``starts``/``ends`` (float64 routing-interval endpoints) and
-    ``tag_codes`` (int16 into the job's tag table).  Blocks append in
-    map-task order, so row order equals the records plane's pair-stream
-    order.
+    ``starts``/``ends`` (routing-interval endpoints, float64 or
+    ``object`` as the inputs encoded them) and ``tag_codes`` (int16 into
+    the job's tag table) — plus, when an input's values carry further
+    query terms, their :class:`Terms`.  Blocks append in map-task order,
+    so row order equals the records plane's pair-stream order.
     """
 
     def __init__(self, codec: "KeyCodec") -> None:
         self.codec = codec
         self._tags: List[str] = []
+        #: per tag code, the further terms its values carry.
+        self._layouts: List[Tuple[Any, ...]] = []
         self._blocks: List[Tuple[np.ndarray, ...]] = []
         self._columns: Optional[Tuple[np.ndarray, ...]] = None
+        self._further: Optional[Terms] = None
         self._length = 0
 
     def __len__(self) -> int:
@@ -204,11 +221,12 @@ class ColumnarPairs:
     def tags(self) -> Tuple[str, ...]:
         return tuple(self._tags)
 
-    def intern_tag(self, tag: str) -> int:
+    def intern_tag(self, tag: str, layout: Tuple[Any, ...] = ()) -> int:
         try:
             return self._tags.index(tag)
         except ValueError:
             self._tags.append(tag)
+            self._layouts.append(tuple(layout))
             return len(self._tags) - 1
 
     def append_block(
@@ -217,51 +235,64 @@ class ColumnarPairs:
         segment: int,
         starts: np.ndarray,
         ends: np.ndarray,
+        terms: Optional[Tuple[Tuple[Any, ...], np.ndarray, np.ndarray]] = None,
     ) -> None:
         """Absorb one map task's emission.
 
         ``starts``/``ends`` are the task's *per-record* routing-interval
-        columns; per-pair endpoints are gathered through the block's
-        ``row_idx``.
+        columns and ``terms``, if its values carry further query terms,
+        ``(layout, starts, ends)`` with one column per term; per-pair
+        endpoints are gathered through the block's ``row_idx``.
         """
         if self._columns is not None:  # pragma: no cover - defensive
             raise RuntimeError("batch already finalised")
+        layout = terms[0] if terms is not None else ()
         remap = np.asarray(
-            [self.intern_tag(tag) for tag in block.tags], dtype=np.int16
+            [self.intern_tag(tag, layout) for tag in block.tags], dtype=np.int16
         )
         tag_codes = (
             remap[block.tag_codes] if len(remap) else block.tag_codes
         )
         gids = (np.int64(segment) << np.int64(32)) | block.row_idx
-        self._blocks.append(
-            (
-                block.key_codes,
-                gids,
-                np.asarray(starts, dtype=np.float64)[block.row_idx],
-                np.asarray(ends, dtype=np.float64)[block.row_idx],
-                tag_codes,
-            )
-        )
+        more = (np.empty((len(starts), 0)),) * 2 if terms is None else terms[1:]
+        self._blocks.append((
+            block.key_codes, gids,
+            *(np.asarray(column)[block.row_idx] for column in (starts, ends, *more)),
+            tag_codes,
+        ))
         self._length += len(block)
 
     def columns(self) -> Tuple[np.ndarray, ...]:
         """``(key_codes, gids, starts, ends, tag_codes)``, concatenated."""
         if self._columns is None:
-            if self._blocks:
-                self._columns = tuple(
-                    np.concatenate([b[i] for b in self._blocks])
-                    for i in range(5)
-                )
-            else:
-                self._columns = (
-                    np.empty(0, dtype=np.int64),
-                    np.empty(0, dtype=np.int64),
-                    np.empty(0, dtype=np.float64),
-                    np.empty(0, dtype=np.float64),
-                    np.empty(0, dtype=np.int16),
-                )
+            blocks = self._blocks or [(
+                np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64),
+                np.empty(0), np.empty(0), np.empty((0, 0)), np.empty((0, 0)),
+                np.empty(0, dtype=np.int16),
+            )]
+            width = max(block[4].shape[1] for block in blocks)
+
+            def padded(column):
+                # Slots a tag's layout does not name are never read.
+                if column.ndim == 1:
+                    return column
+                return np.pad(column, ((0, 0), (0, width - column.shape[1])))
+
+            *columns, term_starts, term_ends, tag_codes = (
+                np.concatenate([padded(block[i]) for block in blocks])
+                for i in range(7)
+            )
+            self._columns = (*columns, tag_codes)
+            if width:
+                self._further = Terms(tuple(self._layouts), term_starts, term_ends)
             self._blocks = []
         return self._columns
+
+    def terms(self) -> Optional[Terms]:
+        """The further terms of every row, or ``None`` when no input's
+        values carry any."""
+        self.columns()
+        return self._further
 
     def logical_loads(self) -> Dict[Hashable, int]:
         """Pairs per distinct key, decoded to native Python keys."""
@@ -280,12 +311,16 @@ class ColumnValues:
     it to — ``len()`` is the group size and iteration lazily materialises
     the exact records-plane value objects through the payload store (used
     by the pickle safety net).  Kernels never materialise; they read the
-    arrays directly.  A records-plane group (:meth:`of_records`) has no
-    endpoint columns: ``starts`` / ``ends`` are ``None``, and its store
-    is its own payload column, which ``take``s gids as positions.
+    arrays directly: ``starts`` / ``ends`` are the values' routing
+    intervals and ``terms``, if they carry any, their further query
+    terms.  A records-plane group (:meth:`of_records`) has no endpoint
+    columns: ``starts`` / ``ends`` are ``None``, and its store is its
+    own payload column, which ``take``s gids as positions.
     """
 
-    __slots__ = ("key", "gids", "starts", "ends", "tag_codes", "tags", "store")
+    __slots__ = (
+        "key", "gids", "starts", "ends", "tag_codes", "tags", "store", "terms",
+    )
 
     def __init__(
         self,
@@ -296,6 +331,7 @@ class ColumnValues:
         tag_codes: np.ndarray,
         tags: Tuple[str, ...],
         store: Any,
+        terms: Optional[Terms] = None,
     ) -> None:
         self.key = key
         self.gids = gids
@@ -304,6 +340,7 @@ class ColumnValues:
         self.tag_codes = tag_codes
         self.tags = tags
         self.store = store
+        self.terms = terms
 
     @classmethod
     def of_records(cls, key: Hashable, values: Sequence[Tuple[str, Any]]) -> "ColumnValues":
@@ -499,28 +536,18 @@ class PayloadStore:
 def job_columnar_gate(
     conf: "JobConf",
 ) -> Tuple[Optional[str], Optional[str]]:
-    """What the job itself says about its data plane: ``(key kind,
-    None)`` when no combiner is configured and every mapper and the
-    reducer implement the columnar protocol, report themselves ready and
-    agree on one key family; else ``(None, reason)`` — the job runs on
-    the records plane and the reason string goes on its span and its
-    :class:`~repro.mapreduce.job.JobResult`."""
-    if conf.combiner is not None:
-        return None, "combiner-configured"
+    """What the job's code says about its data plane: ``(key kind,
+    None)`` when every mapper and the reducer implement the columnar
+    protocol and the mappers agree on one key family; else ``(None,
+    reason)`` — the job runs on the records plane and the reason string
+    goes on its span and its :class:`~repro.mapreduce.job.JobResult`."""
     kinds = set()
     for spec in conf.inputs:
-        mapper = spec.mapper
-        if not hasattr(mapper, "map_columns"):
+        if not hasattr(spec.mapper, "map_columns"):
             return None, "mapper-no-columnar-protocol"
-        ready = getattr(mapper, "columnar_ready", None)
-        if ready is None or not ready():
-            return None, "mapper-not-columnar-ready"
-        kinds.add(getattr(mapper, "columnar_key_kind", None))
+        kinds.add(getattr(spec.mapper, "columnar_key_kind", None))
     if len(kinds) != 1 or None in kinds:
         return None, "mixed-key-kinds"
     if not hasattr(conf.reducer, "kernel"):
         return None, "reducer-no-columnar-protocol"
-    if not conf.reducer.columnar_ready():
-        return None, "reducer-not-columnar-ready"
     return kinds.pop(), None
-

@@ -4,13 +4,21 @@ The ``processes`` executor on the columnar plane packs each reduce
 task's group columns into **one** shared-memory block instead of
 pickling value lists:
 
-* layout: ``[gids int64 | starts f64 | ends f64 | tag_codes int16]``,
-  all groups concatenated in group order (the 2-byte column goes last so
-  every column stays naturally aligned);
+* layout: ``[gids int64 | starts f64 | ends f64 | term starts f64 |
+  term ends f64 | tag_codes int16]``, all groups concatenated in group
+  order (the 2-byte column goes last so every column stays naturally
+  aligned); the term columns hold ``width`` slots per row and are empty
+  when the values carry no further query terms;
 * the picklable :class:`ShmReduceTask` descriptor carries only the block
-  name, the per-group keys/lengths and the tag table — a few hundred
-  bytes regardless of data size, which is the pickle-bytes collapse the
-  profiler's ``repro_profile_shm_bytes_total`` family makes visible.
+  name, the per-group keys/lengths, the tag table and the term layouts —
+  a few hundred bytes regardless of data size, which is the pickle-bytes
+  collapse the profiler's ``repro_profile_shm_bytes_total`` family makes
+  visible.
+
+Shared memory holds numbers only: a task whose endpoint columns are
+``object`` (an endpoint that is not a float64) keeps its gids and tag
+codes in the block and sends its endpoint columns pickled in the
+descriptor.
 
 Ownership: the **parent** creates and unlinks every block (create →
 dispatch → join → unlink, in a ``finally``); workers attach, build
@@ -26,11 +34,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from multiprocessing import shared_memory
-from typing import Hashable, List, Optional, Sequence, Tuple
+from typing import Any, Hashable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.columnar.batch import ColumnValues
+from repro.columnar.batch import ColumnValues, Terms
 
 __all__ = ["ShmReduceTask", "pack_reduce_task", "unpack_reduce_task"]
 
@@ -44,26 +52,33 @@ class ShmReduceTask:
     keys: List[Hashable]
     lengths: List[int]
     tags: Tuple[str, ...]
+    #: per tag code, the further terms its values carry (``Terms.layouts``).
+    layouts: Tuple[Tuple[Any, ...], ...] = ()
+    #: further-term slots per row (0: the values carry none).
+    width: int = 0
+    #: ``starts, ends, term starts, term ends`` when they are ``object``.
+    endpoints: Optional[Tuple[np.ndarray, ...]] = None
+
+    def shapes(self) -> List[Tuple[Any, Tuple[int, ...]]]:
+        """``(dtype, shape)`` of each column the block holds, in order."""
+        rows = self.total_rows
+        floats = [(np.float64, (rows,))] * 2 + [(np.float64, (rows, self.width))] * 2
+        return [
+            (np.int64, (rows,)), *(floats if self.endpoints is None else ()),
+            (np.int16, (rows,)),
+        ]
 
     @property
     def nbytes(self) -> int:
-        return self.total_rows * (8 + 8 + 8 + 2)
+        return sum(np.dtype(t).itemsize * int(np.prod(s)) for t, s in self.shapes())
 
 
-def _column_views(
-    buf, total_rows: int
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    gids = np.ndarray((total_rows,), dtype=np.int64, buffer=buf, offset=0)
-    starts = np.ndarray(
-        (total_rows,), dtype=np.float64, buffer=buf, offset=8 * total_rows
-    )
-    ends = np.ndarray(
-        (total_rows,), dtype=np.float64, buffer=buf, offset=16 * total_rows
-    )
-    tag_codes = np.ndarray(
-        (total_rows,), dtype=np.int16, buffer=buf, offset=24 * total_rows
-    )
-    return gids, starts, ends, tag_codes
+def _views(task: ShmReduceTask, buf) -> List[np.ndarray]:
+    views, offset = [], 0
+    for dtype, shape in task.shapes():
+        views.append(np.ndarray(shape, dtype=dtype, buffer=buf, offset=offset))
+        offset += views[-1].nbytes
+    return views
 
 
 def pack_reduce_task(
@@ -75,26 +90,32 @@ def pack_reduce_task(
     empty); the caller owns the block and must ``close()`` + ``unlink()``
     it once the task result has been collected.
     """
-    keys = [key for key, _ in groups]
-    lengths = [len(values) for _, values in groups]
-    total = sum(lengths)
-    tags: Tuple[str, ...] = groups[0][1].tags if groups else ()
-    if total == 0:
-        return ShmReduceTask(None, 0, keys, lengths, tags), None
-    shm = shared_memory.SharedMemory(
-        create=True, size=total * (8 + 8 + 8 + 2)
+    terms = groups[0][1].terms if groups else None
+    task = ShmReduceTask(
+        None, sum(len(values) for _, values in groups), [key for key, _ in groups],
+        [len(values) for _, values in groups], groups[0][1].tags if groups else (),
+        terms.layouts if terms is not None else (),
+        terms.starts.shape[1] if terms is not None else 0,
     )
-    gids, starts, ends, tag_codes = _column_views(shm.buf, total)
-    offset = 0
-    for _, values in groups:
-        n = len(values)
-        gids[offset : offset + n] = values.gids
-        starts[offset : offset + n] = values.starts
-        ends[offset : offset + n] = values.ends
-        tag_codes[offset : offset + n] = values.tag_codes
-        offset += n
-    del gids, starts, ends, tag_codes
-    return ShmReduceTask(shm.name, total, keys, lengths, tags), shm
+    if task.total_rows == 0:
+        return task, None
+    gids, starts, ends, term_starts, term_ends, tag_codes = (
+        np.concatenate(parts) for parts in zip(*(
+            (values.gids, values.starts, values.ends,
+             *((values.terms.starts, values.terms.ends) if terms is not None
+               else (np.empty((len(values), 0)),) * 2),
+             values.tag_codes)
+            for _, values in groups
+        ))
+    )
+    endpoints = (starts, ends, term_starts, term_ends)
+    if any(column.dtype == object for column in endpoints):
+        task.endpoints, endpoints = endpoints, ()
+    shm = shared_memory.SharedMemory(create=True, size=task.nbytes)
+    task.shm_name = shm.name
+    for view, column in zip(_views(task, shm.buf), (gids, *endpoints, tag_codes)):
+        view[...] = column
+    return task, shm
 
 
 def unpack_reduce_task(
@@ -107,38 +128,23 @@ def unpack_reduce_task(
     materialises).  The caller must drop every group before closing the
     returned block.
     """
+    shm = None
     if task.shm_name is None:
-        empty = [
-            (
-                key,
-                ColumnValues(
-                    key,
-                    np.empty(0, dtype=np.int64),
-                    np.empty(0, dtype=np.float64),
-                    np.empty(0, dtype=np.float64),
-                    np.empty(0, dtype=np.int16),
-                    task.tags,
-                    None,
-                ),
-            )
-            for key in task.keys
-        ]
-        return empty, None
-    shm = shared_memory.SharedMemory(name=task.shm_name)
-    gids, starts, ends, tag_codes = _column_views(shm.buf, task.total_rows)
+        views = [np.empty(shape, dtype) for dtype, shape in task.shapes()]
+    else:
+        shm = shared_memory.SharedMemory(name=task.shm_name)
+        views = _views(task, shm.buf)
+    if task.endpoints is not None:
+        views[1:1] = task.endpoints
+    gids, starts, ends, term_starts, term_ends, tag_codes = views
     groups: List[Tuple[Hashable, ColumnValues]] = []
     offset = 0
     for key, n in zip(task.keys, task.lengths):
         sl = slice(offset, offset + n)
-        groups.append(
-            (
-                key,
-                ColumnValues(
-                    key, gids[sl], starts[sl], ends[sl], tag_codes[sl],
-                    task.tags, None,
-                ),
-            )
-        )
+        terms = Terms(task.layouts, term_starts[sl], term_ends[sl]) if task.width else None
+        groups.append((key, ColumnValues(
+            key, gids[sl], starts[sl], ends[sl], tag_codes[sl], task.tags, None, terms,
+        )))
         offset += n
-    del gids, starts, ends, tag_codes
+    del views, gids, starts, ends, term_starts, term_ends, tag_codes
     return groups, shm

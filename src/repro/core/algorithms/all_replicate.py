@@ -66,13 +66,15 @@ class AllReplicate(JoinAlgorithm):
 
     name = "all_replicate"
 
-    def plan(self, ctx: PlanContext) -> Plan:
-        query = ctx.query
+    def _check_query(self, query: IntervalJoinQuery) -> None:
         if not query.is_single_attribute:
             raise PlanningError(
                 "All-Replicate handles single-attribute queries; use "
                 "Gen-Matrix for multi-attribute ones"
             )
+
+    def plan(self, ctx: PlanContext) -> Plan:
+        query = ctx.query
         attributes = ctx.attributes
         parts = ctx.partition(ctx.num_partitions)
         maximal = maximal_relations(query)

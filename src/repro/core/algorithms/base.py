@@ -254,13 +254,17 @@ class JoinAlgorithm(abc.ABC):
 
     @abc.abstractmethod
     def plan(self, ctx: PlanContext) -> Plan:
-        """The algorithm's job plan, stated once: validate the query
-        class, build each :class:`~repro.mapreduce.job.JobConf` and hand
-        it to ``ctx.submit`` (reading earlier outputs through ``ctx.fs``),
-        then name the final output path and the plan's ``shape``.
+        """The algorithm's job plan, stated once: build each
+        :class:`~repro.mapreduce.job.JobConf` and hand it to
+        ``ctx.submit`` (reading earlier outputs through ``ctx.fs``), then
+        name the final output path and the plan's ``shape``.
+        :meth:`run_plan` has checked the query class
+        (:meth:`_check_query`) before.
 
         Raising :class:`~repro.errors.UnsatisfiableQueryError` (a
-        contradictory join graph) makes the result empty with no jobs.
+        contradictory join graph) makes the result empty with no jobs, as
+        does a query relation with no rows, for which ``plan`` is not
+        called.
         """
 
     def run_plan(self, ctx: PlanContext, collect: bool = True) -> JoinResult:
@@ -282,7 +286,10 @@ class JoinAlgorithm(abc.ABC):
             f"algorithm:{self.name}", kind="algorithm", algorithm=self.name
         ) as span:
             write_inputs(ctx.fs, query, ctx.data)
+            self._check_query(query)
             try:
+                if any(len(ctx.data[name]) == 0 for name in query.relations):
+                    raise UnsatisfiableQueryError("a query relation has no rows")
                 plan = self.plan(ctx)
             except UnsatisfiableQueryError:
                 return JoinResult(

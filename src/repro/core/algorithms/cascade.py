@@ -149,11 +149,6 @@ class _StepJoinReducer(KernelReducer):
             counters.increment("work", "comparisons", charged)
         return np.concatenate(bound_rows), np.concatenate(new_rows)
 
-    def columnar_ready(self) -> bool:
-        # Residual (non-routing) conditions read arbitrary member
-        # attributes, which the routing columns do not carry.
-        return not self.conditions
-
     def kernel(self, key, group, counters) -> np.ndarray:
         bound_mask = group.tag_mask(BOUND_SIDE)
         bound_at, new_at = np.flatnonzero(bound_mask), np.flatnonzero(~bound_mask)
@@ -198,29 +193,33 @@ def _step_job(
     new: str,
     routing: JoinCondition,
     step_conditions: Sequence[JoinCondition],
+    bound: Sequence[str],
     bound_path: Optional[str],
     bound_router: Any,
     new_router: Any,
     output: str,
     num_reduce_tasks: int,
 ) -> JobConf:
-    """One cascade step: the bound side — the partial tuples at
-    ``bound_path`` read at the routing member, or, at step 0 (``None``),
-    the first relation's base rows lifted to one-member partials — and
-    the ``new`` relation, each through its router."""
+    """One cascade step: the bound side — the partial tuples of the
+    ``bound`` relations at ``bound_path`` read at the routing member,
+    carrying the other members' terms, or, at step 0 (``None``), the
+    first relation's base rows lifted to one-member partials — and the
+    ``new`` relation, each through its router."""
     member, member_attr, new_attr, _ = _step_sides(routing, new)
     if bound_path is None:
-        bound = ctx.base_input(
+        bound_input = ctx.base_input(
             member, RoutedMapper(LiftedRowView(member, member_attr), bound_router)
         )
     else:
-        bound = InputSpec(
-            bound_path, RoutedMapper(MemberView(member, member_attr), bound_router)
+        others = [Term(name, ctx.attributes[name]) for name in bound if name != member]
+        bound_input = InputSpec(
+            bound_path,
+            RoutedMapper(MemberView(member, member_attr, others), bound_router),
         )
     new_view = RowView(new, new_attr, side=NEW_SIDE)
     return JobConf(
         name=name,
-        inputs=[bound, ctx.base_input(new, RoutedMapper(new_view, new_router))],
+        inputs=[bound_input, ctx.base_input(new, RoutedMapper(new_view, new_router))],
         reducer=_StepJoinReducer(new, routing, step_conditions, ctx.attributes),
         output=output,
         num_reduce_tasks=num_reduce_tasks,
@@ -235,16 +234,17 @@ def colocation_step_job(
     routing: JoinCondition,
     step_conditions: Sequence[JoinCondition],
     parts: Partitioning,
+    bound: Sequence[str],
     bound_path: Optional[str],
     output: str,
 ) -> JobConf:
     """One cascade step routed by a colocation condition: the bound side
-    (the partial tuples at ``bound_path``, or the first relation's raw
-    rows when ``None``) and the ``new`` relation each go through their
-    Figure-1 operator."""
+    (the partial tuples of the ``bound`` relations at ``bound_path``, or
+    the first relation's raw rows when ``None``) and the ``new`` relation
+    each go through their Figure-1 operator."""
     bound_op, new_op = step_operators(routing, new)
     return _step_job(
-        ctx, name, new, routing, step_conditions, bound_path,
+        ctx, name, new, routing, step_conditions, bound, bound_path,
         OperatorRouter(parts, bound_op), OperatorRouter(parts, new_op),
         output, ctx.num_partitions,
     )
@@ -256,6 +256,7 @@ def _sequence_step_job(
     routing: JoinCondition,
     step_conditions: Sequence[JoinCondition],
     grid_partitioning: Partitioning,
+    bound: Sequence[str],
     bound_path: Optional[str],
     output: str,
 ) -> JobConf:
@@ -277,7 +278,7 @@ def _sequence_step_job(
         if (i <= j if bound_first else j <= i)
     ]
     return _step_job(
-        ctx, f"cascade-{new}", new, routing, step_conditions, bound_path,
+        ctx, f"cascade-{new}", new, routing, step_conditions, bound, bound_path,
         CellRouter(grid_partitioning, 0, cells),
         CellRouter(grid_partitioning, 1, cells),
         output, max(1, len(cells)),
@@ -307,7 +308,6 @@ class TwoWayCascade(JoinAlgorithm):
 
     def plan(self, ctx: PlanContext) -> Plan:
         query = ctx.query
-        self._check_query(query)
         parts = ctx.partition(ctx.num_partitions)
         order = binding_order(query)
         grid_o = self._grid_side(ctx.num_partitions)
@@ -325,12 +325,12 @@ class TwoWayCascade(JoinAlgorithm):
             if routing.is_colocation:
                 job = colocation_step_job(
                     ctx, f"cascade-{new}", new, routing, step_conditions,
-                    parts, current_path, output,
+                    parts, order[:step], current_path, output,
                 )
             else:
                 job = _sequence_step_job(
                     ctx, new, routing, step_conditions,
-                    grid_partitioning, current_path, output,
+                    grid_partitioning, order[:step], current_path, output,
                 )
             ctx.submit(job)
             current_path = output

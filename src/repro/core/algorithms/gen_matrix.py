@@ -35,9 +35,9 @@ instead passes whole flagged rows through its first cycle's output,
 exactly as the paper describes; both designs are implemented so the test
 suite cross-checks them.)  Each relation's rows go through one
 :class:`~repro.core.algorithms.routing.CellRouter` — pinned at their
-coordinate, the upper tail where flagged — and every cycle of a
-single-attribute query runs on the columnar plane; a multi-attribute
-relation's per-term intersection keeps its join cycle on records.
+coordinate, the upper tail where flagged, intersected over a
+multi-attribute relation's terms — and every cycle runs on the columnar
+plane.
 """
 
 from __future__ import annotations
@@ -443,7 +443,7 @@ def grid_join_job(
         ]
         kept = functools.partial(_kept, frozenset(keep[relation])) if relation in keep else None
         return RoutedMapper(
-            RowView(relation, attribute),
+            RowView(relation, attribute, also=[term[2] for term in also]),
             CellRouter(parts, dim, grid.cells, flagged, kept, also),
         )
 
@@ -539,7 +539,6 @@ class GenMatrix(JoinAlgorithm):
 
     def plan(self, ctx: PlanContext) -> Plan:
         query = ctx.query
-        self._check_query(query)
         graph = JoinGraph(query)
         per_dim_parts = self._per_dim_parts(graph, ctx.num_partitions)
         built = {o: ctx.partition(o) for o in set(per_dim_parts)}

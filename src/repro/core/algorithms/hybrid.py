@@ -14,15 +14,17 @@ between phases — the overhead All-Seq-Matrix exists to avoid.
 
 from __future__ import annotations
 
+import itertools
 from typing import (
     Dict,
-    Hashable,
     Iterator,
     List,
     Optional,
     Sequence,
     Tuple,
 )
+
+import numpy as np
 
 from repro.errors import PlanningError, UnsatisfiableQueryError
 from repro.core.algorithms.base import JoinAlgorithm, Plan, PlanContext
@@ -31,16 +33,16 @@ from repro.core.algorithms.gen_matrix import AllMatrix, GridSpec
 from repro.core.algorithms.rccis import RCCIS
 from repro.core.algorithms.routing import (
     CellRouter,
-    PartialTuple,
     RightmostMemberView,
     RoutedMapper,
 )
 from repro.core.graph import Component, JoinGraph
+from repro.core.local import term_columns
 from repro.core.query import IntervalJoinQuery, JoinCondition, QueryClass
-from repro.core.schema import Row
+from repro.intervals.sweep import MAX_CANDIDATE_PAIRS
 from repro.mapreduce.job import InputSpec, JobConf
 from repro.mapreduce.shuffle import RoundRobinKeyPartitioner
-from repro.mapreduce.task import ReduceContext, Reducer
+from repro.mapreduce.task import KernelReducer
 
 __all__ = ["FCTS", "FSTC"]
 
@@ -99,68 +101,84 @@ def _attachment_steps(
         remaining.remove(nxt)
 
 
-class _ComponentJoinReducer(Reducer):
+class _ComponentJoinReducer(KernelReducer):
     """Cross-product component partials within a cell, filtered by the
-    cross-component conditions."""
+    cross-component conditions.
+
+    The dims' partials expand in lexicographic order, prefix blocks of at
+    most ``sweep.MAX_CANDIDATE_PAIRS`` candidates at a time.  Binding a
+    dim evaluates every condition between the dims bound so far — those
+    between earlier dims again — in ``conditions`` order, each over the
+    survivors of the one before, one ``work:comparisons`` per survivor
+    evaluated.  Each output is one row of the dims' partial gids.
+    """
 
     def __init__(
         self,
         query: IntervalJoinQuery,
         conditions: Sequence[JoinCondition],
-        dimensions: int,
+        members: Sequence[Sequence[str]],
     ) -> None:
         self.query = query
         self.conditions = list(conditions)
-        self.dimensions = dimensions
+        #: per dim, the relations its partials hold.
+        self.dim_of = {
+            relation: dim for dim, names in enumerate(members) for relation in names
+        }
+        self.dimensions = len(members)
 
-    def reduce(
-        self,
-        key: Hashable,
-        values: List[Tuple[int, PartialTuple]],
-        context: ReduceContext,
-    ) -> None:
-        partials: List[List[PartialTuple]] = [[] for _ in range(self.dimensions)]
-        for dim, record in values:
-            partials[dim].append(record)
-        if any(not group for group in partials):
+    def kernel(self, key, group, counters) -> np.ndarray:
+        rows = [np.flatnonzero(group.tag_mask(dim)) for dim in range(self.dimensions)]
+        outputs = [np.empty((0, self.dimensions), dtype=np.int64)]
+        if all(len(at) for at in rows):
+            columns = {
+                term: term_columns(group, rows[self.dim_of[term.relation]], term)
+                for cond in self.conditions
+                for term in (cond.left, cond.right)
+            }
+            for binding in self._extend(0, [np.arange(len(rows[0]))], rows, columns, counters):
+                outputs.append(np.stack(
+                    [group.gids[at][bound] for at, bound in zip(rows, binding)], axis=1
+                ))
+        return np.concatenate(outputs)
+
+    def _extend(self, dim, binding, rows, columns, counters):
+        """Filter a block of bindings of dims ``0..dim`` (one index column
+        per dim into its values), then bind the next dim block by block."""
+        for cond in self.conditions:
+            left, right = (self.dim_of[t.relation] for t in (cond.left, cond.right))
+            if max(left, right) > dim or not len(binding[0]):
+                continue
+            counters.increment("work", "comparisons", len(binding[0]))
+            lc, rc = columns[cond.left], columns[cond.right]
+            keep = cond.predicate.holds_columns(
+                lc.starts[binding[left]], lc.ends[binding[left]],
+                rc.starts[binding[right]], rc.ends[binding[right]],
+            )
+            binding = [bound[keep] for bound in binding]
+        if dim + 1 == self.dimensions:
+            yield binding
             return
+        width = len(rows[dim + 1])
+        step = max(1, MAX_CANDIDATE_PAIRS // width)
+        for lo in range(0, len(binding[0]), step):
+            block = [bound[lo : lo + step] for bound in binding]
+            yield from self._extend(
+                dim + 1,
+                [np.repeat(bound, width) for bound in block]
+                + [np.tile(np.arange(width), len(block[0]))],
+                rows, columns, counters,
+            )
 
-        members: Dict[str, Row] = {}
-
-        def extend(dim: int) -> None:
-            if dim == self.dimensions:
-                context.emit(
-                    tuple(
-                        (name, members[name]) for name in self.query.relations
-                    )
-                )
-                return
-            for record in partials[dim]:
-                for relation, row in record:
-                    members[relation] = row
-                ok = True
-                for cond in self.conditions:
-                    if (
-                        cond.left.relation in members
-                        and cond.right.relation in members
-                    ):
-                        context.counters.increment("work", "comparisons")
-                        if not cond.predicate.holds(
-                            members[cond.left.relation].interval(
-                                cond.left.attribute
-                            ),
-                            members[cond.right.relation].interval(
-                                cond.right.attribute
-                            ),
-                        ):
-                            ok = False
-                            break
-                if ok:
-                    extend(dim + 1)
-                for relation, _ in record:
-                    members.pop(relation, None)
-
-        extend(0)
+    def format(self, block, store):
+        partials = map(store.take, block.reshape(-1, self.dimensions).T)
+        relations = self.query.relations
+        return [
+            tuple((name, members[name]) for name in relations)
+            for members in map(
+                lambda parts: dict(itertools.chain.from_iterable(parts)), zip(*partials)
+            )
+        ]
 
 
 class FCTS(JoinAlgorithm):
@@ -177,7 +195,6 @@ class FCTS(JoinAlgorithm):
 
     def plan(self, ctx: PlanContext) -> Plan:
         query, attributes = ctx.query, ctx.attributes
-        self._check_query(query)
         graph = JoinGraph(query)
 
         # ----- phase 1: component colocation joins (RCCIS) -----
@@ -229,6 +246,10 @@ class FCTS(JoinAlgorithm):
             if graph.component_of(cond.left).index
             != graph.component_of(cond.right).index
         ]
+        members = [
+            sorted({term.relation for term in component.terms})
+            for component in graph.components
+        ]
         ctx.submit(
             JobConf(
                 name="fcts-matrix",
@@ -238,7 +259,10 @@ class FCTS(JoinAlgorithm):
                         # Coordinate = start partition of the
                         # component's right-most member interval.
                         RoutedMapper(
-                            RightmostMemberView(attributes, component.index),
+                            RightmostMemberView(
+                                attributes, component.index,
+                                members[component.index],
+                            ),
                             CellRouter(
                                 grid.partitioning_of(component.index),
                                 component.index, grid.cells,
@@ -247,9 +271,7 @@ class FCTS(JoinAlgorithm):
                     )
                     for component in graph.components
                 ],
-                reducer=_ComponentJoinReducer(
-                    query, cross, len(graph.components)
-                ),
+                reducer=_ComponentJoinReducer(query, cross, members),
                 output="fcts/output",
                 num_reduce_tasks=max(1, len(grid.cells)),
                 partitioner=RoundRobinKeyPartitioner(),
@@ -410,18 +432,18 @@ class FSTC(JoinAlgorithm):
 
         # ----- phase 2: cascade the remaining relations in -----
         parts = ctx.partition(ctx.num_partitions)
+        bound = list(seq_query.relations)
         step = 0
-        for nxt, routing, step_conditions in _attachment_steps(
-            query, seq_query.relations
-        ):
+        for nxt, routing, step_conditions in _attachment_steps(query, bound):
             step += 1
             output = f"fstc/step-{step:02d}"
             ctx.submit(
                 colocation_step_job(
                     ctx, f"fstc-{nxt}", nxt, routing, step_conditions,
-                    parts, current_path, output,
+                    parts, bound, current_path, output,
                 )
             )
+            bound.append(nxt)
             current_path = output
         return Plan(
             current_path,

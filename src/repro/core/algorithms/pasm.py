@@ -109,7 +109,6 @@ class PASM(JoinAlgorithm):
 
     def plan(self, ctx: PlanContext) -> Plan:
         query = ctx.query
-        self._check_query(query)
         graph = JoinGraph(query)
         parts = ctx.partition(self.grid_parts or ctx.num_partitions)
         grid = GridSpec(graph, parts)

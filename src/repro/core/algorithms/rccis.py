@@ -152,13 +152,15 @@ class RCCIS(JoinAlgorithm):
 
     name = "rccis"
 
-    def plan(self, ctx: PlanContext) -> Plan:
-        query, attributes = ctx.query, ctx.attributes
+    def _check_query(self, query: IntervalJoinQuery) -> None:
         if query.query_class is not QueryClass.COLOCATION:
             raise PlanningError(
                 "RCCIS handles colocation queries; got "
                 f"{query.query_class.name} — use the planner"
             )
+
+    def plan(self, ctx: PlanContext) -> Plan:
+        query, attributes = ctx.query, ctx.attributes
         parts = ctx.partition(ctx.num_partitions)
         ctx.submit(
             JobConf(

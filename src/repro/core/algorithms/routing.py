@@ -12,12 +12,13 @@ and what value is shuffled.  Each of those is said once here:
   by side: ``targets(interval, record, counters)`` for one record (a
   records-plane job and the parity suite's reference arm — the exact
   prediction tier runs on whichever plane the run picks) and
-  ``map_columns(starts, ends, records) -> (key_codes, row_idx, counter
-  increments)`` for a whole input; ``key_kind`` names its key codec
-  (``None``: it has none — a multi-attribute relation's grid routing);
+  ``map_columns(starts, ends, records, terms) -> (key_codes, row_idx,
+  counter increments)`` for a whole input; ``key_kind`` names its key
+  codec;
 * a **view** owns *what is read and what is shuffled*: a record's
-  routing interval, its shuffle value ``(tag, payload)`` and, for a
-  whole input, the tag codes and the payload column;
+  routing interval, the further query ``terms`` its value carries, its
+  shuffle value ``(tag, payload)`` and, for a whole input, the tag codes
+  and the payload column;
 * :class:`RoutedMapper` is the one mapper: ``map`` and the columnar
   protocol of :mod:`repro.mapreduce.task` delegate to the same two
   objects, so the two forms of a map side cannot drift apart per class.
@@ -29,6 +30,7 @@ order, the same counter increments, no counter created at zero.
 
 from __future__ import annotations
 
+import functools
 from typing import Any, Callable, Dict, Hashable, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
@@ -43,6 +45,7 @@ from repro.columnar.batch import (
     ranged_targets,
 )
 from repro.columnar.codec import CellKeyCodec, IntKeyCodec
+from repro.core.query import Term
 from repro.core.schema import Row
 from repro.intervals.allen import MapOperator
 from repro.intervals.interval import Interval
@@ -81,9 +84,12 @@ class View:
     columnar reducer selects its inputs by
     (:meth:`~repro.columnar.batch.ColumnValues.tag_mask`); the payloads
     are what it rebuilds its outputs from
-    (:meth:`~repro.columnar.batch.PayloadStore.take`)."""
+    (:meth:`~repro.columnar.batch.PayloadStore.take`).  ``terms`` are
+    the query terms a value carries besides its routing interval —
+    ``interval_of(record, term)`` reads one."""
 
     tag: Hashable
+    terms: Tuple[Term, ...] = ()
 
     def tag_codes(self, records: Sequence[Any]):
         """``(per-record int16 tag codes, tag table)`` of an input."""
@@ -98,16 +104,21 @@ class View:
 class RowView(View):
     """A base relation's row, shuffled as ``(label, row)`` — or, under a
     ``side`` tag, as ``(side, (label, row))``, which is how a cascade
-    step's reducer tells the new relation from the bound side."""
+    step's reducer tells the new relation from the bound side.  It
+    carries the relation's ``also`` attributes as further terms."""
 
-    def __init__(self, label: str, attribute: str, side: Optional[str] = None) -> None:
+    def __init__(
+        self, label: str, attribute: str, side: Optional[str] = None,
+        also: Sequence[str] = (),
+    ) -> None:
         self.label = label
         self.attribute = attribute
         self.side = side
         self.tag = label if side is None else side
+        self.terms = tuple(Term(label, name) for name in also)
 
-    def interval_of(self, record: Row) -> Interval:
-        return record.interval(self.attribute)
+    def interval_of(self, record: Row, term: Optional[Term] = None) -> Interval:
+        return record.interval(self.attribute if term is None else term.attribute)
 
     def value_of(self, record: Row) -> Any:
         value = (self.label, record)
@@ -119,19 +130,21 @@ class RowView(View):
 
 class MemberView(View):
     """A partial tuple read at one bound member's interval, shuffled as
-    ``(BOUND_SIDE, partial)``."""
+    ``(BOUND_SIDE, partial)``; ``terms`` are its other members' terms."""
 
     tag = BOUND_SIDE
 
-    def __init__(self, member: str, attribute: str) -> None:
+    def __init__(self, member: str, attribute: str, terms: Sequence[Term] = ()) -> None:
         self.member = member
         self.attribute = attribute
+        self.terms = tuple(terms)
 
-    def interval_of(self, record: PartialTuple) -> Interval:
+    def interval_of(self, record: PartialTuple, term: Optional[Term] = None) -> Interval:
+        term = Term(self.member, self.attribute) if term is None else term
         for relation, row in record:
-            if relation == self.member:
-                return row.interval(self.attribute)
-        raise PlanningError(f"partial tuple missing member {self.member!r}")
+            if relation == term.relation:
+                return row.interval(term.attribute)
+        raise PlanningError(f"partial tuple missing member {term.relation!r}")
 
     def value_of(self, record: PartialTuple) -> Any:
         return (BOUND_SIDE, record)
@@ -145,7 +158,7 @@ class LiftedRowView(MemberView):
     the partial tuples, each lifted to the one-member partial
     ``((member, row),)``."""
 
-    def interval_of(self, record: Row) -> Interval:
+    def interval_of(self, record: Row, term: Optional[Term] = None) -> Interval:
         return record.interval(self.attribute)
 
     def value_of(self, record: Row) -> Any:
@@ -195,13 +208,18 @@ class FlaggedRowView(View):
 class RightmostMemberView(View):
     """One component's materialised partial tuple (FCTS phase 2), read at
     the member interval that starts right-most and shuffled as
-    ``(dim, partial)``."""
+    ``(dim, partial)``, carrying the terms of its ``members``."""
 
-    def __init__(self, attributes: Mapping[str, str], dim: int) -> None:
+    def __init__(
+        self, attributes: Mapping[str, str], dim: int, members: Sequence[str] = ()
+    ) -> None:
         self.attributes = dict(attributes)
         self.tag = dim
+        self.terms = tuple(Term(name, self.attributes[name]) for name in members)
 
-    def interval_of(self, record: PartialTuple) -> Interval:
+    def interval_of(self, record: PartialTuple, term: Optional[Term] = None) -> Interval:
+        if term is not None:
+            return dict(record)[term.relation].interval(term.attribute)
         return max(
             (row.interval(self.attributes[name]) for name, row in record),
             key=lambda interval: interval.start,
@@ -260,7 +278,7 @@ class OperatorRouter(_PartitionRouter):
             counters.increment("join", "replicated_pairs", len(indices))
         return self._keys(indices)
 
-    def map_columns(self, starts, ends, records):
+    def map_columns(self, starts, ends, records, terms=None):
         indices, row_idx, counters = operator_map_columns(
             self.partitioning, self.operator, starts, ends
         )
@@ -293,7 +311,7 @@ class FlagRouter(_PartitionRouter):
             indices = (self.partitioning.project(interval),)
         return self._keys(indices)
 
-    def map_columns(self, starts, ends, records):
+    def map_columns(self, starts, ends, records, terms=None):
         flags = records.flagged if isinstance(records, IndexBlock) else np.fromiter(
             map(self.flagged, records), dtype=bool, count=len(records))
         lo = self.partitioning.locate_array(starts)
@@ -321,9 +339,11 @@ class CellRouter:
     ``also`` holds a multi-attribute relation's further terms,
     ``(dim, partitioning, attribute, flagged)``: the row goes to the
     cells inside every term's range, intersected per dimension (Section
-    9.1) — which no routing interval describes, so that router has no
-    key codec.
+    9.1).  ``map_columns`` reads a further term's starts off the
+    mapper's term columns, by attribute.
     """
+
+    key_kind = CellKeyCodec.kind
 
     def __init__(
         self,
@@ -339,7 +359,6 @@ class CellRouter:
         self.flagged = flagged
         self.keep = keep
         self.also = tuple(also)
-        self.key_kind: Optional[str] = None if self.also else CellKeyCodec.kind
         #: the cells stably sorted by coordinate on ``dim``: a coordinate
         #: range ``lo..hi``'s are ``cells[offsets[lo] : offsets[hi + 1]]``.
         self.cells = sorted(cells, key=lambda cell: cell[dim])
@@ -375,22 +394,40 @@ class CellRouter:
             counters.increment("join", "replicated_pairs", len(cells))
         return cells
 
-    def map_columns(self, starts, ends, records):
+    def map_columns(self, starts, ends, records, terms=None):
         n = len(starts)
-        rows, lo = np.arange(n, dtype=np.int64), self.partitioning.locate_array(starts)
-        flags, kept = np.zeros(n, dtype=bool), np.ones(n, dtype=bool)
-        if self.flagged is not None:
-            flags = np.fromiter(map(self.flagged, records), bool, n)
-        if self.keep is not None:
-            kept = np.fromiter(map(self.keep, records), bool, n)
-        rows, lo, flags = rows[kept], lo[kept], flags[kept]
+
+        def marks(mark, default):
+            return np.full(n, default) if mark is None else np.fromiter(map(mark, records), bool, n)
+
+        attributes = [term.attribute for term in terms[0]] if self.also else []
+        columns = [(self.dim, self.partitioning, starts, self.flagged)] + [
+            (dim, partitioning, terms[1][:, attributes.index(attribute)], flagged)
+            for dim, partitioning, attribute, flagged in self.also
+        ]
+        # Per dimension, each row's coordinate range: every term on it
+        # pins it (to the upper tail where flagged), intersected.
+        ranges: Dict[int, Tuple[np.ndarray, np.ndarray]] = {}
+        replicated = np.zeros(n, dtype=bool)
+        for dim, partitioning, term_starts, flagged in columns:
+            lo, tail = partitioning.locate_array(term_starts), marks(flagged, False)
+            hi = np.where(tail, np.int64(len(partitioning) - 1), lo)
+            replicated |= tail
+            a, b = ranges.get(dim, (lo, hi))
+            ranges[dim] = (np.maximum(a, lo), np.minimum(b, hi))
+        rows = np.flatnonzero(marks(self.keep, True))
+        lo, hi = (bound[rows] for bound in ranges.pop(self.dim))
         first = self.offsets[lo]
-        stop = self.offsets[np.where(flags, len(self.partitioning) - 1, lo) + 1]
-        # Record i's cells are the table slots first[i] .. stop[i] - 1.
-        slots, index = ranged_targets(first, stop - 1)
+        # Row i's cells are the table slots first[i] .. stop[i] - 1,
+        # inside its range on every other dimension.
+        slots, index = ranged_targets(first, np.maximum(self.offsets[hi + 1], first) - 1)
+        for dim, (lo, hi) in ranges.items():
+            coordinate = np.array([cell[dim] for cell in self.cells], dtype=np.int64)[slots]
+            inside = (lo[rows][index] <= coordinate) & (coordinate <= hi[rows][index])
+            slots, index = slots[inside], index[inside]
         counters = {
             ("join", "pruned_rows"): n - len(rows),
-            ("join", "replicated_pairs"): int((stop - first)[flags].sum()),
+            ("join", "replicated_pairs"): int(np.count_nonzero(replicated[rows][index])),
         }
         return self.codes[slots], rows[index], {k: v for k, v in counters.items() if v}
 
@@ -399,13 +436,12 @@ class RoutedMapper(Mapper):
     """The one mapper of :mod:`repro.core.algorithms`: every record goes
     to ``router``'s targets for the interval ``view`` reads off it,
     carrying the value ``view`` shuffles.  The columnar protocol (see
-    :mod:`repro.mapreduce.task`) is the same delegation; a router
-    without a key codec makes the mapper report itself not ready."""
+    :mod:`repro.mapreduce.task`) is the same delegation."""
 
     def __init__(self, view: View, router: Any) -> None:
         self.view = view
         self.router = router
-        self.columnar_key_kind: Optional[str] = router.key_kind
+        self.columnar_key_kind: str = router.key_kind
 
     def map(self, record: Any, context: MapContext) -> None:
         view = self.view
@@ -414,21 +450,31 @@ class RoutedMapper(Mapper):
         for key in keys:
             context.emit(key, value)
 
-    def columnar_ready(self) -> bool:
-        return self.columnar_key_kind is not None
-
     def encode_intervals(self, records, source=None):
         """An input's routing-interval columns: its ``source``
         relation's own if it names one, else read off the records."""
         if source is None:
             return interval_columns(records, self.view.interval_of)
         columns = source.columns(self.view.attribute)
-        if columns.starts.dtype == object or columns.ends.dtype == object:
-            return None
         return columns.starts, columns.ends
 
-    def map_columns(self, starts, ends, records) -> MapBlock:
-        key_codes, row_idx, counters = self.router.map_columns(starts, ends, records)
+    def encode_terms(self, records, source=None):
+        """The further terms the view's values carry, ``(terms, starts,
+        ends)`` with one column per term — read like the routing
+        interval — or ``None`` when they carry none."""
+        terms = self.view.terms
+        if not terms:
+            return None
+        columns = [
+            interval_columns(records, functools.partial(self.view.interval_of, term=term))
+            if source is None
+            else (source.columns(term.attribute).starts, source.columns(term.attribute).ends)
+            for term in terms
+        ]
+        return (terms, *(np.stack(side, axis=1) for side in zip(*columns)))
+
+    def map_columns(self, starts, ends, records, terms=None) -> MapBlock:
+        key_codes, row_idx, counters = self.router.map_columns(starts, ends, records, terms)
         tag_codes, tags = self.view.tag_codes(records)
         return MapBlock(key_codes, row_idx, tag_codes[row_idx], tags, counters)
 

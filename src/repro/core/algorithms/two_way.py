@@ -51,7 +51,6 @@ class TwoWayJoin(JoinAlgorithm):
 
     def plan(self, ctx: PlanContext) -> Plan:
         query = ctx.query
-        self._check_query(query)
         condition = query.conditions[0]
         parts = ctx.partition(ctx.num_partitions)
         ctx.submit(

@@ -91,10 +91,17 @@ def attribute_columns(rows: Sequence[Row], attribute: str) -> SortedColumns:
 
 
 def term_columns(group: ColumnValues, rows: np.ndarray, term: Term) -> SortedColumns:
-    """``term``'s endpoint columns over the values ``rows`` of a group:
-    the routing interval a columnar value carries, or — a records-plane
-    group has none — the term's attribute of the row each payload holds
-    for its relation."""
+    """``term``'s endpoint columns over the values ``rows`` of a group,
+    which share one tag: the further-term slot their tag's layout names
+    it in, else their routing interval — or, a records-plane group has
+    neither, the term's attribute of the row each payload holds for its
+    relation."""
+    terms = group.terms
+    if terms is not None and len(rows):
+        layout = terms.layouts[group.tag_codes[rows[0]]]
+        if term in layout:
+            slot = layout.index(term)
+            return SortedColumns(terms.starts[rows, slot], terms.ends[rows, slot])
     if group.starts is not None:
         return SortedColumns(group.starts[rows], group.ends[rows])
     payloads = group.store.take(group.gids[rows])
@@ -360,12 +367,6 @@ class TupleReducer(KernelReducer):
 
     query: IntervalJoinQuery
     _join: Callable[[Hashable, Columns, Any], Iterator[Binding]]
-
-    def columnar_ready(self) -> bool:
-        # A columnar group carries one interval per value — the routing
-        # interval — which is every term's column only when each
-        # relation joins on a single attribute.
-        return self.query.is_single_attribute
 
     def kernel(self, key, group: ColumnValues, counters) -> np.ndarray:
         columns, gids = group_columns(self.query, group)

@@ -14,8 +14,8 @@ must not change the job's output.  This module supplies the machinery to
   every run, every executor, and every platform, and two concurrent
   runs cannot perturb each other.
 * :class:`ScriptedFaultPlan` — an explicit per-attempt event table for
-  tests that need a fault in one precise place (a combiner, a
-  ``cleanup()`` hook, a commit).
+  tests that need a fault in one precise place (a ``cleanup()``
+  hook, a commit).
 * :class:`ResolvedFaults` — the plan and retry budget of one run, in
   the shape the runner's task-attempt loop consumes.
   :mod:`repro.mapreduce.options` resolves it from explicit arguments and
@@ -56,7 +56,7 @@ CRASH = "crash"
 CORRUPT = "corrupt-output"
 
 #: Where a crash may fire during an attempt's lifecycle.
-INJECTION_POINTS = ("setup", "combiner", "cleanup", "commit")
+INJECTION_POINTS = ("setup", "cleanup", "commit")
 
 #: Counter group used for fault bookkeeping (``tasks_failed``,
 #: ``tasks_retried``).  Kept out of ``framework`` so a chaos run's
@@ -240,8 +240,7 @@ class ScriptedFaultPlan:
 
     ``events`` maps ``(job, phase, task_index, attempt)`` to the fault
     events of that attempt.  Used by tests that need a crash in one
-    precise lifecycle point — e.g. inside a combiner or a ``cleanup()``
-    hook — rather than a statistically generated schedule.
+    precise lifecycle point — e.g. inside a ``cleanup()`` hook — rather than a statistically generated schedule.
     """
 
     def __init__(
@@ -267,9 +266,8 @@ class AttemptInjector:
     """Carries one attempt's fault events into the task body.
 
     The runner checks the ``setup`` and ``commit`` points itself; the
-    task core calls :meth:`check` at the ``combiner`` and ``cleanup``
-    points so crashes scripted there surface *inside* user-code
-    lifecycle hooks — and are retried like any other task failure, not
+    task core calls :meth:`check` at the ``cleanup`` point so crashes
+    scripted there surface *inside* a user-code lifecycle hook — and are retried like any other task failure, not
     silently swallowed.
     """
 

@@ -47,8 +47,6 @@ class JobConf:
         Output path; reduce task ``i`` writes ``output/part-{i:05d}``.
     num_reduce_tasks:
         Physical reduce parallelism (the paper uses 16).
-    combiner:
-        Optional map-side combiner (a :class:`Reducer` run per map task).
     partitioner:
         Key -> reduce-task routing; defaults to Hadoop-style hashing.
     """
@@ -58,7 +56,6 @@ class JobConf:
     reducer: Reducer
     output: str
     num_reduce_tasks: int = 16
-    combiner: Optional[Reducer] = None
     partitioner: Partitioner = field(default_factory=HashPartitioner)
 
 
@@ -106,7 +103,7 @@ class JobResult:
 
     @property
     def shuffled_records(self) -> int:
-        """Pairs crossing the map->reduce boundary (post-combiner)."""
+        """Pairs crossing the map->reduce boundary."""
         return self.counters.value("framework", "shuffle_records")
 
     @property

@@ -2,7 +2,7 @@
 
 :func:`run_job` executes one configured job against a file system,
 following Hadoop's lifecycle: per-input map tasks (setup, map each
-record, cleanup), optional per-map-task combiner, sort-shuffle, reduce
+record, cleanup), sort-shuffle, reduce
 tasks (setup, reduce each key group in key order, cleanup), each reduce
 task committing one ``part-*`` file under the job's output path.  Its
 two halves, :func:`_map_and_shuffle` and :func:`_reduce_and_commit`, are
@@ -26,15 +26,14 @@ loop's pieces run:
   threads.  Under ``"processes"`` each attempt's body is shipped
   to a shared :class:`~concurrent.futures.ProcessPoolExecutor`, one
   future per attempt; otherwise it runs in-process, on a pristine copy
-  of the mapper/combiner/reducer whenever the task could run more than
+  of the mapper/reducer whenever the task could run more than
   once.  Worker-side object mutations are *not* shipped back.
 
-The *data plane* is not among them: the job picks it.  A job whose
-mappers and reducer implement the columnar protocol, with no combiner
-and routing endpoints that are exact in float64, runs on struct-of-arrays
-batches and an argsort shuffle; any other job runs on the records plane
-(:func:`_map_tasks_for` decides, ``docs/data_plane.md`` states the
-rule).  The plane only supplies different task *bodies* to the same
+The *data plane* is not among them: the job's code picks it.  A job
+whose mappers and reducer implement the columnar protocol runs on
+struct-of-arrays batches and an argsort shuffle; any other job runs on
+the records plane (:func:`_map_tasks_for` decides,
+``docs/data_plane.md`` states the rule).  The plane only supplies different task *bodies* to the same
 loop: a vectorised in-process map body, and a reduce body that runs the
 reducer's kernel per group and returns the task's gid block, formatted
 once per task on the parent (under ``processes`` the group columns
@@ -172,17 +171,16 @@ def _submit_attempt(
 # parent merges per-task counters in task order, which makes totals
 # independent of the executor.  Every body ends its signature with
 # ``faults``, which carries the attempt's injected events to the
-# lifecycle points inside the body (combiner, cleanup).
+# lifecycle point inside the body (cleanup).
 # ----------------------------------------------------------------------
 
 def _map_task_core(
     path: str,
     records: Sequence[Any],
     mapper: Mapper,
-    combiner: Optional[Reducer],
     faults: AttemptInjector,
 ) -> Tuple[List[Tuple[Hashable, Any]], Counters]:
-    """Run one map task (one input spec), combiner included."""
+    """Run one map task (one input spec)."""
     counters = Counters()
     context = MapContext(counters, path)
     mapper.setup(context)
@@ -193,35 +191,7 @@ def _map_task_core(
     mapper.cleanup(context)
     task_pairs = context.drain()
     counters.increment("framework", "map_output_records", len(task_pairs))
-    if combiner is not None:
-        task_pairs = _run_combiner(combiner, task_pairs, counters, faults)
     return task_pairs, counters
-
-
-def _run_combiner(
-    combiner: Reducer,
-    pairs: List[Tuple[Hashable, Any]],
-    counters: Counters,
-    faults: AttemptInjector,
-) -> List[Tuple[Hashable, Any]]:
-    """Apply a combiner to one map task's output, Hadoop style: the
-    combiner reduces each key's values locally and re-emits pairs under
-    the same key."""
-    faults.check("combiner")
-    counters.increment("framework", "combine_input_records", len(pairs))
-    grouped: Dict[Hashable, List[Any]] = defaultdict(list)
-    for key, value in pairs:
-        grouped[key].append(value)
-    combined: List[Tuple[Hashable, Any]] = []
-    context = ReduceContext(counters, task_index=-1)
-    combiner.setup(context)
-    for key in sorted(grouped.keys(), key=repr):
-        combiner.reduce(key, grouped[key], context)
-        for record in context.drain():
-            combined.append((key, record))
-    combiner.cleanup(context)
-    counters.increment("framework", "combine_output_records", len(combined))
-    return combined
 
 
 def _columnar_map_task(
@@ -230,10 +200,11 @@ def _columnar_map_task(
     mapper: Mapper,
     starts: Any,
     ends: Any,
+    terms: Any,
     faults: AttemptInjector,
 ) -> Tuple[MapBlock, Counters]:
     """Run one map task on the columnar plane, over the routing-interval
-    columns the plane decision already encoded.
+    (and further term) columns the plane decision already encoded.
 
     Returns the emitted block and the task counters.  Counter parity
     with :func:`_map_task_core` is deliberate: ``map_input_records``
@@ -246,7 +217,7 @@ def _columnar_map_task(
     mapper.setup(context)
     if records:
         counters.increment("framework", "map_input_records", len(records))
-    block = mapper.map_columns(starts, ends, records)
+    block = mapper.map_columns(starts, ends, records, terms)
     faults.check("cleanup")
     mapper.cleanup(context)
     if context.drain():
@@ -377,7 +348,7 @@ class _Tasks:
         self.pooled = run.pooled
 
     def fresh(self, obj: Any) -> Any:
-        """The mapper/combiner/reducer instance one attempt runs on.
+        """The mapper/reducer instance one attempt runs on.
 
         Hadoop semantics: every attempt deserialises a pristine
         instance, so a failed attempt leaves no state behind
@@ -429,10 +400,7 @@ class _MapTasks(_Tasks):
 
     def body(self, index: int) -> Tuple[Callable[..., Any], Tuple]:
         spec, records = self.inputs[index]
-        return _map_task_core, (
-            spec.path, records, self.fresh(spec.mapper),
-            self.fresh(self.run.conf.combiner),
-        )
+        return _map_task_core, (spec.path, records, self.fresh(spec.mapper))
 
     def winner(
         self, index: int, counters: Counters, result: Any
@@ -477,7 +445,7 @@ class _ColumnarMapTasks(_MapTasks):
     ) -> None:
         super().__init__(run, inputs)
         self.pooled = False
-        #: per input, the ``(starts, ends)`` routing-interval columns.
+        #: per input, its ``(starts, ends, terms)`` columns.
         self.columns = columns
         self.codec = codec
         self.store = PayloadStore()
@@ -510,13 +478,12 @@ def _map_tasks_for(run: _JobRun) -> Tuple[_MapTasks, Optional[str]]:
     is the records plane, why.
 
     This is the whole plane decision, taken once per job before any map
-    task starts: the columnar plane when the job's own gate passes
-    (:func:`~repro.columnar.batch.job_columnar_gate`) and every input's
-    routing endpoints encode exactly as float64 columns; the records
-    plane otherwise.  Both read the same materialised inputs, and the
-    encoded columns (an input's ``source`` relation's own, if it names
-    one, or the input itself read back as one block) are the ones the
-    columnar map bodies then consume.
+    task starts: the columnar plane when the job's code implements the
+    protocol (:func:`~repro.columnar.batch.job_columnar_gate`), the
+    records plane otherwise.  Both read the same materialised inputs,
+    and the encoded columns (an input's ``source`` relation's own, if it
+    names one, or the input itself read back as one block) are the ones
+    the columnar map bodies then consume.
     """
     read = [(spec, run.fs.read_dir(spec.path)) for spec in run.conf.inputs]
     inputs = [(s, r if isinstance(r, IndexBlock) else list(r)) for s, r in read]
@@ -527,18 +494,16 @@ def _map_tasks_for(run: _JobRun) -> Tuple[_MapTasks, Optional[str]]:
                 f"source relation {len(spec.source)} rows"
             )
     kind, reason = job_columnar_gate(run.conf)
-    if kind is not None:
-        columns = [
-            spec.mapper.encode_intervals(records, _source(spec, records))
-            for spec, records in inputs
-        ]
-        if all(encoded is not None for encoded in columns):
-            return (
-                _ColumnarMapTasks(run, inputs, columns, KEY_CODECS[kind]),
-                None,
-            )
-        reason = "endpoints-not-float64-exact"
-    return _MapTasks(run, inputs), reason
+    if kind is None:
+        return _MapTasks(run, inputs), reason
+    columns = [
+        (
+            *spec.mapper.encode_intervals(records, _source(spec, records)),
+            spec.mapper.encode_terms(records, _source(spec, records)),
+        )
+        for spec, records in inputs
+    ]
+    return _ColumnarMapTasks(run, inputs, columns, KEY_CODECS[kind]), None
 
 
 class _ReduceTasks(_Tasks):

@@ -165,7 +165,7 @@ def columnar_shuffle(
     from repro.columnar.batch import ColumnValues
 
     key_codes, gids, starts, ends, tag_codes = pairs.columns()
-    tags = pairs.tags
+    tags, terms = pairs.tags, pairs.terms()
     # Grouping only needs *an* order over the codes, not the codes
     # themselves: when the codec can recode the live range into 16 bits
     # (monotone, see KeyCodec.compact_codes) the stable sort becomes a
@@ -198,6 +198,7 @@ def columnar_shuffle(
     sorted_starts = starts[order]
     sorted_ends = ends[order]
     sorted_tag_codes = tag_codes[order]
+    sorted_terms = terms.take(order) if terms is not None else None
     tasks: List[List[Tuple[Hashable, Any]]] = [[] for _ in range(num_tasks)]
     for key_repr, key in ordered:
         index = partitioner.partition(key, num_tasks)
@@ -217,6 +218,7 @@ def columnar_shuffle(
                     sorted_tag_codes[sl],
                     tags,
                     store,
+                    sorted_terms.take(sl) if sorted_terms is not None else None,
                 ),
             )
         )

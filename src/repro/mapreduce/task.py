@@ -16,10 +16,10 @@ Columnar protocol (optional, duck-typed)
 
 A mapper/reducer pair may additionally implement the columnar data
 plane (see ``docs/data_plane.md``).  The runner probes for these
-attributes per job — when every participant has them and reports itself
-ready the job runs columnar, otherwise on the records plane, so the
-protocol is strictly additive.  The paper's algorithms implement the
-mapper side once, in
+attributes per job — when every participant has them the job runs
+columnar, otherwise on the records plane, so the protocol is strictly
+additive and the plane depends on a job's code only, never on its data.
+The paper's algorithms implement the mapper side once, in
 :class:`repro.core.algorithms.routing.RoutedMapper`; a user mapper may
 implement it too.
 
@@ -27,15 +27,16 @@ Mapper side::
 
     columnar_key_kind: str            # "int" | "cell" — codec in
                                       # repro.columnar.codec.KEY_CODECS
-    def columnar_ready(self) -> bool  # dynamic gate (e.g. operator support)
-    def encode_intervals(self, records, source=None) -> (starts, ends) | None
-                                      # float64 columns, one row per
-                                      # record; None when an endpoint is
-                                      # not exact in float64 (the job
-                                      # then runs on the records plane);
-                                      # source: the input's
+    def encode_intervals(self, records, source=None) -> (starts, ends)
+                                      # the routing intervals, one row per
+                                      # record: float64, or object where
+                                      # an endpoint is not exact in
+                                      # float64; source: the input's
                                       # InputSpec.source, if it names one
-    def map_columns(self, starts, ends, records) -> MapBlock
+    def encode_terms(self, records, source=None) -> (terms, starts, ends) | None
+                                      # the further query terms a value
+                                      # carries, one column per term
+    def map_columns(self, starts, ends, records, terms) -> MapBlock
                                       # vectorised map(): encoded target
                                       # keys + row indices (+ tag codes and
                                       # *non-zero* counter amounts only)
@@ -46,7 +47,7 @@ Mapper side::
                                       # PayloadStore.take resolves gids to
 
 Reducer side: a reducer that joins or flags the rows of one key group
-is a :class:`KernelReducer`, two methods and an optional gate::
+is a :class:`KernelReducer`, two methods::
 
     def kernel(self, key, group, counters) -> int64 array
                                       # one row per output: group gids
@@ -56,11 +57,11 @@ is a :class:`KernelReducer`, two methods and an optional gate::
                                       # a block's output records, gids
                                       # resolved through store.take: the
                                       # one place its format is written
-    def columnar_ready(self) -> bool  # whether a columnar group's one
-                                      # interval per value is enough
 
-The framework owns the rest, once per plane.  Columnar (every executor):
-the runner calls ``kernel`` per
+A group's values carry their routing intervals and, where the mapper
+encoded any, their further terms; ``repro.core.local.term_columns``
+reads any term a value holds.  The framework owns the rest, once per
+plane.  Columnar (every executor): the runner calls ``kernel`` per
 :class:`~repro.columnar.batch.ColumnValues` group, concatenates a task's
 blocks into one int64 array — all a ``processes`` worker sends back —
 and formats it once per task through the job's
@@ -149,12 +150,7 @@ class Mapper(abc.ABC):
 
 
 class Reducer(abc.ABC):
-    """Aggregates all values of one key into output records.
-
-    The same interface serves as a combiner when passed as ``combiner`` in
-    a job configuration (combiner output values feed the shuffle under the
-    same key, exactly like Hadoop).
-    """
+    """Aggregates all values of one key into output records."""
 
     def setup(self, context: ReduceContext) -> None:
         """Called once before the first key of a reduce task."""
@@ -171,9 +167,6 @@ class KernelReducer(Reducer):
     """A reducer written as a gid-block kernel and a formatter (see the
     module docstring): ``reduce`` is their records-plane adapter, and the
     runner drives both on the columnar plane."""
-
-    def columnar_ready(self) -> bool:
-        return True
 
     @abc.abstractmethod
     def kernel(self, key: Hashable, group: ColumnValues, counters: Counters) -> np.ndarray:

@@ -229,24 +229,19 @@ class TestColumnValues:
 
 
 class TestJobColumnarKind:
-    def _mapper(self, kind="int", ready=True):
-        return SimpleNamespace(
-            columnar_key_kind=kind,
-            columnar_ready=lambda: ready,
-            map_columns=lambda *a: None,
-        )
+    """The gate reads the job's code only: the protocol and one key
+    family."""
 
-    def _reducer(self, ready=True):
-        return SimpleNamespace(
-            columnar_ready=lambda: ready,
-            kernel=lambda *a: None,
-        )
+    def _mapper(self, kind="int"):
+        return SimpleNamespace(columnar_key_kind=kind, map_columns=lambda *a: None)
 
-    def _conf(self, mappers, reducer, combiner=None):
+    def _reducer(self):
+        return SimpleNamespace(kernel=lambda *a: None)
+
+    def _conf(self, mappers, reducer):
         return SimpleNamespace(
             inputs=[SimpleNamespace(mapper=m) for m in mappers],
             reducer=reducer,
-            combiner=combiner,
         )
 
     def test_all_ready_same_kind(self):
@@ -261,32 +256,17 @@ class TestJobColumnarKind:
         )
         assert job_columnar_gate(conf) == (None, "mixed-key-kinds")
 
-    def test_unready_mapper_falls_back(self):
-        conf = self._conf(
-            [self._mapper(), self._mapper(ready=False)], self._reducer()
-        )
-        assert job_columnar_gate(conf) == (None, "mapper-not-columnar-ready")
-
-    def test_unready_reducer_falls_back(self):
-        conf = self._conf([self._mapper()], self._reducer(ready=False))
-        assert job_columnar_gate(conf) == (None, "reducer-not-columnar-ready")
-
     def test_protocol_free_classes_fall_back(self):
         conf = self._conf([SimpleNamespace()], self._reducer())
         assert job_columnar_gate(conf) == (None, "mapper-no-columnar-protocol")
         conf = self._conf([self._mapper()], SimpleNamespace())
         assert job_columnar_gate(conf) == (None, "reducer-no-columnar-protocol")
 
-    def test_combiner_keeps_the_job_on_records(self):
-        conf = self._conf(
-            [self._mapper()], self._reducer(), combiner=self._reducer()
-        )
-        assert job_columnar_gate(conf) == (None, "combiner-configured")
-
 
 class TestIntervalColumns:
-    """``interval_columns`` returns the float64 columns only when they
-    *are* the intervals: every endpoint must survive the conversion."""
+    """``interval_columns`` returns float64 columns only when they *are*
+    the intervals — every endpoint survives the conversion — and
+    ``object`` columns of the exact values otherwise."""
 
     def test_ints_and_floats_within_float64_encode(self):
         intervals = [Interval(5, 9), Interval(0.5, 2**53), Interval(-3, 7.25)]
@@ -308,6 +288,7 @@ class TestIntervalColumns:
         ],
     )
     def test_endpoint_beyond_float64_is_reported(self, interval):
-        assert interval_columns(
-            [Interval(1, 2), interval], lambda iv: iv
-        ) is None
+        starts, ends = interval_columns([Interval(1, 2), interval], lambda iv: iv)
+        assert object in (starts.dtype, ends.dtype)
+        assert starts.tolist() == [1, interval.start]
+        assert ends.tolist() == [2, interval.end]

@@ -114,13 +114,13 @@ class TestRecords:
         assert all(a is b for a, b in zip(block.row_column(), rows))
 
     def test_an_endpoint_past_float64_makes_object_columns(self, data):
-        """Read as columns, such a block keeps the job on records."""
+        """Read as columns, such a block encodes as the exact values."""
         data = dict(data, R2=_past_float64(data["R2"]))
         block = _block(data, [1, 0], [5, 0], [True, False])
         ends = block.columns({"R1": "I", "R2": "I"}).ends
         assert ends.dtype == object and ends[0] == 2**53 + 1
         mapper = RouteMapper({"R1": "I", "R2": "I"}, Partitioning.uniform(0, 300, 4))
-        assert mapper.encode_intervals(block, block) is None
+        assert mapper.encode_intervals(block, block)[1].tolist() == ends.tolist()
 
 
 def _refusing_gate(conf):
@@ -176,9 +176,13 @@ def test_edge_shaped_flag_files(case, monkeypatch):
         data = make_dataset(("R1", "R2", "R3"), 2, seed=3, max_length=150)
         partitions = 16
     else:
+        # Provably empty: the query runs no job, so writes no flag file.
         data = make_dataset(("R1", "R2", "R3"), 20, seed=3)
         data["R3"] = Relation("R3", [])
-        partitions = 4
+        recorder = TraceRecorder()
+        result = execute(COLOCATION, data, "rccis", num_partitions=4, observer=recorder)
+        assert (len(result), recorder.job_results) == (0, [])
+        return
     records, block = _flag_files(monkeypatch, data, partitions, RUNS["serial"])
     assert isinstance(block, IndexBlock)
     assert list(block) == list(records)
@@ -202,20 +206,24 @@ def test_a_block_writes_the_bytes_of_its_records(tmp_path):
     assert json.loads((tmp_path / "block").read_text().splitlines()[0])[0] in data
 
 
-def test_an_endpoint_past_float64_joins_on_records():
-    """The flag cycle reads ``object`` columns, so it runs on records and
-    writes records; the join cycle, encoding them, does too."""
+def test_an_endpoint_past_float64_joins_on_columns():
+    """The flag cycle reads ``object`` columns and writes its block; the
+    join cycle gathers the relations' ``object`` columns through it."""
     data = make_dataset(("R1", "R2", "R3"), 30, seed=2)
     data["R2"] = _past_float64(data["R2"])
+    fs = InMemoryFileSystem()
     recorder = TraceRecorder()
-    result = execute(COLOCATION, data, "rccis", num_partitions=4, observer=recorder)
+    result = execute(
+        COLOCATION, data, "rccis", num_partitions=4, observer=recorder, fs=fs
+    )
     assert [
         (job.name, job.data_plane, job.data_plane_reason)
         for job in recorder.job_results
     ] == [
-        ("rccis-flag", "records", "endpoints-not-float64-exact"),
-        ("rccis-join", "records", "endpoints-not-float64-exact"),
+        ("rccis-flag", "columnar", None),
+        ("rccis-join", "columnar", None),
     ]
+    assert isinstance(fs.read_dir("rccis/flags"), IndexBlock)
     assert sorted(result.tuple_ids()) == sorted(
         reference_join(COLOCATION, data).tuple_ids()
     )

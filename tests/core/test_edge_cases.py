@@ -5,6 +5,8 @@ import pytest
 from tests.conftest import assert_matches_reference, make_dataset
 
 from repro.core.executor import execute
+from repro.errors import PlanningError
+from repro.obs import TraceRecorder
 from repro.core.query import IntervalJoinQuery
 from repro.core.schema import Relation, Row
 from repro.intervals.interval import Interval
@@ -30,6 +32,34 @@ class TestEmptyRelations:
         data = {"R1": Relation("R1", []), "R2": Relation("R2", [])}
         result = execute(q, data, num_partitions=3)
         assert len(result) == 0
+
+    def test_an_empty_relation_runs_no_job(self):
+        """A relation with no rows makes the join provably empty: the
+        grid, with its 23,485 consistent cells at 20 partitions, is never
+        built into a job."""
+        q = IntervalJoinQuery.parse(
+            [("R1", "before", "R2"), ("R1", "before", "R3"), ("R2", "before", "R4")]
+        )
+        data = {
+            name: Relation.of_intervals(
+                name, [Interval(10 * i, 10 * i + 5) for i in range(n)]
+            )
+            for name, n in zip(("R1", "R2", "R3", "R4"), (0, 1, 2, 9))
+        }
+        recorder = TraceRecorder()
+        result = execute(
+            q, data, algorithm="all_matrix", num_partitions=20, observer=recorder
+        )
+        assert len(result) == 0
+        assert result.metrics.num_cycles == 0
+        assert recorder.job_results == []
+
+    def test_a_rejected_query_still_raises(self):
+        """The short-circuit comes after the algorithm's own check."""
+        q = IntervalJoinQuery.parse([("R1", "before", "R2")])
+        data = {"R1": Relation("R1", []), "R2": Relation("R2", [])}
+        with pytest.raises(PlanningError):
+            execute(q, data, algorithm="rccis", num_partitions=3)
 
 
 class TestDegenerateData:

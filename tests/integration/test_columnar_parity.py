@@ -4,9 +4,9 @@ plane bit-for-bit, and the job — not the user — picks between them.
 The columnar plane swaps the intermediate pair stream from
 tuple-at-a-time records to struct-of-arrays columns (argsort shuffle,
 shared-memory reduce transport under ``processes``) — and nothing else.
-A job runs there exactly when its own gate passes and its routing
-endpoints are exact in float64, so the records arm of every comparison
-below is obtained inside the test, by substituting a gate that refuses.
+A job runs there exactly when its code implements the protocol — its
+data never decides — so the records arm of every comparison below is
+obtained inside the test, by substituting a gate that refuses.
 These tests pin the contract for every algorithm with a columnar job on
 every executor:
 
@@ -16,10 +16,10 @@ every executor:
 * identical trace span set,
 
 plus the rule around it: which plane each job of each algorithm runs on
-and why, that inexact endpoints keep a job on the records plane (and the
-answer right), that fault injection does not (chaos runs stay on the
-columnar plane and stay bit-identical), and that profiling the columnar
-plane is passive.
+and why, that inexact endpoints, multi-attribute queries and residual
+conditions stay columnar (and the answer right), that fault injection
+does too (chaos runs stay on the columnar plane and stay bit-identical),
+and that profiling the columnar plane is passive.
 """
 
 from __future__ import annotations
@@ -37,6 +37,7 @@ from repro.core.algorithms.base import (
     write_inputs,
 )
 from repro.core.algorithms.rccis import JoinReducer
+from repro.core.algorithms.routing import OperatorRouter, RoutedMapper, RowView
 from repro.core.algorithms.two_way import OperatorMapper
 from repro.core.executor import execute
 from repro.core.query import IntervalJoinQuery
@@ -64,6 +65,15 @@ HYBRID = IntervalJoinQuery.parse(
     [("R1", "overlaps", "R2"), ("R2", "before", "R3")]
 )
 TWO_WAY = IntervalJoinQuery.parse([("R1", "overlaps", "R2")])
+#: A cyclic query: the cascade's ``cascade-R3`` step checks a residual
+#: condition on the bound side's other member.
+TRIANGLE = IntervalJoinQuery.parse(
+    [("R1", "overlaps", "R2"), ("R2", "overlaps", "R3"), ("R1", "overlaps", "R3")]
+)
+#: Two attributes of R1 in two components: a 3-D Gen-Matrix grid.
+MULTI_ATTRIBUTE = IntervalJoinQuery.parse(
+    [("R1.I", "overlaps", "R2.I"), ("R1.J", "before", "R3.J")]
+)
 
 #: The algorithms whose joins run columnar: the two-way overlap join (int
 #: partition keys), RCCIS (int keys, three relations), the cascade in
@@ -85,9 +95,15 @@ CASES = [
     ("two_way_cascade", COLOCATION, ("R1", "R2", "R3")),
     ("two_way_cascade", SEQUENCE, ("R1", "R2", "R3")),
     *GRID_CASES,
+    ("fcts", HYBRID, ("R1", "R2", "R3")),
+    ("gen_matrix", MULTI_ATTRIBUTE, ("R1", "R2", "R3")),
+    ("two_way_cascade", TRIANGLE, ("R1", "R2", "R3")),
 ]
 
-CASE_IDS = ["two_way", "rccis", "cascade_colocation", "cascade_sequence", *GRID_IDS]
+CASE_IDS = [
+    "two_way", "rccis", "cascade_colocation", "cascade_sequence", *GRID_IDS,
+    "fcts", "gen_matrix_multi_attribute", "cascade_triangle",
+]
 
 
 def _run(algorithm, query, data, executor, **kwargs):
@@ -96,7 +112,7 @@ def _run(algorithm, query, data, executor, **kwargs):
         query,
         data,
         algorithm=algorithm,
-        num_partitions=5,
+        num_partitions=kwargs.pop("num_partitions", 5),
         executor=executor,
         workers=2,
         observer=recorder,
@@ -179,7 +195,11 @@ def _assert_cross_plane_parity(records_pack, columnar_pack):
 def test_columnar_matches_records(
     algorithm, query, names, executor, monkeypatch
 ):
-    data = make_dataset(names, 60, seed=11)
+    data = (
+        make_dataset(names, 60, seed=11)
+        if query.is_single_attribute
+        else _two_attribute_dataset(names, 60, seed=11)
+    )
     records_pack = _run_on_records(
         monkeypatch, algorithm, query, data, executor
     )
@@ -363,20 +383,12 @@ def test_shm_transport_accounted_only_under_processes(executor):
 # The rule: which plane each job runs on, and why.
 # ----------------------------------------------------------------------
 
-#: A multi-attribute relation's grid routing intersects one constraint
-#: per term, which no key codec describes.
-NOT_READY = "mapper-not-columnar-ready"
 #: The map side is columnar-capable; the reducer is not.
 NO_REDUCER = "reducer-no-columnar-protocol"
 
-#: Two attributes of R1 in two components: a 3-D Gen-Matrix grid.
-MULTI_ATTRIBUTE = IntervalJoinQuery.parse(
-    [("R1.I", "overlaps", "R2.I"), ("R1.J", "before", "R3.J")]
-)
-
 #: algorithm, query, and per job in execution order ``(name, plane,
-#: reason)`` with default options.  Records-only: FCTS's matrix and a
-#: multi-attribute query's grid join; every other job runs columnar.
+#: reason)`` with default options: every job of every algorithm runs
+#: columnar.
 RULE = [
     ("two_way", TWO_WAY, [("two-way", "columnar", None)]),
     ("rccis", COLOCATION, [
@@ -404,12 +416,12 @@ RULE = [
     ]),
     ("gen_matrix", MULTI_ATTRIBUTE, [
         ("gen_matrix-flag", "columnar", None),
-        ("gen_matrix-join", "records", NOT_READY),
+        ("gen_matrix-join", "columnar", None),
     ]),
     ("fcts", HYBRID, [
         ("rccis-flag", "columnar", None),
         ("rccis-join", "columnar", None),
-        ("fcts-matrix", "records", NO_REDUCER),
+        ("fcts-matrix", "columnar", None),
     ]),
     ("fstc", HYBRID, [
         ("all_matrix-join", "columnar", None),
@@ -454,17 +466,18 @@ def test_each_job_picks_its_plane(algorithm, query, expected, executor):
     ] == expected
 
 
-class _Resend(Reducer):
-    """A combiner that re-emits what it was given."""
+class _RecordsOnly(Reducer):
+    """A user reducer without the kernel protocol."""
 
     def reduce(self, key, values, context):
-        for value in values:
-            context.emit(value)
+        context.emit_many(values)
 
 
-def _two_way_job(query, data, combiner=None):
+def _two_way_job(query, data):
     """The two-way join of ``query``'s first condition as a bare job,
-    with its inputs staged on a fresh file system."""
+    with its inputs staged on a fresh file system: each relation routed
+    on its first condition's attribute, its values carrying the other
+    attributes the query names."""
     fs = InMemoryFileSystem()
     write_inputs(fs, query, data)
     parts = build_partitioning(query, data, 4)
@@ -473,13 +486,20 @@ def _two_way_job(query, data, combiner=None):
         (condition.left, condition.predicate.left_operator),
         (condition.right, condition.predicate.right_operator),
     )
+
+    def mapper(term, operator):
+        also = [a for a in query.attributes_of(term.relation) if a != term.attribute]
+        if not also:
+            return OperatorMapper(term.relation, term.attribute, parts, operator)
+        return RoutedMapper(
+            RowView(term.relation, term.attribute, also=also),
+            OperatorRouter(parts, operator),
+        )
+
     conf = JobConf(
         name="two-way",
         inputs=[
-            InputSpec(
-                input_path(term.relation),
-                OperatorMapper(term.relation, term.attribute, parts, operator),
-            )
+            InputSpec(input_path(term.relation), mapper(term, operator))
             for term, operator in terms
         ],
         reducer=JoinReducer(
@@ -488,26 +508,14 @@ def _two_way_job(query, data, combiner=None):
         output="twoway/output",
         num_reduce_tasks=4,
         partitioner=RoundRobinKeyPartitioner(),
-        combiner=combiner,
     )
     return fs, conf
 
 
-def test_a_combiner_job_runs_on_records():
-    data = make_dataset(("R1", "R2"), 40, seed=11)
-    fs, conf = _two_way_job(TWO_WAY, data)
-    assert run_job(fs, conf).data_plane == "columnar"
-    fs, conf = _two_way_job(TWO_WAY, data, combiner=_Resend())
-    result = run_job(fs, conf)
-    assert (result.data_plane, result.data_plane_reason) == (
-        "records", "combiner-configured",
-    )
-
-
-def test_a_multi_attribute_reducer_runs_on_records():
-    """A columnar group carries one routing interval per value, so a
-    ``JoinReducer`` whose query reads two attributes of a relation
-    reports itself not ready."""
+def test_a_multi_attribute_reducer_runs_columnar():
+    """A ``JoinReducer`` whose query reads two attributes of a relation
+    runs columnar: each value carries the attribute it is not routed on
+    as a further term, which the join reads as its column."""
     rng = random.Random(5)
 
     def relation(name):
@@ -526,9 +534,7 @@ def test_a_multi_attribute_reducer_runs_on_records():
     )
     fs, conf = _two_way_job(query, data)
     result = run_job(fs, conf)
-    assert (result.data_plane, result.data_plane_reason) == (
-        "records", "reducer-not-columnar-ready",
-    )
+    assert (result.data_plane, result.data_plane_reason) == ("columnar", None)
     tuples = list(fs.read_dir(conf.output))
     assert sorted(
         tuple(row.rid for row in rows) for rows in tuples
@@ -541,21 +547,19 @@ class TestFallbackObservability:
     reason string on its span and on its result."""
 
     def test_protocol_gap_reason_recorded(self):
-        """FCTS's matrix reducer implements no columnar protocol: its job
-        runs on records with the gate's reason, on the span and the job
-        result alike."""
-        data = make_dataset(("R1", "R2", "R3"), 60, seed=11)
-        _, recorder = _run("fcts", HYBRID, data, "serial")
-        (job_result,) = [
-            job for job in recorder.job_results if job.name == "fcts-matrix"
-        ]
+        """A user reducer that implements no kernel: its job runs on
+        records with the gate's reason, on the span and the job result
+        alike."""
+        data = make_dataset(("R1", "R2"), 60, seed=11)
+        fs, conf = _two_way_job(TWO_WAY, data)
+        conf.reducer = _RecordsOnly()
+        recorder = TraceRecorder()
+        job_result = run_job(fs, conf, observer=recorder)
+        recorder.close()
         assert (job_result.data_plane, job_result.data_plane_reason) == (
             "records", NO_REDUCER,
         )
-        (span,) = [
-            span for span in recorder.spans
-            if span.kind == "job" and span.attributes["job"] == "fcts-matrix"
-        ]
+        (span,) = [span for span in recorder.spans if span.kind == "job"]
         assert span.attributes["data_plane"] == "records"
         assert span.attributes["data_plane_reason"] == NO_REDUCER
 
@@ -569,7 +573,7 @@ class TestFallbackObservability:
 
 # ----------------------------------------------------------------------
 # Exactness: float64 columns stand in for the intervals only when every
-# endpoint survives the conversion.
+# endpoint survives the conversion; otherwise the columns are ``object``.
 # ----------------------------------------------------------------------
 
 BIG = 2**53
@@ -608,21 +612,25 @@ def _relations(intervals):
 @pytest.mark.parametrize("predicate", ["overlaps", "meets"])
 @pytest.mark.parametrize("algorithm", ["two_way", "rccis", "two_way_cascade"])
 def test_endpoints_beyond_float64_join_on_records(
-    algorithm, predicate, executor
+    algorithm, predicate, executor, monkeypatch
 ):
+    """Both arms join the exact values: the records arm off the rows,
+    the columnar plane — which the job picks whatever its data — off
+    ``object`` columns."""
     data = _relations(BEYOND_FLOAT64)
     query = IntervalJoinQuery.parse([("R1", predicate, "R2")])
+    records, _ = _run_on_records(
+        monkeypatch, algorithm, query, data, executor, num_partitions=2
+    )
+    assert_matches_reference(query, data, records)
+    assert len(records) == 2
     recorder = TraceRecorder()
     result = execute(
         query, data, algorithm=algorithm, num_partitions=2,
         executor=executor, workers=2, observer=recorder,
     )
-    assert_matches_reference(query, data, result)
-    assert len(result) == 2
-    last = recorder.job_results[-1]
-    assert (last.data_plane, last.data_plane_reason) == (
-        "records", "endpoints-not-float64-exact",
-    )
+    assert result.tuple_ids() == records.tuple_ids()
+    assert {job.data_plane for job in recorder.job_results} == {"columnar"}
 
 
 @pytest.mark.parametrize("executor", EXECUTORS)
@@ -653,17 +661,16 @@ def _beyond_float64_dataset(names, seed):
     return data
 
 
-#: The first job of each algorithm below, on endpoints beyond float64: a
-#: job over base relations takes the records escape (the relation's own
-#: columns are ``object`` there), a grid join has none to take.
+#: The first job of each algorithm below, on endpoints beyond float64:
+#: columnar, over the relation's own ``object`` columns.
 FIRST_JOB_BEYOND_FLOAT64 = {
-    "two_way": ("two-way", "records", "endpoints-not-float64-exact"),
-    "all_replicate": ("all-replicate", "records", "endpoints-not-float64-exact"),
-    "rccis": ("rccis-flag", "records", "endpoints-not-float64-exact"),
-    "pasm": ("pasm-flag", "records", "endpoints-not-float64-exact"),
-    "all_matrix": ("all_matrix-join", "records", "endpoints-not-float64-exact"),
-    "gen_matrix": ("gen_matrix-flag", "records", "endpoints-not-float64-exact"),
-    "two_way_cascade": ("cascade-R2", "records", "endpoints-not-float64-exact"),
+    "two_way": ("two-way", "columnar", None),
+    "all_replicate": ("all-replicate", "columnar", None),
+    "rccis": ("rccis-flag", "columnar", None),
+    "pasm": ("pasm-flag", "columnar", None),
+    "all_matrix": ("all_matrix-join", "columnar", None),
+    "gen_matrix": ("gen_matrix-flag", "columnar", None),
+    "two_way_cascade": ("cascade-R2", "columnar", None),
 }
 
 
@@ -683,9 +690,9 @@ FIRST_JOB_BEYOND_FLOAT64 = {
 )
 def test_whole_queries_are_exact_beyond_float64(algorithm, conditions):
     """The flagging decision and the reducer-local join run over
-    ``object`` columns when an endpoint is not a float64: every job over
-    base relations takes the records escape — on a first query, which
-    builds the relations' columns, and on a second, which finds them."""
+    ``object`` columns when an endpoint is not a float64, on the
+    columnar plane — on a first query, which builds the relations'
+    columns, and on a second, which finds them."""
     query = IntervalJoinQuery.parse(conditions)
     data = _beyond_float64_dataset(query.relations, seed=53)
     for _ in range(2):
@@ -710,6 +717,31 @@ def test_whole_queries_are_exact_beyond_float64(algorithm, conditions):
     assert (
         reference_join(query, rounded).tuple_ids() != result.tuple_ids()
     ), "the data does not tell exact endpoints from float64 ones"
+
+
+def test_past_2_53_rccis_under_processes_leaves_no_segment():
+    """``object`` endpoint columns cannot live in shared memory: they
+    travel pickled in the task's descriptor, beside a block of gids and
+    tag codes that the parent still unlinks."""
+    data = _beyond_float64_dataset(COLOCATION.relations, seed=53)
+    segments_before = _shm_segments()
+    recorder = TraceRecorder()
+    result = execute(
+        COLOCATION, data, algorithm="rccis", num_partitions=3,
+        executor="processes", workers=2, observer=recorder,
+    )
+    assert sorted(result.tuple_ids()) == sorted(
+        reference_join(COLOCATION, data).tuple_ids()
+    )
+    assert len(result) > 0
+    assert {job.data_plane for job in recorder.job_results} == {"columnar"}
+    (shm_bytes,) = {
+        span.attributes["shm_bytes"] for span in recorder.spans
+        if span.name == "reduce" and span.attributes["job"] == "rccis-join"
+    }
+    (join,) = [job for job in recorder.job_results if job.name == "rccis-join"]
+    assert shm_bytes == 10 * join.shuffled_records  # gids and tag codes
+    assert _shm_segments() <= segments_before
 
 
 @pytest.mark.parametrize("strategy", ["uniform", "equi_depth"])

@@ -183,7 +183,7 @@ def test_the_map_side_is_written_once():
     ``map_columns`` exists only in ``routing.py`` (the mapper's and one
     per router), and no ``map`` method outside it spells out the
     Figure-1 project / split / replicate switch."""
-    defined = {"encode_intervals": [], "columnar_ready": [], "map_columns": []}
+    defined = {"encode_intervals": [], "encode_terms": [], "map_columns": []}
     switches = []
     for path, tree in _modules("core/algorithms"):
         module = path.name
@@ -195,7 +195,6 @@ def test_the_map_side_is_written_once():
                 for node in cls.body
                 if isinstance(node, ast.FunctionDef)
             }
-            # A reducer's columnar_ready gates its kernel, not a map side.
             if "kernel" not in methods:
                 for name in defined:
                     if name in methods:
@@ -208,7 +207,13 @@ def test_the_map_side_is_written_once():
                     and node.attr in ("PROJECT", "SPLIT", "REPLICATE")
                 ]
     assert defined["encode_intervals"] == ["routing.py:RoutedMapper"]
-    assert defined["columnar_ready"] == ["routing.py:RoutedMapper"]
+    assert defined["encode_terms"] == ["routing.py:RoutedMapper"]
+    # The plane depends on a job's code only: no readiness gate survives.
+    assert [
+        path.relative_to(SRC).as_posix()
+        for path in sorted(SRC.rglob("*.py"))
+        if "columnar_ready" in path.read_text(encoding="utf-8")
+    ] == []
     assert all(
         where.startswith("routing.py:") for where in defined["map_columns"]
     )
@@ -219,8 +224,8 @@ def test_the_map_side_is_written_once():
 def test_the_reduce_side_is_written_once():
     """The reducer fork cannot re-grow: a reducer under ``core`` is a
     kernel and a formatter (``mapreduce.task.KernelReducer``), whose
-    ``reduce`` is the one records-plane adapter; only fcts-matrix's
-    records-only reducer still writes its own ``reduce``.  No class
+    ``reduce`` is the one records-plane adapter, and no reducer writes
+    its own.  No class
     restates materialisation, no reducer boxes its outputs into Python
     ints, and no reduce body asks which plane it is on."""
     reduces, restated, boxing = [], [], []
@@ -238,7 +243,7 @@ def test_the_reduce_side_is_written_once():
                 restated.append(where)
             if cls.name.endswith("Reducer") and "tolist" in _names(cls):
                 boxing.append(where)
-    assert reduces == ["core/algorithms/hybrid.py:_ComponentJoinReducer"]
+    assert reduces == []
     assert restated == []
     assert boxing == []
 
@@ -290,9 +295,8 @@ ROW_INTERVAL_SITES = {
     # Oracles.
     "core/validation.py": None,
     "core/reference.py": None,
-    # Records-only forms that ROADMAP item 1 deletes: fcts-matrix's
-    # reducer, FCTS's driver-side filter.
-    "core/algorithms/hybrid.py": {"extend", "plan"},
+    # FCTS's driver-side filter, which ROADMAP item 1 deletes.
+    "core/algorithms/hybrid.py": {"plan"},
 }
 
 

@@ -230,9 +230,9 @@ def test_a_source_of_another_length_is_refused():
     assert fs.list_prefix("out") == []
 
 
-def test_one_endpoint_past_float64_keeps_the_job_on_records():
+def test_one_endpoint_past_float64_keeps_the_job_columnar():
     """The relation's memoised column is ``object`` as soon as one
-    endpoint is not a float64, and the plane decision reads that."""
+    endpoint is not a float64, and the columnar job reads it as it is."""
     data = make_dataset(("R1", "R2"), 30, seed=2)
     rows = list(data["R1"].rows)
     rows.append(Row.make(len(rows), {"I": Interval(150.5, 2**53 + 1)}))
@@ -243,9 +243,7 @@ def test_one_endpoint_past_float64_keeps_the_job_on_records():
         recorder = TraceRecorder()
         result = execute(TWO_WAY, data, "two_way", num_partitions=4, observer=recorder)
         (job,) = recorder.job_results
-        assert (job.data_plane, job.data_plane_reason) == (
-            "records", "endpoints-not-float64-exact",
-        )
+        assert (job.data_plane, job.data_plane_reason) == ("columnar", None)
         assert sorted(result.tuple_ids()) == sorted(
             reference_join(TWO_WAY, data).tuple_ids()
         )

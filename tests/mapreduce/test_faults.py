@@ -2,7 +2,7 @@
 
 Covers the :mod:`repro.faults` plan machinery (reproducibility is the
 load-bearing property), the runner's attempt loop across lifecycle
-injection points (setup, combiner, cleanup, commit), the commit
+injection points (setup, cleanup, commit), the commit
 protocol under corrupt output, environment resolution, the
 observability of retries (attempt spans, fault counters, the RunReport
 fault summary), and what a worker process killed mid-reduce leaves
@@ -51,11 +51,6 @@ class TokenizeMapper(Mapper):
 class SumReducer(Reducer):
     def reduce(self, key, values, context):
         context.emit((key, sum(values)))
-
-
-class SumCombiner(Reducer):
-    def reduce(self, key, values, context):
-        context.emit(sum(values))
 
 
 class FailOnKeyReducer(SumReducer):
@@ -217,21 +212,6 @@ def scripted(job, phase, task_index, attempt, *events):
 class TestInjectionPoints:
     """Crashes scripted into user-code lifecycle hooks are retried, not
     silently swallowed."""
-
-    def test_combiner_crash_is_retried(self, fs):
-        expected = expected_output(fs)
-        plan = scripted(
-            "wordcount", "map", 0, 0, FaultEvent(CRASH, "combiner")
-        )
-        result = run_job(
-            fs,
-            word_count_conf(fs, combiner=SumCombiner()),
-            faults=plan,
-            max_attempts=2,
-        )
-        assert sorted(fs.read_dir("out")) == expected
-        assert result.counters.value("faults", "tasks_failed") == 1
-        assert result.counters.value("faults", "tasks_retried") == 1
 
     def test_map_cleanup_crash_is_retried(self, fs):
         expected = expected_output(fs)
@@ -494,9 +474,9 @@ class TestWorkerPoolError:
     def test_fault_error_survives_pickling(self):
         import pickle
 
-        error = FaultInjectedError(CRASH, "combiner")
+        error = FaultInjectedError(CRASH, "cleanup")
         clone = pickle.loads(pickle.dumps(error))
-        assert (clone.kind, clone.point) == (CRASH, "combiner")
+        assert (clone.kind, clone.point) == (CRASH, "cleanup")
         assert str(clone) == str(error)
 
 

@@ -28,14 +28,6 @@ class SumReducer(Reducer):
         context.emit((key, sum(values)))
 
 
-class SumCombiner(Reducer):
-    """Combiner variant: emits the partial sum as the new *value* (a
-    combiner's emissions feed the shuffle under the same key)."""
-
-    def reduce(self, key, values, context):
-        context.emit(sum(values))
-
-
 class CountGroupReducer(Reducer):
     def reduce(self, key, values, context):
         context.emit((key, len(values)))
@@ -146,17 +138,6 @@ class TestWordCount:
         conf = word_count_conf(fs, num_reduce_tasks=0)
         with pytest.raises(MapReduceError):
             run_job(fs, conf)
-
-
-class TestCombiner:
-    def test_combiner_reduces_shuffle_volume(self, fs):
-        plain = run_job(fs, word_count_conf(fs, output="out1"))
-        combined = run_job(
-            fs, word_count_conf(fs, output="out2", combiner=SumCombiner())
-        )
-        assert dict(fs.read_dir("out1")) == dict(fs.read_dir("out2"))
-        assert combined.shuffled_records < plain.shuffled_records
-        assert combined.counters.value("framework", "combine_input_records") == 9
 
 
 class TestLifecycle:

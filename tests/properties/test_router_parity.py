@@ -184,7 +184,6 @@ def test_targets_and_map_columns_agree(name, routed):
 
     # The mapper on top: both forms shuffle the same pairs.
     mapper = RoutedMapper(view, router)
-    assert mapper.columnar_ready()
     context = MapContext(Counters(), "test")
     for record in records:
         mapper.map(record, context)
@@ -231,8 +230,9 @@ def test_a_multi_term_row_goes_to_the_cells_inside_every_range(routed, dim):
     dimension per term — pinned at the term's start partition, or the
     upper tail where the term is flagged — and a row goes to the cells
     inside every constraint, intersected where two terms share a
-    dimension.  No routing interval describes that: the router has no
-    key codec, and its mapper stays on the records plane."""
+    dimension.  The columnar form reads the further term off the
+    mapper's term columns and emits the same cells in the same order,
+    with the same counters."""
     parts, records = routed
     cells = _chain(len(parts), 3)
     rows = [
@@ -245,8 +245,7 @@ def test_a_multi_term_row_goes_to_the_cells_inside_every_range(routed, dim):
         parts, 0, cells, lambda row: tail_a[row.rid],
         also=[(dim, parts, "b", lambda row: tail_b[row.rid])],
     )
-    assert router.key_kind is None
-    assert not RoutedMapper(RowView("R", "a"), router).columnar_ready()
+    assert router.key_kind == "cell"
 
     def allowed(interval, tail):
         q = parts.project(interval)
@@ -268,6 +267,24 @@ def test_a_multi_term_row_goes_to_the_cells_inside_every_range(routed, dim):
             replicated += len(want)
     assert counters.value("join", "replicated_pairs") == replicated
     assert 0 not in counters.group("join").values()
+
+    mapper = RoutedMapper(RowView("R", "a", also=["b"]), router)
+    for source in (None, Relation("R", rows)):
+        starts, ends = mapper.encode_intervals(rows, source)
+        terms = mapper.encode_terms(rows, source)
+        key_codes, row_idx, increments = router.map_columns(starts, ends, rows, terms)
+        decode = KEY_CODECS["cell"].decode
+        assert [
+            (index, decode(code))
+            for index, code in zip(row_idx.tolist(), key_codes.tolist())
+        ] == [
+            (index, cell)
+            for index, row in enumerate(rows)
+            for cell in router.targets(row.interval("a"), row, Counters())
+        ]
+        assert increments == {
+            (group, name): amount for group, name, amount in counters
+        }
 
 
 _ROWS = Relation.of_intervals("R", [Interval(0, 1), Interval(2, 5), Interval(2, 2)]).rows

@@ -10,9 +10,9 @@ charging ``work:comparisons`` by the two-relation rule of
 per further condition evaluated.  Random steps bind one to three
 members (with residual conditions: a triangle, a 4-cycle) under every
 routing predicate and orientation, on small integer grids, beyond 2**53
-and on mixed int/float endpoints; the records form and — where the job
-would run it — the columnar form must both match, and agree with each
-other record for record in order.
+and on mixed int/float endpoints; the records form and the columnar form
+— the bound side's other members carried as further terms — must both
+match, and agree with each other record for record in order.
 
 The five cascade / FSTC sizing queries of ISSUE 20 are pinned below as
 ``(tuples, work:comparisons, shuffled_records)``.
@@ -33,10 +33,10 @@ from tests.properties.test_local_join_differential import (
     random_interval,
 )
 
-from repro.columnar.batch import ColumnValues
+from repro.columnar.batch import ColumnValues, Terms, endpoint_column
 from repro.core.algorithms.cascade import _StepJoinReducer
 from repro.core.algorithms.routing import BOUND_SIDE, NEW_SIDE
-from repro.core.query import JoinCondition
+from repro.core.query import JoinCondition, Term
 from repro.core.schema import Row
 from repro.mapreduce.counters import Counters
 from repro.mapreduce.task import ReduceContext
@@ -134,31 +134,46 @@ def run_form(reducer, values):
 
 
 def column_values(reducer, values):
-    """The group as the columnar plane shuffles it: the routing
-    interval's endpoints per value, float64."""
+    """The group as the columnar plane shuffles it: per value its routing
+    interval's endpoints and, on the bound side, its other members'
+    terms — float64 where exact, ``object`` otherwise."""
     terms = {
         term.relation: term.attribute
         for term in (reducer.routing.left, reducer.routing.right)
     }
     bound = next(name for name in terms if name != NEW)
-    intervals = [
-        (
-            dict(payload)[bound].interval(terms[bound])
-            if side == BOUND_SIDE
-            else payload[1].interval(terms[NEW])
+    partial = next((payload for side, payload in values if side == BOUND_SIDE), ())
+    others = tuple(Term(name, terms[bound]) for name, _ in partial if name != bound)
+
+    def interval(side, payload, term):
+        if side == BOUND_SIDE:
+            return dict(payload)[term.relation].interval(term.attribute)
+        # A new-side value carries no further terms: its slots are never read.
+        return payload[1].interval(terms[NEW])
+
+    def columns(term):
+        intervals = [interval(side, payload, term) for side, payload in values]
+        return (
+            endpoint_column([iv.start for iv in intervals]),
+            endpoint_column([iv.end for iv in intervals]),
         )
-        for side, payload in values
-    ]
+
+    starts, ends = columns(Term(bound, terms[bound]))
+    further = [columns(term) for term in others]
     return ColumnValues(
         key=0,
         gids=np.arange(len(values), dtype=np.int64),
-        starts=np.array([iv.start for iv in intervals], dtype=np.float64),
-        ends=np.array([iv.end for iv in intervals], dtype=np.float64),
+        starts=starts,
+        ends=ends,
         tag_codes=np.array(
             [side == NEW_SIDE for side, _ in values], dtype=np.int16
         ),
         tags=(BOUND_SIDE, NEW_SIDE),
         store=_Store(values),
+        terms=Terms(
+            (others, ()),
+            *(np.stack([c[i] for c in further], axis=1) for i in (0, 1)),
+        ) if others else None,
     )
 
 
@@ -176,12 +191,9 @@ def test_step_reducer_equals_the_nested_loop(step):
     assert Counter(records) == Counter(want)
     assert records_charged == charged
 
-    # What the job gates on: no residual conditions, float64-exact
-    # endpoints.
-    if reducer.columnar_ready() and flavour in ("int", "mixed"):
-        assert run_form(reducer, column_values(reducer, values)) == (
-            records, charged,
-        )
+    # Every step runs columnar, residual conditions and inexact
+    # endpoints included.
+    assert run_form(reducer, column_values(reducer, values)) == (records, charged)
 
 
 #: ``generate_relation(name, SyntheticConfig(n, t_range=(0, T),
