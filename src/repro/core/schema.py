@@ -6,7 +6,10 @@ instances or plain numbers (the latter are *real-valued attributes*, which
 Section 9 of the paper embeds as length-0 intervals).  A :class:`Relation`
 is a named, ordered, immutable collection of rows sharing an attribute
 schema; it owns its endpoint columns (:meth:`Relation.columns`), which
-every whole-relation reader reads instead of the rows.
+every whole-relation reader reads instead of the rows.  Relations are
+built column-first (:meth:`Relation.from_column_blocks`): every
+generator and loader hands over whole columns, and the rows are built
+from them in one pass.
 
 Row ids are unique within a relation, so an output tuple is fully
 identified by the rids of its member rows in query relation order — the
@@ -17,6 +20,7 @@ reference join.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import repeat
 from typing import (
     Any,
     Dict,
@@ -25,6 +29,7 @@ from typing import (
     List,
     Mapping,
     Optional,
+    Sequence,
     Tuple,
     Union,
 )
@@ -33,16 +38,29 @@ import numpy as np
 
 from repro.columnar.batch import object_column
 from repro.errors import QueryError
+from repro.gc_pause import collector_paused
 from repro.intervals.interval import Interval, point
 from repro.intervals.sweep import SortedColumns
 
-__all__ = ["Row", "Relation", "DEFAULT_ATTRIBUTE", "AttributeValue"]
+__all__ = [
+    "Row",
+    "Relation",
+    "DEFAULT_ATTRIBUTE",
+    "AttributeValue",
+    "Column",
+    "record_columns",
+]
 
 #: The attribute name used by single-attribute relations built from bare
 #: interval lists (the paper's Sections 4-8 setting).
 DEFAULT_ATTRIBUTE = "I"
 
 AttributeValue = Union[Interval, float, int]
+
+#: One attribute of a block of rows, as :meth:`Relation.from_columns`
+#: takes it: a ``(starts, ends)`` tuple for an interval attribute, or
+#: any other sequence (a list, an array) of the values themselves.
+Column = Union[Tuple[Sequence[Any], Sequence[Any]], Sequence[AttributeValue]]
 
 
 @dataclass(frozen=True)
@@ -100,32 +118,111 @@ class Relation:
     columns memoised from it (:meth:`columns`, :meth:`row_column`)."""
 
     def __init__(self, name: str, rows: Iterable[Row]):
+        rows = tuple(rows)
+        schema = rows[0].attributes if rows else ()
+        seen_rids = set()
+        for row in rows:
+            if row.attributes != schema:
+                raise QueryError(
+                    f"relation {name!r}: row {row.rid} schema "
+                    f"{row.attributes} differs from {schema}"
+                )
+            if row.rid in seen_rids:
+                raise QueryError(f"relation {name!r}: duplicate row id {row.rid}")
+            seen_rids.add(row.rid)
+        self._adopt(name, rows, schema)
+
+    def _adopt(
+        self, name: str, rows: Tuple[Row, ...], attributes: Tuple[str, ...]
+    ) -> None:
         self.name = name
-        self.rows: Tuple[Row, ...] = tuple(rows)
+        self.rows: Tuple[Row, ...] = rows
+        self.attributes: Tuple[str, ...] = attributes
         #: attribute -> its endpoint columns, ``None`` -> the rows as an
         #: object column; each built on first use, shared by aliases.
         self._memo: Dict[Optional[str], Any] = {}
-        if self.rows:
-            schema = self.rows[0].attributes
-            seen_rids = set()
-            for row in self.rows:
-                if row.attributes != schema:
-                    raise QueryError(
-                        f"relation {name!r}: row {row.rid} schema "
-                        f"{row.attributes} differs from {schema}"
-                    )
-                if row.rid in seen_rids:
-                    raise QueryError(
-                        f"relation {name!r}: duplicate row id {row.rid}"
-                    )
-                seen_rids.add(row.rid)
-            self.attributes: Tuple[str, ...] = schema
-        else:
-            self.attributes = ()
 
     # ------------------------------------------------------------------
-    # Convenience constructors
+    # Column-first constructors
     # ------------------------------------------------------------------
+    @classmethod
+    def from_columns(
+        cls,
+        name: str,
+        columns: Mapping[str, Column],
+        rids: Optional[Sequence[int]] = None,
+    ) -> "Relation":
+        """A relation from one block of columns (see
+        :meth:`from_column_blocks`); ``rids`` default to positions."""
+        return cls.from_column_blocks(name, [(columns, rids)])
+
+    @classmethod
+    def from_column_blocks(
+        cls,
+        name: str,
+        blocks: Iterable[Tuple[Mapping[str, Column], Optional[Sequence[int]]]],
+    ) -> "Relation":
+        """The one bulk builder: a relation from consecutive blocks of
+        ``(columns, rids)``, each block's rows built before the next
+        block is drawn, so a loader can stream.
+
+        ``columns`` maps each attribute to a :data:`Column`; an interval
+        attribute's ``Interval(start, end)`` is built (and so checked)
+        here, other values are taken as they are.  ``rids`` of ``None``
+        number the block's rows on from the previous block's.  Each
+        ``Row`` is built as ``Row(rid, data)`` with ``data`` in
+        :meth:`Row.make`'s order; the schema is uniform by construction,
+        so only a block naming other attributes than the first is
+        refused, and rids are checked for uniqueness as a column (a set
+        of them, updated a block at a time).  Rows and intervals are
+        acyclic, so the cyclic collector is paused throughout.
+
+        :meth:`columns` is not seeded from the endpoints in hand: a
+        caller that never queries the relation (a generate-then-save)
+        would hold the arrays for nothing, and a query builds them from
+        the rows in well under a tenth of the build's time.
+        """
+        rows: List[Row] = []
+        rids: set = set()
+        schema: Optional[Tuple[str, ...]] = None
+        with collector_paused():
+            for columns, block_rids in blocks:
+                names = tuple(sorted(columns))
+                values = [_as_list(columns[a]) for a in names]
+                if block_rids is None:
+                    count = _length(values[0]) if names else 0
+                    block_rids = range(len(rows), len(rows) + count)
+                else:
+                    block_rids = _as_list(block_rids)
+                if not block_rids:
+                    continue
+                if schema is None:
+                    schema = names
+                elif names != schema:
+                    raise QueryError(
+                        f"relation {name!r}: row {block_rids[0]} schema "
+                        f"{names} differs from {schema}"
+                    )
+                for index, (attribute, column) in enumerate(zip(names, values)):
+                    sides = column if isinstance(column, tuple) else (column,)
+                    if {len(side) for side in sides} != {len(block_rids)}:
+                        raise QueryError(
+                            f"relation {name!r}: column {attribute!r} does "
+                            f"not hold one value for each of {len(block_rids)} rows"
+                        )
+                    if isinstance(column, tuple):
+                        column = map(Interval, *column)
+                    values[index] = zip(repeat(attribute), column)
+                data = zip(*values) if values else repeat((), len(block_rids))
+                rows.extend(map(Row, block_rids, data))
+                distinct = len(rids)
+                rids.update(block_rids)
+                if len(rids) - distinct != len(block_rids):
+                    _raise_duplicate(name, rows)
+        relation = cls.__new__(cls)
+        relation._adopt(name, tuple(rows), schema or ())
+        return relation
+
     @classmethod
     def of_intervals(
         cls,
@@ -134,19 +231,15 @@ class Relation:
         attribute: str = DEFAULT_ATTRIBUTE,
     ) -> "Relation":
         """A single-interval-attribute relation from bare intervals."""
-        rows = [
-            Row.make(rid, {attribute: interval})
-            for rid, interval in enumerate(intervals)
-        ]
-        return cls(name, rows)
+        return cls.from_columns(name, {attribute: list(intervals)})
 
     @classmethod
     def of_records(
         cls, name: str, records: Iterable[Mapping[str, AttributeValue]]
     ) -> "Relation":
         """A relation from attribute mappings; rids assigned by position."""
-        rows = [Row.make(rid, record) for rid, record in enumerate(records)]
-        return cls(name, rows)
+        records = list(records)
+        return cls.from_columns(name, record_columns(name, records))
 
     def alias(self, name: str) -> "Relation":
         """The same rows under another relation name (for self-joins),
@@ -195,3 +288,54 @@ class Relation:
 
     def __str__(self) -> str:  # pragma: no cover - cosmetic
         return f"Relation({self.name!r}, {len(self.rows)} rows)"
+
+
+def record_columns(
+    name: str,
+    records: Sequence[Mapping[str, Any]],
+    rids: Optional[Sequence[int]] = None,
+) -> Dict[str, List[Any]]:
+    """The columns of ``records`` (attribute mappings, one per row),
+    refusing, as :class:`Relation` does, a record whose attributes
+    differ from the first's."""
+    if not records:
+        return {}
+    names = sorted(records[0])
+    try:
+        columns = {a: [record[a] for record in records] for a in names}
+        uniform = set(map(len, records)) == {len(names)}
+    except KeyError:
+        uniform = False
+    if not uniform:
+        rids = range(len(records)) if rids is None else rids
+        for rid, record in zip(rids, records):
+            if sorted(record) != names:
+                raise QueryError(
+                    f"relation {name!r}: row {rid} schema "
+                    f"{tuple(sorted(record))} differs from {tuple(names)}"
+                )
+    return columns
+
+
+def _as_list(column: Any) -> Any:
+    """A column as a list of Python values (an array's scalars become
+    Python numbers, as ``float()`` would make them); a ``(starts, ends)``
+    pair stays a pair, of lists."""
+    if isinstance(column, tuple):
+        return tuple(_as_list(side) for side in column)
+    if isinstance(column, np.ndarray):
+        return column.tolist()
+    return column if isinstance(column, list) else list(column)
+
+
+def _raise_duplicate(name: str, rows: Sequence[Row]) -> None:
+    """Refuse the first row whose rid repeats an earlier row's."""
+    seen = set()
+    for row in rows:
+        if row.rid in seen:
+            raise QueryError(f"relation {name!r}: duplicate row id {row.rid}")
+        seen.add(row.rid)
+
+
+def _length(column: Any) -> int:
+    return len(column[0] if isinstance(column, tuple) else column)

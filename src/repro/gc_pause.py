@@ -14,9 +14,10 @@ def collector_paused() -> Iterator[None]:
     """Keep the cyclic collector from starting inside the block.
 
     For a whole ``JoinAlgorithm.run`` (its pairs and tuples are acyclic,
-    and every full collection re-walks all of them), and for short calls
-    into C-level state that is not safe against the Python code a
-    collection runs (finalisers).  Pauses nest; one ending on another
+    and every full collection re-walks all of them), for building a
+    relation (``Relation.from_column_blocks``: its rows and intervals are
+    acyclic too), and for short calls into C-level state that is not
+    safe against the Python code a collection runs (finalisers).  Pauses nest; one ending on another
     thread can cut this one short, never leave the collector off.
     """
     collecting = gc.isenabled()

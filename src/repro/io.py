@@ -14,10 +14,18 @@ from __future__ import annotations
 
 import json
 import os
-from typing import Any, Dict, Iterable, Iterator, List
+import secrets
+from itertools import islice
+from typing import Any, Dict, Iterable, Iterator, List, Sequence, Tuple
 
 from repro.errors import ReproError
-from repro.core.schema import AttributeValue, Relation, Row
+from repro.core.schema import (
+    AttributeValue,
+    Column,
+    Relation,
+    Row,
+    record_columns,
+)
 from repro.intervals.interval import Interval
 
 __all__ = [
@@ -27,7 +35,15 @@ __all__ = [
     "load_relation",
     "parse_interval_lines",
     "load_intervals_text",
+    "CHUNK_LINES",
 ]
+
+#: Lines (rows) :func:`load_relation` parses, and :func:`save_relation`
+#: formats, at a time.
+CHUNK_LINES = 1024
+
+#: The JSON types an interval endpoint may have; ``bool`` is not one.
+_NUMBERS = {int, float}
 
 
 def _encode_value(value: AttributeValue) -> Any:
@@ -36,16 +52,64 @@ def _encode_value(value: AttributeValue) -> Any:
     return value
 
 
-def _decode_value(value: Any) -> AttributeValue:
-    if isinstance(value, dict):
-        try:
-            return Interval(float(value["start"]), float(value["end"]))
-        except KeyError:
-            raise ReproError(
-                f"malformed interval object {value!r}; expected "
-                "{'start': ..., 'end': ...}"
-            ) from None
-    return value
+def _decode_values(values: List[Any]) -> Column:
+    """The value decoder: one attribute's JSON values as a builder
+    column — ``(starts, ends)`` when every value is an interval object,
+    else the values, interval objects decoded one by one.  Endpoints
+    keep their JSON type (an integer stays exact past 2**53); anything
+    but a number is refused."""
+    kinds = set(map(type, values))
+    if dict not in kinds:
+        return values
+    if kinds != {dict}:  # intervals in some rows only: decode them alone
+        return [_interval(value) if type(value) is dict else value for value in values]
+    try:
+        starts = [value["start"] for value in values]
+        ends = [value["end"] for value in values]
+    except KeyError:
+        bad = next(v for v in values if "start" not in v or "end" not in v)
+        raise ReproError(
+            f"malformed interval object {bad!r}; expected "
+            "{'start': ..., 'end': ...}"
+        ) from None
+    for side in (starts, ends):
+        if not set(map(type, side)) <= _NUMBERS:
+            bad = next(v for v in side if type(v) not in _NUMBERS)
+            raise ReproError(f"non-numeric interval endpoint {bad!r}")
+    return starts, ends
+
+
+def _interval(value: Dict[str, Any]) -> Interval:
+    (start,), (end,) = _decode_values([value])
+    return Interval(start, end)
+
+
+def _check_payload(payload: Any) -> None:
+    """Refuse a payload that is not ``{"rid": <int>, "values": {...}}``."""
+    try:
+        int(payload["rid"])
+        if type(payload["values"]) is dict:
+            return
+    except (KeyError, TypeError, ValueError):
+        pass
+    raise ReproError(f"malformed row payload {payload!r}")
+
+
+def _decode_payloads(
+    name: str, payloads: Sequence[Any]
+) -> Tuple[Dict[str, Column], List[int]]:
+    """A block of :func:`encode_row` payloads as builder columns and
+    rids."""
+    try:
+        rids = [int(payload["rid"]) for payload in payloads]
+        records = [payload["values"] for payload in payloads]
+    except (KeyError, TypeError, ValueError):
+        records = None
+    if records is None or not set(map(type, records)) <= {dict}:
+        for payload in payloads:
+            _check_payload(payload)  # raises for the first malformed one
+    columns = record_columns(name, records, rids)
+    return {a: _decode_values(column) for a, column in columns.items()}, rids
 
 
 def encode_row(row: Row) -> Dict[str, Any]:
@@ -59,41 +123,105 @@ def encode_row(row: Row) -> Dict[str, Any]:
 
 def decode_row(payload: Dict[str, Any]) -> Row:
     """The inverse of :func:`encode_row`."""
-    try:
-        rid = int(payload["rid"])
-        values = payload["values"]
-    except (KeyError, TypeError, ValueError):
-        raise ReproError(f"malformed row payload {payload!r}") from None
-    return Row.make(rid, {k: _decode_value(v) for k, v in values.items()})
+    columns, rids = _decode_payloads("", [payload])
+    return Relation.from_columns("", columns, rids).rows[0]
+
+
+def _tokens(values: List[Any]) -> List[str]:
+    """``json.dumps`` of each value: for a column of plain numbers, one
+    call for the whole column, split at its separators."""
+    if set(map(type, values)) <= _NUMBERS:
+        return json.dumps(values)[1:-1].split(", ")
+    return [json.dumps(value) for value in values]
+
+
+def _encode_lines(rows: Sequence[Row]) -> List[str]:
+    """The JSON lines of ``rows`` (one schema), formatted a column at a
+    time into the very bytes ``json.dumps(encode_row(row))`` writes."""
+    fields = [_tokens([row.rid for row in rows])]
+    template = ['{"rid": %s, "values": {']
+    for index, attribute in enumerate(rows[0].attributes):
+        key = ("" if index == 0 else ", ") + json.dumps(attribute).replace("%", "%%")
+        column = [row.data[index][1] for row in rows]
+        kinds = {issubclass(kind, Interval) for kind in set(map(type, column))}
+        if kinds == {True}:
+            fields.append(_tokens([value.start for value in column]))
+            fields.append(_tokens([value.end for value in column]))
+            template.append(key + ': {"start": %s, "end": %s}')
+        elif kinds == {False}:
+            fields.append(_tokens(column))
+            template.append(key + ": %s")
+        else:  # an attribute holding intervals in some rows only
+            return [json.dumps(encode_row(row)) + "\n" for row in rows]
+    line = "".join(template) + "}}\n"
+    return [line % values for values in zip(*fields)]
 
 
 def save_relation(relation: Relation, path: str) -> int:
-    """Write a relation as JSON lines; returns the row count."""
+    """Write a relation as JSON lines; returns the row count.
+
+    The lines go to a temporary file beside ``path``, which then
+    replaces ``path`` whole: a save that fails leaves an existing file
+    as it was, and no temporary file behind."""
     directory = os.path.dirname(os.path.abspath(path))
     os.makedirs(directory, exist_ok=True)
-    with open(path, "w", encoding="utf-8") as handle:
-        for row in relation.rows:
-            handle.write(json.dumps(encode_row(row)))
-            handle.write("\n")
-    return len(relation)
+    temporary = os.path.join(
+        directory, f".{os.path.basename(path)}.{secrets.token_hex(6)}.tmp"
+    )
+    rows = relation.rows
+    try:
+        with open(temporary, "x", encoding="utf-8") as handle:
+            for lo in range(0, len(rows), CHUNK_LINES):
+                handle.writelines(_encode_lines(rows[lo : lo + CHUNK_LINES]))
+        os.replace(temporary, path)
+    except BaseException:
+        try:
+            os.remove(temporary)
+        except FileNotFoundError:
+            pass
+        raise
+    return len(rows)
+
+
+def _parse_chunk(path: str, lines: List[str], first_line: int) -> List[Any]:
+    """The payloads of a chunk of lines, blank ones skipped: one
+    ``json.loads`` for the chunk, or — when that fails, or its lines do
+    not hold one value each — one per line, to name the bad line."""
+    body = [line for line in lines if not line.isspace()]
+    try:
+        payloads = json.loads("[" + ",".join(body) + "]")
+        if len(payloads) == len(body):
+            return payloads
+    except json.JSONDecodeError:
+        pass
+    payloads = []
+    for line_number, line in enumerate(lines, start=first_line):
+        if line.isspace():
+            continue
+        try:
+            payloads.append(json.loads(line))
+        except json.JSONDecodeError as exc:
+            raise ReproError(f"{path}:{line_number}: invalid JSON ({exc})") from None
+    return payloads
 
 
 def load_relation(path: str, name: str) -> Relation:
-    """Read a JSON-lines relation written by :func:`save_relation`."""
-    rows: List[Row] = []
+    """Read a JSON-lines relation written by :func:`save_relation`,
+    :data:`CHUNK_LINES` lines at a time, each chunk's rows built
+    (:meth:`Relation.from_column_blocks`, which also keeps the collector
+    paused while the chunks are parsed) before the next is read."""
+
+    def blocks(handle) -> Iterator[Tuple[Dict[str, Column], List[int]]]:
+        first_line = 1
+        while True:
+            lines = list(islice(handle, CHUNK_LINES))
+            if not lines:
+                return
+            yield _decode_payloads(name, _parse_chunk(path, lines, first_line))
+            first_line += len(lines)
+
     with open(path, "r", encoding="utf-8") as handle:
-        for line_number, line in enumerate(handle, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                payload = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise ReproError(
-                    f"{path}:{line_number}: invalid JSON ({exc})"
-                ) from None
-            rows.append(decode_row(payload))
-    return Relation(name, rows)
+        return Relation.from_column_blocks(name, blocks(handle))
 
 
 def parse_interval_lines(lines: Iterable[str]) -> Iterator[Interval]:

@@ -19,7 +19,7 @@ from typing import List, Optional, Tuple, Union
 import numpy as np
 
 from repro.errors import WorkloadError
-from repro.core.schema import Relation
+from repro.core.schema import DEFAULT_ATTRIBUTE, Relation
 from repro.intervals.interval import Interval
 from repro.workloads.distributions import Sampler, make_sampler
 
@@ -48,8 +48,8 @@ class SyntheticConfig:
             raise WorkloadError("length_range must satisfy 0 <= min <= max")
 
 
-def generate_intervals(config: SyntheticConfig) -> List[Interval]:
-    """Generate intervals per the paper's parameters."""
+def _sample(config: SyntheticConfig) -> Tuple[np.ndarray, np.ndarray]:
+    """The ``(starts, ends)`` columns of the configured intervals."""
     rng = np.random.default_rng(config.seed)
     t_min, t_max = config.t_range
     i_min, i_max = config.length_range
@@ -59,9 +59,16 @@ def generate_intervals(config: SyntheticConfig) -> List[Interval]:
     starts = t_min + start_sampler(rng, config.n) * (t_max - t_min)
     lengths = i_min + length_sampler(rng, config.n) * (i_max - i_min)
     ends = np.minimum(starts + lengths, t_max)
-    return [Interval(float(s), float(e)) for s, e in zip(starts, ends)]
+    return starts, ends
+
+
+def generate_intervals(config: SyntheticConfig) -> List[Interval]:
+    """Generate intervals per the paper's parameters."""
+    starts, ends = _sample(config)
+    return list(map(Interval, starts.tolist(), ends.tolist()))
 
 
 def generate_relation(name: str, config: SyntheticConfig) -> Relation:
-    """A single-attribute relation of synthetic intervals."""
-    return Relation.of_intervals(name, generate_intervals(config))
+    """A single-attribute relation of synthetic intervals, built from
+    the sampled columns."""
+    return Relation.from_columns(name, {DEFAULT_ATTRIBUTE: _sample(config)})

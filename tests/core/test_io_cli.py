@@ -1,14 +1,16 @@
 """Unit tests for relation serialisation and the CLI."""
 
 import json
+import math
 
 import pytest
 
-from repro.errors import ReproError
+from repro.errors import InvalidIntervalError, QueryError, ReproError
 from repro.cli import main
 from repro.core.schema import Relation, Row
 from repro.intervals.interval import Interval
 from repro.io import (
+    CHUNK_LINES,
     decode_row,
     encode_row,
     load_intervals_text,
@@ -30,6 +32,15 @@ class TestRowCodec:
     def test_malformed_interval(self):
         with pytest.raises(ReproError):
             decode_row({"rid": 0, "values": {"I": {"begin": 0}}})
+
+    @pytest.mark.parametrize("endpoint", ["3", True, None, [1]])
+    def test_non_numeric_endpoint(self, endpoint):
+        with pytest.raises(ReproError, match="non-numeric interval endpoint"):
+            decode_row({"rid": 0, "values": {"I": {"start": 0, "end": endpoint}}})
+
+    def test_endpoints_keep_their_json_type(self):
+        row = decode_row({"rid": 0, "values": {"I": {"start": 1, "end": 2.5}}})
+        assert repr(row.value("I")) == "Interval(start=1, end=2.5)"
 
 
 class TestRelationFiles:
@@ -58,6 +69,140 @@ class TestRelationFiles:
         path.write_text("{not json\n")
         with pytest.raises(ReproError):
             load_relation(str(path), "R")
+
+    def test_integer_endpoints_past_2_53_survive(self, tmp_path):
+        """JSON integers load as ints: a float would round 2**60 + 1."""
+        relation = Relation.of_records(
+            "R",
+            [
+                {"I": Interval(2**60 + 1, 2**60 + 3), "v": 2**60 + 5},
+                {"I": Interval(0.5, 7), "v": 1.5},
+            ],
+        )
+        path = str(tmp_path / "big.jsonl")
+        save_relation(relation, path)
+        loaded = load_relation(path, "R")
+        assert loaded.rows == relation.rows
+        assert repr(loaded.rows) == repr(relation.rows)
+        assert loaded.columns("I").starts.dtype == object
+
+    def test_an_attribute_mixing_intervals_and_numbers(self, tmp_path):
+        """Legal, if odd: such a column is decoded and encoded value by
+        value, to the same rows and bytes."""
+        rows = [Row.make(0, {"a": Interval(0, 1)}), Row.make(1, {"a": 2.5})]
+        path = tmp_path / "mixed.jsonl"
+        save_relation(Relation("R", rows), str(path))
+        assert path.read_text() == "".join(json.dumps(encode_row(r)) + "\n" for r in rows)
+        assert load_relation(str(path), "R").rows == tuple(rows)
+
+    def test_failed_save_leaves_the_old_file(self, tmp_path):
+        """The save writes a sibling temporary file and replaces the
+        target only once it is whole."""
+        path = tmp_path / "rel.jsonl"
+        good = Relation.of_intervals("R", [Interval(i, i + 1) for i in range(5)])
+        save_relation(good, str(path))
+        before = path.read_bytes()
+        bad = Relation(
+            "R",
+            [Row.make(i, {"v": object() if i == 2 else i}) for i in range(5)],
+        )
+        with pytest.raises(TypeError):
+            save_relation(bad, str(path))
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["rel.jsonl"]
+        assert load_relation(str(path), "R").rows == good.rows
+
+
+def _lines(count):
+    return [
+        json.dumps(encode_row(Row.make(rid, {"I": Interval(rid, rid + 2)})))
+        for rid in range(count)
+    ]
+
+
+class TestChunkedLoad:
+    """The loader parses :data:`CHUNK_LINES` lines per ``json.loads``;
+    a fault past the first chunk reads as it did line by line."""
+
+    N = max(6_000, 2 * CHUNK_LINES + 100)
+
+    def write(self, tmp_path, lines):
+        path = tmp_path / "rel.jsonl"
+        path.write_text("\n".join(lines) + "\n")
+        return str(path)
+
+    def test_census(self, tmp_path, monkeypatch):
+        path = self.write(tmp_path, _lines(10_000))
+        calls = {"make": 0, "loads": 0}
+        make, loads = Row.make.__func__, json.loads
+
+        def counted_make(cls, *args):
+            calls["make"] += 1
+            return make(cls, *args)
+
+        def counted_loads(*args, **kwargs):
+            calls["loads"] += 1
+            return loads(*args, **kwargs)
+
+        monkeypatch.setattr(Row, "make", classmethod(counted_make))
+        monkeypatch.setattr(json, "loads", counted_loads)
+        relation = load_relation(path, "R")
+        assert len(relation) == 10_000
+        assert calls["make"] == 0
+        assert calls["loads"] <= math.ceil(10_000 / CHUNK_LINES)
+
+    def test_invalid_json_names_its_line(self, tmp_path):
+        assert 5000 > CHUNK_LINES
+        lines = _lines(self.N)
+        lines[4999] = "{not json"
+        path = self.write(tmp_path, lines)
+        with pytest.raises(ReproError, match=f"{path}:5000: invalid JSON"):
+            load_relation(path, "R")
+
+    def test_blank_lines_count_toward_line_numbers(self, tmp_path):
+        """Two values on one line parse as a chunk, one too many: the
+        chunk is re-read line by line."""
+        lines = _lines(self.N)
+        lines[10:10] = ["", "   "]
+        lines[CHUNK_LINES + 50] = '{"rid": 1}, {"rid": 2}'
+        path = self.write(tmp_path, lines)
+        with pytest.raises(ReproError, match=f"{path}:{CHUNK_LINES + 51}:"):
+            load_relation(path, "R")
+        del lines[CHUNK_LINES + 50]
+        path = self.write(tmp_path, lines)
+        assert len(load_relation(path, "R")) == self.N - 1
+
+    @pytest.mark.parametrize(
+        "line, error",
+        [
+            ('{"rid": 0, "values": {"I": {"start": 1, "end": 2}}}', QueryError),
+            ('{"rid": 9999999, "values": {"J": {"start": 1, "end": 2}}}', QueryError),
+            ('{"rid": 9999999, "values": {"I": 1, "J": 2}}', QueryError),
+            ('{"values": {"I": {"start": 1, "end": 2}}}', ReproError),
+            ('{"rid": 9999999, "values": [1, 2]}', ReproError),
+            ('{"rid": 9999999, "values": {"I": {"begin": 1}}}', ReproError),
+            ('{"rid": 9999999, "values": {"I": {"start": 2, "end": 1}}}', InvalidIntervalError),
+            ('{"rid": 9999999, "values": {"I": {"start": NaN, "end": 1}}}', InvalidIntervalError),
+        ],
+        ids=[
+            "duplicate-rid",
+            "other-schema",
+            "extra-attribute",
+            "malformed-payload",
+            "malformed-values",
+            "malformed-interval",
+            "end-before-start",
+            "nan",
+        ],
+    )
+    def test_faults_past_the_first_chunk(self, tmp_path, line, error):
+        lines = _lines(self.N)
+        lines[CHUNK_LINES + 7] = line
+        with pytest.raises(error):
+            load_relation(self.write(tmp_path, lines), "R")
+        lines[CHUNK_LINES] = line  # a chunk's first row, too
+        with pytest.raises(error):
+            load_relation(self.write(tmp_path, lines), "R")
 
 
 class TestTextFormat:

@@ -1,9 +1,11 @@
 """Unit tests for rows and relations."""
 
+import gc
+
 import numpy as np
 import pytest
 
-from repro.errors import QueryError
+from repro.errors import InvalidIntervalError, QueryError
 from repro.core.schema import DEFAULT_ATTRIBUTE, Relation, Row
 from repro.intervals.interval import Interval
 
@@ -144,6 +146,58 @@ class TestRelation:
         assert rel.row_by_id(1).interval("I") == Interval(2, 3)
         with pytest.raises(QueryError):
             rel.row_by_id(99)
+
+
+class TestFromColumns:
+    """The column-first builder; its parity with ``Row.make`` over
+    generated inputs is in tests/properties/test_relation_building.py."""
+
+    def test_pairs_values_and_rids(self):
+        rel = Relation.from_columns(
+            "R", {"x": ([0, 2.5], np.array([1.0, 4.0])), "v": np.array([5, 7])}, [9, 3]
+        )
+        assert rel.rows == (
+            Row.make(9, {"x": Interval(0, 1.0), "v": 5}),
+            Row.make(3, {"x": Interval(2.5, 4.0), "v": 7}),
+        )
+        assert rel.attributes == ("v", "x")
+        assert type(rel.rows[0].value("v")) is int
+
+    def test_blocks_number_on_and_pause_the_collector(self):
+        enabled = []
+
+        def blocks():
+            for lo in (0, 2):
+                enabled.append(gc.isenabled())
+                yield {"I": ([lo, lo + 1], [lo + 1, lo + 2])}, None
+
+        rel = Relation.from_column_blocks("R", blocks())
+        assert [row.rid for row in rel] == [0, 1, 2, 3]
+        assert enabled == [False, False] and gc.isenabled()
+
+    @pytest.mark.parametrize(
+        "blocks, message",
+        [
+            ([({"I": ([0, 1], [1, 2])}, [4, 4])], "duplicate row id 4"),
+            ([({"I": ([0], [1])}, None), ({"I": ([0], [1])}, [0])], "duplicate row id 0"),
+            ([({"I": ([0], [1])}, [5]), ({"J": ([0], [1])}, [6])], "row 6 schema"),
+            ([({"I": ([0, 1], [1])}, None)], "one value for each of"),
+            ([({"I": ([0], [1]), "v": [1, 2]}, None)], "one value for each of"),
+        ],
+        ids=["duplicate", "duplicate-across-blocks", "schema", "pair", "values"],
+    )
+    def test_refusals(self, blocks, message):
+        with pytest.raises(QueryError, match=message):
+            Relation.from_column_blocks("R", blocks)
+
+    @pytest.mark.parametrize("start, end", [(2, 1), (float("nan"), 1)])
+    def test_every_interval_is_checked(self, start, end):
+        with pytest.raises(InvalidIntervalError):
+            Relation.from_columns("R", {"I": ([0, start], [1, end])})
+
+    def test_of_records_refuses_a_differing_record(self):
+        with pytest.raises(QueryError, match="row 1 schema"):
+            Relation.of_records("R", [{"I": Interval(0, 1)}, {"J": Interval(0, 1)}])
 
 
 def _endpoints(columns):
