@@ -16,10 +16,9 @@ through map -> shuffle -> reduce:
   (:mod:`repro.columnar.shm`).
 
 Nobody selects the plane: :func:`~repro.mapreduce.runner.run_job` runs a
-job here exactly when :func:`job_columnar_gate` passes — its code
-implements the protocol — and on the records plane otherwise, with
-bit-identical outputs either way (``docs/data_plane.md`` states the
-rule and its evidence).
+job here exactly when its reducer is a
+:class:`~repro.mapreduce.task.KernelReducer` (``docs/data_plane.md``
+states the rule).
 """
 
 from repro.columnar.batch import (
@@ -28,7 +27,6 @@ from repro.columnar.batch import (
     MapBlock,
     PayloadStore,
     interval_columns,
-    job_columnar_gate,
     operator_map_columns,
     ranged_targets,
 )
@@ -44,7 +42,6 @@ __all__ = [
     "ColumnValues",
     "PayloadStore",
     "interval_columns",
-    "job_columnar_gate",
     "operator_map_columns",
     "ranged_targets",
 ]

@@ -11,10 +11,8 @@ id* (``gid``)::
 The raw input records stay on the parent in the job's
 :class:`PayloadStore`; reducer kernels work on :class:`ColumnValues` —
 the sorted column slices of one key group — and return gid blocks that
-the framework formats back into the exact records-plane objects once
-per task, a column of gids at a time.  Every materialised value is the same
-object the records plane would have shuffled, which is what keeps
-outputs and counters bit-identical across planes.
+the framework formats back into output records once per task, a column
+of gids at a time, through the store's payloads.
 """
 
 from __future__ import annotations
@@ -38,10 +36,11 @@ from typing import (
 
 import numpy as np
 
+from repro.errors import MapReduceError
+
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.columnar.codec import KeyCodec
     from repro.intervals.partitioning import Partitioning
-    from repro.mapreduce.job import JobConf
 
 __all__ = [
     "MapBlock",
@@ -50,7 +49,6 @@ __all__ = [
     "IndexBlock",
     "Terms",
     "PayloadStore",
-    "job_columnar_gate",
     "endpoint_column",
     "object_column",
     "interval_columns",
@@ -83,7 +81,7 @@ def ranged_targets(
 class MapBlock:
     """One columnar map task's emission: parallel per-pair columns."""
 
-    __slots__ = ("key_codes", "row_idx", "tag_codes", "tags", "counters")
+    __slots__ = ("key_codes", "row_idx", "tag_codes", "tags", "counters", "routes")
 
     def __init__(
         self,
@@ -92,6 +90,7 @@ class MapBlock:
         tag_codes: np.ndarray,
         tags: Tuple[str, ...],
         counters: Optional[Dict[Tuple[str, str], int]] = None,
+        routes: Optional[Sequence[Any]] = None,
     ) -> None:
         self.key_codes = np.asarray(key_codes, dtype=np.int64)
         self.row_idx = np.asarray(row_idx, dtype=np.int64)
@@ -101,6 +100,9 @@ class MapBlock:
         #: non-zero amounts may appear (a zero entry would create a
         #: counter key the records plane never creates).
         self.counters = dict(counters or {})
+        #: per tag, the query term its values are routed by (``None``:
+        #: no one term).
+        self.routes = tuple(routes) if routes is not None else (None,) * len(self.tags)
 
     def __len__(self) -> int:
         return len(self.key_codes)
@@ -151,15 +153,14 @@ def interval_columns(
 class Terms(NamedTuple):
     """The query terms shuffled values carry besides their routing
     interval: one row per value, one column of ``starts`` / ``ends`` per
-    slot, and ``layouts[c]`` naming the terms in the slots of a value
-    with tag code ``c`` (``()`` for a tag whose values carry none)."""
+    slot.  Which term a slot holds is its tag's layout (see
+    :class:`ColumnValues`)."""
 
-    layouts: Tuple[Tuple[Any, ...], ...]
     starts: np.ndarray
     ends: np.ndarray
 
     def take(self, rows) -> "Terms":
-        return Terms(self.layouts, self.starts[rows], self.ends[rows])
+        return Terms(self.starts[rows], self.ends[rows])
 
 
 def operator_map_columns(
@@ -207,7 +208,7 @@ class ColumnarPairs:
     def __init__(self, codec: "KeyCodec") -> None:
         self.codec = codec
         self._tags: List[str] = []
-        #: per tag code, the further terms its values carry.
+        #: per tag code, the terms its values carry (see ColumnValues).
         self._layouts: List[Tuple[Any, ...]] = []
         self._blocks: List[Tuple[np.ndarray, ...]] = []
         self._columns: Optional[Tuple[np.ndarray, ...]] = None
@@ -221,13 +222,19 @@ class ColumnarPairs:
     def tags(self) -> Tuple[str, ...]:
         return tuple(self._tags)
 
-    def intern_tag(self, tag: str, layout: Tuple[Any, ...] = ()) -> int:
-        try:
-            return self._tags.index(tag)
-        except ValueError:
+    @property
+    def layouts(self) -> Tuple[Tuple[Any, ...], ...]:
+        return tuple(self._layouts)
+
+    def intern_tag(self, tag: str, layout: Tuple[Any, ...] = (None,)) -> int:
+        """``tag``'s code; every input shuffles it with one ``layout``."""
+        if tag not in self._tags:
             self._tags.append(tag)
             self._layouts.append(tuple(layout))
-            return len(self._tags) - 1
+        code = self._tags.index(tag)
+        if self._layouts[code] != tuple(layout):
+            raise MapReduceError(f"tag {tag!r} is shuffled with two layouts")
+        return code
 
     def append_block(
         self,
@@ -241,15 +248,14 @@ class ColumnarPairs:
 
         ``starts``/``ends`` are the task's *per-record* routing-interval
         columns and ``terms``, if its values carry further query terms,
-        ``(layout, starts, ends)`` with one column per term; per-pair
+        ``(terms, starts, ends)`` with one column per term; per-pair
         endpoints are gathered through the block's ``row_idx``.
         """
         if self._columns is not None:  # pragma: no cover - defensive
             raise RuntimeError("batch already finalised")
-        layout = terms[0] if terms is not None else ()
-        remap = np.asarray(
-            [self.intern_tag(tag, layout) for tag in block.tags], dtype=np.int16
-        )
+        further = terms[0] if terms is not None else ()
+        layouts = [(route, *further) for route in block.routes]
+        remap = np.asarray(list(map(self.intern_tag, block.tags, layouts)), dtype=np.int16)
         tag_codes = (
             remap[block.tag_codes] if len(remap) else block.tag_codes
         )
@@ -284,7 +290,7 @@ class ColumnarPairs:
             )
             self._columns = (*columns, tag_codes)
             if width:
-                self._further = Terms(tuple(self._layouts), term_starts, term_ends)
+                self._further = Terms(term_starts, term_ends)
             self._blocks = []
         return self._columns
 
@@ -305,33 +311,28 @@ class ColumnarPairs:
 
 
 class ColumnValues:
-    """One key group's values as column slices.
-
-    Quacks like the records plane's value list where the framework needs
-    it to — ``len()`` is the group size and iteration lazily materialises
-    the exact records-plane value objects through the payload store (used
-    by the pickle safety net).  Kernels never materialise; they read the
-    arrays directly: ``starts`` / ``ends`` are the values' routing
-    intervals and ``terms``, if they carry any, their further query
-    terms.  A records-plane group (:meth:`of_records`) has no endpoint
-    columns: ``starts`` / ``ends`` are ``None``, and its store is its
-    own payload column, which ``take``s gids as positions.
-    """
+    """One key group's values as column slices: ``starts`` / ``ends``
+    are their routing intervals and ``terms``, if they carry any, their
+    further query terms.  ``layouts[c]`` names the terms a value with tag
+    code ``c`` carries: its routing term (``None``: no one term), then
+    each slot's.  ``store`` is ``None`` in a pool worker."""
 
     __slots__ = (
         "key", "gids", "starts", "ends", "tag_codes", "tags", "store", "terms",
+        "layouts",
     )
 
     def __init__(
         self,
         key: Hashable,
         gids: np.ndarray,
-        starts: Optional[np.ndarray],
-        ends: Optional[np.ndarray],
+        starts: np.ndarray,
+        ends: np.ndarray,
         tag_codes: np.ndarray,
         tags: Tuple[str, ...],
         store: Any,
         terms: Optional[Terms] = None,
+        layouts: Tuple[Tuple[Any, ...], ...] = (),
     ) -> None:
         self.key = key
         self.gids = gids
@@ -341,34 +342,10 @@ class ColumnValues:
         self.tags = tags
         self.store = store
         self.terms = terms
-
-    @classmethod
-    def of_records(cls, key: Hashable, values: Sequence[Tuple[str, Any]]) -> "ColumnValues":
-        """A records-plane group's ``(tag, payload)`` values as a group:
-        gid ``i`` is value ``i``, tags are numbered in order of first
-        appearance, and the store is the group's payload column."""
-        tags = tuple(dict.fromkeys(tag for tag, _ in values))
-        code_of = {tag: code for code, tag in enumerate(tags)}
-        tag_codes = np.fromiter((code_of[tag] for tag, _ in values), np.int16, len(values))
-        payloads = object_column([payload for _, payload in values])
-        gids = np.arange(len(values), dtype=np.int64)
-        return cls(key, gids, None, None, tag_codes, tags, payloads)
+        self.layouts = layouts
 
     def __len__(self) -> int:
         return len(self.gids)
-
-    def __iter__(self) -> Iterator[Any]:
-        if self.store is None:  # pragma: no cover - defensive
-            raise RuntimeError(
-                "cannot materialise values without the payload store"
-            )
-        for gid in self.gids.tolist():
-            yield self.store.value(gid)
-
-    def __reduce__(self):
-        # Pickle safety net: anything that serialises a group receives
-        # the materialised value list instead of live arrays.
-        return (list, (list(self),))
 
     # ------------------------------------------------------------------
     def tag_mask(self, tag: str) -> np.ndarray:
@@ -381,8 +358,7 @@ class ColumnValues:
 
     def tag_groups(self) -> List[Tuple[str, np.ndarray]]:
         """``(tag, row indices)`` per tag present, in order of first
-        appearance — the order a records reducer's group-by-tag dict
-        iterates in."""
+        appearance."""
         codes, first = np.unique(self.tag_codes, return_index=True)
         return [
             (self.tags[code], np.flatnonzero(self.tag_codes == code))
@@ -462,14 +438,10 @@ class IndexBlock(SequenceABC):
 
 
 class PayloadStore:
-    """Parent-side payload-id resolution for one job.
-
-    ``gid -> `` the exact shuffle value ``(tag, payload)`` the records
-    plane would have emitted for that pair (``segment`` selects the map
-    task whose input held the record, the low 32 bits select the
-    record).  Reducers rebuild their outputs from the payloads, which
-    :meth:`take` resolves a column at a time.
-    """
+    """Parent-side payload-id resolution for one job: ``gid ->`` the
+    payload of the record the pair was emitted for (``segment`` selects
+    the map task whose input held it, the low 32 bits the record), which
+    :meth:`take` resolves a column at a time."""
 
     def __init__(self) -> None:
         self._segments: Dict[int, Tuple[Sequence[Any], Any, Any]] = {}
@@ -489,17 +461,9 @@ class PayloadStore:
         """Each segment's source (or ``None``), in segment order."""
         return tuple(self._segments[segment][2] for segment in sorted(self._segments))
 
-    def record(self, gid: int) -> Any:
-        return self._segments[gid >> 32][0][gid & _MASK32]
-
-    def value(self, gid: int) -> Any:
-        """One gid's shuffle value (the pickle safety net's form)."""
-        records, mapper, _ = self._segments[gid >> 32]
-        return mapper.value_of(records[gid & _MASK32])
-
     def take(self, gids) -> np.ndarray:
-        """``[self.value(gid)[1] for gid in gids]`` as an object column:
-        one ``take`` per segment over the segment's payload column."""
+        """The payloads of ``gids`` as an object column: one ``take`` per
+        segment over the segment's payload column."""
         gids = np.asarray(gids, dtype=np.int64)
         segments, rows = gids >> 32, gids & _MASK32
         taken = np.empty(len(gids), dtype=object)
@@ -527,27 +491,3 @@ class PayloadStore:
                     object_column(records) if source is None else source.row_column()
                 )
             return column
-
-
-# ----------------------------------------------------------------------
-# Job gating.
-# ----------------------------------------------------------------------
-
-def job_columnar_gate(
-    conf: "JobConf",
-) -> Tuple[Optional[str], Optional[str]]:
-    """What the job's code says about its data plane: ``(key kind,
-    None)`` when every mapper and the reducer implement the columnar
-    protocol and the mappers agree on one key family; else ``(None,
-    reason)`` — the job runs on the records plane and the reason string
-    goes on its span and its :class:`~repro.mapreduce.job.JobResult`."""
-    kinds = set()
-    for spec in conf.inputs:
-        if not hasattr(spec.mapper, "map_columns"):
-            return None, "mapper-no-columnar-protocol"
-        kinds.add(getattr(spec.mapper, "columnar_key_kind", None))
-    if len(kinds) != 1 or None in kinds:
-        return None, "mixed-key-kinds"
-    if not hasattr(conf.reducer, "kernel"):
-        return None, "reducer-no-columnar-protocol"
-    return kinds.pop(), None

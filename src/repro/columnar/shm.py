@@ -52,7 +52,7 @@ class ShmReduceTask:
     keys: List[Hashable]
     lengths: List[int]
     tags: Tuple[str, ...]
-    #: per tag code, the further terms its values carry (``Terms.layouts``).
+    #: per tag code, the terms its values carry (``ColumnValues.layouts``).
     layouts: Tuple[Tuple[Any, ...], ...] = ()
     #: further-term slots per row (0: the values carry none).
     width: int = 0
@@ -94,7 +94,7 @@ def pack_reduce_task(
     task = ShmReduceTask(
         None, sum(len(values) for _, values in groups), [key for key, _ in groups],
         [len(values) for _, values in groups], groups[0][1].tags if groups else (),
-        terms.layouts if terms is not None else (),
+        groups[0][1].layouts if groups else (),
         terms.starts.shape[1] if terms is not None else 0,
     )
     if task.total_rows == 0:
@@ -141,9 +141,10 @@ def unpack_reduce_task(
     offset = 0
     for key, n in zip(task.keys, task.lengths):
         sl = slice(offset, offset + n)
-        terms = Terms(task.layouts, term_starts[sl], term_ends[sl]) if task.width else None
+        terms = Terms(term_starts[sl], term_ends[sl]) if task.width else None
         groups.append((key, ColumnValues(
             key, gids[sl], starts[sl], ends[sl], tag_codes[sl], task.tags, None, terms,
+            task.layouts,
         )))
         offset += n
     del views, gids, starts, ends, term_starts, term_ends, tag_codes

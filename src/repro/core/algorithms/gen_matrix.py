@@ -395,7 +395,7 @@ def flag_cycle(ctx: PlanContext, name: str, grid: GridSpec) -> FrozenSet[FlagKey
                     term.relation,
                     # Split, keyed by (component, partition).
                     RoutedMapper(
-                        RowView(str(term), term.attribute),
+                        RowView(str(term), term.attribute, relation=term.relation),
                         OperatorRouter(
                             partitionings[comp.index],
                             MapOperator.SPLIT,

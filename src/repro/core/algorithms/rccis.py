@@ -28,7 +28,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from repro.errors import PlanningError
-from repro.columnar.batch import IndexBlock, object_column
+from repro.columnar.batch import IndexBlock
 from repro.core.algorithms.base import JoinAlgorithm, Plan, PlanContext
 from repro.core.local import TupleReducer, anchored_join, term_columns
 from repro.core.query import IntervalJoinQuery, QueryClass, Term
@@ -100,9 +100,6 @@ class FlaggingReducer(KernelReducer):
 
     def format(self, block, store):
         gids, codes, flagged = block.reshape(-1, 3).T
-        if isinstance(store, np.ndarray):  # a records-plane group's payloads
-            names = object_column(self.relations)[codes]
-            return list(zip(names, store.take(gids), map(bool, flagged)))
         # Input i of the flag cycle is relation i (``RCCIS.plan``): a
         # gid's low half is its row there.
         return IndexBlock(self.relations, store.sources(), codes, gids & 0xFFFFFFFF, flagged)

@@ -8,24 +8,23 @@ every grid, "send the tuple to the consistent cells at its coordinate"
 All-Replicate and the grids is only what is read off the input record
 and what value is shuffled.  Each of those is said once here:
 
-* a **router** owns *routing interval → target keys*, both planes side
-  by side: ``targets(interval, record, counters)`` for one record (a
-  records-plane job and the parity suite's reference arm — the exact
-  prediction tier runs on whichever plane the run picks) and
+* a **router** owns *routing interval → target keys*, twice:
   ``map_columns(starts, ends, records, terms) -> (key_codes, row_idx,
-  counter increments)`` for a whole input; ``key_kind`` names its key
-  codec;
+  counter increments)`` for a whole input, which every job runs, and
+  ``targets(interval, record, counters)`` for one record, the paper's
+  rule as stated and the reference ``map_columns`` is held to;
+  ``key_kind`` names its key codec;
 * a **view** owns *what is read and what is shuffled*: a record's
-  routing interval, the further query ``terms`` its value carries, its
-  shuffle value ``(tag, payload)`` and, for a whole input, the tag codes
-  and the payload column;
-* :class:`RoutedMapper` is the one mapper: ``map`` and the columnar
-  protocol of :mod:`repro.mapreduce.task` delegate to the same two
-  objects, so the two forms of a map side cannot drift apart per class.
+  routing interval and the query term it is (``routing``), the further
+  query ``terms`` its value carries, its shuffle value ``(tag,
+  payload)`` and, for a whole input, the tag codes and the payloads;
+* :class:`RoutedMapper` is the one mapper: the columnar protocol of
+  :mod:`repro.mapreduce.task` and its per-record ``map`` delegate to the
+  same two objects, so the two forms cannot drift apart per class.
 
-``tests/properties/test_router_parity.py`` holds ``targets`` and
-``map_columns`` to bit-parity: the same keys in the same record-major
-order, the same counter increments, no counter created at zero.
+``tests/properties/test_router_parity.py`` holds ``map_columns`` to
+``targets`` bit for bit: the same keys in the same record-major order,
+the same counter increments, no counter created at zero.
 """
 
 from __future__ import annotations
@@ -81,15 +80,20 @@ class View:
     """What a mapper reads off an input record (``interval_of``) and what
     it shuffles (``value_of``): a ``(tag, payload)`` pair.  ``tag`` is
     the first element of every shuffle value of a one-tag view — what a
-    columnar reducer selects its inputs by
+    reducer selects its inputs by
     (:meth:`~repro.columnar.batch.ColumnValues.tag_mask`); the payloads
     are what it rebuilds its outputs from
-    (:meth:`~repro.columnar.batch.PayloadStore.take`).  ``terms`` are
-    the query terms a value carries besides its routing interval —
-    ``interval_of(record, term)`` reads one."""
+    (:meth:`~repro.columnar.batch.PayloadStore.take`).  ``routing`` is
+    the query term the routing interval is (``None``: no one term), and
+    ``terms`` those a value carries besides it — ``interval_of(record,
+    term)`` reads one."""
 
     tag: Hashable
+    routing: Optional[Term] = None
     terms: Tuple[Term, ...] = ()
+
+    def route(self, tag: Hashable) -> Optional[Term]:
+        return self.routing
 
     def tag_codes(self, records: Sequence[Any]):
         """``(per-record int16 tag codes, tag table)`` of an input."""
@@ -105,17 +109,19 @@ class RowView(View):
     """A base relation's row, shuffled as ``(label, row)`` — or, under a
     ``side`` tag, as ``(side, (label, row))``, which is how a cascade
     step's reducer tells the new relation from the bound side.  It
-    carries the relation's ``also`` attributes as further terms."""
+    carries the relation's ``also`` attributes as further terms.  The
+    label is the relation's name unless ``relation`` says otherwise."""
 
     def __init__(
         self, label: str, attribute: str, side: Optional[str] = None,
-        also: Sequence[str] = (),
+        also: Sequence[str] = (), relation: Optional[str] = None,
     ) -> None:
         self.label = label
         self.attribute = attribute
         self.side = side
         self.tag = label if side is None else side
-        self.terms = tuple(Term(label, name) for name in also)
+        self.routing = Term(relation or label, attribute)
+        self.terms = tuple(Term(relation or label, name) for name in also)
 
     def interval_of(self, record: Row, term: Optional[Term] = None) -> Interval:
         return record.interval(self.attribute if term is None else term.attribute)
@@ -137,6 +143,7 @@ class MemberView(View):
     def __init__(self, member: str, attribute: str, terms: Sequence[Term] = ()) -> None:
         self.member = member
         self.attribute = attribute
+        self.routing = Term(member, attribute)
         self.terms = tuple(terms)
 
     def interval_of(self, record: PartialTuple, term: Optional[Term] = None) -> Interval:
@@ -195,6 +202,9 @@ class FlaggedRowView(View):
         """Whether cycle 1 marked the row for replication."""
         return record[2]
 
+    def route(self, tag: str) -> Term:
+        return Term(tag, self.attribute[tag])
+
     def tag_codes(self, records):
         if isinstance(records, IndexBlock):
             return records.codes.astype(np.int16), records.names
@@ -207,8 +217,8 @@ class FlaggedRowView(View):
 
 class RightmostMemberView(View):
     """One component's materialised partial tuple (FCTS phase 2), read at
-    the member interval that starts right-most and shuffled as
-    ``(dim, partial)``, carrying the terms of its ``members``."""
+    the member interval that starts right-most (no one term) and
+    shuffled as ``(dim, partial)``, carrying its ``members``' terms."""
 
     def __init__(
         self, attributes: Mapping[str, str], dim: int, members: Sequence[str] = ()
@@ -241,7 +251,7 @@ class _PartitionRouter:
         self.key_kind = IntKeyCodec.kind if prefix is None else CellKeyCodec.kind
 
     def _keys(self, indices):
-        """The records form's keys for partition ``indices``."""
+        """The per-record form's keys for partition ``indices``."""
         if self.prefix is None:
             return indices
         return [(self.prefix, index) for index in indices]
@@ -436,7 +446,9 @@ class RoutedMapper(Mapper):
     """The one mapper of :mod:`repro.core.algorithms`: every record goes
     to ``router``'s targets for the interval ``view`` reads off it,
     carrying the value ``view`` shuffles.  The columnar protocol (see
-    :mod:`repro.mapreduce.task`) is the same delegation."""
+    :mod:`repro.mapreduce.task`) is what the algorithms' jobs run;
+    ``map``, its per-record form, serves plain-``Reducer`` jobs and the
+    benchmark's mapper probe (``benchmarks/e2e/layers.py``)."""
 
     def __init__(self, view: View, router: Any) -> None:
         self.view = view
@@ -476,10 +488,8 @@ class RoutedMapper(Mapper):
     def map_columns(self, starts, ends, records, terms=None) -> MapBlock:
         key_codes, row_idx, counters = self.router.map_columns(starts, ends, records, terms)
         tag_codes, tags = self.view.tag_codes(records)
-        return MapBlock(key_codes, row_idx, tag_codes[row_idx], tags, counters)
-
-    def value_of(self, record: Any) -> Any:
-        return self.view.value_of(record)
+        routes = [self.view.route(tag) for tag in tags]
+        return MapBlock(key_codes, row_idx, tag_codes[row_idx], tags, counters, routes)
 
     def payloads_of(self, records: np.ndarray) -> np.ndarray:
         return self.view.payloads_of(records)

@@ -57,6 +57,7 @@ import numpy as np
 from repro.columnar.batch import ColumnValues, object_column
 from repro.core.query import IntervalJoinQuery, JoinCondition, Term
 from repro.core.schema import Row
+from repro.errors import MapReduceError
 from repro.intervals.partitioning import Partitioning
 from repro.intervals.sweep import (
     ALL_ROWS,
@@ -92,33 +93,21 @@ def attribute_columns(rows: Sequence[Row], attribute: str) -> SortedColumns:
 
 def term_columns(group: ColumnValues, rows: np.ndarray, term: Term) -> SortedColumns:
     """``term``'s endpoint columns over the values ``rows`` of a group,
-    which share one tag: the further-term slot their tag's layout names
-    it in, else their routing interval — or, a records-plane group has
-    neither, the term's attribute of the row each payload holds for its
-    relation."""
-    terms = group.terms
-    if terms is not None and len(rows):
-        layout = terms.layouts[group.tag_codes[rows[0]]]
-        if term in layout:
-            slot = layout.index(term)
-            return SortedColumns(terms.starts[rows, slot], terms.ends[rows, slot])
-    if group.starts is not None:
-        return SortedColumns(group.starts[rows], group.ends[rows])
-    payloads = group.store.take(group.gids[rows])
-    return attribute_columns(
-        [_row_of(payload, term.relation) for payload in payloads], term.attribute
-    )
-
-
-def _row_of(payload: Any, relation: str) -> Row:
-    """The row a shuffle payload holds for ``relation``: a row is its
-    own, a ``(relation, row)`` member holds one, a partial tuple one per
-    member."""
-    if isinstance(payload, Row):
-        return payload
-    if isinstance(payload[0], str):
-        return payload[1]
-    return dict(payload)[relation]
+    which share one tag: their routing interval when the tag's layout
+    routes them by ``term``, else the further-term slot it names
+    ``term`` in.  A term the values do not carry is refused."""
+    if len(rows):
+        code = group.tag_codes[rows[0]]
+        routing, *further = group.layouts[code]
+        if term != routing:
+            if term not in further:
+                raise MapReduceError(
+                    f"term {term} is neither the routing term nor a further "
+                    f"term of the values tagged {group.tags[code]!r}"
+                )
+            slot = further.index(term)
+            return SortedColumns(group.terms.starts[rows, slot], group.terms.ends[rows, slot])
+    return SortedColumns(group.starts[rows], group.ends[rows])
 
 
 def group_columns(
@@ -234,7 +223,8 @@ class LocalJoiner:
         rows_by_relation: Mapping[str, Sequence[Row]],
         accept: Optional[Accept] = None,
     ) -> Iterator[Tuple[Row, ...]]:
-        """Enumerate satisfying tuples (in ``query.relations`` order)."""
+        """Enumerate satisfying tuples (in ``query.relations`` order) of
+        rows — the form the benchmark's local-join probe calls."""
         columns = {
             term: attribute_columns(
                 rows_by_relation.get(term.relation) or (), term.attribute

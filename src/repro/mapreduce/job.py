@@ -3,11 +3,11 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, Hashable, List, Optional
+from typing import Any, Dict, Hashable, List, Optional, Union
 
 from repro.mapreduce.counters import Counters
 from repro.mapreduce.shuffle import HashPartitioner, Partitioner
-from repro.mapreduce.task import Mapper, Reducer
+from repro.mapreduce.task import KernelReducer, Mapper, Reducer
 
 __all__ = ["InputSpec", "JobConf", "JobResult"]
 
@@ -42,7 +42,8 @@ class JobConf:
     inputs:
         The input specs; every record of every input is mapped.
     reducer:
-        The reduce function applied per key group.
+        The reduce function applied per key group; its type picks the
+        job's data plane.
     output:
         Output path; reduce task ``i`` writes ``output/part-{i:05d}``.
     num_reduce_tasks:
@@ -53,7 +54,7 @@ class JobConf:
 
     name: str
     inputs: List[InputSpec]
-    reducer: Reducer
+    reducer: Union[Reducer, KernelReducer]
     output: str
     num_reduce_tasks: int = 16
     partitioner: Partitioner = field(default_factory=HashPartitioner)
@@ -93,8 +94,6 @@ class JobResult:
     reduce_task_comparisons: List[int] = field(default_factory=list)
     #: the data plane the job ran on ("records" / "columnar").
     data_plane: str = "records"
-    #: why it was the records plane (``None`` on the columnar plane).
-    data_plane_reason: Optional[str] = None
 
     @property
     def map_output_records(self) -> int:

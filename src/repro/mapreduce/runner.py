@@ -29,12 +29,10 @@ loop's pieces run:
   of the mapper/reducer whenever the task could run more than
   once.  Worker-side object mutations are *not* shipped back.
 
-The *data plane* is not among them: the job's code picks it.  A job
-whose mappers and reducer implement the columnar protocol runs on
-struct-of-arrays batches and an argsort shuffle; any other job runs on
-the records plane (:func:`_map_tasks_for` decides,
-``docs/data_plane.md`` states the rule).  The plane only supplies different task *bodies* to the same
-loop: a vectorised in-process map body, and a reduce body that runs the
+The *data plane* is not among them: the reducer's type picks it
+(:func:`_columnar_key_kind`; ``docs/data_plane.md``).  The columnar
+plane only supplies different task *bodies* to the same loop: a
+vectorised in-process map body, and a reduce body that runs the
 reducer's kernel per group and returns the task's gid block, formatted
 once per task on the parent (under ``processes`` the group columns
 travel through shared memory and the block comes back as one array).
@@ -76,13 +74,7 @@ from typing import (
 
 import numpy as np
 
-from repro.columnar.batch import (
-    ColumnarPairs,
-    IndexBlock,
-    MapBlock,
-    PayloadStore,
-    job_columnar_gate,
-)
+from repro.columnar.batch import ColumnarPairs, IndexBlock, MapBlock, PayloadStore
 from repro.columnar.codec import KEY_CODECS, KeyCodec
 from repro.columnar.shm import pack_reduce_task, unpack_reduce_task
 from repro.errors import FaultInjectedError, MapReduceError, WorkerPoolError
@@ -92,7 +84,7 @@ from repro.mapreduce.fs import FileSystem
 from repro.mapreduce.job import JobConf, JobResult
 from repro.mapreduce.options import RunOptions, resolve_options
 from repro.mapreduce.shuffle import columnar_shuffle, shuffle
-from repro.mapreduce.task import MapContext, Mapper, ReduceContext, Reducer
+from repro.mapreduce.task import KernelReducer, MapContext, Mapper, ReduceContext, Reducer
 from repro.obs.recorder import NullRecorder
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -233,43 +225,39 @@ def _columnar_map_task(
 
 
 def _reduce_task_core(
-    reducer: Reducer,
+    reducer: KernelReducer | Reducer,
     task_index: int,
     groups: List[Tuple[Hashable, Any]],
-    columnar: bool,
     faults: AttemptInjector,
 ) -> Tuple[Any, Counters]:
-    """Run one physical reduce task over its key groups: on the records
-    plane through ``reduce``, returning the records emitted; on the
-    columnar plane through the reducer's ``kernel``, returning the
-    groups' blocks as one int64 array for the parent to format."""
+    """Run one physical reduce task over its key groups: a kernel per
+    group, returning the blocks as one int64 array for the parent to
+    format, or a plain :class:`Reducer`, returning the records emitted."""
     counters = Counters()
-    # Zero-initialise so even an empty task reports its input counters
+    # Counted up front, so even an empty task reports its input counters
     # (key routing decides which tasks receive groups at all).
-    counters.increment("framework", "reduce_input_groups", 0)
-    counters.increment("framework", "reduce_input_records", 0)
-    context = ReduceContext(counters, task_index)
-    reducer.setup(context)
-    blocks = []
-    for key, values in groups:
-        counters.increment("framework", "reduce_input_groups")
-        counters.increment("framework", "reduce_input_records", len(values))
-        if columnar:
-            blocks.append(reducer.kernel(key, values, counters))
-        else:
-            reducer.reduce(key, values, context)
-    faults.check("cleanup")
-    reducer.cleanup(context)
-    if columnar:
+    counters.increment("framework", "reduce_input_groups", len(groups))
+    counters.increment(
+        "framework", "reduce_input_records", sum(len(values) for _, values in groups)
+    )
+    if isinstance(reducer, KernelReducer):
+        blocks = [reducer.kernel(key, values, counters) for key, values in groups]
+        faults.check("cleanup")
         output = np.concatenate(blocks) if blocks else np.empty((0, 0), dtype=np.int64)
     else:
+        context = ReduceContext(counters, task_index)
+        reducer.setup(context)
+        for key, values in groups:
+            reducer.reduce(key, values, context)
+        faults.check("cleanup")
+        reducer.cleanup(context)
         output = context.drain()
     counters.increment("framework", "reduce_output_records", len(output))
     return output, counters
 
 
 def _shm_reduce_task(
-    reducer: Reducer,
+    reducer: KernelReducer,
     task_index: int,
     task: Any,
     faults: AttemptInjector,
@@ -280,7 +268,7 @@ def _shm_reduce_task(
     block returned is a fresh array."""
     groups, shm = unpack_reduce_task(task)
     try:
-        return _reduce_task_core(reducer, task_index, groups, True, faults)
+        return _reduce_task_core(reducer, task_index, groups, faults)
     finally:
         del groups
         if shm is not None:
@@ -327,6 +315,8 @@ class _JobRun:
         self.pooled = self.options.executor == "processes"
         #: whether any task may run more than one attempt.
         self.reruns = self.options.faults.max_attempts > 1
+        #: the columnar plane's key kind, ``None`` on the records plane.
+        self.key_kind = _columnar_key_kind(self.conf)
 
 
 class _Tasks:
@@ -431,9 +421,7 @@ class _ColumnarMapTasks(_MapTasks):
     The body is a handful of vectorised numpy passes per input, so it
     runs in-process under every executor — pickling the records out to a
     worker would cost more than it saves.  Input records are retained in
-    the job's payload store: the batch carries only payload ids, and
-    values materialise lazily wherever the framework (or a reducer)
-    actually needs the records-plane objects.
+    the job's payload store: the batch carries only payload ids.
     """
 
     def __init__(
@@ -473,18 +461,32 @@ def _source(spec: Any, records: Sequence[Any]) -> Any:
     return records if spec.source is None and isinstance(records, IndexBlock) else spec.source
 
 
-def _map_tasks_for(run: _JobRun) -> Tuple[_MapTasks, Optional[str]]:
-    """The job's map tasks on the plane the job runs on — and, when that
-    is the records plane, why.
+def _columnar_key_kind(conf: JobConf) -> Optional[str]:
+    """The job's plane, a fact of its reducer's type: the key kind its
+    mappers share for a :class:`KernelReducer`, ``None`` (records) for a
+    plain :class:`Reducer`.  A kernel job whose mappers lack the columnar
+    protocol or disagree on the kind is refused before it maps."""
+    if not isinstance(conf.reducer, KernelReducer):
+        return None
+    first = conf.inputs[0]
+    want = getattr(first.mapper, "columnar_key_kind", None)
+    for spec in conf.inputs:
+        kind = getattr(spec.mapper, "columnar_key_kind", None)
+        if kind is None or not hasattr(spec.mapper, "map_columns"):
+            problem = "does not implement the columnar protocol"
+        elif kind != want:
+            problem = f"keys by {kind!r}, input {first.path!r} by {want!r}"
+        else:
+            continue
+        raise MapReduceError(f"job {conf.name!r}: the mapper of input {spec.path!r} {problem}")
+    return want
 
-    This is the whole plane decision, taken once per job before any map
-    task starts: the columnar plane when the job's code implements the
-    protocol (:func:`~repro.columnar.batch.job_columnar_gate`), the
-    records plane otherwise.  Both read the same materialised inputs,
-    and the encoded columns (an input's ``source`` relation's own, if it
-    names one, or the input itself read back as one block) are the ones
-    the columnar map bodies then consume.
-    """
+
+def _map_tasks_for(run: _JobRun) -> _MapTasks:
+    """The job's map tasks on the plane its reducer picked.  Both read
+    the same materialised inputs; the columnar bodies consume their
+    encoded columns (an input's ``source`` relation's own, if it names
+    one, or the input itself read back as one block)."""
     read = [(spec, run.fs.read_dir(spec.path)) for spec in run.conf.inputs]
     inputs = [(s, r if isinstance(r, IndexBlock) else list(r)) for s, r in read]
     for spec, records in inputs:
@@ -493,9 +495,8 @@ def _map_tasks_for(run: _JobRun) -> Tuple[_MapTasks, Optional[str]]:
                 f"input {spec.path!r} holds {len(records)} records, its "
                 f"source relation {len(spec.source)} rows"
             )
-    kind, reason = job_columnar_gate(run.conf)
-    if kind is None:
-        return _MapTasks(run, inputs), reason
+    if run.key_kind is None:
+        return _MapTasks(run, inputs)
     columns = [
         (
             *spec.mapper.encode_intervals(records, _source(spec, records)),
@@ -503,7 +504,7 @@ def _map_tasks_for(run: _JobRun) -> Tuple[_MapTasks, Optional[str]]:
         )
         for spec, records in inputs
     ]
-    return _ColumnarMapTasks(run, inputs, columns, KEY_CODECS[kind]), None
+    return _ColumnarMapTasks(run, inputs, columns, KEY_CODECS[run.key_kind])
 
 
 class _ReduceTasks(_Tasks):
@@ -535,8 +536,7 @@ class _ReduceTasks(_Tasks):
 
     def body(self, index: int) -> Tuple[Callable[..., Any], Tuple]:
         return _reduce_task_core, (
-            self.fresh(self.run.conf.reducer), index, self.tasks[index],
-            self.store is not None,
+            self.fresh(self.run.conf.reducer), index, self.tasks[index]
         )
 
     def received(self, result: Any) -> Any:
@@ -787,8 +787,6 @@ class _Shuffled:
     store: Optional[PayloadStore]
     #: records received per intermediate key.
     logical_loads: Dict[Hashable, int]
-    data_plane: str
-    data_plane_reason: Optional[str]
 
 
 def _map_and_shuffle(run: _JobRun, job_span: Any) -> _Shuffled:
@@ -797,12 +795,9 @@ def _map_and_shuffle(run: _JobRun, job_span: Any) -> _Shuffled:
     with recorder.span(
         "map", kind="phase", job=conf.name, tasks=len(conf.inputs)
     ) as map_span:
-        map_tasks, plane_reason = _map_tasks_for(run)
+        map_tasks = _map_tasks_for(run)
         store = map_tasks.store
-        data_plane = "columnar" if store is not None else "records"
-        job_span.annotate(data_plane=data_plane)
-        if plane_reason is not None:
-            job_span.annotate(data_plane_reason=plane_reason)
+        job_span.annotate(data_plane="records" if store is None else "columnar")
         map_outcomes = _run_tasks(run, map_tasks, map_span)
         pairs = map_tasks.collect(map_outcomes)
     counters = Counters()
@@ -838,9 +833,7 @@ def _map_and_shuffle(run: _JobRun, job_span: Any) -> _Shuffled:
                 * cost_model.shuffle_cost
                 / cost_model.parallelism
             )
-    return _Shuffled(
-        counters, tasks, store, dict(logical_loads), data_plane, plane_reason
-    )
+    return _Shuffled(counters, tasks, store, dict(logical_loads))
 
 
 def _reduce_and_commit(run: _JobRun, shuffled: _Shuffled) -> JobResult:
@@ -887,8 +880,7 @@ def _reduce_and_commit(run: _JobRun, shuffled: _Shuffled) -> JobResult:
             outcome.counters.value("work", "comparisons")
             for outcome in reduce_outcomes
         ],
-        data_plane=shuffled.data_plane,
-        data_plane_reason=shuffled.data_plane_reason,
+        data_plane="records" if shuffled.store is None else "columnar",
     )
 
 
@@ -931,9 +923,9 @@ def run_job(
         (what :class:`~repro.mapreduce.pipeline.Pipeline` passes).  When
         given, the four keywords are not consulted.
 
-    Which data plane the job runs on is the job's own business
-    (:func:`_map_tasks_for`); the job span and the :class:`JobResult`
-    say which it was and, for the records plane, why.
+    Which data plane the job runs on is its reducer's type
+    (:func:`_columnar_key_kind`); the job span and the :class:`JobResult`
+    say which it was.
     """
     if options is None:
         options = resolve_options(executor, workers, faults, max_attempts)

@@ -165,7 +165,7 @@ def columnar_shuffle(
     from repro.columnar.batch import ColumnValues
 
     key_codes, gids, starts, ends, tag_codes = pairs.columns()
-    tags, terms = pairs.tags, pairs.terms()
+    tags, layouts, terms = pairs.tags, pairs.layouts, pairs.terms()
     # Grouping only needs *an* order over the codes, not the codes
     # themselves: when the codec can recode the live range into 16 bits
     # (monotone, see KeyCodec.compact_codes) the stable sort becomes a
@@ -219,6 +219,7 @@ def columnar_shuffle(
                     tags,
                     store,
                     sorted_terms.take(sl) if sorted_terms is not None else None,
+                    layouts,
                 ),
             )
         )

@@ -11,69 +11,48 @@ so user code (the paper's algorithms) can record domain-specific
 measurements — replicated-interval counts, predicate comparisons — that the
 cost model and evaluation tables consume.
 
-Columnar protocol (optional, duck-typed)
+Two planes, and the reducer's type picks
 ----------------------------------------
 
-A mapper/reducer pair may additionally implement the columnar data
-plane (see ``docs/data_plane.md``).  The runner probes for these
-attributes per job — when every participant has them the job runs
-columnar, otherwise on the records plane, so the protocol is strictly
-additive and the plane depends on a job's code only, never on its data.
-The paper's algorithms implement the mapper side once, in
-:class:`repro.core.algorithms.routing.RoutedMapper`; a user mapper may
-implement it too.
+A job with a plain :class:`Reducer` runs on the records plane: ``map``
+per record, ``reduce`` per key group, as a user's word count does.  A
+job whose reducer is a :class:`KernelReducer` — every reducer of the
+paper's algorithms — runs on the columnar plane (``docs/data_plane.md``),
+and :func:`~repro.mapreduce.runner.run_job` refuses it before it maps
+unless every mapper implements the columnar protocol with one key kind
+(the algorithms' mapper does, once, in
+:class:`repro.core.algorithms.routing.RoutedMapper`).
 
 Mapper side::
 
-    columnar_key_kind: str            # "int" | "cell" — codec in
-                                      # repro.columnar.codec.KEY_CODECS
+    columnar_key_kind: str            # "int" | "cell" (KEY_CODECS)
     def encode_intervals(self, records, source=None) -> (starts, ends)
-                                      # the routing intervals, one row per
-                                      # record: float64, or object where
-                                      # an endpoint is not exact in
-                                      # float64; source: the input's
-                                      # InputSpec.source, if it names one
+                                      # the routing intervals: float64,
+                                      # or object where not exact; source:
+                                      # the input's InputSpec.source
     def encode_terms(self, records, source=None) -> (terms, starts, ends) | None
-                                      # the further query terms a value
-                                      # carries, one column per term
+                                      # further query terms, a column each
     def map_columns(self, starts, ends, records, terms) -> MapBlock
-                                      # vectorised map(): encoded target
-                                      # keys + row indices (+ tag codes and
-                                      # *non-zero* counter amounts only)
-    def value_of(self, record) -> Any # the exact shuffle value map() would
-                                      # emit, a (tag, payload) pair
+                                      # target keys + row indices, tag
+                                      # codes, each tag's routing term,
+                                      # *non-zero* counter amounts only
     def payloads_of(self, records) -> object column
-                                      # value_of(r)[1] per record: what
-                                      # PayloadStore.take resolves gids to
+                                      # what PayloadStore.take resolves to
 
-Reducer side: a reducer that joins or flags the rows of one key group
-is a :class:`KernelReducer`, two methods::
+Reducer side, a :class:`KernelReducer`::
 
     def kernel(self, key, group, counters) -> int64 array
                                       # one row per output: group gids
-                                      # plus small int codes (a flag, a
-                                      # term code)
+                                      # plus small int codes
     def format(self, block, store) -> Sequence
-                                      # a block's output records, gids
-                                      # resolved through store.take: the
-                                      # one place its format is written
+                                      # the block's output records, gids
+                                      # resolved through store.take
 
-A group's values carry their routing intervals and, where the mapper
-encoded any, their further terms; ``repro.core.local.term_columns``
-reads any term a value holds.  The framework owns the rest, once per
-plane.  Columnar (every executor): the runner calls ``kernel`` per
-:class:`~repro.columnar.batch.ColumnValues` group, concatenates a task's
-blocks into one int64 array — all a ``processes`` worker sends back —
-and formats it once per task through the job's
-:class:`~repro.columnar.batch.PayloadStore`.  Records:
-:meth:`KernelReducer.reduce` is the adapter, running the kernel on
-:meth:`~repro.columnar.batch.ColumnValues.of_records` of the group (no
-endpoint columns: the kernel reads them off the payloads) and formatting
-through that group's own ``take``.
-
-The contract is bit-parity: for every input, the columnar path must
-produce the same outputs, the same counters and the same logical loads
-as the records path (``tests/integration/test_columnar_parity.py``).
+The runner calls ``kernel`` per :class:`~repro.columnar.batch.ColumnValues`
+group — no context, no ``setup`` / ``cleanup`` — and formats a task's
+blocks once, as one int64 array (all a ``processes`` worker sends back);
+``repro.core.local.term_columns`` reads a term a group's values carry
+and refuses one they do not.
 """
 
 from __future__ import annotations
@@ -163,10 +142,9 @@ class Reducer(abc.ABC):
         """Called once after the last key of a reduce task."""
 
 
-class KernelReducer(Reducer):
+class KernelReducer(abc.ABC):
     """A reducer written as a gid-block kernel and a formatter (see the
-    module docstring): ``reduce`` is their records-plane adapter, and the
-    runner drives both on the columnar plane."""
+    module docstring); a job with one runs on the columnar plane."""
 
     @abc.abstractmethod
     def kernel(self, key: Hashable, group: ColumnValues, counters: Counters) -> np.ndarray:
@@ -175,11 +153,6 @@ class KernelReducer(Reducer):
     @abc.abstractmethod
     def format(self, block: np.ndarray, store: Any) -> Sequence[Any]:
         """The output records a block of kernel rows stands for."""
-
-    def reduce(self, key: Hashable, values: List[Any], context: ReduceContext) -> None:
-        group = ColumnValues.of_records(key, values)
-        block = self.kernel(key, group, context.counters)
-        context.emit_many(self.format(block, group.store))
 
 
 class IdentityMapper(Mapper):

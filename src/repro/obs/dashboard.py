@@ -153,11 +153,8 @@ def _fmt(value: float, digits: int = 2) -> str:
 # span digestion
 # --------------------------------------------------------------------------
 def job_plane(span: Span) -> str:
-    """Which data plane a job span says the job ran on — and, for the
-    records plane, the reason the job itself gave."""
-    plane = str(span.attributes.get("data_plane", "?"))
-    reason = span.attributes.get("data_plane_reason")
-    return f"{plane} ({reason})" if reason else plane
+    """Which data plane a job span says the job ran on."""
+    return str(span.attributes.get("data_plane", "?"))
 
 
 def _job_rows(spans: Sequence[Span]) -> List[Dict[str, Any]]:

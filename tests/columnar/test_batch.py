@@ -1,8 +1,6 @@
-"""Struct-of-arrays batch primitives against their records-plane loops."""
+"""Struct-of-arrays batch primitives against their per-record loops."""
 
 from __future__ import annotations
-
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -11,13 +9,12 @@ from repro.columnar.batch import (
     ColumnarPairs,
     ColumnValues,
     MapBlock,
-    PayloadStore,
     interval_columns,
-    job_columnar_gate,
     operator_map_columns,
     ranged_targets,
 )
 from repro.columnar.codec import KEY_CODECS
+from repro.errors import MapReduceError
 from repro.intervals.allen import MapOperator
 from repro.intervals.interval import Interval
 from repro.intervals.partitioning import Partitioning
@@ -164,6 +161,22 @@ class TestColumnarPairs:
         tag_codes = batch.columns()[4]
         assert tag_codes.tolist() == [0, 1, 0]
 
+    def test_a_tag_keeps_one_layout(self):
+        """A tag's layout — its routing term, then its further terms —
+        holds for every input that shuffles the tag; another is refused."""
+        batch = ColumnarPairs(KEY_CODECS["int"])
+        one, point = np.asarray([0], dtype=np.int64), np.asarray([1.0])
+
+        def append(route, segment):
+            block = MapBlock(one, np.asarray([0]), [0], ("left",), routes=[route])
+            batch.append_block(block, segment, point, point)
+
+        append("L.I", 0)
+        append("L.I", 1)
+        assert batch.layouts == (("L.I",),)
+        with pytest.raises(MapReduceError, match="two layouts"):
+            append("L.J", 2)
+
     def test_logical_loads(self):
         batch = ColumnarPairs(KEY_CODECS["int"])
         codes = np.asarray([2, 2, 5], dtype=np.int64)
@@ -175,7 +188,7 @@ class TestColumnarPairs:
 
 
 class TestColumnValues:
-    def _group(self, store=None):
+    def _group(self):
         return ColumnValues(
             key=1,
             gids=np.asarray([0, 1, 2], dtype=np.int64),
@@ -183,7 +196,7 @@ class TestColumnValues:
             ends=np.asarray([2.0, 6.0, 4.0]),
             tag_codes=np.asarray([0, 1, 0], dtype=np.int16),
             tags=("left", "right"),
-            store=store,
+            store=None,
         )
 
     def test_tag_mask(self):
@@ -192,8 +205,8 @@ class TestColumnValues:
         assert group.tag_mask("missing").tolist() == [False] * 3
 
     def test_tag_groups_follow_first_appearance(self):
-        """The order a records reducer's group-by-tag dict iterates in —
-        not the job's tag-table order — and absent tags are skipped."""
+        """The order the values show their tags in — not the job's
+        tag-table order — and absent tags are skipped."""
         group = ColumnValues(
             key=1,
             gids=np.arange(5, dtype=np.int64),
@@ -207,60 +220,6 @@ class TestColumnValues:
             ("c", [0, 2, 3]), ("a", [1, 4]),
         ]
         assert self._group().tag_groups()[0][0] == "left"
-
-    def test_iteration_resolves_through_store(self):
-        store = PayloadStore()
-        records = ["a", "b", "c"]
-        mapper = SimpleNamespace(value_of=lambda record: ("tag", record))
-        store.add_segment(0, records, mapper)
-        group = self._group(store)
-        assert list(group) == [("tag", "a"), ("tag", "b"), ("tag", "c")]
-        assert store.record(1) == "b"
-
-    def test_pickle_safety_net_materialises(self):
-        import pickle
-
-        store = PayloadStore()
-        store.add_segment(
-            0, ["x", "y", "z"], SimpleNamespace(value_of=lambda r: r)
-        )
-        restored = pickle.loads(pickle.dumps(self._group(store)))
-        assert restored == ["x", "y", "z"]
-
-
-class TestJobColumnarKind:
-    """The gate reads the job's code only: the protocol and one key
-    family."""
-
-    def _mapper(self, kind="int"):
-        return SimpleNamespace(columnar_key_kind=kind, map_columns=lambda *a: None)
-
-    def _reducer(self):
-        return SimpleNamespace(kernel=lambda *a: None)
-
-    def _conf(self, mappers, reducer):
-        return SimpleNamespace(
-            inputs=[SimpleNamespace(mapper=m) for m in mappers],
-            reducer=reducer,
-        )
-
-    def test_all_ready_same_kind(self):
-        conf = self._conf(
-            [self._mapper(), self._mapper()], self._reducer()
-        )
-        assert job_columnar_gate(conf) == ("int", None)
-
-    def test_mixed_kinds_fall_back(self):
-        conf = self._conf(
-            [self._mapper("int"), self._mapper("cell")], self._reducer()
-        )
-        assert job_columnar_gate(conf) == (None, "mixed-key-kinds")
-
-    def test_protocol_free_classes_fall_back(self):
-        conf = self._conf([SimpleNamespace()], self._reducer())
-        assert job_columnar_gate(conf) == (None, "mapper-no-columnar-protocol")
-        conf = self._conf([self._mapper()], SimpleNamespace())
-        assert job_columnar_gate(conf) == (None, "reducer-no-columnar-protocol")
 
 
 class TestIntervalColumns:

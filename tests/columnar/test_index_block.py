@@ -3,9 +3,9 @@
 The flag cycle commits its ``(relation, row, flagged)`` records as an
 :class:`~repro.columnar.batch.IndexBlock` — relation codes, row indices
 into the relations and flags — and the join cycle reads it back as
-columns.  Whatever reads it as records (``list()``, a file system, the
-records plane) must see exactly the records it stands for, in order;
-whatever reads it as columns must see the relations' own.
+columns.  Whatever reads it as records (``list()``, a file system, a
+user job's mapper) must see exactly the records it stands for, in
+order; whatever reads it as columns must see the relations' own.
 """
 
 from __future__ import annotations
@@ -123,37 +123,39 @@ class TestRecords:
         assert mapper.encode_intervals(block, block)[1].tolist() == ends.tolist()
 
 
-def _refusing_gate(conf):
-    return None, "refused-by-the-test"
+def _flag_records(data, partitions):
+    """The clean serial run's flag records, its ``rccis/flags`` parts
+    read one by one (the flagging decision itself is held to a brute
+    force in ``tests/core/test_crossing.py``)."""
+    fs = InMemoryFileSystem()
+    execute(COLOCATION, data, "rccis", num_partitions=partitions, fs=fs)
+    return [record for part in fs.list_prefix("rccis/flags") for record in fs.read(part)]
 
 
-def _flag_files(monkeypatch, data, partitions, run):
-    """The flag directory of a records-plane run and of a default run."""
-    records_fs, columnar_fs = InMemoryFileSystem(), InMemoryFileSystem()
-    with monkeypatch.context() as patch:
-        patch.setattr("repro.mapreduce.runner.job_columnar_gate", _refusing_gate)
-        execute(
-            COLOCATION, data, "rccis", num_partitions=partitions, fs=records_fs,
-            **run,
-        )
+def _flag_files(data, partitions, run):
+    """The flag records of a clean serial run, and a run's flag
+    directory read back whole."""
+    fs = InMemoryFileSystem()
     recorder = TraceRecorder()
     result = execute(
-        COLOCATION, data, "rccis", num_partitions=partitions, fs=columnar_fs,
+        COLOCATION, data, "rccis", num_partitions=partitions, fs=fs,
         observer=recorder, **run,
     )
     assert sorted(result.tuple_ids()) == sorted(
         reference_join(COLOCATION, data).tuple_ids()
     )
     assert [job.data_plane for job in recorder.job_results] == ["columnar"] * 2
-    return records_fs.read_dir("rccis/flags"), columnar_fs.read_dir("rccis/flags")
+    return _flag_records(data, partitions), fs.read_dir("rccis/flags")
 
 
 @pytest.mark.parametrize("run", sorted(RUNS))
-def test_the_flag_file_reads_back_as_the_records_arms(run, monkeypatch):
+def test_the_flag_file_reads_back_as_the_records_arms(run):
+    """Read back whole, every run's flag directory is one block whose
+    records are the clean serial run's, part after part."""
     data = make_dataset(("R1", "R2", "R3"), 60, seed=11)
-    records, block = _flag_files(monkeypatch, data, 5, RUNS[run])
+    records, block = _flag_files(data, 5, RUNS[run])
     assert isinstance(block, IndexBlock)
-    assert list(block) == list(records)
+    assert list(block) == records
     # Each row once, at the partition it starts in.
     assert len(block) == sum(map(len, data.values()))
 
@@ -162,7 +164,7 @@ def test_the_flag_file_reads_back_as_the_records_arms(run, monkeypatch):
     "case",
     ["partition-without-local-rows", "more-partitions-than-rows", "an-empty-relation"],
 )
-def test_edge_shaped_flag_files(case, monkeypatch):
+def test_edge_shaped_flag_files(case):
     if case == "partition-without-local-rows":
         # Partitions 1 and 2 of 4 only see R1's long interval, which
         # starts in partition 0: their blocks are empty.
@@ -183,9 +185,9 @@ def test_edge_shaped_flag_files(case, monkeypatch):
         result = execute(COLOCATION, data, "rccis", num_partitions=4, observer=recorder)
         assert (len(result), recorder.job_results) == (0, [])
         return
-    records, block = _flag_files(monkeypatch, data, partitions, RUNS["serial"])
+    records, block = _flag_files(data, partitions, RUNS["serial"])
     assert isinstance(block, IndexBlock)
-    assert list(block) == list(records)
+    assert list(block) == records
     assert len(block) == sum(map(len, data.values()))
 
 
@@ -216,12 +218,9 @@ def test_an_endpoint_past_float64_joins_on_columns():
     result = execute(
         COLOCATION, data, "rccis", num_partitions=4, observer=recorder, fs=fs
     )
-    assert [
-        (job.name, job.data_plane, job.data_plane_reason)
-        for job in recorder.job_results
-    ] == [
-        ("rccis-flag", "columnar", None),
-        ("rccis-join", "columnar", None),
+    assert [(job.name, job.data_plane) for job in recorder.job_results] == [
+        ("rccis-flag", "columnar"),
+        ("rccis-join", "columnar"),
     ]
     assert isinstance(fs.read_dir("rccis/flags"), IndexBlock)
     assert sorted(result.tuple_ids()) == sorted(

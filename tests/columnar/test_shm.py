@@ -24,6 +24,7 @@ def _group(key, gids, starts, ends, tag_codes, tags):
         tag_codes=np.asarray(tag_codes, dtype=np.int16),
         tags=tags,
         store=None,
+        layouts=tuple((f"{tag}.I",) for tag in tags),
     )
 
 
@@ -53,6 +54,7 @@ class TestRoundtrip:
                     assert out.ends.tolist() == src.ends.tolist()
                     assert out.tag_codes.tolist() == src.tag_codes.tolist()
                     assert out.tags == src.tags
+                    assert out.layouts == src.layouts
                 # Views alias the segment; drop them before close().
                 del restored, out, src
             finally:

@@ -3,11 +3,16 @@
 from __future__ import annotations
 
 import random
-from typing import Dict, List, Optional, Sequence
+from types import SimpleNamespace
+from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
+import numpy as np
 import pytest
 
 from repro import Interval, IntervalJoinQuery, Relation, reference_join
+from repro.columnar.batch import ColumnValues, Terms, endpoint_column, object_column
+from repro.core.schema import Row
+from repro.mapreduce.counters import Counters
 
 
 def make_random_relation(
@@ -52,6 +57,132 @@ def make_dataset(
         )
         for name in names
     }
+
+
+def make_two_attribute_dataset(
+    names: Sequence[str], n: int, seed: int = 0
+) -> Dict[str, Relation]:
+    """Relations whose rows carry two intervals, ``I`` and ``J``."""
+    first, second = make_dataset(names, n, seed), make_dataset(names, n, seed + 1)
+    return {
+        name: Relation.of_records(
+            name,
+            [
+                {"I": i, "J": j}
+                for i, j in zip(first[name].intervals(), second[name].intervals())
+            ],
+        )
+        for name in names
+    }
+
+
+def dataset_for(query: IntervalJoinQuery, n: int, seed: int = 0) -> Dict[str, Relation]:
+    """Random relations for ``query``: two-attribute rows when it reads two."""
+    if query.is_single_attribute:
+        return make_dataset(query.relations, n, seed)
+    return make_two_attribute_dataset(query.relations, n, seed)
+
+
+# ----------------------------------------------------------------------
+# Hand-built key groups, for driving a reducer's kernel directly.
+# ----------------------------------------------------------------------
+
+
+def payload_row(payload: Any, relation: str) -> Row:
+    """The row a shuffle payload holds for ``relation``: a row is its
+    own, a ``(relation, row)`` member holds one, a partial tuple one per
+    member."""
+    if isinstance(payload, Row):
+        return payload
+    if isinstance(payload[0], str):
+        return payload[1]
+    return dict(payload)[relation]
+
+
+class GroupStore:
+    """The payload store of one hand-built group: gid ``(c << 32) | i``
+    is the ``i``-th value tagged ``tags[c]``, and segment ``c``'s source
+    holds those values' payloads as its rows (what a flag cycle's
+    formatter reads, input ``c`` being relation ``c``)."""
+
+    def __init__(self, segments: Sequence[List[Any]]) -> None:
+        self.segments = [object_column(payloads) for payloads in segments]
+
+    def take(self, gids) -> np.ndarray:
+        gids = np.asarray(gids, dtype=np.int64)
+        taken = np.empty(len(gids), dtype=object)
+        for code, payloads in enumerate(self.segments):
+            here = (gids >> 32) == code
+            taken[here] = payloads[gids[here] & 0xFFFFFFFF]
+        return taken
+
+    def sources(self) -> Tuple[Any, ...]:
+        return tuple(
+            SimpleNamespace(rows=payloads, row_column=lambda payloads=payloads: payloads)
+            for payloads in self.segments
+        )
+
+
+def column_values(
+    values: Sequence[Tuple[Any, Any]], layouts: Mapping[Any, Sequence[Any]], key: Any = 0
+) -> ColumnValues:
+    """``(tag, payload)`` values as one key group of the columnar plane,
+    in their order.  ``layouts`` maps each tag to the terms its values
+    carry: the routing term first (``None``: the member interval that
+    starts right-most, as FCTS routes a partial), then one per further
+    slot.  Each term is read off the payload's row for its relation, as
+    float64 columns where exact and ``object`` otherwise."""
+    tags = tuple(layouts)
+    layout_of = tuple(tuple(layouts[tag]) for tag in tags)
+    codes = [tags.index(tag) for tag, _ in values]
+
+    def interval(payload, layout, slot):
+        if slot >= len(layout):  # a slot this tag's values leave unread
+            return Interval(0, 0)
+        if layout[slot] is None:
+            return max(
+                (interval(payload, layout, k) for k in range(1, len(layout))),
+                key=lambda iv: iv.start,
+            )
+        term = layout[slot]
+        return payload_row(payload, term.relation).interval(term.attribute)
+
+    def columns(slot):
+        intervals = [
+            interval(payload, layout_of[code], slot)
+            for (_, payload), code in zip(values, codes)
+        ]
+        return (
+            endpoint_column([iv.start for iv in intervals]),
+            endpoint_column([iv.end for iv in intervals]),
+        )
+
+    width = max((len(layout) - 1 for layout in layout_of), default=0)
+    further = [columns(slot) for slot in range(1, width + 1)]
+    segments: List[List[Any]] = [[] for _ in tags]
+    gids = []
+    for (_, payload), code in zip(values, codes):
+        gids.append((code << 32) | len(segments[code]))
+        segments[code].append(payload)
+    return ColumnValues(
+        key,
+        np.array(gids, dtype=np.int64),
+        *columns(0),
+        np.array(codes, dtype=np.int16),
+        tags,
+        GroupStore(segments),
+        Terms(*(np.stack([c[i] for c in further], axis=1) for i in (0, 1)))
+        if width else None,
+        layout_of,
+    )
+
+
+def run_kernel(reducer: Any, group: ColumnValues) -> Tuple[List[Any], Counters]:
+    """A kernel reducer over one group, as the runner drives it:
+    ``kernel``, then ``format`` through the group's store."""
+    counters = Counters()
+    block = reducer.kernel(group.key, group, counters)
+    return list(reducer.format(block, group.store)), counters
 
 
 def assert_matches_reference(query: IntervalJoinQuery, data, result) -> None:

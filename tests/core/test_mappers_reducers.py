@@ -1,8 +1,11 @@
 """Granular unit tests for the algorithms' mapper and reducer classes,
-exercised directly (outside a job) against hand-built partitionings."""
+exercised directly (outside a job) against hand-built partitionings:
+mappers record by record, reducers as the runner drives a kernel."""
 
 
 import pytest
+
+from tests.conftest import column_values, run_kernel
 
 from repro.core.algorithms.rccis import (
     FlaggingReducer,
@@ -11,13 +14,13 @@ from repro.core.algorithms.rccis import (
     SplitMapper,
 )
 from repro.core.algorithms.two_way import OperatorMapper
-from repro.core.query import IntervalJoinQuery
+from repro.core.query import IntervalJoinQuery, Term
 from repro.core.schema import Row
 from repro.intervals.allen import MapOperator
 from repro.intervals.interval import Interval
 from repro.intervals.partitioning import Partitioning
 from repro.mapreduce.counters import Counters
-from repro.mapreduce.task import MapContext, ReduceContext
+from repro.mapreduce.task import MapContext
 
 
 PARTS = Partitioning.uniform(0, 40, 4)  # p0..p3, width 10
@@ -35,9 +38,10 @@ def run_mapper(mapper, records):
 
 
 def run_reducer(reducer, key, values):
-    context = ReduceContext(Counters(), 0)
-    reducer.reduce(key, values, context)
-    return context.drain(), context.counters
+    """One key group of ``(relation, row)`` values, each routed on its
+    ``I``, through the reducer's kernel and formatter."""
+    layouts = {name: (Term(name, "I"),) for name in ("R1", "R2", "R3")}
+    return run_kernel(reducer, column_values(values, layouts, key))
 
 
 class TestOperatorMapper:

@@ -1,25 +1,22 @@
-"""Cross-plane parity: the columnar data plane must equal the records
-plane bit-for-bit, and the job — not the user — picks between them.
+"""The columnar data plane, which every job of every algorithm runs on.
 
-The columnar plane swaps the intermediate pair stream from
-tuple-at-a-time records to struct-of-arrays columns (argsort shuffle,
-shared-memory reduce transport under ``processes``) — and nothing else.
-A job runs there exactly when its code implements the protocol — its
-data never decides — so the records arm of every comparison below is
-obtained inside the test, by substituting a gate that refuses.
-These tests pin the contract for every algorithm with a columnar job on
-every executor:
+A job's reducer type picks its plane (``docs/data_plane.md``): a
+``KernelReducer`` runs on struct-of-arrays columns (argsort shuffle,
+shared-memory reduce transport under ``processes``), a plain
+``Reducer`` on records.  Every reducer of the algorithms is a kernel, so
+the oracles here are ``reference_join`` and the clean serial run.  These
+tests pin, for every algorithm on every executor:
 
-* identical output tuples,
-* identical per-job counters, reduce-task loads and part files,
-* identical deterministic metrics fingerprint,
-* identical trace span set,
+* the reference's tuples, and the clean serial run's deterministic
+  metrics and fingerprint;
+* the clean serial run's flag and grid part files, file for file and
+  record for record, fault plan or not;
 
-plus the rule around it: which plane each job of each algorithm runs on
-and why, that inexact endpoints, multi-attribute queries and residual
-conditions stay columnar (and the answer right), that fault injection
-does too (chaos runs stay on the columnar plane and stay bit-identical),
-and that profiling the columnar plane is passive.
+plus the rule: which plane each job runs on, that a kernel job whose
+mappers cannot feed it is refused before it maps, that inexact
+endpoints, multi-attribute queries and residual conditions stay
+columnar (and the answer right), that fault injection does too, and
+that profiling the columnar plane is passive.
 """
 
 from __future__ import annotations
@@ -41,12 +38,19 @@ from repro.core.algorithms.routing import OperatorRouter, RoutedMapper, RowView
 from repro.core.algorithms.two_way import OperatorMapper
 from repro.core.executor import execute
 from repro.core.query import IntervalJoinQuery
-from repro.mapreduce import InMemoryFileSystem, Reducer, run_job
+from repro.errors import MapReduceError
+from repro.intervals.allen import MapOperator
+from repro.mapreduce import IdentityMapper, InMemoryFileSystem, Reducer, run_job
 from repro.mapreduce.job import InputSpec, JobConf
 from repro.mapreduce.shuffle import RoundRobinKeyPartitioner
 from repro.obs import TraceRecorder
 
-from tests.conftest import assert_matches_reference, make_dataset
+from tests.conftest import (
+    assert_matches_reference,
+    dataset_for,
+    make_dataset,
+    make_two_attribute_dataset,
+)
 from tests.integration.test_fault_parity import (
     _counters_sans_faults,
     _task_span_profile,
@@ -122,33 +126,6 @@ def _run(algorithm, query, data, executor, **kwargs):
     return result, recorder
 
 
-def _refusing_gate(conf):
-    return None, "refused-by-the-parity-suite"
-
-
-def _run_on_records(monkeypatch, *args, **kwargs):
-    """``_run`` with every job kept on the records plane: the gate is the
-    one place the plane is decided (in the parent, under every
-    executor), so substituting it is the whole switch."""
-    with monkeypatch.context() as patch:
-        patch.setattr(
-            "repro.mapreduce.runner.job_columnar_gate", _refusing_gate
-        )
-        return _run(*args, **kwargs)
-
-
-def _span_profile(recorder):
-    return sorted(
-        (
-            span.kind,
-            span.name,
-            span.attributes.get("job"),
-            span.attributes.get("task_index"),
-        )
-        for span in recorder.spans
-    )
-
-
 def _metrics_facts(result):
     """Every deterministic ExecutionMetrics field."""
     facts = dataclasses.asdict(result.metrics)
@@ -156,55 +133,21 @@ def _metrics_facts(result):
     return facts
 
 
-def _assert_cross_plane_parity(records_pack, columnar_pack):
-    records_result, records_rec = records_pack
-    columnar_result, columnar_rec = columnar_pack
-
-    assert {job.data_plane for job in records_rec.job_results} == {"records"}
-    assert "columnar" in {job.data_plane for job in columnar_rec.job_results}
-
-    assert columnar_result.tuple_ids() == records_result.tuple_ids()
-    assert len(records_result) > 0
-
-    assert _metrics_facts(columnar_result) == _metrics_facts(records_result)
-
-    assert len(columnar_rec.job_results) == len(records_rec.job_results)
-    for columnar_job, records_job in zip(
-        columnar_rec.job_results, records_rec.job_results
-    ):
-        assert columnar_job.name == records_job.name
-        assert (
-            columnar_job.counters.as_dict() == records_job.counters.as_dict()
-        )
-        assert (
-            columnar_job.reduce_task_loads == records_job.reduce_task_loads
-        )
-        assert (
-            columnar_job.reduce_task_outputs
-            == records_job.reduce_task_outputs
-        )
-
-    assert (
-        columnar_rec.metrics.fingerprint() == records_rec.metrics.fingerprint()
-    )
-    assert _span_profile(columnar_rec) == _span_profile(records_rec)
-
-
 @pytest.mark.parametrize("executor", EXECUTORS)
 @pytest.mark.parametrize("algorithm,query,names", CASES, ids=CASE_IDS)
-def test_columnar_matches_records(
-    algorithm, query, names, executor, monkeypatch
-):
-    data = (
-        make_dataset(names, 60, seed=11)
-        if query.is_single_attribute
-        else _two_attribute_dataset(names, 60, seed=11)
-    )
-    records_pack = _run_on_records(
-        monkeypatch, algorithm, query, data, executor
-    )
-    columnar_pack = _run(algorithm, query, data, executor)
-    _assert_cross_plane_parity(records_pack, columnar_pack)
+def test_columnar_matches_records(algorithm, query, names, executor):
+    """Every job runs columnar, the tuples are the reference's records,
+    and the run's deterministic metrics and fingerprint are the clean
+    serial run's."""
+    data = dataset_for(query, 60, seed=11)
+    baseline, baseline_rec = _run(algorithm, query, data, "serial")
+    result, recorder = _run(algorithm, query, data, executor)
+    assert {job.data_plane for job in recorder.job_results} == {"columnar"}
+    assert_matches_reference(query, data, result)
+    assert len(result) > 0
+    assert result.tuple_ids() == baseline.tuple_ids()
+    assert _metrics_facts(result) == _metrics_facts(baseline)
+    assert recorder.metrics.fingerprint() == baseline_rec.metrics.fingerprint()
 
 
 #: The flag cycles — RCCIS's own and the (component, partition)-keyed one
@@ -216,91 +159,73 @@ FLAG_CASES = [
 ]
 
 
+def _files(fs):
+    """Every file of a run, record for record."""
+    return {path: list(fs.read(path)) for path in fs.list_prefix("")}
+
+
+def _against_clean_serial(algorithm, query, executor, chaos):
+    """``(clean serial run, run)``, each as ``(file system, recorder)``:
+    the run on ``executor``, under the pinned fault plan if ``chaos``."""
+    data = make_dataset(("R1", "R2", "R3"), 60, seed=11)
+    options = dict(faults=pinned_plan(), max_attempts=3) if chaos else {}
+    runs = []
+    for where, extra in (("serial", {}), (executor, options)):
+        fs = InMemoryFileSystem()
+        result, recorder = _run(algorithm, query, data, where, fs=fs, **extra)
+        assert_matches_reference(query, data, result)
+        assert {job.data_plane for job in recorder.job_results} == {"columnar"}
+        runs.append((fs, recorder))
+    return runs
+
+
 @pytest.mark.parametrize("chaos", [False, True], ids=["clean", "chaos"])
 @pytest.mark.parametrize("executor", EXECUTORS)
 @pytest.mark.parametrize(
     "algorithm,query,flags_dir", FLAG_CASES, ids=[c[0] for c in FLAG_CASES]
 )
-def test_flag_cycle_matches_records(
-    algorithm, query, flags_dir, executor, chaos, monkeypatch
-):
-    """A columnar flag cycle writes the records plane's flag files —
-    part for part, record for record, in order — with the same
-    replication count and the same loads, fault plan or not."""
-    data = make_dataset(("R1", "R2", "R3"), 60, seed=11)
-    options = dict(faults=pinned_plan(), max_attempts=3) if chaos else {}
-    records_fs, columnar_fs = InMemoryFileSystem(), InMemoryFileSystem()
-    _, records_rec = _run_on_records(
-        monkeypatch, algorithm, query, data, executor,
-        fs=records_fs, **options,
+def test_flag_cycle_matches_records(algorithm, query, flags_dir, executor, chaos):
+    """A flag cycle writes the clean serial run's flag records — part
+    for part, record for record, in order — with the same replication
+    count and the same loads, on every executor, fault plan or not."""
+    (baseline_fs, baseline_rec), (fs, recorder) = _against_clean_serial(
+        algorithm, query, executor, chaos
     )
-    _, columnar_rec = _run(
-        algorithm, query, data, executor, fs=columnar_fs, **options
-    )
-    records_job, columnar_job = (
-        recorder.job_results[0] for recorder in (records_rec, columnar_rec)
-    )
-    assert columnar_job.name == records_job.name == f"{algorithm}-flag"
-    assert (records_job.data_plane, columnar_job.data_plane) == (
-        "records", "columnar",
-    )
+    baseline_job, job = (rec.job_results[0] for rec in (baseline_rec, recorder))
+    assert job.name == f"{algorithm}-flag"
 
-    parts = columnar_fs.list_prefix(flags_dir)
-    assert parts == records_fs.list_prefix(flags_dir)
-    flags = [list(columnar_fs.read(part)) for part in parts]
-    assert flags == [list(records_fs.read(part)) for part in parts]
+    parts = fs.list_prefix(flags_dir)
+    assert parts == baseline_fs.list_prefix(flags_dir)
+    flags = [list(fs.read(part)) for part in parts]
+    assert flags == [list(baseline_fs.read(part)) for part in parts]
     assert sum(map(len, flags)) > 0
 
-    replicated = columnar_job.counters.value("join", "replicated_intervals")
+    replicated = job.counters.value("join", "replicated_intervals")
     assert replicated > 0
-    assert replicated == records_job.counters.value(
-        "join", "replicated_intervals"
-    )
-    assert (
-        columnar_job.logical_reducer_loads == records_job.logical_reducer_loads
-    )
-    assert columnar_job.reduce_task_loads == records_job.reduce_task_loads
-
-
-def _files(fs):
-    """Every file of a run, record for record."""
-    return {path: list(fs.read(path)) for path in fs.list_prefix("")}
+    assert replicated == baseline_job.counters.value("join", "replicated_intervals")
+    assert job.logical_reducer_loads == baseline_job.logical_reducer_loads
+    assert job.reduce_task_loads == baseline_job.reduce_task_loads
 
 
 @pytest.mark.parametrize("chaos", [False, True], ids=["clean", "chaos"])
 @pytest.mark.parametrize("executor", EXECUTORS)
 @pytest.mark.parametrize("algorithm,query,names", GRID_CASES, ids=GRID_IDS)
 def test_grid_cycles_write_the_records_planes_files(
-    algorithm, query, names, executor, chaos, monkeypatch
+    algorithm, query, names, executor, chaos
 ):
     """Every cycle of a grid algorithm — flag, mark, join — runs columnar
-    and writes the records plane's files, part for part and record for
-    record, with the same counters, loads and committed task spans,
-    fault plan or not."""
-    data = make_dataset(names, 60, seed=11)
-    options = dict(faults=pinned_plan(), max_attempts=3) if chaos else {}
-    records_fs, columnar_fs = InMemoryFileSystem(), InMemoryFileSystem()
-    _, records_rec = _run_on_records(
-        monkeypatch, algorithm, query, data, executor,
-        fs=records_fs, **options,
+    and writes the clean serial run's files, part for part and record
+    for record, with the same counters, loads and committed task spans,
+    on every executor, fault plan or not."""
+    (baseline_fs, baseline_rec), (fs, recorder) = _against_clean_serial(
+        algorithm, query, executor, chaos
     )
-    _, columnar_rec = _run(
-        algorithm, query, data, executor, fs=columnar_fs, **options
-    )
-    assert {job.data_plane for job in columnar_rec.job_results} == {"columnar"}
-    assert _files(columnar_fs) == _files(records_fs)
-    assert _counters_sans_faults(columnar_rec) == _counters_sans_faults(
-        records_rec
-    )
-    for columnar_job, records_job in zip(
-        columnar_rec.job_results, records_rec.job_results
-    ):
-        assert (
-            columnar_job.logical_reducer_loads
-            == records_job.logical_reducer_loads
-        )
-        assert columnar_job.reduce_task_loads == records_job.reduce_task_loads
-    assert _task_span_profile(columnar_rec) == _task_span_profile(records_rec)
+    assert _files(fs) == _files(baseline_fs)
+    assert _counters_sans_faults(recorder) == _counters_sans_faults(baseline_rec)
+    for job, baseline_job in zip(recorder.job_results, baseline_rec.job_results):
+        assert job.logical_reducer_loads == baseline_job.logical_reducer_loads
+        assert job.reduce_task_loads == baseline_job.reduce_task_loads
+    assert _task_span_profile(recorder) == _task_span_profile(baseline_rec)
 
 
 def _shm_segments():
@@ -377,56 +302,24 @@ def test_shm_transport_accounted_only_under_processes(executor):
         assert not samples
 
 
-
-
 # ----------------------------------------------------------------------
-# The rule: which plane each job runs on, and why.
+# The rule: the reducer's type picks the plane.
 # ----------------------------------------------------------------------
 
-#: The map side is columnar-capable; the reducer is not.
-NO_REDUCER = "reducer-no-columnar-protocol"
-
-#: algorithm, query, and per job in execution order ``(name, plane,
-#: reason)`` with default options: every job of every algorithm runs
-#: columnar.
+#: algorithm, query, and its jobs in execution order with default
+#: options: every job of every algorithm runs columnar.
 RULE = [
-    ("two_way", TWO_WAY, [("two-way", "columnar", None)]),
-    ("rccis", COLOCATION, [
-        ("rccis-flag", "columnar", None),
-        ("rccis-join", "columnar", None),
-    ]),
-    ("two_way_cascade", SEQUENCE, [
-        ("cascade-R2", "columnar", None),
-        ("cascade-R3", "columnar", None),
-    ]),
-    ("all_replicate", SEQUENCE, [("all-replicate", "columnar", None)]),
-    ("all_matrix", SEQUENCE, [("all_matrix-join", "columnar", None)]),
-    ("all_seq_matrix", HYBRID, [
-        ("all_seq_matrix-flag", "columnar", None),
-        ("all_seq_matrix-join", "columnar", None),
-    ]),
-    ("pasm", HYBRID, [
-        ("pasm-flag", "columnar", None),
-        ("pasm-mark", "columnar", None),
-        ("pasm-join", "columnar", None),
-    ]),
-    ("gen_matrix", HYBRID, [
-        ("gen_matrix-flag", "columnar", None),
-        ("gen_matrix-join", "columnar", None),
-    ]),
-    ("gen_matrix", MULTI_ATTRIBUTE, [
-        ("gen_matrix-flag", "columnar", None),
-        ("gen_matrix-join", "columnar", None),
-    ]),
-    ("fcts", HYBRID, [
-        ("rccis-flag", "columnar", None),
-        ("rccis-join", "columnar", None),
-        ("fcts-matrix", "columnar", None),
-    ]),
-    ("fstc", HYBRID, [
-        ("all_matrix-join", "columnar", None),
-        ("fstc-R1", "columnar", None),
-    ]),
+    ("two_way", TWO_WAY, ["two-way"]),
+    ("rccis", COLOCATION, ["rccis-flag", "rccis-join"]),
+    ("two_way_cascade", SEQUENCE, ["cascade-R2", "cascade-R3"]),
+    ("all_replicate", SEQUENCE, ["all-replicate"]),
+    ("all_matrix", SEQUENCE, ["all_matrix-join"]),
+    ("all_seq_matrix", HYBRID, ["all_seq_matrix-flag", "all_seq_matrix-join"]),
+    ("pasm", HYBRID, ["pasm-flag", "pasm-mark", "pasm-join"]),
+    ("gen_matrix", HYBRID, ["gen_matrix-flag", "gen_matrix-join"]),
+    ("gen_matrix", MULTI_ATTRIBUTE, ["gen_matrix-flag", "gen_matrix-join"]),
+    ("fcts", HYBRID, ["rccis-flag", "rccis-join", "fcts-matrix"]),
+    ("fstc", HYBRID, ["all_matrix-join", "fstc-R1"]),
 ]
 RULE_IDS = [
     algorithm if query.is_single_attribute else f"{algorithm}_multi_attribute"
@@ -434,40 +327,19 @@ RULE_IDS = [
 ]
 
 
-def _two_attribute_dataset(names, n, seed):
-    """Relations whose rows carry two intervals, ``I`` and ``J``."""
-    first, second = make_dataset(names, n, seed), make_dataset(names, n, seed + 1)
-    return {
-        name: Relation.of_records(
-            name,
-            [
-                {"I": i, "J": j}
-                for i, j in zip(first[name].intervals(), second[name].intervals())
-            ],
-        )
-        for name in names
-    }
-
-
 @pytest.mark.parametrize("executor", EXECUTORS)
 @pytest.mark.parametrize("algorithm,query,expected", RULE, ids=RULE_IDS)
 def test_each_job_picks_its_plane(algorithm, query, expected, executor):
-    names = ("R1", "R2", "R3")
-    data = (
-        make_dataset(names, 40, seed=11)
-        if query.is_single_attribute
-        else _two_attribute_dataset(names, 40, seed=11)
-    )
+    data = dataset_for(query, 40, seed=11)
     result, recorder = _run(algorithm, query, data, executor)
     assert_matches_reference(query, data, result)
-    assert [
-        (job.name, job.data_plane, job.data_plane_reason)
-        for job in recorder.job_results
-    ] == expected
+    assert [(job.name, job.data_plane) for job in recorder.job_results] == [
+        (name, "columnar") for name in expected
+    ]
 
 
 class _RecordsOnly(Reducer):
-    """A user reducer without the kernel protocol."""
+    """A user reducer: a plain ``Reducer``, which runs on records."""
 
     def reduce(self, key, values, context):
         context.emit_many(values)
@@ -534,7 +406,7 @@ def test_a_multi_attribute_reducer_runs_columnar():
     )
     fs, conf = _two_way_job(query, data)
     result = run_job(fs, conf)
-    assert (result.data_plane, result.data_plane_reason) == ("columnar", None)
+    assert result.data_plane == "columnar"
     tuples = list(fs.read_dir(conf.output))
     assert sorted(
         tuple(row.rid for row in rows) for rows in tuples
@@ -542,26 +414,69 @@ def test_a_multi_attribute_reducer_runs_columnar():
     assert tuples
 
 
-class TestFallbackObservability:
-    """Why a job ran on the records plane is a fact of the job: the same
-    reason string on its span and on its result."""
+def test_a_term_the_values_do_not_carry_is_refused():
+    """A reducer reads a term off a value only where the value carries
+    it: ``R1.J`` off values routed on ``R1.I`` is refused, naming the
+    term and the tag, instead of joining the routing interval."""
+    query = IntervalJoinQuery.parse([("R1.J", "overlaps", "R2.I")])
+    data = make_two_attribute_dataset(("R1", "R2"), 30, seed=3)
+    fs, conf = _two_way_job(query, data)
+    conf.inputs[0].mapper = OperatorMapper(
+        "R1", "I", conf.reducer.partitioning, query.conditions[0].predicate.left_operator
+    )
+    with pytest.raises(MapReduceError, match=r"R1\.J .*'R1'"):
+        run_job(fs, conf)
+    assert fs.list_prefix(conf.output) == []
 
-    def test_protocol_gap_reason_recorded(self):
-        """A user reducer that implements no kernel: its job runs on
-        records with the gate's reason, on the span and the job result
-        alike."""
+
+def _refused(conf, fs):
+    """Run a job that must be refused; returns the error message after
+    checking that no task ran and nothing was written."""
+    recorder = TraceRecorder()
+    with pytest.raises(MapReduceError) as refused:
+        run_job(fs, conf, observer=recorder)
+    assert recorder.spans == []
+    assert fs.list_prefix(conf.output) == []
+    return str(refused.value)
+
+
+def test_a_kernel_job_with_a_plain_mapper_is_refused():
+    fs, conf = _two_way_job(TWO_WAY, make_dataset(("R1", "R2"), 20, seed=11))
+    conf.inputs[1].mapper = IdentityMapper()
+    message = _refused(conf, fs)
+    assert "'two-way'" in message and repr(conf.inputs[1].path) in message
+
+
+def test_a_kernel_job_with_mixed_key_kinds_is_refused():
+    fs, conf = _two_way_job(TWO_WAY, make_dataset(("R1", "R2"), 20, seed=11))
+    conf.inputs[1].mapper = RoutedMapper(
+        RowView("R2", "I"),
+        OperatorRouter(conf.reducer.partitioning, MapOperator.PROJECT, prefix=0),
+    )
+    message = _refused(conf, fs)
+    assert "'two-way'" in message and repr(conf.inputs[1].path) in message
+    assert "'int'" in message and "'cell'" in message
+
+
+class TestFallbackObservability:
+    """Which plane a job ran on is a fact of the job, on its span and its
+    result alike."""
+
+    def test_a_plain_reducer_job_runs_on_records(self):
+        """A plain ``Reducer`` fed by the algorithms' mappers: its job
+        maps record by record and reduces the shuffled values."""
         data = make_dataset(("R1", "R2"), 60, seed=11)
         fs, conf = _two_way_job(TWO_WAY, data)
         conf.reducer = _RecordsOnly()
         recorder = TraceRecorder()
         job_result = run_job(fs, conf, observer=recorder)
         recorder.close()
-        assert (job_result.data_plane, job_result.data_plane_reason) == (
-            "records", NO_REDUCER,
-        )
+        assert job_result.data_plane == "records"
         (span,) = [span for span in recorder.spans if span.kind == "job"]
         assert span.attributes["data_plane"] == "records"
-        assert span.attributes["data_plane_reason"] == NO_REDUCER
+        values = list(fs.read_dir(conf.output))
+        assert len(values) == job_result.shuffled_records > 0
+        assert {tag for tag, _ in values} == {"R1", "R2"}
 
     def test_columnar_job_span_carries_no_reason(self):
         data = make_dataset(("R1", "R2"), 60, seed=11)
@@ -611,25 +526,15 @@ def _relations(intervals):
 @pytest.mark.parametrize("executor", EXECUTORS)
 @pytest.mark.parametrize("predicate", ["overlaps", "meets"])
 @pytest.mark.parametrize("algorithm", ["two_way", "rccis", "two_way_cascade"])
-def test_endpoints_beyond_float64_join_on_records(
-    algorithm, predicate, executor, monkeypatch
-):
-    """Both arms join the exact values: the records arm off the rows,
-    the columnar plane — which the job picks whatever its data — off
-    ``object`` columns."""
+def test_endpoints_beyond_float64_join_on_records(algorithm, predicate, executor):
+    """The columnar plane — which the job picks whatever its data —
+    joins the exact values, off ``object`` columns: the reference's
+    records."""
     data = _relations(BEYOND_FLOAT64)
     query = IntervalJoinQuery.parse([("R1", predicate, "R2")])
-    records, _ = _run_on_records(
-        monkeypatch, algorithm, query, data, executor, num_partitions=2
-    )
-    assert_matches_reference(query, data, records)
-    assert len(records) == 2
-    recorder = TraceRecorder()
-    result = execute(
-        query, data, algorithm=algorithm, num_partitions=2,
-        executor=executor, workers=2, observer=recorder,
-    )
-    assert result.tuple_ids() == records.tuple_ids()
+    result, recorder = _run(algorithm, query, data, executor, num_partitions=2)
+    assert_matches_reference(query, data, result)
+    assert len(result) == 2
     assert {job.data_plane for job in recorder.job_results} == {"columnar"}
 
 
@@ -664,13 +569,13 @@ def _beyond_float64_dataset(names, seed):
 #: The first job of each algorithm below, on endpoints beyond float64:
 #: columnar, over the relation's own ``object`` columns.
 FIRST_JOB_BEYOND_FLOAT64 = {
-    "two_way": ("two-way", "columnar", None),
-    "all_replicate": ("all-replicate", "columnar", None),
-    "rccis": ("rccis-flag", "columnar", None),
-    "pasm": ("pasm-flag", "columnar", None),
-    "all_matrix": ("all_matrix-join", "columnar", None),
-    "gen_matrix": ("gen_matrix-flag", "columnar", None),
-    "two_way_cascade": ("cascade-R2", "columnar", None),
+    "two_way": ("two-way", "columnar"),
+    "all_replicate": ("all-replicate", "columnar"),
+    "rccis": ("rccis-flag", "columnar"),
+    "pasm": ("pasm-flag", "columnar"),
+    "all_matrix": ("all_matrix-join", "columnar"),
+    "gen_matrix": ("gen_matrix-flag", "columnar"),
+    "two_way_cascade": ("cascade-R2", "columnar"),
 }
 
 
@@ -703,9 +608,7 @@ def test_whole_queries_are_exact_beyond_float64(algorithm, conditions):
         assert_matches_reference(query, data, result)
         assert len(result) > 0
         first = recorder.job_results[0]
-        assert (
-            first.name, first.data_plane, first.data_plane_reason
-        ) == FIRST_JOB_BEYOND_FLOAT64[algorithm]
+        assert (first.name, first.data_plane) == FIRST_JOB_BEYOND_FLOAT64[algorithm]
     rounded = {
         name: Relation.of_intervals(
             name,

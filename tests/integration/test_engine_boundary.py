@@ -224,11 +224,10 @@ def test_the_map_side_is_written_once():
 
 def test_the_reduce_side_is_written_once():
     """The reducer fork cannot re-grow: a reducer under ``core`` is a
-    kernel and a formatter (``mapreduce.task.KernelReducer``), whose
-    ``reduce`` is the one records-plane adapter, and no reducer writes
-    its own.  No class
-    restates materialisation, no reducer boxes its outputs into Python
-    ints, and no reduce body asks which plane it is on."""
+    kernel and a formatter (``mapreduce.task.KernelReducer``) and has no
+    ``reduce``.  No class restates materialisation, no reducer boxes its
+    outputs into Python ints, and no reduce body asks which plane it is
+    on."""
     reduces, restated, boxing = [], [], []
     for path, tree in _modules("core"):
         for cls in ast.walk(tree):
@@ -263,6 +262,30 @@ def test_the_reduce_side_is_written_once():
     assert plane_forks == []
 
 
+def test_a_kernel_reducer_has_one_plane():
+    """The plane is a fact of the reducer's type: a ``KernelReducer`` is
+    not a ``Reducer``, so it has no records form, and nothing under
+    ``src/`` still spells one — no records group built from values, no
+    plane gate or plane reason, no payload read per row, no gid resolved
+    one at a time."""
+    from repro.mapreduce.task import KernelReducer, Reducer
+
+    assert not issubclass(KernelReducer, Reducer)
+    gone = re.compile(r"of_records\(|job_columnar_gate|data_plane_reason|_row_of|store\.value\(")
+    spelled = [
+        f"{path.relative_to(SRC).as_posix()}:{number}"
+        for path in sorted(SRC.rglob("*.py"))
+        for number, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1)
+        for match in gone.finditer(line)
+        # ``Relation.of_records``, defined in ``core/schema.py``, stays.
+        if not (
+            match.group() == "of_records("
+            and (path.name == "schema.py" or "Relation.of_records" in line)
+        )
+    ]
+    assert spelled == []
+
+
 def _calls(tree, attr):
     """``(enclosing function, receiver)`` of every ``<receiver>.attr(...)``
     call in the module; the function is ``""`` at module level."""
@@ -291,7 +314,7 @@ ROW_INTERVAL_SITES = {
     # Derived inputs (records an earlier job wrote) and the records form;
     # ``targets``: a multi-attribute relation's further grid terms.
     "core/algorithms/routing.py": {"interval_of", "targets"},
-    # Records-plane reducers turning received rows into columns.
+    # ``LocalJoiner.join`` over rows.
     "core/local.py": {"attribute_columns"},
     # Oracles.
     "core/validation.py": None,
@@ -305,9 +328,8 @@ def test_rows_are_read_as_columns():
     """Whole-relation readers go through ``Relation.columns``: under
     ``core/`` and ``columnar/`` a row's ``.interval(`` is called only at
     the sites above — ``base.py`` (partitioning) and ``tuning.py``
-    (profiling) have none — and a payload id is resolved one at a time
-    (``store.value(``) only inside ``columnar/batch.py``, by the pickle
-    safety net; reducers ``take`` a column."""
+    (profiling) have none — and no payload id is resolved one at a time
+    (``store.value(``): reducers ``take`` a column."""
     offending = []
     for path, tree in _modules("core", "columnar"):
         relative = path.relative_to(SRC).as_posix()
@@ -327,7 +349,7 @@ def test_rows_are_read_as_columns():
         for _, receiver in _calls(tree, "value")
         if "store" in (getattr(receiver, "id", None), getattr(receiver, "attr", None))
     ]
-    assert set(one_at_a_time) == {"columnar/batch.py"}
+    assert one_at_a_time == []
 
 
 def test_interval_tree_stays_off_every_query_path():

@@ -14,7 +14,7 @@ from repro.core.executor import execute
 from repro.core.query import IntervalJoinQuery
 from repro.obs import TraceRecorder
 
-from tests.conftest import make_dataset
+from tests.conftest import assert_matches_reference, dataset_for
 
 COLOCATION = IntervalJoinQuery.parse(
     [("R1", "overlaps", "R2"), ("R2", "overlaps", "R3")]
@@ -24,6 +24,14 @@ SEQUENCE = IntervalJoinQuery.parse(
 )
 HYBRID = IntervalJoinQuery.parse(
     [("R1", "overlaps", "R2"), ("R2", "before", "R3")]
+)
+#: A cyclic query: the cascade's last step checks a residual condition.
+TRIANGLE = IntervalJoinQuery.parse(
+    [("R1", "overlaps", "R2"), ("R2", "overlaps", "R3"), ("R1", "overlaps", "R3")]
+)
+#: Two attributes of R1 in two components: a 3-D Gen-Matrix grid.
+MULTI_ATTRIBUTE = IntervalJoinQuery.parse(
+    [("R1.I", "overlaps", "R2.I"), ("R1.J", "before", "R3.J")]
 )
 
 CASES = [
@@ -38,6 +46,13 @@ CASES = [
     ("gen_matrix", HYBRID, ("R1", "R2", "R3")),
     ("fcts", HYBRID, ("R1", "R2", "R3")),
     ("fstc", HYBRID, ("R1", "R2", "R3")),
+    ("two_way_cascade", COLOCATION, ("R1", "R2", "R3")),
+    ("two_way_cascade", TRIANGLE, ("R1", "R2", "R3")),
+    ("gen_matrix", MULTI_ATTRIBUTE, ("R1", "R2", "R3")),
+]
+CASE_IDS = [
+    *(case[0] for case in CASES[:-3]),
+    "cascade_colocation", "cascade_triangle", "gen_matrix_multi_attribute",
 ]
 
 
@@ -109,13 +124,14 @@ def _assert_parity(serial_pack, parallel_pack):
 
 @pytest.mark.parametrize("executor", ["threads", "processes"])
 @pytest.mark.parametrize(
-    "algorithm,query,names", CASES, ids=[case[0] for case in CASES]
+    "algorithm,query,names", CASES, ids=CASE_IDS
 )
 def test_parallel_matches_serial(algorithm, query, names, executor):
-    data = make_dataset(names, 60, seed=11)
+    data = dataset_for(query, 60, seed=11)
     serial_pack = _run(algorithm, query, data, "serial")
     parallel_pack = _run(algorithm, query, data, executor)
     _assert_parity(serial_pack, parallel_pack)
+    assert_matches_reference(query, data, parallel_pack[0])
 
 
 def test_planner_choice_parity_threads():
@@ -123,7 +139,7 @@ def test_planner_choice_parity_threads():
     query = IntervalJoinQuery.parse(
         [("R1", "overlaps", "R2"), ("R2", "before", "R3")]
     )
-    data = make_dataset(("R1", "R2", "R3"), 80, seed=7)
+    data = dataset_for(query, 80, seed=7)
     recorder_serial = TraceRecorder()
     serial = execute(
         query, data, num_partitions=6, executor="serial",

@@ -19,7 +19,7 @@ from repro.core.query import IntervalJoinQuery
 from repro.faults import FaultPlan
 from repro.obs import TraceRecorder
 
-from tests.conftest import make_dataset
+from tests.conftest import assert_matches_reference, dataset_for
 
 COLOCATION = IntervalJoinQuery.parse(
     [("R1", "overlaps", "R2"), ("R2", "overlaps", "R3")]
@@ -29,6 +29,14 @@ SEQUENCE = IntervalJoinQuery.parse(
 )
 HYBRID = IntervalJoinQuery.parse(
     [("R1", "overlaps", "R2"), ("R2", "before", "R3")]
+)
+#: A cyclic query: the cascade's last step checks a residual condition.
+TRIANGLE = IntervalJoinQuery.parse(
+    [("R1", "overlaps", "R2"), ("R2", "overlaps", "R3"), ("R1", "overlaps", "R3")]
+)
+#: Two attributes of R1 in two components: a 3-D Gen-Matrix grid.
+MULTI_ATTRIBUTE = IntervalJoinQuery.parse(
+    [("R1.I", "overlaps", "R2.I"), ("R1.J", "before", "R3.J")]
 )
 
 CASES = [
@@ -43,6 +51,13 @@ CASES = [
     ("gen_matrix", HYBRID, ("R1", "R2", "R3")),
     ("fcts", HYBRID, ("R1", "R2", "R3")),
     ("fstc", HYBRID, ("R1", "R2", "R3")),
+    ("two_way_cascade", COLOCATION, ("R1", "R2", "R3")),
+    ("two_way_cascade", TRIANGLE, ("R1", "R2", "R3")),
+    ("gen_matrix", MULTI_ATTRIBUTE, ("R1", "R2", "R3")),
+]
+CASE_IDS = [
+    *(case[0] for case in CASES[:-3]),
+    "cascade_colocation", "cascade_triangle", "gen_matrix_multi_attribute",
 ]
 
 #: The pinned chaos plan: seed 2014 (the paper's year) at rates that
@@ -102,7 +117,7 @@ def _task_span_profile(recorder):
 @pytest.mark.parametrize(
     "algorithm,query,relations",
     CASES,
-    ids=[case[0] for case in CASES],
+    ids=CASE_IDS,
 )
 class TestFaultParity:
     @pytest.mark.parametrize(
@@ -111,7 +126,7 @@ class TestFaultParity:
     def test_chaos_equals_fault_free(
         self, algorithm, query, relations, executor
     ):
-        data = make_dataset(relations, 60, seed=11)
+        data = dataset_for(query, 60, seed=11)
         baseline, base_rec = _run(
             algorithm, query, data, "serial", faults=False
         )
@@ -119,9 +134,10 @@ class TestFaultParity:
             algorithm, query, data, executor, faults=pinned_plan()
         )
 
-        # Bit-identical output tuples.
+        # Bit-identical output tuples: the reference's.
         assert chaos.tuple_ids() == baseline.tuple_ids()
         assert len(baseline) > 0
+        assert_matches_reference(query, data, chaos)
 
         # The plan actually fired — retries happened.
         assert chaos.metrics.tasks_failed > 0
@@ -152,7 +168,7 @@ class TestFaultParity:
     ):
         """The acceptance-criteria pin: the chaos plan injects >= 1
         failure in a map phase AND a reduce phase of every algorithm."""
-        data = make_dataset(relations, 60, seed=11)
+        data = dataset_for(query, 60, seed=11)
         _, recorder = _run(
             algorithm, query, data, "serial", faults=pinned_plan()
         )
@@ -167,7 +183,7 @@ class TestFaultParity:
 def test_executor_counters_identical_under_chaos():
     """Even the faults group itself is executor-independent (the plan is
     identity-keyed, so retries land on the same tasks everywhere)."""
-    data = make_dataset(("R1", "R2", "R3"), 60, seed=11)
+    data = dataset_for(COLOCATION, 60, seed=11)
     per_executor = []
     for executor in ("serial", "threads", "processes"):
         _, recorder = _run(

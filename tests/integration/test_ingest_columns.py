@@ -243,7 +243,7 @@ def test_one_endpoint_past_float64_keeps_the_job_columnar():
         recorder = TraceRecorder()
         result = execute(TWO_WAY, data, "two_way", num_partitions=4, observer=recorder)
         (job,) = recorder.job_results
-        assert (job.data_plane, job.data_plane_reason) == ("columnar", None)
+        assert job.data_plane == "columnar"
         assert sorted(result.tuple_ids()) == sorted(
             reference_join(TWO_WAY, data).tuple_ids()
         )

@@ -27,7 +27,8 @@ from repro.mapreduce.runner import run_job
 from repro.mapreduce.task import Mapper, Reducer
 from repro.obs import StatusServer, TelemetryHub, TraceRecorder
 
-from tests.conftest import make_dataset
+from tests.conftest import dataset_for, make_dataset
+from tests.integration.test_executor_parity import CASE_IDS
 from tests.integration.test_executor_parity import CASES as ALL_ALGORITHMS
 from tests.integration.test_fault_parity import (
     _counters_sans_faults,
@@ -195,12 +196,12 @@ def _replayed(recorder):
 @pytest.mark.parametrize(
     "algorithm,query,relations",
     ALL_ALGORITHMS,
-    ids=[case[0] for case in ALL_ALGORITHMS],
+    ids=CASE_IDS,
 )
 def test_replayed_spans_rebuild_the_live_state(
     algorithm, query, relations, executor
 ):
-    data = make_dataset(relations, 60, seed=11)
+    data = dataset_for(query, 60, seed=11)
     for chaos in (
         {},
         dict(faults=2014, max_attempts=3),

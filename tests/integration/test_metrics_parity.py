@@ -22,8 +22,8 @@ from repro.core.executor import execute
 from repro.obs import JsonlSink, TraceRecorder, fold_spans, load_spans_jsonl
 from repro.obs.metrics import GROUP_FAULTS, GROUP_WALL
 
-from tests.conftest import make_dataset
-from tests.integration.test_fault_parity import CASES, pinned_plan
+from tests.conftest import dataset_for
+from tests.integration.test_fault_parity import CASE_IDS, CASES, pinned_plan
 
 EXECUTORS = ("serial", "threads", "processes")
 
@@ -34,7 +34,7 @@ def _metrics_of(
     recorder = TraceRecorder(*sinks, **observing)
     execute(
         query,
-        make_dataset(relations, 60, seed=11),
+        dataset_for(query, 60, seed=11),
         algorithm=algorithm,
         num_partitions=5,
         executor=executor,
@@ -50,7 +50,7 @@ def _metrics_of(
 @pytest.mark.parametrize(
     "algorithm,query,relations",
     CASES,
-    ids=[case[0] for case in CASES],
+    ids=CASE_IDS,
 )
 class TestMetricsParity:
     def test_identical_across_executors(self, algorithm, query, relations):

@@ -16,20 +16,18 @@ from __future__ import annotations
 
 from types import SimpleNamespace
 
-import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from tests.conftest import column_values, run_kernel
 from tests.properties.test_local_join_differential import (
     PREDICATES,
     random_interval,
 )
 
-from repro.columnar.batch import ColumnValues, Terms, endpoint_column
 from repro.core.algorithms.hybrid import _ComponentJoinReducer
 from repro.core.query import JoinCondition, Term
 from repro.core.schema import Row
-from repro.mapreduce.counters import Counters
 
 
 def oracle(query, conditions, dims, values):
@@ -89,50 +87,6 @@ def cells(draw):
     return members, conditions, draw(st.permutations(values))
 
 
-class _Store:
-    """The payload store of a group whose gids are its value positions."""
-
-    def __init__(self, values):
-        self.payloads = np.fromiter(
-            (payload for _, payload in values), dtype=object, count=len(values)
-        )
-
-    def take(self, gids):
-        return self.payloads[gids]
-
-
-def group_of(members, values):
-    """The group as the columnar plane shuffles it: per value its
-    right-most member interval and every member's term."""
-    layouts = tuple(tuple(Term(name, "I") for name in names) for names in members)
-    width = max(map(len, layouts))
-
-    def column(endpoint, slot):
-        return endpoint_column([
-            getattr(partial[min(slot, len(partial) - 1)][1].value("I"), endpoint)
-            for _, partial in values
-        ])
-
-    rightmost = [
-        max((row.value("I") for _, row in partial), key=lambda iv: iv.start)
-        for _, partial in values
-    ]
-    return ColumnValues(
-        key=(0,) * len(members),
-        gids=np.arange(len(values), dtype=np.int64),
-        starts=endpoint_column([iv.start for iv in rightmost]),
-        ends=endpoint_column([iv.end for iv in rightmost]),
-        tag_codes=np.array([dim for dim, _ in values], dtype=np.int16),
-        tags=tuple(range(len(members))),
-        store=_Store(values),
-        terms=Terms(
-            layouts,
-            np.stack([column("start", slot) for slot in range(width)], axis=1),
-            np.stack([column("end", slot) for slot in range(width)], axis=1),
-        ),
-    )
-
-
 @settings(max_examples=400, deadline=None)
 @given(cell=cells())
 def test_the_kernel_equals_the_depth_first_loop(cell):
@@ -142,9 +96,12 @@ def test_the_kernel_equals_the_depth_first_loop(cell):
     reducer = _ComponentJoinReducer(query, conditions, members)
     want, charged = oracle(query, conditions, len(members), values)
 
-    counters = Counters()
-    group = group_of(members, values)
-    got = reducer.format(reducer.kernel(group.key, group, counters), group.store)
+    # Each dim's partials are routed on their right-most member (no
+    # single term) and carry every member's term.
+    layouts = {d: (None, *(Term(name, "I") for name in names)) for d, names in enumerate(members)}
+    got, counters = run_kernel(
+        reducer, column_values(values, layouts, key=(0,) * len(members))
+    )
     assert got == want
     assert counters.value("work", "comparisons") == charged
     assert counters.as_dict().get("work", {}).get("comparisons") != 0

@@ -20,6 +20,8 @@ from unittest import mock
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from tests.conftest import column_values, run_kernel
+
 from repro.core.algorithms.gen_matrix import GridSpec, _GridJoinReducer
 from repro.core.graph import JoinGraph
 from repro.core.local import LocalJoiner
@@ -30,8 +32,6 @@ from repro.intervals import sweep
 from repro.intervals.allen import ALLEN_PREDICATES
 from repro.intervals.interval import Interval
 from repro.intervals.partitioning import Partitioning
-from repro.mapreduce.counters import Counters
-from repro.mapreduce.task import ReduceContext
 
 
 def oracle_join(query, rows_by_relation, start_with=None):
@@ -251,6 +251,11 @@ def test_mask_ownership_equals_per_tuple_rule_on_every_cell(case, draw):
     by_rid = {name: {row.rid: row for row in rows} for name, rows in data.items()}
     everything, _ = oracle_join(query, data)
     values = [(name, row) for name, rows in data.items() for row in rows]
+    # Each relation routed on its first query term, carrying the others.
+    layouts = {
+        name: tuple(term for term in query.terms if term.relation == name)
+        for name in data
+    }
     produced = Counter()
     cells = [()]
     for parts in grid.partitionings:
@@ -269,11 +274,8 @@ def test_mask_ownership_equals_per_tuple_rule_on_every_cell(case, draw):
                 for dim, terms in reducer.component_terms.items()
             )
 
-        context = ReduceContext(Counters(), 0)
-        reducer.reduce(cell, values, context)
-        got = Counter(
-            tuple(row.rid for row in rows) for rows in context.drain()
-        )
+        records, _ = run_kernel(reducer, column_values(values, layouts, key=cell))
+        got = Counter(tuple(row.rid for row in rows) for rows in records)
         want = Counter(
             {rids: n for rids, n in everything.items() if owns(rids)}
         )

@@ -256,7 +256,7 @@ def test_mean_length_is_the_sequential_sum():
 
 
 # ----------------------------------------------------------------------
-# PayloadStore.take against PayloadStore.value
+# PayloadStore.take against each record's view.value_of
 # ----------------------------------------------------------------------
 
 
@@ -293,17 +293,20 @@ def stores(draw):
     gid = st.tuples(
         st.integers(0, len(segments) - 1), st.integers(0, len(rows) - 1)
     ).map(lambda t: (t[0] << 32) | t[1])
-    return store, draw(st.lists(gid, max_size=40))
+    return store, segments, draw(st.lists(gid, max_size=40))
 
 
 @settings(max_examples=150, deadline=None)
 @given(case=stores())
 def test_take_resolves_what_value_resolves(case):
-    store, gids = case
+    """``take`` resolves each gid to the payload of its record's shuffle
+    value, as the mapper's view states it one record at a time."""
+    store, segments, gids = case
     taken = store.take(np.asarray(gids, dtype=np.int64))
     assert taken.dtype == object and len(taken) == len(gids)
     for payload, gid in zip(taken, gids):
-        want = store.value(gid)[1]
+        records, view, _ = segments[gid >> 32]
+        want = view.value_of(records[gid & 0xFFFFFFFF])[1]
         assert payload == want
         # The same row objects, not equal copies.
         leaves = row_leaves(payload)

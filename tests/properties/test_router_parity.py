@@ -11,7 +11,7 @@ record equal the decoded ``map_columns()`` keys with the same
 ``row_idx``, and the counter increments are equal — a counter that stays
 zero is created by neither.  The mapper built on a router then emits the
 same ``(key, value)`` pairs through ``map`` as through ``map_columns`` +
-``value_of``.  A view states what it shuffles twice as well:
+the view's ``value_of``.  A view states what it shuffles twice as well:
 ``value_of`` for one record, ``payloads_of`` for a column of them.
 """
 
@@ -189,7 +189,7 @@ def test_targets_and_map_columns_agree(name, routed):
         mapper.map(record, context)
     block = mapper.map_columns(starts, ends, records)
     assert context.drain() == [
-        (decode(code), mapper.value_of(records[index]))
+        (decode(code), view.value_of(records[index]))
         for code, index in zip(block.key_codes.tolist(), block.row_idx.tolist())
     ]
     assert context.counters.snapshot() == counters.snapshot()

@@ -10,9 +10,9 @@ charging ``work:comparisons`` by the two-relation rule of
 per further condition evaluated.  Random steps bind one to three
 members (with residual conditions: a triangle, a 4-cycle) under every
 routing predicate and orientation, on small integer grids, beyond 2**53
-and on mixed int/float endpoints; the records form and the columnar form
-— the bound side's other members carried as further terms — must both
-match, and agree with each other record for record in order.
+and on mixed int/float endpoints; the kernel, fed the group as the
+columnar plane shuffles it — the bound side's other members carried as
+further terms — must match.
 
 The five cascade / FSTC sizing queries of ISSUE 20 are pinned below as
 ``(tuples, work:comparisons, shuffled_records)``.
@@ -22,24 +22,21 @@ from __future__ import annotations
 
 from collections import Counter
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from tests.conftest import column_values, run_kernel
 from tests.integration.test_pinned_counters import observed
 from tests.properties.test_local_join_differential import (
     PREDICATES,
     random_interval,
 )
 
-from repro.columnar.batch import ColumnValues, Terms, endpoint_column
 from repro.core.algorithms.cascade import _StepJoinReducer
 from repro.core.algorithms.routing import BOUND_SIDE, NEW_SIDE
 from repro.core.query import JoinCondition, Term
 from repro.core.schema import Row
-from repro.mapreduce.counters import Counters
-from repro.mapreduce.task import ReduceContext
 
 NEW = "N"
 
@@ -108,35 +105,10 @@ def steps(draw):
     return routing, conditions, draw(st.permutations(values)), flavour
 
 
-class _Store:
-    """The payload store of a group whose gids are its value positions."""
-
-    def __init__(self, values):
-        self.payloads = np.fromiter(
-            (payload for _, payload in values), dtype=object, count=len(values)
-        )
-
-    def take(self, gids):
-        return self.payloads[gids]
-
-
-def run_form(reducer, values):
-    counters = Counters()
-    if isinstance(values, ColumnValues):  # the columnar form: the kernel
-        records = reducer.format(reducer.kernel(0, values, counters), values.store)
-    else:
-        context = ReduceContext(counters, task_index=0)
-        reducer.reduce(0, values, context)
-        records = context.drain()
-    # Charged once with the total, the counter never created at zero.
-    assert counters.as_dict().get("work", {}).get("comparisons") != 0
-    return records, counters.value("work", "comparisons")
-
-
-def column_values(reducer, values):
-    """The group as the columnar plane shuffles it: per value its routing
-    interval's endpoints and, on the bound side, its other members'
-    terms — float64 where exact, ``object`` otherwise."""
+def layouts(reducer, values):
+    """The terms each side's values carry: the bound side is routed on
+    the routing condition's bound member and carries its other members,
+    the new side is routed on the new relation."""
     terms = {
         term.relation: term.attribute
         for term in (reducer.routing.left, reducer.routing.right)
@@ -144,37 +116,10 @@ def column_values(reducer, values):
     bound = next(name for name in terms if name != NEW)
     partial = next((payload for side, payload in values if side == BOUND_SIDE), ())
     others = tuple(Term(name, terms[bound]) for name, _ in partial if name != bound)
-
-    def interval(side, payload, term):
-        if side == BOUND_SIDE:
-            return dict(payload)[term.relation].interval(term.attribute)
-        # A new-side value carries no further terms: its slots are never read.
-        return payload[1].interval(terms[NEW])
-
-    def columns(term):
-        intervals = [interval(side, payload, term) for side, payload in values]
-        return (
-            endpoint_column([iv.start for iv in intervals]),
-            endpoint_column([iv.end for iv in intervals]),
-        )
-
-    starts, ends = columns(Term(bound, terms[bound]))
-    further = [columns(term) for term in others]
-    return ColumnValues(
-        key=0,
-        gids=np.arange(len(values), dtype=np.int64),
-        starts=starts,
-        ends=ends,
-        tag_codes=np.array(
-            [side == NEW_SIDE for side, _ in values], dtype=np.int16
-        ),
-        tags=(BOUND_SIDE, NEW_SIDE),
-        store=_Store(values),
-        terms=Terms(
-            (others, ()),
-            *(np.stack([c[i] for c in further], axis=1) for i in (0, 1)),
-        ) if others else None,
-    )
+    return {
+        BOUND_SIDE: (Term(bound, terms[bound]), *others),
+        NEW_SIDE: (Term(NEW, terms[NEW]),),
+    }
 
 
 @settings(max_examples=400, deadline=None)
@@ -187,13 +132,12 @@ def test_step_reducer_equals_the_nested_loop(step):
     new_rows = [payload[1] for side, payload in values if side == NEW_SIDE]
     want, charged = oracle_step(partials, new_rows, routing, residual)
 
-    records, records_charged = run_form(reducer, values)
+    # Residual conditions and inexact endpoints included.
+    records, counters = run_kernel(reducer, column_values(values, layouts(reducer, values)))
     assert Counter(records) == Counter(want)
-    assert records_charged == charged
-
-    # Every step runs columnar, residual conditions and inexact
-    # endpoints included.
-    assert run_form(reducer, column_values(reducer, values)) == (records, charged)
+    assert counters.value("work", "comparisons") == charged
+    # Charged once with the total, the counter never created at zero.
+    assert counters.as_dict().get("work", {}).get("comparisons") != 0
 
 
 #: ``generate_relation(name, SyntheticConfig(n, t_range=(0, T),
