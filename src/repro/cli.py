@@ -448,8 +448,6 @@ def _cmd_report(args: argparse.Namespace) -> int:
         load_spans_jsonl_tolerant,
         render_dashboard,
     )
-    from repro.obs.dashboard import job_plane
-
     spans, warnings = load_spans_jsonl_tolerant(args.trace)
     for warning in warnings:
         print(f"warning: {warning}", file=sys.stderr)
@@ -457,9 +455,6 @@ def _cmd_report(args: argparse.Namespace) -> int:
     jobs = [span for span in spans if span.kind == "job"]
     print(f"trace:      {args.trace}")
     print(f"spans:      {len(spans)} ({len(jobs)} jobs)")
-    for span in jobs:
-        name = span.attributes.get("job", span.name)
-        print(f"data plane: {name}: {job_plane(span)}")
     # Older traces (or partial ones) may predate plan/reconciliation
     # spans or the attributes a metric family is folded from — report
     # what exists instead of failing.

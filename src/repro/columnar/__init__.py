@@ -3,9 +3,9 @@
 A struct-of-arrays batch representation that flows batch-at-a-time
 through map -> shuffle -> reduce:
 
-* mappers that implement the columnar protocol (see
-  :mod:`repro.mapreduce.task`) emit ``(key_code, payload_id)`` pairs as
-  numpy columns instead of Python tuples;
+* mappers (:class:`repro.mapreduce.task.Mapper`) emit
+  ``(key_code, payload_id)`` pairs as numpy columns instead of Python
+  tuples;
 * the shuffle orders and groups them with one stable ``argsort`` over
   the int64 key codes (see
   :func:`repro.mapreduce.shuffle.columnar_shuffle`);
@@ -15,10 +15,10 @@ through map -> shuffle -> reduce:
   ``multiprocessing.shared_memory`` instead of pickling record lists
   (:mod:`repro.columnar.shm`).
 
-Nobody selects the plane: :func:`~repro.mapreduce.runner.run_job` runs a
-job here exactly when its reducer is a
-:class:`~repro.mapreduce.task.KernelReducer` (``docs/data_plane.md``
-states the rule).
+It is the engine's one data plane: :func:`~repro.mapreduce.runner.run_job`
+runs every job here — a :class:`~repro.mapreduce.task.KernelReducer` fed
+by :class:`~repro.mapreduce.task.Mapper` inputs of one key kind — and
+refuses any other (``docs/data_plane.md``).
 """
 
 from repro.columnar.batch import (

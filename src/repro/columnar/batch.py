@@ -66,7 +66,7 @@ def ranged_targets(
 
     Returns ``(keys, row_idx)`` in record-major order — record ``i``'s
     targets appear consecutively and ascending, exactly matching the
-    records plane's per-record ``for index in range(...)`` loops.
+    routers' per-record ``for index in range(...)`` loops (``targets``).
     """
     lo = np.asarray(lo, dtype=np.int64)
     hi = np.asarray(hi, dtype=np.int64)
@@ -98,7 +98,7 @@ class MapBlock:
         self.tags = tuple(tags)
         #: user-counter increments, ``(group, name) -> amount``; only
         #: non-zero amounts may appear (a zero entry would create a
-        #: counter key the records plane never creates).
+        #: counter key the per-record ``targets`` never creates).
         self.counters = dict(counters or {})
         #: per tag, the query term its values are routed by (``None``:
         #: no one term).
@@ -202,7 +202,7 @@ class ColumnarPairs:
     ``object`` as the inputs encoded them) and ``tag_codes`` (int16 into
     the job's tag table) — plus, when an input's values carry further
     query terms, their :class:`Terms`.  Blocks append in map-task order,
-    so row order equals the records plane's pair-stream order.
+    so row order equals the per-record ``map``'s pair-stream order.
     """
 
     def __init__(self, codec: "KeyCodec") -> None:
@@ -407,8 +407,8 @@ class IndexBlock(SequenceABC):
         return zip(names.tolist(), self.row_column().tolist(), self.flagged.tolist())
 
     def __reduce__(self):
-        # Pickled (a records-plane task shipped to a worker), it is the
-        # record list: the relations it indexes never travel.
+        # Pickled, it is the record list: the relations it indexes
+        # never travel.
         return (list, (list(self),))
 
     # -- the source role (see repro.mapreduce.job.InputSpec) -----------

@@ -445,10 +445,12 @@ class CellRouter:
 class RoutedMapper(Mapper):
     """The one mapper of :mod:`repro.core.algorithms`: every record goes
     to ``router``'s targets for the interval ``view`` reads off it,
-    carrying the value ``view`` shuffles.  The columnar protocol (see
-    :mod:`repro.mapreduce.task`) is what the algorithms' jobs run;
-    ``map``, its per-record form, serves plain-``Reducer`` jobs and the
-    benchmark's mapper probe (``benchmarks/e2e/layers.py``)."""
+    carrying the value ``view`` shuffles.  The :class:`Mapper` protocol
+    (see :mod:`repro.mapreduce.task`) is what every job runs.  ``map``,
+    its per-record form, is run by no job: it stays as the reference
+    ``tests/properties/test_router_parity.py`` holds ``map_columns`` to,
+    and the benchmark's mapper probe (``benchmarks/e2e/layers.py``)
+    calls it."""
 
     def __init__(self, view: View, router: Any) -> None:
         self.view = view

@@ -7,8 +7,8 @@ alone.  The *exact* tier here has no per-algorithm code and no engine of
 its own: it hands the algorithm's own ``plan`` method a
 :class:`DryPipeline`, which runs each job's map and shuffle through the
 job runner's own code (:mod:`repro.mapreduce.runner`) over the actual
-data, on the data plane the run would pick, and runs a job's reduce only
-when something downstream reads its output.  So the run's communication
+data, as the same columns the run would shuffle, and runs a job's reduce
+only when something downstream reads its output.  So the run's communication
 counters are reproduced bit-for-bit (the property tests in
 ``tests/core/test_predict.py`` pin it) under whatever partitioning the
 run would use, while the plan's final reduce (where a run spends its
@@ -126,8 +126,7 @@ class DryPipeline:
 
     ``run`` runs the engine's own map and shuffle
     (:func:`~repro.mapreduce.runner.run_job`'s first half) serially,
-    fault-free and unobserved, on the data plane the run would pick, and
-    records the cycle as an ordinary
+    fault-free and unobserved, and records the cycle as an ordinary
     :class:`~repro.mapreduce.job.JobResult` — so ``ExecutionMetrics``
     folds per-key loads across cycles and sub-plans exactly as it does
     for a run.  The reduce half runs only if a later job, the plan
@@ -152,7 +151,7 @@ class DryPipeline:
     def run(self, conf: JobConf) -> JobResult:
         recorder = NullRecorder()
         run = _JobRun(self.fs, conf, RunOptions(), recorder, None)
-        shuffled = _map_and_shuffle(run, recorder.start_span("job"))
+        shuffled = _map_and_shuffle(run)
         self.fs.unreduced[conf.output] = (run, shuffled)
         result = JobResult(
             name=conf.name,

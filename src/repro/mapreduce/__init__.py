@@ -3,7 +3,8 @@
 Public surface:
 
 * file systems — :class:`InMemoryFileSystem`, :class:`LocalFileSystem`
-* programming model — :class:`Mapper`, :class:`Reducer`, contexts
+* programming model — :class:`Mapper`, :class:`KernelReducer`,
+  :class:`MapContext`
 * execution — :class:`JobConf`, :func:`run_job`, :class:`Pipeline`,
   the run options (:class:`RunOptions`, :func:`resolve_options`), the
   executor backends (:data:`EXECUTORS`, :func:`resolve_executor`,
@@ -30,13 +31,7 @@ from repro.mapreduce.shuffle import (
     RoundRobinKeyPartitioner,
     stable_hash,
 )
-from repro.mapreduce.task import (
-    IdentityMapper,
-    MapContext,
-    Mapper,
-    ReduceContext,
-    Reducer,
-)
+from repro.mapreduce.task import KernelReducer, MapContext, Mapper
 
 __all__ = [
     "Counters",
@@ -61,9 +56,7 @@ __all__ = [
     "Partitioner",
     "RoundRobinKeyPartitioner",
     "stable_hash",
-    "IdentityMapper",
+    "KernelReducer",
     "MapContext",
     "Mapper",
-    "ReduceContext",
-    "Reducer",
 ]

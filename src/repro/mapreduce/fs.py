@@ -23,16 +23,15 @@ that fails is *aborted*: whatever its tasks staged is removed.  Mirroring Hadoop
 starting with ``_`` are invisible to :meth:`FileSystem.read_dir`, so a
 reader of the output directory can never observe uncommitted data.
 
-The file system is the data plane's record boundary: on the columnar
-plane map tasks still read their input records through
-:meth:`FileSystem.read_dir` and reduce outputs are committed as records
-(RCCIS's flag file as an :class:`~repro.columnar.batch.IndexBlock`, a
-sequence of exactly those records, which :class:`InMemoryFileSystem`
-keeps whole) — only the *intermediate* pair stream between map and
-reduce changes representation (struct-of-arrays columns and
-shared-memory blocks; see :mod:`repro.columnar` and
-``docs/data_plane.md``).  Persisted files are therefore byte-identical
-across planes, which is what lets each job of a pipeline pick its own.
+The file system is the data plane's record boundary: map tasks read
+their input records through :meth:`FileSystem.read_dir` and reduce
+outputs are committed as records (RCCIS's flag file as an
+:class:`~repro.columnar.batch.IndexBlock`, a sequence of exactly those
+records, which :class:`InMemoryFileSystem` keeps whole) — only the
+*intermediate* pair stream between map and reduce is columns
+(struct-of-arrays batches and shared-memory blocks; see
+:mod:`repro.columnar` and ``docs/data_plane.md``).  A persisted file
+therefore holds records, byte-identical on every executor.
 """
 
 from __future__ import annotations
@@ -262,9 +261,13 @@ class LocalFileSystem(FileSystem):
         self._decode = decode or (lambda record: record)
 
     def _resolve(self, path: str) -> str:
+        """``path`` under the root.  A path that normalises to the root
+        itself names no file — deleting it would empty the store — and
+        one above it escapes; both are refused.  A name that only starts
+        with two dots (``..cache``) is an ordinary name."""
         clean = os.path.normpath(path.strip("/"))
-        if clean.startswith(".."):
-            raise FileSystemError(f"path escapes file system root: {path!r}")
+        if clean in (".", "..") or clean.startswith(".." + os.sep):
+            raise FileSystemError(f"path names no file under the root: {path!r}")
         return os.path.join(self.root, clean)
 
     def write(

@@ -3,11 +3,11 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, Hashable, List, Optional, Union
+from typing import Any, Dict, Hashable, List, Optional
 
 from repro.mapreduce.counters import Counters
 from repro.mapreduce.shuffle import HashPartitioner, Partitioner
-from repro.mapreduce.task import KernelReducer, Mapper, Reducer
+from repro.mapreduce.task import KernelReducer, Mapper
 
 __all__ = ["InputSpec", "JobConf", "JobResult"]
 
@@ -42,8 +42,7 @@ class JobConf:
     inputs:
         The input specs; every record of every input is mapped.
     reducer:
-        The reduce function applied per key group; its type picks the
-        job's data plane.
+        The kernel applied per key group.
     output:
         Output path; reduce task ``i`` writes ``output/part-{i:05d}``.
     num_reduce_tasks:
@@ -54,7 +53,7 @@ class JobConf:
 
     name: str
     inputs: List[InputSpec]
-    reducer: Union[Reducer, KernelReducer]
+    reducer: KernelReducer
     output: str
     num_reduce_tasks: int = 16
     partitioner: Partitioner = field(default_factory=HashPartitioner)
@@ -92,8 +91,6 @@ class JobResult:
     reduce_task_outputs: List[int] = field(default_factory=list)
     #: ``work:comparisons`` performed by each physical reduce task.
     reduce_task_comparisons: List[int] = field(default_factory=list)
-    #: the data plane the job ran on ("records" / "columnar").
-    data_plane: str = "records"
 
     @property
     def map_output_records(self) -> int:

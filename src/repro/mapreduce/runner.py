@@ -1,12 +1,18 @@
-"""The job execution engine: one task-execution path.
+"""The job execution engine: one task-execution path, one data plane.
 
 :func:`run_job` executes one configured job against a file system,
-following Hadoop's lifecycle: per-input map tasks (setup, map each
-record, cleanup), sort-shuffle, reduce
-tasks (setup, reduce each key group in key order, cleanup), each reduce
-task committing one ``part-*`` file under the job's output path.  Its
-two halves, :func:`_map_and_shuffle` and :func:`_reduce_and_commit`, are
-also what the exact prediction tier (:mod:`repro.core.predict`) runs.
+following Hadoop's lifecycle: per-input map tasks, sort-shuffle, reduce
+tasks (each key group in key order), each reduce task committing one
+``part-*`` file under the job's output path.  Its two halves,
+:func:`_map_and_shuffle` and :func:`_reduce_and_commit`, are also what
+the exact prediction tier (:mod:`repro.core.predict`) runs.
+
+A job is a :class:`~repro.mapreduce.task.KernelReducer` fed by
+:class:`~repro.mapreduce.task.Mapper` inputs of one key kind
+(:func:`_job_key_kind` refuses any other before a map task starts), and
+its pairs travel as columns (``docs/data_plane.md``): a map task is a
+vectorised pass per input, a reduce task runs the kernel per group and
+returns its gid block, formatted once per task on the parent.
 
 Every map and reduce task runs as a **task-attempt loop**
 (:func:`_run_task_attempts`, which documents the semantics): failed
@@ -23,24 +29,17 @@ loop's pieces run:
   parallelism is *simulated* by the cost model, which is how the
   paper's cluster numbers are reproduced in shape); ``"threads"`` and
   ``"processes"`` drive one loop per task on parent-side driver
-  threads.  Under ``"processes"`` each attempt's body is shipped
+  threads.  Under ``"processes"`` each reduce attempt's body is shipped
   to a shared :class:`~concurrent.futures.ProcessPoolExecutor`, one
-  future per attempt; otherwise it runs in-process, on a pristine copy
-  of the mapper/reducer whenever the task could run more than
-  once.  Worker-side object mutations are *not* shipped back.
-
-The *data plane* is not among them: the reducer's type picks it
-(:func:`_columnar_key_kind`; ``docs/data_plane.md``).  The columnar
-plane only supplies different task *bodies* to the same loop: a
-vectorised in-process map body, and a reduce body that runs the
-reducer's kernel per group and returns the task's gid block, formatted
-once per task on the parent (under ``processes`` the group columns
-travel through shared memory and the block comes back as one array).
+  future per attempt; a map body, and every body under the other
+  executors, runs in-process, on a pristine copy of the mapper/reducer
+  whenever the task could run more than once.  Worker-side object
+  mutations are *not* shipped back.
 
 Outcomes merge in task order, so outputs, counters and recorded span
-sets are bit-identical across executors, planes and — modulo the
-``faults`` counter group and the extra ``kind="attempt"`` spans — fault
-plans (pinned by the parity suites).
+sets are bit-identical across executors and — modulo the ``faults``
+counter group and the extra ``kind="attempt"`` spans — fault plans
+(pinned by the parity suites).
 
 Observation is passive and goes one way: the runner reports to one
 :class:`~repro.obs.recorder.Observer` (a ``TraceRecorder``, or a
@@ -56,7 +55,6 @@ from __future__ import annotations
 import copy
 import threading
 import time
-from collections import defaultdict
 from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
@@ -83,8 +81,8 @@ from repro.mapreduce.counters import Counters
 from repro.mapreduce.fs import FileSystem
 from repro.mapreduce.job import JobConf, JobResult
 from repro.mapreduce.options import RunOptions, resolve_options
-from repro.mapreduce.shuffle import columnar_shuffle, shuffle
-from repro.mapreduce.task import KernelReducer, MapContext, Mapper, ReduceContext, Reducer
+from repro.mapreduce.shuffle import columnar_shuffle
+from repro.mapreduce.task import KernelReducer, Mapper
 from repro.obs.recorder import NullRecorder
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -163,31 +161,14 @@ def _submit_attempt(
 # parent merges per-task counters in task order, which makes totals
 # independent of the executor.  Every body ends its signature with
 # ``faults``, which carries the attempt's injected events to the
-# lifecycle point inside the body (cleanup).
+# lifecycle point inside the body: ``cleanup``, after the task's work and
+# before its output leaves the body, where Hadoop runs a task's cleanup
+# hook.  No task here has one; the point stays so that a seeded plan
+# hits the same attempts at the same places and chaos runs stay
+# bit-identical.
 # ----------------------------------------------------------------------
 
-def _map_task_core(
-    path: str,
-    records: Sequence[Any],
-    mapper: Mapper,
-    faults: AttemptInjector,
-) -> Tuple[List[Tuple[Hashable, Any]], Counters]:
-    """Run one map task (one input spec)."""
-    counters = Counters()
-    context = MapContext(counters, path)
-    mapper.setup(context)
-    for record in records:
-        counters.increment("framework", "map_input_records")
-        mapper.map(record, context)
-    faults.check("cleanup")
-    mapper.cleanup(context)
-    task_pairs = context.drain()
-    counters.increment("framework", "map_output_records", len(task_pairs))
-    return task_pairs, counters
-
-
-def _columnar_map_task(
-    path: str,
+def _map_task(
     records: Sequence[Any],
     mapper: Mapper,
     starts: Any,
@@ -195,29 +176,19 @@ def _columnar_map_task(
     terms: Any,
     faults: AttemptInjector,
 ) -> Tuple[MapBlock, Counters]:
-    """Run one map task on the columnar plane, over the routing-interval
-    (and further term) columns the plane decision already encoded.
+    """Run one map task (one input spec) over the routing-interval (and
+    further term) columns :func:`_map_tasks_for` encoded.
 
-    Returns the emitted block and the task counters.  Counter parity
-    with :func:`_map_task_core` is deliberate: ``map_input_records``
-    appears only when the input is non-empty (the records plane
-    increments per record), user counters come from the block (non-zero
-    amounts only), ``map_output_records`` is always recorded.
+    Returns the emitted block and the task counters:
+    ``map_input_records`` only when the input is non-empty, user
+    counters from the block (non-zero amounts only),
+    ``map_output_records`` always.
     """
     counters = Counters()
-    context = MapContext(counters, path)
-    mapper.setup(context)
     if records:
         counters.increment("framework", "map_input_records", len(records))
     block = mapper.map_columns(starts, ends, records, terms)
     faults.check("cleanup")
-    mapper.cleanup(context)
-    if context.drain():
-        raise MapReduceError(
-            f"columnar mapper {type(mapper).__name__} emitted records "
-            "through the context; columnar emission must go through "
-            "map_columns"
-        )
     for (group, name), amount in block.counters.items():
         counters.increment(group, name, amount)
     counters.increment("framework", "map_output_records", len(block))
@@ -225,14 +196,13 @@ def _columnar_map_task(
 
 
 def _reduce_task_core(
-    reducer: KernelReducer | Reducer,
-    task_index: int,
+    reducer: KernelReducer,
     groups: List[Tuple[Hashable, Any]],
     faults: AttemptInjector,
-) -> Tuple[Any, Counters]:
-    """Run one physical reduce task over its key groups: a kernel per
+) -> Tuple[np.ndarray, Counters]:
+    """Run one physical reduce task over its key groups: the kernel per
     group, returning the blocks as one int64 array for the parent to
-    format, or a plain :class:`Reducer`, returning the records emitted."""
+    format."""
     counters = Counters()
     # Counted up front, so even an empty task reports its input counters
     # (key routing decides which tasks receive groups at all).
@@ -240,35 +210,25 @@ def _reduce_task_core(
     counters.increment(
         "framework", "reduce_input_records", sum(len(values) for _, values in groups)
     )
-    if isinstance(reducer, KernelReducer):
-        blocks = [reducer.kernel(key, values, counters) for key, values in groups]
-        faults.check("cleanup")
-        output = np.concatenate(blocks) if blocks else np.empty((0, 0), dtype=np.int64)
-    else:
-        context = ReduceContext(counters, task_index)
-        reducer.setup(context)
-        for key, values in groups:
-            reducer.reduce(key, values, context)
-        faults.check("cleanup")
-        reducer.cleanup(context)
-        output = context.drain()
+    blocks = [reducer.kernel(key, values, counters) for key, values in groups]
+    faults.check("cleanup")
+    output = np.concatenate(blocks) if blocks else np.empty((0, 0), dtype=np.int64)
     counters.increment("framework", "reduce_output_records", len(output))
     return output, counters
 
 
 def _shm_reduce_task(
     reducer: KernelReducer,
-    task_index: int,
     task: Any,
     faults: AttemptInjector,
-) -> Tuple[Any, Counters]:
-    """Run one columnar reduce task whose groups arrive as a
-    shared-memory block (the worker side under ``processes``).  Every
-    array view into the block must be dropped before ``close()``; the
-    block returned is a fresh array."""
+) -> Tuple[np.ndarray, Counters]:
+    """Run one reduce task whose groups arrive as a shared-memory block
+    (the worker side under ``processes``).  Every array view into the
+    block must be dropped before ``close()``; the block returned is a
+    fresh array."""
     groups, shm = unpack_reduce_task(task)
     try:
-        return _reduce_task_core(reducer, task_index, groups, faults)
+        return _reduce_task_core(reducer, groups, faults)
     finally:
         del groups
         if shm is not None:
@@ -293,8 +253,8 @@ def _process_attempt(
 
 
 # ----------------------------------------------------------------------
-# What one job's phases share, and the tasks of each phase: the data
-# plane and the executor only change which task body the loop is handed.
+# What one job's phases share, and the tasks of each phase: the executor
+# only changes where the loop runs a task's body.
 # ----------------------------------------------------------------------
 
 @dataclass
@@ -311,12 +271,10 @@ class _JobRun:
     def __post_init__(self) -> None:
         #: serial: per-task loops run inline on the calling thread.
         self.inline = self.options.executor == "serial"
-        #: processes: attempt bodies are shipped to the worker pool.
-        self.pooled = self.options.executor == "processes"
         #: whether any task may run more than one attempt.
         self.reruns = self.options.faults.max_attempts > 1
-        #: the columnar plane's key kind, ``None`` on the records plane.
-        self.key_kind = _columnar_key_kind(self.conf)
+        #: the key kind every input's mapper keys by.
+        self.key_kind = _job_key_kind(self.conf)
 
 
 class _Tasks:
@@ -331,11 +289,12 @@ class _Tasks:
     spans is invariant under fault injection.
     """
 
+    #: whether attempt bodies run on the worker pool (else in-process).
+    pooled = False
+
     def __init__(self, run: _JobRun, count: int) -> None:
         self.run = run
         self.count = count
-        #: whether attempt bodies run on the worker pool (else in-process).
-        self.pooled = run.pooled
 
     def fresh(self, obj: Any) -> Any:
         """The mapper/reducer instance one attempt runs on.
@@ -344,7 +303,9 @@ class _Tasks:
         instance, so a failed attempt leaves no state behind
         for the next.  Pooled attempts get that from pickling; an
         in-process attempt gets a deep copy — unless the task can only
-        ever run once, which uses the configured instance itself.
+        ever run once, which uses the configured instance itself.  A
+        kernel may hold state across groups; no attempt may see what a
+        failed one left behind.
         """
         if self.run.reruns and not self.pooled:
             return copy.deepcopy(obj)
@@ -368,29 +329,39 @@ class _Tasks:
 
 
 class _MapTasks(_Tasks):
-    """Map tasks on the records plane: one per input spec.
+    """Map tasks: one per input spec.
 
     ``inputs`` holds each spec with its records, materialised up front
     by :func:`_map_tasks_for` — an attempt must be re-runnable from
-    identical records, and file-system access stays on the parent.
+    identical records, and file-system access stays on the parent.  The
+    body is a handful of vectorised numpy passes per input, so it runs
+    in-process under every executor — pickling the records out to a
+    worker would cost more than it saves.  Input records are retained in
+    the job's payload store: the pairs carry only payload ids.
     """
 
     phase = "map"
-    #: the payload store of a columnar job; ``None`` on the records plane.
-    store: Optional[PayloadStore] = None
 
     def __init__(
-        self, run: _JobRun, inputs: Sequence[Tuple[Any, List[Any]]]
+        self,
+        run: _JobRun,
+        inputs: Sequence[Tuple[Any, List[Any]]],
+        columns: Sequence[Tuple[Any, Any, Any]],
+        codec: KeyCodec,
     ) -> None:
         super().__init__(run, len(inputs))
         self.inputs = inputs
+        #: per input, its ``(starts, ends, terms)`` columns.
+        self.columns = columns
+        self.codec = codec
+        self.store = PayloadStore()
 
     def span_name(self, index: int) -> str:
         return f"map:{self.inputs[index][0].path}"
 
     def body(self, index: int) -> Tuple[Callable[..., Any], Tuple]:
         spec, records = self.inputs[index]
-        return _map_task_core, (spec.path, records, self.fresh(spec.mapper))
+        return _map_task, (records, self.fresh(spec.mapper), *self.columns[index])
 
     def winner(
         self, index: int, counters: Counters, result: Any
@@ -407,44 +378,8 @@ class _MapTasks(_Tasks):
             )
         return attrs, counters.delta({})
 
-    def collect(self, outcomes: Sequence["_TaskOutcome"]) -> Any:
-        """The job's intermediate pair stream, in task order."""
-        pairs: List[Tuple[Hashable, Any]] = []
-        for outcome in outcomes:
-            pairs.extend(outcome.result)
-        return pairs
-
-
-class _ColumnarMapTasks(_MapTasks):
-    """Map tasks on the columnar plane.
-
-    The body is a handful of vectorised numpy passes per input, so it
-    runs in-process under every executor — pickling the records out to a
-    worker would cost more than it saves.  Input records are retained in
-    the job's payload store: the batch carries only payload ids.
-    """
-
-    def __init__(
-        self,
-        run: _JobRun,
-        inputs: Sequence[Tuple[Any, List[Any]]],
-        columns: Sequence[Tuple[Any, Any]],
-        codec: KeyCodec,
-    ) -> None:
-        super().__init__(run, inputs)
-        self.pooled = False
-        #: per input, its ``(starts, ends, terms)`` columns.
-        self.columns = columns
-        self.codec = codec
-        self.store = PayloadStore()
-
-    def body(self, index: int) -> Tuple[Callable[..., Any], Tuple]:
-        spec, records = self.inputs[index]
-        return _columnar_map_task, (
-            spec.path, records, self.fresh(spec.mapper), *self.columns[index]
-        )
-
-    def collect(self, outcomes: Sequence["_TaskOutcome"]) -> Any:
+    def collect(self, outcomes: Sequence["_TaskOutcome"]) -> ColumnarPairs:
+        """The job's intermediate pairs, in task order."""
         pairs = ColumnarPairs(self.codec)
         for index, ((spec, records), outcome) in enumerate(
             zip(self.inputs, outcomes)
@@ -461,19 +396,21 @@ def _source(spec: Any, records: Sequence[Any]) -> Any:
     return records if spec.source is None and isinstance(records, IndexBlock) else spec.source
 
 
-def _columnar_key_kind(conf: JobConf) -> Optional[str]:
-    """The job's plane, a fact of its reducer's type: the key kind its
-    mappers share for a :class:`KernelReducer`, ``None`` (records) for a
-    plain :class:`Reducer`.  A kernel job whose mappers lack the columnar
-    protocol or disagree on the kind is refused before it maps."""
+def _job_key_kind(conf: JobConf) -> str:
+    """The key kind the job's mappers share.  A job is refused before it
+    maps unless its reducer is a :class:`KernelReducer` and every input's
+    mapper a :class:`Mapper` of one key kind."""
     if not isinstance(conf.reducer, KernelReducer):
-        return None
+        raise MapReduceError(
+            f"job {conf.name!r}: the reducer {type(conf.reducer).__name__} "
+            "is not a KernelReducer"
+        )
     first = conf.inputs[0]
     want = getattr(first.mapper, "columnar_key_kind", None)
     for spec in conf.inputs:
         kind = getattr(spec.mapper, "columnar_key_kind", None)
-        if kind is None or not hasattr(spec.mapper, "map_columns"):
-            problem = "does not implement the columnar protocol"
+        if not isinstance(spec.mapper, Mapper):
+            problem = f"is a {type(spec.mapper).__name__}, not a Mapper"
         elif kind != want:
             problem = f"keys by {kind!r}, input {first.path!r} by {want!r}"
         else:
@@ -483,10 +420,9 @@ def _columnar_key_kind(conf: JobConf) -> Optional[str]:
 
 
 def _map_tasks_for(run: _JobRun) -> _MapTasks:
-    """The job's map tasks on the plane its reducer picked.  Both read
-    the same materialised inputs; the columnar bodies consume their
-    encoded columns (an input's ``source`` relation's own, if it names
-    one, or the input itself read back as one block)."""
+    """The job's map tasks over its materialised inputs, with each
+    input's encoded columns: its ``source`` relation's own, if it names
+    one, or the input itself read back as one block."""
     read = [(spec, run.fs.read_dir(spec.path)) for spec in run.conf.inputs]
     inputs = [(s, r if isinstance(r, IndexBlock) else list(r)) for s, r in read]
     for spec, records in inputs:
@@ -495,8 +431,6 @@ def _map_tasks_for(run: _JobRun) -> _MapTasks:
                 f"input {spec.path!r} holds {len(records)} records, its "
                 f"source relation {len(spec.source)} rows"
             )
-    if run.key_kind is None:
-        return _MapTasks(run, inputs)
     columns = [
         (
             *spec.mapper.encode_intervals(records, _source(spec, records)),
@@ -504,7 +438,7 @@ def _map_tasks_for(run: _JobRun) -> _MapTasks:
         )
         for spec, records in inputs
     ]
-    return _ColumnarMapTasks(run, inputs, columns, KEY_CODECS[run.key_kind])
+    return _MapTasks(run, inputs, columns, KEY_CODECS[run.key_kind])
 
 
 class _ReduceTasks(_Tasks):
@@ -514,18 +448,17 @@ class _ReduceTasks(_Tasks):
     protocol (``_temporary/task-NNNNN/attempt-K``); a failed attempt's
     file is discarded, and ``run_job`` promotes each winner to
     its ``part-*`` file when gathering results — or, when the phase
-    fails, aborts the job so that nothing stays staged.  On the columnar
-    plane (``store`` is the job's payload store) the groups are
+    fails, aborts the job so that nothing stays staged.  The groups are
     :class:`ColumnValues` slices, the body runs the reducer's kernel,
-    and :meth:`received` formats each task's block once — the only
-    place a columnar job's outputs are materialised.
+    and :meth:`received` formats each task's block once through the
+    job's payload ``store`` — the only place a job's outputs are
+    materialised.
     """
 
     phase = "reduce"
 
     def __init__(
-        self, run: _JobRun, tasks: Sequence[Any],
-        store: Optional[PayloadStore] = None,
+        self, run: _JobRun, tasks: Sequence[Any], store: PayloadStore
     ) -> None:
         super().__init__(run, len(tasks))
         self.tasks = tasks
@@ -535,13 +468,9 @@ class _ReduceTasks(_Tasks):
         return f"reduce[{index}]"
 
     def body(self, index: int) -> Tuple[Callable[..., Any], Tuple]:
-        return _reduce_task_core, (
-            self.fresh(self.run.conf.reducer), index, self.tasks[index]
-        )
+        return _reduce_task_core, (self.fresh(self.run.conf.reducer), self.tasks[index])
 
     def received(self, result: Any) -> Any:
-        if self.store is None:
-            return result
         return self.run.conf.reducer.format(result, self.store)
 
     def winner(
@@ -571,7 +500,8 @@ class _ReduceTasks(_Tasks):
 
 
 class _ShmReduceTasks(_ReduceTasks):
-    """Columnar reduce tasks under ``processes``.
+    """Reduce tasks under ``processes``, the one phase whose attempt
+    bodies run on the worker pool.
 
     Each task's group columns travel in one shared-memory block that the
     parent packs once — every attempt of the task, retries included,
@@ -582,6 +512,8 @@ class _ShmReduceTasks(_ReduceTasks):
     before staging and recording — so the committed records and the
     recorded task facts are exactly the other executors'.
     """
+
+    pooled = True
 
     def __init__(
         self, run: _JobRun, tasks: Sequence[Any], store: PayloadStore
@@ -596,9 +528,7 @@ class _ShmReduceTasks(_ReduceTasks):
             raise
 
     def body(self, index: int) -> Tuple[Callable[..., Any], Tuple]:
-        return _shm_reduce_task, (
-            self.run.conf.reducer, index, self.packed[index][0]
-        )
+        return _shm_reduce_task, (self.run.conf.reducer, self.packed[index][0])
 
     def close(self) -> None:
         for _, shm in self.packed:
@@ -783,36 +713,29 @@ class _Shuffled:
     counters: Counters
     #: per reduce task, its ``(key, values)`` groups in key order.
     tasks: List[List[Tuple[Hashable, Any]]]
-    #: the payload store of a columnar job; ``None`` on the records plane.
-    store: Optional[PayloadStore]
+    #: the job's payload store, which resolves the groups' gids.
+    store: PayloadStore
     #: records received per intermediate key.
     logical_loads: Dict[Hashable, int]
 
 
-def _map_and_shuffle(run: _JobRun, job_span: Any) -> _Shuffled:
-    """The map phase, on the plane the job picks, then the shuffle."""
+def _map_and_shuffle(run: _JobRun) -> _Shuffled:
+    """The map phase, then the shuffle."""
     recorder, conf = run.recorder, run.conf
     with recorder.span(
         "map", kind="phase", job=conf.name, tasks=len(conf.inputs)
     ) as map_span:
         map_tasks = _map_tasks_for(run)
         store = map_tasks.store
-        job_span.annotate(data_plane="records" if store is None else "columnar")
         map_outcomes = _run_tasks(run, map_tasks, map_span)
         pairs = map_tasks.collect(map_outcomes)
     counters = Counters()
     for outcome in map_outcomes:
         counters.merge(outcome.counters)
-    # Inputs and per-task pair lists are dead weight from here on.
+    # Inputs and per-task blocks are dead weight from here on.
     del map_tasks, map_outcomes
     counters.increment("framework", "shuffle_records", len(pairs))
-
-    if store is not None:
-        logical_loads: Dict[Hashable, int] = pairs.logical_loads()
-    else:
-        logical_loads = defaultdict(int)
-        for key, _ in pairs:
-            logical_loads[key] += 1
+    logical_loads = pairs.logical_loads()
 
     # The shuffle phase is the sort of the distinct keys.
     with recorder.span(
@@ -820,12 +743,9 @@ def _map_and_shuffle(run: _JobRun, job_span: Any) -> _Shuffled:
         records=len(pairs), keys=len(logical_loads),
         reduce_tasks=conf.num_reduce_tasks,
     ) as shuffle_span:
-        if store is not None:
-            tasks = columnar_shuffle(
-                pairs, conf.num_reduce_tasks, conf.partitioner, store=store,
-            )
-        else:
-            tasks = shuffle(pairs, conf.num_reduce_tasks, conf.partitioner)
+        tasks = columnar_shuffle(
+            pairs, conf.num_reduce_tasks, conf.partitioner, store=store,
+        )
         cost_model = run.cost_model
         if cost_model is not None:
             shuffle_span.annotate(
@@ -833,7 +753,7 @@ def _map_and_shuffle(run: _JobRun, job_span: Any) -> _Shuffled:
                 * cost_model.shuffle_cost
                 / cost_model.parallelism
             )
-    return _Shuffled(counters, tasks, store, dict(logical_loads))
+    return _Shuffled(counters, tasks, store, logical_loads)
 
 
 def _reduce_and_commit(run: _JobRun, shuffled: _Shuffled) -> JobResult:
@@ -849,7 +769,7 @@ def _reduce_and_commit(run: _JobRun, shuffled: _Shuffled) -> JobResult:
         with run.recorder.span(
             "reduce", kind="phase", job=conf.name, tasks=len(tasks)
         ) as reduce_span:
-            if shuffled.store is not None and run.pooled:
+            if run.options.executor == "processes":
                 reduce_tasks = _ShmReduceTasks(run, tasks, shuffled.store)
                 reduce_span.annotate(
                     shm_bytes=sum(d.nbytes for d, _ in reduce_tasks.packed)
@@ -880,7 +800,6 @@ def _reduce_and_commit(run: _JobRun, shuffled: _Shuffled) -> JobResult:
             outcome.counters.value("work", "comparisons")
             for outcome in reduce_outcomes
         ],
-        data_plane="records" if shuffled.store is None else "columnar",
     )
 
 
@@ -923,9 +842,11 @@ def run_job(
         (what :class:`~repro.mapreduce.pipeline.Pipeline` passes).  When
         given, the four keywords are not consulted.
 
-    Which data plane the job runs on is its reducer's type
-    (:func:`_columnar_key_kind`); the job span and the :class:`JobResult`
-    say which it was.
+    A job whose reducer is not a
+    :class:`~repro.mapreduce.task.KernelReducer`, or whose inputs'
+    mappers are not :class:`~repro.mapreduce.task.Mapper` s of one key
+    kind, is refused with :class:`MapReduceError` before any span opens
+    (:func:`_job_key_kind`).
     """
     if options is None:
         options = resolve_options(executor, workers, faults, max_attempts)
@@ -945,7 +866,7 @@ def run_job(
         max_attempts=options.faults.max_attempts,
     )
     try:
-        result = _reduce_and_commit(run, _map_and_shuffle(run, job_span))
+        result = _reduce_and_commit(run, _map_and_shuffle(run))
         loads = result.logical_reducer_loads
         job_span.counters = result.counters.snapshot()
         job_span.annotate(

@@ -122,6 +122,12 @@ def shuffle(
     groups sorted by key representation within each task (Hadoop's sorted
     reduce input order).  The repr-sort runs once and is shared with the
     partitioner via :meth:`Partitioner.prepare_sorted`.
+
+    No job runs this: :func:`columnar_shuffle` is the engine's shuffle.
+    It stays as the per-pair statement of the routing, which
+    ``tests/columnar/test_shuffle_plane.py`` holds
+    :func:`columnar_shuffle` to, and the repo benchmark's
+    ``shuffle.shuffle_s`` probe times.
     """
     grouped: Dict[Hashable, List[Any]] = defaultdict(list)
     for key, value in pairs:

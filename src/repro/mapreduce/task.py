@@ -1,27 +1,18 @@
-"""Mapper / Reducer task APIs and their execution contexts.
+"""The task APIs: the :class:`Mapper` and :class:`KernelReducer` contracts.
 
-The programming model mirrors Hadoop's: a :class:`Mapper` turns each input
-record into zero or more intermediate key-value pairs; after the shuffle a
-:class:`Reducer` sees each key once, together with all values shuffled to
-it, and emits output records.  Optional ``setup``/``cleanup`` hooks run
-around each task, like Hadoop's.
+The programming model mirrors Hadoop's: a mapper turns each input into
+intermediate key-value pairs; after the shuffle a reducer sees each key
+once, together with all values shuffled to it, and emits output records.
+There is one data plane (``docs/data_plane.md``): a mapper emits a whole
+input's pairs as numpy columns, and a reducer is a kernel over one key
+group's columns.  :func:`~repro.mapreduce.runner.run_job` runs a job only
+when its reducer is a :class:`KernelReducer` and every input's mapper is
+a :class:`Mapper` of one key kind, and refuses any other job before it
+maps.  The algorithms' mapper implements the protocol once, in
+:class:`repro.core.algorithms.routing.RoutedMapper`.
 
-Contexts carry the emit channel plus :class:`~repro.mapreduce.counters.Counters`
-so user code (the paper's algorithms) can record domain-specific
-measurements — replicated-interval counts, predicate comparisons — that the
-cost model and evaluation tables consume.
-
-Two planes, and the reducer's type picks
-----------------------------------------
-
-A job with a plain :class:`Reducer` runs on the records plane: ``map``
-per record, ``reduce`` per key group, as a user's word count does.  A
-job whose reducer is a :class:`KernelReducer` — every reducer of the
-paper's algorithms — runs on the columnar plane (``docs/data_plane.md``),
-and :func:`~repro.mapreduce.runner.run_job` refuses it before it maps
-unless every mapper implements the columnar protocol with one key kind
-(the algorithms' mapper does, once, in
-:class:`repro.core.algorithms.routing.RoutedMapper`).
+Counters carry user measurements — replicated-interval counts, predicate
+comparisons — that the cost model and evaluation tables consume.
 
 Mapper side::
 
@@ -39,7 +30,7 @@ Mapper side::
     def payloads_of(self, records) -> object column
                                       # what PayloadStore.take resolves to
 
-Reducer side, a :class:`KernelReducer`::
+Reducer side::
 
     def kernel(self, key, group, counters) -> int64 array
                                       # one row per output: group gids
@@ -53,32 +44,32 @@ group — no context, no ``setup`` / ``cleanup`` — and formats a task's
 blocks once, as one int64 array (all a ``processes`` worker sends back);
 ``repro.core.local.term_columns`` reads a term a group's values carry
 and refuses one they do not.
+
+:class:`MapContext` is not handed to any task: it is the emit channel of
+``RoutedMapper.map``, the per-record form each router's columnar routing
+is held to (``tests/properties/test_router_parity.py``) and the
+benchmark's mapper probe calls.
 """
 
 from __future__ import annotations
 
 import abc
-from typing import Any, Hashable, Iterable, List, Sequence
+from typing import Any, Hashable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.columnar.batch import ColumnValues
+from repro.columnar.batch import ColumnValues, MapBlock
 from repro.mapreduce.counters import Counters
 
-__all__ = [
-    "MapContext", "ReduceContext", "Mapper", "Reducer", "KernelReducer",
-    "IdentityMapper",
-]
+__all__ = ["MapContext", "Mapper", "KernelReducer"]
 
 
 class MapContext:
-    """Execution context handed to every :meth:`Mapper.map` call."""
+    """The emit channel of a per-record ``map(record, context)`` call."""
 
     def __init__(self, counters: Counters, input_path: str) -> None:
         self.counters = counters
-        #: the input file the current record came from (Hadoop exposes the
-        #: same through ``InputSplit``; mappers keyed per input rarely need
-        #: it but it is invaluable for debugging).
+        #: the input file the current record came from.
         self.input_path = input_path
         self._sink: List[Any] = []
 
@@ -91,60 +82,37 @@ class MapContext:
         return pairs
 
 
-class ReduceContext:
-    """Execution context handed to every :meth:`Reducer.reduce` call."""
-
-    def __init__(self, counters: Counters, task_index: int) -> None:
-        self.counters = counters
-        #: which simulated reduce task this group was assigned to.
-        self.task_index = task_index
-        self._sink: List[Any] = []
-
-    def emit(self, record: Any) -> None:
-        """Emit one output record."""
-        self._sink.append(record)
-
-    def emit_many(self, records: Iterable[Any]) -> None:
-        """Emit a batch of output records."""
-        self._sink.extend(records)
-
-    def drain(self) -> List[Any]:
-        """The records emitted so far."""
-        records, self._sink = self._sink, []
-        return records
-
-
 class Mapper(abc.ABC):
-    """Transforms input records into intermediate key-value pairs."""
+    """Routes a whole input to intermediate keys, as columns (see the
+    module docstring); every input of a job keys by one kind."""
 
-    def setup(self, context: MapContext) -> None:
-        """Called once before the first record of a map task."""
-
-    @abc.abstractmethod
-    def map(self, record: Any, context: MapContext) -> None:
-        """Process one input record, emitting via ``context.emit``."""
-
-    def cleanup(self, context: MapContext) -> None:
-        """Called once after the last record of a map task."""
-
-
-class Reducer(abc.ABC):
-    """Aggregates all values of one key into output records."""
-
-    def setup(self, context: ReduceContext) -> None:
-        """Called once before the first key of a reduce task."""
+    #: the key codec the mapper's key codes are encoded by.
+    columnar_key_kind: str
 
     @abc.abstractmethod
-    def reduce(self, key: Hashable, values: List[Any], context: ReduceContext) -> None:
-        """Process one key group, emitting via ``context.emit``."""
+    def encode_intervals(self, records: Sequence[Any], source: Any = None) -> Tuple[Any, Any]:
+        """The input's routing intervals as ``(starts, ends)`` columns."""
 
-    def cleanup(self, context: ReduceContext) -> None:
-        """Called once after the last key of a reduce task."""
+    @abc.abstractmethod
+    def encode_terms(
+        self, records: Sequence[Any], source: Any = None
+    ) -> Optional[Tuple[Any, Any, Any]]:
+        """The further query terms the values carry, or ``None``."""
+
+    @abc.abstractmethod
+    def map_columns(
+        self, starts: Any, ends: Any, records: Sequence[Any], terms: Any = None
+    ) -> MapBlock:
+        """The input's emitted pairs as one block."""
+
+    @abc.abstractmethod
+    def payloads_of(self, records: np.ndarray) -> np.ndarray:
+        """The payloads of an object column of the input's records."""
 
 
 class KernelReducer(abc.ABC):
     """A reducer written as a gid-block kernel and a formatter (see the
-    module docstring); a job with one runs on the columnar plane."""
+    module docstring)."""
 
     @abc.abstractmethod
     def kernel(self, key: Hashable, group: ColumnValues, counters: Counters) -> np.ndarray:
@@ -153,14 +121,3 @@ class KernelReducer(abc.ABC):
     @abc.abstractmethod
     def format(self, block: np.ndarray, store: Any) -> Sequence[Any]:
         """The output records a block of kernel rows stands for."""
-
-
-class IdentityMapper(Mapper):
-    """Emits each record unchanged under a constant key (useful for tests
-    and for funnelling a file through the shuffle untouched)."""
-
-    def __init__(self, key: Hashable = 0) -> None:
-        self.key = key
-
-    def map(self, record: Any, context: MapContext) -> None:
-        context.emit(self.key, record)

@@ -152,14 +152,9 @@ def _fmt(value: float, digits: int = 2) -> str:
 # --------------------------------------------------------------------------
 # span digestion
 # --------------------------------------------------------------------------
-def job_plane(span: Span) -> str:
-    """Which data plane a job span says the job ran on."""
-    return str(span.attributes.get("data_plane", "?"))
-
-
 def _job_rows(spans: Sequence[Span]) -> List[Dict[str, Any]]:
     """One row per job span (start order): name, window, phase spans,
-    data plane, recorded reducer loads."""
+    recorded reducer loads."""
     phases_by_job: Dict[str, List[Span]] = {}
     for span in spans:
         if span.kind == "phase":
@@ -180,7 +175,6 @@ def _job_rows(spans: Sequence[Span]) -> List[Dict[str, Any]]:
                 "start": span.start,
                 "end": span.end,
                 "phases": sorted(phases, key=lambda s: (s.start, s.span_id)),
-                "plane": job_plane(span),
                 "loads": [
                     int(v)
                     for v in span.attributes.get("reduce_task_loads") or []
@@ -336,12 +330,10 @@ def _table(headers: Sequence[str], rows: Sequence[Sequence[Any]]) -> str:
     return f"<table><thead><tr>{head}</tr></thead><tbody>{body}</tbody></table>"
 
 
-def _skew_table(report: RunReport, jobs: List[Dict[str, Any]]) -> str:
-    planes = {job["name"]: job["plane"] for job in jobs}
+def _skew_table(report: RunReport) -> str:
     rows = [
         (
             job.name,
-            planes.get(job.name, "?"),
             job.balance.reducers,
             job.balance.total,
             _fmt(job.balance.p50),
@@ -356,7 +348,7 @@ def _skew_table(report: RunReport, jobs: List[Dict[str, Any]]) -> str:
     ]
     return _table(
         (
-            "job", "plane", "reducers", "records", "p50", "p95", "max",
+            "job", "reducers", "records", "p50", "p95", "max",
             "Gini", "Jain", "imbalance", "replication",
         ),
         rows,
@@ -484,7 +476,7 @@ def render_dashboard(
         "<h2>Per-reducer load distribution</h2>",
         load_cards or '<p class="sub">no jobs recorded</p>',
         "<h2>Skew &amp; replication per job</h2>",
-        f'<div class="card">{_skew_table(report, jobs)}</div>',
+        f'<div class="card">{_skew_table(report)}</div>',
         _plan_panel(report),
         _data_plane_panel(spans, metrics),
         "</body></html>",

@@ -11,8 +11,14 @@ import pytest
 
 from repro import Interval, IntervalJoinQuery, Relation, reference_join
 from repro.columnar.batch import ColumnValues, Terms, endpoint_column, object_column
+from repro.core.algorithms.routing import OperatorRouter, RoutedMapper, RowView
 from repro.core.schema import Row
+from repro.intervals.allen import MapOperator
+from repro.intervals.partitioning import Partitioning
+from repro.io import decode_row, encode_row
 from repro.mapreduce.counters import Counters
+from repro.mapreduce.job import InputSpec, JobConf
+from repro.mapreduce.task import KernelReducer, MapContext
 
 
 def make_random_relation(
@@ -183,6 +189,80 @@ def run_kernel(reducer: Any, group: ColumnValues) -> Tuple[List[Any], Counters]:
     counters = Counters()
     block = reducer.kernel(group.key, group, counters)
     return list(reducer.format(block, group.store)), counters
+
+
+# ----------------------------------------------------------------------
+# One small job, for tests of the framework itself — counters, loads,
+# retries, commit, spans — rather than of a join: every row of a
+# generated relation is split over the partitions it meets, and each
+# shuffled value comes out as ``(key, rid)``.
+# ----------------------------------------------------------------------
+
+#: The helper job's input relation and where it is written.
+HELPER = make_random_relation(
+    "R", 12, span=60.0, max_length=20.0, rng=random.Random(3), integer=True
+)
+HELPER_INPUT = "in/R"
+HELPER_PARTITIONING = Partitioning.uniform(0, 60, 4)
+
+
+def helper_mapper() -> RoutedMapper:
+    """The helper job's mapper: split each row over its partitions."""
+    return RoutedMapper(
+        RowView("R", "I"), OperatorRouter(HELPER_PARTITIONING, MapOperator.SPLIT)
+    )
+
+
+class KeyRidReducer(KernelReducer):
+    """Per shuffled value, the output ``(key, rid)``: the partition it
+    reached and its row's id — plain ints, which a ``LocalFileSystem``
+    stores as they are.  The kernel's rows are ``[gid, key]``."""
+
+    def kernel(self, key, group, counters):
+        return np.stack([group.gids, np.full(len(group), key, dtype=np.int64)], axis=1)
+
+    def format(self, block, store):
+        if not len(block):
+            return []
+        rows = store.take(block[:, 0])
+        return [(key, row.rid) for row, key in zip(rows, block[:, 1].tolist())]
+
+
+def helper_conf(**overrides) -> JobConf:
+    """The helper job (``overrides`` replace ``JobConf`` fields)."""
+    defaults = dict(
+        name="rows",
+        inputs=[InputSpec(HELPER_INPUT, helper_mapper())],
+        reducer=KeyRidReducer(),
+        output="out",
+        num_reduce_tasks=3,
+    )
+    defaults.update(overrides)
+    return JobConf(**defaults)
+
+
+def write_helper_input(fs, path: str = HELPER_INPUT) -> None:
+    """Write the helper relation's rows to ``fs`` at ``path``."""
+    fs.write(path, HELPER.rows, overwrite=True)
+
+
+def helper_pairs(rows: Sequence[Row] = HELPER.rows) -> List[Tuple[int, int]]:
+    """What the helper job outputs for ``rows``, in no particular order:
+    ``(key, rid)`` per target of each row, read off the mapper's
+    per-record form."""
+    context = MapContext(Counters(), HELPER_INPUT)
+    mapper = helper_mapper()
+    for row in rows:
+        mapper.map(row, context)
+    return [(key, row.rid) for key, (_, row) in context.drain()]
+
+
+#: ``LocalFileSystem`` codec keywords that store the helper's input rows
+#: as JSON objects; its ``(key, rid)`` outputs pass through untouched.
+ROW_CODEC = dict(
+    encode=lambda record: encode_row(record) if isinstance(record, Row) else record,
+    decode=lambda value: decode_row(value) if isinstance(value, dict) else value,
+)
 
 
 def assert_matches_reference(query: IntervalJoinQuery, data, result) -> None:

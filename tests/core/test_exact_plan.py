@@ -37,9 +37,8 @@ def _exact(algorithm: str):
 
 @pytest.mark.parametrize("algorithm", sorted(QUERIES))
 def test_final_reducer_never_runs(algorithm, monkeypatch):
-    """A spy on every job's reducer — its kernel, which both planes run,
-    if it has one: the last job of the plan is never reduced; every flag
-    and mark cycle is."""
+    """A spy on every job's reducer — its kernel: the last job of the
+    plan is never reduced; every flag and mark cycle is."""
     jobs = []
     reduce_calls: Counter = Counter()
     real_run = DryPipeline.run

@@ -1,10 +1,9 @@
-"""The columnar data plane, which every job of every algorithm runs on.
+"""The columnar data plane, the one every job runs on.
 
-A job's reducer type picks its plane (``docs/data_plane.md``): a
-``KernelReducer`` runs on struct-of-arrays columns (argsort shuffle,
-shared-memory reduce transport under ``processes``), a plain
-``Reducer`` on records.  Every reducer of the algorithms is a kernel, so
-the oracles here are ``reference_join`` and the clean serial run.  These
+A job is a ``KernelReducer`` fed by ``Mapper`` inputs of one key kind
+(``docs/data_plane.md``): its pairs travel as struct-of-arrays columns
+(argsort shuffle, shared-memory reduce transport under ``processes``).
+The oracles here are ``reference_join`` and the clean serial run.  These
 tests pin, for every algorithm on every executor:
 
 * the reference's tuples, and the clean serial run's deterministic
@@ -12,8 +11,8 @@ tests pin, for every algorithm on every executor:
 * the clean serial run's flag and grid part files, file for file and
   record for record, fault plan or not;
 
-plus the rule: which plane each job runs on, that a kernel job whose
-mappers cannot feed it is refused before it maps, that inexact
+plus the rule: which jobs each algorithm runs, that a job the plane
+cannot run is refused before it maps, that inexact
 endpoints, multi-attribute queries and residual conditions stay
 columnar (and the answer right), that fault injection does too, and
 that profiling the columnar plane is passive.
@@ -24,6 +23,7 @@ from __future__ import annotations
 import dataclasses
 import os
 import random
+from types import SimpleNamespace
 
 import pytest
 
@@ -40,7 +40,7 @@ from repro.core.executor import execute
 from repro.core.query import IntervalJoinQuery
 from repro.errors import MapReduceError
 from repro.intervals.allen import MapOperator
-from repro.mapreduce import IdentityMapper, InMemoryFileSystem, Reducer, run_job
+from repro.mapreduce import InMemoryFileSystem, run_job
 from repro.mapreduce.job import InputSpec, JobConf
 from repro.mapreduce.shuffle import RoundRobinKeyPartitioner
 from repro.obs import TraceRecorder
@@ -142,7 +142,6 @@ def test_columnar_matches_records(algorithm, query, names, executor):
     data = dataset_for(query, 60, seed=11)
     baseline, baseline_rec = _run(algorithm, query, data, "serial")
     result, recorder = _run(algorithm, query, data, executor)
-    assert {job.data_plane for job in recorder.job_results} == {"columnar"}
     assert_matches_reference(query, data, result)
     assert len(result) > 0
     assert result.tuple_ids() == baseline.tuple_ids()
@@ -174,7 +173,6 @@ def _against_clean_serial(algorithm, query, executor, chaos):
         fs = InMemoryFileSystem()
         result, recorder = _run(algorithm, query, data, where, fs=fs, **extra)
         assert_matches_reference(query, data, result)
-        assert {job.data_plane for job in recorder.job_results} == {"columnar"}
         runs.append((fs, recorder))
     return runs
 
@@ -254,9 +252,6 @@ def test_chaos_equals_clean_on_columnar(executor):
     )
     assert _task_span_profile(chaos_rec) == _task_span_profile(clean_rec)
 
-    # Faults change nothing about the plane: every job ran columnar.
-    assert all(job.data_plane == "columnar" for job in chaos_rec.job_results)
-
     # The plan really exercised the reduce side: at least one reduce
     # attempt failed and was retried ...
     reduce_attempts = [
@@ -303,11 +298,11 @@ def test_shm_transport_accounted_only_under_processes(executor):
 
 
 # ----------------------------------------------------------------------
-# The rule: the reducer's type picks the plane.
+# The rule: one plane, and a job it cannot run is refused.
 # ----------------------------------------------------------------------
 
 #: algorithm, query, and its jobs in execution order with default
-#: options: every job of every algorithm runs columnar.
+#: options.
 RULE = [
     ("two_way", TWO_WAY, ["two-way"]),
     ("rccis", COLOCATION, ["rccis-flag", "rccis-join"]),
@@ -330,19 +325,12 @@ RULE_IDS = [
 @pytest.mark.parametrize("executor", EXECUTORS)
 @pytest.mark.parametrize("algorithm,query,expected", RULE, ids=RULE_IDS)
 def test_each_job_picks_its_plane(algorithm, query, expected, executor):
+    """Every job runs on the one plane; each algorithm runs the jobs it
+    plans, in order, on every executor."""
     data = dataset_for(query, 40, seed=11)
     result, recorder = _run(algorithm, query, data, executor)
     assert_matches_reference(query, data, result)
-    assert [(job.name, job.data_plane) for job in recorder.job_results] == [
-        (name, "columnar") for name in expected
-    ]
-
-
-class _RecordsOnly(Reducer):
-    """A user reducer: a plain ``Reducer``, which runs on records."""
-
-    def reduce(self, key, values, context):
-        context.emit_many(values)
+    assert [job.name for job in recorder.job_results] == expected
 
 
 def _two_way_job(query, data):
@@ -405,8 +393,7 @@ def test_a_multi_attribute_reducer_runs_columnar():
         [("R1.I", "overlaps", "R2.I"), ("R1.J", "overlaps", "R2.J")]
     )
     fs, conf = _two_way_job(query, data)
-    result = run_job(fs, conf)
-    assert result.data_plane == "columnar"
+    run_job(fs, conf)
     tuples = list(fs.read_dir(conf.output))
     assert sorted(
         tuple(row.rid for row in rows) for rows in tuples
@@ -441,10 +428,25 @@ def _refused(conf, fs):
 
 
 def test_a_kernel_job_with_a_plain_mapper_is_refused():
+    """An input whose mapper is not a ``Mapper`` — here one with only
+    the per-record ``map`` — is refused."""
     fs, conf = _two_way_job(TWO_WAY, make_dataset(("R1", "R2"), 20, seed=11))
-    conf.inputs[1].mapper = IdentityMapper()
+    mapper = conf.inputs[1].mapper
+    conf.inputs[1].mapper = SimpleNamespace(
+        map=mapper.map, columnar_key_kind=mapper.columnar_key_kind
+    )
     message = _refused(conf, fs)
     assert "'two-way'" in message and repr(conf.inputs[1].path) in message
+    assert "not a Mapper" in message
+
+
+def test_a_job_whose_reducer_is_not_a_kernel_is_refused():
+    """A reducer that is not a ``KernelReducer`` — here one with only a
+    per-group ``reduce`` — is refused."""
+    fs, conf = _two_way_job(TWO_WAY, make_dataset(("R1", "R2"), 20, seed=11))
+    conf.reducer = SimpleNamespace(reduce=lambda key, values, context: None)
+    message = _refused(conf, fs)
+    assert "'two-way'" in message and "not a KernelReducer" in message
 
 
 def test_a_kernel_job_with_mixed_key_kinds_is_refused():
@@ -459,31 +461,14 @@ def test_a_kernel_job_with_mixed_key_kinds_is_refused():
 
 
 class TestFallbackObservability:
-    """Which plane a job ran on is a fact of the job, on its span and its
-    result alike."""
-
-    def test_a_plain_reducer_job_runs_on_records(self):
-        """A plain ``Reducer`` fed by the algorithms' mappers: its job
-        maps record by record and reduces the shuffled values."""
-        data = make_dataset(("R1", "R2"), 60, seed=11)
-        fs, conf = _two_way_job(TWO_WAY, data)
-        conf.reducer = _RecordsOnly()
-        recorder = TraceRecorder()
-        job_result = run_job(fs, conf, observer=recorder)
-        recorder.close()
-        assert job_result.data_plane == "records"
-        (span,) = [span for span in recorder.spans if span.kind == "job"]
-        assert span.attributes["data_plane"] == "records"
-        values = list(fs.read_dir(conf.output))
-        assert len(values) == job_result.shuffled_records > 0
-        assert {tag for tag, _ in values} == {"R1", "R2"}
+    """With one plane there is nothing to report about it: no job span
+    names a plane, or a reason for one."""
 
     def test_columnar_job_span_carries_no_reason(self):
         data = make_dataset(("R1", "R2"), 60, seed=11)
         _, recorder = _run("two_way", TWO_WAY, data, "serial")
         (span,) = [s for s in recorder.spans if s.kind == "job"]
-        assert span.attributes["data_plane"] == "columnar"
-        assert "data_plane_reason" not in span.attributes
+        assert not {"data_plane", "data_plane_reason"} & set(span.attributes)
 
 
 # ----------------------------------------------------------------------
@@ -535,7 +520,6 @@ def test_endpoints_beyond_float64_join_on_records(algorithm, predicate, executor
     result, recorder = _run(algorithm, query, data, executor, num_partitions=2)
     assert_matches_reference(query, data, result)
     assert len(result) == 2
-    assert {job.data_plane for job in recorder.job_results} == {"columnar"}
 
 
 @pytest.mark.parametrize("executor", EXECUTORS)
@@ -550,7 +534,6 @@ def test_mixed_int_and_float_endpoints_stay_columnar(algorithm, executor):
     )
     assert_matches_reference(query, data, result)
     assert len(result) == 3
-    assert recorder.job_results[-1].data_plane == "columnar"
 
 
 def _beyond_float64_dataset(names, seed):
@@ -566,16 +549,16 @@ def _beyond_float64_dataset(names, seed):
     return data
 
 
-#: The first job of each algorithm below, on endpoints beyond float64:
-#: columnar, over the relation's own ``object`` columns.
+#: The first job of each algorithm below, which reads endpoints beyond
+#: float64 off the relation's own ``object`` columns.
 FIRST_JOB_BEYOND_FLOAT64 = {
-    "two_way": ("two-way", "columnar"),
-    "all_replicate": ("all-replicate", "columnar"),
-    "rccis": ("rccis-flag", "columnar"),
-    "pasm": ("pasm-flag", "columnar"),
-    "all_matrix": ("all_matrix-join", "columnar"),
-    "gen_matrix": ("gen_matrix-flag", "columnar"),
-    "two_way_cascade": ("cascade-R2", "columnar"),
+    "two_way": "two-way",
+    "all_replicate": "all-replicate",
+    "rccis": "rccis-flag",
+    "pasm": "pasm-flag",
+    "all_matrix": "all_matrix-join",
+    "gen_matrix": "gen_matrix-flag",
+    "two_way_cascade": "cascade-R2",
 }
 
 
@@ -607,8 +590,7 @@ def test_whole_queries_are_exact_beyond_float64(algorithm, conditions):
         )
         assert_matches_reference(query, data, result)
         assert len(result) > 0
-        first = recorder.job_results[0]
-        assert (first.name, first.data_plane) == FIRST_JOB_BEYOND_FLOAT64[algorithm]
+        assert recorder.job_results[0].name == FIRST_JOB_BEYOND_FLOAT64[algorithm]
     rounded = {
         name: Relation.of_intervals(
             name,
@@ -637,7 +619,6 @@ def test_past_2_53_rccis_under_processes_leaves_no_segment():
         reference_join(COLOCATION, data).tuple_ids()
     )
     assert len(result) > 0
-    assert {job.data_plane for job in recorder.job_results} == {"columnar"}
     (shm_bytes,) = {
         span.attributes["shm_bytes"] for span in recorder.spans
         if span.name == "reduce" and span.attributes["job"] == "rccis-join"

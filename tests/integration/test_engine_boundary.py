@@ -263,14 +263,28 @@ def test_the_reduce_side_is_written_once():
 
 
 def test_a_kernel_reducer_has_one_plane():
-    """The plane is a fact of the reducer's type: a ``KernelReducer`` is
-    not a ``Reducer``, so it has no records form, and nothing under
-    ``src/`` still spells one — no records group built from values, no
-    plane gate or plane reason, no payload read per row, no gid resolved
-    one at a time."""
-    from repro.mapreduce.task import KernelReducer, Reducer
+    """The engine has one data plane.  ``repro.mapreduce.task`` defines
+    no records-plane reducer, context or mapper; a ``JobResult`` names no
+    plane; no module but ``shuffle.py`` itself calls the per-pair
+    ``shuffle(`` (it stays as ``columnar_shuffle``'s reference and the
+    benchmark's probe); and nothing under ``src/`` still spells the
+    older plane forms — no records group built from values, no plane
+    gate or plane reason, no payload read per row, no gid resolved one
+    at a time."""
+    import repro.mapreduce.task as task
+    from repro.mapreduce.job import JobResult
 
-    assert not issubclass(KernelReducer, Reducer)
+    assert not {"Reducer", "ReduceContext", "IdentityMapper"} & set(vars(task))
+    assert "data_plane" not in {field.name for field in dataclasses.fields(JobResult)}
+    shuffles = [
+        f"{path.relative_to(SRC).as_posix()}:{number}"
+        for path in sorted(SRC.rglob("*.py"))
+        if path.name != "shuffle.py"
+        for number, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1)
+        if re.search(r"(?<![\w.])shuffle\(", line)
+    ]
+    assert shuffles == []
+
     gone = re.compile(r"of_records\(|job_columnar_gate|data_plane_reason|_row_of|store\.value\(")
     spelled = [
         f"{path.relative_to(SRC).as_posix()}:{number}"

@@ -240,3 +240,49 @@ class TestMetricReferences:
         assert named
         stale = [f"{doc}: {name}" for doc, name in named if not self._produced(name)]
         assert not stale, f"documents name metrics nothing produces: {stale}"
+
+
+class TestCodeInDocuments:
+    """The Python a document shows still runs against the package: every
+    ``from repro… import`` in a fenced block names something that
+    exists, and the programming model of ``docs/mapreduce.md`` runs and
+    prints what its comments say."""
+
+    FENCE = re.compile(r"^```[^\n]*\n(.*?)^```", re.M | re.S)
+    IMPORT = re.compile(r"^\s*from\s+(repro[\w.]*)\s+import\s+(\([^)]*\)|[^\n]+)", re.M)
+
+    def test_every_imported_name_resolves(self):
+        stale, named = [], 0
+        for document in TestKnobReferences.DOCUMENTS:
+            if not document.is_file():
+                continue
+            for block in self.FENCE.findall(document.read_text()):
+                for module, names in self.IMPORT.findall(block):
+                    for name in re.findall(r"\w+", names.strip("()")):
+                        named += 1
+                        try:
+                            found = hasattr(importlib.import_module(module), name)
+                        except ImportError:
+                            found = False
+                        if not found:
+                            stale.append(f"{document.name}: {module}.{name}")
+        assert named > 0
+        assert not stale, f"documents import names that are gone: {stale}"
+
+    def test_the_programming_model_runs_as_stated(self):
+        text = (REPO_ROOT / "docs" / "mapreduce.md").read_text()
+        section = text.split("## Programming model", 1)[1]
+        block = self.FENCE.search(section).group(1)
+        lines = block.splitlines()
+        namespace = {}
+        stated = 0
+        for statement in ast.parse(block).body:
+            _, _, comment = lines[statement.end_lineno - 1].partition("#")
+            if not (isinstance(statement, ast.Expr) and comment.strip()):
+                code = ast.Module(body=[statement], type_ignores=[])
+                exec(compile(code, "mapreduce.md", "exec"), namespace)
+                continue
+            value = eval(compile(ast.Expression(statement.value), "mapreduce.md", "eval"), namespace)
+            assert value == ast.literal_eval(comment.strip()), ast.unparse(statement)
+            stated += 1
+        assert stated >= 2

@@ -115,7 +115,6 @@ def test_a_second_query_does_not_read_the_rows(
         query, data, algorithm, num_partitions=4, observer=recorder, **RUNS[run]
     )
     assert interval_calls[0] <= per_row * rows
-    assert {job.data_plane for job in recorder.job_results} == {"columnar"}
 
     # An exact prediction runs the same map and shuffle, so a second one
     # reads no rows either.
@@ -188,9 +187,8 @@ class _Tripwire(Relation):
     ],
 )
 def test_no_attempt_copies_or_pickles_a_relation(algorithm, query, run):
-    """A fault plan deep-copies the mapper per in-process attempt and
-    the pool pickles it on the records plane; the relation rides on the
-    input spec, which neither does."""
+    """A fault plan deep-copies the mapper per in-process attempt; the
+    relation rides on the input spec, which is never copied."""
     data = {
         name: _Tripwire(name, relation.rows)
         for name, relation in make_dataset(query.relations, 30, seed=13).items()
@@ -243,7 +241,7 @@ def test_one_endpoint_past_float64_keeps_the_job_columnar():
         recorder = TraceRecorder()
         result = execute(TWO_WAY, data, "two_way", num_partitions=4, observer=recorder)
         (job,) = recorder.job_results
-        assert job.data_plane == "columnar"
+        assert job.name == "two-way"
         assert sorted(result.tuple_ids()) == sorted(
             reference_join(TWO_WAY, data).tuple_ids()
         )

@@ -22,12 +22,16 @@ import pytest
 from repro.core.executor import execute
 from repro.core.query import IntervalJoinQuery
 from repro.mapreduce.fs import InMemoryFileSystem
-from repro.mapreduce.job import InputSpec, JobConf
 from repro.mapreduce.runner import run_job
-from repro.mapreduce.task import Mapper, Reducer
 from repro.obs import StatusServer, TelemetryHub, TraceRecorder
 
-from tests.conftest import dataset_for, make_dataset
+from tests.conftest import (
+    KeyRidReducer,
+    dataset_for,
+    helper_conf,
+    make_dataset,
+    write_helper_input,
+)
 from tests.integration.test_executor_parity import CASE_IDS
 from tests.integration.test_executor_parity import CASES as ALL_ALGORITHMS
 from tests.integration.test_fault_parity import (
@@ -224,39 +228,17 @@ def test_replayed_spans_rebuild_the_live_state(
             assert recorder.find(kind="attempt")
 
 
-class TokenizeMapper(Mapper):
-    def map(self, record, context):
-        for word in record.split():
-            context.emit(word, 1)
-
-
-def _word_count_conf(reducer):
-    return JobConf(
-        name="wordcount",
-        inputs=[InputSpec("in/doc", TokenizeMapper())],
-        reducer=reducer,
-        output="out",
-        num_reduce_tasks=3,
-    )
-
-
-def _word_count_fs():
-    fs = InMemoryFileSystem()
-    fs.write("in/doc", ["the quick brown fox", "the lazy dog", "the fox"])
-    return fs
-
-
 # ----------------------------------------------------------------------
 # The status endpoint, scraped mid-run.
 # ----------------------------------------------------------------------
 
-class DawdlingSumReducer(Reducer):
-    """Sums per key, taking its time — keeps the run alive long enough
-    for an HTTP scrape to find its tasks running."""
+class DawdlingReducer(KeyRidReducer):
+    """The helper reducer, taking its time — keeps the run alive long
+    enough for an HTTP scrape to find its tasks running."""
 
-    def reduce(self, key, values, context):
+    def kernel(self, key, group, counters):
         time.sleep(0.05)
-        context.emit((key, sum(values)))
+        return super().kernel(key, group, counters)
 
 
 def _get(server, route):
@@ -279,14 +261,15 @@ def _running_reduce_tasks(snapshot):
 
 @pytest.mark.parametrize("executor", EXECUTORS)
 def test_endpoint_serves_metrics_and_progress_mid_run(executor):
-    fs = _word_count_fs()
+    fs = InMemoryFileSystem()
+    write_helper_input(fs)
     recorder = TraceRecorder(live=True)
     server = StatusServer(recorder, port=0)
     server.start()
     try:
         worker = threading.Thread(
             target=run_job,
-            args=(fs, _word_count_conf(DawdlingSumReducer())),
+            args=(fs, helper_conf(reducer=DawdlingReducer())),
             kwargs=dict(executor=executor, workers=2, observer=recorder),
         )
         worker.start()
@@ -302,7 +285,7 @@ def test_endpoint_serves_metrics_and_progress_mid_run(executor):
                 time.sleep(0.005)
                 snapshot = _progress(server)
             assert _running_reduce_tasks(snapshot) > 0
-            assert snapshot["jobs"][0]["job"] == "wordcount"
+            assert snapshot["jobs"][0]["job"] == "rows"
             assert snapshot["closed"] is False
             assert "heartbeats" not in snapshot
 
@@ -312,7 +295,7 @@ def test_endpoint_serves_metrics_and_progress_mid_run(executor):
             body = _get(server, "/metrics")
             assert "# TYPE repro_phase_wall_seconds histogram" in body
             assert (
-                'repro_phase_wall_seconds_count{job="wordcount",phase="map"} 1'
+                'repro_phase_wall_seconds_count{job="rows",phase="map"} 1'
                 in body
             )
             assert "repro_live_" not in body
@@ -325,7 +308,7 @@ def test_endpoint_serves_metrics_and_progress_mid_run(executor):
         assert final["closed"] is True
         assert final["progress"] == pytest.approx(1.0)
         assert _running_reduce_tasks(final) == 0
-        assert 'repro_job_wall_seconds_count{job="wordcount"} 1' in _get(
+        assert 'repro_job_wall_seconds_count{job="rows"} 1' in _get(
             server, "/metrics"
         )
     finally:

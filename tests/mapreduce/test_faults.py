@@ -37,33 +37,28 @@ from repro.mapreduce.job import InputSpec, JobConf
 from repro.mapreduce.options import resolve_faults
 from repro.mapreduce.runner import run_job
 from repro.mapreduce.shuffle import RoundRobinKeyPartitioner
-from repro.mapreduce.task import Mapper, Reducer
 from repro.obs import RunReport, TraceRecorder
 from repro.workloads.synthetic import SyntheticConfig, generate_relation
 
-
-class TokenizeMapper(Mapper):
-    def map(self, record, context):
-        for word in record.split():
-            context.emit(word, 1)
-
-
-class SumReducer(Reducer):
-    def reduce(self, key, values, context):
-        context.emit((key, sum(values)))
+from tests.conftest import (
+    ROW_CODEC,
+    KeyRidReducer,
+    helper_conf,
+    write_helper_input,
+)
 
 
-class FailOnKeyReducer(SumReducer):
-    """Sums every key but one, which raises — on every attempt."""
+class FailOnKeyReducer(KeyRidReducer):
+    """Reduces every key but one, which raises — on every attempt."""
 
     def __init__(self, bad_key, error=RuntimeError):
         self.bad_key = bad_key
         self.error = error
 
-    def reduce(self, key, values, context):
+    def kernel(self, key, group, counters):
         if key == self.bad_key:
             raise self.error(f"cannot reduce {key!r}")
-        super().reduce(key, values, context)
+        return super().kernel(key, group, counters)
 
 
 class KillingJoinReducer(rccis.JoinReducer):
@@ -89,26 +84,14 @@ class KillingJoinReducer(rccis.JoinReducer):
 @pytest.fixture
 def fs():
     fs = InMemoryFileSystem()
-    fs.write("in/doc", ["the quick brown fox", "the lazy dog", "the fox"])
+    write_helper_input(fs)
     return fs
 
 
-def word_count_conf(fs, **overrides):
-    defaults = dict(
-        name="wordcount",
-        inputs=[InputSpec("in/doc", TokenizeMapper())],
-        reducer=SumReducer(),
-        output="out",
-        num_reduce_tasks=3,
-    )
-    defaults.update(overrides)
-    return JobConf(**defaults)
-
-
-def expected_output(fs):
+def expected_output():
     clean = InMemoryFileSystem()
-    clean.write("in/doc", list(fs.read("in/doc")))
-    run_job(clean, word_count_conf(clean), faults=False)
+    write_helper_input(clean)
+    run_job(clean, helper_conf(), faults=False)
     return sorted(clean.read_dir("out"))
 
 
@@ -128,7 +111,7 @@ class TestFaultPlanReproducibility:
 
     TASKS = [
         (job, phase, index)
-        for job in ("join", "mark", "wordcount")
+        for job in ("join", "mark", "rows")
         for phase in ("map", "reduce")
         for index in range(8)
     ]
@@ -205,38 +188,42 @@ class TestFaultPlanParse:
             FaultPlan(1, crash_rate=0.7, corrupt_rate=0.7)
 
 
+def _shm_segments():
+    return set(os.listdir("/dev/shm")) if os.path.isdir("/dev/shm") else set()
+
+
 def scripted(job, phase, task_index, attempt, *events):
     return ScriptedFaultPlan({(job, phase, task_index, attempt): events})
 
 
 class TestInjectionPoints:
-    """Crashes scripted into user-code lifecycle hooks are retried, not
-    silently swallowed."""
+    """Crashes scripted into an attempt's lifecycle points are retried,
+    not silently swallowed."""
 
     def test_map_cleanup_crash_is_retried(self, fs):
-        expected = expected_output(fs)
+        expected = expected_output()
         plan = scripted(
-            "wordcount", "map", 0, 0, FaultEvent(CRASH, "cleanup")
+            "rows", "map", 0, 0, FaultEvent(CRASH, "cleanup")
         )
-        result = run_job(fs, word_count_conf(fs), faults=plan, max_attempts=2)
+        result = run_job(fs, helper_conf(), faults=plan, max_attempts=2)
         assert sorted(fs.read_dir("out")) == expected
         assert result.counters.value("faults", "tasks_retried") == 1
 
     def test_reduce_cleanup_crash_is_retried(self, fs):
-        expected = expected_output(fs)
+        expected = expected_output()
         plan = scripted(
-            "wordcount", "reduce", 1, 0, FaultEvent(CRASH, "cleanup")
+            "rows", "reduce", 1, 0, FaultEvent(CRASH, "cleanup")
         )
-        result = run_job(fs, word_count_conf(fs), faults=plan, max_attempts=2)
+        result = run_job(fs, helper_conf(), faults=plan, max_attempts=2)
         assert sorted(fs.read_dir("out")) == expected
         assert result.counters.value("faults", "tasks_retried") == 1
 
     def test_corrupt_output_discarded_and_retried(self, fs):
-        expected = expected_output(fs)
+        expected = expected_output()
         plan = scripted(
-            "wordcount", "reduce", 0, 0, FaultEvent(CORRUPT, "commit")
+            "rows", "reduce", 0, 0, FaultEvent(CORRUPT, "commit")
         )
-        result = run_job(fs, word_count_conf(fs), faults=plan, max_attempts=2)
+        result = run_job(fs, helper_conf(), faults=plan, max_attempts=2)
         assert sorted(fs.read_dir("out")) == expected
         assert result.counters.value("faults", "tasks_retried") == 1
         # Nothing uncommitted survives the run.
@@ -246,18 +233,18 @@ class TestInjectionPoints:
 
     def test_crash_not_swallowed_without_budget(self, fs):
         plan = scripted(
-            "wordcount", "map", 0, 0, FaultEvent(CRASH, "cleanup")
+            "rows", "map", 0, 0, FaultEvent(CRASH, "cleanup")
         )
         with pytest.raises(FaultInjectedError):
-            run_job(fs, word_count_conf(fs), faults=plan, max_attempts=1)
+            run_job(fs, helper_conf(), faults=plan, max_attempts=1)
 
     def test_budget_exhaustion_raises_original_error(self, fs):
         plan = ScriptedFaultPlan({
-            ("wordcount", "map", 0, attempt): (FaultEvent(CRASH, "setup"),)
+            ("rows", "map", 0, attempt): (FaultEvent(CRASH, "setup"),)
             for attempt in range(5)
         })
         with pytest.raises(FaultInjectedError) as excinfo:
-            run_job(fs, word_count_conf(fs), faults=plan, max_attempts=3)
+            run_job(fs, helper_conf(), faults=plan, max_attempts=3)
         assert excinfo.value.kind == CRASH
 
 
@@ -270,8 +257,8 @@ class TestJobAbort:
         if request.param == "memory":
             fs = InMemoryFileSystem()
         else:
-            fs = LocalFileSystem(str(tmp_path / "fsroot"))
-        fs.write("in/doc", ["the quick brown fox", "the lazy dog", "the fox"])
+            fs = LocalFileSystem(str(tmp_path / "fsroot"), **ROW_CODEC)
+        write_helper_input(fs)
         return fs
 
     @staticmethod
@@ -282,41 +269,38 @@ class TestJobAbort:
         if isinstance(fs, LocalFileSystem):
             assert not os.path.isdir(os.path.join(fs.root, "out", "_temporary"))
 
-    def failing_conf(self, fs, error):
-        return word_count_conf(
-            fs, reducer=FailOnKeyReducer("lazy", error), num_reduce_tasks=4
-        )
+    def failing_conf(self, error):
+        return helper_conf(reducer=FailOnKeyReducer(2, error), num_reduce_tasks=4)
 
     @pytest.mark.parametrize("executor", ["serial", "threads", "processes"])
     def test_exhausted_budget_leaves_no_staged_output(self, any_fs, executor):
-        with pytest.raises(RuntimeError, match="cannot reduce 'lazy'"):
+        with pytest.raises(RuntimeError, match="cannot reduce 2"):
             run_job(
-                any_fs, self.failing_conf(any_fs, RuntimeError),
+                any_fs, self.failing_conf(RuntimeError),
                 executor=executor, workers=2, faults=False, max_attempts=2,
             )
         assert any_fs.list_prefix("out/") == []
         self.assert_nothing_staged(any_fs)
 
-    @pytest.mark.parametrize("executor", ["serial", "threads"])
+    @pytest.mark.parametrize("executor", ["serial", "threads", "processes"])
     def test_interrupt_leaves_no_staged_output(self, any_fs, executor):
+        """A ``KeyboardInterrupt`` in a kernel leaves nothing staged and,
+        under ``processes`` — where the groups travel through shared
+        memory — no segment behind."""
+        segments = _shm_segments()
         with pytest.raises(KeyboardInterrupt):
             run_job(
-                any_fs, self.failing_conf(any_fs, KeyboardInterrupt),
+                any_fs, self.failing_conf(KeyboardInterrupt),
                 executor=executor, workers=2, faults=False, max_attempts=1,
             )
         assert any_fs.list_prefix("out/") == []
         self.assert_nothing_staged(any_fs)
+        assert _shm_segments() <= segments
 
     def test_succeeding_and_recovering_jobs_commit_as_before(self, any_fs):
-        clean = run_job(
-            any_fs, word_count_conf(any_fs, output="clean"), faults=False
-        )
-        plan = scripted(
-            "wordcount", "reduce", 1, 0, FaultEvent(CRASH, "cleanup")
-        )
-        recovered = run_job(
-            any_fs, word_count_conf(any_fs), faults=plan, max_attempts=2
-        )
+        clean = run_job(any_fs, helper_conf(output="clean"), faults=False)
+        plan = scripted("rows", "reduce", 1, 0, FaultEvent(CRASH, "cleanup"))
+        recovered = run_job(any_fs, helper_conf(), faults=plan, max_attempts=2)
         assert recovered.counters.value("faults", "tasks_retried") == 1
         assert recovered.output_records == clean.output_records
         assert sorted(map(tuple, any_fs.read_dir("out"))) == sorted(
@@ -334,13 +318,13 @@ class TestSeededChaosParity:
     @pytest.mark.parametrize("executor", ["serial", "threads", "processes"])
     @pytest.mark.parametrize("seed", [1, 7, 42])
     def test_output_and_counters_identical(self, fs, executor, seed):
-        expected = expected_output(fs)
+        expected = expected_output()
         clean = InMemoryFileSystem()
-        clean.write("in/doc", list(fs.read("in/doc")))
-        baseline = run_job(clean, word_count_conf(clean), faults=False)
+        write_helper_input(clean)
+        baseline = run_job(clean, helper_conf(), faults=False)
         result = run_job(
             fs,
-            word_count_conf(fs),
+            helper_conf(),
             executor=executor,
             workers=2,
             faults=f"{seed}:crash=0.5,corrupt=0.3",
@@ -358,7 +342,7 @@ class TestSeededChaosParity:
         recorder = TraceRecorder()
         result = run_job(
             fs,
-            word_count_conf(fs),
+            helper_conf(),
             faults="7:crash=0.5,corrupt=0.3",
             max_attempts=3,
             observer=recorder,
@@ -379,7 +363,7 @@ class TestSeededChaosParity:
         recorder = TraceRecorder()
         run_job(
             fs,
-            word_count_conf(fs),
+            helper_conf(),
             faults="7:crash=0.5,corrupt=0.3",
             max_attempts=3,
             observer=recorder,
@@ -463,11 +447,13 @@ class TestWorkerPoolError:
         monkeypatch.setitem(runner._pools, 2, pool)
         with pytest.raises(WorkerPoolError) as excinfo:
             run_job(
-                fs, word_count_conf(fs), executor="processes", workers=2,
+                fs, helper_conf(), executor="processes", workers=2,
                 faults=False,
             )
-        assert excinfo.value.job == "wordcount"
-        assert excinfo.value.phase == "map"
+        # Map tasks run in-process: the first pooled attempt is reduce
+        # task 0's.
+        assert excinfo.value.job == "rows"
+        assert excinfo.value.phase == "reduce"
         assert excinfo.value.pending_tasks == (0,)
         assert 2 not in runner._pools
 
@@ -543,7 +529,7 @@ class TestWorkerKilledMidReduce:
         fs, parts = flagged
         runner.shutdown_worker_pools()
         others = self.worker_pids()
-        assert self.run(fs, self.join_job(parts, "first")).data_plane == "columnar"
+        self.run(fs, self.join_job(parts, "first"))
         pool = runner._pools[2]
         workers = self.worker_pids() - others
         assert workers
@@ -576,7 +562,6 @@ class TestWorkerKilledMidReduce:
         )
         recovered = self.run(fs, conf, max_attempts=3)
         assert flag.exists()
-        assert recovered.data_plane == "columnar"
         assert recovered.counters.value("faults", "tasks_retried") >= 1
         assert list(fs.read_dir("recovered")) == list(fs.read_dir("rccis/output"))
         assert [path[len("recovered/"):] for path in fs.list_prefix("recovered")] == [

@@ -98,6 +98,24 @@ class TestLocalFileSystem:
         with pytest.raises(FileSystemError):
             fs.write("../escape", [1])
 
+    @pytest.mark.parametrize("root", ["", "/", "a/..", "."])
+    def test_a_path_naming_the_root_is_refused(self, tmp_path, root):
+        """Deleting a path that resolves to the store's own root would
+        remove every file in it: it is refused, and the files survive."""
+        fs = LocalFileSystem(str(tmp_path / "store"))
+        fs.write("a/b", [1])
+        fs.append_partition("out", 0, [2])
+        with pytest.raises(FileSystemError):
+            fs.delete(root)
+        assert fs.list_prefix("") == ["a/b", "out/part-00000"]
+        assert list(fs.read_dir("out")) == [2]
+
+    def test_a_name_starting_with_two_dots_is_ordinary(self, tmp_path):
+        fs = LocalFileSystem(str(tmp_path / "store"))
+        fs.write("..cache/part-00000", [1, 2])
+        assert list(fs.read("..cache/part-00000")) == [1, 2]
+        assert fs.list_prefix("..cache/") == ["..cache/part-00000"]
+
     def test_custom_codec(self, tmp_path):
         fs = LocalFileSystem(
             str(tmp_path / "codec"),

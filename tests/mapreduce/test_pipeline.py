@@ -3,101 +3,73 @@
 import pytest
 
 from repro.mapreduce.fs import InMemoryFileSystem
-from repro.mapreduce.job import InputSpec, JobConf
+from repro.mapreduce.job import InputSpec
 from repro.mapreduce.pipeline import Pipeline
-from repro.mapreduce.task import Mapper, Reducer
+
+from tests.conftest import (
+    HELPER,
+    KeyRidReducer,
+    helper_conf,
+    helper_mapper,
+    helper_pairs,
+    write_helper_input,
+)
 
 
-class EmitLengthMapper(Mapper):
-    def map(self, record, context):
-        context.emit(len(record), record)
+class RowsReducer(KeyRidReducer):
+    """The helper reducer, outputting each shuffled value's row itself —
+    what a second job's ``RowView`` reads back."""
+
+    def format(self, block, store):
+        return list(store.take(block[:, 0])) if len(block) else []
 
 
-class CountReducer(Reducer):
-    def reduce(self, key, values, context):
-        context.emit((key, len(values)))
-
-
-class PassThroughMapper(Mapper):
-    def map(self, record, context):
-        context.emit(record[0], record[1])
-
-
-class MaxReducer(Reducer):
-    def reduce(self, key, values, context):
-        context.emit((key, max(values)))
+def _stage(name, source, output, reducer, num_reduce_tasks=1):
+    return helper_conf(
+        name=name,
+        inputs=[InputSpec(source, helper_mapper())],
+        reducer=reducer,
+        output=output,
+        num_reduce_tasks=num_reduce_tasks,
+    )
 
 
 @pytest.fixture
 def fs():
     fs = InMemoryFileSystem()
-    fs.write("in", ["aa", "b", "cc", "ddd", "e"])
+    write_helper_input(fs)
     return fs
 
 
 class TestPipeline:
     def test_two_stage_chain(self, fs):
         pipeline = Pipeline(fs)
-        pipeline.run(
-            JobConf(
-                name="stage1",
-                inputs=[InputSpec("in", EmitLengthMapper())],
-                reducer=CountReducer(),
-                output="stage1",
-                num_reduce_tasks=2,
-            )
-        )
-        pipeline.run(
-            JobConf(
-                name="stage2",
-                inputs=[InputSpec("stage1", PassThroughMapper())],
-                reducer=MaxReducer(),
-                output="stage2",
-                num_reduce_tasks=1,
-            )
-        )
+        pipeline.run(_stage("stage1", "in/R", "stage1", RowsReducer(), 2))
+        pipeline.run(_stage("stage2", "stage1", "stage2", KeyRidReducer()))
         result = pipeline.result
         assert result.num_cycles == 2
         assert result.final_output == "stage2"
-        # lengths: 2 -> 2 strings, 1 -> 2 strings, 3 -> 1 string
-        assert dict(fs.read_dir("stage2")) == {1: 2, 2: 2, 3: 1}
+        # Stage 1 writes each row once per partition it meets; stage 2
+        # splits every one of those again.
+        stage1 = list(fs.read_dir("stage1"))
+        assert len(stage1) == len(helper_pairs())
+        assert sorted(fs.read_dir("stage2")) == sorted(helper_pairs(stage1))
 
     def test_counters_accumulate_across_jobs(self, fs):
         pipeline = Pipeline(fs)
-        conf1 = JobConf(
-            name="s1",
-            inputs=[InputSpec("in", EmitLengthMapper())],
-            reducer=CountReducer(),
-            output="s1",
-            num_reduce_tasks=1,
-        )
-        pipeline.run(conf1)
-        conf2 = JobConf(
-            name="s2",
-            inputs=[InputSpec("s1", PassThroughMapper())],
-            reducer=MaxReducer(),
-            output="s2",
-            num_reduce_tasks=1,
-        )
-        pipeline.run(conf2)
-        assert pipeline.result.total_map_output_records == 5 + 3
+        pipeline.run(_stage("s1", "in/R", "s1", RowsReducer()))
+        pipeline.run(_stage("s2", "s1", "s2", KeyRidReducer()))
+        first = len(helper_pairs())
+        second = len(helper_pairs(list(fs.read_dir("s1"))))
+        assert pipeline.result.total_map_output_records == first + second
         assert (
             pipeline.result.counters.value("framework", "map_input_records")
-            == 5 + 3
+            == len(HELPER) + first
         )
 
     def test_run_all(self, fs):
         pipeline = Pipeline(fs)
-        confs = [
-            JobConf(
-                name="only",
-                inputs=[InputSpec("in", EmitLengthMapper())],
-                reducer=CountReducer(),
-                output="only",
-                num_reduce_tasks=1,
-            )
-        ]
-        result = pipeline.run_all(confs)
+        result = pipeline.run_all([_stage("only", "in/R", "only", KeyRidReducer())])
         assert result.num_cycles == 1
 
     def test_empty_pipeline(self, fs):

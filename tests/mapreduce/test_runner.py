@@ -1,11 +1,11 @@
-"""Unit tests for job execution (the classic word-count, plus lifecycle,
-counter semantics, and executor/worker resolution)."""
+"""Unit tests for job execution (the helper job of ``tests/conftest.py``:
+output, counter semantics, loads, and executor/worker resolution)."""
 
 import pytest
 
 from repro.errors import MapReduceError
 from repro.mapreduce.fs import InMemoryFileSystem
-from repro.mapreduce.job import InputSpec, JobConf
+from repro.mapreduce.job import InputSpec
 from repro.mapreduce.options import (
     EXECUTOR_ENV,
     EXECUTORS,
@@ -14,106 +14,66 @@ from repro.mapreduce.options import (
     resolve_workers,
 )
 from repro.mapreduce.runner import run_job
-from repro.mapreduce.task import Mapper, Reducer
+from repro.obs import TraceRecorder
 
-
-class TokenizeMapper(Mapper):
-    def map(self, record, context):
-        for word in record.split():
-            context.emit(word, 1)
-
-
-class SumReducer(Reducer):
-    def reduce(self, key, values, context):
-        context.emit((key, sum(values)))
-
-
-class CountGroupReducer(Reducer):
-    def reduce(self, key, values, context):
-        context.emit((key, len(values)))
-
-
-class LifecycleMapper(Mapper):
-    def __init__(self):
-        self.events = []
-
-    def setup(self, context):
-        self.events.append("setup")
-
-    def map(self, record, context):
-        self.events.append("map")
-        context.emit(0, record)
-
-    def cleanup(self, context):
-        self.events.append("cleanup")
+from tests.conftest import (
+    HELPER,
+    KeyRidReducer,
+    helper_conf,
+    helper_mapper,
+    helper_pairs,
+    write_helper_input,
+)
 
 
 @pytest.fixture
 def fs():
     fs = InMemoryFileSystem()
-    fs.write("in/doc", ["the quick brown fox", "the lazy dog", "the fox"])
+    write_helper_input(fs)
     return fs
-
-
-def word_count_conf(fs, **overrides):
-    defaults = dict(
-        name="wordcount",
-        inputs=[InputSpec("in/doc", TokenizeMapper())],
-        reducer=SumReducer(),
-        output="out",
-        num_reduce_tasks=3,
-    )
-    defaults.update(overrides)
-    return JobConf(**defaults)
 
 
 class TestWordCount:
     def test_output(self, fs):
-        run_job(fs, word_count_conf(fs))
-        counts = dict(fs.read_dir("out"))
-        assert counts == {
-            "the": 3,
-            "quick": 1,
-            "brown": 1,
-            "fox": 2,
-            "lazy": 1,
-            "dog": 1,
-        }
+        run_job(fs, helper_conf())
+        assert sorted(fs.read_dir("out")) == sorted(helper_pairs())
 
     def test_framework_counters(self, fs):
-        result = run_job(fs, word_count_conf(fs))
+        result = run_job(fs, helper_conf())
+        pairs = helper_pairs()
         c = result.counters
-        assert c.value("framework", "map_input_records") == 3
-        assert c.value("framework", "map_output_records") == 9
-        assert c.value("framework", "shuffle_records") == 9
-        assert c.value("framework", "reduce_input_groups") == 6
-        assert result.output_records == 6
+        assert c.value("framework", "map_input_records") == len(HELPER) == 12
+        assert c.value("framework", "map_output_records") == len(pairs) == 18
+        assert c.value("framework", "shuffle_records") == len(pairs)
+        assert c.value("framework", "reduce_input_groups") == 4
+        assert result.output_records == len(pairs)
 
     def test_logical_reducer_loads(self, fs):
-        result = run_job(fs, word_count_conf(fs))
-        assert result.logical_reducer_loads["the"] == 3
-        assert sum(result.logical_reducer_loads.values()) == 9
+        result = run_job(fs, helper_conf())
+        loads = {}
+        for key, _ in helper_pairs():
+            loads[key] = loads.get(key, 0) + 1
+        assert result.logical_reducer_loads == loads
+        assert sum(result.logical_reducer_loads.values()) == 18
 
     def test_reduce_task_loads_cover_everything(self, fs):
-        result = run_job(fs, word_count_conf(fs))
-        assert sum(result.reduce_task_loads) == 9
+        result = run_job(fs, helper_conf())
+        assert sum(result.reduce_task_loads) == 18
         assert len(result.reduce_task_loads) == 3
 
     def test_threads_executor_same_output(self, fs):
-        run_job(fs, word_count_conf(fs, output="out-serial"))
-        run_job(
-            fs, word_count_conf(fs, output="out-threads"), executor="threads"
-        )
+        run_job(fs, helper_conf(output="out-serial"))
+        run_job(fs, helper_conf(output="out-threads"), executor="threads")
         assert sorted(fs.read_dir("out-serial")) == sorted(
             fs.read_dir("out-threads")
         )
 
     @pytest.mark.parametrize("executor", ["threads", "processes"])
     def test_parallel_executor_bit_identical(self, fs, executor):
-        serial = run_job(fs, word_count_conf(fs, output="out-serial"))
+        serial = run_job(fs, helper_conf(output="out-serial"))
         parallel = run_job(
             fs,
-            word_count_conf(fs, output=f"out-{executor}"),
+            helper_conf(output=f"out-{executor}"),
             executor=executor,
             workers=2,
         )
@@ -126,72 +86,45 @@ class TestWordCount:
 
     def test_unknown_executor(self, fs):
         with pytest.raises(MapReduceError):
-            run_job(fs, word_count_conf(fs), executor="gpu")
+            run_job(fs, helper_conf(), executor="gpu")
 
     def test_no_inputs_rejected(self, fs):
-        conf = word_count_conf(fs)
+        conf = helper_conf()
         conf.inputs = []
         with pytest.raises(MapReduceError):
             run_job(fs, conf)
 
     def test_zero_reduce_tasks_rejected(self, fs):
-        conf = word_count_conf(fs, num_reduce_tasks=0)
+        conf = helper_conf(num_reduce_tasks=0)
         with pytest.raises(MapReduceError):
             run_job(fs, conf)
 
 
-class TestLifecycle:
-    def test_setup_cleanup_once_per_task(self):
-        fs = InMemoryFileSystem()
-        fs.write("in", ["a", "b"])
-        mapper = LifecycleMapper()
-        conf = JobConf(
-            name="lifecycle",
-            inputs=[InputSpec("in", mapper)],
-            reducer=CountGroupReducer(),
-            output="out",
-            num_reduce_tasks=1,
-        )
-        # Pinned to serial and fault-free: the assertion watches
-        # parent-side mutation of the mapper instance, which neither a
-        # process worker nor a fault-mode attempt (each attempt runs a
-        # pristine deep copy) can perform.
-        run_job(fs, conf, executor="serial", faults=False)
-        assert mapper.events == ["setup", "map", "map", "cleanup"]
+def _two_inputs(fs):
+    """The helper relation split over two inputs, each with its mapper."""
+    fs.write("in/a", HELPER.rows[:6])
+    fs.write("in/b", HELPER.rows[6:])
+    return helper_conf(
+        inputs=[InputSpec("in/a", helper_mapper()), InputSpec("in/b", helper_mapper())],
+        num_reduce_tasks=2,
+    )
 
+
+class TestLifecycle:
     def test_multiple_inputs_under_processes(self):
         fs = InMemoryFileSystem()
-        fs.write("in/a", ["x y"])
-        fs.write("in/b", ["y z"])
-        conf = JobConf(
-            name="multi",
-            inputs=[
-                InputSpec("in/a", TokenizeMapper()),
-                InputSpec("in/b", TokenizeMapper()),
-            ],
-            reducer=SumReducer(),
-            output="out",
-            num_reduce_tasks=2,
-        )
-        run_job(fs, conf, executor="processes", workers=2)
-        assert dict(fs.read_dir("out")) == {"x": 1, "y": 2, "z": 1}
+        run_job(fs, _two_inputs(fs), executor="processes", workers=2)
+        assert sorted(fs.read_dir("out")) == sorted(helper_pairs())
 
     def test_multiple_inputs_each_get_own_mapper_run(self):
         fs = InMemoryFileSystem()
-        fs.write("in/a", ["x y"])
-        fs.write("in/b", ["y z"])
-        conf = JobConf(
-            name="multi",
-            inputs=[
-                InputSpec("in/a", TokenizeMapper()),
-                InputSpec("in/b", TokenizeMapper()),
-            ],
-            reducer=SumReducer(),
-            output="out",
-            num_reduce_tasks=2,
+        recorder = TraceRecorder()
+        run_job(fs, _two_inputs(fs), observer=recorder)
+        assert sorted(fs.read_dir("out")) == sorted(helper_pairs())
+        maps = recorder.find(kind="task", name="map:in/a") + recorder.find(
+            kind="task", name="map:in/b"
         )
-        run_job(fs, conf)
-        assert dict(fs.read_dir("out")) == {"x": 1, "y": 2, "z": 1}
+        assert [s.counters["framework"]["map_input_records"] for s in maps] == [6, 6]
 
 
 class TestResolution:
@@ -238,21 +171,27 @@ class TestResolution:
 
     def test_run_job_rejects_bad_workers(self, monkeypatch):
         fs = InMemoryFileSystem()
-        fs.write("in/doc", ["a b"])
-        conf = word_count_conf(fs)
+        write_helper_input(fs)
+        conf = helper_conf()
         with pytest.raises(MapReduceError):
             run_job(fs, conf, executor="threads", workers=0)
 
 
-class RendezvousReducer(SumReducer):
-    """Holds reduce task 0 until every concurrent job has reached its
-    reduce phase, so no job commits before all of them have started."""
+class RendezvousReducer(KeyRidReducer):
+    """Holds the first key group of its job until every concurrent job
+    has reached its reduce phase, so no job commits before all of them
+    have started."""
 
     barrier = None  # set per test; class-level so deep copies share it
 
-    def setup(self, context):
-        if context.task_index == 0:
+    def __init__(self):
+        self.waited = False
+
+    def kernel(self, key, group, counters):
+        if not self.waited:
+            self.waited = True
             type(self).barrier.wait(timeout=30)
+        return super().kernel(key, group, counters)
 
 
 class TestSharedFileSystem:
@@ -269,7 +208,7 @@ class TestSharedFileSystem:
         from repro.obs import TraceRecorder
 
         fs = InMemoryFileSystem()
-        fs.write("in/doc", ["the quick brown fox", "the lazy dog", "the fox"])
+        write_helper_input(fs)
         reduce_tasks = {"first": 3, "second": 5}
         recorders = {name: TraceRecorder(profile=True) for name in reduce_tasks}
         RendezvousReducer.barrier = threading.Barrier(len(reduce_tasks))
@@ -279,8 +218,7 @@ class TestSharedFileSystem:
             try:
                 run_job(
                     fs,
-                    word_count_conf(
-                        fs,
+                    helper_conf(
                         name=name,
                         reducer=RendezvousReducer(),
                         output=f"out-{name}",

@@ -87,8 +87,8 @@ class TestTraceArtifact:
         (spans_line,) = [line for line in lines if line.startswith("spans:")]
         assert spans_line.endswith("(2 jobs)")
         assert int(spans_line.split()[1]) > 2
-        assert "data plane: rccis-flag: columnar" in lines
-        assert "data plane: rccis-join: columnar" in lines
+        jobs = [line.split(":")[0].strip() for line in lines if line.startswith("  job ")]
+        assert jobs == ["job rccis-flag", "job rccis-join"]
 
 
 class TestRunReportFromTrace:
@@ -157,29 +157,18 @@ class TestReportDegradation:
         """A trace from a live-monitored bare job has task spans but no
         plan span: reconciliation is skipped, the report still prints."""
         from repro.mapreduce.fs import InMemoryFileSystem
-        from repro.mapreduce.job import InputSpec, JobConf
         from repro.mapreduce.runner import run_job
-        from repro.mapreduce.task import IdentityMapper, Reducer
         from repro.obs import JsonlSink, TraceRecorder
 
-        class CountReducer(Reducer):
-            def reduce(self, key, values, context):
-                context.emit((key, len(values)))
+        from tests.conftest import helper_conf, write_helper_input
 
         fs = InMemoryFileSystem()
-        fs.write("in/doc", ["a", "b", "c"])
+        write_helper_input(fs)
         trace = tmp_path / "live.jsonl"
         recorder = TraceRecorder(JsonlSink(str(trace)), live=True)
         run_job(
             fs,
-            JobConf(
-                name="bare",
-                inputs=[InputSpec("in/doc", IdentityMapper())],
-                reducer=CountReducer(),
-                output="out",
-                num_reduce_tasks=2,
-            ),
-            # A function-local reducer cannot be pickled to a worker.
+            helper_conf(name="bare", num_reduce_tasks=2),
             executor="serial",
             observer=recorder,
         )

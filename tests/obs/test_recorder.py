@@ -8,9 +8,10 @@ import threading
 
 from repro.mapreduce import Counters, InMemoryFileSystem, run_job
 from repro.mapreduce.cost import CostModel
-from repro.mapreduce.job import InputSpec, JobConf
-from repro.mapreduce.task import Mapper, Reducer
+from repro.mapreduce.job import JobConf
 from repro.obs import JsonlSink, TraceRecorder, TraceSink
+
+from tests.conftest import HELPER, KeyRidReducer, helper_conf, helper_pairs, write_helper_input
 
 
 class TestSpanNesting:
@@ -111,26 +112,17 @@ class TestCounterSnapshots:
         assert counters.delta(counters.snapshot()) == {}
 
 
-class _SplitMapper(Mapper):
-    def map(self, record, context):
-        context.emit(record % 2, record)
+class _CountingReducer(KeyRidReducer):
+    """The helper reducer, charging a comparison per value it reduces."""
 
-
-class _SumReducer(Reducer):
-    def reduce(self, key, values, context):
-        context.counters.increment("work", "comparisons", len(values))
-        context.emit((key, sum(values)))
+    def kernel(self, key, group, counters):
+        counters.increment("work", "comparisons", len(group))
+        return super().kernel(key, group, counters)
 
 
 def _job(fs) -> JobConf:
-    fs.write("in/r", list(range(10)), overwrite=True)
-    return JobConf(
-        name="sum",
-        inputs=[InputSpec("in/r", _SplitMapper())],
-        reducer=_SumReducer(),
-        output="out",
-        num_reduce_tasks=2,
-    )
+    write_helper_input(fs)
+    return helper_conf(reducer=_CountingReducer(), num_reduce_tasks=2)
 
 
 class TestRunJobTracing:
@@ -141,10 +133,10 @@ class TestRunJobTracing:
         (job_span,) = rec.find(kind="job")
         phases = [c.name for c in job_span.children]
         assert phases == ["map", "shuffle", "reduce"]
-        map_tasks = rec.find(kind="task", name="map:in/r")
+        map_tasks = rec.find(kind="task", name="map:in/R")
         assert len(map_tasks) == 1
         assert (
-            map_tasks[0].counters["framework"]["map_input_records"] == 10
+            map_tasks[0].counters["framework"]["map_input_records"] == len(HELPER)
         )
         reduce_tasks = [
             s for s in rec.find(kind="task") if s.attributes["phase"] == "reduce"
@@ -155,7 +147,7 @@ class TestRunJobTracing:
                 s.counters["framework"]["reduce_input_records"]
                 for s in reduce_tasks
             )
-            == 10
+            == len(helper_pairs())
         )
         # job span carries the merged counters and a cost charge.
         assert job_span.counters == result.counters.snapshot()
