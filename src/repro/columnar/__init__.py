@@ -26,7 +26,6 @@ from repro.columnar.batch import (
     ColumnValues,
     MapBlock,
     PayloadStore,
-    interval_columns,
     operator_map_columns,
     ranged_targets,
 )
@@ -41,7 +40,6 @@ __all__ = [
     "ColumnarPairs",
     "ColumnValues",
     "PayloadStore",
-    "interval_columns",
     "operator_map_columns",
     "ranged_targets",
 ]

@@ -11,14 +11,17 @@ id* (``gid``)::
 The raw input records stay on the parent in the job's
 :class:`PayloadStore`; reducer kernels work on :class:`ColumnValues` —
 the sorted column slices of one key group — and return gid blocks that
-the framework formats back into output records once per task, a column
-of gids at a time, through the store's payloads.
+the framework formats once per task, a column of gids at a time: a join
+into an :class:`IndexBlock` of row indices into the relations, which
+the next cycle reads as columns, other reducers into records through
+the store's payloads.
 """
 
 from __future__ import annotations
 
 import threading
 from collections.abc import Sequence as SequenceABC
+from itertools import repeat
 from typing import (
     TYPE_CHECKING,
     Any,
@@ -51,12 +54,13 @@ __all__ = [
     "PayloadStore",
     "endpoint_column",
     "object_column",
-    "interval_columns",
     "operator_map_columns",
     "ranged_targets",
 ]
 
 _MASK32 = 0xFFFFFFFF
+#: Records per chunk in which a block's tuples are built.
+_TUPLE_CHUNK = 1 << 16
 
 
 def ranged_targets(
@@ -135,19 +139,6 @@ def endpoint_column(values: List[Any]) -> np.ndarray:
     if column.tolist() != values:
         column = np.array(values, dtype=object)
     return column
-
-
-def interval_columns(
-    records: Sequence[Any], interval_of: Callable[[Any], Any]
-) -> Tuple[np.ndarray, np.ndarray]:
-    """A mapper's ``encode_intervals``: the ``(starts, ends)`` columns of
-    the intervals ``interval_of`` reads off each record — float64, or
-    ``object`` where some endpoint is not exact in float64, so that
-    comparing the columns is always comparing the intervals."""
-    intervals = [interval_of(record) for record in records]
-    starts = endpoint_column([interval.start for interval in intervals])
-    ends = endpoint_column([interval.end for interval in intervals])
-    return starts, ends
 
 
 class Terms(NamedTuple):
@@ -367,73 +358,143 @@ class ColumnValues:
 
 
 class IndexBlock(SequenceABC):
-    """``(relation, row, flagged)`` records as read-only index columns:
-    per record its relation's code into ``names`` / ``relations``, its
-    row in that relation and its flag.  As a sequence it *is* those
-    records; as an :attr:`~repro.mapreduce.job.InputSpec.source` it is
-    the relations' columns, gathered by row index."""
+    """Records as read-only row-index columns into named relations: what
+    a job commits between cycles.  ``rows`` holds one int64 column per
+    member slot.  In a *tuple* block slot ``j`` indexes ``relations[j]``,
+    named ``names[j]``, and a record is its members' rows — ``(name,
+    row)`` pairs when ``labelled`` (a partial tuple), else bare (a join
+    tuple).  In a *flag* block (RCCIS's cycle-1 output) the one slot
+    indexes relation ``codes[i]`` and a record is ``(name, row,
+    flagged)``.  As a sequence it *is* those records; as an
+    :attr:`~repro.mapreduce.job.InputSpec.source` it is the relations'
+    columns, gathered by row index."""
 
-    __slots__ = ("names", "relations", "codes", "rows", "flagged")
+    __slots__ = ("names", "relations", "rows", "codes", "flagged", "labelled")
 
-    def __init__(self, names, relations, codes, rows, flagged) -> None:
-        self.names, self.relations = tuple(names), tuple(relations)
-        self.codes = np.asarray(codes, dtype=np.int64)
-        self.rows = np.asarray(rows, dtype=np.int64)
-        self.flagged = np.asarray(flagged, dtype=bool)
-        for column in (self.codes, self.rows, self.flagged):
-            column.flags.writeable = False
+    def __init__(self, names, relations, rows, codes=None, flagged=None, labelled=True) -> None:
+        self.names, self.relations, self.labelled = tuple(names), tuple(relations), labelled
+        rows = np.asarray(rows, dtype=np.int64)
+        self.rows = rows[:, None] if rows.ndim == 1 else rows
+        self.codes = None if codes is None else np.asarray(codes, dtype=np.int64)
+        self.flagged = None if flagged is None else np.asarray(flagged, dtype=bool)
+        for column in (self.rows, self.codes, self.flagged):
+            if column is not None:
+                column.flags.writeable = False
+
+    @classmethod
+    def from_records(cls, records: Sequence[Any], relations: Mapping[str, Any]) -> "IndexBlock":
+        """The one converter of records read back from a file — flag
+        records, partial tuples, or join tuples of ``relations`` in
+        order — to the block they stand for, each row found by its rid."""
+        names = list(relations)
+        at = {name: {row.rid: i for i, row in enumerate(r.rows)} for name, r in relations.items()}
+        if len(records) and isinstance(records[0][0], str):  # flag records
+            rows = [at[name][row.rid] for name, row, _ in records]
+            codes = [names.index(name) for name, _, _ in records]
+            return cls(names, relations.values(), rows, codes, [flag for *_, flag in records])
+        labelled = not len(records) or isinstance(records[0][0], tuple)
+        if len(records) and labelled:
+            names = [name for name, _ in records[0]]
+            records = [[row for _, row in record] for record in records]
+        rows = [[at[name][row.rid] for name, row in zip(names, record)] for record in records]
+        members = [relations[name] for name in names]
+        return cls(names, members, np.reshape(rows, (-1, len(names))), labelled=labelled)
 
     @classmethod
     def concat(cls, blocks: Sequence["IndexBlock"]) -> "IndexBlock":
         """The records of ``blocks``, in order, as one block."""
         first = blocks[0]
-        if any((b.names, b.relations) != (first.names, first.relations) for b in blocks):
+        shape = lambda b: (b.names, b.relations, b.codes is None, b.labelled)
+        if any(shape(b) != shape(first) for b in blocks):
             raise ValueError("cannot concatenate blocks over other relations")
-        columns = ("codes", "rows", "flagged")
-        return cls(first.names, first.relations, *(
-            np.concatenate([getattr(b, column) for b in blocks]) for column in columns
-        ))
+        joined = [
+            None if getattr(first, column) is None
+            else np.concatenate([getattr(b, column) for b in blocks])
+            for column in ("rows", "codes", "flagged")
+        ]
+        return cls(first.names, first.relations, *joined, first.labelled)
+
+    def take(self, index) -> "IndexBlock":
+        """The records at ``index`` (a mask or positions), as a block."""
+        codes, flagged = (None if c is None else c[index] for c in (self.codes, self.flagged))
+        return IndexBlock(self.names, self.relations, self.rows[index], codes, flagged, self.labelled)
+
+    def select(self, names: Sequence[str], labelled: bool = True) -> "IndexBlock":
+        """The members ``names``, in that order, as a tuple block — of a
+        flag block, whose records are then all of relation ``names[0]``."""
+        flags = self.codes is not None
+        if not flags and (self.names, self.labelled) == (tuple(names), labelled):
+            return self
+        slots = [0 if flags else self.names.index(name) for name in names]
+        relations = [self.relations[self.names.index(name)] for name in names]
+        return IndexBlock(names, relations, self.rows[:, slots], labelled=labelled)
 
     def __len__(self) -> int:
-        return len(self.codes)
+        return len(self.rows)
 
     def __getitem__(self, index):
-        code = int(self.codes[index])
-        row = self.relations[code].rows[self.rows[index]]
-        return (self.names[code], row, bool(self.flagged[index]))
+        return next(iter(self.take([range(len(self))[index]])))
 
-    def __iter__(self) -> Iterator[Tuple[str, Any, bool]]:
-        names = object_column(self.names)[self.codes]
-        return zip(names.tolist(), self.row_column().tolist(), self.flagged.tolist())
+    def __iter__(self) -> Iterator[Any]:
+        if self.codes is not None:
+            names = object_column(self.names)[self.codes].tolist()
+            return zip(names, self.row_column().tolist(), self.flagged.tolist())
+        if not self.labelled:
+            return iter(self.tuples())
+        return zip(*(
+            zip(repeat(name), self.row_column(slot).tolist())
+            for slot, name in enumerate(self.names)
+        ))
 
     def __reduce__(self):
         # Pickled, it is the record list: the relations it indexes
         # never travel.
         return (list, (list(self),))
 
+    def tuples(self) -> List[Tuple[Any, ...]]:
+        """A tuple block's bare records: one take per relation, zipped —
+        a chunk of records at a time, so that only a chunk's taken
+        columns are alive beside the tuples."""
+        tuples: List[Tuple[Any, ...]] = []
+        for lo in range(0, len(self), _TUPLE_CHUNK):
+            rows = self.rows[lo : lo + _TUPLE_CHUNK].T
+            tuples += zip(*(r.row_column()[at] for r, at in zip(self.relations, rows)))
+        return tuples
+
     # -- the source role (see repro.mapreduce.job.InputSpec) -----------
     def columns(self, attributes: Mapping[str, str]):
-        """The records' endpoint columns: each relation's ``columns`` of
-        its attribute in ``attributes``, gathered by row index."""
+        """A flag block's endpoint columns: each record's relation's
+        ``columns`` of its attribute in ``attributes``."""
+        return self._endpoints(0, lambda code: attributes[self.names[code]])
+
+    def term_columns(self, term):
+        """A tuple block's endpoint columns of ``term``: its member's."""
+        return self._endpoints(self.names.index(term.relation), lambda code: term.attribute)
+
+    def _endpoints(self, slot: int, attribute: Callable[[int], str]):
         from repro.intervals.sweep import SortedColumns  # builds on this module
 
-        column = lambda code: self.relations[code].columns(attributes[self.names[code]])
-        return SortedColumns(
-            self._gather(lambda code: column(code).starts, np.float64),
-            self._gather(lambda code: column(code).ends, np.float64),
-        )
+        columns = lambda code: self.relations[code].columns(attribute(code))
+        return SortedColumns(*(
+            self._gather(slot, lambda code: getattr(columns(code), side), np.float64)
+            for side in ("starts", "ends")
+        ))
 
-    def row_column(self) -> np.ndarray:
-        """The records' rows as an object column."""
-        return self._gather(lambda code: self.relations[code].row_column(), object)
+    def row_column(self, slot: int = 0) -> np.ndarray:
+        """Slot ``slot``'s rows as an object column."""
+        return self._gather(slot, lambda code: self.relations[code].row_column(), object)
 
-    def _gather(self, column_of: Callable[[int], np.ndarray], dtype) -> np.ndarray:
-        """Per record, ``column_of(its code)[its row]``, in ``dtype`` or wider."""
+    def _gather(self, slot: int, column_of: Callable[[int], np.ndarray], dtype) -> np.ndarray:
+        """Per record, ``column_of(its relation's code)`` at its row in
+        ``slot``, in ``dtype`` or wider."""
+        rows = self.rows[:, slot]
+        if self.codes is None:
+            return column_of(slot)[rows]
         masks = {code: self.codes == code for code in range(len(self.relations))}
         columns = {code: column_of(code) for code, mask in masks.items() if mask.any()}
         out = np.empty(len(self), dtype=np.result_type(dtype, *columns.values()))
         for code, column in columns.items():
-            out[masks[code]] = column[self.rows[masks[code]]]
+            out[masks[code]] = column[rows[masks[code]]]
         return out
 
 
@@ -479,6 +540,32 @@ class PayloadStore:
         if unresolved:
             raise KeyError("payload id of an unknown segment")
         return taken
+
+    def block(
+        self, gids: np.ndarray, members: Sequence[Sequence[str]], labelled: bool
+    ) -> Sequence[Any]:
+        """The records a kernel's gid columns name, as one tuple block:
+        column ``j`` names records of one input that hold ``members[j]``
+        — a base input's record is its relation's row, a block's its
+        members' rows.  No records: an empty list."""
+        if not len(gids):
+            return []
+        parts = []
+        for column, names in zip(np.asarray(gids, dtype=np.int64).T, members):
+            source = self._segments[int(column[0]) >> 32][2]
+            if source is None or ((column >> 32) != (column[0] >> 32)).any():
+                raise MapReduceError("a block's column indexes one input's relations")
+            at = column & _MASK32
+            parts.append(
+                source.take(at).select(names) if isinstance(source, IndexBlock)
+                else IndexBlock(names, [source], at)
+            )
+        return IndexBlock(
+            [name for part in parts for name in part.names],
+            [relation for part in parts for relation in part.relations],
+            np.hstack([part.rows for part in parts]),
+            labelled=labelled,
+        )
 
     def _payload_column(self, segment: int) -> np.ndarray:
         with self._lock:

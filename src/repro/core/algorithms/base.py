@@ -13,7 +13,11 @@ Conventions used by all implementations:
 * relations are written to the file system as one file per relation,
   ``input/<name>``, holding the raw :class:`~repro.core.schema.Row`
   records; a plan names such an input with :meth:`PlanContext.base_input`;
-* intermediate values are ``(relation_name, row)`` pairs;
+* a join job commits its output as an
+  :class:`~repro.columnar.batch.IndexBlock` — one row-index column per
+  member relation — which the next cycle reads through
+  :meth:`PlanContext.derived_input` and :meth:`JoinAlgorithm.run_plan`
+  turns into ``Row`` tuples once, at the end;
 * user counters: ``join:replicated_intervals`` (distinct intervals chosen
   for replication), ``join:replicated_pairs`` (key-value pairs produced by
   replication), ``work:comparisons`` (predicate evaluations inside
@@ -24,12 +28,13 @@ from __future__ import annotations
 
 import abc
 from dataclasses import dataclass, field, replace
-from typing import TYPE_CHECKING, Dict, List, Mapping, Optional, Tuple
+from typing import TYPE_CHECKING, Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
+from repro.columnar.batch import IndexBlock
 from repro.errors import PlanningError, UnsatisfiableQueryError
 from repro.core.query import IntervalJoinQuery
 from repro.core.results import ExecutionMetrics, JoinResult
-from repro.core.schema import Relation, Row
+from repro.core.schema import Relation
 from repro.core.tuning import PredictConfig
 from repro.intervals.partitioning import Partitioning
 from repro.intervals.sweep import hull
@@ -109,9 +114,6 @@ class Plan:
     shape: Mapping[str, int]
     #: the reducer grid of a grid algorithm (consistent vs total cells).
     grid: Optional["GridSpec"] = None
-    #: whether the output holds ``((relation, row), ...)`` partial tuples
-    #: the template reorders into ``query.relations`` order.
-    partial_tuples: bool = False
 
 
 @dataclass
@@ -158,6 +160,15 @@ class PlanContext:
         as its source: a columnar job reads the relation's own columns."""
         return InputSpec(input_path(relation), mapper, self.data[relation])
 
+    def derived_input(self, path: str, mapper: Mapper, relations: Sequence[str]) -> InputSpec:
+        """The input spec of a file an earlier job (or the plan) wrote,
+        naming the ``relations`` its records index."""
+        return InputSpec(path, mapper, self.relations(relations))
+
+    def relations(self, names: Sequence[str]) -> Dict[str, Relation]:
+        """The relations ``names``, by name, in that order."""
+        return {name: self.data[name] for name in names}
+
     def submit(self, job: JobConf) -> None:
         self.pipeline.run(job)
 
@@ -166,21 +177,22 @@ class PlanContext:
         algorithm: "JoinAlgorithm",
         query: IntervalJoinQuery,
         num_partitions: int,
-    ) -> List[Tuple[Row, ...]]:
+    ) -> IndexBlock:
         """Run another algorithm's plan over part of the query, on a
-        child pipeline with its own file system; returns its tuples."""
+        child pipeline with its own file system; returns its output, a
+        tuple block in ``query.relations`` order."""
         sub = replace(
             self,
             query=query,
-            data={name: self.data[name] for name in query.relations},
+            data=self.relations(query.relations),
             num_partitions=num_partitions,
             pipeline=self.pipeline.child(),
             partitioning=None,
             sub_metrics=[],
         )
-        result = algorithm.run_plan(sub)
-        self.sub_metrics.append(result.metrics)
-        return result.tuples
+        block, metrics = algorithm.run_plan_output(sub)
+        self.sub_metrics.append(metrics)
+        return block
 
 
 class JoinAlgorithm(abc.ABC):
@@ -269,9 +281,18 @@ class JoinAlgorithm(abc.ABC):
 
     def run_plan(self, ctx: PlanContext, collect: bool = True) -> JoinResult:
         """The template every run — and every exact prediction — goes
-        through: write the inputs, run :meth:`plan`, collect the named
-        output (``collect=False`` leaves the final output unread) and
-        fold the pipeline's job results into one metric record.
+        through: :meth:`run_plan_output`, then the output's ``Row``
+        tuples, built once."""
+        return JoinResult(ctx.query, *self.run_plan_output(ctx, collect, tuples=True))
+
+    def run_plan_output(
+        self, ctx: PlanContext, collect: bool = True, tuples: bool = False
+    ) -> Tuple[Any, ExecutionMetrics]:
+        """Write the inputs, run :meth:`plan`, collect the named output as
+        one tuple block in ``query.relations`` order (``collect=False``
+        leaves it unread, and the block empty) — or, with ``tuples``, as
+        its ``Row`` tuples: one take per relation, zipped — and fold the
+        pipeline's job results into one metric record.
 
         Each call is one ``kind="algorithm"`` span around its jobs (a
         sub-plan's nests inside its parent's) that carries the run's
@@ -281,6 +302,7 @@ class JoinAlgorithm(abc.ABC):
         if ctx.num_partitions < 1:
             raise PlanningError("num_partitions must be >= 1")
         query, pipeline = ctx.query, ctx.pipeline
+        relations = ctx.relations(query.relations)
         observer = pipeline.observer or NullRecorder()
         with observer.span(
             f"algorithm:{self.name}", kind="algorithm", algorithm=self.name
@@ -292,20 +314,12 @@ class JoinAlgorithm(abc.ABC):
                     raise UnsatisfiableQueryError("a query relation has no rows")
                 plan = self.plan(ctx)
             except UnsatisfiableQueryError:
-                return JoinResult(
-                    query, [], ExecutionMetrics(algorithm=self.name)
-                )
-            tuples: List[Tuple[Row, ...]] = (
-                list(ctx.fs.read_dir(plan.output)) if collect else []
-            )
-            if plan.partial_tuples:
-                column = {name: i for i, name in enumerate(query.relations)}
-                partials, tuples = tuples, []
-                for partial in partials:
-                    ordered: List[Optional[Row]] = [None] * len(column)
-                    for relation, row in partial:
-                        ordered[column[relation]] = row
-                    tuples.append(tuple(ordered))
+                block = IndexBlock.from_records([], relations)
+                return ([] if tuples else block), ExecutionMetrics(algorithm=self.name)
+            output = ctx.fs.read_dir(plan.output) if collect else []
+            if not isinstance(output, IndexBlock):
+                output = IndexBlock.from_records(list(output), relations)
+            block = output.select(query.relations, labelled=False)
             metrics = ExecutionMetrics.from_pipeline(
                 self.name, pipeline.result, ctx.cost_model
             )
@@ -313,10 +327,10 @@ class JoinAlgorithm(abc.ABC):
                 metrics = ExecutionMetrics.combine(
                     self.name, ctx.sub_metrics + [metrics]
                 )
-                metrics.output_records = len(tuples)
+                metrics.output_records = len(block)
             metrics.shape = dict(plan.shape)
             span.annotate(
-                tuples=len(tuples),
+                tuples=len(block),
                 cycles=metrics.num_cycles,
                 shuffled_records=metrics.shuffled_records,
                 modelled_seconds=metrics.simulated_seconds,
@@ -325,7 +339,7 @@ class JoinAlgorithm(abc.ABC):
             if plan.grid is not None:
                 metrics.consistent_reducers = len(plan.grid.cells)
                 metrics.total_reducers = plan.grid.total_cells
-            return JoinResult(query, tuples, metrics)
+            return (block.tuples() if tuples else block), metrics
 
     # ------------------------------------------------------------------
     def predict(self, query, profile, conf=None):

@@ -15,10 +15,12 @@ routing follows the step predicate's kind:
   and only consistent cells receive data ("Both 2-way joins in 2-way Cd
   are executed using 2D versions of All-Matrix").
 
-Intermediate records are *partial tuples* — tuples of ``(relation, row)``
-pairs for the relations bound so far.  Every condition joining the new
-relation to any bound relation is evaluated in the step's reducer, so the
-cascade is correct for arbitrary (including cyclic) join graphs.
+Intermediate records are *partial tuples* over the relations bound so far,
+committed as a block of their row indices into those relations (one
+column per member; a ``((relation, row), ...)`` record each where a file
+holds records).  Every condition joining the new relation to any bound
+relation is evaluated in the step's reducer, so the cascade is correct
+for arbitrary (including cyclic) join graphs.
 """
 
 from __future__ import annotations
@@ -34,7 +36,6 @@ from repro.core.algorithms.routing import (
     BOUND_SIDE,
     NEW_SIDE,
     CellRouter,
-    LiftedRowView,
     MemberView,
     OperatorRouter,
     RoutedMapper,
@@ -45,7 +46,7 @@ from repro.core.query import IntervalJoinQuery, JoinCondition, Term
 from repro.intervals.allen import MapOperator
 from repro.intervals.partitioning import Partitioning
 from repro.intervals.sweep import SortedColumns, true_pairs
-from repro.mapreduce.job import InputSpec, JobConf
+from repro.mapreduce.job import JobConf
 from repro.mapreduce.shuffle import RoundRobinKeyPartitioner
 from repro.mapreduce.task import KernelReducer
 
@@ -84,8 +85,8 @@ class _StepJoinReducer(KernelReducer):
     kernel — output-sensitive, the cascade's cost should come from
     re-reading and re-shuffling intermediates, not from a needlessly
     quadratic local join — and each remaining step condition is a mask
-    over the survivors.  Each output is a partial tuple extended by the
-    new relation's member.
+    over the survivors.  Each output is a partial tuple over ``bound``
+    extended by the new relation's member.
     """
 
     def __init__(
@@ -94,8 +95,10 @@ class _StepJoinReducer(KernelReducer):
         routing: JoinCondition,
         conditions: Sequence[JoinCondition],
         attributes: Mapping[str, str],
+        bound: Sequence[str],
     ) -> None:
         self.new_relation = new_relation
+        self.bound = list(bound)
         self.routing = routing
         self.conditions = [c for c in conditions if c is not routing]
         self.attributes = dict(attributes)
@@ -162,12 +165,8 @@ class _StepJoinReducer(KernelReducer):
         return np.stack([group.gids[bound_at][bound], group.gids[new_at][new]], axis=1)
 
     def format(self, block, store):
-        # The new side's payload is the ``(relation, row)`` member itself.
-        bound, new = block.reshape(-1, 2).T
-        return [
-            partial + (member,)
-            for partial, member in zip(store.take(bound), store.take(new))
-        ]
+        # The bound partial's members, then the new relation's row.
+        return store.block(block.reshape(-1, 2), [self.bound, [self.new_relation]], True)
 
 
 def _step_sides(routing: JoinCondition, new: str) -> Tuple[str, str, str, bool]:
@@ -203,24 +202,23 @@ def _step_job(
     """One cascade step: the bound side — the partial tuples of the
     ``bound`` relations at ``bound_path`` read at the routing member,
     carrying the other members' terms, or, at step 0 (``None``), the
-    first relation's base rows lifted to one-member partials — and the
+    first relation's base rows, each a one-member partial — and the
     ``new`` relation, each through its router."""
     member, member_attr, new_attr, _ = _step_sides(routing, new)
     if bound_path is None:
-        bound_input = ctx.base_input(
-            member, RoutedMapper(LiftedRowView(member, member_attr), bound_router)
-        )
+        bound_view = RowView(member, member_attr, side=BOUND_SIDE)
+        bound_input = ctx.base_input(member, RoutedMapper(bound_view, bound_router))
     else:
         others = [Term(name, ctx.attributes[name]) for name in bound if name != member]
-        bound_input = InputSpec(
-            bound_path,
-            RoutedMapper(MemberView(member, member_attr, others), bound_router),
+        bound_view = MemberView(member, member_attr, others)
+        bound_input = ctx.derived_input(
+            bound_path, RoutedMapper(bound_view, bound_router), bound
         )
     new_view = RowView(new, new_attr, side=NEW_SIDE)
     return JobConf(
         name=name,
         inputs=[bound_input, ctx.base_input(new, RoutedMapper(new_view, new_router))],
-        reducer=_StepJoinReducer(new, routing, step_conditions, ctx.attributes),
+        reducer=_StepJoinReducer(new, routing, step_conditions, ctx.attributes, bound),
         output=output,
         num_reduce_tasks=num_reduce_tasks,
         partitioner=RoundRobinKeyPartitioner(),
@@ -342,7 +340,6 @@ class TwoWayCascade(JoinAlgorithm):
                 "partition_intervals": len(parts),
                 "grid_side": grid_o,
             },
-            partial_tuples=True,
         )
 
     def analytic_prediction(self, query, profile, conf):

@@ -73,7 +73,7 @@ from typing import (
 
 import numpy as np
 
-from repro.intervals.allen import AllenPredicate
+from repro.intervals.allen import AllenPredicate, partner_placements
 from repro.intervals.partitioning import Partitioning
 from repro.intervals.sweep import SortedColumns, true_pairs
 
@@ -238,11 +238,13 @@ class CrossingSetFinder:
     ) -> Dict[str, List[Tuple[str, np.ndarray]]]:
         """Per relation, ``(partner, mask)`` for each condition it is in:
         the crossing obligation its intervals are under while ``partner``
-        is absent.  The operand enforced to start first must end in a
-        later partition (B1) — exactly when it reaches the right
-        boundary, partitions being half-open — and the other must start
-        in an earlier one (B2); nothing crosses the outer edge of the
-        first or last partition."""
+        is absent (:func:`~repro.intervals.sets.crosses`).  The partner
+        lies wholly after the partition — where the predicate lets it
+        start after the member, which must then end in a later partition
+        (B1), exactly when it reaches the right boundary, partitions being
+        half-open — or wholly before it — where the predicate lets it end
+        before the member, which must then start in an earlier one (B2).
+        Nothing crosses the outer edge of the first or last partition."""
         locate, here = self.partitioning.locate_array, self.partition_index
         ends_later = {n: locate(c.ends) > here for n, c in columns.items()}
         starts_earlier = {n: locate(c.starts) < here for n, c in columns.items()}
@@ -250,13 +252,11 @@ class CrossingSetFinder:
             name: [] for name in self.relations
         }
         for left, predicate, right in self.conditions:
-            for first, second, enforced in (
-                (left, right, predicate.enforces_left_first()),
-                (right, left, predicate.enforces_right_first()),
-            ):
-                if enforced:
-                    owed[first].append((second, ends_later[first]))
-                    owed[second].append((first, starts_earlier[second]))
+            for member, partner, member_is_left in ((left, right, True), (right, left, False)):
+                after, before = partner_placements(predicate.name, member_is_left)
+                owed[member].append(
+                    (partner, (after & ends_later[member]) | (before & starts_earlier[member]))
+                )
         return owed
 
     # ------------------------------------------------------------------

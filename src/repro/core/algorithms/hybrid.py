@@ -14,18 +14,11 @@ between phases — the overhead All-Seq-Matrix exists to avoid.
 
 from __future__ import annotations
 
-import itertools
-from typing import (
-    Dict,
-    Iterator,
-    List,
-    Optional,
-    Sequence,
-    Tuple,
-)
+from typing import Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro.columnar.batch import IndexBlock
 from repro.errors import PlanningError, UnsatisfiableQueryError
 from repro.core.algorithms.base import JoinAlgorithm, Plan, PlanContext
 from repro.core.algorithms.cascade import colocation_step_job, step_operators
@@ -40,7 +33,7 @@ from repro.core.graph import Component, JoinGraph
 from repro.core.local import term_columns
 from repro.core.query import IntervalJoinQuery, JoinCondition, QueryClass
 from repro.intervals.sweep import MAX_CANDIDATE_PAIRS
-from repro.mapreduce.job import InputSpec, JobConf
+from repro.mapreduce.job import JobConf
 from repro.mapreduce.shuffle import RoundRobinKeyPartitioner
 from repro.mapreduce.task import KernelReducer
 
@@ -62,6 +55,17 @@ def _cross_component_conditions(
     for component in graph.components:
         internal.update(component.conditions)
     return [cond for cond in query.conditions if cond not in internal]
+
+
+def _filtered(block: IndexBlock, conditions: Sequence[JoinCondition]) -> IndexBlock:
+    """The tuples of ``block`` satisfying every one of ``conditions``
+    between its members, a mask over its columns; no comparisons are
+    charged (a driver-side filter, not a reducer's join)."""
+    keep = np.ones(len(block), dtype=bool)
+    for cond in conditions:
+        left, right = block.term_columns(cond.left), block.term_columns(cond.right)
+        keep &= cond.predicate.holds_columns(left.starts, left.ends, right.starts, right.ends)
+    return block.take(keep)
 
 
 def _attachment_steps(
@@ -122,6 +126,7 @@ class _ComponentJoinReducer(KernelReducer):
         self.query = query
         self.conditions = list(conditions)
         #: per dim, the relations its partials hold.
+        self.members = [list(names) for names in members]
         self.dim_of = {
             relation: dim for dim, names in enumerate(members) for relation in names
         }
@@ -171,14 +176,9 @@ class _ComponentJoinReducer(KernelReducer):
             )
 
     def format(self, block, store):
-        partials = map(store.take, block.reshape(-1, self.dimensions).T)
-        relations = self.query.relations
-        return [
-            tuple((name, members[name]) for name in relations)
-            for members in map(
-                lambda parts: dict(itertools.chain.from_iterable(parts)), zip(*partials)
-            )
-        ]
+        # Each dim's partial members, in the query's relation order.
+        partials = store.block(block.reshape(-1, self.dimensions), self.members, True)
+        return partials.select(self.query.relations) if len(partials) else partials
 
 
 class FCTS(JoinAlgorithm):
@@ -196,81 +196,49 @@ class FCTS(JoinAlgorithm):
     def plan(self, ctx: PlanContext) -> Plan:
         query, attributes = ctx.query, ctx.attributes
         graph = JoinGraph(query)
+        grid = GridSpec(graph, ctx.partition(self.grid_parts or ctx.num_partitions))
+        non_internal = _cross_component_conditions(query, graph)
+        members = [
+            sorted({term.relation for term in component.terms})
+            for component in graph.components
+        ]
 
         # ----- phase 1: component colocation joins (RCCIS) -----
-        component_paths: Dict[int, str] = {}
-        non_internal = _cross_component_conditions(query, graph)
+        inputs = []
         for component in graph.components:
-            path = f"fcts/component-{component.index}"
+            dim, path = component.index, f"fcts/component-{component.index}"
             if len(component.terms) == 1:
-                term = next(iter(component.terms))
-                records = [
-                    ((term.relation, row),)
-                    for row in ctx.data[term.relation].rows
-                ]
+                relation = ctx.data[members[dim][0]]
+                block = IndexBlock(members[dim], (relation,), np.arange(len(relation)))
             else:
                 subquery = _component_subquery(component)
                 names = subquery.relations
-                seq_filters = [
-                    cond
-                    for cond in non_internal
-                    if {cond.left.relation, cond.right.relation} <= set(names)
-                ]
-                records = []
-                for tuple_rows in ctx.subplan(
-                    RCCIS(), subquery, ctx.num_partitions
-                ):
-                    members = dict(zip(names, tuple_rows))
-                    if all(
-                        cond.predicate.holds(
-                            members[cond.left.relation].interval(
-                                cond.left.attribute
-                            ),
-                            members[cond.right.relation].interval(
-                                cond.right.attribute
-                            ),
-                        )
-                        for cond in seq_filters
-                    ):
-                        records.append(tuple(zip(names, tuple_rows)))
-            ctx.fs.write(path, records, overwrite=True)
-            component_paths[component.index] = path
+                block = _filtered(
+                    ctx.subplan(RCCIS(), subquery, ctx.num_partitions),
+                    [
+                        cond
+                        for cond in non_internal
+                        if {cond.left.relation, cond.right.relation} <= set(names)
+                    ],
+                ).select(names)
+            ctx.fs.write(path, block, overwrite=True)
+            # Coordinate = start partition of the component's right-most
+            # member interval.
+            view = RightmostMemberView(attributes, dim, members[dim])
+            router = CellRouter(grid.partitioning_of(dim), dim, grid.cells)
+            inputs.append(ctx.derived_input(path, RoutedMapper(view, router), members[dim]))
 
         # ----- phase 2: All-Matrix over the components -----
-        grid = GridSpec(
-            graph, ctx.partition(self.grid_parts or ctx.num_partitions)
-        )
         cross = [
             cond
             for cond in non_internal
             if graph.component_of(cond.left).index
             != graph.component_of(cond.right).index
         ]
-        members = [
-            sorted({term.relation for term in component.terms})
-            for component in graph.components
-        ]
         ctx.submit(
             JobConf(
                 name="fcts-matrix",
-                inputs=[
-                    InputSpec(
-                        component_paths[component.index],
-                        # Coordinate = start partition of the
-                        # component's right-most member interval.
-                        RoutedMapper(
-                            RightmostMemberView(
-                                attributes, component.index,
-                                members[component.index],
-                            ),
-                            CellRouter(
-                                grid.partitioning_of(component.index),
-                                component.index, grid.cells,
-                            ),
-                        ),
-                    )
-                    for component in graph.components
-                ],
+                inputs=inputs,
                 reducer=_ComponentJoinReducer(query, cross, members),
                 output="fcts/output",
                 num_reduce_tasks=max(1, len(grid.cells)),
@@ -284,7 +252,6 @@ class FCTS(JoinAlgorithm):
                 "colocation_subjoins": len(ctx.sub_metrics),
             },
             grid=grid,
-            partial_tuples=True,
         )
 
     def analytic_prediction(self, query, profile, conf):
@@ -420,15 +387,19 @@ class FSTC(JoinAlgorithm):
         seq_query = self._sequence_subquery(query)
 
         # ----- phase 1: the sequence sub-join via All-Matrix -----
-        seq_tuples = ctx.subplan(
-            AllMatrix(), seq_query, self.grid_parts or ctx.num_partitions
+        # Its relations' colocation conditions, which no later step
+        # checks, filter the partials.
+        seq_tuples = _filtered(
+            ctx.subplan(AllMatrix(), seq_query, self.grid_parts or ctx.num_partitions),
+            [
+                cond
+                for cond in query.conditions
+                if cond.is_colocation
+                and {cond.left.relation, cond.right.relation} <= set(seq_query.relations)
+            ],
         )
         current_path = "fstc/seq"
-        ctx.fs.write(
-            current_path,
-            [tuple(zip(seq_query.relations, t)) for t in seq_tuples],
-            overwrite=True,
-        )
+        ctx.fs.write(current_path, seq_tuples.select(seq_query.relations), overwrite=True)
 
         # ----- phase 2: cascade the remaining relations in -----
         parts = ctx.partition(ctx.num_partitions)
@@ -451,7 +422,6 @@ class FSTC(JoinAlgorithm):
                 "partition_intervals": len(parts),
                 "colocation_steps": step,
             },
-            partial_tuples=True,
         )
 
     def analytic_prediction(self, query, profile, conf):

@@ -23,6 +23,7 @@ All-Matrix / All-Seq-Matrix / Gen-Matrix.
 from __future__ import annotations
 
 import functools
+import operator
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -42,7 +43,7 @@ from repro.core.algorithms.routing import (
 )
 from repro.intervals.allen import MapOperator
 from repro.intervals.partitioning import Partitioning
-from repro.mapreduce.job import InputSpec, JobConf
+from repro.mapreduce.job import JobConf
 from repro.mapreduce.shuffle import RoundRobinKeyPartitioner
 from repro.mapreduce.task import KernelReducer
 
@@ -102,15 +103,18 @@ class FlaggingReducer(KernelReducer):
         gids, codes, flagged = block.reshape(-1, 3).T
         # Input i of the flag cycle is relation i (``RCCIS.plan``): a
         # gid's low half is its row there.
-        return IndexBlock(self.relations, store.sources(), codes, gids & 0xFFFFFFFF, flagged)
+        rows = gids & 0xFFFFFFFF
+        return IndexBlock(self.relations, store.sources(), rows, codes, flagged)
 
 
 class RouteMapper(RoutedMapper):
-    """Cycle 2 map: replicate flagged rows, project the rest."""
+    """Cycle 2 map: replicate flagged rows, project the rest.  The
+    router reads a flag block's flag column; ``targets``, its per-record
+    form, a record's third member."""
 
     def __init__(self, attributes: Mapping[str, str], partitioning: Partitioning):
-        view = FlaggedRowView(attributes)
-        super().__init__(view, FlagRouter(partitioning, view.flagged))
+        router = FlagRouter(partitioning, operator.itemgetter(2))
+        super().__init__(FlaggedRowView(attributes), router)
 
 
 class JoinReducer(TupleReducer):
@@ -180,7 +184,9 @@ class RCCIS(JoinAlgorithm):
             JobConf(
                 name="rccis-join",
                 inputs=[
-                    InputSpec("rccis/flags", RouteMapper(attributes, parts))
+                    ctx.derived_input(
+                        "rccis/flags", RouteMapper(attributes, parts), query.relations
+                    )
                 ],
                 reducer=JoinReducer(query, attributes, parts),
                 output="rccis/output",

@@ -14,13 +14,15 @@ and what value is shuffled.  Each of those is said once here:
   ``targets(interval, record, counters)`` for one record, the paper's
   rule as stated and the reference ``map_columns`` is held to;
   ``key_kind`` names its key codec;
-* a **view** owns *what is read and what is shuffled*: a record's
-  routing interval and the query term it is (``routing``), the further
-  query ``terms`` its value carries, its shuffle value ``(tag,
-  payload)`` and, for a whole input, the tag codes and the payloads;
+* a **view** owns *what is read and what is shuffled*: an input's
+  routing-interval columns, read off its source — a relation, or a
+  block an earlier job committed — and the query term they are
+  (``routing``), the further query ``terms`` its values carry, and the
+  tag codes and payloads of a whole input;
 * :class:`RoutedMapper` is the one mapper: the columnar protocol of
-  :mod:`repro.mapreduce.task` and its per-record ``map`` delegate to the
-  same two objects, so the two forms cannot drift apart per class.
+  :mod:`repro.mapreduce.task` and, over a :class:`RowView`'s rows, its
+  per-record ``map`` delegate to the same two objects, so the two forms
+  cannot drift apart per class.
 
 ``tests/properties/test_router_parity.py`` holds ``map_columns`` to
 ``targets`` bit for bit: the same keys in the same record-major order,
@@ -29,26 +31,25 @@ the same counter increments, no counter created at zero.
 
 from __future__ import annotations
 
-import functools
 from typing import Any, Callable, Dict, Hashable, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.errors import PlanningError
 from repro.columnar.batch import (
     IndexBlock,
     MapBlock,
-    interval_columns,
     object_column,
     operator_map_columns,
     ranged_targets,
 )
 from repro.columnar.codec import CellKeyCodec, IntKeyCodec
+from repro.core.local import attribute_columns
 from repro.core.query import Term
-from repro.core.schema import Row
+from repro.core.schema import Relation, Row
 from repro.intervals.allen import MapOperator
 from repro.intervals.interval import Interval
 from repro.intervals.partitioning import Partitioning
+from repro.intervals.sweep import SortedColumns
 from repro.mapreduce.task import MapContext, Mapper
 
 __all__ = [
@@ -59,12 +60,10 @@ __all__ = [
     "View",
     "RowView",
     "MemberView",
-    "LiftedRowView",
     "FlaggedRowView",
     "RightmostMemberView",
     "BOUND_SIDE",
     "NEW_SIDE",
-    "PartialTuple",
 ]
 
 #: Side tags of a cascade step's two inputs: the partial tuples bound so
@@ -72,20 +71,14 @@ __all__ = [
 BOUND_SIDE = "__bound__"
 NEW_SIDE = "__new__"
 
-#: A partial tuple: ``((relation, row), ...)`` for the bound relations.
-PartialTuple = Tuple[Tuple[str, Row], ...]
-
 
 class View:
-    """What a mapper reads off an input record (``interval_of``) and what
-    it shuffles (``value_of``): a ``(tag, payload)`` pair.  ``tag`` is
-    the first element of every shuffle value of a one-tag view — what a
-    reducer selects its inputs by
-    (:meth:`~repro.columnar.batch.ColumnValues.tag_mask`); the payloads
-    are what it rebuilds its outputs from
-    (:meth:`~repro.columnar.batch.PayloadStore.take`).  ``routing`` is
-    the query term the routing interval is (``None``: no one term), and
-    ``terms`` those a value carries besides it — ``interval_of(record,
+    """What a mapper reads off an input's source (``columns``) and what
+    it shuffles: values tagged ``tag`` — the first element of every
+    shuffle value of a one-tag view, what a reducer selects its inputs by
+    (:meth:`~repro.columnar.batch.ColumnValues.tag_mask`).  ``routing``
+    is the query term the routing interval is (``None``: no one term),
+    and ``terms`` those a value carries besides it — ``columns(source,
     term)`` reads one."""
 
     tag: Hashable
@@ -101,7 +94,7 @@ class View:
 
     def payloads_of(self, records: np.ndarray) -> np.ndarray:
         """The payloads of an object column of records, as one: the
-        column itself where a record is its own payload."""
+        second member of each record's shuffle value."""
         return object_column([self.value_of(r)[1] for r in records.tolist()])
 
 
@@ -110,7 +103,12 @@ class RowView(View):
     ``side`` tag, as ``(side, (label, row))``, which is how a cascade
     step's reducer tells the new relation from the bound side.  It
     carries the relation's ``also`` attributes as further terms.  The
-    label is the relation's name unless ``relation`` says otherwise."""
+    label is the relation's name unless ``relation`` says otherwise.
+
+    It is the one view with a per-record form, ``interval_of`` /
+    ``value_of``: the reference ``RoutedMapper.map`` states each router's
+    rule in (``tests/properties/test_router_parity.py``), which the
+    benchmark's mapper probe calls."""
 
     def __init__(
         self, label: str, attribute: str, side: Optional[str] = None,
@@ -123,8 +121,16 @@ class RowView(View):
         self.routing = Term(relation or label, attribute)
         self.terms = tuple(Term(relation or label, name) for name in also)
 
-    def interval_of(self, record: Row, term: Optional[Term] = None) -> Interval:
-        return record.interval(self.attribute if term is None else term.attribute)
+    def columns(self, source: Any, term: Optional[Term] = None) -> SortedColumns:
+        """The relation's own columns — or, for rows no relation stands
+        behind (an input that names no source), read one by one."""
+        attribute = self.attribute if term is None else term.attribute
+        if isinstance(source, Relation):
+            return source.columns(attribute)
+        return attribute_columns(source, attribute)
+
+    def interval_of(self, record: Row) -> Interval:
+        return record.interval(self.attribute)
 
     def value_of(self, record: Row) -> Any:
         value = (self.label, record)
@@ -135,90 +141,49 @@ class RowView(View):
 
 
 class MemberView(View):
-    """A partial tuple read at one bound member's interval, shuffled as
-    ``(BOUND_SIDE, partial)``; ``terms`` are its other members' terms."""
+    """The partial tuples of a cascade step's bound side, a block of
+    them, read at one bound member's interval and shuffled under
+    ``BOUND_SIDE``; ``terms`` are its other members' terms."""
 
     tag = BOUND_SIDE
 
     def __init__(self, member: str, attribute: str, terms: Sequence[Term] = ()) -> None:
-        self.member = member
-        self.attribute = attribute
         self.routing = Term(member, attribute)
         self.terms = tuple(terms)
 
-    def interval_of(self, record: PartialTuple, term: Optional[Term] = None) -> Interval:
-        term = Term(self.member, self.attribute) if term is None else term
-        for relation, row in record:
-            if relation == term.relation:
-                return row.interval(term.attribute)
-        raise PlanningError(f"partial tuple missing member {term.relation!r}")
-
-    def value_of(self, record: PartialTuple) -> Any:
-        return (BOUND_SIDE, record)
-
-    def payloads_of(self, records: np.ndarray) -> np.ndarray:
-        return records
-
-
-class LiftedRowView(MemberView):
-    """Step 0 of a cascade: the first relation's base rows stand in for
-    the partial tuples, each lifted to the one-member partial
-    ``((member, row),)``."""
-
-    def interval_of(self, record: Row, term: Optional[Term] = None) -> Interval:
-        return record.interval(self.attribute)
-
-    def value_of(self, record: Row) -> Any:
-        return (BOUND_SIDE, ((self.member, record),))
-
-    payloads_of = View.payloads_of
+    def columns(self, source: IndexBlock, term: Optional[Term] = None) -> SortedColumns:
+        return source.term_columns(self.routing if term is None else term)
 
 
 class FlaggedRowView(View):
-    """RCCIS's cycle-1 output record ``(relation, row, flagged)``,
-    shuffled as ``(relation, row)``.  One input file carries every
-    relation, so the tag is per record.  Read back as an
-    :class:`~repro.columnar.batch.IndexBlock`, the file's columnar forms
-    read the block's codes and, through it, the relations' columns."""
+    """RCCIS's cycle-1 output, a flag block of ``(relation, row,
+    flagged)`` records, shuffled under each record's relation.  One input
+    file carries every relation, so the tag is per record; the block's
+    relation codes are the tag codes."""
 
     def __init__(self, attributes: Mapping[str, str]) -> None:
         #: each relation's attribute: what a block's ``columns`` takes.
         self.attribute = dict(attributes)
 
-    def interval_of(self, record: Tuple[str, Row, bool]) -> Interval:
-        relation, row, _flagged = record
-        return row.interval(self.attribute[relation])
-
-    def value_of(self, record: Tuple[str, Row, bool]) -> Any:
-        return (record[0], record[1])
+    def columns(self, source: IndexBlock, term: Optional[Term] = None) -> SortedColumns:
+        return source.columns(self.attribute)
 
     def payloads_of(self, records: np.ndarray) -> np.ndarray:
         # A block's row column holds the payloads already.
-        if len(records) and isinstance(records[0], Row):
-            return records
-        return object_column([record[1] for record in records.tolist()])
-
-    def flagged(self, record: Tuple[str, Row, bool]) -> bool:
-        """Whether cycle 1 marked the row for replication."""
-        return record[2]
+        return records
 
     def route(self, tag: str) -> Term:
         return Term(tag, self.attribute[tag])
 
-    def tag_codes(self, records):
-        if isinstance(records, IndexBlock):
-            return records.codes.astype(np.int16), records.names
-        relations = [record[0] for record in records]
-        tags = list(dict.fromkeys(relations))  # first-appearance order
-        code_of = {tag: code for code, tag in enumerate(tags)}
-        codes = np.fromiter(map(code_of.__getitem__, relations), np.int16, len(relations))
-        return codes, tags
+    def tag_codes(self, records: IndexBlock):
+        return records.codes.astype(np.int16), records.names
 
 
 class RightmostMemberView(View):
-    """One component's materialised partial tuple (FCTS phase 2), read at
-    the member interval that starts right-most (no one term) and
-    shuffled as ``(dim, partial)``, carrying its ``members``' terms."""
+    """One component's partial tuples (FCTS phase 2), a block of them,
+    read at the member interval that starts right-most — the first such
+    member in the block's order, no one term — and shuffled under
+    ``dim``, carrying its ``members``' terms."""
 
     def __init__(
         self, attributes: Mapping[str, str], dim: int, members: Sequence[str] = ()
@@ -227,16 +192,16 @@ class RightmostMemberView(View):
         self.tag = dim
         self.terms = tuple(Term(name, self.attributes[name]) for name in members)
 
-    def interval_of(self, record: PartialTuple, term: Optional[Term] = None) -> Interval:
+    def columns(self, source: IndexBlock, term: Optional[Term] = None) -> SortedColumns:
         if term is not None:
-            return dict(record)[term.relation].interval(term.attribute)
-        return max(
-            (row.interval(self.attributes[name]) for name, row in record),
-            key=lambda interval: interval.start,
-        )
-
-    def value_of(self, record: PartialTuple) -> Any:
-        return (self.tag, record)
+            return source.term_columns(term)
+        members = [
+            source.term_columns(Term(name, self.attributes[name])) for name in source.names
+        ]
+        starts = np.stack([member.starts for member in members])
+        ends = np.stack([member.ends for member in members])
+        rightmost, rows = np.argmax(starts, axis=0), np.arange(len(source))
+        return SortedColumns(starts[rightmost, rows], ends[rightmost, rows])
 
 
 class _PartitionRouter:
@@ -465,11 +430,10 @@ class RoutedMapper(Mapper):
             context.emit(key, value)
 
     def encode_intervals(self, records, source=None):
-        """An input's routing-interval columns: its ``source``
-        relation's own if it names one, else read off the records."""
-        if source is None:
-            return interval_columns(records, self.view.interval_of)
-        columns = source.columns(self.view.attribute)
+        """An input's routing-interval columns, as the view reads them
+        off its source: a relation's own, or a block's gathered by row
+        index."""
+        columns = self.view.columns(records if source is None else source)
         return columns.starts, columns.ends
 
     def encode_terms(self, records, source=None):
@@ -479,13 +443,13 @@ class RoutedMapper(Mapper):
         terms = self.view.terms
         if not terms:
             return None
-        columns = [
-            interval_columns(records, functools.partial(self.view.interval_of, term=term))
-            if source is None
-            else (source.columns(term.attribute).starts, source.columns(term.attribute).ends)
-            for term in terms
-        ]
-        return (terms, *(np.stack(side, axis=1) for side in zip(*columns)))
+        source = records if source is None else source
+        columns = [self.view.columns(source, term) for term in terms]
+        return (
+            terms,
+            np.stack([column.starts for column in columns], axis=1),
+            np.stack([column.ends for column in columns], axis=1),
+        )
 
     def map_columns(self, starts, ends, records, terms=None) -> MapBlock:
         key_codes, row_idx, counters = self.router.map_columns(starts, ends, records, terms)

@@ -350,7 +350,8 @@ def anchored_join(
 class TupleReducer(KernelReducer):
     """A reducer emitting the join tuples of the bindings ``_join(key,
     columns, counters)`` yields over one key group's columns, one row of
-    member gids per tuple.  Subclasses set ``query`` and count
+    member gids per tuple, committed as a tuple block of the members'
+    row indices.  Subclasses set ``query`` and count
     comparisons through ``counters``, not a cached joiner's: one
     instance serves concurrently running tasks under the threads
     executor."""
@@ -366,6 +367,6 @@ class TupleReducer(KernelReducer):
         return np.concatenate(blocks)
 
     def format(self, block, store):
-        # One object-array take per relation, zipped into tuples.
-        members = block.reshape(-1, len(self.query.relations))
-        return list(zip(*map(store.take, members.T)))
+        # One row-index column per relation: the job tuples' block.
+        relations = self.query.relations
+        return store.block(block.reshape(-1, len(relations)), [[n] for n in relations], False)

@@ -35,6 +35,7 @@ from first principles (see DESIGN.md):
 from __future__ import annotations
 
 import enum
+import functools
 from dataclasses import dataclass
 from typing import Callable, Dict, FrozenSet, Tuple, Union
 
@@ -51,6 +52,7 @@ __all__ = [
     "COLOCATION_PREDICATES",
     "SEQUENCE_PREDICATES",
     "get_predicate",
+    "partner_placements",
     "relation_between",
     "BEFORE",
     "AFTER",
@@ -382,3 +384,21 @@ def relation_between(u: Interval, v: Interval) -> AllenPredicate:
         f"no Allen relation holds between {u} and {v}"
     )
 
+
+@functools.lru_cache(maxsize=None)
+def partner_placements(predicate_name: str, member_is_left: bool) -> Tuple[bool, bool]:
+    """``(after, before)``: whether ``member P partner`` (``partner P
+    member`` unless ``member_is_left``) lets the partner start after the
+    member and end before it — where an absent partner of a crossing set
+    can lie (:func:`repro.intervals.sets.crosses`).  Read off every pair
+    of intervals on four points, which realise each relation."""
+    predicate = get_predicate(predicate_name)
+    intervals = [Interval(a, b) for a in range(4) for b in range(a, 4)]
+    pairs = [
+        (member, partner) for member in intervals for partner in intervals
+        if predicate.holds(*((member, partner) if member_is_left else (partner, member)))
+    ]
+    return (
+        any(partner.start > member.start for member, partner in pairs),
+        any(partner.end < member.end for member, partner in pairs),
+    )

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from typing import Iterable, Mapping, Sequence, Tuple, Union
 
-from repro.intervals.allen import AllenPredicate, get_predicate
+from repro.intervals.allen import AllenPredicate, get_predicate, partner_placements
 from repro.intervals.interval import Interval
 from repro.intervals.partitioning import Partitioning
 
@@ -68,13 +68,18 @@ def crosses(
 
     * every member interval intersects ``p``, and
     * for every query condition joining a member relation to an absent
-      relation: if the predicate enforces the member to start first (B1)
-      the member's end point lies beyond ``p``'s right boundary; if it
-      enforces the absent partner to start first (B2) the member's start
-      point lies before ``p``'s left boundary.  A predicate enforcing both
-      orders (equal starts) imposes both crossings, which is unsatisfiable
-      for a single partition — correctly so, because an equal-start partner
-      would itself intersect ``p`` and thus could never be absent.
+      relation, the absent partner has a place outside ``p`` that the
+      member reaches: wholly after ``p`` — which needs a predicate that
+      lets the partner start after the member, and the member's end
+      point beyond ``p``'s right boundary (B1) — or wholly before ``p``
+      — which needs one that lets the partner end before the member, and
+      the member's start point before ``p``'s left boundary (B2)
+      (:func:`partner_placements`).  A member that *contains* its
+      partner may have it on either side; one that *starts*, *finishes*,
+      *equals* or lies *during* its partner has none, because that
+      partner would itself intersect ``p`` and thus could never be
+      absent.  For ``before`` / ``after`` this is B1 for the operand
+      enforced to start first and B2 for the other.
 
     Note the definition deliberately does *not* require the set to be
     consistent; RCCIS checks consistency (C1) and crossing (C2) as separate
@@ -84,26 +89,15 @@ def crosses(
     for interval in interval_set.values():
         if not interval.intersects(part):
             return False
-    present = set(interval_set)
     for left, predicate, right in conditions:
-        if left in present and right not in present:
-            member = interval_set[left]
-            if predicate.enforces_left_first() and not partitioning.crosses_right(
-                member, partition_index
-            ):
-                return False
-            if predicate.enforces_right_first() and not partitioning.crosses_left(
-                member, partition_index
-            ):
-                return False
-        elif right in present and left not in present:
-            member = interval_set[right]
-            if predicate.enforces_left_first() and not partitioning.crosses_left(
-                member, partition_index
-            ):
-                return False
-            if predicate.enforces_right_first() and not partitioning.crosses_right(
-                member, partition_index
+        for member, partner, member_is_left in ((left, right, True), (right, left, False)):
+            if member not in interval_set or partner in interval_set:
+                continue
+            interval = interval_set[member]
+            after, before = partner_placements(predicate.name, member_is_left)
+            if not (
+                (after and partitioning.crosses_right(interval, partition_index))
+                or (before and partitioning.crosses_left(interval, partition_index))
             ):
                 return False
     return True

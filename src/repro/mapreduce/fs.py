@@ -25,13 +25,14 @@ reader of the output directory can never observe uncommitted data.
 
 The file system is the data plane's record boundary: map tasks read
 their input records through :meth:`FileSystem.read_dir` and reduce
-outputs are committed as records (RCCIS's flag file as an
-:class:`~repro.columnar.batch.IndexBlock`, a sequence of exactly those
-records, which :class:`InMemoryFileSystem` keeps whole) — only the
-*intermediate* pair stream between map and reduce is columns
-(struct-of-arrays batches and shared-memory blocks; see
-:mod:`repro.columnar` and ``docs/data_plane.md``).  A persisted file
-therefore holds records, byte-identical on every executor.
+outputs are committed as records — a join's or RCCIS's flag cycle's as
+an :class:`~repro.columnar.batch.IndexBlock`, a sequence of exactly
+those records, which :class:`InMemoryFileSystem` keeps whole and reads
+back as one block — while the *intermediate* pair stream between map
+and reduce is columns (struct-of-arrays batches and shared-memory
+blocks; see :mod:`repro.columnar` and ``docs/data_plane.md``).  A
+persisted file therefore holds records, byte-identical on every
+executor.
 """
 
 from __future__ import annotations

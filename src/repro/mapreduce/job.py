@@ -21,9 +21,12 @@ class InputSpec:
 
     ``source`` is the base relation whose rows, in order, are the
     records at ``path`` (duck-typed: ``columns(attribute)``,
-    ``row_column()``), whose own columns a columnar job then reads;
-    ``None`` for an input an earlier job wrote.  Here, not on the mapper:
-    a mapper is deep-copied or pickled per attempt, a spec never is.
+    ``row_column()``), whose own columns a columnar job then reads — or,
+    for an input an earlier job wrote, the mapping of the relations its
+    records index, by name (a file read back as records is rebuilt into
+    the :class:`~repro.columnar.batch.IndexBlock` it stands for; one read
+    back as a block is its own source).  Here, not on the mapper: a
+    mapper is deep-copied or pickled per attempt, a spec never is.
     """
 
     path: str

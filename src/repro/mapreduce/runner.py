@@ -65,6 +65,7 @@ from typing import (
     Dict,
     Hashable,
     List,
+    Mapping,
     Optional,
     Sequence,
     Tuple,
@@ -392,8 +393,9 @@ class _MapTasks(_Tasks):
 
 
 def _source(spec: Any, records: Sequence[Any]) -> Any:
-    """An input's source: its spec's, or the input read back as a block."""
-    return records if spec.source is None and isinstance(records, IndexBlock) else spec.source
+    """An input's source: the input itself where it is a block, else its
+    spec's relation (or ``None``)."""
+    return records if isinstance(records, IndexBlock) else spec.source
 
 
 def _job_key_kind(conf: JobConf) -> str:
@@ -422,11 +424,18 @@ def _job_key_kind(conf: JobConf) -> str:
 def _map_tasks_for(run: _JobRun) -> _MapTasks:
     """The job's map tasks over its materialised inputs, with each
     input's encoded columns: its ``source`` relation's own, if it names
-    one, or the input itself read back as one block."""
-    read = [(spec, run.fs.read_dir(spec.path)) for spec in run.conf.inputs]
-    inputs = [(s, r if isinstance(r, IndexBlock) else list(r)) for s, r in read]
+    one, or the input itself read back (or rebuilt) as one block."""
+    inputs = []
+    for spec in run.conf.inputs:
+        records = run.fs.read_dir(spec.path)
+        if not isinstance(records, IndexBlock):
+            records = list(records)
+            if isinstance(spec.source, Mapping):  # the relations it indexes
+                records = IndexBlock.from_records(records, spec.source)
+        inputs.append((spec, records))
     for spec, records in inputs:
-        if spec.source is not None and len(spec.source) != len(records):
+        source = _source(spec, records)
+        if source is not None and len(source) != len(records):
             raise MapReduceError(
                 f"input {spec.path!r} holds {len(records)} records, its "
                 f"source relation {len(spec.source)} rows"

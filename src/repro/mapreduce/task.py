@@ -36,8 +36,10 @@ Reducer side::
                                       # one row per output: group gids
                                       # plus small int codes
     def format(self, block, store) -> Sequence
-                                      # the block's output records, gids
-                                      # resolved through store.take
+                                      # the block's output records: a
+                                      # join's as an IndexBlock of row
+                                      # indices (store.block), others'
+                                      # through store.take
 
 The runner calls ``kernel`` per :class:`~repro.columnar.batch.ColumnValues`
 group — no context, no ``setup`` / ``cleanup`` — and formats a task's

@@ -9,7 +9,6 @@ from repro.columnar.batch import (
     ColumnarPairs,
     ColumnValues,
     MapBlock,
-    interval_columns,
     operator_map_columns,
     ranged_targets,
 )
@@ -18,6 +17,13 @@ from repro.errors import MapReduceError
 from repro.intervals.allen import MapOperator
 from repro.intervals.interval import Interval
 from repro.intervals.partitioning import Partitioning
+from repro.intervals.sweep import SortedColumns
+
+
+def interval_columns(intervals):
+    """The ``(starts, ends)`` columns every input is encoded into."""
+    columns = SortedColumns.of_intervals(intervals)
+    return columns.starts, columns.ends
 
 
 def random_intervals(n, seed=0, span=100.0):
@@ -223,19 +229,19 @@ class TestColumnValues:
 
 
 class TestIntervalColumns:
-    """``interval_columns`` returns float64 columns only when they *are*
+    """Interval columns are float64 only when they *are*
     the intervals — every endpoint survives the conversion — and
     ``object`` columns of the exact values otherwise."""
 
     def test_ints_and_floats_within_float64_encode(self):
         intervals = [Interval(5, 9), Interval(0.5, 2**53), Interval(-3, 7.25)]
-        starts, ends = interval_columns(intervals, lambda iv: iv)
+        starts, ends = interval_columns(intervals)
         assert starts.dtype == ends.dtype == np.float64
         assert starts.tolist() == [5.0, 0.5, -3.0]
         assert ends.tolist() == [9.0, float(2**53), 7.25]
 
     def test_empty_input_encodes(self):
-        starts, ends = interval_columns([], lambda iv: iv)
+        starts, ends = interval_columns([])
         assert len(starts) == len(ends) == 0
 
     @pytest.mark.parametrize(
@@ -247,7 +253,7 @@ class TestIntervalColumns:
         ],
     )
     def test_endpoint_beyond_float64_is_reported(self, interval):
-        starts, ends = interval_columns([Interval(1, 2), interval], lambda iv: iv)
+        starts, ends = interval_columns([Interval(1, 2), interval])
         assert object in (starts.dtype, ends.dtype)
         assert starts.tolist() == [1, interval.start]
         assert ends.tolist() == [2, interval.end]

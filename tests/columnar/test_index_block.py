@@ -1,15 +1,20 @@
-"""RCCIS's flag file as an index-column block.
+"""What a job commits between cycles, as an index-column block.
 
-The flag cycle commits its ``(relation, row, flagged)`` records as an
-:class:`~repro.columnar.batch.IndexBlock` — relation codes, row indices
-into the relations and flags — and the join cycle reads it back as
-columns.  Whatever reads it as records (``list()``, a file system, a
-user job's mapper) must see exactly the records it stands for, in
-order; whatever reads it as columns must see the relations' own.
+The flag cycle commits its ``(relation, row, flagged)`` records as a
+flag :class:`~repro.columnar.batch.IndexBlock` — relation codes, row
+indices into the relations and flags — and every join job its tuples as
+a tuple block, one row-index column per member: partial tuples
+``((relation, row), ...)`` between cycles, ``Row`` tuples at the end.
+The next cycle reads a block back as columns.  Whatever reads it as
+records (``list()``, a file system, a user job's mapper) must see
+exactly the records it stands for, in order; whatever reads it as
+columns must see the relations' own; and a file read back as records
+must rebuild the block it was written from.
 """
 
 from __future__ import annotations
 
+import base64
 import json
 import pickle
 
@@ -20,7 +25,7 @@ from repro import Interval, Relation, reference_join
 from repro.columnar.batch import IndexBlock
 from repro.core.algorithms.rccis import RouteMapper
 from repro.core.executor import execute
-from repro.core.query import IntervalJoinQuery
+from repro.core.query import IntervalJoinQuery, Term
 from repro.core.schema import Row
 from repro.intervals.partitioning import Partitioning
 from repro.mapreduce import InMemoryFileSystem, LocalFileSystem
@@ -43,7 +48,7 @@ RUNS = {
 
 def _block(data, codes, rows, flagged):
     names = sorted(data)
-    return IndexBlock(names, [data[name] for name in names], codes, rows, flagged)
+    return IndexBlock(names, [data[name] for name in names], rows, codes, flagged)
 
 
 def _records(data, codes, rows, flagged):
@@ -224,3 +229,123 @@ def test_an_endpoint_past_float64_joins_on_columns():
         reference_join(COLOCATION, data).tuple_ids()
     )
     assert len(result) > 0
+
+
+class TestTupleBlocks:
+    @pytest.fixture
+    def data(self):
+        return make_dataset(("R1", "R2"), 5, seed=3)
+
+    def block(self, data, labelled=True):
+        rows = [[4, 0], [1, 1], [1, 3]]
+        return IndexBlock(("R2", "R1"), (data["R2"], data["R1"]), rows, labelled=labelled)
+
+    def test_records_are_partials_or_join_tuples(self, data):
+        r1, r2 = data["R1"].rows, data["R2"].rows
+        partials = [(("R2", r2[4]), ("R1", r1[0])), (("R2", r2[1]), ("R1", r1[1])),
+                    (("R2", r2[1]), ("R1", r1[3]))]
+        assert list(self.block(data)) == partials
+        assert self.block(data)[-1] == partials[-1]
+        bare = [tuple(row for _, row in partial) for partial in partials]
+        assert list(self.block(data, labelled=False)) == bare
+        assert self.block(data).tuples() == bare
+        assert pickle.loads(pickle.dumps(self.block(data))) == partials
+
+    def test_select_take_and_concat(self, data):
+        block = self.block(data)
+        selected = block.select(["R1", "R2"], labelled=False)
+        assert selected.names == ("R1", "R2")
+        assert list(selected) == [(b, a) for a, b in block.tuples()]
+        assert list(block.take(np.array([False, True, True]))) == list(block)[1:]
+        assert list(IndexBlock.concat([block, block.take([0])])) == list(block) + list(block)[:1]
+        with pytest.raises(ValueError, match="other relations"):
+            IndexBlock.concat([block, self.block(data, labelled=False)])
+
+    def test_term_columns_are_the_members_own(self, data):
+        block = self.block(data)
+        columns = block.term_columns(Term("R1", "I"))
+        want = data["R1"].columns("I")
+        assert columns.starts.tolist() == want.starts[[0, 1, 3]].tolist()
+        assert columns.ends.tolist() == want.ends[[0, 1, 3]].tolist()
+
+    @pytest.mark.parametrize("labelled", [True, False])
+    def test_records_rebuild_the_block(self, data, labelled):
+        block = self.block(data, labelled)
+        relations = {"R2": data["R2"], "R1": data["R1"]}
+        again = IndexBlock.from_records(list(block), relations)
+        assert (again.names, again.labelled) == (block.names, labelled)
+        assert again.rows.tolist() == block.rows.tolist()
+        empty = IndexBlock.from_records([], relations)
+        assert (len(empty), empty.names) == (0, ("R2", "R1"))
+
+    def test_flag_records_rebuild_the_block(self, data):
+        block = _block(data, [1, 0, 1], [4, 0, 2], [True, False, False])
+        again = IndexBlock.from_records(list(block), {name: data[name] for name in sorted(data)})
+        assert list(again) == list(block)
+        assert again.codes.tolist() == [1, 0, 1] and again.rows[:, 0].tolist() == [4, 0, 2]
+
+
+#: The plans whose every file a ``LocalFileSystem`` holds as records.
+LOCAL_PLANS = {
+    "rccis": COLOCATION,
+    "two_way_cascade": COLOCATION,
+    "pasm": IntervalJoinQuery.parse([("R1", "overlaps", "R2"), ("R2", "before", "R3")]),
+    "fcts": IntervalJoinQuery.parse([("R1", "overlaps", "R2"), ("R2", "before", "R3")]),
+    "fstc": IntervalJoinQuery.parse([("R1", "before", "R2"), ("R2", "overlaps", "R3")]),
+}
+
+#: A codec that stores any record: pickled, as a JSON string.
+PICKLING = dict(
+    encode=lambda record: base64.b64encode(pickle.dumps(record)).decode("ascii"),
+    decode=lambda text: pickle.loads(base64.b64decode(text)),
+)
+
+
+def _shape(record):
+    """A record's shape: ``row``, a flag record, a partial tuple (its
+    relations, in order) or a join tuple (its width)."""
+    if isinstance(record, Row):
+        return "row"
+    if isinstance(record[0], str) and len(record) == 3 and isinstance(record[1], Row):
+        return ("flag", type(record[2]))
+    if all(isinstance(member, tuple) and isinstance(member[1], Row) for member in record):
+        return ("partial", tuple(name for name, _ in record))
+    if all(isinstance(member, Row) for member in record):
+        return ("tuple", len(record))
+    return type(record[0]).__name__
+
+
+@pytest.mark.parametrize("algorithm", sorted(LOCAL_PLANS))
+def test_a_local_file_system_holds_every_file_as_records(algorithm, tmp_path):
+    """Each file of the plan holds the records its blocks stand for —
+    ``(relation, row, flagged)``, partials in bound order, ``Row``
+    tuples — and each derived input is rebuilt from them."""
+    query = LOCAL_PLANS[algorithm]
+    data = make_dataset(query.relations, 40, seed=5, max_length=60)
+    fs = LocalFileSystem(str(tmp_path), **PICKLING)
+    result = execute(query, data, algorithm, num_partitions=4, fs=fs)
+    want = reference_join(query, data).tuple_ids()
+    assert len(want) > 0 and sorted(result.tuple_ids()) == sorted(want)
+
+    shapes = {}
+    for path in fs.list_prefix(""):
+        directory = path.rsplit("/part-", 1)[0]
+        shapes.setdefault(directory, set()).update(map(_shape, fs.read(path)))
+    relations = query.relations
+    expected = {f"input/{name}": {"row"} for name in relations}
+    if algorithm == "rccis":
+        expected["rccis/flags"] = {("flag", bool)}
+        expected["rccis/output"] = {("tuple", 3)}
+    elif algorithm == "two_way_cascade":
+        expected["cascade/step-01"] = {("partial", ("R1", "R2"))}
+        expected["cascade/step-02"] = {("partial", ("R1", "R2", "R3"))}
+    elif algorithm == "fcts":
+        expected["fcts/component-0"] = {("partial", ("R1", "R2"))}
+        expected["fcts/component-1"] = {("partial", ("R3",))}
+        expected["fcts/output"] = {("partial", relations)}
+    elif algorithm == "fstc":
+        expected["fstc/seq"] = {("partial", ("R1", "R2"))}
+        expected["fstc/step-01"] = {("partial", ("R1", "R2", "R3"))}
+    else:
+        expected["pasm/output"] = {("tuple", 3)}
+    assert {path: shapes[path] for path in expected} == expected

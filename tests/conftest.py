@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from repro import Interval, IntervalJoinQuery, Relation, reference_join
-from repro.columnar.batch import ColumnValues, Terms, endpoint_column, object_column
+from repro.columnar.batch import ColumnValues, IndexBlock, Terms, endpoint_column, object_column
 from repro.core.algorithms.routing import OperatorRouter, RoutedMapper, RowView
 from repro.core.schema import Row
 from repro.intervals.allen import MapOperator
@@ -127,6 +127,22 @@ class GroupStore:
             SimpleNamespace(rows=payloads, row_column=lambda payloads=payloads: payloads)
             for payloads in self.segments
         )
+
+    def block(self, gids, members, labelled):
+        """As ``PayloadStore.block``: each member's relation is the rows
+        its segment's payloads hold for it, and a gid's low half its row
+        there."""
+        if not len(gids):
+            return []
+        relations, rows = [], []
+        for column, names in zip(np.asarray(gids, dtype=np.int64).T, members):
+            payloads = self.segments[int(column[0]) >> 32].tolist()
+            for name in names:
+                own = object_column([payload_row(payload, name) for payload in payloads])
+                relations.append(SimpleNamespace(row_column=lambda own=own: own))
+                rows.append(column & 0xFFFFFFFF)
+        names = [name for group in members for name in group]
+        return IndexBlock(names, relations, np.stack(rows, axis=1), labelled=labelled)
 
 
 def column_values(

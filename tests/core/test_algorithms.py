@@ -249,6 +249,23 @@ class TestHybridBaselines:
         result = FSTC().run(Q_HYBRID, data, num_partitions=4)
         assert_matches_reference(Q_HYBRID, data, result)
 
+    @pytest.mark.parametrize("partitions", [1, 3, 4])
+    def test_fstc_checks_colocation_within_its_sequence_subquery(self, partitions):
+        """``R1 overlaps R2`` binds no relation a later step attaches:
+        phase 1's partials must meet it, not only the sequence
+        conditions."""
+        q = IntervalJoinQuery.parse(
+            [("R1", "overlaps", "R2"), ("R2", "before", "R3"), ("R1", "before", "R3")]
+        )
+        data = {
+            name: Relation.of_intervals(name, [Interval(*interval)])
+            for name, interval in (("R1", (0, 2)), ("R2", (5, 6)), ("R3", (10, 11)))
+        }
+        assert len(FSTC().run(q, data, num_partitions=partitions)) == 0
+        data = make_dataset(["R1", "R2", "R3"], 30, seed=18, max_length=40)
+        result = FSTC().run(q, data, num_partitions=partitions)
+        assert_matches_reference(q, data, result)
+
     def test_fstc_rejects_pure_colocation(self):
         data = make_dataset(["R1", "R2", "R3"], 5)
         with pytest.raises(PlanningError):

@@ -209,3 +209,42 @@ def test_too_many_relations_rejected():
         CrossingSetFinder(
             [f"R{i}" for i in range(1, 21)], list(conditions), partitioning, 1
         )
+
+
+#: A member that contains, or is started by, its partner may have that
+#: partner wholly *before* the partition: ``(conditions, one interval per
+#: relation)``, each joining to exactly one tuple.
+PARTNER_BEFORE = {
+    "started_by": (
+        [("R1", "finishes", "R2"), ("R2", "met_by", "R3"), ("R3", "started_by", "R4")],
+        [(58, 61), (51, 61), (43, 51), (43, 45)],
+    ),
+    "contains": (
+        [("R1", "finishes", "R2"), ("R2", "met_by", "R3"), ("R3", "contains", "R4")],
+        [(58, 61), (51, 61), (43, 51), (44, 45)],
+    ),
+}
+
+
+@pytest.mark.parametrize("partitions", [3, 4, 5, 8])
+@pytest.mark.parametrize(
+    "algorithm", ["rccis", "pasm", "gen_matrix", "all_seq_matrix", "fcts"]
+)
+@pytest.mark.parametrize("case", sorted(PARTNER_BEFORE))
+def test_a_partner_before_the_partition_is_not_dropped(case, algorithm, partitions):
+    """The flag cycle replicates a member whose absent partner lies
+    before its partition, so the tuple is joined where its right-most
+    member starts."""
+    from repro import Relation, execute, reference_join
+    from repro.core.query import IntervalJoinQuery
+
+    conditions, intervals = PARTNER_BEFORE[case]
+    query = IntervalJoinQuery.parse(conditions)
+    data = {
+        f"R{i}": Relation.of_intervals(f"R{i}", [Interval(*interval)])
+        for i, interval in enumerate(intervals, 1)
+    }
+    want = reference_join(query, data).tuple_ids()
+    assert len(want) == 1
+    got = execute(query, data, algorithm, num_partitions=partitions)
+    assert got.tuple_ids() == want

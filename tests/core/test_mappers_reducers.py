@@ -1,6 +1,7 @@
 """Granular unit tests for the algorithms' mapper and reducer classes,
 exercised directly (outside a job) against hand-built partitionings:
-mappers record by record, reducers as the runner drives a kernel."""
+mappers of base rows record by record, the flag file's over a block,
+reducers as the runner drives a kernel."""
 
 
 import pytest
@@ -15,7 +16,8 @@ from repro.core.algorithms.rccis import (
 )
 from repro.core.algorithms.two_way import OperatorMapper
 from repro.core.query import IntervalJoinQuery, Term
-from repro.core.schema import Row
+from repro.columnar.batch import IndexBlock
+from repro.core.schema import Relation, Row
 from repro.intervals.allen import MapOperator
 from repro.intervals.interval import Interval
 from repro.intervals.partitioning import Partitioning
@@ -80,15 +82,15 @@ class TestSplitMapper:
 
 class TestRouteMapper:
     def test_flagged_replicates_unflagged_projects(self):
+        """Over a flag block, as the join cycle reads the flag file."""
         mapper = RouteMapper({"R1": "I"}, PARTS)
-        flagged_record = ("R1", row(0, 12, 15), True)
-        plain_record = ("R1", row(1, 12, 15), False)
-        pairs, counters = run_mapper(mapper, [flagged_record, plain_record])
-        flagged_keys = [k for k, (_, r) in pairs if r.rid == 0]
-        plain_keys = [k for k, (_, r) in pairs if r.rid == 1]
-        assert flagged_keys == [1, 2, 3]
-        assert plain_keys == [1]
-        assert counters.value("join", "replicated_pairs") == 3
+        relation = Relation("R1", [row(0, 12, 15), row(1, 12, 15)])
+        block = IndexBlock(("R1",), (relation,), [0, 1], [0, 0], [True, False])
+        out = mapper.map_columns(*mapper.encode_intervals(block, block), block)
+        keys = list(zip(out.row_idx.tolist(), out.key_codes.tolist()))
+        assert [key for at, key in keys if at == 0] == [1, 2, 3]
+        assert [key for at, key in keys if at == 1] == [1]
+        assert out.counters == {("join", "replicated_pairs"): 3}
 
 
 class TestFlaggingReducer:

@@ -359,7 +359,7 @@ def _two_way_job(query, data):
     conf = JobConf(
         name="two-way",
         inputs=[
-            InputSpec(input_path(term.relation), mapper(term, operator))
+            InputSpec(input_path(term.relation), mapper(term, operator), data[term.relation])
             for term, operator in terms
         ],
         reducer=JoinReducer(

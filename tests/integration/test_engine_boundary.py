@@ -325,16 +325,14 @@ def _calls(tree, attr):
 ROW_INTERVAL_SITES = {
     # The column build itself.
     "core/schema.py": None,
-    # Derived inputs (records an earlier job wrote) and the records form;
-    # ``targets``: a multi-attribute relation's further grid terms.
+    # ``RowView``'s records form, the routers' reference; ``targets``: a
+    # multi-attribute relation's further grid terms.
     "core/algorithms/routing.py": {"interval_of", "targets"},
-    # ``LocalJoiner.join`` over rows.
+    # ``LocalJoiner.join`` over rows, and rows no relation stands behind.
     "core/local.py": {"attribute_columns"},
     # Oracles.
     "core/validation.py": None,
     "core/reference.py": None,
-    # FCTS's driver-side filter, which ROADMAP item 1 deletes.
-    "core/algorithms/hybrid.py": {"plan"},
 }
 
 
@@ -502,6 +500,29 @@ def test_the_knob_inventory_does_not_grow():
 
 
 # ---------------------------------------------------------------------
+def test_between_cycles_there_is_one_tuple_form():
+    """A join job commits an ``IndexBlock`` of row indices, so nothing
+    under ``src/`` spells the partial-tuple records form any more, and
+    no view but ``RowView`` — the routers' per-record reference — reads
+    a record: the others read a block's columns."""
+    gone = re.compile(r"PartialTuple|partial_tuples|LiftedRowView|interval_columns")
+    spelled = [
+        f"{path.relative_to(SRC).as_posix()}:{number}"
+        for path in sorted(SRC.rglob("*.py"))
+        for number, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1)
+        if gone.search(line)
+    ]
+    assert spelled == []
+    import repro.core.algorithms.routing as routing
+
+    readers = {
+        name for name, view in vars(routing).items()
+        if isinstance(view, type) and issubclass(view, routing.View)
+        and "interval_of" in vars(view)
+    }
+    assert readers == {"RowView"}
+
+
 # Reachability: every module of the package is imported from an entry
 # point, or says here why it stays.
 # ---------------------------------------------------------------------

@@ -54,17 +54,21 @@ RUNS = {
 }
 
 #: algorithm, query -> ``Row.interval`` calls allowed per input row in a
-#: second query over the same relations.  None: RCCIS's flag cycle
-#: commits its file as index columns into the relations, which its join
-#: cycle reads back through the relations' own endpoint columns.
+#: second query over the same relations.  None: every job commits its
+#: output as index columns into the relations — RCCIS's flag file, the
+#: cascade's and FSTC's partial tuples, FCTS's component joins — which the
+#: next cycle reads back through the relations' own endpoint columns.
 CENSUS = [
     ("two_way", TWO_WAY, 0),
     ("all_replicate", COLOCATION, 0),
     ("rccis", COLOCATION, 0),
+    ("two_way_cascade", COLOCATION, 0),
     ("all_matrix", SEQUENCE, 0),
     ("all_seq_matrix", HYBRID, 0),
     ("pasm", HYBRID, 0),
     ("gen_matrix", HYBRID, 0),
+    ("fcts", HYBRID, 0),
+    ("fstc", HYBRID, 0),
 ]
 
 

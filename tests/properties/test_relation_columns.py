@@ -11,7 +11,9 @@ embedding), empty and one-row relations, several attributes per row.
 
 ``PayloadStore.take`` is the same move on the way out: gids resolve to
 payloads a column at a time, and must resolve to what ``value`` resolves
-them to one at a time.
+them to one at a time.  ``PayloadStore.block`` resolves them to row
+indices instead — through a base input's relation, a flag block or a
+tuple block — and must name the rows a record-by-record walk names.
 """
 
 from __future__ import annotations
@@ -23,12 +25,11 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from repro.columnar.batch import PayloadStore, endpoint_column
+from repro.columnar.batch import IndexBlock, PayloadStore, endpoint_column
 from repro.core.algorithms.base import build_partitioning
 from repro.core.algorithms.routing import (
     NEW_SIDE,
     FlaggedRowView,
-    LiftedRowView,
     MemberView,
     OperatorRouter,
     RoutedMapper,
@@ -271,21 +272,16 @@ def row_leaves(payload):
 
 @st.composite
 def stores(draw):
-    """A store over base segments (inputs that name their relation) and
-    derived ones (flag-file and partial-tuple records), and gids into
-    it: repeated, unsorted, across segments."""
+    """A store over base segments (inputs that name their relation, or
+    rows that name none) and gids into it: repeated, unsorted, across
+    segments."""
     relation = draw(relations("R").filter(len))
     rows = list(relation.rows)
     router = OperatorRouter(Partitioning.uniform(0, 1, 2), MapOperator.PROJECT)
-    flagged = [("R", row, draw(st.booleans())) for row in rows]
-    partials = [(("R", row), ("S", rows[0])) for row in rows]
     segments = [
         (rows, RowView("R", "a"), relation),
         (rows, RowView("R", "a", side=NEW_SIDE), relation),
-        (rows, LiftedRowView("R", "a"), relation),
         (rows, RowView("R", "a"), None),
-        (flagged, FlaggedRowView({"R": "a"}), None),
-        (partials, MemberView("S", "b"), None),
     ]
     store = PayloadStore()
     for segment, (records, view, source) in enumerate(segments):
@@ -327,3 +323,34 @@ def test_take_of_one_segment_and_of_nothing():
     assert store.take(np.empty(0, dtype=np.int64)).tolist() == []
     with pytest.raises(KeyError):
         store.take(np.array([1, (5 << 32) | 1]))
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_block_names_the_rows_each_record_holds(data):
+    """``block`` resolves a gid column through its input: a base
+    relation's row, a flag block's row, or a tuple block's members —
+    the rows walking the records one by one finds."""
+    r = data.draw(relations("R").filter(len))
+    s = data.draw(relations("S").filter(len))
+    n = data.draw(st.integers(1, 8))
+    pick = lambda size: data.draw(st.lists(st.integers(0, size - 1), min_size=n, max_size=n))
+    flags = IndexBlock(("R", "S"), (r, s), pick(len(r)), [0] * n, [True] * n)
+    partials = IndexBlock(("S", "R"), (s, r), np.stack([pick(len(s)), pick(len(r))], axis=1))
+    router = OperatorRouter(Partitioning.uniform(0, 1, 2), MapOperator.PROJECT)
+    store = PayloadStore()
+    for segment, (records, view, source) in enumerate([
+        (r.rows, RowView("R", "a"), r),
+        (flags, FlaggedRowView({"R": "a", "S": "a"}), flags),
+        (partials, MemberView("S", "a"), partials),
+    ]):
+        store.add_segment(segment, records, RoutedMapper(view, router), source)
+    base, at = (np.array(pick(size), dtype=np.int64) for size in (len(r), n))
+    gids = np.stack([base, (1 << 32) | at, (2 << 32) | at], axis=1)
+    block = store.block(gids, [["R"], ["R"], ["S", "R"]], labelled=True)
+    assert block.names == ("R", "R", "S", "R")
+    assert list(block) == [
+        (("R", r.rows[i]), ("R", flags[j][1]), *partials[j])
+        for i, j in zip(base.tolist(), at.tolist())
+    ]
+    assert store.block(gids[:0], [["R"], ["R"], ["S", "R"]], True) == []

@@ -126,9 +126,10 @@ def layouts(reducer, values):
 @given(step=steps())
 def test_step_reducer_equals_the_nested_loop(step):
     routing, conditions, values, flavour = step
-    reducer = _StepJoinReducer(NEW, routing, conditions, {})
-    residual = [cond for cond in conditions if cond is not routing]
     partials = [payload for side, payload in values if side == BOUND_SIDE]
+    bound = [name for name, _ in partials[0]] if partials else []
+    reducer = _StepJoinReducer(NEW, routing, conditions, {}, bound)
+    residual = [cond for cond in conditions if cond is not routing]
     new_rows = [payload[1] for side, payload in values if side == NEW_SIDE]
     want, charged = oracle_step(partials, new_rows, routing, residual)
 
