@@ -13,12 +13,18 @@ __all__ = ["collector_paused"]
 def collector_paused() -> Iterator[None]:
     """Keep the cyclic collector from starting inside the block.
 
-    For a whole ``JoinAlgorithm.run`` (its pairs and tuples are acyclic,
-    and every full collection re-walks all of them), for building a
-    relation (``Relation.from_column_blocks``: its rows and intervals are
-    acyclic too), and for short calls into C-level state that is not
-    safe against the Python code a collection runs (finalisers).  Pauses nest; one ending on another
-    thread can cut this one short, never leave the collector off.
+    Two callers: a whole ``JoinAlgorithm.run`` (its pairs and tuples are
+    acyclic, and every collection re-walks all of them) and building a
+    relation (``Relation.from_column_blocks``: rows and intervals are
+    acyclic too).  The outermost pause ends by moving what the block
+    left in the young generations into the oldest in O(1)
+    (``gc.freeze(); gc.unfreeze()``), so no young collection walks it
+    when the collector is back on; only a full collection does, as it
+    would anyway.  Objects the caller froze (``gc.get_freeze_count()``
+    non-zero) are left frozen, and nothing is promoted.  Pauses nest —
+    an inner one, or one that found the collector off, neither promotes
+    nor re-enables; one ending on another thread can cut this one
+    short, never leave the collector off.
     """
     collecting = gc.isenabled()
     gc.disable()
@@ -26,4 +32,7 @@ def collector_paused() -> Iterator[None]:
         yield
     finally:
         if collecting:
+            if not gc.get_freeze_count():
+                gc.freeze()
+                gc.unfreeze()
             gc.enable()
