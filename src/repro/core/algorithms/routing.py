@@ -451,6 +451,14 @@ class RoutedMapper(Mapper):
             np.stack([column.ends for column in columns], axis=1),
         )
 
+    def start_order(self, records, source=None):
+        """A base relation's memoised by-start order of the routing
+        interval (``None`` when its rows are in it already); a block's
+        records are read as they are."""
+        if isinstance(source, Relation):
+            return self.view.columns(source).start_order()
+        return None
+
     def map_columns(self, starts, ends, records, terms=None) -> MapBlock:
         key_codes, row_idx, counters = self.router.map_columns(starts, ends, records, terms)
         tag_codes, tags = self.view.tag_codes(records)

@@ -76,8 +76,18 @@ class Row:
         hashable and cheaply comparable.
     """
 
+    # Slotted by hand (``dataclass(slots=True)`` needs Python 3.10): a
+    # relation holds one row per record, and a slotted row has no
+    # per-instance ``__dict__``.
+    __slots__ = ("rid", "data")
+
     rid: int
     data: Tuple[Tuple[str, AttributeValue], ...]
+
+    def __reduce__(self):
+        # A frozen slotted instance cannot be restored through
+        # ``setattr``: pickle and copy rebuild it through the constructor.
+        return (type(self), (self.rid, self.data))
 
     @classmethod
     def make(cls, rid: int, values: Mapping[str, AttributeValue]) -> "Row":

@@ -43,8 +43,17 @@ class Interval:
     3
     """
 
+    # Slotted by hand (``dataclass(slots=True)`` needs Python 3.10).
+    __slots__ = ("start", "end")
+
     start: float
     end: float
+
+    def __reduce__(self):
+        # A frozen slotted instance cannot be restored through
+        # ``setattr``: pickle and copy rebuild it through the
+        # constructor, which checks it again.
+        return (type(self), (self.start, self.end))
 
     def __post_init__(self) -> None:
         if math.isnan(self.start) or math.isnan(self.end):

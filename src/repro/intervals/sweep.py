@@ -20,6 +20,18 @@
 
 The kernel enumerates exactly the pairs the predicate's truth function
 accepts (property-tested against the brute-force nested loop).
+
+**Sorted once.**  A sweep needs its columns in endpoint order, and the
+engine delivers them in start order where it can, as Hadoop's secondary
+sort delivered the paper's reducers their values: a base relation's map
+input is fed in the relation's memoised :meth:`SortedColumns.start_order`,
+routing emits a record's targets in record order, and the shuffle keeps
+that order within a key — so each base-relation tag of a key group
+arrives sorted by start.  Every sort here first checks, in one O(n)
+pass, whether its keys are non-decreasing already and skips the stable
+``argsort`` when they are (it would be the identity).  Partial tuples,
+flag blocks and deeper probes of a multi-way join do not arrive in start
+order and are sorted as before.
 """
 
 from __future__ import annotations
@@ -62,6 +74,8 @@ class SortedColumns:
     one only by ``ENDING_BEFORE`` windows).  :meth:`restrict` narrows
     the candidate rows without sorting again (the full orders are
     shared and filtered); row indices stay the unrestricted column's.
+    An order is sorted for only when the column is not in it already
+    ("Sorted once" above).
     """
 
     def __init__(self, starts, ends, active=None, _full_orders=None) -> None:
@@ -69,6 +83,7 @@ class SortedColumns:
         self.ends = ends
         #: boolean row mask of the candidate rows; ``None`` = every row.
         self.active = active
+        #: side -> the stable order of every row, ``None`` = row order.
         self._full_orders = {} if _full_orders is None else _full_orders
         self._sorted: Dict[int, Tuple[np.ndarray, np.ndarray]] = {}
 
@@ -98,20 +113,41 @@ class SortedColumns:
             mask = mask & self.active
         return SortedColumns(self.starts, self.ends, mask, self._full_orders)
 
+    def start_order(self) -> Optional[np.ndarray]:
+        """The stable by-start order of every row (restricted or not),
+        computed once and shared with :meth:`restrict` views — ``None``
+        when the rows are in it already."""
+        return self._full_order(0)
+
+    def _full_order(self, side: int) -> Optional[np.ndarray]:
+        if side not in self._full_orders:
+            self._full_orders[side] = _stable_order(self.ends if side else self.starts)
+        return self._full_orders[side]
+
     def _by(self, side: int) -> Tuple[np.ndarray, np.ndarray]:
         """``(row order, sorted keys)`` of the candidate rows by start
         (``side`` 0) or by end (1)."""
         hit = self._sorted.get(side)
         if hit is None:
             column = self.ends if side else self.starts
-            order = self._full_orders.get(side)
+            order = self._full_order(side)
             if order is None:
-                order = np.argsort(column, kind="stable")
-                self._full_orders[side] = order
-            if self.active is not None:
-                order = order[self.active[order]]
-            hit = self._sorted[side] = (order, column[order])
+                order = self.rows()
+                keys = column if self.active is None else column[order]
+            else:
+                if self.active is not None:
+                    order = order[self.active[order]]
+                keys = column[order]
+            hit = self._sorted[side] = (order, keys)
         return hit
+
+
+def _stable_order(keys: np.ndarray) -> Optional[np.ndarray]:
+    """The stable order that sorts ``keys`` — or ``None`` when they are
+    non-decreasing already, which one O(n) pass tells."""
+    if len(keys) < 2 or (keys[1:] >= keys[:-1]).all():
+        return None
+    return np.argsort(keys, kind="stable")
 
 
 def hull(columns: Iterable[SortedColumns]) -> Optional[Tuple[Any, Any]]:
@@ -135,7 +171,8 @@ MAX_CANDIDATE_PAIRS = 1 << 18
 class WindowPlan:
     """The candidate windows of the probes ``[starts[i], ends[i]]`` over
     ``index`` under ``kind``, computed once: the probes are visited in
-    the order of the endpoint the kind searches with, so every
+    the order of the endpoint the kind searches with (sorted for only
+    when they do not come in it), so every
     ``searchsorted`` walks its keys forwards, and the same bounds give
     the per-probe :attr:`sizes` (in visiting order; their sum is the
     candidate count) and what :meth:`blocks` expands."""
@@ -149,8 +186,9 @@ class WindowPlan:
             lo, hi = 0, len(self._rows) - 1
         else:
             searched = ends if kind == STARTING_AFTER else starts
-            self._by = by = np.argsort(searched, kind="stable")
-            searched = searched[by]
+            self._by = by = _stable_order(searched)
+            if by is not None:
+                searched, ends = searched[by], ends[by]
             self._rows, keys = index._by(1 if kind == ENDING_BEFORE else 0)
             if kind == ENDING_BEFORE:  # a prefix of the by-end order
                 lo, hi = 0, np.searchsorted(keys, searched, "left") - 1
@@ -162,7 +200,7 @@ class WindowPlan:
                 # (row.start, row.end]: two disjoint families of
                 # contiguous windows, the second over the sorted probes.
                 lo = np.searchsorted(keys, searched, "left")
-                hi = np.searchsorted(keys, ends[by], "right") - 1
+                hi = np.searchsorted(keys, ends, "right") - 1
                 self._across = (
                     np.searchsorted(searched, keys, "right"),
                     np.searchsorted(searched, index.ends[self._rows], "right") - 1,

@@ -55,6 +55,7 @@ from __future__ import annotations
 import copy
 import threading
 import time
+from collections.abc import Sequence as SequenceABC
 from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
@@ -64,6 +65,7 @@ from typing import (
     Callable,
     Dict,
     Hashable,
+    Iterator,
     List,
     Mapping,
     Optional,
@@ -175,10 +177,13 @@ def _map_task(
     starts: Any,
     ends: Any,
     terms: Any,
+    order: Optional[np.ndarray],
     faults: AttemptInjector,
 ) -> Tuple[MapBlock, Counters]:
     """Run one map task (one input spec) over the routing-interval (and
-    further term) columns :func:`_map_tasks_for` encoded.
+    further term) columns :func:`_map_tasks_for` encoded — read through
+    ``order`` when the input is mapped in start order, the emitted row
+    indices mapped back through it to the records' own.
 
     Returns the emitted block and the task counters:
     ``map_input_records`` only when the input is non-empty, user
@@ -189,6 +194,8 @@ def _map_task(
     if records:
         counters.increment("framework", "map_input_records", len(records))
     block = mapper.map_columns(starts, ends, records, terms)
+    if order is not None:
+        block.row_idx = order[block.row_idx]
     faults.check("cleanup")
     for (group, name), amount in block.counters.items():
         counters.increment(group, name, amount)
@@ -339,6 +346,12 @@ class _MapTasks(_Tasks):
     in-process under every executor — pickling the records out to a
     worker would cost more than it saves.  Input records are retained in
     the job's payload store: the pairs carry only payload ids.
+
+    An input whose mapper names a :meth:`~Mapper.start_order` is mapped
+    in it — records and columns read through the permutation — so its
+    pairs reach every key group in start order; the block's row indices
+    come back as the records' own, so payload ids, the store and what
+    the job commits do not depend on the order.
     """
 
     phase = "map"
@@ -348,12 +361,15 @@ class _MapTasks(_Tasks):
         run: _JobRun,
         inputs: Sequence[Tuple[Any, List[Any]]],
         columns: Sequence[Tuple[Any, Any, Any]],
+        orders: Sequence[Optional[np.ndarray]],
         codec: KeyCodec,
     ) -> None:
         super().__init__(run, len(inputs))
         self.inputs = inputs
         #: per input, its ``(starts, ends, terms)`` columns.
         self.columns = columns
+        #: per input, the order it is mapped in (``None``: as it is).
+        self.orders = orders
         self.codec = codec
         self.store = PayloadStore()
 
@@ -362,7 +378,14 @@ class _MapTasks(_Tasks):
 
     def body(self, index: int) -> Tuple[Callable[..., Any], Tuple]:
         spec, records = self.inputs[index]
-        return _map_task, (records, self.fresh(spec.mapper), *self.columns[index])
+        starts, ends, terms = self.columns[index]
+        order = self.orders[index]
+        if order is not None:
+            records = _Reordered(records, order)
+            starts, ends = starts[order], ends[order]
+            if terms is not None:
+                terms = (terms[0], terms[1][order], terms[2][order])
+        return _map_task, (records, self.fresh(spec.mapper), starts, ends, terms, order)
 
     def winner(
         self, index: int, counters: Counters, result: Any
@@ -390,6 +413,26 @@ class _MapTasks(_Tasks):
             )
             pairs.append_block(outcome.result, index, *self.columns[index])
         return pairs
+
+
+class _Reordered(SequenceABC):
+    """``records`` read through a permutation: item ``i`` is
+    ``records[order[i]]``.  Lazy, since only a router that reads its
+    records (a flag, a keep rule) looks at them."""
+
+    __slots__ = ("records", "order")
+
+    def __init__(self, records: Sequence[Any], order: np.ndarray) -> None:
+        self.records, self.order = records, order
+
+    def __len__(self) -> int:
+        return len(self.order)
+
+    def __getitem__(self, index: int) -> Any:
+        return self.records[self.order[index]]
+
+    def __iter__(self) -> Iterator[Any]:
+        return map(self.records.__getitem__, self.order.tolist())
 
 
 def _source(spec: Any, records: Sequence[Any]) -> Any:
@@ -423,8 +466,9 @@ def _job_key_kind(conf: JobConf) -> str:
 
 def _map_tasks_for(run: _JobRun) -> _MapTasks:
     """The job's map tasks over its materialised inputs, with each
-    input's encoded columns: its ``source`` relation's own, if it names
-    one, or the input itself read back (or rebuilt) as one block."""
+    input's encoded columns — its ``source`` relation's own, if it names
+    one, or the input itself read back (or rebuilt) as one block — and
+    the order its mapper maps it in."""
     inputs = []
     for spec in run.conf.inputs:
         records = run.fs.read_dir(spec.path)
@@ -447,7 +491,11 @@ def _map_tasks_for(run: _JobRun) -> _MapTasks:
         )
         for spec, records in inputs
     ]
-    return _MapTasks(run, inputs, columns, KEY_CODECS[run.key_kind])
+    orders = [
+        spec.mapper.start_order(records, _source(spec, records))
+        for spec, records in inputs
+    ]
+    return _MapTasks(run, inputs, columns, orders, KEY_CODECS[run.key_kind])
 
 
 class _ReduceTasks(_Tasks):

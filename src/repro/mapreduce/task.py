@@ -23,6 +23,9 @@ Mapper side::
                                       # the input's InputSpec.source
     def encode_terms(self, records, source=None) -> (terms, starts, ends) | None
                                       # further query terms, a column each
+    def start_order(self, records, source=None) -> int64 array | None
+                                      # the order the input is mapped in:
+                                      # by routing start, None = as it is
     def map_columns(self, starts, ends, records, terms) -> MapBlock
                                       # target keys + row indices, tag
                                       # codes, each tag's routing term,
@@ -100,6 +103,14 @@ class Mapper(abc.ABC):
         self, records: Sequence[Any], source: Any = None
     ) -> Optional[Tuple[Any, Any, Any]]:
         """The further query terms the values carry, or ``None``."""
+
+    def start_order(self, records: Sequence[Any], source: Any = None) -> Optional[np.ndarray]:
+        """The permutation of the input's records that the map task reads
+        them in — stably by routing-interval start, so that each key
+        group receives them in start order — or ``None`` to read them as
+        they are, which is the default.  The pairs' row indices still
+        name the records' own positions."""
+        return None
 
     @abc.abstractmethod
     def map_columns(

@@ -1,6 +1,9 @@
 """Unit tests for rows and relations."""
 
+import copy
+import dataclasses
 import gc
+import pickle
 
 import numpy as np
 import pytest
@@ -39,6 +42,27 @@ class TestRow:
     def test_attributes_sorted(self):
         row = Row.make(0, {"z": 1, "a": 2})
         assert row.attributes == ("a", "z")
+
+    def test_slotted_and_frozen(self):
+        row = Row.make(1, {"I": Interval(0, 1)})
+        assert not hasattr(row, "__dict__")
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            row.rid = 2
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            row.extra = 0
+
+    @pytest.mark.parametrize(
+        "clone",
+        [lambda row: pickle.loads(pickle.dumps(row)), copy.deepcopy, copy.copy],
+        ids=["pickle", "deepcopy", "copy"],
+    )
+    def test_clones_equal_and_hash_alike(self, clone):
+        row = Row.make(4, {"I": Interval(0, 1), "A": 2.5})
+        twin = clone(row)
+        assert type(twin) is Row
+        assert twin == row and hash(twin) == hash(row)
+        assert twin.interval("I") == Interval(0, 1)
+        assert twin != Row.make(5, {"I": Interval(0, 1), "A": 2.5})
 
 
 class TestRelation:

@@ -1,6 +1,9 @@
 """Unit tests for the Interval value type."""
 
+import copy
+import dataclasses
 import math
+import pickle
 
 import pytest
 
@@ -72,6 +75,34 @@ class TestOrdering:
 
     def test_hashable(self):
         assert len({Interval(0, 1), Interval(0, 1), Interval(0, 2)}) == 2
+
+
+class TestSlots:
+    def test_slotted_and_frozen(self):
+        interval = Interval(0, 1)
+        assert not hasattr(interval, "__dict__")
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            interval.start = 5
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            interval.extra = 0
+
+    @pytest.mark.parametrize(
+        "clone",
+        [lambda iv: pickle.loads(pickle.dumps(iv)), copy.deepcopy, copy.copy],
+        ids=["pickle", "deepcopy", "copy"],
+    )
+    def test_clones_equal_and_hash_alike(self, clone):
+        interval = Interval(2, 2**60 + 1)
+        twin = clone(interval)
+        assert type(twin) is Interval
+        assert twin == interval and hash(twin) == hash(interval)
+        assert twin.end == 2**60 + 1 and not twin < interval
+        assert twin != Interval(2, 3)
+
+    def test_rebuilt_through_the_constructor(self):
+        """What pickle and copy restore from is the constructor call,
+        whose checks run again."""
+        assert Interval(1, 2).__reduce__() == (Interval, (1, 2))
 
 
 class TestSpan:

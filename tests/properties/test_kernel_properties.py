@@ -267,3 +267,53 @@ def test_window_plan_fixed_cases(name):
     ):
         for block in (1, 2, 3, sweep.MAX_CANDIDATE_PAIRS):
             check_window_plan(predicate, left, right, block)
+
+
+def sorted_sides(intervals=interval_strategy):
+    """Intervals in start order — ties on start keep their drawn order,
+    so the ends of a tie need not be sorted — with a mask over them."""
+    return st.lists(st.tuples(intervals, st.booleans()), max_size=25).map(
+        lambda drawn: sorted(drawn, key=lambda item: item[0].start)
+    )
+
+
+def plan_parts(index, kind, probes, block):
+    """A plan's sizes and every block it expands."""
+    with mock.patch.object(sweep, "MAX_CANDIDATE_PAIRS", block):
+        plan = WindowPlan(index, kind, probes.starts, probes.ends)
+        return plan.sizes, list(plan.blocks())
+
+
+@pytest.mark.parametrize("kind", [INTERSECTING, STARTING_AFTER, ENDING_BEFORE])
+@settings(max_examples=60, deadline=None)
+@given(
+    probes=sorted_sides(), index=sorted_sides(), restrict=st.booleans(),
+    block=st.sampled_from([1, 3, sweep.MAX_CANDIDATE_PAIRS]),
+)
+def test_a_sorted_column_plans_as_if_sorted_again(kind, probes, index, restrict, block):
+    """Columns that arrive in start order are not sorted by start again.
+    Skipping that sort changes nothing: the plan's sizes and blocks —
+    windows, visiting order and tie order — equal those of a plan whose
+    every order is an explicit stable ``argsort``."""
+
+    def column(side):
+        return SortedColumns.of_intervals([iv for iv, _ in side])
+
+    def indexed():
+        full = column(index)
+        mask = np.array([keep for _, keep in index], dtype=bool)
+        return full.restrict(mask) if restrict else full
+
+    probe_columns = column(probes)
+    if len(probes) > 1:
+        assert sweep._stable_order(probe_columns.starts) is None
+    skipped = plan_parts(indexed(), kind, probe_columns, block)
+    with mock.patch.object(
+        sweep, "_stable_order", lambda keys: np.argsort(keys, kind="stable")
+    ):
+        sorted_again = plan_parts(indexed(), kind, probe_columns, block)
+    assert skipped[0].tolist() == sorted_again[0].tolist()
+    assert len(skipped[1]) == len(sorted_again[1])
+    for (probe, row), (probe_again, row_again) in zip(skipped[1], sorted_again[1]):
+        assert probe.tolist() == probe_again.tolist()
+        assert row.tolist() == row_again.tolist()
