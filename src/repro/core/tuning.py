@@ -4,14 +4,12 @@ The paper fixes 16 reducers and hand-picks grid granularities, noting
 (Section 7.2) that the cost-model-driven tuning of Zhang et al. could be
 integrated "by taking the distribution of interval lengths into account".
 This module does exactly that for this library's algorithms: from cheap
-data statistics it predicts, per candidate partition count, the
-communication and straggler terms of the configured
-:class:`~repro.mapreduce.cost.CostModel`, and recommends the candidate
-with the lowest predicted time.
-
-The predictions intentionally reuse the same formulas the ablation
-benchmarks measure (A1a/A1b), so `recommend_*` can be validated against
-actual runs — see ``tests/core/test_tuning.py``.
+data statistics (:func:`profile_data`) each advisor prices every
+candidate configuration with the analytic tier of the tuned algorithm's
+own :meth:`~repro.core.algorithms.base.JoinAlgorithm.predict` — the one
+cost model EXPLAIN reconciles and ``check_model_error.py`` gates — and
+recommends the candidate with the least modelled seconds.
+``tests/core/test_tuning.py`` holds the recommendations to actual runs.
 """
 
 from __future__ import annotations
@@ -19,7 +17,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
-from typing import Any, Dict, Mapping, Optional, Sequence, Tuple
+from typing import Any, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -107,35 +105,50 @@ class TuningReport:
         )
 
 
-def _predict_rccis(
-    profile: DataProfile, partitions: int, cost: CostModel
-) -> Candidate:
-    """Analytic RCCIS cost: two cycles; cycle 1 splits everything, cycle
-    2 projects the non-flagged and replicates boundary-crossers to half
-    the following partitions on average."""
-    n = profile.total_rows
-    width = profile.time_span / partitions
-    split_factor = 1.0 + (
-        profile.mean_length / width if width > 0 else 0.0
+def _priced(
+    query: IntervalJoinQuery,
+    data: Mapping[str, Relation],
+    runs: Iterable[Tuple[Any, Any, int]],
+    cost_model: CostModel = DEFAULT_COST_MODEL,
+) -> Tuple[List[Tuple[Any, PlanPrediction]], int]:
+    """Price each ``(candidate, algorithm, num_partitions)`` run with the
+    analytic tier of the algorithm's own :meth:`JoinAlgorithm.predict`
+    (a grid whose ``grid_parts`` are set ignores ``num_partitions``),
+    dropping runs with no consistent reducer.  Returns the priced
+    candidates in order and the index of the cheapest: least modelled
+    seconds, then fewer consistent reducers."""
+    profile = profile_data(query, data)
+    priced = []
+    for candidate, algorithm, parts in runs:
+        conf = PredictConfig(num_partitions=parts, cost_model=cost_model)
+        prediction = algorithm.predict(query, profile, conf)
+        if prediction.consistent_reducers:
+            priced.append((candidate, prediction))
+    best = min(
+        range(len(priced)),
+        key=lambda i: (
+            priced[i][1].modelled_seconds,
+            priced[i][1].consistent_reducers,
+        ),
     )
-    crossing_fraction = min(1.0, profile.mean_length / width) if width else 1.0
-    cycle1 = n * split_factor
-    replicated_pairs = n * crossing_fraction * (partitions / 2.0)
-    cycle2 = n + replicated_pairs
-    shuffled = cycle1 + cycle2
-    # Loads are near-uniform for uniform data; the straggler holds its
-    # partition's share of each cycle.
-    max_load = max(cycle1, cycle2) / partitions
-    seconds = (
-        2 * cost.per_cycle_overhead
-        + (2 * n / cost.parallelism) * cost.read_cost
-        + max(
-            shuffled / cost.parallelism * cost.shuffle_cost,
-            max_load * cost.shuffle_cost,
+    return priced, best
+
+
+def _report(
+    priced: Sequence[Tuple[int, PlanPrediction]], best: int, algorithm: str
+) -> TuningReport:
+    evaluated = tuple(
+        Candidate(
+            parts,
+            prediction.modelled_seconds,
+            prediction.shuffled_records,
+            prediction.max_reducer_load,
         )
-        * 2  # two reduce phases of similar magnitude
+        for parts, prediction in priced
     )
-    return Candidate(partitions, seconds, shuffled, max_load)
+    return TuningReport(
+        best=evaluated[best], candidates=evaluated, algorithm=algorithm
+    )
 
 
 def recommend_partitions(
@@ -148,26 +161,15 @@ def recommend_partitions(
 
     Only meaningful for colocation queries (the planner's RCCIS class).
     """
+    from repro.core.algorithms.rccis import RCCIS
+
     if query.query_class is not QueryClass.COLOCATION:
         raise PlanningError(
             "recommend_partitions tunes RCCIS; use recommend_grid for "
             f"{query.query_class.name} queries"
         )
-    profile = profile_data(query, data)
-    evaluated = tuple(
-        _predict_rccis(profile, parts, cost_model) for parts in candidates
-    )
-    best = min(evaluated, key=lambda c: c.predicted_seconds)
-    return TuningReport(best=best, candidates=evaluated, algorithm="rccis")
-
-
-def _grid_cells(graph: JoinGraph, shares: Sequence[int]) -> int:
-    """Consistent cells of the grid a run with these per-dimension
-    shares builds, counted by that grid's own pruning rule (only the
-    provably sound component orders prune)."""
-    from repro.core.predict import analytic_grid
-
-    return len(analytic_grid(graph, shares).cells)
+    runs = ((parts, RCCIS(), parts) for parts in candidates)
+    return _report(*_priced(query, data, runs, cost_model), "rccis")
 
 
 @dataclass(frozen=True)
@@ -199,73 +201,35 @@ def recommend_shares(
     Afrati & Ullman size each dimension of a multi-way join's reducer
     grid in proportion to how much data routes through it, minimising
     communication subject to a reducer budget — the integration the paper
-    names as future work (Section 9.2).  Rows routed on dimension ``d``
-    fan out to roughly ``cells / o_d`` consistent cells, so total
-    communication is ``sum_d n_d * cells / o_d`` and the per-cell
-    (straggler) load is ``sum_d n_d / o_d`` — heavy dimensions deserve
-    large shares.  Minimising communication alone would always collapse
-    to one cell, so the objective is the cost-model's reduce-phase form:
-    ``max(communication / parallelism, straggler)``.  The discrete
-    optimum is found by exhaustive search over granularity vectors within
-    the cell budget (dimension counts are small — the paper's maximum is
-    four).
+    names as future work (Section 9.2).  Each granularity vector within
+    the cell budget is priced by Gen-Matrix's own analytic prediction of
+    the run it configures (flag cycle included), and the one with the
+    least modelled seconds wins.  Communication alone would always
+    collapse to one cell; the modelled reduce phase, ``max(communication
+    / parallelism, straggler)``, trades it against the straggler.  The
+    search is exhaustive (dimension counts are small — the paper's
+    maximum is four).
 
     Returns shares usable directly as ``GenMatrix(grid_parts=shares)``.
     """
-    graph = JoinGraph(query)
-    dims = len(graph.components)
+    from repro.core.algorithms.gen_matrix import GenMatrix
+
+    dims = len(JoinGraph(query).components)
     if dims < 2:
         raise PlanningError("share allocation needs >= 2 grid dimensions")
-    profile = profile_data(query, data)
-    rows_per_dim = [
-        sum(
-            profile.rows_per_relation.get(term.relation, 0)
-            for term in comp.terms
-        )
-        for comp in graph.components
-    ]
-
-    multi_dims = {
-        comp.index for comp in graph.components if len(comp.terms) > 1
-    }
-    parallelism = DEFAULT_COST_MODEL.parallelism
-    best: Optional[ShareRecommendation] = None
-    best_key: Optional[Tuple[float, int]] = None
-    for shares in itertools.product(range(1, max_share + 1), repeat=dims):
-        total = math.prod(shares)
-        if total > cell_budget:
-            continue
-        cells = _grid_cells(graph, shares)
-        if cells == 0:
-            continue
-        shuffled = 0.0
-        flag_shuffled = 0.0
-        for dim, (rows, o) in enumerate(zip(rows_per_dim, shares)):
-            width = profile.time_span / o
-            crossing = min(1.0, profile.mean_length / width) if width else 1.0
-            if dim in multi_dims:
-                # Flag cycle splits the dimension's rows; flagged rows
-                # then fan out to roughly half the consistent cells.
-                flag_shuffled += rows * (1.0 + crossing)
-                fanout = (1 - crossing) * cells / o + crossing * cells / 2.0
-            else:
-                fanout = cells / o
-            shuffled += rows * fanout
-        straggler = shuffled / cells
-        phase = max(
-            (shuffled + flag_shuffled) / parallelism, straggler
-        )
-        key = (phase, cells)
-        if best_key is None or key < best_key:
-            best_key = key
-            best = ShareRecommendation(
-                shares=tuple(shares),
-                predicted_shuffled=shuffled + flag_shuffled,
-                predicted_max_cell_load=straggler,
-                total_cells=cells,
-            )
-    assert best is not None  # shares=(1,...,1) always qualifies
-    return best
+    runs = (
+        (shares, GenMatrix(grid_parts=shares), 1)
+        for shares in itertools.product(range(1, max_share + 1), repeat=dims)
+        if math.prod(shares) <= cell_budget
+    )
+    priced, best = _priced(query, data, runs)
+    shares, prediction = priced[best]
+    return ShareRecommendation(
+        shares=shares,
+        predicted_shuffled=prediction.shuffled_records,
+        predicted_max_cell_load=prediction.max_reducer_load,
+        total_cells=prediction.consistent_reducers,
+    )
 
 
 def recommend_grid(
@@ -276,46 +240,15 @@ def recommend_grid(
 ) -> TuningReport:
     """Recommend a per-dimension granularity ``o`` for the grid engine
     (All-Matrix / All-Seq-Matrix / Gen-Matrix)."""
-    graph = JoinGraph(query)
-    dims = len(graph.components)
-    if dims < 2:
+    from repro.core.algorithms.gen_matrix import GenMatrix
+
+    if len(JoinGraph(query).components) < 2:
         raise PlanningError(
             "grid tuning needs >= 2 components; colocation queries use "
             "recommend_partitions"
         )
-    profile = profile_data(query, data)
-    # Rows routed per dimension: the rows of the relations whose terms
-    # live in that component.
-    rows_per_dim = [
-        sum(
-            profile.rows_per_relation.get(term.relation, 0)
-            for term in comp.terms
-        )
-        for comp in graph.components
-    ]
-    evaluated = []
-    for o in candidates:
-        cells = _grid_cells(graph, [o] * dims)
-        if cells == 0:
-            continue
-        # Per-row fan-out on dimension d = consistent cells with that
-        # coordinate pinned = cells / o on average.
-        shuffled = sum(rows * cells / o for rows in rows_per_dim)
-        max_load = shuffled / cells
-        seconds = (
-            cost_model.per_cycle_overhead
-            + (profile.total_rows / cost_model.parallelism)
-            * cost_model.read_cost
-            + max(
-                shuffled / cost_model.parallelism * cost_model.shuffle_cost,
-                max_load * cost_model.shuffle_cost,
-            )
-        )
-        evaluated.append(Candidate(o, seconds, shuffled, max_load))
-    best = min(evaluated, key=lambda c: c.predicted_seconds)
-    return TuningReport(
-        best=best, candidates=tuple(evaluated), algorithm="grid"
-    )
+    runs = ((o, GenMatrix(grid_parts=o), o) for o in candidates)
+    return _report(*_priced(query, data, runs, cost_model), "grid")
 
 
 # ----------------------------------------------------------------------

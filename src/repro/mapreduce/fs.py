@@ -211,9 +211,13 @@ class InMemoryFileSystem(FileSystem):
         return iter(records)
 
     def read_dir(self, base: str) -> Iterator[Any]:
-        """As :meth:`FileSystem.read_dir` — except that a directory whose
-        non-empty files are all blocks reads back as one block."""
+        """As :meth:`FileSystem.read_dir` — except that a single stored
+        file (how a job's base relation is written) reads back as its
+        stored sequence, not a copy, and a directory whose non-empty
+        files are all blocks as one block."""
         paths = self._visible(base)
+        if paths == [base]:
+            return self._files[base]
         blocks = [records for records in map(self._files.get, paths) if records]
         if blocks and all(isinstance(block, IndexBlock) for block in blocks):
             return IndexBlock.concat(blocks)

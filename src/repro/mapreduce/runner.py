@@ -472,10 +472,11 @@ def _map_tasks_for(run: _JobRun) -> _MapTasks:
     inputs = []
     for spec in run.conf.inputs:
         records = run.fs.read_dir(spec.path)
-        if not isinstance(records, IndexBlock):
+        if not isinstance(records, SequenceABC):  # a stored sequence is not copied
             records = list(records)
-            if isinstance(spec.source, Mapping):  # the relations it indexes
-                records = IndexBlock.from_records(records, spec.source)
+        if isinstance(spec.source, Mapping) and not isinstance(records, IndexBlock):
+            # the relations it indexes
+            records = IndexBlock.from_records(records, spec.source)
         inputs.append((spec, records))
     for spec, records in inputs:
         source = _source(spec, records)

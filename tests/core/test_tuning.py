@@ -1,16 +1,21 @@
 """Tests for cost-based partition / grid tuning."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from tests.conftest import make_dataset
 
 from repro.errors import PlanningError
+from repro.core.algorithms.gen_matrix import GenMatrix
+from repro.core.algorithms.rccis import RCCIS
 from repro.core.executor import execute
 from repro.core.query import IntervalJoinQuery
 from repro.core.tuning import (
+    PredictConfig,
     profile_data,
     recommend_grid,
     recommend_partitions,
+    recommend_shares,
 )
 from repro.mapreduce.cost import CostModel
 
@@ -30,6 +35,22 @@ def scaled_model(scale=2_000.0):
         comparison_cost=base.comparison_cost * scale,
         output_cost=0.0,
         per_cycle_overhead=base.per_cycle_overhead,
+    )
+
+
+def _prices(candidate):
+    return (
+        candidate.predicted_seconds,
+        candidate.predicted_shuffled,
+        candidate.predicted_max_load,
+    )
+
+
+def _prices_of(prediction):
+    return (
+        prediction.modelled_seconds,
+        prediction.shuffled_records,
+        prediction.max_reducer_load,
     )
 
 
@@ -268,12 +289,15 @@ class TestCellCounts:
 
     def test_recommend_grid_counts_the_cells_that_run(self):
         data = make_dataset(["R1", "R2", "R3", "R4"], 40, seed=5)
+        profile = profile_data(self.QUERY, data)
         report = recommend_grid(self.QUERY, data, candidates=(2, 4, 6))
         for candidate in report.candidates:
-            cells = self._run_cells(data, candidate.partitions)
-            assert candidate.predicted_max_load == pytest.approx(
-                candidate.predicted_shuffled / cells
-            ), candidate.partitions
+            o = candidate.partitions
+            prediction = GenMatrix(grid_parts=o).predict(
+                self.QUERY, profile, PredictConfig(num_partitions=o)
+            )
+            assert _prices(candidate) == _prices_of(prediction), o
+            assert prediction.consistent_reducers == self._run_cells(data, o), o
 
     def test_recommend_shares_counts_the_cells_that_run(self):
         from repro.core.tuning import recommend_shares
@@ -281,3 +305,75 @@ class TestCellCounts:
         data = make_dataset(["R1", "R2", "R3", "R4"], 40, seed=5)
         rec = recommend_shares(self.QUERY, data, cell_budget=36)
         assert rec.total_cells == self._run_cells(data, rec.shares)
+
+
+class TestOneCostModel:
+    """Every price an advisor reports is the tuned algorithm's own
+    analytic ``predict()`` of the run it would configure."""
+
+    Q_HYBRID = IntervalJoinQuery.parse(
+        [("R1", "before", "R2"), ("R1", "overlaps", "R3")]
+    )
+
+    @settings(max_examples=15, deadline=None)
+    @given(
+        seed=st.integers(0, 2**16),
+        n=st.integers(1, 60),
+        span=st.sampled_from([100.0, 1_000.0, 50_000.0]),
+        max_length=st.sampled_from([1.0, 30.0, 2_000.0]),
+    )
+    def test_every_candidate_is_the_algorithms_own_prediction(
+        self, seed, n, span, max_length
+    ):
+        data = make_dataset(
+            ["R1", "R2", "R3"], n, seed=seed, span=span, max_length=max_length
+        )
+        cost = scaled_model()
+        partitions = recommend_partitions(Q_COLOCATION, data, cost)
+        profile = profile_data(Q_COLOCATION, data)
+        for candidate in partitions.candidates:
+            conf = PredictConfig(
+                num_partitions=candidate.partitions, cost_model=cost
+            )
+            prediction = RCCIS().predict(Q_COLOCATION, profile, conf)
+            assert _prices(candidate) == _prices_of(prediction)
+
+        for query in (Q_SEQUENCE, self.Q_HYBRID):
+            profile = profile_data(query, data)
+            grid = recommend_grid(query, data, cost)
+            for candidate in grid.candidates:
+                o = candidate.partitions
+                prediction = GenMatrix(grid_parts=o).predict(
+                    query, profile, PredictConfig(num_partitions=o, cost_model=cost)
+                )
+                assert _prices(candidate) == _prices_of(prediction)
+
+            rec = recommend_shares(query, data, cell_budget=16)
+            prediction = GenMatrix(grid_parts=rec.shares).predict(
+                query, profile, PredictConfig()
+            )
+            assert (
+                rec.predicted_shuffled,
+                rec.predicted_max_cell_load,
+                rec.total_cells,
+            ) == (
+                prediction.shuffled_records,
+                prediction.max_reducer_load,
+                prediction.consistent_reducers,
+            )
+
+
+def test_ablation_shares_pick_runs_no_slower_than_the_uniform_grid(monkeypatch):
+    """Ablation A3 at nI(R1) = 4K: the recommended shares' measured
+    modelled time is at most the uniform 6x6 grid's."""
+    import importlib
+    import pathlib
+
+    # Also undoes the sys.path.insert the script does on import.
+    monkeypatch.syspath_prepend(
+        str(pathlib.Path(__file__).resolve().parents[2] / "benchmarks")
+    )
+    a3 = importlib.import_module("bench_ablation_shares")
+    recommendation, tuned, uniform = a3.run_pair(4_000)
+    assert recommendation.total_cells <= 36
+    assert tuned.metrics.simulated_seconds <= uniform.metrics.simulated_seconds
