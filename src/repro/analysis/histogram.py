@@ -9,9 +9,11 @@ provides the two primitives such analyses start from:
   array sweep (:mod:`repro.intervals.sweep`).  Sequence relations
   (quadratically many pairs) are counted *without enumeration* — their
   candidate windows are their true pairs, so the window sizes are the
-  count; colocation relations are counted as masks over the intersecting
-  windows (output-sensitive).  The histogram sums to
-  ``len(left) * len(right)`` — a built-in self-check.
+  count; colocation relations are counted as masks over one expansion
+  of the whole intersecting windows (output-sensitive), which all eleven
+  share, not over the half each one's start order narrows its own
+  windows to.  The histogram sums to ``len(left) * len(right)`` — a
+  built-in self-check.
 * :func:`concurrency_profile` — how many intervals are simultaneously
   active over time, as step-function breakpoints.  The benchmark scaling
   notes in EXPERIMENTS.md are derived from exactly this quantity
@@ -51,12 +53,11 @@ def allen_histogram(
     counts: Dict[str, int] = {}
     colocation = []
     for name, predicate in ALLEN_PREDICATES.items():
-        kind = window_kind(predicate)
-        if kind == INTERSECTING:
+        if predicate.is_colocation:
             counts[name] = 0
             colocation.append(predicate)
         else:
-            plan = WindowPlan(index, kind, probes.starts, probes.ends)
+            plan = WindowPlan(index, window_kind(predicate), probes.starts, probes.ends)
             counts[name] = int(plan.sizes.sum())
     for probe, row in window_blocks(
         index, INTERSECTING, probes.starts, probes.ends

@@ -59,8 +59,15 @@ __all__ = [
 ]
 
 _MASK32 = 0xFFFFFFFF
-#: Records per chunk in which a block's tuples are built.
-_TUPLE_CHUNK = 1 << 16
+#: ``Row`` references per chunk in which a block's tuples are built: a
+#: chunk's taken columns, tuples and the rows they touch stay in cache.
+_TUPLE_REFERENCES = 1 << 12
+
+
+def _tuple_chunk(arity: int) -> int:
+    """Records per chunk of :meth:`IndexBlock.tuples` for ``arity``
+    members a record."""
+    return max(1, _TUPLE_REFERENCES // arity)
 
 
 def ranged_targets(
@@ -204,6 +211,7 @@ class ColumnarPairs:
         self._blocks: List[Tuple[np.ndarray, ...]] = []
         self._columns: Optional[Tuple[np.ndarray, ...]] = None
         self._further: Optional[Terms] = None
+        self._loads: Optional[Dict[Hashable, int]] = None
         self._length = 0
 
     def __len__(self) -> int:
@@ -291,14 +299,39 @@ class ColumnarPairs:
         self.columns()
         return self._further
 
-    def logical_loads(self) -> Dict[Hashable, int]:
-        """Pairs per distinct key, decoded to native Python keys."""
+    def key_groups(self) -> Tuple[np.ndarray, np.ndarray, List[Hashable]]:
+        """``(order, boundaries, keys)``: the stable order that clusters
+        equal key codes, emission order kept within a key; where each
+        key's run starts in it, then the length; and the keys, decoded,
+        in ascending code order.  The one sort of the codes: it leaves
+        :meth:`logical_loads` behind too."""
         key_codes = self.columns()[0]
-        codes, counts = np.unique(key_codes, return_counts=True)
-        return {
-            self.codec.decode(int(code)): int(count)
-            for code, count in zip(codes, counts)
-        }
+        # Grouping only needs *an* order over the codes, not the codes
+        # themselves: when the codec can recode the live range into 16
+        # bits (monotone, see KeyCodec.compact_codes) the stable sort
+        # becomes a radix sort, several times faster than
+        # comparison-sorting int64.
+        compact = self.codec.compact_codes(key_codes)
+        order = np.argsort(key_codes if compact is None else compact, kind="stable")
+        sorted_codes = key_codes[order]
+        # Ascending (compact recodings are monotone), so the boundaries
+        # are a neighbour-difference scan — cheaper than np.unique,
+        # which would sort again.
+        changed = np.empty(len(sorted_codes), dtype=bool)
+        changed[:1] = True
+        np.not_equal(sorted_codes[1:], sorted_codes[:-1], out=changed[1:])
+        first = np.flatnonzero(changed)
+        keys = [self.codec.decode(code) for code in sorted_codes[first].tolist()]
+        boundaries = np.append(first, len(sorted_codes))
+        self._loads = dict(zip(keys, np.diff(boundaries).tolist()))
+        return order, boundaries, keys
+
+    def logical_loads(self) -> Dict[Hashable, int]:
+        """Pairs per distinct key, decoded to native Python keys, in
+        ascending code order — read off :meth:`key_groups`' boundaries."""
+        if self._loads is None:
+            self.key_groups()
+        return self._loads
 
 
 class ColumnValues:
@@ -453,12 +486,15 @@ class IndexBlock(SequenceABC):
 
     def tuples(self) -> List[Tuple[Any, ...]]:
         """A tuple block's bare records: one take per relation, zipped —
-        a chunk of records at a time, so that only a chunk's taken
-        columns are alive beside the tuples."""
+        a chunk of :func:`_tuple_chunk` records at a time, so that a
+        chunk's taken columns and the ``Row`` headers its tuples touch
+        stay in cache from the take to the zip."""
         tuples: List[Tuple[Any, ...]] = []
-        for lo in range(0, len(self), _TUPLE_CHUNK):
-            rows = self.rows[lo : lo + _TUPLE_CHUNK].T
-            tuples += zip(*(r.row_column()[at] for r, at in zip(self.relations, rows)))
+        columns = [relation.row_column() for relation in self.relations]
+        chunk = _tuple_chunk(len(columns))
+        for lo in range(0, len(self), chunk):
+            rows = self.rows[lo : lo + chunk].T
+            tuples += zip(*(column[at] for column, at in zip(columns, rows)))
         return tuples
 
     # -- the source role (see repro.mapreduce.job.InputSpec) -----------

@@ -13,22 +13,30 @@ sorted once per reduce call):
 * the candidate rows for the next relation are contiguous windows of its
   sorted endpoints, of the kind the pair kernel's rule
   (:func:`~repro.intervals.sweep.window_kind`) gives the step's access
-  condition — every row only when nothing connects the relation's index
+  condition — for a colocation condition only the half of the
+  intersecting window its start order allows, unless a step of three or
+  more relations evaluates another condition first (then the whole
+  window); every row only when nothing connects the relation's index
   attribute;
 * the step's conditions are array masks, evaluated in
   ``query.conditions`` order, each over the survivors of the one before;
 * no step expands more than ``sweep.MAX_CANDIDATE_PAIRS`` candidate
-  pairs at once (:func:`~repro.intervals.sweep.window_blocks` cuts the
-  partial bindings into blocks first).
+  pairs at once (:meth:`~repro.intervals.sweep.WindowPlan.blocks` cuts
+  the partial bindings into blocks first).
 
 ``work:comparisons`` is charged by rule (the cost model prices it).
 Three or more relations: each step charges one per (candidate, condition
 evaluated); the candidates are those of the **first** colocation
 condition on the relation's index attribute (its first query attribute),
 else of the **last** sequence condition on it, else every row; the first
-step charges nothing.  Two relations: one per pair *satisfying* the
-first condition — which is the access path — then one per further
-condition evaluated.  The total is reported once per join.
+step charges nothing.  The rule counts the whole intersecting window
+of a colocation access condition even where the step expands only its
+half: the half's candidates are the window's less the pairs its start
+order rules out, and the charge for the first condition is read from
+the plan's bounds (:meth:`~repro.intervals.sweep.WindowPlan.intersecting`).
+Two relations: one per pair *satisfying* the first condition — which is
+the access path — then one per further condition evaluated, which no
+narrowing moves.  The total is reported once per join.
 
 An optional ``accept`` mask filters complete bindings — algorithms pass
 their "this reducer owns the tuple" rules, which make grid output
@@ -61,9 +69,11 @@ from repro.errors import MapReduceError
 from repro.intervals.partitioning import Partitioning
 from repro.intervals.sweep import (
     ALL_ROWS,
+    COVERING_START,
     INTERSECTING,
+    STARTING_WITHIN,
     SortedColumns,
-    window_blocks,
+    WindowPlan,
     window_kind,
 )
 from repro.mapreduce.task import KernelReducer
@@ -202,7 +212,9 @@ class LocalJoiner:
             kind, index, probe = (
                 ALL_ROWS, self._index_term(name), self._index_term(order[0])
             )
-            for cond in conditions[:1] if self._two_way else conditions:
+            for position, cond in enumerate(
+                conditions[:1] if self._two_way else conditions
+            ):
                 mine, other = cond.left, cond.right
                 if mine.relation != name:
                     mine, other = other, mine
@@ -212,7 +224,11 @@ class LocalJoiner:
                     continue
                 kind = window_kind(cond.predicate, mine is cond.left)
                 probe = other
-                if kind == INTERSECTING:
+                if cond.predicate.is_colocation:
+                    if position:
+                        # Conditions before it are charged per candidate
+                        # of the whole window: it cannot be narrowed.
+                        kind = INTERSECTING
                     break
             steps.append(_Step(name, conditions, kind, index, probe))
         return steps
@@ -281,7 +297,14 @@ class LocalJoiner:
         probe_rows = binding[step.probe.relation]
         starts = probe_column.starts[probe_rows]
         ends = probe_column.ends[probe_rows]
-        for probe, row in window_blocks(index, step.kind, starts, ends):
+        plan = WindowPlan(index, step.kind, starts, ends)
+        # A narrowed step of three or more relations still charges its
+        # access condition, evaluated first, per candidate of the whole
+        # intersecting window.
+        whole = not self._two_way and step.kind in (STARTING_WITHIN, COVERING_START)
+        if whole:
+            charged += plan.intersecting()
+        for probe, row in plan.blocks():
 
             def endpoints(term: Term):
                 column = columns[term]
@@ -298,7 +321,7 @@ class LocalJoiner:
                 )
                 if self._two_way and position == 0:
                     charged += int(np.count_nonzero(mask))
-                else:
+                elif position or not whole:
                     charged += len(mask)
                 probe, row = probe[mask], row[mask]
             if len(row):

@@ -21,6 +21,17 @@
 The kernel enumerates exactly the pairs the predicate's truth function
 accepts (property-tested against the brute-force nested loop).
 
+**Order-aware windows.**  Every colocation predicate fixes which
+operand starts no later (its less-than-order, ``predicate.orders``), so
+only half of a probe's intersecting window can hold a partner:
+:func:`window_kind` picks ``STARTING_WITHIN`` — the rows starting inside
+the probe — when the probe's operand starts first or the starts are
+equal, else ``COVERING_START`` — the rows whose span covers the probe's
+start, equal starts included — and :class:`WindowPlan` expands that
+half alone.  ``INTERSECTING`` is both halves, for callers that mask
+several predicates over one expansion; :meth:`WindowPlan.intersecting`
+counts it without expanding it.
+
 **Sorted once.**  A sweep needs its columns in endpoint order, and the
 engine delivers them in start order where it can, as Hadoop's secondary
 sort delivered the paper's reducers their values: a base relation's map
@@ -49,6 +60,8 @@ __all__ = [
     "ENDING_BEFORE",
     "STARTING_AFTER",
     "ALL_ROWS",
+    "STARTING_WITHIN",
+    "COVERING_START",
     "WINDOW_NAMES",
     "MAX_CANDIDATE_PAIRS",
     "WindowPlan",
@@ -61,10 +74,19 @@ __all__ = [
 
 #: The candidate sets :class:`WindowPlan` derives for a probe
 #: interval ``[s, e]``: rows sharing a point with it, rows ending
-#: strictly before ``s``, rows starting strictly after ``e``, every row.
-INTERSECTING, ENDING_BEFORE, STARTING_AFTER, ALL_ROWS = range(4)
+#: strictly before ``s``, rows starting strictly after ``e``, every row;
+#: and the two halves of the intersecting set — rows starting inside
+#: ``[s, e]`` (at or after ``s``), and rows ``[a, b]`` with ``a <= s <=
+#: b`` (starting at or before ``s``, equal starts included).
+(
+    INTERSECTING, ENDING_BEFORE, STARTING_AFTER, ALL_ROWS,
+    STARTING_WITHIN, COVERING_START,
+) = range(6)
 #: The kinds by name, indexed by kind (what ``repro explain`` prints).
-WINDOW_NAMES = ("intersecting", "ending-before", "starting-after", "all-rows")
+WINDOW_NAMES = (
+    "intersecting", "ending-before", "starting-after", "all-rows",
+    "starting-within", "covering-start",
+)
 
 
 class SortedColumns:
@@ -175,12 +197,19 @@ class WindowPlan:
     when they do not come in it), so every
     ``searchsorted`` walks its keys forwards, and the same bounds give
     the per-probe :attr:`sizes` (in visiting order; their sum is the
-    candidate count) and what :meth:`blocks` expands."""
+    candidate count) and what :meth:`blocks` expands.
 
-    __slots__ = ("sizes", "_by", "_rows", "_lo", "_hi", "_across")
+    The intersecting set is two disjoint families of contiguous windows:
+    the rows starting inside the probe (``STARTING_WITHIN``, a window of
+    the by-start order per probe), and the rows starting before it whose
+    span covers its start — per row, a window of the sorted probes
+    (``COVERING_START`` widens it to the probes starting exactly where
+    the row does)."""
+
+    __slots__ = ("sizes", "_index", "_probes", "_by", "_rows", "_lo", "_hi", "_across")
 
     def __init__(self, index: SortedColumns, kind: int, starts, ends) -> None:
-        self._by = self._across = None
+        self._index, self._by, self._across = index, None, None
         if kind == ALL_ROWS:
             self._rows = index.rows()
             lo, hi = 0, len(self._rows) - 1
@@ -189,21 +218,20 @@ class WindowPlan:
             self._by = by = _stable_order(searched)
             if by is not None:
                 searched, ends = searched[by], ends[by]
+            self._probes = (searched, ends)
             self._rows, keys = index._by(1 if kind == ENDING_BEFORE else 0)
             if kind == ENDING_BEFORE:  # a prefix of the by-end order
                 lo, hi = 0, np.searchsorted(keys, searched, "left") - 1
             elif kind == STARTING_AFTER:  # a suffix of the by-start order
                 lo, hi = np.searchsorted(keys, searched, "right"), len(keys) - 1
+            elif kind == COVERING_START:
+                lo, hi = 0, -1
             else:
-                # Closed intersection = the rows starting inside the
-                # probe, plus the probes whose start falls in
-                # (row.start, row.end]: two disjoint families of
-                # contiguous windows, the second over the sorted probes.
                 lo = np.searchsorted(keys, searched, "left")
                 hi = np.searchsorted(keys, ends, "right") - 1
-                self._across = (
-                    np.searchsorted(searched, keys, "right"),
-                    np.searchsorted(searched, index.ends[self._rows], "right") - 1,
+            if kind in (INTERSECTING, COVERING_START):
+                self._across = self._covered(
+                    "left" if kind == COVERING_START else "right"
                 )
         zero = np.zeros(len(starts), dtype=np.int64)
         self._lo, self._hi = zero + lo, zero + hi
@@ -215,6 +243,27 @@ class WindowPlan:
                 np.bincount(self._across[0], minlength=len(zero) + 1)
                 - np.bincount(self._across[1] + 1, minlength=len(zero) + 1)
             )[:-1]
+
+    def _covered(self, side: str) -> Tuple[np.ndarray, np.ndarray]:
+        """Per by-start row ``[a, b]``, the first and last sorted probe
+        whose start lies in ``[a, b]`` (``side`` ``"left"``) or ``(a,
+        b]`` (``"right"``)."""
+        searched = self._probes[0]
+        rows, keys = self._index._by(0)
+        return (
+            np.searchsorted(searched, keys, side),
+            np.searchsorted(searched, self._index.ends[rows], "right") - 1,
+        )
+
+    def intersecting(self) -> int:
+        """The candidate count of the whole intersecting window of a
+        colocation plan — both families, whichever it expands — counted
+        from their bounds, not expanded."""
+        searched, ends = self._probes
+        keys = self._index._by(0)[1]
+        inside = np.searchsorted(keys, ends, "right") - np.searchsorted(keys, searched, "left")
+        lo, hi = self._covered("right")
+        return int(inside.sum() + (hi - lo + 1).sum())
 
     def blocks(self) -> Iterator[Tuple[np.ndarray, np.ndarray]]:
         """``(probe index, row index)`` — into the caller's arrays and
@@ -264,15 +313,22 @@ def _blocks(sizes: np.ndarray) -> Iterator[Tuple[int, int]]:
 def window_kind(predicate: AllenPredicate, indexed_is_left: bool = False) -> int:
     """The candidate windows ``predicate`` needs over its indexed operand
     — the right one, or the left when ``indexed_is_left`` — for probes
-    from the other: a colocation predicate's true pairs all intersect; a
-    sequence predicate puts one operand wholly first, so the indexed
-    rows start after a probe from that operand and end before a probe
-    from the other."""
+    from the other.  Every predicate fixes which operand starts no later
+    (its less-than-order, ``predicate.orders``).  A colocation
+    predicate's true pairs intersect: the indexed rows starting inside
+    a probe when the probe's operand starts first (equal starts too:
+    ``equals``, ``starts``, ``started_by``), else those covering its
+    start.  A sequence predicate puts one operand wholly first, so the
+    indexed rows start after a probe from that operand and end before a
+    probe from the other."""
+    probe_first = (
+        predicate.enforces_right_first()
+        if indexed_is_left
+        else predicate.enforces_left_first()
+    )
     if predicate.is_colocation:
-        return INTERSECTING
-    if predicate.enforces_left_first() != indexed_is_left:
-        return STARTING_AFTER
-    return ENDING_BEFORE
+        return STARTING_WITHIN if probe_first else COVERING_START
+    return STARTING_AFTER if probe_first else ENDING_BEFORE
 
 
 def true_pairs(

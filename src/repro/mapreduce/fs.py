@@ -196,8 +196,9 @@ class InMemoryFileSystem(FileSystem):
     ) -> int:
         if path in self._files and not overwrite:
             raise FileSystemError(f"output path already exists: {path!r}")
-        # A block is immutable already: stored as it is, not listed.
-        stored = records if isinstance(records, IndexBlock) else list(records)
+        # A block or a tuple (a relation's rows) is immutable already:
+        # stored as it is, not listed.
+        stored = records if isinstance(records, (IndexBlock, tuple)) else list(records)
         self._files[path] = stored
         return len(stored)
 

@@ -793,17 +793,18 @@ def _map_and_shuffle(run: _JobRun) -> _Shuffled:
     # Inputs and per-task blocks are dead weight from here on.
     del map_tasks, map_outcomes
     counters.increment("framework", "shuffle_records", len(pairs))
-    logical_loads = pairs.logical_loads()
 
-    # The shuffle phase is the sort of the distinct keys.
+    # The shuffle phase is the sort of the key codes and of the
+    # distinct keys; the per-key loads are read off the same sort.
     with recorder.span(
         "shuffle", kind="phase", job=conf.name, tasks=1,
-        records=len(pairs), keys=len(logical_loads),
-        reduce_tasks=conf.num_reduce_tasks,
+        records=len(pairs), reduce_tasks=conf.num_reduce_tasks,
     ) as shuffle_span:
         tasks = columnar_shuffle(
             pairs, conf.num_reduce_tasks, conf.partitioner, store=store,
         )
+        logical_loads = pairs.logical_loads()
+        shuffle_span.annotate(keys=len(logical_loads))
         cost_model = run.cost_model
         if cost_model is not None:
             shuffle_span.annotate(

@@ -154,10 +154,12 @@ def columnar_shuffle(
     """The columnar plane's sort-shuffle: one stable argsort, no
     per-pair Python objects.
 
-    Grouping runs over the int64 key-code column — a stable
+    Grouping runs over the int64 key-code column
+    (:meth:`~repro.columnar.batch.ColumnarPairs.key_groups`, whose one
+    sort also leaves the job's per-key loads behind) — a stable
     ``np.argsort`` clusters equal keys while preserving emission order
-    within each key, and ``np.unique`` finds the distinct codes and
-    group boundaries in the same pass.  Only the *distinct* keys are
+    within each key, and a neighbour-difference scan of the sorted
+    codes finds the group boundaries.  Only the *distinct* keys are
     decoded to native Python values and repr-sorted, so routing is
     bit-identical to :func:`shuffle` while the per-pair work drops from
     a dict insert + list append to a vectorised gather.
@@ -166,37 +168,14 @@ def columnar_shuffle(
     ``(key, values)`` groups in key-repr order — except each ``values``
     is a :class:`~repro.columnar.batch.ColumnValues` column slice.
     """
-    import numpy as np
-
     from repro.columnar.batch import ColumnValues
 
-    key_codes, gids, starts, ends, tag_codes = pairs.columns()
+    _, gids, starts, ends, tag_codes = pairs.columns()
     tags, layouts, terms = pairs.tags, pairs.layouts, pairs.terms()
-    # Grouping only needs *an* order over the codes, not the codes
-    # themselves: when the codec can recode the live range into 16 bits
-    # (monotone, see KeyCodec.compact_codes) the stable sort becomes a
-    # radix sort, several times faster than comparison-sorting int64.
-    compact = pairs.codec.compact_codes(key_codes)
-    order = np.argsort(
-        key_codes if compact is None else compact, kind="stable"
-    )
-    sorted_codes = key_codes[order]
-    # sorted_codes is ascending (compact recodings are monotone), so the
-    # group boundaries are a neighbour-difference scan — cheaper than
-    # np.unique, which would sort again.
-    if len(sorted_codes):
-        changed = np.empty(len(sorted_codes), dtype=bool)
-        changed[0] = True
-        np.not_equal(sorted_codes[1:], sorted_codes[:-1], out=changed[1:])
-        first_index = np.flatnonzero(changed)
-    else:
-        first_index = np.empty(0, dtype=np.int64)
-    distinct = sorted_codes[first_index]
-    boundaries = np.append(first_index, len(sorted_codes))
-    keys = [pairs.codec.decode(int(code)) for code in distinct]
+    order, boundaries, keys = pairs.key_groups()
+    bounds = boundaries.tolist()
     slices = {
-        repr(key): slice(int(boundaries[i]), int(boundaries[i + 1]))
-        for i, key in enumerate(keys)
+        repr(key): slice(bounds[i], bounds[i + 1]) for i, key in enumerate(keys)
     }
     ordered = _sorted_by_repr(keys)
     partitioner.prepare_sorted(ordered)

@@ -192,6 +192,51 @@ class TestColumnarPairs:
         )
         assert batch.logical_loads() == {2: 2, 5: 1}
 
+    @pytest.mark.parametrize("kind", sorted(KEY_CODECS))
+    @pytest.mark.parametrize("seed", range(4))
+    def test_loads_are_read_off_the_one_key_sort(self, kind, seed):
+        """The loads :meth:`ColumnarPairs.key_groups` leaves behind are
+        the ``np.unique`` count of the key codes — the same dict, in the
+        same key order — over several map blocks, with and without a
+        radix-sortable code range; reading them sorts nothing again."""
+        codec = KEY_CODECS[kind]
+        rng = np.random.default_rng(seed)
+        if kind == "int":
+            spread = [3, 40, 70000, 1 << 40][seed]
+            encode = lambda n: rng.integers(0, spread, size=n)
+        else:
+            # Odd seeds mix dimensionalities: no radix-sortable range.
+            cells = [(i, j) for i in range(4) for j in range(5 + seed)]
+            cells += [(i,) for i in range(3)] if seed % 2 else []
+            encode = lambda n: [
+                codec.encode_cell(cells[c]) for c in rng.integers(0, len(cells), size=n)
+            ]
+        batch = ColumnarPairs(codec)
+        for segment, n in enumerate([0, 17, 300, 5]):
+            codes = np.asarray(encode(n), dtype=np.int64)
+            points = rng.uniform(0.0, 10.0, size=n)
+            batch.append_block(
+                MapBlock.single_tag(codes, np.arange(n), "r"), segment, points, points
+            )
+        key_codes = batch.columns()[0]
+        codes, counts = np.unique(key_codes, return_counts=True)
+        want = {codec.decode(int(c)): int(n) for c, n in zip(codes, counts)}
+        order, boundaries, keys = batch.key_groups()
+        assert list(batch.logical_loads().items()) == list(want.items())
+        assert keys == list(want)
+        sorted_codes = key_codes[order]
+        assert (np.diff(sorted_codes) >= 0).all()
+        for i in range(len(keys)):
+            assert (sorted_codes[boundaries[i]:boundaries[i + 1]] == codes[i]).all()
+            # Emission order is kept within a key.
+            assert (np.diff(order[boundaries[i]:boundaries[i + 1]]) > 0).all()
+
+    def test_empty_pairs_have_no_loads(self):
+        batch = ColumnarPairs(KEY_CODECS["int"])
+        order, boundaries, keys = batch.key_groups()
+        assert (len(order), boundaries.tolist(), keys) == (0, [0], [])
+        assert batch.logical_loads() == {}
+
 
 class TestColumnValues:
     def _group(self):

@@ -22,7 +22,7 @@ import numpy as np
 import pytest
 
 from repro import Interval, Relation, reference_join
-from repro.columnar.batch import IndexBlock
+from repro.columnar.batch import IndexBlock, _tuple_chunk
 from repro.core.algorithms.rccis import RouteMapper
 from repro.core.executor import execute
 from repro.core.query import IntervalJoinQuery, Term
@@ -250,6 +250,30 @@ class TestTupleBlocks:
         assert list(self.block(data, labelled=False)) == bare
         assert self.block(data).tuples() == bare
         assert pickle.loads(pickle.dumps(self.block(data))) == partials
+
+    @pytest.mark.parametrize("arity", [1, 2, 3, 4])
+    def test_tuples_across_chunk_boundaries(self, arity):
+        """Built a chunk at a time, the tuples are one ``zip`` of the
+        members' takes, whatever the cut, and each member is its
+        relation's own ``Row``."""
+        chunk = _tuple_chunk(arity)
+        names = [f"R{i}" for i in range(arity)]
+        data = make_dataset(names, 7, seed=arity)
+        relations = [data[name] for name in names]
+        rng = np.random.default_rng(arity)
+        for length in (0, 1, chunk - 1, chunk, chunk + 1, 3 * chunk + 5):
+            rows = rng.integers(0, 7, size=(length, arity))
+            block = IndexBlock(names, relations, rows, labelled=False)
+            tuples = block.tuples()
+            assert tuples == list(zip(*(
+                relation.row_column()[at] for relation, at in zip(relations, rows.T)
+            )))
+            assert len(tuples) == length
+            for record, at in zip(tuples, rows.tolist()):
+                assert all(
+                    member is relation.rows[i]
+                    for member, relation, i in zip(record, relations, at)
+                )
 
     def test_select_take_and_concat(self, data):
         block = self.block(data)

@@ -7,9 +7,11 @@ import pytest
 from repro.intervals.allen import ALLEN_PREDICATES
 from repro.intervals.interval import Interval
 from repro.intervals.sweep import (
+    COVERING_START,
     ENDING_BEFORE,
     INTERSECTING,
     STARTING_AFTER,
+    STARTING_WITHIN,
     SortedColumns,
     join_pairs,
     window_blocks,
@@ -107,11 +109,18 @@ class TestBeforePairs:
 
 
 class TestWindowKind:
-    def test_colocation_predicates_intersect_whichever_side_is_indexed(self):
-        for predicate in ALLEN_PREDICATES.values():
-            if predicate.is_colocation:
-                assert window_kind(predicate) == INTERSECTING
-                assert window_kind(predicate, indexed_is_left=True) == INTERSECTING
+    def test_colocation_predicates_take_the_half_their_start_order_allows(self):
+        """The indexed rows starting inside the probe when the probe's
+        operand starts no later; those covering its start otherwise."""
+        probe_first = {"meets", "overlaps", "contains", "finished_by"}
+        both = {"starts", "started_by", "equals"}
+        for name, predicate in ALLEN_PREDICATES.items():
+            if not predicate.is_colocation:
+                continue
+            right_indexed = STARTING_WITHIN if name in probe_first | both else COVERING_START
+            left_indexed = STARTING_WITHIN if name not in probe_first else COVERING_START
+            assert window_kind(predicate) == right_indexed, name
+            assert window_kind(predicate, indexed_is_left=True) == left_indexed, name
 
     def test_sequence_predicates_follow_the_indexed_side(self):
         before, after = ALLEN_PREDICATES["before"], ALLEN_PREDICATES["after"]

@@ -248,3 +248,29 @@ class TestCommitWork:
         assert fs.list_prefix("out/") == ["out/part-00000"]
         assert touched[0] == 1
         assert fs.list_prefix("/out") == ["out/part-00000", "out2/part-00000"]
+
+
+class TestInMemoryStorage:
+    def test_a_relations_rows_are_stored_not_copied(self):
+        """``write_inputs`` hands each relation's row tuple over; the
+        store keeps that tuple and a base input reads back as it."""
+        from repro.core.algorithms.base import input_path, write_inputs
+        from repro.core.query import IntervalJoinQuery
+
+        from tests.conftest import make_dataset
+
+        query = IntervalJoinQuery.parse([("R1", "overlaps", "R2")])
+        data = make_dataset(query.relations, 5, seed=1)
+        fs = InMemoryFileSystem()
+        write_inputs(fs, query, data)
+        for name in query.relations:
+            assert fs.read_dir(input_path(name)) is data[name].rows
+
+    def test_other_records_are_listed(self):
+        fs = InMemoryFileSystem()
+        records = [1, 2]
+        fs.write("list", records)
+        records.append(3)  # the caller's list is not the stored one
+        fs.write("iterator", iter([4, 5]))
+        assert list(fs.read("list")) == [1, 2]
+        assert list(fs.read("iterator")) == [4, 5]

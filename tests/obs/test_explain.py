@@ -179,7 +179,7 @@ class TestExplainRender:
 
     def test_kernels_name_no_function_the_plan_never_calls(self):
         text = explain_query(IntervalJoinQuery.parse(HYBRID)).render()
-        assert "R1.I overlaps R2.I -> intersecting windows, overlaps mask" in text
+        assert "R1.I overlaps R2.I -> starting-within windows, overlaps mask" in text
         assert "R2.I before R3.I -> starting-after windows, before mask" in text
         assert "sweep kernel" not in text
 

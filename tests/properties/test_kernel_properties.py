@@ -27,9 +27,11 @@ from repro.intervals import sweep
 from repro.intervals.allen import ALLEN_PREDICATES
 from repro.intervals.interval import Interval
 from repro.intervals.sweep import (
+    COVERING_START,
     ENDING_BEFORE,
     INTERSECTING,
     STARTING_AFTER,
+    STARTING_WITHIN,
     SortedColumns,
     WindowPlan,
     join_pairs,
@@ -170,6 +172,8 @@ WINDOW_MEMBER = {
     INTERSECTING: lambda probe, row: probe.intersects(row),
     STARTING_AFTER: lambda probe, row: row.start > probe.end,
     ENDING_BEFORE: lambda probe, row: row.end < probe.start,
+    STARTING_WITHIN: lambda probe, row: probe.start <= row.start <= probe.end,
+    COVERING_START: lambda probe, row: row.start <= probe.start <= row.end,
 }
 
 
@@ -217,7 +221,7 @@ def check_window_plan(predicate, left, masked_right, block):
     assert sorted(plan.sizes.tolist()) == sorted(
         per_probe[i] for i in range(len(left))
     )
-    if kind == INTERSECTING:
+    if predicate.is_colocation:
         assert 1 not in parent._full_orders  # no by-end order is built
     assert kept == Counter(
         (i, j)
@@ -284,7 +288,10 @@ def plan_parts(index, kind, probes, block):
         return plan.sizes, list(plan.blocks())
 
 
-@pytest.mark.parametrize("kind", [INTERSECTING, STARTING_AFTER, ENDING_BEFORE])
+@pytest.mark.parametrize(
+    "kind",
+    [INTERSECTING, STARTING_AFTER, ENDING_BEFORE, STARTING_WITHIN, COVERING_START],
+)
 @settings(max_examples=60, deadline=None)
 @given(
     probes=sorted_sides(), index=sorted_sides(), restrict=st.booleans(),
