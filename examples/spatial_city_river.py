@@ -65,11 +65,9 @@ def main() -> None:
             [("cities.x", px, "rivers.x"), ("cities.y", py, "rivers.y")]
         )
         r = execute(q, data, algorithm="gen_matrix", num_partitions=5)
-        if r.tuples:
+        if len(r):
             per_orientation.append([f"x:{px}", f"y:{py}", len(r)])
-        matches.update(
-            (c.rid, v.rid) for c, v in r.tuples
-        )
+        matches.update(r.tuple_ids())
 
     brute = {
         (c.rid, v.rid)

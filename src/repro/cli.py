@@ -60,10 +60,10 @@ from repro.core.query import IntervalJoinQuery
 from repro.core.schema import Relation
 from repro.errors import ReproError
 from repro.io import (
-    encode_row,
     load_intervals_text,
     load_relation,
     save_relation,
+    save_result,
 )
 from repro.mapreduce.options import EXECUTORS
 from repro.stats import human_count, human_seconds
@@ -421,14 +421,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
             print()
             print(reconciliation.render())
     if args.output:
-        with open(args.output, "w", encoding="utf-8") as handle:
-            for tuple_rows in result.tuples:
-                record = {
-                    name: encode_row(row)
-                    for name, row in zip(query.relations, tuple_rows)
-                }
-                handle.write(json.dumps(record))
-                handle.write("\n")
+        save_result(result, args.output)
         print(f"output:     {args.output}")
     if args.trace:
         print(f"trace:      {args.trace}")

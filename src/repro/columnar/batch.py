@@ -460,7 +460,15 @@ class IndexBlock(SequenceABC):
             return self
         slots = [0 if flags else self.names.index(name) for name in names]
         relations = [self.relations[self.names.index(name)] for name in names]
-        return IndexBlock(names, relations, self.rows[:, slots], labelled=labelled)
+        # The same members in the same order share the read-only column.
+        rows = self.rows if slots == list(range(self.rows.shape[1])) else self.rows[:, slots]
+        return IndexBlock(names, relations, rows, labelled=labelled)
+
+    def member(self, name: str) -> Tuple[Any, np.ndarray]:
+        """The relation member ``name`` indexes, and its row-index
+        column (a view)."""
+        slot = self.names.index(name)
+        return self.relations[slot], self.rows[:, slot]
 
     def __len__(self) -> int:
         return len(self.rows)
@@ -484,17 +492,28 @@ class IndexBlock(SequenceABC):
         # never travel.
         return (list, (list(self),))
 
-    def tuples(self) -> List[Tuple[Any, ...]]:
-        """A tuple block's bare records: one take per relation, zipped —
-        a chunk of :func:`_tuple_chunk` records at a time, so that a
-        chunk's taken columns and the ``Row`` headers its tuples touch
-        stay in cache from the take to the zip."""
-        tuples: List[Tuple[Any, ...]] = []
-        columns = [relation.row_column() for relation in self.relations]
+    def tuples(
+        self,
+        names: Optional[Sequence[str]] = None,
+        into: Optional[List[Any]] = None,
+        reverse: bool = False,
+    ) -> List[Tuple[Any, ...]]:
+        """A tuple block's bare records — of its members ``names``, in
+        that order, when given: one take per relation, zipped — a chunk
+        of :func:`_tuple_chunk` records at a time, so that a chunk's
+        taken columns and the ``Row`` headers its tuples touch stay in
+        cache from the take to the zip.  They are appended to ``into``
+        when given, else to a new list, which is returned; ``reverse``
+        appends them last record first."""
+        slots = range(len(self.names)) if names is None else list(map(self.names.index, names))
+        tuples: List[Any] = [] if into is None else into
+        columns = [self.relations[slot].row_column() for slot in slots]
         chunk = _tuple_chunk(len(columns))
-        for lo in range(0, len(self), chunk):
-            rows = self.rows[lo : lo + chunk].T
-            tuples += zip(*(column[at] for column, at in zip(columns, rows)))
+        starts = range(0, len(self), chunk)
+        for lo in reversed(starts) if reverse else starts:
+            rows = self.rows[lo : lo + chunk]
+            rows = (rows[::-1] if reverse else rows).T
+            tuples += zip(*(column[rows[slot]] for column, slot in zip(columns, slots)))
         return tuples
 
     # -- the source role (see repro.mapreduce.job.InputSpec) -----------

@@ -16,8 +16,8 @@ Conventions used by all implementations:
 * a join job commits its output as an
   :class:`~repro.columnar.batch.IndexBlock` — one row-index column per
   member relation — which the next cycle reads through
-  :meth:`PlanContext.derived_input` and :meth:`JoinAlgorithm.run_plan`
-  turns into ``Row`` tuples once, at the end;
+  :meth:`PlanContext.derived_input`, and the final job's part blocks
+  are the run's :class:`~repro.core.results.JoinResult` as they are;
 * user counters: ``join:replicated_intervals`` (distinct intervals chosen
   for replication), ``join:replicated_pairs`` (key-value pairs produced by
   replication), ``work:comparisons`` (predicate evaluations inside
@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import abc
 from dataclasses import dataclass, field, replace
-from typing import TYPE_CHECKING, Any, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, List, Mapping, Optional, Sequence
 
 from repro.columnar.batch import IndexBlock
 from repro.errors import PlanningError, UnsatisfiableQueryError
@@ -190,9 +190,10 @@ class PlanContext:
             partitioning=None,
             sub_metrics=[],
         )
-        block, metrics = algorithm.run_plan_output(sub)
-        self.sub_metrics.append(metrics)
-        return block
+        result = algorithm.run_plan(sub)
+        self.sub_metrics.append(result.metrics)
+        blocks = result.blocks() or [IndexBlock.from_records([], sub.relations(query.relations))]
+        return IndexBlock.concat([block.select(query.relations, labelled=False) for block in blocks])
 
 
 class JoinAlgorithm(abc.ABC):
@@ -217,7 +218,7 @@ class JoinAlgorithm(abc.ABC):
         observer: Optional[Observer] = None,
         options: Optional[RunOptions] = None,
     ) -> JoinResult:
-        """Execute the query and return tuples plus metrics.
+        """Execute the query and return its result: the output blocks plus metrics.
 
         Parameters
         ----------
@@ -248,9 +249,10 @@ class JoinAlgorithm(abc.ABC):
             defaults.  No option changes tuples, outputs or counters
             (modulo the ``faults`` group).
 
-        The cyclic collector is paused for the run: its pairs and tuples
-        are acyclic, and each full collection re-walks all of them (60 %
-        of the wall on a 547 k-tuple result; see ``docs/api.md``).
+        The cyclic collector is paused for the run: what it allocates is
+        acyclic, and each collection would re-walk all of it (see
+        ``docs/api.md``).  The result's ``Row`` tuples are built later,
+        on request, under a pause of their own.
         """
         pipeline = Pipeline(
             fs if fs is not None else InMemoryFileSystem(),
@@ -281,18 +283,12 @@ class JoinAlgorithm(abc.ABC):
 
     def run_plan(self, ctx: PlanContext, collect: bool = True) -> JoinResult:
         """The template every run — and every exact prediction — goes
-        through: :meth:`run_plan_output`, then the output's ``Row``
-        tuples, built once."""
-        return JoinResult(ctx.query, *self.run_plan_output(ctx, collect, tuples=True))
-
-    def run_plan_output(
-        self, ctx: PlanContext, collect: bool = True, tuples: bool = False
-    ) -> Tuple[Any, ExecutionMetrics]:
-        """Write the inputs, run :meth:`plan`, collect the named output as
-        one tuple block in ``query.relations`` order (``collect=False``
-        leaves it unread, and the block empty) — or, with ``tuples``, as
-        its ``Row`` tuples: one take per relation, zipped — and fold the
-        pipeline's job results into one metric record.
+        through: write the inputs, run :meth:`plan`, take the named
+        output as the blocks its reduce tasks committed, one a part
+        file, as they are (``collect=False`` leaves it unread, and the
+        result empty), and fold the pipeline's job results into one
+        metric record.  No ``Row`` tuple is built here: see
+        :attr:`JoinResult.tuples`.
 
         Each call is one ``kind="algorithm"`` span around its jobs (a
         sub-plan's nests inside its parent's) that carries the run's
@@ -314,23 +310,26 @@ class JoinAlgorithm(abc.ABC):
                     raise UnsatisfiableQueryError("a query relation has no rows")
                 plan = self.plan(ctx)
             except UnsatisfiableQueryError:
-                block = IndexBlock.from_records([], relations)
-                return ([] if tuples else block), ExecutionMetrics(algorithm=self.name)
-            output = ctx.fs.read_dir(plan.output) if collect else []
-            if not isinstance(output, IndexBlock):
-                output = IndexBlock.from_records(list(output), relations)
-            block = output.select(query.relations, labelled=False)
-            metrics = ExecutionMetrics.from_pipeline(
-                self.name, pipeline.result, ctx.cost_model
+                return JoinResult.of_blocks(query, [], ExecutionMetrics(algorithm=self.name))
+            parts = [part for part in (ctx.fs.parts(plan.output) if collect else []) if len(part)]
+            if not all(isinstance(part, IndexBlock) for part in parts):
+                # Record files, as a LocalFileSystem reads them back: one
+                # conversion, so each relation's rid map is built once.
+                parts = [IndexBlock.from_records([r for part in parts for r in part], relations)]
+            result = JoinResult.of_blocks(
+                query,
+                parts,
+                ExecutionMetrics.from_pipeline(self.name, pipeline.result, ctx.cost_model),
             )
+            metrics = result.metrics
             if ctx.sub_metrics:
-                metrics = ExecutionMetrics.combine(
+                result.metrics = metrics = ExecutionMetrics.combine(
                     self.name, ctx.sub_metrics + [metrics]
                 )
-                metrics.output_records = len(block)
+                metrics.output_records = len(result)
             metrics.shape = dict(plan.shape)
             span.annotate(
-                tuples=len(block),
+                tuples=len(result),
                 cycles=metrics.num_cycles,
                 shuffled_records=metrics.shuffled_records,
                 modelled_seconds=metrics.simulated_seconds,
@@ -339,7 +338,7 @@ class JoinAlgorithm(abc.ABC):
             if plan.grid is not None:
                 metrics.consistent_reducers = len(plan.grid.cells)
                 metrics.total_reducers = plan.grid.total_cells
-            return (block.tuples() if tuples else block), metrics
+            return result
 
     # ------------------------------------------------------------------
     def predict(self, query, profile, conf=None):

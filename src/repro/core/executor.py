@@ -104,7 +104,7 @@ def execute(
                     empty_proof=chosen.empty_proof,
                 ):
                     pass
-            return JoinResult(query, [], metrics)
+            return JoinResult.of_blocks(query, [], metrics)
         runner = chosen.algorithm
         assert runner is not None
     elif isinstance(algorithm, str):

@@ -114,10 +114,17 @@ class _DryFileSystem(InMemoryFileSystem):
         self.unreduced: Dict[str, Tuple[_JobRun, _Shuffled]] = {}
 
     def read_dir(self, base: str) -> Iterator[Any]:
+        self._reduce(base)
+        return super().read_dir(base)
+
+    def parts(self, base: str) -> List[Sequence[Any]]:
+        self._reduce(base)
+        return super().parts(base)
+
+    def _reduce(self, base: str) -> None:
         job = self.unreduced.pop(base, None)
         if job is not None:
             _reduce_and_commit(*job)
-        return super().read_dir(base)
 
 
 class DryPipeline:

@@ -12,17 +12,22 @@ from __future__ import annotations
 
 from typing import Dict, Iterator, List, Mapping, Sequence, Tuple
 
+import numpy as np
+
+from repro.columnar.batch import IndexBlock
 from repro.core.query import IntervalJoinQuery, JoinCondition
 from repro.core.results import ExecutionMetrics, JoinResult
 from repro.core.schema import Relation, Row
 
-__all__ = ["reference_join", "enumerate_reference_tuples"]
+__all__ = ["reference_join", "enumerate_reference_indices"]
 
 
-def enumerate_reference_tuples(
+def enumerate_reference_indices(
     query: IntervalJoinQuery, data: Mapping[str, Relation]
-) -> Iterator[Tuple[Row, ...]]:
-    """Yield every satisfying tuple, in no particular order."""
+) -> Iterator[Tuple[int, ...]]:
+    """Yield every satisfying tuple as its members' row indices in
+    their relations, in ``query.relations`` order, in no particular
+    tuple order."""
     query.validate_against(data)
     order: Sequence[str] = query.relations
 
@@ -43,6 +48,7 @@ def enumerate_reference_tuples(
         )
 
     binding: Dict[str, Row] = {}
+    chosen: List[int] = []
 
     def satisfied(cond: JoinCondition) -> bool:
         left_row = binding[cond.left.relation]
@@ -52,15 +58,17 @@ def enumerate_reference_tuples(
             right_row.interval(cond.right.attribute),
         )
 
-    def extend(k: int) -> Iterator[Tuple[Row, ...]]:
+    def extend(k: int) -> Iterator[Tuple[int, ...]]:
         if k == len(order):
-            yield tuple(binding[name] for name in order)
+            yield tuple(chosen)
             return
         name = order[k]
-        for row in data[name].rows:
+        for index, row in enumerate(data[name].rows):
             binding[name] = row
             if all(satisfied(cond) for cond in step_conditions[k]):
+                chosen.append(index)
                 yield from extend(k + 1)
+                chosen.pop()
         binding.pop(name, None)
 
     yield from extend(0)
@@ -69,7 +77,14 @@ def enumerate_reference_tuples(
 def reference_join(
     query: IntervalJoinQuery, data: Mapping[str, Relation]
 ) -> JoinResult:
-    """Evaluate the query by backtracking; the ground-truth result."""
-    tuples = list(enumerate_reference_tuples(query, data))
-    metrics = ExecutionMetrics(algorithm="reference", output_records=len(tuples))
-    return JoinResult(query, tuples, metrics)
+    """Evaluate the query by backtracking; the ground-truth result, one
+    block of row indices like a run's."""
+    names = query.relations
+    indices = list(enumerate_reference_indices(query, data))
+    block = IndexBlock(
+        names, [data[name] for name in names],
+        np.reshape(np.array(indices, dtype=np.int64), (-1, len(names))),
+        labelled=False,
+    )
+    metrics = ExecutionMetrics(algorithm="reference", output_records=len(block))
+    return JoinResult.of_blocks(query, [block], metrics)

@@ -2,11 +2,17 @@
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass, field
-from typing import Dict, Hashable, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, Hashable, Iterable, List, Optional, Sequence, Tuple
 
+import numpy as np
+
+from repro.columnar.batch import IndexBlock, object_column
 from repro.core.query import IntervalJoinQuery
-from repro.core.schema import Row
+from repro.core.schema import Relation, Row
+from repro.errors import ValidationError
+from repro.gc_pause import collector_paused
 from repro.mapreduce.cost import CostModel, DEFAULT_COST_MODEL
 from repro.mapreduce.pipeline import PipelineResult
 
@@ -147,13 +153,18 @@ class ExecutionMetrics:
 class JoinResult:
     """The output of one join execution.
 
+    A run's result is its output's row-index columns: the
+    :class:`~repro.columnar.batch.IndexBlock` part files its final
+    reduce tasks committed, held as they are (:meth:`of_blocks`).
+    ``len``, :meth:`tuple_ids`, :meth:`same_output`,
+    :func:`~repro.core.validation.validate_result` and
+    :func:`~repro.io.save_result` read those columns and build no
+    ``Row`` tuple; :attr:`tuples` builds them on first access, once.
+
     Attributes
     ----------
     query:
         The executed query.
-    tuples:
-        Output tuples, each a tuple of :class:`Row` in ``query.relations``
-        order.
     metrics:
         The run's :class:`ExecutionMetrics`.
     """
@@ -164,29 +175,200 @@ class JoinResult:
         tuples: Sequence[Tuple[Row, ...]],
         metrics: ExecutionMetrics,
     ) -> None:
+        """A result of ``tuples`` handed in, each a tuple of
+        :class:`Row` in ``query.relations`` order."""
         self.query = query
-        # A list is kept, not copied: ``run_plan`` hands over the one it
-        # collected the output into.
-        self.tuples: List[Tuple[Row, ...]] = (
+        self.metrics = metrics
+        # A list is kept, not copied.
+        self._tuples: Optional[List[Tuple[Row, ...]]] = (
             tuples if isinstance(tuples, list) else list(tuples)
         )
-        self.metrics = metrics
+        self._blocks: List[IndexBlock] = []
+        # The tuples of the blocks a build has let go, last block's last
+        # record first: kept across a build that fails part way.
+        self._tail: List[Tuple[Row, ...]] = []
+        self._length = len(self._tuples)
+        self._lock = threading.Lock()
+
+    @classmethod
+    def of_blocks(
+        cls,
+        query: IntervalJoinQuery,
+        blocks: Iterable[IndexBlock],
+        metrics: ExecutionMetrics,
+    ) -> "JoinResult":
+        """A result of tuple blocks whose members include every query
+        relation: a run's parts, or the reference join's one block."""
+        result = cls(query, [], metrics)
+        result._blocks = [block for block in blocks if len(block)]
+        result._tuples = None
+        result._length = sum(map(len, result._blocks))
+        return result
+
+    @property
+    def tuples(self) -> List[Tuple[Row, ...]]:
+        """The output tuples, each a tuple of :class:`Row` in
+        ``query.relations`` order, built on first access — under a lock,
+        so only once, and with the cyclic collector paused (the tuples
+        are acyclic) — a block at a time, each block let go once its
+        tuples are built: a built result holds its tuples alone.  A
+        build that raises part way keeps the tuples of the blocks it
+        let go and the blocks it did not, so the result still reads
+        whole, and the next access goes on from there."""
+        tuples = self._tuples
+        if tuples is not None:
+            return tuples
+        with self._lock:
+            if self._tuples is None:
+                built = self._tail
+                with collector_paused():
+                    # Built backwards — the last block first, its last
+                    # record first — then reversed in place: blocks are
+                    # committed in order, and what is freed at the top
+                    # of the heap goes back to the system at once.
+                    while self._blocks:
+                        mark = len(built)
+                        try:
+                            self._blocks[-1].tuples(self.query.relations, built, reverse=True)
+                        except BaseException:
+                            del built[mark:]
+                            raise
+                        self._blocks.pop()
+                    built.reverse()
+                self._tuples, self._tail = built, []
+            return self._tuples
+
+    def blocks(self) -> List[IndexBlock]:
+        """The output as tuple blocks whose members include every query
+        relation: the committed parts while :attr:`tuples` is unbuilt,
+        else one block over the tuples' own rows (a relation a member,
+        rows repeating as the tuples repeat them)."""
+        with self._lock:
+            if self._tuples is None:
+                tail = self._tail[::-1]
+                return self._blocks + ([_held_block(self.query.relations, tail)] if tail else [])
+            tuples = self._tuples
+        return [_held_block(self.query.relations, tuples)] if tuples else []
 
     def __len__(self) -> int:
-        return len(self.tuples)
+        return self._length
+
+    def rid_columns(self) -> List[np.ndarray]:
+        """Per query relation, each output tuple's member's rid — an
+        int64 column, ``object`` where a rid does not fit one — in
+        :meth:`tuple_ids` order."""
+        columns, order = self._rid_order(self.blocks())
+        return [column[order] for column in columns]
 
     def tuple_ids(self) -> List[Tuple[int, ...]]:
         """Sorted rid tuples (query relation order) — the canonical form
-        used to compare two results for equality."""
-        return sorted(tuple(row.rid for row in t) for t in self.tuples)
+        used to compare two results for equality: one sort of the rid
+        columns, each tuple built of the rows' own rid objects (ints
+        made anew from an int64 column would cost more than the tuples
+        that hold them)."""
+        blocks = self.blocks()
+        order = self._rid_order(blocks)[1]
+        # Each column is let go once it is listed — the unsorted ones,
+        # their sorted copies and the int64 columns are gone before the
+        # tuples are built.
+        return list(zip(*(
+            column[order].tolist()
+            for column in _member_columns(self.query.relations, blocks, _rid_objects)
+        )))
+
+    def _rid_order(self, blocks: Sequence[IndexBlock]) -> Tuple[List[np.ndarray], np.ndarray]:
+        """The rid columns of ``blocks`` in output order, and the order
+        that sorts them."""
+        columns = _member_columns(self.query.relations, blocks, _rid_column)
+        return columns, np.lexsort(columns[::-1])
 
     def same_output(self, other: "JoinResult") -> bool:
         """Whether two results produced exactly the same tuple set."""
-        return self.tuple_ids() == other.tuple_ids()
+        if len(self) != len(other):
+            return False
+        if not len(self):
+            return True
+        mine, theirs = self.rid_columns(), other.rid_columns()
+        return len(mine) == len(theirs) and all(map(np.array_equal, mine, theirs))
+
+    def __getstate__(self) -> Dict[str, Any]:
+        # A block pickles as its record list; the result keeps its
+        # columns.
+        with self._lock:
+            state = dict(self.__dict__, _blocks=[
+                (block.names, block.relations, block.rows, block.labelled)
+                for block in self._blocks
+            ])
+        del state["_lock"]
+        return state
+
+    def __setstate__(self, state: Dict[str, Any]) -> None:
+        blocks = [
+            IndexBlock(names, relations, rows, labelled=labelled)
+            for names, relations, rows, labelled in state["_blocks"]
+        ]
+        self.__dict__.update(state, _blocks=blocks, _lock=threading.Lock())
 
     def __str__(self) -> str:  # pragma: no cover - cosmetic
         return (
-            f"JoinResult({self.metrics.algorithm}, {len(self.tuples)} tuples, "
+            f"JoinResult({self.metrics.algorithm}, {len(self)} tuples, "
             f"{self.metrics.num_cycles} cycles, "
             f"{self.metrics.shuffled_records} shuffled)"
         )
+
+
+def _member_columns(
+    names: Sequence[str],
+    blocks: Sequence[IndexBlock],
+    column_of: Callable[[Sequence[Row]], np.ndarray],
+) -> List[np.ndarray]:
+    """Per member ``names``, ``column_of`` its relation's rows taken at
+    each record's member, in output order — ``column_of`` called once a
+    relation."""
+    made: Dict[int, np.ndarray] = {}
+
+    def of(relation) -> np.ndarray:
+        if id(relation) not in made:
+            made[id(relation)] = column_of(relation.rows)
+        return made[id(relation)]
+
+    columns = []
+    for name in names:
+        taken = [of(relation)[at] for relation, at in (b.member(name) for b in blocks)]
+        columns.append(np.concatenate(taken) if taken else np.empty(0, dtype=np.int64))
+    return columns
+
+
+def _rid_column(rows: Sequence[Row]) -> np.ndarray:
+    """The rids of ``rows`` as an int64 column, or as an ``object``
+    column of the rids themselves when one does not fit int64 — never a
+    float column, in which distinct rids could compare equal."""
+    rids = [row.rid for row in rows]
+    try:
+        return np.array(rids, dtype=np.int64)
+    except OverflowError:
+        return object_column(rids)
+
+
+def _rid_objects(rows: Sequence[Row]) -> np.ndarray:
+    """The rids of ``rows`` themselves, as an ``object`` column."""
+    return object_column([row.rid for row in rows])
+
+
+def _held_block(names: Sequence[str], tuples: Sequence[Tuple[Row, ...]]) -> IndexBlock:
+    """``tuples`` as one block: member ``name`` indexes a relation of
+    the tuples' rows in its slot, in tuple order — their rows as they
+    are, unchecked: a row repeats as the tuples repeat it."""
+    arity = len(names)
+    if set(map(len, tuples)) != {arity}:
+        position = next(i for i, members in enumerate(tuples) if len(members) != arity)
+        raise ValidationError(
+            f"tuple #{position} has arity {len(tuples[position])}, expected {arity}"
+        )
+    relations = []
+    for name, rows in zip(names, zip(*tuples)):
+        relation = Relation.__new__(Relation)
+        relation._adopt(name, rows, rows[0].attributes)
+        relations.append(relation)
+    index = np.broadcast_to(np.arange(len(tuples))[:, None], (len(tuples), arity))
+    return IndexBlock(names, relations, index, labelled=False)

@@ -13,31 +13,33 @@ checks that remain cheap at any scale:
   is also cheap since both outputs are in memory).
 
 `validate_result` raises :class:`ValidationError` with a precise
-description of the first violation, so a failing benchmark pinpoints the
-offending tuple.
+description of a violation, so a failing benchmark pinpoints an
+offending tuple.  It reads the result's columns and builds no ``Row``
+tuple.
 """
 
 from __future__ import annotations
 
 import random
-from typing import Mapping, Optional
+from typing import Mapping, Optional, Sequence, Tuple
 
-from repro.errors import ReproError
+import numpy as np
+
+from repro.columnar.batch import IndexBlock
+from repro.core.query import IntervalJoinQuery
 from repro.core.results import JoinResult
 from repro.core.schema import Relation
+from repro.errors import ValidationError
 
 __all__ = ["ValidationError", "validate_result", "assert_equivalent"]
-
-
-class ValidationError(ReproError):
-    """Raised when a join result violates a checked invariant."""
 
 
 def validate_result(
     result: JoinResult,
     data: Optional[Mapping[str, Relation]] = None,
 ) -> None:
-    """Check soundness, uniqueness, and structure of a join result.
+    """Check soundness, uniqueness, and structure of a join result, a
+    column at a time: no ``Row`` tuple is built.
 
     Parameters
     ----------
@@ -45,48 +47,80 @@ def validate_result(
         The result to check; its ``query`` drives the predicate checks.
     data:
         When given, each tuple's rows are verified to be actual rows of
-        their relations (guards against corrupted shuffles).
+        their relations (guards against corrupted shuffles): at once
+        for a member indexing ``data``'s relation itself, or one equal
+        to it, else row by row.
     """
     query = result.query
-    arity = len(query.relations)
-    seen = set()
-    rows_by_relation = (
-        {name: {row.rid: row for row in data[name].rows} for name in query.relations}
-        if data is not None
-        else None
-    )
-    for position, tuple_rows in enumerate(result.tuples):
-        if len(tuple_rows) != arity:
+    blocks = result.blocks()  # refuses tuples of another arity
+    rids = result.rid_columns()
+    if len(result) > 1:
+        repeated = np.ones(len(result) - 1, dtype=bool)
+        for column in rids:
+            repeated &= column[1:] == column[:-1]
+        if repeated.any():
             raise ValidationError(
-                f"tuple #{position} has arity {len(tuple_rows)}, "
-                f"expected {arity}"
+                f"tuple {_ids(rids, int(np.argmax(repeated)))} emitted more "
+                "than once (exactly-once ownership violated)"
             )
-        ids = tuple(row.rid for row in tuple_rows)
-        if ids in seen:
-            raise ValidationError(
-                f"tuple {ids} emitted more than once "
-                "(exactly-once ownership violated)"
-            )
-        seen.add(ids)
-        binding = dict(zip(query.relations, tuple_rows))
-        if rows_by_relation is not None:
-            for name, row in binding.items():
-                original = rows_by_relation[name].get(row.rid)
-                if original is None or original != row:
-                    raise ValidationError(
-                        f"tuple {ids}: row {row.rid} is not a row of "
-                        f"relation {name!r}"
-                    )
-        for cond in query.conditions:
-            left = binding[cond.left.relation].interval(cond.left.attribute)
-            right = binding[cond.right.relation].interval(
-                cond.right.attribute
-            )
-            if not cond.predicate.holds(left, right):
+    for block in blocks:
+        if data is not None:
+            _check_members(query, block, data)
+        _check_conditions(query, block)
+
+
+def _ids(columns: Sequence[np.ndarray], position: int) -> Tuple[int, ...]:
+    """The rid tuple at ``position`` of per-relation rid ``columns``."""
+    return tuple(column[position : position + 1].tolist()[0] for column in columns)
+
+
+def _block_ids(query: IntervalJoinQuery, block: IndexBlock, position: int) -> Tuple[int, ...]:
+    """The rid tuple of ``block``'s record at ``position``."""
+    members = map(block.member, query.relations)
+    return tuple(relation.rows[int(at[position])].rid for relation, at in members)
+
+
+def _check_members(
+    query: IntervalJoinQuery, block: IndexBlock, data: Mapping[str, Relation]
+) -> None:
+    for name in query.relations:
+        relation, at = block.member(name)
+        original = data[name]
+        if relation is original or relation.rows == original.rows:
+            continue
+        by_rid = {row.rid: row for row in original.rows}
+        checked = set()
+        for index in np.unique(at).tolist():
+            row = relation.rows[index]
+            if id(row) in checked:
+                continue
+            checked.add(id(row))
+            if by_rid.get(row.rid) != row:
+                position = int(np.flatnonzero(at == index)[0])
                 raise ValidationError(
-                    f"tuple {ids} violates {cond}: "
-                    f"{left} {cond.predicate.name} {right} is false"
+                    f"tuple {_block_ids(query, block, position)}: row "
+                    f"{row.rid} is not a row of relation {name!r}"
                 )
+
+
+def _check_conditions(query: IntervalJoinQuery, block: IndexBlock) -> None:
+    for cond in query.conditions:
+        (left, left_at), (right, right_at) = (
+            block.member(term.relation) for term in (cond.left, cond.right)
+        )
+        u = left.columns(cond.left.attribute)
+        v = right.columns(cond.right.attribute)
+        holds = cond.predicate.holds_columns(
+            u.starts[left_at], u.ends[left_at], v.starts[right_at], v.ends[right_at]
+        )
+        if not holds.all():
+            position = int(np.argmin(holds))
+            first = left.rows[int(left_at[position])].interval(cond.left.attribute)
+            second = right.rows[int(right_at[position])].interval(cond.right.attribute)
+            raise ValidationError(
+                f"tuple {_block_ids(query, block, position)} violates {cond}: "
+                f"{first} {cond.predicate.name} {second} is false"
+            )
 
 
 def assert_equivalent(
@@ -102,13 +136,10 @@ def assert_equivalent(
     other — an O(sample) probe for gigantic outputs.
     """
     if sample is None:
-        if first.tuple_ids() != second.tuple_ids():
-            only_first = set(map(tuple, first.tuple_ids())) - set(
-                map(tuple, second.tuple_ids())
-            )
-            only_second = set(map(tuple, second.tuple_ids())) - set(
-                map(tuple, first.tuple_ids())
-            )
+        if not first.same_output(second):
+            first_ids, second_ids = set(first.tuple_ids()), set(second.tuple_ids())
+            only_first = first_ids - second_ids
+            only_second = second_ids - first_ids
             raise ValidationError(
                 f"{first.metrics.algorithm} vs {second.metrics.algorithm}: "
                 f"{len(only_first)} tuples only in the first "
@@ -117,8 +148,8 @@ def assert_equivalent(
             )
         return
     rng = random.Random(seed)
-    first_ids = set(map(tuple, first.tuple_ids()))
-    second_ids = set(map(tuple, second.tuple_ids()))
+    first_ids = set(first.tuple_ids())
+    second_ids = set(second.tuple_ids())
     for name, source, target in (
         (first.metrics.algorithm, first_ids, second_ids),
         (second.metrics.algorithm, second_ids, first_ids),

@@ -42,6 +42,11 @@ class PlanningError(ReproError, ValueError):
     """Raised when no algorithm can execute the given query class."""
 
 
+class ValidationError(ReproError):
+    """Raised when a join result violates a checked invariant (see
+    :mod:`repro.core.validation`)."""
+
+
 class MapReduceError(ReproError, RuntimeError):
     """Raised when a simulated MapReduce job fails."""
 

@@ -13,8 +13,9 @@ __all__ = ["collector_paused"]
 def collector_paused() -> Iterator[None]:
     """Keep the cyclic collector from starting inside the block.
 
-    Two callers: a whole ``JoinAlgorithm.run`` (its pairs and tuples are
-    acyclic, and every collection re-walks all of them) and building a
+    Three callers: a whole ``JoinAlgorithm.run`` (its pairs and blocks
+    are acyclic, and every collection re-walks all of them), building a
+    result's ``Row`` tuples (``JoinResult.tuples``) and building a
     relation (``Relation.from_column_blocks``: rows and intervals are
     acyclic too).  The outermost pause ends by moving what the block
     left in the young generations into the oldest in O(1)

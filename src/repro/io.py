@@ -16,8 +16,9 @@ import json
 import os
 import secrets
 from itertools import islice
-from typing import Any, Dict, Iterable, Iterator, List, Sequence, Tuple
+from typing import TYPE_CHECKING, Any, Dict, Iterable, Iterator, List, Sequence, Tuple
 
+from repro.columnar.batch import object_column
 from repro.errors import ReproError
 from repro.core.schema import (
     AttributeValue,
@@ -28,10 +29,14 @@ from repro.core.schema import (
 )
 from repro.intervals.interval import Interval
 
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.core.results import JoinResult
+
 __all__ = [
     "encode_row",
     "decode_row",
     "save_relation",
+    "save_result",
     "load_relation",
     "parse_interval_lines",
     "load_intervals_text",
@@ -181,6 +186,41 @@ def save_relation(relation: Relation, path: str) -> int:
             pass
         raise
     return len(rows)
+
+
+def save_result(result: "JoinResult", path: str) -> int:
+    """Write a join result as JSON lines, one per output tuple in output
+    order: an object naming each query relation's row as
+    :func:`encode_row` encodes it — the very bytes ``json.dumps({name:
+    encode_row(row), ...})`` writes.  Formatted a column at a time from
+    the result's blocks: each member row's encoding once
+    (:func:`_encode_lines`), then :data:`CHUNK_LINES` tuples' lines at a
+    time from taken columns of them; no ``Row`` tuple is built.
+    Returns the line count."""
+    names = result.query.relations
+    template = "{" + ", ".join(
+        json.dumps(name).replace("%", "%%") + ": %s" for name in names
+    ) + "}\n"
+    encoded: Dict[int, Any] = {}
+
+    def payloads(relation: Relation) -> Any:
+        if id(relation) not in encoded:
+            rows = relation.rows
+            encoded[id(relation)] = object_column([
+                line[:-1]
+                for lo in range(0, len(rows), CHUNK_LINES)
+                for line in _encode_lines(rows[lo : lo + CHUNK_LINES])
+            ])
+        return encoded[id(relation)]
+
+    with open(path, "w", encoding="utf-8") as handle:
+        for block in result.blocks():
+            members = [block.member(name) for name in names]
+            columns = [(payloads(relation), at) for relation, at in members]
+            for lo in range(0, len(block), CHUNK_LINES):
+                taken = [lines[at[lo : lo + CHUNK_LINES]] for lines, at in columns]
+                handle.writelines(template % values for values in zip(*taken))
+    return len(result)
 
 
 def _parse_chunk(path: str, lines: List[str], first_line: int) -> List[Any]:

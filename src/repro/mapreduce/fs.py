@@ -179,6 +179,12 @@ class FileSystem(abc.ABC):
         costs one pass per file, not one generator resume per record."""
         return itertools.chain.from_iterable(map(self.read, self._visible(base)))
 
+    def parts(self, base: str) -> List[Sequence[Any]]:
+        """The records of each visible file under ``base`` (or of
+        ``base``), one sequence a file, in path order: how a run's
+        result takes its output — the files as they are, not joined."""
+        return [list(self.read(path)) for path in self._visible(base)]
+
     def count(self, path: str) -> int:
         """Number of records at ``path`` (or under it as a directory)."""
         return sum(1 for _ in self.read_dir(path))
@@ -223,6 +229,11 @@ class InMemoryFileSystem(FileSystem):
         if blocks and all(isinstance(block, IndexBlock) for block in blocks):
             return IndexBlock.concat(blocks)
         return itertools.chain.from_iterable(map(self.read, paths))
+
+    def parts(self, base: str) -> List[Sequence[Any]]:
+        """As :meth:`FileSystem.parts`, each file the sequence stored."""
+        stored = map(self._files.get, self._visible(base))
+        return [records for records in stored if records is not None]
 
     def exists(self, path: str) -> bool:
         return path in self._files

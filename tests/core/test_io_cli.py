@@ -1,5 +1,6 @@
 """Unit tests for relation serialisation and the CLI."""
 
+import hashlib
 import json
 import math
 
@@ -17,6 +18,7 @@ from repro.io import (
     load_relation,
     parse_interval_lines,
     save_relation,
+    save_result,
 )
 
 
@@ -227,7 +229,63 @@ class TestTextFormat:
         assert relation.intervals() == [Interval(0, 5), Interval(10, 12)]
 
 
+def _tuple_lines(result):
+    """The lines of the tuple-at-a-time writer ``repro run -o`` had: one
+    ``json.dumps`` of each tuple's ``encode_row`` payloads."""
+    return "".join(
+        json.dumps({name: encode_row(row) for name, row in zip(result.query.relations, t)})
+        + "\n"
+        for t in result.tuples
+    )
+
+
+#: ``R1 before R2, R2 overlaps R3``: FSTC's final blocks hold their
+#: members in another order (R2, R3, R1) than the query's.
+SEQUENCE_THEN_OVERLAP = [("R1", "before", "R2"), ("R2", "overlaps", "R3")]
+
+
+@pytest.mark.parametrize("local", [False, True], ids=["memory", "local"])
+def test_a_result_is_saved_as_the_tuple_writers_bytes(tmp_path, local):
+    from repro import IntervalJoinQuery, execute
+    from repro.mapreduce.fs import InMemoryFileSystem, LocalFileSystem
+    from tests.columnar.test_index_block import PICKLING
+    from tests.conftest import make_dataset
+
+    query = IntervalJoinQuery.parse(SEQUENCE_THEN_OVERLAP)
+    data = make_dataset(query.relations, 40, seed=5, max_length=60)
+    fs = LocalFileSystem(str(tmp_path / "fs"), **PICKLING) if local else InMemoryFileSystem()
+    result = execute(query, data, "fstc", num_partitions=4, fs=fs)
+    unbuilt, built = tmp_path / "unbuilt.jsonl", tmp_path / "built.jsonl"
+    assert save_result(result, str(unbuilt)) == len(result) > CHUNK_LINES
+    expected = _tuple_lines(result)
+    assert unbuilt.read_text() == expected
+    assert save_result(result, str(built)) == len(result)  # from the built tuples
+    assert built.read_text() == expected
+
+
 class TestCli:
+    def test_run_output_is_pinned(self, tmp_path, capsys):
+        """``repro run -o`` on a 3-way query writes, byte for byte, what
+        the tuple-at-a-time writer wrote for it."""
+        paths = [str(tmp_path / f"r{seed}.jsonl") for seed in (1, 2, 3)]
+        for seed, path in enumerate(paths, 1):
+            assert main([
+                "generate", "--name", f"R{seed}", "--n", "60", "--seed", str(seed),
+                "--t-min", "0", "--t-max", "1000", "--len-min", "1", "--len-max", "150",
+                "-o", path,
+            ]) == 0
+        out = tmp_path / "out.jsonl"
+        run = ["run", "--algorithm", "fstc", "--partitions", "4", "-o", str(out)]
+        for seed, path in enumerate(paths, 1):
+            run += ["--relation", f"R{seed}={path}"]
+        for left, predicate, right in SEQUENCE_THEN_OVERLAP:
+            run += ["--condition", f"{left} {predicate} {right}"]
+        assert main(run) == 0
+        assert "tuples:     3836" in capsys.readouterr().out
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+            "6c056aaaae621a47a457e81e8a8bb28ab548a87b0fcbe9aaa17c80460d0f1b4a"
+        )
+
     def test_generate_and_run(self, tmp_path, capsys):
         r1 = str(tmp_path / "r1.jsonl")
         r2 = str(tmp_path / "r2.jsonl")

@@ -153,8 +153,9 @@ def test_no_telemetry_rides_inside_a_task():
     nothing named ``beat`` is passed, stored or read under
     ``mapreduce/``; no manager process and no frame sampler anywhere in
     ``src/``; and the collector pause — a stdlib workaround wherever
-    telemetry needed it — is imported by the algorithm driver and the
-    relation builder alone (both build acyclic objects by the million)."""
+    telemetry needed it — is imported by the algorithm driver, the
+    result's ``Row`` tuple build and the relation builder alone (all
+    three build acyclic objects by the million)."""
     beats = [
         f"{path.relative_to(SRC).as_posix()}:{node.lineno}"
         for path, tree in _modules("mapreduce")
@@ -175,7 +176,9 @@ def test_no_telemetry_rides_inside_a_task():
         for path, tree in _modules("")
         if any(name.startswith("repro.gc_pause") for name in _imported(tree))
     ]
-    assert sorted(pausers) == ["core/algorithms/base.py", "core/schema.py"]
+    assert sorted(pausers) == [
+        "core/algorithms/base.py", "core/results.py", "core/schema.py",
+    ]
 
 
 def test_the_map_side_is_written_once():
