@@ -303,7 +303,7 @@ def _load_bindings(bindings) -> Dict[str, Relation]:
 
 
 def _cmd_explain(args: argparse.Namespace) -> int:
-    from repro.obs import explain_query
+    from repro.obs.explain import explain_query
 
     data = _load_bindings(args.relation)
     query = IntervalJoinQuery.parse(
@@ -338,7 +338,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
         args.executor, args.workers, args.faults, args.max_attempts
     )
     if args.explain:
-        from repro.obs import explain_query
+        from repro.obs.explain import explain_query
 
         explained = explain_query(
             query,
@@ -353,7 +353,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
     observer = status_server = progress = None
     try:
         if args.serve_status is not None:
-            from repro.obs import StatusServer
+            from repro.obs.live import StatusServer
 
             # Bind first: a taken port has to end the run before a
             # trace file opens.
@@ -364,7 +364,8 @@ def _cmd_run(args: argparse.Namespace) -> int:
                     f"cannot serve status on port {args.serve_status}: {exc}"
                 ) from exc
         if args.explain or args.trace or args.profile or live:
-            from repro.obs import JsonlSink, TraceRecorder
+            from repro.obs.recorder import TraceRecorder
+            from repro.obs.sinks import JsonlSink
 
             sinks = [JsonlSink(args.trace)] if args.trace else []
             observer = TraceRecorder(*sinks, profile=args.profile, live=live)
@@ -378,7 +379,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
                 flush=True,
             )
         if args.progress:
-            from repro.obs import ProgressPrinter
+            from repro.obs.live import ProgressPrinter
 
             progress = ProgressPrinter(observer.live).start()
         result = execute(
@@ -415,7 +416,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
             f"faults:     {m.tasks_failed} failed, {m.tasks_retried} retried"
         )
     if args.explain:
-        from repro.obs import reconciliation_from_spans
+        from repro.obs.explain import reconciliation_from_spans
 
         for reconciliation in reconciliation_from_spans(observer.spans):
             print()
@@ -426,7 +427,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
     if args.trace:
         print(f"trace:      {args.trace}")
     if observer is not None and observer.profiler is not None:
-        from repro.obs import data_plane_summary
+        from repro.obs.profile import data_plane_summary
 
         print()
         print(data_plane_summary(observer.spans, observer.metrics))
@@ -434,13 +435,12 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 
 def _cmd_report(args: argparse.Namespace) -> int:
-    from repro.obs import (
-        RunReport,
-        data_plane_summary,
-        fold_spans,
-        load_spans_jsonl_tolerant,
-        render_dashboard,
-    )
+    from repro.obs.dashboard import render_dashboard
+    from repro.obs.metrics import fold_spans
+    from repro.obs.profile import data_plane_summary
+    from repro.obs.report import RunReport
+    from repro.obs.sinks import load_spans_jsonl_tolerant
+
     spans, warnings = load_spans_jsonl_tolerant(args.trace)
     for warning in warnings:
         print(f"warning: {warning}", file=sys.stderr)

@@ -420,7 +420,10 @@ class IndexBlock(SequenceABC):
         records, partial tuples, or join tuples of ``relations`` in
         order — to the block they stand for, each row found by its rid."""
         names = list(relations)
-        at = {name: {row.rid: i for i, row in enumerate(r.rows)} for name, r in relations.items()}
+        at = {
+            name: {rid: i for i, rid in enumerate(r.rid_objects().tolist())}
+            for name, r in relations.items()
+        }
         if len(records) and isinstance(records[0][0], str):  # flag records
             rows = [at[name][row.rid] for name, row, _ in records]
             codes = [names.index(name) for name, _, _ in records]
@@ -580,6 +583,15 @@ class PayloadStore:
     def take(self, gids) -> np.ndarray:
         """The payloads of ``gids`` as an object column: one ``take`` per
         segment over the segment's payload column."""
+        return self._take(gids, self._payload_column)
+
+    def rids(self, gids) -> np.ndarray:
+        """The rids of the base-input rows ``gids`` name, as an object
+        column: one ``take`` per segment over its source relation's
+        shared rid objects — no record is read."""
+        return self._take(gids, lambda segment: self._segments[segment][2].rid_objects())
+
+    def _take(self, gids, column_of: Callable[[int], np.ndarray]) -> np.ndarray:
         gids = np.asarray(gids, dtype=np.int64)
         segments, rows = gids >> 32, gids & _MASK32
         taken = np.empty(len(gids), dtype=object)
@@ -587,7 +599,7 @@ class PayloadStore:
         for segment in self._segments:
             here = segments == segment
             if here.any():
-                column = self._payload_column(segment)
+                column = column_of(segment)
                 if here.all():
                     return column[rows]
                 taken[here] = column[rows[here]]

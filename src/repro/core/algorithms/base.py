@@ -68,10 +68,12 @@ def input_path(relation: str) -> str:
 def write_inputs(
     fs: FileSystem, query: IntervalJoinQuery, data: Mapping[str, Relation]
 ) -> None:
-    """Write every query relation's rows to the file system."""
+    """Write every query relation to the file system: the relation
+    itself, whose rows are the input's records — an in-memory file
+    system keeps it as it is, unread, and a job reads its columns."""
     query.validate_against(data)
     for name in query.relations:
-        fs.write(input_path(name), data[name].rows, overwrite=True)
+        fs.write(input_path(name), data[name], overwrite=True)
 
 
 def build_partitioning(

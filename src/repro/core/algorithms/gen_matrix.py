@@ -29,8 +29,10 @@ correctness at the cost of pruning less.
 Flags and routing
 -----------------
 The flagging cycle emits only the flagged ``(relation, rid, attribute)``
-triples; the driver ships that small table to the join cycle's routers
-the way a Hadoop job would use the DistributedCache.  (RCCIS proper
+triples, their rids read off the relations' rid columns; the driver
+ships that small table to the join cycle's routers the way a Hadoop job
+would use the DistributedCache, as one boolean column over each
+relation's rows (:class:`~repro.core.algorithms.routing.RowMarks`).  (RCCIS proper
 instead passes whole flagged rows through its first cycle's output,
 exactly as the paper describes; both designs are implemented so the test
 suite cross-checks them.)  Each relation's rows go through one
@@ -66,6 +68,7 @@ from repro.core.algorithms.routing import (
     CellRouter,
     OperatorRouter,
     RoutedMapper,
+    RowMarks,
     RowView,
 )
 from repro.core.graph import Component, JoinGraph
@@ -76,7 +79,6 @@ from repro.core.local import (
     term_columns,
 )
 from repro.core.query import IntervalJoinQuery, QueryClass, Term
-from repro.core.schema import Row
 from repro.intervals.allen import MapOperator
 from repro.intervals.composition import path_consistency
 from repro.intervals.partitioning import Partitioning
@@ -87,7 +89,6 @@ from repro.mapreduce.task import KernelReducer
 __all__ = ["GenMatrix", "AllSeqMatrix", "AllMatrix", "GridSpec"]
 
 Cell = Tuple[int, ...]
-FlagKey = Tuple[str, int, str]  # (relation, rid, attribute)
 
 
 def default_grid_parts(num_partitions: int, dimensions: int) -> int:
@@ -270,24 +271,14 @@ class _ComponentFlaggingReducer(KernelReducer):
         gids, codes = block.reshape(-1, 2).T
         terms = list(self.terms.values())
         return [
-            (terms[code].relation, row.rid, terms[code].attribute)
-            for row, code in zip(store.take(gids), codes)
+            (terms[code].relation, rid, terms[code].attribute)
+            for rid, code in zip(store.rids(gids), codes)
         ]
 
 
 # ----------------------------------------------------------------------
 # Routing + join cycle
 # ----------------------------------------------------------------------
-
-
-def flagged_in(flags: FrozenSet[FlagKey], term: Term, row: Row) -> bool:
-    """Whether the flag cycle marked ``term``'s interval of ``row``."""
-    return (term.relation, row.rid, term.attribute) in flags
-
-
-def _kept(rids: FrozenSet[int], row: Row) -> bool:
-    """Whether PASM's marking cycle kept ``row``."""
-    return row.rid in rids
 
 
 class _GridJoinReducer(TupleReducer):
@@ -377,13 +368,15 @@ def multi_term_components(graph: JoinGraph) -> List[Component]:
     return [comp for comp in graph.components if len(comp.terms) > 1]
 
 
-def flag_cycle(ctx: PlanContext, name: str, grid: GridSpec) -> FrozenSet[FlagKey]:
+def flag_cycle(ctx: PlanContext, name: str, grid: GridSpec) -> Dict[Term, RowMarks]:
     """The flagging cycle shared by the grid plans: one RCCIS flag pass
-    per multi-term component.  Returns the flagged triples (no job at
-    all when every component is a single term)."""
+    per multi-term component.  Returns each multi-term component term's
+    flags as marks of its relation's rows, read off the committed
+    ``(relation, rid, attribute)`` triples (no job at all when every
+    component is a single term)."""
     multi = multi_term_components(grid.graph)
     if not multi:
-        return frozenset()
+        return {}
     partitionings = {
         comp.index: grid.partitioning_of(comp.index) for comp in multi
     }
@@ -414,34 +407,40 @@ def flag_cycle(ctx: PlanContext, name: str, grid: GridSpec) -> FrozenSet[FlagKey
             partitioner=RoundRobinKeyPartitioner(),
         )
     )
-    return frozenset(ctx.fs.read_dir(f"{name}/flags"))
+    flagged: Dict[Tuple[str, str], List[int]] = {}
+    for relation, rid, attribute in ctx.fs.read_dir(f"{name}/flags"):
+        flagged.setdefault((relation, attribute), []).append(rid)
+    return {
+        term: RowMarks(ctx.data[term.relation], flagged.get((term.relation, term.attribute), ()))
+        for comp in multi
+        for term in comp.terms
+    }
 
 
 def grid_join_job(
     ctx: PlanContext,
     name: str,
     grid: GridSpec,
-    flags: FrozenSet[FlagKey],
-    keep: Optional[Mapping[str, Set[int]]] = None,
+    flags: Mapping[Term, RowMarks],
+    keep: Optional[Mapping[str, RowMarks]] = None,
 ) -> JobConf:
     """The grid routing + join cycle shared by the grid plans: each
     relation's rows go to the consistent cells at their coordinates —
-    the upper tail where the flag cycle flagged them (conditions E1 + E2
-    of Sections 8.1/9.1).  ``keep`` maps each pruned relation to its
-    surviving rids (PASM)."""
+    the upper tail where ``flags`` (:func:`flag_cycle`) mark them
+    (conditions E1 + E2 of Sections 8.1/9.1).  ``keep`` marks each
+    pruned relation's surviving rows (PASM)."""
     query, keep = ctx.query, keep or {}
 
     def pin(term: Term):
         component = grid.graph.component_of(term)
-        multi = len(component.terms) > 1
-        flagged = functools.partial(flagged_in, flags, term) if multi else None
-        return component.index, grid.partitioning_of(component.index), term.attribute, flagged
+        dim = component.index
+        return dim, grid.partitioning_of(dim), term.attribute, flags.get(term)
 
     def mapper(relation: str) -> RoutedMapper:
         (dim, parts, attribute, flagged), *also = [
             pin(term) for term in query.terms if term.relation == relation
         ]
-        kept = functools.partial(_kept, frozenset(keep[relation])) if relation in keep else None
+        kept = keep.get(relation)
         return RoutedMapper(
             RowView(relation, attribute, also=[term[2] for term in also]),
             CellRouter(parts, dim, grid.cells, flagged, kept, also),

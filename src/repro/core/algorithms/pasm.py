@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import functools
 from collections import defaultdict
-from typing import Dict, List, Mapping, Optional, Set
+from typing import Dict, List, Mapping, Optional
 
 import numpy as np
 
@@ -27,12 +27,11 @@ from repro.core.algorithms.base import JoinAlgorithm, Plan, PlanContext
 from repro.core.algorithms.gen_matrix import (
     GridSpec,
     flag_cycle,
-    flagged_in,
     grid_join_job,
     join_cycle_prediction,
     multi_term_components,
 )
-from repro.core.algorithms.routing import FlagRouter, RoutedMapper, RowView
+from repro.core.algorithms.routing import FlagRouter, RoutedMapper, RowMarks, RowView
 from repro.core.graph import JoinGraph
 from repro.core.local import anchored_join, group_columns
 from repro.core.query import IntervalJoinQuery, Term
@@ -87,8 +86,8 @@ class _MarkingReducer(KernelReducer):
     def format(self, block, store):
         gids, codes = block.reshape(-1, 2).T
         return [
-            (self.relations[code], row.rid)
-            for row, code in zip(store.take(gids), codes)
+            (self.relations[code], rid)
+            for rid, code in zip(store.rids(gids), codes)
         ]
 
 
@@ -118,7 +117,7 @@ class PASM(JoinAlgorithm):
         flags = flag_cycle(ctx, "pasm", grid)
 
         # ----- cycle 2: marking (component colocation joins) -----
-        keep: Dict[str, Set[int]] = {}
+        keep: Dict[str, RowMarks] = {}
         if multi_components:
             subqueries = {
                 comp.index: IntervalJoinQuery(list(comp.conditions))
@@ -137,7 +136,7 @@ class PASM(JoinAlgorithm):
                                 RowView(term.relation, term.attribute),
                                 FlagRouter(
                                     parts,
-                                    functools.partial(flagged_in, flags, term),
+                                    flags[term],
                                     prefix=comp.index,
                                     count_pairs=False,
                                 ),
@@ -158,11 +157,12 @@ class PASM(JoinAlgorithm):
             )
             # Relations in multi-relation components but absent from the
             # marks are fully pruned (empty keep set, not "unpruned").
-            for comp in multi_components:
-                for term in comp.terms:
-                    keep[term.relation] = set()
+            kept: Dict[str, List[int]] = {
+                term.relation: [] for comp in multi_components for term in comp.terms
+            }
             for relation, rid in ctx.fs.read_dir("pasm/marks"):
-                keep[relation].add(rid)
+                kept[relation].append(rid)
+            keep = {name: RowMarks(ctx.data[name], rids) for name, rids in kept.items()}
 
         # ----- cycle 3: pruned grid join -----
         ctx.submit(grid_join_job(ctx, "pasm", grid, flags, keep))

@@ -31,7 +31,7 @@ the same counter increments, no counter created at zero.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, Hashable, Mapping, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, Hashable, Iterable, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -57,6 +57,7 @@ __all__ = [
     "OperatorRouter",
     "FlagRouter",
     "CellRouter",
+    "RowMarks",
     "View",
     "RowView",
     "MemberView",
@@ -204,6 +205,42 @@ class RightmostMemberView(View):
         return SortedColumns(starts[rightmost, rows], ends[rightmost, rows])
 
 
+class RowMarks:
+    """One mark per row of a base relation: the rows whose rids a flag
+    or mark cycle committed, as a boolean column in row order.  A router
+    reads it as it reads its input — :meth:`column` for a whole input
+    (the relation's rows, or them read through a permutation, the
+    ``order`` of a map task mapping in start order), or called on one
+    row, by its rid."""
+
+    def __init__(self, relation: Relation, rids: Iterable[Any]) -> None:
+        self.rids = frozenset(rids)
+        column = relation.rid_column()
+        if column.dtype == np.int64:
+            wanted = np.fromiter(self.rids, dtype=np.int64, count=len(self.rids))
+            self.marks = np.isin(column, wanted)
+        else:
+            self.marks = np.fromiter(
+                (rid in self.rids for rid in relation.rid_objects().tolist()),
+                dtype=bool, count=len(relation),
+            )
+
+    def __call__(self, row: Row) -> bool:
+        return row.rid in self.rids
+
+    def column(self, records: Sequence[Any]) -> np.ndarray:
+        order = getattr(records, "order", None)
+        return self.marks if order is None else self.marks[order]
+
+
+def _marks(mark: Callable[[Any], bool], records: Sequence[Any]) -> np.ndarray:
+    """A router's marks of a whole input: a :class:`RowMarks` column, or
+    any other mark read record by record."""
+    if isinstance(mark, RowMarks):
+        return mark.column(records)
+    return np.fromiter(map(mark, records), dtype=bool, count=len(records))
+
+
 class _PartitionRouter:
     """A router whose targets are partition indices.  ``prefix`` keys
     them as ``(prefix, index)`` instead — the grid algorithms' flag and
@@ -287,8 +324,10 @@ class FlagRouter(_PartitionRouter):
         return self._keys(indices)
 
     def map_columns(self, starts, ends, records, terms=None):
-        flags = records.flagged if isinstance(records, IndexBlock) else np.fromiter(
-            map(self.flagged, records), dtype=bool, count=len(records))
+        if isinstance(records, IndexBlock):
+            flags = records.flagged
+        else:
+            flags = _marks(self.flagged, records)
         lo = self.partitioning.locate_array(starts)
         hi = np.where(flags, np.int64(len(self.partitioning) - 1), lo).astype(np.int64)
         indices, row_idx = ranged_targets(lo, hi)
@@ -373,7 +412,7 @@ class CellRouter:
         n = len(starts)
 
         def marks(mark, default):
-            return np.full(n, default) if mark is None else np.fromiter(map(mark, records), bool, n)
+            return np.full(n, default) if mark is None else _marks(mark, records)
 
         attributes = [term.attribute for term in terms[0]] if self.also else []
         columns = [(self.dim, self.partitioning, starts, self.flagged)] + [

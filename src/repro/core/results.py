@@ -8,7 +8,7 @@ from typing import Any, Callable, Dict, Hashable, Iterable, List, Optional, Sequ
 
 import numpy as np
 
-from repro.columnar.batch import IndexBlock, object_column
+from repro.columnar.batch import IndexBlock
 from repro.core.query import IntervalJoinQuery
 from repro.core.schema import Relation, Row
 from repro.errors import ValidationError
@@ -263,9 +263,10 @@ class JoinResult:
     def tuple_ids(self) -> List[Tuple[int, ...]]:
         """Sorted rid tuples (query relation order) — the canonical form
         used to compare two results for equality: one sort of the rid
-        columns, each tuple built of the rows' own rid objects (ints
-        made anew from an int64 column would cost more than the tuples
-        that hold them)."""
+        columns, each tuple built of its relations' shared rid objects
+        (:meth:`~repro.core.schema.Relation.rid_objects`: ints made anew
+        from an int64 column would cost more than the tuples that hold
+        them)."""
         blocks = self.blocks()
         order = self._rid_order(blocks)[1]
         # Each column is let go once it is listed — the unsorted ones,
@@ -273,13 +274,13 @@ class JoinResult:
         # tuples are built.
         return list(zip(*(
             column[order].tolist()
-            for column in _member_columns(self.query.relations, blocks, _rid_objects)
+            for column in _member_columns(self.query.relations, blocks, Relation.rid_objects)
         )))
 
     def _rid_order(self, blocks: Sequence[IndexBlock]) -> Tuple[List[np.ndarray], np.ndarray]:
         """The rid columns of ``blocks`` in output order, and the order
         that sorts them."""
-        columns = _member_columns(self.query.relations, blocks, _rid_column)
+        columns = _member_columns(self.query.relations, blocks, Relation.rid_column)
         return columns, np.lexsort(columns[::-1])
 
     def same_output(self, other: "JoinResult") -> bool:
@@ -320,39 +321,15 @@ class JoinResult:
 def _member_columns(
     names: Sequence[str],
     blocks: Sequence[IndexBlock],
-    column_of: Callable[[Sequence[Row]], np.ndarray],
+    column_of: Callable[[Relation], np.ndarray],
 ) -> List[np.ndarray]:
-    """Per member ``names``, ``column_of`` its relation's rows taken at
-    each record's member, in output order — ``column_of`` called once a
-    relation."""
-    made: Dict[int, np.ndarray] = {}
-
-    def of(relation) -> np.ndarray:
-        if id(relation) not in made:
-            made[id(relation)] = column_of(relation.rows)
-        return made[id(relation)]
-
+    """Per member ``names``, ``column_of`` its relation taken at each
+    record's member, in output order."""
     columns = []
     for name in names:
-        taken = [of(relation)[at] for relation, at in (b.member(name) for b in blocks)]
+        taken = [column_of(relation)[at] for relation, at in (b.member(name) for b in blocks)]
         columns.append(np.concatenate(taken) if taken else np.empty(0, dtype=np.int64))
     return columns
-
-
-def _rid_column(rows: Sequence[Row]) -> np.ndarray:
-    """The rids of ``rows`` as an int64 column, or as an ``object``
-    column of the rids themselves when one does not fit int64 — never a
-    float column, in which distinct rids could compare equal."""
-    rids = [row.rid for row in rows]
-    try:
-        return np.array(rids, dtype=np.int64)
-    except OverflowError:
-        return object_column(rids)
-
-
-def _rid_objects(rows: Sequence[Row]) -> np.ndarray:
-    """The rids of ``rows`` themselves, as an ``object`` column."""
-    return object_column([row.rid for row in rows])
 
 
 def _held_block(names: Sequence[str], tuples: Sequence[Tuple[Row, ...]]) -> IndexBlock:
@@ -365,10 +342,6 @@ def _held_block(names: Sequence[str], tuples: Sequence[Tuple[Row, ...]]) -> Inde
         raise ValidationError(
             f"tuple #{position} has arity {len(tuples[position])}, expected {arity}"
         )
-    relations = []
-    for name, rows in zip(names, zip(*tuples)):
-        relation = Relation.__new__(Relation)
-        relation._adopt(name, rows, rows[0].attributes)
-        relations.append(relation)
+    relations = [Relation._of_rows(name, rows) for name, rows in zip(names, zip(*tuples))]
     index = np.broadcast_to(np.arange(len(tuples))[:, None], (len(tuples), arity))
     return IndexBlock(names, relations, index, labelled=False)

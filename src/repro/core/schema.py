@@ -5,11 +5,13 @@ values; attribute values are :class:`~repro.intervals.interval.Interval`
 instances or plain numbers (the latter are *real-valued attributes*, which
 Section 9 of the paper embeds as length-0 intervals).  A :class:`Relation`
 is a named, ordered, immutable collection of rows sharing an attribute
-schema; it owns its endpoint columns (:meth:`Relation.columns`), which
-every whole-relation reader reads instead of the rows.  Relations are
-built column-first (:meth:`Relation.from_column_blocks`): every
-generator and loader hands over whole columns, and the rows are built
-from them in one pass.
+schema, held as columns: a rid column and one column per attribute — an
+interval attribute a ``(starts, ends)`` pair.  Every whole-relation
+reader reads those (:meth:`Relation.columns`, :meth:`Relation.rid_column`,
+:meth:`Relation.rid_objects`); the ``Row`` objects are a view, built on
+the first read of :attr:`Relation.rows`, once.  Relations are built
+column-first (:meth:`Relation.from_column_blocks`): every generator and
+loader hands over whole columns, which are checked whole.
 
 Row ids are unique within a relation, so an output tuple is fully
 identified by the rids of its member rows in query relation order — the
@@ -19,10 +21,13 @@ reference join.
 
 from __future__ import annotations
 
+import threading
+from collections.abc import Sequence as SequenceABC
 from dataclasses import dataclass
 from itertools import repeat
 from typing import (
     Any,
+    Callable,
     Dict,
     Iterable,
     Iterator,
@@ -36,7 +41,7 @@ from typing import (
 
 import numpy as np
 
-from repro.columnar.batch import object_column
+from repro.columnar.batch import endpoint_column, object_column
 from repro.errors import QueryError
 from repro.gc_pause import collector_paused
 from repro.intervals.interval import Interval, point
@@ -62,6 +67,9 @@ AttributeValue = Union[Interval, float, int]
 #: any other sequence (a list, an array) of the values themselves.
 Column = Union[Tuple[Sequence[Any], Sequence[Any]], Sequence[AttributeValue]]
 
+#: The largest magnitude up to which every int64 is a float64.
+_EXACT = 2**53
+
 
 @dataclass(frozen=True)
 class Row:
@@ -77,8 +85,8 @@ class Row:
     """
 
     # Slotted by hand (``dataclass(slots=True)`` needs Python 3.10): a
-    # relation holds one row per record, and a slotted row has no
-    # per-instance ``__dict__``.
+    # relation's rows, once built, are one per record, and a slotted row
+    # has no per-instance ``__dict__``.
     __slots__ = ("rid", "data")
 
     rid: int
@@ -122,10 +130,64 @@ class Row:
         return f"Row#{self.rid}({body})"
 
 
-class Relation:
-    """A named, ordered collection of rows with a fixed attribute schema.
-    ``rows`` is a tuple: a mutable list would silently invalidate the
-    columns memoised from it (:meth:`columns`, :meth:`row_column`)."""
+#: One attribute as a relation stores it: ``(starts, ends)`` for an
+#: interval attribute, ``(values,)`` for any other.
+Stored = Tuple[np.ndarray, ...]
+
+
+class _Store:
+    """What a relation and its aliases share: the columns, the rows when
+    they were handed in instead, and what is built from either on
+    request — once, under the lock."""
+
+    __slots__ = ("length", "rids", "data", "given", "built", "lock")
+
+    def __init__(
+        self,
+        length: int,
+        rids: Optional[np.ndarray],
+        data: Optional[Dict[str, Stored]],
+        given: Optional[Tuple[Row, ...]] = None,
+    ) -> None:
+        for column in _arrays(rids, data):
+            column.flags.writeable = False
+        self.length = length
+        #: the rid column; ``None`` when the rids are the positions.
+        self.rids = rids
+        #: attribute -> its stored column; ``None`` until rows handed in
+        #: are first read as columns.
+        self.data = data
+        self.given = given
+        self.built: Dict[Any, Any] = {}
+        self.lock = threading.RLock()
+
+    def memo(self, key: Any, build: Callable[[], Any]) -> Any:
+        value = self.built.get(key)
+        if value is None:
+            with self.lock:
+                value = self.built.get(key)
+                if value is None:
+                    value = self.built[key] = build()
+        return value
+
+    # A store pickles (and deep-copies) as its columns — or, when rows
+    # were handed in, as those rows — never as what was built on request.
+    def __getstate__(self):
+        return self.length, self.rids, self.data, self.given
+
+    def __setstate__(self, state) -> None:
+        self.__init__(*state)
+
+
+class Relation(SequenceABC):
+    """A named, ordered collection of rows with a fixed attribute schema,
+    held as columns (see the module docstring).
+
+    As a sequence it *is* its rows: ``len`` reads the columns, an item
+    or an iteration the rows, which :attr:`rows` builds on first use.
+    A relation given rows (``Relation(name, rows)``) keeps them as they
+    are, and reads them as columns on first use instead.
+    """
 
     def __init__(self, name: str, rows: Iterable[Row]):
         rows = tuple(rows)
@@ -140,17 +202,20 @@ class Relation:
             if row.rid in seen_rids:
                 raise QueryError(f"relation {name!r}: duplicate row id {row.rid}")
             seen_rids.add(row.rid)
-        self._adopt(name, rows, schema)
+        self._adopt(name, _Store(len(rows), None, None, rows), schema)
 
-    def _adopt(
-        self, name: str, rows: Tuple[Row, ...], attributes: Tuple[str, ...]
-    ) -> None:
+    def _adopt(self, name: str, store: _Store, attributes: Tuple[str, ...]) -> None:
         self.name = name
-        self.rows: Tuple[Row, ...] = rows
         self.attributes: Tuple[str, ...] = attributes
-        #: attribute -> its endpoint columns, ``None`` -> the rows as an
-        #: object column; each built on first use, shared by aliases.
-        self._memo: Dict[Optional[str], Any] = {}
+        self._store = store
+
+    @classmethod
+    def _of_rows(cls, name: str, rows: Tuple[Row, ...]) -> "Relation":
+        """A relation of ``rows`` as they are, unchecked: rows may repeat."""
+        relation = cls.__new__(cls)
+        schema = rows[0].attributes if rows else ()
+        relation._adopt(name, _Store(len(rows), None, None, rows), schema)
+        return relation
 
     # ------------------------------------------------------------------
     # Column-first constructors
@@ -173,64 +238,74 @@ class Relation:
         blocks: Iterable[Tuple[Mapping[str, Column], Optional[Sequence[int]]]],
     ) -> "Relation":
         """The one bulk builder: a relation from consecutive blocks of
-        ``(columns, rids)``, each block's rows built before the next
-        block is drawn, so a loader can stream.
+        ``(columns, rids)``, each block checked before the next is drawn,
+        so a loader can stream.
 
-        ``columns`` maps each attribute to a :data:`Column`; an interval
-        attribute's ``Interval(start, end)`` is built (and so checked)
-        here, other values are taken as they are.  ``rids`` of ``None``
-        number the block's rows on from the previous block's.  Each
-        ``Row`` is built as ``Row(rid, data)`` with ``data`` in
-        :meth:`Row.make`'s order; the schema is uniform by construction,
-        so only a block naming other attributes than the first is
-        refused, and rids are checked for uniqueness as a column (a set
-        of them, updated a block at a time).  Rows and intervals are
-        acyclic, so the cyclic collector is paused throughout.
+        ``columns`` maps each attribute to a :data:`Column`; a column of
+        ``Interval`` objects is taken as the pair of their endpoints.
+        ``rids`` of ``None`` number the block's rows on from the previous
+        block's.  Each column is stored as int64 where every value is an
+        int that fits, float64 where every value is a float, else as an
+        ``object`` column of the values themselves, so the rows built
+        from it hold each value's own type.  An array handed in is kept,
+        not copied: it is the relation's from then on.
 
-        :meth:`columns` is not seeded from the endpoints in hand: a
-        caller that never queries the relation (a generate-then-save)
-        would hold the arrays for nothing, and a query builds them from
-        the rows in well under a tenth of the build's time.
+        A block is checked whole — its schema against the first block's,
+        one value per row in every column, every interval (as
+        ``Interval`` would check it) — and the rids of all blocks for
+        uniqueness; the error names the first bad row with the message
+        building the rows one by one would raise.  No ``Row`` is built
+        (see :attr:`rows`).  The cyclic collector is paused throughout.
         """
-        rows: List[Row] = []
-        rids: set = set()
         schema: Optional[Tuple[str, ...]] = None
+        parts: List[List[Stored]] = []
+        rid_parts: List[Union[range, np.ndarray]] = []
+        count = 0
         with collector_paused():
             for columns, block_rids in blocks:
                 names = tuple(sorted(columns))
-                values = [_as_list(columns[a]) for a in names]
+                stored = [_block_column(columns[a]) for a in names]
                 if block_rids is None:
-                    count = _length(values[0]) if names else 0
-                    block_rids = range(len(rows), len(rows) + count)
+                    size = len(stored[0][0]) if names else 0
+                    block_rids = range(count, count + size)
                 else:
-                    block_rids = _as_list(block_rids)
-                if not block_rids:
+                    block_rids = _stored(block_rids)
+                size = len(block_rids)
+                if not size:
                     continue
                 if schema is None:
                     schema = names
                 elif names != schema:
+                    _refuse_duplicates(name, _joined(rid_parts))
                     raise QueryError(
-                        f"relation {name!r}: row {block_rids[0]} schema "
+                        f"relation {name!r}: row {_first(block_rids)} schema "
                         f"{names} differs from {schema}"
                     )
-                for index, (attribute, column) in enumerate(zip(names, values)):
-                    sides = column if isinstance(column, tuple) else (column,)
-                    if {len(side) for side in sides} != {len(block_rids)}:
+                for attribute, sides in zip(names, stored):
+                    if {len(side) for side in sides} != {size}:
+                        _refuse_duplicates(name, _joined(rid_parts))
                         raise QueryError(
                             f"relation {name!r}: column {attribute!r} does "
-                            f"not hold one value for each of {len(block_rids)} rows"
+                            f"not hold one value for each of {size} rows"
                         )
-                    if isinstance(column, tuple):
-                        column = map(Interval, *column)
-                    values[index] = zip(repeat(attribute), column)
-                data = zip(*values) if values else repeat((), len(block_rids))
-                rows.extend(map(Row, block_rids, data))
-                distinct = len(rids)
-                rids.update(block_rids)
-                if len(rids) - distinct != len(block_rids):
-                    _raise_duplicate(name, rows)
+                bad = [_first_invalid(*sides) for sides in stored if len(sides) == 2]
+                bad = [row for row in bad if row is not None]
+                if bad:
+                    _refuse_duplicates(name, _joined(rid_parts))
+                    _raise_invalid(stored, min(bad))
+                parts.append(stored)
+                rid_parts.append(block_rids)
+                count += size
+            rids = _joined(rid_parts)
+            _refuse_duplicates(name, rids)
+            if rids is not None and rids.dtype != object and np.array_equal(rids, np.arange(count)):
+                rids = None  # the positions: kept as such
+            data = {
+                attribute: _merge([block[index] for block in parts])
+                for index, attribute in enumerate(schema or ())
+            }
         relation = cls.__new__(cls)
-        relation._adopt(name, tuple(rows), schema or ())
+        relation._adopt(name, _Store(count, rids, data), schema or ())
         return relation
 
     @classmethod
@@ -253,51 +328,161 @@ class Relation:
 
     def alias(self, name: str) -> "Relation":
         """The same rows under another relation name (for self-joins),
-        sharing the row tuple and every column memoised before or after."""
+        sharing the columns and everything built from them, before or
+        after — the rows included."""
         twin = object.__new__(type(self))
         twin.__dict__.update(self.__dict__)
         twin.name = name
         return twin
 
     # ------------------------------------------------------------------
+    # The columns
+    # ------------------------------------------------------------------
+    def _data(self) -> Dict[str, Stored]:
+        """The stored columns — of the rows handed in, read on first use."""
+        store = self._store
+        if store.data is None:
+            with store.lock:
+                if store.data is None:
+                    data = _columns_of_rows(store.given, self.attributes)
+                    for column in _arrays(None, data):
+                        column.flags.writeable = False
+                    store.data = data
+        return store.data
+
+    def stored(self, attribute: str) -> Stored:
+        """One attribute's column as the relation keeps it —
+        ``(starts, ends)`` for an interval attribute, ``(values,)`` for
+        another — read-only, each ``tolist()`` giving the values back
+        with their own types."""
+        data = self._data()
+        if attribute not in data:
+            if not len(self):
+                return np.empty(0), np.empty(0)
+            raise QueryError(
+                f"row {_first(self.rid_objects())} has no attribute {attribute!r}"
+            )
+        return data[attribute]
+
     def intervals(self, attribute: str = DEFAULT_ATTRIBUTE) -> List[Interval]:
-        """All values of one attribute, as intervals, in row order."""
-        return [row.interval(attribute) for row in self.rows]
+        """All values of one attribute, as intervals, in row order (a
+        real value as the point interval ``[v, v]``, as
+        :meth:`Row.interval` reads it)."""
+        stored = self.stored(attribute)
+        if len(stored) == 2:
+            return list(map(Interval, stored[0].tolist(), stored[1].tolist()))
+        return [
+            value if isinstance(value, Interval) else point(float(value))
+            for value in stored[0].tolist()
+        ]
 
     def columns(self, attribute: str) -> SortedColumns:
-        """One attribute's endpoint columns in row order (``object``
-        where an endpoint is not float64-exact), built from the rows on
-        first use, kept for the life of the relation and read-only."""
-        columns = self._memo.get(attribute)
-        if columns is None:
-            columns = SortedColumns.of_intervals(self.intervals(attribute))
+        """One attribute's endpoint columns in row order — float64, or
+        ``object`` where an endpoint is not float64-exact — built from
+        the stored columns on first use, kept for the life of the
+        relation and read-only."""
+
+        def build() -> SortedColumns:
+            stored = self.stored(attribute)
+            if len(stored) == 2:
+                columns = SortedColumns(*map(_endpoints, stored))
+            else:
+                columns = SortedColumns.of_intervals(self.intervals(attribute))
             columns.starts.flags.writeable = columns.ends.flags.writeable = False
-            self._memo[attribute] = columns
-        return columns
+            return columns
+
+        return self._store.memo(("columns", attribute), build)
+
+    def rid_column(self) -> np.ndarray:
+        """The rids as a read-only int64 column — ``object`` where a rid
+        does not fit one, never float, in which distinct rids could
+        compare equal."""
+
+        def build() -> np.ndarray:
+            store = self._store
+            if store.given is not None:
+                column = _stored([row.rid for row in store.given])
+            elif store.rids is None:
+                column = np.arange(len(self), dtype=np.int64)
+            else:
+                column = store.rids
+            if column.dtype == np.float64:
+                column = object_column(column.tolist())
+            column.flags.writeable = False
+            return column
+
+        return self._store.memo("rid_column", build)
+
+    def rid_objects(self) -> np.ndarray:
+        """The rids themselves as a read-only ``object`` column: one
+        shared rid object per row, which the rows, once built, hold too."""
+
+        def build() -> np.ndarray:
+            store = self._store
+            if store.given is not None:
+                column = object_column([row.rid for row in store.given])
+            else:
+                column = object_column(self.rid_column().tolist())
+            column.flags.writeable = False
+            return column
+
+        return self._store.memo("rid_objects", build)
+
+    # ------------------------------------------------------------------
+    # The rows, on request
+    # ------------------------------------------------------------------
+    @property
+    def rows(self) -> Tuple[Row, ...]:
+        """The rows, in order, as a tuple: handed in, or built from the
+        columns on first access — under the store's lock, so once for a
+        relation and its aliases, and with the cyclic collector paused
+        (rows and intervals are acyclic)."""
+        store = self._store
+        if store.given is not None:
+            return store.given
+        return store.memo("rows", self._build_rows)
+
+    def _build_rows(self) -> Tuple[Row, ...]:
+        with collector_paused():
+            data = self._data()
+            values = []
+            for attribute in self.attributes:
+                stored = data[attribute]
+                if len(stored) == 2:
+                    column = map(Interval, stored[0].tolist(), stored[1].tolist())
+                else:
+                    column = stored[0].tolist()
+                values.append(zip(repeat(attribute), column))
+            rows = zip(*values) if values else repeat((), len(self))
+            return tuple(map(Row, self.rid_objects().tolist(), rows))
 
     def row_column(self) -> np.ndarray:
         """The rows as a read-only object column, to ``take`` from."""
-        column = self._memo.get(None)
-        if column is None:
+
+        def build() -> np.ndarray:
             column = object_column(self.rows)
             column.flags.writeable = False
-            self._memo[None] = column
-        return column
+            return column
+
+        return self._store.memo("row_column", build)
 
     def row_by_id(self, rid: int) -> Row:
-        for row in self.rows:
-            if row.rid == rid:
-                return row
-        raise QueryError(f"relation {self.name!r} has no row id {rid}")
+        try:
+            return self.rows[self.rid_objects().tolist().index(rid)]
+        except ValueError:
+            raise QueryError(f"relation {self.name!r} has no row id {rid}") from None
 
     def __len__(self) -> int:
-        return len(self.rows)
+        return self._store.length
+
+    def __getitem__(self, index):
+        return self.rows[index]
 
     def __iter__(self) -> Iterator[Row]:
         return iter(self.rows)
 
     def __str__(self) -> str:  # pragma: no cover - cosmetic
-        return f"Relation({self.name!r}, {len(self.rows)} rows)"
+        return f"Relation({self.name!r}, {len(self)} rows)"
 
 
 def record_columns(
@@ -327,25 +512,164 @@ def record_columns(
     return columns
 
 
-def _as_list(column: Any) -> Any:
-    """A column as a list of Python values (an array's scalars become
-    Python numbers, as ``float()`` would make them); a ``(starts, ends)``
-    pair stays a pair, of lists."""
+# ----------------------------------------------------------------------
+# Stored columns
+# ----------------------------------------------------------------------
+
+
+def _stored(values: Any) -> np.ndarray:
+    """One column as a relation stores it: int64 when every value is an
+    int that fits, float64 when every value is a float, else an
+    ``object`` column of the values themselves — so that ``tolist()``
+    gives each value back with its own type, as it was handed in (an
+    array's scalars as the Python numbers ``tolist()`` makes them)."""
+    if isinstance(values, np.ndarray):
+        # A view: the relation marks its columns read-only, not the
+        # caller's array.
+        if values.dtype.kind == "f":
+            return values.astype(np.float64, copy=False).view()
+        if values.dtype.kind == "i":
+            return values.astype(np.int64, copy=False).view()
+        values = values.tolist()
+    elif not isinstance(values, list):
+        values = list(values)
+    kinds = set(map(type, values))
+    if kinds == {float}:
+        return np.array(values, dtype=np.float64)
+    if kinds == {int}:
+        try:
+            return np.array(values, dtype=np.int64)
+        except OverflowError:
+            pass
+    return object_column(values)
+
+
+def _block_column(column: Column) -> Stored:
+    """A block's column as stored: a pair stays a pair, and so does a
+    column of ``Interval`` objects, as their endpoints."""
     if isinstance(column, tuple):
-        return tuple(_as_list(side) for side in column)
-    if isinstance(column, np.ndarray):
-        return column.tolist()
-    return column if isinstance(column, list) else list(column)
+        return _stored(column[0]), _stored(column[1])
+    if not isinstance(column, (list, np.ndarray)):
+        column = list(column)
+    if len(column) and all(type(value) is Interval for value in column):
+        return (
+            _stored([value.start for value in column]),
+            _stored([value.end for value in column]),
+        )
+    return (_stored(column),)
 
 
-def _raise_duplicate(name: str, rows: Sequence[Row]) -> None:
+def _concat(columns: Sequence[np.ndarray]) -> np.ndarray:
+    """Stored columns end to end, stored by the same rule: ``object``
+    unless they all share their dtype."""
+    if len(columns) == 1:
+        return columns[0]
+    if len({column.dtype for column in columns}) == 1:
+        return np.concatenate(columns)
+    return np.concatenate([column.astype(object) for column in columns])
+
+
+def _merge(blocks: Sequence[Stored]) -> Stored:
+    """One attribute's blocks end to end: a pair if every block is one,
+    else the values, a pair's as ``Interval`` objects."""
+    if all(len(block) == 2 for block in blocks):
+        return _concat([block[0] for block in blocks]), _concat([block[1] for block in blocks])
+    return (_concat([
+        object_column(list(map(Interval, block[0].tolist(), block[1].tolist())))
+        if len(block) == 2 else block[0]
+        for block in blocks
+    ]),)
+
+
+def _columns_of_rows(rows: Sequence[Row], attributes: Sequence[str]) -> Dict[str, Stored]:
+    """The stored columns of rows of one schema."""
+    return {
+        attribute: _block_column([row.data[index][1] for row in rows])
+        for index, attribute in enumerate(attributes)
+    }
+
+
+def _endpoints(side: np.ndarray) -> np.ndarray:
+    """A stored endpoint column as :func:`endpoint_column` makes it of
+    the same values: float64 when every one survives the conversion,
+    else ``object``."""
+    if side.dtype == np.float64:
+        return side
+    if side.dtype == np.int64 and (
+        not len(side) or (side.min() >= -_EXACT and side.max() <= _EXACT)
+    ):
+        return side.astype(np.float64)
+    return endpoint_column(side.tolist())
+
+
+def _arrays(rids: Optional[np.ndarray], data: Optional[Dict[str, Stored]]) -> List[np.ndarray]:
+    """Every stored column of a relation."""
+    arrays = [side for sides in (data or {}).values() for side in sides]
+    return arrays if rids is None else [rids, *arrays]
+
+
+def _first(column: Union[range, np.ndarray]) -> Any:
+    """A column's first value, as a Python value."""
+    return column[0] if isinstance(column, range) else column[:1].tolist()[0]
+
+
+def _first_invalid(starts: np.ndarray, ends: np.ndarray) -> Optional[int]:
+    """The first row whose ``Interval(start, end)`` would be refused:
+    compared as columns where the comparison is exact, else built one
+    by one."""
+    comparable = [
+        side.dtype == np.float64
+        or (side.dtype == np.int64 and side.min() >= -_EXACT and side.max() <= _EXACT)
+        for side in (starts, ends)
+    ]
+    if (starts.dtype == ends.dtype == np.int64) or all(comparable):
+        bad = ends < starts
+        for side in (starts, ends):
+            if side.dtype == np.float64:
+                bad |= np.isnan(side)
+        hits = np.flatnonzero(bad)
+        return int(hits[0]) if len(hits) else None
+    for index, (start, end) in enumerate(zip(starts.tolist(), ends.tolist())):
+        try:
+            Interval(start, end)
+        except Exception:
+            return index
+    return None
+
+
+def _raise_invalid(stored: Sequence[Stored], row: int) -> None:
+    """Raise what building ``row``'s intervals, attribute by attribute,
+    raises."""
+    for sides in stored:
+        if len(sides) == 2:
+            Interval(_first(sides[0][row:]), _first(sides[1][row:]))
+
+
+def _joined(parts: Sequence[Union[range, np.ndarray]]) -> Optional[np.ndarray]:
+    """Blocks' rids end to end — ``None`` while every block is numbered
+    by position, a numbering that never repeats."""
+    if all(isinstance(part, range) for part in parts):
+        return None
+    return _concat([
+        np.arange(part.start, part.stop) if isinstance(part, range) else part
+        for part in parts
+    ])
+
+
+def _refuse_duplicates(name: str, rids: Optional[np.ndarray]) -> None:
     """Refuse the first row whose rid repeats an earlier row's."""
-    seen = set()
-    for row in rows:
-        if row.rid in seen:
-            raise QueryError(f"relation {name!r}: duplicate row id {row.rid}")
-        seen.add(row.rid)
-
-
-def _length(column: Any) -> int:
-    return len(column[0] if isinstance(column, tuple) else column)
+    if rids is None:
+        return
+    if rids.dtype == object:
+        seen = set()
+        for rid in rids.tolist():
+            if rid in seen:
+                raise QueryError(f"relation {name!r}: duplicate row id {rid}")
+            seen.add(rid)
+        return
+    if len(rids) < 2 or (rids[1:] > rids[:-1]).all():
+        return
+    order = np.argsort(rids, kind="stable")
+    repeats = order[1:][rids[order[1:]] == rids[order[:-1]]]
+    if len(repeats):
+        raise QueryError(f"relation {name!r}: duplicate row id {_first(rids[repeats.min():])}")

@@ -77,7 +77,7 @@ def _ids(columns: Sequence[np.ndarray], position: int) -> Tuple[int, ...]:
 def _block_ids(query: IntervalJoinQuery, block: IndexBlock, position: int) -> Tuple[int, ...]:
     """The rid tuple of ``block``'s record at ``position``."""
     members = map(block.member, query.relations)
-    return tuple(relation.rows[int(at[position])].rid for relation, at in members)
+    return tuple(relation.rid_objects()[int(at[position])] for relation, at in members)
 
 
 def _check_members(

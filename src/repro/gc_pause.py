@@ -13,12 +13,13 @@ __all__ = ["collector_paused"]
 def collector_paused() -> Iterator[None]:
     """Keep the cyclic collector from starting inside the block.
 
-    Three callers: a whole ``JoinAlgorithm.run`` (its pairs and blocks
+    Four callers: a whole ``JoinAlgorithm.run`` (its pairs and blocks
     are acyclic, and every collection re-walks all of them), building a
-    result's ``Row`` tuples (``JoinResult.tuples``) and building a
-    relation (``Relation.from_column_blocks``: rows and intervals are
-    acyclic too).  The outermost pause ends by moving what the block
-    left in the young generations into the oldest in O(1)
+    result's ``Row`` tuples (``JoinResult.tuples``), building a relation
+    (``Relation.from_column_blocks``) and building a relation's rows on
+    request (``Relation.rows``: rows and intervals are acyclic too).
+    The outermost pause ends by moving what the block left in the young
+    generations into the oldest in O(1)
     (``gc.freeze(); gc.unfreeze()``), so no young collection walks it
     when the collector is back on; only a full collection does, as it
     would anyway.  Objects the caller froze (``gc.get_freeze_count()``

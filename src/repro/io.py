@@ -21,6 +21,7 @@ from typing import TYPE_CHECKING, Any, Dict, Iterable, Iterator, List, Sequence,
 from repro.columnar.batch import object_column
 from repro.errors import ReproError
 from repro.core.schema import (
+    DEFAULT_ATTRIBUTE,
     AttributeValue,
     Column,
     Relation,
@@ -140,24 +141,26 @@ def _tokens(values: List[Any]) -> List[str]:
     return [json.dumps(value) for value in values]
 
 
-def _encode_lines(rows: Sequence[Row]) -> List[str]:
-    """The JSON lines of ``rows`` (one schema), formatted a column at a
-    time into the very bytes ``json.dumps(encode_row(row))`` writes."""
-    fields = [_tokens([row.rid for row in rows])]
+def _encode_lines(relation: Relation, lo: int, hi: int) -> List[str]:
+    """The JSON lines of ``relation``'s rows ``lo:hi``, formatted a
+    column at a time from the relation's columns into the very bytes
+    ``json.dumps(encode_row(row))`` writes; no ``Row`` is built."""
+    fields = [_tokens(relation.rid_column()[lo:hi].tolist())]
     template = ['{"rid": %s, "values": {']
-    for index, attribute in enumerate(rows[0].attributes):
+    for index, attribute in enumerate(relation.attributes):
         key = ("" if index == 0 else ", ") + json.dumps(attribute).replace("%", "%%")
-        column = [row.data[index][1] for row in rows]
-        kinds = {issubclass(kind, Interval) for kind in set(map(type, column))}
-        if kinds == {True}:
-            fields.append(_tokens([value.start for value in column]))
-            fields.append(_tokens([value.end for value in column]))
+        stored = relation.stored(attribute)
+        if len(stored) == 2:
+            fields.append(_tokens(stored[0][lo:hi].tolist()))
+            fields.append(_tokens(stored[1][lo:hi].tolist()))
             template.append(key + ': {"start": %s, "end": %s}')
-        elif kinds == {False}:
-            fields.append(_tokens(column))
-            template.append(key + ": %s")
-        else:  # an attribute holding intervals in some rows only
-            return [json.dumps(encode_row(row)) + "\n" for row in rows]
+            continue
+        column = stored[0][lo:hi].tolist()
+        if any(isinstance(value, Interval) for value in column):
+            # an attribute holding intervals in some rows only
+            return [json.dumps(encode_row(row)) + "\n" for row in relation.rows[lo:hi]]
+        fields.append(_tokens(column))
+        template.append(key + ": %s")
     line = "".join(template) + "}}\n"
     return [line % values for values in zip(*fields)]
 
@@ -173,11 +176,10 @@ def save_relation(relation: Relation, path: str) -> int:
     temporary = os.path.join(
         directory, f".{os.path.basename(path)}.{secrets.token_hex(6)}.tmp"
     )
-    rows = relation.rows
     try:
         with open(temporary, "x", encoding="utf-8") as handle:
-            for lo in range(0, len(rows), CHUNK_LINES):
-                handle.writelines(_encode_lines(rows[lo : lo + CHUNK_LINES]))
+            for lo in range(0, len(relation), CHUNK_LINES):
+                handle.writelines(_encode_lines(relation, lo, lo + CHUNK_LINES))
         os.replace(temporary, path)
     except BaseException:
         try:
@@ -185,7 +187,7 @@ def save_relation(relation: Relation, path: str) -> int:
         except FileNotFoundError:
             pass
         raise
-    return len(rows)
+    return len(relation)
 
 
 def save_result(result: "JoinResult", path: str) -> int:
@@ -193,9 +195,9 @@ def save_result(result: "JoinResult", path: str) -> int:
     order: an object naming each query relation's row as
     :func:`encode_row` encodes it — the very bytes ``json.dumps({name:
     encode_row(row), ...})`` writes.  Formatted a column at a time from
-    the result's blocks: each member row's encoding once
-    (:func:`_encode_lines`), then :data:`CHUNK_LINES` tuples' lines at a
-    time from taken columns of them; no ``Row`` tuple is built.
+    the result's blocks: each member relation's lines once, from its
+    columns (:func:`_encode_lines`), then :data:`CHUNK_LINES` tuples'
+    lines at a time from taken columns of them; no ``Row`` is built.
     Returns the line count."""
     names = result.query.relations
     template = "{" + ", ".join(
@@ -205,11 +207,10 @@ def save_result(result: "JoinResult", path: str) -> int:
 
     def payloads(relation: Relation) -> Any:
         if id(relation) not in encoded:
-            rows = relation.rows
             encoded[id(relation)] = object_column([
                 line[:-1]
-                for lo in range(0, len(rows), CHUNK_LINES)
-                for line in _encode_lines(rows[lo : lo + CHUNK_LINES])
+                for lo in range(0, len(relation), CHUNK_LINES)
+                for line in _encode_lines(relation, lo, lo + CHUNK_LINES)
             ])
         return encoded[id(relation)]
 
@@ -247,9 +248,10 @@ def _parse_chunk(path: str, lines: List[str], first_line: int) -> List[Any]:
 
 def load_relation(path: str, name: str) -> Relation:
     """Read a JSON-lines relation written by :func:`save_relation`,
-    :data:`CHUNK_LINES` lines at a time, each chunk's rows built
-    (:meth:`Relation.from_column_blocks`, which also keeps the collector
-    paused while the chunks are parsed) before the next is read."""
+    :data:`CHUNK_LINES` lines at a time, each chunk decoded straight
+    into columns and checked (:meth:`Relation.from_column_blocks`, which
+    also keeps the collector paused while the chunks are parsed) before
+    the next is read; no ``Row`` is built."""
 
     def blocks(handle) -> Iterator[Tuple[Dict[str, Column], List[int]]]:
         first_line = 1
@@ -264,11 +266,10 @@ def load_relation(path: str, name: str) -> Relation:
         return Relation.from_column_blocks(name, blocks(handle))
 
 
-def parse_interval_lines(lines: Iterable[str]) -> Iterator[Interval]:
-    """Parse ``start end`` lines (whitespace or comma separated).
-
-    Blank lines and ``#`` comments are skipped.
-    """
+def _endpoint_lines(lines: Iterable[str]) -> Iterator[Tuple[float, float]]:
+    """The ``(start, end)`` of each ``start end`` line (whitespace or
+    comma separated), blank lines and ``#`` comments skipped, each
+    checked as ``Interval`` checks it."""
     for line_number, line in enumerate(lines, start=1):
         text = line.split("#", 1)[0].strip()
         if not text:
@@ -284,10 +285,25 @@ def parse_interval_lines(lines: Iterable[str]) -> Iterator[Interval]:
             raise ReproError(
                 f"line {line_number}: non-numeric endpoints in {line!r}"
             ) from None
+        if not start <= end:
+            Interval(start, end)  # raises: NaN, or the end precedes the start
+        yield start, end
+
+
+def parse_interval_lines(lines: Iterable[str]) -> Iterator[Interval]:
+    """Parse ``start end`` lines (whitespace or comma separated).
+
+    Blank lines and ``#`` comments are skipped.
+    """
+    for start, end in _endpoint_lines(lines):
         yield Interval(start, end)
 
 
 def load_intervals_text(path: str, name: str) -> Relation:
-    """Read a single-attribute relation from a ``start end`` text file."""
+    """Read a single-attribute relation from a ``start end`` text file,
+    its endpoints straight into columns."""
     with open(path, "r", encoding="utf-8") as handle:
-        return Relation.of_intervals(name, parse_interval_lines(handle))
+        pairs = list(_endpoint_lines(handle))
+    starts = [start for start, _ in pairs]
+    ends = [end for _, end in pairs]
+    return Relation.from_columns(name, {DEFAULT_ATTRIBUTE: (starts, ends)})

@@ -42,6 +42,7 @@ import itertools
 import json
 import os
 import shutil
+from collections.abc import MutableSequence, Sequence as SequenceABC
 from typing import Any, Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Set
 
 from repro.columnar.batch import IndexBlock
@@ -202,9 +203,10 @@ class InMemoryFileSystem(FileSystem):
     ) -> int:
         if path in self._files and not overwrite:
             raise FileSystemError(f"output path already exists: {path!r}")
-        # A block or a tuple (a relation's rows) is immutable already:
+        # An immutable sequence — a block, a tuple, a relation — is
         # stored as it is, not listed.
-        stored = records if isinstance(records, (IndexBlock, tuple)) else list(records)
+        immutable = isinstance(records, SequenceABC) and not isinstance(records, MutableSequence)
+        stored = records if immutable else list(records)
         self._files[path] = stored
         return len(stored)
 

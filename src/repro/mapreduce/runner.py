@@ -418,7 +418,8 @@ class _MapTasks(_Tasks):
 class _Reordered(SequenceABC):
     """``records`` read through a permutation: item ``i`` is
     ``records[order[i]]``.  Lazy, since only a router that reads its
-    records (a flag, a keep rule) looks at them."""
+    records (a flag, a keep rule) looks at them — and a column-form mark
+    (``routing.RowMarks``) reads ``order`` alone."""
 
     __slots__ = ("records", "order")
 

@@ -45,38 +45,49 @@ Observation is strictly passive: with no observer attached nothing is
 recorded and results, counters and benchmark numbers are unchanged.
 """
 
-from repro.obs.dashboard import render_dashboard
-from repro.obs.live import (
-    ProgressPrinter,
-    StatusServer,
-    TelemetryHub,
-    render_progress_line,
-)
-from repro.obs.explain import (
-    PlanExplain,
-    PlanReconciliation,
-    ReconciliationRow,
-    explain_query,
-    reconciliation_from_spans,
-)
-from repro.obs.metrics import (
-    Counter,
-    Gauge,
-    Histogram,
-    MetricError,
-    MetricsRegistry,
-    fold_spans,
-)
-from repro.obs.profile import Profiler, data_plane_summary
-from repro.obs.recorder import TraceRecorder
-from repro.obs.report import FaultSummary, JobLoadSummary, RunReport, TaskFlag
-from repro.obs.sinks import (
-    JsonlSink,
-    TraceSink,
-    load_spans_jsonl,
-    load_spans_jsonl_tolerant,
-)
-from repro.obs.span import Span
+import importlib
+from typing import Any, Dict, List
+
+#: Each public name -> the module it lives in.  A name is imported from
+#: there on first use (:func:`__getattr__`), so importing the package —
+#: which the engine does for :mod:`repro.obs.recorder` — loads neither
+#: the dashboard nor the live status server and its ``http.server``.
+_HOMES: Dict[str, str] = {
+    **dict.fromkeys(["render_dashboard"], "dashboard"),
+    **dict.fromkeys(
+        ["ProgressPrinter", "StatusServer", "TelemetryHub", "render_progress_line"], "live"
+    ),
+    **dict.fromkeys(
+        ["PlanExplain", "PlanReconciliation", "ReconciliationRow", "explain_query",
+         "reconciliation_from_spans"],
+        "explain",
+    ),
+    **dict.fromkeys(
+        ["Counter", "Gauge", "Histogram", "MetricError", "MetricsRegistry", "fold_spans"],
+        "metrics",
+    ),
+    **dict.fromkeys(["Profiler", "data_plane_summary"], "profile"),
+    **dict.fromkeys(["TraceRecorder"], "recorder"),
+    **dict.fromkeys(["FaultSummary", "JobLoadSummary", "RunReport", "TaskFlag"], "report"),
+    **dict.fromkeys(
+        ["JsonlSink", "TraceSink", "load_spans_jsonl", "load_spans_jsonl_tolerant"], "sinks"
+    ),
+    **dict.fromkeys(["Span"], "span"),
+}
+
+
+def __getattr__(name: str) -> Any:
+    home = _HOMES.get(name)
+    if home is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f"{__name__}.{home}"), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> List[str]:
+    return sorted({*globals(), *_HOMES})
+
 
 __all__ = [
     "Span",

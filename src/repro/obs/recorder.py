@@ -33,12 +33,15 @@ from typing import (
     List,
     Optional,
     Protocol,
+    TYPE_CHECKING,
 )
 
-from repro.obs.live import TelemetryHub
 from repro.obs.metrics import MetricsFold, MetricsRegistry
 from repro.obs.profile import Profiler
 from repro.obs.span import Span
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.obs.live import TelemetryHub
 
 __all__ = ["Observer", "TraceRecorder", "NullRecorder"]
 
@@ -108,7 +111,12 @@ class TraceRecorder:
         #: The data-plane profiler, or ``None`` when profiling is off.
         self.profiler: Optional[Profiler] = Profiler() if profile else None
         #: The live telemetry hub, or ``None`` when live telemetry is off.
-        self.live: Optional[TelemetryHub] = TelemetryHub() if live else None
+        self.live: Optional["TelemetryHub"] = None
+        if live:
+            # Imported on use: the live hub's module loads http.server.
+            from repro.obs.live import TelemetryHub
+
+            self.live = TelemetryHub()
         # The profiler goes first: what it writes onto a closing span
         # (CPU seconds, memory watermarks) must be there when the fold
         # and the trace sinks read the span.

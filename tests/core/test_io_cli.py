@@ -122,6 +122,34 @@ def _lines(count):
     ]
 
 
+#: Blocks whose saved bytes are pinned: ints past 2**53 and past int64
+#: (a rid too), int and float endpoints mixed in a column and in one
+#: interval, zero-length intervals, a real-valued attribute, and a
+#: block numbered on by position.
+PINNED_BLOCKS = [
+    (
+        {"I": ([0, 2**53 + 1, 1.5, 7], [0, 2**60 + 3, 2, 7.0]), "v": [1, 2.5, -3, 10**20]},
+        [5, 2**62, 70, -1],
+    ),
+    ({"I": ([3.25, -1.0], [3.25, 0.5]), "v": [0.125, 4]}, [8, 9]),
+    ({"I": ([10, 11], [12, 2**40]), "v": [6, 7]}, None),
+]
+#: The sha256 of their file, as the row-at-a-time writer wrote it.
+PINNED_SHA256 = "a9fc9b7cedbd248d9bba65a0900bec713cf3d26322696127ef3f5a2ca2eee423"
+
+
+def test_save_load_save_is_byte_identical_and_pinned(tmp_path):
+    relation = Relation.from_column_blocks("R", PINNED_BLOCKS)
+    first, second = tmp_path / "first.jsonl", tmp_path / "second.jsonl"
+    assert save_relation(relation, str(first)) == 8
+    assert hashlib.sha256(first.read_bytes()).hexdigest() == PINNED_SHA256
+    assert first.read_text().splitlines() == [json.dumps(encode_row(row)) for row in relation.rows]
+    back = load_relation(str(first), "R")
+    save_relation(back, str(second))
+    assert second.read_bytes() == first.read_bytes()
+    assert back.rows == relation.rows
+
+
 class TestChunkedLoad:
     """The loader parses :data:`CHUNK_LINES` lines per ``json.loads``;
     a fault past the first chunk reads as it did line by line."""

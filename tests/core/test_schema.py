@@ -4,6 +4,7 @@ import copy
 import dataclasses
 import gc
 import pickle
+import threading
 
 import numpy as np
 import pytest
@@ -222,6 +223,196 @@ class TestFromColumns:
     def test_of_records_refuses_a_differing_record(self):
         with pytest.raises(QueryError, match="row 1 schema"):
             Relation.of_records("R", [{"I": Interval(0, 1)}, {"J": Interval(0, 1)}])
+
+
+#: Columns whose rows keep their endpoint types: ints past 2**53 and
+#: past int64, int and float endpoints mixed in one column and in one
+#: interval, zero-length intervals, and a real-valued attribute.
+MIXED_BLOCKS = [
+    (
+        {"I": ([0, 2**53 + 1, 1.5, 7], [0, 2**60 + 3, 2, 7.0]), "v": [1, 2.5, -3, 10**20]},
+        [5, 2**62, 70, -1],
+    ),
+    ({"I": ([3.25, -1.0], [3.25, 0.5]), "v": [0.125, 4]}, [8, 9]),
+    ({"I": (np.array([10, 11]), np.array([12, 2**40])), "v": np.array([6.0, 7.5])}, None),
+]
+
+
+def _row_path(blocks):
+    """The rows of ``blocks`` as ``Row.make`` builds them one by one."""
+    rows, count = [], 0
+    for columns, rids in blocks:
+        names = sorted(columns)
+        values = [
+            list(map(Interval, *(np.asarray(side, dtype=object).tolist() for side in column)))
+            if isinstance(column, tuple) else np.asarray(column, dtype=object).tolist()
+            for column in (columns[name] for name in names)
+        ]
+        size = len(values[0])
+        rids = range(count, count + size) if rids is None else rids
+        rows += [Row.make(rid, dict(zip(names, row))) for rid, row in zip(rids, zip(*values))]
+        count += size
+    return tuple(rows)
+
+
+def _types(rows):
+    return [
+        tuple(
+            (type(value.start), type(value.end)) if isinstance(value, Interval) else type(value)
+            for _, value in row.data
+        )
+        for row in rows
+    ]
+
+
+@pytest.fixture
+def rows_built(monkeypatch):
+    """A counter of ``Row`` objects constructed."""
+    built = [0]
+    init = Row.__init__
+
+    def counted(self, *args, **kwargs):
+        built[0] += 1
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(Row, "__init__", counted)
+    return built
+
+
+class TestLazyRows:
+    """A relation is its columns; its rows are built on request, once,
+    equal to the rows the one-by-one path builds."""
+
+    @pytest.mark.parametrize(
+        "blocks",
+        [
+            MIXED_BLOCKS,
+            [({"I": ([0, 1, 1], [0, 2, 1])}, None)],  # ints, zero-length
+            [({"I": ([0.5, 1.0], [0.5, 2.0])}, [3, 1])],  # floats
+            [({"I": [Interval(0, 1), Interval(2.5, 2.5)]}, None)],  # Interval objects
+            [({"v": [1, 2**53 + 1, 2.5], "w": np.array([1, 2, 3])}, None)],  # scalars only
+        ],
+        ids=["mixed", "ints", "floats", "intervals", "scalars"],
+    )
+    def test_rows_equal_the_row_path_with_the_same_types(self, blocks, rows_built):
+        relation = Relation.from_column_blocks("R", blocks)
+        assert rows_built[0] == 0
+        want = _row_path(blocks)
+        rows_built[0] = 0
+        assert relation.rows == want
+        assert _types(relation.rows) == _types(want)
+        assert rows_built[0] == len(want) == len(relation)
+        assert [row.rid for row in want] == relation.rid_objects().tolist()
+
+    def test_columns_and_intervals_read_no_row(self, rows_built):
+        want = [row.interval("I") for row in _row_path(MIXED_BLOCKS)]
+        rows_built[0] = 0
+        relation = Relation.from_column_blocks("R", MIXED_BLOCKS)
+        columns = relation.columns("I")
+        assert columns.starts.dtype == columns.ends.dtype == object  # past 2**53
+        assert relation.intervals("I") == want
+        assert relation.columns("v").starts.tolist() == [1.0, 2.5, -3.0, 1e20, 0.125, 4.0, 6.0, 7.5]
+        assert relation.rid_column().dtype == np.int64
+        assert rows_built[0] == 0
+
+    @pytest.mark.parametrize(
+        "blocks, error, message",
+        [
+            ([({"I": ([0.0, 1.0, float("nan")], [1.0, 2.0, 3.0])}, None)],
+             InvalidIntervalError, "interval endpoints must not be NaN"),
+            ([({"I": ([0, 5, 1], [1, 4, 0])}, None)],
+             InvalidIntervalError, "interval end (4) precedes start (5)"),
+            ([({"b": ([0, 3], [1, 2]), "a": ([0, 9], [1, 8])}, None)],
+             InvalidIntervalError, "interval end (8) precedes start (9)"),
+            ([({"b": ([5, 0], [4, 1]), "a": ([0, 9], [1, 8])}, None)],
+             InvalidIntervalError, "interval end (4) precedes start (5)"),
+            ([({"I": ([0, 1], [1, 2])}, [1, 1]), ({"I": ([3], [2])}, [2])],
+             QueryError, "relation 'R': duplicate row id 1"),
+            ([({"I": ([0, 3], [1, 2])}, [1, 1])],
+             InvalidIntervalError, "interval end (2) precedes start (3)"),
+            ([({"I": ([0], [1])}, [5]), ({"J": ([0], [1])}, [6])],
+             QueryError, "relation 'R': row 6 schema ('J',) differs from ('I',)"),
+            ([({"I": ([0, 10**30], [1, 10**29])}, None)],
+             InvalidIntervalError,
+             f"interval end ({10**29}) precedes start ({10**30})"),
+            ([({"I": ([0, 2**53 + 1], [1, float(2**53)])}, None)],
+             InvalidIntervalError,
+             "interval end (9007199254740992.0) precedes start (9007199254740993)"),
+            ([({"I": ([0, 1, 2], [1, 2, 3])}, [2**70, 1, 2**70])],
+             QueryError, f"relation 'R': duplicate row id {2**70}"),
+            ([({"I": ([0], [1])}, [1]), ({"I": ([0], [1])}, None)],
+             QueryError, "relation 'R': duplicate row id 1"),
+            ([({"I": ([0, 1], [1])}, None)],
+             QueryError, "relation 'R': column 'I' does not hold one value for each of 2 rows"),
+        ],
+        ids=[
+            "nan", "end-before-start", "first-attribute-at-the-row", "first-row-first",
+            "duplicate-before-a-later-block", "interval-before-duplicate-in-its-block",
+            "schema", "past-int64", "int-float-past-2**53", "object-rids",
+            "duplicate-after-numbering", "length",
+        ],
+    )
+    def test_errors_name_the_row_path_s_row(self, blocks, error, message):
+        """Each message is the one building the rows one by one raised
+        (``Relation.from_column_blocks`` before rows became a view)."""
+        with pytest.raises(error) as raised:
+            Relation.from_column_blocks("R", blocks)
+        assert type(raised.value) is error and str(raised.value) == message
+
+    @pytest.mark.parametrize(
+        "clone",
+        [lambda r: pickle.loads(pickle.dumps(r)), copy.deepcopy],
+        ids=["pickle", "deepcopy"],
+    )
+    @pytest.mark.parametrize("built", [False, True], ids=["unbuilt", "built"])
+    def test_clones_equal_and_do_not_force_the_build(self, clone, built, rows_built):
+        relation = Relation.from_column_blocks("R", MIXED_BLOCKS)
+        if built:
+            relation.rows
+        rows_built[0] = 0
+        twin = clone(relation)
+        assert rows_built[0] == 0
+        assert (twin.name, twin.attributes) == (relation.name, relation.attributes)
+        assert len(twin) == len(relation)
+        assert twin.rows == relation.rows
+        assert _types(twin.rows) == _types(relation.rows)
+        assert twin.rid_column().tolist() == relation.rid_column().tolist()
+
+    def test_a_relation_given_rows_clones_them(self):
+        relation = Relation("R", _row_path(MIXED_BLOCKS))
+        for twin in (pickle.loads(pickle.dumps(relation)), copy.deepcopy(relation)):
+            assert twin.rows == relation.rows
+            assert twin.columns("I").ends.tolist() == relation.columns("I").ends.tolist()
+
+    def test_an_alias_shares_the_one_build(self, rows_built):
+        relation = Relation.from_column_blocks("R", MIXED_BLOCKS)
+        twin = relation.alias("S")
+        assert twin.rows is relation.rows
+        assert rows_built[0] == len(relation)
+        assert relation.alias("T").row_column() is twin.row_column()
+
+    def test_concurrent_readers_build_the_rows_once(self, rows_built):
+        relation = Relation.from_columns("R", {"I": (np.arange(5000.0), np.arange(5000.0) + 1)})
+        barrier, seen = threading.Barrier(8), []
+
+        def read():
+            barrier.wait()
+            seen.append(relation.rows)
+
+        threads = [threading.Thread(target=read) for _ in range(8)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join()
+        assert rows_built[0] == len(relation) == 5000
+        assert len(seen) == 8 and all(rows is seen[0] for rows in seen)
+
+    def test_an_array_handed_in_is_kept_read_only_not_copied(self):
+        starts, ends = np.arange(4.0), np.arange(4.0) + 1
+        relation = Relation.from_columns("R", {"I": (starts, ends)})
+        columns = relation.columns("I")
+        assert np.shares_memory(columns.starts, starts) and np.shares_memory(columns.ends, ends)
+        assert not columns.starts.flags.writeable and starts.flags.writeable
 
 
 def _endpoints(columns):

@@ -31,7 +31,10 @@ from __future__ import annotations
 
 import ast
 import dataclasses
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -651,3 +654,30 @@ def test_every_module_is_reached_from_an_entry_point():
         )
     unreached = set(MODULE_PATHS) - _reached(entries)
     assert unreached == set(UNREACHED_ALLOWED)
+
+
+#: What a cold ``import repro`` must not load: the live status server
+#: and its ``http.server`` (which pulls in ``email``), the dashboard, and
+#: the explain and report modules only the CLI and tools import.
+COLD_IMPORT_ABSENT = (
+    "http.server", "email", "repro.obs.dashboard", "repro.obs.live",
+    "repro.obs.explain", "repro.obs.report",
+)
+
+
+def test_a_cold_import_loads_no_server():
+    """``import repro`` in a fresh interpreter loads none of
+    :data:`COLD_IMPORT_ABSENT` — import time is the first term of every
+    set-up — and every public ``repro.obs`` name still imports."""
+    probe = (
+        "import sys, repro; "
+        f"print(sorted(m for m in {COLD_IMPORT_ABSENT!r} if m in sys.modules)); "
+        "import repro.obs as obs; "
+        "print(all(getattr(obs, name) is not None for name in obs.__all__))"
+    )
+    path = os.pathsep.join([str(SRC.parent), os.environ.get("PYTHONPATH", "")])
+    env = dict(os.environ, PYTHONPATH=path)
+    out = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.split("\n")[:2] == ["[]", "True"]

@@ -1,16 +1,18 @@
 """Columns in: a query over base relations reads the relations' own
-endpoint columns, not their rows.
+columns, not their rows.
 
-A ``Relation`` builds each attribute's endpoint columns once
-(``Relation.columns``); partitioning, the columnar map side of every
-input that *is* a base relation, and the reducers' output
-materialisation (``PayloadStore.take`` over the relation's row column)
-read those.  What is pinned here is the consequence: a second query on
-the same relations never calls ``Row.interval`` — on any executor, with
-or without a fault plan, and for an exact prediction, which runs the
-same map and shuffle — outputs are the relations' own ``Row``
-objects, and the thing tying an input to its relation (the input spec's
-``source``) is never deep-copied per attempt nor pickled to a worker.
+A ``Relation`` is its columns, and builds each attribute's endpoint
+columns once (``Relation.columns``); partitioning, the columnar map side
+of every input that *is* a base relation, the flag and mark cycles'
+routing (rid columns) and the result's rid readers read those.  What is
+pinned here is the consequence: no query calls ``Row.interval``, and
+building relations, querying them and validating a result construct no
+``Row`` at all — on any executor, with or without a fault plan, and for
+an exact prediction, which runs the same map and shuffle; nor do
+``generate`` / ``save`` / ``load`` and ``repro run -o``.  Forced output
+tuples hold the relations' own ``Row`` objects, and the thing tying an
+input to its relation (the input spec's ``source``) is never deep-copied
+per attempt nor pickled to a worker.
 """
 
 from __future__ import annotations
@@ -18,6 +20,7 @@ from __future__ import annotations
 import pytest
 
 from repro import Interval, Relation, reference_join
+from repro.cli import main
 from repro.core.algorithms.rccis import JoinReducer
 from repro.core.algorithms.two_way import OperatorMapper
 from repro.core.executor import execute
@@ -25,12 +28,15 @@ from repro.core.planner import ALGORITHMS
 from repro.core.query import IntervalJoinQuery
 from repro.core.schema import Row
 from repro.core.tuning import PredictConfig, profile_data
+from repro.core.validation import validate_result
 from repro.errors import MapReduceError
 from repro.intervals.allen import MapOperator
 from repro.intervals.partitioning import Partitioning
+from repro.io import load_relation, save_relation
 from repro.mapreduce import InMemoryFileSystem, run_job
 from repro.mapreduce.job import InputSpec, JobConf
 from repro.obs import TraceRecorder
+from repro.workloads.synthetic import SyntheticConfig, generate_relation
 
 from tests.conftest import make_dataset
 
@@ -134,14 +140,71 @@ def test_a_second_query_does_not_read_the_rows(
 
 
 def test_a_self_join_builds_its_columns_once(interval_calls):
-    """Aliases share the memo: three names for one base relation cost
-    one pass over its rows."""
+    """Aliases share the store: three names for one base relation read
+    one set of endpoint columns, built from the stored columns, not the
+    rows."""
     base = make_dataset(("R1",), 50, seed=4)["R1"]
     data = {"R1": base, "R2": base.alias("R2"), "R3": base.alias("R3")}
     interval_calls[0] = 0
     result = execute(COLOCATION, data, "all_replicate", num_partitions=4)
-    assert interval_calls[0] == len(base)
+    assert interval_calls[0] == 0
+    assert data["R2"].columns("I") is data["R3"].columns("I") is base.columns("I")
     assert len(result) > 0
+
+
+@pytest.fixture
+def rows_built(monkeypatch):
+    """A counter of ``Row`` objects constructed in this process (the
+    parent, which holds the relations on every executor)."""
+    built = [0]
+    init = Row.__init__
+
+    def counted(self, *args, **kwargs):
+        built[0] += 1
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(Row, "__init__", counted)
+    return built
+
+
+@pytest.mark.parametrize("run", sorted(RUNS))
+@pytest.mark.parametrize(
+    "algorithm, query", [case[:2] for case in CENSUS], ids=[case[0] for case in CENSUS]
+)
+def test_no_query_builds_a_row(algorithm, query, run, rows_built):
+    """A relation is its columns: building the relations, two queries
+    over them and validating the second, its tuples unforced, construct
+    no ``Row`` — the flag and mark cycles included, which commit rids
+    and route on their relations' rid columns."""
+    rows_built[0] = 0
+    data = make_dataset(query.relations, 60, seed=21)
+    execute(query, data, algorithm, num_partitions=4, **RUNS[run])
+    second = execute(query, data, algorithm, num_partitions=4, **RUNS[run])
+    validate_result(second, data)
+    ids = second.tuple_ids()
+    assert rows_built[0] == 0
+    want = reference_join(query, data).tuple_ids()
+    assert len(want) > 0 and sorted(ids) == sorted(want)
+
+
+def test_generate_save_load_and_run_to_a_file_build_no_row(tmp_path, rows_built, capsys):
+    """``repro generate`` / ``save_relation`` / ``load_relation`` and
+    ``repro run -o`` over two JSON-lines inputs: no ``Row`` anywhere."""
+    rows_built[0] = 0
+    paths = []
+    for seed, name in enumerate(("R1", "R2")):
+        config = SyntheticConfig(n=300, t_range=(0, 3000), length_range=(1, 150), seed=seed)
+        paths.append(tmp_path / f"{name}.jsonl")
+        save_relation(generate_relation(name, config), str(paths[-1]))
+    out = tmp_path / "out.jsonl"
+    assert main([
+        "run", "--relation", f"R1={paths[0]}", "--relation", f"R2={paths[1]}",
+        "--condition", "R1 overlaps R2", "--partitions", "8", "-o", str(out),
+    ]) == 0
+    assert rows_built[0] == 0
+    data = {name: load_relation(str(path), name) for name, path in zip(("R1", "R2"), paths)}
+    lines = out.read_text().splitlines()
+    assert len(lines) == len(reference_join(TWO_WAY, data)) > 0
 
 
 @pytest.mark.parametrize(

@@ -88,3 +88,26 @@ def test_peak_bytes_per_output_tuple_of_the_benchmark_workload(monkeypatch):
         BOUNDS["workloads"]["hybrid3_pasm"],
         per_tuple_peaks(lambda: run_query(workload, query, data)),
     )
+
+
+def test_a_generated_relation_holds_its_columns_alone():
+    """A relation is its columns: a generated 60,000-row interval
+    relation holds at most 64 tracemalloc bytes a row — its endpoint
+    columns are 16 — until its rows are read, which cost several times
+    that (a ``Row``, its data tuple and an ``Interval`` each)."""
+    from repro.workloads.synthetic import SyntheticConfig, generate_relation
+
+    config = SyntheticConfig(n=60_000, seed=0)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        relation = generate_relation("R", config)
+        len(relation), relation.columns("I")
+        held = (tracemalloc.get_traced_memory()[0] - base) / len(relation)
+        relation.rows
+        built = (tracemalloc.get_traced_memory()[0] - base) / len(relation)
+    finally:
+        tracemalloc.stop()
+    assert held <= 64, f"{held:.1f} B a row before the rows are read"
+    assert built > 4 * 64, f"{built:.1f} B a row with the rows built"

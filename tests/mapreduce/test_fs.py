@@ -252,8 +252,9 @@ class TestCommitWork:
 
 class TestInMemoryStorage:
     def test_a_relations_rows_are_stored_not_copied(self):
-        """``write_inputs`` hands each relation's row tuple over; the
-        store keeps that tuple and a base input reads back as it."""
+        """``write_inputs`` hands each relation — the sequence of its
+        rows — over as it is; the store keeps it, unread, and a base
+        input reads back as it."""
         from repro.core.algorithms.base import input_path, write_inputs
         from repro.core.query import IntervalJoinQuery
 
@@ -264,7 +265,7 @@ class TestInMemoryStorage:
         fs = InMemoryFileSystem()
         write_inputs(fs, query, data)
         for name in query.relations:
-            assert fs.read_dir(input_path(name)) is data[name].rows
+            assert fs.read_dir(input_path(name)) is data[name]
 
     def test_other_records_are_listed(self):
         fs = InMemoryFileSystem()
