@@ -614,25 +614,32 @@ class PayloadStore:
         """The records a kernel's gid columns name, as one tuple block:
         column ``j`` names records of one input that hold ``members[j]``
         — a base input's record is its relation's row, a block's its
-        members' rows.  No records: an empty list."""
+        members' rows.  The block is column-major, each member's rows
+        one contiguous column.  No records: an empty list."""
         if not len(gids):
             return []
-        parts = []
-        for column, names in zip(np.asarray(gids, dtype=np.int64).T, members):
-            source = self._segments[int(column[0]) >> 32][2]
-            if source is None or ((column >> 32) != (column[0] >> 32)).any():
+        gids = np.asarray(gids, dtype=np.int64)
+        rows = np.empty((len(gids), sum(map(len, members))), dtype=np.int64, order="F")
+        names, relations, slot = [], [], 0
+        for column, members_here in zip(gids.T, members):
+            # A gid's segment is its high half, so the column's least and
+            # greatest gids share a segment only when every gid does.
+            segment = int(column.min()) >> 32
+            source = self._segments[segment][2]
+            if source is None or int(column.max()) >> 32 != segment:
                 raise MapReduceError("a block's column indexes one input's relations")
-            at = column & _MASK32
-            parts.append(
-                source.take(at).select(names) if isinstance(source, IndexBlock)
-                else IndexBlock(names, [source], at)
-            )
-        return IndexBlock(
-            [name for part in parts for name in part.names],
-            [relation for part in parts for relation in part.relations],
-            np.hstack([part.rows for part in parts]),
-            labelled=labelled,
-        )
+            width = len(members_here)
+            if isinstance(source, IndexBlock):
+                part = source.take(column & _MASK32).select(members_here)
+                rows[:, slot : slot + width] = part.rows
+                names += part.names
+                relations += part.relations
+            else:
+                np.bitwise_and(column, _MASK32, out=rows[:, slot])
+                names += members_here
+                relations.append(source)
+            slot += width
+        return IndexBlock(names, relations, rows, labelled=labelled)
 
     def _payload_column(self, segment: int) -> np.ndarray:
         with self._lock:

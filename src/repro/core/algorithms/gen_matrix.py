@@ -48,6 +48,7 @@ import functools
 import itertools
 import math
 from typing import (
+    Callable,
     Dict,
     FrozenSet,
     List,
@@ -82,11 +83,12 @@ from repro.core.query import IntervalJoinQuery, QueryClass, Term
 from repro.intervals.allen import MapOperator
 from repro.intervals.composition import path_consistency
 from repro.intervals.partitioning import Partitioning
+from repro.intervals.sweep import SortedColumns
 from repro.mapreduce.job import JobConf
 from repro.mapreduce.shuffle import RoundRobinKeyPartitioner
 from repro.mapreduce.task import KernelReducer
 
-__all__ = ["GenMatrix", "AllSeqMatrix", "AllMatrix", "GridSpec"]
+__all__ = ["GenMatrix", "AllSeqMatrix", "AllMatrix", "GridSpec", "cell_owner"]
 
 Cell = Tuple[int, ...]
 
@@ -322,40 +324,68 @@ class _GridJoinReducer(TupleReducer):
 
     def _join(self, key, columns, counters):
         cell: Cell = tuple(key)  # type: ignore[arg-type]
-        # The grid coordinate of every row's start, per term: locate is
-        # monotone, so a component's right-most start lies in the
-        # largest of its members' coordinates.
-        coordinate = {
-            term: self.grid.partitioning_of(dim).locate_array(
-                columns[term].starts
-            )
-            for dim, terms in self.component_terms.items()
-            for term in terms
-        }
+        owns = cell_owner(cell, self.component_terms, self.grid.partitionings, columns)
         count = functools.partial(counters.increment, "work", "comparisons")
-
-        def owns(binding: Mapping[str, np.ndarray]) -> np.ndarray:
-            keep = True
-            for dim, terms in self.component_terms.items():
-                rightmost = np.maximum.reduce(
-                    [coordinate[t][binding[t.relation]] for t in terms]
-                )
-                keep = keep & (rightmost == cell[dim])
-            return keep
-
         if self._anchor_component is None:
             return LocalJoiner(self.query, count).join_columns(
                 columns, accept=owns
             )
         # Anchor on the component's terms in order (local = the interval
-        # starts at the cell's coordinate on that dimension); the other
-        # dimensions' ownership checks stay in ``owns``.
+        # starts at the cell's coordinate on that dimension).  ``owns``
+        # still checks every dimension, the anchor's too: a run lets an
+        # anchor before its local one bind any row the cell holds, and
+        # one that starts right of the cell is not the cell's.
         anchor_dim = self._anchor_component
         return anchored_join(
             self.query, count, columns, self.component_terms[anchor_dim],
             self.grid.partitioning_of(anchor_dim), cell[anchor_dim],
             accept=owns,
         )
+
+
+def cell_owner(
+    cell: Cell,
+    component_terms: Mapping[int, Sequence[Term]],
+    partitionings: Sequence[Partitioning],
+    columns: Mapping[Term, SortedColumns],
+) -> Callable[[Mapping[str, np.ndarray]], np.ndarray]:
+    """The ownership mask of ``cell``: a binding is its tuple when, on
+    every dimension, its component's right-most member start lies in
+    the cell's coordinate (locate is monotone, so that is the largest
+    of the members' coordinates).
+
+    Every term is located once per cell, as a column over its rows: a
+    singleton component's as whether the row starts at the cell's
+    coordinate, a multi-term component's as narrow-int coordinates.  A
+    block of bindings gathers those columns and combines them in
+    place."""
+    at_cell: List[Tuple[str, np.ndarray]] = []
+    spans: List[Tuple[int, List[Tuple[str, np.ndarray]]]] = []
+    for dim, terms in component_terms.items():
+        parts = partitionings[dim]
+        located = [(t.relation, parts.locate_array(columns[t].starts)) for t in terms]
+        if len(located) == 1:
+            ((relation, coordinates),) = located
+            at_cell.append((relation, coordinates == cell[dim]))
+        else:
+            narrow = np.min_scalar_type(len(parts))
+            spans.append((cell[dim], [(r, c.astype(narrow)) for r, c in located]))
+
+    def owns(binding: Mapping[str, np.ndarray]) -> np.ndarray:
+        keep = None
+        for relation, starts_here in at_cell:
+            here = starts_here[binding[relation]]
+            keep = here if keep is None else np.logical_and(keep, here, out=keep)
+        for coordinate, located in spans:
+            (relation, coordinates), *others = located
+            rightmost = coordinates[binding[relation]]
+            for relation, coordinates in others:
+                np.maximum(rightmost, coordinates[binding[relation]], out=rightmost)
+            here = rightmost == coordinate
+            keep = here if keep is None else np.logical_and(keep, here, out=keep)
+        return keep
+
+    return owns
 
 
 # ----------------------------------------------------------------------

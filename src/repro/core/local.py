@@ -19,7 +19,12 @@ sorted once per reduce call):
   window); every row only when nothing connects the relation's index
   attribute;
 * the step's conditions are array masks, evaluated in
-  ``query.conditions`` order, each over the survivors of the one before;
+  ``query.conditions`` order, each over the survivors of the one before
+  — except a sequence access condition: its ``ENDING_BEFORE`` /
+  ``STARTING_AFTER`` window is exactly its true set, so the window
+  stands in for the mask (where the window's keys and probes share a
+  dtype, so its ``searchsorted`` compares as the mask would) and the
+  step charges what the mask would have: one per candidate;
 * no step expands more than ``sweep.MAX_CANDIDATE_PAIRS`` candidate
   pairs at once (:meth:`~repro.intervals.sweep.WindowPlan.blocks` cuts
   the partial bindings into blocks first).
@@ -70,6 +75,7 @@ from repro.intervals.partitioning import Partitioning
 from repro.intervals.sweep import (
     ALL_ROWS,
     COVERING_START,
+    ENDING_BEFORE,
     INTERSECTING,
     STARTING_WITHIN,
     SortedColumns,
@@ -171,6 +177,9 @@ class _Step(NamedTuple):
     kind: int
     index: Term
     probe: Term
+    #: the access condition when it is a sequence predicate — the one
+    #: whose window is exactly its true set — else ``None``.
+    exact: Optional[JoinCondition]
 
 
 class LocalJoiner:
@@ -212,6 +221,7 @@ class LocalJoiner:
             kind, index, probe = (
                 ALL_ROWS, self._index_term(name), self._index_term(order[0])
             )
+            exact = None
             for position, cond in enumerate(
                 conditions[:1] if self._two_way else conditions
             ):
@@ -223,14 +233,15 @@ class LocalJoiner:
                 elif mine != index:
                     continue
                 kind = window_kind(cond.predicate, mine is cond.left)
-                probe = other
+                probe, exact = other, cond
                 if cond.predicate.is_colocation:
+                    exact = None
                     if position:
                         # Conditions before it are charged per candidate
                         # of the whole window: it cannot be narrowed.
                         kind = INTERSECTING
                     break
-            steps.append(_Step(name, conditions, kind, index, probe))
+            steps.append(_Step(name, conditions, kind, index, probe, exact))
         return steps
 
     # ------------------------------------------------------------------
@@ -304,6 +315,16 @@ class LocalJoiner:
         whole = not self._two_way and step.kind in (STARTING_WITHIN, COVERING_START)
         if whole:
             charged += plan.intersecting()
+        exact = step.exact
+        if exact is not None:
+            # The window compares the index's keys with the probes by
+            # ``searchsorted``: the mask's own comparison when both are
+            # of one dtype (float64 against ``object`` could round).
+            keys, searched = (
+                (index.ends, starts) if step.kind == ENDING_BEFORE else (index.starts, ends)
+            )
+            if keys.dtype != searched.dtype:
+                exact = None
         for probe, row in plan.blocks():
 
             def endpoints(term: Term):
@@ -316,6 +337,11 @@ class LocalJoiner:
                 return column.starts[rows], column.ends[rows]
 
             for position, cond in enumerate(step.conditions):
+                if cond is exact:
+                    # All true: the two-way rule's count of the mask and
+                    # the multi-way rule's length of it are both this.
+                    charged += len(row)
+                    continue
                 mask = cond.predicate.holds_columns(
                     *endpoints(cond.left), *endpoints(cond.right)
                 )
@@ -383,11 +409,24 @@ class TupleReducer(KernelReducer):
     _join: Callable[[Hashable, Columns, Any], Iterator[Binding]]
 
     def kernel(self, key, group: ColumnValues, counters) -> np.ndarray:
+        # Column-major: each relation's binding rows, laid end to end,
+        # are gathered from its gids once, straight into its own column
+        # — what the committed block's ``member`` reads.
         columns, gids = group_columns(self.query, group)
-        blocks = [np.empty((0, len(gids)), dtype=np.int64)]
+        bound: Dict[str, List[np.ndarray]] = {name: [] for name in gids}
         for binding in self._join(key, columns, counters):
-            blocks.append(np.stack([gids[name][binding[name]] for name in gids], axis=1))
-        return np.concatenate(blocks)
+            for name, parts in bound.items():
+                parts.append(binding[name])
+        size = sum(map(len, next(iter(bound.values()))))
+        block = np.empty((size, len(bound)), dtype=np.int64, order="F")
+        for slot, (name, parts) in enumerate(bound.items()):
+            if parts:
+                rows = parts[0] if len(parts) == 1 else np.concatenate(parts)
+                # The rows indexed the group's columns in the join
+                # already: "clip" clips none of them, and spares the
+                # bounds check "raise" buffers ``out`` for.
+                np.take(gids[name], rows, out=block[:, slot], mode="clip")
+        return block
 
     def format(self, block, store):
         # One row-index column per relation: the job tuples' block.

@@ -190,14 +190,16 @@ class Partitioning:
         ``object`` column of exact Python numbers.
 
         One ``searchsorted`` replaces the per-point bisect; results are
-        element-wise identical to :meth:`locate` (``side="right"``
-        matches ``bisect_right`` and the clip reproduces both clamps).
+        element-wise identical to :meth:`locate`: a point's partition is
+        the number of inner boundaries at or before it (``side="right"``
+        matches ``bisect_right``), which is 0 left of the range and the
+        last partition at or past its end — both clamps, with no clip.
         ``object`` points compare with the boundaries themselves."""
-        bounds = self._float_bounds
         if points.dtype == object:
-            bounds = np.array(self.boundaries, dtype=object)
-        index = np.searchsorted(bounds, points, side="right") - 1
-        return np.clip(index, 0, len(self) - 1).astype(np.int64)
+            inner = np.array(self.boundaries[1:-1], dtype=object)
+        else:
+            inner = self._float_bounds[1:-1]
+        return np.searchsorted(inner, points, side="right").astype(np.int64, copy=False)
 
     # ------------------------------------------------------------------
     # The three primitives (Section 3)

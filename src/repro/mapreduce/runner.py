@@ -220,7 +220,17 @@ def _reduce_task_core(
     )
     blocks = [reducer.kernel(key, values, counters) for key, values in groups]
     faults.check("cleanup")
-    output = np.concatenate(blocks) if blocks else np.empty((0, 0), dtype=np.int64)
+    # A kernel's block is its own array, so one group's passes as it is
+    # — in the kernel's layout, which concatenating non-empty blocks
+    # keeps too (an empty one would turn a column-major result
+    # row-major).
+    blocks = [block for block in blocks if len(block)] or blocks[:1]
+    if not blocks:
+        output = np.empty((0, 0), dtype=np.int64)
+    elif len(blocks) == 1:
+        output = blocks[0]
+    else:
+        output = np.concatenate(blocks)
     counters.increment("framework", "reduce_output_records", len(output))
     return output, counters
 

@@ -129,7 +129,9 @@ class KernelReducer(abc.ABC):
 
     @abc.abstractmethod
     def kernel(self, key: Hashable, group: ColumnValues, counters: Counters) -> np.ndarray:
-        """One key group's outputs as an int64 block, one row each."""
+        """One key group's outputs as an int64 block, one row each — an
+        array of its own, never a view into the group (a shared-memory
+        group is closed once the task ends)."""
 
     @abc.abstractmethod
     def format(self, block: np.ndarray, store: Any) -> Sequence[Any]:

@@ -9,12 +9,16 @@ The next cycle reads a block back as columns.  Whatever reads it as
 records (``list()``, a file system, a user job's mapper) must see
 exactly the records it stands for, in order; whatever reads it as
 columns must see the relations' own; and a file read back as records
-must rebuild the block it was written from.
+must rebuild the block it was written from.  A join's block is
+column-major — each member's rows one contiguous column, on every
+executor — and ``PayloadStore.block`` refuses a gid column that spans
+two inputs.
 """
 
 from __future__ import annotations
 
 import base64
+import copy
 import json
 import pickle
 
@@ -22,16 +26,19 @@ import numpy as np
 import pytest
 
 from repro import Interval, Relation, reference_join
-from repro.columnar.batch import IndexBlock, _tuple_chunk
+from repro.columnar.batch import IndexBlock, PayloadStore, _tuple_chunk
 from repro.core.algorithms.rccis import RouteMapper
 from repro.core.executor import execute
+from repro.core.planner import ALGORITHMS
 from repro.core.query import IntervalJoinQuery, Term
 from repro.core.schema import Row
+from repro.errors import MapReduceError
 from repro.intervals.partitioning import Partitioning
 from repro.mapreduce import InMemoryFileSystem, LocalFileSystem
 from repro.obs import TraceRecorder
 
 from tests.conftest import make_dataset
+from tests.core.test_gc_pause import CASES
 
 COLOCATION = IntervalJoinQuery.parse(
     [("R1", "overlaps", "R2"), ("R2", "overlaps", "R3")]
@@ -373,3 +380,75 @@ def test_a_local_file_system_holds_every_file_as_records(algorithm, tmp_path):
     else:
         expected["pasm/output"] = {("tuple", 3)}
     assert {path: shapes[path] for path in expected} == expected
+
+
+# ----------------------------------------------------------------------
+# Column-major blocks: what a join commits.
+# ----------------------------------------------------------------------
+
+
+class TestColumnMajor:
+    @pytest.fixture
+    def data(self):
+        return make_dataset(("R1", "R2"), 5, seed=4)
+
+    def store(self, data, sources):
+        store = PayloadStore()
+        for segment, source in enumerate(sources):
+            store.add_segment(segment, source, None, source)
+        return store
+
+    @pytest.mark.parametrize("source", ["base", "block"])
+    def test_a_column_spanning_two_segments_is_refused(self, data, source):
+        """The first and last gid of the column share a segment; one in
+        between does not."""
+        if source == "base":
+            sources, members = [data["R1"], data["R1"]], [["R1"]]
+        else:
+            partials = IndexBlock(("R1", "R2"), (data["R1"], data["R2"]), [[0, 1], [2, 3]])
+            sources, members = [partials, partials], [["R1", "R2"]]
+        store = self.store(data, sources)
+        one = np.array([[1], [0], [1]], dtype=np.int64)
+        assert len(store.block(one, members, True)) == 3
+        two = np.array([[1], [(1 << 32) | 0], [1]], dtype=np.int64)
+        with pytest.raises(MapReduceError, match="one input's relations"):
+            store.block(two, members, True)
+
+    def test_a_block_is_column_major_whatever_the_kernel_layout(self, data):
+        store = self.store(data, [data["R1"], data["R2"]])
+        gids = np.array([[4, (1 << 32) | 0], [0, (1 << 32) | 3], [2, (1 << 32) | 3]])
+        for layout in (np.ascontiguousarray(gids), np.asfortranarray(gids)):
+            block = store.block(layout, [["R1"], ["R2"]], False)
+            assert block.rows.flags.f_contiguous
+            assert block.rows.tolist() == [[4, 0], [0, 3], [2, 3]]
+            relation, rows = block.member("R2")
+            assert relation is data["R2"] and rows.flags.c_contiguous
+            assert np.shares_memory(rows, block.rows)
+
+    def test_pickle_and_deepcopy_are_the_records(self, data):
+        store = self.store(data, [data["R1"], data["R2"]])
+        gids = np.asfortranarray([[4, (1 << 32) | 0], [0, (1 << 32) | 3]])
+        block = store.block(gids, [["R1"], ["R2"]], False)
+        assert block.rows.flags.f_contiguous
+        records = [(data["R1"].rows[4], data["R2"].rows[0]),
+                   (data["R1"].rows[0], data["R2"].rows[3])]
+        assert list(block) == records
+        assert pickle.loads(pickle.dumps(block)) == records
+        assert copy.deepcopy(block) == records
+        # The array a pooled reduce task sends back keeps its layout.
+        assert pickle.loads(pickle.dumps(gids)).flags.f_contiguous
+
+    @pytest.mark.parametrize("executor", ["serial", "processes"])
+    @pytest.mark.parametrize("name", sorted(ALGORITHMS))
+    def test_every_algorithms_join_block_is_column_major(self, name, executor):
+        query, _ = CASES[name]
+        data = make_dataset(query.relations, 30, seed=6)
+        result = execute(query, data, algorithm=name, num_partitions=4,
+                         executor=executor, workers=2)
+        assert len(result) > 0
+        for block in result.blocks():
+            assert block.rows.flags.f_contiguous, name
+            for member in query.relations:
+                _, rows = block.member(member)
+                assert rows.flags.c_contiguous and np.shares_memory(rows, block.rows)
+        assert result.same_output(reference_join(query, data))

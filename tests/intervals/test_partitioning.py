@@ -7,6 +7,8 @@ import pickle
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import InvalidPartitioningError
 from repro.intervals.interval import Interval
@@ -80,6 +82,27 @@ class TestLocateArray:
         located = parts.locate_array(np.array(points, dtype=object))
         assert located.dtype == np.int64
         assert located.tolist() == [parts.locate(p) for p in points]
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        inner=st.sets(st.integers(1, 19), max_size=6),
+        points=st.lists(
+            st.one_of(st.integers(-3, 23), st.floats(-3.0, 23.0)), max_size=30
+        ),
+        big=st.booleans(),
+    )
+    def test_locate_array_is_locate(self, inner, points, big):
+        """Every point — on a boundary, inside, left of the range, at or
+        past its end, one partition or several — float64 or ``object``."""
+        shift = 2**53 if big else 0
+        parts = Partitioning(tuple(shift + b for b in [0, *sorted(inner), 20]))
+        want = [parts.locate(shift + p) for p in points]
+        objects = np.array([shift + p for p in points], dtype=object)
+        assert parts.locate_array(objects).tolist() == want
+        floats = np.array([float(shift + p) for p in points], dtype=np.float64)
+        located = parts.locate_array(floats)
+        assert located.dtype == np.int64
+        assert located.tolist() == [parts.locate(p) for p in floats.tolist()]
 
     def test_boundary_arrays_are_built_once_and_not_pickled(self):
         parts = Partitioning.uniform(0, 100, 4)
