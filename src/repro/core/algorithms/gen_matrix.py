@@ -48,7 +48,6 @@ import functools
 import itertools
 import math
 from typing import (
-    Callable,
     Dict,
     FrozenSet,
     List,
@@ -74,6 +73,7 @@ from repro.core.algorithms.routing import (
 )
 from repro.core.graph import Component, JoinGraph
 from repro.core.local import (
+    Accept,
     LocalJoiner,
     TupleReducer,
     anchored_join,
@@ -293,7 +293,8 @@ class _GridJoinReducer(TupleReducer):
     (:func:`~repro.core.local.anchored_join` over its terms), which
     keeps the reducer's work proportional to the tuples it owns instead
     of re-enumerating combinations of replicated rows owned by earlier
-    cells.
+    cells.  Ownership is decided once per cell (:func:`cell_owner`):
+    where routing and anchoring settle it, no mask is built.
     """
 
     def __init__(self, query: IntervalJoinQuery, grid: GridSpec) -> None:
@@ -324,22 +325,25 @@ class _GridJoinReducer(TupleReducer):
 
     def _join(self, key, columns, counters):
         cell: Cell = tuple(key)  # type: ignore[arg-type]
-        owns = cell_owner(cell, self.component_terms, self.grid.partitionings, columns)
+        anchor = self._anchor_component
+        owns, located = cell_owner(
+            cell, self.component_terms, self.grid.partitionings, columns, anchor
+        )
         count = functools.partial(counters.increment, "work", "comparisons")
-        if self._anchor_component is None:
+        if anchor is None:
             return LocalJoiner(self.query, count).join_columns(
                 columns, accept=owns
             )
         # Anchor on the component's terms in order (local = the interval
         # starts at the cell's coordinate on that dimension).  ``owns``
-        # still checks every dimension, the anchor's too: a run lets an
-        # anchor before its local one bind any row the cell holds, and
-        # one that starts right of the cell is not the cell's.
-        anchor_dim = self._anchor_component
+        # checks the anchor's dimension only where a row the cell holds
+        # starts right of the cell: a run lets an anchor before its local
+        # one bind any row the cell holds, and such a row is not the
+        # cell's.
+        anchors = self.component_terms[anchor]
+        local = [located[term] == cell[anchor] for term in anchors]
         return anchored_join(
-            self.query, count, columns, self.component_terms[anchor_dim],
-            self.grid.partitioning_of(anchor_dim), cell[anchor_dim],
-            accept=owns,
+            self.query, count, columns, anchors, local, accept=owns
         )
 
 
@@ -348,36 +352,52 @@ def cell_owner(
     component_terms: Mapping[int, Sequence[Term]],
     partitionings: Sequence[Partitioning],
     columns: Mapping[Term, SortedColumns],
-) -> Callable[[Mapping[str, np.ndarray]], np.ndarray]:
-    """The ownership mask of ``cell``: a binding is its tuple when, on
-    every dimension, its component's right-most member start lies in
-    the cell's coordinate (locate is monotone, so that is the largest
-    of the members' coordinates).
+    anchored: Optional[int] = None,
+) -> Tuple[Optional[Accept], Dict[Term, np.ndarray]]:
+    """The ownership mask of ``cell``, and every term's grid coordinates
+    over its rows (each term is located once per cell).
 
-    Every term is located once per cell, as a column over its rows: a
-    singleton component's as whether the row starts at the cell's
-    coordinate, a multi-term component's as narrow-int coordinates.  A
-    block of bindings gathers those columns and combines them in
-    place."""
+    A binding is the cell's tuple when, on every dimension, its
+    component's right-most member start lies in the cell's coordinate
+    (locate is monotone, so that is the largest of the members'
+    coordinates).  The mask combines only the dimensions that can fail
+    on the cell's rows.  Two kinds cannot: a singleton component whose
+    rows all start at the coordinate, and the ``anchored`` component
+    when none of its rows starts right of it — every binding an
+    :func:`~repro.core.local.anchored_join` run yields holds a local
+    anchor, so its right-most member is at the coordinate.  When no
+    dimension can fail, the mask is ``None``: every binding is the
+    cell's.
+
+    A block of bindings gathers, per failing dimension, a singleton's
+    "starts at the coordinate" column or a multi-term component's
+    narrow-int coordinates, and combines them in place."""
+    located: Dict[Term, np.ndarray] = {}
     at_cell: List[Tuple[str, np.ndarray]] = []
     spans: List[Tuple[int, List[Tuple[str, np.ndarray]]]] = []
     for dim, terms in component_terms.items():
-        parts = partitionings[dim]
-        located = [(t.relation, parts.locate_array(columns[t].starts)) for t in terms]
-        if len(located) == 1:
-            ((relation, coordinates),) = located
-            at_cell.append((relation, coordinates == cell[dim]))
-        else:
+        parts, coordinate = partitionings[dim], cell[dim]
+        for term in terms:
+            located[term] = parts.locate_array(columns[term].starts)
+        if len(terms) == 1:
+            here = located[terms[0]] == coordinate
+            if not here.all():
+                at_cell.append((terms[0].relation, here))
+        elif dim != anchored or any((located[t] > coordinate).any() for t in terms):
             narrow = np.min_scalar_type(len(parts))
-            spans.append((cell[dim], [(r, c.astype(narrow)) for r, c in located]))
+            spans.append(
+                (coordinate, [(t.relation, located[t].astype(narrow)) for t in terms])
+            )
+    if not at_cell and not spans:
+        return None, located
 
     def owns(binding: Mapping[str, np.ndarray]) -> np.ndarray:
         keep = None
         for relation, starts_here in at_cell:
             here = starts_here[binding[relation]]
             keep = here if keep is None else np.logical_and(keep, here, out=keep)
-        for coordinate, located in spans:
-            (relation, coordinates), *others = located
+        for coordinate, members in spans:
+            (relation, coordinates), *others = members
             rightmost = coordinates[binding[relation]]
             for relation, coordinates in others:
                 np.maximum(rightmost, coordinates[binding[relation]], out=rightmost)
@@ -385,7 +405,7 @@ def cell_owner(
             keep = here if keep is None else np.logical_and(keep, here, out=keep)
         return keep
 
-    return owns
+    return owns, located
 
 
 # ----------------------------------------------------------------------

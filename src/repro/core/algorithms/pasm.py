@@ -17,7 +17,6 @@ than All-Seq-Matrix — the trade-off Table 3 quantifies.
 from __future__ import annotations
 
 import functools
-from collections import defaultdict
 from typing import Dict, List, Mapping, Optional
 
 import numpy as np
@@ -67,20 +66,23 @@ class _MarkingReducer(KernelReducer):
         # RCCIS JoinReducer.
         anchors = [Term(name, self.attributes[name]) for name in subquery.relations]
         count = functools.partial(counters.increment, "work", "comparisons")
-        participating: Dict[str, List[np.ndarray]] = defaultdict(list)
-        for binding in anchored_join(
-            subquery, count, columns, anchors, self.partitioning, partition
-        ):
+        local = [
+            self.partitioning.locate_array(columns[term].starts) == partition
+            for term in anchors
+        ]
+        # One "participates" column per relation over the group's rows,
+        # set by every binding block and read back ascending.
+        participates = {name: np.zeros(len(gids[name]), dtype=bool) for name in gids}
+        for binding in anchored_join(subquery, count, columns, anchors, local):
             for name, members in binding.items():
-                participating[name].append(np.unique(members))
+                participates[name][members] = True
         # One ``gid, relation`` row per row some tuple owned here binds,
         # ascending per relation.
         outs = [np.empty((0, 2), dtype=np.int64)]
-        for name in subquery.relations:
-            if participating[name]:
-                marked = np.unique(np.concatenate(participating[name]))
-                code = np.full(len(marked), self.relations.index(name))
-                outs.append(np.stack([gids[name][marked], code], axis=1))
+        for name, marks in participates.items():
+            marked = np.flatnonzero(marks)
+            code = np.full(len(marked), self.relations.index(name))
+            outs.append(np.stack([gids[name][marked], code], axis=1))
         return np.concatenate(outs)
 
     def format(self, block, store):

@@ -143,9 +143,11 @@ class JoinReducer(TupleReducer):
         anchors = [
             Term(name, self.attributes[name]) for name in self.query.relations
         ]
-        return anchored_join(
-            self.query, count, columns, anchors, self.partitioning, int(key)
-        )
+        local = [
+            self.partitioning.locate_array(columns[term].starts) == int(key)
+            for term in anchors
+        ]
+        return anchored_join(self.query, count, columns, anchors, local)
 
 
 class RCCIS(JoinAlgorithm):

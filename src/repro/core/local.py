@@ -43,13 +43,21 @@ Two relations: one per pair *satisfying* the first condition — which is
 the access path — then one per further condition evaluated, which no
 narrowing moves.  The total is reported once per join.
 
-An optional ``accept`` mask filters complete bindings — algorithms pass
-their "this reducer owns the tuple" rules, which make grid output
-exactly-once.
+An optional ``accept`` mask filters complete bindings after the last
+step, so it charges nothing: a grid reducer passes its "this cell owns
+the tuple" rule, which makes grid output exactly-once, and passes
+``None`` for a cell where routing and the anchored runs already settled
+ownership — no dimension of it can fail on the cell's rows
+(:func:`~repro.core.algorithms.gen_matrix.cell_owner`).  A joiner's
+binding order and steps are planned once per query and first relation
+and shared, read-only, by every joiner of the pair, across tasks and
+threads; the comparisons counter stays each joiner's own.
 """
 
 from __future__ import annotations
 
+import threading
+import weakref
 from typing import (
     Any,
     Callable,
@@ -71,7 +79,6 @@ from repro.columnar.batch import ColumnValues, object_column
 from repro.core.query import IntervalJoinQuery, JoinCondition, Term
 from repro.core.schema import Row
 from repro.errors import MapReduceError
-from repro.intervals.partitioning import Partitioning
 from repro.intervals.sweep import (
     ALL_ROWS,
     COVERING_START,
@@ -182,6 +189,65 @@ class _Step(NamedTuple):
     exact: Optional[JoinCondition]
 
 
+def _index_term(query: IntervalJoinQuery, relation: str) -> Term:
+    return Term(relation, query.attributes_of(relation)[0])
+
+
+def _plan_steps(query: IntervalJoinQuery, order: Sequence[str]) -> List[_Step]:
+    two_way = len(query.relations) == 2
+    steps = []
+    for k in range(1, len(order)):
+        name, bound = order[k], set(order[: k + 1])
+        conditions = tuple(
+            c
+            for c in query.conditions
+            if {c.left.relation, c.right.relation} <= bound
+            and name in (c.left.relation, c.right.relation)
+        )
+        kind, index, probe = (
+            ALL_ROWS, _index_term(query, name), _index_term(query, order[0])
+        )
+        exact = None
+        for position, cond in enumerate(conditions[:1] if two_way else conditions):
+            mine, other = cond.left, cond.right
+            if mine.relation != name:
+                mine, other = other, mine
+            if two_way:
+                index = mine
+            elif mine != index:
+                continue
+            kind = window_kind(cond.predicate, mine is cond.left)
+            probe, exact = other, cond
+            if cond.predicate.is_colocation:
+                exact = None
+                if position:
+                    # Conditions before it are charged per candidate
+                    # of the whole window: it cannot be narrowed.
+                    kind = INTERSECTING
+                break
+        steps.append(_Step(name, conditions, kind, index, probe, exact))
+    return steps
+
+
+#: A joiner's plan: its binding order and its steps.
+_Plan = Tuple[Tuple[str, ...], Tuple[_Step, ...]]
+#: Per query, the plan from each first relation; the query is never
+#: mutated, so a plan never goes stale.
+_PLANS: "weakref.WeakKeyDictionary[IntervalJoinQuery, Dict[Optional[str], _Plan]]" = (
+    weakref.WeakKeyDictionary()
+)
+_PLANS_LOCK = threading.Lock()
+
+
+def _planned(query: IntervalJoinQuery, start_with: Optional[str]) -> _Plan:
+    with _PLANS_LOCK:
+        plans = _PLANS.setdefault(query, {})
+        if start_with not in plans:
+            order = tuple(binding_order(query, start_with))
+            plans[start_with] = order, tuple(_plan_steps(query, order))
+        return plans[start_with]
+
+
 class LocalJoiner:
     """Joins relation-tagged row sets under a query's conditions.
 
@@ -199,50 +265,8 @@ class LocalJoiner:
     ) -> None:
         self.query = query
         self._count = count_comparisons or (lambda n: None)
-        self._binding_order = binding_order(query, start_with)
+        self._binding_order, self._steps = _planned(query, start_with)
         self._two_way = len(query.relations) == 2
-        self._steps = self._plan_steps()
-
-    # ------------------------------------------------------------------
-    def _index_term(self, relation: str) -> Term:
-        return Term(relation, self.query.attributes_of(relation)[0])
-
-    def _plan_steps(self) -> List[_Step]:
-        order = self._binding_order
-        steps = []
-        for k in range(1, len(order)):
-            name, bound = order[k], set(order[: k + 1])
-            conditions = tuple(
-                c
-                for c in self.query.conditions
-                if {c.left.relation, c.right.relation} <= bound
-                and name in (c.left.relation, c.right.relation)
-            )
-            kind, index, probe = (
-                ALL_ROWS, self._index_term(name), self._index_term(order[0])
-            )
-            exact = None
-            for position, cond in enumerate(
-                conditions[:1] if self._two_way else conditions
-            ):
-                mine, other = cond.left, cond.right
-                if mine.relation != name:
-                    mine, other = other, mine
-                if self._two_way:
-                    index = mine
-                elif mine != index:
-                    continue
-                kind = window_kind(cond.predicate, mine is cond.left)
-                probe, exact = other, cond
-                if cond.predicate.is_colocation:
-                    exact = None
-                    if position:
-                        # Conditions before it are charged per candidate
-                        # of the whole window: it cannot be narrowed.
-                        kind = INTERSECTING
-                    break
-            steps.append(_Step(name, conditions, kind, index, probe, exact))
-        return steps
 
     # ------------------------------------------------------------------
     def join(
@@ -276,12 +300,12 @@ class LocalJoiner:
         keep (used for reducer-ownership rules).
         """
         if any(
-            len(columns[self._index_term(name)]) == 0
+            len(columns[_index_term(self.query, name)]) == 0
             for name in self.query.relations
         ):
             return
         first = self._binding_order[0]
-        seed = {first: columns[self._index_term(first)].rows()}
+        seed = {first: columns[_index_term(self.query, first)].rows()}
         charged = yield from self._extend(0, seed, columns, accept)
         if charged:
             self._count(charged)
@@ -364,26 +388,21 @@ def anchored_join(
     count_comparisons: Callable[[int], None],
     columns: Columns,
     anchors: Sequence[Term],
-    partitioning: Partitioning,
-    coordinate: int,
+    local: Sequence[np.ndarray],
     accept: Optional[Accept] = None,
 ) -> Iterator[Binding]:
     """The join decomposed by its *last local member*.
 
-    A row of an anchor term is *local* when its interval starts in
-    partition ``coordinate`` of ``partitioning`` (located once per
-    call).  A reducer that owns exactly the tuples with at least one
-    local member gets each of them from exactly one run: run ``k``
-    drives the join from anchor ``k``'s local rows, allows any row for
-    the anchors before it and only non-local rows for those after it.
-    Combinations of purely non-local rows — owned elsewhere — are never
-    enumerated, so the work stays proportional to the reducer's own
-    output.  All runs share ``columns``' sort orders.
+    A row of an anchor term is *local* where the term's boolean column
+    in ``local`` is true — its interval starts in the reducer's own
+    partition, located by the caller.  A reducer that owns exactly the
+    tuples with at least one local member gets each of them from exactly
+    one run: run ``k`` drives the join from anchor ``k``'s local rows,
+    allows any row for the anchors before it and only non-local rows for
+    those after it.  Combinations of purely non-local rows — owned
+    elsewhere — are never enumerated, so the work stays proportional to
+    the reducer's own output.  All runs share ``columns``' sort orders.
     """
-    local = [
-        partitioning.locate_array(columns[term].starts) == coordinate
-        for term in anchors
-    ]
     for k, term in enumerate(anchors):
         masks = {term.relation: local[k]}
         for later, later_local in zip(anchors[k + 1:], local[k + 1:]):

@@ -127,6 +127,11 @@ class IntervalJoinQuery:
         if not conditions:
             raise QueryError("a join query needs at least one condition")
         self.conditions: Tuple[JoinCondition, ...] = tuple(conditions)
+        #: every ``relation.attribute`` the conditions name, in order of
+        #: first appearance.
+        self.terms: Tuple[Term, ...] = tuple(
+            dict.fromkeys(t for c in self.conditions for t in (c.left, c.right))
+        )
 
         appearing: List[str] = []
         for cond in self.conditions:
@@ -186,15 +191,6 @@ class IntervalJoinQuery:
             )
 
     # ------------------------------------------------------------------
-    @property
-    def terms(self) -> Tuple[Term, ...]:
-        out: List[Term] = []
-        for cond in self.conditions:
-            for term in (cond.left, cond.right):
-                if term not in out:
-                    out.append(term)
-        return tuple(out)
-
     def attributes_of(self, relation: str) -> Tuple[str, ...]:
         """The attributes of ``relation`` referenced by this query."""
         out: List[str] = []

@@ -84,7 +84,7 @@ class TestBindingOrder:
         anchored = LocalJoiner(q, start_with="C")._binding_order
         assert default[0] == "A"
         assert anchored[0] == "C"
-        assert anchored == ["C", "B", "A"]
+        assert anchored == ("C", "B", "A")
 
     def test_start_with_unknown_relation(self):
         q = IntervalJoinQuery.parse([("A", "overlaps", "B")])
@@ -149,9 +149,9 @@ class TestAnchoredJoin:
         counted = []
         got = sorted(
             tuple(int(binding[name][i]) for name in q.relations)
-            for binding in anchored_join(
-                q, counted.append, columns, anchors, halves, 1
-            )
+            for binding in anchored_join(q, counted.append, columns, anchors, [
+                halves.locate_array(columns[t].starts) == 1 for t in anchors
+            ])
             for i in range(len(binding["A"]))
         )
         want = [

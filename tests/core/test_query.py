@@ -112,6 +112,30 @@ class TestQueryIntrospection:
             Term("R2", "A"),
         }
 
+    def test_terms_are_stored_once_in_first_appearance_order(self):
+        q = IntervalJoinQuery.parse(
+            [("R2.J", "overlaps", "R1"), ("R1", "before", "R3"), ("R2.J", "during", "R3")]
+        )
+        assert q.terms == (Term("R2", "J"), Term("R1", "I"), Term("R3", "I"))
+        assert q.terms is q.terms
+        assert q.attributes_of("R2") == ("J",)
+
+    @pytest.mark.parametrize("copy", ["pickle", "deepcopy"])
+    def test_terms_survive_pickle_and_deepcopy(self, copy):
+        import copy as copying
+        import pickle
+
+        q = IntervalJoinQuery.parse(
+            [("R1.I", "overlaps", "R2.J"), ("R2.I", "after", "R3.I")],
+            relations=["R3", "R2", "R1"],
+        )
+        again = pickle.loads(pickle.dumps(q)) if copy == "pickle" else copying.deepcopy(q)
+        assert again is not q
+        assert again.terms == q.terms
+        assert again.conditions == q.conditions and again.relations == q.relations
+        assert again.attributes_of("R2") == q.attributes_of("R2") == ("J", "I")
+        assert again.query_class is q.query_class is QueryClass.GENERAL
+
     def test_attributes_of(self):
         q = IntervalJoinQuery.parse(
             [("R1.I", "overlaps", "R2.I"), ("R1.A", "=", "R2.A")]

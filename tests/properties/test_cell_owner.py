@@ -6,9 +6,16 @@ columns) equals the cell's coordinate.
 Hypothesis draws the intervals, the bindings and 1-9 partitions per
 dimension (more partitions than rows too); the grids have singleton
 components only, a multi-term component (the one an anchored join
-anchors on) beside singletons, and a multi-attribute component, and
-every cell of the grid is checked, so every dimension's coordinate
-varies — the anchor's included.
+anchors on) beside singletons, two multi-term components, and a
+multi-attribute component, and every cell of the grid is checked, so
+every dimension's coordinate varies — the anchor's included.  The
+cells hold arbitrary rows, not routed ones, so most of them keep a mask.
+
+A returned mask equals the formula; ``None`` — no dimension can fail —
+implies the formula keeps every binding the cell's columns can form
+(their whole cross product as well as the drawn bindings).  With the
+anchored component named, both are checked on the bindings with at
+least one local anchor, which is what an anchored join yields.
 """
 
 from __future__ import annotations
@@ -74,6 +81,24 @@ def grids(draw, name):
     return query, grid, columns, binding
 
 
+def every_binding(query, columns):
+    """The cross product of the cell's rows: every binding it can form."""
+    sizes = [
+        len(columns[next(t for t in query.terms if t.relation == relation)])
+        for relation in query.relations
+    ]
+    grid = np.meshgrid(*(np.arange(n) for n in sizes), indexing="ij")
+    return {relation: axis.ravel() for relation, axis in zip(query.relations, grid)}
+
+
+def has_local_anchor(cell, dim, terms, partitioning, columns, binding):
+    """Whether each binding binds a row of an anchor term at the cell."""
+    return np.logical_or.reduce([
+        partitioning.locate_array(columns[t].starts)[binding[t.relation]] == cell[dim]
+        for t in terms
+    ])
+
+
 @pytest.mark.parametrize("name", sorted(QUERIES))
 @settings(max_examples=60, deadline=None)
 @given(draw=st.data())
@@ -81,11 +106,50 @@ def test_owns_equals_the_maximum_reduce_formula_on_every_cell(name, draw):
     query, grid, columns, binding = draw.draw(grids(name))
     reducer = _GridJoinReducer(query, grid)
     terms = reducer.component_terms
+    anchor = reducer._anchor_component
     assert any(len(ts) > 1 for ts in terms.values()) == (name != "singletons")
+    assert (anchor is None) == (name == "singletons")
+    bindings = [binding, every_binding(query, columns)]
     for cell in itertools.product(*(range(len(p)) for p in grid.partitionings)):
-        owns = cell_owner(cell, terms, grid.partitionings, columns)
-        got = owns(binding)
-        want = old_owns(cell, terms, grid.partitionings, columns, binding)
-        assert got.dtype == bool
-        assert np.array_equal(got, np.broadcast_to(want, got.shape)), cell
+        for anchored in {None, anchor}:
+            owns, located = cell_owner(cell, terms, grid.partitionings, columns, anchored)
+            for dim, ts in terms.items():
+                for t in ts:
+                    want = grid.partitionings[dim].locate_array(columns[t].starts)
+                    assert np.array_equal(located[t], want)
+            for block in bindings:
+                want = old_owns(cell, terms, grid.partitionings, columns, block)
+                kept = np.ones(len(want), dtype=bool)
+                if anchored is not None:
+                    kept = has_local_anchor(
+                        cell, anchored, terms[anchored],
+                        grid.partitionings[anchored], columns, block,
+                    )
+                if owns is None:
+                    assert want[kept].all(), (cell, anchored)
+                    continue
+                got = owns(block)
+                assert got.dtype == bool
+                assert np.array_equal(got[kept], want[kept]), (cell, anchored)
 
+
+@pytest.mark.parametrize("name", sorted(QUERIES))
+def test_a_cell_with_a_stray_row_keeps_its_mask(name):
+    """A row starting left of the cell on a singleton dimension, or right
+    of it on the anchored one, makes that dimension able to fail."""
+    query = IntervalJoinQuery.parse(QUERIES[name])
+    graph = JoinGraph(query)
+    grid = GridSpec(graph, [Partitioning.uniform(0.0, 100.0, 4)] * len(graph.components))
+    reducer = _GridJoinReducer(query, grid)
+    terms, anchor = reducer.component_terms, reducer._anchor_component
+    cell = tuple(2 for _ in grid.partitionings)
+    at_cell = np.array([55.0, 60.0])
+    columns = {t: SortedColumns(at_cell, at_cell + 1.0) for t in query.terms}
+    owns, _ = cell_owner(cell, terms, grid.partitionings, columns, anchor)
+    multi = [dim for dim, ts in terms.items() if len(ts) > 1 and dim != anchor]
+    assert (owns is None) == (not multi)
+    for dim, ts in terms.items():
+        stray = np.array([55.0, 10.0 if len(ts) == 1 else 90.0])
+        moved = {**columns, ts[0]: SortedColumns(stray, stray + 1.0)}
+        owns, _ = cell_owner(cell, terms, grid.partitionings, moved, anchor)
+        assert owns is not None, dim
