@@ -415,26 +415,10 @@ class IndexBlock(SequenceABC):
                 column.flags.writeable = False
 
     @classmethod
-    def from_records(cls, records: Sequence[Any], relations: Mapping[str, Any]) -> "IndexBlock":
-        """The one converter of records read back from a file — flag
-        records, partial tuples, or join tuples of ``relations`` in
-        order — to the block they stand for, each row found by its rid."""
-        names = list(relations)
-        at = {
-            name: {rid: i for i, rid in enumerate(r.rid_objects().tolist())}
-            for name, r in relations.items()
-        }
-        if len(records) and isinstance(records[0][0], str):  # flag records
-            rows = [at[name][row.rid] for name, row, _ in records]
-            codes = [names.index(name) for name, _, _ in records]
-            return cls(names, relations.values(), rows, codes, [flag for *_, flag in records])
-        labelled = not len(records) or isinstance(records[0][0], tuple)
-        if len(records) and labelled:
-            names = [name for name, _ in records[0]]
-            records = [[row for _, row in record] for record in records]
-        rows = [[at[name][row.rid] for name, row in zip(names, record)] for record in records]
-        members = [relations[name] for name in names]
-        return cls(names, members, np.reshape(rows, (-1, len(names))), labelled=labelled)
+    def empty(cls, relations: Mapping[str, Any]) -> "IndexBlock":
+        """No partial tuple of ``relations``: what a derived input reads
+        as when every file an earlier job committed to it is empty."""
+        return cls(relations, relations.values(), np.empty((0, len(relations)), dtype=np.int64))
 
     @classmethod
     def concat(cls, blocks: Sequence["IndexBlock"]) -> "IndexBlock":

@@ -39,7 +39,7 @@ from repro.core.tuning import PredictConfig
 from repro.intervals.partitioning import Partitioning
 from repro.intervals.sweep import hull
 from repro.mapreduce.cost import CostModel, DEFAULT_COST_MODEL
-from repro.mapreduce.fs import FileSystem, InMemoryFileSystem
+from repro.mapreduce.fs import InMemoryFileSystem
 from repro.mapreduce.job import InputSpec, JobConf
 from repro.mapreduce.options import RunOptions
 from repro.gc_pause import collector_paused
@@ -66,7 +66,7 @@ def input_path(relation: str) -> str:
 
 
 def write_inputs(
-    fs: FileSystem, query: IntervalJoinQuery, data: Mapping[str, Relation]
+    fs: InMemoryFileSystem, query: IntervalJoinQuery, data: Mapping[str, Relation]
 ) -> None:
     """Write every query relation to the file system: the relation
     itself, whose rows are the input's records — an in-memory file
@@ -140,7 +140,7 @@ class PlanContext:
     sub_metrics: List[ExecutionMetrics] = field(default_factory=list)
 
     @property
-    def fs(self) -> FileSystem:
+    def fs(self) -> InMemoryFileSystem:
         return self.pipeline.fs
 
     @property
@@ -194,7 +194,7 @@ class PlanContext:
         )
         result = algorithm.run_plan(sub)
         self.sub_metrics.append(result.metrics)
-        blocks = result.blocks() or [IndexBlock.from_records([], sub.relations(query.relations))]
+        blocks = result.blocks() or [IndexBlock.empty(sub.relations(query.relations))]
         return IndexBlock.concat([block.select(query.relations, labelled=False) for block in blocks])
 
 
@@ -213,7 +213,7 @@ class JoinAlgorithm(abc.ABC):
         data: Mapping[str, Relation],
         *,
         num_partitions: int = 16,
-        fs: Optional[FileSystem] = None,
+        fs: Optional[InMemoryFileSystem] = None,
         cost_model: CostModel = DEFAULT_COST_MODEL,
         partitioning: Optional[Partitioning] = None,
         partition_strategy: str = "uniform",
@@ -300,7 +300,6 @@ class JoinAlgorithm(abc.ABC):
         if ctx.num_partitions < 1:
             raise PlanningError("num_partitions must be >= 1")
         query, pipeline = ctx.query, ctx.pipeline
-        relations = ctx.relations(query.relations)
         observer = pipeline.observer or NullRecorder()
         with observer.span(
             f"algorithm:{self.name}", kind="algorithm", algorithm=self.name
@@ -314,10 +313,6 @@ class JoinAlgorithm(abc.ABC):
             except UnsatisfiableQueryError:
                 return JoinResult.of_blocks(query, [], ExecutionMetrics(algorithm=self.name))
             parts = [part for part in (ctx.fs.parts(plan.output) if collect else []) if len(part)]
-            if not all(isinstance(part, IndexBlock) for part in parts):
-                # Record files, as a LocalFileSystem reads them back: one
-                # conversion, so each relation's rid map is built once.
-                parts = [IndexBlock.from_records([r for part in parts for r in part], relations)]
             result = JoinResult.of_blocks(
                 query,
                 parts,

@@ -26,7 +26,7 @@ from repro.core.results import ExecutionMetrics, JoinResult
 from repro.core.schema import Relation
 from repro.intervals.partitioning import Partitioning
 from repro.mapreduce.cost import CostModel, DEFAULT_COST_MODEL
-from repro.mapreduce.fs import FileSystem
+from repro.mapreduce.fs import InMemoryFileSystem
 from repro.mapreduce.options import resolve_options
 from repro.obs.recorder import TraceRecorder
 
@@ -39,7 +39,7 @@ def execute(
     algorithm: Optional[Union[str, JoinAlgorithm]] = None,
     *,
     num_partitions: int = 16,
-    fs: Optional[FileSystem] = None,
+    fs: Optional[InMemoryFileSystem] = None,
     executor: Optional[str] = None,
     workers: Optional[int] = None,
     cost_model: CostModel = DEFAULT_COST_MODEL,

@@ -1,7 +1,6 @@
 """Relation serialisation: JSON-lines persistence and text parsing.
 
-Gives the CLI (and LocalFileSystem-backed pipelines) a durable on-disk
-format for relations:
+Gives the CLI a durable on-disk format for relations and results:
 
 * JSON-lines: one object per row, interval attributes encoded as
   ``{"start": s, "end": e}``, scalars as numbers;

@@ -2,7 +2,7 @@
 
 Public surface:
 
-* file systems — :class:`InMemoryFileSystem`, :class:`LocalFileSystem`
+* the file system — :class:`InMemoryFileSystem`
 * programming model — :class:`Mapper`, :class:`KernelReducer`,
   :class:`MapContext`
 * execution — :class:`JobConf`, :func:`run_job`, :class:`Pipeline`,
@@ -14,7 +14,7 @@ Public surface:
 
 from repro.mapreduce.counters import Counters
 from repro.mapreduce.cost import DEFAULT_COST_MODEL, CostModel
-from repro.mapreduce.fs import FileSystem, InMemoryFileSystem, LocalFileSystem
+from repro.mapreduce.fs import InMemoryFileSystem
 from repro.mapreduce.job import InputSpec, JobConf, JobResult
 from repro.mapreduce.options import (
     EXECUTORS,
@@ -37,9 +37,7 @@ __all__ = [
     "Counters",
     "CostModel",
     "DEFAULT_COST_MODEL",
-    "FileSystem",
     "InMemoryFileSystem",
-    "LocalFileSystem",
     "InputSpec",
     "JobConf",
     "JobResult",

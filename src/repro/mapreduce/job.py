@@ -23,10 +23,11 @@ class InputSpec:
     records at ``path`` (duck-typed: ``columns(attribute)``,
     ``row_column()``), whose own columns a columnar job then reads — or,
     for an input an earlier job wrote, the mapping of the relations its
-    records index, by name (a file read back as records is rebuilt into
-    the :class:`~repro.columnar.batch.IndexBlock` it stands for; one read
-    back as a block is its own source).  Here, not on the mapper: a
-    mapper is deep-copied or pickled per attempt, a spec never is.
+    records index, by name (the input reads back as the
+    :class:`~repro.columnar.batch.IndexBlock` it is, its own source, or,
+    when every file of it is empty, as an empty block of those
+    relations).  Here, not on the mapper: a mapper is deep-copied or
+    pickled per attempt, a spec never is.
     """
 
     path: str

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, List, Optional, Sequence
 
 from repro.mapreduce.counters import Counters
-from repro.mapreduce.fs import FileSystem, InMemoryFileSystem
+from repro.mapreduce.fs import InMemoryFileSystem
 from repro.mapreduce.job import JobConf, JobResult
 from repro.mapreduce.options import RunOptions, resolve_options
 from repro.mapreduce.runner import run_job
@@ -64,7 +64,7 @@ class Pipeline:
 
     def __init__(
         self,
-        fs: FileSystem,
+        fs: InMemoryFileSystem,
         observer: Optional["Observer"] = None,
         cost_model: Optional["CostModel"] = None,
         options: Optional[RunOptions] = None,

@@ -81,7 +81,7 @@ from repro.columnar.shm import pack_reduce_task, unpack_reduce_task
 from repro.errors import FaultInjectedError, MapReduceError, WorkerPoolError
 from repro.faults import CORRUPT, FAULTS_GROUP, AttemptInjector
 from repro.mapreduce.counters import Counters
-from repro.mapreduce.fs import FileSystem
+from repro.mapreduce.fs import InMemoryFileSystem
 from repro.mapreduce.job import JobConf, JobResult
 from repro.mapreduce.options import RunOptions, resolve_options
 from repro.mapreduce.shuffle import columnar_shuffle
@@ -279,7 +279,7 @@ def _process_attempt(
 class _JobRun:
     """One job execution: the job, where it runs and who is watching."""
 
-    fs: FileSystem
+    fs: InMemoryFileSystem
     conf: JobConf
     options: RunOptions
     #: the observer, or a NullRecorder for an unobserved run.
@@ -478,16 +478,18 @@ def _job_key_kind(conf: JobConf) -> str:
 def _map_tasks_for(run: _JobRun) -> _MapTasks:
     """The job's map tasks over its materialised inputs, with each
     input's encoded columns — its ``source`` relation's own, if it names
-    one, or the input itself read back (or rebuilt) as one block — and
-    the order its mapper maps it in."""
+    one, or the input itself read back as one block — and the order its
+    mapper maps it in."""
     inputs = []
     for spec in run.conf.inputs:
         records = run.fs.read_dir(spec.path)
         if not isinstance(records, SequenceABC):  # a stored sequence is not copied
             records = list(records)
         if isinstance(spec.source, Mapping) and not isinstance(records, IndexBlock):
-            # the relations it indexes
-            records = IndexBlock.from_records(records, spec.source)
+            if records:
+                raise MapReduceError(f"input {spec.path!r} is not a block of its relations")
+            # a derived input whose every file is empty
+            records = IndexBlock.empty(spec.source)
         inputs.append((spec, records))
     for spec, records in inputs:
         source = _source(spec, records)
@@ -874,7 +876,7 @@ def _reduce_and_commit(run: _JobRun, shuffled: _Shuffled) -> JobResult:
 
 
 def run_job(
-    fs: FileSystem,
+    fs: InMemoryFileSystem,
     conf: JobConf,
     executor: Optional[str] = None,
     observer: Optional["Observer"] = None,

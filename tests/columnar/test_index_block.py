@@ -8,8 +8,8 @@ a tuple block, one row-index column per member: partial tuples
 The next cycle reads a block back as columns.  Whatever reads it as
 records (``list()``, a file system, a user job's mapper) must see
 exactly the records it stands for, in order; whatever reads it as
-columns must see the relations' own; and a file read back as records
-must rebuild the block it was written from.  A join's block is
+columns must see the relations' own; and every file a plan commits
+between cycles is such a block.  A join's block is
 column-major — each member's rows one contiguous column, on every
 executor — and ``PayloadStore.block`` refuses a gid column that spans
 two inputs.
@@ -17,9 +17,7 @@ two inputs.
 
 from __future__ import annotations
 
-import base64
 import copy
-import json
 import pickle
 
 import numpy as np
@@ -34,7 +32,7 @@ from repro.core.query import IntervalJoinQuery, Term
 from repro.core.schema import Row
 from repro.errors import MapReduceError
 from repro.intervals.partitioning import Partitioning
-from repro.mapreduce import InMemoryFileSystem, LocalFileSystem
+from repro.mapreduce import InMemoryFileSystem
 from repro.obs import TraceRecorder
 
 from tests.conftest import make_dataset
@@ -203,23 +201,6 @@ def test_edge_shaped_flag_files(case):
     assert len(block) == sum(map(len, data.values()))
 
 
-def _encode(record):
-    relation, row, flagged = record
-    return [relation, row.rid, [[name, [v.start, v.end]] for name, v in row.data], flagged]
-
-
-def test_a_block_writes_the_bytes_of_its_records(tmp_path):
-    data = make_dataset(("R1", "R2"), 30, seed=5)
-    rng = np.random.default_rng(5)
-    block = _block(
-        data, rng.integers(0, 2, 50), rng.integers(0, 30, 50), rng.random(50) < 0.5
-    )
-    fs = LocalFileSystem(str(tmp_path), encode=_encode)
-    assert fs.write("block", block) == fs.write("list", list(block)) == 50
-    assert (tmp_path / "block").read_bytes() == (tmp_path / "list").read_bytes()
-    assert json.loads((tmp_path / "block").read_text().splitlines()[0])[0] in data
-
-
 def test_an_endpoint_past_float64_joins_on_columns():
     """The flag cycle reads ``object`` columns and writes its block; the
     join cycle gathers the relations' ``object`` columns through it."""
@@ -299,25 +280,15 @@ class TestTupleBlocks:
         assert columns.starts.tolist() == want.starts[[0, 1, 3]].tolist()
         assert columns.ends.tolist() == want.ends[[0, 1, 3]].tolist()
 
-    @pytest.mark.parametrize("labelled", [True, False])
-    def test_records_rebuild_the_block(self, data, labelled):
-        block = self.block(data, labelled)
-        relations = {"R2": data["R2"], "R1": data["R1"]}
-        again = IndexBlock.from_records(list(block), relations)
-        assert (again.names, again.labelled) == (block.names, labelled)
-        assert again.rows.tolist() == block.rows.tolist()
-        empty = IndexBlock.from_records([], relations)
-        assert (len(empty), empty.names) == (0, ("R2", "R1"))
-
-    def test_flag_records_rebuild_the_block(self, data):
-        block = _block(data, [1, 0, 1], [4, 0, 2], [True, False, False])
-        again = IndexBlock.from_records(list(block), {name: data[name] for name in sorted(data)})
-        assert list(again) == list(block)
-        assert again.codes.tolist() == [1, 0, 1] and again.rows[:, 0].tolist() == [4, 0, 2]
+    def test_an_empty_block_holds_no_tuple_of_its_relations(self, data):
+        """What a derived input whose every file is empty reads as."""
+        empty = IndexBlock.empty({"R2": data["R2"], "R1": data["R1"]})
+        assert (len(empty), list(empty), empty.names, empty.labelled) == (0, [], ("R2", "R1"), True)
+        assert empty.relations == (data["R2"], data["R1"]) and empty.rows.shape == (0, 2)
 
 
-#: The plans whose every file a ``LocalFileSystem`` holds as records.
-LOCAL_PLANS = {
+#: Plans with a file between cycles, or a record-list file.
+PLANS = {
     "rccis": COLOCATION,
     "two_way_cascade": COLOCATION,
     "pasm": IntervalJoinQuery.parse([("R1", "overlaps", "R2"), ("R2", "before", "R3")]),
@@ -325,61 +296,107 @@ LOCAL_PLANS = {
     "fstc": IntervalJoinQuery.parse([("R1", "before", "R2"), ("R2", "overlaps", "R3")]),
 }
 
-#: A codec that stores any record: pickled, as a JSON string.
-PICKLING = dict(
-    encode=lambda record: base64.b64encode(pickle.dumps(record)).decode("ascii"),
-    decode=lambda text: pickle.loads(base64.b64decode(text)),
-)
+
+def _shape(stored):
+    """A stored file's shape: its relation's name; for a block its
+    members, whether it is labelled and whether it has flag columns; for
+    a record list the width of its records."""
+    if isinstance(stored, Relation):
+        return ("relation", stored.name)
+    if isinstance(stored, IndexBlock):
+        flags = (stored.codes is not None, stored.flagged is not None)
+        return ("block", stored.names, stored.labelled, flags)
+    assert isinstance(stored, list)
+    return ("records", frozenset(map(len, stored)))
 
 
-def _shape(record):
-    """A record's shape: ``row``, a flag record, a partial tuple (its
-    relations, in order) or a join tuple (its width)."""
-    if isinstance(record, Row):
-        return "row"
-    if isinstance(record[0], str) and len(record) == 3 and isinstance(record[1], Row):
-        return ("flag", type(record[2]))
-    if all(isinstance(member, tuple) and isinstance(member[1], Row) for member in record):
-        return ("partial", tuple(name for name, _ in record))
-    if all(isinstance(member, Row) for member in record):
-        return ("tuple", len(record))
-    return type(record[0]).__name__
-
-
-@pytest.mark.parametrize("algorithm", sorted(LOCAL_PLANS))
-def test_a_local_file_system_holds_every_file_as_records(algorithm, tmp_path):
-    """Each file of the plan holds the records its blocks stand for —
-    ``(relation, row, flagged)``, partials in bound order, ``Row``
-    tuples — and each derived input is rebuilt from them."""
-    query = LOCAL_PLANS[algorithm]
+@pytest.mark.parametrize("algorithm", sorted(PLANS))
+def test_every_file_between_cycles_is_a_block(algorithm):
+    """Each derived file of the plan is a block — flags with their
+    relation codes and flag column, partials labelled in bound order,
+    the output's tuples bare — and PASM's marks and flags record lists."""
+    query = PLANS[algorithm]
     data = make_dataset(query.relations, 40, seed=5, max_length=60)
-    fs = LocalFileSystem(str(tmp_path), **PICKLING)
+    fs = InMemoryFileSystem()
     result = execute(query, data, algorithm, num_partitions=4, fs=fs)
     want = reference_join(query, data).tuple_ids()
     assert len(want) > 0 and sorted(result.tuple_ids()) == sorted(want)
 
     shapes = {}
     for path in fs.list_prefix(""):
-        directory = path.rsplit("/part-", 1)[0]
-        shapes.setdefault(directory, set()).update(map(_shape, fs.read(path)))
+        stored = fs.parts(path)[0]
+        if len(stored):  # a reduce task with no output commits an empty list
+            shapes.setdefault(path.rsplit("/part-", 1)[0], set()).add(_shape(stored))
     relations = query.relations
-    expected = {f"input/{name}": {"row"} for name in relations}
+    expected = {f"input/{name}": {("relation", name)} for name in relations}
+    partials = lambda *names: {("block", names, True, (False, False))}
+    tuples = {("block", relations, False, (False, False))}
     if algorithm == "rccis":
-        expected["rccis/flags"] = {("flag", bool)}
-        expected["rccis/output"] = {("tuple", 3)}
+        expected["rccis/flags"] = {("block", relations, True, (True, True))}
+        expected["rccis/output"] = tuples
     elif algorithm == "two_way_cascade":
-        expected["cascade/step-01"] = {("partial", ("R1", "R2"))}
-        expected["cascade/step-02"] = {("partial", ("R1", "R2", "R3"))}
+        expected["cascade/step-01"] = partials("R1", "R2")
+        expected["cascade/step-02"] = partials("R1", "R2", "R3")
     elif algorithm == "fcts":
-        expected["fcts/component-0"] = {("partial", ("R1", "R2"))}
-        expected["fcts/component-1"] = {("partial", ("R3",))}
-        expected["fcts/output"] = {("partial", relations)}
+        expected["fcts/component-0"] = partials("R1", "R2")
+        expected["fcts/component-1"] = partials("R3")
+        expected["fcts/output"] = partials(*relations)
     elif algorithm == "fstc":
-        expected["fstc/seq"] = {("partial", ("R1", "R2"))}
-        expected["fstc/step-01"] = {("partial", ("R1", "R2", "R3"))}
+        expected["fstc/seq"] = partials("R1", "R2")
+        expected["fstc/step-01"] = partials("R1", "R2", "R3")
     else:
-        expected["pasm/output"] = {("tuple", 3)}
-    assert {path: shapes[path] for path in expected} == expected
+        expected["pasm/flags"] = {("records", frozenset({3}))}
+        expected["pasm/marks"] = {("records", frozenset({2}))}
+        expected["pasm/output"] = tuples
+    assert shapes == expected
+
+
+#: Per algorithm: a query whose every tuple needs ``R1`` before or
+#: overlapping an ``R2`` row, and the derived input a later cycle reads
+#: that comes out empty when ``R1`` lies past every other row.
+EMPTY_DERIVED = {
+    "two_way_cascade": (COLOCATION, "cascade/step-01"),
+    "fcts": (PLANS["fcts"], "fcts/component-0"),
+    "fstc": (PLANS["fstc"], "fstc/seq"),
+    "pasm": (PLANS["pasm"], "pasm/marks"),
+    "all_seq_matrix": (PLANS["pasm"], "all_seq_matrix/flags"),
+}
+
+
+@pytest.mark.parametrize("executor", ["serial", "threads", "processes"])
+@pytest.mark.parametrize("algorithm", sorted(EMPTY_DERIVED))
+def test_an_empty_derived_input_reads_as_no_tuple(algorithm, executor):
+    """A cycle whose input an earlier cycle committed only empty files
+    to — a cascade step, an FCTS component, FSTC's sequence join, a
+    flag or mark cycle — reads nothing and commits nothing, on every
+    executor."""
+    query, derived = EMPTY_DERIVED[algorithm]
+    data = make_dataset(query.relations, 30, seed=3, max_length=40)
+    data["R1"] = Relation.of_intervals(
+        "R1", [Interval(i.start + 5000, i.end + 5000) for i in data["R1"].intervals()]
+    )
+    fs = InMemoryFileSystem()
+    result = execute(
+        query, data, algorithm, num_partitions=4, fs=fs, executor=executor, workers=2
+    )
+    assert len(result) == 0 and len(reference_join(query, data)) == 0
+    files = fs.parts(derived)
+    assert files and not any(map(len, files))
+
+
+def test_a_derived_input_of_records_is_refused():
+    """An input that names the relations it indexes reads back as a
+    block of them, or as nothing: a file of records there is an error,
+    not something to rebuild a block from."""
+    from repro.mapreduce.job import InputSpec
+    from repro.mapreduce.runner import run_job
+    from tests.conftest import HELPER, HELPER_INPUT, helper_conf, helper_mapper
+
+    fs = InMemoryFileSystem()
+    fs.write(HELPER_INPUT, list(HELPER.rows))
+    spec = InputSpec(HELPER_INPUT, helper_mapper(), {HELPER.name: HELPER})
+    with pytest.raises(MapReduceError, match="is not a block of its relations"):
+        run_job(fs, helper_conf(inputs=[spec]), faults=False)
 
 
 # ----------------------------------------------------------------------

@@ -15,7 +15,6 @@ from repro.core.algorithms.routing import OperatorRouter, RoutedMapper, RowView
 from repro.core.schema import Row
 from repro.intervals.allen import MapOperator
 from repro.intervals.partitioning import Partitioning
-from repro.io import decode_row, encode_row
 from repro.mapreduce.counters import Counters
 from repro.mapreduce.job import InputSpec, JobConf
 from repro.mapreduce.task import KernelReducer, MapContext
@@ -231,8 +230,8 @@ def helper_mapper() -> RoutedMapper:
 
 class KeyRidReducer(KernelReducer):
     """Per shuffled value, the output ``(key, rid)``: the partition it
-    reached and its row's id — plain ints, which a ``LocalFileSystem``
-    stores as they are.  The kernel's rows are ``[gid, key]``."""
+    reached and its row's id, committed as a list of plain-int pairs.
+    The kernel's rows are ``[gid, key]``."""
 
     def kernel(self, key, group, counters):
         return np.stack([group.gids, np.full(len(group), key, dtype=np.int64)], axis=1)
@@ -271,14 +270,6 @@ def helper_pairs(rows: Sequence[Row] = HELPER.rows) -> List[Tuple[int, int]]:
     for row in rows:
         mapper.map(row, context)
     return [(key, row.rid) for key, (_, row) in context.drain()]
-
-
-#: ``LocalFileSystem`` codec keywords that store the helper's input rows
-#: as JSON objects; its ``(key, rid)`` outputs pass through untouched.
-ROW_CODEC = dict(
-    encode=lambda record: encode_row(record) if isinstance(record, Row) else record,
-    decode=lambda value: decode_row(value) if isinstance(value, dict) else value,
-)
 
 
 def assert_matches_reference(query: IntervalJoinQuery, data, result) -> None:

@@ -272,17 +272,13 @@ def _tuple_lines(result):
 SEQUENCE_THEN_OVERLAP = [("R1", "before", "R2"), ("R2", "overlaps", "R3")]
 
 
-@pytest.mark.parametrize("local", [False, True], ids=["memory", "local"])
-def test_a_result_is_saved_as_the_tuple_writers_bytes(tmp_path, local):
+def test_a_result_is_saved_as_the_tuple_writers_bytes(tmp_path):
     from repro import IntervalJoinQuery, execute
-    from repro.mapreduce.fs import InMemoryFileSystem, LocalFileSystem
-    from tests.columnar.test_index_block import PICKLING
     from tests.conftest import make_dataset
 
     query = IntervalJoinQuery.parse(SEQUENCE_THEN_OVERLAP)
     data = make_dataset(query.relations, 40, seed=5, max_length=60)
-    fs = LocalFileSystem(str(tmp_path / "fs"), **PICKLING) if local else InMemoryFileSystem()
-    result = execute(query, data, "fstc", num_partitions=4, fs=fs)
+    result = execute(query, data, "fstc", num_partitions=4)
     unbuilt, built = tmp_path / "unbuilt.jsonl", tmp_path / "built.jsonl"
     assert save_result(result, str(unbuilt)) == len(result) > CHUNK_LINES
     expected = _tuple_lines(result)

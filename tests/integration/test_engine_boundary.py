@@ -508,10 +508,13 @@ def test_the_knob_inventory_does_not_grow():
 # ---------------------------------------------------------------------
 def test_between_cycles_there_is_one_tuple_form():
     """A join job commits an ``IndexBlock`` of row indices, so nothing
-    under ``src/`` spells the partial-tuple records form any more, and
-    no view but ``RowView`` — the routers' per-record reference — reads
-    a record: the others read a block's columns."""
-    gone = re.compile(r"PartialTuple|partial_tuples|LiftedRowView|interval_columns")
+    under ``src/`` spells the partial-tuple records form any more, nor a
+    store that keeps a file as records or the rebuild of a block from
+    them; and no view but ``RowView`` — the routers' per-record
+    reference — reads a record: the others read a block's columns."""
+    gone = re.compile(
+        r"PartialTuple|partial_tuples|LiftedRowView|interval_columns|from_records|LocalFileSystem"
+    )
     spelled = [
         f"{path.relative_to(SRC).as_posix()}:{number}"
         for path in sorted(SRC.rglob("*.py"))

@@ -32,7 +32,7 @@ from repro.faults import (
     ScriptedFaultPlan,
 )
 from repro.mapreduce import runner
-from repro.mapreduce.fs import InMemoryFileSystem, LocalFileSystem
+from repro.mapreduce.fs import InMemoryFileSystem
 from repro.mapreduce.job import InputSpec, JobConf
 from repro.mapreduce.options import resolve_faults
 from repro.mapreduce.runner import run_job
@@ -41,7 +41,6 @@ from repro.obs import RunReport, TraceRecorder
 from repro.workloads.synthetic import SyntheticConfig, generate_relation
 
 from tests.conftest import (
-    ROW_CODEC,
     KeyRidReducer,
     helper_conf,
     write_helper_input,
@@ -252,22 +251,29 @@ class TestJobAbort:
     """A job that fails in its reduce phase is aborted: the tasks that
     did win leave nothing staged under ``<output>/_temporary``."""
 
-    @pytest.fixture(params=["memory", "local"])
-    def any_fs(self, request, tmp_path):
+    @pytest.fixture(params=["memory", "shared"])
+    def any_fs(self, fs, request):
+        """The helper's store alone, or shared with another job whose
+        output, ``output``, extends ``out``'s name: the abort must leave
+        that job's committed part file and its staged attempt alone."""
         if request.param == "memory":
-            fs = InMemoryFileSystem()
-        else:
-            fs = LocalFileSystem(str(tmp_path / "fsroot"), **ROW_CODEC)
-        write_helper_input(fs)
-        return fs
+            yield fs
+            return
+        fs.append_partition("output", 0, ["theirs"])
+        staged = fs.write_attempt("output", 1, 0, ["staged"])
+        yield fs
+        assert list(fs.read_dir("output")) == ["theirs"]
+        assert list(fs.read(staged)) == ["staged"]
+        assert fs.promote_attempt("output", 1, 0) == "output/part-00001"
 
     @staticmethod
     def assert_nothing_staged(fs):
+        """No file under ``out/_temporary/``, and no staged attempt left
+        in the file system's bookkeeping for the job."""
         assert not [
             path for path in fs.list_prefix("out/") if "_temporary" in path
         ]
-        if isinstance(fs, LocalFileSystem):
-            assert not os.path.isdir(os.path.join(fs.root, "out", "_temporary"))
+        assert "out" not in fs._staged
 
     def failing_conf(self, error):
         return helper_conf(reducer=FailOnKeyReducer(2, error), num_reduce_tasks=4)

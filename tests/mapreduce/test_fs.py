@@ -1,17 +1,32 @@
-"""Unit tests for the simulated file systems."""
+"""Unit tests for the simulated file system."""
 
 import pytest
 
+from repro.core.predict import _DryFileSystem
 from repro.errors import FileSystemError
-from repro.mapreduce import fs as fs_module
-from repro.mapreduce.fs import InMemoryFileSystem, LocalFileSystem
+from repro.mapreduce.fs import InMemoryFileSystem
 
 
-@pytest.fixture(params=["memory", "local"])
-def fs(request, tmp_path):
+@pytest.fixture(params=["memory", "shared", "dry"])
+def fs(request):
+    """The store under test: a fresh one; one that another job shares —
+    its committed part file and its staged attempt, under ``output``,
+    whose name extends ``out``, must come through every test untouched;
+    or the exact prediction's store, which overrides ``read_dir`` and
+    ``parts`` and must keep the contract while no job waits on it."""
+    if request.param == "dry":
+        yield _DryFileSystem()
+        return
+    store = InMemoryFileSystem()
     if request.param == "memory":
-        return InMemoryFileSystem()
-    return LocalFileSystem(str(tmp_path / "fsroot"))
+        yield store
+        return
+    store.append_partition("output", 0, ["theirs"])
+    staged = store.write_attempt("output", 1, 0, ["staged"])
+    yield store
+    assert list(store.read_dir("output")) == ["theirs"]
+    assert list(store.read(staged)) == ["staged"]
+    assert store.promote_attempt("output", 1, 0) == "output/part-00001"
 
 
 class TestFileSystemContract:
@@ -52,8 +67,7 @@ class TestFileSystemContract:
         assert sorted(fs.read_dir("out")) == [1, 2, 3]
 
     def test_read_dir_stops_at_the_directory_boundary(self, fs):
-        """``out/`` must not match a sibling ``out2/`` (the local file
-        system used to strip the trailing slash off the prefix)."""
+        """``out/`` must not match a sibling ``out2/``."""
         fs.append_partition("out", 0, [1, 2])
         fs.append_partition("out2", 0, [3])
         assert sorted(fs.read_dir("out")) == [1, 2]
@@ -77,53 +91,9 @@ class TestFileSystemContract:
         fs.write("solo", [5, 6])
         assert sorted(fs.read_dir("solo")) == [5, 6]
 
-    def test_count(self, fs):
-        fs.append_partition("out", 0, list(range(7)))
-        assert fs.count("out") == 7
-
     def test_empty_file(self, fs):
         fs.write("empty", [])
         assert list(fs.read("empty")) == []
-
-
-class TestLocalFileSystem:
-    def test_persists_across_instances(self, tmp_path):
-        root = str(tmp_path / "persist")
-        LocalFileSystem(root).write("a/b", [{"k": 1}])
-        again = LocalFileSystem(root)
-        assert list(again.read("a/b")) == [{"k": 1}]
-
-    def test_path_escape_rejected(self, tmp_path):
-        fs = LocalFileSystem(str(tmp_path / "jail"))
-        with pytest.raises(FileSystemError):
-            fs.write("../escape", [1])
-
-    @pytest.mark.parametrize("root", ["", "/", "a/..", "."])
-    def test_a_path_naming_the_root_is_refused(self, tmp_path, root):
-        """Deleting a path that resolves to the store's own root would
-        remove every file in it: it is refused, and the files survive."""
-        fs = LocalFileSystem(str(tmp_path / "store"))
-        fs.write("a/b", [1])
-        fs.append_partition("out", 0, [2])
-        with pytest.raises(FileSystemError):
-            fs.delete(root)
-        assert fs.list_prefix("") == ["a/b", "out/part-00000"]
-        assert list(fs.read_dir("out")) == [2]
-
-    def test_a_name_starting_with_two_dots_is_ordinary(self, tmp_path):
-        fs = LocalFileSystem(str(tmp_path / "store"))
-        fs.write("..cache/part-00000", [1, 2])
-        assert list(fs.read("..cache/part-00000")) == [1, 2]
-        assert fs.list_prefix("..cache/") == ["..cache/part-00000"]
-
-    def test_custom_codec(self, tmp_path):
-        fs = LocalFileSystem(
-            str(tmp_path / "codec"),
-            encode=lambda pair: list(pair),
-            decode=lambda lst: tuple(lst),
-        )
-        fs.write("f", [(1, 2), (3, 4)])
-        assert list(fs.read("f")) == [(1, 2), (3, 4)]
 
 
 class TestCommitProtocol:
@@ -134,7 +104,6 @@ class TestCommitProtocol:
         fs.append_partition("out", 0, [1, 2])
         fs.write_attempt("out", 1, 0, [99])
         assert sorted(fs.read_dir("out")) == [1, 2]
-        assert fs.count("out") == 2
 
     def test_promote_publishes_part_file(self, fs):
         fs.write_attempt("out", 3, 1, ["a", "b"])
@@ -194,28 +163,16 @@ class TestCommitWork:
 
     @staticmethod
     def _count_enumeration(fs, monkeypatch):
-        """A counter of the paths ``fs`` enumerates: the entries of every
-        directory ``LocalFileSystem`` walks; for ``InMemoryFileSystem``,
-        whose ``list_prefix`` scans every path it holds, that count per
-        call."""
+        """A counter of the paths ``fs`` enumerates: its ``list_prefix``
+        scans every path it holds, that count per call."""
         touched = [0]
-        if isinstance(fs, LocalFileSystem):
-            walk = fs_module.os.walk
+        list_prefix = fs.list_prefix
 
-            def counting_walk(top, *args, **kwargs):
-                for dirpath, dirnames, filenames in walk(top, *args, **kwargs):
-                    touched[0] += len(dirnames) + len(filenames)
-                    yield dirpath, dirnames, filenames
+        def counting_list_prefix(prefix):
+            touched[0] += len(list_prefix(""))
+            return list_prefix(prefix)
 
-            monkeypatch.setattr(fs_module.os, "walk", counting_walk)
-        else:
-            list_prefix = fs.list_prefix
-
-            def counting_list_prefix(prefix):
-                touched[0] += len(list_prefix(""))
-                return list_prefix(prefix)
-
-            monkeypatch.setattr(fs, "list_prefix", counting_list_prefix)
+        monkeypatch.setattr(fs, "list_prefix", counting_list_prefix)
         return touched
 
     @pytest.mark.parametrize("tasks", [16, 64])
@@ -236,18 +193,7 @@ class TestCommitWork:
         monkeypatch.undo()
         assert sorted(fs.read_dir("out")) == list(range(tasks))
         assert fs.list_prefix("failed") == []
-        assert not any("_temporary" in path for path in fs.list_prefix("out"))
-
-    def test_local_listing_walks_only_the_prefix_directory(self, tmp_path, monkeypatch):
-        fs = LocalFileSystem(str(tmp_path / "fsroot"))
-        for i in range(40):
-            fs.write(f"other/file-{i}", [i])
-        fs.write("out/part-00000", [1])
-        fs.write("out2/part-00000", [2])
-        touched = self._count_enumeration(fs, monkeypatch)
-        assert fs.list_prefix("out/") == ["out/part-00000"]
-        assert touched[0] == 1
-        assert fs.list_prefix("/out") == ["out/part-00000", "out2/part-00000"]
+        assert not any("_temporary" in path for path in fs.list_prefix("out/"))
 
 
 class TestInMemoryStorage:
