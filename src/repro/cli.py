@@ -34,10 +34,9 @@ Commands
     observed plan reconciliation) and the metric summary, plus
     ``--metrics-out`` (JSON or Prometheus text), ``--html`` (one
     self-contained dashboard page) and ``--profile`` (the data-plane
-    rundown).  Degrades
-    gracefully on traces from older versions: unknown lines are
-    warnings, missing plan spans just skip their sections, and metric
-    families whose span attributes the trace predates are named.
+    rundown).  Degrades gracefully on a truncated trace: unparsable
+    lines are warnings, the rest still renders, and missing plan spans
+    just skip their sections.
 ``histogram``
     The exact Allen-relationship histogram between two relations.
 
@@ -201,10 +200,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     explain.add_argument("--partitions", type=int, default=16)
     explain.add_argument(
-        "--prune", action="store_true",
-        help="for hybrid queries, prefer PASM over All-Seq-Matrix",
-    )
-    explain.add_argument(
         "--exact", action="store_true",
         help="run the plan's map and shuffle for exact predictions "
         "(requires --relation bindings)",
@@ -314,7 +309,6 @@ def _cmd_explain(args: argparse.Namespace) -> int:
         data or None,
         algorithm=args.algorithm,
         num_partitions=args.partitions,
-        prune=args.prune,
         exact=args.exact,
     )
     if args.json:
@@ -430,7 +424,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
         from repro.obs.profile import data_plane_summary
 
         print()
-        print(data_plane_summary(observer.spans, observer.metrics))
+        print(data_plane_summary(observer.spans))
     return 0
 
 
@@ -439,18 +433,17 @@ def _cmd_report(args: argparse.Namespace) -> int:
     from repro.obs.metrics import fold_spans
     from repro.obs.profile import data_plane_summary
     from repro.obs.report import RunReport
-    from repro.obs.sinks import load_spans_jsonl_tolerant
+    from repro.obs.sinks import load_spans_jsonl
 
-    spans, warnings = load_spans_jsonl_tolerant(args.trace)
+    spans, warnings = load_spans_jsonl(args.trace)
     for warning in warnings:
         print(f"warning: {warning}", file=sys.stderr)
     title = args.title or f"repro trace: {args.trace}"
     jobs = [span for span in spans if span.kind == "job"]
     print(f"trace:      {args.trace}")
     print(f"spans:      {len(spans)} ({len(jobs)} jobs)")
-    # Older traces (or partial ones) may predate plan/reconciliation
-    # spans or the attributes a metric family is folded from — report
-    # what exists instead of failing.
+    # A truncated trace may lack plan/reconciliation spans or hold
+    # half a run — report what exists instead of failing.
     try:
         report = RunReport.from_spans(spans)
     except Exception as exc:
@@ -463,18 +456,12 @@ def _cmd_report(args: argparse.Namespace) -> int:
         print(report.render())
         if not report.reconciliations:
             print("plan:       no plan spans in trace; reconciliation skipped")
-    metrics, skipped = fold_spans(spans)
-    if skipped:
-        print(
-            "metrics:    trace predates the span attributes of "
-            + ", ".join(skipped)
-            + "; skipped"
-        )
+    metrics = fold_spans(spans)
     print()
     print(metrics.summary())
     if args.profile:
         print()
-        print(data_plane_summary(spans, metrics))
+        print(data_plane_summary(spans))
     if args.metrics_out:
         with open(args.metrics_out, "w", encoding="utf-8") as handle:
             if args.metrics_out.endswith(".prom"):
@@ -485,7 +472,7 @@ def _cmd_report(args: argparse.Namespace) -> int:
         print(f"metrics:    {args.metrics_out}")
     if args.html:
         try:
-            page = render_dashboard(spans, metrics, title=title)
+            page = render_dashboard(spans, title=title)
         except Exception as exc:
             print(
                 f"warning: dashboard rendering failed ({exc}); skipping",

@@ -12,8 +12,7 @@ pickling value lists:
 * the picklable :class:`ShmReduceTask` descriptor carries only the block
   name, the per-group keys/lengths, the tag table and the term layouts —
   a few hundred bytes regardless of data size, which is the pickle-bytes
-  collapse the profiler's ``repro_profile_shm_bytes_total`` family makes
-  visible.
+  collapse the reduce phase span's ``shm_bytes`` makes visible.
 
 Shared memory holds numbers only: a task whose endpoint columns are
 ``object`` (an endpoint that is not a float64) keeps its gids and tag

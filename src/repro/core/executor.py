@@ -18,9 +18,8 @@ from __future__ import annotations
 
 from typing import Mapping, Optional, Union
 
-from repro.errors import PlanningError
 from repro.core.algorithms.base import JoinAlgorithm
-from repro.core.planner import ALGORITHMS, plan
+from repro.core.planner import algorithm_named, plan
 from repro.core.query import IntervalJoinQuery
 from repro.core.results import ExecutionMetrics, JoinResult
 from repro.core.schema import Relation
@@ -45,7 +44,6 @@ def execute(
     cost_model: CostModel = DEFAULT_COST_MODEL,
     partitioning: Optional[Partitioning] = None,
     partition_strategy: str = "uniform",
-    prune: bool = False,
     observer: Optional[TraceRecorder] = None,
     faults=None,
     max_attempts: Optional[int] = None,
@@ -67,8 +65,6 @@ def execute(
         ``REPRO_EXECUTOR`` / ``REPRO_WORKERS`` environment variables and
         then the serial default.  Outputs and counters are bit-identical
         across backends.
-    prune:
-        For hybrid queries, prefer PASM over All-Seq-Matrix.
     observer:
         Optional :class:`~repro.obs.TraceRecorder`.  When given, the run
         is recorded as a span hierarchy (query -> plan, algorithm -> job
@@ -92,7 +88,7 @@ def execute(
     query.validate_against(data)
     options = resolve_options(executor, workers, faults, max_attempts)
     if algorithm is None:
-        chosen = plan(query, prune=prune)
+        chosen = plan(query)
         if chosen.provably_empty:
             metrics = ExecutionMetrics(algorithm="planner-empty")
             if observer is not None:
@@ -108,12 +104,7 @@ def execute(
         runner = chosen.algorithm
         assert runner is not None
     elif isinstance(algorithm, str):
-        try:
-            runner = ALGORITHMS[algorithm]()
-        except KeyError:
-            raise PlanningError(
-                f"unknown algorithm {algorithm!r}; known: {sorted(ALGORITHMS)}"
-            ) from None
+        runner = algorithm_named(algorithm)
     else:
         runner = algorithm
 

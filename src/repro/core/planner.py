@@ -1,8 +1,8 @@
 """Algorithm selection.
 
 The planner applies the paper's taxonomy: colocation queries run RCCIS,
-sequence queries run All-Matrix, hybrid queries run All-Seq-Matrix (or
-PASM when pruning is requested), and everything else runs Gen-Matrix.
+sequence queries run All-Matrix, hybrid queries run All-Seq-Matrix, and
+everything else runs Gen-Matrix.
 Single-condition queries short-circuit to the 2-way join.  Before choosing
 an algorithm the planner tries to *prove the query empty* with Allen path
 consistency — provably empty queries are answered without running a
@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Tuple, Type
 
-from repro.errors import UnsatisfiableQueryError
+from repro.errors import PlanningError, UnsatisfiableQueryError
 from repro.core.algorithms.all_replicate import AllReplicate
 from repro.core.algorithms.base import JoinAlgorithm
 from repro.core.algorithms.cascade import TwoWayCascade
@@ -27,6 +27,7 @@ from repro.core.query import IntervalJoinQuery, QueryClass
 
 __all__ = [
     "ALGORITHMS",
+    "algorithm_named",
     "choose_algorithm",
     "plan",
     "plan_alternatives",
@@ -49,6 +50,18 @@ ALGORITHMS: Dict[str, Type[JoinAlgorithm]] = {
         FSTC,
     )
 }
+
+
+def algorithm_named(name: str) -> JoinAlgorithm:
+    """A fresh instance of the registered algorithm ``name`` — how an
+    explicit override is resolved, by :func:`~repro.core.executor.execute`
+    and by EXPLAIN alike."""
+    try:
+        return ALGORITHMS[name]()
+    except KeyError:
+        raise PlanningError(
+            f"unknown algorithm {name!r}; known: {sorted(ALGORITHMS)}"
+        ) from None
 
 
 class Plan:
@@ -99,7 +112,7 @@ def choose_algorithm(
 
 
 def plan_alternatives(
-    query: IntervalJoinQuery, chosen: str, prune: bool = False
+    query: IntervalJoinQuery, chosen: str
 ) -> Tuple[Tuple[str, str], ...]:
     """Why each registered algorithm other than ``chosen`` was not picked.
 
@@ -146,8 +159,8 @@ def plan_alternatives(
                     f"{klass.value}"
                 )
         elif name == "all_seq_matrix":
-            if klass is QueryClass.HYBRID and prune:
-                reason = "superseded by pasm because pruning was requested"
+            if klass is QueryClass.HYBRID:
+                reason = f"the hybrid-query default; {chosen} runs instead"
             elif single:
                 reason = "single-condition query short-circuits to two_way"
             else:
@@ -156,10 +169,11 @@ def plan_alternatives(
                     f"{klass.value}"
                 )
         elif name == "pasm":
-            if klass is QueryClass.HYBRID and not prune:
+            if klass is QueryClass.HYBRID:
                 reason = (
-                    "marking-cycle pruning not requested (pass prune=True "
-                    "/ --prune to prefer it)"
+                    "All-Seq-Matrix after a marking cycle that prunes its "
+                    'input; an explicit override (algorithm="pasm"), not '
+                    "the planner default"
                 )
             elif single:
                 reason = "single-condition query short-circuits to two_way"
@@ -208,5 +222,5 @@ def plan(query: IntervalJoinQuery, prune: bool = False) -> Plan:
         algorithm,
         False,
         f"{query.query_class.value} query -> {algorithm.name}",
-        alternatives=plan_alternatives(query, algorithm.name, prune=prune),
+        alternatives=plan_alternatives(query, algorithm.name),
     )

@@ -14,12 +14,14 @@ function of it.
 * spans & recorder — :class:`Span`, :class:`TraceRecorder`
 * sinks — the one subscriber protocol (:class:`TraceSink`):
   :class:`JsonlSink` (the one trace format, which ``repro report`` reads
-  back) — and the metrics fold, the profiler and the live hub below
-* metrics — :class:`MetricsRegistry` on ``recorder.metrics``, a fold
-  over the closed spans (:func:`fold_spans` rebuilds it from a trace):
-  counters/gauges/histograms with Prometheus-text and JSON export,
-  recording per-phase wall time, tuple in/out, shuffled records,
-  reducer- and key-load histograms and fault counts
+  back with :func:`load_spans_jsonl`) — and the profiler and the live
+  hub below
+* metrics — :class:`MetricsRegistry`, the fold of a span sequence
+  (:func:`fold_spans`), built when read: ``recorder.metrics`` folds the
+  spans closed so far and ``repro report`` a reloaded trace.  Counters
+  and histograms with Prometheus-text and JSON export, recording
+  per-phase wall time, tuple in/out, shuffled records, reducer- and
+  key-load histograms and fault counts
 * analysis — :class:`RunReport` flags skewed reducers, stragglers and
   empty-output tasks using the Section-7 load statistics
 * explain — :func:`explain_query` renders the pre-run physical plan
@@ -33,8 +35,8 @@ function of it.
 * profile — :class:`Profiler` (``repro run --profile``,
   ``TraceRecorder(profile=True)``): per-phase driver CPU and memory
   watermarks and in-process task CPU, measured between a span's open
-  and close, annotated on the spans and folded into the ``profile``
-  metric group
+  and close and annotated on the spans, where the data-plane rundown
+  (:func:`data_plane_summary`) reads them
 * live — :class:`TelemetryHub` (``repro run --progress`` /
   ``--serve-status``, ``TraceRecorder(live=True)``): running / finished
   tasks and progress/ETA folded from the same span stream, with a
@@ -63,15 +65,13 @@ _HOMES: Dict[str, str] = {
         "explain",
     ),
     **dict.fromkeys(
-        ["Counter", "Gauge", "Histogram", "MetricError", "MetricsRegistry", "fold_spans"],
+        ["Counter", "Histogram", "MetricError", "MetricsRegistry", "fold_spans"],
         "metrics",
     ),
     **dict.fromkeys(["Profiler", "data_plane_summary"], "profile"),
     **dict.fromkeys(["TraceRecorder"], "recorder"),
     **dict.fromkeys(["FaultSummary", "JobLoadSummary", "RunReport", "TaskFlag"], "report"),
-    **dict.fromkeys(
-        ["JsonlSink", "TraceSink", "load_spans_jsonl", "load_spans_jsonl_tolerant"], "sinks"
-    ),
+    **dict.fromkeys(["JsonlSink", "TraceSink", "load_spans_jsonl"], "sinks"),
     **dict.fromkeys(["Span"], "span"),
 }
 
@@ -89,33 +89,4 @@ def __dir__() -> List[str]:
     return sorted({*globals(), *_HOMES})
 
 
-__all__ = [
-    "Span",
-    "TraceRecorder",
-    "TraceSink",
-    "JsonlSink",
-    "load_spans_jsonl",
-    "load_spans_jsonl_tolerant",
-    "RunReport",
-    "FaultSummary",
-    "JobLoadSummary",
-    "TaskFlag",
-    "MetricsRegistry",
-    "fold_spans",
-    "MetricError",
-    "Counter",
-    "Gauge",
-    "Histogram",
-    "render_dashboard",
-    "PlanExplain",
-    "PlanReconciliation",
-    "ReconciliationRow",
-    "explain_query",
-    "reconciliation_from_spans",
-    "Profiler",
-    "data_plane_summary",
-    "TelemetryHub",
-    "StatusServer",
-    "ProgressPrinter",
-    "render_progress_line",
-]
+__all__ = sorted(_HOMES)

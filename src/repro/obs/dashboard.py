@@ -8,9 +8,8 @@ inline CSS and server-rendered SVG — it opens from disk, attaches to a
 CI artifact, and pastes into a bug report without any JavaScript, fonts
 or CDN fetches.  The spans are all it needs: the skew table and the
 plan panel render the spans' :class:`~repro.obs.report.RunReport` —
-the same numbers ``repro report`` prints — and the one metric-backed
-table (the data plane panel) reads the fold of those spans
-(:func:`~repro.obs.metrics.fold_spans`).
+the same numbers ``repro report`` prints — and the data plane panel
+reads the profiler's annotations on those spans.
 
 Sections, in reading order:
 
@@ -38,9 +37,8 @@ anchored to the baseline, and text never set in a series colour.
 from __future__ import annotations
 
 import html as _html
-from typing import Any, Dict, List, Optional, Sequence
+from typing import Any, Dict, List, Sequence
 
-from repro.obs.metrics import MetricsRegistry, fold_spans
 from repro.obs.profile import data_plane_rows, fmt_bytes
 from repro.obs.report import RunReport
 from repro.obs.span import Span
@@ -393,10 +391,10 @@ def _plan_panel(report: RunReport) -> str:
     )
 
 
-def _data_plane_panel(spans: Sequence[Span], metrics: MetricsRegistry) -> str:
+def _data_plane_panel(spans: Sequence[Span]) -> str:
     """The profiler's per-job, per-phase CPU / memory / serialization
     table.  Empty string when the run was not profiled."""
-    rows, notes = data_plane_rows(spans, metrics)
+    rows, notes = data_plane_rows(spans)
     if not rows:
         return ""
     table_rows = [
@@ -425,22 +423,13 @@ def _data_plane_panel(spans: Sequence[Span], metrics: MetricsRegistry) -> str:
 # --------------------------------------------------------------------------
 # page assembly
 # --------------------------------------------------------------------------
-def render_dashboard(
-    spans: Sequence[Span],
-    metrics: Optional[MetricsRegistry] = None,
-    *,
-    title: str = "repro run",
-) -> str:
+def render_dashboard(spans: Sequence[Span], *, title: str = "repro run") -> str:
     """Render one self-contained HTML dashboard string.
 
     ``spans`` are a run's closed spans (a recorder's ``spans`` or a
-    reloaded JSONL trace).  ``metrics`` is the registry a live recorder
-    already folded from those spans; left out, the spans are folded
-    here.  The Data plane table appears whenever the spans carry the
-    profiler's annotations.
+    reloaded JSONL trace).  The Data plane table appears whenever the
+    spans carry the profiler's annotations.
     """
-    if metrics is None:
-        metrics, _ = fold_spans(spans)
     jobs = _job_rows(spans)
     report = RunReport.from_spans(spans)
     wall = (
@@ -478,7 +467,7 @@ def render_dashboard(
         "<h2>Skew &amp; replication per job</h2>",
         f'<div class="card">{_skew_table(report)}</div>',
         _plan_panel(report),
-        _data_plane_panel(spans, metrics),
+        _data_plane_panel(spans),
         "</body></html>",
     ]
     return "".join(parts)

@@ -324,7 +324,6 @@ def explain_query(
     *,
     algorithm: Optional[str] = None,
     num_partitions: int = 16,
-    prune: bool = False,
     cost_model: Optional["CostModel"] = None,
     exact: bool = False,
     partition_strategy: str = "uniform",
@@ -340,13 +339,12 @@ def explain_query(
     does.  ``partition_strategy`` and ``partitioning`` are the run's
     partitioning inputs, which the exact tier follows.
     """
-    from repro.core.planner import ALGORITHMS, plan, plan_alternatives
+    from repro.core.planner import algorithm_named, plan, plan_alternatives
     from repro.core.tuning import PredictConfig, profile_data
-    from repro.errors import PlanningError
     from repro.intervals.sweep import WINDOW_NAMES, window_kind
     from repro.mapreduce.cost import DEFAULT_COST_MODEL
 
-    chosen = plan(query, prune=prune)
+    chosen = plan(query)
     if chosen.provably_empty:
         return PlanExplain(
             query=str(query),
@@ -370,22 +368,14 @@ def explain_query(
         reason = chosen.reason
         alternatives = chosen.alternatives
     else:
-        try:
-            runner = ALGORITHMS[algorithm]()
-        except KeyError:
-            raise PlanningError(
-                f"unknown algorithm {algorithm!r}; known: "
-                f"{sorted(ALGORITHMS)}"
-            ) from None
+        runner = algorithm_named(algorithm)
         chosen_by = "override"
         reason = (
             f"{query.query_class.value} query -> {runner.name} "
             f"(planner would pick "
             f"{chosen.algorithm.name if chosen.algorithm else 'none'})"
         )
-        alternatives = plan_alternatives(
-            query, runner.name, prune=prune
-        )
+        alternatives = plan_alternatives(query, runner.name)
 
     # What the pair kernel does for each condition: the candidate
     # windows its rule picks, masked by the predicate.

@@ -5,24 +5,25 @@ layer: where :class:`~repro.obs.span.Span` records *when* something
 happened, a metric records *how much* of it happened, keyed by a fixed
 label set.  The spans are the record and the registry is a function of
 them: :func:`fold_span` turns one closed span into samples of the
-families declared in :data:`FAMILIES`, a recorder's registry is that
-fold kept up to date as spans close (:class:`MetricsFold`), and
-:func:`fold_spans` over a reloaded JSONL trace rebuilds the same
-registry sample for sample.  The families aggregate — they sum and
-bucket over many spans; a fact one span already states (a job's
-per-partition loads and replication factor, the plan reconciliation)
-stays on that span, where ``repro report`` and the dashboard read it.
-Three metric types cover every signal the simulator emits:
+families declared in :data:`FAMILIES`, and :func:`fold_spans` builds a
+registry from a span sequence — a recorder's spans closed so far (what
+``TraceRecorder.metrics`` returns) or a reloaded JSONL trace, which give
+the same registry sample for sample.  A registry is built when it is
+read, on one thread, so it takes no lock.  The families aggregate — they
+sum and bucket over many spans; a fact one span already states (a job's
+per-partition loads and replication factor, the plan reconciliation,
+the profiler's CPU and memory facts) stays on that span, where ``repro
+report`` and the dashboard read it.  Two metric types cover every
+family:
 
 * :class:`Counter` — monotonically increasing totals (records mapped,
   tasks retried, records shuffled).
-* :class:`Gauge` — last-written values (a phase's peak RSS).
 * :class:`Histogram` — distributions over **fixed bucket boundaries**
   (per-reducer loads, per-key skew, phase wall seconds).
 
 Every metric belongs to a **group**:
 
-* ``"run"`` (default) — deterministic facts of the computation; these
+* ``"run"`` — deterministic facts of the computation; these
   must be bit-identical across the serial/threads/processes executors
   and invariant under fault injection (retries replay, they do not
   change the answer).
@@ -30,15 +31,11 @@ Every metric belongs to a **group**:
 * ``"faults"`` — chaos bookkeeping (retries, discarded attempts);
   identical across executors for a pinned fault plan but empty on a
   fault-free run.
-* ``"profile"`` — data-plane profiling facts (CPU seconds, memory
-  watermarks, shared-memory bytes; see :mod:`repro.obs.profile`).
-  Machine- and executor-dependent by nature, so excluded from parity
-  like ``wall``.
 
 :meth:`MetricsRegistry.fingerprint` exposes exactly that contract: the
-parity tests compare fingerprints with ``exclude_groups=("wall",
-"profile")`` (the default) and add ``"faults"`` to compare a chaos run
-against a fault-free one.
+parity tests compare fingerprints with ``exclude_groups=("wall",)`` (the
+default) and add ``"faults"`` to compare a chaos run against a
+fault-free one.
 
 Worker *processes* never see the registry — they ship counter snapshots
 back (see ``runner._process_attempt``), the parent puts them on the
@@ -51,38 +48,23 @@ group, which is what makes the ``run`` group invariant under chaos.
 from __future__ import annotations
 
 import json
-import threading
 from bisect import bisect_left
-from typing import (
-    Any,
-    Callable,
-    Dict,
-    Iterable,
-    List,
-    Mapping,
-    Optional,
-    Sequence,
-    Tuple,
-)
+from typing import Any, Callable, Dict, Iterable, List, Mapping, Optional, Tuple
 
 from repro.errors import ReproError
-from repro.obs.sinks import TraceSink
 from repro.obs.span import Span
 
 __all__ = [
     "MetricError",
     "MetricsRegistry",
     "Counter",
-    "Gauge",
     "Histogram",
     "FAMILIES",
-    "MetricsFold",
     "fold_span",
     "fold_spans",
     "GROUP_RUN",
     "GROUP_WALL",
     "GROUP_FAULTS",
-    "GROUP_PROFILE",
     "LOAD_BUCKETS",
     "SECONDS_BUCKETS",
 ]
@@ -93,8 +75,6 @@ GROUP_RUN = "run"
 GROUP_WALL = "wall"
 #: Fault-injection bookkeeping (empty on fault-free runs).
 GROUP_FAULTS = "faults"
-#: Data-plane profiling facts (machine-dependent, excluded from parity).
-GROUP_PROFILE = "profile"
 
 #: Fixed boundaries for tuple-load histograms (per-reducer and per-key).
 LOAD_BUCKETS: Tuple[float, ...] = (
@@ -108,11 +88,9 @@ SECONDS_BUCKETS: Tuple[float, ...] = (
     0.25, 0.5, 1.0, 2.5, 5.0, 10.0, 30.0,
 )
 
-_VALID_GROUPS = (GROUP_RUN, GROUP_WALL, GROUP_FAULTS, GROUP_PROFILE)
-
 
 class MetricError(ReproError, ValueError):
-    """Raised for metric misuse: type/label mismatches, bad buckets."""
+    """Raised for metric misuse: a label mismatch, a negative increment."""
 
 
 def _check_labels(
@@ -165,23 +143,17 @@ class Metric:
         help_text: str,
         labels: Tuple[str, ...],
         group: str,
-        lock: threading.Lock,
     ) -> None:
         self.name = name
         self.help = help_text
         self.label_names = labels
         self.group = group
-        self._lock = lock
         self._samples: Dict[Tuple[str, ...], Any] = {}
 
     # -- introspection --------------------------------------------------
     def samples(self) -> List[Tuple[Tuple[str, ...], Any]]:
         """``(label_values, value)`` pairs, sorted by label values."""
-        with self._lock:
-            return sorted(self._samples.items())
-
-    def signature(self) -> Tuple[Any, ...]:
-        return (self.kind, self.label_names, self.group)
+        return sorted(self._samples.items())
 
     # -- serialisation hooks (overridden per type) ----------------------
     def _sample_dict(self, key: Tuple[str, ...], value: Any) -> Dict[str, Any]:
@@ -202,36 +174,11 @@ class Counter(Metric):
                 f"counter {self.name!r} cannot decrease (inc({amount}))"
             )
         key = _check_labels(self.label_names, labels, self.name)
-        with self._lock:
-            self._samples[key] = self._samples.get(key, 0) + amount
+        self._samples[key] = self._samples.get(key, 0) + amount
 
     def value(self, **labels: Any) -> float:
         key = _check_labels(self.label_names, labels, self.name)
-        with self._lock:
-            return self._samples.get(key, 0)
-
-    def _exposition_lines(self) -> List[str]:
-        lines = []
-        for key, value in self.samples():
-            labels = _label_pairs(self.label_names, key)
-            lines.append(f"{self.name}{labels} {_format_number(value)}")
-        return lines
-
-
-class Gauge(Metric):
-    """A last-write-wins value."""
-
-    kind = "gauge"
-
-    def set(self, value: float, **labels: Any) -> None:
-        key = _check_labels(self.label_names, labels, self.name)
-        with self._lock:
-            self._samples[key] = value
-
-    def value(self, **labels: Any) -> Optional[float]:
-        key = _check_labels(self.label_names, labels, self.name)
-        with self._lock:
-            return self._samples.get(key)
+        return self._samples.get(key, 0)
 
     def _exposition_lines(self) -> List[str]:
         lines = []
@@ -252,40 +199,29 @@ class Histogram(Metric):
         help_text: str,
         labels: Tuple[str, ...],
         group: str,
-        lock: threading.Lock,
         buckets: Tuple[float, ...],
     ) -> None:
-        super().__init__(name, help_text, labels, group, lock)
-        if not buckets or list(buckets) != sorted(buckets):
-            raise MetricError(
-                f"histogram {self.name!r} needs ascending bucket boundaries"
-            )
-        self.buckets = tuple(float(bound) for bound in buckets)
-
-    def signature(self) -> Tuple[Any, ...]:
-        return (self.kind, self.label_names, self.group, self.buckets)
+        super().__init__(name, help_text, labels, group)
+        self.buckets = buckets
 
     def observe(self, value: float, **labels: Any) -> None:
         key = _check_labels(self.label_names, labels, self.name)
-        with self._lock:
-            state = self._samples.get(key)
-            if state is None:
-                state = {
-                    "counts": [0] * (len(self.buckets) + 1),
-                    "sum": 0.0,
-                    "count": 0,
-                }
-                self._samples[key] = state
-            index = bisect_left(self.buckets, value)
-            state["counts"][index] += 1
-            state["sum"] += value
-            state["count"] += 1
+        state = self._samples.get(key)
+        if state is None:
+            state = {
+                "counts": [0] * (len(self.buckets) + 1),
+                "sum": 0.0,
+                "count": 0,
+            }
+            self._samples[key] = state
+        state["counts"][bisect_left(self.buckets, value)] += 1
+        state["sum"] += value
+        state["count"] += 1
 
     def state(self, **labels: Any) -> Optional[Dict[str, Any]]:
         key = _check_labels(self.label_names, labels, self.name)
-        with self._lock:
-            state = self._samples.get(key)
-            return None if state is None else dict(state)
+        state = self._samples.get(key)
+        return None if state is None else dict(state)
 
     def _sample_dict(self, key: Tuple[str, ...], value: Any) -> Dict[str, Any]:
         return {
@@ -323,78 +259,19 @@ class Histogram(Metric):
 
 
 class MetricsRegistry:
-    """Registers metric families and serialises them deterministically.
-
-    Registration is idempotent: asking for an already-registered name
-    with the *same* type/labels/group/buckets returns the existing
-    metric; a mismatch raises :class:`MetricError`.  All samples update
-    under one registry lock, so the ``threads`` executor can record
-    concurrently.
-    """
+    """The metric families of one span sequence, serialised
+    deterministically.  Families are registered by the fold alone, from
+    :data:`FAMILIES`; a registry is built on one thread and takes no
+    lock."""
 
     def __init__(self) -> None:
-        self._lock = threading.Lock()
         self._metrics: Dict[str, Metric] = {}
 
-    # -- registration ---------------------------------------------------
-    def _register(self, metric: Metric) -> Metric:
-        with self._lock:
-            existing = self._metrics.get(metric.name)
-            if existing is not None:
-                if existing.signature() != metric.signature():
-                    raise MetricError(
-                        f"metric {metric.name!r} already registered as "
-                        f"{existing.signature()}, asked for "
-                        f"{metric.signature()}"
-                    )
-                return existing
-            self._metrics[metric.name] = metric
-            return metric
-
-    def counter(
-        self,
-        name: str,
-        help_text: str = "",
-        labels: Iterable[str] = (),
-        group: str = GROUP_RUN,
-    ) -> Counter:
-        return self._register(  # type: ignore[return-value]
-            Counter(name, help_text, tuple(labels), _valid_group(group),
-                    self._lock)
-        )
-
-    def gauge(
-        self,
-        name: str,
-        help_text: str = "",
-        labels: Iterable[str] = (),
-        group: str = GROUP_RUN,
-    ) -> Gauge:
-        return self._register(  # type: ignore[return-value]
-            Gauge(name, help_text, tuple(labels), _valid_group(group),
-                  self._lock)
-        )
-
-    def histogram(
-        self,
-        name: str,
-        help_text: str = "",
-        labels: Iterable[str] = (),
-        group: str = GROUP_RUN,
-        buckets: Tuple[float, ...] = LOAD_BUCKETS,
-    ) -> Histogram:
-        return self._register(  # type: ignore[return-value]
-            Histogram(name, help_text, tuple(labels), _valid_group(group),
-                      self._lock, tuple(buckets))
-        )
-
     def get(self, name: str) -> Optional[Metric]:
-        with self._lock:
-            return self._metrics.get(name)
+        return self._metrics.get(name)
 
     def families(self) -> List[Metric]:
-        with self._lock:
-            return [self._metrics[name] for name in sorted(self._metrics)]
+        return [self._metrics[name] for name in sorted(self._metrics)]
 
     # -- serialisation --------------------------------------------------
     def as_dict(self) -> Dict[str, Any]:
@@ -432,15 +309,15 @@ class MetricsRegistry:
     # -- comparison -----------------------------------------------------
     def fingerprint(
         self,
-        exclude_groups: Tuple[str, ...] = (GROUP_WALL, GROUP_PROFILE),
+        exclude_groups: Tuple[str, ...] = (GROUP_WALL,)
     ) -> Dict[str, Tuple[Any, ...]]:
         """A hashable, comparable digest of the sample values.
 
         The parity tests assert ``a.fingerprint(...) ==
         b.fingerprint(...)``; the default excludes the machine-dependent
-        ``wall`` and ``profile`` groups so deterministic content compares
-        across executors, and chaos tests add ``"faults"`` to compare a
-        chaos run against a fault-free one.
+        ``wall`` group so deterministic content compares across
+        executors, and chaos tests add ``"faults"`` to compare a chaos
+        run against a fault-free one.
         """
         digest: Dict[str, Tuple[Any, ...]] = {}
         for metric in self.families():
@@ -502,20 +379,10 @@ def _bucket_bound(
     return "+Inf"
 
 
-def _valid_group(group: str) -> str:
-    if group not in _VALID_GROUPS:
-        raise MetricError(
-            f"unknown metric group {group!r}; use one of {_VALID_GROUPS}"
-        )
-    return group
-
-
 # ----------------------------------------------------------------------
 # The fold: every family, and the one function that turns a closed span
 # into its samples.
 # ----------------------------------------------------------------------
-
-_JOB_PHASE = ("job", "phase")
 
 #: Every family: name -> (type, labels, group, help[, histogram buckets]).
 FAMILIES: Dict[str, Tuple[Any, ...]] = {
@@ -533,32 +400,16 @@ FAMILIES: Dict[str, Tuple[Any, ...]] = {
     "repro_reduce_task_load": (
         "histogram", ("job",), GROUP_RUN,
         "Distribution of physical reduce-task input loads (records).",
+        LOAD_BUCKETS,
     ),
     "repro_fs_attempts_total": (
         "counter", ("event",), GROUP_FAULTS,
         "Commit-protocol attempt files staged/promoted/discarded.",
     ),
-    "repro_profile_cpu_seconds_total": (
-        "counter", ("job", "phase", "where"), GROUP_PROFILE,
-        "CPU seconds, thread_time-measured.  where=task charges task bodies "
-        "that ran in this process (none for attempts shipped to a pool "
-        "worker); where=driver charges the coordinating thread across the "
-        "phase — under the serial executor task CPU is a subset of driver "
-        "CPU.",
-    ),
     # -- from phase spans -----------------------------------------------
     "repro_phase_wall_seconds": (
-        "histogram", _JOB_PHASE, GROUP_WALL,
+        "histogram", ("job", "phase"), GROUP_WALL,
         "Wall-clock seconds spent in each job phase.", SECONDS_BUCKETS,
-    ),
-    "repro_profile_mem_rss_peak_bytes": (
-        "gauge", _JOB_PHASE, GROUP_PROFILE,
-        "Process peak RSS at phase end (monotonic across phases).",
-    ),
-    "repro_profile_shm_bytes_total": (
-        "counter", ("job", "phase", "direction"), GROUP_PROFILE,
-        "Column bytes shipped via multiprocessing.shared_memory blocks "
-        "instead of pickles (columnar data plane).",
     ),
     # -- from job spans -------------------------------------------------
     "repro_job_wall_seconds": (
@@ -573,6 +424,7 @@ FAMILIES: Dict[str, Tuple[Any, ...]] = {
         "histogram", ("job",), GROUP_RUN,
         "Per-logical-reducer (distinct intermediate key) load distribution "
         "— the key-skew histogram.",
+        LOAD_BUCKETS,
     ),
     "repro_faults_total": (
         "counter", ("job", "kind"), GROUP_FAULTS,
@@ -580,19 +432,20 @@ FAMILIES: Dict[str, Tuple[Any, ...]] = {
     ),
 }
 
+_KINDS = {"counter": Counter, "histogram": Histogram}
+
 
 def _family(registry: MetricsRegistry, name: str) -> Any:
-    """The registered metric of one :data:`FAMILIES` entry."""
+    """The metric of one :data:`FAMILIES` row, registered on first use."""
     metric = registry.get(name)
     if metric is None:
         kind, labels, group, help_text, *buckets = FAMILIES[name]
-        metric = getattr(registry, kind)(
-            name, help_text, labels, group, *buckets
-        )
+        metric = _KINDS[kind](name, help_text, labels, group, *buckets)
+        registry._metrics[name] = metric
     return metric
 
 
-def _fold_attempt(registry: MetricsRegistry, span: Span) -> Sequence[str]:
+def _fold_attempt(registry: MetricsRegistry, span: Span) -> None:
     """Commit-protocol traffic of one attempt: a staged file, discarded
     again unless the attempt won.  All a failed attempt folds into —
     attempt traffic varies under chaos, so the family lives in the
@@ -602,30 +455,22 @@ def _fold_attempt(registry: MetricsRegistry, span: Span) -> Sequence[str]:
         attempts.inc(1, event="staged")
         if span.kind == "attempt":
             attempts.inc(1, event="discarded")
-    return ()
 
 
-def _fold_task(registry: MetricsRegistry, span: Span) -> Sequence[str]:
-    """A winning attempt: what the task read and wrote, and — on a
-    profiled run, for a body that ran in-process — its CPU seconds."""
+def _fold_task(registry: MetricsRegistry, span: Span) -> None:
+    """A winning attempt: what the task read and wrote."""
     attrs = span.attributes
     job, phase = attrs.get("job", ""), attrs.get("phase", span.name)
-    skipped: Sequence[str] = ()
-    if phase == "map":
-        if "input" in attrs:
-            # Out ÷ in per input is the paper's *replication factor* of
-            # that relation: pairs emitted per distinct input tuple.
-            labels = {"job": job, "input": attrs["input"]}
-            reads = span.counters.get("framework", {})
-            records = _family(registry, "repro_map_records_total")
-            records.inc(
-                reads.get("map_input_records", 0), direction="in", **labels
-            )
-            records.inc(
-                attrs.get("output_pairs", 0), direction="out", **labels
-            )
-        else:
-            skipped = ("repro_map_records_total",)
+    if phase == "map" and "input" in attrs:
+        # Out ÷ in per input is the paper's *replication factor* of
+        # that relation: pairs emitted per distinct input tuple.
+        labels = {"job": job, "input": attrs["input"]}
+        reads = span.counters.get("framework", {})
+        records = _family(registry, "repro_map_records_total")
+        records.inc(
+            reads.get("map_input_records", 0), direction="in", **labels
+        )
+        records.inc(attrs.get("output_pairs", 0), direction="out", **labels)
     elif phase == "reduce":
         load = attrs.get("input_records", 0)
         records = _family(registry, "repro_reduce_records_total")
@@ -633,45 +478,23 @@ def _fold_task(registry: MetricsRegistry, span: Span) -> Sequence[str]:
         records.inc(attrs.get("output_records", 0), job=job, direction="out")
         _family(registry, "repro_reduce_task_load").observe(load, job=job)
         _fold_attempt(registry, span)
-        if "staged" not in attrs:  # every winner staged its output
-            skipped = ("repro_fs_attempts_total",)
-    if "profile_cpu_seconds" in attrs:
-        _family(registry, "repro_profile_cpu_seconds_total").inc(
-            attrs["profile_cpu_seconds"], where="task", job=job, phase=phase
-        )
-    return skipped
 
 
-def _fold_phase(registry: MetricsRegistry, span: Span) -> Sequence[str]:
-    attrs = span.attributes
-    labels = {"job": attrs.get("job", span.name), "phase": span.name}
+def _fold_phase(registry: MetricsRegistry, span: Span) -> None:
     _family(registry, "repro_phase_wall_seconds").observe(
-        span.duration, **labels
+        span.duration, job=span.attributes.get("job", span.name),
+        phase=span.name,
     )
-    if "profile_cpu_driver_seconds" in attrs:
-        # The profiler annotated this phase: the profile group follows.
-        _family(registry, "repro_profile_cpu_seconds_total").inc(
-            attrs["profile_cpu_driver_seconds"], where="driver", **labels
-        )
-        if "profile_mem_rss_peak_bytes" in attrs:
-            _family(registry, "repro_profile_mem_rss_peak_bytes").set(
-                attrs["profile_mem_rss_peak_bytes"], **labels
-            )
-        if "shm_bytes" in attrs:
-            _family(registry, "repro_profile_shm_bytes_total").inc(
-                attrs["shm_bytes"], direction="request", **labels
-            )
-    return ()
 
 
-def _fold_job(registry: MetricsRegistry, span: Span) -> Sequence[str]:
+def _fold_job(registry: MetricsRegistry, span: Span) -> None:
     """Job-level shuffle, key-skew and fault facts (a job that failed
     closes its span without them and leaves only wall time)."""
     attrs = span.attributes
     job = attrs.get("job", span.name)
     _family(registry, "repro_job_wall_seconds").observe(span.duration, job=job)
     if "shuffled_records" not in attrs:
-        return ()
+        return
     _family(registry, "repro_shuffle_records_total").inc(
         attrs["shuffled_records"], job=job
     )
@@ -683,18 +506,12 @@ def _fold_job(registry: MetricsRegistry, span: Span) -> Sequence[str]:
         _family(registry, "repro_fs_attempts_total").inc(
             attrs["promoted"], event="promoted"
         )
-    if "key_loads" not in attrs:
-        return ("repro_key_load",)
     key_load = _family(registry, "repro_key_load")
-    for entry in attrs["key_loads"]:
-        # ``(repr(key), load)`` pairs; an older trace holds bare loads.
-        key_load.observe(
-            entry[1] if isinstance(entry, (list, tuple)) else entry, job=job
-        )
-    return ()
+    for _, load in attrs.get("key_loads", ()):  # (repr(key), load) pairs
+        key_load.observe(load, job=job)
 
 
-_FOLDS: Dict[str, Callable[[MetricsRegistry, Span], Sequence[str]]] = {
+_FOLDS: Dict[str, Callable[[MetricsRegistry, Span], None]] = {
     "task": _fold_task,
     "attempt": _fold_attempt,
     "phase": _fold_phase,
@@ -702,39 +519,23 @@ _FOLDS: Dict[str, Callable[[MetricsRegistry, Span], Sequence[str]]] = {
 }
 
 
-def fold_span(registry: MetricsRegistry, span: Span) -> Sequence[str]:
+def fold_span(registry: MetricsRegistry, span: Span) -> None:
     """Fold one closed span into ``registry``.
 
     Reads nothing but what a JSONL trace preserves (kind, name, times,
     attributes, counter deltas), so folding a reloaded trace in file
-    order gives the registry the live run had.  Returns the names of the
-    families it had to leave out because the span predates the
-    attributes they are computed from — none for a current trace.
+    order gives the registry the live run had.  An attribute the span
+    lacks folds nothing.
     """
     fold = _FOLDS.get(span.kind)
-    return fold(registry, span) if fold is not None else ()
+    if fold is not None:
+        fold(registry, span)
 
 
-def fold_spans(
-    spans: Iterable[Span],
-) -> Tuple[MetricsRegistry, List[str]]:
+def fold_spans(spans: Iterable[Span]) -> MetricsRegistry:
     """The registry of a recorded span sequence (close order, as a JSONL
-    trace holds it) and the sorted names of the families that an older
-    trace could not supply."""
+    trace holds it)."""
     registry = MetricsRegistry()
-    skipped = set()
     for span in spans:
-        skipped.update(fold_span(registry, span))
-    return registry, sorted(skipped)
-
-
-class MetricsFold(TraceSink):
-    """The sink that keeps a registry equal to the fold of every span
-    closed so far — what fills ``TraceRecorder.metrics``, so ``/metrics``
-    is current mid-run."""
-
-    def __init__(self, registry: MetricsRegistry) -> None:
-        self.registry = registry
-
-    def emit(self, span: Span) -> None:
-        fold_span(self.registry, span)
+        fold_span(registry, span)
+    return registry

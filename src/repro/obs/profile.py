@@ -17,11 +17,12 @@ measure by itself, on the thread that opens and closes the span:
 
 The profiler starts no thread, sends nothing to a worker and writes no
 metric: it annotates the spans it watches (``profile_*`` attributes), so
-the facts reach the JSONL trace, and the fold in
-:mod:`repro.obs.metrics` turns them into the ``profile`` metric group —
-machine- and executor-dependent by nature, so excluded from the parity
-fingerprint exactly like ``wall``.  Stack profiles are a different
-tool's job: ``python -m cProfile`` or ``py-spy`` around ``repro run``.
+the facts reach the JSONL trace, and :func:`data_plane_rows` reads them
+back from the spans, live or reloaded.  Machine- and executor-dependent
+by nature, they are in no metric family, so neither ``--metrics-out``,
+``/metrics`` nor the parity fingerprint sees them.  Stack profiles are a
+different tool's job: ``python -m cProfile`` or ``py-spy`` around
+``repro run``.
 Profiling is strictly passive: with it off nothing in this module runs,
 and with it on the run's deterministic outputs and ``run``-group metrics
 are bit-identical (pinned by the profiler passivity tests).
@@ -32,7 +33,6 @@ from __future__ import annotations
 import time
 from typing import Any, Dict, List, Sequence, Tuple
 
-from repro.obs.metrics import MetricsRegistry
 from repro.obs.sinks import TraceSink
 from repro.obs.span import Span
 
@@ -59,7 +59,7 @@ class Profiler(TraceSink):
     (``TraceRecorder(profile=True)``) and subscribes it ahead of every
     other sink, so each span passes through :meth:`opened` and
     :meth:`emit` — on the thread that opens and closes it — before the
-    metrics fold or a trace file sees it.
+    live hub or a trace file sees it.
     """
 
     def __init__(self) -> None:
@@ -108,28 +108,42 @@ def fmt_bytes(n: float) -> str:
 
 
 def data_plane_rows(
-    spans: Sequence[Span], registry: MetricsRegistry
+    spans: Sequence[Span],
 ) -> Tuple[List[Tuple[Any, ...]], List[Tuple[str, str]]]:
-    """The per-(job, phase) rows of the ``profile`` metric group and the
-    per-job notes under them.
+    """The per-(job, phase) rows of the profiler's span annotations and
+    the per-job notes under them.
 
-    ``registry`` is the fold of ``spans`` (a live recorder's, or
-    :func:`~repro.obs.metrics.fold_spans` of a reloaded trace).  A row
-    is ``(job, phase, task cpu s, driver cpu s, peak RSS bytes)``, in
-    job then phase order; a note is ``(job, text)``.  Both are empty for
-    a run that was not profiled.
+    ``spans`` are a run's closed spans, a live recorder's or a reloaded
+    trace's.  A row is ``(job, phase, task cpu s, driver cpu s, peak RSS
+    bytes)``, in job then phase order; a note is ``(job, text)``.  Both
+    are empty for a run that was not profiled.
     """
-    cells: Dict[Tuple[str, ...], Dict[str, float]] = {}
-    for family, column in (
-        ("cpu_seconds_total", None),  # split by its ``where`` label
-        ("mem_rss_peak_bytes", "rss"),
-        ("shm_bytes_total", "shm"),
-    ):
-        metric = registry.get(f"repro_profile_{family}")
-        for labels, value in metric.samples() if metric is not None else ():
-            cell = cells.setdefault(labels[:2], {})
-            key = column or labels[2]
-            cell[key] = cell.get(key, 0) + value
+    cells: Dict[Tuple[str, str], Dict[str, float]] = {}
+    # The shuffle phase *is* the key sort: its span has the seconds and
+    # the number of distinct keys sorted.
+    sorts: Dict[str, Tuple[float, int]] = {}
+    for span in spans:
+        attrs = span.attributes
+        if span.kind == "task" and "profile_cpu_seconds" in attrs:
+            cell = cells.setdefault(
+                (str(attrs.get("job", "")), str(attrs.get("phase", span.name))),
+                {},
+            )
+            cell["task"] = cell.get("task", 0) + attrs["profile_cpu_seconds"]
+        if span.kind != "phase":
+            continue
+        job = str(attrs.get("job", span.name))
+        if "keys" in attrs:
+            seconds, keys = sorts.get(job, (0.0, 0))
+            sorts[job] = (seconds + span.duration, keys + attrs["keys"])
+        if "profile_cpu_driver_seconds" in attrs:
+            cell = cells.setdefault((job, span.name), {})
+            cell["driver"] = (
+                cell.get("driver", 0) + attrs["profile_cpu_driver_seconds"]
+            )
+            if "profile_mem_rss_peak_bytes" in attrs:  # the last one holds
+                cell["rss"] = attrs["profile_mem_rss_peak_bytes"]
+            cell["shm"] = cell.get("shm", 0) + attrs.get("shm_bytes", 0)
     rows = [
         (
             job, phase, cell.get("task", 0.0), cell.get("driver", 0.0),
@@ -142,16 +156,6 @@ def data_plane_rows(
             ),
         )
     ]
-    # The shuffle phase *is* the key sort: its span has the seconds and
-    # the number of distinct keys sorted.
-    sorts: Dict[str, Tuple[float, int]] = {}
-    for span in spans:
-        if span.kind == "phase" and "keys" in span.attributes:
-            job = str(span.attributes.get("job", span.name))
-            seconds, keys = sorts.get(job, (0.0, 0))
-            sorts[job] = (
-                seconds + span.duration, keys + span.attributes["keys"]
-            )
     notes: List[Tuple[str, str]] = []
     for job in sorted({row[0] for row in rows}):
         if job in sorts:
@@ -172,13 +176,11 @@ def data_plane_rows(
     return rows, notes
 
 
-def data_plane_summary(
-    spans: Sequence[Span], registry: MetricsRegistry
-) -> str:
+def data_plane_summary(spans: Sequence[Span]) -> str:
     """The text rundown of :func:`data_plane_rows` — what ``repro run
     --profile`` prints from the live recorder and ``repro report
     --profile`` from a trace alone."""
-    rows, notes = data_plane_rows(spans, registry)
+    rows, notes = data_plane_rows(spans)
     if not rows:
         return (
             "data-plane profile: no profile metrics recorded "

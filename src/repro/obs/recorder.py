@@ -4,10 +4,11 @@ The engine — ``mapreduce/``, ``columnar/``, ``intervals/`` and
 ``core/algorithms/`` — reports to exactly one object through the
 :class:`Observer` protocol below and imports nothing else from
 :mod:`repro.obs`.  Facts travel as span attributes and counter deltas;
-everything else (metrics, live telemetry, profiles, trace files) is a
-:class:`~repro.obs.sinks.TraceSink` subscribed to the recorder's span
-stream.  :class:`TraceRecorder` implements the protocol for an observed
-run, :class:`NullRecorder` for an unobserved one.
+everything else is a function of the spans: the metric registry is
+folded from them when it is read, and live telemetry, profiles and trace
+files are :class:`~repro.obs.sinks.TraceSink` objects subscribed to the
+recorder's span stream.  :class:`TraceRecorder` implements the protocol
+for an observed run, :class:`NullRecorder` for an unobserved one.
 
 A recorder hands out hierarchical :class:`~repro.obs.span.Span` context
 managers.  Nesting is tracked per thread (a thread-local span stack), so
@@ -36,12 +37,12 @@ from typing import (
     TYPE_CHECKING,
 )
 
-from repro.obs.metrics import MetricsFold, MetricsRegistry
-from repro.obs.profile import Profiler
 from repro.obs.span import Span
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.obs.live import TelemetryHub
+    from repro.obs.metrics import MetricsRegistry
+    from repro.obs.profile import Profiler
 
 __all__ = ["Observer", "TraceRecorder", "NullRecorder"]
 
@@ -77,7 +78,7 @@ class TraceRecorder:
         Data-plane profiling, off by default.  When on,
         ``self.profiler`` annotates phase spans, and task spans whose
         body ran in this process, with CPU and memory facts, which the
-        fold turns into the ``profile`` metric group.
+        data-plane rundown reads back from the spans.
     live:
         Live run telemetry, off by default.  When on, ``self.live``
         folds the job, phase, task and plan spans into the progress
@@ -86,8 +87,8 @@ class TraceRecorder:
     The recorder itself is the in-memory record: ``roots`` is the span
     tree, ``spans`` the flat close-order list, and ``job_results`` the
     :class:`~repro.mapreduce.job.JobResult` of every job executed while
-    the recorder was attached.  ``metrics`` is the fold of the closed spans
-    (:func:`~repro.obs.metrics.fold_span`).
+    the recorder was attached.  ``metrics`` folds the spans closed so far
+    (:func:`~repro.obs.metrics.fold_spans`) each time it is read.
     """
 
     def __init__(
@@ -106,24 +107,38 @@ class TraceRecorder:
         self.roots: List[Span] = []
         #: JobResult of every job run under this recorder.
         self.job_results: List[Any] = []
-        #: The run's metric families: the fold of the spans closed so far.
-        self.metrics = MetricsRegistry()
+        # The optional sinks are imported on use, so a cold import loads
+        # neither the profiler nor the live hub's http.server.
         #: The data-plane profiler, or ``None`` when profiling is off.
-        self.profiler: Optional[Profiler] = Profiler() if profile else None
+        self.profiler: Optional["Profiler"] = None
+        if profile:
+            from repro.obs.profile import Profiler
+
+            self.profiler = Profiler()
         #: The live telemetry hub, or ``None`` when live telemetry is off.
         self.live: Optional["TelemetryHub"] = None
         if live:
-            # Imported on use: the live hub's module loads http.server.
             from repro.obs.live import TelemetryHub
 
             self.live = TelemetryHub()
         # The profiler goes first: what it writes onto a closing span
-        # (CPU seconds, memory watermarks) must be there when the fold
+        # (CPU seconds, memory watermarks) must be there when the hub
         # and the trace sinks read the span.
-        own = (self.profiler, MetricsFold(self.metrics), self.live)
+        own = (self.profiler, self.live)
         self._sinks: List[Any] = [
             sink for sink in own if sink is not None
         ] + list(sinks)
+
+    @property
+    def metrics(self) -> "MetricsRegistry":
+        """The run's metric families: the fold of the spans closed so
+        far, built afresh on every read (a mid-run ``/metrics`` scrape
+        included)."""
+        from repro.obs.metrics import fold_spans
+
+        with self._lock:
+            spans = list(self.spans)
+        return fold_spans(spans)
 
     # ------------------------------------------------------------------
     def _now(self) -> float:

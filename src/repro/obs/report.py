@@ -6,11 +6,12 @@ diagnosis.  For every executed job it summarises the physical
 reduce-task load distribution with the Section-7 statistics
 (:func:`repro.stats.metrics.load_balance`, Jain's index) and flags
 
-* **skewed reducers** — tasks whose load exceeds ``imbalance_threshold``
-  times the mean, in jobs whose max/mean imbalance or Jain fairness
-  crosses the thresholds (the All-Replicate hot-tail of Figure 4);
+* **skewed reducers** — tasks whose load exceeds
+  :data:`IMBALANCE_THRESHOLD` times the mean, in jobs whose max/mean
+  imbalance or Jain fairness crosses the thresholds (the All-Replicate
+  hot-tail of Figure 4);
 * **stragglers** — reduce tasks whose recorded wall-clock duration
-  exceeds ``straggler_factor`` times the job's median task duration;
+  exceeds :data:`STRAGGLER_FACTOR` times the job's median task duration;
 * **empty-output tasks** — tasks that received input but emitted
   nothing (wasted shuffle volume; grid cells that never join).
 
@@ -48,6 +49,15 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.obs.explain import PlanReconciliation
 
 __all__ = ["TaskFlag", "JobLoadSummary", "FaultSummary", "RunReport"]
+
+#: A job is skewed when its max/mean load passes this ...
+IMBALANCE_THRESHOLD = 2.0
+#: ... or its Jain fairness falls below this one.
+FAIRNESS_THRESHOLD = 0.5
+#: A reduce task straggles past this many times its job's median task.
+STRAGGLER_FACTOR = 3.0
+#: How many of a job's hottest logical reducer keys the report names.
+TOP_KEYS = 5
 
 
 @dataclass(frozen=True)
@@ -128,16 +138,7 @@ class RunReport:
 
     # ------------------------------------------------------------------
     @classmethod
-    def from_spans(
-        cls,
-        spans: Sequence[Span],
-        *,
-        imbalance_threshold: float = 2.0,
-        fairness_threshold: float = 0.5,
-        straggler_factor: float = 3.0,
-        min_straggler_seconds: float = 0.0,
-        top_keys: int = 5,
-    ) -> "RunReport":
+    def from_spans(cls, spans: Sequence[Span]) -> "RunReport":
         """Analyse a run's closed spans — a live recorder's ``spans`` or
         a reloaded JSONL trace, which give the same report."""
         reduce_tasks = cls._reduce_tasks_by_job(spans)
@@ -153,8 +154,8 @@ class RunReport:
             loads = list(attrs["reduce_task_loads"])
             balance = load_balance(dict(enumerate(loads)))
             skewed = len(loads) > 1 and (
-                balance.imbalance > imbalance_threshold
-                or balance.fairness < fairness_threshold
+                balance.imbalance > IMBALANCE_THRESHOLD
+                or balance.fairness < FAIRNESS_THRESHOLD
             )
             framework = span.counters.get("framework", {})
             reads = framework.get("map_input_records", 0)
@@ -163,10 +164,8 @@ class RunReport:
                 balance=balance,
                 skewed=skewed,
                 hot_keys=[
-                    (str(entry[0]), int(entry[1]))
-                    for entry in attrs.get("key_loads", ())[: max(top_keys, 0)]
-                    # An older trace's bare loads name no key.
-                    if isinstance(entry, (list, tuple))
+                    (str(key), int(load))
+                    for key, load in attrs.get("key_loads", ())[:TOP_KEYS]
                 ],
                 # Map output ÷ map input records: the per-job
                 # replication factor of Tables 1-3.
@@ -178,7 +177,7 @@ class RunReport:
             )
             if skewed and balance.mean_load > 0:
                 for index, load in enumerate(loads):
-                    if load > imbalance_threshold * balance.mean_load:
+                    if load > IMBALANCE_THRESHOLD * balance.mean_load:
                         summary.hot_tasks.append(index)
                         flags.append(
                             TaskFlag(
@@ -215,11 +214,7 @@ class RunReport:
             if span.kind == "attempt":
                 faults.attempt_spans += 1
                 faults.overhead_seconds += span.duration
-        flags.extend(
-            cls._straggler_flags(
-                spans, straggler_factor, min_straggler_seconds
-            )
-        )
+        flags.extend(cls._straggler_flags(spans))
         from repro.obs.explain import reconciliation_from_spans
 
         return cls(jobs, flags, faults, reconciliation_from_spans(spans))
@@ -242,11 +237,7 @@ class RunReport:
         return by_job
 
     @staticmethod
-    def _straggler_flags(
-        spans: Sequence[Span],
-        straggler_factor: float,
-        min_straggler_seconds: float,
-    ) -> List[TaskFlag]:
+    def _straggler_flags(spans: Sequence[Span]) -> List[TaskFlag]:
         by_job: Dict[str, List[Span]] = {}
         for span in spans:
             if (
@@ -264,10 +255,7 @@ class RunReport:
             if median <= 0:
                 continue
             for span in task_spans:
-                if (
-                    span.duration > straggler_factor * median
-                    and span.duration >= min_straggler_seconds
-                ):
+                if span.duration > STRAGGLER_FACTOR * median:
                     flags.append(
                         TaskFlag(
                             job=job,

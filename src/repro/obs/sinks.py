@@ -4,8 +4,7 @@ The sink protocol is three methods, every one called under the
 recorder's lock (so sinks need no locking against each other) and on the
 thread that opened or closed the span: ``opened(span)`` as a span
 starts, ``emit(span)`` once as it closes — fully annotated — and
-``close()`` when the recorder shuts down.  The metrics fold
-(:class:`~repro.obs.metrics.MetricsFold`), the
+``close()`` when the recorder shuts down.  The
 :class:`~repro.obs.profile.Profiler` and the
 :class:`~repro.obs.live.TelemetryHub` are sinks the recorder attaches
 itself.  The recorder keeps the spans in memory itself (``spans``,
@@ -20,7 +19,7 @@ from __future__ import annotations
 
 import json
 import os
-from typing import List, TextIO, Union
+from typing import List, TextIO, Tuple, Union
 
 from repro.obs.span import Span
 
@@ -72,25 +71,15 @@ class JsonlSink(TraceSink):
             self._handle.close()
 
 
-def load_spans_jsonl(path: str) -> List[Span]:
-    """Read a :class:`JsonlSink` trace back into :class:`Span` objects.
+def load_spans_jsonl(path: str) -> Tuple[List[Span], List[str]]:
+    """Read a :class:`JsonlSink` trace back: ``(spans, warnings)``.
 
-    What ``repro report`` uses to rebuild a dashboard from a trace
-    artifact after the run is gone.  Blank lines are skipped; children
-    lists stay empty (the file is flat, ``parent`` ids carry the tree).
-    """
-    spans, warnings = load_spans_jsonl_tolerant(path)
-    if warnings:
-        raise ValueError(warnings[0])
-    return spans
-
-
-def load_spans_jsonl_tolerant(path: str) -> "tuple[List[Span], List[str]]":
-    """Like :func:`load_spans_jsonl`, but degrades gracefully.
-
-    Unparsable or non-object lines are skipped and reported as warning
-    strings instead of raising, so ``repro report`` can render whatever
-    an older or truncated trace still contains.
+    What ``repro report`` uses to rebuild its report, metrics and
+    dashboard from a trace artifact after the run is gone.  Blank lines
+    are skipped; children lists stay empty (the file is flat, ``parent``
+    ids carry the tree).  Unparsable or non-object lines are skipped and
+    reported as warning strings instead of raising, so a truncated trace
+    still renders what it holds.
     """
     spans: List[Span] = []
     warnings: List[str] = []
@@ -112,4 +101,3 @@ def load_spans_jsonl_tolerant(path: str) -> "tuple[List[Span], List[str]]":
                 continue
             spans.append(Span.from_dict(payload))
     return spans, warnings
-

@@ -98,7 +98,7 @@ def test_run_options_and_observers_cannot_touch_a_prediction(
     from repro.obs.recorder import TraceRecorder
 
     monkeypatch.setattr(
-        MetricsRegistry, "_register", counting(MetricsRegistry._register)
+        MetricsRegistry, "__init__", counting(MetricsRegistry.__init__)
     )
     monkeypatch.setattr(
         TraceRecorder, "start_span", counting(TraceRecorder.start_span)

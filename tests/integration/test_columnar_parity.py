@@ -267,7 +267,7 @@ def test_chaos_equals_clean_on_columnar(executor):
 @pytest.mark.parametrize("executor", EXECUTORS)
 def test_profiler_is_passive_on_columnar(executor):
     """Profiling a columnar run changes nothing outside the allowlisted
-    profile/wall metric groups."""
+    wall metric group."""
     data = make_dataset(("R1", "R2", "R3"), 60, seed=5)
     plain, plain_rec = _run("rccis", COLOCATION, data, executor)
     profiled, prof_rec = _run(
@@ -280,21 +280,21 @@ def test_profiler_is_passive_on_columnar(executor):
 
 @pytest.mark.parametrize("executor", EXECUTORS)
 def test_shm_transport_accounted_only_under_processes(executor):
-    """The profiler's shared-memory accounting fires exactly when the
-    zero-copy transport is in use: the columnar plane under the
-    processes executor."""
+    """The shared-memory bytes the profiled reduce phase carries are
+    non-zero exactly when the zero-copy transport is in use: the
+    columnar plane under the processes executor."""
     data = make_dataset(("R1", "R2"), 60, seed=7)
     query = IntervalJoinQuery.parse([("R1", "overlaps", "R2")])
     _, recorder = _run(
         "two_way", query, data, executor, profile=True
     )
-    snapshot = recorder.metrics.as_dict()
-    family = snapshot.get("repro_profile_shm_bytes_total")
-    samples = family["samples"] if family else []
-    if executor == "processes":
-        assert sum(sample["value"] for sample in samples) > 0
-    else:
-        assert not samples
+    shm = sum(
+        span.attributes.get("shm_bytes", 0)
+        for span in recorder.spans
+        if span.kind == "phase"
+        and "profile_cpu_driver_seconds" in span.attributes
+    )
+    assert (shm > 0) == (executor == "processes")
 
 
 # ----------------------------------------------------------------------

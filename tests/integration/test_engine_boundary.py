@@ -660,11 +660,14 @@ def test_every_module_is_reached_from_an_entry_point():
 
 
 #: What a cold ``import repro`` must not load: the live status server
-#: and its ``http.server`` (which pulls in ``email``), the dashboard, and
-#: the explain and report modules only the CLI and tools import.
+#: and its ``http.server`` (which pulls in ``email``), the dashboard, the
+#: explain and report modules only the CLI and tools import, and the
+#: metric registry and profiler, which a recorder loads only when read
+#: or asked to profile.
 COLD_IMPORT_ABSENT = (
     "http.server", "email", "repro.obs.dashboard", "repro.obs.live",
-    "repro.obs.explain", "repro.obs.report",
+    "repro.obs.explain", "repro.obs.report", "repro.obs.metrics",
+    "repro.obs.profile",
 )
 
 

@@ -4,14 +4,13 @@ Three invariants gate the data-plane profiler:
 
 * **Passivity** — profiling must never change what a run computes.  With
   the profiler off, a recorder-observed run is bit-identical to the
-  seed behaviour (no ``profile`` families, no annotations); with it on,
+  seed behaviour (no ``profile_*`` annotations); with it on,
   output tuples, part files and the deterministic ``run``-group metric
   fingerprint are bit-identical to the unprofiled run, for every
   executor.
 * **Chaos compatibility** — ``--profile`` composes with fault
   injection: a profiled chaos run still equals the clean run on
-  everything outside the allowlisted ``wall``/``faults``/``profile``
-  groups.
+  everything outside the allowlisted ``wall``/``faults`` groups.
 * **Nothing rides along** — an observed run, profiled and live, starts
   no thread and no child process on any executor, and leaves nothing
   behind in the worker pool: telemetry is computed on the threads that
@@ -30,8 +29,9 @@ import pytest
 from repro.core.executor import execute
 from repro.core.query import IntervalJoinQuery
 from repro.mapreduce import runner
-from repro.obs import TraceRecorder, TraceSink
-from repro.obs.metrics import GROUP_FAULTS, GROUP_PROFILE, GROUP_WALL
+from repro.obs import JsonlSink, TraceRecorder, TraceSink, load_spans_jsonl
+from repro.obs.metrics import GROUP_FAULTS, GROUP_WALL
+from repro.obs.profile import data_plane_rows
 
 from tests.conftest import make_dataset
 from tests.integration.test_fault_parity import pinned_plan
@@ -47,11 +47,12 @@ HYBRID = IntervalJoinQuery.parse(
 
 
 def _run(
-    query, data, executor, *, profile=False, faults=False, max_attempts=None
+    query, data, executor, *, profile=False, faults=False, max_attempts=None,
+    sinks=(),
 ):
     if max_attempts is None:
         max_attempts = 3 if faults is not False else 1
-    recorder = TraceRecorder(profile=profile)
+    recorder = TraceRecorder(*sinks, profile=profile)
     result = execute(
         query,
         data,
@@ -75,8 +76,8 @@ def test_profiled_run_is_bit_identical(executor):
     assert profiled.tuple_ids() == plain.tuple_ids()
     assert len(plain) > 0
 
-    # The default fingerprint (wall and profile excluded) matches; the
-    # run group in particular is untouched by profiling.
+    # The default fingerprint (wall excluded) matches; the run group in
+    # particular is untouched by profiling.
     assert prof_rec.metrics.fingerprint() == plain_rec.metrics.fingerprint()
 
     # Part files job by job.
@@ -88,15 +89,12 @@ def test_profiled_run_is_bit_identical(executor):
 
 
 def test_profiler_off_records_nothing():
-    """Profile off means OFF: no profile families, no annotations —
-    the observed run is exactly the seed behaviour."""
+    """Profile off means OFF: no annotations and no rundown — the
+    observed run is exactly the seed behaviour."""
     data = make_dataset(("R1", "R2", "R3"), 60, seed=5)
     _, recorder = _run(SEQUENCE, data, "serial", profile=False)
     assert recorder.profiler is None
-    snapshot = recorder.metrics.as_dict()
-    assert not any(
-        entry.get("group") == GROUP_PROFILE for entry in snapshot.values()
-    )
+    assert data_plane_rows(recorder.spans) == ([], [])
     assert not any(
         key.startswith("profile_")
         for span in recorder.spans
@@ -118,17 +116,17 @@ def test_profiled_chaos_equals_clean(executor):
     assert chaos.tuple_ids() == clean.tuple_ids()
     assert chaos.metrics.tasks_failed > 0  # the plan actually fired
 
-    exclude = (GROUP_WALL, GROUP_FAULTS, GROUP_PROFILE)
+    exclude = (GROUP_WALL, GROUP_FAULTS)
     assert chaos_rec.metrics.fingerprint(
         exclude_groups=exclude
     ) == clean_rec.metrics.fingerprint(exclude_groups=exclude)
 
 
 def _task_cpu_seconds(recorder):
-    cpu = recorder.metrics.get("repro_profile_cpu_seconds_total")
-    assert cpu is not None
     return sum(
-        value for labels, value in cpu.samples() if labels[2] == "task"
+        span.attributes.get("profile_cpu_seconds", 0)
+        for span in recorder.spans
+        if span.kind == "task"
     )
 
 
@@ -225,10 +223,33 @@ def test_serial_and_threads_report_cpu_and_memory():
     data = make_dataset(("R1", "R2", "R3"), 60, seed=5)
     for executor in ("serial", "threads"):
         _, recorder = _run(SEQUENCE, data, executor, profile=True)
-        cpu = recorder.metrics.get("repro_profile_cpu_seconds_total")
-        assert cpu is not None, executor
-        wheres = {labels[2] for labels, _ in cpu.samples()}
-        assert "task" in wheres, executor
-        rss = recorder.metrics.get("repro_profile_mem_rss_peak_bytes")
-        assert rss is not None, executor
-        assert all(value > 0 for _, value in rss.samples()), executor
+        tasks = [span for span in recorder.spans if span.kind == "task"]
+        assert any("profile_cpu_seconds" in s.attributes for s in tasks)
+        phases = [span for span in recorder.spans if span.kind == "phase"]
+        assert phases, executor
+        assert all(
+            span.attributes["profile_mem_rss_peak_bytes"] > 0
+            for span in phases
+        ), executor
+
+
+@pytest.mark.parametrize("executor", ("serial", "processes"))
+def test_rundown_reads_the_same_from_the_trace(executor, tmp_path):
+    """The data-plane rundown is a function of the spans alone: the live
+    recorder's spans and the JSONL trace they were written to give the
+    same rows and notes — the shared-memory note of a ``processes``
+    run included."""
+    data = make_dataset(("R1", "R2"), 60, seed=7)
+    query = IntervalJoinQuery.parse([("R1", "overlaps", "R2")])
+    trace = str(tmp_path / "trace.jsonl")
+    _, recorder = _run(
+        query, data, executor, profile=True, sinks=[JsonlSink(trace)]
+    )
+    live = data_plane_rows(recorder.spans)
+    spans, warnings = load_spans_jsonl(trace)
+    assert not warnings
+    assert data_plane_rows(spans) == live
+    rows, notes = live
+    assert rows
+    shm = [text for _, text in notes if text.startswith("shm transport")]
+    assert bool(shm) == (executor == "processes")

@@ -258,11 +258,9 @@ class TestReportFromTheTraceAlone:
         assert exit_code == 0
         out = capsys.readouterr().out
         assert "plan reconciliation — rccis" in out
-        assert "trace predates" not in out  # nothing had to be skipped
         # Same numbers as the run printed; --metrics-out writes the fold.
         assert self._rundown(out) == run_rundown
-        registry, skipped = fold_spans(load_spans_jsonl(str(trace)))
-        assert skipped == []
+        registry = fold_spans(load_spans_jsonl(str(trace))[0])
         assert registry.as_dict() == json.loads(snapshot.read_text())
         page = html.read_text()
         for panel in (
@@ -275,45 +273,3 @@ class TestReportFromTheTraceAlone:
         with pytest.raises(SystemExit):
             main(["report", "t.jsonl", "--metrics", "m.json"])
         assert "unrecognized arguments: --metrics" in capsys.readouterr().err
-
-    def test_trace_from_before_the_fold_still_loads(
-        self, quickstart_files, tmp_path, capsys
-    ):
-        """A trace written before spans carried everything the fold
-        reads: the families it cannot supply are named, nothing raises."""
-        trace = tmp_path / "run.jsonl"
-        assert main(
-            _run_args(quickstart_files)
-            + ["--trace", str(trace)]
-        ) == 0
-        newer = {"input", "staged", "key_loads", "promoted", "tasks", "keys"}
-        old_lines = []
-        for line in trace.read_text().splitlines():
-            entry = json.loads(line)
-            entry["attributes"] = {
-                key: value
-                for key, value in entry["attributes"].items()
-                if key not in newer
-            }
-            old_lines.append(json.dumps(entry))
-        trace.write_text("\n".join(old_lines) + "\n")
-        capsys.readouterr()
-
-        html = tmp_path / "old.html"
-        exit_code = main(
-            ["report", str(trace), "--profile", "--html", str(html)]
-        )
-        assert exit_code == 0
-        captured = capsys.readouterr()
-        (metrics_line,) = [
-            line for line in captured.out.splitlines()
-            if line.startswith("metrics:    trace predates")
-        ]
-        for family in (
-            "repro_map_records_total", "repro_key_load",
-            "repro_fs_attempts_total",
-        ):
-            assert family in metrics_line
-        assert "plan reconciliation — rccis" in captured.out
-        assert "no profile metrics recorded" in captured.out
-        assert "Skew &amp; replication per job" in html.read_text()

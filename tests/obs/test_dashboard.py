@@ -94,9 +94,7 @@ def _observed_run(algorithm, query, relations):
 )
 def test_dashboard_smoke(algorithm, query, relations):
     recorder = _observed_run(algorithm, query, relations)
-    page = render_dashboard(
-        recorder.spans, recorder.metrics, title=f"run {algorithm}"
-    )
+    page = render_dashboard(recorder.spans, title=f"run {algorithm}")
     parser = _parse(page)
     assert page.startswith("<!DOCTYPE html>")
     assert "svg" in parser.seen and "table" in parser.seen
@@ -121,7 +119,7 @@ def test_dashboard_replication_for_every_algorithm(
     algorithm, query, relations
 ):
     recorder = _observed_run(algorithm, query, relations)
-    page = render_dashboard(recorder.spans, recorder.metrics)
+    page = render_dashboard(recorder.spans)
     _parse(page)
     assert "Skew &amp; replication per job" in page
     assert "Plan &#183; predicted vs observed" in page
@@ -142,12 +140,12 @@ def test_dashboard_from_reloaded_trace(tmp_path):
         observer=recorder,
     )
     recorder.close()
-    page = render_dashboard(load_spans_jsonl(str(trace)))
+    page = render_dashboard(load_spans_jsonl(str(trace))[0])
     _parse(page)
     for needle in ("rccis-flag", "rccis-join", "Per-phase timeline",
                    "Plan &#183; predicted vs observed"):
         assert needle in page
-    live = render_dashboard(recorder.spans, recorder.metrics)
+    live = render_dashboard(recorder.spans)
     tables = "<h2>Skew &amp; replication per job</h2>"
     assert page[page.index(tables):] == live[live.index(tables):]
 

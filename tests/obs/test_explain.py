@@ -153,12 +153,19 @@ class TestExplainRender:
         assert "[chosen by override]" in explained.render()
         assert "planner would pick all_seq_matrix" in explained.reason
 
-    def test_prune_prefers_pasm(self):
+    def test_pasm_is_an_explicit_override(self):
+        """PASM runs a hybrid query only when named: the planner's
+        rejected alternatives say how, and the override explains it."""
         query = IntervalJoinQuery.parse(HYBRID)
+        alternatives = dict(explain_query(query).alternatives)
+        assert 'algorithm="pasm"' in alternatives["pasm"]
+        assert "--prune" not in alternatives["pasm"]
         explained = explain_query(
-            query, make_data(query.relations), prune=True
+            query, make_data(query.relations), algorithm="pasm"
         )
         assert explained.algorithm == "pasm"
+        assert explained.chosen_by == "override"
+        assert "all_seq_matrix" in dict(explained.alternatives)
 
     def test_exact_tier_in_render(self):
         query = IntervalJoinQuery.parse(HYBRID)
@@ -266,7 +273,7 @@ class TestReconciliationSpans:
         )
         live = reconciliation_from_spans(recorder.spans)
         recorder.close()
-        reloaded = reconciliation_from_spans(load_spans_jsonl(str(trace)))
+        reloaded = reconciliation_from_spans(load_spans_jsonl(str(trace))[0])
         assert [r.as_dict() for r in reloaded] == [
             r.as_dict() for r in live
         ]
@@ -280,7 +287,7 @@ class TestReconciliationSpans:
 
     def test_dashboard_plan_panel_from_spans(self):
         recorder = self._observed_run()
-        page = render_dashboard(recorder.spans, recorder.metrics)
+        page = render_dashboard(recorder.spans)
         assert "Plan &#183; predicted vs observed" in page
         assert "shuffled_records" in page
 

@@ -17,8 +17,16 @@ import pytest
 
 from repro.core.executor import execute
 from repro.core.query import IntervalJoinQuery
-from repro.obs import MetricError, MetricsRegistry, TraceRecorder
-from repro.obs.metrics import GROUP_WALL, LOAD_BUCKETS
+from repro.obs import (
+    Counter,
+    Histogram,
+    MetricError,
+    MetricsRegistry,
+    Span,
+    TraceRecorder,
+    fold_spans,
+)
+from repro.obs.metrics import GROUP_RUN, GROUP_WALL, _family
 
 from tests.conftest import make_dataset
 
@@ -27,8 +35,7 @@ GOLDEN_DIR = os.path.join(os.path.dirname(__file__), "golden")
 
 class TestCounter:
     def test_inc_and_value(self):
-        registry = MetricsRegistry()
-        counter = registry.counter("c_total", "help", labels=("job",))
+        counter = Counter("c_total", "help", ("job",), GROUP_RUN)
         counter.inc(job="a")
         counter.inc(2, job="a")
         counter.inc(5, job="b")
@@ -36,29 +43,21 @@ class TestCounter:
         assert counter.value(job="b") == 5
 
     def test_negative_increment_rejected(self):
-        counter = MetricsRegistry().counter("c_total")
+        counter = Counter("c_total", "help", (), GROUP_RUN)
         with pytest.raises(MetricError):
             counter.inc(-1)
 
     def test_label_mismatch_rejected(self):
-        counter = MetricsRegistry().counter("c_total", labels=("job",))
+        counter = Counter("c_total", "help", ("job",), GROUP_RUN)
         with pytest.raises(MetricError):
             counter.inc(task="x")
-
-
-class TestGauge:
-    def test_last_write_wins(self):
-        gauge = MetricsRegistry().gauge("g", labels=("k",))
-        gauge.set(1.5, k="x")
-        gauge.set(2.5, k="x")
-        assert gauge.value(k="x") == 2.5
-        assert gauge.value(k="missing") is None
 
 
 class TestHistogram:
     def test_bucketing_and_quantiles(self):
         registry = MetricsRegistry()
-        histogram = registry.histogram("h", buckets=(1.0, 10.0, 100.0))
+        histogram = Histogram("h", "help", (), GROUP_RUN, (1.0, 10.0, 100.0))
+        registry._metrics["h"] = histogram
         for value in (0.5, 5, 5, 50, 500):
             histogram.observe(value)
         state = histogram.state()
@@ -70,48 +69,60 @@ class TestHistogram:
         """A p95 observation above the last bucket has no finite upper
         bound: the summary says ``+Inf``, not the mean of everything."""
         registry = MetricsRegistry()
-        histogram = registry.histogram("repro_reduce_task_load", labels=("job",))
+        histogram = _family(registry, "repro_reduce_task_load")
         for load in (10, 10, 10, 60_000):
             histogram.observe(load, job="j")
         line = registry.summary().splitlines()[1]
         assert line.endswith("p50<=10 p95<=+Inf"), line
 
-    def test_registration_signature_checked(self):
-        registry = MetricsRegistry()
-        registry.histogram("h", buckets=(1.0, 2.0))
-        registry.histogram("h", buckets=(1.0, 2.0))  # idempotent
-        with pytest.raises(MetricError):
-            registry.histogram("h", buckets=(1.0, 3.0))
-        with pytest.raises(MetricError):
-            registry.counter("h")
 
-    def test_unsorted_buckets_rejected(self):
-        with pytest.raises(MetricError):
-            MetricsRegistry().histogram("h", buckets=(2.0, 1.0))
+def _span(kind, name, span_id, duration=0.25, **attributes):
+    return Span(
+        name=name, kind=kind, span_id=span_id, parent_id=None,
+        start=0.0, end=duration, attributes=attributes,
+    )
 
 
 class TestMergeAndSerialisation:
-    def _populated(self, scale=1):
-        registry = MetricsRegistry()
-        registry.counter("records_total", "r", labels=("job",)).inc(
-            10 * scale, job="j"
+    def _populated(self):
+        return fold_spans(
+            [
+                _span("phase", "map", 1, job="j"),
+                _span("job", "j", 2, job="j", shuffled_records=10,
+                      key_loads=[["'k'", 4], ["'m'", 6]]),
+            ]
         )
-        registry.gauge("factor", "f").set(1.5 * scale)
-        histogram = registry.histogram("load", "l", buckets=LOAD_BUCKETS)
-        for value in range(scale * 3):
-            histogram.observe(value)
-        return registry
 
     def test_fingerprint_excludes_groups(self):
         registry = self._populated()
-        registry.counter("wall_thing", group=GROUP_WALL).inc(123)
-        assert "wall_thing" not in registry.fingerprint()
-        assert "wall_thing" in registry.fingerprint(exclude_groups=())
+        for name in ("repro_phase_wall_seconds", "repro_job_wall_seconds"):
+            assert name not in registry.fingerprint()
+            assert name in registry.fingerprint(exclude_groups=())
 
     def test_summary_mentions_every_family(self):
         text = self._populated().summary()
-        for family in ("records_total", "factor", "load"):
+        for family in (
+            "repro_shuffle_records_total", "repro_key_load",
+            "repro_phase_wall_seconds", "repro_job_wall_seconds",
+        ):
             assert family in text
+
+    def test_a_span_without_its_attributes_folds_nothing_for_them(self):
+        """A failed job's span has no ``shuffled_records``, and a task
+        span may lack what the fold reads: nothing raises, and only the
+        facts that are there are folded."""
+        registry = fold_spans(
+            [
+                _span("job", "j", 1, job="j"),
+                _span("task", "map:R1", 2, job="j", phase="map"),
+                _span("task", "reduce[0]", 3, job="j", phase="reduce"),
+                _span("attempt", "reduce[0]", 4, job="j", phase="reduce"),
+            ]
+        )
+        assert {metric.name for metric in registry.families()} == {
+            "repro_job_wall_seconds", "repro_reduce_records_total",
+            "repro_reduce_task_load",
+        }
 
 
 # ---------------------------------------------------------------- goldens
@@ -196,11 +207,11 @@ def test_report_metrics_out_matches_golden(case, tmp_path):
     """``repro report T --metrics-out x.prom`` over the golden run's
     trace writes the golden exposition: the trace alone carries it."""
     from repro.cli import main
-    from repro.obs import JsonlSink, fold_spans, load_spans_jsonl
+    from repro.obs import JsonlSink, load_spans_jsonl
 
     algorithm, query, relations = case
     trace, prom = tmp_path / "t.jsonl", tmp_path / "x.prom"
     _traced_run(algorithm, query, relations, JsonlSink(str(trace)))
     assert main(["report", str(trace), "--metrics-out", str(prom)]) == 0
-    registry, _ = fold_spans(load_spans_jsonl(str(trace)))
+    registry = fold_spans(load_spans_jsonl(str(trace))[0])
     assert _without_wall(prom.read_text(), registry) == _golden(algorithm)

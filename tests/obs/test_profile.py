@@ -5,15 +5,14 @@ from __future__ import annotations
 import pytest
 
 from repro.obs import (
-    MetricsRegistry,
     Profiler,
     Span,
     TraceRecorder,
     data_plane_summary,
     fold_spans,
-    load_spans_jsonl_tolerant,
+    load_spans_jsonl,
 )
-from repro.obs.metrics import GROUP_PROFILE
+from repro.obs.profile import data_plane_rows
 
 
 def _profiler(**switch):
@@ -58,9 +57,10 @@ def _span(kind, name, span_id, duration=0.25, **attributes):
 
 
 class TestProfilerHooks:
-    def test_record_hooks_publish_profile_group(self):
-        """What the profiler annotates on spans is what the fold turns
-        into the ``profile`` group — the profiler holds no registry."""
+    def test_record_hooks_annotate_the_spans_alone(self):
+        """What the profiler measures lives on the spans it annotates,
+        where the rundown reads it — the profiler holds no registry and
+        the fold makes no family of it."""
         profiler = Profiler()
         assert not hasattr(profiler, "registry")
         task = _span("task", "map:in", 2, job="j", phase="map", input="in")
@@ -71,20 +71,18 @@ class TestProfilerHooks:
             profiler.emit(span)
         assert task.attributes["profile_cpu_seconds"] >= 0.0
         assert phase.attributes["profile_mem_rss_peak_bytes"] > 0
-        registry, skipped = fold_spans([task, phase])
-        assert skipped == []
-        families = {
-            name
-            for name, entry in registry.as_dict().items()
-            if entry.get("group") == GROUP_PROFILE
-        }
-        assert families == {
-            "repro_profile_cpu_seconds_total",
-            "repro_profile_mem_rss_peak_bytes",
-            "repro_profile_shm_bytes_total",
-        }
-        cpu = registry.get("repro_profile_cpu_seconds_total")
-        assert {labels[2] for labels, _ in cpu.samples()} == {"task", "driver"}
+        families = {metric.name for metric in fold_spans([task, phase]).families()}
+        assert families == {"repro_map_records_total", "repro_phase_wall_seconds"}
+        rows, notes = data_plane_rows([task, phase])
+        assert [row[:2] for row in rows] == [("j", "map"), ("j", "reduce")]
+        assert rows[0][2] == task.attributes["profile_cpu_seconds"]
+        assert rows[1][3:] == (
+            phase.attributes["profile_cpu_driver_seconds"],
+            phase.attributes["profile_mem_rss_peak_bytes"],
+        )
+        assert notes == [
+            ("j", "shm transport: 4.0KiB via shared memory (columnar plane)")
+        ]
 
     def test_pooled_task_is_not_charged(self):
         """A task whose body ran in a pool worker says so on its span:
@@ -104,19 +102,19 @@ class TestProfilerHooks:
 
     def test_unprofiled_phase_folds_no_profile_family(self):
         """``shm_bytes`` is a fact of the run the engine always reports;
-        it only becomes a ``profile`` family on a profiled phase."""
-        registry, _ = fold_spans(
-            [_span("phase", "reduce", 1, job="j", shm_bytes=4096)]
-        )
-        assert {metric.group for metric in registry.families()} == {"wall"}
+        the rundown shows it only for a profiled phase, and no metric
+        family carries it."""
+        spans = [_span("phase", "reduce", 1, job="j", shm_bytes=4096)]
+        assert data_plane_rows(spans) == ([], [])
+        assert {metric.group for metric in fold_spans(spans).families()} == {
+            "wall"
+        }
 
-    def test_profile_group_excluded_from_fingerprint(self):
-        baseline = MetricsRegistry().fingerprint()
-        registry, _ = fold_spans(
+    def test_profile_facts_reach_no_fingerprint(self):
+        registry = fold_spans(
             [_span("task", "t", 1, job="j", phase="x", profile_cpu_seconds=1.0)]
         )
-        assert registry.fingerprint() == baseline
-        assert registry.fingerprint(exclude_groups=()) != baseline
+        assert registry.fingerprint(exclude_groups=()) == {}
 
     def test_summary(self):
         spans = [
@@ -125,15 +123,15 @@ class TestProfilerHooks:
             _span("phase", "shuffle", 3, duration=0.01, job="two-way",
                   keys=8, profile_cpu_driver_seconds=0.01),
         ]
-        text = data_plane_summary(spans, fold_spans(spans)[0])
+        text = data_plane_summary(spans)
         assert "job two-way" in text and "map" in text
         assert "0.500s" in text
         assert "shuffle sort: 0.010s over 8 keys" in text
         assert "gc" not in text and "pkl" not in text
 
-    def test_summary_empty_registry(self):
+    def test_summary_of_unprofiled_spans(self):
         assert "no profile metrics" in data_plane_summary(
-            [], MetricsRegistry()
+            [_span("phase", "map", 1, job="j")]
         )
 
 
@@ -157,12 +155,8 @@ class TestRecorderIntegration:
         phase = next(s for s in recorder.spans if s.kind == "phase")
         assert "profile_mem_rss_peak_bytes" in phase.attributes
         assert "profile_cpu_driver_seconds" in phase.attributes
-        assert (
-            recorder.metrics.get("repro_profile_mem_rss_peak_bytes").value(
-                job="j", phase="map"
-            )
-            > 0
-        )
+        (row,), _ = data_plane_rows(recorder.spans)
+        assert row[:2] == ("j", "map") and row[4] > 0
 
 
 class TestTolerantSpanLoader:
@@ -175,7 +169,7 @@ class TestTolerantSpanLoader:
             "[1,2,3]\n"
             '{"kind":"task","id":2,"parent":1}\n'
         )
-        spans, warnings = load_spans_jsonl_tolerant(str(path))
+        spans, warnings = load_spans_jsonl(str(path))
         assert [s.span_id for s in spans] == [1, 2]
         assert len(warnings) == 2
         assert "unparsable JSON" in warnings[0]

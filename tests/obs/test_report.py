@@ -94,7 +94,7 @@ class TestStragglerFlags:
             self._task_span(2, "j", 1, 0.0, 0.011),
             self._task_span(3, "j", 2, 0.0, 0.100),
         ]
-        report = RunReport.from_spans(spans, straggler_factor=3.0)
+        report = RunReport.from_spans(spans)
         (flag,) = report.flags_for(reason="straggler")
         assert flag.task_index == 2
 
@@ -180,12 +180,16 @@ class TestScriptedFaultStragglers:
 class TestProfilerExtensions:
     def test_hot_keys_ranked_and_bounded(self):
         spans = _job_spans(
-            "h", [10, 5], logical={"a": 7, "b": 7, "c": 1, "d": 3}
+            "h", [10, 5],
+            logical={"a": 7, "b": 7, "c": 1, "d": 3, "e": 2, "f": 4},
         )
-        report = RunReport.from_spans(spans, top_keys=3)
+        report = RunReport.from_spans(spans)
         (job,) = report.jobs
-        # Ties break on repr(key) so the ranking is deterministic.
-        assert job.hot_keys == [("'a'", 7), ("'b'", 7), ("'d'", 3)]
+        # Ties break on repr(key) so the ranking is deterministic; the
+        # report names the five hottest.
+        assert job.hot_keys == [
+            ("'a'", 7), ("'b'", 7), ("'f'", 4), ("'d'", 3), ("'e'", 2)
+        ]
         assert "hottest keys" in report.render()
 
     def test_replication_factor_from_counters(self):
@@ -290,7 +294,7 @@ class TestReportFromAReloadedTrace:
         recorder.close()
         assert result.metrics.tasks_failed > 0
 
-        text = RunReport.from_spans(load_spans_jsonl(str(trace))).render()
+        text = RunReport.from_spans(load_spans_jsonl(str(trace))[0]).render()
         assert text == RunReport.from_spans(recorder.spans).render()
         lines = text.splitlines()
         for job in recorder.job_results:
