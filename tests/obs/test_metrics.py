@@ -26,7 +26,7 @@ from repro.obs import (
     TraceRecorder,
     fold_spans,
 )
-from repro.obs.metrics import GROUP_RUN, GROUP_WALL, _family
+from repro.obs.metrics import FAMILIES, GROUP_RUN, GROUP_WALL, _family
 
 from tests.conftest import make_dataset
 
@@ -74,6 +74,31 @@ class TestHistogram:
             histogram.observe(load, job="j")
         line = registry.summary().splitlines()[1]
         assert line.endswith("p50<=10 p95<=+Inf"), line
+
+    def test_family_buckets_strictly_increasing(self):
+        """``observe`` bisects the boundaries, so every histogram row
+        needs non-empty, strictly increasing buckets; a counter row has
+        none."""
+        for name, row in FAMILIES.items():
+            kind, buckets = row[0], row[4:]
+            if kind == "histogram":
+                (bounds,) = buckets
+                assert bounds, name
+                assert all(a < b for a, b in zip(bounds, bounds[1:])), name
+            else:
+                assert kind == "counter" and not buckets, name
+
+    def test_family_built_once_per_registry(self):
+        """A row is built on first use and handed back unchanged after,
+        with the row's type, labels and group."""
+        registry = MetricsRegistry()
+        for name, (kind, labels, group, *_) in FAMILIES.items():
+            metric = _family(registry, name)
+            assert _family(registry, name) is metric
+            assert metric.kind == kind
+            assert metric.label_names == labels
+            assert metric.group == group
+        assert [m.name for m in registry.families()] == sorted(FAMILIES)
 
 
 def _span(kind, name, span_id, duration=0.25, **attributes):
